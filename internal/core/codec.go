@@ -1,6 +1,11 @@
 package core
 
-import "allscale/internal/wire"
+import (
+	"fmt"
+
+	"allscale/internal/region"
+	"allscale/internal/wire"
+)
 
 // decodeArgs decodes task arguments produced by the scheduler's
 // shared wire codec.
@@ -13,4 +18,47 @@ func decodeArgs(data []byte, v any) error {
 // must inspect scheduler-encoded arguments.
 func DecodeArgs(data []byte, v any) error {
 	return wire.Decode(data, v)
+}
+
+// maxRangeDims bounds the dimensionality of a pfor range on the wire
+// (the paper's applications use 1 to 3): a decoder must not size an
+// allocation from a count a peer chose.
+const maxRangeDims = 8
+
+// AppendWire implements wire.Marshaler: the dimension count, the
+// lower then the upper bound as varints, and the extra payload
+// length-prefixed. Every pfor task carries one, and the scheduler
+// decodes it three to four times per task (CanSplit, Reqs at
+// placement and at acquisition, the variant body).
+func (a *pforArgs) AppendWire(buf []byte) ([]byte, error) {
+	n := len(a.R.Lo)
+	if len(a.R.Hi) != n || n > maxRangeDims {
+		return nil, fmt.Errorf("core: pfor range %v..%v has no wire form: bounds must agree in dimension and have at most %d",
+			a.R.Lo, a.R.Hi, maxRangeDims)
+	}
+	buf = wire.AppendUvarint(buf, uint64(n))
+	for _, v := range a.R.Lo {
+		buf = wire.AppendVarint(buf, int64(v))
+	}
+	for _, v := range a.R.Hi {
+		buf = wire.AppendVarint(buf, int64(v))
+	}
+	return wire.AppendBytes(buf, a.Extra), nil
+}
+
+// UnmarshalWire implements wire.Unmarshaler. Both bounds share one
+// allocation; Extra aliases the input, which lives as long as the
+// task's spec.
+func (a *pforArgs) UnmarshalWire(d *wire.Decoder) error {
+	n := d.Uvarint()
+	if n > maxRangeDims {
+		return fmt.Errorf("core: pfor range of %d dimensions exceeds the bound %d", n, maxRangeDims)
+	}
+	bounds := make(region.Point, 2*n)
+	for i := range bounds {
+		bounds[i] = d.Int()
+	}
+	a.R.Lo, a.R.Hi = bounds[:n:n], bounds[n:]
+	a.Extra = d.Bytes()
+	return nil
 }

@@ -86,7 +86,9 @@ type pforArgs struct {
 type PForSpec struct {
 	// Name must be unique among registered kinds.
 	Name string
-	// Body executes one iteration point.
+	// Body executes one iteration point. extra is the invocation's
+	// payload as it sits in the task's encoded arguments, shared by
+	// every point of the task: read it, do not write it.
 	Body func(ctx *sched.Ctx, p region.Point, extra []byte)
 	// Reqs states the data requirements of processing the sub-range
 	// sequentially (Definition 2.7); nil means none.

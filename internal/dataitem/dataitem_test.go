@@ -3,6 +3,7 @@ package dataitem
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 
 	"allscale/internal/region"
@@ -285,4 +286,38 @@ func TestRegistry(t *testing.T) {
 	if _, err := reg.Lookup("nope"); err == nil {
 		t.Fatal("lookup of unknown type must fail")
 	}
+}
+
+// TestGridElementAccessDoesNotAllocate pins the escape analysis of
+// the grid accessors: a caller's region.Point{x, y} literal must stay
+// on its stack. The panic path used to hand the point to fmt, which
+// moved every such literal to the heap — five mallocs per stencil
+// cell on the path that never panics.
+func TestGridElementAccessDoesNotAllocate(t *testing.T) {
+	typ := NewGridType[float64]("alloc.grid", region.Point{8, 8})
+	f := typ.NewFragment().(*GridFragment[float64])
+	if err := f.Resize(typ.FullRegion()); err != nil {
+		t.Fatal(err)
+	}
+	var sink float64
+	allocs := testing.AllocsPerRun(100, func() {
+		for x := 1; x < 7; x++ {
+			for y := 1; y < 7; y++ {
+				f.Set(region.Point{x, y}, float64(x*y))
+				*f.Ptr(region.Point{x, y}) += 1
+				sink += f.At(region.Point{x, y}) + f.At(region.Point{x - 1, y}) + f.At(region.Point{x, y + 1})
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("element access allocates %.1f times per sweep, want 0 (sink %v)", allocs, sink)
+	}
+	// The cold path still names the point.
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "(9,9)") {
+			t.Fatalf("out-of-fragment access panicked with %q, want the point named", msg)
+		}
+	}()
+	f.At(region.Point{9, 9})
 }

@@ -90,7 +90,7 @@ func (f *GridFragment[T]) blockOf(p region.Point) *gridBlock[T] {
 func (f *GridFragment[T]) At(p region.Point) T {
 	b := f.blockOf(p)
 	if b == nil {
-		panic(fmt.Sprintf("dataitem: access to %v outside fragment region %v (missing data requirement?)", p, f.cover))
+		f.outside("access to", p)
 	}
 	return b.data[b.index(p)]
 }
@@ -99,7 +99,7 @@ func (f *GridFragment[T]) At(p region.Point) T {
 func (f *GridFragment[T]) Set(p region.Point, v T) {
 	b := f.blockOf(p)
 	if b == nil {
-		panic(fmt.Sprintf("dataitem: write to %v outside fragment region %v (missing data requirement?)", p, f.cover))
+		f.outside("write to", p)
 	}
 	b.data[b.index(p)] = v
 }
@@ -108,9 +108,17 @@ func (f *GridFragment[T]) Set(p region.Point, v T) {
 func (f *GridFragment[T]) Ptr(p region.Point) *T {
 	b := f.blockOf(p)
 	if b == nil {
-		panic(fmt.Sprintf("dataitem: access to %v outside fragment region %v (missing data requirement?)", p, f.cover))
+		f.outside("access to", p)
 	}
 	return &b.data[b.index(p)]
+}
+
+// outside panics for an access beyond the fragment. It formats a copy
+// of p: handing p itself to fmt would make it escape, and then every
+// caller's region.Point{x, y} literal is a heap allocation — five per
+// stencil cell — paid on the path that never panics.
+func (f *GridFragment[T]) outside(op string, p region.Point) {
+	panic(fmt.Sprintf("dataitem: %s %v outside fragment region %v (missing data requirement?)", op, p.Clone(), f.cover))
 }
 
 // Resize implements Fragment: the fragment afterwards covers exactly

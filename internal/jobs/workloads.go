@@ -260,12 +260,15 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 		return &sched.Kind{
 			Name: kindTPC,
 			Process: func(ctx *sched.Ctx) (any, error) {
-				var p tpc.Params
+				var p TPCParams
 				if err := ctx.Args(&p); err != nil {
 					return nil, err
 				}
 				var sum int64
-				for _, c := range tpc.RunSequential(p) {
+				for _, c := range tpc.RunSequential(tpc.Params{
+					NumPoints: p.NumPoints, Height: p.Height, Radius: p.Radius,
+					NumQueries: p.NumQueries, Seed: p.Seed,
+				}) {
 					sum += c
 				}
 				return fmt.Sprintf("%d", sum), nil
@@ -276,11 +279,14 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 		return &sched.Kind{
 			Name: kindIPiC3D,
 			Process: func(ctx *sched.Ctx) (any, error) {
-				var p ipic3d.Params
+				var p IPiC3DParams
 				if err := ctx.Args(&p); err != nil {
 					return nil, err
 				}
-				st := ipic3d.RunSequential(p)
+				st := ipic3d.RunSequential(ipic3d.Params{
+					N: p.N, Steps: p.Steps, PartsPerCell: p.PartsPerCell,
+					Dt: p.Dt, Seed: p.Seed,
+				})
 				return fmt.Sprintf("%d", st.TotalParticles()), nil
 			},
 		}
@@ -293,8 +299,9 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 		Name:     kindStencilInit,
 		MinGrain: cfg.PForMinGrain,
 		Body: func(ctx *sched.Ctx, p region.Point, extra []byte) {
-			frag := stencilFrag(ctx, extra[:8])
-			frag.Set(p, StencilInitValue(p[0], p[1]))
+			if frag := stencilFrag(ctx, extra[:8]); frag != nil {
+				frag.Set(p, StencilInitValue(p[0], p[1]))
+			}
 		},
 		Reqs: func(r core.Range, extra []byte) []dim.Requirement {
 			return []dim.Requirement{{
@@ -310,6 +317,9 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 		Body: func(ctx *sched.Ctx, p region.Point, extra []byte) {
 			src := stencilFrag(ctx, extra[:8])
 			dst := stencilFrag(ctx, extra[8:16])
+			if src == nil || dst == nil {
+				return
+			}
 			c := math.Float64frombits(binary.BigEndian.Uint64(extra[16:24]))
 			x, y := p[0], p[1]
 			v := stencilUpdate(
@@ -336,11 +346,16 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 	return w
 }
 
-// stencilFrag resolves a grid fragment from an 8-byte item ID.
+// stencilFrag resolves a grid fragment from an 8-byte item ID. It
+// returns nil when the item is gone: a cancel fails the promise of a
+// task it finds in the inflight registry even while that task runs on
+// another rank, so the job can unwind and destroy its items under a
+// straggler's body. The straggler's points are then skipped — the
+// job's result is already discarded.
 func stencilFrag(ctx *sched.Ctx, id []byte) *dataitem.GridFragment[float64] {
 	frag, err := ctx.Manager().Fragment(dim.ItemID(binary.BigEndian.Uint64(id)))
 	if err != nil {
-		panic(fmt.Sprintf("jobs: stencil item missing: %v", err))
+		return nil
 	}
 	return frag.(*dataitem.GridFragment[float64])
 }
@@ -438,11 +453,7 @@ func (w *Workloads) run(jc jobContext, family string, params []byte) (string, er
 		if err := json.Unmarshal(params, &p); err != nil {
 			return "", fmt.Errorf("%w: %v", ErrBadParams, err)
 		}
-		args := tpc.Params{
-			NumPoints: p.NumPoints, Height: p.Height, Radius: p.Radius,
-			NumQueries: p.NumQueries, Seed: p.Seed,
-		}
-		return w.waitString(jc, kindTPC, &args)
+		return w.waitString(jc, kindTPC, &p)
 	case FamilyIPiC3D:
 		var p IPiC3DParams
 		if err := json.Unmarshal(params, &p); err != nil {
@@ -451,11 +462,7 @@ func (w *Workloads) run(jc jobContext, family string, params []byte) (string, er
 		if p.Dt == 0 {
 			p.Dt = 0.1
 		}
-		args := ipic3d.Params{
-			N: p.N, Steps: p.Steps, PartsPerCell: p.PartsPerCell,
-			Dt: p.Dt, Seed: p.Seed,
-		}
-		return w.waitString(jc, kindIPiC3D, &args)
+		return w.waitString(jc, kindIPiC3D, &p)
 	default:
 		return "", fmt.Errorf("%w: %q", ErrUnknownFamily, family)
 	}

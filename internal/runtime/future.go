@@ -6,7 +6,7 @@ import (
 )
 
 // Future is the consumption side of a promise: a single value (a
-// gob-encoded task result) delivered exactly once, possibly from a
+// wire-encoded task result) delivered exactly once, possibly from a
 // remote locality. Futures model the treeture-style task results of
 // the AllScale API.
 type Future struct {
@@ -14,7 +14,23 @@ type Future struct {
 	ch    chan struct{}
 	value []byte
 	err   error
+	// helper, when set, is offered the waiting goroutine by Wait.
+	helper WaitHelper
 }
+
+// WaitHelper puts a goroutine that is about to block in Future.Wait
+// to use. The scheduler implements it for futures spawned by a task
+// that occupies a queue worker, so that a join costs nothing but its
+// wait: the worker runs queued tasks instead of sleeping on them.
+type WaitHelper interface {
+	// HelpWait runs on the waiting goroutine and returns once done —
+	// the future's fulfilment — is closed.
+	HelpWait(done <-chan struct{})
+}
+
+// SetWaitHelper installs the helper of a future. It must be called
+// before the future is handed to the goroutine that waits on it.
+func (f *Future) SetWaitHelper(h WaitHelper) { f.helper = h }
 
 // newFuture returns an unfulfilled future.
 func newFuture() *Future {
@@ -33,6 +49,9 @@ func (f *Future) fulfill(value []byte, err error) {
 // Wait blocks until the future is fulfilled and returns the raw
 // encoded value.
 func (f *Future) Wait() ([]byte, error) {
+	if f.helper != nil {
+		f.helper.HelpWait(f.ch)
+	}
 	<-f.ch
 	return f.value, f.err
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // Method is a named RPC handler: it receives the caller's rank and
-// the gob-encoded request body and returns the gob-encoded reply.
+// the wire-encoded request body and returns the wire-encoded reply.
 type Method func(from int, body []byte) ([]byte, error)
 
 // OneWay is a named fire-and-forget message handler.
@@ -733,7 +733,7 @@ func (l *Locality) serveOneWay(msg transport.Message) {
 }
 
 // CallAsync invokes method at locality dst and immediately returns a
-// future for the gob-encoded response. The future fails with
+// future for the wire-encoded response. The future fails with
 // ErrPeerFailed if the transport reports dst as dead while the call
 // is outstanding, and with a close error if this locality shuts down
 // first — it never hangs on a peer that will not answer. Calls to the
@@ -912,7 +912,7 @@ func (l *Locality) PendingCalls() int {
 	return n
 }
 
-// Call invokes method at locality dst, gob-encoding args and decoding
+// Call invokes method at locality dst, wire-encoding args and decoding
 // the response into reply (which may be nil for methods without
 // results). It shares CallAsync's failure semantics: a dead peer or a
 // local shutdown fails the call with an error instead of hanging, and

@@ -194,11 +194,8 @@ func (s *Scheduler) enqueueFair(spec *TaskSpec) {
 	tq.enq.Inc()
 	f.mu.Unlock()
 	s.queued.Add(1)
-	if q != nil && q.idle.Load() > 0 {
-		select {
-		case q.wake <- struct{}{}:
-		default:
-		}
+	if q != nil {
+		q.wakeIdle()
 	}
 }
 

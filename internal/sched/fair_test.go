@@ -121,7 +121,7 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 
 	// Stragglers (e.g. arriving via a shipped batch) die at the gate.
 	specC, futC := fairSpec(s, 1, 100)
-	s.executeNow(specC, VariantProcess)
+	s.executeNow(specC, VariantProcess, noWorker)
 	if _, err := futC.Wait(); !IsJobCancelled(err) {
 		t.Fatalf("straggler of cancelled job: err = %v, want job-cancelled error", err)
 	}
@@ -148,7 +148,7 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 		t.Fatal("job 200's task vanished")
 	}
 	qt.spec.Args, _ = encodeWire(&sumRange{0, 3})
-	s.runQueued(qt)
+	s.runQueued(qt, noWorker)
 	var sum int64
 	if err := futB.WaitInto(&sum); err != nil {
 		t.Fatalf("surviving job failed: %v", err)

@@ -77,7 +77,8 @@ type TaskSpec struct {
 type Kind struct {
 	Name string
 	// Process is the mandatory sequential variant; its result value
-	// is gob-encoded into the task's future.
+	// is wire-encoded into the task's future (wire.Encode: int64,
+	// uint64 and string results have a builtin binary form).
 	Process func(ctx *Ctx) (any, error)
 	// Reqs computes the Process variant's data requirements from the
 	// task arguments; nil means no requirements.
@@ -716,14 +717,19 @@ func (s *Scheduler) executeAsync(spec *TaskSpec, variant Variant) {
 		return
 	}
 	cp := *spec
-	go s.executeNow(&cp, variant)
+	go s.executeNow(&cp, variant, noWorker)
 }
 
-// executeNow runs one variant immediately on the calling goroutine.
+// noWorker is the worker index of a variant that runs on a goroutine
+// of its own.
+const noWorker = -1
+
+// executeNow runs one variant immediately on the calling goroutine,
+// which is queue worker `worker` or, with noWorker, the task's own.
 // The exec span ends (and the exec-latency histogram is fed) before
 // the task promise is fulfilled, so a waiter unblocked by the result
 // observes the span as archived.
-func (s *Scheduler) executeNow(spec *TaskSpec, variant Variant) {
+func (s *Scheduler) executeNow(spec *TaskSpec, variant Variant, worker int) {
 	// Cancellation gate: tasks of a cancelled job never run, wherever
 	// they arrive from (local queue, shipped batch, steal grant,
 	// respawn). Failing the promise unwinds the job's waiters.
@@ -750,7 +756,7 @@ func (s *Scheduler) executeNow(spec *TaskSpec, variant Variant) {
 	sp := s.loc.Tracer().Begin(name, spec.Kind, trace.SpanID(spec.Span))
 	sp.SetTask(spec.ID)
 	start := time.Now()
-	result, err := s.runVariant(spec, variant, sp.SpanID())
+	result, err := s.runVariant(spec, variant, sp.SpanID(), worker)
 	sp.SetErr(err)
 	sp.End()
 	s.execHist.Observe(time.Since(start))
@@ -760,12 +766,12 @@ func (s *Scheduler) executeNow(spec *TaskSpec, variant Variant) {
 // runVariant executes the variant body, acquiring process-variant
 // data requirements around it. span is the surrounding exec span, to
 // which the acquire span and child spawns attach.
-func (s *Scheduler) runVariant(spec *TaskSpec, variant Variant, span trace.SpanID) (any, error) {
+func (s *Scheduler) runVariant(spec *TaskSpec, variant Variant, span trace.SpanID, worker int) (any, error) {
 	k, err := s.kind(spec.Kind)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Ctx{sched: s, spec: spec, span: span}
+	ctx := &Ctx{sched: s, spec: spec, span: span, worker: worker}
 	if variant == VariantSplit {
 		s.stats.splits.Inc()
 		return k.Split(ctx)
@@ -789,6 +795,9 @@ type Ctx struct {
 	spec  *TaskSpec
 	// span is the task's exec/split span; child spawns parent on it.
 	span trace.SpanID
+	// worker is the queue worker the variant occupies (noWorker for a
+	// goroutine of its own): waiting on a child must not idle it.
+	worker int
 }
 
 // Rank returns the executing locality's rank.
@@ -806,12 +815,21 @@ func (c *Ctx) Depth() int { return c.spec.Depth }
 
 // Spawn schedules a child task ((spawn) transition), assigning it the
 // given branch bit in the spawn tree. Waiting on the returned future
-// is the (sync) transition.
+// is the (sync) transition; a task that occupies a queue worker lends
+// the worker to the run queue for the length of that wait (HelpWait).
 func (c *Ctx) Spawn(kind string, args any, branch uint64) (*runtime.Future, error) {
 	path := c.spec.Path<<1 | (branch & 1)
-	return c.sched.spawnAt(kind, args, c.spec.Depth+1, path, c.spec.PathLen+1, c.span,
+	fut, err := c.sched.spawnAt(kind, args, c.spec.Depth+1, path, c.spec.PathLen+1, c.span,
 		c.spec.Tenant, c.spec.Job)
+	if err == nil && c.worker != noWorker {
+		fut.SetWaitHelper(c)
+	}
+	return fut, err
 }
+
+// HelpWait implements runtime.WaitHelper: the helping join of queue
+// mode (steal.go).
+func (c *Ctx) HelpWait(done <-chan struct{}) { c.sched.helpUntil(c.worker, done) }
 
 // Tenant returns the executing task's tenant tag (0 outside service
 // mode).
@@ -821,8 +839,9 @@ func (c *Ctx) Tenant() uint32 { return c.spec.Tenant }
 func (c *Ctx) Job() uint64 { return c.spec.Job }
 
 // encodeWire and decodeWire delegate to the shared wire codec: binary
-// for the types with codecs in wirecodec.go, gob for arbitrary user
-// argument types.
+// for the types with codecs (wirecodec.go here; task arguments and
+// results bring their own or use a builtin), the counted gob fallback
+// for user argument types without one.
 func encodeWire(v any) ([]byte, error) { return wire.Encode(v) }
 
 func decodeWire(data []byte, v any) error { return wire.Decode(data, v) }

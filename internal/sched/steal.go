@@ -201,6 +201,11 @@ func (s *Scheduler) enqueueAt(w int, spec *TaskSpec) {
 	}
 	q.deques[w].pushTail(queuedTask{spec: *spec, sp: sp})
 	s.queued.Add(1)
+	q.wakeIdle()
+}
+
+// wakeIdle signals one parked worker, if there is one.
+func (q *queueState) wakeIdle() {
 	if q.idle.Load() > 0 {
 		select {
 		case q.wake <- struct{}{}:
@@ -255,18 +260,34 @@ func (s *Scheduler) QueueLen() int {
 	return int(n)
 }
 
-// runQueued ends the task's queue-residency span and executes it.
-func (s *Scheduler) runQueued(t queuedTask) {
+// runQueued ends the task's queue-residency span and executes it on
+// worker w.
+func (s *Scheduler) runQueued(t queuedTask, w int) {
 	t.sp.End()
-	s.executeNow(&t.spec, VariantProcess)
+	s.executeNow(&t.spec, VariantProcess, w)
 }
 
-// worker is one executor goroutine: pop own deque, raid siblings,
-// steal remotely, park.
+// popLocal takes the next queued task of this locality for worker w:
+// its own deque LIFO, then the tenant fair queues — every worker
+// joins the weighted rotation once its own deque runs dry — then a
+// raid on a sibling's deque. The queued counter is adjusted for the
+// returned task.
+func (s *Scheduler) popLocal(w int) (queuedTask, bool) {
+	if t, ok := s.queue.deques[w].popTail(); ok {
+		s.queued.Add(-1)
+		return t, true
+	}
+	if t, ok := s.popFair(); ok {
+		return t, true
+	}
+	return s.stealSiblings(w)
+}
+
+// worker is one executor goroutine: run local work, steal remotely,
+// park.
 func (s *Scheduler) worker(w int) {
 	q := s.queue
 	defer q.wg.Done()
-	self := q.deques[w]
 	rng := rand.New(rand.NewSource(int64(s.Rank())*1669 + int64(w)))
 	// Reusable randomized-exponential backoff for the remote-steal
 	// retry wake-up (one timer per worker, no per-iteration allocs).
@@ -277,29 +298,13 @@ func (s *Scheduler) worker(w int) {
 			return
 		default:
 		}
-		if t, ok := self.popTail(); ok {
-			s.queued.Add(-1)
-			bo.Reset()
-			s.runQueued(t)
-			continue
+		t, ok := s.popLocal(w)
+		if !ok {
+			t, ok = s.stealRemote(w, rng)
 		}
-		// The tenant fair queues sit between the own-deque pop and the
-		// sibling raid: every worker participates in the weighted
-		// rotation once its own deque runs dry (popFair adjusts the
-		// queued counter itself).
-		if t, ok := s.popFair(); ok {
+		if ok {
 			bo.Reset()
-			s.runQueued(t)
-			continue
-		}
-		if t, ok := s.stealSiblings(w, rng); ok {
-			bo.Reset()
-			s.runQueued(t)
-			continue
-		}
-		if t, ok := s.stealRemote(w, rng); ok {
-			bo.Reset()
-			s.runQueued(t)
+			s.runQueued(t, w)
 			continue
 		}
 		// Nothing anywhere: park until an enqueue wakes us. The idle
@@ -340,19 +345,65 @@ func (s *Scheduler) worker(w int) {
 	}
 }
 
-// stealSiblings raids the deque of another worker of this locality,
-// moving a batch into worker w's own deque and returning the first
-// task for immediate execution. Intra-locality moves keep their
-// enqueue spans running: the tasks never left this rank's queues.
-func (s *Scheduler) stealSiblings(w int, rng *rand.Rand) (queuedTask, bool) {
+// helpUntil is the helping join of queue mode: the task that occupies
+// worker w waits for done (the future of a child it spawned), and
+// until then the worker keeps serving the locality's run queue exactly
+// as its loop would (popLocal, so tenant accounting and fair shares
+// hold), on top of the waiting task's stack. Without it the children
+// could only run elsewhere: on a sibling if there is one, or on
+// another locality once its thief comes round on its backoff — and on
+// a single worker of a single locality never.
+//
+// With nothing to run the worker parks on the enqueue wake-up under
+// the idle protocol of the worker loop. It does not steal remotely: a
+// join that waits for remote children is woken by their fulfilment,
+// not by importing unrelated work under a blocked task. Helped tasks
+// may join in turn; the nesting is bounded by the tasks queued here.
+// A stopping queue does not end the help: StopQueue waits for the
+// workers, and a joiner whose children are queued here can only
+// return by running them.
+func (s *Scheduler) helpUntil(w int, done <-chan struct{}) {
 	q := s.queue
-	if q.workers == 1 {
-		return queuedTask{}, false
+	for {
+		select {
+		case <-done:
+			// A wake-up consumed on the way out would strand its task
+			// behind a parked sibling: pass it on.
+			if s.queued.Load() > 0 {
+				q.wakeIdle()
+			}
+			return
+		default:
+		}
+		if t, ok := s.popLocal(w); ok {
+			s.runQueued(t, w)
+			continue
+		}
+		q.idle.Add(1)
+		if s.queued.Load() > 0 {
+			q.idle.Add(-1)
+			continue
+		}
+		idleStart := time.Now()
+		select {
+		case <-done:
+		case <-q.wake:
+		}
+		q.idle.Add(-1)
+		s.stats.workerIdleUs.Add(uint64(time.Since(idleStart).Microseconds()))
 	}
-	start := rng.Intn(q.workers)
-	for off := 0; off < q.workers; off++ {
-		v := (start + off) % q.workers
-		if v == w || q.deques[v].size.Load() == 0 {
+}
+
+// stealSiblings raids the deque of another worker of this locality,
+// scanning from w's right-hand neighbour, moving a batch into worker
+// w's own deque and returning the first task for immediate execution.
+// Intra-locality moves keep their enqueue spans running: the tasks
+// never left this rank's queues.
+func (s *Scheduler) stealSiblings(w int) (queuedTask, bool) {
+	q := s.queue
+	for off := 1; off < q.workers; off++ {
+		v := (w + off) % q.workers
+		if q.deques[v].size.Load() == 0 {
 			continue
 		}
 		batch := q.deques[v].stealHead(localStealCap)

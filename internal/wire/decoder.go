@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Append helpers for the binary form. All return the extended slice.
@@ -19,6 +20,13 @@ func AppendBool(b []byte, v bool) []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
+}
+
+// AppendFloat64 appends the IEEE 754 bits of v, little-endian, so
+// every value — NaN payloads and signed zeros included — round-trips
+// bit for bit.
+func AppendFloat64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // AppendString appends s with a uvarint length prefix.
@@ -101,6 +109,20 @@ func (d *Decoder) Varint() int64 {
 		return 0
 	}
 	d.data = d.data[n:]
+	return v
+}
+
+// Float64 reads eight bytes written by AppendFloat64.
+func (d *Decoder) Float64() float64 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.data) < 8 {
+		d.fail("truncated payload reading float64")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data))
+	d.data = d.data[8:]
 	return v
 }
 

@@ -208,12 +208,29 @@ func DecodeNumeric[T any](d *Decoder) []T {
 	return out
 }
 
-// encodeBuiltin gives plain numeric slices (MPI values, gathered
-// partial results, raw byte payloads) the binary form without
-// requiring a Marshaler. Both value and pointer forms are accepted,
+// encodeBuiltin gives the values that cross the wire without a type
+// of their own the binary form, no Marshaler required: plain numeric
+// slices (MPI values, gathered partial results, raw byte payloads),
+// the scalar task results (int64 as a varint, uint64 as a uvarint,
+// string length-prefixed) and the empty struct{} RPC body (no bytes
+// after the tag). Both value and pointer forms are accepted,
 // mirroring what callers pass to the old gob helpers.
 func encodeBuiltin(v any) ([]byte, bool) {
 	switch s := v.(type) {
+	case struct{}, *struct{}:
+		return taggedBuf(0), true
+	case int64:
+		return AppendVarint(taggedBuf(binary.MaxVarintLen64), s), true
+	case *int64:
+		return AppendVarint(taggedBuf(binary.MaxVarintLen64), *s), true
+	case uint64:
+		return AppendUvarint(taggedBuf(binary.MaxVarintLen64), s), true
+	case *uint64:
+		return AppendUvarint(taggedBuf(binary.MaxVarintLen64), *s), true
+	case string:
+		return AppendString(taggedBuf(binary.MaxVarintLen64+len(s)), s), true
+	case *string:
+		return AppendString(taggedBuf(binary.MaxVarintLen64+len(*s)), *s), true
 	case []byte:
 		return appendBuiltin(s), true
 	case *[]byte:
@@ -246,37 +263,46 @@ func encodeBuiltin(v any) ([]byte, bool) {
 	return nil, false
 }
 
-func appendBuiltin[T any](s []T) []byte {
-	buf := make([]byte, 1, 16+8*len(s))
+// taggedBuf returns a buffer holding the binary format tag, with room
+// for n more bytes.
+func taggedBuf(n int) []byte {
+	buf := make([]byte, 1, 1+n)
 	buf[0] = FormatBinary
-	return AppendNumeric(buf, s)
+	return buf
 }
 
-// decodeBuiltin is the decode side of encodeBuiltin. It reports
-// whether v was a builtin slice pointer (and, if so, any decode
-// error).
-func decodeBuiltin(body []byte, v any) (bool, error) {
+func appendBuiltin[T any](s []T) []byte {
+	return AppendNumeric(taggedBuf(16+8*len(s)), s)
+}
+
+// decodeBuiltin is the decode side of encodeBuiltin: it reports
+// whether v points to a builtin and, if so, reads the value from d
+// (errors are left in d).
+func decodeBuiltin(d *Decoder, v any) bool {
 	switch p := v.(type) {
+	case *struct{}:
+	case *int64:
+		*p = d.Varint()
+	case *uint64:
+		*p = d.Uvarint()
+	case *string:
+		*p = d.String()
 	case *[]byte:
-		return true, intoBuiltin(body, p)
+		*p = DecodeNumeric[byte](d)
 	case *[]int64:
-		return true, intoBuiltin(body, p)
+		*p = DecodeNumeric[int64](d)
 	case *[]uint64:
-		return true, intoBuiltin(body, p)
+		*p = DecodeNumeric[uint64](d)
 	case *[]int32:
-		return true, intoBuiltin(body, p)
+		*p = DecodeNumeric[int32](d)
 	case *[]float64:
-		return true, intoBuiltin(body, p)
+		*p = DecodeNumeric[float64](d)
 	case *[]float32:
-		return true, intoBuiltin(body, p)
+		*p = DecodeNumeric[float32](d)
 	case *[]int:
-		return true, intoBuiltin(body, p)
+		*p = DecodeNumeric[int](d)
+	default:
+		return false
 	}
-	return false, nil
-}
-
-func intoBuiltin[T any](body []byte, p *[]T) error {
-	d := NewDecoder(body)
-	*p = DecodeNumeric[T](d)
-	return d.Err()
+	return true
 }

@@ -9,17 +9,20 @@
 //	      hand-written by the message type (Marshaler/Unmarshaler).
 //
 // Encode picks the binary form whenever the value implements
-// Marshaler (the runtime RPC envelopes, scheduler task specs, DIM
-// request/reply headers and fragment payloads do) or is one of a small
-// set of numeric slice types, and falls back to gob for everything
-// else — so arbitrary user argument types keep working unchanged,
-// they just do not get the fast path. The tag makes the choice
-// self-describing: both forms of the same logical type decode
-// identically on the receiver.
+// Marshaler (the runtime RPC envelopes, scheduler task specs, task
+// argument structs, DIM request/reply headers and fragment payloads
+// do) or is a builtin (numeric.go: the numeric slice types, the
+// scalar task results int64/uint64/string and the empty struct{} RPC
+// body), and falls back to gob for everything else — so arbitrary
+// user argument types keep working unchanged, they just do not get
+// the fast path. The tag makes the choice self-describing: both forms
+// of the same logical type decode identically on the receiver.
 //
-// The gob fallback is still cheaper than the five per-package helpers
-// it replaces: the growing scratch buffer is pooled, so only the final
-// exactly-sized copy allocates.
+// The gob fallback costs a fresh stream per message — type
+// descriptors sent, a decode engine compiled — which is tens of
+// microseconds; nothing on the per-task path may take it.
+// GobFallbacks counts every fallback so a test can hold that line
+// (DESIGN.md §6a).
 package wire
 
 import (
@@ -27,6 +30,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Format tags: the first byte of every encoded payload.
@@ -77,8 +81,17 @@ func PutBuf(b []byte) {
 	slicePool.Put(&b)
 }
 
+// gobFallbacks counts the gob streams written by Encode and read by
+// Decode since process start.
+var gobFallbacks atomic.Uint64
+
+// GobFallbacks returns the process-wide number of values that took
+// the gob fallback, encodes plus decodes. A region of code is off the
+// fallback exactly when the count does not move across it.
+func GobFallbacks() uint64 { return gobFallbacks.Load() }
+
 // Encode returns the wire form of v: binary when v implements
-// Marshaler or is a supported numeric slice, gob otherwise. A nil v
+// Marshaler or is a builtin, gob otherwise. A nil v
 // encodes as an empty payload (matching the previous per-package
 // helpers, which treated nil as "no body").
 func Encode(v any) ([]byte, error) {
@@ -109,19 +122,24 @@ func Decode(data []byte, v any) error {
 	format, body := data[0], data[1:]
 	switch format {
 	case FormatBinary:
-		if ok, err := decodeBuiltin(body, v); ok {
-			return err
-		}
-		u, ok := v.(Unmarshaler)
-		if !ok {
-			return fmt.Errorf("wire: binary payload for %T, which has no UnmarshalWire", v)
-		}
 		d := NewDecoder(body)
-		if err := u.UnmarshalWire(d); err != nil {
-			return err
+		if !decodeBuiltin(d, v) {
+			u, ok := v.(Unmarshaler)
+			if !ok {
+				return fmt.Errorf("wire: binary payload for %T, which has no UnmarshalWire", v)
+			}
+			if err := u.UnmarshalWire(d); err != nil {
+				return err
+			}
 		}
-		return d.Err()
+		// A payload is exactly one value: bytes left over mean the
+		// sender and the receiver disagree about the type.
+		if d.err == nil && len(d.data) != 0 {
+			d.fail("%d trailing bytes after %T", len(d.data), v)
+		}
+		return d.err
 	case FormatGob:
+		gobFallbacks.Add(1)
 		return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
 	default:
 		return fmt.Errorf("wire: unknown format tag 0x%02x", format)
@@ -132,6 +150,7 @@ func Decode(data []byte, v any) error {
 // gob grows into the recycled buffer and only the final exactly-sized
 // result allocates.
 func encodeGob(v any) ([]byte, error) {
+	gobFallbacks.Add(1)
 	b := gobPool.Get().(*bytes.Buffer)
 	b.Reset()
 	b.WriteByte(FormatGob)
