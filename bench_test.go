@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"testing"
 
 	"allscale/internal/apps/ipic3d"
@@ -314,6 +315,53 @@ func BenchmarkStencil(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStencilStep is one 64² time step on one locality as a
+// single leaf: no messages, no index — what is left is the acquisition
+// of two locally held requirements and the element-wise body, i.e. the
+// task.exec self time of a stencil-halo half.
+func BenchmarkStencilStep(b *testing.B) {
+	sys := core.NewSystem(core.Config{Localities: 1})
+	app := stencil.NewAllScale(sys, stencil.Params{N: 64, C: 0.1, MinGrain: 4096})
+	sys.Start()
+	defer sys.Close()
+	err := app.CreateItems()
+	if err == nil {
+		err = app.Init()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := app.RunSteps(0, b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkGridLocal is what a pfor body pays to get from the façade
+// to the local fragment — twice per cell in the stencil body.
+func BenchmarkGridLocal(b *testing.B) {
+	sys := core.NewSystem(core.Config{Localities: 1})
+	grid := core.DefineGrid[float64](sys, "bench.local", region.Point{8, 8})
+	var sink *dataitem.GridFragment[float64]
+	core.RegisterPFor(sys, core.PForSpec{
+		Name:     "local",
+		MinGrain: math.MaxInt64, // one leaf: every point on one task context
+		Body:     func(ctx *sched.Ctx, _ region.Point, _ []byte) { sink = grid.Local(ctx) },
+	})
+	sys.Start()
+	defer sys.Close()
+	if err := grid.Create(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := sys.PFor("local", region.Point{0}, region.Point{b.N}, nil); err != nil {
+		b.Fatal(err)
+	}
+	_ = sink
 }
 
 // ---------------------------------------------------------------

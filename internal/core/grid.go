@@ -64,7 +64,7 @@ func (g *Grid[T]) FullRegion() dataitem.GridRegion {
 // inside task bodies; accesses are legitimate only within the task's
 // granted data requirements.
 func (g *Grid[T]) Local(ctx *sched.Ctx) *dataitem.GridFragment[T] {
-	frag, err := ctx.Manager().Fragment(g.Item())
+	frag, err := ctx.Fragment(g.Item())
 	if err != nil {
 		panic(fmt.Sprintf("core: grid %q not created: %v", g.typ.Name(), err))
 	}

@@ -68,7 +68,7 @@ func (t *Tree[T]) Node(n region.NodeID) dataitem.TreeItemRegion {
 // bodies; accesses are legitimate only within the task's granted
 // data requirements.
 func (t *Tree[T]) Local(ctx *sched.Ctx) *dataitem.TreeFragment[T] {
-	frag, err := ctx.Manager().Fragment(t.Item())
+	frag, err := ctx.Fragment(t.Item())
 	if err != nil {
 		panic(fmt.Sprintf("core: tree %q not created: %v", t.typ.Name(), err))
 	}

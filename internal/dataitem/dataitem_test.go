@@ -149,6 +149,46 @@ func TestGridDenseBlocksAliasStorage(t *testing.T) {
 	}
 }
 
+// TestGridResizeKeepsUntouchedBlocks is the halo pattern of a stencil
+// half: a band grows by a neighbour's row and loses it again. The band
+// itself must stay where it is — same backing array — through both.
+func TestGridResizeKeepsUntouchedBlocks(t *testing.T) {
+	typ := NewGridType[float64]("gridF", p(8, 8))
+	f := typ.NewFragment().(*GridFragment[float64])
+	band := GridRegionFromTo(p(0, 0), p(4, 8))
+	row := GridRegionFromTo(p(4, 1), p(5, 7))
+	if err := f.Resize(band); err != nil {
+		t.Fatal(err)
+	}
+	f.Set(p(3, 3), 7)
+	bandData := &f.Blocks()[0].Data[0]
+
+	if err := f.Resize(band.Union(row)); err != nil {
+		t.Fatal(err)
+	}
+	if got := &f.Blocks()[0].Data[0]; got != bandData {
+		t.Fatal("growing by a halo row moved the band")
+	}
+	f.Set(p(4, 3), 9)
+	old := f.Region()
+	if err := f.Resize(old.Difference(row)); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Blocks()) != 1 || &f.Blocks()[0].Data[0] != bandData {
+		t.Fatal("dropping the halo row moved the band")
+	}
+	if f.At(p(3, 3)) != 7 || f.Covers(p(4, 3)) {
+		t.Fatal("resize lost the band's data or kept the dropped row")
+	}
+	// A box that does change is rebuilt with its overlap preserved.
+	if err := f.Resize(GridRegionFromTo(p(2, 0), p(4, 8))); err != nil {
+		t.Fatal(err)
+	}
+	if &f.Blocks()[0].Data[0] == bandData || f.At(p(3, 3)) != 7 {
+		t.Fatal("shrunk box must be rebuilt around the surviving data")
+	}
+}
+
 func TestTreeFragmentBasics(t *testing.T) {
 	typ := NewTreeType[string]("tree", 4)
 	if got := typ.FullRegion().Size(); got != 15 {

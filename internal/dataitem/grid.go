@@ -123,6 +123,10 @@ func (f *GridFragment[T]) outside(op string, p region.Point) {
 
 // Resize implements Fragment: the fragment afterwards covers exactly
 // r; data in the intersection with the previous region is preserved.
+// A block whose box is also a box of r is kept as it is — same backing
+// array — so growing or shrinking by a halo row neither reallocates nor
+// moves the rows that stay, and an element write racing the resize
+// through such a block is not lost.
 func (f *GridFragment[T]) Resize(r Region) error {
 	gr, ok := r.(GridRegion)
 	if !ok {
@@ -134,6 +138,10 @@ func (f *GridFragment[T]) Resize(r Region) error {
 	}
 	var blocks []gridBlock[T]
 	for _, box := range target.Boxes() {
+		if old := f.blockWithBox(box); old != nil {
+			blocks = append(blocks, *old)
+			continue
+		}
 		nb := gridBlock[T]{box: box, data: make([]T, box.Size())}
 		// Copy the overlap with every old block, one contiguous
 		// innermost-dimension run at a time.
@@ -145,6 +153,16 @@ func (f *GridFragment[T]) Resize(r Region) error {
 	}
 	f.blocks = blocks
 	f.cover = target
+	return nil
+}
+
+// blockWithBox finds the block storing exactly box.
+func (f *GridFragment[T]) blockWithBox(box region.Box) *gridBlock[T] {
+	for i := range f.blocks {
+		if b := &f.blocks[i]; b.box.Min.Equal(box.Min) && b.box.Max.Equal(box.Max) {
+			return b
+		}
+	}
 	return nil
 }
 

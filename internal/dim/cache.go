@@ -19,8 +19,8 @@ import (
 //     consumer: placement hints and read staging only need some rank
 //     that still holds the data. Growth therefore invalidates only
 //     locally (cheap), never remotely.
-//  2. Entries must never OVERCOUNT: a rank losing coverage (migration
-//     export, replica drop) revokes intersecting entries on every
+//  2. Entries must never OVERCOUNT: a rank losing coverage (a writer
+//     dropping its copy) revokes intersecting entries on every
 //     live peer — synchronously, before the loss is acknowledged to
 //     the requester — so once a migration completes, no rank keeps
 //     placing work or directing fetches at the old owner. A fill
@@ -28,15 +28,21 @@ import (
 //     stamp; the narrow window where a pre-revocation walk result is
 //     still in flight self-corrects at use: an Empty fetch reply
 //     invalidates the entry and forces an authoritative re-walk.
-//  3. Write paths never trust the cache. Exclusive-writes enforcement
-//     either proves sole ownership locally (the `exclusive` region:
-//     grown by first-touch claims and completed write acquisitions,
-//     shrunk by every export — any new copy of our data must be
-//     fetched from us) or performs the authoritative owners walk.
+//  3. Evicting the other copies of a write region never trusts the
+//     cache, and rarely needs the index: it asks the directory. The rank
+//     that holds a region's root copy (`root`: created by a first-touch
+//     claim, handed to whoever evicts the copy) records every copy made
+//     of it (`lent`), and so does every replica holder for copies made
+//     from its replica; a write inside the root region revokes along
+//     those records (sharers.go). Only a writer outside its root region
+//     performs the authoritative owners walk, to find the root copy.
+//     (Staging a write region, like a read region, only needs some
+//     holder of the missing data, and takes it from the cache.)
 //
-// Crash retraction (RetractEpoch) drops every entry and the exclusive
-// regions wholesale, and cache reads validate entry liveness, so a
-// cached entry can never resurrect a dead rank's ownership.
+// Crash retraction (RetractEpoch) drops every entry, the root regions
+// and the sharer records wholesale, and cache reads validate entry
+// liveness, so a cached entry can never resurrect a dead rank's
+// ownership.
 
 // locateCacheCap bounds the number of cached resolutions per item;
 // least-recently-used entries fall off the tail.
@@ -248,17 +254,4 @@ func (m *Manager) revokeLocates(id ItemID, r dataitem.Region, skip int) {
 	for _, f := range futs {
 		f.Wait() // best-effort: an error leaves a stale entry that self-corrects at use
 	}
-}
-
-// ExclusivelyOwned reports whether the whole region is locally
-// present and provably the item's only copy (rule 3): the write fast
-// path that skips the authoritative owners walk.
-func (m *Manager) ExclusivelyOwned(id ItemID, r dataitem.Region) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.items[id]
-	if !ok {
-		return false
-	}
-	return r.Difference(st.frag.Region()).IsEmpty() && r.Difference(st.exclusive).IsEmpty()
 }

@@ -34,8 +34,8 @@ type Mode int
 const (
 	// Read grants shared access; the manager may replicate the data.
 	Read Mode = iota
-	// Write grants exclusive access; the manager consolidates all
-	// copies into the local fragment first (exclusive writes).
+	// Write grants exclusive access; the manager evicts every other
+	// copy before granting it (exclusive writes).
 	Write
 )
 
@@ -92,17 +92,33 @@ type itemState struct {
 	// of all element regions ever allocated, serializing first-touch
 	// allocation claims.
 	allocated dataitem.Region
+	// rooted, likewise kept at the index root host only, is the region
+	// whose root copy exists somewhere: granted with first-touch claims
+	// and with the root claims of writers that found none.
+	rooted dataitem.Region
 	// lcache holds this rank's locate-cache entries for the item;
 	// cgen guards in-flight cache fills against invalidations racing
 	// the walk (see cache.go). Guarded by Manager.mu.
 	lcache []lcEntry
 	cgen   uint64
-	// exclusive is the part of the local fragment provably holding the
-	// item's only copy: grown by first-touch claims and completed write
-	// acquisitions, shrunk by every export (any new replica of our data
-	// must be fetched from us). Write staging and consolidation skip
-	// the authoritative owners walk inside it (see cache.go).
-	exclusive dataitem.Region
+	// root is the part of the local fragment that is the item's root
+	// copy: this rank is the directory of every other copy of it — each
+	// descends from here through lent records, so a write acquisition
+	// inside root revokes them directly instead of walking the index
+	// (rule 3 in cache.go). There is one root copy of an element at
+	// most: the role is created by a first-touch claim (or, where a
+	// recovery reset destroyed it, by a root claim), travels to whoever
+	// evicts the copy, and is not lost otherwise.
+	root dataitem.Region
+	// lent maps a peer rank to the region copied out to it, recorded at
+	// export time — for root data and for replicas alike, so replicas
+	// of replicas stay reachable. Records leave with the data: whoever
+	// evicts a region from this fragment is handed the intersecting
+	// records (Sharers), answers for those copies until it has evicted
+	// them, and is itself left on record here in their place. A record
+	// may outlive the peer's copy (a third rank evicted it); revoking it
+	// then costs one empty drop.
+	lent map[int]dataitem.Region
 }
 
 // Registry names under which the manager publishes its metrics.
@@ -118,6 +134,12 @@ const (
 	MetricLocateCacheHits   = "dim.locate_cache.hits"
 	MetricLocateCacheMisses = "dim.locate_cache.misses"
 	MetricLocateCacheInvals = "dim.locate_cache.invalidations"
+	// Write requirements by how their sole copy was established:
+	// "direct" ones lay inside the root region and revoked the recorded
+	// sharers without touching the index, "walked" ones ran the
+	// authoritative walk-evict-rewalk loop.
+	MetricRevokeDirect = "dim.revoke.direct"
+	MetricRevokeWalked = "dim.revoke.walked"
 )
 
 // Manager is the data item manager instance of one locality.
@@ -127,13 +149,15 @@ type Manager struct {
 
 	// acquires/locates and the acquire-wait histogram live in the
 	// locality-wide metrics registry.
-	acquires    *metrics.Counter
-	locates     *metrics.Counter
-	acquireWait *metrics.Histogram
-	locateRPCs  *metrics.Counter
-	cacheHits   *metrics.Counter
-	cacheMisses *metrics.Counter
-	cacheInvals *metrics.Counter
+	acquires     *metrics.Counter
+	locates      *metrics.Counter
+	acquireWait  *metrics.Histogram
+	locateRPCs   *metrics.Counter
+	cacheHits    *metrics.Counter
+	cacheMisses  *metrics.Counter
+	cacheInvals  *metrics.Counter
+	revokeDirect *metrics.Counter
+	revokeWalked *metrics.Counter
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -172,6 +196,8 @@ func New(loc *runtime.Locality, reg *dataitem.Registry) *Manager {
 		cacheHits:       loc.Metrics().Counter(MetricLocateCacheHits),
 		cacheMisses:     loc.Metrics().Counter(MetricLocateCacheMisses),
 		cacheInvals:     loc.Metrics().Counter(MetricLocateCacheInvals),
+		revokeDirect:    loc.Metrics().Counter(MetricRevokeDirect),
+		revokeWalked:    loc.Metrics().Counter(MetricRevokeWalked),
 		items:           make(map[ItemID]*itemState),
 		pins:            make(map[uint64]int),
 		LockWaitTimeout: 60 * time.Second,

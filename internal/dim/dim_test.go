@@ -427,7 +427,7 @@ func TestDropReplicaRespectsLocks(t *testing.T) {
 	}
 	// Dropping rank 1's locked replica must block until release.
 	dropped := make(chan error, 1)
-	go func() { dropped <- ts.managers[0].DropReplica(1, id, r) }()
+	go func() { dropped <- ts.managers[0].evict(id, Located{Region: r, Rank: 1}) }()
 	select {
 	case err := <-dropped:
 		t.Fatalf("drop of locked replica completed early: %v", err)

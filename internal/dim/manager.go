@@ -1,6 +1,7 @@
 package dim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -40,20 +41,18 @@ type (
 	fetchArgs struct {
 		Item   ItemID
 		Region dataitem.Region
-		Remove bool
-		// Pin asks the source to hold a temporary read lock on the
-		// exported region until the caller confirms (dim.unpin) that
-		// the new replica is registered in the index. Without it, a
-		// concurrent write consolidation could miss the in-flight
-		// replica and later be overwritten by its stale data.
-		Pin bool
 	}
 	fetchReply struct {
 		Data []byte
 		// Part is the region actually exported — the request clipped
 		// to the source's coverage at execution time.
-		Part     dataitem.Region
-		Empty    bool
+		Part  dataitem.Region
+		Empty bool
+		// PinToken names the temporary read lock the source holds on
+		// Part until the caller confirms (dim.unpin) that the new copy
+		// is registered in the index. Without it, a write acquisition
+		// could miss the copy in flight and later be overwritten by its
+		// stale data.
 		PinToken uint64
 	}
 	unpinArgs struct {
@@ -62,6 +61,10 @@ type (
 	claimArgs struct {
 		Item   ItemID
 		Region dataitem.Region
+		// Alloc claims the part of Region allocated nowhere yet, Root
+		// the part whose root copy exists nowhere yet; with both set
+		// (first touch) the grant is the part that passes both.
+		Alloc, Root bool
 	}
 	claimReply struct {
 		Granted dataitem.Region
@@ -69,6 +72,18 @@ type (
 	dropArgs struct {
 		Item   ItemID
 		Region dataitem.Region
+	}
+	dropReply struct {
+		// Sharers are the evicted holder's own lent records intersecting
+		// the dropped region, for the evictor to chase.
+		Sharers []Located
+		// Root is the part of the dropped region the holder held the
+		// root copy of: the evictor's copy is the root copy from now on.
+		Root dataitem.Region
+		// Contended turns the drop away, nothing dropped: the holder has
+		// write-locked an overlapping region and outranks the evictor
+		// (see handleDrop).
+		Contended bool
 	}
 	// batchReq is one resolution sub-request of a dim.resolveBatch
 	// frame; All selects full-descent (Owners-style) resolution.
@@ -178,7 +193,9 @@ func (m *Manager) handleCreate(_ int, args *createArgs) (*struct{}, error) {
 		index:     make(map[int]*sides),
 		ver:       make(map[int]uint64),
 		allocated: typ.EmptyRegion(),
-		exclusive: typ.EmptyRegion(),
+		rooted:    typ.EmptyRegion(),
+		root:      typ.EmptyRegion(),
+		lent:      make(map[int]dataitem.Region),
 	}
 	return &struct{}{}, nil
 }
@@ -548,24 +565,13 @@ func (m *Manager) handleResolve(_ int, args *resolveArgs) (*resolveReply, error)
 // Owners returns every copy of every segment of r: unlike Lookup it
 // descends the whole hierarchy from the root and does not stop at the
 // first owner, so replicated segments appear once per holding rank.
-// The write-consolidation path uses it to enforce exclusive writes —
-// which is why Owners is always an authoritative walk and never
-// serves from the locate cache: a cached map may undercount replicas
-// created after the fill, and a write consolidation that misses a
-// replica breaks the exclusive-writes invariant. Placement and read
+// A write acquisition outside its rank's root region uses it to find
+// the root copy and the replicas — which is why Owners is always an
+// authoritative walk and never serves from the locate cache: a cached
+// map may undercount copies created after the fill. Placement and
 // staging use OwnersHint/OwnersMulti instead.
 func (m *Manager) Owners(id ItemID, r dataitem.Region) ([]Located, error) {
-	m.locates.Inc()
-	sp := m.loc.Tracer().Begin("dim.locate", "owners", 0)
-	sp.SetTask(uint64(id))
-	gen := m.cacheGen(id)
-	out, err := m.owners(id, r)
-	if err == nil {
-		m.cachePut(id, r, true, out, gen)
-	}
-	sp.SetErr(err)
-	sp.End()
-	return out, err
+	return m.locateOwners(id, r, nil, 0)
 }
 
 // OwnersHint is the cached variant of Owners for consumers that
@@ -574,14 +580,28 @@ func (m *Manager) Owners(id ItemID, r dataitem.Region) ([]Located, error) {
 // coverage loss revokes intersecting entries system-wide before it
 // completes. The result must not be mutated.
 func (m *Manager) OwnersHint(id ItemID, r dataitem.Region) ([]Located, error) {
+	return m.locateOwners(id, r, r, 0)
+}
+
+// locateOwners resolves every copy of r by the authoritative walk —
+// unless cached is set and the cache holds a resolution of that region
+// (r itself for OwnersHint; the whole requirement for read staging,
+// which the placement of the same task has usually just resolved),
+// which is then returned instead. The dim.locate span is attached to
+// parent — the dim.acquire span when an acquisition resolves.
+func (m *Manager) locateOwners(id ItemID, r, cached dataitem.Region, parent trace.SpanID) ([]Located, error) {
 	m.locates.Inc()
-	if out, ok := m.cacheGet(id, r, true); ok {
-		sp := m.loc.Tracer().Begin("dim.locate", "owners-hit", 0)
-		sp.SetTask(uint64(id))
-		sp.End()
-		return out, nil
+	detail := "owners"
+	if cached != nil {
+		if out, ok := m.cacheGet(id, cached, true); ok {
+			sp := m.loc.Tracer().Begin("dim.locate", "owners-hit", parent)
+			sp.SetTask(uint64(id))
+			sp.End()
+			return out, nil
+		}
+		detail = "owners-walk"
 	}
-	sp := m.loc.Tracer().Begin("dim.locate", "owners-walk", 0)
+	sp := m.loc.Tracer().Begin("dim.locate", detail, parent)
 	sp.SetTask(uint64(id))
 	gen := m.cacheGen(id)
 	out, err := m.owners(id, r)
@@ -702,11 +722,13 @@ func (m *Manager) handleResolveAll(_ int, args *resolveArgs) (*resolveReply, err
 // Data movement services
 // ---------------------------------------------------------------
 
-// handleFetch exports the requested region of the local fragment,
-// optionally removing it (the export side of a migration). The
-// operation waits until no conflicting locks are held: any lock
-// blocks removal ((migrate) rule), while only write locks block
-// copying ((replicate) rule).
+// handleFetch exports a copy of the requested region of the local
+// fragment ((replicate) rule: it waits while a write lock overlaps the
+// region). The importer goes on record as a sharer of what it is sent
+// (rule 3 in cache.go), and the exported part stays pinned — read-locked
+// on the importer's behalf — until the importer confirms that its copy
+// is in place: whoever evicts this copy meanwhile waits for that, and
+// then learns of the new one.
 func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -716,7 +738,7 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !m.lockConflictLocked(st, args.Region, args.Remove) {
+		if !m.lockConflictLocked(st, args.Region, false) {
 			part := args.Region.Intersect(st.frag.Region())
 			if part.IsEmpty() {
 				return &fetchReply{Empty: true}, nil
@@ -725,41 +747,12 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Any export ends our provable sole ownership of the
-			// exported part: the importer holds a copy from now on
-			// (rule 3 in cache.go).
-			st.exclusive = st.exclusive.Difference(part)
-			var pinToken uint64
-			if args.Pin && !args.Remove {
-				m.pinSeq++
-				pinToken = 1<<63 | uint64(m.Rank())<<48 | m.pinSeq
-				st.locks = append(st.locks, lockEntry{token: pinToken, mode: Read, region: part})
-				m.pins[pinToken] = from
-			}
-			if args.Remove {
-				rest := st.frag.Region().Difference(part)
-				if err := st.frag.Resize(rest); err != nil {
-					return nil, err
-				}
-				total := st.frag.Region()
-				st.ver[1]++
-				seq := m.stampLocked(st.ver[1])
-				m.invalidateLocatesLocked(st)
-				// Propagate and revoke peer caches outside the lock:
-				// no rank may keep resolving the migrated part to this
-				// rank once the fetch completes (rule 2 in cache.go).
-				m.mu.Unlock()
-				err := m.propagate(args.Item, m.Rank(), 1, total, seq)
-				if err == nil {
-					m.revokeLocates(args.Item, part, from)
-				}
-				m.mu.Lock()
-				if err != nil {
-					return nil, err
-				}
-				m.cond.Broadcast()
-			}
-			return &fetchReply{Data: data, Part: part, PinToken: pinToken}, nil
+			st.lend(from, part)
+			m.pinSeq++
+			token := 1<<63 | uint64(m.Rank())<<48 | m.pinSeq
+			st.locks = append(st.locks, lockEntry{token: token, mode: Read, region: part})
+			m.pins[token] = from
+			return &fetchReply{Data: data, Part: part, PinToken: token}, nil
 		}
 		if err := m.waitLocked(deadline); err != nil {
 			return nil, fmt.Errorf("dim: fetch of %v blocked on locks: %w", args.Item, err)
@@ -767,11 +760,23 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 	}
 }
 
-// handleDrop removes a region from the local fragment without
-// returning its data; used to evict replicas. It waits until no lock
-// overlaps the region (a locked replica must stay in place —
-// satisfied requirements).
-func (m *Manager) handleDrop(from int, args *dropArgs) (*struct{}, error) {
+// handleDrop evicts the local copy of a region on behalf of a writer
+// that holds its own copy under a write lock — the only way a rank
+// loses data — and hands back the sharer records of the region. It
+// waits until no lock overlaps the region: a locked replica must stay
+// in place (satisfied requirements), and a pinned one has a copy in
+// flight whose record the reply must carry. A holder that has nothing
+// of the region (a stale sharer record) answers at once.
+//
+// A write lock on the region means the evictor and a task here both
+// hold a copy and have both locked it — staging does not wait for other
+// copies to go. One of the two has to give way, and the lower rank goes
+// first: a higher-ranked evictor is turned away (Contended), releases
+// its locks and starts over; a lower-ranked one waits here like behind
+// any lock, because the local writer's own eviction of that rank's copy
+// is turned away there. The lowest rank among any set of contenders
+// yields to nobody, so one of them always completes.
+func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	deadline := time.Now().Add(m.LockWaitTimeout)
@@ -780,28 +785,24 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*struct{}, error) {
 		if err != nil {
 			return nil, err
 		}
+		part := args.Region.Intersect(st.frag.Region())
+		if part.IsEmpty() {
+			return st.release(args.Region, from), nil
+		}
+		if from > m.Rank() && m.lockConflictLocked(st, args.Region, false) {
+			return &dropReply{Contended: true}, nil
+		}
 		if !m.lockConflictLocked(st, args.Region, true) {
-			dropped := args.Region.Intersect(st.frag.Region())
-			rest := st.frag.Region().Difference(args.Region)
-			if err := st.frag.Resize(rest); err != nil {
+			reply := st.release(args.Region, from)
+			// The records handed over name every copy made from this one
+			// but the evictor's own, and this rank may be the root
+			// holder's only link to that: leave a record of the evictor
+			// in the evicted copy's place.
+			st.lend(from, part)
+			if err := m.shrinkLocked(args.Item, st, part, from); err != nil {
 				return nil, err
 			}
-			st.exclusive = st.exclusive.Difference(args.Region)
-			total := st.frag.Region()
-			st.ver[1]++
-			seq := m.stampLocked(st.ver[1])
-			m.invalidateLocatesLocked(st)
-			m.mu.Unlock()
-			err := m.propagate(args.Item, m.Rank(), 1, total, seq)
-			if err == nil && !dropped.IsEmpty() {
-				m.revokeLocates(args.Item, dropped, from)
-			}
-			m.mu.Lock()
-			if err != nil {
-				return nil, err
-			}
-			m.cond.Broadcast()
-			return &struct{}{}, nil
+			return reply, nil
 		}
 		if err := m.waitLocked(deadline); err != nil {
 			return nil, fmt.Errorf("dim: drop of %v blocked on locks: %w", args.Item, err)
@@ -809,20 +810,43 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*struct{}, error) {
 	}
 }
 
+// shrinkLocked removes part from the local fragment and makes the loss
+// known before returning: the new coverage is propagated up the index
+// and peer caches naming this rank for part are revoked (rule 2 in
+// cache.go) — both outside the lock, which is held on entry and on
+// return. The rank that asked for the removal is skipped: it holds the
+// region itself, so an entry of its own that still names this rank
+// cannot misdirect a fetch, and it drops all its entries when its own
+// coverage next changes.
+func (m *Manager) shrinkLocked(id ItemID, st *itemState, part dataitem.Region, asker int) error {
+	if err := st.frag.Resize(st.frag.Region().Difference(part)); err != nil {
+		return err
+	}
+	total := st.frag.Region()
+	st.ver[1]++
+	seq := m.stampLocked(st.ver[1])
+	m.invalidateLocatesLocked(st)
+	m.mu.Unlock()
+	err := m.propagate(id, m.Rank(), 1, total, seq)
+	if err == nil {
+		m.revokeLocates(id, part, asker)
+	}
+	m.mu.Lock()
+	m.cond.Broadcast()
+	return err
+}
+
 func (m *Manager) handleUnpin(_ int, args *unpinArgs) (*struct{}, error) {
 	m.Release(args.Token)
 	return &struct{}{}, nil
 }
 
-// DropReplica evicts the given region from rank's fragment.
-func (m *Manager) DropReplica(rank int, id ItemID, r dataitem.Region) error {
-	return m.loc.Call(rank, methodDrop, &dropArgs{Item: id, Region: r}, nil, m.ctlOpt())
-}
-
-// handleClaim serializes first-touch allocation at the index root
-// host: the granted region is the not-yet-allocated part of the
-// request, which the claimant must then allocate ((init) rule — the
-// premise "not allocated anywhere" is decided here atomically).
+// handleClaim serializes, at the index root host, the two decisions
+// that need a system-wide view: which part of a region is allocated
+// nowhere yet ((init) rule — the claimant must then allocate it), and
+// which part has no root copy anywhere yet (the claimant's copy then
+// becomes it). The grant is the part of the request that passes every
+// test asked for.
 func (m *Manager) handleClaim(_ int, args *claimArgs) (*claimReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -830,19 +854,27 @@ func (m *Manager) handleClaim(_ int, args *claimArgs) (*claimReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	granted := args.Region.Difference(st.allocated)
-	st.allocated = st.allocated.Union(args.Region)
+	granted := args.Region
+	if args.Alloc {
+		granted = granted.Difference(st.allocated)
+		st.allocated = st.allocated.Union(args.Region)
+	}
+	if args.Root {
+		granted = granted.Difference(st.rooted)
+		st.rooted = st.rooted.Union(granted)
+	}
 	return &claimReply{Granted: granted}, nil
 }
 
-// claim asks the root host which part of r this process may allocate.
-func (m *Manager) claim(id ItemID, r dataitem.Region) (dataitem.Region, error) {
+// claim asks the root host which part of r this process may allocate
+// (alloc) and hold the root copy of (root).
+func (m *Manager) claim(id ItemID, r dataitem.Region, alloc, root bool) (dataitem.Region, error) {
 	rh := m.liveHost(0, rootLevel(m.size()))
 	if rh < 0 {
 		return nil, fmt.Errorf("dim: no live index root host")
 	}
 	var reply claimReply
-	if err := m.loc.Call(rh, methodClaim, &claimArgs{Item: id, Region: r}, &reply, m.ctlOpt()); err != nil {
+	if err := m.loc.Call(rh, methodClaim, &claimArgs{Item: id, Region: r, Alloc: alloc, Root: root}, &reply, m.ctlOpt()); err != nil {
 		return nil, err
 	}
 	return reply.Granted, nil
@@ -889,8 +921,10 @@ func (m *Manager) waitLocked(deadline time.Time) error {
 //  2. lock — atomically take all locks, provided no conflicting lock
 //     exists and the staged coverage is still local (a racing
 //     migration sends us back to staging);
-//  3. validate — for write requirements, evict any replica that raced
-//     in between staging and locking (restoring exclusive writes).
+//  3. validate — for write requirements, evict every other copy of
+//     the region (restoring exclusive writes): the replicas on record
+//     with this rank, and outside its root region whatever the index
+//     still lists.
 //
 // On failure all locks of the token are released.
 //
@@ -898,7 +932,9 @@ func (m *Manager) waitLocked(deadline time.Time) error {
 // tasks with overlapping write requirements on different processes
 // concurrently (Algorithm 2 routes by write requirement); such tasks
 // are still executed correctly, but keep stealing the overlap from
-// each other while racing for the lock.
+// each other while racing for the lock — and when both hold a copy
+// and both have locked it, the higher rank gives way and starts over
+// (see handleDrop).
 func (m *Manager) Acquire(token uint64, reqs []Requirement) error {
 	return m.AcquireFor(token, reqs, 0)
 }
@@ -911,21 +947,24 @@ func (m *Manager) AcquireFor(token uint64, reqs []Requirement, parent trace.Span
 	sp := m.loc.Tracer().Begin("dim.acquire", "", parent)
 	sp.SetTask(token)
 	start := time.Now()
-	err := m.acquire(token, reqs)
+	err := m.acquire(token, reqs, sp.SpanID())
 	m.acquireWait.Observe(time.Since(start))
 	sp.SetErr(err)
 	sp.End()
 	return err
 }
 
-func (m *Manager) acquire(token uint64, reqs []Requirement) error {
+// acquire runs the stage-lock-validate protocol; span is the
+// surrounding dim.acquire span, parent of the locate spans.
+func (m *Manager) acquire(token uint64, reqs []Requirement, span trace.SpanID) error {
 	sorted := append([]Requirement(nil), reqs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Item < sorted[j].Item })
 
 	deadline := time.Now().Add(m.LockWaitTimeout)
+	var giveWay *backoff.Timer
 	for {
 		for _, rq := range sorted {
-			if err := m.ensureLocal(rq); err != nil {
+			if err := m.ensureLocal(rq, span); err != nil {
 				return err
 			}
 		}
@@ -936,26 +975,31 @@ func (m *Manager) acquire(token uint64, reqs []Requirement) error {
 		if !ok {
 			continue // coverage changed under us: re-stage
 		}
-		if err := m.enforceExclusive(sorted, deadline); err != nil {
+		if err := m.enforceExclusive(sorted, deadline, span); err != nil {
 			m.Release(token)
-			return err
-		}
-		// The write regions are now locked, locally present and
-		// single-copy: record provable sole ownership so repeat writers
-		// skip the owners walk entirely (rule 3 in cache.go). Sound
-		// because any later export shrinks the region again.
-		m.mu.Lock()
-		for _, rq := range sorted {
-			if rq.Mode != Write {
-				continue
+			if !errors.Is(err, errContended) {
+				return err
 			}
-			if st, ok := m.items[rq.Item]; ok {
-				st.exclusive = st.exclusive.Union(rq.Region)
+			// A lower rank has locked a copy of one of our write regions
+			// too, and its eviction of ours waits behind the locks just
+			// released. Let it through, then come back for the data.
+			if giveWay == nil {
+				giveWay = m.newBackoff(token)
 			}
+			if giveWay.Sleep(deadline) != nil {
+				return err
+			}
+			continue
 		}
-		m.mu.Unlock()
 		return nil
 	}
+}
+
+// newBackoff returns the randomized exponential timer (100µs–2ms) of
+// an acquisition's retry loops; salt and rank decorrelate the retriers.
+func (m *Manager) newBackoff(salt uint64) *backoff.Timer {
+	return backoff.New(100*time.Microsecond, 2*time.Millisecond,
+		int64(salt)^int64(m.Rank())<<40^time.Now().UnixNano())
 }
 
 // tryLockAll takes all locks atomically. It waits (until deadline)
@@ -1007,54 +1051,97 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Tim
 }
 
 // enforceExclusive restores single-copy ownership of all write
-// regions after the locks are taken: replicas that raced in between
-// staging and locking are pulled away from their holders. Holders of
-// such replicas either finished staging (they run and release — a
-// bounded wait) or have not registered them yet (then they are not in
-// the index and their own fetch will wait on our write lock), so no
-// wait cycle can form.
-func (m *Manager) enforceExclusive(reqs []Requirement, deadline time.Time) error {
+// regions after the locks are taken: it is done with a region once the
+// local copy is the root copy and the sharer records name nobody.
+//
+// The copies on record here are evicted first, and theirs (evict). If
+// that leaves the region inside root, all copies there were are gone
+// (rule 3 in cache.go) — no index walk. Otherwise the root copy is
+// elsewhere and the authoritative walk is asked where: every holder it
+// lists is evicted, the root holder among them hands its role and its
+// records over, and the loop starts again with those. A walk is a
+// sequence of visits, not a snapshot — a copy made and its source
+// evicted behind the visits escapes it — so a clean walk proves
+// nothing by itself: this rank then asks the index root host for the
+// root role, which is granted only where no root copy exists (the first
+// write after a recovery reset), and otherwise looks again.
+//
+// Holders of replicas either finished staging (they run and release —
+// a bounded wait), have locked their copy for writing too (the higher
+// rank gives way, see handleDrop) or are still inserting a copy whose
+// source keeps it pinned (the drop at the source waits for the pin, and
+// its reply names the new holder), so no wait cycle can form and no
+// in-flight copy is missed.
+//
+// Evicting moves no data: the local copy is current. Elements change
+// only under a completed write acquisition, which leaves no other copy
+// behind — every copy is made by handleFetch, hence on record at its
+// source and pinned there until it is in place — and data leaves a
+// rank only by handleDrop, sent by a rank that holds the same elements
+// under a write lock. So no copy survives a write to it elsewhere.
+func (m *Manager) enforceExclusive(reqs []Requirement, deadline time.Time, span trace.SpanID) error {
 	for _, rq := range reqs {
 		if rq.Mode != Write {
 			continue
 		}
-		// Provable sole ownership (first-touch claims, prior write
-		// acquisitions with no export since) makes the walk
-		// unnecessary. Checked after the locks are taken, so no
-		// replica can appear between the proof and the grant.
-		if m.ExclusivelyOwned(rq.Item, rq.Region) {
-			continue
-		}
+		walked := false
+		var bo *backoff.Timer
 		for {
-			owners, err := m.Owners(rq.Item, rq.Region)
+			sharers, unrooted := m.sharersOf(rq.Item, rq.Region)
+			for _, o := range sharers {
+				if err := m.evict(rq.Item, o); err != nil {
+					return err
+				}
+			}
+			if unrooted.IsEmpty() {
+				break
+			}
+			walked = true
+			owners, err := m.locateOwners(rq.Item, rq.Region, nil, span)
 			if err != nil {
 				return err
 			}
-			foreign := owners[:0:0]
+			foreign := false
 			for _, o := range owners {
-				if o.Rank != m.Rank() {
-					foreign = append(foreign, o)
+				if o.Rank == m.Rank() {
+					continue
+				}
+				foreign = true
+				if err := m.evict(rq.Item, o); err != nil {
+					return err
 				}
 			}
-			if len(foreign) == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("dim: write region %v of %v keeps being re-replicated", rq.Region, rq.Item)
-			}
-			for _, o := range foreign {
-				var reply fetchReply
-				if err := m.loc.Call(o.Rank, methodFetch, &fetchArgs{Item: rq.Item, Region: o.Region, Remove: true}, &reply, m.dataOpt()); err != nil {
-					return fmt.Errorf("dim: evict replica of %v from rank %d: %w", rq.Item, o.Rank, err)
+			if foreign {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("dim: write region %v of %v keeps being re-replicated", rq.Region, rq.Item)
 				}
-				// All copies hold equal values (exclusive writes), so
-				// the pulled data simply refreshes our fragment.
-				if !reply.Empty {
-					if err := m.insertLocal(rq.Item, reply.Part, reply.Data); err != nil {
-						return err
-					}
-				}
+				continue
 			}
+			granted, err := m.claim(rq.Item, unrooted, false, true)
+			if err != nil {
+				return err
+			}
+			if !granted.IsEmpty() {
+				m.mu.Lock()
+				if st, ok := m.items[rq.Item]; ok {
+					st.root = st.root.Union(granted)
+				}
+				m.mu.Unlock()
+				continue
+			}
+			// The root copy exists and is changing hands out of the
+			// walk's sight; its new holder will show up.
+			if bo == nil {
+				bo = m.newBackoff(uint64(rq.Item))
+			}
+			if bo.Sleep(deadline) != nil {
+				return fmt.Errorf("dim: root copy of %v of %v not found", unrooted, rq.Item)
+			}
+		}
+		if walked {
+			m.revokeWalked.Inc()
+		} else {
+			m.revokeDirect.Inc()
 		}
 	}
 	return nil
@@ -1077,8 +1164,8 @@ func (m *Manager) Release(token uint64) {
 	m.cond.Broadcast()
 }
 
-// LockedRegions returns the currently locked regions of an item (for
-// tests and monitoring).
+// LockedRegions returns the regions of an item locked by granted
+// requirements (for tests and monitoring).
 func (m *Manager) LockedRegions(id ItemID) (read, write []dataitem.Region, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1087,6 +1174,9 @@ func (m *Manager) LockedRegions(id ItemID) (read, write []dataitem.Region, err e
 		return nil, nil, err
 	}
 	for _, e := range st.locks {
+		if _, pin := m.pins[e.token]; pin {
+			continue // an export in flight, not a granted requirement
+		}
 		if e.mode == Write {
 			write = append(write, e.region)
 		} else {
@@ -1096,82 +1186,59 @@ func (m *Manager) LockedRegions(id ItemID) (read, write []dataitem.Region, err e
 	return read, write, nil
 }
 
-// ensureLocal stages one requirement's data into the local fragment.
+// ensureLocal stages one requirement's data into the local fragment:
+// it returns as soon as nothing of the region is missing. Reads and
+// writes stage alike, by copying — whether a write region has other
+// copies is not staging's concern: enforceExclusive evicts them, once,
+// under the lock.
 //
-// Hot path: a read requirement already covered locally, or a write
-// requirement over a provably sole-copy region, returns before any
-// resolution — zero index RPCs. Otherwise each round performs exactly
-// one resolution (the locate cache for reads, the authoritative walk
-// for writes and after a staleness signal) and tracks post-fetch
-// coverage from the fetch replies instead of re-resolving mid-round.
-func (m *Manager) ensureLocal(rq Requirement) error {
-	cov, err := m.Coverage(rq.Item)
-	if err != nil {
-		return err
-	}
-	missing := rq.Region.Difference(cov)
-	if missing.IsEmpty() && (rq.Mode == Read || m.ExclusivelyOwned(rq.Item, rq.Region)) {
-		return nil
-	}
-
-	deadline := time.Now().Add(m.LockWaitTimeout)
+// Each round resolves the missing part, exactly once — through the
+// locate cache, or after a staleness signal by the authoritative walk —
+// and tracks post-fetch coverage from the fetch replies instead of
+// re-resolving mid-round.
+func (m *Manager) ensureLocal(rq Requirement, span trace.SpanID) error {
 	var bo *backoff.Timer
-	authoritative := rq.Mode == Write
+	var deadline time.Time // of the no-progress wait, set with bo
+	authoritative := false
 	for {
 		// Coverage is purely local (no RPC): recompute per round, so
 		// progress made by concurrent stagings on this rank counts.
-		cov, err = m.Coverage(rq.Item)
+		cov, err := m.Coverage(rq.Item)
 		if err != nil {
 			return err
 		}
-		missing = rq.Region.Difference(cov)
-		if missing.IsEmpty() && rq.Mode == Read {
+		missing := rq.Region.Difference(cov)
+		if missing.IsEmpty() {
 			return nil
 		}
-		var owners []Located
-		if authoritative {
-			owners, err = m.Owners(rq.Item, rq.Region)
-		} else {
-			owners, err = m.OwnersHint(rq.Item, rq.Region)
+		// Only the missing part is worth a walk; short of one, the cached
+		// resolution of the whole requirement will do.
+		var cached dataitem.Region
+		if !authoritative {
+			cached = rq.Region
 		}
+		owners, err := m.locateOwners(rq.Item, missing, cached, span)
 		if err != nil {
 			return err
-		}
-		foreign := owners[:0:0]
-		var located dataitem.Region = rq.Region.Difference(rq.Region) // empty of right type
-		for _, o := range owners {
-			located = located.Union(o.Region)
-			if o.Rank != m.Rank() {
-				foreign = append(foreign, o)
-			}
-		}
-		if missing.IsEmpty() && len(foreign) == 0 {
-			return nil // write mode: sole copy confirmed
 		}
 
 		progressed, stale := false, false
-		// Pull data from foreign holders.
-		for _, o := range foreign {
-			want := o.Region
-			if rq.Mode == Read {
-				// Only copy what is still missing locally.
-				want = want.Intersect(missing)
-				if want.IsEmpty() {
-					continue
-				}
+		unresolved := missing
+		// Copy the missing data from its holders.
+		for _, o := range owners {
+			unresolved = unresolved.Difference(o.Region)
+			want := o.Region.Intersect(missing)
+			if o.Rank == m.Rank() || want.IsEmpty() {
+				continue
 			}
 			var reply fetchReply
-			err := m.loc.Call(o.Rank, methodFetch, &fetchArgs{
-				Item: rq.Item, Region: want,
-				Remove: rq.Mode == Write,
-				Pin:    rq.Mode == Read,
-			}, &reply, m.dataOpt())
+			err := m.loc.Call(o.Rank, methodFetch, &fetchArgs{Item: rq.Item, Region: want}, &reply, m.dataOpt())
 			if err != nil {
 				return fmt.Errorf("dim: fetch %v from rank %d: %w", rq.Item, o.Rank, err)
 			}
 			if reply.Empty {
 				// The holder no longer covers the segment: the map was
-				// stale (a cached entry racing a migration, or a walk
+				// stale (a cached entry racing an eviction, or a walk
 				// result overtaken by one). Drop the entry and resolve
 				// authoritatively next round.
 				m.InvalidateLocates(rq.Item, want)
@@ -1179,27 +1246,24 @@ func (m *Manager) ensureLocal(rq Requirement) error {
 				continue
 			}
 			// Grow only by what the source actually exported; a
-			// concurrent migration may have shrunk it below `want`.
+			// concurrent eviction may have shrunk it below `want`.
 			insErr := m.insertLocal(rq.Item, reply.Part, reply.Data)
-			if reply.PinToken != 0 {
-				// The replica is registered (or the insert failed):
-				// release the source pin either way.
-				if err := m.loc.Call(o.Rank, methodUnpin, &unpinArgs{Token: reply.PinToken}, nil, m.ctlOpt()); err != nil {
-					return err
-				}
-			}
+			// The copy is registered (or the insert failed): release the
+			// source pin either way. Nobody waits for the answer — the
+			// pin has done its work, ordering the insert before any drop
+			// the source may send or point here — but the call is
+			// supervised, so a lost frame is resent.
+			m.loc.CallAsync(o.Rank, methodUnpin, &unpinArgs{Token: reply.PinToken}, m.ctlOpt())
 			if insErr != nil {
 				return insErr
 			}
-			cov = cov.Union(reply.Part)
 			missing = missing.Difference(reply.Part)
 			progressed = true
 		}
 
 		// Allocate never-touched parts (first-touch claim at the root).
-		unresolved := rq.Region.Difference(cov).Difference(located)
 		if !unresolved.IsEmpty() {
-			granted, err := m.claim(rq.Item, unresolved)
+			granted, err := m.claim(rq.Item, unresolved, true, true)
 			if err != nil {
 				return err
 			}
@@ -1207,8 +1271,6 @@ func (m *Manager) ensureLocal(rq Requirement) error {
 				if err := m.growLocal(rq.Item, granted); err != nil {
 					return err
 				}
-				cov = cov.Union(granted)
-				missing = missing.Difference(granted)
 				progressed = true
 			}
 			if !authoritative && !unresolved.Difference(granted).IsEmpty() {
@@ -1228,11 +1290,10 @@ func (m *Manager) ensureLocal(rq Requirement) error {
 			}
 		} else if !stale {
 			// Somebody else is mid-allocation or mid-report; back off
-			// (randomized exponential, 100µs–2ms) until the index
-			// reflects it.
+			// until the index reflects it.
 			if bo == nil {
-				bo = backoff.New(100*time.Microsecond, 2*time.Millisecond,
-					int64(uint64(rq.Item))^int64(m.Rank())<<40^time.Now().UnixNano())
+				bo = m.newBackoff(uint64(rq.Item))
+				deadline = time.Now().Add(m.LockWaitTimeout)
 			}
 			if bo.Sleep(deadline) != nil {
 				return fmt.Errorf("dim: staging %v %v at rank %d made no progress", rq.Item, rq.Mode, m.Rank())
@@ -1242,7 +1303,8 @@ func (m *Manager) ensureLocal(rq Requirement) error {
 }
 
 // insertLocal grows the local fragment by region and inserts the
-// transferred data.
+// transferred data. Data refreshing rows already held changes no
+// coverage, so nothing is reported.
 func (m *Manager) insertLocal(id ItemID, region dataitem.Region, data []byte) error {
 	m.mu.Lock()
 	st, err := m.itemLocked(id)
@@ -1250,13 +1312,21 @@ func (m *Manager) insertLocal(id ItemID, region dataitem.Region, data []byte) er
 		m.mu.Unlock()
 		return err
 	}
-	if err := st.frag.Resize(st.frag.Region().Union(region)); err != nil {
-		m.mu.Unlock()
-		return err
+	cov := st.frag.Region()
+	grew := !region.Difference(cov).IsEmpty()
+	if grew {
+		if err := st.frag.Resize(cov.Union(region)); err != nil {
+			m.mu.Unlock()
+			return err
+		}
 	}
 	if _, err := st.frag.Insert(data); err != nil {
 		m.mu.Unlock()
 		return err
+	}
+	if !grew {
+		m.mu.Unlock()
+		return nil
 	}
 	// Local coverage changed: cached maps for this item are out of
 	// date here (they may undercount the new local copy).
@@ -1266,8 +1336,8 @@ func (m *Manager) insertLocal(id ItemID, region dataitem.Region, data []byte) er
 }
 
 // growLocal zero-allocates region in the local fragment. The region
-// was granted by a first-touch claim, so it is provably this item's
-// only copy until exported.
+// was granted by a first-touch claim, so it is this item's only copy
+// and, by the same grant, its root copy.
 func (m *Manager) growLocal(id ItemID, region dataitem.Region) error {
 	m.mu.Lock()
 	st, err := m.itemLocked(id)
@@ -1279,7 +1349,7 @@ func (m *Manager) growLocal(id ItemID, region dataitem.Region) error {
 		m.mu.Unlock()
 		return err
 	}
-	st.exclusive = st.exclusive.Union(region)
+	st.root = st.root.Union(region)
 	m.invalidateLocatesLocked(st)
 	m.mu.Unlock()
 	return m.reportUp(id)

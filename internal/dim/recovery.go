@@ -104,10 +104,12 @@ func (m *Manager) RetractEpoch(epoch uint64) {
 			}
 		}
 		// Every cached resolution predates the retraction and may name
-		// the dead rank; sole-ownership proofs may rest on pre-crash
-		// consolidations that the rollback can undo. Drop both.
+		// the dead rank; the root region and the sharer records may rest
+		// on pre-crash evictions that the rollback can undo, and a chain
+		// of records through the dead rank is broken. Drop all three: the
+		// next write of each region walks the index.
 		m.invalidateLocatesLocked(st)
-		st.exclusive = st.typ.EmptyRegion()
+		st.resetDirectory()
 	}
 }
 
@@ -183,24 +185,33 @@ func (m *Manager) ResetLocal(id ItemID, snaps []*LocalSnapshot) error {
 			}
 		}
 	}
-	// The fragment was force-replaced: cached maps and sole-ownership
-	// proofs no longer describe reality.
+	// The fragment was force-replaced: cached maps, the root region and
+	// the sharer records no longer describe reality.
 	m.invalidateLocatesLocked(st)
-	st.exclusive = st.typ.EmptyRegion()
+	st.resetDirectory()
 	return nil
 }
 
 // ReleasePinsOf force-releases every replica pin held on behalf of the
-// given (dead) rank. A pin is a temporary read lock the exporter holds
-// until the importer confirms registration; a crashed importer never
-// confirms, and without this its pins would block write consolidation
-// until the lock-wait timeout.
+// given (dead or departed) rank. A pin is a temporary read lock the
+// exporter holds until the importer confirms registration; a crashed
+// importer never confirms, and without this its pins would block
+// writers until the lock-wait timeout. The rank's sharer records
+// go with it — its copies are gone — and so does the root status of
+// what it was lent: copies made from its copy were recorded only there,
+// so this rank can no longer vouch for knowing them all.
 func (m *Manager) ReleasePinsOf(rank int) {
 	m.mu.Lock()
 	var tokens []uint64
 	for t, r := range m.pins {
 		if r == rank {
 			tokens = append(tokens, t)
+		}
+	}
+	for _, st := range m.items {
+		if lr, ok := st.lent[rank]; ok {
+			st.root = st.root.Difference(lr)
+			delete(st.lent, rank)
 		}
 	}
 	m.mu.Unlock()

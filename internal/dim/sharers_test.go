@@ -1,0 +1,464 @@
+package dim
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"allscale/internal/dataitem"
+	"allscale/internal/trace"
+)
+
+// touch acquires region r of item id at rank in the given mode and
+// releases it again.
+func (ts *testSystem) touch(t *testing.T, rank int, id ItemID, r dataitem.Region, mode Mode) {
+	t.Helper()
+	tok := uint64(time.Now().UnixNano())
+	if err := ts.managers[rank].Acquire(tok, []Requirement{{Item: id, Region: r, Mode: mode}}); err != nil {
+		t.Fatalf("%v of %v at rank %d: %v", mode, r, rank, err)
+	}
+	ts.managers[rank].Release(tok)
+}
+
+// lentTo returns what rank's directory records as copied to peer.
+func (ts *testSystem) lentTo(rank int, id ItemID, peer int) dataitem.Region {
+	m := ts.managers[rank]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.items[id]
+	if lr, ok := st.lent[peer]; ok {
+		return lr
+	}
+	return st.typ.EmptyRegion()
+}
+
+// lentCount is the number of ranks with a sharer record at rank.
+func (ts *testSystem) lentCount(rank int, id ItemID) int {
+	m := ts.managers[rank]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.items[id].lent)
+}
+
+func (ts *testSystem) coverage(t *testing.T, rank int, id ItemID) dataitem.Region {
+	t.Helper()
+	cov, err := ts.managers[rank].Coverage(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cov
+}
+
+// sum adds a counter over all ranks.
+func (ts *testSystem) sum(name string) (total uint64) {
+	for rank := range ts.managers {
+		total += ts.counterAt(rank, name)
+	}
+	return total
+}
+
+// tracedCalls attaches tracers and returns a function counting the
+// rpc.call spans by method recorded since.
+func (ts *testSystem) tracedCalls() func() map[string]int {
+	tracers := make([]*trace.Tracer, len(ts.managers))
+	for rank := range ts.managers {
+		tracers[rank] = trace.New(rank, 1<<12)
+		ts.sys.Locality(rank).SetTracer(tracers[rank])
+	}
+	return func() map[string]int {
+		calls := make(map[string]int)
+		for _, sp := range trace.Merge(tracers...) {
+			if sp.Name == "rpc.call" {
+				calls[sp.Detail]++
+			}
+		}
+		return calls
+	}
+}
+
+// TestWriteRevokesReplicaChainWithoutWalk: rank 1 owns the region,
+// rank 0 copies it from rank 1 and rank 2 copies it from rank 0 (the
+// first holder its resolution lists). Rank 1's next write must reach
+// both — the second through the first one's drop reply — and must not
+// ask the index.
+func TestWriteRevokesReplicaChainWithoutWalk(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 3, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+
+	ts.touch(t, 1, id, r, Write)
+	if !ts.managers[1].ExclusivelyOwned(id, r) {
+		t.Fatal("first-touch writer does not own its region exclusively")
+	}
+	ts.touch(t, 0, id, r, Read)
+	ts.touch(t, 2, id, r, Read)
+	if !ts.lentTo(1, id, 0).Equal(r) || !ts.lentTo(0, id, 2).Equal(r) || ts.lentCount(1, id) != 1 {
+		t.Fatalf("chain is not 1 -> 0 -> 2: rank 1 lent %v to 0 (%d records), rank 0 lent %v to 2",
+			ts.lentTo(1, id, 0), ts.lentCount(1, id), ts.lentTo(0, id, 2))
+	}
+	if ts.managers[1].ExclusivelyOwned(id, r) {
+		t.Fatal("a lent region still counts as exclusively owned")
+	}
+
+	locates, rpcs := ts.sum(MetricLocates), ts.sum(MetricLocateRPCs)
+	walked := ts.counterAt(1, MetricRevokeWalked)
+	direct := ts.counterAt(1, MetricRevokeDirect)
+	tok := uint64(77)
+	if err := ts.managers[1].Acquire(tok, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckSystemInvariants(ts.managers, id); err != nil {
+		t.Fatal(err)
+	}
+	ts.managers[1].Release(tok)
+	for _, rank := range []int{0, 2} {
+		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
+			t.Fatalf("rank %d still holds %v after the owner's write", rank, cov)
+		}
+	}
+	if d := ts.sum(MetricLocates) - locates; d != 0 {
+		t.Errorf("the write resolved %d regions, want none", d)
+	}
+	if d := ts.sum(MetricLocateRPCs) - rpcs; d != 0 {
+		t.Errorf("the write cost %d locate RPCs, want none", d)
+	}
+	if ts.counterAt(1, MetricRevokeWalked) != walked || ts.counterAt(1, MetricRevokeDirect) != direct+1 {
+		t.Errorf("revoke counters: walked %d -> %d, direct %d -> %d, want one more direct",
+			walked, ts.counterAt(1, MetricRevokeWalked), direct, ts.counterAt(1, MetricRevokeDirect))
+	}
+	// The evicted holders point at their evictor and at nobody else.
+	if ts.lentCount(1, id) != 0 || ts.lentCount(0, id) != 1 || ts.lentCount(2, id) != 1 ||
+		!ts.lentTo(0, id, 1).Equal(r) || !ts.lentTo(2, id, 1).Equal(r) {
+		t.Error("sharer records survive the revocation, or the evicted holders do not name their evictor")
+	}
+	if err := VerifyIndex(ts.managers, id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMigrationInheritsSharers: a writer outside the root region copies
+// the data from the old owner, evicts it and, with the drop reply,
+// takes over the old owner's root role and sharer records — so it
+// evicts the replica without looking for it.
+func TestMigrationInheritsSharers(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 3, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+
+	ts.touch(t, 0, id, r, Write)
+	ts.touch(t, 1, id, r, Read)
+
+	locates := ts.counterAt(2, MetricLocates)
+	ts.touch(t, 2, id, r, Write)
+	// One walk to find the data, one to find the root copy — which comes
+	// with the record of rank 1's replica, so nothing is left to look for.
+	if d := ts.counterAt(2, MetricLocates) - locates; d != 2 {
+		t.Errorf("migrating write resolved %d times, want 2 (stage, find the root copy)", d)
+	}
+	if ts.counterAt(2, MetricRevokeWalked) != 1 {
+		t.Errorf("revoke.walked at the new owner = %d, want 1", ts.counterAt(2, MetricRevokeWalked))
+	}
+	for _, rank := range []int{0, 1} {
+		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
+			t.Fatalf("rank %d still holds %v after the migration", rank, cov)
+		}
+	}
+	if !ts.managers[2].ExclusivelyOwned(id, r) {
+		t.Error("new owner does not own the migrated region exclusively")
+	}
+	if ts.managers[0].ExclusivelyOwned(id, r) || ts.lentCount(0, id) != 1 || !ts.lentTo(0, id, 2).Equal(r) {
+		t.Error("old owner kept its root region, or records other than that of its evictor")
+	}
+	// The new owner is the directory now: its next write is direct.
+	ts.touch(t, 1, id, r, Read)
+	ts.touch(t, 2, id, r, Write)
+	if ts.counterAt(2, MetricRevokeWalked) != 1 || ts.counterAt(2, MetricRevokeDirect) != 1 {
+		t.Errorf("second write at the new owner: walked %d, direct %d, want 1 and 1",
+			ts.counterAt(2, MetricRevokeWalked), ts.counterAt(2, MetricRevokeDirect))
+	}
+	if cov := ts.coverage(t, 1, id); !cov.IsEmpty() {
+		t.Fatalf("rank 1 still holds %v", cov)
+	}
+}
+
+// TestWriteRacingPinnedFetchEvictsNewReplica: rank 2's copy from rank
+// 1's replica is still in flight — exported and pinned at rank 1, not
+// yet inserted at rank 2 — when the owner writes. The owner's drop
+// must wait at rank 1 for the pin, learn of rank 2 from the reply, and
+// evict the replica rank 2 has inserted meanwhile.
+func TestWriteRacingPinnedFetchEvictsNewReplica(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 3, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+
+	ts.touch(t, 0, id, r, Write)
+	ts.touch(t, 1, id, r, Read)
+
+	// Rank 2 runs the first half of a read staging from rank 1 by hand.
+	m2 := ts.managers[2]
+	var reply fetchReply
+	if err := m2.loc.Call(1, methodFetch, &fetchArgs{Item: id, Region: r}, &reply, m2.dataOpt()); err != nil {
+		t.Fatal(err)
+	}
+	if reply.PinToken == 0 {
+		t.Fatal("fetch was not pinned")
+	}
+
+	const tok = 99
+	done := make(chan error, 1)
+	go func() { done <- ts.managers[0].Acquire(tok, []Requirement{{Item: id, Region: r, Mode: Write}}) }()
+	select {
+	case err := <-done:
+		t.Fatalf("write completed while a copy of its region was in flight: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	// Second half: insert, report, unpin.
+	if err := m2.insertLocal(id, reply.Part, reply.Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.loc.Call(1, methodUnpin, &unpinArgs{Token: reply.PinToken}, nil, m2.ctlOpt()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("write never completed")
+	}
+	if err := CheckSystemInvariants(ts.managers, id); err != nil {
+		t.Fatal(err)
+	}
+	ts.managers[0].Release(tok)
+	for _, rank := range []int{1, 2} {
+		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
+			t.Fatalf("rank %d still holds %v after the owner's write", rank, cov)
+		}
+	}
+	if ts.counterAt(0, MetricRevokeWalked) != 0 {
+		t.Error("the owner walked the index")
+	}
+}
+
+// TestContendingWritersGiveWay: the owner of a region and the holders
+// of its replicas write it at the same time. All find their data in
+// place and lock it; each then has to evict the others' copies. All
+// but the lowest rank must give way — waiting for each other would end
+// in the lock-wait timeout — and no increment may be lost.
+func TestContendingWritersGiveWay(t *testing.T) {
+	for _, ranks := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%d-ranks", ranks), func(t *testing.T) {
+			typ := dataitem.NewGridType[int]("field", p(8, 8))
+			ts := newTestSystem(t, ranks, typ)
+			for _, m := range ts.managers {
+				m.LockWaitTimeout = 10 * time.Second
+			}
+			id, _ := ts.managers[0].CreateItem(typ)
+			r := dataitem.Region(gr(0, 0, 8, 8))
+			ts.touch(t, 0, id, r, Write)
+
+			const rounds = 40
+			for round := 0; round < rounds; round++ {
+				// Whoever wrote last owns the region; the others copy it.
+				for rank := 0; rank < ranks; rank++ {
+					ts.touch(t, rank, id, r, Read)
+				}
+				errs := make(chan error, ranks)
+				for rank := 0; rank < ranks; rank++ {
+					go func(rank int) {
+						m := ts.managers[rank]
+						tok := uint64(1000 + ranks*round + rank)
+						if err := m.Acquire(tok, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
+							errs <- err
+							return
+						}
+						frag, _ := m.Fragment(id)
+						*frag.(*dataitem.GridFragment[int]).Ptr(p(1, 1))++
+						m.Release(tok)
+						errs <- nil
+					}(rank)
+				}
+				for rank := 0; rank < ranks; rank++ {
+					if err := <-errs; err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+				}
+			}
+			tok := uint64(1)
+			if err := ts.managers[0].Acquire(tok, []Requirement{{Item: id, Region: r, Mode: Read}}); err != nil {
+				t.Fatal(err)
+			}
+			frag, _ := ts.managers[0].Fragment(id)
+			if got := frag.(*dataitem.GridFragment[int]).At(p(1, 1)); got != ranks*rounds {
+				t.Fatalf("counter = %d after %d contended rounds, want %d", got, rounds, ranks*rounds)
+			}
+			ts.managers[0].Release(tok)
+			if err := verifyDirectory(ts.managers, id); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestWriterStagedFromReplicaIsOnRecord: a writer stages its region
+// from a replica, not from the owner, and is then overtaken by the
+// owner's write. The owner knows only of the replica; the replica's
+// record must lead it to the writer's copy, or that copy survives the
+// owner's write with the old value and later replaces the new one.
+func TestWriterStagedFromReplicaIsOnRecord(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 3, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+	rq := Requirement{Item: id, Region: r, Mode: Write}
+	write := func(rank, v int) {
+		t.Helper()
+		m := ts.managers[rank]
+		tok := uint64(100 + v)
+		if err := m.Acquire(tok, []Requirement{rq}); err != nil {
+			t.Fatalf("write at rank %d: %v", rank, err)
+		}
+		if err := CheckSystemInvariants(ts.managers, id); err != nil {
+			t.Fatalf("write at rank %d: %v", rank, err)
+		}
+		frag, _ := m.Fragment(id)
+		frag.(*dataitem.GridFragment[int]).Set(p(1, 1), v)
+		m.Release(tok)
+	}
+
+	write(1, 7)
+	ts.touch(t, 0, id, r, Read)
+	// Rank 2's resolution lists rank 0 first: that is where it copies from.
+	if err := ts.managers[2].ensureLocal(rq, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !ts.lentTo(0, id, 2).Equal(r) || !ts.lentTo(1, id, 2).IsEmpty() {
+		t.Fatalf("rank 2 staged from rank 1 (lent %v), not from rank 0 (lent %v)", ts.lentTo(1, id, 2), ts.lentTo(0, id, 2))
+	}
+
+	walked, direct := ts.counterAt(1, MetricRevokeWalked), ts.counterAt(1, MetricRevokeDirect)
+	write(1, 42)
+	if w, d := ts.counterAt(1, MetricRevokeWalked)-walked, ts.counterAt(1, MetricRevokeDirect)-direct; w != 0 || d != 1 {
+		t.Errorf("owner's write: %d walked, %d direct, want 0 and 1", w, d)
+	}
+	for _, rank := range []int{0, 2} {
+		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
+			t.Fatalf("rank %d still holds %v after the owner's write", rank, cov)
+		}
+	}
+
+	// Rank 2 goes on with its acquisition and must see the owner's value.
+	const tok = 5
+	if err := ts.managers[2].Acquire(tok, []Requirement{rq}); err != nil {
+		t.Fatal(err)
+	}
+	frag, _ := ts.managers[2].Fragment(id)
+	if got := frag.(*dataitem.GridFragment[int]).At(p(1, 1)); got != 42 {
+		t.Fatalf("rank 2 reads %d after the owner wrote 42", got)
+	}
+	ts.managers[2].Release(tok)
+	if err := verifyDirectory(ts.managers, id); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyIndex(ts.managers, id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleSharerCostsOneEmptyDrop: rank 0's replica of rank 1's
+// region is evicted by a third writer before the owner is, so the
+// record the owner hands over is stale. Chasing it costs one drop
+// answered "nothing here" and no error.
+func TestStaleSharerCostsOneEmptyDrop(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 3, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+
+	ts.touch(t, 1, id, r, Write)
+	ts.touch(t, 0, id, r, Read)
+
+	calls := ts.tracedCalls()
+	// Rank 2's walks list rank 0 first: it copies from the replica and
+	// evicts it before the owner.
+	ts.touch(t, 2, id, r, Write)
+	got := calls()
+	if got[methodFetch] != 1 || got[methodDrop] != 3 {
+		t.Errorf("migrating write sent %d fetches and %d drops, want 1 and 3 (replica, owner, stale sharer)",
+			got[methodFetch], got[methodDrop])
+	}
+	for _, rank := range []int{0, 1} {
+		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
+			t.Fatalf("rank %d still holds %v", rank, cov)
+		}
+	}
+	if !ts.managers[2].ExclusivelyOwned(id, r) {
+		t.Error("writer does not own the region exclusively")
+	}
+	if err := VerifyIndex(ts.managers, id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryDropsDirectory: RetractEpoch and ReleasePinsOf give up
+// what a crash may have invalidated, and the next write finds the
+// surviving replica the long way.
+func TestRecoveryDropsDirectory(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 3, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+	half := dataitem.Region(gr(0, 0, 4, 8))
+
+	ts.touch(t, 0, id, r, Write)
+	ts.touch(t, 1, id, half, Read)
+	ts.touch(t, 2, id, r, Read)
+
+	// A dead sharer's record goes, and with it the root status of what
+	// it held: copies made from its copy were known only to it.
+	ts.managers[0].ReleasePinsOf(1)
+	if !ts.lentTo(0, id, 1).IsEmpty() {
+		t.Fatal("dead sharer's record survives ReleasePinsOf")
+	}
+	if _, unrooted := ts.managers[0].sharersOf(id, half); !unrooted.Equal(half) {
+		t.Fatal("region lent to a dead rank is still rooted")
+	}
+	if _, unrooted := ts.managers[0].sharersOf(id, r.Difference(half)); !unrooted.IsEmpty() {
+		t.Fatal("ReleasePinsOf shrank the root region beyond the dead rank's share")
+	}
+
+	for _, m := range ts.managers {
+		m.RetractEpoch(m.Epoch() + 1)
+	}
+	for rank := range ts.managers {
+		if ts.lentCount(rank, id) != 0 {
+			t.Fatalf("rank %d keeps sharer records across RetractEpoch", rank)
+		}
+	}
+	if _, unrooted := ts.managers[0].sharersOf(id, r); !unrooted.Equal(r) {
+		t.Fatal("root region survives RetractEpoch")
+	}
+	for _, m := range ts.managers {
+		if err := m.Republish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walked, direct := ts.counterAt(0, MetricRevokeWalked), ts.counterAt(0, MetricRevokeDirect)
+	ts.touch(t, 0, id, r, Write)
+	if w, d := ts.counterAt(0, MetricRevokeWalked)-walked, ts.counterAt(0, MetricRevokeDirect)-direct; w != 1 || d != 0 {
+		t.Errorf("write after retraction: %d walked, %d direct, want 1 and 0", w, d)
+	}
+	for _, rank := range []int{1, 2} {
+		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
+			t.Fatalf("rank %d still holds %v", rank, cov)
+		}
+	}
+	if !ts.managers[0].ExclusivelyOwned(id, r) {
+		t.Error("owner is not the directory again after its write")
+	}
+}

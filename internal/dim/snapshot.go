@@ -79,7 +79,7 @@ func (m *Manager) ImportLocal(id ItemID, snap *LocalSnapshot) error {
 	}
 	// Mark the region allocated; the granted remainder is irrelevant —
 	// the claim only serializes allocation bookkeeping.
-	if _, err := m.claim(id, snap.Region); err != nil {
+	if _, err := m.claim(id, snap.Region, true, false); err != nil {
 		return fmt.Errorf("dim: import claim: %w", err)
 	}
 	m.mu.Lock()

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"allscale/internal/dataitem"
 	"allscale/internal/region"
@@ -111,6 +113,9 @@ func TestRandomizedAcquireReleaseKeepsInvariants(t *testing.T) {
 		if err := VerifyIndex(ts.managers, id); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		if err := verifyDirectory(ts.managers, id); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 		for b := 0; b < bands; b++ {
 			owners, err := ts.managers[0].Owners(id, bandRegion(b))
 			if err != nil {
@@ -138,6 +143,189 @@ func TestRandomizedAcquireReleaseKeepsInvariants(t *testing.T) {
 			t.Fatalf("band %d final value %d, want %d", b, got, value[b])
 		}
 		m.Release(tok)
+	}
+}
+
+// verifyDirectory checks the invariant the direct revocation path
+// rests on, at a quiescent point: no element has two root copies, and
+// every copy of a rank's root region held elsewhere is reachable from
+// that rank along sharer records.
+func verifyDirectory(managers []*Manager, id ItemID) error {
+	type state struct {
+		cov, root dataitem.Region
+		lent      map[int]dataitem.Region
+	}
+	states := make([]state, len(managers))
+	for rank, m := range managers {
+		m.mu.Lock()
+		st := m.items[id]
+		states[rank] = state{cov: st.frag.Region(), root: st.root, lent: make(map[int]dataitem.Region)}
+		for peer, lr := range st.lent {
+			states[rank].lent[peer] = lr
+		}
+		m.mu.Unlock()
+	}
+	for owner, o := range states {
+		if !o.root.Difference(o.cov).IsEmpty() {
+			return fmt.Errorf("rank %d: root region %v exceeds coverage %v", owner, o.root, o.cov)
+		}
+		for other := owner + 1; other < len(states); other++ {
+			if twice := o.root.Intersect(states[other].root); !twice.IsEmpty() {
+				return fmt.Errorf("ranks %d and %d both hold the root copy of %v", owner, other, twice)
+			}
+		}
+		reached := make(map[int]dataitem.Region)
+		work := []Located{{Region: o.root, Rank: owner}}
+		for len(work) > 0 {
+			at := work[len(work)-1]
+			work = work[:len(work)-1]
+			for peer, lr := range states[at.Rank].lent {
+				fresh := lr.Intersect(at.Region)
+				if have, ok := reached[peer]; ok {
+					fresh = fresh.Difference(have)
+					reached[peer] = have.Union(fresh)
+				} else {
+					reached[peer] = fresh
+				}
+				if !fresh.IsEmpty() {
+					work = append(work, Located{Region: fresh, Rank: peer})
+				}
+			}
+		}
+		for holder, h := range states {
+			if holder == owner {
+				continue
+			}
+			stray := h.cov.Intersect(o.root)
+			if have, ok := reached[holder]; ok {
+				stray = stray.Difference(have)
+			}
+			if !stray.IsEmpty() {
+				return fmt.Errorf("rank %d holds %v of rank %d's root region with no sharer record leading to it", holder, stray, owner)
+			}
+		}
+	}
+	return nil
+}
+
+// TestReaderWriterChurnKeepsDirectory churns three ranks with
+// concurrent writers and readers of the same bands — replicas made
+// from replicas, writes racing fetches in flight, migrations between
+// all three — and checks at every quiescent point that the index is
+// exact, that every replica is on record with its owner, and that no
+// rank reads a value an earlier write should have revoked.
+func TestReaderWriterChurnKeepsDirectory(t *testing.T) {
+	const (
+		ranks  = 3
+		rounds = 30
+		bands  = 6
+		w      = 2
+	)
+	typ := dataitem.NewGridType[int]("churn.field", region.Point{bands * w, 4})
+	ts := newTestSystem(t, ranks, typ)
+	id, err := ts.managers[0].CreateItem(typ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band := func(b int) dataitem.GridRegion {
+		return dataitem.GridRegionFromTo(region.Point{b * w, 0}, region.Point{(b + 1) * w, 4})
+	}
+	cell := func(b int) region.Point { return region.Point{b * w, 1} }
+	var tokens atomic.Uint64
+	// access acquires band b at rank, hands the cell to fn, releases.
+	// The cell is touched under the manager's lock: a GridFragment
+	// swaps its block list on every resize — here, whenever another
+	// band comes or goes — without regard for element accesses (the
+	// defect recorded in benchmark/README.md), and this test is about
+	// who holds which band, not about that.
+	access := func(rank, b int, mode Mode, fn func(v *int)) error {
+		m := ts.managers[rank]
+		tok := tokens.Add(1)
+		if err := m.Acquire(tok, []Requirement{{Item: id, Region: band(b), Mode: mode}}); err != nil {
+			return fmt.Errorf("band %d %v at rank %d: %w", b, mode, rank, err)
+		}
+		defer m.Release(tok)
+		frag, _ := m.Fragment(id)
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		fn(frag.(*dataitem.GridFragment[int]).Ptr(cell(b)))
+		return nil
+	}
+
+	value := make([]int, bands) // first-touch zero
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 8*bands)
+		run := func(fn func() error) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := fn(); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		written := make([]bool, bands)
+		for b := 0; b < bands; b++ {
+			b, old := b, value[b]
+			written[b] = rng.Intn(3) > 0
+			if written[b] {
+				writer := rng.Intn(ranks)
+				run(func() error {
+					return access(writer, b, Write, func(v *int) {
+						if *v != old {
+							errs <- fmt.Errorf("round %d: writer %d found band %d = %d, want %d", round, writer, b, *v, old)
+						}
+						*v = old + 1
+					})
+				})
+			}
+			for n := rng.Intn(3); n > 0; n-- {
+				reader := rng.Intn(ranks)
+				run(func() error {
+					return access(reader, b, Read, func(v *int) {
+						if got := *v; got != old && !(written[b] && got == old+1) {
+							errs <- fmt.Errorf("round %d: reader %d saw band %d = %d, want %d", round, reader, b, got, old)
+						}
+					})
+				})
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		for b := range value {
+			if written[b] {
+				value[b]++
+			}
+		}
+		// Quiescence: the last un-awaited unpins have been answered.
+		for rank := 0; rank < ranks; rank++ {
+			for ts.sys.Locality(rank).PendingCalls() != 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		if err := VerifyIndex(ts.managers, id); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := verifyDirectory(ts.managers, id); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		// A replica that survived its owner's write shows up here: the
+		// rank holding it reads without fetching.
+		for b := 0; b < bands; b++ {
+			rank := rng.Intn(ranks)
+			if err := access(rank, b, Read, func(v *int) {
+				if *v != value[b] {
+					t.Fatalf("round %d: rank %d reads band %d = %d after quiescence, want %d", round, rank, b, *v, value[b])
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

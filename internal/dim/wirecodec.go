@@ -84,10 +84,11 @@ func (a *resolveArgs) UnmarshalWire(d *wire.Decoder) error {
 	return nil
 }
 
-// AppendWire implements wire.Marshaler.
-func (r *resolveReply) AppendWire(buf []byte) ([]byte, error) {
-	buf = wire.AppendUvarint(buf, uint64(len(r.Entries)))
-	for _, e := range r.Entries {
+// appendLocated appends a counted list of (region, rank) pairs: the
+// form of resolution results and of sharer records.
+func appendLocated(buf []byte, entries []Located) ([]byte, error) {
+	buf = wire.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
 		var err error
 		buf, err = dataitem.AppendRegionWire(buf, e.Region)
 		if err != nil {
@@ -98,17 +99,28 @@ func (r *resolveReply) AppendWire(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *resolveReply) UnmarshalWire(d *wire.Decoder) error {
+func decodeLocated(d *wire.Decoder) ([]Located, error) {
+	var out []Located
 	n := int(d.Uvarint())
 	for i := 0; i < n && d.Err() == nil; i++ {
 		reg, err := dataitem.DecodeRegionWire(d)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		r.Entries = append(r.Entries, Located{Region: reg, Rank: d.Int()})
+		out = append(out, Located{Region: reg, Rank: d.Int()})
 	}
-	return nil
+	return out, nil
+}
+
+// AppendWire implements wire.Marshaler.
+func (r *resolveReply) AppendWire(buf []byte) ([]byte, error) {
+	return appendLocated(buf, r.Entries)
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (r *resolveReply) UnmarshalWire(d *wire.Decoder) (err error) {
+	r.Entries, err = decodeLocated(d)
+	return err
 }
 
 // AppendWire implements wire.Marshaler.
@@ -176,12 +188,7 @@ func (r *batchReply) UnmarshalWire(d *wire.Decoder) error {
 // AppendWire implements wire.Marshaler.
 func (a *fetchArgs) AppendWire(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, uint64(a.Item))
-	buf, err := dataitem.AppendRegionWire(buf, a.Region)
-	if err != nil {
-		return nil, err
-	}
-	buf = wire.AppendBool(buf, a.Remove)
-	return wire.AppendBool(buf, a.Pin), nil
+	return dataitem.AppendRegionWire(buf, a.Region)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -192,8 +199,6 @@ func (a *fetchArgs) UnmarshalWire(d *wire.Decoder) error {
 		return err
 	}
 	a.Region = r
-	a.Remove = d.Bool()
-	a.Pin = d.Bool()
 	return nil
 }
 
@@ -235,7 +240,11 @@ func (a *unpinArgs) UnmarshalWire(d *wire.Decoder) error {
 // AppendWire implements wire.Marshaler.
 func (a *claimArgs) AppendWire(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, uint64(a.Item))
-	return dataitem.AppendRegionWire(buf, a.Region)
+	buf, err := dataitem.AppendRegionWire(buf, a.Region)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendBool(wire.AppendBool(buf, a.Alloc), a.Root), nil
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -246,6 +255,8 @@ func (a *claimArgs) UnmarshalWire(d *wire.Decoder) error {
 		return err
 	}
 	a.Region = r
+	a.Alloc = d.Bool()
+	a.Root = d.Bool()
 	return nil
 }
 
@@ -279,4 +290,23 @@ func (a *dropArgs) UnmarshalWire(d *wire.Decoder) error {
 	}
 	a.Region = r
 	return nil
+}
+
+// AppendWire implements wire.Marshaler.
+func (r *dropReply) AppendWire(buf []byte) ([]byte, error) {
+	buf, err := appendLocated(wire.AppendBool(buf, r.Contended), r.Sharers)
+	if err != nil {
+		return nil, err
+	}
+	return dataitem.AppendRegionWire(buf, r.Root)
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (r *dropReply) UnmarshalWire(d *wire.Decoder) (err error) {
+	r.Contended = d.Bool()
+	if r.Sharers, err = decodeLocated(d); err != nil {
+		return err
+	}
+	r.Root, err = dataitem.DecodeRegionWire(d)
+	return err
 }

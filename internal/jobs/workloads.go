@@ -353,7 +353,7 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 // straggler's body. The straggler's points are then skipped — the
 // job's result is already discarded.
 func stencilFrag(ctx *sched.Ctx, id []byte) *dataitem.GridFragment[float64] {
-	frag, err := ctx.Manager().Fragment(dim.ItemID(binary.BigEndian.Uint64(id)))
+	frag, err := ctx.Fragment(dim.ItemID(binary.BigEndian.Uint64(id)))
 	if err != nil {
 		return nil
 	}

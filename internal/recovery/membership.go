@@ -239,9 +239,9 @@ func (c *Coordinator) Drain(rank int) error {
 	}
 
 	// 3. Migrate every owned fragment onto the remaining members via
-	// ordinary write acquisitions: the fetch-with-remove path moves the
-	// bytes, revokes stale locate-cache entries and shrinks the rank's
-	// published coverage as it goes.
+	// ordinary write acquisitions: the destination copies the bytes and
+	// evicts the rank's copy, which revokes stale locate-cache entries
+	// and shrinks the rank's published coverage as it goes.
 	mgr := c.sys.Manager(rank)
 	next := 0
 	for _, id := range mgr.Items() {

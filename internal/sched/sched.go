@@ -798,6 +798,13 @@ type Ctx struct {
 	// worker is the queue worker the variant occupies (noWorker for a
 	// goroutine of its own): waiting on a child must not idle it.
 	worker int
+	// frags remembers the fragments the body has asked for (Fragment).
+	frags []ctxFragment
+}
+
+type ctxFragment struct {
+	id   dim.ItemID
+	frag dataitem.Fragment
 }
 
 // Rank returns the executing locality's rank.
@@ -806,6 +813,25 @@ func (c *Ctx) Rank() int { return c.sched.Rank() }
 // Manager returns the local data item manager, through which variant
 // bodies access their granted fragments.
 func (c *Ctx) Manager() *dim.Manager { return c.sched.mgr }
+
+// Fragment returns the local fragment of the item, as the manager's
+// Fragment does. A manager keeps one fragment object per item for the
+// item's lifetime, so the context remembers the few it has handed out:
+// a body that resolves its fragments once per element stays off the
+// manager's lock. For the task's own goroutine only.
+func (c *Ctx) Fragment(id dim.ItemID) (dataitem.Fragment, error) {
+	for i := range c.frags {
+		if c.frags[i].id == id {
+			return c.frags[i].frag, nil
+		}
+	}
+	frag, err := c.sched.mgr.Fragment(id)
+	if err != nil {
+		return nil, err
+	}
+	c.frags = append(c.frags, ctxFragment{id: id, frag: frag})
+	return frag, nil
+}
 
 // Args decodes the task arguments into out.
 func (c *Ctx) Args(out any) error { return decodeWire(c.spec.Args, out) }
