@@ -15,8 +15,9 @@
 package tpc
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"allscale/internal/region"
 )
@@ -106,7 +107,7 @@ func (t *Tree) build(id region.NodeID, pts []Point7, level int) {
 		return
 	}
 	dim := widestDim(node.Lo, node.Hi)
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i][dim] < pts[j][dim] })
+	slices.SortStableFunc(pts, func(a, b Point7) int { return cmp.Compare(a[dim], b[dim]) })
 	mid := len(pts) / 2
 	node.SplitDim = dim
 	if len(pts) > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"strings"
+	"sync"
 	"testing"
 
 	"allscale/internal/region"
@@ -206,6 +207,39 @@ func TestTreeFragmentBasics(t *testing.T) {
 	if f.Covers(3) {
 		t.Fatal("fragment must not cover right subtree")
 	}
+}
+
+// TestTreeFragmentConcurrentWritersAndResize: tasks of one rank write
+// disjoint subtrees while the manager grows the fragment for the next
+// one — the TPC tree load, which used to die of "concurrent map writes"
+// about once in forty. No access may touch a table under construction
+// and no payload may be lost to a resize (run with -race).
+func TestTreeFragmentConcurrentWritersAndResize(t *testing.T) {
+	const height = 8
+	typ := NewTreeType[int]("treeC", height)
+	f := typ.NewFragment().(*TreeFragment[int])
+	// Subtrees of depth 3: eight writers, each admitted by a resize that
+	// runs while the earlier ones are still writing.
+	cover := region.EmptyTreeRegion(height)
+	var wg sync.WaitGroup
+	for root := region.NodeID(8); root < 16; root++ {
+		sub := region.SubtreeRegion(height, root)
+		cover = cover.Union(sub)
+		if err := f.Resize(TreeItemRegion{T: cover}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sub.ForEachNode(func(n region.NodeID) { f.Set(n, int(n)) })
+		}()
+	}
+	wg.Wait()
+	cover.ForEachNode(func(n region.NodeID) {
+		if got := f.At(n); got != int(n) {
+			t.Fatalf("node %v holds %d after the load", n, got)
+		}
+	})
 }
 
 func TestTreeExtractInsertRoundTrip(t *testing.T) {

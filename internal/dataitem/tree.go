@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sync/atomic"
 
 	"allscale/internal/region"
 	"allscale/internal/wire"
@@ -132,44 +133,53 @@ func (t *TreeType[T]) EmptyRegion() Region {
 
 // NewFragment implements Type.
 func (t *TreeType[T]) NewFragment() Fragment {
-	return &TreeFragment[T]{
-		height: t.height,
-		cover:  region.EmptyTreeRegion(t.height),
-		nodes:  make(map[region.NodeID]T),
-	}
+	f := &TreeFragment[T]{height: t.height}
+	f.state.Store(&treeState[T]{cover: region.EmptyTreeRegion(t.height)})
+	return f
 }
 
 // TreeFragment stores the payloads of the tree nodes of one region.
+//
+// Tasks of one rank run concurrently on disjoint nodes while the
+// manager resizes the fragment for the next one, so the region and the
+// node table are one immutable value, replaced as a whole by Resize,
+// and the table maps to payload slots that a Resize carries over: an
+// access never touches a map that is being written, and a payload
+// stored through the previous table is not lost.
 type TreeFragment[T any] struct {
 	height int
-	cover  region.TreeRegion
-	nodes  map[region.NodeID]T
+	state  atomic.Pointer[treeState[T]]
+}
+
+type treeState[T any] struct {
+	cover region.TreeRegion
+	nodes map[region.NodeID]*T
 }
 
 var _ Fragment = (*TreeFragment[int])(nil)
 
 // Region implements Fragment.
-func (f *TreeFragment[T]) Region() Region { return TreeItemRegion{T: f.cover} }
+func (f *TreeFragment[T]) Region() Region { return TreeItemRegion{T: f.state.Load().cover} }
 
 // Covers reports whether node n is stored in the fragment.
-func (f *TreeFragment[T]) Covers(n region.NodeID) bool { return f.cover.Contains(n) }
+func (f *TreeFragment[T]) Covers(n region.NodeID) bool { return f.state.Load().cover.Contains(n) }
+
+// slot returns the payload slot of node n; it panics when n is outside
+// the fragment (a missing data requirement).
+func (f *TreeFragment[T]) slot(op string, n region.NodeID) *T {
+	st := f.state.Load()
+	if !st.cover.Contains(n) {
+		panic(fmt.Sprintf("dataitem: %s %v outside tree fragment %v (missing data requirement?)", op, n, st.cover))
+	}
+	return st.nodes[n]
+}
 
 // At returns the payload of node n; it panics when n is outside the
 // fragment (a missing data requirement).
-func (f *TreeFragment[T]) At(n region.NodeID) T {
-	if !f.cover.Contains(n) {
-		panic(fmt.Sprintf("dataitem: access to %v outside tree fragment %v (missing data requirement?)", n, f.cover))
-	}
-	return f.nodes[n]
-}
+func (f *TreeFragment[T]) At(n region.NodeID) T { return *f.slot("access to", n) }
 
 // Set stores v at node n; same containment contract as At.
-func (f *TreeFragment[T]) Set(n region.NodeID, v T) {
-	if !f.cover.Contains(n) {
-		panic(fmt.Sprintf("dataitem: write to %v outside tree fragment %v (missing data requirement?)", n, f.cover))
-	}
-	f.nodes[n] = v
-}
+func (f *TreeFragment[T]) Set(n region.NodeID, v T) { *f.slot("write to", n) = v }
 
 // Resize implements Fragment.
 func (f *TreeFragment[T]) Resize(r Region) error {
@@ -181,20 +191,19 @@ func (f *TreeFragment[T]) Resize(r Region) error {
 	if target.Height() != f.height && !target.IsEmpty() {
 		return fmt.Errorf("dataitem: resize of height-%d tree with height-%d region", f.height, target.Height())
 	}
-	next := make(map[region.NodeID]T)
+	old := f.state.Load()
+	next := make(map[region.NodeID]*T)
 	target.ForEachNode(func(n region.NodeID) {
-		if f.cover.Contains(n) {
-			next[n] = f.nodes[n]
+		if slot, ok := old.nodes[n]; ok {
+			next[n] = slot
 		} else {
-			var zero T
-			next[n] = zero
+			next[n] = new(T)
 		}
 	})
 	if target.IsEmpty() {
 		target = region.EmptyTreeRegion(f.height)
 	}
-	f.nodes = next
-	f.cover = target
+	f.state.Store(&treeState[T]{cover: target, nodes: next})
 	return nil
 }
 
@@ -211,8 +220,9 @@ func (f *TreeFragment[T]) Extract(r Region) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dataitem: tree extract with %T", r)
 	}
-	if !tr.T.Difference(f.cover).IsEmpty() {
-		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", tr.T, f.cover)
+	st := f.state.Load()
+	if !tr.T.Difference(st.cover).IsEmpty() {
+		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", tr.T, st.cover)
 	}
 	var w treeWire[T]
 	n := tr.T.Size()
@@ -220,7 +230,7 @@ func (f *TreeFragment[T]) Extract(r Region) ([]byte, error) {
 	w.Values = make([]T, 0, n)
 	tr.T.ForEachNode(func(n region.NodeID) {
 		w.Nodes = append(w.Nodes, uint64(n))
-		w.Values = append(w.Values, f.nodes[n])
+		w.Values = append(w.Values, *st.nodes[n])
 	})
 	if wire.CanBulk[T]() && !forceGobPayload {
 		buf := make([]byte, 1, 64)
@@ -253,13 +263,14 @@ func (f *TreeFragment[T]) Insert(data []byte) (Region, error) {
 	if len(w.Nodes) != len(w.Values) {
 		return nil, fmt.Errorf("dataitem: tree insert carries %d nodes but %d values", len(w.Nodes), len(w.Values))
 	}
+	st := f.state.Load()
 	covered := region.EmptyTreeRegion(f.height)
 	for i, raw := range w.Nodes {
 		n := region.NodeID(raw)
-		if !f.cover.Contains(n) {
-			return nil, fmt.Errorf("dataitem: insert node %v outside fragment region %v", n, f.cover)
+		if !st.cover.Contains(n) {
+			return nil, fmt.Errorf("dataitem: insert node %v outside fragment region %v", n, st.cover)
 		}
-		f.nodes[n] = w.Values[i]
+		*st.nodes[n] = w.Values[i]
 		covered = covered.Union(region.SingleNodeRegion(f.height, n))
 	}
 	return TreeItemRegion{T: covered}, nil

@@ -135,11 +135,16 @@ const (
 	MetricLocateCacheMisses = "dim.locate_cache.misses"
 	MetricLocateCacheInvals = "dim.locate_cache.invalidations"
 	// Write requirements by how their sole copy was established:
-	// "direct" ones lay inside the root region and revoked the recorded
-	// sharers without touching the index, "walked" ones ran the
+	// "direct" ones revoked the recorded sharers without touching the
+	// index — the region lay inside the root region, or the root role
+	// came with a sharer's drop reply — "walked" ones ran the
 	// authoritative walk-evict-rewalk loop.
 	MetricRevokeDirect = "dim.revoke.direct"
 	MetricRevokeWalked = "dim.revoke.walked"
+	// MetricRevokeBackoffs counts the sleeps of write acquisitions whose
+	// walk found no root copy to take over; an uncontended ownership
+	// migration takes none.
+	MetricRevokeBackoffs = "dim.revoke.backoffs"
 )
 
 // Manager is the data item manager instance of one locality.
@@ -149,15 +154,16 @@ type Manager struct {
 
 	// acquires/locates and the acquire-wait histogram live in the
 	// locality-wide metrics registry.
-	acquires     *metrics.Counter
-	locates      *metrics.Counter
-	acquireWait  *metrics.Histogram
-	locateRPCs   *metrics.Counter
-	cacheHits    *metrics.Counter
-	cacheMisses  *metrics.Counter
-	cacheInvals  *metrics.Counter
-	revokeDirect *metrics.Counter
-	revokeWalked *metrics.Counter
+	acquires       *metrics.Counter
+	locates        *metrics.Counter
+	acquireWait    *metrics.Histogram
+	locateRPCs     *metrics.Counter
+	cacheHits      *metrics.Counter
+	cacheMisses    *metrics.Counter
+	cacheInvals    *metrics.Counter
+	revokeDirect   *metrics.Counter
+	revokeWalked   *metrics.Counter
+	revokeBackoffs *metrics.Counter
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -198,6 +204,7 @@ func New(loc *runtime.Locality, reg *dataitem.Registry) *Manager {
 		cacheInvals:     loc.Metrics().Counter(MetricLocateCacheInvals),
 		revokeDirect:    loc.Metrics().Counter(MetricRevokeDirect),
 		revokeWalked:    loc.Metrics().Counter(MetricRevokeWalked),
+		revokeBackoffs:  loc.Metrics().Counter(MetricRevokeBackoffs),
 		items:           make(map[ItemID]*itemState),
 		pins:            make(map[uint64]int),
 		LockWaitTimeout: 60 * time.Second,

@@ -743,6 +743,13 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 			if part.IsEmpty() {
 				return &fetchReply{Empty: true}, nil
 			}
+			// A request that waited out a lock may be served after its
+			// sender was declared dead and its pins were released
+			// (ReleasePinsOf runs once, after the mark): a pin taken now
+			// would never be confirmed and would block writers for good.
+			if m.loc.IsDead(from) || m.loc.IsDeparted(from) {
+				return nil, fmt.Errorf("dim: fetch of %v for rank %d, which has left", args.Item, from)
+			}
 			data, err := st.frag.Extract(part)
 			if err != nil {
 				return nil, err
@@ -1088,10 +1095,15 @@ func (m *Manager) enforceExclusive(reqs []Requirement, deadline time.Time, span 
 		var bo *backoff.Timer
 		for {
 			sharers, unrooted := m.sharersOf(rq.Item, rq.Region)
-			for _, o := range sharers {
-				if err := m.evict(rq.Item, o); err != nil {
-					return err
+			if len(sharers) > 0 {
+				for _, o := range sharers {
+					if err := m.evict(rq.Item, o); err != nil {
+						return err
+					}
 				}
+				// An evicted holder hands over its root role: what was
+				// outside root before the drops may be inside it now.
+				continue
 			}
 			if unrooted.IsEmpty() {
 				break
@@ -1134,6 +1146,7 @@ func (m *Manager) enforceExclusive(reqs []Requirement, deadline time.Time, span 
 			if bo == nil {
 				bo = m.newBackoff(uint64(rq.Item))
 			}
+			m.revokeBackoffs.Inc()
 			if bo.Sleep(deadline) != nil {
 				return fmt.Errorf("dim: root copy of %v of %v not found", unrooted, rq.Item)
 			}

@@ -462,3 +462,71 @@ func TestRecoveryDropsDirectory(t *testing.T) {
 		t.Error("owner is not the directory again after its write")
 	}
 }
+
+// TestWritePingPongTakesNoBackoff: two ranks alternately write-acquire
+// one row of a grid whose halves they own. Each hand-over finds the
+// previous holder through the sharer record the last drop left behind,
+// and takes over the root role with that holder's drop reply: nothing
+// is left to wait for, so no acquisition may reach the backoff of a
+// walk that found no root copy — and the row's value must survive every
+// migration.
+func TestWritePingPongTakesNoBackoff(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 2, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	ts.touch(t, 0, id, gr(0, 0, 4, 8), Write)
+	ts.touch(t, 1, id, gr(4, 0, 8, 8), Write)
+	row := []Requirement{{Item: id, Region: gr(3, 0, 4, 8), Mode: Write}}
+
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		m := ts.managers[(i+1)%2]
+		tok := uint64(1000 + i)
+		if err := m.Acquire(tok, row); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		frag, err := m.Fragment(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := frag.(*dataitem.GridFragment[int]).Ptr(p(3, 5))
+		if *cell != i {
+			t.Fatalf("round %d at rank %d: row holds %d, want %d", i, m.Rank(), *cell, i)
+		}
+		*cell++
+		m.Release(tok)
+	}
+	if n := ts.sum(MetricRevokeBackoffs); n != 0 {
+		t.Errorf("%d backoff sleeps in %d uncontended migrations, want 0", n, rounds)
+	}
+	// Past the first hand-over every revocation is a recorded sharer's.
+	if w := ts.sum(MetricRevokeWalked); w > 1 {
+		t.Errorf("%d migrations walked the index, want at most the first", w)
+	}
+	if err := VerifyIndex(ts.managers, id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFetchForDeadRankTakesNoPin: a fetch served after its sender was
+// marked dead — it may have waited out a lock meanwhile, and the dead
+// rank's pins have been released by then — is refused instead of
+// leaving a pin nobody will confirm in the way of every later writer.
+func TestFetchForDeadRankTakesNoPin(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 3, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+	ts.touch(t, 0, id, r, Write)
+
+	ts.sys.Locality(0).MarkDead(2)
+	ts.managers[0].ReleasePinsOf(2)
+	if _, err := ts.managers[0].handleFetch(2, &fetchArgs{Item: id, Region: r}); err == nil {
+		t.Fatal("fetch on behalf of a dead rank was served")
+	}
+	if ts.lentCount(0, id) != 0 {
+		t.Error("dead rank went on record as a sharer")
+	}
+	ts.managers[0].LockWaitTimeout = 2 * time.Second
+	ts.touch(t, 0, id, r, Write) // would wait for the pin
+}

@@ -257,7 +257,11 @@ func TestServerRestartingTypedError(t *testing.T) {
 	rc := dialRaw(t, srv.Addr().String())
 	rc.send(t, Request{Op: OpWait, Job: id})
 	pollWaiting(t, srv, 1)
-	go svc.Suspend(10 * time.Millisecond)
+	// Suspend writes its snapshot into the state directory: it must have
+	// returned before the test's TempDir is removed.
+	suspended := make(chan struct{})
+	go func() { defer close(suspended); svc.Suspend(10 * time.Millisecond) }()
+	defer func() { <-suspended }()
 	if resp := rc.recv(t); resp.OK || resp.Code != CodeRestarting {
 		t.Fatalf("blocked wait across suspend: %+v, want code %q", resp, CodeRestarting)
 	}

@@ -60,8 +60,9 @@ func (d *dedupState) setWindow(w time.Duration) {
 // observe processes one inbound flagDedup request: it applies the
 // caller's ack watermark, opportunistically sweeps aged entries, and
 // registers id. It returns the cached reply when this is a duplicate
-// of a completed call (replay=true), or inflight=true when the first
-// execution is still running and the duplicate must be dropped.
+// of a completed call (replay=true), or inflight=true when the
+// duplicate must be dropped: the first execution is still running, or
+// the call lies behind the caller's watermark.
 func (d *dedupState) observe(from int, id, ack uint64, now time.Time) (rsp []byte, replay, inflight bool) {
 	nowNS := now.UnixNano()
 	d.mu.Lock()
@@ -93,6 +94,13 @@ func (d *dedupState) observe(from int, id, ack uint64, now time.Time) (rsp []byt
 			return nil, false, true
 		}
 		return e.rsp, true, false
+	}
+	if id <= cw.acked {
+		// The caller has resolved this call and its entry went with the
+		// watermark: a duplicate that the fabric delayed past both. Nobody
+		// waits for an answer, and running the handler again would break
+		// exactly-once — drop it like an in-flight duplicate.
+		return nil, false, true
 	}
 	cw.entries[id] = &dedupEntry{}
 	return nil, false, false

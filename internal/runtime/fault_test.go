@@ -159,6 +159,27 @@ func TestCloseFailsOutstandingCalls(t *testing.T) {
 	}
 }
 
+// TestPromiseAfterCloseFails: Close fails the promises outstanding at
+// that moment; one made afterwards — by a task still unwinding on a
+// killed locality — must come back failed too, or its waiter (and the
+// task's open spans) would stay for ever.
+func TestPromiseAfterCloseFails(t *testing.T) {
+	s := NewSystem(1)
+	s.Start()
+	loc := s.Locality(0)
+	_, before := loc.NewPromise()
+	loc.Close()
+	id, after := loc.NewPromise()
+	for name, fut := range map[string]*Future{"before": before, "after": after} {
+		if err := waitErr(t, fut, 5*time.Second); err == nil {
+			t.Errorf("promise made %s Close resolved without error", name)
+		}
+	}
+	if loc.PromisePending(id) {
+		t.Error("promise made after Close is still registered")
+	}
+}
+
 // TestCallAsyncDeliversResult covers the non-failure path of the new
 // future-based call API.
 func TestCallAsyncDeliversResult(t *testing.T) {

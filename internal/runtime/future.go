@@ -90,6 +90,12 @@ func (l *Locality) NewPromise() (PromiseID, *Future) {
 	id := PromiseID{Owner: l.Rank(), Seq: l.nextPromise.Add(1)}
 	f := newFuture()
 	l.promises.Store(id.Seq, f)
+	// Close fails the promises it finds after setting closed; one stored
+	// behind that sweep — by a task still unwinding on a killed locality
+	// — would strand its waiter, so it is failed here.
+	if l.closed.Load() {
+		l.fulfillLocal(id.Seq, nil, fmt.Sprintf("runtime: locality %d closed", l.Rank()))
+	}
 	return id, f
 }
 

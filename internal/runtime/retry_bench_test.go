@@ -25,6 +25,7 @@ func benchSystem(b *testing.B) *System {
 func BenchmarkCallPlain(b *testing.B) {
 	s := benchSystem(b)
 	loc := s.Locality(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var out int
@@ -45,6 +46,7 @@ func BenchmarkCallSupervised(b *testing.B) {
 		WithDeadline(30 * time.Second),
 		WithRetries(5, 5*time.Second),
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var out int

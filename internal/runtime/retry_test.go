@@ -149,6 +149,32 @@ func TestDedupEvictionByAck(t *testing.T) {
 	}
 }
 
+// TestDuplicateBehindWatermarkIsDropped: a duplicate frame that a
+// reordering fabric delivers after a later call's watermark has evicted
+// its entry is not a new call — the caller resolved it long ago — and
+// must not run the handler a second time.
+func TestDuplicateBehindWatermarkIsDropped(t *testing.T) {
+	d := newDedupState(time.Hour)
+	now := time.Now()
+	if _, replay, inflight := d.observe(0, 7, 6, now); replay || inflight {
+		t.Fatal("first arrival of call 7 not admitted")
+	}
+	d.complete(0, 7, []byte("rsp"), now)
+	if rsp, replay, _ := d.observe(0, 7, 6, now); !replay || string(rsp) != "rsp" {
+		t.Fatal("duplicate inside the window not replayed")
+	}
+	// Call 8 acks everything up to 7: the entry goes.
+	if _, replay, inflight := d.observe(0, 8, 7, now); replay || inflight || d.size() != 1 {
+		t.Fatalf("call 8 not admitted or call 7 not evicted (window %d)", d.size())
+	}
+	if _, replay, inflight := d.observe(0, 7, 6, now); replay || !inflight {
+		t.Fatal("duplicate of call 7 behind the watermark was admitted as a new call")
+	}
+	if d.size() != 1 {
+		t.Fatalf("dropped duplicate left an entry (window %d)", d.size())
+	}
+}
+
 // TestDedupEvictionByAge: with acks withheld (distinct caller IDs stay
 // outstanding), entries may only leave by age.
 func TestDedupEvictionByAge(t *testing.T) {

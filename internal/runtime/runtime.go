@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"allscale/internal/gopool"
 	"allscale/internal/metrics"
 	"allscale/internal/trace"
 	"allscale/internal/transport"
@@ -149,6 +150,11 @@ func (l *Locality) resolve(pc *pendingCall, body []byte, err error) {
 // messages and promises over a single transport endpoint.
 type Locality struct {
 	ep transport.Endpoint
+
+	// pool runs every per-message and per-task function (Go): handlers
+	// and task bodies start on stacks already grown by their
+	// predecessors instead of growing a fresh one by copy each time.
+	pool gopool.Pool
 
 	mu       sync.RWMutex
 	methods  map[string]Method
@@ -548,9 +554,14 @@ func (l *Locality) HandleOneWay(name string, h OneWay) {
 	l.oneWays[name] = h
 }
 
+// Go runs f on a reused goroutine of the locality (gopool): the
+// replacement for a go statement wherever one function runs per
+// message or per task. Concurrency is unbounded, as with go.
+func (l *Locality) Go(f func()) { l.pool.Go(f) }
+
 // dispatch runs on the transport delivery goroutine; every message is
-// handed to its own goroutine so that a blocking handler can never
-// stall delivery (and in particular never deadlock an RPC cycle).
+// handed to a goroutine of its own so that a blocking handler can
+// never stall delivery (and in particular never deadlock an RPC cycle).
 func (l *Locality) dispatch(msg transport.Message) {
 	if l.IsDead(msg.From) || l.IsDeparted(msg.From) {
 		// Fenced: a rank declared dead may in fact be alive across a
@@ -571,7 +582,7 @@ func (l *Locality) dispatch(msg transport.Message) {
 	case transport.KindHeartbeat:
 		// Liveness probe: the timestamp update above is its entire effect.
 	case kindRequest:
-		go l.serveRequest(msg)
+		l.Go(func() { l.serveRequest(msg) })
 	case kindResponse:
 		var rsp rpcResponse
 		if err := decode(msg.Payload, &rsp); err != nil {
@@ -591,7 +602,7 @@ func (l *Locality) dispatch(msg transport.Message) {
 	case kindRequestDedup:
 		l.dispatchDedup(msg)
 	case kindOneWay:
-		go l.serveOneWay(msg)
+		l.Go(func() { l.serveOneWay(msg) })
 	}
 }
 
@@ -619,10 +630,10 @@ func (l *Locality) dispatchDedup(msg transport.Message) {
 		l.rpcReplays.Inc()
 		// Off the delivery goroutine: a blocked peer inbox must not
 		// stall delivery of everything queued behind this frame.
-		go l.ep.Send(msg.From, kindResponse, cached)
+		l.Go(func() { l.ep.Send(msg.From, kindResponse, cached) })
 		return
 	}
-	go l.serveDedup(msg.From, req)
+	l.Go(func() { l.serveDedup(msg.From, &req) })
 }
 
 // staleEpoch reports (and counts) a frame from a sender whose stamped
@@ -640,41 +651,27 @@ func (l *Locality) staleEpoch(from int, epoch uint64) bool {
 	return false
 }
 
-// serveRequest runs on its own goroutine, one per inbound plain
-// request. It is deliberately a two-call trampoline: handleRequest's
-// frame — the decoded envelope, the handler call, response encoding —
-// pops before the transport Send (channel machinery, several frames
-// deep) runs, keeping the goroutine's peak stack need under the
-// initial stack size. Folding the two together pushes every request
-// goroutine over the growth boundary: a per-request copystack that
-// costs ~30% on the fault-free hot path.
+// serveRequest decodes, executes and answers one inbound plain request.
 func (l *Locality) serveRequest(msg transport.Message) {
-	if payload := l.handleRequest(msg); payload != nil {
+	var req rpcRequest
+	if err := decode(msg.Payload, &req); err != nil {
+		return
+	}
+	if l.staleEpoch(msg.From, req.Epoch) {
+		return
+	}
+	if payload := l.execRequest(msg.From, &req, false); payload != nil {
 		l.ep.Send(msg.From, kindResponse, payload)
 	}
 }
 
 // serveDedup is serveRequest's counterpart for dedup'd requests,
 // whose envelope was already decoded and window-registered by
-// dispatch; the same trampoline shape applies.
-func (l *Locality) serveDedup(from int, req rpcRequest) {
-	if payload := l.execRequest(from, &req, true); payload != nil {
+// dispatch.
+func (l *Locality) serveDedup(from int, req *rpcRequest) {
+	if payload := l.execRequest(from, req, true); payload != nil {
 		l.ep.Send(from, kindResponse, payload)
 	}
-}
-
-// handleRequest decodes and executes one plain request, returning the
-// encoded response payload to send back (nil when the frame was
-// consumed: stale epoch or encode failure).
-func (l *Locality) handleRequest(msg transport.Message) []byte {
-	var req rpcRequest
-	if err := decode(msg.Payload, &req); err != nil {
-		return nil
-	}
-	if l.staleEpoch(msg.From, req.Epoch) {
-		return nil
-	}
-	return l.execRequest(msg.From, &req, false)
 }
 
 // execRequest runs the handler for one request and encodes the
@@ -765,10 +762,10 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		}
 		pc := &pendingCall{dst: dst, fut: fut,
 			sp: l.Tracer().Begin("rpc.call", method, 0), start: time.Now()}
-		go func() {
+		l.Go(func() {
 			rsp, err := m(l.Rank(), body)
 			l.resolve(pc, rsp, err)
-		}()
+		})
 		return fut
 	}
 	if l.closed.Load() {
@@ -947,7 +944,7 @@ func (l *Locality) Send(dst int, method string, args any) error {
 			l.rpcErrors.Inc()
 			return fmt.Errorf("runtime: no one-way %q at rank %d", method, dst)
 		}
-		go h(l.Rank(), body)
+		l.Go(func() { h(l.Rank(), body) })
 		return nil
 	}
 	if l.closed.Load() {
@@ -985,6 +982,7 @@ func (l *Locality) Close() error {
 		return nil
 	}
 	err := l.ep.Close()
+	l.pool.Close()
 	l.failCalls(func(int) bool { return true },
 		fmt.Errorf("runtime: locality %d closed with call outstanding", l.Rank()))
 	closeErr := fmt.Errorf("runtime: locality %d closed with promise outstanding", l.Rank())

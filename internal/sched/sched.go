@@ -708,16 +708,16 @@ func (s *Scheduler) coveringRank(reqs []dim.Requirement, writeOnly bool) int {
 // variants go through the run queue when one is enabled (only process
 // variants are queued and stealable — split variants merely spawn and
 // wait, and must neither occupy a bounded worker nor migrate once
-// created), everything else runs on a fresh goroutine. Used on the
-// local placement path, the placement RPC handler, and the ship
-// fallback.
+// created), everything else runs on a goroutine of its own, reused
+// from the locality's pool. Used on the local placement path, the
+// placement RPC handler, and the ship fallback.
 func (s *Scheduler) executeAsync(spec *TaskSpec, variant Variant) {
 	if s.queue != nil && variant == VariantProcess {
 		s.enqueueLocal(spec)
 		return
 	}
 	cp := *spec
-	go s.executeNow(&cp, variant, noWorker)
+	s.loc.Go(func() { s.executeNow(&cp, variant, noWorker) })
 }
 
 // noWorker is the worker index of a variant that runs on a goroutine

@@ -181,7 +181,7 @@ func (s *Scheduler) ship(target int, item runArgs) {
 	sh.active = true
 	sh.mu.Unlock()
 	if spawn {
-		go s.shipLoop(target)
+		s.loc.Go(func() { s.shipLoop(target) })
 	}
 }
 
@@ -211,7 +211,7 @@ func (s *Scheduler) shipLoop(target int) {
 			fut := s.loc.CallAsync(target, methodRunBatch,
 				&runBatch{Seq: seq, Ack: ack, Tasks: chunk},
 				runtime.WithSpec(s.loc.ControlSpec()))
-			go s.confirmShip(target, seq, chunk, fut)
+			s.loc.Go(func() { s.confirmShip(target, seq, chunk, fut) })
 		}
 	}
 }

@@ -17,14 +17,18 @@ import (
 	"allscale/internal/apps/stencil"
 	"allscale/internal/core"
 	"allscale/internal/trace"
+	"allscale/internal/transport"
 )
 
-func runTracedStencil(t *testing.T) (*core.System, []trace.Span) {
+// runTracedStencil runs the stencil on four traced localities — over
+// the given endpoints, or the in-process fabric when there are none —
+// and requires that no span is left open afterwards.
+func runTracedStencil(t *testing.T, eps []transport.Endpoint, minGrain int64) (*core.System, []trace.Span) {
 	t.Helper()
-	p := stencil.Params{N: 32, Steps: 3, C: 0.1, MinGrain: 64}
+	p := stencil.Params{N: 32, Steps: 3, C: 0.1, MinGrain: minGrain}
 	want := stencil.RunSequential(p)
 
-	sys := core.NewSystem(core.Config{Localities: 4, TraceCapacity: 1 << 16})
+	sys := core.NewSystem(core.Config{Localities: 4, Endpoints: eps, TraceCapacity: 1 << 16})
 	app := stencil.NewAllScale(sys, p)
 	sys.Start()
 	if err := app.Run(); err != nil {
@@ -67,8 +71,40 @@ func runTracedStencil(t *testing.T) (*core.System, []trace.Span) {
 	return sys, trace.Merge(tracers...)
 }
 
+// TestStencilTCPNoSpanLeaks is the same run over TCP loopback sockets:
+// handlers and task bodies there run on the localities' reused
+// goroutines, and every one of them must have closed its spans by the
+// time the system has stopped. The grain is a locality's share: with
+// several leaves per rank the stencil's fragment Resize races a
+// sibling's element writes under -race, which is not this test's
+// subject.
+func TestStencilTCPNoSpanLeaks(t *testing.T) {
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
+	tcps := make([]*transport.TCPEndpoint, len(addrs))
+	for i := range tcps {
+		ep, err := transport.NewTCPEndpoint(i, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		tcps[i] = ep
+	}
+	eps := make([]transport.Endpoint, len(tcps))
+	for i, ep := range tcps {
+		addrs[i] = ep.Addr()
+		eps[i] = ep
+	}
+	for _, ep := range tcps {
+		ep.SetAddrs(addrs)
+	}
+	_, spans := runTracedStencil(t, eps, 256)
+	if err := trace.VerifyParents(spans); err != nil {
+		t.Fatalf("span DAG broken: %v", err)
+	}
+}
+
 func TestStencilSpanDAGWellFormed(t *testing.T) {
-	sys, spans := runTracedStencil(t)
+	sys, spans := runTracedStencil(t, nil, 64)
 	if len(spans) == 0 {
 		t.Fatal("traced run produced no spans")
 	}

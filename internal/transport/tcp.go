@@ -1,9 +1,8 @@
 package transport
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -62,6 +61,8 @@ func (c *TCPConfig) fillDefaults() {
 // payload bytes. Outgoing frames are assembled in pooled buffers and
 // coalesced: a per-connection flusher goroutine writes every frame
 // queued since its previous write with one syscall (see tcpConn).
+// Incoming frames are parsed out of one buffered reader per accepted
+// connection, so a coalesced batch also costs one read (frame.go).
 //
 // Failure semantics: writes carry a deadline, broken connections are
 // evicted from the cache and redialed with exponential backoff under
@@ -79,6 +80,7 @@ type TCPEndpoint struct {
 
 	mu       sync.Mutex
 	addrs    []string
+	size     atomic.Int32 // len(addrs), read per frame without mu
 	conns    map[int]*tcpConn
 	dialed   map[int]bool // peers that have had at least one connection
 	incoming map[net.Conn]struct{}
@@ -240,6 +242,7 @@ func NewTCPEndpointConfig(rank int, addrs []string, cfg TCPConfig) (*TCPEndpoint
 		incoming: make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
 	}
+	e.size.Store(int32(len(addrs)))
 	e.stats.Store(newCounters(nil))
 	e.wg.Add(1)
 	go e.accept()
@@ -256,15 +259,12 @@ func (e *TCPEndpoint) SetAddrs(addrs []string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.addrs = append([]string(nil), addrs...)
+	e.size.Store(int32(len(addrs)))
 }
 
 func (e *TCPEndpoint) Rank() int { return e.rank }
 
-func (e *TCPEndpoint) Size() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.addrs)
-}
+func (e *TCPEndpoint) Size() int { return int(e.size.Load()) }
 
 func (e *TCPEndpoint) SetHandler(h Handler) { e.handler.Store(&h) }
 
@@ -312,6 +312,9 @@ func (e *TCPEndpoint) accept() {
 	}
 }
 
+// read is the per-accepted-connection delivery goroutine. Its buffer
+// is allocated here, not at endpoint construction: an endpoint that is
+// never dialed pays nothing for it.
 func (e *TCPEndpoint) read(c net.Conn) {
 	defer e.wg.Done()
 	from := -1 // sender rank, learned from the first valid frame
@@ -325,60 +328,23 @@ func (e *TCPEndpoint) read(c net.Conn) {
 			e.notifyFailure(from, fmt.Errorf("transport: link from rank %d broken: %w", from, readErr))
 		}
 	}()
-	var hdr [4]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			return 0, err
-		}
-		return binary.BigEndian.Uint32(hdr[:]), nil
-	}
+	r := newFrameReader(c)
 	for {
-		f, err := readU32()
+		f, kind, payload, err := readFrame(r, e.Size(), e.cfg.MaxFrame)
 		if err != nil {
 			readErr = err
+			if errors.Is(err, errCorruptFrame) {
+				e.stats.Load().droppedFrames.Inc()
+				if f >= 0 {
+					from = f
+				}
+			}
 			return
 		}
-		if int(f) >= e.Size() {
-			e.stats.Load().droppedFrames.Inc()
-			readErr = fmt.Errorf("transport: frame with sender rank %d out of range", f)
-			return
-		}
-		klen, err := readU32()
-		if err != nil {
-			readErr = err
-			return
-		}
-		if int64(klen) > int64(e.cfg.MaxFrame) {
-			e.stats.Load().droppedFrames.Inc()
-			readErr = fmt.Errorf("transport: frame kind length %d exceeds limit %d", klen, e.cfg.MaxFrame)
-			from = int(f)
-			return
-		}
-		kind := make([]byte, klen)
-		if _, err := io.ReadFull(c, kind); err != nil {
-			readErr = err
-			return
-		}
-		plen, err := readU32()
-		if err != nil {
-			readErr = err
-			return
-		}
-		if int64(plen) > int64(e.cfg.MaxFrame) {
-			e.stats.Load().droppedFrames.Inc()
-			readErr = fmt.Errorf("transport: frame payload length %d exceeds limit %d", plen, e.cfg.MaxFrame)
-			from = int(f)
-			return
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(c, payload); err != nil {
-			readErr = err
-			return
-		}
-		from = int(f)
-		e.stats.Load().received(string(kind), len(payload))
+		from = f
+		e.stats.Load().received(kind, len(payload))
 		if p := e.handler.Load(); p != nil && *p != nil {
-			(*p)(Message{From: int(f), To: e.rank, Kind: string(kind), Payload: payload})
+			(*p)(Message{From: f, To: e.rank, Kind: kind, Payload: payload})
 		}
 	}
 }
@@ -486,18 +452,8 @@ func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 	// Assemble the frame in a pooled buffer; enqueue copies it into the
 	// connection's batch, so the assembly buffer is immediately
 	// reusable.
-	buf := wire.GetBuf()
-	defer func() { wire.PutBuf(buf) }()
-	var u [4]byte
-	put := func(v uint32) {
-		binary.BigEndian.PutUint32(u[:], v)
-		buf = append(buf, u[:]...)
-	}
-	put(uint32(e.rank))
-	put(uint32(len(kind)))
-	buf = append(buf, kind...)
-	put(uint32(len(payload)))
-	buf = append(buf, payload...)
+	buf := appendFrame(wire.GetBuf(), e.rank, kind, payload)
+	defer wire.PutBuf(buf)
 
 	// An enqueue error means the connection broke since the last send
 	// (peer crash or restart): evict it and retry once over a fresh
