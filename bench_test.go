@@ -10,7 +10,6 @@ package allscale_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"testing"
@@ -366,8 +365,7 @@ func BenchmarkGridLocal(b *testing.B) {
 
 // ---------------------------------------------------------------
 // Checkpoint codec: the framed binary checkpoint format (uvarint
-// records + CRC32) versus the legacy gob stream it replaced, on a
-// realistic multi-fragment capture.
+// records + CRC32) on a realistic multi-fragment capture.
 // ---------------------------------------------------------------
 
 func BenchmarkCheckpointCodec(b *testing.B) {
@@ -399,23 +397,9 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 		}
 		b.SetBytes(int64(buf.Len()))
 	})
-	b.Run("gob-encode", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(buf.Len()))
-	})
 
-	var wireBuf, gobBuf bytes.Buffer
+	var wireBuf bytes.Buffer
 	if _, err := cp.WriteTo(&wireBuf); err != nil {
-		b.Fatal(err)
-	}
-	if err := gob.NewEncoder(&gobBuf).Encode(cp); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("wire-decode", func(b *testing.B) {
@@ -423,15 +407,6 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 		b.SetBytes(int64(wireBuf.Len()))
 		for i := 0; i < b.N; i++ {
 			if _, err := resilience.ReadCheckpoint(bytes.NewReader(wireBuf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob-decode", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(gobBuf.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, err := resilience.ReadCheckpoint(bytes.NewReader(gobBuf.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -81,7 +81,7 @@ func main() {
 		TraceCapacity: *traceCap,
 	}
 	if *fabric == "tcp" {
-		eps, err := loopbackFabric(*localities)
+		eps, err := transport.NewTCPLoopback(*localities, transport.TCPConfig{})
 		if err != nil {
 			log.Fatalf("allscaled: tcp fabric: %v", err)
 		}
@@ -161,33 +161,6 @@ func main() {
 			ts.Name, ts.Completed, ts.Failed, ts.Cancelled, ts.Rejected, ts.TasksExecuted, ts.AdmitToExecP99)
 	}
 	log.Printf("allscaled: bye")
-}
-
-// loopbackFabric provisions n real TCP endpoints on 127.0.0.1 and
-// exchanges their bound addresses.
-func loopbackFabric(n int) ([]transport.Endpoint, error) {
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
-	}
-	tcps := make([]*transport.TCPEndpoint, n)
-	for i := 0; i < n; i++ {
-		ep, err := transport.NewTCPEndpoint(i, addrs)
-		if err != nil {
-			return nil, err
-		}
-		tcps[i] = ep
-	}
-	actual := make([]string, n)
-	for i, ep := range tcps {
-		actual[i] = ep.Addr()
-	}
-	eps := make([]transport.Endpoint, n)
-	for i, ep := range tcps {
-		ep.SetAddrs(actual)
-		eps[i] = ep
-	}
-	return eps, nil
 }
 
 // registerTenants parses "name:weight[:maxactive],..." pre-registrations.

@@ -3,6 +3,9 @@ package ipic3d
 import (
 	"math"
 	"testing"
+
+	"allscale/internal/core"
+	"allscale/internal/dim"
 )
 
 func testParams() Params {
@@ -105,6 +108,41 @@ func TestAllScaleMatchesSequential(t *testing.T) {
 		}
 		statesEqual(t, "allscale", got, want)
 	}
+}
+
+// TestFineGrainFragmentsCrossLocalities: with a grain of 8 cells on two
+// localities the collect and field phases read across the cut, so Cell
+// and Vec3 fragments are extracted on one locality and inserted on the
+// other in the forms the two types declare — and the run still matches
+// the sequential one.
+func TestFineGrainFragmentsCrossLocalities(t *testing.T) {
+	p := Params{N: 4, Steps: 4, PartsPerCell: 2, Dt: 0.5, Seed: 42, MinGrain: 8}
+	sys := core.NewSystem(core.Config{Localities: 2})
+	app := NewAllScale(sys, p)
+	sys.Start()
+	defer sys.Close()
+	if err := app.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// A cell held on both localities is a copy that crossed the wire.
+	for name, item := range map[string]dim.ItemID{"Cell": app.pmid.Item(), "Vec3": app.b.Item()} {
+		var held int64
+		for rank := 0; rank < sys.Size(); rank++ {
+			n, err := sys.Manager(rank).CoverageSize(item)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held += n
+		}
+		if cells := int64(p.N * p.N * p.N); held <= cells {
+			t.Errorf("no %s fragment was copied between the localities: %d of %d cells held", name, held, cells)
+		}
+	}
+	got, err := app.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	statesEqual(t, "allscale", got, RunSequential(p))
 }
 
 func TestMPIMatchesSequential(t *testing.T) {

@@ -127,7 +127,7 @@ func RunMPI(ranks int, p Params) (*State, error) {
 		hi := (rank + 1) * n / size
 		if hi <= lo {
 			if rank != 0 {
-				return c.SendValue(0, tagGather, []Cell{})
+				return c.SendValue(0, tagGather, &bandMsg{})
 			}
 			return fmt.Errorf("ipic3d: rank 0 has no planes")
 		}
@@ -175,32 +175,32 @@ func RunMPI(ranks int, p Params) (*State, error) {
 			}
 			// Exchange ghost planes of the mid grid (emigrants).
 			if rank > 0 {
-				if err := c.SendValue(rank-1, tagUp, mid[plane:2*plane]); err != nil {
+				if err := c.SendValue(rank-1, tagUp, &bandMsg{Cells: mid[plane : 2*plane]}); err != nil {
 					return err
 				}
 			}
 			if rank < size-1 {
-				if err := c.SendValue(rank+1, tagDown, mid[rows*plane:(rows+1)*plane]); err != nil {
+				if err := c.SendValue(rank+1, tagDown, &bandMsg{Cells: mid[rows*plane : (rows+1)*plane]}); err != nil {
 					return err
 				}
 			}
 			if rank < size-1 {
-				var ghost []Cell
+				var ghost bandMsg
 				if err := c.RecvValue(rank+1, tagUp, &ghost); err != nil {
 					return err
 				}
-				copy(mid[(rows+1)*plane:], ghost)
+				copy(mid[(rows+1)*plane:], ghost.Cells)
 			} else {
 				for i := (rows + 1) * plane; i < (rows+2)*plane; i++ {
 					mid[i] = Cell{}
 				}
 			}
 			if rank > 0 {
-				var ghost []Cell
+				var ghost bandMsg
 				if err := c.RecvValue(rank-1, tagDown, &ghost); err != nil {
 					return err
 				}
-				copy(mid[0:plane], ghost)
+				copy(mid[0:plane], ghost.Cells)
 			} else {
 				for i := 0; i < plane; i++ {
 					mid[i] = Cell{}
@@ -248,10 +248,6 @@ func RunMPI(ranks int, p Params) (*State, error) {
 		}
 
 		// Gather at rank 0: own planes of cells and E.
-		type bandMsg struct {
-			Cells []Cell
-			E     []Vec3
-		}
 		own := bandMsg{
 			Cells: append([]Cell(nil), cells[plane:(rows+1)*plane]...),
 			E:     append([]Vec3(nil), e[plane:(rows+1)*plane]...),

@@ -102,7 +102,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 			Name: "tpc.load",
 			CanSplit: func(args []byte) bool {
 				var la loadArgs
-				decodeArgs(args, &la)
+				wire.Decode(args, &la)
 				return la.Hi-la.Lo > 1
 			},
 			Split: func(ctx *sched.Ctx) (any, error) {
@@ -127,7 +127,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 			},
 			Reqs: func(args []byte) []dim.Requirement {
 				var la loadArgs
-				decodeArgs(args, &la)
+				wire.Decode(args, &la)
 				r := a.params.blockRegion(la.Lo)
 				for b := la.Lo + 1; b < la.Hi; b++ {
 					r = a.params.blockRegion(b).Union(r).(dataitem.TreeItemRegion)
@@ -230,7 +230,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 			Name: "tpc.sub",
 			Reqs: func(args []byte) []dim.Requirement {
 				var sa subArgs
-				decodeArgs(args, &sa)
+				wire.Decode(args, &sa)
 				return []dim.Requirement{{
 					Item:   a.item,
 					Region: dataitem.TreeItemRegion{T: region.SubtreeRegion(a.params.Height, region.NodeID(sa.Node))},
@@ -344,10 +344,6 @@ func RunAllScale(localities int, p Params) ([]int64, error) {
 		return nil, err
 	}
 	return app.RunQueries(0)
-}
-
-func decodeArgs(data []byte, v any) error {
-	return wire.Decode(data, v)
 }
 
 // ScatterBlocks re-places every subtree block according to owner —

@@ -55,7 +55,7 @@ func RunMPI(ranks int, p Params) ([]int64, error) {
 			var payload []byte
 			if rank == 0 {
 				var err error
-				if payload, err = wire.Encode(queries[lo:hi]); err != nil {
+				if payload, err = wire.Encode(point7s(queries[lo:hi])); err != nil {
 					return err
 				}
 			}
@@ -63,7 +63,7 @@ func RunMPI(ranks int, p Params) ([]int64, error) {
 			if err != nil {
 				return err
 			}
-			var qs []Point7
+			var qs point7s
 			if err := wire.Decode(data, &qs); err != nil {
 				return err
 			}

@@ -51,6 +51,43 @@ func TestArgsWireRoundTrip(t *testing.T) {
 	}
 }
 
+var codecNodes = []*KDNode{
+	{},
+	{Lo: codecPoints[1], Hi: codecPoints[2], Count: 1 << 40, SplitDim: 6, SplitVal: -0.5},
+	{Lo: codecPoints[2], Count: 3, SplitDim: -1, SplitVal: math.NaN(), Points: codecPoints},
+}
+
+// TestKDNodeWireRoundTrip covers the tree item's element type — inner
+// nodes without a bucket, leaves with one — and the MPI query batch.
+func TestKDNodeWireRoundTrip(t *testing.T) {
+	for _, in := range codecNodes {
+		var out KDNode
+		wiretest.RoundTrip(t, in, &out)
+		same := samePoint(out.Lo, in.Lo) && samePoint(out.Hi, in.Hi) && out.Count == in.Count &&
+			out.SplitDim == in.SplitDim && math.Float64bits(out.SplitVal) == math.Float64bits(in.SplitVal) &&
+			len(out.Points) == len(in.Points)
+		for i := 0; same && i < len(in.Points); i++ {
+			same = samePoint(out.Points[i], in.Points[i])
+		}
+		if !same {
+			t.Errorf("KDNode %+v came back as %+v", *in, out)
+		}
+	}
+	batch := point7s(codecPoints)
+	var out point7s
+	wiretest.RoundTrip(t, batch, &out)
+	if len(out) != len(batch) {
+		t.Fatalf("batch of %d points came back with %d", len(batch), len(out))
+	}
+	for i := range batch {
+		if !samePoint(out[i], batch[i]) {
+			t.Errorf("point %d: %v came back as %v", i, batch[i], out[i])
+		}
+	}
+}
+
+func FuzzKDNodeUnmarshal(f *testing.F) { wiretest.FuzzUnmarshal(f, codecNodes...) }
+
 func FuzzLoadArgsUnmarshal(f *testing.F) {
 	wiretest.FuzzUnmarshal(f, &loadArgs{0, 8}, &loadArgs{-1, 1 << 50})
 }

@@ -41,26 +41,9 @@ func tcpEndpoints(t *testing.T, n int) []transport.Endpoint {
 		RetryBudget:  2 * time.Second,
 		MaxBackoff:   100 * time.Millisecond,
 	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
-	}
-	tcps := make([]*transport.TCPEndpoint, n)
-	for i := range tcps {
-		ep, err := transport.NewTCPEndpointConfig(i, addrs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcps[i] = ep
-	}
-	actual := make([]string, n)
-	for i, ep := range tcps {
-		actual[i] = ep.Addr()
-	}
-	eps := make([]transport.Endpoint, n)
-	for i, ep := range tcps {
-		ep.SetAddrs(actual)
-		eps[i] = ep
+	eps, err := transport.NewTCPLoopback(n, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return eps
 }

@@ -7,19 +7,6 @@ import (
 	"allscale/internal/wire"
 )
 
-// decodeArgs decodes task arguments produced by the scheduler's
-// shared wire codec.
-func decodeArgs(data []byte, v any) error {
-	return wire.Decode(data, v)
-}
-
-// DecodeArgs is the exported form for packages layering task kinds on
-// a System (e.g. the jobs workload registry), whose CanSplit callbacks
-// must inspect scheduler-encoded arguments.
-func DecodeArgs(data []byte, v any) error {
-	return wire.Decode(data, v)
-}
-
 // maxRangeDims bounds the dimensionality of a pfor range on the wire
 // (the paper's applications use 1 to 3): a decoder must not size an
 // allocation from a count a peer chose.

@@ -51,11 +51,11 @@ func TestPForArgsWireRejects(t *testing.T) {
 		t.Errorf("encoded a %d-d range", len(wide))
 	}
 	oversized := wire.AppendUvarint([]byte{wire.FormatBinary}, maxRangeDims+1)
-	if err := decodeArgs(oversized, &pforArgs{}); err == nil {
+	if err := wire.Decode(oversized, &pforArgs{}); err == nil {
 		t.Error("decoded a dimension count above the bound")
 	}
 	huge := wire.AppendUvarint([]byte{wire.FormatBinary}, 1<<62)
-	if err := decodeArgs(huge, &pforArgs{}); err == nil {
+	if err := wire.Decode(huge, &pforArgs{}); err == nil {
 		t.Error("decoded an absurd dimension count")
 	}
 }
@@ -87,7 +87,7 @@ func BenchmarkWireCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			var out pforArgs
-			if err := decodeArgs(data, &out); err != nil {
+			if err := wire.Decode(data, &out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"allscale/internal/dim"
 	"allscale/internal/region"
 	"allscale/internal/sched"
+	"allscale/internal/wire"
 )
 
 // Range is an N-dimensional half-open iteration range [Lo, Hi), the
@@ -111,7 +112,7 @@ func RegisterPFor(sys *System, spec PForSpec) {
 			Name: spec.Name,
 			CanSplit: func(args []byte) bool {
 				var a pforArgs
-				if err := decodeArgs(args, &a); err != nil {
+				if err := wire.Decode(args, &a); err != nil {
 					return false
 				}
 				return a.R.Volume() > grain
@@ -147,7 +148,7 @@ func RegisterPFor(sys *System, spec PForSpec) {
 					return nil
 				}
 				var a pforArgs
-				if err := decodeArgs(args, &a); err != nil {
+				if err := wire.Decode(args, &a); err != nil {
 					return nil
 				}
 				return spec.Reqs(a.R, a.Extra)

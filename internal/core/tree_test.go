@@ -7,32 +7,32 @@ import (
 	"allscale/internal/dim"
 	"allscale/internal/region"
 	"allscale/internal/sched"
+	"allscale/internal/wire"
 )
 
 func TestTreeFacadeLifecycle(t *testing.T) {
 	sys := NewSystem(Config{Localities: 2})
 	tree := DefineTree[string](sys, "facade.tree", 4)
 
-	type fill struct{ Node uint64 }
 	sys.RegisterKind(func(rank int) *sched.Kind {
 		return &sched.Kind{
 			Name: "tree.fill",
 			Reqs: func(args []byte) []dim.Requirement {
-				var f fill
-				decodeArgs(args, &f)
+				var node uint64
+				wire.Decode(args, &node)
 				return []dim.Requirement{{
 					Item:   tree.Item(),
-					Region: tree.Subtree(region.NodeID(f.Node)),
+					Region: tree.Subtree(region.NodeID(node)),
 					Mode:   dim.Write,
 				}}
 			},
 			Process: func(ctx *sched.Ctx) (any, error) {
-				var f fill
-				if err := ctx.Args(&f); err != nil {
+				var node uint64
+				if err := ctx.Args(&node); err != nil {
 					return nil, err
 				}
 				frag := tree.Local(ctx)
-				tree.Subtree(region.NodeID(f.Node)).T.ForEachNode(func(n region.NodeID) {
+				tree.Subtree(region.NodeID(node)).T.ForEachNode(func(n region.NodeID) {
 					frag.Set(n, n.String())
 				})
 				return ctx.Rank(), nil
@@ -51,7 +51,7 @@ func TestTreeFacadeLifecycle(t *testing.T) {
 
 	// Fill the two child subtrees via tasks.
 	for _, node := range []uint64{2, 3} {
-		if err := sys.Wait("tree.fill", &fill{Node: node}, nil); err != nil {
+		if err := sys.Wait("tree.fill", node, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,8 +1,6 @@
 package dataitem
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"allscale/internal/region"
@@ -17,8 +15,6 @@ type IntervalRegion struct {
 }
 
 var _ Region = IntervalRegion{}
-
-func init() { gob.Register(IntervalRegion{}) }
 
 // IntervalFromTo returns the region covering [lo, hi).
 func IntervalFromTo(lo, hi int64) IntervalRegion {
@@ -69,37 +65,6 @@ func (r IntervalRegion) Size() int64 { return r.S.Size() }
 
 func (r IntervalRegion) String() string { return r.S.String() }
 
-// intervalWire is the gob wire form of an IntervalRegion.
-type intervalWire struct {
-	Los, His []int64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r IntervalRegion) MarshalBinary() ([]byte, error) {
-	var w intervalWire
-	for _, iv := range r.S.Intervals() {
-		w.Los = append(w.Los, iv.Lo)
-		w.His = append(w.His, iv.Hi)
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w)
-	return buf.Bytes(), err
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *IntervalRegion) UnmarshalBinary(data []byte) error {
-	var w intervalWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	ivs := make([]region.Interval, len(w.Los))
-	for i := range w.Los {
-		ivs[i] = region.Interval{Lo: w.Los[i], Hi: w.His[i]}
-	}
-	r.S = region.NewIntervalSet(ivs...)
-	return nil
-}
-
 // ArrayType is the data item type of 1-d arrays of T with
 // IntervalRegion regions. A length-1 array models a scalar item.
 type ArrayType[T any] struct {
@@ -112,12 +77,13 @@ func NewArrayType[T any](name string, n int64) *ArrayType[T] {
 	if n <= 0 {
 		panic("dataitem: array needs at least one element")
 	}
+	mustHaveElemForm[T](name)
 	return &ArrayType[T]{name: name, n: n}
 }
 
 // NewScalarType describes a single-value data item.
 func NewScalarType[T any](name string) *ArrayType[T] {
-	return &ArrayType[T]{name: name, n: 1}
+	return NewArrayType[T](name, 1)
 }
 
 // Name implements Type.
@@ -189,14 +155,9 @@ func (f *ArrayFragment[T]) Resize(r Region) error {
 	return nil
 }
 
-// arrayWire is the wire form of extracted array data (gob fallback;
-// bulk-encodable element types travel as two numeric blocks instead).
-type arrayWire[T any] struct {
-	Idx    []int64
-	Values []T
-}
-
-// Extract implements Fragment.
+// Extract implements Fragment. The payload is the format tag, the
+// indices as one numeric block and the values in the element codec's
+// form.
 func (f *ArrayFragment[T]) Extract(r Region) ([]byte, error) {
 	ir, ok := r.(IntervalRegion)
 	if !ok {
@@ -205,54 +166,45 @@ func (f *ArrayFragment[T]) Extract(r Region) ([]byte, error) {
 	if !ir.S.Difference(f.cover).IsEmpty() {
 		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", ir.S, f.cover)
 	}
-	var w arrayWire[T]
 	n := ir.S.Size()
-	w.Idx = make([]int64, 0, n)
-	w.Values = make([]T, 0, n)
+	idx := make([]int64, 0, n)
+	vals := make([]T, 0, n)
 	for _, iv := range ir.S.Intervals() {
 		for i := iv.Lo; i < iv.Hi; i++ {
-			w.Idx = append(w.Idx, i)
-			w.Values = append(w.Values, f.vals[i])
+			idx = append(idx, i)
+			vals = append(vals, f.vals[i])
 		}
 	}
-	if wire.CanBulk[T]() && !forceGobPayload {
-		buf := make([]byte, 1, 64)
-		buf[0] = wire.FormatBinary
-		buf = wire.AppendNumeric(buf, w.Idx)
-		return wire.AppendNumeric(buf, w.Values), nil
-	}
-	return gobPayload(&w)
+	buf := make([]byte, 1, 64)
+	buf[0] = wire.FormatBinary
+	buf = wire.AppendNumeric(buf, idx)
+	return appendElems(buf, vals)
 }
 
-// Insert implements Fragment.
+// Insert implements Fragment. Nothing is stored unless the whole
+// payload decodes and lies inside the fragment.
 func (f *ArrayFragment[T]) Insert(data []byte) (Region, error) {
-	var w arrayWire[T]
-	d, gobBody, err := payloadDecoder(data)
+	d, err := payloadDecoder(data)
 	if err != nil {
 		return nil, err
 	}
-	if d != nil {
-		if !wire.CanBulk[T]() {
-			return nil, fmt.Errorf("dataitem: binary array payload for non-bulk element type %T", *new(T))
-		}
-		w.Idx = wire.DecodeNumeric[int64](d)
-		w.Values = wire.DecodeNumeric[T](d)
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-	} else if err := decodeGobPayload(gobBody, &w); err != nil {
+	idx := wire.DecodeNumeric[int64](d)
+	vals := decodeElems[T](d)
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if len(w.Idx) != len(w.Values) {
-		return nil, fmt.Errorf("dataitem: array insert carries %d indices but %d values", len(w.Idx), len(w.Values))
+	if len(idx) != len(vals) {
+		return nil, fmt.Errorf("dataitem: array insert carries %d indices but %d values", len(idx), len(vals))
 	}
-	var ivs []region.Interval
-	for i, idx := range w.Idx {
-		if !f.cover.Contains(idx) {
-			return nil, fmt.Errorf("dataitem: insert index %d outside fragment region %v", idx, f.cover)
+	ivs := make([]region.Interval, len(idx))
+	for i, at := range idx {
+		if !f.cover.Contains(at) {
+			return nil, fmt.Errorf("dataitem: insert index %d outside fragment region %v", at, f.cover)
 		}
-		f.vals[idx] = w.Values[i]
-		ivs = append(ivs, region.Interval{Lo: idx, Hi: idx + 1})
+		ivs[i] = region.Interval{Lo: at, Hi: at + 1}
+	}
+	for i, at := range idx {
+		f.vals[at] = vals[i]
 	}
 	return IntervalRegion{S: region.NewIntervalSet(ivs...)}, nil
 }

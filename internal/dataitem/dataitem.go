@@ -24,9 +24,9 @@ import (
 
 // Region is the dynamic counterpart of region.Region used by the
 // runtime: implementations wrap one concrete region type and combine
-// only with regions of the same dynamic type. All values must be
-// (de)serializable with encoding/gob, so regions can travel in
-// messages; concrete types register themselves in init functions.
+// only with regions of the same dynamic type. Regions travel in
+// messages in the form of AppendRegionWire, which knows the three
+// implementations of this package.
 type Region interface {
 	// Union returns the set union with other (same dynamic type).
 	Union(other Region) Region

@@ -1,8 +1,6 @@
 package dataitem
 
 import (
-	"bytes"
-	"encoding/gob"
 	"strings"
 	"sync"
 	"testing"
@@ -302,27 +300,6 @@ func TestScalarType(t *testing.T) {
 	f.Set(0, 7)
 	if f.At(0) != 7 {
 		t.Fatal("scalar access broken")
-	}
-}
-
-func TestRegionGobRoundTrip(t *testing.T) {
-	regions := []Region{
-		GridRegionFromTo(p(1, 2), p(5, 9)).Union(GridRegionFromTo(p(10, 10), p(12, 12))),
-		TreeItemRegion{T: region.TreeRegionFromSubtrees(5, []region.NodeID{2}, []region.NodeID{5})},
-		IntervalFromTo(3, 9).Union(IntervalFromTo(20, 25)),
-	}
-	for _, r := range regions {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&r); err != nil {
-			t.Fatalf("encode %T: %v", r, err)
-		}
-		var back Region
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&back); err != nil {
-			t.Fatalf("decode %T: %v", r, err)
-		}
-		if !back.Equal(r) {
-			t.Fatalf("gob round trip changed %T: %v -> %v", r, r, back)
-		}
 	}
 }
 

@@ -20,6 +20,7 @@ func NewGridType[T any](name string, size region.Point) *GridType[T] {
 	if len(size) == 0 {
 		panic("dataitem: grid needs at least one dimension")
 	}
+	mustHaveElemForm[T](name)
 	return &GridType[T]{name: name, size: size.Clone()}
 }
 
@@ -227,17 +228,10 @@ func (f *GridFragment[T]) insertBox(box region.Box, vals []T) {
 	}
 }
 
-// gridWire is the gob fallback wire form of extracted grid data, used
-// when the element type has no bulk binary encoding.
-type gridWire[T any] struct {
-	Boxes []region.Box
-	Data  [][]T
-}
-
 // Extract implements Fragment. Elements are gathered box by box with
-// contiguous run copies; bulk-encodable element types are emitted in
-// the compact binary form, everything else falls back to gob. Both
-// forms carry a leading wire format tag.
+// contiguous run copies; the payload is the format tag, the box count
+// and, per box, its corners followed by its elements in the element
+// codec's form.
 func (f *GridFragment[T]) Extract(r Region) ([]byte, error) {
 	gr, ok := r.(GridRegion)
 	if !ok {
@@ -247,67 +241,56 @@ func (f *GridFragment[T]) Extract(r Region) ([]byte, error) {
 		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", gr.B, f.cover)
 	}
 	boxes := gr.B.Boxes()
-	if wire.CanBulk[T]() && !forceGobPayload {
-		buf := make([]byte, 1, 64)
-		buf[0] = wire.FormatBinary
-		buf = wire.AppendUvarint(buf, uint64(len(boxes)))
-		for _, box := range boxes {
-			buf = appendBox(buf, box)
-			vals := make([]T, box.Size())
-			f.extractBox(box, vals)
-			buf = wire.AppendNumeric(buf, vals)
-		}
-		return buf, nil
-	}
-	var w gridWire[T]
+	buf := make([]byte, 1, 64)
+	buf[0] = wire.FormatBinary
+	buf = wire.AppendUvarint(buf, uint64(len(boxes)))
 	for _, box := range boxes {
+		buf = appendBox(buf, box)
 		vals := make([]T, box.Size())
 		f.extractBox(box, vals)
-		w.Boxes = append(w.Boxes, box)
-		w.Data = append(w.Data, vals)
+		var err error
+		if buf, err = appendElems(buf, vals); err != nil {
+			return nil, err
+		}
 	}
-	return gobPayload(&w)
+	return buf, nil
 }
 
-// Insert implements Fragment.
+// Insert implements Fragment. Nothing is stored unless the whole
+// payload decodes and lies inside the fragment.
 func (f *GridFragment[T]) Insert(data []byte) (Region, error) {
-	var w gridWire[T]
-	d, gobBody, err := payloadDecoder(data)
+	d, err := payloadDecoder(data)
 	if err != nil {
 		return nil, err
 	}
-	if d != nil {
-		if !wire.CanBulk[T]() {
-			return nil, fmt.Errorf("dataitem: binary grid payload for non-bulk element type %T", *new(T))
-		}
-		n := int(d.Uvarint())
-		for i := 0; i < n && d.Err() == nil; i++ {
-			box := decodeBox(d)
-			vals := wire.DecodeNumeric[T](d)
-			w.Boxes = append(w.Boxes, box)
-			w.Data = append(w.Data, vals)
-		}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-	} else if err := decodeGobPayload(gobBody, &w); err != nil {
+	// A box takes at least its dimension count and two corners.
+	n := d.Count(3)
+	boxes := make([]region.Box, 0, n)
+	vals := make([][]T, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		boxes = append(boxes, decodeBox(d))
+		vals = append(vals, decodeElems[T](d))
+	}
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	for bi, box := range w.Boxes {
+	for bi, box := range boxes {
+		if len(box.Min) != f.dims {
+			return nil, fmt.Errorf("dataitem: insert of %d-d box %v into %d-d grid", len(box.Min), box, f.dims)
+		}
 		if !region.NewBoxSet(box).Difference(f.cover).IsEmpty() {
 			return nil, fmt.Errorf("dataitem: insert box %v outside fragment region %v", box, f.cover)
 		}
-		if int64(len(w.Data[bi])) != box.Size() {
-			return nil, fmt.Errorf("dataitem: insert box %v carries %d values, want %d", box, len(w.Data[bi]), box.Size())
+		if int64(len(vals[bi])) != box.Size() {
+			return nil, fmt.Errorf("dataitem: insert box %v carries %d values, want %d", box, len(vals[bi]), box.Size())
 		}
 	}
-	for bi, box := range w.Boxes {
-		f.insertBox(box, w.Data[bi])
+	for bi, box := range boxes {
+		f.insertBox(box, vals[bi])
 	}
-	// One BoxSet from all boxes at once: the old per-box
-	// covered.Union(...) rebuilt the set n times (quadratic in the
-	// number of boxes).
-	return GridRegion{B: region.NewBoxSet(w.Boxes...)}, nil
+	// One BoxSet from all boxes at once: a per-box Union would rebuild
+	// the set n times (quadratic in the number of boxes).
+	return GridRegion{B: region.NewBoxSet(boxes...)}, nil
 }
 
 // DenseBlock exposes one stored box and its row-major backing slice

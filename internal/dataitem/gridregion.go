@@ -1,11 +1,6 @@
 package dataitem
 
-import (
-	"bytes"
-	"encoding/gob"
-
-	"allscale/internal/region"
-)
+import "allscale/internal/region"
 
 // GridRegion adapts region.BoxSet — sets of axis-aligned bounding
 // boxes, the region scheme of the N-dimensional grid items of
@@ -15,8 +10,6 @@ type GridRegion struct {
 }
 
 var _ Region = GridRegion{}
-
-func init() { gob.Register(GridRegion{}) }
 
 // GridRegionFromTo returns the grid region covering [min, max).
 func GridRegionFromTo(min, max region.Point) GridRegion {
@@ -66,25 +59,3 @@ func (g GridRegion) Equal(other Region) bool {
 func (g GridRegion) Size() int64 { return g.B.Size() }
 
 func (g GridRegion) String() string { return g.B.String() }
-
-// gridRegionWire is the gob wire form of a GridRegion.
-type gridRegionWire struct {
-	Boxes []region.Box
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler for gob transfer.
-func (g GridRegion) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(gridRegionWire{Boxes: g.B.Boxes()})
-	return buf.Bytes(), err
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (g *GridRegion) UnmarshalBinary(data []byte) error {
-	var w gridRegionWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	g.B = region.NewBoxSet(w.Boxes...)
-	return nil
-}

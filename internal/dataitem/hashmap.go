@@ -1,11 +1,10 @@
 package dataitem
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 
+	"allscale/internal/region"
 	"allscale/internal/wire"
 )
 
@@ -26,6 +25,8 @@ func NewMapType[K comparable, V any](name string, buckets int) *MapType[K, V] {
 	if buckets <= 0 {
 		panic("dataitem: map needs at least one bucket")
 	}
+	mustHaveElemForm[K](name)
+	mustHaveElemForm[V](name)
 	return &MapType[K, V]{name: name, buckets: int64(buckets)}
 }
 
@@ -47,7 +48,7 @@ func (t *MapType[K, V]) NewFragment() Fragment {
 }
 
 // BucketOf returns the bucket index of key k (deterministic across
-// processes: FNV over the gob encoding of the key).
+// processes: FNV over the wire form of the key).
 func (t *MapType[K, V]) BucketOf(k K) int64 { return bucketOf(k, t.buckets) }
 
 // BucketRegion returns the region containing only the bucket of k.
@@ -57,14 +58,15 @@ func (t *MapType[K, V]) BucketRegion(k K) IntervalRegion {
 }
 
 func bucketOf[K comparable](k K, buckets int64) int64 {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(k); err != nil {
-		// Encoding a comparable value can only fail for exotic types
-		// (e.g. channels), which cannot be sensible map keys anyway.
+	var scratch [64]byte
+	buf, err := appendElems(scratch[:0], []K{k})
+	if err != nil {
+		// NewMapType checked that K has a form; what is left is a
+		// key whose own AppendWire refuses it.
 		panic(fmt.Sprintf("dataitem: unhashable map key %v: %v", k, err))
 	}
 	h := fnv.New64a()
-	h.Write(buf.Bytes())
+	h.Write(buf)
 	return int64(h.Sum64() % uint64(buckets))
 }
 
@@ -138,16 +140,9 @@ func (f *MapFragment[K, V]) Resize(r Region) error {
 	return nil
 }
 
-// mapWire is the wire form of extracted map data (gob fallback; when
-// both key and value types are bulk-encodable the pairs travel as two
-// numeric blocks instead). Empty buckets still travel (as the region)
-// so the receiver learns their coverage.
-type mapWire[K comparable, V any] struct {
-	Keys []K
-	Vals []V
-}
-
-// Extract implements Fragment.
+// Extract implements Fragment. The payload is the format tag, the
+// keys and the values, each in the element codec's form. Empty buckets
+// still travel (as the region) so the receiver learns their coverage.
 func (f *MapFragment[K, V]) Extract(r Region) ([]byte, error) {
 	ir, ok := r.(IntervalRegion)
 	if !ok {
@@ -156,54 +151,51 @@ func (f *MapFragment[K, V]) Extract(r Region) ([]byte, error) {
 	if !ir.S.Difference(f.cover.S).IsEmpty() {
 		return nil, fmt.Errorf("dataitem: extract buckets %v not covered by fragment %v", ir, f.cover)
 	}
-	var w mapWire[K, V]
+	var keys []K
+	var vals []V
 	for k, v := range f.vals {
 		if ir.S.Contains(bucketOf(k, f.buckets)) {
-			w.Keys = append(w.Keys, k)
-			w.Vals = append(w.Vals, v)
+			keys = append(keys, k)
+			vals = append(vals, v)
 		}
 	}
-	if wire.CanBulk[K]() && wire.CanBulk[V]() && !forceGobPayload {
-		buf := make([]byte, 1, 64)
-		buf[0] = wire.FormatBinary
-		buf = wire.AppendNumeric(buf, w.Keys)
-		return wire.AppendNumeric(buf, w.Vals), nil
+	buf := make([]byte, 1, 64)
+	buf[0] = wire.FormatBinary
+	buf, err := appendElems(buf, keys)
+	if err != nil {
+		return nil, err
 	}
-	return gobPayload(&w)
+	return appendElems(buf, vals)
 }
 
 // Insert implements Fragment. Because bucket contents travel as whole
 // buckets, inserting replaces nothing outside the carried keys; the
-// DIM transfers at bucket granularity so this is exact.
+// DIM transfers at bucket granularity so this is exact. Nothing is
+// stored unless the whole payload decodes and lies inside the
+// fragment.
 func (f *MapFragment[K, V]) Insert(data []byte) (Region, error) {
-	var w mapWire[K, V]
-	d, gobBody, err := payloadDecoder(data)
+	d, err := payloadDecoder(data)
 	if err != nil {
 		return nil, err
 	}
-	if d != nil {
-		if !wire.CanBulk[K]() || !wire.CanBulk[V]() {
-			return nil, fmt.Errorf("dataitem: binary map payload for non-bulk key/value types")
-		}
-		w.Keys = wire.DecodeNumeric[K](d)
-		w.Vals = wire.DecodeNumeric[V](d)
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-	} else if err := decodeGobPayload(gobBody, &w); err != nil {
+	keys := decodeElems[K](d)
+	vals := decodeElems[V](d)
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if len(w.Keys) != len(w.Vals) {
-		return nil, fmt.Errorf("dataitem: map insert carries %d keys but %d values", len(w.Keys), len(w.Vals))
+	if len(keys) != len(vals) {
+		return nil, fmt.Errorf("dataitem: map insert carries %d keys but %d values", len(keys), len(vals))
 	}
-	covered := IntervalRegion{}
-	for i, k := range w.Keys {
+	ivs := make([]region.Interval, len(keys))
+	for i, k := range keys {
 		b := bucketOf(k, f.buckets)
 		if !f.cover.S.Contains(b) {
 			return nil, fmt.Errorf("dataitem: insert key %v outside fragment buckets %v", k, f.cover)
 		}
-		f.vals[k] = w.Vals[i]
-		covered = covered.Union(IntervalFromTo(b, b+1)).(IntervalRegion)
+		ivs[i] = region.Interval{Lo: b, Hi: b + 1}
 	}
-	return covered, nil
+	for i, k := range keys {
+		f.vals[k] = vals[i]
+	}
+	return IntervalRegion{S: region.NewIntervalSet(ivs...)}, nil
 }

@@ -1,8 +1,6 @@
 package dataitem
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync/atomic"
 
@@ -18,8 +16,6 @@ type TreeItemRegion struct {
 }
 
 var _ Region = TreeItemRegion{}
-
-func init() { gob.Register(TreeItemRegion{}) }
 
 // Union implements Region.
 func (t TreeItemRegion) Union(other Region) Region {
@@ -65,40 +61,6 @@ func (t TreeItemRegion) Size() int64 { return t.T.Size() }
 
 func (t TreeItemRegion) String() string { return t.T.String() }
 
-// treeRegionWire is the gob wire form of a TreeItemRegion: the exact
-// ordered subtree-op decomposition.
-type treeRegionWire struct {
-	Height int
-	Adds   []bool
-	Nodes  []uint64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (t TreeItemRegion) MarshalBinary() ([]byte, error) {
-	w := treeRegionWire{Height: t.T.Height()}
-	for _, op := range t.T.Ops() {
-		w.Adds = append(w.Adds, op.Add)
-		w.Nodes = append(w.Nodes, uint64(op.Node))
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w)
-	return buf.Bytes(), err
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (t *TreeItemRegion) UnmarshalBinary(data []byte) error {
-	var w treeRegionWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	ops := make([]region.TreeOp, len(w.Adds))
-	for i := range w.Adds {
-		ops[i] = region.TreeOp{Add: w.Adds[i], Node: region.NodeID(w.Nodes[i])}
-	}
-	t.T = region.ApplyTreeOps(w.Height, ops)
-	return nil
-}
-
 // TreeType is the data item type of complete binary trees of height
 // `height` with node payloads of type T (Fig. 4b/4c).
 type TreeType[T any] struct {
@@ -112,6 +74,7 @@ func NewTreeType[T any](name string, height int) *TreeType[T] {
 	if height <= 0 {
 		panic("dataitem: tree needs at least one level")
 	}
+	mustHaveElemForm[T](name)
 	return &TreeType[T]{name: name, height: height}
 }
 
@@ -207,14 +170,9 @@ func (f *TreeFragment[T]) Resize(r Region) error {
 	return nil
 }
 
-// treeWire is the wire form of extracted tree data (gob fallback;
-// bulk-encodable payload types travel as two numeric blocks instead).
-type treeWire[T any] struct {
-	Nodes  []uint64
-	Values []T
-}
-
-// Extract implements Fragment.
+// Extract implements Fragment. The payload is the format tag, the
+// node IDs as one numeric block and the payloads in the element
+// codec's form.
 func (f *TreeFragment[T]) Extract(r Region) ([]byte, error) {
 	tr, ok := r.(TreeItemRegion)
 	if !ok {
@@ -224,54 +182,45 @@ func (f *TreeFragment[T]) Extract(r Region) ([]byte, error) {
 	if !tr.T.Difference(st.cover).IsEmpty() {
 		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", tr.T, st.cover)
 	}
-	var w treeWire[T]
 	n := tr.T.Size()
-	w.Nodes = make([]uint64, 0, n)
-	w.Values = make([]T, 0, n)
+	nodes := make([]uint64, 0, n)
+	vals := make([]T, 0, n)
 	tr.T.ForEachNode(func(n region.NodeID) {
-		w.Nodes = append(w.Nodes, uint64(n))
-		w.Values = append(w.Values, *st.nodes[n])
+		nodes = append(nodes, uint64(n))
+		vals = append(vals, *st.nodes[n])
 	})
-	if wire.CanBulk[T]() && !forceGobPayload {
-		buf := make([]byte, 1, 64)
-		buf[0] = wire.FormatBinary
-		buf = wire.AppendNumeric(buf, w.Nodes)
-		return wire.AppendNumeric(buf, w.Values), nil
-	}
-	return gobPayload(&w)
+	buf := make([]byte, 1, 64)
+	buf[0] = wire.FormatBinary
+	buf = wire.AppendNumeric(buf, nodes)
+	return appendElems(buf, vals)
 }
 
-// Insert implements Fragment.
+// Insert implements Fragment. Nothing is stored unless the whole
+// payload decodes and lies inside the fragment.
 func (f *TreeFragment[T]) Insert(data []byte) (Region, error) {
-	var w treeWire[T]
-	d, gobBody, err := payloadDecoder(data)
+	d, err := payloadDecoder(data)
 	if err != nil {
 		return nil, err
 	}
-	if d != nil {
-		if !wire.CanBulk[T]() {
-			return nil, fmt.Errorf("dataitem: binary tree payload for non-bulk element type %T", *new(T))
-		}
-		w.Nodes = wire.DecodeNumeric[uint64](d)
-		w.Values = wire.DecodeNumeric[T](d)
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-	} else if err := decodeGobPayload(gobBody, &w); err != nil {
+	nodes := wire.DecodeNumeric[uint64](d)
+	vals := decodeElems[T](d)
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if len(w.Nodes) != len(w.Values) {
-		return nil, fmt.Errorf("dataitem: tree insert carries %d nodes but %d values", len(w.Nodes), len(w.Values))
+	if len(nodes) != len(vals) {
+		return nil, fmt.Errorf("dataitem: tree insert carries %d nodes but %d values", len(nodes), len(vals))
 	}
 	st := f.state.Load()
 	covered := region.EmptyTreeRegion(f.height)
-	for i, raw := range w.Nodes {
+	for _, raw := range nodes {
 		n := region.NodeID(raw)
 		if !st.cover.Contains(n) {
 			return nil, fmt.Errorf("dataitem: insert node %v outside fragment region %v", n, st.cover)
 		}
-		*st.nodes[n] = w.Values[i]
 		covered = covered.Union(region.SingleNodeRegion(f.height, n))
+	}
+	for i, raw := range nodes {
+		*st.nodes[region.NodeID(raw)] = vals[i]
 	}
 	return TreeItemRegion{T: covered}, nil
 }

@@ -8,13 +8,20 @@ import (
 	"allscale/internal/region"
 )
 
+// legacyGridWire is the reflect-encoded form grid extracts had before
+// the binary codec.
+type legacyGridWire[T any] struct {
+	Boxes []region.Box
+	Data  [][]T
+}
+
 // legacyGridExtract reproduces the pre-optimization extraction: a
 // per-point closure walk through blockOf plus a per-message gob
 // encoder. It is the baseline BenchmarkFragmentExtract compares the
 // bulk binary path against.
 func legacyGridExtract[T any](f *GridFragment[T], r Region) ([]byte, error) {
 	gr := r.(GridRegion)
-	var w gridWire[T]
+	var w legacyGridWire[T]
 	for _, box := range gr.B.Boxes() {
 		data := make([]T, 0, box.Size())
 		region.NewBoxSet(box).ForEachPoint(func(p region.Point) {
@@ -33,7 +40,7 @@ func legacyGridExtract[T any](f *GridFragment[T], r Region) ([]byte, error) {
 
 // legacyGridInsert is the matching pre-optimization insertion.
 func legacyGridInsert[T any](f *GridFragment[T], data []byte) error {
-	var w gridWire[T]
+	var w legacyGridWire[T]
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}

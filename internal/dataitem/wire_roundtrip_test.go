@@ -1,37 +1,25 @@
 package dataitem
 
 import (
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"allscale/internal/region"
 	"allscale/internal/wire"
 )
 
-// extractBoth returns the binary and the forced-gob wire forms of the
-// same extraction, verifying their format tags along the way.
-func extractBoth(t *testing.T, f Fragment, r Region, wantBinary bool) (bin, gob []byte) {
+// extract returns the payload of r, checking its format tag.
+func extract(t *testing.T, f Fragment, r Region) []byte {
 	t.Helper()
-	bin, err := f.Extract(r)
+	data, err := f.Extract(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceGobPayload = true
-	gob, err = f.Extract(r)
-	forceGobPayload = false
-	if err != nil {
-		t.Fatal(err)
+	if data[0] != wire.FormatBinary {
+		t.Fatalf("payload tag %#x, want %#x", data[0], wire.FormatBinary)
 	}
-	wantTag := byte(wire.FormatGob)
-	if wantBinary {
-		wantTag = wire.FormatBinary
-	}
-	if bin[0] != wantTag {
-		t.Fatalf("default payload tag %#x, want %#x", bin[0], wantTag)
-	}
-	if gob[0] != wire.FormatGob {
-		t.Fatalf("forced payload tag %#x, want gob", gob[0])
-	}
-	return bin, gob
+	return data
 }
 
 // insertInto inserts payload into a fresh fragment covering cover and
@@ -49,10 +37,64 @@ func insertInto(t *testing.T, typ Type, cover Region, payload []byte) (Fragment,
 	return f, got
 }
 
-// TestGridWireFormsAgree checks that the compact binary form and the
-// legacy gob form of one grid extraction decode to identical
-// fragments and report the same covered region.
-func TestGridWireFormsAgree(t *testing.T) {
+// gridElem is a struct element type: it travels element by element in
+// the form it declares.
+type gridElem struct {
+	A int64
+	B float64
+}
+
+func (e *gridElem) AppendWire(buf []byte) ([]byte, error) {
+	buf = wire.AppendVarint(buf, e.A)
+	return wire.AppendFloat64(buf, e.B), nil
+}
+
+func (e *gridElem) UnmarshalWire(d *wire.Decoder) error {
+	e.A = d.Varint()
+	e.B = d.Float64()
+	return nil
+}
+
+// formless is a struct with no declared wire form, celsius a named
+// numeric type: neither can be an element type.
+type (
+	formless struct{ A int }
+	celsius  float64
+)
+
+// haloGrid returns a fully covered 8×8 grid holding 100·x + y + ½.
+func haloGrid(t testing.TB) *GridFragment[float64] {
+	typ := NewGridType[float64]("wf.halo", region.Point{8, 8})
+	f := typ.NewFragment().(*GridFragment[float64])
+	if err := f.Resize(typ.FullRegion()); err != nil {
+		t.Fatal(err)
+	}
+	typ.FullRegion().(GridRegion).B.ForEachPoint(func(p region.Point) {
+		f.Set(p, float64(p[0]*100+p[1])+0.5)
+	})
+	return f
+}
+
+// TestGridHaloPayloadGolden pins the float64 grid payload — what a
+// stencil halo exchange puts on the wire — to the bytes the runtime
+// produced before the element codec replaced the per-fragment forms
+// (a halo row plus a second box, extracted at the parent commit).
+func TestGridHaloPayloadGolden(t *testing.T) {
+	const golden = "0102020600081001080000000000c872400000000000d872400000000000e872400000000000f872400000000000087340000000000018734000000000002873400000000000387340020c04100801040000000000d482400000000000dc82400000000000f485400000000000fc8540"
+	f := haloGrid(t)
+	halo := GridRegion{B: region.NewBoxSet(
+		region.NewBox(region.Point{3, 0}, region.Point{4, 8}),
+		region.NewBox(region.Point{6, 2}, region.Point{8, 4}),
+	)}
+	if got := hex.EncodeToString(extract(t, f, halo)); got != golden {
+		t.Fatalf("halo payload changed:\n got %s\nwant %s", got, golden)
+	}
+}
+
+// TestGridRoundTrip extracts a sub-region spanning two stored blocks
+// and checks values and the reported region, for a numeric and for a
+// struct element type.
+func TestGridRoundTrip(t *testing.T) {
 	typ := NewGridType[float64]("wf.grid", region.Point{8, 8})
 	src := typ.NewFragment().(*GridFragment[float64])
 	cover := region.NewBoxSet(
@@ -65,66 +107,43 @@ func TestGridWireFormsAgree(t *testing.T) {
 	cover.ForEachPoint(func(p region.Point) {
 		src.Set(p, float64(p[0]*100+p[1])+0.5)
 	})
-	// Extract a sub-region spanning both stored blocks.
 	sub := GridRegion{B: region.NewBoxSet(
 		region.NewBox(region.Point{1, 3}, region.Point{7, 6}),
 	)}
-	bin, gob := extractBoth(t, src, sub, true)
-
-	fb, rb := insertInto(t, typ, GridRegion{B: cover}, bin)
-	fg, rg := insertInto(t, typ, GridRegion{B: cover}, gob)
-	if !rb.Equal(sub) || !rg.Equal(sub) {
-		t.Fatalf("covered regions %v / %v, want %v", rb, rg, sub)
+	f, r := insertInto(t, typ, GridRegion{B: cover}, extract(t, src, sub))
+	if !r.Equal(sub) {
+		t.Fatalf("covered region %v, want %v", r, sub)
 	}
 	sub.B.ForEachPoint(func(p region.Point) {
 		want := float64(p[0]*100+p[1]) + 0.5
-		if got := fb.(*GridFragment[float64]).At(p); got != want {
-			t.Fatalf("binary form: at %v got %v, want %v", p, got, want)
-		}
-		if got := fg.(*GridFragment[float64]).At(p); got != want {
-			t.Fatalf("gob form: at %v got %v, want %v", p, got, want)
+		if got := f.(*GridFragment[float64]).At(p); got != want {
+			t.Fatalf("at %v got %v, want %v", p, got, want)
 		}
 	})
-}
 
-// gridElem is a struct element type without a bulk binary encoding:
-// grids of it must take the gob fallback on the default path too.
-type gridElem struct {
-	A int64
-	B float64
-}
-
-// TestGridStructElementFallback checks the non-numeric fallback: the
-// default wire form is tagged gob and still round-trips.
-func TestGridStructElementFallback(t *testing.T) {
-	typ := NewGridType[gridElem]("wf.grid.struct", region.Point{4, 4})
-	src := typ.NewFragment().(*GridFragment[gridElem])
-	full := typ.FullRegion()
-	if err := src.Resize(full); err != nil {
+	styp := NewGridType[gridElem]("wf.grid.struct", region.Point{4, 4})
+	ssrc := styp.NewFragment().(*GridFragment[gridElem])
+	full := styp.FullRegion()
+	if err := ssrc.Resize(full); err != nil {
 		t.Fatal(err)
 	}
 	full.(GridRegion).B.ForEachPoint(func(p region.Point) {
-		src.Set(p, gridElem{A: int64(p[0]), B: float64(p[1]) / 2})
+		ssrc.Set(p, gridElem{A: int64(p[0]), B: float64(p[1]) / 2})
 	})
-	bin, gob := extractBoth(t, src, full, false)
-
-	for _, payload := range [][]byte{bin, gob} {
-		f, r := insertInto(t, typ, full, payload)
-		if !r.Equal(full) {
-			t.Fatalf("covered %v, want %v", r, full)
-		}
-		full.(GridRegion).B.ForEachPoint(func(p region.Point) {
-			want := gridElem{A: int64(p[0]), B: float64(p[1]) / 2}
-			if got := f.(*GridFragment[gridElem]).At(p); got != want {
-				t.Fatalf("at %v got %v, want %v", p, got, want)
-			}
-		})
+	sf, sr := insertInto(t, styp, full, extract(t, ssrc, full))
+	if !sr.Equal(full) {
+		t.Fatalf("covered %v, want %v", sr, full)
 	}
+	full.(GridRegion).B.ForEachPoint(func(p region.Point) {
+		want := gridElem{A: int64(p[0]), B: float64(p[1]) / 2}
+		if got := sf.(*GridFragment[gridElem]).At(p); got != want {
+			t.Fatalf("at %v got %v, want %v", p, got, want)
+		}
+	})
 }
 
-// TestArrayWireFormsAgree is the array analogue of the grid test,
-// including the struct-element fallback.
-func TestArrayWireFormsAgree(t *testing.T) {
+// TestArrayRoundTrip is the array analogue.
+func TestArrayRoundTrip(t *testing.T) {
 	typ := NewArrayType[int64]("wf.array", 64)
 	src := typ.NewFragment().(*ArrayFragment[int64])
 	cover := IntervalRegion{S: region.NewIntervalSet(
@@ -141,17 +160,14 @@ func TestArrayWireFormsAgree(t *testing.T) {
 	sub := IntervalRegion{S: region.NewIntervalSet(
 		region.Interval{Lo: 5, Hi: 15}, region.Interval{Lo: 50, Hi: 60},
 	)}
-	bin, gob := extractBoth(t, src, sub, true)
-	for _, payload := range [][]byte{bin, gob} {
-		f, r := insertInto(t, typ, cover, payload)
-		if !r.Equal(sub) {
-			t.Fatalf("covered %v, want %v", r, sub)
-		}
-		for _, iv := range sub.S.Intervals() {
-			for i := iv.Lo; i < iv.Hi; i++ {
-				if got := f.(*ArrayFragment[int64]).At(i); got != i*i {
-					t.Fatalf("at %d got %d, want %d", i, got, i*i)
-				}
+	f, r := insertInto(t, typ, cover, extract(t, src, sub))
+	if !r.Equal(sub) {
+		t.Fatalf("covered %v, want %v", r, sub)
+	}
+	for _, iv := range sub.S.Intervals() {
+		for i := iv.Lo; i < iv.Hi; i++ {
+			if got := f.(*ArrayFragment[int64]).At(i); got != i*i {
+				t.Fatalf("at %d got %d, want %d", i, got, i*i)
 			}
 		}
 	}
@@ -165,20 +181,17 @@ func TestArrayWireFormsAgree(t *testing.T) {
 	for i := int64(0); i < 8; i++ {
 		ssrc.Set(i, gridElem{A: i, B: float64(i) * 1.5})
 	}
-	sbin, sgob := extractBoth(t, ssrc, sfull, false)
-	for _, payload := range [][]byte{sbin, sgob} {
-		f, _ := insertInto(t, styp, sfull, payload)
-		for i := int64(0); i < 8; i++ {
-			want := gridElem{A: i, B: float64(i) * 1.5}
-			if got := f.(*ArrayFragment[gridElem]).At(i); got != want {
-				t.Fatalf("at %d got %v, want %v", i, got, want)
-			}
+	sf, _ := insertInto(t, styp, sfull, extract(t, ssrc, sfull))
+	for i := int64(0); i < 8; i++ {
+		want := gridElem{A: i, B: float64(i) * 1.5}
+		if got := sf.(*ArrayFragment[gridElem]).At(i); got != want {
+			t.Fatalf("at %d got %v, want %v", i, got, want)
 		}
 	}
 }
 
-// TestTreeWireFormsAgree is the tree analogue.
-func TestTreeWireFormsAgree(t *testing.T) {
+// TestTreeRoundTrip covers a numeric and a string payload type.
+func TestTreeRoundTrip(t *testing.T) {
 	typ := NewTreeType[float32]("wf.tree", 4)
 	src := typ.NewFragment().(*TreeFragment[float32])
 	full := typ.FullRegion()
@@ -188,23 +201,36 @@ func TestTreeWireFormsAgree(t *testing.T) {
 	full.(TreeItemRegion).T.ForEachNode(func(n region.NodeID) {
 		src.Set(n, float32(n)*0.25)
 	})
-	bin, gob := extractBoth(t, src, full, true)
-	for _, payload := range [][]byte{bin, gob} {
-		f, r := insertInto(t, typ, full, payload)
-		if !r.Equal(full) {
-			t.Fatalf("covered %v, want %v", r, full)
-		}
-		full.(TreeItemRegion).T.ForEachNode(func(n region.NodeID) {
-			if got := f.(*TreeFragment[float32]).At(n); got != float32(n)*0.25 {
-				t.Fatalf("node %v got %v, want %v", n, got, float32(n)*0.25)
-			}
-		})
+	f, r := insertInto(t, typ, full, extract(t, src, full))
+	if !r.Equal(full) {
+		t.Fatalf("covered %v, want %v", r, full)
 	}
+	full.(TreeItemRegion).T.ForEachNode(func(n region.NodeID) {
+		if got := f.(*TreeFragment[float32]).At(n); got != float32(n)*0.25 {
+			t.Fatalf("node %v got %v, want %v", n, got, float32(n)*0.25)
+		}
+	})
+
+	styp := NewTreeType[string]("wf.tree.str", 3)
+	ssrc := styp.NewFragment().(*TreeFragment[string])
+	sfull := styp.FullRegion()
+	if err := ssrc.Resize(sfull); err != nil {
+		t.Fatal(err)
+	}
+	sfull.(TreeItemRegion).T.ForEachNode(func(n region.NodeID) {
+		ssrc.Set(n, strings.Repeat("n", int(n)))
+	})
+	sf, _ := insertInto(t, styp, sfull, extract(t, ssrc, sfull))
+	sfull.(TreeItemRegion).T.ForEachNode(func(n region.NodeID) {
+		if got := sf.(*TreeFragment[string]).At(n); got != strings.Repeat("n", int(n)) {
+			t.Fatalf("node %v got %q", n, got)
+		}
+	})
 }
 
-// TestMapWireFormsAgree covers the hash map: numeric key/value pairs
-// take the binary form; string keys force the gob fallback.
-func TestMapWireFormsAgree(t *testing.T) {
+// TestMapRoundTrip covers numeric pairs, string keys and struct
+// values.
+func TestMapRoundTrip(t *testing.T) {
 	typ := NewMapType[int64, float64]("wf.map", 16)
 	src := typ.NewFragment().(*MapFragment[int64, float64])
 	full := typ.FullRegion()
@@ -214,35 +240,67 @@ func TestMapWireFormsAgree(t *testing.T) {
 	for k := int64(0); k < 40; k++ {
 		src.Put(k, float64(k)/3)
 	}
-	bin, gob := extractBoth(t, src, full, true)
-	for _, payload := range [][]byte{bin, gob} {
-		f, _ := insertInto(t, typ, full, payload)
-		for k := int64(0); k < 40; k++ {
-			if v, ok := f.(*MapFragment[int64, float64]).Get(k); !ok || v != float64(k)/3 {
-				t.Fatalf("key %d got %v (%v), want %v", k, v, ok, float64(k)/3)
-			}
+	f, _ := insertInto(t, typ, full, extract(t, src, full))
+	for k := int64(0); k < 40; k++ {
+		if v, ok := f.(*MapFragment[int64, float64]).Get(k); !ok || v != float64(k)/3 {
+			t.Fatalf("key %d got %v (%v), want %v", k, v, ok, float64(k)/3)
 		}
 	}
 
-	styp := NewMapType[string, int]("wf.map.str", 8)
-	ssrc := styp.NewFragment().(*MapFragment[string, int])
+	styp := NewMapType[string, gridElem]("wf.map.str", 8)
+	ssrc := styp.NewFragment().(*MapFragment[string, gridElem])
 	sfull := styp.FullRegion()
 	if err := ssrc.Resize(sfull); err != nil {
 		t.Fatal(err)
 	}
-	ssrc.Put("alpha", 1)
-	ssrc.Put("beta", 2)
-	sbin, sgob := extractBoth(t, ssrc, sfull, false)
-	for _, payload := range [][]byte{sbin, sgob} {
-		f, _ := insertInto(t, styp, sfull, payload)
-		if v, ok := f.(*MapFragment[string, int]).Get("beta"); !ok || v != 2 {
-			t.Fatalf(`key "beta" got %v (%v), want 2`, v, ok)
-		}
+	ssrc.Put("alpha", gridElem{A: 1})
+	ssrc.Put("beta", gridElem{A: 2, B: 0.5})
+	sf, _ := insertInto(t, styp, sfull, extract(t, ssrc, sfull))
+	if v, ok := sf.(*MapFragment[string, gridElem]).Get("beta"); !ok || v != (gridElem{A: 2, B: 0.5}) {
+		t.Fatalf(`key "beta" got %v (%v)`, v, ok)
+	}
+}
+
+// TestGridInsertRefusesForeignDimension: an empty box is inside every
+// region, so the bounds check alone let an 8-d one through to the 2-d
+// block copy, which indexed past its corners.
+func TestGridInsertRefusesForeignDimension(t *testing.T) {
+	f := haloGrid(t)
+	payload := wire.AppendUvarint([]byte{wire.FormatBinary}, 1)
+	payload = appendBox(payload, region.Box{Min: make(region.Point, 8), Max: make(region.Point, 8)})
+	payload = wire.AppendNumeric(payload, []float64{})
+	if r, err := f.Insert(payload); err == nil {
+		t.Fatalf("8-d box inserted into a 2-d grid, covering %v", r)
+	}
+}
+
+// TestElementTypeWithoutFormPanicsAtRegistration: an item type whose
+// elements could not migrate is refused where it is declared.
+func TestElementTypeWithoutFormPanicsAtRegistration(t *testing.T) {
+	for name, declare := range map[string]func(){
+		"grid":         func() { NewGridType[formless]("bad", region.Point{2}) },
+		"grid-named":   func() { NewGridType[celsius]("bad", region.Point{2}) },
+		"array":        func() { NewArrayType[formless]("bad", 2) },
+		"scalar":       func() { NewScalarType[formless]("bad") },
+		"tree":         func() { NewTreeType[formless]("bad", 2) },
+		"map-key":      func() { NewMapType[formless, int]("bad", 2) },
+		"map-value":    func() { NewMapType[int, formless]("bad", 2) },
+		"grid-pointer": func() { NewGridType[*gridElem]("bad", region.Point{2}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "has no wire form") {
+					t.Errorf("%s: recovered %q, want a panic naming the missing wire form", name, msg)
+				}
+			}()
+			declare()
+		}()
 	}
 }
 
 // TestRegionWireRoundTrip exercises the compact region codec for the
-// three built-in schemes and the gob envelope for nil regions.
+// three schemes and the nil region.
 func TestRegionWireRoundTrip(t *testing.T) {
 	regions := []Region{
 		nil,
@@ -254,6 +312,7 @@ func TestRegionWireRoundTrip(t *testing.T) {
 			region.Interval{Lo: -5, Hi: 3}, region.Interval{Lo: 100, Hi: 1000},
 		)},
 		TreeItemRegion{T: region.FullTreeRegion(3)},
+		TreeItemRegion{T: region.TreeRegionFromSubtrees(5, []region.NodeID{2}, []region.NodeID{5})},
 	}
 	for _, r := range regions {
 		buf, err := AppendRegionWire(nil, r)
@@ -276,6 +335,31 @@ func TestRegionWireRoundTrip(t *testing.T) {
 		}
 		if !got.Equal(r) {
 			t.Fatalf("region round trip: got %v, want %v", got, r)
+		}
+	}
+}
+
+// foreignRegion is a Region this package does not know.
+type foreignRegion struct{ IntervalRegion }
+
+func TestForeignRegionHasNoWireForm(t *testing.T) {
+	if _, err := AppendRegionWire(nil, foreignRegion{}); err == nil || !strings.Contains(err.Error(), "foreignRegion") {
+		t.Fatalf("foreign region type: %v, want an error naming it", err)
+	}
+}
+
+// TestRegionWireCountIsBounded: a peer-chosen count must not size an
+// allocation. A 10-byte frame announcing 1<<62 entries used to panic
+// the receiver with "makeslice: cap out of range".
+func TestRegionWireCountIsBounded(t *testing.T) {
+	for _, kind := range []byte{regionWireGrid, regionWireInterval, regionWireTree} {
+		frame := []byte{kind}
+		if kind == regionWireTree {
+			frame = append(frame, 3) // height
+		}
+		frame = wire.AppendUvarint(frame, 1<<62)
+		if r, err := DecodeRegionWire(wire.NewDecoder(frame)); err == nil {
+			t.Errorf("kind %d: count 1<<62 in %d bytes decoded to %v", kind, len(frame), r)
 		}
 	}
 }

@@ -1,58 +1,15 @@
 package dataitem
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"allscale/internal/region"
 	"allscale/internal/wire"
 )
 
-// This file implements the compact binary wire forms shared by the
-// fragment payloads and by the DIM message headers that carry Region
-// values (DESIGN.md §6a "Wire formats").
-//
-// Fragment payloads (Extract/Insert) start with a wire format tag:
-// wire.FormatBinary for the bulk region-wise form, wire.FormatGob for
-// the reflect-encoded fallback used by element types without a
-// fixed-size binary representation (arbitrary user structs).
-
-// forceGobPayload switches Extract to the gob fallback even for bulk-
-// encodable element types. Tests use it to prove both wire forms of
-// one fragment decode identically; it must stay false in production.
-var forceGobPayload = false
-
-// gobPayload encodes w as a tagged gob fallback payload.
-func gobPayload(w any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(wire.FormatGob)
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// payloadDecoder splits a fragment payload into its format tag and
-// body, handing binary payloads to a wire.Decoder and gob payloads to
-// the caller's gob decode.
-func payloadDecoder(data []byte) (binary *wire.Decoder, gobBody []byte, err error) {
-	if len(data) == 0 {
-		return nil, nil, fmt.Errorf("dataitem: empty fragment payload")
-	}
-	switch data[0] {
-	case wire.FormatBinary:
-		return wire.NewDecoder(data[1:]), nil, nil
-	case wire.FormatGob:
-		return nil, data[1:], nil
-	default:
-		return nil, nil, fmt.Errorf("dataitem: unknown fragment payload format 0x%02x", data[0])
-	}
-}
-
-func decodeGobPayload(body []byte, w any) error {
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(w)
-}
+// This file implements the compact binary forms of the three region
+// schemes, shared by the fragment payloads and by the DIM message
+// headers that carry Region values (DESIGN.md §6a "Wire formats").
 
 // appendBox appends one axis-aligned box as dims + varint corners.
 func appendBox(buf []byte, b region.Box) []byte {
@@ -91,17 +48,11 @@ const (
 	regionWireGrid     byte = 1
 	regionWireInterval byte = 2
 	regionWireTree     byte = 3
-	regionWireGob      byte = 0xFF
 )
 
-// regionGobEnvelope carries an unknown dynamic Region type through
-// gob; concrete types must be gob-registered, exactly as before.
-type regionGobEnvelope struct{ R Region }
-
-// AppendRegionWire appends the compact binary form of r. The three
-// built-in region schemes (grid box sets, interval sets, tree
-// regions) are hand-encoded; any other dynamic Region type travels in
-// a tagged gob envelope.
+// AppendRegionWire appends the compact binary form of r, one of the
+// three region schemes (grid box sets, interval sets, tree regions) or
+// nil; any other dynamic Region type is an error.
 func AppendRegionWire(buf []byte, r Region) ([]byte, error) {
 	switch v := r.(type) {
 	case nil:
@@ -134,16 +85,12 @@ func AppendRegionWire(buf []byte, r Region) ([]byte, error) {
 		}
 		return buf, nil
 	default:
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(regionGobEnvelope{R: r}); err != nil {
-			return nil, fmt.Errorf("dataitem: encode region %T: %w", r, err)
-		}
-		buf = append(buf, regionWireGob)
-		return wire.AppendBytes(buf, gb.Bytes()), nil
+		return nil, fmt.Errorf("dataitem: region type %T has no wire form", r)
 	}
 }
 
-// DecodeRegionWire reads a region appended by AppendRegionWire.
+// DecodeRegionWire reads a region appended by AppendRegionWire. Every
+// count is bounded by the bytes left before anything is sized from it.
 func DecodeRegionWire(d *wire.Decoder) (Region, error) {
 	kind := d.Byte()
 	if err := d.Err(); err != nil {
@@ -153,7 +100,7 @@ func DecodeRegionWire(d *wire.Decoder) (Region, error) {
 	case regionWireNil:
 		return nil, nil
 	case regionWireGrid:
-		n := int(d.Uvarint())
+		n := d.Count(3) // dimension count and two corners
 		boxes := make([]region.Box, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			boxes = append(boxes, decodeBox(d))
@@ -163,7 +110,7 @@ func DecodeRegionWire(d *wire.Decoder) (Region, error) {
 		}
 		return GridRegion{B: region.NewBoxSet(boxes...)}, nil
 	case regionWireInterval:
-		n := int(d.Uvarint())
+		n := d.Count(2)
 		ivs := make([]region.Interval, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			ivs = append(ivs, region.Interval{Lo: d.Varint(), Hi: d.Varint()})
@@ -174,7 +121,7 @@ func DecodeRegionWire(d *wire.Decoder) (Region, error) {
 		return IntervalRegion{S: region.NewIntervalSet(ivs...)}, nil
 	case regionWireTree:
 		height := int(d.Uvarint())
-		n := int(d.Uvarint())
+		n := d.Count(2)
 		ops := make([]region.TreeOp, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			add := d.Bool()
@@ -185,16 +132,6 @@ func DecodeRegionWire(d *wire.Decoder) (Region, error) {
 			return nil, err
 		}
 		return TreeItemRegion{T: region.ApplyTreeOps(height, ops)}, nil
-	case regionWireGob:
-		raw := d.Bytes()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		var env regionGobEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-			return nil, fmt.Errorf("dataitem: decode region envelope: %w", err)
-		}
-		return env.R, nil
 	default:
 		return nil, fmt.Errorf("dataitem: unknown region wire kind 0x%02x", kind)
 	}

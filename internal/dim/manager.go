@@ -9,11 +9,11 @@ import (
 	"allscale/internal/backoff"
 	"allscale/internal/dataitem"
 	"allscale/internal/trace"
+	"allscale/internal/wire"
 )
 
-// Wire argument structures of the manager's services. Region fields
-// travel as gob interface values; all concrete region types register
-// themselves with gob.
+// Wire argument structures of the manager's services; wirecodec.go
+// holds their binary forms.
 type (
 	createArgs struct {
 		ID       ItemID
@@ -136,14 +136,14 @@ func (m *Manager) registerServices() {
 func rpc[A any, R any](fn func(from int, args *A) (*R, error)) func(int, []byte) ([]byte, error) {
 	return func(from int, body []byte) ([]byte, error) {
 		var args A
-		if err := decodeWire(body, &args); err != nil {
+		if err := wire.Decode(body, &args); err != nil {
 			return nil, err
 		}
 		reply, err := fn(from, &args)
 		if err != nil {
 			return nil, err
 		}
-		return encodeWire(reply)
+		return wire.Encode(reply)
 	}
 }
 

@@ -17,25 +17,12 @@ import (
 // layer of Section 3.2).
 func TestManagerOverTCP(t *testing.T) {
 	const n = 3
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
-	}
-	eps := make([]*transport.TCPEndpoint, n)
-	for i := 0; i < n; i++ {
-		ep, err := transport.NewTCPEndpoint(i, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = ep
-		defer ep.Close()
-	}
-	actual := make([]string, n)
-	for i, ep := range eps {
-		actual[i] = ep.Addr()
+	eps, err := transport.NewTCPLoopback(n, transport.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, ep := range eps {
-		ep.SetAddrs(actual)
+		defer ep.Close()
 	}
 
 	typ := dataitem.NewGridType[int]("tcp.field", region.Point{12, 4})

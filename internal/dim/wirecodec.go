@@ -7,8 +7,7 @@ import (
 
 // Hand-written binary codecs for the DIM's request/reply headers
 // (DESIGN.md §6a "Wire formats"). Region fields use the compact
-// region wire form from the dataitem package; unknown dynamic region
-// types still travel in its embedded gob envelope.
+// region wire form from the dataitem package.
 
 // AppendWire implements wire.Marshaler.
 func (a *createArgs) AppendWire(buf []byte) ([]byte, error) {
@@ -101,7 +100,7 @@ func appendLocated(buf []byte, entries []Located) ([]byte, error) {
 
 func decodeLocated(d *wire.Decoder) ([]Located, error) {
 	var out []Located
-	n := int(d.Uvarint())
+	n := d.Count(2) // an entry is at least a region kind byte and a rank
 	for i := 0; i < n && d.Err() == nil; i++ {
 		reg, err := dataitem.DecodeRegionWire(d)
 		if err != nil {

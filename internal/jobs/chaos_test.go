@@ -43,25 +43,11 @@ func TestServiceUnderChaosCrash(t *testing.T) {
 		RetryBudget:  2 * time.Second,
 		MaxBackoff:   100 * time.Millisecond,
 	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
+	eps, err := transport.NewTCPLoopback(n, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tcps := make([]*transport.TCPEndpoint, n)
-	for i := range tcps {
-		ep, err := transport.NewTCPEndpointConfig(i, addrs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcps[i] = ep
-	}
-	actual := make([]string, n)
-	for i, ep := range tcps {
-		actual[i] = ep.Addr()
-	}
-	eps := make([]transport.Endpoint, n)
-	for i, ep := range tcps {
-		ep.SetAddrs(actual)
+	for i, ep := range eps {
 		eps[i] = chaos.Wrap(ep, ctl, ccfg)
 	}
 	calls := runtime.CallProfile{

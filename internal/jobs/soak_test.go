@@ -31,26 +31,9 @@ func TestServiceSoak1kJobs(t *testing.T) {
 		numJobs    = 1000
 	)
 
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
-	}
-	tcps := make([]*transport.TCPEndpoint, n)
-	for i := range tcps {
-		ep, err := transport.NewTCPEndpoint(i, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcps[i] = ep
-	}
-	actual := make([]string, n)
-	for i, ep := range tcps {
-		actual[i] = ep.Addr()
-	}
-	eps := make([]transport.Endpoint, n)
-	for i, ep := range tcps {
-		ep.SetAddrs(actual)
-		eps[i] = ep
+	eps, err := transport.NewTCPLoopback(n, transport.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	sys := core.NewSystem(core.Config{
 		Endpoints:     eps,

@@ -15,6 +15,7 @@ import (
 	"allscale/internal/region"
 	"allscale/internal/sched"
 	"allscale/internal/trace"
+	"allscale/internal/wire"
 )
 
 // Built-in workload families. Each job names one family; the family
@@ -212,7 +213,7 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 			Name: kindDag,
 			CanSplit: func(args []byte) bool {
 				var a dagArgs
-				if err := decodeArgs(args, &a); err != nil {
+				if err := wire.Decode(args, &a); err != nil {
 					return false
 				}
 				return a.Levels > 0
@@ -568,7 +569,3 @@ func (w *Workloads) runStencil(jc jobContext, params []byte) (result string, err
 	mgr.Release(token)
 	return checksum(field), nil
 }
-
-// decodeArgs mirrors the sched package's wire decoding for kind
-// callbacks that must inspect their arguments.
-func decodeArgs(data []byte, v any) error { return core.DecodeArgs(data, v) }

@@ -67,6 +67,21 @@ type membershipUpdate struct {
 	Depart bool
 }
 
+// AppendWire implements wire.Marshaler.
+func (u *membershipUpdate) AppendWire(buf []byte) ([]byte, error) {
+	buf = wire.AppendVarint(buf, int64(u.Rank))
+	buf = wire.AppendUvarint(buf, u.Epoch)
+	return wire.AppendBool(buf, u.Depart), nil
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (u *membershipUpdate) UnmarshalWire(d *wire.Decoder) error {
+	u.Rank = d.Int()
+	u.Epoch = d.Uvarint()
+	u.Depart = d.Bool()
+	return nil
+}
+
 // migrateToken allocates DIM acquisition tokens for membership
 // migrations; the offset keeps them clear of task and balancer tokens.
 var migrateToken atomic.Uint64

@@ -17,7 +17,7 @@ import (
 
 // newTCPEndpoints builds n loopback TCP endpoints with tight failure
 // budgets, for systems whose fabric a test will sever.
-func newTCPEndpoints(t *testing.T, n int) ([]transport.Endpoint, []*transport.TCPEndpoint) {
+func newTCPEndpoints(t *testing.T, n int) []transport.Endpoint {
 	t.Helper()
 	cfg := transport.TCPConfig{
 		WriteTimeout: 500 * time.Millisecond,
@@ -25,29 +25,14 @@ func newTCPEndpoints(t *testing.T, n int) ([]transport.Endpoint, []*transport.TC
 		RetryBudget:  300 * time.Millisecond,
 		MaxBackoff:   50 * time.Millisecond,
 	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
+	eps, err := transport.NewTCPLoopback(n, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tcps := make([]*transport.TCPEndpoint, n)
-	for i := range tcps {
-		ep, err := transport.NewTCPEndpointConfig(i, addrs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcps[i] = ep
+	for _, ep := range eps {
 		t.Cleanup(func() { ep.Close() })
 	}
-	actual := make([]string, n)
-	for i, ep := range tcps {
-		actual[i] = ep.Addr()
-	}
-	eps := make([]transport.Endpoint, n)
-	for i, ep := range tcps {
-		ep.SetAddrs(actual)
-		eps[i] = ep
-	}
-	return eps, tcps
+	return eps
 }
 
 // TestCrashRecoveryStencilTCP is the headline end-to-end scenario: a
@@ -62,7 +47,7 @@ func TestCrashRecoveryStencilTCP(t *testing.T) {
 	p := stencil.Params{N: 24, Steps: 6, C: 0.1, MinGrain: 32}
 	want := stencil.RunSequential(p)
 
-	eps, _ := newTCPEndpoints(t, n)
+	eps := newTCPEndpoints(t, n)
 	sys := core.NewSystem(core.Config{
 		Endpoints:     eps,
 		Recovery:      core.RecoveryConfig{Heartbeat: 25 * time.Millisecond, Timeout: 150 * time.Millisecond},
@@ -344,7 +329,7 @@ func TestRespawnReexecutesLostTasks(t *testing.T) {
 // clean error and return no partial checkpoint.
 func TestCaptureRemoteFailsCleanOnSeveredLink(t *testing.T) {
 	const n, victim = 3, 2
-	eps, tcps := newTCPEndpoints(t, n)
+	eps := newTCPEndpoints(t, n)
 	sys := core.NewSystem(core.Config{Endpoints: eps})
 	p := stencil.Params{N: 16, Steps: 2, C: 0.1, MinGrain: 32}
 	app := stencil.NewAllScale(sys, p)
@@ -372,7 +357,7 @@ func TestCaptureRemoteFailsCleanOnSeveredLink(t *testing.T) {
 			len(remote.Records), len(local.Records), remote.Size(), local.Size())
 	}
 
-	tcps[victim].Close()
+	eps[victim].Close()
 	cp, err := resilience.CaptureRemote(sys, 0, nil)
 	if err == nil {
 		t.Fatal("capture over a severed fabric must fail")
@@ -387,7 +372,7 @@ func TestCaptureRemoteFailsCleanOnSeveredLink(t *testing.T) {
 // under -race it proves heartbeat and RPC paths share the transport
 // safely, and no healthy rank is ever declared dead.
 func TestHeartbeatRPCConcurrency(t *testing.T) {
-	eps, _ := newTCPEndpoints(t, 2)
+	eps := newTCPEndpoints(t, 2)
 	sys := core.NewSystem(core.Config{
 		Endpoints: eps,
 		Recovery:  core.RecoveryConfig{Heartbeat: 10 * time.Millisecond, Timeout: 2 * time.Second},

@@ -3,7 +3,6 @@ package resilience
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,9 +25,8 @@ import (
 //	          bytes   fragment data        (uvarint length + bytes)
 //	crc32   IEEE over magic+body           (4 bytes, big-endian)
 //
-// ReadCheckpoint transparently falls back to the pre-format gob stream
-// when the magic is absent, so old checkpoint files stay readable. A
-// truncated or corrupted file fails cleanly — nothing is imported.
+// A file without the magic, truncated or corrupted fails cleanly —
+// nothing is imported.
 
 var checkpointMagic = [4]byte{0xAC, 'C', 'P', 0x01}
 
@@ -43,11 +41,9 @@ func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 		buf = wire.AppendString(buf, rec.TypeName)
 		buf = wire.AppendVarint(buf, int64(rec.Rank))
 		var err error
-		buf, err = dataitem.AppendRegionWire(buf, rec.Snapshot.Region)
-		if err != nil {
+		if buf, err = appendSnapshot(buf, &rec.Snapshot); err != nil {
 			return 0, fmt.Errorf("resilience: encode region of %v: %w", rec.Item, err)
 		}
-		buf = wire.AppendBytes(buf, rec.Snapshot.Data)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	n, err := w.Write(buf)
@@ -55,20 +51,15 @@ func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadCheckpoint deserializes a checkpoint written by WriteTo,
-// verifying its checksum; streams without the format magic are decoded
-// as the legacy gob form. Corruption or truncation yields an error and
-// no checkpoint.
+// verifying its magic and checksum. Corruption or truncation yields an
+// error and no checkpoint.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(checkpointMagic) || !bytes.Equal(data[:len(checkpointMagic)], checkpointMagic[:]) {
-		var cp Checkpoint
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
-			return nil, fmt.Errorf("resilience: checkpoint is neither framed binary nor gob: %w", err)
-		}
-		return &cp, nil
+	if !bytes.HasPrefix(data, checkpointMagic[:]) {
+		return nil, fmt.Errorf("resilience: not a checkpoint (format magic missing)")
 	}
 	if len(data) < len(checkpointMagic)+4 {
 		return nil, fmt.Errorf("resilience: checkpoint truncated (%d bytes)", len(data))
@@ -86,12 +77,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			TypeName: d.String(),
 			Rank:     d.Int(),
 		}
-		region, err := dataitem.DecodeRegionWire(d)
-		if err != nil {
+		if err := decodeSnapshot(d, &rec.Snapshot); err != nil {
 			return nil, fmt.Errorf("resilience: decode region of record %d: %w", i, err)
 		}
-		rec.Snapshot.Region = region
-		rec.Snapshot.Data = append([]byte(nil), d.Bytes()...)
 		cp.Records = append(cp.Records, rec)
 	}
 	if err := d.Err(); err != nil {
@@ -101,4 +89,25 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("resilience: checkpoint holds %d of %d records", len(cp.Records), n)
 	}
 	return cp, nil
+}
+
+// appendSnapshot appends a fragment snapshot — its region, then its
+// data length-prefixed — the body of a checkpoint record and of an
+// export reply.
+func appendSnapshot(buf []byte, snap *dim.LocalSnapshot) ([]byte, error) {
+	buf, err := dataitem.AppendRegionWire(buf, snap.Region)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendBytes(buf, snap.Data), nil
+}
+
+// decodeSnapshot reads what appendSnapshot wrote; the data is copied
+// out of the decoder's input.
+func decodeSnapshot(d *wire.Decoder, snap *dim.LocalSnapshot) (err error) {
+	if snap.Region, err = dataitem.DecodeRegionWire(d); err != nil {
+		return err
+	}
+	snap.Data = append([]byte(nil), d.Bytes()...)
+	return nil
 }

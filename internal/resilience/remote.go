@@ -22,9 +22,31 @@ type exportArgs struct {
 	Item dim.ItemID
 }
 
+// AppendWire implements wire.Marshaler.
+func (a *exportArgs) AppendWire(buf []byte) ([]byte, error) {
+	return wire.AppendUvarint(buf, uint64(a.Item)), nil
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (a *exportArgs) UnmarshalWire(d *wire.Decoder) error {
+	a.Item = dim.ItemID(d.Uvarint())
+	return nil
+}
+
 type exportReply struct {
 	TypeName string
 	Snap     dim.LocalSnapshot
+}
+
+// AppendWire implements wire.Marshaler.
+func (r *exportReply) AppendWire(buf []byte) ([]byte, error) {
+	return appendSnapshot(wire.AppendString(buf, r.TypeName), &r.Snap)
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (r *exportReply) UnmarshalWire(d *wire.Decoder) error {
+	r.TypeName = d.String()
+	return decodeSnapshot(d, &r.Snap)
 }
 
 // RegisterExportService installs the fragment-export RPC on every

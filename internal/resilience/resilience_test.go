@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 	"time"
 
@@ -177,17 +176,9 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 		t.Fatal("near-empty stream accepted")
 	}
 
-	// Pre-format gob streams must keep decoding (fallback reader).
-	var gbuf bytes.Buffer
-	if err := gob.NewEncoder(&gbuf).Encode(cp); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCheckpoint(&gbuf)
-	if err != nil {
-		t.Fatalf("legacy gob checkpoint rejected: %v", err)
-	}
-	if len(back.Records) != len(cp.Records) || back.Size() != cp.Size() {
-		t.Fatalf("gob fallback changed checkpoint: %d records, %d bytes", len(back.Records), back.Size())
+	// Anything without the format magic is not a checkpoint.
+	if _, err := ReadCheckpoint(bytes.NewReader(append([]byte{0x00}, data...))); err == nil {
+		t.Fatal("stream without the format magic accepted")
 	}
 }
 

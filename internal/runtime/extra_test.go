@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"testing"
+
+	"allscale/internal/wire"
 )
 
 func TestDuplicateMethodRegistrationPanics(t *testing.T) {
@@ -33,7 +35,7 @@ func TestDuplicateOneWayRegistrationPanics(t *testing.T) {
 func TestCallDecodeMismatchSurfacesError(t *testing.T) {
 	s := NewSystem(2)
 	s.Locality(1).Handle("str", func(int, []byte) ([]byte, error) {
-		return encode("a string")
+		return wire.Encode("a string")
 	})
 	s.Locality(0).Handle("noop", func(int, []byte) ([]byte, error) { return nil, nil })
 	s.Start()

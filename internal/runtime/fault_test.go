@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"allscale/internal/transport"
+	"allscale/internal/wire"
 )
 
 // newTCPLocalities builds n localities over real loopback TCP
 // endpoints with tight failure-detection budgets, returning both
 // layers so tests can sever transport connections underneath the
 // runtime.
-func newTCPLocalities(t *testing.T, n int) ([]*Locality, []*transport.TCPEndpoint) {
+func newTCPLocalities(t *testing.T, n int) ([]*Locality, []transport.Endpoint) {
 	t.Helper()
 	cfg := transport.TCPConfig{
 		WriteTimeout: 500 * time.Millisecond,
@@ -20,26 +21,13 @@ func newTCPLocalities(t *testing.T, n int) ([]*Locality, []*transport.TCPEndpoin
 		RetryBudget:  300 * time.Millisecond,
 		MaxBackoff:   50 * time.Millisecond,
 	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
-	}
-	eps := make([]*transport.TCPEndpoint, n)
-	for i := range eps {
-		ep, err := transport.NewTCPEndpointConfig(i, addrs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = ep
-		t.Cleanup(func() { ep.Close() })
-	}
-	actual := make([]string, n)
-	for i, ep := range eps {
-		actual[i] = ep.Addr()
+	eps, err := transport.NewTCPLoopback(n, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	locs := make([]*Locality, n)
 	for i, ep := range eps {
-		ep.SetAddrs(actual)
+		t.Cleanup(func() { ep.Close() })
 		locs[i] = NewLocality(ep)
 		locs[i].RegisterPromiseService()
 	}
@@ -187,10 +175,10 @@ func TestCallAsyncDeliversResult(t *testing.T) {
 	s.Locality(0).Handle("noop", func(int, []byte) ([]byte, error) { return nil, nil })
 	s.Locality(1).Handle("double", func(from int, body []byte) ([]byte, error) {
 		var x int
-		if err := decode(body, &x); err != nil {
+		if err := wire.Decode(body, &x); err != nil {
 			return nil, err
 		}
-		return encode(2 * x)
+		return wire.Encode(2 * x)
 	})
 	s.Start()
 	defer s.Close()

@@ -3,6 +3,8 @@ package runtime
 import (
 	"fmt"
 	"sync"
+
+	"allscale/internal/wire"
 )
 
 // Future is the consumption side of a promise: a single value (a
@@ -72,7 +74,7 @@ func (f *Future) WaitInto(out any) error {
 	if err != nil {
 		return err
 	}
-	return decode(v, out)
+	return wire.Decode(v, out)
 }
 
 // PromiseID globally names a promise: the locality that owns it plus
@@ -139,7 +141,7 @@ const methodFulfill = "runtime.fulfill"
 func (l *Locality) RegisterPromiseService() {
 	l.Handle(methodFulfill, func(_ int, body []byte) ([]byte, error) {
 		var m fulfillMsg
-		if err := decode(body, &m); err != nil {
+		if err := wire.Decode(body, &m); err != nil {
 			return nil, err
 		}
 		l.fulfillLocal(m.Seq, m.Value, m.Err)
@@ -152,7 +154,7 @@ func (l *Locality) RegisterPromiseService() {
 // Remote fulfilment is fire-and-forget but supervised: the control
 // profile's deadline/retry policy resends it until the owner acks.
 func (l *Locality) FulfillRemote(id PromiseID, value any, err error) error {
-	body, encErr := encode(value)
+	body, encErr := wire.Encode(value)
 	if encErr != nil {
 		return encErr
 	}

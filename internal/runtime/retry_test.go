@@ -11,6 +11,7 @@ import (
 
 	"allscale/internal/chaos"
 	"allscale/internal/transport"
+	"allscale/internal/wire"
 )
 
 // filterEndpoint wraps a fabric endpoint with a programmable outbound
@@ -59,7 +60,7 @@ func TestRetryReplaysLostReply(t *testing.T) {
 	s, start := lossySystem(t, dropFirstReply)
 	var executions atomic.Int64
 	s.Locality(1).Handle("count", func(int, []byte) ([]byte, error) {
-		return encode(int(executions.Add(1)))
+		return wire.Encode(int(executions.Add(1)))
 	})
 	start()
 

@@ -19,6 +19,7 @@ import (
 	"allscale/internal/metrics"
 	"allscale/internal/trace"
 	"allscale/internal/transport"
+	"allscale/internal/wire"
 )
 
 // Method is a named RPC handler: it receives the caller's rank and
@@ -585,7 +586,7 @@ func (l *Locality) dispatch(msg transport.Message) {
 		l.Go(func() { l.serveRequest(msg) })
 	case kindResponse:
 		var rsp rpcResponse
-		if err := decode(msg.Payload, &rsp); err != nil {
+		if err := wire.Decode(msg.Payload, &rsp); err != nil {
 			return
 		}
 		if l.staleEpoch(msg.From, rsp.Epoch) {
@@ -613,7 +614,7 @@ func (l *Locality) dispatch(msg transport.Message) {
 // handler execution is handed to its own goroutine.
 func (l *Locality) dispatchDedup(msg transport.Message) {
 	var req rpcRequest
-	if err := decode(msg.Payload, &req); err != nil {
+	if err := wire.Decode(msg.Payload, &req); err != nil {
 		return
 	}
 	if l.staleEpoch(msg.From, req.Epoch) {
@@ -654,7 +655,7 @@ func (l *Locality) staleEpoch(from int, epoch uint64) bool {
 // serveRequest decodes, executes and answers one inbound plain request.
 func (l *Locality) serveRequest(msg transport.Message) {
 	var req rpcRequest
-	if err := decode(msg.Payload, &req); err != nil {
+	if err := wire.Decode(msg.Payload, &req); err != nil {
 		return
 	}
 	if l.staleEpoch(msg.From, req.Epoch) {
@@ -703,7 +704,7 @@ func (l *Locality) execRequest(from int, req *rpcRequest, dedup bool) []byte {
 		sp.SetErr(errors.New(rsp.Err))
 	}
 	sp.End()
-	payload, err := encode(&rsp)
+	payload, err := wire.Encode(&rsp)
 	if err != nil {
 		return nil
 	}
@@ -715,7 +716,7 @@ func (l *Locality) execRequest(from int, req *rpcRequest, dedup bool) []byte {
 
 func (l *Locality) serveOneWay(msg transport.Message) {
 	var ow oneWayMsg
-	if err := decode(msg.Payload, &ow); err != nil {
+	if err := wire.Decode(msg.Payload, &ow); err != nil {
 		return
 	}
 	if l.staleEpoch(msg.From, ow.Epoch) {
@@ -746,7 +747,7 @@ func (l *Locality) serveOneWay(msg transport.Message) {
 func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOption) *Future {
 	fut := newFuture()
 	l.rpcCalls.Inc()
-	body, err := encode(args)
+	body, err := wire.Encode(args)
 	if err != nil {
 		fut.fulfill(nil, fmt.Errorf("runtime: encode args of %q: %w", method, err))
 		return fut
@@ -808,7 +809,7 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		sp:      l.Tracer().Begin("rpc.call", method, 0), start: time.Now()}
 	req.Span = uint64(pc.sp.SpanID())
 	l.calls.Store(id, pc)
-	payload, err := encode(&req)
+	payload, err := wire.Encode(&req)
 	if err != nil {
 		l.calls.Delete(id)
 		l.resolve(pc, nil, err)
@@ -922,7 +923,7 @@ func (l *Locality) Call(dst int, method string, args, reply any, opts ...CallOpt
 	if reply == nil {
 		return nil
 	}
-	return decode(body, reply)
+	return wire.Decode(body, reply)
 }
 
 // Send delivers a one-way message to method at locality dst. Unlike
@@ -931,7 +932,7 @@ func (l *Locality) Call(dst int, method string, args, reply any, opts ...CallOpt
 // failures through the same counter as call failures.
 func (l *Locality) Send(dst int, method string, args any) error {
 	l.rpcOneWays.Inc()
-	body, err := encode(args)
+	body, err := wire.Encode(args)
 	if err != nil {
 		l.rpcErrors.Inc()
 		return fmt.Errorf("runtime: encode args of %q: %w", method, err)
@@ -959,7 +960,7 @@ func (l *Locality) Send(dst int, method string, args any) error {
 		l.rpcErrors.Inc()
 		return fmt.Errorf("%w: rank %d departed", ErrPeerFailed, dst)
 	}
-	payload, err := encode(&oneWayMsg{Method: method, Body: body, Epoch: l.epoch.Load()})
+	payload, err := wire.Encode(&oneWayMsg{Method: method, Body: body, Epoch: l.epoch.Load()})
 	if err != nil {
 		l.rpcErrors.Inc()
 		return err

@@ -9,9 +9,19 @@ import (
 	"time"
 
 	"allscale/internal/transport"
+	"allscale/internal/wire"
 )
 
 type addArgs struct{ A, B int }
+
+func (a *addArgs) AppendWire(buf []byte) ([]byte, error) {
+	return wire.AppendVarint(wire.AppendVarint(buf, int64(a.A)), int64(a.B)), nil
+}
+
+func (a *addArgs) UnmarshalWire(d *wire.Decoder) error {
+	a.A, a.B = d.Int(), d.Int()
+	return nil
+}
 
 func newTestSystem(t *testing.T, n int) *System {
 	t.Helper()
@@ -26,10 +36,10 @@ func TestRPCBetweenLocalities(t *testing.T) {
 		l := l
 		l.Handle("add", func(from int, body []byte) ([]byte, error) {
 			var a addArgs
-			if err := decode(body, &a); err != nil {
+			if err := wire.Decode(body, &a); err != nil {
 				return nil, err
 			}
-			return encode(a.A + a.B + l.Rank())
+			return wire.Encode(a.A + a.B + l.Rank())
 		})
 	}
 	s.Start()
@@ -104,14 +114,14 @@ func TestNestedRPCNoDeadlock(t *testing.T) {
 	// each message is served on its own goroutine.
 	s := newTestSystem(t, 2)
 	s.Locality(0).Handle("leaf", func(int, []byte) ([]byte, error) {
-		return encode("leaf-result")
+		return wire.Encode("leaf-result")
 	})
 	s.Locality(1).Handle("middle", func(from int, _ []byte) ([]byte, error) {
 		var r string
 		if err := s.Locality(1).Call(0, "leaf", nil, &r); err != nil {
 			return nil, err
 		}
-		return encode("middle+" + r)
+		return wire.Encode("middle+" + r)
 	})
 	s.Start()
 
@@ -139,7 +149,7 @@ func TestOneWayMessages(t *testing.T) {
 	var count atomic.Int32
 	s.Locality(1).HandleOneWay("tick", func(from int, body []byte) {
 		var v int
-		decode(body, &v)
+		wire.Decode(body, &v)
 		count.Add(int32(v))
 	})
 	s.Locality(0).HandleOneWay("tick", func(int, []byte) {})
@@ -201,18 +211,11 @@ func TestFutureFulfillIsIdempotent(t *testing.T) {
 }
 
 func TestLocalityOverTCP(t *testing.T) {
-	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
-	ep0, err := transport.NewTCPEndpoint(0, addrs)
+	eps, err := transport.NewTCPLoopback(2, transport.TCPConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep1, err := transport.NewTCPEndpoint(1, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actual := []string{ep0.Addr(), ep1.Addr()}
-	ep0.SetAddrs(actual)
-	ep1.SetAddrs(actual)
+	ep0, ep1 := eps[0], eps[1]
 
 	l0 := NewLocality(ep0)
 	l1 := NewLocality(ep1)
@@ -223,10 +226,10 @@ func TestLocalityOverTCP(t *testing.T) {
 
 	l1.Handle("double", func(from int, body []byte) ([]byte, error) {
 		var x int
-		if err := decode(body, &x); err != nil {
+		if err := wire.Decode(body, &x); err != nil {
 			return nil, err
 		}
-		return encode(2 * x)
+		return wire.Encode(2 * x)
 	})
 
 	var out int

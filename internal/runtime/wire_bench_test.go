@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
+
+	"allscale/internal/wire"
 )
 
 // BenchmarkWireCodec compares the hand-written binary envelope codec
@@ -14,12 +16,12 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("envelope/binary", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			data, err := encode(req)
+			data, err := wire.Encode(req)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var out rpcRequest
-			if err := decode(data, &out); err != nil {
+			if err := wire.Decode(data, &out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -45,12 +47,12 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("payload/binary", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			data, err := encode(grid)
+			data, err := wire.Encode(grid)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var out []float64
-			if err := decode(data, &out); err != nil {
+			if err := wire.Decode(data, &out); err != nil {
 				b.Fatal(err)
 			}
 		}

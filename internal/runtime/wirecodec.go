@@ -4,15 +4,7 @@ import "allscale/internal/wire"
 
 // Hand-written binary codecs for the runtime's hot envelope types
 // (DESIGN.md §6a "Wire formats"). Every RPC and one-way message
-// crosses the transport inside one of these, so avoiding gob's
-// per-message type preamble here pays on every single exchange.
-
-// encode and decode are the package's only (de)serialization entry
-// points; they delegate to the shared wire codec, which picks the
-// binary form for types with a codec below and gob for the rest.
-func encode(v any) ([]byte, error) { return wire.Encode(v) }
-
-func decode(data []byte, v any) error { return wire.Decode(data, v) }
+// crosses the transport inside one of these.
 
 // AppendWire implements wire.Marshaler. The delivery-semantics
 // trailer (Span, Epoch, Flags, Ack) travels last as uvarints: an

@@ -5,6 +5,7 @@ import (
 
 	"allscale/internal/runtime"
 	"allscale/internal/trace"
+	"allscale/internal/wire"
 )
 
 // fairSpec builds a tenant-tagged spec with a live promise, returning
@@ -147,7 +148,7 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 	if !ok {
 		t.Fatal("job 200's task vanished")
 	}
-	qt.spec.Args, _ = encodeWire(&sumRange{0, 3})
+	qt.spec.Args, _ = wire.Encode(&sumRange{0, 3})
 	s.runQueued(qt, noWorker)
 	var sum int64
 	if err := futB.WaitInto(&sum); err != nil {

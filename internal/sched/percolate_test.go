@@ -8,6 +8,7 @@ import (
 	"allscale/internal/dim"
 	"allscale/internal/region"
 	"allscale/internal/runtime"
+	"allscale/internal/wire"
 )
 
 // sumCounter sums one metrics counter across every locality.
@@ -36,7 +37,7 @@ func TestCoveredPlacementZeroLocateRPCs(t *testing.T) {
 			Name: "touch",
 			Reqs: func(args []byte) []dim.Requirement {
 				var a bandArgs
-				decodeWire(args, &a)
+				wire.Decode(args, &a)
 				return []dim.Requirement{{Item: item, Region: bandRegion(a.Band), Mode: dim.Write}}
 			},
 			Process: func(ctx *Ctx) (any, error) {
@@ -105,6 +106,15 @@ func TestCoveredPlacementZeroLocateRPCs(t *testing.T) {
 // scanArgs requests one fixed region; the tests below split ownership
 // so no rank covers it and the percolation tier must decide.
 type scanArgs struct{ V uint64 }
+
+func (a *scanArgs) AppendWire(buf []byte) ([]byte, error) {
+	return wire.AppendUvarint(buf, a.V), nil
+}
+
+func (a *scanArgs) UnmarshalWire(d *wire.Decoder) error {
+	a.V = d.Uvarint()
+	return nil
+}
 
 // TestPercolationShipsToMajorityOwner: the majority owner misses few
 // elements while this rank misses many — shipping the task to the
@@ -297,7 +307,7 @@ func BenchmarkCoveredPlacement(b *testing.B) {
 			Name: "touch",
 			Reqs: func(args []byte) []dim.Requirement {
 				var a bandArgs
-				decodeWire(args, &a)
+				wire.Decode(args, &a)
 				return []dim.Requirement{{Item: item, Region: bandRegion(a.Band), Mode: dim.Write}}
 			},
 			Process: func(ctx *Ctx) (any, error) { return nil, nil },

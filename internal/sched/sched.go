@@ -271,7 +271,7 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy) *Scheduler {
 	// batches (fresh call IDs, same ship seq) idempotent (see ship.go).
 	loc.Handle(methodRunBatch, func(from int, body []byte) ([]byte, error) {
 		var b runBatch
-		if err := decodeWire(body, &b); err != nil {
+		if err := wire.Decode(body, &b); err != nil {
 			return nil, err
 		}
 		if !s.admitShip(from, b.Seq, b.Ack) {
@@ -409,7 +409,7 @@ func (s *Scheduler) SpawnJob(kind string, args any, tenant uint32, job uint64, p
 // exec/split span, or 0 for root spawns), rooting the task's
 // spawn→schedule→exec span chain in its creator.
 func (s *Scheduler) spawnAt(kind string, args any, depth int, path uint64, pathLen int, parent trace.SpanID, tenant uint32, job uint64) (*runtime.Future, error) {
-	body, err := encodeWire(args)
+	body, err := wire.Encode(args)
 	if err != nil {
 		return nil, fmt.Errorf("sched: encode args of %q: %w", kind, err)
 	}
@@ -834,7 +834,7 @@ func (c *Ctx) Fragment(id dim.ItemID) (dataitem.Fragment, error) {
 }
 
 // Args decodes the task arguments into out.
-func (c *Ctx) Args(out any) error { return decodeWire(c.spec.Args, out) }
+func (c *Ctx) Args(out any) error { return wire.Decode(c.spec.Args, out) }
 
 // Depth returns the task's spawn-tree depth.
 func (c *Ctx) Depth() int { return c.spec.Depth }
@@ -863,11 +863,3 @@ func (c *Ctx) Tenant() uint32 { return c.spec.Tenant }
 
 // Job returns the executing task's job tag (0 outside service mode).
 func (c *Ctx) Job() uint64 { return c.spec.Job }
-
-// encodeWire and decodeWire delegate to the shared wire codec: binary
-// for the types with codecs (wirecodec.go here; task arguments and
-// results bring their own or use a builtin), the counted gob fallback
-// for user argument types without one.
-func encodeWire(v any) ([]byte, error) { return wire.Encode(v) }
-
-func decodeWire(data []byte, v any) error { return wire.Decode(data, v) }

@@ -9,6 +9,7 @@ import (
 	"allscale/internal/dim"
 	"allscale/internal/region"
 	"allscale/internal/runtime"
+	"allscale/internal/wire"
 )
 
 // cluster bundles a runtime system with managers and schedulers.
@@ -46,13 +47,22 @@ func (c *cluster) start() { c.sys.Start() }
 // [Lo, Hi).
 type sumRange struct{ Lo, Hi int64 }
 
+func (r *sumRange) AppendWire(buf []byte) ([]byte, error) {
+	return wire.AppendVarint(wire.AppendVarint(buf, r.Lo), r.Hi), nil
+}
+
+func (r *sumRange) UnmarshalWire(d *wire.Decoder) error {
+	r.Lo, r.Hi = d.Varint(), d.Varint()
+	return nil
+}
+
 func registerSum(c *cluster) {
 	c.registerAll(func(rank int) *Kind {
 		return &Kind{
 			Name: "sum",
 			CanSplit: func(args []byte) bool {
 				var r sumRange
-				decodeWire(args, &r)
+				wire.Decode(args, &r)
 				return r.Hi-r.Lo > 4
 			},
 			Split: func(ctx *Ctx) (any, error) {
@@ -171,6 +181,15 @@ func TestUnknownKindFails(t *testing.T) {
 // checks data-aware placement of follow-up tasks.
 type bandArgs struct{ Band int }
 
+func (a *bandArgs) AppendWire(buf []byte) ([]byte, error) {
+	return wire.AppendVarint(buf, int64(a.Band)), nil
+}
+
+func (a *bandArgs) UnmarshalWire(d *wire.Decoder) error {
+	a.Band = d.Int()
+	return nil
+}
+
 func bandRegion(band int) dataitem.GridRegion {
 	return dataitem.GridRegionFromTo(region.Point{band * 4, 0}, region.Point{band*4 + 4, 16})
 }
@@ -186,7 +205,7 @@ func TestDataAwarePlacementFollowsData(t *testing.T) {
 			Name: "touch",
 			Reqs: func(args []byte) []dim.Requirement {
 				var a bandArgs
-				decodeWire(args, &a)
+				wire.Decode(args, &a)
 				return []dim.Requirement{{Item: item, Region: bandRegion(a.Band), Mode: dim.Write}}
 			},
 			Process: func(ctx *Ctx) (any, error) {
@@ -247,24 +266,23 @@ func TestFirstTouchSpreadsData(t *testing.T) {
 	c := newCluster(t, 4, &DefaultPolicy{ExtraDepth: 1}, typ)
 
 	var item dim.ItemID
-	type initRange struct{ Lo, Hi int }
 	c.registerAll(func(rank int) *Kind {
 		return &Kind{
 			Name: "init",
 			CanSplit: func(args []byte) bool {
-				var r initRange
-				decodeWire(args, &r)
+				var r sumRange
+				wire.Decode(args, &r)
 				return r.Hi-r.Lo > 8
 			},
 			Split: func(ctx *Ctx) (any, error) {
-				var r initRange
+				var r sumRange
 				ctx.Args(&r)
 				mid := (r.Lo + r.Hi) / 2
-				l, err := ctx.Spawn("init", &initRange{r.Lo, mid}, 0)
+				l, err := ctx.Spawn("init", &sumRange{r.Lo, mid}, 0)
 				if err != nil {
 					return nil, err
 				}
-				rt, err := ctx.Spawn("init", &initRange{mid, r.Hi}, 1)
+				rt, err := ctx.Spawn("init", &sumRange{mid, r.Hi}, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -275,11 +293,11 @@ func TestFirstTouchSpreadsData(t *testing.T) {
 				return nil, err
 			},
 			Reqs: func(args []byte) []dim.Requirement {
-				var r initRange
-				decodeWire(args, &r)
+				var r sumRange
+				wire.Decode(args, &r)
 				return []dim.Requirement{{
 					Item:   item,
-					Region: dataitem.GridRegionFromTo(region.Point{r.Lo, 0}, region.Point{r.Hi, 8}),
+					Region: dataitem.GridRegionFromTo(region.Point{int(r.Lo), 0}, region.Point{int(r.Hi), 8}),
 					Mode:   dim.Write,
 				}}
 			},
@@ -293,7 +311,7 @@ func TestFirstTouchSpreadsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fut, err := c.scheds[0].Spawn("init", &initRange{0, 64})
+	fut, err := c.scheds[0].Spawn("init", &sumRange{0, 64})
 	if err != nil {
 		t.Fatal(err)
 	}

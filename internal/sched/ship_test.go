@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"allscale/internal/wire"
 )
 
 func waitCount(t *testing.T, c *atomic.Int64, want int64) {
@@ -37,7 +39,7 @@ func TestRespawnedShipExecutesAgain(t *testing.T) {
 	c.start()
 
 	pid, _ := c.sys.Locality(0).NewPromise()
-	args, err := encodeWire(struct{}{})
+	args, err := wire.Encode(struct{}{})
 	if err != nil {
 		t.Fatal(err)
 	}

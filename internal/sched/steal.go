@@ -10,6 +10,7 @@ import (
 	"allscale/internal/backoff"
 	"allscale/internal/runtime"
 	"allscale/internal/trace"
+	"allscale/internal/wire"
 )
 
 // This file implements node-local task queues with inter-node work
@@ -99,7 +100,7 @@ func (s *Scheduler) EnableQueue(workers int) {
 	s.loc.Handle(methodSteal, func(from int, body []byte) ([]byte, error) {
 		batch := s.stealForRemote(remoteStealCap)
 		if len(batch) == 0 {
-			return encodeWire(&stealReply{})
+			return wire.Encode(&stealReply{})
 		}
 		reply := &stealReply{Specs: make([]TaskSpec, len(batch))}
 		for i := range batch {
@@ -109,7 +110,7 @@ func (s *Scheduler) EnableQueue(workers int) {
 		}
 		s.stats.stolenFrom.Add(uint64(len(batch)))
 		s.stats.stealBatch.ObserveValue(uint64(len(batch)))
-		return encodeWire(reply)
+		return wire.Encode(reply)
 	})
 	for w := 0; w < workers; w++ {
 		q.wg.Add(1)

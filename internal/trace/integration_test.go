@@ -79,23 +79,12 @@ func runTracedStencil(t *testing.T, eps []transport.Endpoint, minGrain int64) (*
 // sibling's element writes under -race, which is not this test's
 // subject.
 func TestStencilTCPNoSpanLeaks(t *testing.T) {
-	addrs := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
-	tcps := make([]*transport.TCPEndpoint, len(addrs))
-	for i := range tcps {
-		ep, err := transport.NewTCPEndpoint(i, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
+	eps, err := transport.NewTCPLoopback(4, transport.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range eps {
 		t.Cleanup(func() { ep.Close() })
-		tcps[i] = ep
-	}
-	eps := make([]transport.Endpoint, len(tcps))
-	for i, ep := range tcps {
-		addrs[i] = ep.Addr()
-		eps[i] = ep
-	}
-	for _, ep := range tcps {
-		ep.SetAddrs(addrs)
 	}
 	_, spans := runTracedStencil(t, eps, 256)
 	if err := trace.VerifyParents(spans); err != nil {

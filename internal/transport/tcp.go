@@ -249,6 +249,37 @@ func NewTCPEndpointConfig(rank int, addrs []string, cfg TCPConfig) (*TCPEndpoint
 	return e, nil
 }
 
+// NewTCPLoopback creates and starts the n endpoints of one process
+// group on OS-assigned 127.0.0.1 ports, each knowing the others' actual
+// addresses: the bootstrap of every single-host fabric (allscaled
+// -fabric tcp, tests). On error nothing is left listening.
+func NewTCPLoopback(n int, cfg TCPConfig) ([]Endpoint, error) {
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = "127.0.0.1:0"
+	}
+	tcps := make([]*TCPEndpoint, n)
+	for i := range tcps {
+		ep, err := NewTCPEndpointConfig(i, addrs, cfg)
+		if err != nil {
+			for _, started := range tcps[:i] {
+				started.Close()
+			}
+			return nil, err
+		}
+		tcps[i] = ep
+	}
+	eps := make([]Endpoint, n)
+	for i, ep := range tcps {
+		addrs[i] = ep.Addr()
+		eps[i] = ep
+	}
+	for _, ep := range tcps {
+		ep.SetAddrs(addrs)
+	}
+	return eps, nil
+}
+
 // Addr returns the actual listen address (useful with ":0" ports).
 func (e *TCPEndpoint) Addr() string { return e.listener.Addr().String() }
 

@@ -24,21 +24,13 @@ func fastConfig() TCPConfig {
 
 func newTCPPair(t *testing.T, cfg TCPConfig) (*TCPEndpoint, *TCPEndpoint, []string) {
 	t.Helper()
-	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
-	a, err := NewTCPEndpointConfig(0, addrs, cfg)
+	eps, err := NewTCPLoopback(2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTCPEndpointConfig(1, addrs, cfg)
-	if err != nil {
-		a.Close()
-		t.Fatal(err)
-	}
-	actual := []string{a.Addr(), b.Addr()}
-	a.SetAddrs(actual)
-	b.SetAddrs(actual)
+	a, b := eps[0].(*TCPEndpoint), eps[1].(*TCPEndpoint)
 	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b, actual
+	return a, b, []string{a.Addr(), b.Addr()}
 }
 
 // TestTCPSendToCrashedPeer verifies that a Send to a peer that died

@@ -128,24 +128,13 @@ func TestInprocStartWithoutHandlerPanics(t *testing.T) {
 }
 
 func TestTCPLoopback(t *testing.T) {
-	// Three processes on loopback with OS-assigned ports: create
-	// listeners first, then rewrite the address book.
-	eps := make([]*TCPEndpoint, 3)
-	addrs := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
-	for i := range eps {
-		ep, err := NewTCPEndpoint(i, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = ep
-		defer ep.Close()
-	}
-	actual := make([]string, 3)
-	for i, ep := range eps {
-		actual[i] = ep.Addr()
+	// Three processes on loopback with OS-assigned ports.
+	eps, err := NewTCPLoopback(3, TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, ep := range eps {
-		ep.SetAddrs(actual)
+		defer ep.Close()
 	}
 
 	var mu sync.Mutex
@@ -182,20 +171,7 @@ func TestTCPLoopback(t *testing.T) {
 }
 
 func TestTCPOrderingAndLargePayload(t *testing.T) {
-	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
-	a, err := NewTCPEndpoint(0, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewTCPEndpoint(1, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	actual := []string{a.Addr(), b.Addr()}
-	a.SetAddrs(actual)
-	b.SetAddrs(actual)
+	a, b, _ := newTCPPair(t, TCPConfig{})
 
 	var mu sync.Mutex
 	var lens []int

@@ -126,6 +126,19 @@ func (d *Decoder) Float64() float64 {
 	return v
 }
 
+// Count reads the uvarint element count of a list whose elements take
+// at least elemMin (≥ 1) bytes each, and fails when the bytes left
+// cannot hold that many: a count is chosen by the peer, so it must be
+// bounded before anything is sized from it.
+func (d *Decoder) Count(elemMin int) int {
+	n := d.Uvarint()
+	if n > uint64(len(d.data)/elemMin) {
+		d.fail("count %d exceeds what the remaining %d bytes can hold", n, len(d.data))
+		return 0
+	}
+	return int(n)
+}
+
 // Bool reads one byte as a bool.
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 

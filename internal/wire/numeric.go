@@ -6,8 +6,7 @@ import (
 	"slices"
 )
 
-// Bulk little-endian encoding of fixed-size numeric element types:
-// instead of reflect-encoding element by element (what gob does), a
+// Bulk little-endian encoding of fixed-size numeric element types: a
 // whole slice is emitted as one kind byte, one uvarint count, and
 // count fixed-width values. This is the element transport of the
 // region-wise fragment payloads (DESIGN.md §6a "Wire formats").
@@ -28,181 +27,182 @@ const (
 	numUint // encoded as 64-bit
 )
 
-// CanBulk reports whether []T has a bulk binary encoding. Named
-// types (`type Celsius float64`) intentionally do not match: they
-// take the gob fallback like any other user type.
-func CanBulk[T any]() bool {
-	switch any(([]T)(nil)).(type) {
-	case []float64, []float32, []int64, []uint64, []int32, []uint32,
-		[]int16, []uint16, []int8, []uint8, []int, []uint:
-		return true
-	}
-	return false
+// numericWidth is the encoded size of one element of each kind.
+var numericWidth = [...]int{
+	numF64: 8, numF32: 4, numI64: 8, numU64: 8, numI32: 4, numU32: 4,
+	numI16: 2, numU16: 2, numI8: 1, numU8: 1, numInt: 8, numUint: 8,
 }
+
+// numericKind returns the kind tag of []T, or 0 when T has no bulk
+// encoding.
+func numericKind[T any]() byte {
+	switch any(([]T)(nil)).(type) {
+	case []float64:
+		return numF64
+	case []float32:
+		return numF32
+	case []int64:
+		return numI64
+	case []uint64:
+		return numU64
+	case []int32:
+		return numI32
+	case []uint32:
+		return numU32
+	case []int16:
+		return numI16
+	case []uint16:
+		return numU16
+	case []int8:
+		return numI8
+	case []uint8:
+		return numU8
+	case []int:
+		return numInt
+	case []uint:
+		return numUint
+	}
+	return 0
+}
+
+// CanBulk reports whether []T has a bulk binary encoding. Named
+// types (`type Celsius float64`) intentionally do not match: like any
+// other user type they declare their own form (Marshaler/Unmarshaler).
+func CanBulk[T any]() bool { return numericKind[T]() != 0 }
 
 // AppendNumeric appends the bulk form of vals. It must only be called
 // when CanBulk[T]() holds; it panics otherwise.
 func AppendNumeric[T any](buf []byte, vals []T) []byte {
+	kind := numericKind[T]()
+	if kind == 0 {
+		panic("wire: AppendNumeric on unsupported element type")
+	}
+	buf = append(buf, kind)
+	buf = AppendUvarint(buf, uint64(len(vals)))
+	buf = slices.Grow(buf, len(vals)*numericWidth[kind])
 	switch v := any(vals).(type) {
 	case []float64:
-		buf = bulkHeader(buf, numF64, len(v), 8)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		}
 	case []float32:
-		buf = bulkHeader(buf, numF32, len(v), 4)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
 		}
 	case []int64:
-		buf = bulkHeader(buf, numI64, len(v), 8)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
 	case []uint64:
-		buf = bulkHeader(buf, numU64, len(v), 8)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint64(buf, x)
 		}
 	case []int32:
-		buf = bulkHeader(buf, numI32, len(v), 4)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
 		}
 	case []uint32:
-		buf = bulkHeader(buf, numU32, len(v), 4)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint32(buf, x)
 		}
 	case []int16:
-		buf = bulkHeader(buf, numI16, len(v), 2)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(x))
 		}
 	case []uint16:
-		buf = bulkHeader(buf, numU16, len(v), 2)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint16(buf, x)
 		}
 	case []int8:
-		buf = bulkHeader(buf, numI8, len(v), 1)
 		for _, x := range v {
 			buf = append(buf, byte(x))
 		}
 	case []uint8:
-		buf = bulkHeader(buf, numU8, len(v), 1)
 		buf = append(buf, v...)
 	case []int:
-		buf = bulkHeader(buf, numInt, len(v), 8)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
 	case []uint:
-		buf = bulkHeader(buf, numUint, len(v), 8)
 		for _, x := range v {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
-	default:
-		panic("wire: AppendNumeric on unsupported element type")
 	}
 	return buf
 }
 
-func bulkHeader(buf []byte, kind byte, n, width int) []byte {
-	buf = append(buf, kind)
-	buf = AppendUvarint(buf, uint64(n))
-	return slices.Grow(buf, n*width)
-}
-
 // DecodeNumeric reads a bulk block produced by AppendNumeric into a
-// fresh []T. A kind mismatch or truncated block sets the decoder
-// error. It must only be called when CanBulk[T]() holds.
+// fresh []T. A block of another kind or a truncated one sets the
+// decoder error before anything is read or sized from it. It must only
+// be called when CanBulk[T]() holds.
 func DecodeNumeric[T any](d *Decoder) []T {
 	kind := d.Byte()
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
 	}
-	width := map[byte]int{
-		numF64: 8, numF32: 4, numI64: 8, numU64: 8, numI32: 4, numU32: 4,
-		numI16: 2, numU16: 2, numI8: 1, numU8: 1, numInt: 8, numUint: 8,
-	}[kind]
-	if width == 0 {
-		d.fail("unknown numeric kind 0x%02x", kind)
+	want := numericKind[T]()
+	if want == 0 {
+		panic("wire: DecodeNumeric on unsupported element type")
+	}
+	if kind != want {
+		d.fail("numeric kind 0x%02x does not match requested element type", kind)
 		return nil
 	}
-	if n > uint64(len(d.data))/uint64(width) {
+	width := numericWidth[kind]
+	if n > uint64(len(d.data)/width) {
 		d.fail("numeric block of %d×%dB exceeds remaining %d bytes", n, width, len(d.data))
 		return nil
 	}
 	out := make([]T, n)
 	raw := d.data
-	ok := true
 	switch p := any(out).(type) {
 	case []float64:
-		ok = kind == numF64
 		for i := range p {
 			p[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	case []float32:
-		ok = kind == numF32
 		for i := range p {
 			p[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 	case []int64:
-		ok = kind == numI64
 		for i := range p {
 			p[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	case []uint64:
-		ok = kind == numU64
 		for i := range p {
 			p[i] = binary.LittleEndian.Uint64(raw[8*i:])
 		}
 	case []int32:
-		ok = kind == numI32
 		for i := range p {
 			p[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 	case []uint32:
-		ok = kind == numU32
 		for i := range p {
 			p[i] = binary.LittleEndian.Uint32(raw[4*i:])
 		}
 	case []int16:
-		ok = kind == numI16
 		for i := range p {
 			p[i] = int16(binary.LittleEndian.Uint16(raw[2*i:]))
 		}
 	case []uint16:
-		ok = kind == numU16
 		for i := range p {
 			p[i] = binary.LittleEndian.Uint16(raw[2*i:])
 		}
 	case []int8:
-		ok = kind == numI8
 		for i := range p {
 			p[i] = int8(raw[i])
 		}
 	case []uint8:
-		ok = kind == numU8
 		copy(p, raw)
 	case []int:
-		ok = kind == numInt
 		for i := range p {
 			p[i] = int(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	case []uint:
-		ok = kind == numUint
 		for i := range p {
 			p[i] = uint(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-	default:
-		panic("wire: DecodeNumeric on unsupported element type")
-	}
-	if !ok {
-		d.fail("numeric kind 0x%02x does not match requested element type", kind)
-		return nil
 	}
 	d.data = d.data[int(n)*width:]
 	return out
@@ -211,14 +211,18 @@ func DecodeNumeric[T any](d *Decoder) []T {
 // encodeBuiltin gives the values that cross the wire without a type
 // of their own the binary form, no Marshaler required: plain numeric
 // slices (MPI values, gathered partial results, raw byte payloads),
-// the scalar task results (int64 as a varint, uint64 as a uvarint,
-// string length-prefixed) and the empty struct{} RPC body (no bytes
-// after the tag). Both value and pointer forms are accepted,
-// mirroring what callers pass to the old gob helpers.
+// the scalars (int and int64 as a varint, uint64 as a uvarint, float64
+// as its IEEE 754 bits, string length-prefixed) and the empty struct{}
+// RPC body (no bytes after the tag). Both value and pointer forms are
+// accepted.
 func encodeBuiltin(v any) ([]byte, bool) {
 	switch s := v.(type) {
 	case struct{}, *struct{}:
 		return taggedBuf(0), true
+	case int:
+		return AppendVarint(taggedBuf(binary.MaxVarintLen64), int64(s)), true
+	case *int:
+		return AppendVarint(taggedBuf(binary.MaxVarintLen64), int64(*s)), true
 	case int64:
 		return AppendVarint(taggedBuf(binary.MaxVarintLen64), s), true
 	case *int64:
@@ -227,6 +231,10 @@ func encodeBuiltin(v any) ([]byte, bool) {
 		return AppendUvarint(taggedBuf(binary.MaxVarintLen64), s), true
 	case *uint64:
 		return AppendUvarint(taggedBuf(binary.MaxVarintLen64), *s), true
+	case float64:
+		return AppendFloat64(taggedBuf(8), s), true
+	case *float64:
+		return AppendFloat64(taggedBuf(8), *s), true
 	case string:
 		return AppendString(taggedBuf(binary.MaxVarintLen64+len(s)), s), true
 	case *string:
@@ -281,10 +289,14 @@ func appendBuiltin[T any](s []T) []byte {
 func decodeBuiltin(d *Decoder, v any) bool {
 	switch p := v.(type) {
 	case *struct{}:
+	case *int:
+		*p = d.Int()
 	case *int64:
 		*p = d.Varint()
 	case *uint64:
 		*p = d.Uvarint()
+	case *float64:
+		*p = d.Float64()
 	case *string:
 		*p = d.String()
 	case *[]byte:

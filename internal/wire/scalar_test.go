@@ -7,10 +7,26 @@ import (
 )
 
 // TestScalarBuiltinsRoundTrip covers the builtin forms of the scalar
-// task results and the empty RPC body, in value and pointer form, and
-// checks none of them touches the gob fallback.
+// task results and the empty RPC body, in value and pointer form.
 func TestScalarBuiltinsRoundTrip(t *testing.T) {
-	before := GobFallbacks()
+	for _, v := range []int{0, 7, -7, math.MaxInt, math.MinInt} {
+		for _, in := range []any{v, &v} {
+			var out int
+			roundTrip(t, in, &out)
+			if out != v {
+				t.Errorf("int %d came back as %d", v, out)
+			}
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 1.5, math.Inf(-1), math.NaN()} {
+		for _, in := range []any{v, &v} {
+			var out float64
+			roundTrip(t, in, &out)
+			if math.Float64bits(out) != math.Float64bits(v) {
+				t.Errorf("float64 %v came back as %v", v, out)
+			}
+		}
+	}
 	for _, v := range []int64{0, 1, -1, math.MaxInt64, math.MinInt64} {
 		for _, in := range []any{v, &v} {
 			var out int64
@@ -44,9 +60,6 @@ func TestScalarBuiltinsRoundTrip(t *testing.T) {
 			t.Errorf("struct{} encodes to %d bytes, want the tag alone", len(data))
 		}
 	}
-	if moved := GobFallbacks() - before; moved != 0 {
-		t.Fatalf("scalar builtins took the gob fallback %d times", moved)
-	}
 }
 
 func roundTrip(t *testing.T, in, out any) []byte {
@@ -64,37 +77,14 @@ func roundTrip(t *testing.T, in, out any) []byte {
 	return data
 }
 
-// TestGobFallbacksCounts pins the counter: one per fallback encode,
-// one per fallback decode, none for binary forms.
-func TestGobFallbacksCounts(t *testing.T) {
-	before := GobFallbacks()
-	data, err := Encode(&plainMsg{A: 1, B: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := GobFallbacks() - before; got != 1 {
-		t.Fatalf("after one fallback encode the count moved by %d", got)
-	}
-	var out plainMsg
-	if err := Decode(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if got := GobFallbacks() - before; got != 2 {
-		t.Fatalf("after encode+decode the count moved by %d, want 2", got)
-	}
-	roundTrip(t, &testMsg{ID: 1}, &testMsg{})
-	roundTrip(t, []float64{1}, new([]float64))
-	if got := GobFallbacks() - before; got != 2 {
-		t.Fatalf("binary forms moved the count to %d", got)
-	}
-}
-
 // TestTrailingBytesRejected: a binary payload is exactly one value.
 func TestTrailingBytesRejected(t *testing.T) {
 	for _, tc := range []struct {
 		in  any
 		out any
 	}{
+		{-5, new(int)},
+		{2.5, new(float64)},
 		{int64(-5), new(int64)},
 		{uint64(5), new(uint64)},
 		{"s", new(string)},
@@ -116,7 +106,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 // an error or a value, never a panic; and whatever decodes re-encodes
 // to a payload that decodes to the same value.
 func FuzzScalarBuiltins(f *testing.F) {
-	for _, v := range []any{int64(0), int64(math.MinInt64), uint64(math.MaxUint64), "", "result", struct{}{}} {
+	for _, v := range []any{int64(0), int64(math.MinInt64), uint64(math.MaxUint64), -7, math.Inf(1), "", "result", struct{}{}} {
 		data, err := Encode(v)
 		if err != nil {
 			f.Fatal(err)
@@ -134,6 +124,22 @@ func FuzzScalarBuiltins(f *testing.F) {
 			roundTrip(t, i, &again)
 			if again != i {
 				t.Fatalf("int64 %d re-decoded as %d", i, again)
+			}
+		}
+		var n int
+		if Decode(data, &n) == nil {
+			var again int
+			roundTrip(t, n, &again)
+			if again != n {
+				t.Fatalf("int %d re-decoded as %d", n, again)
+			}
+		}
+		var fl float64
+		if Decode(data, &fl) == nil {
+			var again float64
+			roundTrip(t, fl, &again)
+			if math.Float64bits(again) != math.Float64bits(fl) {
+				t.Fatalf("float64 %v re-decoded as %v", fl, again)
 			}
 		}
 		var u uint64

@@ -1,45 +1,28 @@
-// Package wire is the fast serialization layer of the runtime's hot
+// Package wire is the serialization layer of the runtime's
 // communication paths (the cheap data-item migration and fine-grained
 // remote task spawning the application model depends on, Section 3.2).
 //
-// Every payload starts with a one-byte format tag:
+// Every payload starts with the one-byte format tag 0x01 and continues
+// in a compact, length-prefixed little-endian form that the value's
+// type declares: a hand-written Marshaler/Unmarshaler pair (the
+// runtime RPC envelopes, scheduler task specs, task argument structs,
+// DIM request/reply headers, application payloads) or one of the
+// builtins of numeric.go (the numeric slices, the scalars int, int64,
+// uint64, float64 and string, and the empty struct{} RPC body).
 //
-//	0x00  gob: the remainder is a self-contained encoding/gob stream.
-//	0x01  binary: a compact, length-prefixed little-endian form
-//	      hand-written by the message type (Marshaler/Unmarshaler).
-//
-// Encode picks the binary form whenever the value implements
-// Marshaler (the runtime RPC envelopes, scheduler task specs, task
-// argument structs, DIM request/reply headers and fragment payloads
-// do) or is a builtin (numeric.go: the numeric slice types, the
-// scalar task results int64/uint64/string and the empty struct{} RPC
-// body), and falls back to gob for everything else — so arbitrary
-// user argument types keep working unchanged, they just do not get
-// the fast path. The tag makes the choice self-describing: both forms
-// of the same logical type decode identically on the receiver.
-//
-// The gob fallback costs a fresh stream per message — type
-// descriptors sent, a decode engine compiled — which is tens of
-// microseconds; nothing on the per-task path may take it.
-// GobFallbacks counts every fallback so a test can hold that line
-// (DESIGN.md §6a).
+// There is no reflective default: Encode of any other type is an
+// error naming the type, and Decode rejects every other tag. A type
+// that crosses the wire says how (DESIGN.md §6a).
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
-// Format tags: the first byte of every encoded payload.
-const (
-	// FormatGob marks a payload whose remainder is one gob stream.
-	FormatGob byte = 0x00
-	// FormatBinary marks a payload in the compact binary form.
-	FormatBinary byte = 0x01
-)
+// FormatBinary is the format tag, the first byte of every encoded
+// payload.
+const FormatBinary byte = 0x01
 
 // Marshaler is implemented by message types with a hand-written
 // binary wire form. AppendWire appends the form to buf and returns
@@ -55,13 +38,9 @@ type Unmarshaler interface {
 	UnmarshalWire(d *Decoder) error
 }
 
-// gobPool recycles the scratch buffers of the gob fallback; slicePool
-// recycles the raw append buffers handed out by GetBuf (used for TCP
-// frame assembly and other transient encodings).
-var (
-	gobPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	slicePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-)
+// slicePool recycles the raw append buffers handed out by GetBuf (used
+// for TCP frame assembly and other transient encodings).
+var slicePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // GetBuf returns a pooled byte slice with length 0. Return it with
 // PutBuf once its contents are no longer referenced.
@@ -81,19 +60,9 @@ func PutBuf(b []byte) {
 	slicePool.Put(&b)
 }
 
-// gobFallbacks counts the gob streams written by Encode and read by
-// Decode since process start.
-var gobFallbacks atomic.Uint64
-
-// GobFallbacks returns the process-wide number of values that took
-// the gob fallback, encodes plus decodes. A region of code is off the
-// fallback exactly when the count does not move across it.
-func GobFallbacks() uint64 { return gobFallbacks.Load() }
-
-// Encode returns the wire form of v: binary when v implements
-// Marshaler or is a builtin, gob otherwise. A nil v
-// encodes as an empty payload (matching the previous per-package
-// helpers, which treated nil as "no body").
+// Encode returns the wire form of v, which must implement Marshaler
+// or be a builtin; any other type is an error. A nil v encodes as an
+// empty payload ("no body").
 func Encode(v any) ([]byte, error) {
 	if v == nil {
 		return nil, nil
@@ -106,12 +75,11 @@ func Encode(v any) ([]byte, error) {
 	if buf, ok := encodeBuiltin(v); ok {
 		return buf, nil
 	}
-	return encodeGob(v)
+	return nil, fmt.Errorf("wire: %T has no wire form (not a builtin, no AppendWire)", v)
 }
 
 // Decode decodes a payload produced by Encode into v (a pointer). A
-// nil v discards the payload; an empty payload is an error, as with
-// the gob helpers this layer replaces.
+// nil v discards the payload; an empty payload is an error.
 func Decode(data []byte, v any) error {
 	if v == nil {
 		return nil
@@ -119,47 +87,23 @@ func Decode(data []byte, v any) error {
 	if len(data) == 0 {
 		return fmt.Errorf("wire: empty payload")
 	}
-	format, body := data[0], data[1:]
-	switch format {
-	case FormatBinary:
-		d := NewDecoder(body)
-		if !decodeBuiltin(d, v) {
-			u, ok := v.(Unmarshaler)
-			if !ok {
-				return fmt.Errorf("wire: binary payload for %T, which has no UnmarshalWire", v)
-			}
-			if err := u.UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-		// A payload is exactly one value: bytes left over mean the
-		// sender and the receiver disagree about the type.
-		if d.err == nil && len(d.data) != 0 {
-			d.fail("%d trailing bytes after %T", len(d.data), v)
-		}
-		return d.err
-	case FormatGob:
-		gobFallbacks.Add(1)
-		return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
-	default:
-		return fmt.Errorf("wire: unknown format tag 0x%02x", format)
+	if data[0] != FormatBinary {
+		return fmt.Errorf("wire: unknown format tag 0x%02x", data[0])
 	}
-}
-
-// encodeGob is the tagged gob fallback with a pooled scratch buffer:
-// gob grows into the recycled buffer and only the final exactly-sized
-// result allocates.
-func encodeGob(v any) ([]byte, error) {
-	gobFallbacks.Add(1)
-	b := gobPool.Get().(*bytes.Buffer)
-	b.Reset()
-	b.WriteByte(FormatGob)
-	if err := gob.NewEncoder(b).Encode(v); err != nil {
-		gobPool.Put(b)
-		return nil, err
+	d := NewDecoder(data[1:])
+	if !decodeBuiltin(d, v) {
+		u, ok := v.(Unmarshaler)
+		if !ok {
+			return fmt.Errorf("wire: %T has no wire form (not a builtin, no UnmarshalWire)", v)
+		}
+		if err := u.UnmarshalWire(d); err != nil {
+			return err
+		}
 	}
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	gobPool.Put(b)
-	return out, nil
+	// A payload is exactly one value: bytes left over mean the
+	// sender and the receiver disagree about the type.
+	if d.err == nil && len(d.data) != 0 {
+		d.fail("%d trailing bytes after %T", len(d.data), v)
+	}
+	return d.err
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -31,7 +33,7 @@ func (m *testMsg) UnmarshalWire(d *Decoder) error {
 	return nil
 }
 
-// plainMsg has no hand-written codec and must take the gob fallback.
+// plainMsg declares no wire form.
 type plainMsg struct {
 	A int
 	B string
@@ -55,21 +57,38 @@ func TestEncodeDecodeBinary(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeGobFallback(t *testing.T) {
-	in := plainMsg{A: 42, B: "fallback"}
-	data, err := Encode(&in)
-	if err != nil {
-		t.Fatal(err)
+// TestNoFormIsAnError: a type that declares no form does not cross
+// the wire, in either direction, and the error says which type.
+func TestNoFormIsAnError(t *testing.T) {
+	for _, in := range []any{plainMsg{A: 42, B: "x"}, &plainMsg{}, []plainMsg{{}}, map[string]int{}} {
+		data, err := Encode(in)
+		if err == nil || data != nil {
+			t.Fatalf("Encode(%T) = %x, %v; want an error", in, data, err)
+		}
+		if want := fmt.Sprintf("%T", in); !strings.Contains(err.Error(), want) {
+			t.Errorf("Encode(%T): error %q does not name the type", in, err)
+		}
 	}
-	if data[0] != FormatGob {
-		t.Fatalf("format tag = %#x, want gob", data[0])
+	data, _ := Encode(&testMsg{ID: 1})
+	err := Decode(data, &plainMsg{})
+	if err == nil || !strings.Contains(err.Error(), "*wire.plainMsg") {
+		t.Fatalf("Decode into a type without a form: %v", err)
 	}
-	var out plainMsg
-	if err := Decode(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
+}
+
+// TestDecodeRejectsOtherTags: 0x01 is the only format; 0x00 used to
+// announce a reflective stream and must not be read as anything.
+func TestDecodeRejectsOtherTags(t *testing.T) {
+	body, _ := (&testMsg{ID: 9, Name: "n"}).AppendWire(nil)
+	for _, tag := range []byte{0x00, 0x02, 0xFF} {
+		var out testMsg
+		if err := Decode(append([]byte{tag}, body...), &out); err == nil {
+			t.Errorf("tag %#02x accepted", tag)
+		}
+		var i int64
+		if err := Decode([]byte{tag, 2}, &i); err == nil {
+			t.Errorf("tag %#02x accepted for a builtin", tag)
+		}
 	}
 }
 
@@ -121,6 +140,31 @@ func TestNumericKindMismatch(t *testing.T) {
 	DecodeNumeric[int32](d)
 	if d.Err() == nil {
 		t.Fatal("kind mismatch not detected")
+	}
+	// A block of a narrower kind must be refused before it is read at
+	// the requested width (eight 1-byte elements are not eight uint64s).
+	d = NewDecoder(AppendNumeric(nil, make([]uint8, 8)))
+	if got := DecodeNumeric[uint64](d); got != nil || d.Err() == nil {
+		t.Fatalf("uint8 block decoded as %v", got)
+	}
+}
+
+// TestCountIsBoundedByBytesLeft: a count is the peer's claim; it must
+// fit the bytes that follow it before anything is sized from it.
+func TestCountIsBoundedByBytesLeft(t *testing.T) {
+	body := AppendUvarint(nil, 3)
+	body = append(body, 1, 2, 3, 4, 5, 6)
+	if n := NewDecoder(body).Count(2); n != 3 {
+		t.Fatalf("Count(2) of 3 in 6 bytes = %d", n)
+	}
+	for _, tc := range []struct {
+		count   uint64
+		elemMin int
+	}{{3, 3}, {7, 1}, {1 << 62, 1}, {math.MaxUint64, 8}} {
+		d := NewDecoder(append(AppendUvarint(nil, tc.count), 1, 2, 3, 4, 5, 6))
+		if n := d.Count(tc.elemMin); n != 0 || d.Err() == nil {
+			t.Errorf("Count(%d) of %d in 6 bytes = %d, %v", tc.elemMin, tc.count, n, d.Err())
+		}
 	}
 }
 

@@ -18,12 +18,11 @@ type Codec[T any] interface {
 }
 
 // RoundTrip encodes in, decodes it into out and returns the payload.
-// It fails the test when the payload is not in the binary form, when
-// it takes the gob fallback, or when the decoder accepts the payload
-// cut short by a byte or followed by one.
+// It fails the test when the payload does not start with the format
+// tag, or when the decoder accepts the payload cut short by a byte or
+// followed by one.
 func RoundTrip(t testing.TB, in wire.Marshaler, out wire.Unmarshaler) []byte {
 	t.Helper()
-	before := wire.GobFallbacks()
 	data, err := wire.Encode(in)
 	if err != nil {
 		t.Fatalf("encode %T: %v", in, err)
@@ -40,16 +39,12 @@ func RoundTrip(t testing.TB, in wire.Marshaler, out wire.Unmarshaler) []byte {
 	if err := wire.Decode(data, out); err != nil {
 		t.Fatalf("decode %T: %v", in, err)
 	}
-	if moved := wire.GobFallbacks() - before; moved != 0 {
-		t.Fatalf("%T took the gob fallback %d times", in, moved)
-	}
 	return data
 }
 
 // FuzzUnmarshal feeds arbitrary bodies (the bytes after the format
-// tag; the gob fallback is not under test) to T's UnmarshalWire,
-// seeded with the encoded seeds, their first halves and a copy with a
-// trailing byte. Malformed input must be an error, never a panic, and
+// tag) to T's UnmarshalWire, seeded with the encoded seeds, their first
+// halves and a copy with a trailing byte. Malformed input must be an error, never a panic, and
 // an accepted value must re-encode to bytes that decode to a value
 // encoding the same.
 func FuzzUnmarshal[T any, P Codec[T]](f *testing.F, seeds ...P) {
