@@ -17,8 +17,9 @@ import (
 // localities — each step issued as its two locality-sized halves, the
 // way the stencil-halo benchmark workload issues it — then one more
 // step, and returns the rpc.call spans of that last step by method,
-// its dim.locate spans by kind, and the locate RPCs it cost.
-func stepCalls(t *testing.T, warmup int) (calls, locates map[string]int, locateRPCs uint64) {
+// how many of them somebody waited for, its dim.locate spans by kind,
+// and the locate RPCs it cost.
+func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, locates map[string]int, locateRPCs uint64) {
 	t.Helper()
 	const n = 64
 	sys := core.NewSystem(core.Config{Localities: 2, TraceCapacity: 1 << 16})
@@ -51,8 +52,9 @@ func stepCalls(t *testing.T, warmup int) (calls, locates map[string]int, locateR
 		}
 		return sum
 	}
-	// Nobody waits for a dim.unpin: let the last one be answered, so
-	// that its span is archived on the side of the mark it belongs to.
+	// Nobody waits for a dim.unpin — the refresh of the neighbour's halo
+	// row: let the last one be answered, so that its span is archived on
+	// the side of the mark it belongs to.
 	settle := func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for r := 0; r < sys.Size(); r++ {
@@ -73,11 +75,19 @@ func stepCalls(t *testing.T, warmup int) (calls, locates map[string]int, locateR
 	}
 	before := total(dim.MetricLocateRPCs)
 	direct, walked := total(dim.MetricRevokeDirect), total(dim.MetricRevokeWalked)
+	kept, evicted := total(dim.MetricDropKept), total(dim.MetricDropEvicted)
+	refreshed, stale := total(dim.MetricRefreshSent), total(dim.MetricRefreshStale)
 	step(warmup)
 	settle()
 	locateRPCs = total(dim.MetricLocateRPCs) - before
 	if d, w := total(dim.MetricRevokeDirect)-direct, total(dim.MetricRevokeWalked)-walked; d != 2 || w != 0 {
 		t.Errorf("write requirements settled: %d direct, %d walked, want 2 and 0", d, w)
+	}
+	if k, e := total(dim.MetricDropKept)-kept, total(dim.MetricDropEvicted)-evicted; k != 2 || e != 0 {
+		t.Errorf("halo replicas: %d kept, %d evicted, want 2 and 0", k, e)
+	}
+	if r, s := total(dim.MetricRefreshSent)-refreshed, total(dim.MetricRefreshStale)-stale; r != 2 || s != 0 {
+		t.Errorf("halo refreshes: %d sent, %d stale, want 2 and 0", r, s)
 	}
 	calls, locates = make(map[string]int), make(map[string]int)
 	for _, sp := range trace.Merge(sys.Tracers()...) {
@@ -87,14 +97,22 @@ func stepCalls(t *testing.T, warmup int) (calls, locates map[string]int, locateR
 		switch sp.Name {
 		case "rpc.call":
 			calls[sp.Detail]++
+			if sp.Detail != "dim.unpin" {
+				awaited++
+			}
+			// The transfers an acquisition issues hang under its span.
+			if sp.Detail == "dim.drop" && sp.Parent == 0 {
+				t.Errorf("rpc.call %q span of an acquisition has no parent", sp.Detail)
+			}
 		case "dim.locate":
 			locates[sp.Detail]++
-			if sp.Detail != "multi-walk" && sp.Parent == 0 {
+			// Placement resolves outside any acquisition.
+			if !strings.HasPrefix(sp.Detail, "multi-") && sp.Parent == 0 {
 				t.Errorf("dim.locate %q span of an acquisition has no parent", sp.Detail)
 			}
 		}
 	}
-	return calls, locates, locateRPCs
+	return calls, awaited, locates, locateRPCs
 }
 
 func formatCalls(calls map[string]int) string {
@@ -112,33 +130,34 @@ func formatCalls(calls map[string]int) string {
 
 // TestStencilStepProtocolCounts pins the message pattern of one
 // steady-state stencil step (DESIGN.md §6f, per-step table): a write
-// acquisition revokes the neighbour's halo replica through the owner's
-// own sharer records, never through an index walk.
+// acquisition holds the neighbour's halo replica in place through the
+// owner's own sharer records and refreshes it on release — no fetch, no
+// coverage change, hence no index report, no cache invalidation and no
+// index walk of any kind.
 func TestStencilStepProtocolCounts(t *testing.T) {
-	calls, locates, locateRPCs := stepCalls(t, 20)
+	calls, awaited, locates, locateRPCs := stepCalls(t, 20)
 	total := 0
 	for _, c := range calls {
 		total += c
 	}
-	t.Logf("one step: %d calls, %d locate RPCs:%s; locates:%s", total, locateRPCs, formatCalls(calls), formatCalls(locates))
-	// "owners" is the authoritative walk only write acquisitions run
-	// (dim.resolveAll from rank 1, a local descent plus dim.resolveBatch
-	// from rank 0); the one dim.resolveAll left is rank 1's read
-	// resolving its missing halo row ("owners-walk").
-	if c := locates["owners"]; c != 0 {
-		t.Errorf("write acquisitions walked the index %d times", c)
+	t.Logf("one step: %d calls (%d awaited), %d locate RPCs:%s; locates:%s", total, awaited, locateRPCs, formatCalls(calls), formatCalls(locates))
+	want := map[string]int{"sched.runb": 1, "runtime.fulfill": 1, "dim.drop": 2, "dim.unpin": 2}
+	if formatCalls(calls) != formatCalls(want) {
+		t.Errorf("calls per step:%s, want%s", formatCalls(calls), formatCalls(want))
 	}
-	if c := calls["dim.resolveAll"]; c > 1 {
-		t.Errorf("dim.resolveAll calls = %d, want rank 1's read walk only", c)
+	if total > 6 || awaited > 4 {
+		t.Errorf("RPC calls per step = %d (%d awaited), want <= 6 (<= 4)", total, awaited)
 	}
-	if locateRPCs > 3 {
-		t.Errorf("locate RPCs per step = %d, want <= 3", locateRPCs)
+	if locateRPCs != 0 {
+		t.Errorf("locate RPCs per step = %d, want 0", locateRPCs)
 	}
-	if total > 13 {
-		t.Errorf("RPC calls per step = %d, want <= 13", total)
+	// Both placements hit the cache; both stagings find nothing missing
+	// and resolve nothing.
+	if formatCalls(locates) != " multi-hit=2" {
+		t.Errorf("locates per step:%s, want multi-hit=2", formatCalls(locates))
 	}
-	again, _, againLocates := stepCalls(t, 21)
-	if formatCalls(again) != formatCalls(calls) || againLocates != locateRPCs {
+	again, againAwaited, _, againLocates := stepCalls(t, 21)
+	if formatCalls(again) != formatCalls(calls) || againAwaited != awaited || againLocates != locateRPCs {
 		t.Errorf("counts do not repeat: step 20%s (%d locate RPCs), step 21%s (%d)",
 			formatCalls(calls), locateRPCs, formatCalls(again), againLocates)
 	}

@@ -30,6 +30,9 @@ func FuzzDecodeRegionWire(f *testing.F) {
 	for _, kind := range []byte{regionWireGrid, regionWireInterval, regionWireTree} {
 		f.Add(wire.AppendUvarint([]byte{kind, 3}, 1<<62))
 	}
+	// A 1-d and a 2-d box in one grid region (found by dim's
+	// FuzzHeaderUnmarshal: the box set panicked on the mix).
+	f.Add([]byte{regionWireGrid, 2, 1, 0, 2, 2, 0, 0, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRegionWire(wire.NewDecoder(data))
 		if err != nil {

@@ -168,9 +168,11 @@ func (f *MapFragment[K, V]) Extract(r Region) ([]byte, error) {
 	return appendElems(buf, vals)
 }
 
-// Insert implements Fragment. Because bucket contents travel as whole
-// buckets, inserting replaces nothing outside the carried keys; the
-// DIM transfers at bucket granularity so this is exact. Nothing is
+// Insert implements Fragment. Bucket contents travel as whole buckets,
+// so the buckets of the carried keys are replaced, not merged into: a
+// pair the sender has deleted since an earlier transfer goes here too
+// (the DIM refreshes replicas in place). A bucket that travelled empty
+// is not part of the returned region and keeps what it had. Nothing is
 // stored unless the whole payload decodes and lies inside the
 // fragment.
 func (f *MapFragment[K, V]) Insert(data []byte) (Region, error) {
@@ -194,8 +196,14 @@ func (f *MapFragment[K, V]) Insert(data []byte) (Region, error) {
 		}
 		ivs[i] = region.Interval{Lo: b, Hi: b + 1}
 	}
+	carried := region.NewIntervalSet(ivs...)
+	for k := range f.vals {
+		if carried.Contains(bucketOf(k, f.buckets)) {
+			delete(f.vals, k)
+		}
+	}
 	for i, k := range keys {
 		f.vals[k] = vals[i]
 	}
-	return IntervalRegion{S: region.NewIntervalSet(ivs...)}, nil
+	return IntervalRegion{S: carried}, nil
 }

@@ -115,6 +115,57 @@ func TestMapExtractInsertRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMapInsertReplacesCarriedBuckets: inserting over buckets already
+// held — the DIM refreshing a replica in place — leaves exactly the
+// sender's pairs in every bucket that travelled with one: a pair the
+// sender deleted meanwhile does not survive beside them.
+func TestMapInsertReplacesCarriedBuckets(t *testing.T) {
+	typ := NewMapType[int, string]("kv6", 2)
+	src := typ.NewFragment().(*MapFragment[int, string])
+	dst := typ.NewFragment().(*MapFragment[int, string])
+	for _, f := range []*MapFragment[int, string]{src, dst} {
+		f.Resize(typ.FullRegion())
+		for k := 0; k < 16; k++ {
+			f.Put(k, "old")
+		}
+	}
+	gone := -1
+	for k := 0; k < 16; k++ {
+		if typ.BucketOf(k) != 0 {
+			continue
+		}
+		if gone < 0 {
+			gone = k
+			src.Delete(k)
+		} else {
+			src.Put(k, "new")
+		}
+	}
+	data, err := src.Extract(IntervalFromTo(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered, err := dst.Insert(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !covered.Equal(IntervalFromTo(0, 1)) {
+		t.Fatalf("insert covered %v, want bucket 0", covered)
+	}
+	if _, ok := dst.Get(gone); ok {
+		t.Errorf("key %d, deleted at the sender, survived the refresh", gone)
+	}
+	for k := 0; k < 16; k++ {
+		want := "old"
+		if typ.BucketOf(k) == 0 {
+			want = "new"
+		}
+		if v, ok := dst.Get(k); k != gone && (!ok || v != want) {
+			t.Errorf("key %d = %q,%v after the refresh, want %q", k, v, ok, want)
+		}
+	}
+}
+
 func TestMapFragmentResizeDropsForeignBuckets(t *testing.T) {
 	typ := NewMapType[int, string]("kv5", 4)
 	f := typ.NewFragment().(*MapFragment[int, string])

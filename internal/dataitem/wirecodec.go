@@ -103,7 +103,11 @@ func DecodeRegionWire(d *wire.Decoder) (Region, error) {
 		n := d.Count(3) // dimension count and two corners
 		boxes := make([]region.Box, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
-			boxes = append(boxes, decodeBox(d))
+			b := decodeBox(d)
+			if i > 0 && b.Dims() != boxes[0].Dims() {
+				d.Failf("boxes of %d and %d dimensions in one region", boxes[0].Dims(), b.Dims())
+			}
+			boxes = append(boxes, b)
 		}
 		if err := d.Err(); err != nil {
 			return nil, err

@@ -36,6 +36,10 @@ import (
 //     from its replica; a write inside the root region revokes along
 //     those records (sharers.go). Only a writer outside its root region
 //     performs the authoritative owners walk, to find the root copy.
+//     A replica in use is not removed but locked where it is and
+//     overwritten with the writer's result (keep and refresh): it loses
+//     no coverage, so rule 2 has nothing to revoke and entries naming it
+//     stay valid — a fetch directed at it waits for the refresh.
 //     (Staging a write region, like a read region, only needs some
 //     holder of the missing data, and takes it from the cache.)
 //

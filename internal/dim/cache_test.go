@@ -2,12 +2,8 @@ package dim
 
 import (
 	"testing"
-	"time"
 
-	"allscale/internal/chaos"
 	"allscale/internal/dataitem"
-	"allscale/internal/runtime"
-	"allscale/internal/transport"
 )
 
 // counterAt reads a metrics counter of one rank.
@@ -216,38 +212,8 @@ func TestLocateCacheEpochAndDeathEviction(t *testing.T) {
 // stale cached owner, and ownership must end at the last writer.
 func TestLocateCacheMigrationUnderChaos(t *testing.T) {
 	const n = 3
-	ctl := chaos.NewController()
-	fab := transport.NewFabric(n)
-	eps := make([]transport.Endpoint, n)
-	for i := 0; i < n; i++ {
-		eps[i] = chaos.Wrap(fab.Endpoint(i), ctl, chaos.Config{
-			Seed:     31 + int64(i),
-			Drop:     0.02,
-			Dup:      0.02,
-			Delay:    0.2,
-			MaxDelay: time.Millisecond,
-		})
-	}
-	sys := runtime.NewSystemOver(eps)
-	defer func() {
-		sys.Close()
-		fab.Close()
-	}()
-	// Tight retry windows: with the default 5s attempt interval every
-	// dropped frame would cost seconds of wall clock.
-	calls := runtime.CallProfile{
-		Control: runtime.CallSpec{Deadline: 5 * time.Second, Attempt: 20 * time.Millisecond, Retries: 10},
-		Data:    runtime.CallSpec{Deadline: 10 * time.Second, Attempt: 50 * time.Millisecond, Retries: 10},
-	}
 	typ := dataitem.NewGridType[int]("field", p(8, 8))
-	ms := make([]*Manager, n)
-	for i := 0; i < n; i++ {
-		sys.Locality(i).SetCallProfile(calls)
-		reg := dataitem.NewRegistry()
-		reg.MustRegister(typ)
-		ms[i] = New(sys.Locality(i), reg)
-	}
-	fab.Start()
+	ms := chaosManagers(t, n, 31, typ)
 
 	id, err := ms[0].CreateItem(typ)
 	if err != nil {
@@ -278,12 +244,16 @@ func TestLocateCacheMigrationUnderChaos(t *testing.T) {
 			t.Fatalf("round %d: owners hint at %d: %v", i, rd, err)
 		}
 	}
-	// Exclusive consolidation: the full region lives only at `last`.
-	final := next()
-	if err := ms[last].Acquire(final, []Requirement{{Item: id, Region: full, Mode: Write}}); err != nil {
-		t.Fatal(err)
+	// Exclusive consolidation: the full region lives only at `last`. The
+	// bystander's replica, read since it was made, outlives the first
+	// write (refreshed in place) and, unread since, not the second.
+	for i := 0; i < 2; i++ {
+		final := next()
+		if err := ms[last].Acquire(final, []Requirement{{Item: id, Region: full, Mode: Write}}); err != nil {
+			t.Fatal(err)
+		}
+		ms[last].Release(final)
 	}
-	ms[last].Release(final)
 	for r := 0; r < n; r++ {
 		owners, err := ms[r].Owners(id, full)
 		if err != nil {

@@ -35,7 +35,8 @@ const (
 	// Read grants shared access; the manager may replicate the data.
 	Read Mode = iota
 	// Write grants exclusive access; the manager evicts every other
-	// copy before granting it (exclusive writes).
+	// copy before granting it, or holds it write-locked until the new
+	// bytes are installed (exclusive writes).
 	Write
 )
 
@@ -119,6 +120,32 @@ type itemState struct {
 	// may outlive the peer's copy (a third rank evicted it); revoking it
 	// then costs one empty drop.
 	lent map[int]dataitem.Region
+	// used is the part of the local fragment that was installed as a
+	// replica (a fetch, or a writer's refresh) and granted to a local
+	// task since; unused is the part installed and not granted since.
+	// A drop keeps the used part in place for the writer to refresh and
+	// really drops the rest (handleDrop). A grant touches them only while
+	// unused is non-empty, so the steady read path pays one IsEmpty.
+	used, unused dataitem.Region
+}
+
+// pin is a lock the manager holds on a peer's behalf, outside any
+// local acquisition: in read mode on a part exported to the peer, until
+// it confirms that its copy is in place; in write mode on a replica
+// kept for the peer's write acquisition, until its refresh arrives.
+type pin struct {
+	rank  int // the peer the pin is held for
+	item  ItemID
+	write bool
+}
+
+// heldPin is the writer's side of a write-mode pin: the refresh it
+// owes the sharer when its acquisition is released.
+type heldPin struct {
+	rank   int // the sharer
+	item   ItemID
+	region dataitem.Region
+	token  uint64 // the sharer's pin token
 }
 
 // Registry names under which the manager publishes its metrics.
@@ -145,6 +172,20 @@ const (
 	// walk found no root copy to take over; an uncontended ownership
 	// migration takes none.
 	MetricRevokeBackoffs = "dim.revoke.backoffs"
+	// Drops served, by outcome: "kept" ones left (part of) a replica in
+	// place under a write-mode pin, "evicted" ones removed data.
+	MetricDropKept    = "dim.drop.kept"
+	MetricDropEvicted = "dim.drop.evicted"
+	// Refreshes of kept replicas: sent (and their payload bytes) at the
+	// writer; stale at the sharer when the pin token was unknown — the
+	// pin had been force-released — and nothing was installed.
+	MetricRefreshSent  = "dim.refresh.sent"
+	MetricRefreshBytes = "dim.refresh.bytes"
+	MetricRefreshStale = "dim.refresh.stale"
+	// MetricRefreshWait is how long local acquisitions that met a
+	// write-mode pin waited for their locks (the transfer share of the
+	// acquire wait; the rest is lock wait proper).
+	MetricRefreshWait = "dim.refresh.wait"
 )
 
 // Manager is the data item manager instance of one locality.
@@ -164,16 +205,26 @@ type Manager struct {
 	revokeDirect   *metrics.Counter
 	revokeWalked   *metrics.Counter
 	revokeBackoffs *metrics.Counter
+	dropKept       *metrics.Counter
+	dropEvicted    *metrics.Counter
+	refreshSent    *metrics.Counter
+	refreshBytes   *metrics.Counter
+	refreshStale   *metrics.Counter
+	refreshWait    *metrics.Histogram
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  map[ItemID]*itemState
 	seq    uint32
-	pinSeq uint64 // replica-pin token sequence (guarded by mu)
-	// pins maps outstanding replica-pin tokens to the requesting rank,
-	// so the pins of a crashed rank can be force-released instead of
+	pinSeq uint64 // pin token sequence (guarded by mu)
+	// pins maps outstanding pin tokens to the peer they are held for, so
+	// the pins of a crashed rank can be force-released instead of
 	// blocking writers forever (guarded by mu).
-	pins map[uint64]int
+	pins map[uint64]pin
+	// held maps the token of a local write acquisition to the replicas
+	// its drops left pinned at their holders; Release refreshes them
+	// (guarded by mu).
+	held map[uint64][]heldPin
 	// epoch is the recovery epoch (guarded by mu): index report
 	// versions are composed as epoch<<32|ver, so a coverage retraction
 	// (which raises the epoch and floors all side versions) bars every
@@ -205,8 +256,15 @@ func New(loc *runtime.Locality, reg *dataitem.Registry) *Manager {
 		revokeDirect:    loc.Metrics().Counter(MetricRevokeDirect),
 		revokeWalked:    loc.Metrics().Counter(MetricRevokeWalked),
 		revokeBackoffs:  loc.Metrics().Counter(MetricRevokeBackoffs),
+		dropKept:        loc.Metrics().Counter(MetricDropKept),
+		dropEvicted:     loc.Metrics().Counter(MetricDropEvicted),
+		refreshSent:     loc.Metrics().Counter(MetricRefreshSent),
+		refreshBytes:    loc.Metrics().Counter(MetricRefreshBytes),
+		refreshStale:    loc.Metrics().Counter(MetricRefreshStale),
+		refreshWait:     loc.Metrics().Histogram(MetricRefreshWait),
 		items:           make(map[ItemID]*itemState),
-		pins:            make(map[uint64]int),
+		pins:            make(map[uint64]pin),
+		held:            make(map[uint64][]heldPin),
 		LockWaitTimeout: 60 * time.Second,
 	}
 	m.cond = sync.NewCond(&m.mu)

@@ -223,44 +223,96 @@ func TestReadReplicates(t *testing.T) {
 	ts.managers[1].Release(2)
 }
 
-func TestWriteConsolidatesReplicas(t *testing.T) {
+// TestWriteHoldsAndRefreshesReplicas: a write ends every other copy of
+// its region, but a replica its holder has read is ended by locking it
+// where it is, not by removing it: while rank 3 holds the write lock a
+// read at rank 1 blocks, and after the release it returns rank 3's value
+// without fetching anything. A replica nobody read since it was
+// refreshed is removed by the next write.
+func TestWriteHoldsAndRefreshesReplicas(t *testing.T) {
 	typ := dataitem.NewGridType[int]("field", p(8, 8))
 	ts := newTestSystem(t, 4, typ)
 	id, _ := ts.managers[0].CreateItem(typ)
 	r := gr(0, 0, 8, 8)
+	rq := []Requirement{{Item: id, Region: r, Mode: Write}}
+	at := func(rank int) *int {
+		frag, _ := ts.managers[rank].Fragment(id)
+		return frag.(*dataitem.GridFragment[int]).Ptr(p(1, 1))
+	}
 
-	if err := ts.managers[0].Acquire(1, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
+	if err := ts.managers[0].Acquire(1, rq); err != nil {
 		t.Fatal(err)
 	}
-	frag0, _ := ts.managers[0].Fragment(id)
-	frag0.(*dataitem.GridFragment[int]).Set(p(1, 1), 7)
+	*at(0) = 7
 	ts.managers[0].Release(1)
-
 	// Ranks 1 and 2 replicate for reading, then release.
-	for i, m := range ts.managers[1:3] {
-		tok := uint64(10 + i)
-		if err := m.Acquire(tok, []Requirement{{Item: id, Region: r, Mode: Read}}); err != nil {
-			t.Fatal(err)
-		}
-		m.Release(tok)
-	}
+	ts.touch(t, 1, id, r, Read)
+	ts.touch(t, 2, id, r, Read)
 
-	// Rank 3 acquires write: all three copies must be consolidated.
-	if err := ts.managers[3].Acquire(20, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
+	// Rank 3 writes: the root copy moves to it, the replicas are held.
+	if err := ts.managers[3].Acquire(20, rq); err != nil {
 		t.Fatal(err)
 	}
+	if err := CheckSystemInvariants(ts.managers, id); err != nil {
+		t.Fatal(err)
+	}
+	if cov := ts.coverage(t, 0, id); !cov.IsEmpty() {
+		t.Fatalf("evicted root copy still holds %v", cov)
+	}
+	if got := *at(3); got != 7 {
+		t.Fatalf("value at the writer = %d, want 7", got)
+	}
+	*at(3) = 8
+	calls := ts.tracedCalls()
+	read := make(chan int, 1)
+	go func() {
+		if err := ts.managers[1].Acquire(30, []Requirement{{Item: id, Region: r, Mode: Read}}); err != nil {
+			t.Error(err)
+		}
+		read <- *at(1)
+		ts.managers[1].Release(30)
+	}()
+	select {
+	case v := <-read:
+		t.Fatalf("read at rank 1 returned %d while rank 3 holds the write lock", v)
+	case <-time.After(100 * time.Millisecond):
+	}
+	ts.managers[3].Release(20)
+	select {
+	case v := <-read:
+		if v != 8 {
+			t.Fatalf("read at rank 1 after the release = %d, want rank 3's 8", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read at rank 1 never returned")
+	}
+	ts.settle(t)
+	if n := calls()[methodFetch]; n != 0 {
+		t.Errorf("the read after the write cost %d dim.fetch, want 0", n)
+	}
+
+	// Second write: rank 1 has read its copy, rank 2 has not.
+	ts.touch(t, 3, id, r, Write)
+	ts.settle(t)
+	if cov := ts.coverage(t, 1, id); !cov.Equal(dataitem.Region(r)) {
+		t.Errorf("rank 1's replica, read since its refresh, was not kept: %v", cov)
+	}
+	if cov := ts.coverage(t, 2, id); !cov.IsEmpty() {
+		t.Errorf("rank 2's replica, not read since its refresh, survived: %v", cov)
+	}
+	// Third write, no read in between: rank 3 is the only owner.
+	ts.touch(t, 3, id, r, Write)
 	owners, err := ts.managers[3].Owners(id, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(owners) != 1 || owners[0].Rank != 3 {
-		t.Fatalf("owners after consolidation = %+v", owners)
+		t.Fatalf("owners after a write nobody read in between = %+v", owners)
 	}
-	frag3, _ := ts.managers[3].Fragment(id)
-	if got := frag3.(*dataitem.GridFragment[int]).At(p(1, 1)); got != 7 {
-		t.Fatalf("consolidated value = %d, want 7", got)
+	if !ts.managers[3].ExclusivelyOwned(id, r) {
+		t.Error("writer is not the sole owner on its own records")
 	}
-	ts.managers[3].Release(20)
+	ts.noPins(t, id)
 }
 
 func TestLookupEscalatesThroughHierarchy(t *testing.T) {
@@ -417,17 +469,18 @@ func TestDropReplicaRespectsLocks(t *testing.T) {
 	ts := newTestSystem(t, 2, typ)
 	id, _ := ts.managers[0].CreateItem(typ)
 	r := gr(0, 0, 8, 8)
-	if err := ts.managers[0].Acquire(1, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
+	const writer = 3 // rank 0's write acquisition
+	if err := ts.managers[0].Acquire(writer, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
 		t.Fatal(err)
 	}
-	ts.managers[0].Release(1)
+	ts.managers[0].Release(writer)
 	// Replicate to rank 1.
 	if err := ts.managers[1].Acquire(2, []Requirement{{Item: id, Region: r, Mode: Read}}); err != nil {
 		t.Fatal(err)
 	}
 	// Dropping rank 1's locked replica must block until release.
 	dropped := make(chan error, 1)
-	go func() { dropped <- ts.managers[0].evict(id, Located{Region: r, Rank: 1}) }()
+	go func() { dropped <- ts.managers[0].evict(writer, id, Located{Region: r, Rank: 1}, 0) }()
 	select {
 	case err := <-dropped:
 		t.Fatalf("drop of locked replica completed early: %v", err)
@@ -437,9 +490,26 @@ func TestDropReplicaRespectsLocks(t *testing.T) {
 	if err := <-dropped; err != nil {
 		t.Fatal(err)
 	}
-	cov, _ := ts.managers[1].Coverage(id)
-	if !cov.IsEmpty() {
-		t.Fatalf("replica survived drop: %v", cov)
+	// The replica was in use: it stays, locked for the writer, and is
+	// no granted requirement of anybody.
+	if cov := ts.coverage(t, 1, id); !cov.Equal(dataitem.Region(r)) {
+		t.Fatalf("replica in use was not kept: %v", cov)
+	}
+	if rd, wr, _ := ts.managers[1].LockedRegions(id); len(rd)+len(wr) != 0 {
+		t.Fatalf("the writer's pin shows as a granted requirement: read %v, write %v", rd, wr)
+	}
+	if n := ts.pinCount(1); n != 1 {
+		t.Fatalf("%d pins at rank 1, want the writer's", n)
+	}
+	ts.managers[0].Release(writer)
+	ts.settle(t)
+	ts.noPins(t, id)
+	// Unread since the refresh, it goes with the next drop.
+	if err := ts.managers[0].evict(writer, id, Located{Region: r, Rank: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if cov := ts.coverage(t, 1, id); !cov.IsEmpty() {
+		t.Fatalf("unused replica survived drop: %v", cov)
 	}
 	// Rank 0 still holds the data (data preservation).
 	cov0, _ := ts.managers[0].Coverage(id)

@@ -8,6 +8,7 @@ import (
 
 	"allscale/internal/backoff"
 	"allscale/internal/dataitem"
+	"allscale/internal/runtime"
 	"allscale/internal/trace"
 	"allscale/internal/wire"
 )
@@ -57,6 +58,10 @@ type (
 	}
 	unpinArgs struct {
 		Token uint64
+		// Data, when the token names a write-mode pin, is the writer's
+		// final content of the pinned part, to be installed before the
+		// pin goes; without it the part is stale and really dropped.
+		Data []byte
 	}
 	claimArgs struct {
 		Item   ItemID
@@ -84,6 +89,12 @@ type (
 		// write-locked an overlapping region and outranks the evictor
 		// (see handleDrop).
 		Contended bool
+		// Kept is the part of the dropped region the holder did not
+		// remove: a replica read since it was installed stays in place,
+		// write-locked under PinToken on the evictor's behalf until the
+		// evictor's dim.unpin delivers its new content.
+		Kept     dataitem.Region
+		PinToken uint64
 	}
 	// batchReq is one resolution sub-request of a dim.resolveBatch
 	// frame; All selects full-descent (Owners-style) resolution.
@@ -106,7 +117,6 @@ const (
 	methodCreate     = "dim.create"
 	methodDestroy    = "dim.destroy"
 	methodReport     = "dim.report"
-	methodResolve    = "dim.resolve"
 	methodResolveAll = "dim.resolveAll"
 	methodFetch      = "dim.fetch"
 	methodClaim      = "dim.claim"
@@ -121,7 +131,6 @@ func (m *Manager) registerServices() {
 	m.loc.Handle(methodCreate, rpc(m.handleCreate))
 	m.loc.Handle(methodDestroy, rpc(m.handleDestroy))
 	m.loc.Handle(methodReport, rpc(m.handleReport))
-	m.loc.Handle(methodResolve, rpc(m.handleResolve))
 	m.loc.Handle(methodResolveAll, rpc(m.handleResolveAll))
 	m.loc.Handle(methodFetch, rpc(m.handleFetch))
 	m.loc.Handle(methodClaim, rpc(m.handleClaim))
@@ -196,6 +205,8 @@ func (m *Manager) handleCreate(_ int, args *createArgs) (*struct{}, error) {
 		rooted:    typ.EmptyRegion(),
 		root:      typ.EmptyRegion(),
 		lent:      make(map[int]dataitem.Region),
+		used:      typ.EmptyRegion(),
+		unused:    typ.EmptyRegion(),
 	}
 	return &struct{}{}, nil
 }
@@ -554,14 +565,6 @@ func (m *Manager) handleResolveBatch(_ int, args *batchArgs) (*batchReply, error
 	return reply, nil
 }
 
-func (m *Manager) handleResolve(_ int, args *resolveArgs) (*resolveReply, error) {
-	entries, err := m.resolve(args.Item, args.Region, args.Level, args.Descend)
-	if err != nil {
-		return nil, err
-	}
-	return &resolveReply{Entries: entries}, nil
-}
-
 // Owners returns every copy of every segment of r: unlike Lookup it
 // descends the whole hierarchy from the root and does not stop at the
 // first owner, so replicated segments appear once per holding rank.
@@ -724,11 +727,12 @@ func (m *Manager) handleResolveAll(_ int, args *resolveArgs) (*resolveReply, err
 
 // handleFetch exports a copy of the requested region of the local
 // fragment ((replicate) rule: it waits while a write lock overlaps the
-// region). The importer goes on record as a sharer of what it is sent
-// (rule 3 in cache.go), and the exported part stays pinned — read-locked
-// on the importer's behalf — until the importer confirms that its copy
-// is in place: whoever evicts this copy meanwhile waits for that, and
-// then learns of the new one.
+// region — a task's, or the write-mode pin of a kept replica whose new
+// content has not arrived). The importer goes on record as a sharer of
+// what it is sent (rule 3 in cache.go), and the exported part stays
+// pinned — read-locked on the importer's behalf — until the importer
+// confirms that its copy is in place: whoever evicts this copy meanwhile
+// waits for that, and then learns of the new one.
 func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -738,7 +742,7 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !m.lockConflictLocked(st, args.Region, false) {
+		if !st.writeLocked(args.Region) {
 			part := args.Region.Intersect(st.frag.Region())
 			if part.IsEmpty() {
 				return &fetchReply{Empty: true}, nil
@@ -755,10 +759,7 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 				return nil, err
 			}
 			st.lend(from, part)
-			m.pinSeq++
-			token := 1<<63 | uint64(m.Rank())<<48 | m.pinSeq
-			st.locks = append(st.locks, lockEntry{token: token, mode: Read, region: part})
-			m.pins[token] = from
+			token := m.pinLocked(st, pin{rank: from, item: args.Item}, part)
 			return &fetchReply{Data: data, Part: part, PinToken: token}, nil
 		}
 		if err := m.waitLocked(deadline); err != nil {
@@ -767,13 +768,36 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 	}
 }
 
-// handleDrop evicts the local copy of a region on behalf of a writer
-// that holds its own copy under a write lock — the only way a rank
-// loses data — and hands back the sharer records of the region. It
-// waits until no lock overlaps the region: a locked replica must stay
-// in place (satisfied requirements), and a pinned one has a copy in
-// flight whose record the reply must carry. A holder that has nothing
-// of the region (a stale sharer record) answers at once.
+// pinLocked locks part on behalf of p.rank, outside any acquisition,
+// and returns the token the peer releases it by.
+func (m *Manager) pinLocked(st *itemState, p pin, part dataitem.Region) uint64 {
+	m.pinSeq++
+	token := 1<<63 | uint64(m.Rank())<<48 | m.pinSeq
+	mode := Read
+	if p.write {
+		mode = Write
+	}
+	st.locks = append(st.locks, lockEntry{token: token, mode: mode, region: part})
+	m.pins[token] = p
+	return token
+}
+
+// handleDrop ends the local copy of a region on behalf of a writer that
+// holds its own copy under a write lock, and hands back the sharer
+// records of the region. It waits until no lock overlaps the region: a
+// locked replica must stay in place (satisfied requirements), and a
+// pinned one has a copy in flight whose record the reply must carry. A
+// holder that has nothing of the region (a stale sharer record) answers
+// at once.
+//
+// What happens to the copy depends on what it is. The root copy, and a
+// replica no task here was granted since it was installed, are removed
+// — the only way a rank loses data. A replica that was read stays:
+// same storage, same coverage, but write-locked from now on by a pin
+// held for the evictor, whose release sends the new content
+// (handleUnpin). Nothing can observe the kept bytes in between, so to
+// every other party the copy is gone until it is made again — without
+// the index reports, the cache revocations and the re-fetch.
 //
 // A write lock on the region means the evictor and a task here both
 // hold a copy and have both locked it — staging does not wait for other
@@ -782,7 +806,10 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 // its locks and starts over; a lower-ranked one waits here like behind
 // any lock, because the local writer's own eviction of that rank's copy
 // is turned away there. The lowest rank among any set of contenders
-// yields to nobody, so one of them always completes.
+// yields to nobody, so one of them always completes. A write-mode pin
+// is the write lock of the rank it is held for: the evictor waits for
+// its own (the refresh of its previous acquisition is still on its way)
+// and for a higher rank's, and gives way to a lower rank's.
 func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -796,25 +823,60 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 		if part.IsEmpty() {
 			return st.release(args.Region, from), nil
 		}
-		if from > m.Rank() && m.lockConflictLocked(st, args.Region, false) {
-			return &dropReply{Contended: true}, nil
-		}
-		if !m.lockConflictLocked(st, args.Region, true) {
-			reply := st.release(args.Region, from)
-			// The records handed over name every copy made from this one
-			// but the evictor's own, and this rank may be the root
-			// holder's only link to that: leave a record of the evictor
-			// in the evicted copy's place.
-			st.lend(from, part)
-			if err := m.shrinkLocked(args.Item, st, part, from); err != nil {
-				return nil, err
+		busy := false
+		for _, e := range st.locks {
+			if e.region.Intersect(args.Region).IsEmpty() {
+				continue
 			}
-			return reply, nil
+			busy = true
+			if e.mode == Write && from > m.writerOfLocked(e) {
+				return &dropReply{Contended: true}, nil
+			}
+		}
+		if !busy {
+			return m.dropLocked(args.Item, st, args.Region, part, from)
 		}
 		if err := m.waitLocked(deadline); err != nil {
 			return nil, fmt.Errorf("dim: drop of %v blocked on locks: %w", args.Item, err)
 		}
 	}
+}
+
+// writerOfLocked returns the rank whose write acquisition the
+// write-mode lock e stands for: this one, or the peer a pin is held for.
+func (m *Manager) writerOfLocked(e lockEntry) int {
+	if p, ok := m.pins[e.token]; ok {
+		return p.rank
+	}
+	return m.Rank()
+}
+
+// dropLocked serves a drop of region, of which part is present and
+// unlocked: records and root role go to the evictor, the used replica
+// part is kept under a write-mode pin, the rest is removed.
+func (m *Manager) dropLocked(id ItemID, st *itemState, region, part dataitem.Region, from int) (*dropReply, error) {
+	reply := st.release(region, from)
+	// The records handed over name every copy made from this one but the
+	// evictor's own, and this rank may be the root holder's only link to
+	// that: leave a record of the evictor beside (or in place of) the
+	// evicted copy.
+	st.lend(from, part)
+	keep := part.Intersect(st.used).Difference(reply.Root)
+	if !keep.IsEmpty() {
+		reply.Kept = keep
+		reply.PinToken = m.pinLocked(st, pin{rank: from, item: id, write: true}, keep)
+		m.dropKept.Inc()
+	}
+	if gone := part.Difference(keep); !gone.IsEmpty() {
+		m.dropEvicted.Inc()
+		if err := m.shrinkLocked(id, st, gone, from); err != nil {
+			// The evictor will not learn of the pin: the kept part goes on
+			// as the replica it was.
+			m.unlockLocked(reply.PinToken)
+			return nil, err
+		}
+	}
+	return reply, nil
 }
 
 // shrinkLocked removes part from the local fragment and makes the loss
@@ -826,7 +888,7 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 // cannot misdirect a fetch, and it drops all its entries when its own
 // coverage next changes.
 func (m *Manager) shrinkLocked(id ItemID, st *itemState, part dataitem.Region, asker int) error {
-	if err := st.frag.Resize(st.frag.Region().Difference(part)); err != nil {
+	if err := st.forget(part); err != nil {
 		return err
 	}
 	total := st.frag.Region()
@@ -843,9 +905,64 @@ func (m *Manager) shrinkLocked(id ItemID, st *itemState, part dataitem.Region, a
 	return err
 }
 
+// handleUnpin releases a pin. For a read-mode pin that is all: the
+// importer's copy is registered. A write-mode pin goes with the
+// writer's final content of the kept part, installed first — or, when
+// the writer had none to send, with the part itself, which is stale.
+// The token is the gate: a refresh whose pin is gone (released by
+// recovery, or a resend that outlived the dedup window) installs
+// nothing, and successive writes need no version because each one's
+// drop waits for the previous one's pin.
 func (m *Manager) handleUnpin(_ int, args *unpinArgs) (*struct{}, error) {
-	m.Release(args.Token)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p, ok := m.pins[args.Token]
+	switch {
+	case !ok:
+		if len(args.Data) > 0 {
+			m.refreshStale.Inc()
+		}
+	case p.write:
+		m.settleLocked(args.Token, p, args.Data, true)
+	default:
+		m.unlockLocked(args.Token)
+	}
 	return &struct{}{}, nil
+}
+
+// settleLocked ends the write-mode pin token: data, the writer's final
+// content of the pinned part, is installed under it; with none the part
+// is removed (and the loss reported, if report is set) before the lock
+// goes, so whoever waits behind it re-stages instead of reading stale
+// bytes.
+func (m *Manager) settleLocked(token uint64, p pin, data []byte, report bool) {
+	st, ok := m.items[p.item]
+	if !ok {
+		delete(m.pins, token)
+		return
+	}
+	var part dataitem.Region = st.typ.EmptyRegion()
+	for _, e := range st.locks {
+		if e.token == token {
+			part = part.Union(e.region)
+		}
+	}
+	if len(data) > 0 {
+		if fresh, err := st.frag.Insert(data); err == nil {
+			st.installed(fresh)
+			part = part.Difference(fresh)
+		}
+	}
+	if !part.IsEmpty() {
+		// Best effort: a report that fails leaves an index entry a fetch
+		// answers Empty to, which corrects itself (rule 2 in cache.go).
+		if report {
+			_ = m.shrinkLocked(p.item, st, part, p.rank)
+		} else {
+			_ = st.forget(part)
+		}
+	}
+	m.unlockLocked(token)
 }
 
 // handleClaim serializes, at the index root host, the two decisions
@@ -891,15 +1008,13 @@ func (m *Manager) claim(id ItemID, r dataitem.Region, alloc, root bool) (dataite
 // Locks
 // ---------------------------------------------------------------
 
-// lockConflictLocked reports whether a lock overlaps region; when
-// exclusive is set, read locks conflict too (migration), otherwise
-// only write locks (replication).
-func (m *Manager) lockConflictLocked(st *itemState, region dataitem.Region, exclusive bool) bool {
+// writeLocked reports whether a write lock — a task's or a write-mode
+// pin — overlaps region (replication waits for those only; a drop
+// waits for every lock, see handleDrop).
+func (st *itemState) writeLocked(region dataitem.Region) bool {
 	for _, e := range st.locks {
-		if e.mode == Write || exclusive {
-			if !e.region.Intersect(region).IsEmpty() {
-				return true
-			}
+		if e.mode == Write && !e.region.Intersect(region).IsEmpty() {
+			return true
 		}
 	}
 	return false
@@ -928,10 +1043,12 @@ func (m *Manager) waitLocked(deadline time.Time) error {
 //  2. lock — atomically take all locks, provided no conflicting lock
 //     exists and the staged coverage is still local (a racing
 //     migration sends us back to staging);
-//  3. validate — for write requirements, evict every other copy of
-//     the region (restoring exclusive writes): the replicas on record
-//     with this rank, and outside its root region whatever the index
-//     still lists.
+//  3. validate — for write requirements, end every other copy of the
+//     region (restoring exclusive writes): the replicas on record with
+//     this rank, and outside its root region whatever the index still
+//     lists. A replica in use at its holder is not removed but held
+//     there under a write-mode pin, and refreshed with the new content
+//     when the token is released.
 //
 // On failure all locks of the token are released.
 //
@@ -982,7 +1099,7 @@ func (m *Manager) acquire(token uint64, reqs []Requirement, span trace.SpanID) e
 		if !ok {
 			continue // coverage changed under us: re-stage
 		}
-		if err := m.enforceExclusive(sorted, deadline, span); err != nil {
+		if err := m.enforceExclusive(token, sorted, deadline, span); err != nil {
 			m.Release(token)
 			if !errors.Is(err, errContended) {
 				return err
@@ -1016,6 +1133,7 @@ func (m *Manager) newBackoff(salt uint64) *backoff.Timer {
 func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Time) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var behindPin time.Time // when a kept replica's pin was first in the way
 	for {
 		conflict := false
 		for _, rq := range reqs {
@@ -1029,6 +1147,9 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Tim
 				}
 				if (e.mode == Write || rq.Mode == Write) && !e.region.Intersect(rq.Region).IsEmpty() {
 					conflict = true
+					if p, ok := m.pins[e.token]; ok && p.write && behindPin.IsZero() {
+						behindPin = time.Now()
+					}
 					break
 				}
 			}
@@ -1042,6 +1163,9 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Tim
 			}
 			continue
 		}
+		if !behindPin.IsZero() {
+			m.refreshWait.Observe(time.Since(behindPin))
+		}
 		// Conflict-free: is the staged coverage still here?
 		for _, rq := range reqs {
 			st, _ := m.itemLocked(rq.Item)
@@ -1052,6 +1176,7 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Tim
 		for _, rq := range reqs {
 			st, _ := m.itemLocked(rq.Item)
 			st.locks = append(st.locks, lockEntry{token: token, mode: rq.Mode, region: rq.Region})
+			st.granted(rq.Region)
 		}
 		return true, nil
 	}
@@ -1059,11 +1184,13 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Tim
 
 // enforceExclusive restores single-copy ownership of all write
 // regions after the locks are taken: it is done with a region once the
-// local copy is the root copy and the sharer records name nobody.
+// local copy is the root copy and every sharer record inside it names a
+// copy this acquisition holds pinned (m.held[token]) — storage its
+// holder cannot read until Release has refreshed it, not a copy.
 //
 // The copies on record here are evicted first, and theirs (evict). If
-// that leaves the region inside root, all copies there were are gone
-// (rule 3 in cache.go) — no index walk. Otherwise the root copy is
+// that leaves the region inside root, all copies there were are gone or
+// held (rule 3 in cache.go) — no index walk. Otherwise the root copy is
 // elsewhere and the authoritative walk is asked where: every holder it
 // lists is evicted, the root holder among them hands its role and its
 // records over, and the loop starts again with those. A walk is a
@@ -1081,12 +1208,14 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Tim
 // in-flight copy is missed.
 //
 // Evicting moves no data: the local copy is current. Elements change
-// only under a completed write acquisition, which leaves no other copy
-// behind — every copy is made by handleFetch, hence on record at its
-// source and pinned there until it is in place — and data leaves a
-// rank only by handleDrop, sent by a rank that holds the same elements
-// under a write lock. So no copy survives a write to it elsewhere.
-func (m *Manager) enforceExclusive(reqs []Requirement, deadline time.Time, span trace.SpanID) error {
+// only under a completed write acquisition, which leaves no other
+// readable copy behind — every copy is made by handleFetch, hence on
+// record at its source and pinned there until it is in place — and a
+// copy ends only by handleDrop, sent by a rank that holds the same
+// elements under a write lock. So no copy survives a write to it
+// elsewhere with its old content: it is removed, or unreadable until it
+// has the new one.
+func (m *Manager) enforceExclusive(token uint64, reqs []Requirement, deadline time.Time, span trace.SpanID) error {
 	for _, rq := range reqs {
 		if rq.Mode != Write {
 			continue
@@ -1094,10 +1223,10 @@ func (m *Manager) enforceExclusive(reqs []Requirement, deadline time.Time, span 
 		walked := false
 		var bo *backoff.Timer
 		for {
-			sharers, unrooted := m.sharersOf(rq.Item, rq.Region)
+			sharers, unrooted := m.sharersOf(token, rq.Item, rq.Region)
 			if len(sharers) > 0 {
 				for _, o := range sharers {
-					if err := m.evict(rq.Item, o); err != nil {
+					if err := m.evict(token, rq.Item, o, span); err != nil {
 						return err
 					}
 				}
@@ -1113,13 +1242,16 @@ func (m *Manager) enforceExclusive(reqs []Requirement, deadline time.Time, span 
 			if err != nil {
 				return err
 			}
+			// A copy this acquisition holds pinned is still coverage to the
+			// index, and not the walk's concern.
+			owners = m.notHeld(token, rq.Item, owners...)
 			foreign := false
 			for _, o := range owners {
 				if o.Rank == m.Rank() {
 					continue
 				}
 				foreign = true
-				if err := m.evict(rq.Item, o); err != nil {
+				if err := m.evict(token, rq.Item, o, span); err != nil {
 					return err
 				}
 			}
@@ -1160,10 +1292,36 @@ func (m *Manager) enforceExclusive(reqs []Requirement, deadline time.Time, span 
 	return nil
 }
 
-// Release drops all locks held by token.
+// Release drops all locks held by token. The replicas a write
+// acquisition left pinned at their holders are owed its result: their
+// parts are extracted while the write lock still stands and sent with
+// the dim.unpin that releases each pin — supervised, and not waited
+// for: the pin keeps every reader of the stale bytes out until the
+// refresh has arrived.
 func (m *Manager) Release(token uint64) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	held := m.held[token]
+	delete(m.held, token)
+	refresh := make([][]byte, len(held))
+	for i, h := range held {
+		if st, ok := m.items[h.item]; ok {
+			// An acquisition that lost its data (a recovery reset) has
+			// nothing to send: the holder drops the part instead.
+			refresh[i], _ = st.frag.Extract(h.region)
+		}
+	}
+	m.unlockLocked(token)
+	m.mu.Unlock()
+	for i, h := range held {
+		m.refreshSent.Inc()
+		m.refreshBytes.Add(uint64(len(refresh[i])))
+		m.loc.CallAsync(h.rank, methodUnpin, &unpinArgs{Token: h.token, Data: refresh[i]}, m.ctlOpt())
+	}
+}
+
+// unlockLocked removes the lock entries of token — an acquisition's or
+// a pin's — and wakes the waiters.
+func (m *Manager) unlockLocked(token uint64) {
 	delete(m.pins, token)
 	for _, st := range m.items {
 		kept := st.locks[:0]
@@ -1188,7 +1346,7 @@ func (m *Manager) LockedRegions(id ItemID) (read, write []dataitem.Region, err e
 	}
 	for _, e := range st.locks {
 		if _, pin := m.pins[e.token]; pin {
-			continue // an export in flight, not a granted requirement
+			continue // a copy in flight or awaiting its refresh, not a granted requirement
 		}
 		if e.mode == Write {
 			write = append(write, e.region)
@@ -1197,6 +1355,15 @@ func (m *Manager) LockedRegions(id ItemID) (read, write []dataitem.Region, err e
 		}
 	}
 	return read, write, nil
+}
+
+// Pins returns how many pins — of either mode, plus refreshes this
+// rank's acquisitions still owe — are outstanding: zero at quiescence
+// (for tests and monitoring).
+func (m *Manager) Pins() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.pins) + len(m.held)
 }
 
 // ensureLocal stages one requirement's data into the local fragment:
@@ -1245,7 +1412,7 @@ func (m *Manager) ensureLocal(rq Requirement, span trace.SpanID) error {
 				continue
 			}
 			var reply fetchReply
-			err := m.loc.Call(o.Rank, methodFetch, &fetchArgs{Item: rq.Item, Region: want}, &reply, m.dataOpt())
+			err := m.loc.Call(o.Rank, methodFetch, &fetchArgs{Item: rq.Item, Region: want}, &reply, m.dataOpt(), runtime.WithParent(span))
 			if err != nil {
 				return fmt.Errorf("dim: fetch %v from rank %d: %w", rq.Item, o.Rank, err)
 			}
@@ -1266,7 +1433,7 @@ func (m *Manager) ensureLocal(rq Requirement, span trace.SpanID) error {
 			// pin has done its work, ordering the insert before any drop
 			// the source may send or point here — but the call is
 			// supervised, so a lost frame is resent.
-			m.loc.CallAsync(o.Rank, methodUnpin, &unpinArgs{Token: reply.PinToken}, m.ctlOpt())
+			m.loc.CallAsync(o.Rank, methodUnpin, &unpinArgs{Token: reply.PinToken}, m.ctlOpt(), runtime.WithParent(span))
 			if insErr != nil {
 				return insErr
 			}
@@ -1316,8 +1483,8 @@ func (m *Manager) ensureLocal(rq Requirement, span trace.SpanID) error {
 }
 
 // insertLocal grows the local fragment by region and inserts the
-// transferred data. Data refreshing rows already held changes no
-// coverage, so nothing is reported.
+// transferred data: a replica, unused so far. Data refreshing rows
+// already held changes no coverage, so nothing is reported.
 func (m *Manager) insertLocal(id ItemID, region dataitem.Region, data []byte) error {
 	m.mu.Lock()
 	st, err := m.itemLocked(id)
@@ -1337,6 +1504,7 @@ func (m *Manager) insertLocal(id ItemID, region dataitem.Region, data []byte) er
 		m.mu.Unlock()
 		return err
 	}
+	st.installed(region)
 	if !grew {
 		m.mu.Unlock()
 		return nil

@@ -111,6 +111,27 @@ func (m *Manager) RetractEpoch(epoch uint64) {
 		m.invalidateLocatesLocked(st)
 		st.resetDirectory()
 	}
+	// A kept replica waits for a refresh from a writer whose record of it
+	// was just cleared: it goes too (the republish that follows reports
+	// the loss), and the refresh will find no pin.
+	m.settleWritePinsLocked(func(pin) bool { return true }, false)
+}
+
+// settleWritePinsLocked ends every write-mode pin that match selects,
+// removing the stale part it holds (see settleLocked).
+func (m *Manager) settleWritePinsLocked(match func(pin) bool, report bool) {
+	var tokens []uint64
+	for t, p := range m.pins {
+		if p.write && match(p) {
+			tokens = append(tokens, t)
+		}
+	}
+	for _, t := range tokens {
+		// Reporting releases the mutex: the pin may be gone by now.
+		if p, ok := m.pins[t]; ok {
+			m.settleLocked(t, p, nil, report)
+		}
+	}
 }
 
 // Epoch returns the manager's current recovery epoch.
@@ -175,6 +196,8 @@ func (m *Manager) ResetLocal(id ItemID, snaps []*LocalSnapshot) error {
 			region = region.Union(s.Region)
 		}
 	}
+	// Replicas kept for a writer's refresh are replaced with the rest.
+	m.settleWritePinsLocked(func(p pin) bool { return p.item == id }, false)
 	if err := st.frag.Resize(region); err != nil {
 		return err
 	}
@@ -192,30 +215,31 @@ func (m *Manager) ResetLocal(id ItemID, snaps []*LocalSnapshot) error {
 	return nil
 }
 
-// ReleasePinsOf force-releases every replica pin held on behalf of the
-// given (dead or departed) rank. A pin is a temporary read lock the
+// ReleasePinsOf force-releases every pin held on behalf of the given
+// (dead or departed) rank. A read-mode pin is a temporary lock the
 // exporter holds until the importer confirms registration; a crashed
 // importer never confirms, and without this its pins would block
-// writers until the lock-wait timeout. The rank's sharer records
-// go with it — its copies are gone — and so does the root status of
-// what it was lent: copies made from its copy were recorded only there,
-// so this rank can no longer vouch for knowing them all.
+// writers until the lock-wait timeout. A write-mode pin holds a replica
+// kept for the rank's write, whose refresh will never come: the part is
+// stale, so it is removed and the loss reported before the lock goes —
+// a reader parked behind it wakes to find its data missing and stages
+// it anew. The rank's sharer records go with it — its copies are gone —
+// and so does the root status of what it was lent: copies made from its
+// copy were recorded only there, so this rank can no longer vouch for
+// knowing them all.
 func (m *Manager) ReleasePinsOf(rank int) {
 	m.mu.Lock()
-	var tokens []uint64
-	for t, r := range m.pins {
-		if r == rank {
-			tokens = append(tokens, t)
-		}
-	}
+	defer m.mu.Unlock()
 	for _, st := range m.items {
 		if lr, ok := st.lent[rank]; ok {
 			st.root = st.root.Difference(lr)
 			delete(st.lent, rank)
 		}
 	}
-	m.mu.Unlock()
-	for _, t := range tokens {
-		m.Release(t)
+	m.settleWritePinsLocked(func(p pin) bool { return p.rank == rank }, true)
+	for t, p := range m.pins {
+		if p.rank == rank {
+			m.unlockLocked(t)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 
 	"allscale/internal/dataitem"
+	"allscale/internal/runtime"
+	"allscale/internal/trace"
 )
 
 // Owner-tracked sharers (DESIGN.md §6f, coherence rule 3).
@@ -26,6 +28,12 @@ import (
 // holder's only link to it. A record may outlive the copy at the peer
 // (someone else evicted it first), which costs one drop answered
 // "nothing here".
+//
+// A replica that its holder's tasks have read since it was installed
+// (itemState.used) is not removed by the drop but kept, write-locked
+// under a pin the writer releases with the new content (keep and
+// refresh): the record of it stays with the writer, which remembers on
+// its token (Manager.held) that the copy is accounted for.
 
 // lend records that peer holds a copy of r: made from this fragment,
 // made from the fragment of a holder this rank evicted, or the copy
@@ -92,24 +100,85 @@ func (st *itemState) release(r dataitem.Region, to int) *dropReply {
 // resetDirectory gives up the root region and every sharer record —
 // and, at the index root host, the account of where root copies exist:
 // the next write acquisition of any region walks the index and claims
-// the root role anew.
+// the root role anew. What is a replica is forgotten with it: until it
+// is fetched anew, every part of the fragment is dropped for real.
 func (st *itemState) resetDirectory() {
 	st.root = st.typ.EmptyRegion()
 	st.rooted = st.typ.EmptyRegion()
+	st.used = st.typ.EmptyRegion()
+	st.unused = st.typ.EmptyRegion()
 	clear(st.lent)
 }
 
-// sharersOf returns the lent records intersecting r (left in place
-// until evict has dropped the copy each one names) and the part of r
-// outside the root region.
-func (m *Manager) sharersOf(id ItemID, r dataitem.Region) (sharers []Located, unrooted dataitem.Region) {
+// installed notes that r was just written into the fragment from
+// another rank's copy: a replica no task here has seen yet.
+func (st *itemState) installed(r dataitem.Region) {
+	st.used = st.used.Difference(r)
+	st.unused = st.unused.Union(r)
+}
+
+// granted notes that r was locked for a local task. Only the first
+// grant after an install does any region algebra.
+func (st *itemState) granted(r dataitem.Region) {
+	if st.unused.IsEmpty() {
+		return
+	}
+	if hit := st.unused.Intersect(r); !hit.IsEmpty() {
+		st.unused = st.unused.Difference(hit)
+		st.used = st.used.Union(hit)
+	}
+}
+
+// forget removes r from the fragment.
+func (st *itemState) forget(r dataitem.Region) error {
+	if err := st.frag.Resize(st.frag.Region().Difference(r)); err != nil {
+		return err
+	}
+	st.used = st.used.Difference(r)
+	st.unused = st.unused.Difference(r)
+	return nil
+}
+
+// sharersOf returns the lent records intersecting r that the
+// acquisition token does not hold pinned (left in place until evict has
+// dealt with the copy each one names) and the part of r outside the
+// root region.
+func (m *Manager) sharersOf(token uint64, id ItemID, r dataitem.Region) (sharers []Located, unrooted dataitem.Region) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st, ok := m.items[id]
 	if !ok {
 		return nil, r
 	}
-	return st.sharers(r), r.Difference(st.root)
+	return m.notHeldLocked(token, id, st.sharers(r)), r.Difference(st.root)
+}
+
+// notHeldLocked clips the copies of item id listed in owners to what
+// the acquisition token has not left pinned at their holders.
+func (m *Manager) notHeldLocked(token uint64, id ItemID, owners []Located) []Located {
+	held := m.held[token]
+	if len(held) == 0 {
+		return owners
+	}
+	var out []Located
+	for _, o := range owners {
+		for _, h := range held {
+			if h.rank == o.Rank && h.item == id {
+				o.Region = o.Region.Difference(h.region)
+			}
+		}
+		if !o.Region.IsEmpty() {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// notHeld is notHeldLocked for callers outside the lock.
+func (m *Manager) notHeld(token uint64, id ItemID, owners ...Located) []Located {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.notHeldLocked(token, id, owners)
 }
 
 // errContended reports a drop turned away by a lower rank that has
@@ -118,35 +187,52 @@ var errContended = errors.New("a lower rank is acquiring the region for writing"
 
 // evict drops the copy o names and then every copy made from it: each
 // drop reply lists the evicted holder's own sharers of the region,
-// which are chased in turn. The caller must hold a write lock on the
-// region with the data locally present — that copy is what makes
-// destroying the others safe, and the lock is what keeps a new copy
-// from being made behind the chase (any still in flight is pinned at
-// its source, whose drop waits for the pin and then reports it).
-func (m *Manager) evict(id ItemID, o Located) error {
+// which are chased in turn. The caller must hold a write lock (token's)
+// on the region with the data locally present — that copy is what
+// makes destroying the others safe, and the lock is what keeps a new
+// copy from being made behind the chase (any still in flight is pinned
+// at its source, whose drop waits for the pin and then reports it). A
+// holder that keeps its copy stays on record, and the pin it took goes
+// on the token. span is the acquisition's.
+func (m *Manager) evict(token uint64, id ItemID, o Located, span trace.SpanID) error {
 	work := []Located{o}
 	for len(work) > 0 {
 		o, work = work[len(work)-1], work[:len(work)-1]
 		if o.Rank == m.Rank() {
 			continue
 		}
+		// A copy this acquisition holds pinned since an earlier drop may
+		// be listed again by a later one: dropping it twice would wait
+		// for our own pin.
+		rest := m.notHeld(token, id, o)
+		if len(rest) == 0 {
+			continue
+		}
+		o = rest[0]
 		// Like a fetch, a drop may wait out a reader at the holder: it
 		// rides the data-plane profile, not the bounded control-plane
 		// one.
 		var reply dropReply
-		if err := m.loc.Call(o.Rank, methodDrop, &dropArgs{Item: id, Region: o.Region}, &reply, m.dataOpt()); err != nil {
+		if err := m.loc.Call(o.Rank, methodDrop, &dropArgs{Item: id, Region: o.Region}, &reply, m.dataOpt(), runtime.WithParent(span)); err != nil {
 			return fmt.Errorf("dim: evict replica of %v from rank %d: %w", id, o.Rank, err)
 		}
 		if reply.Contended {
 			return fmt.Errorf("dim: evict replica of %v from rank %d: %w", id, o.Rank, errContended)
 		}
-		// That copy is gone, and its holder has forgotten the copies made
-		// from it: they are ours to answer for until the chase has
-		// reached them, should it fail half-way.
+		// That copy is gone or pinned, and its holder has forgotten the
+		// copies made from it: they are ours to answer for until the chase
+		// has reached them, should it fail half-way.
 		m.mu.Lock()
-		if st, ok := m.items[id]; ok {
+		st, ok := m.items[id]
+		if ok {
 			st.unlend(o.Rank, o.Region)
 			st.inherit(&reply)
+		}
+		if reply.PinToken != 0 {
+			if ok {
+				st.lend(o.Rank, reply.Kept)
+			}
+			m.held[token] = append(m.held[token], heldPin{rank: o.Rank, item: id, region: reply.Kept, token: reply.PinToken})
 		}
 		m.mu.Unlock()
 		work = append(work, reply.Sharers...)
@@ -158,6 +244,6 @@ func (m *Manager) evict(id ItemID, o Located) error {
 // present and provably the item's only copy: inside the root region
 // and lent to nobody.
 func (m *Manager) ExclusivelyOwned(id ItemID, r dataitem.Region) bool {
-	sharers, unrooted := m.sharersOf(id, r)
+	sharers, unrooted := m.sharersOf(0, id, r)
 	return unrooted.IsEmpty() && len(sharers) == 0
 }

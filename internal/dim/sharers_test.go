@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"allscale/internal/dataitem"
+	"allscale/internal/region"
 	"allscale/internal/trace"
 )
 
@@ -38,6 +39,43 @@ func (ts *testSystem) lentCount(rank int, id ItemID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.items[id].lent)
+}
+
+// settle waits until every call nobody waits for — the unpins, with
+// and without a refresh — has been answered.
+func (ts *testSystem) settle(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for rank := range ts.managers {
+		for ts.sys.Locality(rank).PendingCalls() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("rank %d: calls still pending", rank)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
+// pinCount is the number of pins, of either mode, rank holds.
+func (ts *testSystem) pinCount(rank int) int {
+	m := ts.managers[rank]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.pins)
+}
+
+// noPins checks, at a quiescent point, that no pin has outlived its
+// acquisition: no pin and no refresh owed anywhere, and no lock on id.
+func (ts *testSystem) noPins(t *testing.T, id ItemID) {
+	t.Helper()
+	for rank, m := range ts.managers {
+		m.mu.Lock()
+		pins, held, locks := len(m.pins), len(m.held), len(m.items[id].locks)
+		m.mu.Unlock()
+		if pins != 0 || held != 0 || locks != 0 {
+			t.Errorf("rank %d at quiescence: %d pins, %d acquisitions owing a refresh, %d locks", rank, pins, held, locks)
+		}
+	}
 }
 
 func (ts *testSystem) coverage(t *testing.T, rank int, id ItemID) dataitem.Region {
@@ -80,7 +118,9 @@ func (ts *testSystem) tracedCalls() func() map[string]int {
 // rank 0 copies it from rank 1 and rank 2 copies it from rank 0 (the
 // first holder its resolution lists). Rank 1's next write must reach
 // both — the second through the first one's drop reply — and must not
-// ask the index.
+// ask the index. Both replicas were read, so both are held and
+// refreshed, and on record with the writer directly from then on; a
+// further write, with no read in between, removes them.
 func TestWriteRevokesReplicaChainWithoutWalk(t *testing.T) {
 	typ := dataitem.NewGridType[int]("field", p(8, 8))
 	ts := newTestSystem(t, 3, typ)
@@ -111,11 +151,22 @@ func TestWriteRevokesReplicaChainWithoutWalk(t *testing.T) {
 	if err := CheckSystemInvariants(ts.managers, id); err != nil {
 		t.Fatal(err)
 	}
+	frag, _ := ts.managers[1].Fragment(id)
+	frag.(*dataitem.GridFragment[int]).Set(p(2, 2), 5)
 	ts.managers[1].Release(tok)
+	ts.settle(t)
 	for _, rank := range []int{0, 2} {
-		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
-			t.Fatalf("rank %d still holds %v after the owner's write", rank, cov)
+		if cov := ts.coverage(t, rank, id); !cov.Equal(r) {
+			t.Fatalf("rank %d holds %v after the owner's write, want its replica kept", rank, cov)
 		}
+		frag, _ := ts.managers[rank].Fragment(id)
+		if got := frag.(*dataitem.GridFragment[int]).At(p(2, 2)); got != 5 {
+			t.Fatalf("rank %d's kept replica holds %d, want the owner's 5", rank, got)
+		}
+	}
+	if ts.sum(MetricDropKept) != 2 || ts.sum(MetricRefreshSent) != 2 || ts.sum(MetricDropEvicted) != 0 {
+		t.Errorf("drops kept %d, evicted %d, refreshes %d, want 2, 0, 2",
+			ts.sum(MetricDropKept), ts.sum(MetricDropEvicted), ts.sum(MetricRefreshSent))
 	}
 	if d := ts.sum(MetricLocates) - locates; d != 0 {
 		t.Errorf("the write resolved %d regions, want none", d)
@@ -127,14 +178,33 @@ func TestWriteRevokesReplicaChainWithoutWalk(t *testing.T) {
 		t.Errorf("revoke counters: walked %d -> %d, direct %d -> %d, want one more direct",
 			walked, ts.counterAt(1, MetricRevokeWalked), direct, ts.counterAt(1, MetricRevokeDirect))
 	}
-	// The evicted holders point at their evictor and at nobody else.
-	if ts.lentCount(1, id) != 0 || ts.lentCount(0, id) != 1 || ts.lentCount(2, id) != 1 ||
+	// The writer answers for both kept copies itself; their holders
+	// point at the writer and at nobody else.
+	if !ts.lentTo(1, id, 0).Equal(r) || !ts.lentTo(1, id, 2).Equal(r) ||
+		ts.lentCount(0, id) != 1 || ts.lentCount(2, id) != 1 ||
 		!ts.lentTo(0, id, 1).Equal(r) || !ts.lentTo(2, id, 1).Equal(r) {
-		t.Error("sharer records survive the revocation, or the evicted holders do not name their evictor")
+		t.Error("the writer is not on record for both kept copies, or their holders name others than the writer")
+	}
+	if err := verifyDirectory(ts.managers, id, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Nobody read the refreshed copies: the next write removes them.
+	ts.touch(t, 1, id, r, Write)
+	for _, rank := range []int{0, 2} {
+		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
+			t.Fatalf("rank %d still holds %v after a second write it never read", rank, cov)
+		}
+	}
+	if ts.lentCount(1, id) != 0 || !ts.managers[1].ExclusivelyOwned(id, r) {
+		t.Error("sharer records survive the removal of the copies they name")
+	}
+	if d := ts.sum(MetricLocates) - locates; d != 0 {
+		t.Errorf("the two writes resolved %d regions, want none", d)
 	}
 	if err := VerifyIndex(ts.managers, id); err != nil {
 		t.Fatal(err)
 	}
+	ts.noPins(t, id)
 }
 
 // TestMigrationInheritsSharers: a writer outside the root region copies
@@ -160,13 +230,16 @@ func TestMigrationInheritsSharers(t *testing.T) {
 	if ts.counterAt(2, MetricRevokeWalked) != 1 {
 		t.Errorf("revoke.walked at the new owner = %d, want 1", ts.counterAt(2, MetricRevokeWalked))
 	}
-	for _, rank := range []int{0, 1} {
-		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
-			t.Fatalf("rank %d still holds %v after the migration", rank, cov)
-		}
+	// The root copy is removed and hands its role over; the replica,
+	// which was read, is held and refreshed.
+	if cov := ts.coverage(t, 0, id); !cov.IsEmpty() {
+		t.Fatalf("old owner still holds %v after the migration", cov)
 	}
-	if !ts.managers[2].ExclusivelyOwned(id, r) {
-		t.Error("new owner does not own the migrated region exclusively")
+	if cov := ts.coverage(t, 1, id); !cov.Equal(r) {
+		t.Fatalf("rank 1's replica was not kept: %v", cov)
+	}
+	if _, unrooted := ts.managers[2].sharersOf(0, id, r); !unrooted.IsEmpty() || !ts.lentTo(2, id, 1).Equal(r) {
+		t.Error("new owner did not take over the root role and the record of the replica")
 	}
 	if ts.managers[0].ExclusivelyOwned(id, r) || ts.lentCount(0, id) != 1 || !ts.lentTo(0, id, 2).Equal(r) {
 		t.Error("old owner kept its root region, or records other than that of its evictor")
@@ -178,16 +251,24 @@ func TestMigrationInheritsSharers(t *testing.T) {
 		t.Errorf("second write at the new owner: walked %d, direct %d, want 1 and 1",
 			ts.counterAt(2, MetricRevokeWalked), ts.counterAt(2, MetricRevokeDirect))
 	}
+	// And a third one, unread, leaves it the only copy.
+	ts.touch(t, 2, id, r, Write)
 	if cov := ts.coverage(t, 1, id); !cov.IsEmpty() {
 		t.Fatalf("rank 1 still holds %v", cov)
 	}
+	if !ts.managers[2].ExclusivelyOwned(id, r) {
+		t.Error("new owner does not own the migrated region exclusively")
+	}
+	ts.settle(t)
+	ts.noPins(t, id)
 }
 
 // TestWriteRacingPinnedFetchEvictsNewReplica: rank 2's copy from rank
 // 1's replica is still in flight — exported and pinned at rank 1, not
 // yet inserted at rank 2 — when the owner writes. The owner's drop
 // must wait at rank 1 for the pin, learn of rank 2 from the reply, and
-// evict the replica rank 2 has inserted meanwhile.
+// evict the replica rank 2 has inserted meanwhile — for real: no task
+// at rank 2 has been granted it. Rank 1's copy, which was read, is held.
 func TestWriteRacingPinnedFetchEvictsNewReplica(t *testing.T) {
 	typ := dataitem.NewGridType[int]("field", p(8, 8))
 	ts := newTestSystem(t, 3, typ)
@@ -234,15 +315,21 @@ func TestWriteRacingPinnedFetchEvictsNewReplica(t *testing.T) {
 	if err := CheckSystemInvariants(ts.managers, id); err != nil {
 		t.Fatal(err)
 	}
+	if cov := ts.coverage(t, 2, id); !cov.IsEmpty() {
+		t.Fatalf("rank 2 still holds %v after the owner's write", cov)
+	}
+	if n := ts.pinCount(1); n != 1 {
+		t.Fatalf("%d pins at rank 1 during the owner's write, want the owner's", n)
+	}
 	ts.managers[0].Release(tok)
-	for _, rank := range []int{1, 2} {
-		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
-			t.Fatalf("rank %d still holds %v after the owner's write", rank, cov)
-		}
+	ts.settle(t)
+	if cov := ts.coverage(t, 1, id); !cov.Equal(r) {
+		t.Fatalf("rank 1's replica was not kept: %v", cov)
 	}
 	if ts.counterAt(0, MetricRevokeWalked) != 0 {
 		t.Error("the owner walked the index")
 	}
+	ts.noPins(t, id)
 }
 
 // TestContendingWritersGiveWay: the owner of a region and the holders
@@ -298,9 +385,17 @@ func TestContendingWritersGiveWay(t *testing.T) {
 				t.Fatalf("counter = %d after %d contended rounds, want %d", got, rounds, ranks*rounds)
 			}
 			ts.managers[0].Release(tok)
-			if err := verifyDirectory(ts.managers, id); err != nil {
+			ts.settle(t)
+			counter := func(q region.Point) int {
+				if q.Equal(p(1, 1)) {
+					return ranks * rounds
+				}
+				return 0
+			}
+			if err := verifyDirectory(ts.managers, id, counter); err != nil {
 				t.Fatal(err)
 			}
+			ts.noPins(t, id)
 		})
 	}
 }
@@ -346,10 +441,15 @@ func TestWriterStagedFromReplicaIsOnRecord(t *testing.T) {
 	if w, d := ts.counterAt(1, MetricRevokeWalked)-walked, ts.counterAt(1, MetricRevokeDirect)-direct; w != 0 || d != 1 {
 		t.Errorf("owner's write: %d walked, %d direct, want 0 and 1", w, d)
 	}
-	for _, rank := range []int{0, 2} {
-		if cov := ts.coverage(t, rank, id); !cov.IsEmpty() {
-			t.Fatalf("rank %d still holds %v after the owner's write", rank, cov)
-		}
+	// Rank 2's copy was staged and never granted: it is removed. Rank 0's
+	// was read: it is held, and has the owner's value once refreshed.
+	if cov := ts.coverage(t, 2, id); !cov.IsEmpty() {
+		t.Fatalf("rank 2 still holds %v after the owner's write", cov)
+	}
+	ts.settle(t)
+	frag0, _ := ts.managers[0].Fragment(id)
+	if got := frag0.(*dataitem.GridFragment[int]).At(p(1, 1)); got != 42 || !ts.coverage(t, 0, id).Equal(r) {
+		t.Fatalf("rank 0's kept replica holds %d over %v, want 42 over %v", got, ts.coverage(t, 0, id), r)
 	}
 
 	// Rank 2 goes on with its acquisition and must see the owner's value.
@@ -362,7 +462,7 @@ func TestWriterStagedFromReplicaIsOnRecord(t *testing.T) {
 		t.Fatalf("rank 2 reads %d after the owner wrote 42", got)
 	}
 	ts.managers[2].Release(tok)
-	if err := verifyDirectory(ts.managers, id); err != nil {
+	if err := verifyDirectory(ts.managers, id, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyIndex(ts.managers, id); err != nil {
@@ -371,9 +471,10 @@ func TestWriterStagedFromReplicaIsOnRecord(t *testing.T) {
 }
 
 // TestStaleSharerCostsOneEmptyDrop: rank 0's replica of rank 1's
-// region is evicted by a third writer before the owner is, so the
-// record the owner hands over is stale. Chasing it costs one drop
-// answered "nothing here" and no error.
+// region — staged, never granted, so removed for real — is evicted by a
+// third writer before the owner is, so the record the owner hands over
+// is stale. Chasing it costs one drop answered "nothing here" and no
+// error.
 func TestStaleSharerCostsOneEmptyDrop(t *testing.T) {
 	typ := dataitem.NewGridType[int]("field", p(8, 8))
 	ts := newTestSystem(t, 3, typ)
@@ -381,7 +482,9 @@ func TestStaleSharerCostsOneEmptyDrop(t *testing.T) {
 	r := dataitem.Region(gr(0, 0, 8, 8))
 
 	ts.touch(t, 1, id, r, Write)
-	ts.touch(t, 0, id, r, Read)
+	if err := ts.managers[0].ensureLocal(Requirement{Item: id, Region: r, Mode: Read}, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	calls := ts.tracedCalls()
 	// Rank 2's walks list rank 0 first: it copies from the replica and
@@ -425,10 +528,10 @@ func TestRecoveryDropsDirectory(t *testing.T) {
 	if !ts.lentTo(0, id, 1).IsEmpty() {
 		t.Fatal("dead sharer's record survives ReleasePinsOf")
 	}
-	if _, unrooted := ts.managers[0].sharersOf(id, half); !unrooted.Equal(half) {
+	if _, unrooted := ts.managers[0].sharersOf(0, id, half); !unrooted.Equal(half) {
 		t.Fatal("region lent to a dead rank is still rooted")
 	}
-	if _, unrooted := ts.managers[0].sharersOf(id, r.Difference(half)); !unrooted.IsEmpty() {
+	if _, unrooted := ts.managers[0].sharersOf(0, id, r.Difference(half)); !unrooted.IsEmpty() {
 		t.Fatal("ReleasePinsOf shrank the root region beyond the dead rank's share")
 	}
 
@@ -440,7 +543,7 @@ func TestRecoveryDropsDirectory(t *testing.T) {
 			t.Fatalf("rank %d keeps sharer records across RetractEpoch", rank)
 		}
 	}
-	if _, unrooted := ts.managers[0].sharersOf(id, r); !unrooted.Equal(r) {
+	if _, unrooted := ts.managers[0].sharersOf(0, id, r); !unrooted.Equal(r) {
 		t.Fatal("root region survives RetractEpoch")
 	}
 	for _, m := range ts.managers {

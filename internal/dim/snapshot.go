@@ -2,6 +2,7 @@ package dim
 
 import (
 	"fmt"
+	"time"
 
 	"allscale/internal/dataitem"
 )
@@ -49,23 +50,34 @@ func (m *Manager) CoverageSize(id ItemID) (int64, error) {
 
 // ExportLocal serializes the locality's entire fragment of the item.
 // The caller must ensure quiescence (no concurrent writers), e.g. by
-// checkpointing between computation phases.
+// checkpointing between computation phases. A finished writer's refresh
+// of a replica kept here may still be on its way — nobody waits for it
+// — and is waited for now: the snapshot is a reader like any other.
 func (m *Manager) ExportLocal(id ItemID) (*LocalSnapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, err := m.itemLocked(id)
-	if err != nil {
-		return nil, err
+	deadline := time.Now().Add(m.LockWaitTimeout)
+	for {
+		st, err := m.itemLocked(id)
+		if err != nil {
+			return nil, err
+		}
+		if m.writePinnedLocked(st) != nil {
+			if err := m.waitLocked(deadline); err != nil {
+				return nil, fmt.Errorf("dim: export of %v blocked on a replica refresh: %w", id, err)
+			}
+			continue
+		}
+		cov := st.frag.Region()
+		if cov.IsEmpty() {
+			return &LocalSnapshot{Region: cov}, nil
+		}
+		data, err := st.frag.Extract(cov)
+		if err != nil {
+			return nil, err
+		}
+		return &LocalSnapshot{Region: cov, Data: data}, nil
 	}
-	cov := st.frag.Region()
-	if cov.IsEmpty() {
-		return &LocalSnapshot{Region: cov}, nil
-	}
-	data, err := st.frag.Extract(cov)
-	if err != nil {
-		return nil, err
-	}
-	return &LocalSnapshot{Region: cov, Data: data}, nil
 }
 
 // ImportLocal restores a snapshot into the local fragment: the region
@@ -187,13 +199,31 @@ func VerifyIndex(managers []*Manager, id ItemID) error {
 	return nil
 }
 
+// writePinnedLocked returns the part of the item's fragment held under
+// write-mode pins — replicas kept for a writer elsewhere, unreadable
+// until refreshed — or nil if there is none.
+func (m *Manager) writePinnedLocked(st *itemState) dataitem.Region {
+	var out dataitem.Region
+	for _, e := range st.locks {
+		if p, ok := m.pins[e.token]; ok && p.write {
+			if out == nil {
+				out = e.region
+			} else {
+				out = out.Union(e.region)
+			}
+		}
+	}
+	return out
+}
+
 // CheckSystemInvariants validates the Section 2.5 safety properties
 // on the live system state of one item across all managers of a
 // system (one per rank):
 //
 //   - satisfied requirements: every locked region is locally present;
 //   - exclusive writes: a write-locked region has no copy on any
-//     other rank.
+//     other rank — storage a rank keeps write-pinned for the writer's
+//     refresh is not one: nothing can read it.
 //
 // It is intended for quiescent or read-mostly points; checking while
 // migrations are in flight can report transient multi-copy states of
@@ -210,6 +240,13 @@ func CheckSystemInvariants(managers []*Manager, id ItemID) error {
 		if err != nil {
 			return err
 		}
+		m.mu.Lock()
+		if st, ok := m.items[id]; ok {
+			if pinned := m.writePinnedLocked(st); pinned != nil {
+				cov = cov.Difference(pinned)
+			}
+		}
+		m.mu.Unlock()
 		covs[rank] = cov
 		read, write, err := m.LockedRegions(id)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"allscale/internal/dataitem"
 	"allscale/internal/region"
@@ -113,7 +112,14 @@ func TestRandomizedAcquireReleaseKeepsInvariants(t *testing.T) {
 		if err := VerifyIndex(ts.managers, id); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if err := verifyDirectory(ts.managers, id); err != nil {
+		ts.settle(t)
+		stamped := func(q region.Point) int {
+			if q[1] == 0 && q[0]%w == 0 {
+				return value[q[0]/w]
+			}
+			return 0
+		}
+		if err := verifyDirectory(ts.managers, id, stamped); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for b := 0; b < bands; b++ {
@@ -149,8 +155,13 @@ func TestRandomizedAcquireReleaseKeepsInvariants(t *testing.T) {
 // verifyDirectory checks the invariant the direct revocation path
 // rests on, at a quiescent point: no element has two root copies, and
 // every copy of a rank's root region held elsewhere is reachable from
-// that rank along sharer records.
-func verifyDirectory(managers []*Manager, id ItemID) error {
+// that rank along sharer records. With a shadow — the value last stored
+// in each element under a write lock, for an int grid — it also checks
+// what those invariants are for: every copy of every element, on every
+// rank, holds that value, so whichever rank reads it next sees the last
+// write (no replica survived a write with its old content, no refresh
+// was lost or applied out of order).
+func verifyDirectory(managers []*Manager, id ItemID, shadow func(region.Point) int) error {
 	type state struct {
 		cov, root dataitem.Region
 		lent      map[int]dataitem.Region
@@ -163,7 +174,19 @@ func verifyDirectory(managers []*Manager, id ItemID) error {
 		for peer, lr := range st.lent {
 			states[rank].lent[peer] = lr
 		}
+		var stale error
+		if shadow != nil {
+			grid := st.frag.(*dataitem.GridFragment[int])
+			states[rank].cov.(dataitem.GridRegion).B.ForEachPoint(func(q region.Point) {
+				if got, want := grid.At(q), shadow(q); got != want && stale == nil {
+					stale = fmt.Errorf("rank %d holds %d at %v, last written %d", rank, got, q, want)
+				}
+			})
+		}
 		m.mu.Unlock()
+		if stale != nil {
+			return stale
+		}
 	}
 	for owner, o := range states {
 		if !o.root.Difference(o.cov).IsEmpty() {
@@ -210,10 +233,12 @@ func verifyDirectory(managers []*Manager, id ItemID) error {
 
 // TestReaderWriterChurnKeepsDirectory churns three ranks with
 // concurrent writers and readers of the same bands — replicas made
-// from replicas, writes racing fetches in flight, migrations between
-// all three — and checks at every quiescent point that the index is
-// exact, that every replica is on record with its owner, and that no
-// rank reads a value an earlier write should have revoked.
+// from replicas, replicas held and refreshed, writes racing fetches in
+// flight, migrations between all three — and checks at every quiescent
+// point that the index is exact, that every replica is on record with
+// its owner, that every copy of every element anywhere holds what was
+// last written to it (the shadow), and that no pin outlives its
+// acquisition.
 func TestReaderWriterChurnKeepsDirectory(t *testing.T) {
 	const (
 		ranks  = 3
@@ -232,8 +257,9 @@ func TestReaderWriterChurnKeepsDirectory(t *testing.T) {
 	}
 	cell := func(b int) region.Point { return region.Point{b * w, 1} }
 	var tokens atomic.Uint64
-	// access acquires band b at rank, hands the cell to fn, releases.
-	// The cell is touched under the manager's lock: a GridFragment
+	// access acquires band b at rank, hands the cell to fn, releases; a
+	// writer's new value goes into every element of the band. The
+	// elements are touched under the manager's lock: a GridFragment
 	// swaps its block list on every resize — here, whenever another
 	// band comes or goes — without regard for element accesses (the
 	// defect recorded in benchmark/README.md), and this test is about
@@ -246,9 +272,14 @@ func TestReaderWriterChurnKeepsDirectory(t *testing.T) {
 		}
 		defer m.Release(tok)
 		frag, _ := m.Fragment(id)
+		grid := frag.(*dataitem.GridFragment[int])
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		fn(frag.(*dataitem.GridFragment[int]).Ptr(cell(b)))
+		v := grid.Ptr(cell(b))
+		fn(v)
+		if mode == Write {
+			band(b).B.ForEachPoint(func(q region.Point) { grid.Set(q, *v) })
+		}
 		return nil
 	}
 
@@ -303,19 +334,17 @@ func TestReaderWriterChurnKeepsDirectory(t *testing.T) {
 			}
 		}
 		// Quiescence: the last un-awaited unpins have been answered.
-		for rank := 0; rank < ranks; rank++ {
-			for ts.sys.Locality(rank).PendingCalls() != 0 {
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
+		ts.settle(t)
 		if err := VerifyIndex(ts.managers, id); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if err := verifyDirectory(ts.managers, id); err != nil {
+		shadow := func(q region.Point) int { return value[q[0]/w] }
+		if err := verifyDirectory(ts.managers, id, shadow); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		// A replica that survived its owner's write shows up here: the
-		// rank holding it reads without fetching.
+		ts.noPins(t, id)
+		// A replica that survived its owner's write unrefreshed shows up
+		// here too: the rank holding it reads without fetching.
 		for b := 0; b < bands; b++ {
 			rank := rng.Intn(ranks)
 			if err := access(rank, b, Read, func(v *int) {

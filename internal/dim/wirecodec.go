@@ -227,12 +227,13 @@ func (r *fetchReply) UnmarshalWire(d *wire.Decoder) error {
 
 // AppendWire implements wire.Marshaler.
 func (a *unpinArgs) AppendWire(buf []byte) ([]byte, error) {
-	return wire.AppendUvarint(buf, a.Token), nil
+	return wire.AppendBytes(wire.AppendUvarint(buf, a.Token), a.Data), nil
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (a *unpinArgs) UnmarshalWire(d *wire.Decoder) error {
 	a.Token = d.Uvarint()
+	a.Data = d.Bytes()
 	return nil
 }
 
@@ -297,7 +298,10 @@ func (r *dropReply) AppendWire(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dataitem.AppendRegionWire(buf, r.Root)
+	if buf, err = dataitem.AppendRegionWire(buf, r.Root); err != nil {
+		return nil, err
+	}
+	return dataitem.AppendRegionWire(wire.AppendUvarint(buf, r.PinToken), r.Kept)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -306,6 +310,10 @@ func (r *dropReply) UnmarshalWire(d *wire.Decoder) (err error) {
 	if r.Sharers, err = decodeLocated(d); err != nil {
 		return err
 	}
-	r.Root, err = dataitem.DecodeRegionWire(d)
+	if r.Root, err = dataitem.DecodeRegionWire(d); err != nil {
+		return err
+	}
+	r.PinToken = d.Uvarint()
+	r.Kept, err = dataitem.DecodeRegionWire(d)
 	return err
 }

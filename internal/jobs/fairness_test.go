@@ -83,12 +83,15 @@ func TestFairnessWeightedShare(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Jobs must outlast a submit, or the dispatcher drains the backlog as
+	// fast as it forms and starts jobs in submit order, 1:1 (at Spin 2000
+	// this failed one run in twenty).
 	var heavy, light []uint64
 	for i := 0; i < jobsEach; i++ {
 		heavy = append(heavy, mustSubmit(t, svc, "heavy", FamilyPFor,
-			PForParams{Levels: 2, Spin: 2000, Seed: uint64(i)}))
+			PForParams{Levels: 2, Spin: 60000, Seed: uint64(i)}))
 		light = append(light, mustSubmit(t, svc, "light", FamilyPFor,
-			PForParams{Levels: 2, Spin: 2000, Seed: uint64(500 + i)}))
+			PForParams{Levels: 2, Spin: 60000, Seed: uint64(500 + i)}))
 	}
 	all := startOrder(t, svc, append(append([]uint64{}, heavy...), light...))
 

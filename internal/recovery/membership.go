@@ -58,6 +58,11 @@ const methodMembership = "membership.update"
 // tasks and outstanding calls to finish before giving up.
 const drainQuiesce = 30 * time.Second
 
+// drainPasses bounds the write acquisitions a drain spends on one item:
+// the first moves the data and refreshes the replicas in use, the
+// second removes those; a third means something keeps reading them.
+const drainPasses = 3
+
 // membershipUpdate is the wire form of a membership change: the rank
 // joining (or, with Depart, leaving) the computation at the given
 // fence epoch.
@@ -192,6 +197,25 @@ func (c *Coordinator) Join(rank int) error {
 	return nil
 }
 
+// evacuate moves everything src holds of item id to dst, by write
+// acquisitions of src's coverage at dst until there is none.
+func evacuate(src, dst *dim.Manager, id dim.ItemID) error {
+	for pass := 0; ; pass++ {
+		cov, err := src.Coverage(id)
+		if err != nil || cov == nil || cov.Size() == 0 {
+			return nil
+		}
+		if pass == drainPasses {
+			return fmt.Errorf("%v still held after %d evacuations", cov, pass)
+		}
+		tok := nextToken()
+		if err := dst.Acquire(tok, []dim.Requirement{{Item: id, Region: cov, Mode: dim.Write}}); err != nil {
+			return err
+		}
+		dst.Release(tok)
+	}
+}
+
 // Drain gracefully retires a member rank: placement toward it stops,
 // its queued tasks are re-assigned over the remaining members, it
 // quiesces, migrates its fragments out, and leaves under a fresh
@@ -256,24 +280,24 @@ func (c *Coordinator) Drain(rank int) error {
 	// 3. Migrate every owned fragment onto the remaining members via
 	// ordinary write acquisitions: the destination copies the bytes and
 	// evicts the rank's copy, which revokes stale locate-cache entries
-	// and shrinks the rank's published coverage as it goes.
+	// and shrinks the rank's published coverage as it goes. A replica the
+	// rank's tasks have read is not removed by the first acquisition but
+	// refreshed in place (DESIGN.md §6f); nothing reads it here any more,
+	// so the second one removes it.
 	mgr := c.sys.Manager(rank)
 	next := 0
 	for _, id := range mgr.Items() {
-		cov, err := mgr.Coverage(id)
-		if err != nil || cov == nil || cov.Size() == 0 {
+		if size, err := mgr.CoverageSize(id); err != nil || size == 0 {
 			continue
 		}
 		dst := c.sys.Manager(others[next%len(others)])
 		next++
-		tok := nextToken()
-		if err := dst.Acquire(tok, []dim.Requirement{{Item: id, Region: cov, Mode: dim.Write}}); err != nil {
+		if err := evacuate(mgr, dst, id); err != nil {
 			abort()
 			err = fmt.Errorf("recovery: migrate item %v off rank %d: %w", id, rank, err)
 			sp.SetErr(err)
 			return err
 		}
-		dst.Release(tok)
 	}
 	// 4. The rank's replica pins will never be confirmed once it is
 	// gone: release them on every remaining member.

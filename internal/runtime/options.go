@@ -1,6 +1,10 @@
 package runtime
 
-import "time"
+import (
+	"time"
+
+	"allscale/internal/trace"
+)
 
 // CallSpec bundles the delivery policy of one RPC: an overall
 // deadline, a per-attempt timeout after which the request frame is
@@ -30,6 +34,10 @@ type CallSpec struct {
 	// skips reply caching and duplicates may run the handler again.
 	// Use it for pure reads and naturally idempotent effects.
 	Idempotent bool
+	// Parent is the span the call's rpc.call span nests under (0 = a
+	// root span). It is not part of the delivery policy: WithSpec
+	// replaces it, so WithParent goes after WithSpec.
+	Parent trace.SpanID
 }
 
 // active reports whether the spec requires supervision (a timer).
@@ -79,6 +87,12 @@ func WithIdempotent() CallOption {
 // locality's control- or data-plane profile to a call site.
 func WithSpec(spec CallSpec) CallOption {
 	return func(s *CallSpec) { *s = spec }
+}
+
+// WithParent nests the call's rpc.call span under the given span — the
+// dim.acquire span for the transfers an acquisition issues.
+func WithParent(parent trace.SpanID) CallOption {
+	return func(s *CallSpec) { s.Parent = parent }
 }
 
 // CallProfile is a locality-wide pair of default delivery policies:

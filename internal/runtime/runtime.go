@@ -736,8 +736,8 @@ func (l *Locality) serveOneWay(msg transport.Message) {
 // is outstanding, and with a close error if this locality shuts down
 // first — it never hangs on a peer that will not answer. Calls to the
 // local rank short-circuit the transport but still pass through
-// encoding, keeping local and remote semantics identical (options are
-// ignored locally: a local call cannot be lost).
+// encoding, keeping local and remote semantics identical (the delivery
+// policy is ignored locally: a local call cannot be lost).
 //
 // With options (see CallSpec) the call is supervised: after the
 // per-attempt timeout the identical request frame is resent under the
@@ -752,6 +752,10 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		fut.fulfill(nil, fmt.Errorf("runtime: encode args of %q: %w", method, err))
 		return fut
 	}
+	var spec CallSpec
+	for _, o := range opts {
+		o(&spec)
+	}
 	if dst == l.Rank() {
 		l.mu.RLock()
 		m := l.methods[method]
@@ -762,7 +766,7 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 			return fut
 		}
 		pc := &pendingCall{dst: dst, fut: fut,
-			sp: l.Tracer().Begin("rpc.call", method, 0), start: time.Now()}
+			sp: l.Tracer().Begin("rpc.call", method, spec.Parent), start: time.Now()}
 		l.Go(func() {
 			rsp, err := m(l.Rank(), body)
 			l.resolve(pc, rsp, err)
@@ -784,10 +788,6 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		fut.fulfill(nil, fmt.Errorf("%w: rank %d departed", ErrPeerFailed, dst))
 		return fut
 	}
-	var spec CallSpec
-	for _, o := range opts {
-		o(&spec)
-	}
 	spec.normalize()
 	req := rpcRequest{Method: method, Body: body, Epoch: l.epoch.Load()}
 	kind := kindRequest
@@ -806,7 +806,7 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 	id := req.ID
 	pc := &pendingCall{dst: dst, id: id, meth: method, fut: fut,
 		tracked: kind == kindRequestDedup,
-		sp:      l.Tracer().Begin("rpc.call", method, 0), start: time.Now()}
+		sp:      l.Tracer().Begin("rpc.call", method, spec.Parent), start: time.Now()}
 	req.Span = uint64(pc.sp.SpanID())
 	l.calls.Store(id, pc)
 	payload, err := wire.Encode(&req)
