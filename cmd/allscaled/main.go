@@ -43,7 +43,6 @@ import (
 	"allscale/internal/core"
 	"allscale/internal/elastic"
 	"allscale/internal/jobs"
-	"allscale/internal/monitor"
 	"allscale/internal/recovery"
 	"allscale/internal/trace"
 	"allscale/internal/transport"
@@ -118,9 +117,7 @@ func main() {
 	}
 
 	if *elasticOn {
-		mon := monitor.Start(sys, 250*time.Millisecond, 16)
-		defer mon.Stop()
-		ctl := elastic.Start(sys, mon, coord, elastic.Options{
+		ctl := elastic.Start(sys, coord, elastic.Options{
 			MinMembers: *minMembers,
 			Backlog:    svc.Backlog,
 		})

@@ -5,7 +5,7 @@
 // multiplexes the whole substrate across tenants: an in-process
 // allscaled (job service + TCP protocol server) receiving 100
 // concurrent jobs from 8 tenants over the client API, with admission
-// control, weighted fair-share placement, and per-tenant
+// control, weighted fair-share dispatch, and per-tenant
 // observability.
 //
 // Run with:

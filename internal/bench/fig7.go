@@ -390,8 +390,3 @@ func Fig7TPC() Figure {
 	fig.Series = []Series{alls, mpis, linearSeries(alls.Points[0].Value, NodeSweep)}
 	return fig
 }
-
-// Fig7 returns all three panels.
-func Fig7() []Figure {
-	return []Figure{Fig7Stencil(), Fig7IPiC3D(), Fig7TPC()}
-}

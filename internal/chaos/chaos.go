@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"allscale/internal/metrics"
-	"allscale/internal/trace"
 	"allscale/internal/transport"
 )
 
@@ -79,23 +78,10 @@ func (c *Controller) Block(from, to int) {
 	c.mu.Unlock()
 }
 
-// BlockBoth partitions both directions between a and b.
-func (c *Controller) BlockBoth(a, b int) {
-	c.Block(a, b)
-	c.Block(b, a)
-}
-
 // Heal ends the directed partition from → to.
 func (c *Controller) Heal(from, to int) {
 	c.mu.Lock()
 	delete(c.blocked, [2]int{from, to})
-	c.mu.Unlock()
-}
-
-// HealAll ends every active partition.
-func (c *Controller) HealAll() {
-	c.mu.Lock()
-	c.blocked = make(map[[2]int]bool)
 	c.mu.Unlock()
 }
 
@@ -115,7 +101,6 @@ type Endpoint struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	tracer  atomic.Pointer[trace.Tracer]
 	onFault atomic.Pointer[func(Fault)]
 
 	mreg      atomic.Pointer[metrics.Registry]
@@ -145,10 +130,6 @@ func Wrap(inner transport.Endpoint, ctl *Controller, cfg Config) *Endpoint {
 	}
 }
 
-// SetTracer attaches a tracer; injected faults appear as zero-length
-// chaos.* spans in the Chrome trace.
-func (e *Endpoint) SetTracer(t *trace.Tracer) { e.tracer.Store(t) }
-
 // OnFault installs a hook invoked synchronously for every injected
 // fault (the determinism test records the sequence through it).
 func (e *Endpoint) OnFault(fn func(Fault)) { e.onFault.Store(&fn) }
@@ -156,9 +137,6 @@ func (e *Endpoint) OnFault(fn func(Fault)) { e.onFault.Store(&fn) }
 func (e *Endpoint) fault(f Fault) {
 	if fn := e.onFault.Load(); fn != nil {
 		(*fn)(f)
-	}
-	if tr := e.tracer.Load(); tr != nil {
-		tr.Begin("chaos."+f.Fault, f.Kind, 0).End()
 	}
 }
 

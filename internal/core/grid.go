@@ -71,16 +71,6 @@ func (g *Grid[T]) Local(ctx *sched.Ctx) *dataitem.GridFragment[T] {
 	return frag.(*dataitem.GridFragment[T])
 }
 
-// LocalAt returns the fragment at an explicit rank (for tests and
-// sequential setup outside tasks).
-func (g *Grid[T]) LocalAt(rank int) *dataitem.GridFragment[T] {
-	frag, err := g.sys.mgrs[rank].Fragment(g.Item())
-	if err != nil {
-		panic(fmt.Sprintf("core: grid %q not created: %v", g.typ.Name(), err))
-	}
-	return frag.(*dataitem.GridFragment[T])
-}
-
 // Read acquires a read lock on the region, copies the addressed
 // elements out via fn, and releases the lock. It is the façade's
 // element-access path for code outside tasks (e.g. result

@@ -10,11 +10,11 @@ import (
 
 // Job-service hooks (DESIGN.md §6h): the jobs package layers tenants
 // and jobs on a System through these thin delegates — spawning tagged
-// task trees, configuring per-tenant fair-share weights, cancelling
-// jobs, and observing executions for first-exec latency. The tenant
-// and job tags propagate through the whole spawn tree and across the
-// wire (sched.TaskSpec), so fair-share accounting and cancellation
-// scope survive shipping, stealing and recovery respawns.
+// task trees, cancelling jobs, and observing executions for first-exec
+// latency. The tenant and job tags propagate through the whole spawn
+// tree and across the wire (sched.TaskSpec), so per-tenant accounting
+// and cancellation scope survive shipping, stealing and recovery
+// respawns.
 
 // SpawnJobTask schedules a root task from locality 0 tagged with a
 // tenant and job, optionally rooting its span chain in a job-level
@@ -31,14 +31,6 @@ func (s *System) SpawnPForJob(name string, lo, hi region.Point, extra []byte, te
 		return nil, fmt.Errorf("core: pfor bounds of different dimensionality")
 	}
 	return s.scheds[0].SpawnJob(name, &pforArgs{R: Range{Lo: lo, Hi: hi}, Extra: extra}, tenant, job, parent)
-}
-
-// SetTenantWeight configures a tenant's fair-share weight on every
-// locality (default 1).
-func (s *System) SetTenantWeight(tenant uint32, weight int) {
-	for _, sc := range s.scheds {
-		sc.SetTenantWeight(tenant, weight)
-	}
 }
 
 // CancelJob cancels a job on every locality: queued tasks purge, ship

@@ -114,9 +114,6 @@ var _ Fragment = (*ArrayFragment[int])(nil)
 // Region implements Fragment.
 func (f *ArrayFragment[T]) Region() Region { return IntervalRegion{S: f.cover} }
 
-// Covers reports whether index i is stored in the fragment.
-func (f *ArrayFragment[T]) Covers(i int64) bool { return f.cover.Contains(i) }
-
 // At returns the element at index i; it panics outside the fragment.
 func (f *ArrayFragment[T]) At(i int64) T {
 	if !f.cover.Contains(i) {

@@ -33,9 +33,6 @@ func NewMapType[K comparable, V any](name string, buckets int) *MapType[K, V] {
 // Name implements Type.
 func (t *MapType[K, V]) Name() string { return t.name }
 
-// Buckets returns the partition count.
-func (t *MapType[K, V]) Buckets() int64 { return t.buckets }
-
 // FullRegion implements Type.
 func (t *MapType[K, V]) FullRegion() Region { return IntervalFromTo(0, t.buckets) }
 

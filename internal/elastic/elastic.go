@@ -1,6 +1,6 @@
 // Package elastic implements the scaling controller of the elastic
 // membership subsystem (DESIGN.md §6g): a small feedback loop that
-// watches per-locality queue depth through monitor samples and drives
+// watches each locality's scheduler load and drives
 // recovery.Join / recovery.Drain automatically — localities as a
 // dynamically managed resource in the ParalleX/HPX tradition, shaped
 // like the autoscaler pattern of actions-runner-controller (scale up
@@ -8,7 +8,7 @@
 // member count and a cooldown).
 //
 // The decision function is pure and separately testable; the
-// controller merely samples, decides and actuates.
+// controller merely reads the loads, decides and actuates.
 package elastic
 
 import (
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"allscale/internal/core"
-	"allscale/internal/monitor"
 )
 
 // Actuator drives membership changes; *recovery.Coordinator
@@ -69,8 +68,8 @@ type Options struct {
 	// the controller then scales on tenant demand rather than raw
 	// queue depth, spreading the backlog evenly over the member loads
 	// before deciding. A burst of admitted jobs thus triggers scale-up
-	// even while their tasks are still funneling through the fair
-	// queues, and members stay up until the service actually drains.
+	// before the dispatcher has started them, and members stay up until
+	// the service actually drains.
 	Backlog func() int64
 }
 
@@ -137,11 +136,10 @@ func Decide(loads []int64, member, latent []bool, opts Options) Decision {
 	return Decision{Action: None}
 }
 
-// Controller periodically samples the system and actuates Decide's
-// verdicts.
+// Controller periodically reads the system's loads and actuates
+// Decide's verdicts.
 type Controller struct {
 	sys  *core.System
-	mon  *monitor.Monitor
 	act  Actuator
 	opts Options
 
@@ -153,12 +151,11 @@ type Controller struct {
 	once sync.Once
 }
 
-// Start begins the control loop. The monitor must already be sampling
-// the same system.
-func Start(sys *core.System, mon *monitor.Monitor, act Actuator, opts Options) *Controller {
+// Start begins the control loop.
+func Start(sys *core.System, act Actuator, opts Options) *Controller {
 	opts.normalize(sys.Size())
 	c := &Controller{
-		sys: sys, mon: mon, act: act, opts: opts,
+		sys: sys, act: act, opts: opts,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -196,20 +193,12 @@ func (c *Controller) Tick() Decision {
 	if inCooldown {
 		return Decision{Action: None}
 	}
-	samples, ok := c.mon.Latest()
-	if !ok {
-		return Decision{Action: None}
-	}
 	size := c.sys.Size()
 	loads := make([]int64, size)
 	member := make([]bool, size)
 	latent := make([]bool, size)
-	for _, s := range samples {
-		if s.Rank >= 0 && s.Rank < size {
-			loads[s.Rank] = s.Load
-		}
-	}
 	for r := 0; r < size; r++ {
+		loads[r] = c.sys.Scheduler(r).Load()
 		loc := c.sys.Locality(r)
 		member[r] = loc.IsMember(r)
 		latent[r] = !member[r] && !loc.IsDead(r) && !loc.IsDeparted(r)

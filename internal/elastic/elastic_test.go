@@ -6,7 +6,6 @@ import (
 
 	"allscale/internal/core"
 	"allscale/internal/elastic"
-	"allscale/internal/monitor"
 	"allscale/internal/recovery"
 )
 
@@ -103,9 +102,7 @@ func TestControllerDrainsIdleSystem(t *testing.T) {
 	defer coord.Stop()
 	sys.Start()
 
-	mon := monitor.Start(sys, 10*time.Millisecond, 16)
-	defer mon.Stop()
-	ctl := elastic.Start(sys, mon, coord, elastic.Options{
+	ctl := elastic.Start(sys, coord, elastic.Options{
 		MinMembers: 1,
 		Interval:   15 * time.Millisecond,
 		Cooldown:   20 * time.Millisecond,
@@ -135,17 +132,12 @@ func TestControllerDrainsIdleSystem(t *testing.T) {
 	if got := sys.Locality(0).LiveRanks(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("LiveRanks = %v, want [0]", got)
 	}
-	// The membership counters surface through the monitor under the
-	// names the recovery package registers them as.
-	mon.SampleNow()
-	samples, ok := mon.Latest()
-	if !ok {
-		t.Fatal("monitor has no samples")
+	// The coordinating rank's registry counted them.
+	reg := sys.Metrics(0)
+	if got := reg.CounterValue(recovery.MetricDrains); got != 2 {
+		t.Fatalf("%s = %d, want 2", recovery.MetricDrains, got)
 	}
-	if samples[0].Drains != 2 {
-		t.Fatalf("monitor Drains = %d, want 2", samples[0].Drains)
-	}
-	if samples[0].Joins != 0 {
-		t.Fatalf("monitor Joins = %d, want 0", samples[0].Joins)
+	if got := reg.CounterValue(recovery.MetricJoins); got != 0 {
+		t.Fatalf("%s = %d, want 0", recovery.MetricJoins, got)
 	}
 }

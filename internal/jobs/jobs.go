@@ -1,7 +1,7 @@
 // Package jobs implements the multi-tenant job service of DESIGN.md
 // §6h: a long-running layer over core.System that admits a stream of
-// jobs from many tenants, runs each as a tenant/job-tagged task tree
-// through the scheduler's fair-share queues, and scopes observability
+// jobs from many tenants, starts them in weighted fair-share order,
+// runs each as a tenant/job-tagged task tree, and scopes observability
 // (trace subtree, admission-to-first-exec and completion latency
 // histograms) per job and tenant. The paper's runtime executes one
 // application per lifetime; this package is the refactor that turns
@@ -108,8 +108,7 @@ type Quota struct {
 	// MaxBytes caps the estimated data footprint of the tenant's
 	// running jobs (0 = unlimited).
 	MaxBytes int64
-	// Weight is the tenant's fair-share weight in both the job
-	// dispatcher and the scheduler's per-tenant task queues.
+	// Weight is the tenant's fair-share weight in the job dispatcher.
 	// Default 1.
 	Weight int
 }

@@ -143,7 +143,8 @@ type Service struct {
 	recovered  RecoveryInfo
 	compacting atomic.Bool
 
-	kick      chan struct{}
+	kick      chan struct{} // nudge → dispatcher
+	settled   chan struct{} // nudge → a shutdown waiting out its grace window
 	stopped   chan struct{}
 	suspendCh chan struct{} // closed by Suspend: waiters fail ErrServerRestarting
 	wgDisp    sync.WaitGroup
@@ -178,6 +179,7 @@ func Open(sys *core.System, w *Workloads, cfg Config) (*Service, error) {
 		jobs:        make(map[uint64]*job),
 		tokens:      make(map[string]map[uint64]uint64),
 		kick:        make(chan struct{}, 1),
+		settled:     make(chan struct{}, 1),
 		stopped:     make(chan struct{}),
 		suspendCh:   make(chan struct{}),
 	}
@@ -241,7 +243,6 @@ func (s *Service) restore(rec *RecoveredState) error {
 		}
 		t := s.bindTenant(tr.Name, tr.ID)
 		t.quota = tr.Quota.normalized()
-		s.sys.SetTenantWeight(t.id, t.quota.Weight)
 		info.Tenants++
 	}
 	for _, jr := range rec.Jobs { // ID order: FIFO re-admission
@@ -370,7 +371,6 @@ func (s *Service) RegisterTenant(name string, q Quota) error {
 		t = s.newTenantLocked(name)
 	}
 	t.quota = q.normalized()
-	s.sys.SetTenantWeight(t.id, t.quota.Weight)
 	s.journalLocked(appendTenantRec(nil, tenantRec{Name: t.name, ID: t.id, Quota: t.quota}))
 	return nil
 }
@@ -400,7 +400,6 @@ func (s *Service) bindTenant(name string, id uint32) *tenant {
 func (s *Service) newTenantLocked(name string) *tenant {
 	s.nextTenant++
 	t := s.bindTenant(name, s.nextTenant)
-	s.sys.SetTenantWeight(t.id, t.quota.Weight)
 	s.journalLocked(appendTenantRec(nil, tenantRec{Name: t.name, ID: t.id, Quota: t.quota}))
 	return t
 }
@@ -525,11 +524,16 @@ func (s *Service) SubmitToken(tenantName string, spec JobSpec, tok SubmitToken) 
 	return j.id, nil
 }
 
-// nudge wakes the dispatcher (non-blocking).
+// nudge says that the pending or running set changed, to the two
+// goroutines that re-read it: the dispatcher, and a shutdown waiting
+// out its grace window. Neither send blocks; one buffered signal is
+// enough to make the receiver look again.
 func (s *Service) nudge() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
+	for _, ch := range [...]chan struct{}{s.kick, s.settled} {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -546,9 +550,10 @@ func (s *Service) dispatcher() {
 }
 
 // dispatch starts pending jobs while capacity allows, picking tenants
-// by weighted deficit round-robin — the job-level twin of the
-// scheduler's per-task fair queues, so a tenant flooding submissions
-// cannot monopolize the running-job slots either.
+// by weighted deficit round-robin, so a tenant flooding submissions
+// cannot monopolize the running-job slots. This is the service's one
+// fair-share mechanism (DESIGN.md §6h): the tasks of the jobs it starts
+// are scheduled like any other task.
 func (s *Service) dispatch() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -898,45 +903,94 @@ func (s *Service) WriteJobTrace(w io.Writer, id uint64) error {
 	return trace.WriteChromeSpans(w, trace.Descendants(trace.Merge(tracers...), root))
 }
 
-// Drain gracefully shuts the service down: admission closes
-// immediately (submissions fail with ErrDraining), already-admitted
-// jobs keep dispatching and running. When every job finished within
-// the timeout, Drain returns nil; otherwise the stragglers are
-// cancelled and Drain reports how many. Either way the dispatcher is
-// stopped and the exec observer uninstalled afterwards.
-func (s *Service) Drain(timeout time.Duration) error {
+// unwindGrace bounds how long a shutdown waits for drivers whose task
+// trees were cancelled to unwind and exit.
+const unwindGrace = 5 * time.Second
+
+// shutdown is the service's one way down; Drain, Suspend and Close are
+// its entry points. Admission closes at once. Jobs then get the grace
+// window to finish on their own — every admitted job for a drain, only
+// the running ones for a restart, where the dispatcher starts no more
+// and pending jobs simply stay in the registry for the next Open. What
+// the window leaves over are the stragglers. A drain cancels them,
+// pending and running alike, each with a terminal journal record; a
+// restart cancels only the task trees of the running ones and marks
+// them suspend, so their drivers revert them to Pending without a
+// record and recovery re-runs them. Then the drivers are awaited, the
+// dispatcher is stopped, the exec observer uninstalled and the final
+// registry compacted into the store. It returns the straggler count.
+//
+// The first shutdown decides the flavour; a later one (a deferred Close
+// after a Drain or Suspend) does nothing — in particular it leaves the
+// store alone, which the next incarnation may already own.
+func (s *Service) shutdown(grace time.Duration, restart bool) int {
 	s.mu.Lock()
-	s.draining = true
+	if s.draining {
+		s.mu.Unlock()
+		return 0
+	}
+	s.draining, s.restarting = true, restart
+	if restart {
+		close(s.suspendCh)
+	}
 	s.mu.Unlock()
 
-	deadline := time.Now().Add(timeout)
-	for {
-		if s.backlog.Load() == 0 {
-			break
+	timer := time.NewTimer(grace)
+	defer timer.Stop()
+	for expired := false; !expired && !s.quiet(); {
+		select {
+		case <-s.settled:
+		case <-timer.C:
+			expired = true
 		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	var stragglers []uint64
 	s.mu.Lock()
 	for id, j := range s.jobs {
-		if j.state == Pending || j.state == Running {
+		if j.state == Running || (j.state == Pending && !restart) {
+			j.suspend = restart
 			stragglers = append(stragglers, id)
 		}
 	}
 	s.mu.Unlock()
 	for _, id := range stragglers {
-		s.Cancel(id)
+		if restart {
+			s.sys.CancelJob(id)
+		} else {
+			s.Cancel(id)
+		}
 	}
-	// Cancelled trees still need to unwind before the drivers exit.
-	s.wait(deadline.Add(2 * time.Second))
-	s.stop()
-	s.closeStore()
-	if len(stragglers) > 0 {
-		return fmt.Errorf("jobs: drain timeout, cancelled %d unfinished jobs", len(stragglers))
+	s.wait(unwindGrace)
+	close(s.stopped)
+	s.wgDisp.Wait()
+	s.sys.SetExecObserver(nil)
+	if s.store != nil {
+		s.mu.Lock()
+		state := s.buildStateLocked()
+		s.mu.Unlock()
+		s.store.Compact(state)
+		s.store.Close()
+	}
+	return len(stragglers)
+}
+
+// quiet reports whether a shutdown has nothing left to wait for: no
+// job is running and none will be started.
+func (s *Service) quiet() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.activeTotal == 0 && (s.restarting || s.pendingTotal == 0)
+}
+
+// Drain gracefully shuts the service down: admission closes
+// immediately (submissions fail with ErrDraining), already-admitted
+// jobs keep dispatching and running. When every job finished within
+// the timeout, Drain returns nil; otherwise the stragglers are
+// cancelled and Drain reports how many.
+func (s *Service) Drain(timeout time.Duration) error {
+	if n := s.shutdown(timeout, false); n > 0 {
+		return fmt.Errorf("jobs: drain timeout, cancelled %d unfinished jobs", n)
 	}
 	return nil
 }
@@ -945,70 +999,22 @@ func (s *Service) Drain(timeout time.Duration) error {
 // registry is preserved for the next Open rather than drained to
 // empty. Admission closes with ErrServerRestarting, pending waits fail
 // the same way, and running jobs get a grace window to finish
-// naturally (journaling their terminal records). Stragglers have their
-// task trees cancelled WITHOUT a terminal journal record — their
-// drivers revert them to Pending — so recovery re-admits and re-runs
-// them. The final registry state is compacted into a fresh snapshot
-// before the store closes.
+// naturally (journaling their terminal records). Stragglers are
+// preserved for re-execution after recovery.
 func (s *Service) Suspend(grace time.Duration) error {
 	if s.store == nil {
 		return fmt.Errorf("jobs: suspend needs a durable service (Config.StateDir)")
 	}
-	s.mu.Lock()
-	if s.restarting {
-		s.mu.Unlock()
-		return nil
-	}
-	s.draining = true
-	s.restarting = true
-	close(s.suspendCh)
-	s.mu.Unlock()
-
-	deadline := time.Now().Add(grace)
-	for {
-		s.mu.Lock()
-		active := s.activeTotal
-		s.mu.Unlock()
-		if active == 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	var stragglers []uint64
-	s.mu.Lock()
-	for id, j := range s.jobs {
-		if j.state == Running {
-			j.suspend = true
-			stragglers = append(stragglers, id)
-		}
-	}
-	s.mu.Unlock()
-	for _, id := range stragglers {
-		s.sys.CancelJob(id)
-	}
-	s.wait(deadline.Add(2 * time.Second))
-	s.stop()
-	s.closeStore()
+	s.shutdown(grace, true)
 	return nil
 }
 
-// closeStore compacts the final registry state into a snapshot and
-// closes the store (no-op for in-memory services; tolerant of a store
-// already closed by an earlier shutdown path).
-func (s *Service) closeStore() {
-	if s.store == nil {
-		return
-	}
-	s.mu.Lock()
-	state := s.buildStateLocked()
-	s.mu.Unlock()
-	s.store.Compact(state)
-	s.store.Close()
-}
+// Close stops the service without a grace window (tests / abrupt
+// exits): unfinished jobs are cancelled and awaited briefly.
+func (s *Service) Close() { s.shutdown(0, false) }
 
-// wait blocks until every driver exited or the deadline passed.
-func (s *Service) wait(deadline time.Time) {
+// wait blocks until every driver exited or the timeout passed.
+func (s *Service) wait(timeout time.Duration) {
 	done := make(chan struct{})
 	go func() {
 		s.wgDrv.Wait()
@@ -1016,46 +1022,6 @@ func (s *Service) wait(deadline time.Time) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(time.Until(deadline)):
+	case <-time.After(timeout):
 	}
-}
-
-// stop terminates the dispatcher and uninstalls the exec observer
-// (idempotent).
-func (s *Service) stop() {
-	select {
-	case <-s.stopped:
-		return
-	default:
-	}
-	close(s.stopped)
-	s.wgDisp.Wait()
-	s.sys.SetExecObserver(nil)
-}
-
-// Close stops the service without draining (tests / abrupt exits);
-// running jobs are cancelled and awaited briefly. After a Suspend the
-// teardown already happened and Close is a no-op.
-func (s *Service) Close() {
-	s.mu.Lock()
-	if s.restarting {
-		s.mu.Unlock()
-		s.wait(time.Now().Add(5 * time.Second))
-		s.stop()
-		return
-	}
-	s.draining = true
-	var running []uint64
-	for id, j := range s.jobs {
-		if j.state == Pending || j.state == Running {
-			running = append(running, id)
-		}
-	}
-	s.mu.Unlock()
-	for _, id := range running {
-		s.Cancel(id)
-	}
-	s.wait(time.Now().Add(5 * time.Second))
-	s.stop()
-	s.closeStore()
 }

@@ -19,7 +19,12 @@ import (
 // workload registry and a service over it.
 func newTestService(t *testing.T, n int, cfg Config, wcfg WorkloadConfig) (*core.System, *Service) {
 	t.Helper()
-	sys := core.NewSystem(core.Config{Localities: n, Workers: 2, TraceCapacity: 1 << 14})
+	return newTestServiceWorkers(t, n, 2, cfg, wcfg)
+}
+
+func newTestServiceWorkers(t *testing.T, n, workers int, cfg Config, wcfg WorkloadConfig) (*core.System, *Service) {
+	t.Helper()
+	sys := core.NewSystem(core.Config{Localities: n, Workers: workers, TraceCapacity: 1 << 14})
 	w := RegisterWorkloads(sys, wcfg)
 	sys.Start()
 	svc := New(sys, w, cfg)

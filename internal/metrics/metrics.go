@@ -46,9 +46,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -111,9 +108,6 @@ func (h *Histogram) ObserveValue(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Snapshot captures the histogram's current state. Count is read
 // before the buckets, so under concurrent Observe traffic
@@ -212,18 +206,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// GaugeValue returns the level of the named gauge, or 0 when no such
-// gauge was ever registered.
-func (r *Registry) GaugeValue(name string) int64 {
-	r.mu.Lock()
-	g := r.gauges[name]
-	r.mu.Unlock()
-	if g == nil {
-		return 0
-	}
-	return g.Value()
 }
 
 // Histogram returns the histogram registered under name, creating it

@@ -8,76 +8,38 @@
 package monitor
 
 import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"maps"
 	"sync"
 	"time"
 
 	"allscale/internal/core"
 	"allscale/internal/dim"
-	"allscale/internal/sched"
-	"allscale/internal/transport"
-)
-
-// Membership metric names, mirroring recovery.MetricJoins et al.
-// (importing recovery here would cycle through resilience → monitor;
-// the elastic controller test asserts the two sets stay in lockstep).
-const (
-	metricJoins       = "membership.joins"
-	metricDrains      = "membership.drains"
-	metricWarmupBytes = "membership.warmup_bytes"
-	metricWarmupUs    = "membership.warmup_us"
+	"allscale/internal/metrics"
 )
 
 // Sample is one observation of one locality.
 type Sample struct {
-	When     time.Time
-	Rank     int
-	Load     int64 // queued + running tasks
-	Spawned  uint64
-	Executed uint64
-	MsgsSent uint64
-	// Transport health counters (cumulative, from transport.Stats):
-	// nonzero SendErrors or DroppedFrames mark a degrading fabric,
-	// Reconnects a fabric that is recovering from broken links. The
-	// resilience service watches these to trigger early checkpoints.
-	Reconnects    uint64
-	SendErrors    uint64
-	DroppedFrames uint64
-	// Locality fast-path counters (cumulative, DESIGN.md §6f): the
-	// locate-cache effectiveness of the data item manager and the
-	// scheduler's percolation decisions. The balance/resilience
-	// consumers read them like every other registry metric.
-	LocateCacheHits   uint64
-	LocateCacheMisses uint64
-	LocateCacheInvals uint64
-	LocateRPCs        uint64
-	PercolateToData   uint64
-	PercolateToTask   uint64
-	// Elastic-membership counters (cumulative, DESIGN.md §6g), nonzero
-	// only on the coordinating rank's registry: completed joins and
-	// drains, and the bytes / wall time of join warm-up migrations.
-	Joins       uint64
-	Drains      uint64
-	WarmupBytes uint64
-	WarmupUs    uint64
+	When time.Time
+	Rank int
+	Load int64 // queued + running tasks
 	// Coverage maps each live data item to the element count of the
 	// locality's fragment.
 	Coverage map[dim.ItemID]int64
-	// Tenants holds the per-tenant fair-share counters of the job
-	// service's multi-tenant scheduling (DESIGN.md §6h), keyed by
-	// tenant ID; empty outside service mode.
-	Tenants map[uint32]TenantSample
+	// Metrics is the locality's whole metrics registry at When: every
+	// counter, gauge and histogram a layer publishes, under the name the
+	// publishing package exports for it. Consumers index it with those
+	// names; a new counter needs no edit here.
+	Metrics metrics.Snapshot
 }
 
-// TenantSample is one tenant's cumulative scheduling counters on one
-// locality.
-type TenantSample struct {
-	Enqueued  uint64 // tasks routed through the tenant's fair queue
-	Executed  uint64 // task variants executed for the tenant
-	Cancelled uint64 // tasks suppressed by job cancellation
+// clone returns a deep copy of s, so callers mutating a returned Sample
+// cannot corrupt the history ring.
+func (s Sample) clone() Sample {
+	s.Coverage = maps.Clone(s.Coverage)
+	s.Metrics.Counters = maps.Clone(s.Metrics.Counters)
+	s.Metrics.Gauges = maps.Clone(s.Metrics.Gauges)
+	s.Metrics.Histograms = maps.Clone(s.Metrics.Histograms)
+	return s
 }
 
 // Monitor samples a core.System periodically.
@@ -139,40 +101,19 @@ func (m *Monitor) SampleNow() {
 	now := time.Now()
 	samples := make([]Sample, m.sys.Size())
 	for rank := 0; rank < m.sys.Size(); rank++ {
-		sc := m.sys.Scheduler(rank)
 		mgr := m.sys.Manager(rank)
-		// All counters come from the locality's metrics registry — the
-		// same registry the transport endpoint, scheduler and RPC layer
-		// publish into — rather than per-package snapshot structs.
-		reg := m.sys.Metrics(rank)
 		s := Sample{
-			When:              now,
-			Rank:              rank,
-			Load:              sc.Load(),
-			Spawned:           reg.CounterValue(sched.MetricSpawned),
-			Executed:          reg.CounterValue(sched.MetricExecuted),
-			MsgsSent:          reg.CounterValue(transport.MetricMsgsSent),
-			Reconnects:        reg.CounterValue(transport.MetricReconnects),
-			SendErrors:        reg.CounterValue(transport.MetricSendErrors),
-			DroppedFrames:     reg.CounterValue(transport.MetricDroppedFrames),
-			LocateCacheHits:   reg.CounterValue(dim.MetricLocateCacheHits),
-			LocateCacheMisses: reg.CounterValue(dim.MetricLocateCacheMisses),
-			LocateCacheInvals: reg.CounterValue(dim.MetricLocateCacheInvals),
-			LocateRPCs:        reg.CounterValue(dim.MetricLocateRPCs),
-			PercolateToData:   reg.CounterValue(sched.MetricPercolateToData),
-			PercolateToTask:   reg.CounterValue(sched.MetricPercolateToTask),
-			Joins:             reg.CounterValue(metricJoins),
-			Drains:            reg.CounterValue(metricDrains),
-			WarmupBytes:       reg.CounterValue(metricWarmupBytes),
-			WarmupUs:          reg.CounterValue(metricWarmupUs),
-			Coverage:          make(map[dim.ItemID]int64),
+			When:     now,
+			Rank:     rank,
+			Load:     m.sys.Scheduler(rank).Load(),
+			Coverage: make(map[dim.ItemID]int64),
+			Metrics:  m.sys.Metrics(rank).Snapshot(),
 		}
 		for _, id := range mgr.Items() {
 			if n, err := mgr.CoverageSize(id); err == nil {
 				s.Coverage[id] = n
 			}
 		}
-		s.Tenants = tenantCounters(reg.Snapshot().Counters)
 		samples[rank] = s
 	}
 	m.mu.Lock()
@@ -184,59 +125,6 @@ func (m *Monitor) SampleNow() {
 		}
 		m.history[rank] = h
 	}
-}
-
-// copySample returns a deep copy of s: the Coverage map is cloned so
-// callers mutating a returned Sample cannot corrupt the history ring.
-func copySample(s Sample) Sample {
-	cov := make(map[dim.ItemID]int64, len(s.Coverage))
-	for k, v := range s.Coverage {
-		cov[k] = v
-	}
-	s.Coverage = cov
-	ten := make(map[uint32]TenantSample, len(s.Tenants))
-	for k, v := range s.Tenants {
-		ten[k] = v
-	}
-	s.Tenants = ten
-	return s
-}
-
-// tenantCounters extracts the per-tenant scheduler counters
-// ("sched.tenant.<id>.<suffix>") from a registry counter snapshot.
-func tenantCounters(counters map[string]uint64) map[uint32]TenantSample {
-	var out map[uint32]TenantSample
-	for name, v := range counters {
-		if !strings.HasPrefix(name, sched.MetricTenantPrefix) {
-			continue
-		}
-		rest := name[len(sched.MetricTenantPrefix):]
-		dot := strings.IndexByte(rest, '.')
-		if dot < 0 {
-			continue
-		}
-		id, err := strconv.ParseUint(rest[:dot], 10, 32)
-		if err != nil {
-			continue
-		}
-		if out == nil {
-			out = make(map[uint32]TenantSample)
-		}
-		ts := out[uint32(id)]
-		switch rest[dot+1:] {
-		case sched.MetricTenantEnqueuedSufx:
-			ts.Enqueued = v
-		case sched.MetricTenantExecutedSufx:
-			ts.Executed = v
-		case sched.MetricTenantCancelledSufx:
-			ts.Cancelled = v
-		}
-		out[uint32(id)] = ts
-	}
-	if out == nil {
-		return map[uint32]TenantSample{}
-	}
-	return out
 }
 
 // Latest returns the most recent sample of every locality, in rank
@@ -251,7 +139,7 @@ func (m *Monitor) Latest() ([]Sample, bool) {
 		if len(h) == 0 {
 			return nil, false
 		}
-		out = append(out, copySample(h[len(h)-1]))
+		out = append(out, h[len(h)-1].clone())
 	}
 	return out, true
 }
@@ -264,54 +152,7 @@ func (m *Monitor) History(rank int) []Sample {
 	defer m.mu.Unlock()
 	out := make([]Sample, len(m.history[rank]))
 	for i, s := range m.history[rank] {
-		out[i] = copySample(s)
+		out[i] = s.clone()
 	}
 	return out
-}
-
-// CoverageImbalance returns max/mean of the per-locality coverage of
-// one item (1.0 = perfectly balanced; 0 when the item is empty).
-func (m *Monitor) CoverageImbalance(id dim.ItemID) float64 {
-	latest, ok := m.Latest()
-	if !ok {
-		return 0
-	}
-	var max, total int64
-	for _, s := range latest {
-		n := s.Coverage[id]
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(latest))
-	return float64(max) / mean
-}
-
-// Report renders the latest snapshot as a text table.
-func (m *Monitor) Report() string {
-	latest, ok := m.Latest()
-	if !ok {
-		return "monitor: no samples yet\n"
-	}
-	var b strings.Builder
-	b.WriteString("locality  load  spawned  executed  msgs  net-errs  coverage-per-item\n")
-	for _, s := range latest {
-		var items []string
-		ids := make([]dim.ItemID, 0, len(s.Coverage))
-		for id := range s.Coverage {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			items = append(items, fmt.Sprintf("%v:%d", id, s.Coverage[id]))
-		}
-		fmt.Fprintf(&b, "%8d  %4d  %7d  %8d  %4d  %8d  %s\n",
-			s.Rank, s.Load, s.Spawned, s.Executed, s.MsgsSent,
-			s.SendErrors+s.DroppedFrames, strings.Join(items, " "))
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +8,7 @@ import (
 	"allscale/internal/dim"
 	"allscale/internal/region"
 	"allscale/internal/sched"
+	"allscale/internal/transport"
 )
 
 func buildSystem(t *testing.T) (*core.System, *core.Grid[int]) {
@@ -47,21 +47,26 @@ func TestMonitorSamplesCoverageAndLoad(t *testing.T) {
 	if !ok || len(latest) != 4 {
 		t.Fatalf("latest = %v ok=%v", latest, ok)
 	}
-	var total int64
+	var total, max int64
 	for _, s := range latest {
-		total += s.Coverage[grid.Item()]
+		n := s.Coverage[grid.Item()]
+		total += n
+		if n > max {
+			max = n
+		}
 	}
 	if total < 64*8 {
 		t.Fatalf("sampled coverage %d < %d", total, 64*8)
 	}
-	// The initialization spread data: imbalance should be modest.
-	if imb := mon.CoverageImbalance(grid.Item()); imb <= 0 || imb > 3 {
-		t.Fatalf("imbalance = %v", imb)
+	// The initialization spread data: no locality holds more than three
+	// times the mean.
+	if 4*max > 3*total {
+		t.Fatalf("largest fragment %d of %d elements on 4 localities", max, total)
 	}
 	// Executed counters must be visible.
 	execSeen := uint64(0)
 	for _, s := range latest {
-		execSeen += s.Executed
+		execSeen += s.Metrics.Counters[sched.MetricExecuted]
 	}
 	if execSeen == 0 {
 		t.Fatal("no executions sampled")
@@ -84,20 +89,6 @@ func TestMonitorHistoryRing(t *testing.T) {
 	}
 }
 
-func TestMonitorReport(t *testing.T) {
-	sys, grid := buildSystem(t)
-	if err := sys.PFor("mon.init", region.Point{0, 0}, region.Point{64, 8}, nil); err != nil {
-		t.Fatal(err)
-	}
-	mon := Start(sys, time.Hour, 4)
-	defer mon.Stop()
-	mon.SampleNow()
-	out := mon.Report()
-	if !strings.Contains(out, "locality") || !strings.Contains(out, grid.Item().String()) {
-		t.Fatalf("report lacks expected fields:\n%s", out)
-	}
-}
-
 func TestMonitorStopIsIdempotent(t *testing.T) {
 	sys, _ := buildSystem(t)
 	mon := Start(sys, time.Millisecond, 4)
@@ -105,17 +96,6 @@ func TestMonitorStopIsIdempotent(t *testing.T) {
 	mon.Stop()
 	if _, ok := mon.Latest(); !ok {
 		t.Fatal("initial sample missing")
-	}
-}
-
-func TestCoverageImbalanceEmptyItem(t *testing.T) {
-	sys, grid := buildSystem(t)
-	mon := Start(sys, time.Hour, 4)
-	defer mon.Stop()
-	mon.SampleNow()
-	// Nothing initialized: imbalance reports 0 for an empty item.
-	if imb := mon.CoverageImbalance(grid.Item()); imb != 0 {
-		t.Fatalf("imbalance of empty item = %v", imb)
 	}
 }
 
@@ -134,8 +114,9 @@ func TestMonitorSamplesTransportCounters(t *testing.T) {
 	}
 	var msgs, errs uint64
 	for _, s := range latest {
-		msgs += s.MsgsSent
-		errs += s.SendErrors + s.DroppedFrames + s.Reconnects
+		c := s.Metrics.Counters
+		msgs += c[transport.MetricMsgsSent]
+		errs += c[transport.MetricSendErrors] + c[transport.MetricDroppedFrames] + c[transport.MetricReconnects]
 	}
 	if msgs == 0 {
 		t.Fatal("pfor over 4 localities sampled zero transport messages")
@@ -146,7 +127,7 @@ func TestMonitorSamplesTransportCounters(t *testing.T) {
 }
 
 // TestSampleMutationDoesNotCorruptHistory pins the deep-copy contract
-// of Latest/History: Coverage maps handed out are clones, so a caller
+// of Latest/History: the maps handed out are clones, so a caller
 // scribbling on a returned Sample must not alter the retained ring.
 func TestSampleMutationDoesNotCorruptHistory(t *testing.T) {
 	sys, grid := buildSystem(t)
@@ -164,14 +145,18 @@ func TestSampleMutationDoesNotCorruptHistory(t *testing.T) {
 	}
 	item := grid.Item()
 	orig := make([]int64, len(latest))
+	origExec := make([]uint64, len(latest))
 	for i, s := range latest {
 		orig[i] = s.Coverage[item]
+		origExec[i] = s.Metrics.Counters[sched.MetricExecuted]
 	}
 
 	// Vandalize every returned sample.
 	for i := range latest {
 		latest[i].Coverage[item] = -999
 		latest[i].Coverage[dim.MakeItemID(99, 99)] = 1
+		latest[i].Metrics.Counters[sched.MetricExecuted] = 0
+		delete(latest[i].Metrics.Histograms, sched.MetricTaskExec)
 	}
 	for rank := 0; rank < sys.Size(); rank++ {
 		h := mon.History(rank)
@@ -187,6 +172,12 @@ func TestSampleMutationDoesNotCorruptHistory(t *testing.T) {
 		if _, leaked := s.Coverage[dim.MakeItemID(99, 99)]; leaked {
 			t.Fatalf("rank %d: injected key leaked into history", i)
 		}
+		if got := s.Metrics.Counters[sched.MetricExecuted]; got != origExec[i] {
+			t.Fatalf("rank %d: history counter corrupted: %d != %d", i, got, origExec[i])
+		}
+		if _, ok := s.Metrics.Histograms[sched.MetricTaskExec]; !ok {
+			t.Fatalf("rank %d: histogram deleted from history", i)
+		}
 	}
 	for rank := 0; rank < sys.Size(); rank++ {
 		h := mon.History(rank)
@@ -196,15 +187,20 @@ func TestSampleMutationDoesNotCorruptHistory(t *testing.T) {
 	}
 }
 
-// TestSampleReadsRegistry pins the counter migration: Sample fields
-// must equal the locality registry's values, which in turn back the
-// legacy Stats() snapshots.
+// TestSampleReadsRegistry pins what a Sample's metrics are: the
+// locality registry's values under the registry's names, which in turn
+// back the legacy Stats() snapshots — including a counter this package
+// has never heard of.
 func TestSampleReadsRegistry(t *testing.T) {
 	sys, _ := buildSystem(t)
 	mon := Start(sys, time.Hour, 8)
 	defer mon.Stop()
 	if err := sys.PFor("mon.init", region.Point{0, 0}, region.Point{64, 8}, nil); err != nil {
 		t.Fatal(err)
+	}
+	const novel = "somelayer.new_counter"
+	for rank := 0; rank < sys.Size(); rank++ {
+		sys.Metrics(rank).Counter(novel).Add(uint64(rank) + 7)
 	}
 	mon.SampleNow()
 	latest, ok := mon.Latest()
@@ -214,13 +210,17 @@ func TestSampleReadsRegistry(t *testing.T) {
 	for rank, s := range latest {
 		st := sys.Scheduler(rank).Stats()
 		net := sys.Locality(rank).Stats()
-		if s.Spawned != st.Spawned || s.Executed != st.Executed {
+		c := s.Metrics.Counters
+		if c[sched.MetricSpawned] != st.Spawned || c[sched.MetricExecuted] != st.Executed {
 			t.Fatalf("rank %d: sample (%d,%d) != sched.Stats (%d,%d)",
-				rank, s.Spawned, s.Executed, st.Spawned, st.Executed)
+				rank, c[sched.MetricSpawned], c[sched.MetricExecuted], st.Spawned, st.Executed)
 		}
-		if s.MsgsSent > net.MsgsSent {
+		if c[transport.MetricMsgsSent] > net.MsgsSent {
 			t.Fatalf("rank %d: sampled MsgsSent %d exceeds current transport count %d",
-				rank, s.MsgsSent, net.MsgsSent)
+				rank, c[transport.MetricMsgsSent], net.MsgsSent)
+		}
+		if c[novel] != uint64(rank)+7 {
+			t.Fatalf("rank %d: counter %q sampled as %d, want %d", rank, novel, c[novel], rank+7)
 		}
 	}
 }

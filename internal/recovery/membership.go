@@ -40,8 +40,7 @@ import (
 	"allscale/internal/wire"
 )
 
-// Registry names of the elastic-membership metrics (rank-0 registry,
-// surfaced via monitor.Sample).
+// Registry names of the elastic-membership metrics (rank-0 registry).
 const (
 	MetricJoins  = "membership.joins"
 	MetricDrains = "membership.drains"

@@ -47,12 +47,6 @@ func FullBlockedTreeRegion(height, block int) BlockedTreeRegion {
 	return r
 }
 
-// Height returns the total number of tree levels.
-func (r BlockedTreeRegion) Height() int { return r.height }
-
-// BlockHeight returns the height h of the root tree.
-func (r BlockedTreeRegion) BlockHeight() int { return r.block }
-
 // Blocks returns the number of selectable blocks, 2^h + 1.
 func (r BlockedTreeRegion) Blocks() int {
 	if r.block == 0 {

@@ -15,15 +15,6 @@ func (p Point) Clone() Point {
 	return q
 }
 
-// Add returns the component-wise sum p + q.
-func (p Point) Add(q Point) Point {
-	r := p.Clone()
-	for i := range r {
-		r[i] += q[i]
-	}
-	return r
-}
-
 // Equal reports component-wise equality.
 func (p Point) Equal(q Point) bool {
 	if len(p) != len(q) {

@@ -3,7 +3,6 @@ package region
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -405,24 +404,6 @@ func collectOps(n *shapeNode, id NodeID, levels int, inside bool, ops *[]TreeOp)
 	}
 	collectOps(n.left, id.Left(), levels-1, inside, ops)
 	collectOps(n.right, id.Right(), levels-1, inside, ops)
-}
-
-// Subtrees returns the include/exclude lists of the region's op
-// decomposition, in the spirit of Fig. 4b. Reconstruction through
-// TreeRegionFromSubtrees is exact whenever no exclude is itself an
-// ancestor of a later include (true for all two-level shapes); Ops
-// provides an always-exact alternative.
-func (r TreeRegion) Subtrees() (include, exclude []NodeID) {
-	for _, op := range r.Ops() {
-		if op.Add {
-			include = append(include, op.Node)
-		} else {
-			exclude = append(exclude, op.Node)
-		}
-	}
-	sort.Slice(include, func(i, j int) bool { return include[i] < include[j] })
-	sort.Slice(exclude, func(i, j int) bool { return exclude[i] < exclude[j] })
-	return include, exclude
 }
 
 func (r TreeRegion) String() string {

@@ -19,6 +19,7 @@ import (
 	"allscale/internal/core"
 	"allscale/internal/dim"
 	"allscale/internal/monitor"
+	"allscale/internal/transport"
 )
 
 // Registry names under which the resilience service publishes its
@@ -143,8 +144,9 @@ func DegradedRanks(prev, latest []monitor.Sample) []int {
 	}
 	var out []int
 	for _, s := range latest {
-		b := base[s.Rank]
-		if s.SendErrors > b.SendErrors || s.DroppedFrames > b.DroppedFrames {
+		now, was := s.Metrics.Counters, base[s.Rank].Metrics.Counters
+		if now[transport.MetricSendErrors] > was[transport.MetricSendErrors] ||
+			now[transport.MetricDroppedFrames] > was[transport.MetricDroppedFrames] {
 			out = append(out, s.Rank)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"allscale/internal/monitor"
 	"allscale/internal/region"
 	"allscale/internal/sched"
+	"allscale/internal/transport"
 )
 
 // buildGridSystem creates a 3-locality system with one distributed,
@@ -255,12 +256,24 @@ func TestCheckpointRestartMidComputation(t *testing.T) {
 	}
 }
 
+// netSample builds the monitor sample of one rank from its transport
+// failure counters.
+func netSample(rank int, sendErrs, dropped, reconnects uint64) monitor.Sample {
+	s := monitor.Sample{Rank: rank}
+	s.Metrics.Counters = map[string]uint64{
+		transport.MetricSendErrors:    sendErrs,
+		transport.MetricDroppedFrames: dropped,
+		transport.MetricReconnects:    reconnects,
+	}
+	return s
+}
+
 func TestDegradedRanks(t *testing.T) {
 	latest := []monitor.Sample{
-		{Rank: 0},
-		{Rank: 1, SendErrors: 2},
-		{Rank: 2, Reconnects: 1}, // recovering, not degraded
-		{Rank: 3, DroppedFrames: 1},
+		{Rank: 0}, // a registry that never counted a failure
+		netSample(1, 2, 0, 0),
+		netSample(2, 0, 0, 1), // recovering, not degraded
+		netSample(3, 0, 1, 0),
 	}
 	got := DegradedRanks(nil, latest)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
@@ -274,7 +287,7 @@ func TestDegradedRanks(t *testing.T) {
 	// since the baseline is no longer degradation.
 	prev := []monitor.Sample{
 		{Rank: 0},
-		{Rank: 1, SendErrors: 2},
+		netSample(1, 2, 0, 0),
 		{Rank: 2},
 		{Rank: 3},
 	}

@@ -216,10 +216,9 @@ type Locality struct {
 	fencedAt []atomic.Uint64
 	suspect  []atomic.Bool
 
-	// deathMu guards the subscriber lists; the callbacks themselves run
+	// deathMu guards the subscriber list; the callbacks themselves run
 	// outside the lock.
 	deathMu    sync.Mutex
-	onDeath    []func(rank int)
 	onPeerFail []func(peer int, err error)
 
 	closed atomic.Bool
@@ -301,18 +300,9 @@ func (l *Locality) OnPeerFailure(fn func(peer int, err error)) {
 	l.deathMu.Unlock()
 }
 
-// OnDeath subscribes to confirmed-death events (MarkDead). Callbacks
-// run synchronously on the marking goroutine.
-func (l *Locality) OnDeath(fn func(rank int)) {
-	l.deathMu.Lock()
-	l.onDeath = append(l.onDeath, fn)
-	l.deathMu.Unlock()
-}
-
 // MarkDead records a peer rank as permanently dead: every outstanding
 // call toward it fails with ErrPeerFailed, future calls and sends fail
-// fast, and OnDeath subscribers fire. Idempotent; marking the local
-// rank is ignored. The fence epoch is self-allocated (current+1); a
+// fast. Idempotent; marking the local rank is ignored. The fence epoch is self-allocated (current+1); a
 // recovery coordinator uses MarkDeadEpoch to install one agreed epoch
 // on every survivor instead.
 func (l *Locality) MarkDead(rank int) {
@@ -340,13 +330,6 @@ func (l *Locality) MarkDeadEpoch(rank int, epoch uint64) {
 	}
 	l.failCalls(func(dst int) bool { return dst == rank },
 		fmt.Errorf("%w: rank %d marked dead", ErrPeerFailed, rank))
-	l.deathMu.Lock()
-	subs := make([]func(int), len(l.onDeath))
-	copy(subs, l.onDeath)
-	l.deathMu.Unlock()
-	for _, fn := range subs {
-		fn(rank)
-	}
 }
 
 // Epoch returns the locality's incarnation epoch (the largest fence
@@ -427,8 +410,8 @@ func (l *Locality) MarkJoined(rank int, epoch uint64) {
 // MarkDeparted retires a rank that has gracefully drained: it leaves
 // the membership for good, outstanding calls toward it fail with
 // ErrPeerFailed, and later frames from its old incarnation are fenced
-// — but unlike MarkDead no OnDeath recovery fires: a drain migrates
-// its state out before leaving, so there is nothing to recover.
+// — but unlike a death nothing is recovered: a drain migrates its
+// state out before leaving.
 // Departing the local rank is allowed (the drained rank marks itself
 // on its way out) and fails no calls: its own teardown handles them.
 func (l *Locality) MarkDeparted(rank int, epoch uint64) {

@@ -1,0 +1,308 @@
+package sched
+
+import (
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"allscale/internal/runtime"
+	"allscale/internal/trace"
+)
+
+// jobSpec builds a tenant-tagged spec with a live promise, returning
+// the spec and its future.
+func jobSpec(s *Scheduler, tenant uint32, job uint64) (*TaskSpec, *runtime.Future) {
+	pid, fut := s.loc.NewPromise()
+	return &TaskSpec{
+		ID:      uint64(s.loc.Rank())<<32 | s.seq.Add(1),
+		Kind:    "sum",
+		Origin:  s.loc.Rank(),
+		Promise: pid,
+		Tenant:  tenant,
+		Job:     job,
+	}, fut
+}
+
+// registerGate installs "gate", a task that reports on started and
+// then blocks until release is called. occupyWorkers parks every queue
+// worker of a scheduler in one, so that what is spawned next stays
+// queued until the release. The release is also a test cleanup: it
+// runs before the cluster's StopQueue, which waits for the workers.
+func registerGate(t *testing.T, c *cluster) (started chan struct{}, release func()) {
+	started = make(chan struct{})
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	c.registerAll(func(int) *Kind {
+		return &Kind{
+			Name: "gate",
+			Process: func(*Ctx) (any, error) {
+				started <- struct{}{}
+				<-gate
+				return nil, nil
+			},
+		}
+	})
+	return started, release
+}
+
+func occupyWorkers(t *testing.T, s *Scheduler, started chan struct{}) {
+	t.Helper()
+	for w := 0; w < s.queue.workers; w++ {
+		if _, err := s.Spawn("gate", struct{}{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < s.queue.workers; w++ {
+		<-started
+	}
+}
+
+// spawnLeaves spawns n unsplittable "sum" tasks of one job at s, each
+// summing [0, 3).
+func spawnLeaves(t *testing.T, s *Scheduler, n int, tenant uint32, job uint64) []*runtime.Future {
+	t.Helper()
+	futs := make([]*runtime.Future, n)
+	for i := range futs {
+		fut, err := s.SpawnJob("sum", &sumRange{0, 3}, tenant, job, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs[i] = fut
+	}
+	return futs
+}
+
+// checkQueued asserts that the three views of a scheduler's run queue
+// agree on want queued tasks: QueueLen (the queued counter), the
+// deques' occupancy, and the published per-worker depth gauges.
+func checkQueued(t *testing.T, s *Scheduler, want int) {
+	t.Helper()
+	var inDeques, gauges int64
+	for _, d := range s.queue.deques {
+		inDeques += d.size.Load()
+	}
+	for name, v := range s.loc.Metrics().Snapshot().Gauges {
+		if strings.HasPrefix(name, MetricQueueDepthPrefix) {
+			gauges += v
+		}
+	}
+	if got := s.QueueLen(); got != want || inDeques != int64(want) || gauges != int64(want) {
+		t.Fatalf("queued: QueueLen %d, deques %d, depth gauges %d — want %d each", got, inDeques, gauges, want)
+	}
+}
+
+// TestCancelJobPurgesQueuesAndRegistries checks the three cancel
+// surfaces: queued tasks are purged from the worker deques with failed
+// promises while another job's stay, the execution gate blocks
+// stragglers, and a recovery respawn does not resurrect the job.
+func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
+	c := newQueuedCluster(t, 1, 2, &DefaultPolicy{})
+	registerSum(c)
+	started, release := registerGate(t, c)
+	c.start()
+	s := c.scheds[0]
+	occupyWorkers(t, s, started)
+
+	// Both jobs' tasks sit in the deques, interleaved over both workers.
+	cancelled := spawnLeaves(t, s, 5, 1, 100)
+	surviving := spawnLeaves(t, s, 3, 1, 200)
+	cancelled = append(cancelled, spawnLeaves(t, s, 2, 1, 100)...)
+	checkQueued(t, s, 10)
+	specA, _ := jobSpec(s, 1, 100)
+	s.trackInflight(specA, 0)
+	s.trackHandoff(specA, 0)
+
+	s.CancelJob(100)
+
+	// The workers are still held: nothing but the purge can have
+	// resolved these.
+	for _, fut := range cancelled {
+		if _, err := fut.Wait(); !IsJobCancelled(err) {
+			t.Fatalf("cancelled job's queued task: err = %v, want job-cancelled error", err)
+		}
+	}
+	checkQueued(t, s, 3)
+	if s.stillInflight(specA.ID) {
+		t.Fatal("cancelled spec still in the inflight registry")
+	}
+	for _, h := range s.handoffs {
+		if h.spec.Job == 100 {
+			t.Fatal("cancelled spec still in the handoff log")
+		}
+	}
+	// 7 purged from the deques + the spec swept from each registry.
+	reg := s.loc.Metrics()
+	if got := reg.CounterValue(TenantCancelledMetric(1)); got != 9 {
+		t.Fatalf("tenant cancelled counter = %d, want 9", got)
+	}
+
+	// Stragglers (e.g. arriving via a shipped batch) die at the gate.
+	specC, futC := jobSpec(s, 1, 100)
+	s.executeNow(specC, VariantProcess, noWorker)
+	if _, err := futC.Wait(); !IsJobCancelled(err) {
+		t.Fatalf("straggler of cancelled job: err = %v, want job-cancelled error", err)
+	}
+
+	// Recovery must not resurrect cancelled work.
+	specD, futD := jobSpec(s, 1, 100)
+	before := s.Respawns()
+	if err := s.Respawn(*specD); err != nil {
+		t.Fatalf("Respawn: %v", err)
+	}
+	if _, err := futD.Wait(); !IsJobCancelled(err) {
+		t.Fatalf("respawned task of cancelled job: err = %v, want job-cancelled error", err)
+	}
+	if s.Respawns() != before {
+		t.Fatal("cancelled respawn counted as a real respawn")
+	}
+	if got := reg.CounterValue(MetricCancelledRespawns); got != 1 {
+		t.Fatalf("cancelled respawns counter = %d, want 1", got)
+	}
+
+	// The surviving job still runs to completion.
+	release()
+	for _, fut := range surviving {
+		var sum int64
+		if err := fut.WaitInto(&sum); err != nil {
+			t.Fatalf("surviving job failed: %v", err)
+		}
+		if sum != 3 {
+			t.Fatalf("surviving job result = %d, want 3", sum)
+		}
+	}
+	if got := reg.CounterValue(TenantExecutedMetric(1)); got != 3 {
+		t.Fatalf("tenant executed counter = %d, want 3 (job 200's tasks only)", got)
+	}
+}
+
+// TestTaggedTasksQueueLikeUntagged: a tenant-tagged process variant is
+// an ordinary run-queue entry. With rank 0's workers held, its tagged
+// tasks are counted by QueueLen and the depth gauges, handed out by a
+// sibling raid, granted to rank 1's thief, and re-placed by
+// RedistributeQueued — and every execution lands in the tenant's
+// executed counter of the rank that ran it.
+func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
+	c := newQueuedCluster(t, 2, 2, &LocalPolicy{})
+	registerSum(c)
+	started, _ := registerGate(t, c)
+	c.start()
+	s0, s1 := c.scheds[0], c.scheds[1]
+	const tenant = 3
+	executedAt := func(s *Scheduler) uint64 {
+		return s.loc.Metrics().CounterValue(TenantExecutedMetric(tenant))
+	}
+	waitAll := func(futs []*runtime.Future) {
+		t.Helper()
+		for _, fut := range futs {
+			var sum int64
+			if err := fut.WaitInto(&sum); err != nil || sum != 3 {
+				t.Fatalf("tagged task: sum %d, err %v", sum, err)
+			}
+		}
+	}
+
+	// A draining rank does not steal — once the probes its workers had
+	// under way have come back empty and both are parked.
+	s1.SetDraining(true)
+	for s1.queue.idle.Load() != 2 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	occupyWorkers(t, s0, started)
+	futs := spawnLeaves(t, s0, 8, tenant, 9)
+	checkQueued(t, s0, 8)
+
+	// Sibling raid: worker 0 finds its own deque empty and takes from
+	// worker 1's.
+	for _, qt := range s0.queue.deques[0].drain() {
+		s0.queue.deques[1].pushTail(qt)
+	}
+	qt, ok := s0.popLocal(0)
+	if !ok || qt.spec.Tenant != tenant {
+		t.Fatalf("raid on the sibling's deque found no tagged task (ok=%v)", ok)
+	}
+	if s0.queue.deques[0].size.Load() == 0 {
+		t.Fatal("raid moved nothing into the raider's deque")
+	}
+	checkQueued(t, s0, 7)
+	s0.runQueued(qt, noWorker)
+	if got := executedAt(s0); got != 1 {
+		t.Fatalf("rank 0 tenant executed = %d after the raided task ran, want 1", got)
+	}
+
+	// Remote steal: rank 0's workers stay held, so only rank 1's
+	// thieves can run the other seven.
+	s1.SetDraining(false)
+	waitAll(futs)
+	stolen, _ := s1.StealStats()
+	if _, from := s0.StealStats(); stolen != 7 || from != 7 {
+		t.Fatalf("rank 1 stole %d, rank 0 granted %d, want 7 and 7", stolen, from)
+	}
+	if got := executedAt(s1); got != 7 {
+		t.Fatalf("rank 1 tenant executed = %d, want 7", got)
+	}
+	checkQueued(t, s0, 0)
+
+	// Redistribution: a draining rank 0 re-places what it has queued.
+	// Rank 1's thieves may get to some of it first; either way all of
+	// it leaves rank 0's queue and runs on rank 1.
+	placedBefore := s0.Stats().RemotePlaced
+	futs = spawnLeaves(t, s0, 6, tenant, 9)
+	s0.SetDraining(true)
+	s0.RedistributeQueued()
+	checkQueued(t, s0, 0)
+	waitAll(futs)
+	_, from := s0.StealStats()
+	if moved := s0.Stats().RemotePlaced - placedBefore + from - 7; moved != 6 {
+		t.Fatalf("%d tagged tasks left rank 0 by re-placement or steal, want 6", moved)
+	}
+	if got := executedAt(s1); got != 13 {
+		t.Fatalf("rank 1 tenant executed = %d, want 13", got)
+	}
+}
+
+// TestSpawnJobTenantPropagation runs a splittable job end-to-end over
+// two ranks with the work-stealing queue enabled and checks that the
+// tenant tags reach every executed descendant: the per-tenant executed
+// counters across ranks must account for every execution.
+func TestSpawnJobTenantPropagation(t *testing.T) {
+	c := newCluster(t, 2, &DefaultPolicy{})
+	registerSum(c)
+	for _, s := range c.scheds {
+		s.EnableQueue(2)
+	}
+	c.start()
+	defer func() {
+		for _, s := range c.scheds {
+			s.StopQueue()
+		}
+	}()
+
+	fut, err := c.scheds[0].SpawnJob("sum", &sumRange{0, 64}, 7, 42, trace.SpanID(0))
+	if err != nil {
+		t.Fatalf("SpawnJob: %v", err)
+	}
+	var sum int64
+	if err := fut.WaitInto(&sum); err != nil {
+		t.Fatalf("job failed: %v", err)
+	}
+	if sum != 64*63/2 {
+		t.Fatalf("sum = %d, want %d", sum, 64*63/2)
+	}
+
+	var tenantExec, totalExec uint64
+	for i := range c.scheds {
+		reg := c.scheds[i].loc.Metrics()
+		tenantExec += reg.CounterValue(TenantExecutedMetric(7))
+		totalExec += reg.CounterValue(MetricExecuted)
+	}
+	if tenantExec == 0 {
+		t.Fatal("tenant executed counter never incremented")
+	}
+	if tenantExec != totalExec {
+		t.Fatalf("tenant executions %d != total executions %d: tags lost on some path",
+			tenantExec, totalExec)
+	}
+}

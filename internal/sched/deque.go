@@ -120,3 +120,27 @@ func (d *deque) drain() []queuedTask {
 	d.mu.Unlock()
 	return out
 }
+
+// purgeJob removes and returns every queued task of the job, keeping
+// the order of the rest (job cancellation).
+func (d *deque) purgeJob(job uint64) []queuedTask {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var out []queuedTask
+	mask, kept := len(d.buf)-1, 0
+	for i := 0; i < d.n; i++ {
+		t := d.buf[(d.head+i)&mask]
+		if t.spec.Job == job {
+			out = append(out, t)
+			continue
+		}
+		d.buf[(d.head+kept)&mask] = t
+		kept++
+	}
+	for i := kept; i < d.n; i++ {
+		d.buf[(d.head+i)&mask] = queuedTask{}
+	}
+	d.n = kept
+	d.setSize()
+	return out
+}

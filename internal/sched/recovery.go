@@ -45,12 +45,6 @@ func (s *Scheduler) trackInflight(spec *TaskSpec, target int) {
 	}
 }
 
-func (s *Scheduler) untrackInflight(id uint64) {
-	s.inflightMu.Lock()
-	delete(s.inflight, id)
-	s.inflightMu.Unlock()
-}
-
 // takeInflight removes the entry and reports whether it was still
 // present. It arbitrates re-execution ownership between the ship-
 // failure fallback and the recovery coordinator's HandleDeath: only
@@ -123,7 +117,7 @@ func (s *Scheduler) HandleDeath(dead int) []TaskSpec {
 // Respawn re-schedules a task lost on a dead rank. Placement runs
 // through the ordinary assign path, which now excludes dead ranks.
 // Tasks of a cancelled job are not resurrected: their promises fail
-// with ErrJobCancelled instead (fair.go).
+// with ErrJobCancelled instead (cancel.go).
 func (s *Scheduler) Respawn(spec TaskSpec) error {
 	if spec.Job != 0 && s.jobCancelled(spec.Job) {
 		s.stats.cancelledRespawns.Inc()

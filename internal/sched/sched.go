@@ -66,9 +66,9 @@ type TaskSpec struct {
 	// the causal chain survives remote placement (0 = untraced).
 	Span uint64
 	// Tenant and Job scope the task to a job-service submission
-	// (fair.go); zero for tasks spawned outside service mode. Both
+	// (cancel.go); zero for tasks spawned outside service mode. Both
 	// travel on the wire so shipped, stolen and respawned tasks keep
-	// their fair-share accounting and cancellation scope.
+	// their per-tenant accounting and cancellation scope.
 	Tenant uint32
 	Job    uint64
 }
@@ -191,10 +191,10 @@ type Scheduler struct {
 	inflight   map[uint64]inflightEntry
 	handoffs   []handoffEntry
 
-	// fair holds the per-tenant run queues of the multi-tenant fair
-	// share layer, cancel the bounded cancelled-job set, and execObs an
-	// optional per-execution callback — all in fair.go.
-	fair    fairState
+	// tenants caches the per-tenant counters (uint32 → *tenantCounters),
+	// cancel is the bounded cancelled-job set, and execObs an optional
+	// per-execution callback — all in cancel.go.
+	tenants sync.Map
 	cancel  cancelState
 	execObs atomic.Pointer[func(job uint64)]
 
@@ -297,9 +297,6 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy) *Scheduler {
 // SetDraining flips the drain flag (see the field comment).
 func (s *Scheduler) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports whether the scheduler is draining.
-func (s *Scheduler) Draining() bool { return s.draining.Load() }
-
 // forward places a task that must not stay on this rank onto the next
 // usable member; with no member left it runs locally after all —
 // losing the task would be worse.
@@ -322,19 +319,8 @@ func (s *Scheduler) RedistributeQueued() {
 	if s.queue == nil {
 		return
 	}
-	for _, d := range s.queue.deques {
-		for _, t := range d.drain() {
-			t.sp.End()
-			s.queued.Add(-1)
-			spec := t.spec
-			s.forward(&spec, VariantProcess)
-		}
-	}
-	for _, t := range s.drainFair() {
-		t.sp.End()
-		s.queued.Add(-1)
-		spec := t.spec
-		s.forward(&spec, VariantProcess)
+	for _, t := range s.drainQueues() {
+		s.forward(&t.spec, VariantProcess)
 	}
 }
 
@@ -396,10 +382,9 @@ func (s *Scheduler) Spawn(kind string, args any) (*runtime.Future, error) {
 }
 
 // SpawnJob schedules a root task scoped to a job-service tenant and
-// job: the tags propagate to every descendant task, routing them
-// through the tenant fair queues (fair.go) and into the job's
-// cancellation scope. parent optionally roots the task's span chain in
-// a job-level span.
+// job: the tags propagate to every descendant task, putting them into
+// the job's cancellation scope and the tenant's counters (cancel.go).
+// parent optionally roots the task's span chain in a job-level span.
 func (s *Scheduler) SpawnJob(kind string, args any, tenant uint32, job uint64, parent trace.SpanID) (*runtime.Future, error) {
 	return s.spawnAt(kind, args, 0, 0, 0, parent, tenant, job)
 }
@@ -463,7 +448,7 @@ func (s *Scheduler) assign(spec *TaskSpec) error {
 		s.stats.polPlaced.Inc()
 	}
 	// Dead, suspect and non-member ranks are excluded from placement:
-	// remap to the next usable rank (coveringRank already skips them as
+	// remap to the next usable rank (placeByData already skips them as
 	// owners). Suspicion is a pause, not a verdict — it lifts as soon
 	// as a confirmation ping succeeds; a latent or departed rank is
 	// outside the membership entirely.
@@ -647,63 +632,6 @@ func pickCandidate(cand map[int]bool, local int) int {
 	return best
 }
 
-// coveringRank returns a rank whose fragments cover all (or, with
-// writeOnly, all write) requirements, or -1. Requirements with empty
-// regions impose no constraint. Retained for tests and callers that
-// need a single-tier answer; placement itself uses placeByData.
-func (s *Scheduler) coveringRank(reqs []dim.Requirement, writeOnly bool) int {
-	var candidates map[int]bool
-	constrained := false
-	for _, rq := range reqs {
-		if writeOnly && rq.Mode != dim.Write {
-			continue
-		}
-		if rq.Region.IsEmpty() {
-			continue
-		}
-		constrained = true
-		owners, err := s.mgr.OwnersHint(rq.Item, rq.Region)
-		if err != nil {
-			return -1
-		}
-		// A rank covers the requirement if the union of its segments
-		// contains the region.
-		perRank := make(map[int]dataitem.Region)
-		for _, o := range owners {
-			if cur, ok := perRank[o.Rank]; ok {
-				perRank[o.Rank] = cur.Union(o.Region)
-			} else {
-				perRank[o.Rank] = o.Region
-			}
-		}
-		covering := make(map[int]bool)
-		for rank, cov := range perRank {
-			if !s.placeable(rank) {
-				continue
-			}
-			if rq.Region.Difference(cov).IsEmpty() {
-				covering[rank] = true
-			}
-		}
-		if candidates == nil {
-			candidates = covering
-		} else {
-			for rank := range candidates {
-				if !covering[rank] {
-					delete(candidates, rank)
-				}
-			}
-		}
-		if len(candidates) == 0 {
-			return -1
-		}
-	}
-	if !constrained || len(candidates) == 0 {
-		return -1
-	}
-	return pickCandidate(candidates, s.loc.Rank())
-}
-
 // executeAsync begins execution without blocking the caller: process
 // variants go through the run queue when one is enabled (only process
 // variants are queued and stealable — split variants merely spawn and
@@ -713,7 +641,7 @@ func (s *Scheduler) coveringRank(reqs []dim.Requirement, writeOnly bool) int {
 // placement RPC handler, and the ship fallback.
 func (s *Scheduler) executeAsync(spec *TaskSpec, variant Variant) {
 	if s.queue != nil && variant == VariantProcess {
-		s.enqueueLocal(spec)
+		s.enqueueAt(-1, spec)
 		return
 	}
 	cp := *spec
@@ -741,7 +669,7 @@ func (s *Scheduler) executeNow(spec *TaskSpec, variant Variant, worker int) {
 	defer s.running.Add(-1)
 	s.stats.executed.Inc()
 	if spec.Tenant != 0 {
-		s.tenantExecuted(spec.Tenant)
+		s.tenantCounters(spec.Tenant).executed.Inc()
 	}
 	if spec.Job != 0 {
 		if fn := s.execObs.Load(); fn != nil {
@@ -835,9 +763,6 @@ func (c *Ctx) Fragment(id dim.ItemID) (dataitem.Fragment, error) {
 
 // Args decodes the task arguments into out.
 func (c *Ctx) Args(out any) error { return wire.Decode(c.spec.Args, out) }
-
-// Depth returns the task's spawn-tree depth.
-func (c *Ctx) Depth() int { return c.spec.Depth }
 
 // Spawn schedules a child task ((spawn) transition), assigning it the
 // given branch bit in the spawn tree. Waiting on the returned future

@@ -143,19 +143,18 @@ func (s *Scheduler) AbortQueue() {
 	s.drainQueues()
 }
 
-// drainQueues empties every deque and tenant fair queue, ending the
-// enqueue spans of the discarded tasks.
-func (s *Scheduler) drainQueues() {
+// drainQueues empties every deque, ending the enqueue spans, and
+// returns the tasks it took out.
+func (s *Scheduler) drainQueues() []queuedTask {
+	var out []queuedTask
 	for _, d := range s.queue.deques {
 		for _, t := range d.drain() {
 			t.sp.End()
 			s.queued.Add(-1)
+			out = append(out, t)
 		}
 	}
-	for _, t := range s.drainFair() {
-		t.sp.End()
-		s.queued.Add(-1)
-	}
+	return out
 }
 
 // StealStats reports (stolen-by-us, stolen-from-us) task counts.
@@ -164,27 +163,6 @@ func (s *Scheduler) StealStats() (uint64, uint64) {
 		return 0, 0
 	}
 	return s.stats.stolen.Value(), s.stats.stolenFrom.Value()
-}
-
-// enqueueLocal places a process-variant task into the local run
-// queue: tenant-tagged tasks go through the tenant fair queues
-// (fair.go), everything else into a deque picked round-robin.
-func (s *Scheduler) enqueueLocal(spec *TaskSpec) {
-	if spec.Tenant != 0 {
-		s.enqueueFair(spec)
-		return
-	}
-	s.enqueueAt(-1, spec)
-}
-
-// enqueueSpec routes one task into worker w's deque or — when tenant
-// tagged — the fair queues (used for steal-grant remainders).
-func (s *Scheduler) enqueueSpec(w int, spec *TaskSpec) {
-	if spec.Tenant != 0 {
-		s.enqueueFair(spec)
-		return
-	}
-	s.enqueueAt(w, spec)
 }
 
 // enqueueAt pushes onto worker w's deque (round-robin when w < 0),
@@ -240,9 +218,6 @@ func (s *Scheduler) stealForRemote(max int) []queuedTask {
 		}
 		out = append(out, d.stealHead(want-len(out))...)
 	}
-	if len(out) < want {
-		out = append(out, s.stealFair(want-len(out))...)
-	}
 	if len(out) > 0 {
 		s.queued.Add(-int64(len(out)))
 	}
@@ -269,16 +244,11 @@ func (s *Scheduler) runQueued(t queuedTask, w int) {
 }
 
 // popLocal takes the next queued task of this locality for worker w:
-// its own deque LIFO, then the tenant fair queues — every worker
-// joins the weighted rotation once its own deque runs dry — then a
-// raid on a sibling's deque. The queued counter is adjusted for the
-// returned task.
+// its own deque LIFO, then a raid on a sibling's deque. The queued
+// counter is adjusted for the returned task.
 func (s *Scheduler) popLocal(w int) (queuedTask, bool) {
 	if t, ok := s.queue.deques[w].popTail(); ok {
 		s.queued.Add(-1)
-		return t, true
-	}
-	if t, ok := s.popFair(); ok {
 		return t, true
 	}
 	return s.stealSiblings(w)
@@ -349,11 +319,10 @@ func (s *Scheduler) worker(w int) {
 // helpUntil is the helping join of queue mode: the task that occupies
 // worker w waits for done (the future of a child it spawned), and
 // until then the worker keeps serving the locality's run queue exactly
-// as its loop would (popLocal, so tenant accounting and fair shares
-// hold), on top of the waiting task's stack. Without it the children
-// could only run elsewhere: on a sibling if there is one, or on
-// another locality once its thief comes round on its backoff — and on
-// a single worker of a single locality never.
+// as its loop would (popLocal), on top of the waiting task's stack.
+// Without it the children could only run elsewhere: on a sibling if
+// there is one, or on another locality once its thief comes round on
+// its backoff — and on a single worker of a single locality never.
 //
 // With nothing to run the worker parks on the enqueue wake-up under
 // the idle protocol of the worker loop. It does not steal remotely: a
@@ -460,7 +429,7 @@ func (s *Scheduler) stealRemote(w int, rng *rand.Rand) (queuedTask, bool) {
 		ssp.SetTask(spec.ID)
 		ssp.End()
 		if i > 0 {
-			s.enqueueSpec(w, spec)
+			s.enqueueAt(w, spec)
 		}
 	}
 	return queuedTask{spec: reply.Specs[0]}, true

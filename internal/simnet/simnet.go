@@ -91,9 +91,6 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Node returns node i.
-func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
-
 // Stats returns the traffic counters.
 func (c *Cluster) Stats() Stats { return c.stats }
 

@@ -159,14 +159,6 @@ func (sp *Span) SetErr(err error) {
 	sp.Err = err.Error()
 }
 
-// SetDetail replaces the span's detail string.
-func (sp *Span) SetDetail(d string) {
-	if sp == nil {
-		return
-	}
-	sp.Detail = d
-}
-
 // SetTask tags the span with a task ID.
 func (sp *Span) SetTask(id uint64) {
 	if sp == nil {
