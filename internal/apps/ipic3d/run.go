@@ -80,7 +80,11 @@ func (a *AllScale) Snapshot() (*State, error) {
 
 // RunAllScale is the one-call wrapper.
 func RunAllScale(localities int, p Params) (*State, error) {
-	sys := core.NewSystem(core.Config{Localities: localities})
+	return runAllScale(core.Config{Localities: localities}, p)
+}
+
+func runAllScale(cfg core.Config, p Params) (*State, error) {
+	sys := core.NewSystem(cfg)
 	app := NewAllScale(sys, p)
 	sys.Start()
 	defer sys.Close()

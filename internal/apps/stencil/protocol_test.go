@@ -10,6 +10,7 @@ import (
 	"allscale/internal/core"
 	"allscale/internal/dim"
 	"allscale/internal/region"
+	"allscale/internal/sched"
 	"allscale/internal/trace"
 )
 
@@ -96,6 +97,9 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, loc
 		}
 		switch sp.Name {
 		case "rpc.call":
+			if sp.Detail == "sched.steal" {
+				continue // follows the clock, not the step: bounded apart
+			}
 			calls[sp.Detail]++
 			if sp.Detail != "dim.unpin" {
 				awaited++
@@ -112,6 +116,22 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, loc
 			}
 		}
 	}
+	// An idle worker's probes follow the clock, not the step. None may
+	// succeed: every task of this run is bound to rows its rank holds,
+	// and the two initialiser leaves were placed for a parked worker
+	// each. And each was paid for with a full backoff period of parked
+	// time, at least 1 ms (sched's remoteStealMax less its jitter) —
+	// a worker that asked whenever it ran dry would ask four times a step.
+	// Attempts are read first: a worker books its parked time before it
+	// asks.
+	attempts := total(sched.MetricStealAttempts)
+	if got := total(sched.MetricSteals); got != 0 {
+		t.Errorf("%d tasks stolen, want 0: a stolen task drags its rows after it", got)
+	}
+	if idleUs := total(sched.MetricWorkerIdleUs); attempts*1000 > idleUs {
+		t.Errorf("%d steal attempts for %d µs of parked workers, want at most one per ms", attempts, idleUs)
+	}
+	t.Logf("%d steal attempts in %d steps", attempts, warmup+1)
 	return calls, awaited, locates, locateRPCs
 }
 

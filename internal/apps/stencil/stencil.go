@@ -217,7 +217,11 @@ func (s *AllScale) Destroy() error {
 // RunAllScale is the one-call convenience wrapper: build a system of
 // the given size, run, gather, tear down.
 func RunAllScale(localities int, p Params) ([]float64, error) {
-	sys := core.NewSystem(core.Config{Localities: localities})
+	return runAllScale(core.Config{Localities: localities}, p)
+}
+
+func runAllScale(cfg core.Config, p Params) ([]float64, error) {
+	sys := core.NewSystem(cfg)
 	app := NewAllScale(sys, p)
 	sys.Start()
 	defer sys.Close()

@@ -3,6 +3,8 @@ package stencil
 import (
 	"math"
 	"testing"
+
+	"allscale/internal/core"
 )
 
 func defaultParams() Params {
@@ -49,12 +51,16 @@ func TestSequentialDiffusionBehaviour(t *testing.T) {
 func TestAllScaleMatchesSequential(t *testing.T) {
 	p := defaultParams()
 	want := RunSequential(p)
-	for _, localities := range []int{1, 2, 4} {
-		got, err := RunAllScale(localities, p)
-		if err != nil {
-			t.Fatalf("localities=%d: %v", localities, err)
+	// Workers 0 is the default pool size; with one worker a body that
+	// waited for a sibling would hang.
+	for _, workers := range []int{0, 1} {
+		for _, localities := range []int{1, 2, 4} {
+			got, err := runAllScale(core.Config{Localities: localities, Workers: workers}, p)
+			if err != nil {
+				t.Fatalf("localities=%d workers=%d: %v", localities, workers, err)
+			}
+			fieldsEqual(t, "allscale", got, want)
 		}
-		fieldsEqual(t, "allscale", got, want)
 	}
 }
 

@@ -336,7 +336,11 @@ func (a *AllScale) RunQueries(inflight int) ([]int64, error) {
 
 // RunAllScale is the one-call wrapper.
 func RunAllScale(localities int, p Params) ([]int64, error) {
-	sys := core.NewSystem(core.Config{Localities: localities})
+	return runAllScale(core.Config{Localities: localities}, p)
+}
+
+func runAllScale(cfg core.Config, p Params) ([]int64, error) {
+	sys := core.NewSystem(cfg)
 	app := NewAllScale(sys, p)
 	sys.Start()
 	defer sys.Close()

@@ -7,15 +7,14 @@ import (
 	"time"
 
 	"allscale/internal/core"
-	"allscale/internal/sched"
 )
 
-// TestQueueModeQueriesDoNotStarve runs load + queries in queue mode
-// with no worker to spare: tpc.query is a process variant that joins
-// the per-block tasks it spawns, so with every worker of a locality
-// inside a query the children can only run if the join itself runs
-// them (DESIGN.md §6e). At the parent commit the first case hangs on
-// its first query and the others whenever all workers join at once.
+// TestQueueModeQueriesDoNotStarve runs load + queries with no worker to
+// spare: tpc.query is a process variant that joins the per-block tasks
+// it spawns, so with every worker of a locality inside a query the
+// children can only run if the join itself runs them (DESIGN.md §6e).
+// Without the helping join the first case hangs on its first query and
+// the others whenever all workers join at once.
 func TestQueueModeQueriesDoNotStarve(t *testing.T) {
 	p := testParams()
 	want := RunSequential(p)
@@ -26,15 +25,7 @@ func TestQueueModeQueriesDoNotStarve(t *testing.T) {
 		{2, 1},
 	} {
 		t.Run(fmt.Sprintf("%dloc-%dworkers", tc.localities, tc.workers), func(t *testing.T) {
-			cfg := core.Config{Localities: tc.localities, Workers: tc.workers}
-			if tc.workers > 1 {
-				// The loader runs unsplit: leaves of a split load that
-				// run on two workers of one locality write one fragment's
-				// node map unsynchronised (a seed defect recorded in
-				// benchmark/README.md, not under test).
-				cfg.Policy = &sched.DefaultPolicy{ExtraDepth: -1 - tc.localities}
-			}
-			sys := core.NewSystem(cfg)
+			sys := core.NewSystem(core.Config{Localities: tc.localities, Workers: tc.workers})
 			app := NewAllScale(sys, p)
 			sys.Start()
 			defer sys.Close()

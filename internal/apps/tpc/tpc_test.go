@@ -3,6 +3,7 @@ package tpc
 import (
 	"testing"
 
+	"allscale/internal/core"
 	"allscale/internal/region"
 )
 
@@ -129,14 +130,18 @@ func TestRadiusExtremes(t *testing.T) {
 func TestAllScaleMatchesSequential(t *testing.T) {
 	p := testParams()
 	want := RunSequential(p)
-	for _, localities := range []int{1, 2, 4} {
-		got, err := RunAllScale(localities, p)
-		if err != nil {
-			t.Fatalf("localities=%d: %v", localities, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("localities=%d: query %d = %d, want %d", localities, i, got[i], want[i])
+	// Workers 0 is the default pool size; with one worker a query that
+	// waited for its per-block tasks without running them would hang.
+	for _, workers := range []int{0, 1} {
+		for _, localities := range []int{1, 2, 4} {
+			got, err := runAllScale(core.Config{Localities: localities, Workers: workers}, p)
+			if err != nil {
+				t.Fatalf("localities=%d workers=%d: %v", localities, workers, err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("localities=%d workers=%d: query %d = %d, want %d", localities, workers, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -31,6 +31,10 @@ func New(base, max time.Duration, seed int64) *Timer {
 // Reset rewinds the backoff to its base delay (call after progress).
 func (b *Timer) Reset() { b.cur = b.base }
 
+// Saturate moves the backoff to its max delay: the state of a retrier
+// that has no reason yet to expect progress.
+func (b *Timer) Saturate() { b.cur = b.max }
+
 // next draws the jittered current delay and doubles the backoff.
 func (b *Timer) next() time.Duration {
 	d := b.cur/2 + time.Duration(b.rng.Int63n(int64(b.cur)))

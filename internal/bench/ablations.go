@@ -211,10 +211,10 @@ type SchedulerRow struct {
 	WallMillis    float64
 }
 
-// SchedulerAblation runs the real stencil application under three
+// SchedulerAblation runs the real stencil application under two
 // scheduling policies and reports how much data each one moves: the
 // data-aware Algorithm 2 routes update tasks to the fragment owners,
-// while random/round-robin placement keeps migrating fragments.
+// while round-robin placement keeps migrating fragments.
 func SchedulerAblation(localities int, params stencilapp.Params) ([]SchedulerRow, error) {
 	if localities <= 0 {
 		localities = 4
@@ -228,7 +228,6 @@ func SchedulerAblation(localities int, params stencilapp.Params) ([]SchedulerRow
 	}{
 		{"data-aware (Alg. 2 + hierarchy)", func() sched.Policy { return &sched.DefaultPolicy{} }},
 		{"round-robin placement", func() sched.Policy { return &sched.RoundRobinPolicy{} }},
-		{"random placement", func() sched.Policy { return &sched.RandomPolicy{Seed: 1} }},
 	}
 	var rows []SchedulerRow
 	for _, pol := range policies {

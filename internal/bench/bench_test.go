@@ -179,7 +179,7 @@ func TestSchedulerAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	aware := rows[0]

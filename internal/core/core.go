@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"io"
+	goruntime "runtime"
 	"sync"
 	"time"
 
@@ -30,10 +31,11 @@ type Config struct {
 	// Policy is the scheduling policy; default is the hierarchical
 	// data-spreading DefaultPolicy.
 	Policy sched.Policy
-	// Workers, when positive, switches every locality to a bounded
-	// worker pool of that size with inter-locality work stealing
-	// (Section 3.2: enqueued tasks "may be stolen by other nodes");
-	// zero keeps the default goroutine-per-task execution.
+	// Workers is the size of every locality's worker pool: the
+	// goroutines that run process variants off the locality's
+	// work-stealing run queue (Section 3.2: enqueued tasks "may be
+	// stolen by other nodes"). Zero or negative selects
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// TraceCapacity, when positive, enables task-lifecycle tracing
 	// with a per-rank ring of that many finished spans (use
@@ -105,6 +107,10 @@ func NewSystem(cfg Config) *System {
 	if policy == nil {
 		policy = &sched.DefaultPolicy{}
 	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = goruntime.GOMAXPROCS(0)
+	}
 	var rsys *runtime.System
 	if len(cfg.Endpoints) > 0 {
 		n = len(cfg.Endpoints)
@@ -126,11 +132,7 @@ func NewSystem(cfg Config) *System {
 		mgr := dim.New(s.rsys.Locality(i), reg)
 		s.regs = append(s.regs, reg)
 		s.mgrs = append(s.mgrs, mgr)
-		sc := sched.New(s.rsys.Locality(i), mgr, policy)
-		if cfg.Workers > 0 {
-			sc.EnableQueue(cfg.Workers)
-		}
-		s.scheds = append(s.scheds, sc)
+		s.scheds = append(s.scheds, sched.New(s.rsys.Locality(i), mgr, policy, workers))
 	}
 	// Latent ranks start outside the membership — on every locality's
 	// view, their own included — until a join admits them.
@@ -241,7 +243,7 @@ func (s *System) Kill(rank int) {
 }
 
 // Close shuts the system down, stopping recovery first (so the
-// detector does not declare closing localities dead), then any worker
+// detector does not declare closing localities dead), then the worker
 // pools.
 func (s *System) Close() error {
 	if r := s.Recovery(); r != nil {

@@ -232,3 +232,73 @@ func TestSystemStatsExposed(t *testing.T) {
 		t.Fatal("no messages recorded")
 	}
 }
+
+// TestWorkersModeRunsPForCorrectly runs a write-requirement pfor with an
+// explicit pool size, two workers on each of three localities.
+func TestWorkersModeRunsPForCorrectly(t *testing.T) {
+	sys := NewSystem(Config{Localities: 3, Workers: 2})
+	defer sys.Close()
+	grid := DefineGrid[int](sys, "wq.grid", region.Point{48, 8})
+	RegisterPFor(sys, PForSpec{
+		Name:     "wq.init",
+		MinGrain: 32,
+		Body: func(ctx *sched.Ctx, p region.Point, _ []byte) {
+			grid.Local(ctx).Set(p, p[0]+p[1])
+		},
+		Reqs: func(r Range, _ []byte) []dim.Requirement {
+			return []dim.Requirement{{Item: grid.Item(), Region: grid.Region(r.Lo, r.Hi), Mode: dim.Write}}
+		},
+	})
+	sys.Start()
+	if err := grid.Create(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.PFor("wq.init", region.Point{0, 0}, region.Point{48, 8}, nil); err != nil {
+		t.Fatal(err)
+	}
+	sum, want := 0, 0
+	err := grid.Read(grid.FullRegion(), func(f *dataitem.GridFragment[int]) {
+		for x := 0; x < 48; x++ {
+			for y := 0; y < 8; y++ {
+				sum += f.At(region.Point{x, y})
+				want += x + y
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != want {
+		t.Fatalf("sum = %d, want %d", sum, want)
+	}
+}
+
+// TestWorkersModeQueueDrains: with one worker per locality, a chain of
+// dependent root tasks leaves no rank's run queue occupied.
+func TestWorkersModeQueueDrains(t *testing.T) {
+	sys := NewSystem(Config{Localities: 2, Workers: 1})
+	defer sys.Close()
+	sys.RegisterKind(func(rank int) *sched.Kind {
+		return &sched.Kind{
+			Name:    "w.unit",
+			Process: func(ctx *sched.Ctx) (any, error) { return 1, nil },
+		}
+	})
+	sys.Start()
+	total := 0
+	for i := 0; i < 32; i++ {
+		var v int
+		if err := sys.Wait("w.unit", struct{}{}, &v); err != nil {
+			t.Fatal(err)
+		}
+		total += v
+	}
+	if total != 32 {
+		t.Fatalf("total = %d", total)
+	}
+	for rank := 0; rank < sys.Size(); rank++ {
+		if n := sys.Scheduler(rank).QueueLen(); n != 0 {
+			t.Fatalf("rank %d queue not drained: %d", rank, n)
+		}
+	}
+}

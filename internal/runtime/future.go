@@ -58,6 +58,10 @@ func (f *Future) Wait() ([]byte, error) {
 	return f.value, f.err
 }
 
+// Ready is closed once the future is fulfilled, for a waiter that
+// selects on it: Wait would return at once.
+func (f *Future) Ready() <-chan struct{} { return f.ch }
+
 // Done reports fulfilment without blocking.
 func (f *Future) Done() bool {
 	select {

@@ -24,18 +24,11 @@ type AdaptivePolicy struct {
 	// MaxExtraDepth bounds additional load-driven splitting; negative
 	// selects the default 3.
 	MaxExtraDepth int
-	// LowLoad is the queue-depth (or, unbound, queued+running)
-	// threshold under which the locality counts as starved; negative
-	// selects the default 4 (2× the worker estimate).
+	// LowLoad is the queue-depth threshold under which the locality
+	// counts as starved; negative selects the default 4 (2× the worker
+	// estimate).
 	LowLoad int64
-	// TaskShipNs / ElemMoveNs tune the percolation cost model
-	// (Algorithm 2 extension, DESIGN.md §6f): the modelled nanosecond
-	// cost of shipping one task vs. migrating one data element. Zero
-	// or negative selects the measured defaults.
-	TaskShipNs int64
-	ElemMoveNs int64
 
-	load        func() int64
 	queueDepth  func() int64
 	idleWorkers func() int64
 }
@@ -46,13 +39,8 @@ func NewAdaptivePolicy() *AdaptivePolicy {
 	return &AdaptivePolicy{BaseExtraDepth: 1, MaxExtraDepth: 3, LowLoad: 4}
 }
 
-// BindLoad gives the policy access to the hosting scheduler's load;
-// the scheduler calls this automatically at construction.
-func (p *AdaptivePolicy) BindLoad(load func() int64) { p.load = load }
-
 // BindQueueSignals gives the policy the run queue's live depth and
-// idle-worker-count signals; EnableQueue calls this automatically.
-// When bound, these replace the coarse BindLoad signal.
+// idle-worker-count signals; the scheduler calls this at construction.
 func (p *AdaptivePolicy) BindQueueSignals(depth, idle func() int64) {
 	p.queueDepth = depth
 	p.idleWorkers = idle
@@ -91,19 +79,9 @@ func (p *AdaptivePolicy) PickVariant(spec *TaskSpec, splittable bool, size int) 
 	if spec.Depth >= depth+p.maxExtra() {
 		return VariantProcess
 	}
-	// Past the guaranteed depth: keep splitting only while starved.
-	// Prefer the precise deque signals when a run queue is enabled —
+	// Past the guaranteed depth: keep splitting only while starved —
 	// parked workers or a short queue both mean more tasks are welcome.
-	if p.idleWorkers != nil && p.idleWorkers() > 0 {
-		return VariantSplit
-	}
-	if p.queueDepth != nil {
-		if p.queueDepth() < p.lowLoad() {
-			return VariantSplit
-		}
-		return VariantProcess
-	}
-	if p.load != nil && p.load() < p.lowLoad() {
+	if p.idleWorkers() > 0 || p.queueDepth() < p.lowLoad() {
 		return VariantSplit
 	}
 	return VariantProcess
@@ -113,24 +91,6 @@ func (p *AdaptivePolicy) PickVariant(spec *TaskSpec, splittable bool, size int) 
 // DefaultPolicy).
 func (p *AdaptivePolicy) PickTarget(spec *TaskSpec, size int) int {
 	return (&DefaultPolicy{}).PickTarget(spec, size)
-}
-
-// PercolationCosts implements percolationCoster, exposing the tunable
-// task-ship vs. element-migration cost constants.
-func (p *AdaptivePolicy) PercolationCosts() (int64, int64) {
-	ship, move := p.TaskShipNs, p.ElemMoveNs
-	if ship <= 0 {
-		ship = defaultTaskShipNs
-	}
-	if move <= 0 {
-		move = defaultElemMoveNs
-	}
-	return ship, move
-}
-
-// loadBinder is implemented by policies that want load feedback.
-type loadBinder interface {
-	BindLoad(func() int64)
 }
 
 // queueSignalBinder is implemented by policies that want the live

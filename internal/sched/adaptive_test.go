@@ -8,7 +8,8 @@ import "testing"
 // configured off.
 func TestAdaptivePolicyZeroHonored(t *testing.T) {
 	p := &AdaptivePolicy{BaseExtraDepth: 0, MaxExtraDepth: 0, LowLoad: 0}
-	p.BindLoad(func() int64 { return 0 }) // starved — would split given any headroom
+	starved := func() int64 { return 0 } // empty queue, no parked worker — would split given any headroom
+	p.BindQueueSignals(starved, starved)
 	// 8 ranks: log2ceil(8) = 3. With zero base headroom, depth 2 still
 	// splits but depth 3 must process — even though the locality is
 	// starved, because MaxExtraDepth=0 leaves no load-driven band.
@@ -21,7 +22,7 @@ func TestAdaptivePolicyZeroHonored(t *testing.T) {
 	// LowLoad=0 disables load-driven splitting (load < 0 never holds)
 	// even with extra depth available.
 	pz := &AdaptivePolicy{BaseExtraDepth: 0, MaxExtraDepth: 2, LowLoad: 0}
-	pz.BindLoad(func() int64 { return 0 })
+	pz.BindQueueSignals(starved, starved)
 	if v := pz.PickVariant(&TaskSpec{Depth: 3}, true, 8); v != VariantProcess {
 		t.Fatal("LowLoad=0 must disable load-driven splitting")
 	}
@@ -38,8 +39,8 @@ func TestAdaptivePolicyZeroHonored(t *testing.T) {
 	}
 }
 
-// TestAdaptivePolicyQueueSignals checks the Algorithm 2 feedback wired
-// up by EnableQueue: within the load-driven band, parked workers force
+// TestAdaptivePolicyQueueSignals checks the Algorithm 2 feedback the
+// scheduler wires up: within the load-driven band, parked workers force
 // splitting and a deep run queue stops it.
 func TestAdaptivePolicyQueueSignals(t *testing.T) {
 	p := NewAdaptivePolicy()

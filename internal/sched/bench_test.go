@@ -22,20 +22,19 @@ func (a *benchArgs) UnmarshalWire(d *wire.Decoder) error {
 	return nil
 }
 
-// benchCluster builds an n-locality in-process system with
-// work-stealing queues and a registered no-op task kind.
+// benchCluster builds an n-locality in-process system with a
+// registered no-op task kind.
 func benchCluster(b *testing.B, n, workers int, policy Policy) ([]*Scheduler, func()) {
 	b.Helper()
 	sys := runtime.NewSystem(n)
 	scheds := make([]*Scheduler, n)
 	for i := 0; i < n; i++ {
 		reg := dataitem.NewRegistry()
-		s := New(sys.Locality(i), dim.New(sys.Locality(i), reg), policy)
+		s := New(sys.Locality(i), dim.New(sys.Locality(i), reg), policy, workers)
 		s.Register(&Kind{
 			Name:    "noop",
 			Process: func(ctx *Ctx) (any, error) { return nil, nil },
 		})
-		s.EnableQueue(workers)
 		scheds[i] = s
 	}
 	sys.Start()

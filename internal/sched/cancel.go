@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,13 +147,12 @@ func (s *Scheduler) CancelJob(job uint64) {
 	// Purge queued tasks of the job from the deques. A task a sibling
 	// raid holds between two deques at this instant is missed here and
 	// stopped at the execution gate instead.
-	if s.queue != nil {
-		for _, d := range s.queue.deques {
-			for _, t := range d.purgeJob(job) {
-				t.sp.End()
-				s.queued.Add(-1)
-				s.failCancelled(&t.spec)
-			}
+	ofJob := func(spec *TaskSpec) bool { return spec.Job == job }
+	for _, d := range s.queue.deques {
+		for _, t := range d.takeIf(math.MaxInt, ofJob) {
+			t.sp.End()
+			s.queued.Add(-1)
+			s.failCancelled(&t.spec)
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"allscale/internal/runtime"
 	"allscale/internal/trace"
@@ -99,7 +98,7 @@ func checkQueued(t *testing.T, s *Scheduler, want int) {
 // promises while another job's stay, the execution gate blocks
 // stragglers, and a recovery respawn does not resurrect the job.
 func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
-	c := newQueuedCluster(t, 1, 2, &DefaultPolicy{})
+	c := newCluster(t, 1, 2, &DefaultPolicy{})
 	registerSum(c)
 	started, release := registerGate(t, c)
 	c.start()
@@ -185,7 +184,7 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 // RedistributeQueued — and every execution lands in the tenant's
 // executed counter of the rank that ran it.
 func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
-	c := newQueuedCluster(t, 2, 2, &LocalPolicy{})
+	c := newCluster(t, 2, 2, &LocalPolicy{})
 	registerSum(c)
 	started, _ := registerGate(t, c)
 	c.start()
@@ -204,12 +203,7 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 		}
 	}
 
-	// A draining rank does not steal — once the probes its workers had
-	// under way have come back empty and both are parked.
-	s1.SetDraining(true)
-	for s1.queue.idle.Load() != 2 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	holdThieves(s1)
 	occupyWorkers(t, s0, started)
 	futs := spawnLeaves(t, s0, 8, tenant, 9)
 	checkQueued(t, s0, 8)
@@ -264,21 +258,13 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 }
 
 // TestSpawnJobTenantPropagation runs a splittable job end-to-end over
-// two ranks with the work-stealing queue enabled and checks that the
+// two ranks and checks that the
 // tenant tags reach every executed descendant: the per-tenant executed
 // counters across ranks must account for every execution.
 func TestSpawnJobTenantPropagation(t *testing.T) {
-	c := newCluster(t, 2, &DefaultPolicy{})
+	c := newCluster(t, 2, 2, &DefaultPolicy{})
 	registerSum(c)
-	for _, s := range c.scheds {
-		s.EnableQueue(2)
-	}
 	c.start()
-	defer func() {
-		for _, s := range c.scheds {
-			s.StopQueue()
-		}
-	}()
 
 	fut, err := c.scheds[0].SpawnJob("sum", &sumRange{0, 64}, 7, 42, trace.SpanID(0))
 	if err != nil {

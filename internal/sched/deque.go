@@ -121,20 +121,24 @@ func (d *deque) drain() []queuedTask {
 	return out
 }
 
-// purgeJob removes and returns every queued task of the job, keeping
-// the order of the rest (job cancellation).
-func (d *deque) purgeJob(job uint64) []queuedTask {
+// takeIf removes and returns, oldest first, up to max queued tasks that
+// match, keeping the order of the rest: job cancellation purges a job's
+// tasks with it, the remote steal handler picks what it may grant.
+// match runs under the deque's lock and must not block.
+func (d *deque) takeIf(max int, match func(*TaskSpec) bool) []queuedTask {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var out []queuedTask
 	mask, kept := len(d.buf)-1, 0
 	for i := 0; i < d.n; i++ {
-		t := d.buf[(d.head+i)&mask]
-		if t.spec.Job == job {
-			out = append(out, t)
+		t := &d.buf[(d.head+i)&mask]
+		if len(out) < max && match(&t.spec) {
+			out = append(out, *t)
 			continue
 		}
-		d.buf[(d.head+kept)&mask] = t
+		if kept != i {
+			d.buf[(d.head+kept)&mask] = *t
+		}
 		kept++
 	}
 	for i := kept; i < d.n; i++ {

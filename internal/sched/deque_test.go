@@ -135,7 +135,7 @@ func TestDequeConcurrentStress(t *testing.T) {
 // (its granted tasks still run there, so exactly-once must hold
 // without respawns). Meaningful under -race.
 func TestQueueStressNoLossNoDup(t *testing.T) {
-	c := newQueuedCluster(t, 4, 2, &LocalPolicy{})
+	c := newCluster(t, 4, 2, &LocalPolicy{})
 	const n = 4000
 	var counts [n]atomic.Int32
 	c.registerAll(func(rank int) *Kind {

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// The helping join of queue mode (steal.go helpUntil, DESIGN.md §6e):
+// The helping join (steal.go helpUntil, DESIGN.md §6e):
 // a process variant that joins its children must not idle the worker
 // it occupies. Every test here hangs without it — the children sit in
 // the run queue behind the only goroutines that could run them — so
@@ -94,7 +94,7 @@ func TestHelpingJoinNested(t *testing.T) {
 		{2, 1, 2, &RoundRobinPolicy{}},
 	} {
 		t.Run(fmt.Sprintf("%dloc-%dworkers-%droots", tc.localities, tc.workers, tc.roots), func(t *testing.T) {
-			c := newQueuedCluster(t, tc.localities, tc.workers, tc.policy)
+			c := newCluster(t, tc.localities, tc.workers, tc.policy)
 			registerFan(c, 3)
 			c.start()
 			const height = 4
@@ -147,7 +147,7 @@ func TestHelpingJoinNested(t *testing.T) {
 // path as the worker loop's, so the per-tenant executed counter sees
 // every one of them.
 func TestHelpingJoinKeepsTenantAccounting(t *testing.T) {
-	c := newQueuedCluster(t, 1, 1, &DefaultPolicy{})
+	c := newCluster(t, 1, 1, &DefaultPolicy{})
 	registerFan(c, 2)
 	c.start()
 	s := c.scheds[0]
@@ -174,7 +174,7 @@ func TestHelpingJoinKeepsTenantAccounting(t *testing.T) {
 // unwind the job with ErrJobCancelled and return the worker to its
 // loop.
 func TestCancelWhileParkedInHelpingJoin(t *testing.T) {
-	c := newQueuedCluster(t, 2, 1, &DefaultPolicy{})
+	c := newCluster(t, 2, 1, &DefaultPolicy{})
 	rootRunning := make(chan struct{})
 	proceed := make(chan struct{})
 	childRunning := make(chan struct{})
@@ -211,9 +211,8 @@ func TestCancelWhileParkedInHelpingJoin(t *testing.T) {
 	registerFan(c, 2)
 	c.start()
 
-	// While the root is queued, rank 1's thief must not carry it off:
-	// a draining rank does not steal.
-	c.scheds[1].SetDraining(true)
+	// While the root is queued, rank 1's thief must not carry it off.
+	holdThieves(c.scheds[1])
 	const job = 77
 	fut, err := c.scheds[0].SpawnJob("root", &benchArgs{}, 1, job, 0)
 	if err != nil {

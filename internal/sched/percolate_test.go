@@ -28,7 +28,7 @@ func (c *cluster) sumCounter(name string) uint64 {
 // ownership proof.
 func TestCoveredPlacementZeroLocateRPCs(t *testing.T) {
 	typ := dataitem.NewGridType[int]("field", region.Point{16, 16})
-	c := newCluster(t, 4, &RoundRobinPolicy{}, typ)
+	c := newCluster(t, 4, 2, &RoundRobinPolicy{}, typ)
 
 	var item dim.ItemID
 	var execRanks sync.Map
@@ -122,7 +122,7 @@ func (a *scanArgs) UnmarshalWire(d *wire.Decoder) error {
 // owner and sched.percolate.to_data counts it.
 func TestPercolationShipsToMajorityOwner(t *testing.T) {
 	typ := dataitem.NewGridType[int]("field", region.Point{64, 16})
-	c := newCluster(t, 2, &RoundRobinPolicy{}, typ)
+	c := newCluster(t, 2, 2, &RoundRobinPolicy{}, typ)
 	full := dataitem.GridRegionFromTo(region.Point{0, 0}, region.Point{64, 16})
 
 	var item dim.ItemID
@@ -180,7 +180,7 @@ func TestPercolationShipsToMajorityOwner(t *testing.T) {
 // the task stays local and the data migrates to it.
 func TestPercolationKeepsTaskWhenMigrationCheaper(t *testing.T) {
 	typ := dataitem.NewGridType[int]("field", region.Point{16, 16})
-	c := newCluster(t, 2, &RoundRobinPolicy{}, typ)
+	c := newCluster(t, 2, 2, &RoundRobinPolicy{}, typ)
 	full := dataitem.GridRegionFromTo(region.Point{0, 0}, region.Point{16, 16})
 
 	var item dim.ItemID
@@ -234,72 +234,12 @@ func TestPercolationKeepsTaskWhenMigrationCheaper(t *testing.T) {
 	}
 }
 
-// TestPercolationCostsTunable: a policy exposing PercolationCosts
-// overrides the defaults — an extreme element-move cost forces the
-// to_data decision even for a tiny ownership gap.
-func TestPercolationCostsTunable(t *testing.T) {
-	typ := dataitem.NewGridType[int]("field", region.Point{16, 16})
-	pol := NewAdaptivePolicy()
-	pol.TaskShipNs = 1
-	pol.ElemMoveNs = 1_000_000
-	c := newCluster(t, 2, pol, typ)
-	full := dataitem.GridRegionFromTo(region.Point{0, 0}, region.Point{16, 16})
-
-	var item dim.ItemID
-	execRank := make(chan int, 1)
-	c.registerAll(func(rank int) *Kind {
-		return &Kind{
-			Name: "scan",
-			Reqs: func(args []byte) []dim.Requirement {
-				return []dim.Requirement{{Item: item, Region: full, Mode: dim.Read}}
-			},
-			Process: func(ctx *Ctx) (any, error) {
-				execRank <- ctx.Rank()
-				return nil, nil
-			},
-		}
-	})
-	c.start()
-
-	var err error
-	item, err = c.scheds[0].Manager().CreateItem(typ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range []dataitem.GridRegion{
-		dataitem.GridRegionFromTo(region.Point{0, 0}, region.Point{10, 16}),
-		dataitem.GridRegionFromTo(region.Point{10, 0}, region.Point{16, 16}),
-	} {
-		rank := 1 - i // rank 1 majority, rank 0 minority
-		if err := c.scheds[rank].Manager().Acquire(uint64(901+i), []dim.Requirement{
-			{Item: item, Region: r, Mode: dim.Write},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		c.scheds[rank].Manager().Release(uint64(901 + i))
-	}
-
-	fut, err := c.scheds[0].Spawn("scan", &scanArgs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fut.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-execRank; got != 1 {
-		t.Fatalf("task executed on rank %d, want majority owner 1", got)
-	}
-	if st := c.scheds[0].Stats(); st.PercToData != 1 {
-		t.Fatalf("percolation stats = %+v, want one to_data", st)
-	}
-}
-
 // BenchmarkCoveredPlacement measures the fine-grained stencil-like
 // placement hot path (E13): spawn-to-complete of requirement-covered
 // band tasks from one rank, steady state, locate cache warm.
 func BenchmarkCoveredPlacement(b *testing.B) {
 	typ := dataitem.NewGridType[int]("field", region.Point{16, 16})
-	c := newCluster(b, 4, &RoundRobinPolicy{}, typ)
+	c := newCluster(b, 4, 2, &RoundRobinPolicy{}, typ)
 
 	var item dim.ItemID
 	c.registerAll(func(rank int) *Kind {

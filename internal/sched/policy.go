@@ -2,8 +2,6 @@ package sched
 
 import (
 	"math/bits"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 )
 
@@ -80,31 +78,6 @@ func (p *RoundRobinPolicy) PickVariant(spec *TaskSpec, splittable bool, size int
 // PickTarget implements Policy.
 func (p *RoundRobinPolicy) PickTarget(spec *TaskSpec, size int) int {
 	return int(p.next.Add(1)) % size
-}
-
-// RandomPolicy splits like DefaultPolicy but places unconstrained
-// tasks uniformly at random. Used by the scheduler-ablation
-// experiment (E7).
-type RandomPolicy struct {
-	ExtraDepth int
-	Seed       int64
-
-	once sync.Once
-	mu   sync.Mutex
-	rng  *rand.Rand
-}
-
-// PickVariant implements Policy.
-func (p *RandomPolicy) PickVariant(spec *TaskSpec, splittable bool, size int) Variant {
-	return (&DefaultPolicy{ExtraDepth: p.ExtraDepth}).PickVariant(spec, splittable, size)
-}
-
-// PickTarget implements Policy.
-func (p *RandomPolicy) PickTarget(spec *TaskSpec, size int) int {
-	p.once.Do(func() { p.rng = rand.New(rand.NewSource(p.Seed)) })
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rng.Intn(size)
 }
 
 // LocalPolicy splits like DefaultPolicy but keeps every

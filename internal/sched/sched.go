@@ -173,8 +173,8 @@ type Scheduler struct {
 	running atomic.Int64
 	queued  atomic.Int64
 
-	// queue, when non-nil, holds the work-stealing run queue enabled
-	// by EnableQueue (see steal.go).
+	// queue is the work-stealing run queue every process variant
+	// executes through (steal.go).
 	queue *queueState
 
 	// draining, when set, stops this rank from keeping work: its own
@@ -228,9 +228,14 @@ type runArgs struct {
 	Variant Variant
 }
 
-// New creates the scheduler of one locality. Kinds must be registered
-// (identically everywhere) before tasks are spawned.
-func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy) *Scheduler {
+// New creates the scheduler of one locality and starts its workers,
+// the executor goroutines process variants run on; their number must be
+// positive. Kinds must be registered (identically everywhere) before
+// tasks are spawned.
+func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *Scheduler {
+	if workers <= 0 {
+		panic(fmt.Sprintf("sched: New needs workers > 0, got %d", workers))
+	}
 	s := &Scheduler{
 		loc: loc, mgr: mgr, policy: policy,
 		kinds:    make(map[string]*Kind),
@@ -261,9 +266,6 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy) *Scheduler {
 	s.stats.stealBatch = reg.Histogram(MetricStealBatch)
 	s.stats.shipBatch = reg.Histogram(MetricShipBatch)
 	s.execHist = reg.Histogram(MetricTaskExec)
-	if lb, ok := policy.(loadBinder); ok {
-		lb.BindLoad(s.Load)
-	}
 	// Task ships are acknowledged RPCs, not one-way messages: the ack
 	// only confirms acceptance (execution continues asynchronously), so
 	// a lost frame can be retried — the RPC dedup window makes retries
@@ -291,6 +293,7 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy) *Scheduler {
 		}
 		return nil, nil
 	})
+	s.startQueue(workers)
 	return s
 }
 
@@ -316,9 +319,6 @@ func (s *Scheduler) forward(spec *TaskSpec, variant Variant) {
 // the remaining members. Running tasks are unaffected — they finish
 // here (task-private state cannot migrate, Section 3.2).
 func (s *Scheduler) RedistributeQueued() {
-	if s.queue == nil {
-		return
-	}
 	for _, t := range s.drainQueues() {
 		s.forward(&t.spec, VariantProcess)
 	}
@@ -458,8 +458,6 @@ func (s *Scheduler) assign(spec *TaskSpec) error {
 
 	if target == s.loc.Rank() {
 		s.stats.localPlaced.Inc()
-		// Queued process variants enqueue inline — no goroutine spawn
-		// on the hot path; everything else starts on its own goroutine.
 		s.executeAsync(spec, variant)
 		return nil
 	}
@@ -475,25 +473,16 @@ func (s *Scheduler) assign(spec *TaskSpec) error {
 	return nil
 }
 
-// Percolation cost-model defaults (DESIGN.md §6f), calibrated from
-// the measured constants of EXPERIMENTS.md: shipping a task is one
-// batched placement frame plus remote spawn bookkeeping (~13µs per
-// task at the E12 fine-grained-stencil operating point), while
-// migrating fragment data costs per-element transfer plus
-// index/report upkeep (~25ns/element on the loopback fabric, E9).
-// Policies can override via the percolationCoster interface.
+// Percolation cost model (DESIGN.md §6f), calibrated from the measured
+// constants of EXPERIMENTS.md: shipping a task is one batched
+// placement frame plus remote spawn bookkeeping (~13µs per task at the
+// E12 fine-grained-stencil operating point), while migrating fragment
+// data costs per-element transfer plus index/report upkeep
+// (~25ns/element on the loopback fabric, E9).
 const (
-	defaultTaskShipNs = 13000
-	defaultElemMoveNs = 25
+	taskShipNs = 13000
+	elemMoveNs = 25
 )
-
-// percolationCoster is implemented by policies that want to tune the
-// percolation cost model; both values are nanoseconds.
-type percolationCoster interface {
-	// PercolationCosts returns (taskShipNs, elemMoveNs): the modelled
-	// cost of shipping one task vs. moving one data element.
-	PercolationCosts() (int64, int64)
-}
 
 // placeByData implements lines 4–11 of Algorithm 2 plus percolation:
 // it returns the rank to run the task at, or -1 when the requirements
@@ -578,18 +567,14 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 	if best < 0 || bestOwned == 0 {
 		return -1
 	}
-	shipNs, moveNs := int64(defaultTaskShipNs), int64(defaultElemMoveNs)
-	if pc, ok := s.policy.(percolationCoster); ok {
-		shipNs, moveNs = pc.PercolationCosts()
-	}
 	// Cost of shipping the task to the majority owner: one task ship
 	// plus pulling what that rank is missing. Cost of keeping it here:
 	// pulling everything this rank is missing.
-	toData := shipNs + (total-bestOwned)*moveNs
+	toData := taskShipNs + (total-bestOwned)*elemMoveNs
 	if best == s.loc.Rank() {
-		toData -= shipNs // already here
+		toData -= taskShipNs // already here
 	}
-	toTask := (total - owned[s.loc.Rank()]) * moveNs
+	toTask := (total - owned[s.loc.Rank()]) * elemMoveNs
 	if toTask < toData {
 		s.stats.percToTask.Inc()
 		return s.loc.Rank()
@@ -633,14 +618,13 @@ func pickCandidate(cand map[int]bool, local int) int {
 }
 
 // executeAsync begins execution without blocking the caller: process
-// variants go through the run queue when one is enabled (only process
-// variants are queued and stealable — split variants merely spawn and
-// wait, and must neither occupy a bounded worker nor migrate once
-// created), everything else runs on a goroutine of its own, reused
-// from the locality's pool. Used on the local placement path, the
-// placement RPC handler, and the ship fallback.
+// variants go through the run queue; split variants — which merely
+// spawn and wait, and must neither occupy a bounded worker nor migrate
+// once created — run on a goroutine of their own, reused from the
+// locality's pool. Used on the local placement path, the placement RPC
+// handler, and the ship fallback.
 func (s *Scheduler) executeAsync(spec *TaskSpec, variant Variant) {
-	if s.queue != nil && variant == VariantProcess {
+	if variant == VariantProcess {
 		s.enqueueAt(-1, spec)
 		return
 	}
@@ -648,8 +632,8 @@ func (s *Scheduler) executeAsync(spec *TaskSpec, variant Variant) {
 	s.loc.Go(func() { s.executeNow(&cp, variant, noWorker) })
 }
 
-// noWorker is the worker index of a variant that runs on a goroutine
-// of its own.
+// noWorker is the worker index of a split variant: it runs on a
+// goroutine of its own.
 const noWorker = -1
 
 // executeNow runs one variant immediately on the calling goroutine,
@@ -723,8 +707,8 @@ type Ctx struct {
 	spec  *TaskSpec
 	// span is the task's exec/split span; child spawns parent on it.
 	span trace.SpanID
-	// worker is the queue worker the variant occupies (noWorker for a
-	// goroutine of its own): waiting on a child must not idle it.
+	// worker is the queue worker a process variant occupies (noWorker
+	// for a split variant): waiting on a child must not idle it.
 	worker int
 	// frags remembers the fragments the body has asked for (Fragment).
 	frags []ctxFragment
@@ -778,8 +762,8 @@ func (c *Ctx) Spawn(kind string, args any, branch uint64) (*runtime.Future, erro
 	return fut, err
 }
 
-// HelpWait implements runtime.WaitHelper: the helping join of queue
-// mode (steal.go).
+// HelpWait implements runtime.WaitHelper: the helping join
+// (steal.go).
 func (c *Ctx) HelpWait(done <-chan struct{}) { c.sched.helpUntil(c.worker, done) }
 
 // Tenant returns the executing task's tenant tag (0 outside service

@@ -43,7 +43,11 @@ func TestShipExactlyOnceUnderChaos(t *testing.T) {
 		})
 	}
 	sys := runtime.NewSystemOver(eps)
+	scheds := make([]*Scheduler, n)
 	defer func() {
+		for _, s := range scheds {
+			s.StopQueue()
+		}
 		sys.Close()
 		fab.Close()
 	}()
@@ -54,10 +58,9 @@ func TestShipExactlyOnceUnderChaos(t *testing.T) {
 		Control: runtime.CallSpec{Deadline: 80 * time.Millisecond, Attempt: 30 * time.Millisecond, Retries: 2},
 	}
 	var counts [tasks]atomic.Int64
-	scheds := make([]*Scheduler, n)
 	for i := 0; i < n; i++ {
 		sys.Locality(i).SetCallProfile(calls)
-		s := New(sys.Locality(i), dim.New(sys.Locality(i), dataitem.NewRegistry()), &pinPolicy{target: 1})
+		s := New(sys.Locality(i), dim.New(sys.Locality(i), dataitem.NewRegistry()), &pinPolicy{target: 1}, 2)
 		s.Register(&Kind{
 			Name: "count",
 			Process: func(ctx *Ctx) (any, error) {
@@ -71,6 +74,10 @@ func TestShipExactlyOnceUnderChaos(t *testing.T) {
 		})
 		scheds[i] = s
 	}
+	// Rank 0 must not steal the tasks back (a draining rank does not):
+	// a grant whose call has timed out at the thief is not sent again —
+	// re-sending is what the ship protocol under test adds.
+	scheds[0].SetDraining(true)
 	fab.Start()
 
 	for i := 0; i < tasks; i++ {

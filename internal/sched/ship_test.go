@@ -28,7 +28,7 @@ func waitCount(t *testing.T, c *atomic.Int64, want int64) {
 // respawn, so the task never ran and its waiters hung. Keyed on the
 // ship attempt (seq), the second placement must execute.
 func TestRespawnedShipExecutesAgain(t *testing.T) {
-	c := newCluster(t, 2, &pinPolicy{target: 1})
+	c := newCluster(t, 2, 2, &pinPolicy{target: 1})
 	var count atomic.Int64
 	c.registerAll(func(rank int) *Kind {
 		return &Kind{
@@ -60,7 +60,7 @@ func TestRespawnedShipExecutesAgain(t *testing.T) {
 // drop at/below the sender watermark, and seen-set pruning as the
 // watermark advances.
 func TestAdmitShipWatermark(t *testing.T) {
-	c := newCluster(t, 2, &DefaultPolicy{})
+	c := newCluster(t, 2, 2, &DefaultPolicy{})
 	s := c.scheds[1]
 	if !s.admitShip(0, 5, 3) {
 		t.Fatal("fresh seq above the watermark must be admitted")

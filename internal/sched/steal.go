@@ -21,20 +21,27 @@ import (
 // other nodes since their task-private state can not be migrated."
 // (Section 3.2.)
 //
-// Stealing is opt-in via EnableQueue: process-variant executions are
-// then held in per-worker deques (see deque.go) from which idle
-// workers and idle peers may take work (only not-yet-started tasks
-// move, matching the model). Split variants keep running on their own
-// goroutines — they only spawn and wait, and must not occupy a worker
-// while blocked on children.
+// Process-variant executions are held in per-worker deques (see
+// deque.go) from which idle workers and idle peers may take work (only
+// not-yet-started tasks move, matching the model). Split variants run
+// on goroutines of their own — they only spawn and wait, and must not
+// occupy a worker while blocked on children.
 //
-// The data plane is tiered for throughput (DESIGN.md §6e): a worker
-// pops its own deque LIFO, then raids sibling deques FIFO, and only
-// then issues a remote sched.steal RPC — which grants up to half the
-// victim's queue in one frame. Idle workers park on a wake channel
-// notified by enqueues (no polling); when remote work might exist they
-// additionally wake on a randomized, exponentially growing backoff
-// timer to retry remote steals.
+// The data plane is tiered (DESIGN.md §6e): a worker pops its own
+// deque LIFO, then raids sibling deques FIFO, and only then may issue
+// a remote sched.steal RPC. Two rules keep that last tier from undoing
+// placement and from costing messages when there is nothing to gain:
+//
+//   - the grant rule (stealForRemote): a victim hands out only tasks
+//     that have no requirement on data it holds, and only from its
+//     surplus over its idle workers;
+//   - the probe rule (worker): a worker asks a peer only right after a
+//     steal that succeeded or when its backoff timer fires. A failed
+//     probe parks it; local work does not rewind the backoff, a
+//     successful steal does; a fresh worker parks first.
+//
+// Parked workers wait on a wake channel notified by enqueues (no
+// polling) and, while peers exist, on the backoff timer.
 
 const methodSteal = "sched.steal"
 
@@ -55,29 +62,21 @@ const (
 	remoteStealMax  = 2 * time.Millisecond
 )
 
-// queueState holds the optional work-stealing run queue.
+// queueState holds the work-stealing run queue.
 type queueState struct {
 	workers  int
 	deques   []*deque
 	rr       atomic.Uint64 // round-robin enqueue cursor
 	wake     chan struct{} // enqueue → parked-worker notification
-	idle     atomic.Int64  // number of workers currently parked
+	idle     atomic.Int64  // workers with nothing to run: parked or asking a peer
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// EnableQueue switches the scheduler from goroutine-per-task to a
-// bounded worker pool with work stealing. Must be called on every
-// scheduler of the system before Start; workers is the number of
-// executor goroutines per locality and must be positive.
-func (s *Scheduler) EnableQueue(workers int) {
-	if workers <= 0 {
-		panic(fmt.Sprintf("sched: EnableQueue needs workers > 0, got %d", workers))
-	}
-	if s.queue != nil {
-		panic("sched: EnableQueue called twice")
-	}
+// startQueue builds the per-worker deques, registers the steal handler
+// and starts the workers (New).
+func (s *Scheduler) startQueue(workers int) {
 	q := &queueState{
 		workers: workers,
 		deques:  make([]*deque, workers),
@@ -124,9 +123,6 @@ func (s *Scheduler) EnableQueue(workers int) {
 // their promises fail when the locality closes — with their enqueue
 // spans ended so the tracer reports no leaked spans.
 func (s *Scheduler) StopQueue() {
-	if s.queue == nil {
-		return
-	}
 	s.queue.stopOnce.Do(func() { close(s.queue.stop) })
 	s.queue.wg.Wait()
 	s.drainQueues()
@@ -136,9 +132,6 @@ func (s *Scheduler) StopQueue() {
 // workers: killing a locality must not block on workers that may be
 // mid-task (their in-flight RPCs fail once the locality closes).
 func (s *Scheduler) AbortQueue() {
-	if s.queue == nil {
-		return
-	}
 	s.queue.stopOnce.Do(func() { close(s.queue.stop) })
 	s.drainQueues()
 }
@@ -159,9 +152,6 @@ func (s *Scheduler) drainQueues() []queuedTask {
 
 // StealStats reports (stolen-by-us, stolen-from-us) task counts.
 func (s *Scheduler) StealStats() (uint64, uint64) {
-	if s.queue == nil {
-		return 0, 0
-	}
 	return s.stats.stolen.Value(), s.stats.stolenFrom.Value()
 }
 
@@ -193,21 +183,15 @@ func (q *queueState) wakeIdle() {
 	}
 }
 
-// stealForRemote drains up to half the queued tasks (capped at max)
-// for a remote thief, sweeping deques head-first.
+// stealForRemote takes up to half the locality's surplus (capped at
+// max) out of the deques for a remote thief, oldest first. The surplus
+// is what is queued beyond the idle workers: a task one of them has
+// just been woken for, or will find when its own probe returns, is
+// spoken for, not spare. Only stealable tasks leave.
 func (s *Scheduler) stealForRemote(max int) []queuedTask {
 	q := s.queue
-	if q == nil {
-		return nil
-	}
-	total := int(s.queued.Load())
-	if total <= 0 {
-		return nil
-	}
-	want := (total + 1) / 2
-	if want > max {
-		want = max
-	}
+	surplus := int(s.queued.Load() - q.idle.Load())
+	want := min(max, (surplus+1)/2)
 	var out []queuedTask
 	for _, d := range q.deques {
 		if len(out) >= want {
@@ -216,7 +200,7 @@ func (s *Scheduler) stealForRemote(max int) []queuedTask {
 		if d.size.Load() == 0 {
 			continue
 		}
-		out = append(out, d.stealHead(want-len(out))...)
+		out = append(out, d.takeIf(want-len(out), s.stealable)...)
 	}
 	if len(out) > 0 {
 		s.queued.Add(-int64(len(out)))
@@ -224,11 +208,30 @@ func (s *Scheduler) stealForRemote(max int) []queuedTask {
 	return out
 }
 
+// stealable reports whether a queued task may be granted to a remote
+// thief: not when it has a requirement on data this rank holds.
+// Placement put such a task where its data is (Algorithm 2), and a
+// thief would drag the data after it. Tasks without requirements and
+// first-touch tasks, whose data nobody holds yet, are bound to nothing
+// and balance by stealing.
+func (s *Scheduler) stealable(spec *TaskSpec) bool {
+	k, err := s.kind(spec.Kind)
+	if err != nil || k.Reqs == nil {
+		return true
+	}
+	for _, rq := range k.Reqs(spec.Args) {
+		if rq.Region.IsEmpty() {
+			continue
+		}
+		if cov, err := s.mgr.Coverage(rq.Item); err == nil && !cov.Intersect(rq.Region).IsEmpty() {
+			return false
+		}
+	}
+	return true
+}
+
 // QueueLen returns the number of queued, not yet started tasks.
 func (s *Scheduler) QueueLen() int {
-	if s.queue == nil {
-		return 0
-	}
 	n := s.queued.Load()
 	if n < 0 {
 		return 0
@@ -254,69 +257,79 @@ func (s *Scheduler) popLocal(w int) (queuedTask, bool) {
 	return s.stealSiblings(w)
 }
 
-// worker is one executor goroutine: run local work, steal remotely,
-// park.
+// worker is one executor goroutine: run local work, steal remotely
+// when the probe rule allows, park.
 func (s *Scheduler) worker(w int) {
 	q := s.queue
 	defer q.wg.Done()
 	rng := rand.New(rand.NewSource(int64(s.Rank())*1669 + int64(w)))
 	// Reusable randomized-exponential backoff for the remote-steal
-	// retry wake-up (one timer per worker, no per-iteration allocs).
+	// wake-up (one timer per worker, no per-iteration allocs). Only a
+	// successful steal rewinds it: while the peers have nothing to
+	// give, a worker kept busy by local work asks them no more often
+	// than one that sits idle.
 	bo := backoff.New(remoteStealBase, remoteStealMax, int64(s.Rank())*7919+int64(w))
+	// probe allows the next dry spell one remote steal: the backoff
+	// timer sets it, a steal that succeeded keeps it, one that failed
+	// clears it. A fresh worker knows of no peer with work: it starts
+	// without it, backed off all the way, and parks first.
+	probe := false
+	bo.Saturate()
 	for {
 		select {
 		case <-q.stop:
 			return
 		default:
 		}
-		t, ok := s.popLocal(w)
-		if !ok {
-			t, ok = s.stealRemote(w, rng)
-		}
-		if ok {
-			bo.Reset()
+		if t, ok := s.popLocal(w); ok {
 			s.runQueued(t, w)
 			continue
 		}
-		// Nothing anywhere: park until an enqueue wakes us. The idle
-		// increment happens before the queued re-check — the mirror of
-		// enqueueAt's publication order — so a concurrent enqueue
-		// either becomes visible to the re-check or sees idle > 0 and
-		// signals the wake channel.
+		// Nothing to run here: from now on the worker counts as idle,
+		// whether it asks a peer or parks. The idle increment happens
+		// before the queued re-check — the mirror of enqueueAt's
+		// publication order — so a concurrent enqueue either becomes
+		// visible to the re-check or sees idle > 0 and signals the wake
+		// channel.
 		q.idle.Add(1)
 		if s.queued.Load() > 0 {
 			q.idle.Add(-1)
 			continue
 		}
-		idleStart := time.Now()
-		if s.loc.Size() > 1 {
-			// Peers may have work: also wake on a randomized backoff
-			// to retry remote steals, doubling while idle persists.
-			fired := false
-			select {
-			case <-q.stop:
-				bo.Disarm(false)
-				q.idle.Add(-1)
-				return
-			case <-q.wake:
-			case <-bo.Arm():
-				fired = true
+		if probe {
+			t, ok := s.stealRemote(w, rng)
+			q.idle.Add(-1)
+			probe = ok
+			if ok {
+				bo.Reset()
+				s.runQueued(t, w)
 			}
-			bo.Disarm(fired)
-		} else {
-			select {
-			case <-q.stop:
-				q.idle.Add(-1)
-				return
-			case <-q.wake:
-			}
+			continue
 		}
+		idleStart := time.Now()
+		// Peers may have work: also wake on the backoff timer, which
+		// doubles while the probes it allows keep failing. A lone
+		// locality has nobody to ask (a nil channel never fires).
+		var timer <-chan time.Time
+		if s.loc.Size() > 1 {
+			timer = bo.Arm()
+		}
+		select {
+		case <-q.stop:
+			bo.Disarm(false)
+			q.idle.Add(-1)
+			return
+		case <-q.wake:
+		case <-timer:
+			probe = true
+		}
+		bo.Disarm(probe)
 		q.idle.Add(-1)
 		s.stats.workerIdleUs.Add(uint64(time.Since(idleStart).Microseconds()))
 	}
 }
 
-// helpUntil is the helping join of queue mode: the task that occupies
+// helpUntil is the helping join: the task that occupies
 // worker w waits for done (the future of a child it spawned), and
 // until then the worker keeps serving the locality's run queue exactly
 // as its loop would (popLocal), on top of the waiting task's stack.
@@ -390,35 +403,40 @@ func (s *Scheduler) stealSiblings(w int) (queuedTask, bool) {
 	return queuedTask{}, false
 }
 
-// stealRemote asks one random live peer for work. A granted batch is
+// stealRemote asks one peer for work, drawn at random among the ranks
+// that could have some — the placeable ones. A granted batch is
 // recorded task-by-task with task.steal spans; the first task is
 // returned for immediate execution, the rest land in worker w's deque
 // (waking parked siblings via the enqueue path).
 func (s *Scheduler) stealRemote(w int, rng *rand.Rand) (queuedTask, bool) {
-	if s.loc.Size() <= 1 {
-		return queuedTask{}, false
-	}
 	// A draining or not-yet-joined rank does not pull work in: it is
 	// leaving (or outside) the membership.
-	if s.draining.Load() || !s.loc.IsMember(s.Rank()) {
+	if !s.placeable(s.Rank()) {
 		return queuedTask{}, false
 	}
-	victim := rng.Intn(s.loc.Size() - 1)
-	if victim >= s.Rank() {
-		victim++
+	var peers []int
+	for r := 0; r < s.loc.Size(); r++ {
+		if r != s.Rank() && s.placeable(r) {
+			peers = append(peers, r)
+		}
 	}
-	// Dead, suspect and non-member peers fall through to the backoff —
-	// no point hammering them.
-	if s.loc.IsDead(victim) || s.loc.IsSuspect(victim) || !s.loc.IsMember(victim) {
+	if len(peers) == 0 {
 		return queuedTask{}, false
 	}
+	victim := peers[rng.Intn(len(peers))]
 	s.stats.stealAttempts.Inc()
 	// Bounded + retried with dedup: a granted steal whose reply frame
-	// is lost is replayed instead of losing the batch.
+	// is lost is replayed instead of losing the batch. Only a stopping
+	// queue gives the wait up — an unresponsive victim would hold the
+	// shutdown for the control deadline.
+	fut := s.loc.CallAsync(victim, methodSteal, struct{}{}, runtime.WithSpec(s.loc.ControlSpec()))
+	select {
+	case <-fut.Ready():
+	case <-s.queue.stop:
+		return queuedTask{}, false
+	}
 	var reply stealReply
-	err := s.loc.Call(victim, methodSteal, struct{}{}, &reply,
-		runtime.WithSpec(s.loc.ControlSpec()))
-	if err != nil || len(reply.Specs) == 0 {
+	if err := fut.WaitInto(&reply); err != nil || len(reply.Specs) == 0 {
 		return queuedTask{}, false
 	}
 	s.stats.stolen.Add(uint64(len(reply.Specs)))

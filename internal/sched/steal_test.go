@@ -1,28 +1,20 @@
 package sched
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"allscale/internal/dataitem"
+	"allscale/internal/dim"
+	"allscale/internal/region"
+	"allscale/internal/runtime"
+	"allscale/internal/wire"
 )
 
-// newQueuedCluster builds a cluster with work-stealing queues.
-func newQueuedCluster(t *testing.T, n, workers int, policy Policy) *cluster {
-	t.Helper()
-	c := newCluster(t, n, policy)
-	for _, s := range c.scheds {
-		s.EnableQueue(workers)
-	}
-	t.Cleanup(func() {
-		for _, s := range c.scheds {
-			s.StopQueue()
-		}
-	})
-	return c
-}
-
 func TestQueuedExecutionCompletesTaskTree(t *testing.T) {
-	c := newQueuedCluster(t, 4, 2, &DefaultPolicy{ExtraDepth: 2})
+	c := newCluster(t, 4, 2, &DefaultPolicy{ExtraDepth: 2})
 	registerSum(c)
 	c.start()
 	fut, err := c.scheds[0].Spawn("sum", &sumRange{0, 2000})
@@ -58,7 +50,7 @@ func registerSlow(c *cluster, mu *sync.Mutex, ranks map[int]int) {
 func TestIdleLocalitiesStealWork(t *testing.T) {
 	// LocalPolicy dumps every task on its origin (rank 0); the other
 	// localities are idle and must steal.
-	c := newQueuedCluster(t, 4, 1, &LocalPolicy{})
+	c := newCluster(t, 4, 1, &LocalPolicy{})
 	var mu sync.Mutex
 	ranks := map[int]int{}
 	registerSlow(c, &mu, ranks)
@@ -99,7 +91,7 @@ func TestIdleLocalitiesStealWork(t *testing.T) {
 }
 
 func TestQueueLenAndCounters(t *testing.T) {
-	c := newQueuedCluster(t, 1, 1, &DefaultPolicy{})
+	c := newCluster(t, 1, 1, &DefaultPolicy{})
 	block := make(chan struct{})
 	var started sync.WaitGroup
 	started.Add(1)
@@ -145,38 +137,15 @@ func TestQueueLenAndCounters(t *testing.T) {
 	}
 }
 
-func TestEnableQueueTwicePanics(t *testing.T) {
-	c := newCluster(t, 1, &DefaultPolicy{})
-	c.scheds[0].EnableQueue(1)
-	defer c.scheds[0].StopQueue()
+func TestNewRejectsZeroWorkers(t *testing.T) {
+	sys := runtime.NewSystem(1)
+	defer sys.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("second EnableQueue must panic")
+			t.Fatal("New with zero workers must panic")
 		}
 	}()
-	c.scheds[0].EnableQueue(1)
-}
-
-func TestEnableQueueZeroWorkersPanics(t *testing.T) {
-	c := newCluster(t, 1, &DefaultPolicy{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EnableQueue(0) must panic")
-		}
-	}()
-	c.scheds[0].EnableQueue(0)
-}
-
-func TestStealStatsWithoutQueue(t *testing.T) {
-	c := newCluster(t, 1, &DefaultPolicy{})
-	a, b := c.scheds[0].StealStats()
-	if a != 0 || b != 0 {
-		t.Fatal("no-queue scheduler must report zero steals")
-	}
-	if c.scheds[0].QueueLen() != 0 {
-		t.Fatal("no-queue scheduler must report empty queue")
-	}
-	c.scheds[0].StopQueue() // no-op
+	New(sys.Locality(0), dim.New(sys.Locality(0), dataitem.NewRegistry()), &DefaultPolicy{}, 0)
 }
 
 // TestStealBatchingAccounting checks that remote steals move tasks in
@@ -188,7 +157,7 @@ func TestStealStatsWithoutQueue(t *testing.T) {
 func TestStealBatchingAccounting(t *testing.T) {
 	// One worker at the victim, blocked behind slow tasks, so a large
 	// backlog accumulates for the idle rank to steal in batches.
-	c := newQueuedCluster(t, 2, 1, &LocalPolicy{})
+	c := newCluster(t, 2, 1, &LocalPolicy{})
 	var mu sync.Mutex
 	ranks := map[int]int{}
 	registerSlow(c, &mu, ranks)
@@ -233,7 +202,7 @@ func TestStealBatchingAccounting(t *testing.T) {
 // TestStealStatsConcurrent hammers StealStats (now lock-free atomics)
 // while the queue is busy; meaningful under -race.
 func TestStealStatsConcurrent(t *testing.T) {
-	c := newQueuedCluster(t, 2, 1, &LocalPolicy{})
+	c := newCluster(t, 2, 1, &LocalPolicy{})
 	var mu sync.Mutex
 	ranks := map[int]int{}
 	registerSlow(c, &mu, ranks)
@@ -272,4 +241,218 @@ func TestStealStatsConcurrent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// holdThieves keeps a rank from stealing — a draining rank does not —
+// and returns once the probes its workers had under way have come back
+// and every one of them is parked.
+func holdThieves(s *Scheduler) {
+	s.SetDraining(true)
+	for s.queue.idle.Load() != int64(s.queue.workers) || s.loc.PendingCalls() != 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestStealGrantRespectsData is the grant rule (steal.go): with rank
+// 0's workers held, its queue holds tasks that write grid bands rank 0
+// holds, tasks without requirements and one first-touch task whose band
+// nobody holds. Rank 1's thieves get every task of the last two sorts
+// and none of the first: the bound tasks wait for rank 0's workers and
+// their bands never move.
+func TestStealGrantRespectsData(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", region.Point{16, 16})
+	c := newCluster(t, 2, 2, &LocalPolicy{}, typ)
+	started, release := registerGate(t, c)
+	const bound, free, untouched = 3, 5, 3 // bands 0..2 held by rank 0, band 3 by nobody
+	var item dim.ItemID
+	var mu sync.Mutex
+	ranOn := map[string][]int{}
+	ran := func(kind string) func(*Ctx) (any, error) {
+		return func(ctx *Ctx) (any, error) {
+			mu.Lock()
+			ranOn[kind] = append(ranOn[kind], ctx.Rank())
+			mu.Unlock()
+			return nil, nil
+		}
+	}
+	c.registerAll(func(int) *Kind {
+		return &Kind{
+			Name: "band",
+			Reqs: func(args []byte) []dim.Requirement {
+				var a bandArgs
+				wire.Decode(args, &a)
+				return []dim.Requirement{{Item: item, Region: bandRegion(a.Band), Mode: dim.Write}}
+			},
+			Process: ran("band"),
+		}
+	})
+	c.registerAll(func(int) *Kind { return &Kind{Name: "free", Process: ran("free")} })
+	c.start()
+	s0, s1 := c.scheds[0], c.scheds[1]
+	var err error
+	if item, err = s0.Manager().CreateItem(typ); err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < bound; b++ {
+		if err := s0.Manager().Acquire(uint64(900+b), []dim.Requirement{
+			{Item: item, Region: bandRegion(b), Mode: dim.Write},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s0.Manager().Release(uint64(900 + b))
+	}
+
+	holdThieves(s1)
+	occupyWorkers(t, s0, started)
+	var boundFuts, stealable []*runtime.Future
+	spawn := func(into *[]*runtime.Future, kind string, args any) {
+		t.Helper()
+		fut, err := s0.Spawn(kind, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*into = append(*into, fut)
+	}
+	for b := 0; b < bound; b++ {
+		spawn(&boundFuts, "band", &bandArgs{Band: b})
+	}
+	for i := 0; i < free; i++ {
+		spawn(&stealable, "free", struct{}{})
+	}
+	spawn(&stealable, "band", &bandArgs{Band: untouched})
+	checkQueued(t, s0, bound+free+1)
+
+	// Rank 0's workers stay held: only rank 1 can run anything.
+	s1.SetDraining(false)
+	for _, fut := range stealable {
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Let the thieves come round again, for what is left.
+	attempts := s1.stats.stealAttempts.Value()
+	for s1.stats.stealAttempts.Value() < attempts+3 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	holdThieves(s1)
+	checkQueued(t, s0, bound)
+	if stolen, _ := s1.StealStats(); stolen != free+1 {
+		t.Fatalf("rank 1 stole %d tasks, want the %d that are bound to nothing", stolen, free+1)
+	}
+	release()
+	for _, fut := range boundFuts {
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, rank := range ranOn["free"] {
+		if rank != 1 {
+			t.Fatalf("requirement-free tasks ran on ranks %v, want rank 1 only", ranOn["free"])
+		}
+	}
+	if got := ranOn["band"]; len(got) != bound+1 || got[0] != 1 {
+		t.Fatalf("band tasks ran on ranks %v, want the first-touch one on rank 1 and then %d on rank 0", got, bound)
+	}
+	for _, rank := range ranOn["band"][1:] {
+		if rank != 0 {
+			t.Fatalf("band tasks ran on ranks %v: a task left the rank that holds its band", ranOn["band"])
+		}
+	}
+	held := dataitem.GridRegionFromTo(region.Point{0, 0}, region.Point{4 * bound, 16})
+	cov0, _ := s0.Manager().Coverage(item)
+	cov1, _ := s1.Manager().Coverage(item)
+	if !held.Difference(cov0).IsEmpty() || !cov1.Intersect(held).IsEmpty() {
+		t.Fatalf("bands moved: rank 0 covers %v, rank 1 covers %v", cov0, cov1)
+	}
+}
+
+// TestStealGrantLeavesWokenWorkersTask is the surplus half of the grant
+// rule: a task a parked worker has been woken for is not spare. The
+// test enqueues without the wake-up, so that the worker provably has
+// not popped the task when the probe arrives.
+func TestStealGrantLeavesWokenWorkersTask(t *testing.T) {
+	c := newCluster(t, 1, 1, &DefaultPolicy{})
+	registerSum(c)
+	c.start()
+	s := c.scheds[0]
+	for s.queue.idle.Load() != 1 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	spec, fut := jobSpec(s, 0, 0)
+	spec.Args, _ = wire.Encode(&sumRange{0, 3})
+	s.queue.deques[0].pushTail(queuedTask{spec: *spec})
+	s.queued.Add(1)
+	if batch := s.stealForRemote(remoteStealCap); len(batch) != 0 {
+		t.Fatalf("a probe was granted %d task(s) queued for the parked worker", len(batch))
+	}
+	s.queue.wakeIdle()
+	var sum int64
+	if err := fut.WaitInto(&sum); err != nil || sum != 3 {
+		t.Fatalf("the worker's task: sum %d, err %v", sum, err)
+	}
+}
+
+// TestLocalWorkDoesNotProbe is the probe rule: a worker that keeps
+// finding local work, one task at a time, does not ask its peer each
+// time it runs dry — the parent commit did, one probe per task.
+func TestLocalWorkDoesNotProbe(t *testing.T) {
+	c := newCluster(t, 2, 1, &LocalPolicy{})
+	registerSum(c)
+	c.start()
+	const k = 1000
+	for i := 0; i < k; i++ {
+		fut, err := c.scheds[0].Spawn("sum", &sumRange{0, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The peer has nothing to do but ask, once per backoff period.
+	t.Logf("%d dependent tasks: rank 0 probed %d times, idle rank 1 %d times", k,
+		c.scheds[0].stats.stealAttempts.Value(), c.scheds[1].stats.stealAttempts.Value())
+	if got := c.scheds[0].stats.stealAttempts.Value(); got > k/10 {
+		t.Fatalf("rank 0 probed its peer %d times while running %d local tasks, want at most %d", got, k, k/10)
+	}
+}
+
+// TestStealVictimIsPlaceable: a thief draws its victim among the ranks
+// that can have work. With one rank of three latent the parent commit
+// spent every other round on it.
+func TestStealVictimIsPlaceable(t *testing.T) {
+	c := newCluster(t, 3, 1, &LocalPolicy{})
+	registerSum(c)
+	started, release := registerGate(t, c)
+	for _, s := range c.scheds {
+		s.loc.Deactivate(2)
+	}
+	c.start()
+	s0, s1 := c.scheds[0], c.scheds[1]
+	// Both members' workers are held: rank 0's so that its queue keeps
+	// what is spawned there, rank 1's so that only this test probes.
+	holdThieves(s1)
+	occupyWorkers(t, s0, started)
+	s1.SetDraining(false)
+	occupyWorkers(t, s1, started)
+	var futs []*runtime.Future
+	for seed := int64(0); seed < 16; seed++ {
+		futs = append(futs, spawnLeaves(t, s0, 2, 0, 0)...)
+		qt, ok := s1.stealRemote(0, rand.New(rand.NewSource(seed)))
+		if !ok {
+			t.Fatalf("probe %d found nothing: the only loaded peer was not asked", seed)
+		}
+		s1.runQueued(qt, noWorker)
+	}
+	if got := s1.stats.stealAttempts.Value(); got != 16 {
+		t.Fatalf("%d steal attempts for 16 probes", got)
+	}
+	release()
+	for _, fut := range futs {
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
