@@ -97,9 +97,6 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, loc
 		}
 		switch sp.Name {
 		case "rpc.call":
-			if sp.Detail == "sched.steal" {
-				continue // follows the clock, not the step: bounded apart
-			}
 			calls[sp.Detail]++
 			if sp.Detail != "dim.unpin" {
 				awaited++

@@ -109,8 +109,12 @@ type Endpoint struct {
 	delays    atomic.Pointer[metrics.Counter]
 	partDrops atomic.Pointer[metrics.Counter]
 
-	closed atomic.Bool
-	wg     sync.WaitGroup
+	// closeMu orders Close against the delayed-frame branch of Send: a
+	// frame is either counted into wg before Close starts to wait, or
+	// not sent at all.
+	closeMu sync.Mutex
+	closed  atomic.Bool
+	wg      sync.WaitGroup
 }
 
 // Wrap puts a chaos layer in front of inner. ctl may be nil when no
@@ -212,7 +216,13 @@ func (e *Endpoint) Send(to int, kind string, payload []byte) error {
 		// The frame leaves later — subsequent sends overtake it. The
 		// payload is copied: the caller's buffer may be pooled.
 		held := append([]byte(nil), payload...)
+		e.closeMu.Lock()
+		if e.closed.Load() {
+			e.closeMu.Unlock()
+			return nil
+		}
 		e.wg.Add(1)
+		e.closeMu.Unlock()
 		time.AfterFunc(delay, func() {
 			defer e.wg.Done()
 			if e.closed.Load() {
@@ -235,9 +245,13 @@ func (e *Endpoint) Send(to int, kind string, payload []byte) error {
 }
 
 // Close implements transport.Endpoint: it waits out in-flight delayed
-// frames, then closes the inner endpoint.
+// frames, then closes the inner endpoint. A frame Send would delay from
+// now on is dropped — the link is going away.
 func (e *Endpoint) Close() error {
-	if e.closed.Swap(true) {
+	e.closeMu.Lock()
+	again := e.closed.Swap(true)
+	e.closeMu.Unlock()
+	if again {
 		return nil
 	}
 	e.wg.Wait()

@@ -190,3 +190,41 @@ func TestCloseWaitsForDelayedFrames(t *testing.T) {
 	}
 	fab.Close()
 }
+
+// TestCloseRacesLateSend: senders that do not know the endpoint is
+// closing — resend timers of the RPC layer are such — keep calling Send
+// while Close waits for the delayed frames. A delayed frame is either
+// counted before Close waits or not sent; the parent commit could add
+// it to the wait group under Close's Wait (a data race under -race).
+func TestCloseRacesLateSend(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		fab := transport.NewFabric(2)
+		ep := Wrap(fab.Endpoint(0), nil, Config{Delay: 1, MaxDelay: 50 * time.Microsecond})
+		ep.SetHandler(func(transport.Message) {})
+		fab.Endpoint(1).SetHandler(func(transport.Message) {})
+		fab.Start()
+		stop := make(chan struct{})
+		var senders sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			senders.Add(1)
+			go func() {
+				defer senders.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						ep.Send(1, "k", []byte("x"))
+					}
+				}
+			}()
+		}
+		time.Sleep(200 * time.Microsecond)
+		if err := ep.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		close(stop)
+		senders.Wait()
+		fab.Close()
+	}
+}

@@ -14,8 +14,11 @@ const flagDedup uint64 = 1 << 0
 
 // defaultDedupWindow is how long a completed entry's cached reply is
 // retained past completion. It must exceed the longest retry horizon
-// of any client (default control profile: 30s), otherwise a straggler
-// duplicate could re-execute the handler after eviction.
+// of any client, otherwise a straggler duplicate could re-execute the
+// handler after eviction. For a call with a deadline that is the
+// deadline (default control profile: 30s); a task ship has none and is
+// resent until the peer answers or is declared failed, so there the
+// horizon is the failure detector's verdict time (DESIGN.md §6d).
 const defaultDedupWindow = 2 * time.Minute
 
 // dedupEntry is one registered call from one caller. While the

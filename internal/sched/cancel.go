@@ -20,12 +20,12 @@ import (
 // tenant's work runs next is decided once, by the job dispatcher:
 //
 //   - cancellation: CancelJob registers the job in a bounded cancelled
-//     set, purges its queued tasks, and sweeps the inflight/handoff
-//     recovery registries so neither a re-ship nor a crash-recovery
+//     set, purges its queued tasks, and sweeps the inflight recovery
+//     registry so neither a ship's local fallback nor a crash-recovery
 //     respawn can resurrect cancelled work. Tasks of a cancelled job
-//     that are already riding a wire frame or a thief's grant are
-//     caught at the last gate, executeNow, which fails their promises
-//     with ErrJobCancelled instead of running the body;
+//     that are already riding a wire frame are caught at the last gate,
+//     executeNow, which fails their promises with ErrJobCancelled
+//     instead of running the body;
 //   - per-tenant executed/cancelled counters in the metrics registry;
 //   - the exec observer, which tells the job service when a job's
 //     first task runs.
@@ -110,15 +110,13 @@ func (s *Scheduler) jobCancelled(job uint64) bool {
 //
 //   - the job enters the bounded cancelled set, so the execution gate
 //     in executeNow fails (rather than runs) any of its tasks that
-//     later pop from a queue, arrive in a shipped batch, or land via a
-//     steal grant — their promises resolve with ErrJobCancelled, which
-//     unwinds the job's split tree;
+//     later pop from a queue or arrive in a shipped batch — their
+//     promises resolve with ErrJobCancelled, which unwinds the job's
+//     split tree;
 //   - its queued tasks are purged from the worker deques immediately,
 //     their promises failed;
-//   - its entries leave the inflight and handoff recovery registries,
-//     so a peer death cannot respawn cancelled work and the ship
-//     confirmation loops drop the specs from any re-ship (draining the
-//     ship seqs toward the ack watermark instead of re-delivering).
+//   - its entries leave the inflight recovery registry, so neither a
+//     peer death nor a failed ship can bring cancelled work back.
 //
 // Data requirements need no special handling: a cancelled task either
 // never reaches AcquireFor (the gate precedes it) or completes its
@@ -156,33 +154,21 @@ func (s *Scheduler) CancelJob(job uint64) {
 		}
 	}
 
-	// Sweep the recovery registries: cancelled specs must be neither
-	// respawned after a peer death nor re-shipped after a confirmation
-	// timeout (confirmShip keeps only still-inflight specs). The swept
+	// Sweep the recovery registry: cancelled specs must be neither
+	// respawned after a peer death nor run here when their ship fails
+	// (confirmShip runs only what takeInflight still finds). The swept
 	// specs' promises must be failed HERE: if the remote rank dies
 	// before its execute gate runs, HandleDeath will no longer find the
 	// entry we just deleted, and nobody else fails the promise.
 	// Fulfilment is idempotent, so racing the remote gate is harmless.
 	var swept []TaskSpec
 	s.inflightMu.Lock()
-	for id, e := range s.inflight {
+	for id, e := range s.inflight.m {
 		if e.spec.Job == job {
 			swept = append(swept, e.spec)
-			delete(s.inflight, id)
+			delete(s.inflight.m, id)
 		}
 	}
-	kept := s.handoffs[:0]
-	for _, h := range s.handoffs {
-		if h.spec.Job != job {
-			kept = append(kept, h)
-		} else {
-			swept = append(swept, h.spec)
-		}
-	}
-	for i := len(kept); i < len(s.handoffs); i++ {
-		s.handoffs[i] = handoffEntry{}
-	}
-	s.handoffs = kept
 	s.inflightMu.Unlock()
 	for i := range swept {
 		s.failCancelled(&swept[i])

@@ -93,10 +93,11 @@ func checkQueued(t *testing.T, s *Scheduler, want int) {
 	}
 }
 
-// TestCancelJobPurgesQueuesAndRegistries checks the three cancel
-// surfaces: queued tasks are purged from the worker deques with failed
-// promises while another job's stay, the execution gate blocks
-// stragglers, and a recovery respawn does not resurrect the job.
+// TestCancelJobPurgesQueuesAndRegistries checks the cancel surfaces:
+// queued tasks are purged from the worker deques with failed promises
+// while another job's stay, the inflight registry is swept, the
+// execution gate blocks stragglers, and a recovery respawn does not
+// resurrect the job.
 func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 	c := newCluster(t, 1, 2, &DefaultPolicy{})
 	registerSum(c)
@@ -111,8 +112,7 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 	cancelled = append(cancelled, spawnLeaves(t, s, 2, 1, 100)...)
 	checkQueued(t, s, 10)
 	specA, _ := jobSpec(s, 1, 100)
-	s.trackInflight(specA, 0)
-	s.trackHandoff(specA, 0)
+	s.trackInflight(0, []runArgs{{Spec: *specA}})
 
 	s.CancelJob(100)
 
@@ -124,18 +124,13 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 		}
 	}
 	checkQueued(t, s, 3)
-	if s.stillInflight(specA.ID) {
+	if s.takeInflight(specA.ID) {
 		t.Fatal("cancelled spec still in the inflight registry")
 	}
-	for _, h := range s.handoffs {
-		if h.spec.Job == 100 {
-			t.Fatal("cancelled spec still in the handoff log")
-		}
-	}
-	// 7 purged from the deques + the spec swept from each registry.
+	// 7 purged from the deques + the spec swept from the registry.
 	reg := s.loc.Metrics()
-	if got := reg.CounterValue(TenantCancelledMetric(1)); got != 9 {
-		t.Fatalf("tenant cancelled counter = %d, want 9", got)
+	if got := reg.CounterValue(TenantCancelledMetric(1)); got != 8 {
+		t.Fatalf("tenant cancelled counter = %d, want 8", got)
 	}
 
 	// Stragglers (e.g. arriving via a shipped batch) die at the gate.

@@ -1,10 +1,11 @@
 package sched
 
-// Crash-recovery support of the scheduler (DESIGN.md §6c). Two
-// registries track every task whose spec this rank handed to a peer:
-//
-//   - inflight: tasks shipped by assign to a remote target;
-//   - handoffs: queued tasks granted to a remote thief.
+import "sort"
+
+// Crash-recovery support of the scheduler (DESIGN.md §6c). One registry,
+// inflight, records every task whose spec this rank handed to a peer —
+// placed by assign, forwarded by a drain, granted to a thief: ship
+// enters it, whatever the reason for the ship.
 //
 // When the recovery coordinator learns that a rank died, HandleDeath
 // drains the entries pointing at it; the specs are either respawned
@@ -13,36 +14,64 @@ package sched
 // a task that completed normally leaves a stale entry until swept, and
 // respawning it again is harmless — promise fulfilment is idempotent.
 
-// inflightSweepLimit bounds the inflight registry: past it, entries
-// whose locally-owned promise is already fulfilled are dropped.
-const inflightSweepLimit = 1024
-
-// handoffLimit bounds the steal-handoff FIFO; the oldest entries are
-// dropped first (they are the most likely to be long finished).
-const handoffLimit = 4096
+// inflightLimit bounds the entries the registry keeps without knowing
+// whether they are still needed. A task this rank spawned is needed
+// exactly while its promise is pending; of a task spawned elsewhere (a
+// forwarded or granted one) this rank cannot tell, so of those it keeps
+// at most inflightLimit, the newest — the oldest are the most likely to
+// be long finished.
+const inflightLimit = 4096
 
 type inflightEntry struct {
 	spec   TaskSpec
 	target int
+	age    uint64 // insertion stamp
 }
 
-type handoffEntry struct {
-	spec  TaskSpec
-	thief int
+// inflightRegistry is the map plus what its bound needs: the insertion
+// stamp and the size at which the next sweep is due.
+type inflightRegistry struct {
+	m       map[uint64]inflightEntry
+	stamp   uint64
+	sweepAt int
 }
 
-func (s *Scheduler) trackInflight(spec *TaskSpec, target int) {
+// trackInflight records tasks about to be shipped to target.
+func (s *Scheduler) trackInflight(target int, items []runArgs) {
 	s.inflightMu.Lock()
 	defer s.inflightMu.Unlock()
-	s.inflight[spec.ID] = inflightEntry{spec: *spec, target: target}
-	if len(s.inflight) <= inflightSweepLimit {
-		return
+	r := &s.inflight
+	for i := range items {
+		r.stamp++
+		r.m[items[i].Spec.ID] = inflightEntry{spec: items[i].Spec, target: target, age: r.stamp}
 	}
-	for id, e := range s.inflight {
-		if e.spec.Origin == s.loc.Rank() && !s.loc.PromisePending(e.spec.Promise) {
-			delete(s.inflight, id)
+	if len(r.m) >= r.sweepAt {
+		s.sweepInflightLocked()
+	}
+}
+
+// sweepInflightLocked enforces the bound: entries of tasks spawned here
+// go when their promise is resolved, entries of tasks spawned elsewhere
+// oldest first, down to half the limit. The next sweep is due when the
+// registry has doubled, so that one full of pending local tasks is not
+// rescanned at every ship.
+func (s *Scheduler) sweepInflightLocked() {
+	r := &s.inflight
+	var foreign []inflightEntry
+	for id, e := range r.m {
+		if e.spec.Origin != s.loc.Rank() {
+			foreign = append(foreign, e)
+		} else if !s.loc.PromisePending(e.spec.Promise) {
+			delete(r.m, id)
 		}
 	}
+	if over := len(foreign) - inflightLimit/2; over > 0 {
+		sort.Slice(foreign, func(i, j int) bool { return foreign[i].age < foreign[j].age })
+		for _, e := range foreign[:over] {
+			delete(r.m, e.spec.ID)
+		}
+	}
+	r.sweepAt = max(inflightLimit, 2*len(r.m))
 }
 
 // takeInflight removes the entry and reports whether it was still
@@ -53,64 +82,38 @@ func (s *Scheduler) trackInflight(spec *TaskSpec, target int) {
 func (s *Scheduler) takeInflight(id uint64) bool {
 	s.inflightMu.Lock()
 	defer s.inflightMu.Unlock()
-	if _, ok := s.inflight[id]; !ok {
+	if _, ok := s.inflight.m[id]; !ok {
 		return false
 	}
-	delete(s.inflight, id)
+	delete(s.inflight.m, id)
 	return true
 }
 
-// stillInflight reports whether the entry is still tracked, without
-// removing it: the ship confirmation loop uses it to drop tasks whose
-// re-execution the recovery coordinator has already taken over before
-// re-shipping a timed-out batch.
-func (s *Scheduler) stillInflight(id uint64) bool {
+// clearInflight drops this rank's entries for tasks that have just
+// arrived here (accept): wherever it last sent them, they are not there
+// any more.
+func (s *Scheduler) clearInflight(arrived []runArgs) {
 	s.inflightMu.Lock()
-	_, ok := s.inflight[id]
-	s.inflightMu.Unlock()
-	return ok
-}
-
-func (s *Scheduler) trackHandoff(spec *TaskSpec, thief int) {
-	s.inflightMu.Lock()
-	defer s.inflightMu.Unlock()
-	if len(s.handoffs) >= handoffLimit {
-		// Drop the oldest by reslicing: shifting the log down instead
-		// moved half a megabyte per granted task once it was full (a
-		// fifth of the CPU of a spawn tree). append moves the live
-		// entries to a fresh array once per handoffLimit drops.
-		s.handoffs[0] = handoffEntry{}
-		s.handoffs = s.handoffs[1:]
+	for i := range arrived {
+		delete(s.inflight.m, arrived[i].Spec.ID)
 	}
-	s.handoffs = append(s.handoffs, handoffEntry{spec: *spec, thief: thief})
+	s.inflightMu.Unlock()
 }
 
 // HandleDeath drains and returns the specs of all tasks this rank
-// handed to the given (dead) rank — shipped placements and granted
-// steals. The set over-approximates the actually lost tasks; callers
-// filter by promise pendency and deduplicate across ranks.
+// handed to the given (dead) rank. The set over-approximates the
+// actually lost tasks; callers filter by promise pendency and
+// deduplicate across ranks.
 func (s *Scheduler) HandleDeath(dead int) []TaskSpec {
 	s.inflightMu.Lock()
 	defer s.inflightMu.Unlock()
 	var out []TaskSpec
-	for id, e := range s.inflight {
+	for id, e := range s.inflight.m {
 		if e.target == dead {
 			out = append(out, e.spec)
-			delete(s.inflight, id)
+			delete(s.inflight.m, id)
 		}
 	}
-	kept := s.handoffs[:0]
-	for _, h := range s.handoffs {
-		if h.thief == dead {
-			out = append(out, h.spec)
-		} else {
-			kept = append(kept, h)
-		}
-	}
-	for i := len(kept); i < len(s.handoffs); i++ {
-		s.handoffs[i] = handoffEntry{}
-	}
-	s.handoffs = kept
 	return out
 }
 

@@ -130,11 +130,6 @@ const (
 	// task counts per steal grant and per placement frame.
 	MetricStealBatch = "sched.steal_batch"
 	MetricShipBatch  = "sched.ship_batch"
-	// MetricShipDups counts shipped specs arriving in duplicate
-	// placement frames suppressed by the receiver's per-attempt ship
-	// dedup; MetricReships counts re-shipped specs.
-	MetricShipDups = "sched.ship_dups"
-	MetricReships  = "sched.reships"
 	// MetricQueueDepthPrefix prefixes the per-worker deque depth
 	// gauges ("sched.queue_depth.w0", "sched.queue_depth.w1", ...).
 	MetricQueueDepthPrefix = "sched.queue_depth.w"
@@ -183,13 +178,11 @@ type Scheduler struct {
 	// (recovery.Drain) before the rank leaves the membership.
 	draining atomic.Bool
 
-	// inflight and handoffs track tasks that left this rank toward a
-	// peer — shipped placements and granted steals — so the recovery
-	// coordinator can recover tasks lost on a dead rank (see
-	// recovery.go in this package).
+	// inflight records every task this rank handed to a peer — placed,
+	// forwarded or granted — so the recovery coordinator can recover
+	// tasks lost on a dead rank (recovery.go in this package).
 	inflightMu sync.Mutex
-	inflight   map[uint64]inflightEntry
-	handoffs   []handoffEntry
+	inflight   inflightRegistry
 
 	// tenants caches the per-tenant counters (uint32 → *tenantCounters),
 	// cancel is the bounded cancelled-job set, and execObs an optional
@@ -198,13 +191,8 @@ type Scheduler struct {
 	cancel  cancelState
 	execObs atomic.Pointer[func(job uint64)]
 
-	// shippers coalesce remote placements per destination and allocate
-	// ship seqs; shipSeen is the receiver half of the ship dedup
-	// protocol — per-sender admitted seqs under an ack watermark —
-	// making re-shipped batches idempotent without suppressing later
-	// placement attempts of the same task (see ship.go).
+	// shippers coalesce the tasks bound for each destination (ship.go).
 	shippers []shipper
-	shipSeen []shipSeenState
 
 	// stats are counters cached from the locality registry, which is
 	// the single source of truth read by monitor and tests.
@@ -215,17 +203,19 @@ type Scheduler struct {
 		percToData, percToTask              *metrics.Counter
 		stealAttempts, stolen, stolenFrom   *metrics.Counter
 		respawns, workerIdleUs              *metrics.Counter
-		shipDups, reships                   *metrics.Counter
 		cancelledTasks, cancelledRespawns   *metrics.Counter
 		stealBatch, shipBatch               *metrics.Histogram
 	}
 	execHist *metrics.Histogram
 }
 
-// runArgs is one task placement inside a runBatch frame (ship.go).
+// runArgs is one task inside a runBatch frame (ship.go). Granted marks
+// a task a victim let go in answer to a steal hint, as opposed to one
+// placed here: the receiver counts it as stolen.
 type runArgs struct {
 	Spec    TaskSpec
 	Variant Variant
+	Granted bool
 }
 
 // New creates the scheduler of one locality and starts its workers,
@@ -239,9 +229,8 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 	s := &Scheduler{
 		loc: loc, mgr: mgr, policy: policy,
 		kinds:    make(map[string]*Kind),
-		inflight: make(map[uint64]inflightEntry),
+		inflight: inflightRegistry{m: make(map[uint64]inflightEntry), sweepAt: inflightLimit},
 		shippers: make([]shipper, loc.Size()),
-		shipSeen: make([]shipSeenState, loc.Size()),
 	}
 	reg := loc.Metrics()
 	s.stats.spawned = reg.Counter(MetricSpawned)
@@ -259,41 +248,25 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 	s.stats.stolenFrom = reg.Counter(MetricStolenFrom)
 	s.stats.respawns = reg.Counter(MetricRespawns)
 	s.stats.workerIdleUs = reg.Counter(MetricWorkerIdleUs)
-	s.stats.shipDups = reg.Counter(MetricShipDups)
-	s.stats.reships = reg.Counter(MetricReships)
 	s.stats.cancelledTasks = reg.Counter(MetricCancelledTasks)
 	s.stats.cancelledRespawns = reg.Counter(MetricCancelledRespawns)
 	s.stats.stealBatch = reg.Histogram(MetricStealBatch)
 	s.stats.shipBatch = reg.Histogram(MetricShipBatch)
 	s.execHist = reg.Histogram(MetricTaskExec)
-	// Task ships are acknowledged RPCs, not one-way messages: the ack
+	// The queue comes first: the handler below enqueues.
+	s.startQueue(workers)
+	// A ship is an acknowledged call, not a one-way message: the ack
 	// only confirms acceptance (execution continues asynchronously), so
-	// a lost frame can be retried — the RPC dedup window makes retries
-	// of one call idempotent, and admitShip makes whole re-shipped
-	// batches (fresh call IDs, same ship seq) idempotent (see ship.go).
+	// an unanswered frame is resent, and the RPC dedup window keeps the
+	// resends of one call from running the handler twice (ship.go).
 	loc.Handle(methodRunBatch, func(from int, body []byte) ([]byte, error) {
 		var b runBatch
 		if err := wire.Decode(body, &b); err != nil {
 			return nil, err
 		}
-		if !s.admitShip(from, b.Seq, b.Ack) {
-			s.stats.shipDups.Add(uint64(len(b.Tasks)))
-			return nil, nil
-		}
-		for i := range b.Tasks {
-			t := &b.Tasks[i]
-			if s.draining.Load() {
-				// A batch that raced the drain's placement pause is
-				// accepted (the ack stops the sender's re-ship) but
-				// forwarded instead of kept: the rank admits no new work.
-				s.forward(&t.Spec, t.Variant)
-				continue
-			}
-			s.executeAsync(&t.Spec, t.Variant)
-		}
+		s.accept(b.Tasks)
 		return nil, nil
 	})
-	s.startQueue(workers)
 	return s
 }
 
@@ -310,7 +283,6 @@ func (s *Scheduler) forward(spec *TaskSpec, variant Variant) {
 		return
 	}
 	s.stats.remotePlaced.Inc()
-	s.trackInflight(spec, target)
 	s.ship(target, runArgs{Spec: *spec, Variant: variant})
 }
 
@@ -462,13 +434,10 @@ func (s *Scheduler) assign(spec *TaskSpec) error {
 		return nil
 	}
 	s.stats.remotePlaced.Inc()
-	s.trackInflight(spec, target)
-	// Hand the placement to the per-destination shipper: it coalesces
-	// bursts into batched sched.runb frames, confirms them
-	// asynchronously, and owns the failure policy — re-ship on timeout
-	// (idempotent via the receiver's dedup set), local fallback only on
-	// peer death, arbitrated against recovery via takeInflight
-	// (ship.go).
+	// ship records the task for recovery, coalesces bursts into batched
+	// sched.runb frames, confirms them asynchronously, and owns the
+	// failure policy: local fallback only when the RPC layer gives the
+	// target up, arbitrated against recovery via takeInflight (ship.go).
 	s.ship(target, runArgs{Spec: *spec, Variant: variant})
 	return nil
 }

@@ -19,49 +19,67 @@ type pinPolicy struct{ target int }
 func (p *pinPolicy) PickVariant(*TaskSpec, bool, int) Variant { return VariantProcess }
 func (p *pinPolicy) PickTarget(*TaskSpec, int) int            { return p.target }
 
+// newChaosCluster is newCluster over an in-process fabric with a chaos
+// layer in front of every endpoint, one Config per locality; the
+// returned function starts delivery.
+func newChaosCluster(t *testing.T, workers int, policy Policy, ctl *chaos.Controller, calls runtime.CallProfile, cfgs ...chaos.Config) (*cluster, func()) {
+	t.Helper()
+	fab := transport.NewFabric(len(cfgs))
+	eps := make([]transport.Endpoint, len(cfgs))
+	for i, cfg := range cfgs {
+		eps[i] = chaos.Wrap(fab.Endpoint(i), ctl, cfg)
+	}
+	c := &cluster{sys: runtime.NewSystemOver(eps)}
+	for i := range eps {
+		loc := c.sys.Locality(i)
+		loc.SetCallProfile(calls)
+		c.scheds = append(c.scheds, New(loc, dim.New(loc, dataitem.NewRegistry()), policy, workers))
+	}
+	t.Cleanup(func() {
+		for _, s := range c.scheds {
+			s.StopQueue()
+		}
+		c.sys.Close()
+		fab.Close()
+	})
+	return c, fab.Start
+}
+
 // TestShipExactlyOnceUnderChaos is the seeded regression test for the
-// PR 6 ship-fallback bug: under delay-heavy chaos with call deadlines
-// shorter than the worst-case delivery delay, ship confirmations time
-// out while the shipped frame is still in flight. The old code then
-// executed the task locally AND the late frame executed it remotely —
-// twice. The fix re-ships on timeout (idempotent via the receiver's
-// per-attempt ship dedup) and falls back locally only on peer death,
-// so every task must execute exactly once.
+// PR 6 ship-fallback bug: under delay-heavy chaos with a control
+// deadline shorter than the worst-case delivery delay, a ship that gave
+// up at that deadline did so while its frame was still in flight. The
+// old code then executed the task locally AND the late frame executed
+// it remotely — twice. A ship has no deadline: its one call is resent
+// until it is answered (the RPC dedup window runs the handler once) and
+// falls back locally only when the peer is given up, so every task must
+// execute exactly once — wherever it ends up: rank 0's idle workers
+// steal some of the tasks back, and those grants are ships too.
 func TestShipExactlyOnceUnderChaos(t *testing.T) {
 	const n = 2
 	const tasks = 300
-	ctl := chaos.NewController()
-	fab := transport.NewFabric(n)
-	eps := make([]transport.Endpoint, n)
-	for i := 0; i < n; i++ {
-		eps[i] = chaos.Wrap(fab.Endpoint(i), ctl, chaos.Config{
+	cfgs := make([]chaos.Config, n)
+	for i := range cfgs {
+		cfgs[i] = chaos.Config{
 			Seed:     7 + int64(i),
 			Drop:     0.05,
 			Dup:      0.02,
 			Delay:    0.5,
 			MaxDelay: 120 * time.Millisecond,
-		})
-	}
-	sys := runtime.NewSystemOver(eps)
-	scheds := make([]*Scheduler, n)
-	defer func() {
-		for _, s := range scheds {
-			s.StopQueue()
 		}
-		sys.Close()
-		fab.Close()
-	}()
-	// Control deadline (80ms) below the chaos MaxDelay (120ms): some
-	// confirmations MUST time out with their frame still deliverable —
+	}
+	// Control deadline (80ms) below the chaos MaxDelay (120ms): a ship
+	// bounded by it would time out with its frame still deliverable —
 	// the exact window in which the old local fallback double-executed.
+	// Ships take only the attempt interval from this profile.
 	calls := runtime.CallProfile{
 		Control: runtime.CallSpec{Deadline: 80 * time.Millisecond, Attempt: 30 * time.Millisecond, Retries: 2},
 	}
+	c, start := newChaosCluster(t, 2, &pinPolicy{target: 1}, chaos.NewController(), calls, cfgs...)
+	sys, scheds := c.sys, c.scheds
 	var counts [tasks]atomic.Int64
-	for i := 0; i < n; i++ {
-		sys.Locality(i).SetCallProfile(calls)
-		s := New(sys.Locality(i), dim.New(sys.Locality(i), dataitem.NewRegistry()), &pinPolicy{target: 1}, 2)
-		s.Register(&Kind{
+	c.registerAll(func(int) *Kind {
+		return &Kind{
 			Name: "count",
 			Process: func(ctx *Ctx) (any, error) {
 				var a benchArgs
@@ -71,14 +89,9 @@ func TestShipExactlyOnceUnderChaos(t *testing.T) {
 				counts[a.V].Add(1)
 				return nil, nil
 			},
-		})
-		scheds[i] = s
-	}
-	// Rank 0 must not steal the tasks back (a draining rank does not):
-	// a grant whose call has timed out at the thief is not sent again —
-	// re-sending is what the ship protocol under test adds.
-	scheds[0].SetDraining(true)
-	fab.Start()
+		}
+	})
+	start()
 
 	for i := 0; i < tasks; i++ {
 		if _, err := scheds[0].Spawn("count", &benchArgs{V: uint64(i)}); err != nil {
@@ -112,7 +125,14 @@ func TestShipExactlyOnceUnderChaos(t *testing.T) {
 			t.Fatalf("task %d executed %d times, want exactly once", i, got)
 		}
 	}
-	reships := sys.Locality(0).Metrics().CounterValue(MetricReships)
-	dups := sys.Locality(1).Metrics().CounterValue(MetricShipDups)
-	t.Logf("exactly-once held: reships=%d dedup-suppressed=%d", reships, dups)
+	var retries, replays, suppressed, stolen uint64
+	for i := 0; i < n; i++ {
+		reg := sys.Locality(i).Metrics()
+		retries += reg.CounterValue(runtime.MetricRPCRetries)
+		replays += reg.CounterValue(runtime.MetricRPCDedupReplays)
+		suppressed += reg.CounterValue(runtime.MetricRPCDedupSuppressed)
+		stolen += reg.CounterValue(MetricSteals)
+	}
+	t.Logf("exactly-once held: rpc.retries=%d rpc.dedup.replays=%d rpc.dedup.suppressed=%d, %d tasks stolen back",
+		retries, replays, suppressed, stolen)
 }

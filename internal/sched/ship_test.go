@@ -1,32 +1,36 @@
 package sched
 
 import (
+	"math/rand"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"allscale/internal/chaos"
+	"allscale/internal/runtime"
 	"allscale/internal/wire"
+	"allscale/internal/wire/wiretest"
 )
 
-func waitCount(t *testing.T, c *atomic.Int64, want int64) {
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Load() < want {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("count = %d, want %d", c.Load(), want)
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-// TestRespawnedShipExecutesAgain is the regression test for the ship
-// dedup conflating placement attempts with re-ships: a task shipped
-// to a rank, stolen away, and lost with the thief is respawned by
-// crash recovery — deterministic placement may well pick the first
-// rank again. With the dedup keyed on bare spec IDs the receiver
-// still remembered the first attempt and silently dropped the
-// respawn, so the task never ran and its waiters hung. Keyed on the
-// ship attempt (seq), the second placement must execute.
+// TestRespawnedShipExecutesAgain: exactly-once is a property of one
+// ship, not of the task. A task shipped to a rank, stolen away, and
+// lost with the thief is respawned by crash recovery — deterministic
+// placement may well pick the first rank again. That second placement
+// is a new call and must execute; a dedup keyed on bare spec IDs (PR 6)
+// silently dropped it and the task's waiters hung.
 func TestRespawnedShipExecutesAgain(t *testing.T) {
 	c := newCluster(t, 2, 2, &pinPolicy{target: 1})
 	var count atomic.Int64
@@ -47,66 +51,198 @@ func TestRespawnedShipExecutesAgain(t *testing.T) {
 	if err := c.scheds[0].Respawn(spec); err != nil {
 		t.Fatal(err)
 	}
-	waitCount(t, &count, 1)
+	waitFor(t, "the first placement to run", func() bool { return count.Load() == 1 })
 	// Second placement attempt of the SAME spec onto the same rank.
 	if err := c.scheds[0].Respawn(spec); err != nil {
 		t.Fatal(err)
 	}
-	waitCount(t, &count, 2)
+	waitFor(t, "the second placement to run", func() bool { return count.Load() == 2 })
 }
 
-// TestAdmitShipWatermark exercises the receiver half of the ship
-// dedup protocol: per-seq admission, duplicate suppression, stale
-// drop at/below the sender watermark, and seen-set pruning as the
-// watermark advances.
-func TestAdmitShipWatermark(t *testing.T) {
-	c := newCluster(t, 2, 2, &DefaultPolicy{})
-	s := c.scheds[1]
-	if !s.admitShip(0, 5, 3) {
-		t.Fatal("fresh seq above the watermark must be admitted")
+// TestArrivalClearsInflightEntry: a task that comes back to a rank is
+// no longer where that rank sent it. Rank 0 ships X to rank 1 and takes
+// it back by a steal; then rank 1 dies. What rank 0 hands the recovery
+// coordinator for the dead rank must not contain X — X sits in rank 0's
+// own queue with its promise pending, so the coordinator would respawn
+// it and it would run twice (it did at the parent commit).
+func TestArrivalClearsInflightEntry(t *testing.T) {
+	c := newCluster(t, 2, 1, &LocalPolicy{})
+	var count atomic.Int64
+	c.registerAll(func(int) *Kind {
+		return &Kind{
+			Name:    "count",
+			Process: func(*Ctx) (any, error) { count.Add(1); return nil, nil },
+		}
+	})
+	started, release := registerGate(t, c)
+	c.start()
+	s0, s1 := c.scheds[0], c.scheds[1]
+	// Both workers are held in a gate task, so X stays queued wherever
+	// it is and only this test probes.
+	holdThieves(s0)
+	occupyWorkers(t, s1, started)
+	s0.SetDraining(false)
+	occupyWorkers(t, s0, started)
+
+	x, fut := jobSpec(s0, 0, 0)
+	x.Kind = "count"
+	x.Args, _ = wire.Encode(struct{}{})
+	s0.ship(1, runArgs{Spec: *x})
+	waitFor(t, "X queued at rank 1", func() bool { return s1.QueueLen() == 1 })
+	s0.probePeer(rand.New(rand.NewSource(1)))
+	waitFor(t, "X granted back to rank 0", func() bool { return s0.QueueLen() == 1 })
+	if stolen, _ := s0.StealStats(); stolen != 1 {
+		t.Fatalf("rank 0 counts %d stolen tasks, want 1", stolen)
 	}
-	if s.admitShip(0, 5, 3) {
-		t.Fatal("duplicate seq must be dropped")
+
+	// Rank 1 dies; rank 0 does what the recovery coordinator does.
+	s1.AbortQueue()
+	c.sys.Locality(1).Close()
+	s0.loc.MarkDead(1)
+	for _, spec := range s0.HandleDeath(1) {
+		if s0.loc.PromisePending(spec.Promise) {
+			t.Errorf("task %d, queued here, is reported lost on rank 1", spec.ID)
+			if err := s0.Respawn(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if s.admitShip(0, 2, 0) {
-		t.Fatal("seq at/below a previously seen watermark must be dropped even if never admitted")
+	release()
+	if _, err := fut.Wait(); err != nil {
+		t.Fatal(err)
 	}
-	if !s.admitShip(0, 6, 5) {
-		t.Fatal("next seq must be admitted")
-	}
-	st := &s.shipSeen[0]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, kept := st.seen[5]; kept {
-		t.Fatal("seen entry at/below the advanced watermark must be pruned")
-	}
-	if len(st.seen) != 1 {
-		t.Fatalf("seen set holds %d entries, want 1", len(st.seen))
+	waitFor(t, "rank 0 to run dry", func() bool { return s0.Load() == 0 })
+	if got := count.Load(); got != 1 {
+		t.Fatalf("X executed %d times, want once", got)
 	}
 }
 
-// TestShipperAckFloor exercises the sender half: the watermark trails
-// the minimum unresolved seq and catches up as ships resolve, in any
-// order.
-func TestShipperAckFloor(t *testing.T) {
-	var sh shipper
-	s1, a1 := sh.allocSeq()
-	if s1 != 1 || a1 != 0 {
-		t.Fatalf("first alloc = (%d, %d), want (1, 0)", s1, a1)
+// TestInflightRegistryBound: the registry keeps every task spawned here
+// while its promise is pending, drops it once resolved, and of tasks
+// spawned elsewhere — forwarded or granted ones, whose promise it cannot
+// see — keeps the newest inflightLimit at most. At the parent commit
+// entries of foreign origin were never swept.
+func TestInflightRegistryBound(t *testing.T) {
+	c := newCluster(t, 2, 1, &LocalPolicy{})
+	s := c.scheds[0]
+	track := func(spec *TaskSpec) { s.trackInflight(1, []runArgs{{Spec: *spec}}) }
+	pending, _ := jobSpec(s, 0, 0)
+	track(pending)
+	resolved, _ := jobSpec(s, 0, 0)
+	s.loc.FulfillRemote(resolved.Promise, nil, nil)
+	track(resolved)
+	const foreign = 3 * inflightLimit
+	for i := 1; i <= foreign; i++ {
+		track(&TaskSpec{ID: 1<<32 | uint64(i), Origin: 1})
 	}
-	s2, a2 := sh.allocSeq()
-	if s2 != 2 || a2 != 0 {
-		t.Fatalf("second alloc = (%d, %d), want (2, 0)", s2, a2)
+	s.inflightMu.Lock()
+	n := len(s.inflight.m)
+	_, oldest := s.inflight.m[1<<32|1]
+	_, newest := s.inflight.m[1<<32|foreign]
+	s.inflightMu.Unlock()
+	if n > inflightLimit+1 {
+		t.Fatalf("registry holds %d entries after %d foreign-origin ships, want at most %d", n, foreign, inflightLimit+1)
 	}
-	sh.resolve(s2)
-	if f := sh.ackFloor(); f != 0 {
-		t.Fatalf("ackFloor = %d with seq 1 unresolved, want 0", f)
+	if oldest || !newest {
+		t.Fatalf("oldest foreign entry kept: %v, newest kept: %v — want the oldest to go first", oldest, newest)
 	}
-	sh.resolve(s1)
-	if f := sh.ackFloor(); f != 2 {
-		t.Fatalf("ackFloor = %d with all resolved, want 2", f)
+	if s.takeInflight(resolved.ID) {
+		t.Fatal("entry of a task spawned here survived the sweep although its promise is resolved")
 	}
-	if s3, a3 := sh.allocSeq(); s3 != 3 || a3 != 2 {
-		t.Fatalf("third alloc = (%d, %d), want (3, 2)", s3, a3)
+	if !s.takeInflight(pending.ID) {
+		t.Fatal("entry of a task spawned here was dropped while its promise is pending")
+	}
+}
+
+// TestDroppedProbesDoNotHoldTheWorker: a steal hint is not waited for.
+// The fabric drops every frame from rank 0 to rank 1 — rank 0 keeps its
+// tasks at home and rank 1 asks for none (a draining rank does not
+// steal), so those frames are rank 0's probes. Once its only worker has
+// run dry past its backoff and probed, tasks spawned one by one at rank
+// 0 still complete at once, and no call times out: there is no call. At
+// the parent commit the worker sat in the probe's call until the
+// control deadline.
+func TestDroppedProbesDoNotHoldTheWorker(t *testing.T) {
+	ctl := chaos.NewController()
+	ctl.Block(0, 1)
+	calls := runtime.CallProfile{
+		Control: runtime.CallSpec{Deadline: 2 * time.Second, Attempt: 500 * time.Millisecond, Retries: 3},
+	}
+	c, start := newChaosCluster(t, 1, &LocalPolicy{}, ctl, calls, chaos.Config{}, chaos.Config{})
+	registerSum(c)
+	c.scheds[1].SetDraining(true)
+	start()
+
+	s0 := c.scheds[0]
+	waitFor(t, "rank 0's first probe", func() bool { return s0.stats.stealAttempts.Value() > 0 })
+	const k = 50
+	for i := 0; i < k; i++ {
+		start := time.Now()
+		fut, err := s0.Spawn("sum", &sumRange{0, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("local task %d took %v behind a probe that will not be answered", i, d)
+		}
+		// Let the worker run dry and probe again between two tasks.
+		time.Sleep(time.Millisecond)
+	}
+	reg := s0.loc.Metrics()
+	if got := reg.CounterValue(runtime.MetricRPCTimeouts); got != 0 {
+		t.Fatalf("rpc.timeouts = %d, want 0: a probe is not a call", got)
+	}
+	t.Logf("%d local tasks behind %d dropped probes (%d partition drops)", k,
+		s0.stats.stealAttempts.Value(), reg.CounterValue(chaos.MetricPartitionDrops))
+}
+
+// FuzzRunBatchUnmarshal covers every task that crosses a rank boundary:
+// sched.runb is the only frame that carries one. Malformed input must be
+// an error, never a panic, and never an allocation sized by a count the
+// input merely claims (Decoder.Count bounds it by the bytes left).
+func FuzzRunBatchUnmarshal(f *testing.F) {
+	task := runArgs{
+		Spec: TaskSpec{
+			ID: 3<<32 | 17, Kind: "sum", Args: []byte{wire.FormatBinary, 2, 9}, Depth: 4, Path: 0b1011, PathLen: 4,
+			Origin: 3, Promise: runtime.PromiseID{Owner: 3, Seq: 40}, Span: 77, Tenant: 5, Job: 12,
+		},
+		Variant: VariantSplit,
+	}
+	granted := task
+	granted.Variant, granted.Granted = VariantProcess, true
+	// 2^20 tasks claimed by a body of a few bytes: 128 MB at the parent.
+	f.Add(append(wire.AppendUvarint(nil, 1<<20), 0, 0, 0))
+	wiretest.FuzzUnmarshal(f, &runBatch{}, &runBatch{Tasks: []runArgs{task}}, &runBatch{Tasks: []runArgs{task, granted, {}}})
+}
+
+// TestRunBatchWireRoundTrip: the envelope survives its binary form,
+// granted mark included, and a claimed length is bounded by the bytes
+// that follow before anything is sized from it.
+func TestRunBatchWireRoundTrip(t *testing.T) {
+	in := &runBatch{Tasks: []runArgs{
+		{Spec: TaskSpec{ID: 1<<32 | 2, Kind: "sum", Args: []byte{1, 2}, Depth: 1, Path: 1, PathLen: 1, Origin: 1,
+			Promise: runtime.PromiseID{Owner: 1, Seq: 9}, Span: 5, Tenant: 2, Job: 3}, Variant: VariantSplit},
+		{Spec: TaskSpec{ID: 7, Kind: "count"}, Granted: true},
+	}}
+	var out runBatch
+	wiretest.RoundTrip(t, in, &out)
+	if len(out.Tasks) != 2 || out.Tasks[0].Spec.Job != 3 || out.Tasks[0].Variant != VariantSplit ||
+		out.Tasks[0].Granted || !out.Tasks[1].Granted || out.Tasks[1].Spec.Kind != "count" {
+		t.Fatalf("batch came back as %+v", out)
+	}
+	// 2^20 tasks claimed in six bytes: the parent commit sized the slice
+	// from the claim (128 MB) before the decoder ran out of input.
+	huge := append([]byte{wire.FormatBinary}, append(wire.AppendUvarint(nil, 1<<20), 0, 0)...)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	if err := wire.Decode(huge, new(runBatch)); err == nil {
+		t.Fatal("a batch claiming 2^20 tasks in six bytes was accepted")
+	}
+	goruntime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a six-byte batch allocated %d bytes", grew)
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"allscale/internal/backoff"
-	"allscale/internal/runtime"
 	"allscale/internal/trace"
-	"allscale/internal/wire"
 )
 
 // This file implements node-local task queues with inter-node work
@@ -28,28 +26,27 @@ import (
 // occupy a worker while blocked on children.
 //
 // The data plane is tiered (DESIGN.md §6e): a worker pops its own
-// deque LIFO, then raids sibling deques FIFO, and only then may issue
-// a remote sched.steal RPC. Two rules keep that last tier from undoing
-// placement and from costing messages when there is nothing to gain:
+// deque LIFO, then raids sibling deques FIFO, and only then may send a
+// peer a sched.steal hint. The hint is a one-way message without a
+// body: a victim with surplus answers by shipping tasks to the thief
+// like any placement (ship.go), one with nothing does not answer, and
+// the thief's worker parks without waiting for either. Two rules keep
+// this last tier from undoing placement and from costing messages when
+// there is nothing to gain:
 //
 //   - the grant rule (stealForRemote): a victim hands out only tasks
 //     that have no requirement on data it holds, and only from its
 //     surplus over its idle workers;
 //   - the probe rule (worker): a worker asks a peer only right after a
-//     steal that succeeded or when its backoff timer fires. A failed
-//     probe parks it; local work does not rewind the backoff, a
-//     successful steal does; a fresh worker parks first.
+//     steal that succeeded — a grant has arrived — or when its backoff
+//     timer fires. An unanswered probe waits out its backoff; local work
+//     does not rewind the backoff, an arrived grant does; a fresh worker
+//     parks first.
 //
 // Parked workers wait on a wake channel notified by enqueues (no
 // polling) and, while peers exist, on the backoff timer.
 
 const methodSteal = "sched.steal"
-
-// stealReply carries a batch of granted tasks (empty = nothing to
-// steal).
-type stealReply struct {
-	Specs []TaskSpec
-}
 
 const (
 	// localStealCap bounds one sibling-deque raid.
@@ -68,14 +65,15 @@ type queueState struct {
 	deques   []*deque
 	rr       atomic.Uint64 // round-robin enqueue cursor
 	wake     chan struct{} // enqueue → parked-worker notification
-	idle     atomic.Int64  // workers with nothing to run: parked or asking a peer
+	idle     atomic.Int64  // workers with nothing to run
+	granted  atomic.Bool   // a steal grant arrived (accept) that no dry worker has acted on yet
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// startQueue builds the per-worker deques, registers the steal handler
-// and starts the workers (New).
+// startQueue builds the per-worker deques, registers the steal-hint
+// handler and starts the workers (New).
 func (s *Scheduler) startQueue(workers int) {
 	q := &queueState{
 		workers: workers,
@@ -96,21 +94,7 @@ func (s *Scheduler) startQueue(workers int) {
 			func() int64 { return q.idle.Load() },
 		)
 	}
-	s.loc.Handle(methodSteal, func(from int, body []byte) ([]byte, error) {
-		batch := s.stealForRemote(remoteStealCap)
-		if len(batch) == 0 {
-			return wire.Encode(&stealReply{})
-		}
-		reply := &stealReply{Specs: make([]TaskSpec, len(batch))}
-		for i := range batch {
-			batch[i].sp.End() // the task leaves this rank's queues
-			s.trackHandoff(&batch[i].spec, from)
-			reply.Specs[i] = batch[i].spec
-		}
-		s.stats.stolenFrom.Add(uint64(len(batch)))
-		s.stats.stealBatch.ObserveValue(uint64(len(batch)))
-		return wire.Encode(reply)
-	})
+	s.loc.HandleOneWay(methodSteal, func(from int, _ []byte) { s.grant(from) })
 	for w := 0; w < workers; w++ {
 		q.wg.Add(1)
 		go s.worker(w)
@@ -183,11 +167,30 @@ func (q *queueState) wakeIdle() {
 	}
 }
 
+// grant answers a thief's steal hint: what stealForRemote lets go is
+// shipped to the thief, marked as granted; with nothing to spare there
+// is no answer. The counters move before the ship so that they are
+// never behind what the thief has already run.
+func (s *Scheduler) grant(thief int) {
+	batch := s.stealForRemote(remoteStealCap)
+	if len(batch) == 0 {
+		return
+	}
+	items := make([]runArgs, len(batch))
+	for i := range batch {
+		batch[i].sp.End() // the task leaves this rank's queues
+		items[i] = runArgs{Spec: batch[i].spec, Variant: VariantProcess, Granted: true}
+	}
+	s.stats.stolenFrom.Add(uint64(len(batch)))
+	s.stats.stealBatch.ObserveValue(uint64(len(batch)))
+	s.ship(thief, items...)
+}
+
 // stealForRemote takes up to half the locality's surplus (capped at
 // max) out of the deques for a remote thief, oldest first. The surplus
 // is what is queued beyond the idle workers: a task one of them has
-// just been woken for, or will find when its own probe returns, is
-// spoken for, not spare. Only stealable tasks leave.
+// just been woken for is spoken for, not spare. Only stealable tasks
+// leave.
 func (s *Scheduler) stealForRemote(max int) []queuedTask {
 	q := s.queue
 	surplus := int(s.queued.Load() - q.idle.Load())
@@ -257,8 +260,8 @@ func (s *Scheduler) popLocal(w int) (queuedTask, bool) {
 	return s.stealSiblings(w)
 }
 
-// worker is one executor goroutine: run local work, steal remotely
-// when the probe rule allows, park.
+// worker is one executor goroutine: run local work, hint a peer when
+// the probe rule allows, park.
 func (s *Scheduler) worker(w int) {
 	q := s.queue
 	defer q.wg.Done()
@@ -269,10 +272,10 @@ func (s *Scheduler) worker(w int) {
 	// give, a worker kept busy by local work asks them no more often
 	// than one that sits idle.
 	bo := backoff.New(remoteStealBase, remoteStealMax, int64(s.Rank())*7919+int64(w))
-	// probe allows the next dry spell one remote steal: the backoff
-	// timer sets it, a steal that succeeded keeps it, one that failed
-	// clears it. A fresh worker knows of no peer with work: it starts
-	// without it, backed off all the way, and parks first.
+	// probe allows the next dry spell one hint to a peer: the backoff
+	// timer sets it, as does a grant that has arrived. A fresh worker
+	// knows of no peer with work: it starts without it, backed off all
+	// the way, and parks first.
 	probe := false
 	bo.Saturate()
 	for {
@@ -285,30 +288,29 @@ func (s *Scheduler) worker(w int) {
 			s.runQueued(t, w)
 			continue
 		}
-		// Nothing to run here: from now on the worker counts as idle,
-		// whether it asks a peer or parks. The idle increment happens
-		// before the queued re-check — the mirror of enqueueAt's
-		// publication order — so a concurrent enqueue either becomes
-		// visible to the re-check or sees idle > 0 and signals the wake
-		// channel.
+		// Nothing to run here: from now on the worker counts as idle.
+		// The idle increment happens before the queued re-check — the
+		// mirror of enqueueAt's publication order — so a concurrent
+		// enqueue either becomes visible to the re-check or sees
+		// idle > 0 and signals the wake channel.
 		q.idle.Add(1)
 		if s.queued.Load() > 0 {
 			q.idle.Add(-1)
 			continue
 		}
+		// A grant has arrived and been run dry: the steal succeeded, so
+		// the victim had surplus a moment ago. One worker acts on it.
+		if q.granted.Load() && q.granted.CompareAndSwap(true, false) {
+			bo.Reset()
+			probe = true
+		}
 		if probe {
-			t, ok := s.stealRemote(w, rng)
-			q.idle.Add(-1)
-			probe = ok
-			if ok {
-				bo.Reset()
-				s.runQueued(t, w)
-			}
-			continue
+			probe = false
+			s.probePeer(rng)
 		}
 		idleStart := time.Now()
 		// Peers may have work: also wake on the backoff timer, which
-		// doubles while the probes it allows keep failing. A lone
+		// doubles while the probes it allows stay unanswered. A lone
 		// locality has nobody to ask (a nil channel never fires).
 		var timer <-chan time.Time
 		if s.loc.Size() > 1 {
@@ -403,16 +405,14 @@ func (s *Scheduler) stealSiblings(w int) (queuedTask, bool) {
 	return queuedTask{}, false
 }
 
-// stealRemote asks one peer for work, drawn at random among the ranks
-// that could have some — the placeable ones. A granted batch is
-// recorded task-by-task with task.steal spans; the first task is
-// returned for immediate execution, the rest land in worker w's deque
-// (waking parked siblings via the enqueue path).
-func (s *Scheduler) stealRemote(w int, rng *rand.Rand) (queuedTask, bool) {
+// probePeer sends one steal hint to a peer drawn at random among the
+// ranks that could have work — the placeable ones — and does not wait:
+// what the victim grants arrives as a ship (accept).
+func (s *Scheduler) probePeer(rng *rand.Rand) {
 	// A draining or not-yet-joined rank does not pull work in: it is
 	// leaving (or outside) the membership.
 	if !s.placeable(s.Rank()) {
-		return queuedTask{}, false
+		return
 	}
 	var peers []int
 	for r := 0; r < s.loc.Size(); r++ {
@@ -421,34 +421,9 @@ func (s *Scheduler) stealRemote(w int, rng *rand.Rand) (queuedTask, bool) {
 		}
 	}
 	if len(peers) == 0 {
-		return queuedTask{}, false
+		return
 	}
-	victim := peers[rng.Intn(len(peers))]
 	s.stats.stealAttempts.Inc()
-	// Bounded + retried with dedup: a granted steal whose reply frame
-	// is lost is replayed instead of losing the batch. Only a stopping
-	// queue gives the wait up — an unresponsive victim would hold the
-	// shutdown for the control deadline.
-	fut := s.loc.CallAsync(victim, methodSteal, struct{}{}, runtime.WithSpec(s.loc.ControlSpec()))
-	select {
-	case <-fut.Ready():
-	case <-s.queue.stop:
-		return queuedTask{}, false
-	}
-	var reply stealReply
-	if err := fut.WaitInto(&reply); err != nil || len(reply.Specs) == 0 {
-		return queuedTask{}, false
-	}
-	s.stats.stolen.Add(uint64(len(reply.Specs)))
-	tr := s.loc.Tracer()
-	for i := range reply.Specs {
-		spec := &reply.Specs[i]
-		ssp := tr.Begin("task.steal", spec.Kind, trace.SpanID(spec.Span))
-		ssp.SetTask(spec.ID)
-		ssp.End()
-		if i > 0 {
-			s.enqueueAt(w, spec)
-		}
-	}
-	return queuedTask{spec: reply.Specs[0]}, true
+	// A hint that is lost is a probe that found nothing.
+	_ = s.loc.Send(peers[rng.Intn(len(peers))], methodSteal, nil)
 }

@@ -244,8 +244,8 @@ func TestStealStatsConcurrent(t *testing.T) {
 }
 
 // holdThieves keeps a rank from stealing — a draining rank does not —
-// and returns once the probes its workers had under way have come back
-// and every one of them is parked.
+// and returns once every one of its workers is parked and no call of
+// its own is under way.
 func holdThieves(s *Scheduler) {
 	s.SetDraining(true)
 	for s.queue.idle.Load() != int64(s.queue.workers) || s.loc.PendingCalls() != 0 {
@@ -420,8 +420,9 @@ func TestLocalWorkDoesNotProbe(t *testing.T) {
 }
 
 // TestStealVictimIsPlaceable: a thief draws its victim among the ranks
-// that can have work. With one rank of three latent the parent commit
-// spent every other round on it.
+// that can have work. With one rank of three latent the parent of PR 18
+// spent every other round on it. A probe has no return value: that the
+// loaded peer was asked shows in what arrives at the thief.
 func TestStealVictimIsPlaceable(t *testing.T) {
 	c := newCluster(t, 3, 1, &LocalPolicy{})
 	registerSum(c)
@@ -437,16 +438,19 @@ func TestStealVictimIsPlaceable(t *testing.T) {
 	occupyWorkers(t, s0, started)
 	s1.SetDraining(false)
 	occupyWorkers(t, s1, started)
+	attempts := s1.stats.stealAttempts.Value() // rank 1's worker may have asked once on its way into the gate
+	rng := rand.New(rand.NewSource(1))
 	var futs []*runtime.Future
-	for seed := int64(0); seed < 16; seed++ {
+	for probe := 1; probe <= 16; probe++ {
 		futs = append(futs, spawnLeaves(t, s0, 2, 0, 0)...)
-		qt, ok := s1.stealRemote(0, rand.New(rand.NewSource(seed)))
-		if !ok {
-			t.Fatalf("probe %d found nothing: the only loaded peer was not asked", seed)
-		}
-		s1.runQueued(qt, noWorker)
+		before, _ := s1.StealStats()
+		s1.probePeer(rng)
+		waitFor(t, "a grant: the only loaded peer was not asked", func() bool {
+			stolen, _ := s1.StealStats()
+			return stolen > before
+		})
 	}
-	if got := s1.stats.stealAttempts.Value(); got != 16 {
+	if got := s1.stats.stealAttempts.Value() - attempts; got != 16 {
 		t.Fatalf("%d steal attempts for 16 probes", got)
 	}
 	release()

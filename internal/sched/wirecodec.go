@@ -1,19 +1,17 @@
 package sched
 
-import (
-	"fmt"
+import "allscale/internal/wire"
 
-	"allscale/internal/wire"
-)
+// Hand-written binary codec for the scheduler's one hot wire type
+// (DESIGN.md §6a "Wire formats"): every task that changes rank —
+// placed, forwarded or granted — crosses the transport as a runArgs
+// envelope in a runBatch.
 
-// Hand-written binary codecs for the scheduler's hot wire types
-// (DESIGN.md §6a "Wire formats"): every task placement crosses the
-// transport as a runBatch of runArgs envelopes and every successful
-// steal as a batched stealReply, so both skip gob's reflect walk.
-
-// maxWireBatch is a sanity bound on decoded batch lengths, far above
-// anything the senders produce (maxShipBatch / remoteStealCap).
-const maxWireBatch = 1 << 20
+// minTaskBytes is the least a runArgs envelope takes on the wire: one
+// byte for each of the twelve TaskSpec fields, the variant and the
+// granted mark. It bounds a batch's peer-chosen length by the bytes
+// that follow it.
+const minTaskBytes = 14
 
 // appendTaskSpec appends the flat TaskSpec fields.
 func appendTaskSpec(buf []byte, s *TaskSpec) []byte {
@@ -47,68 +45,27 @@ func decodeTaskSpec(d *wire.Decoder, s *TaskSpec) {
 }
 
 // AppendWire implements wire.Marshaler.
-func (a *runArgs) AppendWire(buf []byte) ([]byte, error) {
-	buf = appendTaskSpec(buf, &a.Spec)
-	return wire.AppendVarint(buf, int64(a.Variant)), nil
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (a *runArgs) UnmarshalWire(d *wire.Decoder) error {
-	decodeTaskSpec(d, &a.Spec)
-	a.Variant = Variant(d.Int())
-	return nil
-}
-
-// AppendWire implements wire.Marshaler.
 func (b *runBatch) AppendWire(buf []byte) ([]byte, error) {
-	buf = wire.AppendUvarint(buf, b.Seq)
-	buf = wire.AppendUvarint(buf, b.Ack)
 	buf = wire.AppendUvarint(buf, uint64(len(b.Tasks)))
 	for i := range b.Tasks {
-		buf = appendTaskSpec(buf, &b.Tasks[i].Spec)
-		buf = wire.AppendVarint(buf, int64(b.Tasks[i].Variant))
+		t := &b.Tasks[i]
+		buf = appendTaskSpec(buf, &t.Spec)
+		buf = wire.AppendVarint(buf, int64(t.Variant))
+		buf = wire.AppendBool(buf, t.Granted)
 	}
 	return buf, nil
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (b *runBatch) UnmarshalWire(d *wire.Decoder) error {
-	b.Seq = d.Uvarint()
-	b.Ack = d.Uvarint()
-	n := d.Uvarint()
-	if n > maxWireBatch {
-		return fmt.Errorf("sched: runBatch length %d exceeds bound", n)
-	}
-	if n > 0 {
+	if n := d.Count(minTaskBytes); n > 0 {
 		b.Tasks = make([]runArgs, n)
 	}
 	for i := range b.Tasks {
-		decodeTaskSpec(d, &b.Tasks[i].Spec)
-		b.Tasks[i].Variant = Variant(d.Int())
-	}
-	return nil
-}
-
-// AppendWire implements wire.Marshaler.
-func (r *stealReply) AppendWire(buf []byte) ([]byte, error) {
-	buf = wire.AppendUvarint(buf, uint64(len(r.Specs)))
-	for i := range r.Specs {
-		buf = appendTaskSpec(buf, &r.Specs[i])
-	}
-	return buf, nil
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *stealReply) UnmarshalWire(d *wire.Decoder) error {
-	n := d.Uvarint()
-	if n > maxWireBatch {
-		return fmt.Errorf("sched: stealReply length %d exceeds bound", n)
-	}
-	if n > 0 {
-		r.Specs = make([]TaskSpec, n)
-	}
-	for i := range r.Specs {
-		decodeTaskSpec(d, &r.Specs[i])
+		t := &b.Tasks[i]
+		decodeTaskSpec(d, &t.Spec)
+		t.Variant = Variant(d.Int())
+		t.Granted = d.Bool()
 	}
 	return nil
 }
