@@ -185,7 +185,6 @@ func runCrashDemo(p stencil.Params, localities int, traceOut string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec.SetCheckpoint(cp)
 	fmt.Printf("checkpoint after step %d: %d fragment records, %d bytes\n", mid, len(cp.Records), cp.Size())
 
 	// Second half, with the victim crashing shortly into it.
@@ -201,7 +200,7 @@ func runCrashDemo(p stencil.Params, localities int, traceOut string) {
 		log.Fatalf("failure detector missed the crash (dead = %v)", rec.DeadRanks())
 	}
 	fmt.Printf("failure detected, dead ranks: %v\n", rec.DeadRanks())
-	if err := rec.Restore(); err != nil {
+	if err := rec.Restore(cp); err != nil {
 		log.Fatal(err)
 	}
 	rep := rec.Report()

@@ -62,11 +62,13 @@ type Config struct {
 	Latent []int
 }
 
-// RecoveryConfig tunes failure detection (see recovery.Options).
+// RecoveryConfig tunes failure detection (recovery.Attach reads it).
 type RecoveryConfig struct {
-	// Heartbeat is the liveness-probe interval.
+	// Heartbeat is the probe interval of the per-rank detectors.
+	// Default 250ms.
 	Heartbeat time.Duration
-	// Timeout is the silence span after which a peer is suspected.
+	// Timeout is the silence span after which a peer is suspected and
+	// actively confirmed. Default 4× Heartbeat.
 	Timeout time.Duration
 }
 

@@ -163,7 +163,7 @@ func (m *Manager) Republish() error {
 // the rebuilt index root. It must run on the live index root host
 // after all republishes: coverage owned by dead ranks leaves the
 // allocated set, so survivors can re-allocate (first-touch) or restore
-// (checkpoint import) it.
+// (ResetLocal from a checkpoint) it.
 func (m *Manager) SyncAllocatedFromIndex() error {
 	root := rootLevel(m.size())
 	m.mu.Lock()

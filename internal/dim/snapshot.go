@@ -9,7 +9,7 @@ import (
 
 // LocalSnapshot is the serialized content of one locality's fragment
 // of one data item: the covered region plus the element data, as
-// produced by ExportLocal and consumed by ImportLocal. It is the unit
+// produced by ExportLocal and consumed by ResetLocal. It is the unit
 // of the resilience manager's checkpoints.
 type LocalSnapshot struct {
 	Region dataitem.Region
@@ -78,38 +78,6 @@ func (m *Manager) ExportLocal(id ItemID) (*LocalSnapshot, error) {
 		}
 		return &LocalSnapshot{Region: cov, Data: data}, nil
 	}
-}
-
-// ImportLocal restores a snapshot into the local fragment: the region
-// is registered as allocated with the index root (so later first-
-// touch claims cannot double-allocate it), the fragment grows to
-// cover it, the data is inserted, and the index is updated. Importing
-// over existing coverage overwrites the intersection.
-func (m *Manager) ImportLocal(id ItemID, snap *LocalSnapshot) error {
-	if snap.Region == nil || snap.Region.IsEmpty() {
-		return nil
-	}
-	// Mark the region allocated; the granted remainder is irrelevant —
-	// the claim only serializes allocation bookkeeping.
-	if _, err := m.claim(id, snap.Region, true, false); err != nil {
-		return fmt.Errorf("dim: import claim: %w", err)
-	}
-	m.mu.Lock()
-	st, err := m.itemLocked(id)
-	if err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	if err := st.frag.Resize(st.frag.Region().Union(snap.Region)); err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	if _, err := st.frag.Insert(snap.Data); err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	m.mu.Unlock()
-	return m.reportUp(id)
 }
 
 // VerifyIndex checks the Fig. 5 index invariant across a set of

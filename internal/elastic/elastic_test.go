@@ -94,11 +94,12 @@ func TestDecideKeepsModerateLoad(t *testing.T) {
 // 3-locality system scales itself down to MinMembers through graceful
 // drains — no failure detector involvement, no deaths.
 func TestControllerDrainsIdleSystem(t *testing.T) {
-	sys := core.NewSystem(core.Config{Localities: 3, Workers: 2})
-	defer sys.Close()
-	coord := recovery.Attach(sys, recovery.Options{
-		Heartbeat: 20 * time.Millisecond, Timeout: 200 * time.Millisecond,
+	sys := core.NewSystem(core.Config{
+		Localities: 3, Workers: 2,
+		Recovery: core.RecoveryConfig{Heartbeat: 20 * time.Millisecond, Timeout: 200 * time.Millisecond},
 	})
+	defer sys.Close()
+	coord := recovery.Attach(sys, recovery.Options{})
 	defer coord.Stop()
 	sys.Start()
 

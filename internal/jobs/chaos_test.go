@@ -188,3 +188,104 @@ func TestServiceUnderChaosCrash(t *testing.T) {
 	t.Logf("cancelled=%d jobs, gate-killed tasks=%d, suppressed respawns=%d, dead=%v",
 		len(cancelled), cancelledTasks, cancelledRespawns, rec.DeadRanks())
 }
+
+// TestStencilJobsFailHonestlyUnderCrash: a rank dies under four stencil
+// jobs, whose grid items lose the fragments it held. The service may
+// fail such a job; it may not call it done over a checksum that is not
+// the oracle's. Tasks lost with the rank fail their job through the
+// recovery rule (they need data; they are not respawned), and a job
+// that lost no task but ran across the death is failed by its driver —
+// it cannot tell its field from one a later step first-touched. The
+// service itself carries on: a pfor job submitted afterwards completes
+// on the survivors.
+func TestStencilJobsFailHonestlyUnderCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash rounds skipped in -short")
+	}
+	const rounds, n, jobs = 20, 4, 4
+	sp := StencilParams{N: 32, Steps: 200}
+	want := checksum(StencilOracle(sp.N, sp.Steps, 0.1))
+	var done, wrong, failed int
+	for round := 0; round < rounds; round++ {
+		// One worker per locality: see TestLostWriterIsFailedNotRespawned.
+		// The kill is noticed through the link (the next heartbeat's send
+		// fails); the timeout only has to keep a slow -race run from
+		// suspecting, and then fencing, a rank that is alive.
+		sys := core.NewSystem(core.Config{
+			Localities: n,
+			Workers:    1,
+			Recovery:   core.RecoveryConfig{Heartbeat: 10 * time.Millisecond, Timeout: time.Second},
+		})
+		w := RegisterWorkloads(sys, WorkloadConfig{})
+		sys.Start()
+		for r := 0; r < n; r++ {
+			sys.Manager(r).LockWaitTimeout = 2 * time.Second
+		}
+		rec := recovery.Attach(sys, recovery.Options{})
+		svc := New(sys, w, Config{MaxActive: 8, MaxBacklog: 64})
+		if err := svc.RegisterTenant("t", Quota{MaxActive: 8, MaxPending: 16}); err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal := func(id uint64) JobStatus {
+			t.Helper()
+			select {
+			case <-svc.jobDone(id):
+			case <-time.After(60 * time.Second):
+				t.Fatalf("round %d: job %d not terminal 60 s after the crash", round, id)
+			}
+			st, err := svc.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		ids := make([]uint64, jobs)
+		for i := range ids {
+			ids[i] = mustSubmit(t, svc, "t", FamilyStencil, sp)
+		}
+		// The victim is the first rank but 0 (where the drivers spawn) to
+		// have executed 20 tasks: under a slow -race run thieves may take a
+		// rank's first-touch tasks, and with them all it would ever hold.
+		victim := -1
+		for deadline := time.Now().Add(15 * time.Second); victim < 0; {
+			for r := 1; r < n && victim < 0; r++ {
+				if sys.Metrics(r).CounterValue(sched.MetricExecuted) >= 20 {
+					victim = r
+				}
+			}
+			if victim < 0 && time.Now().After(deadline) {
+				t.Fatalf("round %d: no rank executed 20 tasks; dead: %v", round, rec.DeadRanks())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		sys.Kill(victim)
+		for _, id := range ids {
+			switch st := waitTerminal(id); st.State {
+			case Done.String():
+				done++
+				if st.Result != want {
+					wrong++
+					t.Errorf("round %d: job %d done with %s, the oracle says %s", round, id, st.Result, want)
+				}
+			case Failed.String():
+				failed++
+			default:
+				t.Errorf("round %d: job %d ended %s (%s)", round, id, st.State, st.Error)
+			}
+		}
+		if !rec.WaitDeaths(1, 15*time.Second) {
+			t.Fatalf("round %d: victim not detected dead", round)
+		}
+		after := mustSubmit(t, svc, "t", FamilyPFor, PForParams{Levels: 5, Spin: 100, Seed: uint64(round)})
+		if st := waitTerminal(after); st.State != Done.String() || st.Result != fmt.Sprintf("%#x", DagValue(5, 100, uint64(round))) {
+			t.Errorf("round %d: pfor job after the crash ended %s %s (%s)", round, st.State, st.Result, st.Error)
+		}
+		svc.Close()
+		sys.Close()
+	}
+	t.Logf("%d stencil jobs in flight at a crash: %d failed, %d done, %d of those with a checksum that is not the oracle's",
+		rounds*jobs, failed, done, wrong)
+	if failed == 0 {
+		t.Fatal("no job was hit by its crash: the scenario was not exercised")
+	}
+}

@@ -28,7 +28,9 @@ import (
 //   - "stencil": the data-backed heat stencil over two per-job grid
 //     data items (created at job start, destroyed at job end — also on
 //     failure and cancel, so a cancelled tenant leaves no orphaned
-//     fragments);
+//     fragments); a rank that dies under it takes fragments of both
+//     along, so the job fails — through its lost tasks, which need data
+//     and are not respawned, or by its own account of who died;
 //   - "tpc":     the kd-tree point-correlation kernel as one sequential
 //     task;
 //   - "ipic3d":  the particle-in-cell kernel as one sequential task.
@@ -498,6 +500,7 @@ func (w *Workloads) runStencil(jc jobContext, params []byte) (result string, err
 	if !ok {
 		return "", fmt.Errorf("%w: stencil size %d not provisioned", ErrBadParams, p.N)
 	}
+	deadBefore := w.deadRanks()
 	mgr := w.sys.Manager(0)
 	items := make([]dim.ItemID, 2)
 	for i := range items {
@@ -567,5 +570,20 @@ func (w *Workloads) runStencil(jc jobContext, params []byte) (result string, err
 		}
 	}
 	mgr.Release(token)
+	// A rank declared dead while the items existed took its fragments of
+	// them with it. Tasks lost with it fail the job above; when none was,
+	// a later step may have first-touched the hole, and nothing the
+	// service can see tells such a field from a sound one.
+	if dead := w.deadRanks(); len(dead) > len(deadBefore) {
+		return "", fmt.Errorf("jobs: dead ranks %v, were %v when the stencil started: the job's items lost fragments, the result cannot be vouched for", dead, deadBefore)
+	}
 	return checksum(field), nil
+}
+
+// deadRanks returns the ranks the recovery service has declared dead.
+func (w *Workloads) deadRanks() []int {
+	if rec := w.sys.Recovery(); rec != nil {
+		return rec.DeadRanks()
+	}
+	return nil
 }

@@ -14,7 +14,7 @@ import (
 // TestThiefDeathRecoversGrantedTasks: a grant is a ship, so the tasks a
 // victim has granted are on record like the ones it has placed. A thief
 // is killed holding granted tasks it has not started (and one it has);
-// in respawn mode each of them runs exactly once on the survivor. With
+// they need no data, so each of them runs exactly once on the survivor. With
 // the job cancelled first none runs: the cancel swept the victim's
 // record of them, and every waiter is told so.
 func TestThiefDeathRecoversGrantedTasks(t *testing.T) {

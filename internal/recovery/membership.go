@@ -53,10 +53,6 @@ const (
 
 const methodMembership = "membership.update"
 
-// drainQuiesce bounds how long a drain waits for the rank's running
-// tasks and outstanding calls to finish before giving up.
-const drainQuiesce = 30 * time.Second
-
 // drainPasses bounds the write acquisitions a drain spends on one item:
 // the first moves the data and refreshes the replicas in use, the
 // second removes those; a third means something keeps reading them.
@@ -166,16 +162,7 @@ func (c *Coordinator) Join(rank int) error {
 	// 3. Geometry reshape: re-shape the Fig. 5 index tree over the
 	// grown membership — the insertion dual of the crash-time hole
 	// routing, via the same retract → republish → re-derive sequence.
-	live := c.liveRanks()
-	if err := c.retractAll(live); err != nil {
-		sp.SetErr(err)
-		return err
-	}
-	if err := c.republishAll(live); err != nil {
-		sp.SetErr(err)
-		return err
-	}
-	if err := c.syncAlloc(live); err != nil {
+	if err := c.reindex(c.liveRanks()); err != nil {
 		sp.SetErr(err)
 		return err
 	}
@@ -264,16 +251,10 @@ func (c *Coordinator) Drain(rank int) error {
 	sc.RedistributeQueued()
 
 	// 2. Quiesce: wait out the running tasks and outstanding calls.
-	deadline := time.Now().Add(drainQuiesce)
-	for sc.Load() != 0 || loc.PendingCalls() != 0 {
-		if time.Now().After(deadline) {
-			abort()
-			err := fmt.Errorf("recovery: drain of rank %d: no quiescence (load %d, %d calls pending)",
-				rank, sc.Load(), loc.PendingCalls())
-			sp.SetErr(err)
-			return err
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := c.quiesce([]int{rank}); err != nil {
+		abort()
+		sp.SetErr(err)
+		return fmt.Errorf("recovery: drain of rank %d: %w", rank, err)
 	}
 
 	// 3. Migrate every owned fragment onto the remaining members via
@@ -328,15 +309,7 @@ func (c *Coordinator) Drain(rank int) error {
 
 	// 6. Re-shape the index tree over the shrunk membership: inner
 	// nodes the drained rank hosted re-home onto the survivors.
-	if err := c.retractAll(others); err != nil {
-		sp.SetErr(err)
-		return err
-	}
-	if err := c.republishAll(others); err != nil {
-		sp.SetErr(err)
-		return err
-	}
-	if err := c.syncAlloc(others); err != nil {
+	if err := c.reindex(others); err != nil {
 		sp.SetErr(err)
 		return err
 	}

@@ -12,24 +12,22 @@
 // from the survivors. Because the runtime owns data distribution, the
 // recovery is a system service: no application code participates.
 //
-// Two recovery modes exist, chosen by whether a checkpoint was
-// registered with SetCheckpoint:
-//
-//   - Without a checkpoint ("respawn mode"), lost tasks are re-spawned
-//     transparently onto live ranks. This is sound only for tasks that
-//     do not mutate data items — the dead rank's fragment contents are
-//     gone, and a respawned writer would compute on holes.
-//
-//   - With a checkpoint ("rollback mode"), the futures of lost tasks
-//     are failed with runtime.ErrPeerFailed so the task wave unwinds;
-//     the driver then calls Restore, which rolls every live rank back
-//     to the checkpoint, re-homes the dead rank's shares onto
-//     survivors, and lets the driver re-run from the checkpointed
-//     phase.
+// One rule decides what becomes of a task lost with the rank, applied
+// per task from what the task itself declares (sched.NeedsData): a task
+// whose kind states no data requirement for its arguments is re-spawned
+// onto a live rank; any other has its future failed with
+// runtime.ErrPeerFailed, so the task wave it belongs to unwinds. The
+// crash took the dead rank's fragments with it — a respawned reader or
+// writer would first-touch zeroes where the data was — and only the
+// driver knows a state worth going back to: it hands Restore a
+// checkpoint, which rolls every live rank back to it, re-homes the
+// shares of ranks no longer live onto survivors, and lets the driver
+// re-run the phase.
 package recovery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,16 +41,11 @@ import (
 	"allscale/internal/trace"
 )
 
-// Options tunes failure detection.
+// Options tunes failure detection beyond the probe interval and the
+// suspicion timeout, which are the system's (core.Config.Recovery).
 type Options struct {
-	// Heartbeat is the probe interval of the per-rank detectors.
-	// Default 250ms.
-	Heartbeat time.Duration
-	// Timeout is the silence span after which a peer is suspected and
-	// actively confirmed. Default 4× Heartbeat.
-	Timeout time.Duration
 	// PingRetries is how many times the confirmation ping is resent
-	// (each attempt bounded by Timeout) before the peer is declared
+	// (each attempt bounded by the timeout) before the peer is declared
 	// dead. Suspicion pauses placement immediately; death needs the
 	// full retry exhaustion, so a lossy-but-alive peer survives a
 	// dropped probe. Default 3.
@@ -80,14 +73,14 @@ const methodPing = "recovery.ping"
 type Report struct {
 	// Dead lists the ranks declared dead, in rank order.
 	Dead []int
-	// RequeuedTasks counts lost tasks whose futures were failed for a
-	// rollback (rollback mode).
+	// RequeuedTasks counts lost tasks that needed data: their futures
+	// were failed, handing them back to the driver.
 	RequeuedTasks int
-	// RehomedRecords counts checkpoint records re-homed from dead
-	// ranks onto survivors by Restore.
+	// RehomedRecords counts checkpoint records re-homed from ranks no
+	// longer live onto survivors by Restore.
 	RehomedRecords int
-	// RespawnedTasks counts lost tasks re-spawned onto live ranks
-	// (respawn mode).
+	// RespawnedTasks counts lost tasks that needed no data and were
+	// re-spawned onto live ranks.
 	RespawnedTasks int
 	// Joined/Drained list the ranks admitted into and gracefully
 	// retired from the membership, in event order.
@@ -100,6 +93,7 @@ type Report struct {
 // drives the recovery sequence. It implements core.RecoveryService.
 type Coordinator struct {
 	sys  *core.System
+	cfg  core.RecoveryConfig // defaults applied
 	opts Options
 
 	mu         sync.Mutex
@@ -109,7 +103,6 @@ type Coordinator struct {
 	// the order decides report authority in distrusted.
 	suspectedAt map[int]time.Time
 	epoch       uint64
-	cp          *resilience.Checkpoint
 	report      Report
 
 	// recMu serializes whole recovery sequences: two deaths reported
@@ -129,23 +122,17 @@ type Coordinator struct {
 
 // Attach creates the coordinator of a system, registers the liveness
 // confirmation service on every locality, subscribes to transport
-// failure notifications, and starts the detectors. Zero option fields
-// fall back to the system's core.Config.Recovery values, then to the
-// defaults. Must be called after the system's services are registered
-// (it installs an RPC handler on every locality).
+// failure notifications, and starts the detectors, which probe at the
+// system's core.Config.Recovery interval. Must be called after the
+// system's services are registered (it installs an RPC handler on every
+// locality).
 func Attach(sys *core.System, opts Options) *Coordinator {
 	cfg := sys.RecoveryConfig()
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = cfg.Heartbeat
+	if cfg.Heartbeat <= 0 {
+		cfg.Heartbeat = 250 * time.Millisecond
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = cfg.Timeout
-	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 250 * time.Millisecond
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 4 * opts.Heartbeat
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 4 * cfg.Heartbeat
 	}
 	if opts.PingRetries <= 0 {
 		opts.PingRetries = 3
@@ -153,6 +140,7 @@ func Attach(sys *core.System, opts Options) *Coordinator {
 	reg := sys.Metrics(0)
 	c := &Coordinator{
 		sys:         sys,
+		cfg:         cfg,
 		opts:        opts,
 		dead:        make(map[int]bool),
 		confirming:  make(map[int]bool),
@@ -193,16 +181,6 @@ func Attach(sys *core.System, opts Options) *Coordinator {
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
-}
-
-// SetCheckpoint registers the rollback target and switches the
-// coordinator into rollback mode: from now on, lost tasks fail their
-// futures instead of being respawned, and Restore rolls the system
-// back to cp.
-func (c *Coordinator) SetCheckpoint(cp *resilience.Checkpoint) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cp = cp
 }
 
 // DeadRanks returns the ranks declared dead so far, in rank order.
@@ -274,7 +252,7 @@ func (c *Coordinator) liveRanks() []int {
 func (c *Coordinator) detect(rank int) {
 	defer c.wg.Done()
 	loc := c.sys.Locality(rank)
-	ticker := time.NewTicker(c.opts.Heartbeat)
+	ticker := time.NewTicker(c.cfg.Heartbeat)
 	defer ticker.Stop()
 	// Grace: peers are judged from detector start, not system start —
 	// a quiet but healthy fabric must not trip the timeout on round 1.
@@ -303,7 +281,7 @@ func (c *Coordinator) detect(rank int) {
 			if last.Before(base) {
 				last = base
 			}
-			if time.Since(last) > c.opts.Timeout {
+			if time.Since(last) > c.cfg.Timeout {
 				c.confirm(rank, p)
 			}
 		}
@@ -409,11 +387,11 @@ func (c *Coordinator) setSuspect(peer int, v bool) {
 // than silence).
 func (c *Coordinator) ping(observer, peer int) error {
 	loc := c.sys.Locality(observer)
-	deadline := time.Duration(c.opts.PingRetries+1) * c.opts.Timeout
+	deadline := time.Duration(c.opts.PingRetries+1) * c.cfg.Timeout
 	return loc.Call(peer, methodPing, &struct{}{}, nil,
 		runtime.WithDeadline(deadline),
-		runtime.WithRetries(c.opts.PingRetries, c.opts.Timeout),
-		runtime.WithMaxBackoff(c.opts.Timeout),
+		runtime.WithRetries(c.opts.PingRetries, c.cfg.Timeout),
+		runtime.WithMaxBackoff(c.cfg.Timeout),
 		runtime.WithIdempotent())
 }
 
@@ -423,9 +401,10 @@ func (c *Coordinator) ping(observer, peer int) error {
 
 // ReportDeath declares a rank dead and runs the recovery sequence:
 // exclusion (every live locality marks the rank dead, failing calls
-// toward it), pin release, lost-task collection, and — depending on
-// the mode — respawning or future failure. It is idempotent per rank
-// and serializes with other recoveries.
+// toward it), pin release, lost-task collection, index rebuild, and for
+// each lost task the one rule — respawned if it needs no data, its
+// future failed if it does. It is idempotent per rank and serializes
+// with other recoveries.
 func (c *Coordinator) ReportDeath(dead int) {
 	if !c.sys.Locality(dead).IsMember(dead) {
 		// Latent or gracefully departed ranks are not failures: a
@@ -445,7 +424,6 @@ func (c *Coordinator) ReportDeath(dead int) {
 	// partitioned-then-healed rank cannot keep mutating survivor state.
 	c.epoch++
 	fence := c.epoch
-	cp := c.cp
 	c.mu.Unlock()
 
 	c.recMu.Lock()
@@ -498,40 +476,32 @@ func (c *Coordinator) ReportDeath(dead int) {
 	}
 
 	// 4. Rebuild the distributed index without the dead rank. This is
-	// a liveness requirement in both modes: index nodes the dead rank
-	// hosted are re-homed onto survivors that hold none of their
-	// state, so even the *survivors'* coverage under those nodes
-	// vanishes from lookups while the root's allocation set still
-	// claims it — staging would spin forever. Retract + republish +
-	// re-derived claims make every live fragment findable (and the
-	// dead rank's share claimable) again. In rollback mode whatever
-	// in-flight tasks do with that window is discarded by Restore.
-	if err := c.retractAll(live); err == nil {
-		if err := c.republishAll(live); err == nil {
-			c.syncAlloc(live)
-		}
-	}
+	// a liveness requirement: index nodes the dead rank hosted are
+	// re-homed onto survivors that hold none of their state, so even
+	// the *survivors'* coverage under those nodes vanishes from lookups
+	// while the root's allocation set still claims it — staging would
+	// spin forever. Afterwards every live fragment is findable (and the
+	// dead rank's share claimable) again. What tasks of a wave that is
+	// being failed do with that window is discarded by Restore.
+	sp.SetErr(c.reindex(live))
 
-	if cp != nil {
-		// Rollback mode: fail the futures so the task wave unwinds;
-		// the driver rolls back via Restore and re-runs the phase.
-		for _, spec := range lost {
-			err := fmt.Errorf("%w: task %d lost on rank %d", runtime.ErrPeerFailed, spec.ID, dead)
-			c.sys.Locality(spec.Origin).FulfillRemote(spec.Promise, nil, err)
-			c.requeued.Inc()
-		}
-		c.report.RequeuedTasks += len(lost)
-		c.report.Dead = append(c.report.Dead, dead)
-		sort.Ints(c.report.Dead)
-		return
-	}
-
-	// Respawn mode: re-execute the lost tasks on survivors. Sound
-	// only for tasks without data requirements — see the package
-	// comment.
+	// 5. The one rule. A task that needs no data lost nothing but its
+	// place: it runs again on a survivor. A task that needs data may
+	// need what died with the rank — the runtime cannot tell from here
+	// whether a copy survives, and a first touch of the hole reads
+	// zeroes — so its future fails and the decision returns to the
+	// driver, who may hold a checkpoint (Restore).
 	rsp := c.tracer().Begin("recovery.respawn", fmt.Sprintf("%d tasks", len(lost)), sp.SpanID())
 	for _, spec := range lost {
-		if err := c.sys.Scheduler(spec.Origin).Respawn(spec); err != nil {
+		origin := c.sys.Scheduler(spec.Origin)
+		if origin.NeedsData(&spec) {
+			c.sys.Locality(spec.Origin).FulfillRemote(spec.Promise, nil,
+				fmt.Errorf("%w: task %d lost on rank %d", runtime.ErrPeerFailed, spec.ID, dead))
+			c.requeued.Inc()
+			c.report.RequeuedTasks++
+			continue
+		}
+		if err := origin.Respawn(spec); err != nil {
 			c.sys.Locality(spec.Origin).FulfillRemote(spec.Promise, nil,
 				fmt.Errorf("%w: respawn of task %d failed: %v", runtime.ErrPeerFailed, spec.ID, err))
 			continue
@@ -550,142 +520,156 @@ func (c *Coordinator) isDead(rank int) bool {
 	return c.dead[rank]
 }
 
-// retractAll drives index-coverage retraction on every live rank under
-// a fresh recovery epoch (phase 1; a barrier — all retractions
-// complete before the caller republishes).
-func (c *Coordinator) retractAll(live []int) error {
+// reindex rebuilds the distributed index and the allocation claims over
+// the given ranks — after a death, a rollback or a membership change —
+// in three system-wide phases (dim/recovery.go): every rank retracts its
+// index coverage under a fresh recovery epoch (a barrier: all
+// retractions complete before the first republish), every rank
+// republishes its leaf coverage, and the index root host, the lowest of
+// the ranks, re-derives the allocation claims from the rebuilt root.
+func (c *Coordinator) reindex(live []int) error {
+	if len(live) == 0 {
+		return fmt.Errorf("recovery: no live ranks")
+	}
 	c.mu.Lock()
 	c.epoch++
 	epoch := c.epoch
 	c.mu.Unlock()
-	if len(live) == 0 {
-		return fmt.Errorf("recovery: no live ranks")
-	}
+	drv := c.sys.Manager(live[0])
 	sp := c.tracer().Begin("recovery.retract", fmt.Sprintf("epoch %d", epoch), 0)
-	defer sp.End()
-	drv := c.sys.Manager(live[0])
-	for _, r := range live {
-		if err := drv.RetractRemote(r, epoch); err != nil {
-			sp.SetErr(err)
-			return fmt.Errorf("recovery: retract at rank %d: %w", r, err)
+	err := eachRank(live, "retract", func(r int) error { return drv.RetractRemote(r, epoch) })
+	sp.SetErr(err)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	sp = c.tracer().Begin("recovery.republish", "", 0)
+	if err = eachRank(live, "republish", drv.RepublishRemote); err == nil {
+		err = eachRank(live[:1], "sync allocations", drv.SyncAllocRemote)
+	}
+	sp.SetErr(err)
+	sp.End()
+	return err
+}
+
+func eachRank(ranks []int, what string, do func(rank int) error) error {
+	for _, r := range ranks {
+		if err := do(r); err != nil {
+			return fmt.Errorf("recovery: %s at rank %d: %w", what, r, err)
 		}
 	}
 	return nil
 }
 
-// republishAll rebuilds the index from the live leaf coverages
-// (phase 2).
-func (c *Coordinator) republishAll(live []int) error {
-	sp := c.tracer().Begin("recovery.republish", "", 0)
-	defer sp.End()
-	drv := c.sys.Manager(live[0])
-	for _, r := range live {
-		if err := drv.RepublishRemote(r); err != nil {
-			sp.SetErr(err)
-			return fmt.Errorf("recovery: republish at rank %d: %w", r, err)
+// quiesceBound bounds how long a drain or a rollback waits for running
+// tasks and outstanding calls to finish before giving up.
+const quiesceBound = 30 * time.Second
+
+// quiesce waits until none of the ranks has a task queued or running or
+// a call outstanding — so nothing of theirs is in flight between ranks
+// either — or the bound has passed.
+func (c *Coordinator) quiesce(ranks []int) error {
+	deadline := time.Now().Add(quiesceBound)
+	for {
+		busy := -1
+		for _, r := range ranks {
+			if c.sys.Scheduler(r).Load() != 0 || c.sys.Locality(r).PendingCalls() != 0 {
+				busy = r
+				break
+			}
 		}
+		if busy < 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("no quiescence at rank %d (load %d, %d calls pending)",
+				busy, c.sys.Scheduler(busy).Load(), c.sys.Locality(busy).PendingCalls())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	return nil
 }
 
-// syncAlloc re-derives the allocation claims at the live index root
-// host (phase 3). The root host is the lowest live rank.
-func (c *Coordinator) syncAlloc(live []int) error {
-	drv := c.sys.Manager(live[0])
-	if err := drv.SyncAllocRemote(live[0]); err != nil {
-		return fmt.Errorf("recovery: sync allocations: %w", err)
-	}
-	return nil
-}
-
-// Restore rolls the system back to the registered checkpoint after a
-// crash (rollback mode): index coverage is retracted everywhere, every
-// live rank's fragments are force-reset to their checkpoint shares —
-// with dead ranks' shares re-homed onto the next live rank — and the
-// index and allocation claims are rebuilt. The caller must have waited
-// for the failed task wave to unwind (the PFor error return implies
-// it).
-func (c *Coordinator) Restore() error {
+// Restore rolls the system to the checkpoint: every live rank's
+// fragments are force-reset to their checkpoint shares — the shares of
+// ranks that are not live (dead, departed, latent) re-homed onto the
+// next live rank — and the index and allocation claims are rebuilt. It
+// is the rollback after a crash and the restart into a fresh system
+// alike: the system must have the checkpoint's locality count and its
+// items must exist under the same IDs and types (created through the
+// same code path); the checkpoint may have been read from disk, so all
+// of that is checked before anything is touched. Restore waits for what
+// still runs to finish — the stragglers of a failed task wave — before
+// it takes their fragments away.
+func (c *Coordinator) Restore(cp *resilience.Checkpoint) error {
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
-	c.mu.Lock()
-	cp := c.cp
-	deadSet := make(map[int]bool, len(c.dead))
-	for r := range c.dead {
-		deadSet[r] = true
-	}
-	c.mu.Unlock()
-	if cp == nil {
-		return fmt.Errorf("recovery: Restore without a checkpoint (SetCheckpoint first)")
-	}
+	start := time.Now()
 	live := c.liveRanks()
 	if len(live) == 0 {
 		return fmt.Errorf("recovery: no live ranks")
 	}
+	if c.sys.Size() != cp.Localities {
+		return fmt.Errorf("recovery: checkpoint of %d localities restored into %d", cp.Localities, c.sys.Size())
+	}
+	for i := range cp.Records {
+		rec := &cp.Records[i]
+		if rec.Rank < 0 || rec.Rank >= cp.Localities {
+			return fmt.Errorf("recovery: restore %v: record of rank %d in a checkpoint of %d localities", rec.Item, rec.Rank, cp.Localities)
+		}
+		name, err := c.sys.Manager(live[0]).TypeName(rec.Item)
+		if err != nil {
+			return fmt.Errorf("recovery: restore %v: item must exist before restore: %w", rec.Item, err)
+		}
+		if name != rec.TypeName {
+			return fmt.Errorf("recovery: restore %v: type %q does not match checkpoint %q", rec.Item, name, rec.TypeName)
+		}
+	}
+	if err := c.quiesce(live); err != nil {
+		return fmt.Errorf("recovery: restore: %w", err)
+	}
 	sp := c.tracer().Begin("recovery.rehome", fmt.Sprintf("%d records", len(cp.Records)), 0)
 	defer sp.End()
 
-	if err := c.retractAll(live); err != nil {
-		sp.SetErr(err)
-		return err
-	}
-
-	// Re-home: group the checkpoint records by their post-crash target
-	// (dead ranks remap to the next live rank, wrapping), then force-
-	// reset every (live rank, item) fragment — including ranks without
-	// records, which must drop their post-checkpoint coverage.
-	remap := func(r int) int {
-		if !deadSet[r] {
-			return r
+	// Re-home: group the checkpoint records by the rank that takes them
+	// (a rank that is not live hands its share to the next live rank,
+	// wrapping), then force-reset every (live rank, item) fragment —
+	// including ranks without records, which must drop their
+	// post-checkpoint coverage.
+	home := func(rank int) int {
+		for !slices.Contains(live, rank) {
+			rank = (rank + 1) % c.sys.Size()
 		}
-		size := c.sys.Size()
-		for off := 1; off < size; off++ {
-			t := (r + off) % size
-			if !deadSet[t] && c.sys.Locality(t).IsMember(t) {
-				return t
-			}
-		}
-		return r
+		return rank
 	}
 	items := make(map[dim.ItemID]bool)
-	byTarget := make(map[int]map[dim.ItemID][]*dim.LocalSnapshot)
+	shares := make(map[int]map[dim.ItemID][]*dim.LocalSnapshot)
 	rehomed := 0
 	for i := range cp.Records {
 		rec := &cp.Records[i]
 		items[rec.Item] = true
-		target := remap(rec.Rank)
-		if target != rec.Rank {
+		t := home(rec.Rank)
+		if t != rec.Rank {
 			rehomed++
 		}
-		m := byTarget[target]
-		if m == nil {
-			m = make(map[dim.ItemID][]*dim.LocalSnapshot)
-			byTarget[target] = m
+		if shares[t] == nil {
+			shares[t] = make(map[dim.ItemID][]*dim.LocalSnapshot)
 		}
-		m[rec.Item] = append(m[rec.Item], &rec.Snapshot)
+		shares[t][rec.Item] = append(shares[t][rec.Item], &rec.Snapshot)
 	}
 	for id := range items {
 		for _, r := range live {
-			var snaps []*dim.LocalSnapshot
-			if m := byTarget[r]; m != nil {
-				snaps = m[id]
-			}
-			if err := c.sys.Manager(r).ResetLocal(id, snaps); err != nil {
+			if err := c.sys.Manager(r).ResetLocal(id, shares[r][id]); err != nil {
 				sp.SetErr(err)
 				return fmt.Errorf("recovery: reset %v at rank %d: %w", id, r, err)
 			}
 		}
 	}
-
-	if err := c.republishAll(live); err != nil {
-		sp.SetErr(err)
-		return err
-	}
-	if err := c.syncAlloc(live); err != nil {
+	if err := c.reindex(live); err != nil {
 		sp.SetErr(err)
 		return err
 	}
 	c.rehomed.Add(uint64(rehomed))
 	c.report.RehomedRecords += rehomed
+	c.sys.Metrics(0).Histogram(resilience.MetricRestoreTime).Observe(time.Since(start))
 	return nil
 }

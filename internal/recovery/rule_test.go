@@ -1,0 +1,279 @@
+package recovery
+
+import (
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"allscale/internal/apps/stencil"
+	"allscale/internal/core"
+	"allscale/internal/dataitem"
+	"allscale/internal/dim"
+	"allscale/internal/region"
+	"allscale/internal/resilience"
+	"allscale/internal/runtime"
+	"allscale/internal/sched"
+	"allscale/internal/wire"
+)
+
+// The recovery rule (DESIGN.md §6c): of the tasks lost with a rank,
+// those that need no data are respawned, the others are failed back to
+// their waiters — whether or not anybody holds a checkpoint.
+
+// isPeerFailed matches runtime.ErrPeerFailed through a future, which
+// carries an error as its text.
+func isPeerFailed(err error) bool {
+	return err != nil && strings.Contains(err.Error(), runtime.ErrPeerFailed.Error())
+}
+
+// TestLostWriterIsFailedNotRespawned crashes a rank under a stencil
+// phase in the wiring allscaled ships — recovery attached, nobody holds
+// a checkpoint — sixty times over. The lost tasks write and read grid
+// bands that died with the rank: none may be respawned (it would first-
+// touch zeroes and the phase would return nil over a wrong field), each
+// must fail its waiter, so a phase that lost a task returns an error.
+func TestLostWriterIsFailedNotRespawned(t *testing.T) {
+	const rounds, n, victim = 60, 4, 2
+	p := stencil.Params{N: 24, Steps: 40, C: 0.1, MinGrain: 32}
+	want := stencil.RunSequential(p)
+	var lostPhases, wrongFields int
+	for round := 0; round < rounds; round++ {
+		// One worker per locality keeps most of ROADMAP item 1's race (a
+		// GridFragment resized under another task's element access) out
+		// of a -race run; a remote drop resizing under the one running
+		// task is still reported now and then unless -cpu is 1. The kill
+		// is noticed through the link (the next heartbeat's send fails),
+		// so the timeout can be long enough never to suspect a live rank.
+		sys := core.NewSystem(core.Config{
+			Localities: n,
+			Workers:    1,
+			Recovery:   core.RecoveryConfig{Heartbeat: 10 * time.Millisecond, Timeout: time.Second},
+		})
+		app := stencil.NewAllScale(sys, p)
+		sys.Start()
+		rec := Attach(sys, Options{})
+		for r := 0; r < n; r++ {
+			sys.Manager(r).LockWaitTimeout = 2 * time.Second
+		}
+		if err := app.CreateItems(); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Init(); err != nil {
+			t.Fatal(err)
+		}
+		executed := sys.Metrics(victim).Counter(sched.MetricExecuted)
+		base := executed.Value()
+		phase := make(chan error, 1)
+		go func() { phase <- app.RunSteps(0, p.Steps) }()
+		for deadline := time.Now().Add(5 * time.Second); executed.Value() <= base+uint64(round%8) && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
+		sys.Kill(victim)
+		var err error
+		select {
+		case err = <-phase:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: the phase neither finished nor unwound; report %+v", round, rec.Report())
+		}
+		if !rec.WaitDeaths(1, 10*time.Second) {
+			t.Fatalf("round %d: victim not detected", round)
+		}
+		rep := rec.Report()
+		if rep.RespawnedTasks != 0 || sys.Metrics(0).CounterValue(MetricRespawned) != 0 {
+			t.Fatalf("round %d: %d stencil tasks respawned over a hole in their data", round, rep.RespawnedTasks)
+		}
+		if got := sys.Metrics(0).CounterValue(MetricRequeued); got != uint64(rep.RequeuedTasks) {
+			t.Fatalf("round %d: %s = %d, report says %d", round, MetricRequeued, got, rep.RequeuedTasks)
+		}
+		if rep.RequeuedTasks > 0 {
+			lostPhases++
+			if err == nil {
+				t.Fatalf("round %d: the phase lost %d tasks and returned nil", round, rep.RequeuedTasks)
+			}
+		}
+		if err == nil {
+			// No task was lost, so nothing was there to fail; whether the
+			// field survived is the data-preservation hazard of ROADMAP
+			// 4(a), counted here and not asserted.
+			if got, rerr := app.Result(); rerr != nil || !slices.Equal(got, want) {
+				wrongFields++
+			}
+		}
+		sys.Close()
+	}
+	t.Logf("%d of %d phases lost a task and returned an error; %d returned nil over a wrong field without losing one",
+		lostPhases, rounds, wrongFields)
+	if lostPhases == 0 {
+		t.Fatal("no phase lost a task: the rule was not exercised")
+	}
+}
+
+// TestMixedLossRespawnsOnlyRequirementFree: one system, one kind that
+// reads a grid row and one that needs nothing; the victim is killed
+// holding tasks of both. The requirement-free futures complete with the
+// right value, the reader of the victim's row fails with ErrPeerFailed
+// and does not run again, and the counters split accordingly. The rule
+// does not ask whether a checkpoint exists: the outcome is the same
+// when one is restored afterwards, and then the row is readable again.
+func TestMixedLossRespawnsOnlyRequirementFree(t *testing.T) {
+	t.Run("no rollback", func(t *testing.T) { mixedLoss(t, false) })
+	t.Run("rollback", func(t *testing.T) { mixedLoss(t, true) })
+}
+
+func mixedLoss(t *testing.T, rollback bool) {
+	const n, victim, cols, free = 4, 2, 8, 2 * 4
+	sys := core.NewSystem(core.Config{Localities: n, Workers: 4, Policy: &sched.RoundRobinPolicy{}})
+	grid := core.DefineGrid[int](sys, "mixed.grid", region.Point{n, cols})
+	row := func(b int) dataitem.GridRegion { return grid.Region(region.Point{b, 0}, region.Point{b + 1, cols}) }
+	rowSum := func(b int) int { return b*100*cols + cols*(cols-1)/2 }
+	// Whatever starts on the victim is held there until it is killed.
+	hold := make(chan struct{})
+	enter := func(rank int) {
+		if rank == victim {
+			<-hold
+		}
+	}
+	sys.RegisterKind(func(rank int) *sched.Kind {
+		return &sched.Kind{Name: "mixed.free", Process: func(ctx *sched.Ctx) (any, error) {
+			enter(rank)
+			var x int
+			if err := ctx.Args(&x); err != nil {
+				return nil, err
+			}
+			return x * 3, nil
+		}}
+	})
+	sys.RegisterKind(func(rank int) *sched.Kind {
+		return &sched.Kind{
+			Name: "mixed.row",
+			Reqs: func(args []byte) []dim.Requirement {
+				var b int
+				wire.Decode(args, &b)
+				return []dim.Requirement{{Item: grid.Item(), Region: row(b), Mode: dim.Read}}
+			},
+			Process: func(ctx *sched.Ctx) (any, error) {
+				enter(rank)
+				var b int
+				if err := ctx.Args(&b); err != nil {
+					return nil, err
+				}
+				sum := 0
+				for y := 0; y < cols; y++ {
+					sum += grid.Local(ctx).At(region.Point{b, y})
+				}
+				return sum, nil
+			},
+		}
+	})
+	sys.Start()
+	defer sys.Close()
+	rec := Attach(sys, Options{})
+	if err := grid.Create(); err != nil {
+		t.Fatal(err)
+	}
+	// Rank b first-touches row b.
+	for b := 0; b < n; b++ {
+		mgr := sys.Manager(b)
+		if err := mgr.Acquire(uint64(900+b), []dim.Requirement{{Item: grid.Item(), Region: row(b), Mode: dim.Write}}); err != nil {
+			t.Fatal(err)
+		}
+		frag, err := mgr.Fragment(grid.Item())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for y := 0; y < cols; y++ {
+			frag.(*dataitem.GridFragment[int]).Set(region.Point{b, y}, b*100+y)
+		}
+		mgr.Release(uint64(900 + b))
+	}
+	cp, err := resilience.Capture(sys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spawn := func(kind string, arg int) *runtime.Future {
+		t.Helper()
+		f, err := sys.Spawn(kind, arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	wait := func(f *runtime.Future) (int, error) {
+		t.Helper()
+		var out int
+		done := make(chan error, 1)
+		go func() { done <- f.WaitInto(&out) }()
+		select {
+		case err := <-done:
+			return out, err
+		case <-time.After(15 * time.Second):
+			t.Fatal("a future hung after the crash")
+			return 0, nil
+		}
+	}
+	freeFuts := make([]*runtime.Future, free)
+	for i := range freeFuts {
+		freeFuts[i] = spawn("mixed.free", i)
+	}
+	rowFuts := make([]*runtime.Future, n)
+	for b := range rowFuts {
+		rowFuts[b] = spawn("mixed.row", b)
+	}
+	// Every ship answered: each task is where placement sent it, and the
+	// victim's — its row's reader and its round-robin share of the free
+	// ones — are all inside their bodies (it has a worker for each).
+	held := int64(0)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		held = sys.Scheduler(victim).Load()
+		if sys.Locality(0).PendingCalls() == 0 && held == 1+free/n && sys.Scheduler(victim).QueueLen() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("victim holds %d tasks, want %d; rank 0 has %d calls pending", held, 1+free/n, sys.Locality(0).PendingCalls())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	sys.Kill(victim)
+	rec.ReportDeath(victim)
+	close(hold)
+
+	for i, f := range freeFuts {
+		if out, err := wait(f); err != nil || out != i*3 {
+			t.Fatalf("requirement-free task %d = %d, err %v", i, out, err)
+		}
+	}
+	for b, f := range rowFuts {
+		out, err := wait(f)
+		switch {
+		case b == victim && !isPeerFailed(err):
+			t.Fatalf("reader of the dead rank's row: %d, err %v, want ErrPeerFailed", out, err)
+		case b != victim && (err != nil || out != rowSum(b)):
+			t.Fatalf("reader of row %d = %d, err %v, want %d", b, out, err, rowSum(b))
+		}
+	}
+	rep := rec.Report()
+	if rep.RespawnedTasks != free/n || rep.RequeuedTasks != 1 {
+		t.Fatalf("respawned %d, requeued %d, want %d and 1", rep.RespawnedTasks, rep.RequeuedTasks, free/n)
+	}
+	reg := sys.Metrics(0)
+	if r, q := reg.CounterValue(MetricRespawned), reg.CounterValue(MetricRequeued); r != uint64(free/n) || q != 1 {
+		t.Fatalf("%s = %d, %s = %d, want %d and 1", MetricRespawned, r, MetricRequeued, q, free/n)
+	}
+	if !rollback {
+		return
+	}
+	if err := rec.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	verifyLiveIndex(t, sys, victim)
+	for b := 0; b < n; b++ {
+		if out, err := wait(spawn("mixed.row", b)); err != nil || out != rowSum(b) {
+			t.Fatalf("after the rollback, reader of row %d = %d, err %v, want %d", b, out, err, rowSum(b))
+		}
+	}
+	if got := rec.Report(); got.RespawnedTasks != rep.RespawnedTasks || got.RequeuedTasks != rep.RequeuedTasks {
+		t.Fatalf("the rollback changed the task counts: %+v, were %+v", got, rep)
+	}
+}

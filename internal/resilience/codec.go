@@ -41,9 +41,10 @@ func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 		buf = wire.AppendString(buf, rec.TypeName)
 		buf = wire.AppendVarint(buf, int64(rec.Rank))
 		var err error
-		if buf, err = appendSnapshot(buf, &rec.Snapshot); err != nil {
+		if buf, err = dataitem.AppendRegionWire(buf, rec.Snapshot.Region); err != nil {
 			return 0, fmt.Errorf("resilience: encode region of %v: %w", rec.Item, err)
 		}
+		buf = wire.AppendBytes(buf, rec.Snapshot.Data)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	n, err := w.Write(buf)
@@ -77,9 +78,11 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			TypeName: d.String(),
 			Rank:     d.Int(),
 		}
-		if err := decodeSnapshot(d, &rec.Snapshot); err != nil {
+		var err error
+		if rec.Snapshot.Region, err = dataitem.DecodeRegionWire(d); err != nil {
 			return nil, fmt.Errorf("resilience: decode region of record %d: %w", i, err)
 		}
+		rec.Snapshot.Data = append([]byte(nil), d.Bytes()...) // copied out of the input
 		cp.Records = append(cp.Records, rec)
 	}
 	if err := d.Err(); err != nil {
@@ -89,25 +92,4 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("resilience: checkpoint holds %d of %d records", len(cp.Records), n)
 	}
 	return cp, nil
-}
-
-// appendSnapshot appends a fragment snapshot — its region, then its
-// data length-prefixed — the body of a checkpoint record and of an
-// export reply.
-func appendSnapshot(buf []byte, snap *dim.LocalSnapshot) ([]byte, error) {
-	buf, err := dataitem.AppendRegionWire(buf, snap.Region)
-	if err != nil {
-		return nil, err
-	}
-	return wire.AppendBytes(buf, snap.Data), nil
-}
-
-// decodeSnapshot reads what appendSnapshot wrote; the data is copied
-// out of the decoder's input.
-func decodeSnapshot(d *wire.Decoder, snap *dim.LocalSnapshot) (err error) {
-	if snap.Region, err = dataitem.DecodeRegionWire(d); err != nil {
-		return err
-	}
-	snap.Data = append([]byte(nil), d.Bytes()...)
-	return nil
 }

@@ -9,7 +9,9 @@
 //
 // Checkpoints are taken at quiescent points (between computation
 // phases, e.g. between pfor invocations); the caller guarantees no
-// tasks are mutating the captured items.
+// tasks are mutating the captured items. Capture is the one function
+// that takes a checkpoint; the one that puts it back — after a crash or
+// into a restarted system — is recovery.Coordinator.Restore.
 package resilience
 
 import (
@@ -23,7 +25,8 @@ import (
 )
 
 // Registry names under which the resilience service publishes its
-// metrics (into the rank-0 registry of the captured system).
+// metrics (into the rank-0 registry of the captured system); the
+// restore time is observed by recovery.Coordinator.Restore.
 const (
 	MetricCaptureBytes = "resilience.capture.bytes"
 	MetricCaptureTime  = "resilience.capture.us"
@@ -84,49 +87,6 @@ func Capture(sys *core.System, items []dim.ItemID) (*Checkpoint, error) {
 	reg.Counter(MetricCaptureBytes).Add(uint64(cp.Size()))
 	reg.Histogram(MetricCaptureTime).Observe(time.Since(start))
 	return cp, nil
-}
-
-// Restore imports a checkpoint into a system: every record is placed
-// back at the rank it was captured from. The target system must have
-// the same locality count and the items must already exist (created
-// through the same code path, so item IDs match) with empty or
-// stale-but-disjoint coverage — the normal situation after a restart.
-func Restore(sys *core.System, cp *Checkpoint) error {
-	return RestoreRemapped(sys, cp, nil)
-}
-
-// RestoreRemapped is Restore with a rank remap: each record captured
-// at rank r is imported at remap(r) instead (nil remap = identity).
-// This is how a checkpoint of N localities restores onto the survivors
-// after a crash — the dead rank's share is re-homed onto a live rank.
-func RestoreRemapped(sys *core.System, cp *Checkpoint, remap func(int) int) error {
-	if sys.Size() != cp.Localities {
-		return fmt.Errorf("resilience: checkpoint of %d localities restored into %d", cp.Localities, sys.Size())
-	}
-	start := time.Now()
-	for _, rec := range cp.Records {
-		rank := rec.Rank
-		if remap != nil {
-			rank = remap(rank)
-		}
-		if rank < 0 || rank >= sys.Size() {
-			return fmt.Errorf("resilience: restore %v: remap %d -> %d out of range", rec.Item, rec.Rank, rank)
-		}
-		mgr := sys.Manager(rank)
-		name, err := mgr.TypeName(rec.Item)
-		if err != nil {
-			return fmt.Errorf("resilience: restore %v: item must exist before restore: %w", rec.Item, err)
-		}
-		if name != rec.TypeName {
-			return fmt.Errorf("resilience: restore %v: type %q does not match checkpoint %q", rec.Item, name, rec.TypeName)
-		}
-		snap := rec.Snapshot
-		if err := mgr.ImportLocal(rec.Item, &snap); err != nil {
-			return fmt.Errorf("resilience: import %v at rank %d: %w", rec.Item, rank, err)
-		}
-	}
-	sys.Metrics(0).Histogram(MetricRestoreTime).Observe(time.Since(start))
-	return nil
 }
 
 // DegradedRanks compares two monitor sample sets — a previous baseline

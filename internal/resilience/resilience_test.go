@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 import (
 	"bytes"
@@ -10,14 +10,16 @@ import (
 	"allscale/internal/dataitem"
 	"allscale/internal/dim"
 	"allscale/internal/monitor"
+	"allscale/internal/recovery"
 	"allscale/internal/region"
+	"allscale/internal/resilience"
 	"allscale/internal/sched"
 	"allscale/internal/transport"
 )
 
 // buildGridSystem creates a 3-locality system with one distributed,
 // initialized grid item.
-func buildGridSystem(t *testing.T) (*core.System, *core.Grid[int]) {
+func buildGridSystem(t testing.TB) (*core.System, *core.Grid[int]) {
 	t.Helper()
 	sys := core.NewSystem(core.Config{Localities: 3})
 	grid := core.DefineGrid[int](sys, "cp.grid", region.Point{24, 8})
@@ -41,9 +43,15 @@ func buildGridSystem(t *testing.T) (*core.System, *core.Grid[int]) {
 	return sys, grid
 }
 
+// restore puts the checkpoint into sys the one way there is: through a
+// recovery coordinator attached to it.
+func restore(sys *core.System, cp *resilience.Checkpoint) error {
+	return recovery.Attach(sys, recovery.Options{}).Restore(cp)
+}
+
 func TestCaptureAndRestoreIntoFreshSystem(t *testing.T) {
 	sys, grid := buildGridSystem(t)
-	cp, err := Capture(sys, []dim.ItemID{grid.Item()})
+	cp, err := resilience.Capture(sys, []dim.ItemID{grid.Item()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +71,7 @@ func TestCaptureAndRestoreIntoFreshSystem(t *testing.T) {
 	if grid2.Item() != grid.Item() {
 		t.Fatalf("item IDs diverged: %v vs %v (same creation order required)", grid2.Item(), grid.Item())
 	}
-	if err := Restore(sys2, cp); err != nil {
+	if err := restore(sys2, cp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -95,7 +103,7 @@ func TestCaptureAndRestoreIntoFreshSystem(t *testing.T) {
 
 func TestRestoredSystemSupportsWrites(t *testing.T) {
 	sys, _ := buildGridSystem(t)
-	cp, err := Capture(sys, nil) // nil = all items
+	cp, err := resilience.Capture(sys, nil) // nil = all items
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +116,13 @@ func TestRestoredSystemSupportsWrites(t *testing.T) {
 	if err := grid2.Create(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Restore(sys2, cp); err != nil {
+	if err := restore(sys2, cp); err != nil {
 		t.Fatal(err)
 	}
 
 	// A write acquisition after restore must consolidate correctly
-	// (the import registered the allocation with the index root; a
-	// double first-touch would zero the data).
+	// (the restore re-derived the allocation claims at the index root;
+	// a double first-touch would zero the data).
 	mgr := sys2.Manager(1)
 	r := dataitem.GridRegionFromTo(region.Point{0, 0}, region.Point{24, 8})
 	if err := mgr.Acquire(77, []dim.Requirement{{Item: grid2.Item(), Region: r, Mode: dim.Write}}); err != nil {
@@ -130,7 +138,7 @@ func TestRestoredSystemSupportsWrites(t *testing.T) {
 func TestCheckpointSerializationRoundTrip(t *testing.T) {
 	sys, grid := buildGridSystem(t)
 	defer sys.Close()
-	cp, err := Capture(sys, []dim.ItemID{grid.Item()})
+	cp, err := resilience.Capture(sys, []dim.ItemID{grid.Item()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +146,7 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 	if _, err := cp.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCheckpoint(&buf)
+	back, err := resilience.ReadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +163,7 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 func TestCheckpointCorruptionRejected(t *testing.T) {
 	sys, grid := buildGridSystem(t)
 	defer sys.Close()
-	cp, err := Capture(sys, []dim.ItemID{grid.Item()})
+	cp, err := resilience.Capture(sys, []dim.ItemID{grid.Item()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,25 +175,25 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)/2] ^= 0xFF
-	if _, err := ReadCheckpoint(bytes.NewReader(corrupt)); err == nil {
+	if _, err := resilience.ReadCheckpoint(bytes.NewReader(corrupt)); err == nil {
 		t.Fatal("bit flip not caught by the checksum")
 	}
-	if _, err := ReadCheckpoint(bytes.NewReader(data[:len(data)-3])); err == nil {
+	if _, err := resilience.ReadCheckpoint(bytes.NewReader(data[:len(data)-3])); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
-	if _, err := ReadCheckpoint(bytes.NewReader(data[:2])); err == nil {
+	if _, err := resilience.ReadCheckpoint(bytes.NewReader(data[:2])); err == nil {
 		t.Fatal("near-empty stream accepted")
 	}
 
 	// Anything without the format magic is not a checkpoint.
-	if _, err := ReadCheckpoint(bytes.NewReader(append([]byte{0x00}, data...))); err == nil {
+	if _, err := resilience.ReadCheckpoint(bytes.NewReader(append([]byte{0x00}, data...))); err == nil {
 		t.Fatal("stream without the format magic accepted")
 	}
 }
 
 func TestRestoreRejectsMismatchedSystems(t *testing.T) {
 	sys, grid := buildGridSystem(t)
-	cp, err := Capture(sys, []dim.ItemID{grid.Item()})
+	cp, err := resilience.Capture(sys, []dim.ItemID{grid.Item()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,15 +202,34 @@ func TestRestoreRejectsMismatchedSystems(t *testing.T) {
 	wrongSize := core.NewSystem(core.Config{Localities: 2})
 	wrongSize.Start()
 	defer wrongSize.Close()
-	if err := Restore(wrongSize, cp); err == nil {
+	if err := restore(wrongSize, cp); err == nil {
 		t.Fatal("restore into smaller system must fail")
 	}
 
 	noItem := core.NewSystem(core.Config{Localities: 3})
 	noItem.Start()
 	defer noItem.Close()
-	if err := Restore(noItem, cp); err == nil {
+	if err := restore(noItem, cp); err == nil {
 		t.Fatal("restore without created items must fail")
+	}
+
+	// The same item ID under another type: the checkpoint is not this
+	// system's.
+	otherType := core.NewSystem(core.Config{Localities: 3})
+	other := core.DefineGrid[int](otherType, "cp.other", region.Point{24, 8})
+	otherType.Start()
+	defer otherType.Close()
+	if err := other.Create(); err != nil {
+		t.Fatal(err)
+	}
+	if other.Item() != grid.Item() {
+		t.Fatalf("item IDs diverged: %v vs %v", other.Item(), grid.Item())
+	}
+	if err := restore(otherType, cp); err == nil {
+		t.Fatal("restore into an item of another type must fail")
+	}
+	if cov, err := otherType.Manager(0).Coverage(other.Item()); err != nil || !cov.IsEmpty() {
+		t.Fatalf("refused restore left coverage %v behind (err %v)", cov, err)
 	}
 }
 
@@ -222,7 +249,7 @@ func TestCheckpointRestartMidComputation(t *testing.T) {
 	if err := app1.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Capture(sys1, nil)
+	cp, err := resilience.Capture(sys1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +266,7 @@ func TestCheckpointRestartMidComputation(t *testing.T) {
 	if err := app2.CreateItems(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Restore(sys2, cp); err != nil {
+	if err := restore(sys2, cp); err != nil {
 		t.Fatal(err)
 	}
 	if err := app2.RunSteps(3, 6); err != nil {
@@ -275,11 +302,11 @@ func TestDegradedRanks(t *testing.T) {
 		netSample(2, 0, 0, 1), // recovering, not degraded
 		netSample(3, 0, 1, 0),
 	}
-	got := DegradedRanks(nil, latest)
+	got := resilience.DegradedRanks(nil, latest)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("DegradedRanks = %v, want [1 3]", got)
 	}
-	if DegradedRanks(nil, nil) != nil {
+	if resilience.DegradedRanks(nil, nil) != nil {
 		t.Fatal("no samples must yield no degraded ranks")
 	}
 
@@ -291,7 +318,7 @@ func TestDegradedRanks(t *testing.T) {
 		{Rank: 2},
 		{Rank: 3},
 	}
-	got = DegradedRanks(prev, latest)
+	got = resilience.DegradedRanks(prev, latest)
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("delta DegradedRanks = %v, want [3]", got)
 	}
@@ -305,7 +332,7 @@ func TestCaptureIfDegraded(t *testing.T) {
 	mon.SampleNow()
 
 	// Healthy in-process fabric: no checkpoint is taken.
-	cp, bad, err := CaptureIfDegraded(sys, mon, []dim.ItemID{grid.Item()})
+	cp, bad, err := resilience.CaptureIfDegraded(sys, mon, []dim.ItemID{grid.Item()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,6 +147,41 @@ func TestCloseFailsOutstandingCalls(t *testing.T) {
 	}
 }
 
+// TestCallRacingCloseFails: a call issued while the caller closes — a
+// task still running on a killed locality does that — lands in the
+// calls map after Close has swept it. It has no deadline and its reply
+// cannot arrive any more; CallAsync itself must notice and fail it, or
+// the task's worker never returns.
+func TestCallRacingCloseFails(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		s := NewSystem(2)
+		s.Locality(1).Handle("noop", func(int, []byte) ([]byte, error) { return nil, nil })
+		s.Start()
+		const callers = 8
+		done := make(chan struct{}, callers)
+		for g := 0; g < callers; g++ {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				for {
+					if _, err := s.Locality(0).CallAsync(1, "noop", struct{}{}).Wait(); err != nil {
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%10) * 20 * time.Microsecond)
+		s.Locality(0).Close()
+		for g := 0; g < callers; g++ {
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: a call issued across Close is still pending", round)
+			}
+		}
+		s.Close()
+	}
+}
+
 // TestPromiseAfterCloseFails: Close fails the promises outstanding at
 // that moment; one made afterwards — by a task still unwinding on a
 // killed locality — must come back failed too, or its waiter (and the

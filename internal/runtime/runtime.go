@@ -804,11 +804,18 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		}
 		return fut
 	}
-	// Re-check after the Store: a MarkDead/MarkDeparted racing with
-	// this call may have swept the calls map before our entry landed.
+	// Re-check after the Store: a MarkDead/MarkDeparted — or this
+	// locality's own Close — racing with this call may have swept the
+	// calls map before our entry landed.
 	if l.IsDead(dst) || l.IsDeparted(dst) {
 		if _, ok := l.calls.LoadAndDelete(id); ok {
 			l.resolve(pc, nil, fmt.Errorf("%w: rank %d unreachable", ErrPeerFailed, dst))
+		}
+		return fut
+	}
+	if l.closed.Load() {
+		if _, ok := l.calls.LoadAndDelete(id); ok {
+			l.resolve(pc, nil, fmt.Errorf("runtime: locality %d closed with call outstanding", l.Rank()))
 		}
 		return fut
 	}

@@ -142,14 +142,14 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 
 	// Recovery must not resurrect cancelled work.
 	specD, futD := jobSpec(s, 1, 100)
-	before := s.Respawns()
+	before := reg.CounterValue(MetricRespawns)
 	if err := s.Respawn(*specD); err != nil {
 		t.Fatalf("Respawn: %v", err)
 	}
 	if _, err := futD.Wait(); !IsJobCancelled(err) {
 		t.Fatalf("respawned task of cancelled job: err = %v, want job-cancelled error", err)
 	}
-	if s.Respawns() != before {
+	if reg.CounterValue(MetricRespawns) != before {
 		t.Fatal("cancelled respawn counted as a real respawn")
 	}
 	if got := reg.CounterValue(MetricCancelledRespawns); got != 1 {

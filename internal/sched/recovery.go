@@ -8,9 +8,9 @@ import "sort"
 // enters it, whatever the reason for the ship.
 //
 // When the recovery coordinator learns that a rank died, HandleDeath
-// drains the entries pointing at it; the specs are either respawned
-// onto live ranks (pure-compute tasks) or failed back to their waiters
-// for a checkpoint rollback. Entries are advisory over-approximations:
+// drains the entries pointing at it; a spec that needs no data
+// (NeedsData) is respawned onto a live rank, any other is failed back
+// to its waiter. Entries are advisory over-approximations:
 // a task that completed normally leaves a stale entry until swept, and
 // respawning it again is harmless — promise fulfilment is idempotent.
 
@@ -130,9 +130,6 @@ func (s *Scheduler) Respawn(spec TaskSpec) error {
 	s.stats.respawns.Inc()
 	return s.assign(&spec)
 }
-
-// Respawns returns the number of tasks re-scheduled after peer deaths.
-func (s *Scheduler) Respawns() uint64 { return s.stats.respawns.Value() }
 
 // placeable reports whether a rank may receive task placements: a
 // member that is neither dead nor suspect. The local rank skips the

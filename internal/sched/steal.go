@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"allscale/internal/backoff"
+	"allscale/internal/dim"
 	"allscale/internal/trace"
 )
 
@@ -218,19 +219,35 @@ func (s *Scheduler) stealForRemote(max int) []queuedTask {
 // first-touch tasks, whose data nobody holds yet, are bound to nothing
 // and balance by stealing.
 func (s *Scheduler) stealable(spec *TaskSpec) bool {
+	return !s.anyReq(spec, func(rq dim.Requirement) bool {
+		cov, err := s.mgr.Coverage(rq.Item)
+		return err == nil && !cov.Intersect(rq.Region).IsEmpty()
+	})
+}
+
+// NeedsData reports whether the task's kind declares any non-empty
+// requirement for its arguments. It is the recovery rule (DESIGN.md
+// §6c): a crash loses the dead rank's fragments, so of the tasks lost
+// with it only those that need no data can be run again as they are.
+func (s *Scheduler) NeedsData(spec *TaskSpec) bool {
+	return s.anyReq(spec, func(dim.Requirement) bool { return true })
+}
+
+// anyReq reports whether match selects one of the non-empty
+// requirements the task's kind declares for its arguments — all the
+// runtime knows about the data a task touches. A task of an unknown
+// kind declares none.
+func (s *Scheduler) anyReq(spec *TaskSpec, match func(dim.Requirement) bool) bool {
 	k, err := s.kind(spec.Kind)
 	if err != nil || k.Reqs == nil {
-		return true
+		return false
 	}
 	for _, rq := range k.Reqs(spec.Args) {
-		if rq.Region.IsEmpty() {
-			continue
-		}
-		if cov, err := s.mgr.Coverage(rq.Item); err == nil && !cov.Intersect(rq.Region).IsEmpty() {
-			return false
+		if !rq.Region.IsEmpty() && match(rq) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // QueueLen returns the number of queued, not yet started tasks.
