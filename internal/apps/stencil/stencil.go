@@ -49,6 +49,63 @@ func update(center, left, right, up, down, c float64) float64 {
 	return center + c*(up+down+left+right-4*center)
 }
 
+// UpdateRow is the kernel every implementation runs: one row of one
+// time step. dst[i] is the update of mid[i+1], whose neighbours are
+// mid[i] and mid[i+2] in its own row and up[i] and down[i] in the rows
+// above and below; up, down and mid may be longer than they need to be.
+func UpdateRow(dst, up, mid, down []float64, c float64) {
+	n := len(dst)
+	up, mid, down = up[:n], mid[:n+2], down[:n]
+	for i := range dst {
+		dst[i] = update(mid[i+1], mid[i], mid[i+2], up[i], down[i], c)
+	}
+}
+
+// StepRange runs one time step over the cells of r: src is the buffer
+// read (r and its one-cell halo), dst the one written (r). Rows that lie
+// in one block of each fragment go through UpdateRow on the fragments'
+// own storage; a row that crosses blocks is updated cell by cell.
+func StepRange(src, dst *dataitem.GridFragment[float64], r core.Range, c float64) {
+	y0, y1 := r.Lo[1], r.Hi[1]
+	w := y1 - y0
+	for x := r.Lo[0]; x < r.Hi[0]; x++ {
+		out, ok := dst.Row(region.Point{x, y0}, w)
+		up, okUp := src.Row(region.Point{x - 1, y0}, w)
+		mid, okMid := src.Row(region.Point{x, y0 - 1}, w+2)
+		down, okDown := src.Row(region.Point{x + 1, y0}, w)
+		if ok && okUp && okMid && okDown {
+			UpdateRow(out, up, mid, down, c)
+			continue
+		}
+		for y := y0; y < y1; y++ {
+			dst.Set(region.Point{x, y}, update(
+				src.At(region.Point{x, y}),
+				src.At(region.Point{x, y - 1}),
+				src.At(region.Point{x, y + 1}),
+				src.At(region.Point{x - 1, y}),
+				src.At(region.Point{x + 1, y}),
+				c,
+			))
+		}
+	}
+}
+
+// FillRange stores value(x, y) in every cell of r.
+func FillRange(dst *dataitem.GridFragment[float64], r core.Range, value func(x, y int) float64) {
+	y0, y1 := r.Lo[1], r.Hi[1]
+	for x := r.Lo[0]; x < r.Hi[0]; x++ {
+		if row, ok := dst.Row(region.Point{x, y0}, y1-y0); ok {
+			for i := range row {
+				row[i] = value(x, y0+i)
+			}
+			continue
+		}
+		for y := y0; y < y1; y++ {
+			dst.Set(region.Point{x, y}, value(x, y))
+		}
+	}
+}
+
 // RunSequential computes the reference result as a row-major N×N
 // field (Fig. 6a; both buffers carry the initial field so boundary
 // reads are well defined).
@@ -64,9 +121,7 @@ func RunSequential(p Params) []float64 {
 	}
 	for t := 0; t < p.Steps; t++ {
 		for x := 1; x < n-1; x++ {
-			for y := 1; y < n-1; y++ {
-				b[x*n+y] = update(a[x*n+y], a[x*n+y-1], a[x*n+y+1], a[(x-1)*n+y], a[(x+1)*n+y], p.C)
-			}
+			UpdateRow(b[x*n+1:x*n+n-1], a[(x-1)*n+1:], a[x*n:], a[(x+1)*n+1:], p.C)
 		}
 		a, b = b, a
 	}
@@ -95,9 +150,8 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 	core.RegisterPFor(sys, core.PForSpec{
 		Name:     "stencil.init",
 		MinGrain: p.MinGrain,
-		Body: func(ctx *sched.Ctx, q region.Point, extra []byte) {
-			g := s.grids[extra[0]]
-			g.Local(ctx).Set(q, InitValue(q[0], q[1]))
+		RangeBody: func(ctx *sched.Ctx, r core.Range, extra []byte) {
+			FillRange(s.grids[extra[0]].Local(ctx), r, InitValue)
 		},
 		Reqs: func(r core.Range, extra []byte) []dim.Requirement {
 			g := s.grids[extra[0]]
@@ -110,33 +164,25 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 	core.RegisterPFor(sys, core.PForSpec{
 		Name:     "stencil.step",
 		MinGrain: p.MinGrain,
-		Body: func(ctx *sched.Ctx, q region.Point, extra []byte) {
-			src := s.grids[extra[0]].Local(ctx)
-			dst := s.grids[1-extra[0]].Local(ctx)
-			x, y := q[0], q[1]
-			v := update(
-				src.At(region.Point{x, y}),
-				src.At(region.Point{x, y - 1}),
-				src.At(region.Point{x, y + 1}),
-				src.At(region.Point{x - 1, y}),
-				src.At(region.Point{x + 1, y}),
-				p.C,
-			)
-			dst.Set(q, v)
+		RangeBody: func(ctx *sched.Ctx, r core.Range, extra []byte) {
+			StepRange(s.grids[extra[0]].Local(ctx), s.grids[1-extra[0]].Local(ctx), r, p.C)
 		},
-		Reqs: func(r core.Range, extra []byte) []dim.Requirement {
-			src := s.grids[extra[0]]
-			dst := s.grids[1-extra[0]]
-			// Read the sub-range expanded by the one-cell halo.
-			halo := region.Point{r.Lo[0] - 1, r.Lo[1] - 1}
-			haloHi := region.Point{r.Hi[0] + 1, r.Hi[1] + 1}
-			return []dim.Requirement{
-				{Item: src.Item(), Region: src.Region(halo, haloHi), Mode: dim.Read},
-				{Item: dst.Item(), Region: dst.Region(r.Lo, r.Hi), Mode: dim.Write},
-			}
-		},
+		Reqs: s.stepReqs,
 	})
 	return s
+}
+
+// stepReqs states what a time step over r needs: the source buffer on r
+// expanded by the one-cell halo, the destination buffer on r.
+func (s *AllScale) stepReqs(r core.Range, extra []byte) []dim.Requirement {
+	src := s.grids[extra[0]]
+	dst := s.grids[1-extra[0]]
+	halo := region.Point{r.Lo[0] - 1, r.Lo[1] - 1}
+	haloHi := region.Point{r.Hi[0] + 1, r.Hi[1] + 1}
+	return []dim.Requirement{
+		{Item: src.Item(), Region: src.Region(halo, haloHi), Mode: dim.Read},
+		{Item: dst.Item(), Region: dst.Region(r.Lo, r.Hi), Mode: dim.Write},
+	}
 }
 
 // CreateItems introduces the two grid data items to the runtime
@@ -308,14 +354,7 @@ func RunMPI(ranks int, p Params) ([]float64, error) {
 					continue
 				}
 				li := x - lo + 1 // local row index
-				for y := 1; y < n-1; y++ {
-					b[li*width+y] = update(
-						a[li*width+y],
-						a[li*width+y-1], a[li*width+y+1],
-						a[(li-1)*width+y], a[(li+1)*width+y],
-						p.C,
-					)
-				}
+				UpdateRow(b[li*width+1:li*width+n-1], a[(li-1)*width+1:], a[li*width:], a[(li+1)*width+1:], p.C)
 			}
 			a, b = b, a
 		}

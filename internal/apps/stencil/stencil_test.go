@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"allscale/internal/core"
+	"allscale/internal/dataitem"
+	"allscale/internal/region"
+	"allscale/internal/sched"
 )
 
 func defaultParams() Params {
@@ -99,4 +102,89 @@ func TestOddStepCountEndsInOtherBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	fieldsEqual(t, "odd-steps", got, want)
+}
+
+// TestRangeBodyMatchesPointBody runs the same steps through the row
+// kernel and through a per-point Body on the same items, at a grain that
+// leaves every fragment in many small blocks: most rows cross a block
+// edge and take StepRange's cell-by-cell fallback. All three fields must
+// be bit-identical.
+func TestRangeBodyMatchesPointBody(t *testing.T) {
+	p := Params{N: 64, Steps: 6, C: 0.13, MinGrain: 64}
+	want := RunSequential(p)
+	run := func(stepKind string) []float64 {
+		sys := core.NewSystem(core.Config{Localities: 4})
+		app := NewAllScale(sys, p)
+		core.RegisterPFor(sys, core.PForSpec{
+			Name:     "stencil.step.point",
+			MinGrain: p.MinGrain,
+			Body: func(ctx *sched.Ctx, q region.Point, extra []byte) {
+				src := app.grids[extra[0]].Local(ctx)
+				x, y := q[0], q[1]
+				app.grids[1-extra[0]].Local(ctx).Set(q, update(
+					src.At(region.Point{x, y}),
+					src.At(region.Point{x, y - 1}),
+					src.At(region.Point{x, y + 1}),
+					src.At(region.Point{x - 1, y}),
+					src.At(region.Point{x + 1, y}),
+					p.C,
+				))
+			},
+			Reqs: app.stepReqs,
+		})
+		sys.Start()
+		defer sys.Close()
+		if err := app.CreateItems(); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Init(); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < p.Steps; step++ {
+			if err := sys.PFor(stepKind, region.Point{1, 1}, region.Point{p.N - 1, p.N - 1}, []byte{byte(step % 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The premise: whole rows are not to be had from these fragments.
+		whole, cut := 0, 0
+		for rank := 0; rank < 4; rank++ {
+			frag, err := sys.Manager(rank).Fragment(app.grids[0].Item())
+			if err != nil {
+				t.Fatal(err)
+			}
+			gf := frag.(*dataitem.GridFragment[float64])
+			for x := 0; x < p.N; x++ {
+				if !gf.Covers(region.Point{x, 0}) {
+					continue
+				}
+				if _, ok := gf.Row(region.Point{x, 0}, p.N); ok {
+					whole++
+				} else {
+					cut++
+				}
+			}
+		}
+		if cut <= whole {
+			t.Fatalf("%s: %d rows cross a block edge, %d do not; the fallback is barely exercised", stepKind, cut, whole)
+		}
+		got, err := app.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	fieldsEqual(t, "range body", run("stencil.step"), want)
+	fieldsEqual(t, "point body", run("stencil.step.point"), want)
+}
+
+// TestLongRunSplitLeavesMatchSequential is the run that drifted while a
+// Resize moved storage under sibling leaves: two localities, four leaves
+// each, 2 000 steps, bit for bit (ROADMAP item 1).
+func TestLongRunSplitLeavesMatchSequential(t *testing.T) {
+	p := Params{N: 64, Steps: 2000, C: 0.1, MinGrain: 512}
+	got, err := RunAllScale(2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fieldsEqual(t, "long run", got, RunSequential(p))
 }

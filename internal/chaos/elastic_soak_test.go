@@ -9,6 +9,7 @@ import (
 	"allscale/internal/apps/stencil"
 	"allscale/internal/chaos"
 	"allscale/internal/core"
+	"allscale/internal/dataitem"
 	"allscale/internal/dim"
 	"allscale/internal/recovery"
 	"allscale/internal/runtime"
@@ -139,6 +140,30 @@ func elasticSoakOnce(t *testing.T, seed int64) {
 			t.Fatalf("seed %d: index after drain+join, item %v: %v", seed, id, err)
 		}
 	}
+
+	// What views cost (DESIGN.md §6a "Fragment storage"): an allocation
+	// lives as long as any view of it, so after a drain, a join and the
+	// halo churn between them a fragment may retain more elements than it
+	// covers. Reported so that the number exists; nothing compacts.
+	var retained, covered int64
+	for _, id := range sys.Manager(0).Items() {
+		for r := 0; r < capacity; r++ {
+			if r == drained {
+				continue
+			}
+			frag, err := sys.Manager(r).Fragment(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gf := frag.(*dataitem.GridFragment[float64])
+			if gf.Retained() < gf.Region().Size() {
+				t.Fatalf("seed %d: rank %d retains %d elements of item %v but covers %d", seed, r, gf.Retained(), id, gf.Region().Size())
+			}
+			retained += gf.Retained()
+			covered += gf.Region().Size()
+		}
+	}
+	t.Logf("seed %d: fragments retain %d elements for %d covered (ratio %.2f)", seed, retained, covered, float64(retained)/float64(covered))
 
 	// Zero task loss or duplication: the drain forwarded its backlog as
 	// ships, each resent until answered and run once, so over all ranks

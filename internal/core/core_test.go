@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"allscale/internal/dataitem"
@@ -299,6 +300,59 @@ func TestWorkersModeQueueDrains(t *testing.T) {
 	for rank := 0; rank < sys.Size(); rank++ {
 		if n := sys.Scheduler(rank).QueueLen(); n != 0 {
 			t.Fatalf("rank %d queue not drained: %d", rank, n)
+		}
+	}
+}
+
+// TestPForRangeBody: a RangeBody is called once per leaf with the leaf's
+// sub-range and payload, the leaves tile the loop's range, and a spec
+// states its body in exactly one of the two forms.
+func TestPForRangeBody(t *testing.T) {
+	sys := NewSystem(Config{Localities: 2})
+	defer sys.Close()
+	var mu sync.Mutex
+	var leaves []Range
+	RegisterPFor(sys, PForSpec{
+		Name:     "ranges",
+		MinGrain: 64,
+		RangeBody: func(_ *sched.Ctx, r Range, extra []byte) {
+			if string(extra) != "x" {
+				t.Errorf("leaf %v got payload %q", r, extra)
+			}
+			mu.Lock()
+			leaves = append(leaves, Range{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()})
+			mu.Unlock()
+		},
+	})
+	for name, spec := range map[string]PForSpec{
+		"neither": {Name: "neither"},
+		"both": {Name: "both",
+			Body:      func(*sched.Ctx, region.Point, []byte) {},
+			RangeBody: func(*sched.Ctx, Range, []byte) {}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a spec with %s of Body and RangeBody was accepted", name)
+				}
+			}()
+			RegisterPFor(sys, spec)
+		}()
+	}
+	sys.Start()
+	if err := sys.PFor("ranges", region.Point{0, 0}, region.Point{16, 32}, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[[2]int]int)
+	for _, r := range leaves {
+		r.ForEach(func(p region.Point) { seen[[2]int{p[0], p[1]}]++ })
+	}
+	if len(leaves) < 2 || len(seen) != 16*32 {
+		t.Fatalf("%d leaves cover %d points, want several and %d", len(leaves), len(seen), 16*32)
+	}
+	for p, n := range seen {
+		if n != 1 {
+			t.Fatalf("point %v is in %d leaves", p, n)
 		}
 	}
 }

@@ -83,7 +83,8 @@ type pforArgs struct {
 // PForSpec defines one pfor call site: the loop body, the data
 // requirements of a sub-range, and the splitting grain. The AllScale
 // compiler derives all three from the source loop (Section 3.3); here
-// the application states them explicitly.
+// the application states them explicitly. The body comes in one of two
+// forms, of which a spec sets exactly one.
 type PForSpec struct {
 	// Name must be unique among registered kinds.
 	Name string
@@ -91,6 +92,11 @@ type PForSpec struct {
 	// payload as it sits in the task's encoded arguments, shared by
 	// every point of the task: read it, do not write it.
 	Body func(ctx *sched.Ctx, p region.Point, extra []byte)
+	// RangeBody executes a whole leaf sub-range in one call — the form
+	// of Fig. 6b, where the loop nest is the application's and can run
+	// over fragment rows (GridFragment.Row) instead of points. It must
+	// touch every point of r exactly as a Body would; extra as above.
+	RangeBody func(ctx *sched.Ctx, r Range, extra []byte)
 	// Reqs states the data requirements of processing the sub-range
 	// sequentially (Definition 2.7); nil means none.
 	Reqs func(r Range, extra []byte) []dim.Requirement
@@ -103,6 +109,15 @@ type PForSpec struct {
 // sequential (process) and a parallel (split) variant — the two
 // variants of Example 2.3. Must run before System.Start.
 func RegisterPFor(sys *System, spec PForSpec) {
+	if (spec.Body == nil) == (spec.RangeBody == nil) {
+		panic(fmt.Sprintf("core: pfor %q must set exactly one of Body and RangeBody", spec.Name))
+	}
+	body := spec.RangeBody
+	if body == nil {
+		body = func(ctx *sched.Ctx, r Range, extra []byte) {
+			r.ForEach(func(p region.Point) { spec.Body(ctx, p, extra) })
+		}
+	}
 	grain := spec.MinGrain
 	if grain <= 0 {
 		grain = 1024
@@ -158,7 +173,7 @@ func RegisterPFor(sys *System, spec PForSpec) {
 				if err := ctx.Args(&a); err != nil {
 					return nil, err
 				}
-				a.R.ForEach(func(p region.Point) { spec.Body(ctx, p, a.Extra) })
+				body(ctx, a.R, a.Extra)
 				return nil, nil
 			},
 		}

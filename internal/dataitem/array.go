@@ -2,6 +2,7 @@ package dataitem
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"allscale/internal/region"
 	"allscale/internal/wire"
@@ -100,35 +101,45 @@ func (t *ArrayType[T]) EmptyRegion() Region { return IntervalRegion{} }
 
 // NewFragment implements Type.
 func (t *ArrayType[T]) NewFragment() Fragment {
-	return &ArrayFragment[T]{vals: make(map[int64]T)}
+	f := &ArrayFragment[T]{}
+	f.state.Store(&arrayState[T]{})
+	return f
 }
 
-// ArrayFragment stores the elements of one interval region.
+// ArrayFragment stores the elements of one interval region. Like
+// TreeFragment it is one immutable (cover, table) state replaced as a
+// whole by Resize, the table mapping to element slots a Resize carries
+// over: tasks of one rank set disjoint indices while the manager
+// resizes, and neither touches a map that is being written.
 type ArrayFragment[T any] struct {
+	state atomic.Pointer[arrayState[T]]
+}
+
+type arrayState[T any] struct {
 	cover region.IntervalSet
-	vals  map[int64]T
+	vals  map[int64]*T
 }
 
 var _ Fragment = (*ArrayFragment[int])(nil)
 
 // Region implements Fragment.
-func (f *ArrayFragment[T]) Region() Region { return IntervalRegion{S: f.cover} }
+func (f *ArrayFragment[T]) Region() Region { return IntervalRegion{S: f.state.Load().cover} }
+
+// slot returns the slot of index i; it panics outside the fragment (a
+// missing data requirement).
+func (f *ArrayFragment[T]) slot(op string, i int64) *T {
+	st := f.state.Load()
+	if !st.cover.Contains(i) {
+		panic(fmt.Sprintf("dataitem: %s [%d] outside array fragment %v (missing data requirement?)", op, i, st.cover))
+	}
+	return st.vals[i]
+}
 
 // At returns the element at index i; it panics outside the fragment.
-func (f *ArrayFragment[T]) At(i int64) T {
-	if !f.cover.Contains(i) {
-		panic(fmt.Sprintf("dataitem: access to [%d] outside array fragment %v (missing data requirement?)", i, f.cover))
-	}
-	return f.vals[i]
-}
+func (f *ArrayFragment[T]) At(i int64) T { return *f.slot("access to", i) }
 
 // Set stores v at index i; same containment contract as At.
-func (f *ArrayFragment[T]) Set(i int64, v T) {
-	if !f.cover.Contains(i) {
-		panic(fmt.Sprintf("dataitem: write to [%d] outside array fragment %v (missing data requirement?)", i, f.cover))
-	}
-	f.vals[i] = v
-}
+func (f *ArrayFragment[T]) Set(i int64, v T) { *f.slot("write to", i) = v }
 
 // Resize implements Fragment.
 func (f *ArrayFragment[T]) Resize(r Region) error {
@@ -136,19 +147,18 @@ func (f *ArrayFragment[T]) Resize(r Region) error {
 	if !ok {
 		return fmt.Errorf("dataitem: array fragment resized with %T", r)
 	}
-	next := make(map[int64]T)
+	old := f.state.Load()
+	next := make(map[int64]*T)
 	for _, iv := range ir.S.Intervals() {
 		for i := iv.Lo; i < iv.Hi; i++ {
-			if f.cover.Contains(i) {
-				next[i] = f.vals[i]
+			if slot, ok := old.vals[i]; ok {
+				next[i] = slot
 			} else {
-				var zero T
-				next[i] = zero
+				next[i] = new(T)
 			}
 		}
 	}
-	f.vals = next
-	f.cover = ir.S
+	f.state.Store(&arrayState[T]{cover: ir.S, vals: next})
 	return nil
 }
 
@@ -160,8 +170,9 @@ func (f *ArrayFragment[T]) Extract(r Region) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dataitem: array extract with %T", r)
 	}
-	if !ir.S.Difference(f.cover).IsEmpty() {
-		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", ir.S, f.cover)
+	st := f.state.Load()
+	if !ir.S.Difference(st.cover).IsEmpty() {
+		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", ir.S, st.cover)
 	}
 	n := ir.S.Size()
 	idx := make([]int64, 0, n)
@@ -169,7 +180,7 @@ func (f *ArrayFragment[T]) Extract(r Region) ([]byte, error) {
 	for _, iv := range ir.S.Intervals() {
 		for i := iv.Lo; i < iv.Hi; i++ {
 			idx = append(idx, i)
-			vals = append(vals, f.vals[i])
+			vals = append(vals, *st.vals[i])
 		}
 	}
 	buf := make([]byte, 1, 64)
@@ -193,15 +204,16 @@ func (f *ArrayFragment[T]) Insert(data []byte) (Region, error) {
 	if len(idx) != len(vals) {
 		return nil, fmt.Errorf("dataitem: array insert carries %d indices but %d values", len(idx), len(vals))
 	}
+	st := f.state.Load()
 	ivs := make([]region.Interval, len(idx))
 	for i, at := range idx {
-		if !f.cover.Contains(at) {
-			return nil, fmt.Errorf("dataitem: insert index %d outside fragment region %v", at, f.cover)
+		if !st.cover.Contains(at) {
+			return nil, fmt.Errorf("dataitem: insert index %d outside fragment region %v", at, st.cover)
 		}
 		ivs[i] = region.Interval{Lo: at, Hi: at + 1}
 	}
 	for i, at := range idx {
-		f.vals[at] = vals[i]
+		*st.vals[at] = vals[i]
 	}
 	return IntervalRegion{S: region.NewIntervalSet(ivs...)}, nil
 }

@@ -1,6 +1,7 @@
 package dataitem
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -126,8 +127,8 @@ func TestGridFragmentMultiBlock(t *testing.T) {
 	if f.At(p(1, 5)) != 11 || f.At(p(9, 5)) != 99 {
 		t.Fatal("multi-block access broken")
 	}
-	if len(f.Blocks()) != 2 {
-		t.Fatalf("blocks = %d, want 2", len(f.Blocks()))
+	if n := len(f.state.Load().blocks); n != 2 {
+		t.Fatalf("blocks = %d, want 2", n)
 	}
 	if f.Covers(p(5, 5)) {
 		t.Fatal("gap must not be covered")
@@ -138,11 +139,11 @@ func TestGridDenseBlocksAliasStorage(t *testing.T) {
 	typ := NewGridType[int]("gridE", p(4, 4))
 	f := typ.NewFragment().(*GridFragment[int])
 	f.Resize(GridRegionFromTo(p(0, 0), p(4, 4)))
-	blocks := f.Blocks()
-	if len(blocks) != 1 {
-		t.Fatalf("blocks = %d", len(blocks))
+	row, ok := f.Row(p(1, 0), 4)
+	if !ok || len(row) != 4 {
+		t.Fatalf("row = %v, %v", row, ok)
 	}
-	blocks[0].Data[5] = 77 // row-major (1,1)
+	row[1] = 77
 	if got := f.At(p(1, 1)); got != 77 {
 		t.Fatalf("dense write not visible: %d", got)
 	}
@@ -150,7 +151,8 @@ func TestGridDenseBlocksAliasStorage(t *testing.T) {
 
 // TestGridResizeKeepsUntouchedBlocks is the halo pattern of a stencil
 // half: a band grows by a neighbour's row and loses it again. The band
-// itself must stay where it is — same backing array — through both.
+// itself must stay where it is — same backing array — through both, and
+// so must every element that any sequence of resizes leaves covered.
 func TestGridResizeKeepsUntouchedBlocks(t *testing.T) {
 	typ := NewGridType[float64]("gridF", p(8, 8))
 	f := typ.NewFragment().(*GridFragment[float64])
@@ -160,12 +162,12 @@ func TestGridResizeKeepsUntouchedBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Set(p(3, 3), 7)
-	bandData := &f.Blocks()[0].Data[0]
+	bandData := f.Ptr(p(0, 0))
 
 	if err := f.Resize(band.Union(row)); err != nil {
 		t.Fatal(err)
 	}
-	if got := &f.Blocks()[0].Data[0]; got != bandData {
+	if f.Ptr(p(0, 0)) != bandData {
 		t.Fatal("growing by a halo row moved the band")
 	}
 	f.Set(p(4, 3), 9)
@@ -173,19 +175,233 @@ func TestGridResizeKeepsUntouchedBlocks(t *testing.T) {
 	if err := f.Resize(old.Difference(row)); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Blocks()) != 1 || &f.Blocks()[0].Data[0] != bandData {
+	if len(f.state.Load().blocks) != 1 || f.Ptr(p(0, 0)) != bandData {
 		t.Fatal("dropping the halo row moved the band")
 	}
 	if f.At(p(3, 3)) != 7 || f.Covers(p(4, 3)) {
 		t.Fatal("resize lost the band's data or kept the dropped row")
 	}
-	// A box that does change is rebuilt with its overlap preserved.
-	if err := f.Resize(GridRegionFromTo(p(2, 0), p(4, 8))); err != nil {
+
+	// Any sequence of grows and shrinks: an element that stays covered
+	// keeps its address and its value; one that comes (back) in is zero.
+	rng := rand.New(rand.NewSource(21))
+	randBox := func() GridRegion {
+		x0, y0 := rng.Intn(7), rng.Intn(7)
+		return GridRegionFromTo(p(x0, y0), p(x0+1+rng.Intn(8-x0), y0+1+rng.Intn(8-y0)))
+	}
+	for step := 0; step < 200; step++ {
+		before := f.Region().(GridRegion)
+		addr := make(map[[2]int]*float64)
+		before.B.ForEachPoint(func(q region.Point) {
+			f.Set(q, float64(step*100+q[0]*8+q[1]))
+			addr[[2]int{q[0], q[1]}] = f.Ptr(q)
+		})
+		var target Region
+		if rng.Intn(2) == 0 {
+			target = before.Union(randBox())
+		} else {
+			target = before.Difference(randBox())
+		}
+		if err := f.Resize(target); err != nil {
+			t.Fatal(err)
+		}
+		target.(GridRegion).B.ForEachPoint(func(q region.Point) {
+			was, kept := addr[[2]int{q[0], q[1]}]
+			switch {
+			case !kept && f.At(q) != 0:
+				t.Fatalf("step %d: new element %v = %v, want 0", step, q, f.At(q))
+			case kept && f.Ptr(q) != was:
+				t.Fatalf("step %d: resize moved covered element %v", step, q)
+			case kept && f.At(q) != float64(step*100+q[0]*8+q[1]):
+				t.Fatalf("step %d: resize changed covered element %v", step, q)
+			}
+		})
+	}
+}
+
+// TestGridWritersSurviveResizes is exclusive writes at the storage
+// level: tasks write their own regions while the manager resizes the
+// fragment around them. No write may be lost, and the race detector
+// must stay silent.
+func TestGridWritersSurviveResizes(t *testing.T) {
+	const n, writers, rounds = 32, 4, 300
+	typ := NewGridType[int]("gridG", p(n, n))
+	f := typ.NewFragment().(*GridFragment[int])
+	// Writer w owns rows [8w, 8w+4); the rows between come and go.
+	kept := func(w int) GridRegion { return GridRegionFromTo(p(8*w, 0), p(8*w+4, n)) }
+	var base Region = GridRegion{}
+	for w := 0; w < writers; w++ {
+		base = base.Union(kept(w))
+	}
+	if err := f.Resize(base); err != nil {
 		t.Fatal(err)
 	}
-	if &f.Blocks()[0].Data[0] == bandData || f.At(p(3, 3)) != 7 {
-		t.Fatal("shrunk box must be rebuilt around the surviving data")
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// A grow by a box that overlaps a writer's rows — listed first,
+			// so the union cuts the writer's band into slabs around it —
+			// then a shrink back.
+			x0 := 8*rng.Intn(writers) + 1 + rng.Intn(3)
+			extra := GridRegionFromTo(p(x0, rng.Intn(n/2)), p(x0+4, n/2+rng.Intn(n/2)+1))
+			if err := f.Resize(extra.Union(base)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := f.Resize(base); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for round := 1; round <= rounds; round++ {
+				for x := 8 * w; x < 8*w+4; x++ {
+					// A row the resizes have cut up goes point by point.
+					if row, ok := f.Row(p(x, 0), n); ok {
+						for y := range row {
+							row[y] = round
+						}
+						continue
+					}
+					for y := 0; y < n; y++ {
+						f.Set(p(x, y), round)
+					}
+				}
+				for x := 8 * w; x < 8*w+4; x++ {
+					for y := 0; y < n; y++ {
+						if got := f.At(p(x, y)); got != round {
+							t.Errorf("writer %d round %d: (%d,%d) = %d", w, round, x, y, got)
+							return
+						}
+					}
+				}
+			}
+		}(w)
 	}
+	writing.Wait()
+	close(stop)
+	wg.Wait()
+}
+
+// TestGridRowContract: a row aliases the fragment's storage, and is
+// refused when it leaves the block it starts in or the cover.
+func TestGridRowContract(t *testing.T) {
+	t.Run("2d", func(t *testing.T) {
+		typ := NewGridType[int]("gridH", p(8, 8))
+		f := typ.NewFragment().(*GridFragment[int])
+		// Two blocks side by side and one below them.
+		for _, r := range []Region{
+			GridRegionFromTo(p(0, 0), p(4, 4)),
+			GridRegionFromTo(p(0, 0), p(4, 4)).Union(GridRegionFromTo(p(0, 4), p(4, 8))),
+			GridRegionFromTo(p(0, 0), p(4, 8)).Union(GridRegionFromTo(p(4, 2), p(5, 6))),
+		} {
+			if err := f.Resize(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		row, ok := f.Row(p(2, 1), 3)
+		if !ok || len(row) != 3 || cap(row) != 3 {
+			t.Fatalf("row = %v (cap %d), %v", row, cap(row), ok)
+		}
+		row[0], row[2] = 5, 6
+		f.Set(p(2, 2), 7)
+		if f.At(p(2, 1)) != 5 || row[1] != 7 || f.At(p(2, 3)) != 6 || &row[1] != f.Ptr(p(2, 2)) {
+			t.Fatal("row does not alias the fragment's storage")
+		}
+		if _, ok := f.Row(p(2, 4), 4); !ok {
+			t.Fatal("a whole row of the second block refused")
+		}
+		if _, ok := f.Row(p(4, 2), 4); !ok {
+			t.Fatal("the halo row refused")
+		}
+		if _, ok := f.Row(p(2, 4), 0); !ok {
+			t.Fatal("an empty row at a covered point refused")
+		}
+		for _, bad := range []struct {
+			at region.Point
+			n  int
+		}{
+			{p(2, 2), 4},  // crosses the edge between the two blocks
+			{p(4, 2), 5},  // runs off the halo row and the cover
+			{p(4, 0), 2},  // starts outside the cover
+			{p(5, 2), 1},  // outside entirely
+			{p(2, 2), -1}, // no such row
+		} {
+			if row, ok := f.Row(bad.at, bad.n); ok {
+				t.Fatalf("Row(%v, %d) = %v, want refusal", bad.at, bad.n, row)
+			}
+		}
+		// A shrink keeps the row's storage; what is cut off is refused.
+		if err := f.Resize(GridRegionFromTo(p(2, 0), p(4, 3))); err != nil {
+			t.Fatal(err)
+		}
+		if again, ok := f.Row(p(2, 1), 2); !ok || &again[0] != &row[0] {
+			t.Fatal("shrinking moved a covered row")
+		}
+		if _, ok := f.Row(p(2, 1), 3); ok {
+			t.Fatal("row reaches past the shrunk block")
+		}
+	})
+	t.Run("1d", func(t *testing.T) {
+		typ := NewGridType[int]("gridI", region.Point{16})
+		f := typ.NewFragment().(*GridFragment[int])
+		f.Resize(GridRegionFromTo(region.Point{2}, region.Point{6}))
+		f.Resize(GridRegionFromTo(region.Point{2}, region.Point{10}))
+		row, ok := f.Row(region.Point{3}, 3)
+		if !ok {
+			t.Fatal("1-d row refused")
+		}
+		row[2] = 9
+		if f.At(region.Point{5}) != 9 {
+			t.Fatal("1-d row does not alias")
+		}
+		if _, ok := f.Row(region.Point{4}, 4); ok {
+			t.Fatal("1-d row across two allocations")
+		}
+		if _, ok := f.Row(region.Point{8}, 3); ok {
+			t.Fatal("1-d row beyond the cover")
+		}
+	})
+	t.Run("3d", func(t *testing.T) {
+		typ := NewGridType[int]("gridJ", region.Point{4, 4, 4})
+		f := typ.NewFragment().(*GridFragment[int])
+		f.Resize(GridRegionFromTo(region.Point{1, 0, 0}, region.Point{3, 4, 4}))
+		row, ok := f.Row(region.Point{2, 3, 1}, 3)
+		if !ok {
+			t.Fatal("3-d row refused")
+		}
+		for i := range row {
+			row[i] = 10 + i
+		}
+		for i := 0; i < 3; i++ {
+			if got := f.At(region.Point{2, 3, 1 + i}); got != 10+i {
+				t.Fatalf("(2,3,%d) = %d", 1+i, got)
+			}
+		}
+		if f.At(region.Point{2, 3, 0}) != 0 || f.At(region.Point{2, 2, 3}) != 0 {
+			t.Fatal("3-d row wrote outside itself")
+		}
+		if _, ok := f.Row(region.Point{2, 3, 2}, 3); ok {
+			t.Fatal("3-d row wraps into the next line")
+		}
+		if _, ok := f.Row(region.Point{0, 0, 0}, 1); ok {
+			t.Fatal("3-d row outside the cover")
+		}
+	})
 }
 
 func TestTreeFragmentBasics(t *testing.T) {
@@ -288,6 +504,52 @@ func TestArrayFragment(t *testing.T) {
 	if got := g.At(15); got != 1.5 {
 		t.Fatalf("transferred value = %v", got)
 	}
+}
+
+// TestArrayWritersSurviveResizes: two tasks of one rank set disjoint
+// indices while the manager resizes the fragment around them — with a
+// bare map under Set this died of "concurrent map writes".
+func TestArrayWritersSurviveResizes(t *testing.T) {
+	typ := NewArrayType[int]("arrW", 64)
+	f := typ.NewFragment().(*ArrayFragment[int])
+	base := IntervalFromTo(0, 32)
+	f.Resize(base)
+	stop := make(chan struct{})
+	var resizing sync.WaitGroup
+	resizing.Add(1)
+	go func() {
+		defer resizing.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f.Resize(base.Union(IntervalFromTo(32+i%16, 48+i%16)))
+			f.Resize(base)
+		}
+	}()
+	var writing sync.WaitGroup
+	for w := int64(0); w < 2; w++ {
+		writing.Add(1)
+		go func(lo int64) {
+			defer writing.Done()
+			for round := 1; round <= 500; round++ {
+				for i := lo; i < lo+16; i++ {
+					f.Set(i, round)
+				}
+				for i := lo; i < lo+16; i++ {
+					if got := f.At(i); got != round {
+						t.Errorf("[%d] = %d in round %d", i, got, round)
+						return
+					}
+				}
+			}
+		}(16 * w)
+	}
+	writing.Wait()
+	close(stop)
+	resizing.Wait()
 }
 
 func TestScalarType(t *testing.T) {

@@ -90,26 +90,42 @@ func insertTargets(t testing.TB) []insertTarget {
 			func(f *GridFragment[float64]) {
 				box.B.ForEachPoint(func(p region.Point) { f.Set(p, float64(10*p[0]+p[1])) })
 			},
-			func(f *GridFragment[float64]) string { return fmt.Sprint(f.Blocks()) }),
+			func(f *GridFragment[float64]) (s string) {
+				box.B.ForEachPoint(func(p region.Point) { s += fmt.Sprint(p, f.At(p), ";") })
+				return s
+			}),
 		newTarget(t, NewGridType[gridElem]("fz.grid.struct", region.Point{4, 4}), box,
 			func(f *GridFragment[gridElem]) {
 				box.B.ForEachPoint(func(p region.Point) { f.Set(p, elem(10*p[0]+p[1])) })
 			},
-			func(f *GridFragment[gridElem]) string { return fmt.Sprint(f.Blocks()) }),
+			func(f *GridFragment[gridElem]) (s string) {
+				box.B.ForEachPoint(func(p region.Point) { s += fmt.Sprint(p, f.At(p), ";") })
+				return s
+			}),
 		newTarget(t, NewArrayType[int64]("fz.array", 8), span,
 			func(f *ArrayFragment[int64]) {
 				for i := int64(2); i < 7; i++ {
 					f.Set(i, i*i)
 				}
 			},
-			func(f *ArrayFragment[int64]) string { return fmt.Sprint(f.vals) }),
+			func(f *ArrayFragment[int64]) (s string) {
+				for i := int64(2); i < 7; i++ {
+					s += fmt.Sprint(f.At(i), ";")
+				}
+				return s
+			}),
 		newTarget(t, NewArrayType[gridElem]("fz.array.struct", 8), span,
 			func(f *ArrayFragment[gridElem]) {
 				for i := int64(2); i < 7; i++ {
 					f.Set(i, elem(int(i)))
 				}
 			},
-			func(f *ArrayFragment[gridElem]) string { return fmt.Sprint(f.vals) }),
+			func(f *ArrayFragment[gridElem]) (s string) {
+				for i := int64(2); i < 7; i++ {
+					s += fmt.Sprint(f.At(i), ";")
+				}
+				return s
+			}),
 		newTarget(t, NewTreeType[float32]("fz.tree", 4), subtree,
 			func(f *TreeFragment[float32]) {
 				subtree.T.ForEachNode(func(n region.NodeID) { f.Set(n, float32(n)/2) })

@@ -2,6 +2,7 @@ package dataitem
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"allscale/internal/region"
 	"allscale/internal/wire"
@@ -41,45 +42,62 @@ func (t *GridType[T]) EmptyRegion() Region { return GridRegion{} }
 
 // NewFragment implements Type.
 func (t *GridType[T]) NewFragment() Fragment {
-	return &GridFragment[T]{dims: len(t.size)}
+	f := &GridFragment[T]{dims: len(t.size)}
+	f.state.Store(&gridState[T]{})
+	return f
 }
 
-// gridBlock is one dense, row-major box of grid data.
+// gridBlock is a dense box of grid data: the sub-box `box` of an
+// allocation that stores `alloc` row-major in data. Blocks made from
+// one allocation share data; none of them ever gets another.
 type gridBlock[T any] struct {
-	box  region.Box
-	data []T
+	box   region.Box
+	alloc region.Box
+	data  []T
 }
 
-// index returns the row-major offset of p within the block.
+// index returns the offset of p in the allocation.
 func (b *gridBlock[T]) index(p region.Point) int {
-	idx := 0
-	for d := 0; d < len(p); d++ {
-		idx = idx*(b.box.Max[d]-b.box.Min[d]) + (p[d] - b.box.Min[d])
-	}
-	return idx
+	return boxIndex(b.alloc, p)
+}
+
+// gridState is one published (cover, blocks) pair; it is never modified
+// once stored.
+type gridState[T any] struct {
+	cover  region.BoxSet
+	blocks []gridBlock[T]
 }
 
 // GridFragment is the runtime-side storage of one grid region within
 // one address space: a set of disjoint dense boxes.
+//
+// Tasks of one rank run concurrently on disjoint elements while the
+// manager resizes the fragment for the next one, so the region and the
+// block table are one immutable value, replaced as a whole by Resize,
+// and the blocks are views of allocations a Resize neither moves nor
+// copies: an access never sees a half-built table, a write through the
+// previous table is not lost, and a slice handed out by Row stays the
+// element's storage for as long as the element stays covered. Resizes
+// themselves are serialized by the caller (the manager's lock).
 type GridFragment[T any] struct {
-	dims   int
-	blocks []gridBlock[T]
-	cover  region.BoxSet
+	dims  int
+	state atomic.Pointer[gridState[T]]
 }
 
 var _ Fragment = (*GridFragment[int])(nil)
 
 // Region implements Fragment.
-func (f *GridFragment[T]) Region() Region { return GridRegion{B: f.cover} }
+func (f *GridFragment[T]) Region() Region { return GridRegion{B: f.state.Load().cover} }
 
 // Covers reports whether point p is stored in the fragment.
-func (f *GridFragment[T]) Covers(p region.Point) bool { return f.cover.Contains(p) }
+func (f *GridFragment[T]) Covers(p region.Point) bool { return f.state.Load().cover.Contains(p) }
 
 // blockOf finds the block containing p.
 func (f *GridFragment[T]) blockOf(p region.Point) *gridBlock[T] {
-	for i := range f.blocks {
-		if f.blocks[i].box.Contains(p) {
-			return &f.blocks[i]
+	blocks := f.state.Load().blocks
+	for i := range blocks {
+		if blocks[i].box.Contains(p) {
+			return &blocks[i]
 		}
 	}
 	return nil
@@ -114,20 +132,35 @@ func (f *GridFragment[T]) Ptr(p region.Point) *T {
 	return &b.data[b.index(p)]
 }
 
+// Row returns the n elements starting at p along the innermost
+// dimension as a slice of the fragment's storage: a write through it is
+// a Set. It reports false when those elements do not lie in one block
+// (p is not covered, or the run crosses a block edge); the caller then
+// goes element by element.
+func (f *GridFragment[T]) Row(p region.Point, n int) ([]T, bool) {
+	b := f.blockOf(p)
+	last := len(p) - 1
+	if b == nil || n < 0 || p[last]+n > b.box.Max[last] {
+		return nil, false
+	}
+	i := b.index(p)
+	return b.data[i : i+n : i+n], true
+}
+
 // outside panics for an access beyond the fragment. It formats a copy
 // of p: handing p itself to fmt would make it escape, and then every
 // caller's region.Point{x, y} literal is a heap allocation — five per
 // stencil cell — paid on the path that never panics.
 func (f *GridFragment[T]) outside(op string, p region.Point) {
-	panic(fmt.Sprintf("dataitem: %s %v outside fragment region %v (missing data requirement?)", op, p.Clone(), f.cover))
+	panic(fmt.Sprintf("dataitem: %s %v outside fragment region %v (missing data requirement?)", op, p.Clone(), f.state.Load().cover))
 }
 
 // Resize implements Fragment: the fragment afterwards covers exactly
-// r; data in the intersection with the previous region is preserved.
-// A block whose box is also a box of r is kept as it is — same backing
-// array — so growing or shrinking by a halo row neither reallocates nor
-// moves the rows that stay, and an element write racing the resize
-// through such a block is not lost.
+// r. What stays covered stays where it is — every block is cut down to
+// its part inside r, as views of the same allocation — and only what r
+// adds is allocated. No element is copied, so a write racing the resize
+// lands in the storage the next state reads. The price: an allocation
+// lives for as long as any view of it does.
 func (f *GridFragment[T]) Resize(r Region) error {
 	gr, ok := r.(GridRegion)
 	if !ok {
@@ -137,34 +170,36 @@ func (f *GridFragment[T]) Resize(r Region) error {
 	if !target.IsEmpty() && target.Dims() != f.dims && f.dims != 0 {
 		return fmt.Errorf("dataitem: resize of %d-d grid with %d-d region", f.dims, target.Dims())
 	}
+	old := f.state.Load()
 	var blocks []gridBlock[T]
-	for _, box := range target.Boxes() {
-		if old := f.blockWithBox(box); old != nil {
-			blocks = append(blocks, *old)
-			continue
+	kept := target.Boxes()
+	for _, b := range old.blocks {
+		for _, tb := range kept {
+			if box := b.box.Intersect(tb); !box.IsEmpty() {
+				blocks = append(blocks, gridBlock[T]{box: box, alloc: b.alloc, data: b.data})
+			}
 		}
-		nb := gridBlock[T]{box: box, data: make([]T, box.Size())}
-		// Copy the overlap with every old block, one contiguous
-		// innermost-dimension run at a time.
-		for oi := range f.blocks {
-			old := &f.blocks[oi]
-			copyRuns(nb.data, nb.box, old.data, old.box, box.Intersect(old.box))
-		}
-		blocks = append(blocks, nb)
 	}
-	f.blocks = blocks
-	f.cover = target
+	for _, box := range target.Difference(old.cover).Boxes() {
+		blocks = append(blocks, gridBlock[T]{box: box, alloc: box, data: make([]T, box.Size())})
+	}
+	f.state.Store(&gridState[T]{cover: target, blocks: blocks})
 	return nil
 }
 
-// blockWithBox finds the block storing exactly box.
-func (f *GridFragment[T]) blockWithBox(box region.Box) *gridBlock[T] {
-	for i := range f.blocks {
-		if b := &f.blocks[i]; b.box.Min.Equal(box.Min) && b.box.Max.Equal(box.Max) {
-			return b
+// Retained returns the number of elements in the allocations the
+// fragment's blocks are views of — at least the size of its region, and
+// more by what earlier resizes cut away from blocks that remain.
+func (f *GridFragment[T]) Retained() int64 {
+	seen := make(map[*T]bool)
+	var n int64
+	for _, b := range f.state.Load().blocks {
+		if len(b.data) > 0 && !seen[&b.data[0]] {
+			seen[&b.data[0]] = true
+			n += int64(len(b.data))
 		}
 	}
-	return nil
+	return n
 }
 
 // boxIndex returns the row-major offset of p within box b.
@@ -211,20 +246,20 @@ func copyRuns[T any](dst []T, dbox region.Box, src []T, sbox region.Box, inter r
 }
 
 // extractBox gathers the elements of box (which must be covered by
-// the fragment) into dst, row-major within box.
-func (f *GridFragment[T]) extractBox(box region.Box, dst []T) {
-	for bi := range f.blocks {
-		blk := &f.blocks[bi]
-		copyRuns(dst, box, blk.data, blk.box, box.Intersect(blk.box))
+// the state) into dst, row-major within box.
+func (st *gridState[T]) extractBox(box region.Box, dst []T) {
+	for bi := range st.blocks {
+		blk := &st.blocks[bi]
+		copyRuns(dst, box, blk.data, blk.alloc, box.Intersect(blk.box))
 	}
 }
 
-// insertBox scatters vals (row-major within box) into the fragment's
-// blocks; box must be covered by the fragment.
-func (f *GridFragment[T]) insertBox(box region.Box, vals []T) {
-	for bi := range f.blocks {
-		blk := &f.blocks[bi]
-		copyRuns(blk.data, blk.box, vals, box, box.Intersect(blk.box))
+// insertBox scatters vals (row-major within box) into the state's
+// blocks; box must be covered by the state.
+func (st *gridState[T]) insertBox(box region.Box, vals []T) {
+	for bi := range st.blocks {
+		blk := &st.blocks[bi]
+		copyRuns(blk.data, blk.alloc, vals, box, box.Intersect(blk.box))
 	}
 }
 
@@ -237,8 +272,9 @@ func (f *GridFragment[T]) Extract(r Region) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dataitem: grid extract with %T", r)
 	}
-	if !gr.B.Difference(f.cover).IsEmpty() {
-		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", gr.B, f.cover)
+	st := f.state.Load()
+	if !gr.B.Difference(st.cover).IsEmpty() {
+		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", gr.B, st.cover)
 	}
 	boxes := gr.B.Boxes()
 	buf := make([]byte, 1, 64)
@@ -247,7 +283,7 @@ func (f *GridFragment[T]) Extract(r Region) ([]byte, error) {
 	for _, box := range boxes {
 		buf = appendBox(buf, box)
 		vals := make([]T, box.Size())
-		f.extractBox(box, vals)
+		st.extractBox(box, vals)
 		var err error
 		if buf, err = appendElems(buf, vals); err != nil {
 			return nil, err
@@ -274,38 +310,22 @@ func (f *GridFragment[T]) Insert(data []byte) (Region, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	st := f.state.Load()
 	for bi, box := range boxes {
 		if len(box.Min) != f.dims {
 			return nil, fmt.Errorf("dataitem: insert of %d-d box %v into %d-d grid", len(box.Min), box, f.dims)
 		}
-		if !region.NewBoxSet(box).Difference(f.cover).IsEmpty() {
-			return nil, fmt.Errorf("dataitem: insert box %v outside fragment region %v", box, f.cover)
+		if !region.NewBoxSet(box).Difference(st.cover).IsEmpty() {
+			return nil, fmt.Errorf("dataitem: insert box %v outside fragment region %v", box, st.cover)
 		}
 		if int64(len(vals[bi])) != box.Size() {
 			return nil, fmt.Errorf("dataitem: insert box %v carries %d values, want %d", box, len(vals[bi]), box.Size())
 		}
 	}
 	for bi, box := range boxes {
-		f.insertBox(box, vals[bi])
+		st.insertBox(box, vals[bi])
 	}
 	// One BoxSet from all boxes at once: a per-box Union would rebuild
 	// the set n times (quadratic in the number of boxes).
 	return GridRegion{B: region.NewBoxSet(boxes...)}, nil
-}
-
-// DenseBlock exposes one stored box and its row-major backing slice
-// for high-performance kernels (e.g. stencil inner loops).
-type DenseBlock[T any] struct {
-	Box  region.Box
-	Data []T
-}
-
-// Blocks returns the fragment's dense blocks. The slices alias the
-// fragment's storage: writes are visible to At/Extract.
-func (f *GridFragment[T]) Blocks() []DenseBlock[T] {
-	out := make([]DenseBlock[T], len(f.blocks))
-	for i := range f.blocks {
-		out[i] = DenseBlock[T]{Box: f.blocks[i].box, Data: f.blocks[i].data}
-	}
-	return out
 }

@@ -48,8 +48,7 @@ func legacyGridInsert[T any](f *GridFragment[T], data []byte) error {
 		vals := w.Data[bi]
 		i := 0
 		region.NewBoxSet(box).ForEachPoint(func(p region.Point) {
-			b := f.blockOf(p)
-			b.data[b.index(p)] = vals[i]
+			f.Set(p, vals[i])
 			i++
 		})
 	}
@@ -64,9 +63,10 @@ func benchGrid(b *testing.B) (*GridFragment[float64], Region) {
 	if err := f.Resize(full); err != nil {
 		b.Fatal(err)
 	}
-	for _, blk := range f.Blocks() {
-		for i := range blk.Data {
-			blk.Data[i] = float64(i) * 0.5
+	for x := 0; x < 256; x++ {
+		row, _ := f.Row(region.Point{x, 0}, 256)
+		for y := range row {
+			row[y] = float64(x*256+y) * 0.5
 		}
 	}
 	return f, full

@@ -1482,9 +1482,12 @@ func (m *Manager) ensureLocal(rq Requirement, span trace.SpanID) error {
 	}
 }
 
-// insertLocal grows the local fragment by region and inserts the
-// transferred data: a replica, unused so far. Data refreshing rows
-// already held changes no coverage, so nothing is reported.
+// insertLocal installs a transferred copy of region: the local fragment
+// grows by the part of it that is missing and takes that part of data —
+// a replica, unused so far. What the fragment already covers is left
+// alone: another staging of this rank fetched the same elements first,
+// and a task granted since may be reading them (only a refresh, under
+// its write-mode pin, overwrites covered elements).
 func (m *Manager) insertLocal(id ItemID, region dataitem.Region, data []byte) error {
 	m.mu.Lock()
 	st, err := m.itemLocked(id)
@@ -1493,27 +1496,44 @@ func (m *Manager) insertLocal(id ItemID, region dataitem.Region, data []byte) er
 		return err
 	}
 	cov := st.frag.Region()
-	grew := !region.Difference(cov).IsEmpty()
-	if grew {
-		if err := st.frag.Resize(cov.Union(region)); err != nil {
+	missing := region.Difference(cov)
+	if missing.IsEmpty() {
+		m.mu.Unlock()
+		return nil
+	}
+	if !region.Intersect(cov).IsEmpty() {
+		if data, err = clipPayload(st.typ, region, data, missing); err != nil {
 			m.mu.Unlock()
 			return err
 		}
+	}
+	if err := st.frag.Resize(cov.Union(missing)); err != nil {
+		m.mu.Unlock()
+		return err
 	}
 	if _, err := st.frag.Insert(data); err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	st.installed(region)
-	if !grew {
-		m.mu.Unlock()
-		return nil
-	}
+	st.installed(missing)
 	// Local coverage changed: cached maps for this item are out of
 	// date here (they may undercount the new local copy).
 	m.invalidateLocatesLocked(st)
 	m.mu.Unlock()
 	return m.reportUp(id)
+}
+
+// clipPayload cuts data, an extract of region, down to part, by way of
+// a scratch fragment.
+func clipPayload(typ dataitem.Type, region dataitem.Region, data []byte, part dataitem.Region) ([]byte, error) {
+	scratch := typ.NewFragment()
+	if err := scratch.Resize(region); err != nil {
+		return nil, err
+	}
+	if _, err := scratch.Insert(data); err != nil {
+		return nil, err
+	}
+	return scratch.Extract(part)
 }
 
 // growLocal zero-allocates region in the local fragment. The region

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -93,6 +94,40 @@ func TestFamiliesMatchOracles(t *testing.T) {
 	st, _ := svc.Status(pforID)
 	if st.FirstExec.IsZero() || st.FirstExec.Before(st.Submitted) || st.Finished.Before(st.FirstExec) {
 		t.Errorf("timestamps out of order: %+v", st)
+	}
+}
+
+// TestStencilJobMatchesPointwiseReference checks the row kernel the
+// stencil family shares with apps/stencil against the update written out
+// cell by cell, on fragments cut into many blocks (grain 16 on four
+// localities: most rows take the kernel's per-cell fallback) and on whole
+// bands (one leaf per locality).
+func TestStencilJobMatchesPointwiseReference(t *testing.T) {
+	const n, steps, c = 32, 5, 0.17
+	a, b := make([]float64, n*n), make([]float64, n*n)
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			a[x*n+y], b[x*n+y] = StencilInitValue(x, y), StencilInitValue(x, y)
+		}
+	}
+	for s := 0; s < steps; s++ {
+		for x := 1; x < n-1; x++ {
+			for y := 1; y < n-1; y++ {
+				center := a[x*n+y]
+				b[x*n+y] = center + c*(a[(x-1)*n+y]+a[(x+1)*n+y]+a[x*n+y-1]+a[x*n+y+1]-4*center)
+			}
+		}
+		a, b = b, a
+	}
+	if got := StencilOracle(n, steps, c); !slices.Equal(got, a) {
+		t.Fatal("StencilOracle differs from the cell-by-cell reference")
+	}
+	for _, grain := range []int64{16, 256} {
+		_, svc := newTestService(t, 4, Config{}, WorkloadConfig{StencilSizes: []int{n}, PForMinGrain: grain})
+		id := mustSubmit(t, svc, "t", FamilyStencil, StencilParams{N: n, Steps: steps, C: c})
+		if got, want := waitState(t, svc, id, Done).Result, checksum(a); got != want {
+			t.Errorf("grain %d: stencil job result %s, want %s", grain, got, want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"allscale/internal/apps/ipic3d"
+	"allscale/internal/apps/stencil"
 	"allscale/internal/apps/tpc"
 	"allscale/internal/core"
 	"allscale/internal/dataitem"
@@ -140,14 +141,10 @@ func DagValue(levels, spin int, seed uint64) uint64 {
 }
 
 // StencilInitValue is the deterministic initial field of the stencil
-// family (distinct from the apps/stencil field: the jobs oracle is
-// self-contained).
+// family (distinct from the apps/stencil field; the update kernel is
+// that package's).
 func StencilInitValue(x, y int) float64 {
 	return float64((x*13+y*7)%101) / 101.0
-}
-
-func stencilUpdate(center, left, right, up, down, c float64) float64 {
-	return center + c*(up+down+left+right-4*center)
 }
 
 // StencilOracle computes the sequential reference field of the
@@ -163,10 +160,7 @@ func StencilOracle(n, steps int, c float64) []float64 {
 	}
 	for t := 0; t < steps; t++ {
 		for x := 1; x < n-1; x++ {
-			for y := 1; y < n-1; y++ {
-				b[x*n+y] = stencilUpdate(a[x*n+y], a[x*n+y-1], a[x*n+y+1],
-					a[(x-1)*n+y], a[(x+1)*n+y], c)
-			}
+			stencil.UpdateRow(b[x*n+1:x*n+n-1], a[(x-1)*n+1:], a[x*n:], a[(x+1)*n+1:], c)
 		}
 		a, b = b, a
 	}
@@ -301,9 +295,9 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 	core.RegisterPFor(sys, core.PForSpec{
 		Name:     kindStencilInit,
 		MinGrain: cfg.PForMinGrain,
-		Body: func(ctx *sched.Ctx, p region.Point, extra []byte) {
+		RangeBody: func(ctx *sched.Ctx, r core.Range, extra []byte) {
 			if frag := stencilFrag(ctx, extra[:8]); frag != nil {
-				frag.Set(p, StencilInitValue(p[0], p[1]))
+				stencil.FillRange(frag, r, StencilInitValue)
 			}
 		},
 		Reqs: func(r core.Range, extra []byte) []dim.Requirement {
@@ -317,23 +311,13 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 	core.RegisterPFor(sys, core.PForSpec{
 		Name:     kindStencilStep,
 		MinGrain: cfg.PForMinGrain,
-		Body: func(ctx *sched.Ctx, p region.Point, extra []byte) {
+		RangeBody: func(ctx *sched.Ctx, r core.Range, extra []byte) {
 			src := stencilFrag(ctx, extra[:8])
 			dst := stencilFrag(ctx, extra[8:16])
 			if src == nil || dst == nil {
 				return
 			}
-			c := math.Float64frombits(binary.BigEndian.Uint64(extra[16:24]))
-			x, y := p[0], p[1]
-			v := stencilUpdate(
-				src.At(region.Point{x, y}),
-				src.At(region.Point{x, y - 1}),
-				src.At(region.Point{x, y + 1}),
-				src.At(region.Point{x - 1, y}),
-				src.At(region.Point{x + 1, y}),
-				c,
-			)
-			dst.Set(p, v)
+			stencil.StepRange(src, dst, r, math.Float64frombits(binary.BigEndian.Uint64(extra[16:24])))
 		},
 		Reqs: func(r core.Range, extra []byte) []dim.Requirement {
 			srcItem := dim.ItemID(binary.BigEndian.Uint64(extra[:8]))
@@ -353,8 +337,8 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 // returns nil when the item is gone: a cancel fails the promise of a
 // task it finds in the inflight registry even while that task runs on
 // another rank, so the job can unwind and destroy its items under a
-// straggler's body. The straggler's points are then skipped — the
-// job's result is already discarded.
+// straggler's body. The straggler's range is then skipped — the job's
+// result is already discarded.
 func stencilFrag(ctx *sched.Ctx, id []byte) *dataitem.GridFragment[float64] {
 	frag, err := ctx.Fragment(dim.ItemID(binary.BigEndian.Uint64(id)))
 	if err != nil {

@@ -3,6 +3,7 @@ package recovery
 import (
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,8 +128,11 @@ func mixedLoss(t *testing.T, rollback bool) {
 	grid := core.DefineGrid[int](sys, "mixed.grid", region.Point{n, cols})
 	row := func(b int) dataitem.GridRegion { return grid.Region(region.Point{b, 0}, region.Point{b + 1, cols}) }
 	rowSum := func(b int) int { return b*100*cols + cols*(cols-1)/2 }
-	// Whatever starts on the victim is held there until it is killed.
+	// Whatever starts on the victim is held there until it is killed — or
+	// the test gives up: the deferred Close below waits for every body.
 	hold := make(chan struct{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold) }) }
 	enter := func(rank int) {
 		if rank == victim {
 			<-hold
@@ -168,6 +172,7 @@ func mixedLoss(t *testing.T, rollback bool) {
 	})
 	sys.Start()
 	defer sys.Close()
+	defer release()
 	rec := Attach(sys, Options{})
 	if err := grid.Create(); err != nil {
 		t.Fatal(err)
@@ -237,7 +242,7 @@ func mixedLoss(t *testing.T, rollback bool) {
 	}
 	sys.Kill(victim)
 	rec.ReportDeath(victim)
-	close(hold)
+	release()
 
 	for i, f := range freeFuts {
 		if out, err := wait(f); err != nil || out != i*3 {

@@ -74,10 +74,7 @@ func runTracedStencil(t *testing.T, eps []transport.Endpoint, minGrain int64) (*
 // TestStencilTCPNoSpanLeaks is the same run over TCP loopback sockets:
 // handlers and task bodies there run on the localities' reused
 // goroutines, and every one of them must have closed its spans by the
-// time the system has stopped. The grain is a locality's share: with
-// several leaves per rank the stencil's fragment Resize races a
-// sibling's element writes under -race, which is not this test's
-// subject.
+// time the system has stopped.
 func TestStencilTCPNoSpanLeaks(t *testing.T) {
 	eps, err := transport.NewTCPLoopback(4, transport.TCPConfig{})
 	if err != nil {
@@ -86,7 +83,7 @@ func TestStencilTCPNoSpanLeaks(t *testing.T) {
 	for _, ep := range eps {
 		t.Cleanup(func() { ep.Close() })
 	}
-	_, spans := runTracedStencil(t, eps, 256)
+	_, spans := runTracedStencil(t, eps, 64)
 	if err := trace.VerifyParents(spans); err != nil {
 		t.Fatalf("span DAG broken: %v", err)
 	}
