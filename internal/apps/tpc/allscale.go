@@ -117,13 +117,15 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 				}
 				rf, err := ctx.Spawn("tpc.load", &loadArgs{mid, la.Hi}, 1)
 				if err != nil {
+					lf.Wait() // an error return implies a quiesced subtree (core/pfor.go)
 					return nil, err
 				}
-				if _, err := lf.Wait(); err != nil {
-					return nil, err
+				_, lerr := lf.Wait()
+				_, rerr := rf.Wait()
+				if lerr != nil {
+					return nil, lerr
 				}
-				_, err = rf.Wait()
-				return nil, err
+				return nil, rerr
 			},
 			Reqs: func(args []byte) []dim.Requirement {
 				var la loadArgs

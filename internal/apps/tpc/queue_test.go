@@ -2,11 +2,14 @@ package tpc
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"allscale/internal/core"
+	"allscale/internal/dim"
+	"allscale/internal/sched"
 )
 
 // TestQueueModeQueriesDoNotStarve runs load + queries with no worker to
@@ -73,5 +76,73 @@ func TestQueueModeQueriesDoNotStarve(t *testing.T) {
 				t.Fatal("queries still blocked after 30s: a joining query starved its own children")
 			}
 		})
+	}
+}
+
+// TestLoadSplitWaitsForBothChildren: an error return from a split means
+// its whole subtree has quiesced (core/pfor.go says why). The loader's
+// split used to return on its left child's error with the right child
+// still running. Here the left leaf fails — its block is locked and rank
+// 0's lock wait is short — while the right leaf waits on rank 1 for a
+// lock the test holds. A marker task spawned behind the left leaf runs
+// only once that leaf has failed: on the split's worker, from inside
+// the join on the right child if there is one, after the split has
+// returned if there is none. So when the marker is done the load must
+// still be pending.
+func TestLoadSplitWaitsForBothChildren(t *testing.T) {
+	p := testParams()
+	p.BlockHeight = 1 // two blocks: one split, a leaf per rank
+	sys := core.NewSystem(core.Config{Localities: 2, Workers: 1})
+	app := NewAllScale(sys, p)
+	sys.RegisterKind(func(int) *sched.Kind {
+		return &sched.Kind{Name: "marker", Process: func(*sched.Ctx) (any, error) { return nil, nil }}
+	})
+	sys.Start()
+	defer sys.Close()
+	var err error
+	if app.item, err = sys.Manager(0).CreateItem(app.typ); err != nil {
+		t.Fatal(err)
+	}
+	sys.Manager(0).LockWaitTimeout = 30 * time.Millisecond
+	const token = 0x7E57
+	for rank := 0; rank < 2; rank++ {
+		if err := sys.Manager(rank).Acquire(token, []dim.Requirement{
+			{Item: app.item, Region: p.blockRegion(rank), Mode: dim.Write},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			sys.Manager(1).Release(token)
+		}
+	}
+	defer release() // before sys.Close: the right leaf must not outlive the test
+	defer sys.Manager(0).Release(token)
+
+	load, err := sys.Scheduler(0).Spawn("tpc.load", &loadArgs{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Split and left leaf started on rank 0, right leaf on rank 1.
+	deadline := time.Now().Add(10 * time.Second)
+	for sys.Scheduler(0).Stats().Executed < 2 || sys.Scheduler(1).Stats().Executed < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the loader's leaves did not start")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := sys.Wait("marker", struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if load.Done() {
+		_, err := load.Wait()
+		t.Fatalf("the split returned (%v) while its right child was still running", err)
+	}
+	release()
+	if _, err := load.Wait(); err == nil || !strings.Contains(err.Error(), "lock wait timed out") {
+		t.Fatalf("load: err = %v, want the left leaf's lock-wait timeout", err)
 	}
 }

@@ -14,9 +14,10 @@ const maxRangeDims = 8
 
 // AppendWire implements wire.Marshaler: the dimension count, the
 // lower then the upper bound as varints, and the extra payload
-// length-prefixed. Every pfor task carries one, and the scheduler
-// decodes it three to four times per task (CanSplit, Reqs at
-// placement and at acquisition, the variant body).
+// length-prefixed. Every pfor task carries one, decoded one to four
+// times: by the variant body; by CanSplit where the policy would still
+// split; by Reqs, if the call site declares requirements, at a process
+// variant's placement and again at its acquisition.
 func (a *pforArgs) AppendWire(buf []byte) ([]byte, error) {
 	n := len(a.R.Lo)
 	if len(a.R.Hi) != n || n > maxRangeDims {

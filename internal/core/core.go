@@ -32,9 +32,9 @@ type Config struct {
 	// data-spreading DefaultPolicy.
 	Policy sched.Policy
 	// Workers is the size of every locality's worker pool: the
-	// goroutines that run process variants off the locality's
-	// work-stealing run queue (Section 3.2: enqueued tasks "may be
-	// stolen by other nodes"). Zero or negative selects
+	// goroutines that run every task, split or process variant, off the
+	// locality's work-stealing run queue (Section 3.2: enqueued tasks
+	// "may be stolen by other nodes"). Zero or negative selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// TraceCapacity, when positive, enables task-lifecycle tracing

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"allscale/internal/dataitem"
@@ -354,5 +355,46 @@ func TestPForRangeBody(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("point %v is in %d leaves", p, n)
 		}
+	}
+}
+
+// TestLocalTreeAllocs bounds what a task costs in allocations where
+// nothing leaves the rank: a requirement-free pfor tree of 127 tasks (63
+// splits, 64 leaves) on one worker of one locality is a depth-first
+// recursion on that worker's stack, and what it allocates is what spawn,
+// promise and join bookkeeping allocate. The parent commit — a goroutine,
+// a channel and a sync.Map entry per task — needs 2 249.
+func TestLocalTreeAllocs(t *testing.T) {
+	sys := NewSystem(Config{Localities: 1, Workers: 1, Policy: &sched.DefaultPolicy{ExtraDepth: 6}})
+	defer sys.Close()
+	var points atomic.Int64
+	RegisterPFor(sys, PForSpec{
+		Name:     "leaf",
+		MinGrain: 1,
+		Body:     func(*sched.Ctx, region.Point, []byte) { points.Add(1) },
+	})
+	sys.Start()
+	const n, runs = 4096, 50
+	tree := func() {
+		if err := sys.PFor("leaf", region.Point{0}, region.Point{n}, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	before := sys.SchedStats()
+	allocs := testing.AllocsPerRun(runs, tree)
+	after := sys.SchedStats()
+	trees := uint64(runs + 1) // AllocsPerRun warms up with one run more
+	if got := after.Executed - before.Executed; got != 127*trees {
+		t.Fatalf("%d tasks in %d trees, want 127 each", got, trees)
+	}
+	if got := after.Splits - before.Splits; got != 63*trees {
+		t.Fatalf("%d splits in %d trees, want 63 each", got, trees)
+	}
+	if got := points.Load(); got != n*int64(trees) {
+		t.Fatalf("%d points visited, want %d", got, n*int64(trees))
+	}
+	t.Logf("%.0f allocations per 127-task tree (%.1f per task)", allocs, allocs/127)
+	if allocs > 1600 {
+		t.Fatalf("%.0f allocations per 127-task tree, want at most 1600", allocs)
 	}
 }

@@ -107,7 +107,9 @@ type PForSpec struct {
 
 // RegisterPFor installs a pfor call site as a task kind with a
 // sequential (process) and a parallel (split) variant — the two
-// variants of Example 2.3. Must run before System.Start.
+// variants of Example 2.3. Either runs on the worker that pops it; the
+// split's two waits are helping joins (sched.Ctx.Spawn). Must run
+// before System.Start.
 func RegisterPFor(sys *System, spec PForSpec) {
 	if (spec.Body == nil) == (spec.RangeBody == nil) {
 		panic(fmt.Sprintf("core: pfor %q must set exactly one of Body and RangeBody", spec.Name))

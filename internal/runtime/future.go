@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"allscale/internal/wire"
 )
@@ -12,7 +13,10 @@ import (
 // remote locality. Futures model the treeture-style task results of
 // the AllScale API.
 type Future struct {
-	once  sync.Once
+	mu   sync.Mutex
+	done atomic.Bool
+	// ch is made by the first waiter that has to block (Ready): a future
+	// fulfilled first — a child its spawner ran inline — never has one.
 	ch    chan struct{}
 	value []byte
 	err   error
@@ -21,56 +25,61 @@ type Future struct {
 }
 
 // WaitHelper puts a goroutine that is about to block in Future.Wait
-// to use. The scheduler implements it for futures spawned by a task
-// that occupies a queue worker, so that a join costs nothing but its
-// wait: the worker runs queued tasks instead of sleeping on them.
+// to use. The scheduler implements it for futures spawned by a task,
+// so that a join costs nothing but its wait: the worker the task
+// occupies runs queued tasks instead of sleeping on them.
 type WaitHelper interface {
-	// HelpWait runs on the waiting goroutine and returns once done —
-	// the future's fulfilment — is closed.
-	HelpWait(done <-chan struct{})
+	// HelpWait runs on the waiting goroutine and returns once f is
+	// fulfilled (f.Done()); to block it waits on f.Ready().
+	HelpWait(f *Future)
 }
 
 // SetWaitHelper installs the helper of a future. It must be called
 // before the future is handed to the goroutine that waits on it.
 func (f *Future) SetWaitHelper(h WaitHelper) { f.helper = h }
 
-// newFuture returns an unfulfilled future.
-func newFuture() *Future {
-	return &Future{ch: make(chan struct{})}
-}
-
 // fulfill delivers the value; subsequent calls are ignored.
 func (f *Future) fulfill(value []byte, err error) {
-	f.once.Do(func() {
-		f.value = value
-		f.err = err
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.done.Load() {
+		return
+	}
+	f.value, f.err = value, err
+	f.done.Store(true)
+	if f.ch != nil {
 		close(f.ch)
-	})
+	}
 }
 
 // Wait blocks until the future is fulfilled and returns the raw
 // encoded value.
 func (f *Future) Wait() ([]byte, error) {
-	if f.helper != nil {
-		f.helper.HelpWait(f.ch)
+	if !f.done.Load() && f.helper != nil {
+		f.helper.HelpWait(f)
 	}
-	<-f.ch
+	if !f.done.Load() {
+		<-f.Ready()
+	}
 	return f.value, f.err
 }
 
 // Ready is closed once the future is fulfilled, for a waiter that
 // selects on it: Wait would return at once.
-func (f *Future) Ready() <-chan struct{} { return f.ch }
+func (f *Future) Ready() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.ch == nil {
+		f.ch = make(chan struct{})
+		if f.done.Load() {
+			close(f.ch)
+		}
+	}
+	return f.ch
+}
 
 // Done reports fulfilment without blocking.
-func (f *Future) Done() bool {
-	select {
-	case <-f.ch:
-		return true
-	default:
-		return false
-	}
-}
+func (f *Future) Done() bool { return f.done.Load() }
 
 // WaitInto decodes the fulfilled value into out.
 func (f *Future) WaitInto(out any) error {
@@ -90,12 +99,58 @@ type PromiseID struct {
 
 func (id PromiseID) String() string { return fmt.Sprintf("p%d.%d", id.Owner, id.Seq) }
 
+// promiseTable holds the unfulfilled promises this locality owns, by
+// sequence number: a map per stripe under its own mutex, so a store
+// allocates neither a boxed key nor an entry node and spawners on
+// different workers seldom meet on one lock.
+type promiseTable [16]struct {
+	mu sync.Mutex
+	m  map[uint64]*Future
+}
+
+// swap stores f under seq — removes the entry when f is nil — and
+// returns what was there, nil when the promise was not pending.
+func (t *promiseTable) swap(seq uint64, f *Future) *Future {
+	s := &t[seq%uint64(len(t))]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.m[seq]
+	if f == nil {
+		delete(s.m, seq)
+	} else if s.m == nil {
+		s.m = map[uint64]*Future{seq: f}
+	} else {
+		s.m[seq] = f
+	}
+	return old
+}
+
+func (t *promiseTable) pending(seq uint64) bool {
+	s := &t[seq%uint64(len(t))]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m[seq] != nil
+}
+
+// failAll removes every pending promise and fails it with err (Close).
+func (t *promiseTable) failAll(err error) {
+	for i := range t {
+		t[i].mu.Lock()
+		m := t[i].m
+		t[i].m = nil
+		t[i].mu.Unlock()
+		for _, f := range m {
+			f.fulfill(nil, err)
+		}
+	}
+}
+
 // NewPromise allocates a future owned by this locality. Any locality
 // may fulfill it by calling FulfillRemote with its PromiseID.
 func (l *Locality) NewPromise() (PromiseID, *Future) {
 	id := PromiseID{Owner: l.Rank(), Seq: l.nextPromise.Add(1)}
-	f := newFuture()
-	l.promises.Store(id.Seq, f)
+	f := new(Future)
+	l.promises.swap(id.Seq, f)
 	// Close fails the promises it finds after setting closed; one stored
 	// behind that sweep — by a task still unwinding on a killed locality
 	// — would strand its waiter, so it is failed here.
@@ -110,21 +165,17 @@ func (l *Locality) NewPromise() (PromiseID, *Future) {
 // the owner tracks fulfilment. The recovery layer uses it to decide
 // whether a task lost on a dead rank still has a waiter.
 func (l *Locality) PromisePending(id PromiseID) bool {
-	if id.Owner != l.Rank() {
-		return false
-	}
-	_, ok := l.promises.Load(id.Seq)
-	return ok
+	return id.Owner == l.Rank() && l.promises.pending(id.Seq)
 }
 
 // fulfillLocal resolves a promise owned by this locality.
 func (l *Locality) fulfillLocal(seq uint64, value []byte, errStr string) {
-	if v, ok := l.promises.LoadAndDelete(seq); ok {
+	if f := l.promises.swap(seq, nil); f != nil {
 		var err error
 		if errStr != "" {
 			err = fmt.Errorf("%s", errStr)
 		}
-		v.(*Future).fulfill(value, err)
+		f.fulfill(value, err)
 	}
 }
 

@@ -152,9 +152,8 @@ func (l *Locality) resolve(pc *pendingCall, body []byte, err error) {
 type Locality struct {
 	ep transport.Endpoint
 
-	// pool runs every per-message and per-task function (Go): handlers
-	// and task bodies start on stacks already grown by their
-	// predecessors instead of growing a fresh one by copy each time.
+	// pool runs every per-message function (Go): handlers start on stacks
+	// already grown by their predecessors instead of growing a fresh one.
 	pool gopool.Pool
 
 	mu       sync.RWMutex
@@ -164,7 +163,7 @@ type Locality struct {
 	calls    sync.Map // call id -> *pendingCall
 
 	nextPromise atomic.Uint64
-	promises    sync.Map // promise id -> *Future
+	promises    promiseTable
 
 	// reg is the locality-wide metrics registry: the endpoint, the RPC
 	// layer, the scheduler and the data item manager all publish into
@@ -540,7 +539,7 @@ func (l *Locality) HandleOneWay(name string, h OneWay) {
 
 // Go runs f on a reused goroutine of the locality (gopool): the
 // replacement for a go statement wherever one function runs per
-// message or per task. Concurrency is unbounded, as with go.
+// message or per ship. Concurrency is unbounded, as with go.
 func (l *Locality) Go(f func()) { l.pool.Go(f) }
 
 // dispatch runs on the transport delivery goroutine; every message is
@@ -728,7 +727,7 @@ func (l *Locality) serveOneWay(msg transport.Message) {
 // deadline or retry budget is exhausted. Retried non-idempotent calls
 // carry a dedup flag so the server executes the handler exactly once.
 func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOption) *Future {
-	fut := newFuture()
+	fut := new(Future)
 	l.rpcCalls.Inc()
 	body, err := wire.Encode(args)
 	if err != nil {
@@ -976,12 +975,6 @@ func (l *Locality) Close() error {
 	l.pool.Close()
 	l.failCalls(func(int) bool { return true },
 		fmt.Errorf("runtime: locality %d closed with call outstanding", l.Rank()))
-	closeErr := fmt.Errorf("runtime: locality %d closed with promise outstanding", l.Rank())
-	l.promises.Range(func(k, v any) bool {
-		if _, ok := l.promises.LoadAndDelete(k); ok {
-			v.(*Future).fulfill(nil, closeErr)
-		}
-		return true
-	})
+	l.promises.failAll(fmt.Errorf("runtime: locality %d closed with promise outstanding", l.Rank()))
 	return err
 }

@@ -201,7 +201,7 @@ func TestPromisesLocalAndRemote(t *testing.T) {
 }
 
 func TestFutureFulfillIsIdempotent(t *testing.T) {
-	f := newFuture()
+	f := new(Future)
 	f.fulfill([]byte("a"), nil)
 	f.fulfill([]byte("b"), errors.New("late"))
 	v, err := f.Wait()

@@ -11,13 +11,13 @@ import (
 // BenchmarkFineGrainSpawnPFor is the case BenchmarkFineGrainSpawn
 // (EXPERIMENTS.md E12) missed: it spawns with a one-field argument
 // that carries its own codec, while every real pfor task carries
-// core's pforArgs struct, encoded at each spawn and decoded by
-// CanSplit, Reqs (at placement and at acquisition) and the variant
-// body. One iteration is a requirement-free pfor over 64 points split
-// down to single leaves — 127 tasks — through core.RegisterPFor on
-// one locality with four workers; ns/op ÷ 127 is the per-task cost
-// with struct arguments on the path. It lives in the external test
-// package because core imports sched.
+// core's pforArgs struct, encoded at each spawn and decoded by the
+// variant body and, where they are consulted, CanSplit and Reqs
+// (core/codec.go). One iteration is a requirement-free pfor over 64
+// points split down to single leaves — 127 tasks — through
+// core.RegisterPFor on one locality with four workers; ns/op ÷ 127 is
+// the per-task cost with struct arguments on the path. It lives in the
+// external test package because core imports sched.
 func BenchmarkFineGrainSpawnPFor(b *testing.B) {
 	sys := core.NewSystem(core.Config{Workers: 4, Policy: &sched.DefaultPolicy{ExtraDepth: 6}})
 	core.RegisterPFor(sys, core.PForSpec{

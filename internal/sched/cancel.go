@@ -145,13 +145,8 @@ func (s *Scheduler) CancelJob(job uint64) {
 	// Purge queued tasks of the job from the deques. A task a sibling
 	// raid holds between two deques at this instant is missed here and
 	// stopped at the execution gate instead.
-	ofJob := func(spec *TaskSpec) bool { return spec.Job == job }
-	for _, d := range s.queue.deques {
-		for _, t := range d.takeIf(math.MaxInt, ofJob) {
-			t.sp.End()
-			s.queued.Add(-1)
-			s.failCancelled(&t.spec)
-		}
+	for _, t := range s.takeQueued(math.MaxInt, func(spec *TaskSpec) bool { return spec.Job == job }) {
+		s.failCancelled(&t.spec)
 	}
 
 	// Sweep the recovery registry: cancelled specs must be neither

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -135,7 +136,7 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 
 	// Stragglers (e.g. arriving via a shipped batch) die at the gate.
 	specC, futC := jobSpec(s, 1, 100)
-	s.executeNow(specC, VariantProcess, noWorker)
+	s.executeNow(specC, VariantProcess, 0)
 	if _, err := futC.Wait(); !IsJobCancelled(err) {
 		t.Fatalf("straggler of cancelled job: err = %v, want job-cancelled error", err)
 	}
@@ -205,7 +206,7 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 
 	// Sibling raid: worker 0 finds its own deque empty and takes from
 	// worker 1's.
-	for _, qt := range s0.queue.deques[0].drain() {
+	for _, qt := range s0.queue.deques[0].takeIf(math.MaxInt, nil) {
 		s0.queue.deques[1].pushTail(qt)
 	}
 	qt, ok := s0.popLocal(0)
@@ -216,7 +217,7 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 		t.Fatal("raid moved nothing into the raider's deque")
 	}
 	checkQueued(t, s0, 7)
-	s0.runQueued(qt, noWorker)
+	s0.runQueued(qt, 0)
 	if got := executedAt(s0); got != 1 {
 		t.Fatalf("rank 0 tenant executed = %d after the raided task ran, want 1", got)
 	}

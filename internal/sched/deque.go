@@ -8,13 +8,14 @@ import (
 	"allscale/internal/trace"
 )
 
-// queuedTask is one run-queue slot: the task spec plus its
-// task.enqueue span, which measures queue residency (begun when the
-// task enters a deque, ended when a worker pops it or a thief takes
-// it).
+// queuedTask is one run-queue slot — all a task is until a worker pops
+// it: the spec, the variant placement picked, and the task.enqueue span
+// that measures queue residency (begun when the task enters a deque,
+// ended when a worker pops it or anything else takes it out).
 type queuedTask struct {
-	spec TaskSpec
-	sp   *trace.Span
+	spec    TaskSpec
+	variant Variant
+	sp      *trace.Span
 }
 
 // deque is one worker's run queue: a growable ring buffer under a
@@ -106,25 +107,11 @@ func (d *deque) stealHead(max int) []queuedTask {
 	return out
 }
 
-// drain removes and returns everything (queue shutdown).
-func (d *deque) drain() []queuedTask {
-	d.mu.Lock()
-	out := make([]queuedTask, 0, d.n)
-	for d.n > 0 {
-		out = append(out, d.buf[d.head])
-		d.buf[d.head] = queuedTask{}
-		d.head = (d.head + 1) & (len(d.buf) - 1)
-		d.n--
-	}
-	d.setSize()
-	d.mu.Unlock()
-	return out
-}
-
 // takeIf removes and returns, oldest first, up to max queued tasks that
-// match, keeping the order of the rest: job cancellation purges a job's
-// tasks with it, the remote steal handler picks what it may grant.
-// match runs under the deque's lock and must not block.
+// match (all of them with a nil match), keeping the order of the rest:
+// job cancellation purges a job's tasks with it, the remote steal
+// handler picks what it may grant, a stopping or draining queue takes
+// everything. match runs under the deque's lock and must not block.
 func (d *deque) takeIf(max int, match func(*TaskSpec) bool) []queuedTask {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -132,7 +119,7 @@ func (d *deque) takeIf(max int, match func(*TaskSpec) bool) []queuedTask {
 	mask, kept := len(d.buf)-1, 0
 	for i := 0; i < d.n; i++ {
 		t := &d.buf[(d.head+i)&mask]
-		if len(out) < max && match(&t.spec) {
+		if len(out) < max && (match == nil || match(&t.spec)) {
 			out = append(out, *t)
 			continue
 		}

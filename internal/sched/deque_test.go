@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,7 +54,7 @@ func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
 	for _, qt := range batch {
 		seen[qt.spec.ID]++
 	}
-	for _, qt := range d.drain() {
+	for _, qt := range d.takeIf(math.MaxInt, nil) {
 		seen[qt.spec.ID]++
 	}
 	if _, ok := d.popTail(); ok {
@@ -116,7 +117,7 @@ func TestDequeConcurrentStress(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	take(d.drain())
+	take(d.takeIf(math.MaxInt, nil))
 	if extracted.Load() != n {
 		t.Fatalf("extracted %d tasks, want %d", extracted.Load(), n)
 	}

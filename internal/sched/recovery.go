@@ -128,7 +128,7 @@ func (s *Scheduler) Respawn(spec TaskSpec) error {
 		return nil
 	}
 	s.stats.respawns.Inc()
-	return s.assign(&spec)
+	return s.assign(&spec, -1)
 }
 
 // placeable reports whether a rank may receive task placements: a

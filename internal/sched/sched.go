@@ -90,16 +90,6 @@ type Kind struct {
 	CanSplit func(args []byte) bool
 }
 
-func (k *Kind) splittable(args []byte) bool {
-	if k.Split == nil {
-		return false
-	}
-	if k.CanSplit == nil {
-		return true
-	}
-	return k.CanSplit(args)
-}
-
 // Policy is the customizable scheduling policy of Algorithm 2.
 type Policy interface {
 	// PickVariant selects the variant to be processed (line 3).
@@ -168,8 +158,8 @@ type Scheduler struct {
 	running atomic.Int64
 	queued  atomic.Int64
 
-	// queue is the work-stealing run queue every process variant
-	// executes through (steal.go).
+	// queue is the work-stealing run queue every variant executes
+	// through (steal.go).
 	queue *queueState
 
 	// draining, when set, stops this rank from keeping work: its own
@@ -219,7 +209,7 @@ type runArgs struct {
 }
 
 // New creates the scheduler of one locality and starts its workers,
-// the executor goroutines process variants run on; their number must be
+// the executor goroutines every variant runs on; their number must be
 // positive. Kinds must be registered (identically everywhere) before
 // tasks are spawned.
 func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *Scheduler {
@@ -279,7 +269,7 @@ func (s *Scheduler) SetDraining(v bool) { s.draining.Store(v) }
 func (s *Scheduler) forward(spec *TaskSpec, variant Variant) {
 	target := s.nextLive(s.loc.Rank())
 	if target == s.loc.Rank() {
-		s.executeAsync(spec, variant)
+		s.enqueueAt(-1, spec, variant)
 		return
 	}
 	s.stats.remotePlaced.Inc()
@@ -292,7 +282,7 @@ func (s *Scheduler) forward(spec *TaskSpec, variant Variant) {
 // here (task-private state cannot migrate, Section 3.2).
 func (s *Scheduler) RedistributeQueued() {
 	for _, t := range s.drainQueues() {
-		s.forward(&t.spec, VariantProcess)
+		s.forward(&t.spec, t.variant)
 	}
 }
 
@@ -350,7 +340,7 @@ func (s *Scheduler) Load() int64 { return s.queued.Load() + s.running.Load() }
 // Spawn schedules a new root task of the given kind ((spawn)
 // transition) and returns the future of its result.
 func (s *Scheduler) Spawn(kind string, args any) (*runtime.Future, error) {
-	return s.spawnAt(kind, args, 0, 0, 0, 0, 0, 0)
+	return s.spawnAt(-1, kind, args, 0, 0, 0, 0, 0, 0)
 }
 
 // SpawnJob schedules a root task scoped to a job-service tenant and
@@ -358,14 +348,17 @@ func (s *Scheduler) Spawn(kind string, args any) (*runtime.Future, error) {
 // the job's cancellation scope and the tenant's counters (cancel.go).
 // parent optionally roots the task's span chain in a job-level span.
 func (s *Scheduler) SpawnJob(kind string, args any, tenant uint32, job uint64, parent trace.SpanID) (*runtime.Future, error) {
-	return s.spawnAt(kind, args, 0, 0, 0, parent, tenant, job)
+	return s.spawnAt(-1, kind, args, 0, 0, 0, parent, tenant, job)
 }
 
 // spawnAt schedules a task at a given position of the spawn tree.
 // parent is the span of the spawning context (the enclosing task's
 // exec/split span, or 0 for root spawns), rooting the task's
-// spawn→schedule→exec span chain in its creator.
-func (s *Scheduler) spawnAt(kind string, args any, depth int, path uint64, pathLen int, parent trace.SpanID, tenant uint32, job uint64) (*runtime.Future, error) {
+// spawn→schedule→exec span chain in its creator. w is the worker the
+// spawning task occupies (-1 for a spawn from outside any task): a
+// child that stays on this rank goes to the tail of that worker's own
+// deque, where its parent's join finds it first.
+func (s *Scheduler) spawnAt(w int, kind string, args any, depth int, path uint64, pathLen int, parent trace.SpanID, tenant uint32, job uint64) (*runtime.Future, error) {
 	body, err := wire.Encode(args)
 	if err != nil {
 		return nil, fmt.Errorf("sched: encode args of %q: %w", kind, err)
@@ -390,7 +383,7 @@ func (s *Scheduler) spawnAt(kind string, args any, depth int, path uint64, pathL
 	schedSp := tr.Begin("task.schedule", kind, spawnSp.SpanID())
 	schedSp.SetTask(spec.ID)
 	spec.Span = uint64(schedSp.SpanID())
-	err = s.assign(spec)
+	err = s.assign(spec, w)
 	schedSp.SetErr(err)
 	schedSp.End()
 	spawnSp.End()
@@ -400,15 +393,20 @@ func (s *Scheduler) spawnAt(kind string, args any, depth int, path uint64, pathL
 	return fut, nil
 }
 
-// assign implements ASSIGN_TO_NODE of Algorithm 2.
-func (s *Scheduler) assign(spec *TaskSpec) error {
+// assign implements ASSIGN_TO_NODE of Algorithm 2; a task placed here
+// is queued on worker w's deque (round-robin when w < 0).
+func (s *Scheduler) assign(spec *TaskSpec, w int) error {
 	k, err := s.kind(spec.Kind)
 	if err != nil {
 		return err
 	}
-	variant := s.policy.PickVariant(spec, k.splittable(spec.Args), s.loc.Size()) // line 3
-	if k.Split == nil {
-		variant = VariantProcess
+	// Line 3. The policy is asked before the kind: every policy keeps an
+	// indivisible task whole, so CanSplit — a decode of the arguments —
+	// is consulted only for a task the policy would split.
+	variant := VariantProcess
+	if k.Split != nil && s.policy.PickVariant(spec, true, s.loc.Size()) == VariantSplit &&
+		(k.CanSplit == nil || k.CanSplit(spec.Args)) {
+		variant = VariantSplit
 	}
 
 	target := -1
@@ -430,7 +428,7 @@ func (s *Scheduler) assign(spec *TaskSpec) error {
 
 	if target == s.loc.Rank() {
 		s.stats.localPlaced.Inc()
-		s.executeAsync(spec, variant)
+		s.enqueueAt(w, spec, variant)
 		return nil
 	}
 	s.stats.remotePlaced.Inc()
@@ -586,30 +584,10 @@ func pickCandidate(cand map[int]bool, local int) int {
 	return best
 }
 
-// executeAsync begins execution without blocking the caller: process
-// variants go through the run queue; split variants — which merely
-// spawn and wait, and must neither occupy a bounded worker nor migrate
-// once created — run on a goroutine of their own, reused from the
-// locality's pool. Used on the local placement path, the placement RPC
-// handler, and the ship fallback.
-func (s *Scheduler) executeAsync(spec *TaskSpec, variant Variant) {
-	if variant == VariantProcess {
-		s.enqueueAt(-1, spec)
-		return
-	}
-	cp := *spec
-	s.loc.Go(func() { s.executeNow(&cp, variant, noWorker) })
-}
-
-// noWorker is the worker index of a split variant: it runs on a
-// goroutine of its own.
-const noWorker = -1
-
 // executeNow runs one variant immediately on the calling goroutine,
-// which is queue worker `worker` or, with noWorker, the task's own.
-// The exec span ends (and the exec-latency histogram is fed) before
-// the task promise is fulfilled, so a waiter unblocked by the result
-// observes the span as archived.
+// which is queue worker `worker`. The exec span ends (and the
+// exec-latency histogram is fed) before the task promise is fulfilled,
+// so a waiter unblocked by the result observes the span as archived.
 func (s *Scheduler) executeNow(spec *TaskSpec, variant Variant, worker int) {
 	// Cancellation gate: tasks of a cancelled job never run, wherever
 	// they arrive from (local queue, shipped batch, steal grant,
@@ -652,7 +630,7 @@ func (s *Scheduler) runVariant(spec *TaskSpec, variant Variant, span trace.SpanI
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Ctx{sched: s, spec: spec, span: span, worker: worker}
+	ctx := &Ctx{sched: s, spec: *spec, span: span, worker: worker}
 	if variant == VariantSplit {
 		s.stats.splits.Inc()
 		return k.Split(ctx)
@@ -673,11 +651,11 @@ func (s *Scheduler) runVariant(spec *TaskSpec, variant Variant, span trace.SpanI
 // Ctx is the execution context handed to variant bodies.
 type Ctx struct {
 	sched *Scheduler
-	spec  *TaskSpec
+	spec  TaskSpec // own copy: the popped slot stays on the worker's stack
 	// span is the task's exec/split span; child spawns parent on it.
 	span trace.SpanID
-	// worker is the queue worker a process variant occupies (noWorker
-	// for a split variant): waiting on a child must not idle it.
+	// worker is the queue worker the task occupies: waiting on a child
+	// must not idle it.
 	worker int
 	// frags remembers the fragments the body has asked for (Fragment).
 	frags []ctxFragment
@@ -719,13 +697,14 @@ func (c *Ctx) Args(out any) error { return wire.Decode(c.spec.Args, out) }
 
 // Spawn schedules a child task ((spawn) transition), assigning it the
 // given branch bit in the spawn tree. Waiting on the returned future
-// is the (sync) transition; a task that occupies a queue worker lends
-// the worker to the run queue for the length of that wait (HelpWait).
+// is the (sync) transition, which lends the worker the task occupies to
+// the run queue for the length of the wait (HelpWait) — so the wait
+// belongs on the task's own goroutine, like Fragment.
 func (c *Ctx) Spawn(kind string, args any, branch uint64) (*runtime.Future, error) {
 	path := c.spec.Path<<1 | (branch & 1)
-	fut, err := c.sched.spawnAt(kind, args, c.spec.Depth+1, path, c.spec.PathLen+1, c.span,
+	fut, err := c.sched.spawnAt(c.worker, kind, args, c.spec.Depth+1, path, c.spec.PathLen+1, c.span,
 		c.spec.Tenant, c.spec.Job)
-	if err == nil && c.worker != noWorker {
+	if err == nil {
 		fut.SetWaitHelper(c)
 	}
 	return fut, err
@@ -733,7 +712,7 @@ func (c *Ctx) Spawn(kind string, args any, branch uint64) (*runtime.Future, erro
 
 // HelpWait implements runtime.WaitHelper: the helping join
 // (steal.go).
-func (c *Ctx) HelpWait(done <-chan struct{}) { c.sched.helpUntil(c.worker, done) }
+func (c *Ctx) HelpWait(fut *runtime.Future) { c.sched.helpUntil(c.worker, fut) }
 
 // Tenant returns the executing task's tenant tag (0 outside service
 // mode).

@@ -117,7 +117,7 @@ func (s *Scheduler) confirmShip(batch []runArgs, fut *runtime.Future) {
 	for i := range batch {
 		if s.takeInflight(batch[i].Spec.ID) {
 			s.stats.localPlaced.Inc()
-			s.executeAsync(&batch[i].Spec, batch[i].Variant)
+			s.enqueueAt(-1, &batch[i].Spec, batch[i].Variant)
 		}
 	}
 }
@@ -152,6 +152,6 @@ func (s *Scheduler) accept(tasks []runArgs) {
 			ssp.SetTask(t.Spec.ID)
 			ssp.End()
 		}
-		s.executeAsync(&t.Spec, t.Variant)
+		s.enqueueAt(-1, &t.Spec, t.Variant)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"allscale/internal/backoff"
 	"allscale/internal/dim"
+	"allscale/internal/runtime"
 	"allscale/internal/trace"
 )
 
@@ -20,11 +22,12 @@ import (
 // other nodes since their task-private state can not be migrated."
 // (Section 3.2.)
 //
-// Process-variant executions are held in per-worker deques (see
-// deque.go) from which idle workers and idle peers may take work (only
-// not-yet-started tasks move, matching the model). Split variants run
-// on goroutines of their own — they only spawn and wait, and must not
-// occupy a worker while blocked on children.
+// A task, whichever variant placement picked for it, is a slot in a
+// per-worker deque (see deque.go) until a worker pops it; idle workers
+// and idle peers may take it from there (only not-yet-started tasks
+// move, matching the model). A task that waits for its children keeps
+// its worker busy with the queue meanwhile (helpUntil), so a spawn tree
+// on one worker is a depth-first recursion on that worker's stack.
 //
 // The data plane is tiered (DESIGN.md §6e): a worker pops its own
 // deque LIFO, then raids sibling deques FIFO, and only then may send a
@@ -38,14 +41,15 @@ import (
 //   - the grant rule (stealForRemote): a victim hands out only tasks
 //     that have no requirement on data it holds, and only from its
 //     surplus over its idle workers;
-//   - the probe rule (worker): a worker asks a peer only right after a
+//   - the probe rule (park): a worker asks a peer only right after a
 //     steal that succeeded — a grant has arrived — or when its backoff
 //     timer fires. An unanswered probe waits out its backoff; local work
 //     does not rewind the backoff, an arrived grant does; a fresh worker
 //     parks first.
 //
-// Parked workers wait on a wake channel notified by enqueues (no
-// polling) and, while peers exist, on the backoff timer.
+// Parked workers — in their loop or in a join, both go dry through park
+// — wait on a wake channel notified by enqueues (no polling) and, while
+// peers exist, on the backoff timer.
 
 const methodSteal = "sched.steal"
 
@@ -64,6 +68,7 @@ const (
 type queueState struct {
 	workers  int
 	deques   []*deque
+	thieves  []thiefState  // per worker, see park
 	rr       atomic.Uint64 // round-robin enqueue cursor
 	wake     chan struct{} // enqueue → parked-worker notification
 	idle     atomic.Int64  // workers with nothing to run
@@ -79,6 +84,7 @@ func (s *Scheduler) startQueue(workers int) {
 	q := &queueState{
 		workers: workers,
 		deques:  make([]*deque, workers),
+		thieves: make([]thiefState, workers),
 		wake:    make(chan struct{}, workers),
 		stop:    make(chan struct{}),
 	}
@@ -121,19 +127,26 @@ func (s *Scheduler) AbortQueue() {
 	s.drainQueues()
 }
 
-// drainQueues empties every deque, ending the enqueue spans, and
-// returns the tasks it took out.
-func (s *Scheduler) drainQueues() []queuedTask {
+// takeQueued takes up to max queued tasks that match (deque.takeIf) out
+// of the deques: whatever the reason — a grant, a cancel, a drain, a stop
+// — they leave this rank's queues here, so their enqueue spans end and
+// the queued counter drops.
+func (s *Scheduler) takeQueued(max int, match func(*TaskSpec) bool) []queuedTask {
 	var out []queuedTask
 	for _, d := range s.queue.deques {
-		for _, t := range d.drain() {
-			t.sp.End()
-			s.queued.Add(-1)
-			out = append(out, t)
+		if len(out) < max && d.size.Load() > 0 {
+			out = append(out, d.takeIf(max-len(out), match)...)
 		}
 	}
+	for i := range out {
+		out[i].sp.End()
+	}
+	s.queued.Add(-int64(len(out)))
 	return out
 }
+
+// drainQueues empties every deque and returns the tasks it took out.
+func (s *Scheduler) drainQueues() []queuedTask { return s.takeQueued(math.MaxInt, nil) }
 
 // StealStats reports (stolen-by-us, stolen-from-us) task counts.
 func (s *Scheduler) StealStats() (uint64, uint64) {
@@ -142,18 +155,17 @@ func (s *Scheduler) StealStats() (uint64, uint64) {
 
 // enqueueAt pushes onto worker w's deque (round-robin when w < 0),
 // beginning the task.enqueue span that measures queue residency, and
-// wakes a parked worker if there is one. The queued counter is
-// incremented before the idle check: together with the reverse order
-// in worker parking (idle up, then queued check) this makes lost
-// wakeups impossible.
-func (s *Scheduler) enqueueAt(w int, spec *TaskSpec) {
+// wakes a parked worker if there is one. The queued counter goes up
+// before the idle check: with the reverse order in park (idle up, then
+// queued check) this makes lost wakeups impossible.
+func (s *Scheduler) enqueueAt(w int, spec *TaskSpec, variant Variant) {
 	q := s.queue
 	sp := s.loc.Tracer().Begin("task.enqueue", spec.Kind, trace.SpanID(spec.Span))
 	sp.SetTask(spec.ID)
 	if w < 0 {
 		w = int(q.rr.Add(1) % uint64(q.workers))
 	}
-	q.deques[w].pushTail(queuedTask{spec: *spec, sp: sp})
+	q.deques[w].pushTail(queuedTask{spec: *spec, variant: variant, sp: sp})
 	s.queued.Add(1)
 	q.wakeIdle()
 }
@@ -179,8 +191,7 @@ func (s *Scheduler) grant(thief int) {
 	}
 	items := make([]runArgs, len(batch))
 	for i := range batch {
-		batch[i].sp.End() // the task leaves this rank's queues
-		items[i] = runArgs{Spec: batch[i].spec, Variant: VariantProcess, Granted: true}
+		items[i] = runArgs{Spec: batch[i].spec, Variant: batch[i].variant, Granted: true}
 	}
 	s.stats.stolenFrom.Add(uint64(len(batch)))
 	s.stats.stealBatch.ObserveValue(uint64(len(batch)))
@@ -193,23 +204,8 @@ func (s *Scheduler) grant(thief int) {
 // just been woken for is spoken for, not spare. Only stealable tasks
 // leave.
 func (s *Scheduler) stealForRemote(max int) []queuedTask {
-	q := s.queue
-	surplus := int(s.queued.Load() - q.idle.Load())
-	want := min(max, (surplus+1)/2)
-	var out []queuedTask
-	for _, d := range q.deques {
-		if len(out) >= want {
-			break
-		}
-		if d.size.Load() == 0 {
-			continue
-		}
-		out = append(out, d.takeIf(want-len(out), s.stealable)...)
-	}
-	if len(out) > 0 {
-		s.queued.Add(-int64(len(out)))
-	}
-	return out
+	surplus := int(s.queued.Load() - s.queue.idle.Load())
+	return s.takeQueued(min(max, (surplus+1)/2), s.stealable)
 }
 
 // stealable reports whether a queued task may be granted to a remote
@@ -217,7 +213,8 @@ func (s *Scheduler) stealForRemote(max int) []queuedTask {
 // Placement put such a task where its data is (Algorithm 2), and a
 // thief would drag the data after it. Tasks without requirements and
 // first-touch tasks, whose data nobody holds yet, are bound to nothing
-// and balance by stealing.
+// and balance by stealing. Reqs speaks for the task's whole range, so a
+// queued split leaves or stays with its subtree.
 func (s *Scheduler) stealable(spec *TaskSpec) bool {
 	return !s.anyReq(spec, func(rq dim.Requirement) bool {
 		cov, err := s.mgr.Coverage(rq.Item)
@@ -263,7 +260,7 @@ func (s *Scheduler) QueueLen() int {
 // worker w.
 func (s *Scheduler) runQueued(t queuedTask, w int) {
 	t.sp.End()
-	s.executeNow(&t.spec, VariantProcess, w)
+	s.executeNow(&t.spec, t.variant, w)
 }
 
 // popLocal takes the next queued task of this locality for worker w:
@@ -277,123 +274,116 @@ func (s *Scheduler) popLocal(w int) (queuedTask, bool) {
 	return s.stealSiblings(w)
 }
 
-// worker is one executor goroutine: run local work, hint a peer when
-// the probe rule allows, park.
+// worker is one executor goroutine: run local work, go dry, park.
 func (s *Scheduler) worker(w int) {
-	q := s.queue
-	defer q.wg.Done()
-	rng := rand.New(rand.NewSource(int64(s.Rank())*1669 + int64(w)))
-	// Reusable randomized-exponential backoff for the remote-steal
-	// wake-up (one timer per worker, no per-iteration allocs). Only a
-	// successful steal rewinds it: while the peers have nothing to
-	// give, a worker kept busy by local work asks them no more often
-	// than one that sits idle.
-	bo := backoff.New(remoteStealBase, remoteStealMax, int64(s.Rank())*7919+int64(w))
-	// probe allows the next dry spell one hint to a peer: the backoff
-	// timer sets it, as does a grant that has arrived. A fresh worker
-	// knows of no peer with work: it starts without it, backed off all
-	// the way, and parks first.
-	probe := false
-	bo.Saturate()
+	defer s.queue.wg.Done()
+	th := &s.queue.thieves[w]
+	th.rng = rand.New(rand.NewSource(int64(s.Rank())*1669 + int64(w)))
+	th.bo = backoff.New(remoteStealBase, remoteStealMax, int64(s.Rank())*7919+int64(w))
+	th.bo.Saturate()
 	for {
 		select {
-		case <-q.stop:
+		case <-s.queue.stop:
 			return
 		default:
 		}
 		if t, ok := s.popLocal(w); ok {
 			s.runQueued(t, w)
-			continue
-		}
-		// Nothing to run here: from now on the worker counts as idle.
-		// The idle increment happens before the queued re-check — the
-		// mirror of enqueueAt's publication order — so a concurrent
-		// enqueue either becomes visible to the re-check or sees
-		// idle > 0 and signals the wake channel.
-		q.idle.Add(1)
-		if s.queued.Load() > 0 {
-			q.idle.Add(-1)
-			continue
-		}
-		// A grant has arrived and been run dry: the steal succeeded, so
-		// the victim had surplus a moment ago. One worker acts on it.
-		if q.granted.Load() && q.granted.CompareAndSwap(true, false) {
-			bo.Reset()
-			probe = true
-		}
-		if probe {
-			probe = false
-			s.probePeer(rng)
-		}
-		idleStart := time.Now()
-		// Peers may have work: also wake on the backoff timer, which
-		// doubles while the probes it allows stay unanswered. A lone
-		// locality has nobody to ask (a nil channel never fires).
-		var timer <-chan time.Time
-		if s.loc.Size() > 1 {
-			timer = bo.Arm()
-		}
-		select {
-		case <-q.stop:
-			bo.Disarm(false)
-			q.idle.Add(-1)
+		} else if s.park(w, s.queue.stop) {
 			return
-		case <-q.wake:
-		case <-timer:
-			probe = true
 		}
-		bo.Disarm(probe)
-		q.idle.Add(-1)
-		s.stats.workerIdleUs.Add(uint64(time.Since(idleStart).Microseconds()))
 	}
 }
 
-// helpUntil is the helping join: the task that occupies
-// worker w waits for done (the future of a child it spawned), and
-// until then the worker keeps serving the locality's run queue exactly
-// as its loop would (popLocal), on top of the waiting task's stack.
-// Without it the children could only run elsewhere: on a sibling if
-// there is one, or on another locality once its thief comes round on
-// its backoff — and on a single worker of a single locality never.
+// helpUntil is the helping join: the task that occupies worker w waits
+// for fut (a child it spawned), and until then the worker keeps serving
+// the locality's run queue exactly as its loop would — popLocal, then
+// park — on top of the waiting task's stack. Without it the children
+// could only run elsewhere: on a sibling if there is one, or on another
+// locality once its thief comes round on its backoff — and on a single
+// worker of a single locality never.
 //
-// With nothing to run the worker parks on the enqueue wake-up under
-// the idle protocol of the worker loop. It does not steal remotely: a
-// join that waits for remote children is woken by their fulfilment,
-// not by importing unrelated work under a blocked task. Helped tasks
-// may join in turn; the nesting is bounded by the tasks queued here.
-// A stopping queue does not end the help: StopQueue waits for the
-// workers, and a joiner whose children are queued here can only
-// return by running them.
-func (s *Scheduler) helpUntil(w int, done <-chan struct{}) {
-	q := s.queue
-	for {
-		select {
-		case <-done:
-			// A wake-up consumed on the way out would strand its task
-			// behind a parked sibling: pass it on.
-			if s.queued.Load() > 0 {
-				q.wakeIdle()
-			}
-			return
-		default:
-		}
+// A child the worker runs inline is done before anyone blocks on it, so
+// the join polls Done and asks the future for a channel only to park. A
+// parked join stays a thief: the rank that spawned a tree sits in its
+// root join for as long as the remote half runs. Helped tasks may join
+// in turn; the nesting is bounded by the tasks queued here, and a join
+// under a task it helped returns when that task does. A stopping queue
+// does not end the help: StopQueue waits for the workers, and a joiner
+// whose children are queued here can only return by running them.
+func (s *Scheduler) helpUntil(w int, fut *runtime.Future) {
+	for !fut.Done() {
 		if t, ok := s.popLocal(w); ok {
 			s.runQueued(t, w)
-			continue
+		} else {
+			s.park(w, fut.Ready())
 		}
-		q.idle.Add(1)
-		if s.queued.Load() > 0 {
-			q.idle.Add(-1)
-			continue
-		}
-		idleStart := time.Now()
-		select {
-		case <-done:
-		case <-q.wake:
-		}
-		q.idle.Add(-1)
-		s.stats.workerIdleUs.Add(uint64(time.Since(idleStart).Microseconds()))
 	}
+	// A wake-up consumed on the way out would strand its task behind a
+	// parked sibling: pass it on.
+	if s.queued.Load() > 0 {
+		s.queue.wakeIdle()
+	}
+}
+
+// thiefState is what one worker knows as a thief, set up and touched
+// only by the goroutine that occupies the worker — its loop, or a join
+// on top of it.
+type thiefState struct {
+	rng *rand.Rand
+	// bo backs off the remote-steal wake-up. Only a successful steal
+	// rewinds it: while the peers have nothing to give, a worker kept
+	// busy by local work asks them no more often than one that sits idle.
+	bo *backoff.Timer
+	// probe allows the next dry spell one hint to a peer: the backoff
+	// timer sets it, as does a grant that has arrived. A fresh worker
+	// starts without it, backed off all the way, and parks first.
+	probe bool
+}
+
+// park is what worker w does with nothing to run, in its loop or in a
+// join: hint a peer if the probe rule allows, then wait for an enqueue,
+// the backoff timer, or end — the queue's stop for the loop, the
+// future's fulfilment for a join. It reports whether end came.
+func (s *Scheduler) park(w int, end <-chan struct{}) (ended bool) {
+	q, th := s.queue, &s.queue.thieves[w]
+	// From now on the worker counts as idle. The idle increment happens
+	// before the queued re-check — the mirror of enqueueAt's publication
+	// order — so a concurrent enqueue either becomes visible to the
+	// re-check or sees idle > 0 and signals the wake channel.
+	q.idle.Add(1)
+	defer q.idle.Add(-1)
+	if s.queued.Load() > 0 {
+		return false
+	}
+	// A grant has arrived and been run dry: the steal succeeded, so the
+	// victim had surplus a moment ago. One worker acts on it.
+	if q.granted.Load() && q.granted.CompareAndSwap(true, false) {
+		th.bo.Reset()
+		th.probe = true
+	}
+	if th.probe {
+		th.probe = false
+		s.probePeer(th.rng)
+	}
+	idleStart := time.Now()
+	// Peers may have work: also wake on the backoff timer, which doubles
+	// while the probes it allows stay unanswered. A lone locality has
+	// nobody to ask (a nil channel never fires).
+	var timer <-chan time.Time
+	if s.loc.Size() > 1 {
+		timer = th.bo.Arm()
+	}
+	select {
+	case <-end:
+		ended = true
+	case <-q.wake:
+	case <-timer:
+		th.probe = true
+	}
+	th.bo.Disarm(th.probe)
+	s.stats.workerIdleUs.Add(uint64(time.Since(idleStart).Microseconds()))
+	return ended
 }
 
 // stealSiblings raids the deque of another worker of this locality,
