@@ -24,7 +24,8 @@
 // retrying a submit get the original job back (exactly-once submit
 // tokens). A graceful shutdown of a durable daemon suspends instead of
 // draining: running jobs get the -drain grace, stragglers are
-// preserved for re-execution, and the registry is snapshotted.
+// preserved for re-execution, and the journal is compacted to the
+// registry it left.
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 		elasticOn  = flag.Bool("elastic", false, "scale membership on the admitted backlog")
 		minMembers = flag.Int("min-members", 1, "elastic: membership floor")
 		drainT     = flag.Duration("drain", 30*time.Second, "graceful drain timeout")
-		stateDir   = flag.String("state-dir", "", "durable control plane: journal+snapshot directory (empty = in-memory)")
+		stateDir   = flag.String("state-dir", "", "durable control plane: directory of the registry journal, one journal.<g>.wal (empty = in-memory)")
 		fsyncMode  = flag.String("fsync", "every", "journal fsync policy: every, interval or off")
 		fsyncIvl   = flag.Duration("fsync-interval", 25*time.Millisecond, "journal sync period for -fsync=interval")
 	)

@@ -303,23 +303,6 @@ func rootLevel(p int) int {
 	return l
 }
 
-// hostsNode reports whether process i hosts the (unique) inner node
-// at level l of the hierarchy; the role of inner nodes is assumed by
-// the left-most process of their subtree.
-func hostsNode(i, l int) bool { return i%(1<<uint(l-1)) == 0 }
-
-// parentHost returns the process hosting the parent (at level l+1) of
-// the node at level l hosted by process i.
-func parentHost(i, l int) int { return i - i%(1<<uint(l)) }
-
-// rightChildHost returns the process hosting the right child (at
-// level l-1) of the inner node at level l hosted by process i.
-func rightChildHost(i, l int) int { return i + 1<<uint(l-2) }
-
-// subtreeSpan returns the process range [lo, hi) covered by the node
-// at level l hosted by process i.
-func subtreeSpan(i, l int) (int, int) { return i, i + 1<<uint(l-1) }
-
 // nodeLo returns the lowest process rank of the subtree of the level-l
 // node containing process i — the node's identity, independent of
 // which (live) process currently hosts it.
@@ -327,8 +310,9 @@ func nodeLo(i, l int) int { return i - i%(1<<uint(l-1)) }
 
 // liveHost returns the process hosting the node whose subtree starts
 // at lo on level l once dead and non-member ranks are excluded: the
-// left-most live member of the subtree (the hostsNode rule
-// degenerates to this with full membership and zero deaths). Returns
+// left-most live member of the subtree (Fig. 5's "the left-most
+// process of a subtree hosts its inner node", with full membership and
+// zero deaths). Returns
 // -1 when the whole subtree is dead or outside the membership.
 // Because a rank is the left-most live member of at most one subtree
 // per level, a rank still hosts at most one node per level. Treating

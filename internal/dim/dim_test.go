@@ -52,36 +52,15 @@ func TestHierarchyGeometry(t *testing.T) {
 	if got := rootLevel(5); got != 4 { // needs 8-wide tree
 		t.Fatalf("rootLevel(5) = %d, want 4", got)
 	}
-	// Level-2 nodes at 0,2,4,6; level-3 at 0,4; level-4 at 0.
-	for _, c := range []struct {
-		i, l int
-		want bool
-	}{
-		{0, 2, true}, {1, 2, false}, {2, 2, true}, {6, 2, true},
-		{0, 3, true}, {2, 3, false}, {4, 3, true},
-		{0, 4, true}, {4, 4, false},
+	// Level-2 nodes start at 0,2,4,6; level-3 at 0,4; level-4 at 0.
+	for _, c := range []struct{ i, l, want int }{
+		{1, 2, 0}, {2, 2, 2}, {7, 2, 6},
+		{2, 3, 0}, {4, 3, 4}, {7, 3, 4},
+		{4, 4, 0}, {7, 4, 0},
 	} {
-		if got := hostsNode(c.i, c.l); got != c.want {
-			t.Errorf("hostsNode(%d,%d) = %v, want %v", c.i, c.l, got, c.want)
+		if got := nodeLo(c.i, c.l); got != c.want {
+			t.Errorf("nodeLo(%d,%d) = %d, want %d", c.i, c.l, got, c.want)
 		}
-	}
-	// process0 r47's host: right child of root (level 4 at 0) is level
-	// 3 at 0+2^2 = 4 — matching Fig. 5's process4 r47.
-	if got := rightChildHost(0, 4); got != 4 {
-		t.Fatalf("rightChildHost(0,4) = %d, want 4", got)
-	}
-	if got := rightChildHost(4, 3); got != 6 {
-		t.Fatalf("rightChildHost(4,3) = %d, want 6", got)
-	}
-	if got := parentHost(6, 2); got != 4 {
-		t.Fatalf("parentHost(6,2) = %d, want 4", got)
-	}
-	if got := parentHost(4, 3); got != 0 {
-		t.Fatalf("parentHost(4,3) = %d, want 0", got)
-	}
-	lo, hi := subtreeSpan(4, 3)
-	if lo != 4 || hi != 8 {
-		t.Fatalf("subtreeSpan(4,3) = [%d,%d)", lo, hi)
 	}
 }
 

@@ -30,12 +30,6 @@ type (
 		Region dataitem.Region
 		Seq    uint64
 	}
-	resolveArgs struct {
-		Item    ItemID
-		Region  dataitem.Region
-		Level   int
-		Descend bool
-	}
 	resolveReply struct {
 		Entries []Located
 	}
@@ -114,14 +108,13 @@ type (
 )
 
 const (
-	methodCreate     = "dim.create"
-	methodDestroy    = "dim.destroy"
-	methodReport     = "dim.report"
-	methodResolveAll = "dim.resolveAll"
-	methodFetch      = "dim.fetch"
-	methodClaim      = "dim.claim"
-	methodDrop       = "dim.drop"
-	methodUnpin      = "dim.unpin"
+	methodCreate  = "dim.create"
+	methodDestroy = "dim.destroy"
+	methodReport  = "dim.report"
+	methodFetch   = "dim.fetch"
+	methodClaim   = "dim.claim"
+	methodDrop    = "dim.drop"
+	methodUnpin   = "dim.unpin"
 	// methodResolveBatch coalesces many resolution sub-requests into
 	// one frame per target rank (DESIGN.md §6f).
 	methodResolveBatch = "dim.resolveBatch"
@@ -131,7 +124,6 @@ func (m *Manager) registerServices() {
 	m.loc.Handle(methodCreate, rpc(m.handleCreate))
 	m.loc.Handle(methodDestroy, rpc(m.handleDestroy))
 	m.loc.Handle(methodReport, rpc(m.handleReport))
-	m.loc.Handle(methodResolveAll, rpc(m.handleResolveAll))
 	m.loc.Handle(methodFetch, rpc(m.handleFetch))
 	m.loc.Handle(methodClaim, rpc(m.handleClaim))
 	m.loc.Handle(methodDrop, rpc(m.handleDrop))
@@ -298,8 +290,8 @@ func (m *Manager) propagate(id ItemID, i, l int, total dataitem.Region, seq uint
 	for l < root {
 		// The node identity is its subtree's lowest rank; the parent's
 		// host is the left-most live rank of the parent's subtree, so
-		// the walk routes around dead ranks (and degenerates to the
-		// static hostsNode assignment with zero deaths).
+		// the walk routes around dead ranks (and degenerates to Fig. 5's
+		// static assignment with zero deaths).
 		plo := nodeLo(i, l+1)
 		left := nodeLo(i, l) == plo
 		p := m.liveHost(plo, l+1)
@@ -413,8 +405,8 @@ func (m *Manager) resolve(id ItemID, r dataitem.Region, l int, descend bool) ([]
 	return res[0], nil
 }
 
-// resolveMulti is the batched resolution engine behind resolve,
-// resolveAll and OwnersMulti: each request is processed against the
+// resolveMulti is the batched resolution engine behind resolve and
+// rootWalk: each request is processed against the
 // locally hosted index nodes exactly as Algorithm 1 prescribes (leaf
 // intersection, child-side consultation with remaining-region
 // subtraction, parent escalation), but instead of issuing one RPC per
@@ -534,23 +526,37 @@ func (m *Manager) resolveMulti(reqs []batchReq) ([][]Located, error) {
 	// One frame per target rank for everything the local pass deferred.
 	for _, dst := range order {
 		subs := remotes[dst]
-		args := &batchArgs{Reqs: make([]batchReq, len(subs))}
+		breqs := make([]batchReq, len(subs))
 		for j, s := range subs {
-			args.Reqs[j] = s.req
+			breqs[j] = s.req
 		}
-		var reply batchReply
-		m.locateRPCs.Inc()
-		if err := m.loc.Call(dst, methodResolveBatch, args, &reply, m.ctlOpt()); err != nil {
+		replies, err := m.callResolveBatch(dst, breqs)
+		if err != nil {
 			return nil, err
 		}
-		if len(reply.Replies) != len(subs) {
-			return nil, fmt.Errorf("dim: resolveBatch reply size %d != %d", len(reply.Replies), len(subs))
-		}
 		for j, s := range subs {
-			out[s.idx] = append(out[s.idx], reply.Replies[j].Entries...)
+			out[s.idx] = append(out[s.idx], replies[j]...)
 		}
 	}
 	return out, nil
+}
+
+// callResolveBatch sends reqs to dst as one dim.resolveBatch frame and
+// returns one result per request.
+func (m *Manager) callResolveBatch(dst int, reqs []batchReq) ([][]Located, error) {
+	var reply batchReply
+	m.locateRPCs.Inc()
+	if err := m.loc.Call(dst, methodResolveBatch, &batchArgs{Reqs: reqs}, &reply, m.ctlOpt()); err != nil {
+		return nil, err
+	}
+	if len(reply.Replies) != len(reqs) {
+		return nil, fmt.Errorf("dim: resolveBatch reply size %d != %d", len(reply.Replies), len(reqs))
+	}
+	res := make([][]Located, len(reqs))
+	for i := range reply.Replies {
+		res[i] = reply.Replies[i].Entries
+	}
+	return res, nil
 }
 
 func (m *Manager) handleResolveBatch(_ int, args *batchArgs) (*batchReply, error) {
@@ -607,8 +613,10 @@ func (m *Manager) locateOwners(id ItemID, r, cached dataitem.Region, parent trac
 	sp := m.loc.Tracer().Begin("dim.locate", detail, parent)
 	sp.SetTask(uint64(id))
 	gen := m.cacheGen(id)
-	out, err := m.owners(id, r)
+	var out []Located
+	res, err := m.rootWalk([]Requirement{{Item: id, Region: r}})
 	if err == nil {
+		out = res[0]
 		m.cachePut(id, r, true, out, gen)
 	}
 	sp.SetErr(err)
@@ -641,38 +649,13 @@ func (m *Manager) OwnersMulti(reqs []Requirement) ([][]Located, error) {
 	if len(missIdx) == 0 {
 		return out, nil
 	}
-	root := rootLevel(m.size())
-	rh := m.liveHost(0, root)
-	if rh < 0 {
-		err := fmt.Errorf("dim: no live index root host")
-		sp.SetErr(err)
-		return nil, err
-	}
-	breqs := make([]batchReq, len(missIdx))
+	miss := make([]Requirement, len(missIdx))
 	gens := make([]uint64, len(missIdx))
 	for j, i := range missIdx {
-		breqs[j] = batchReq{Item: reqs[i].Item, Region: reqs[i].Region, Level: root, Descend: true, All: true}
+		miss[j] = reqs[i]
 		gens[j] = m.cacheGen(reqs[i].Item)
 	}
-	var res [][]Located
-	var err error
-	if m.Rank() == rh {
-		res, err = m.resolveMulti(breqs)
-	} else {
-		args := &batchArgs{Reqs: breqs}
-		var reply batchReply
-		m.locateRPCs.Inc()
-		if err = m.loc.Call(rh, methodResolveBatch, args, &reply, m.ctlOpt()); err == nil {
-			if len(reply.Replies) != len(breqs) {
-				err = fmt.Errorf("dim: resolveBatch reply size %d != %d", len(reply.Replies), len(breqs))
-			} else {
-				res = make([][]Located, len(breqs))
-				for j := range reply.Replies {
-					res[j] = reply.Replies[j].Entries
-				}
-			}
-		}
-	}
+	res, err := m.rootWalk(miss)
 	if err != nil {
 		sp.SetErr(err)
 		return nil, err
@@ -684,41 +667,24 @@ func (m *Manager) OwnersMulti(reqs []Requirement) ([][]Located, error) {
 	return out, nil
 }
 
-// owners performs the authoritative full-descent walk from the live
-// index root.
-func (m *Manager) owners(id ItemID, r dataitem.Region) ([]Located, error) {
+// rootWalk is the authoritative full-descent resolution of reqs from
+// the live index root, collecting every copy (replicated segments
+// appear once per holding rank): locally where this rank hosts the
+// root, otherwise as one dim.resolveBatch frame to the rank that does.
+func (m *Manager) rootWalk(reqs []Requirement) ([][]Located, error) {
 	root := rootLevel(m.size())
 	rh := m.liveHost(0, root)
 	if rh < 0 {
 		return nil, fmt.Errorf("dim: no live index root host")
 	}
+	breqs := make([]batchReq, len(reqs))
+	for i, rq := range reqs {
+		breqs[i] = batchReq{Item: rq.Item, Region: rq.Region, Level: root, Descend: true, All: true}
+	}
 	if m.Rank() == rh {
-		return m.resolveAll(id, r, root)
+		return m.resolveMulti(breqs)
 	}
-	var reply resolveReply
-	m.locateRPCs.Inc()
-	if err := m.loc.Call(rh, methodResolveAll, &resolveArgs{Item: id, Region: r, Level: root}, &reply, m.ctlOpt()); err != nil {
-		return nil, err
-	}
-	return reply.Entries, nil
-}
-
-// resolveAll is the full-descent resolution collecting every copy
-// (replicated segments appear once per holding rank).
-func (m *Manager) resolveAll(id ItemID, r dataitem.Region, l int) ([]Located, error) {
-	res, err := m.resolveMulti([]batchReq{{Item: id, Region: r, Level: l, Descend: true, All: true}})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-func (m *Manager) handleResolveAll(_ int, args *resolveArgs) (*resolveReply, error) {
-	entries, err := m.resolveAll(args.Item, args.Region, args.Level)
-	if err != nil {
-		return nil, err
-	}
-	return &resolveReply{Entries: entries}, nil
+	return m.callResolveBatch(rh, breqs)
 }
 
 // ---------------------------------------------------------------

@@ -59,30 +59,6 @@ func (a *reportArgs) UnmarshalWire(d *wire.Decoder) error {
 	return nil
 }
 
-// AppendWire implements wire.Marshaler.
-func (a *resolveArgs) AppendWire(buf []byte) ([]byte, error) {
-	buf = wire.AppendUvarint(buf, uint64(a.Item))
-	buf, err := dataitem.AppendRegionWire(buf, a.Region)
-	if err != nil {
-		return nil, err
-	}
-	buf = wire.AppendVarint(buf, int64(a.Level))
-	return wire.AppendBool(buf, a.Descend), nil
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (a *resolveArgs) UnmarshalWire(d *wire.Decoder) error {
-	a.Item = ItemID(d.Uvarint())
-	r, err := dataitem.DecodeRegionWire(d)
-	if err != nil {
-		return err
-	}
-	a.Region = r
-	a.Level = d.Int()
-	a.Descend = d.Bool()
-	return nil
-}
-
 // appendLocated appends a counted list of (region, rank) pairs: the
 // form of resolution results and of sharer records.
 func appendLocated(buf []byte, entries []Located) ([]byte, error) {

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,39 +19,37 @@ import (
 )
 
 // Durable control plane (DESIGN.md §6i): the service's tenant and job
-// registry persists as a snapshot plus a write-ahead journal so the
-// daemon can be killed at any instant and restart with zero lost or
-// duplicated jobs. File layout inside the state directory:
+// registry persists as one write-ahead journal, so the daemon can be
+// killed at any instant and restart with zero lost or duplicated jobs.
+// The state directory holds exactly one file:
 //
-//	snapshot.db        full registry state at generation g
-//	journal.<g>.wal    records appended since that snapshot
+//	journal.<g>.wal    the registry at generation g
 //
-// Journal file format (the PR 4 checkpoint-codec style — framed,
-// CRC-checked, stdlib only):
+// File format (framed, CRC-checked, stdlib only):
 //
 //	header   0xAC 'J' 'L' 0x01                (4 bytes; 0x01 = version)
 //	record   uvarint body length
 //	         body   (first byte = record kind)
 //	         crc32  IEEE over body            (4 bytes, big-endian)
 //
-// Snapshot file format:
-//
-//	magic    0xAC 'J' 'S' 0x01
-//	body     uvarint generation
-//	         uvarint next tenant ID, uvarint next job ID
-//	         uvarint tenant count, tenant records (ring order)
-//	         uvarint job count, job records (ID order)
-//	crc32    IEEE over magic+body             (4 bytes, big-endian)
+// Generation 0 starts empty and grows by Append. A compaction writes
+// generation g+1: a recBase record {count, next tenant ID, next job ID},
+// then the reduced registry as the count ordinary records that rebuild
+// it (recTenant per tenant in ring order; recAdmit, recStart if started
+// and the terminal record if finished, per job in ID order) — the base —
+// to journal.<g+1>.wal.tmp, fsynced, renamed, the directory fsynced,
+// and generation g removed; appends continue on the same file. One
+// reader, replayJournal, reduces either through apply.
 //
 // Torn tails are expected: a crash mid-append leaves a short or
 // CRC-broken final record, which replay drops (the write it framed was
-// never acknowledged). Any framing damage *stops* replay at the last
-// intact record — replay yields a clean prefix, never garbage — and
-// the file is truncated back to that prefix before new appends.
-// Structural damage (bad header, a record sequence that cannot apply)
-// fails with ErrJournalCorrupt instead of guessing. Snapshots are
-// written to a temp file, fsynced, and renamed, so a crash during
-// compaction leaves the previous generation intact.
+// never acknowledged). Framing damage *stops* replay at the last intact
+// record — replay yields a clean prefix, never garbage — and the file is
+// truncated back to that prefix before new appends. A base is not a
+// tail: it was complete and fsynced before the rename made it visible,
+// so a replay of a generation g > 0 that ends inside its base — and a
+// bad header or a record sequence that cannot apply anywhere — fails
+// with ErrJournalCorrupt instead of guessing.
 
 // FsyncPolicy selects when the journal is flushed to stable storage.
 type FsyncPolicy string
@@ -82,14 +81,11 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // ErrJournalCorrupt reports structural damage to the persistent state
 // that prefix-replay cannot absorb: a broken file header, an impossible
-// record sequence, or a checksum-failing snapshot. Replay never
-// panics; damage either truncates to a clean prefix or surfaces here.
+// record sequence, or a damaged compaction base. Replay never panics;
+// damage either truncates to a clean prefix or surfaces here.
 var ErrJournalCorrupt = errors.New("jobs: journal corrupt")
 
-var (
-	journalMagic  = [4]byte{0xAC, 'J', 'L', 0x01}
-	snapshotMagic = [4]byte{0xAC, 'J', 'S', 0x01}
-)
+var journalMagic = [4]byte{0xAC, 'J', 'L', 0x01}
 
 // Journal record kinds.
 const (
@@ -99,6 +95,7 @@ const (
 	recDone   byte = 4 // job completed with a result
 	recFail   byte = 5 // job failed with an error
 	recCancel byte = 6 // job cancelled (pending or running)
+	recBase   byte = 7 // first record of a compacted generation: base record count, ID counters
 )
 
 // maxJournalRecord bounds one record's body; a length prefix beyond it
@@ -143,8 +140,8 @@ type jobRec struct {
 	Seq       uint64
 }
 
-// storeState is the full persisted registry: what a snapshot holds and
-// what replay reconstructs.
+// storeState is the full persisted registry: what a compaction writes
+// and what replay reconstructs.
 type storeState struct {
 	NextTenant uint32
 	NextJob    uint64
@@ -223,11 +220,12 @@ func (st *storeState) apply(body []byte) error {
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("%w: admit record: %v", ErrJournalCorrupt, err)
 		}
-		if st.jobIndex(jr.ID) >= 0 {
+		// IDs arrive ascending, so the insert is an append in practice.
+		i := sort.Search(len(st.Jobs), func(i int) bool { return st.Jobs[i].ID >= jr.ID })
+		if i < len(st.Jobs) && st.Jobs[i].ID == jr.ID {
 			return fmt.Errorf("%w: job %d admitted twice", ErrJournalCorrupt, jr.ID)
 		}
-		st.Jobs = append(st.Jobs, jr)
-		sort.Slice(st.Jobs, func(i, k int) bool { return st.Jobs[i].ID < st.Jobs[k].ID })
+		st.Jobs = slices.Insert(st.Jobs, i, jr)
 		if jr.ID > st.NextJob {
 			st.NextJob = jr.ID
 		}
@@ -264,6 +262,8 @@ func (st *storeState) apply(body []byte) error {
 			j.State = Cancelled
 			j.Error = msg
 		}
+	case recBase:
+		return fmt.Errorf("%w: base record is not the first of a compacted generation", ErrJournalCorrupt)
 	default:
 		return fmt.Errorf("%w: unknown record kind %d", ErrJournalCorrupt, body[0])
 	}
@@ -311,10 +311,50 @@ func appendTerminalRec(buf []byte, kind byte, id uint64, msg string, at int64) [
 	return buf
 }
 
-// Store is the durable registry: one snapshot plus one append-only
-// journal inside a state directory. Append is safe for concurrent use;
-// the service additionally serializes appends under its own mutex so
-// journal order matches registry mutation order.
+// appendFrame frames one record body: length, body, CRC.
+func appendFrame(buf, body []byte) []byte {
+	buf = wire.AppendUvarint(buf, uint64(len(body)))
+	buf = append(buf, body...)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
+}
+
+// compactedImage is a whole compacted generation: the header, the
+// recBase record, and the records that rebuild state through apply.
+func compactedImage(state storeState) []byte {
+	var recs, body []byte // the framed records; one body, reused
+	count := uint64(0)
+	add := func(b []byte) {
+		recs, body, count = appendFrame(recs, b), b[:0], count+1
+	}
+	for _, tr := range state.Tenants {
+		add(appendTenantRec(body, tr))
+	}
+	for _, jr := range state.Jobs {
+		add(appendAdmitRec(body, jr))
+		if jr.State == Running || jr.Started != 0 {
+			add(appendStartRec(body, jr.ID, jr.Started))
+		}
+		switch jr.State {
+		case Done:
+			add(appendTerminalRec(body, recDone, jr.ID, jr.Result, jr.Finished))
+		case Failed:
+			add(appendTerminalRec(body, recFail, jr.ID, jr.Error, jr.Finished))
+		case Cancelled:
+			add(appendTerminalRec(body, recCancel, jr.ID, jr.Error, jr.Finished))
+		}
+	}
+	base := wire.AppendUvarint([]byte{recBase}, count)
+	base = wire.AppendUvarint(base, uint64(state.NextTenant))
+	base = wire.AppendUvarint(base, state.NextJob)
+	img := make([]byte, 0, len(journalMagic)+len(base)+8+len(recs))
+	img = appendFrame(append(img, journalMagic[:]...), base)
+	return append(img, recs...)
+}
+
+// Store is the durable registry: one append-only journal inside a state
+// directory. Append is safe for concurrent use; the service additionally
+// serializes appends and compactions under its own mutex so journal
+// order matches registry mutation order.
 type Store struct {
 	dir       string
 	policy    FsyncPolicy
@@ -324,7 +364,7 @@ type Store struct {
 	mu    sync.Mutex
 	f     *os.File
 	gen   uint64
-	size  int64
+	tail  int64 // bytes appended since the base (the whole file at generation 0)
 	dirty bool
 
 	stop     chan struct{}
@@ -337,7 +377,7 @@ type Store struct {
 // registry plus recovery diagnostics.
 type RecoveredState struct {
 	storeState
-	// Replayed counts journal records applied on top of the snapshot.
+	// Replayed counts journal records applied on top of the base.
 	Replayed int
 	// TornTail reports that a short or corrupt journal tail was
 	// dropped (and truncated away) during recovery.
@@ -348,13 +388,14 @@ type RecoveredState struct {
 type StoreOptions struct {
 	Fsync         FsyncPolicy
 	FsyncInterval time.Duration // FsyncIntervalPolicy period, default 25ms
-	CompactBytes  int64         // journal size triggering compaction, default 8MB
+	CompactBytes  int64         // bytes appended since the base that trigger compaction, default 8MB
 	Metrics       *metrics.Registry
 }
 
-// OpenStore opens (or initializes) a state directory, replays
-// snapshot+journal, truncates any torn journal tail, and leaves the
-// journal open for appends.
+// OpenStore opens (or initializes) a state directory: it replays the
+// highest-generation journal, truncates any torn tail, removes what a
+// crash mid-compaction left behind (lower generations, temp files), and
+// leaves the journal open for appends.
 func OpenStore(dir string, opt StoreOptions) (*Store, *RecoveredState, error) {
 	if opt.Fsync == "" {
 		opt.Fsync = FsyncEvery
@@ -384,30 +425,28 @@ func OpenStore(dir string, opt StoreOptions) (*Store, *RecoveredState, error) {
 	st.fsyncs = reg.Counter(MetricJournalFsyncs)
 	st.bytes = reg.Counter(MetricJournalBytes)
 
-	gen, state, err := loadSnapshot(filepath.Join(dir, "snapshot.db"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("jobs: state dir: %w", err)
 	}
-	rec := &RecoveredState{storeState: state}
-	jpath := st.journalPath(gen)
+	for _, e := range entries {
+		if e.Name() == "snapshot.db" {
+			return nil, nil, fmt.Errorf("jobs: %s is a registry snapshot of an older format that is no longer read; start from an empty state directory", filepath.Join(dir, e.Name()))
+		}
+		if g, ok := journalGen(e.Name()); ok && g > st.gen {
+			st.gen = g
+		}
+	}
+	jpath := st.journalPath(st.gen)
 	data, err := os.ReadFile(jpath)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("jobs: read journal: %w", err)
 	}
-	valid := 0
-	if len(data) > 0 {
-		bodies, validLen, torn, rerr := replayJournal(data)
-		if rerr != nil {
-			return nil, nil, rerr
+	rec, base, valid := &RecoveredState{}, 0, 0
+	if len(data) > 0 || st.gen > 0 {
+		if rec, base, valid, err = replayJournal(data, st.gen > 0); err != nil {
+			return nil, nil, err
 		}
-		for _, body := range bodies {
-			if aerr := rec.apply(body); aerr != nil {
-				return nil, nil, aerr
-			}
-		}
-		rec.Replayed = len(bodies)
-		rec.TornTail = torn
-		valid = validLen
 	}
 
 	f, err := os.OpenFile(jpath, os.O_CREATE|os.O_RDWR, 0o644)
@@ -432,8 +471,15 @@ func OpenStore(dir string, opt StoreOptions) (*Store, *RecoveredState, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("jobs: seek journal: %w", err)
 	}
-	st.f, st.gen, st.size = f, gen, int64(valid)
-	st.removeStaleJournals()
+	st.f, st.tail = f, int64(valid-base)
+	// What a crash mid-compaction leaves behind: the temp file before
+	// the rename, the previous generation after it.
+	for _, e := range entries {
+		name, isTmp := strings.CutSuffix(e.Name(), ".tmp")
+		if g, ok := journalGen(name); ok && (isTmp || g != st.gen) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 
 	if st.policy == FsyncIntervalPolicy {
 		go st.syncLoop()
@@ -447,64 +493,78 @@ func (st *Store) journalPath(gen uint64) string {
 	return filepath.Join(st.dir, fmt.Sprintf("journal.%d.wal", gen))
 }
 
-// removeStaleJournals deletes journal files of other generations —
-// leftovers of a crash between snapshot rename and old-journal removal.
-func (st *Store) removeStaleJournals() {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "journal.") || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		g, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "journal."), ".wal"), 10, 64)
-		if err != nil || g == st.gen {
-			continue
-		}
-		os.Remove(filepath.Join(st.dir, name))
-	}
+// journalGen parses the generation out of a journal file name.
+func journalGen(name string) (uint64, bool) {
+	mid, pre := strings.CutPrefix(name, "journal.")
+	mid, suf := strings.CutSuffix(mid, ".wal")
+	g, err := strconv.ParseUint(mid, 10, 64)
+	return g, pre && suf && err == nil
 }
 
-// replayJournal parses a journal image into record bodies. It returns
-// the bodies of every intact record, the byte length of that valid
-// prefix, and whether a torn/corrupt tail was dropped. Only a broken
-// header is structural (typed) corruption; anything after the header
-// degrades to a prefix.
-func replayJournal(data []byte) (bodies [][]byte, validLen int, torn bool, err error) {
+// replayJournal reduces a journal image to the registry it records. It
+// returns the state after every intact record, the byte length of the
+// base (zero at generation 0) and of the whole valid prefix. After the
+// header, damage degrades to a prefix — except inside the base of a
+// compacted generation (based: a recBase record, then the count records
+// it announces), which was whole when it became visible: a replay that
+// ends inside it is structural (typed) corruption, like a broken header
+// or a record that cannot apply.
+func replayJournal(data []byte, based bool) (rec *RecoveredState, baseLen, validLen int, err error) {
 	if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != string(journalMagic[:]) {
-		return nil, 0, false, fmt.Errorf("%w: bad journal header", ErrJournalCorrupt)
+		return nil, 0, 0, fmt.Errorf("%w: bad journal header", ErrJournalCorrupt)
 	}
+	rec = &RecoveredState{}
 	off := len(journalMagic)
+	var baseLeft uint64 // records of the base still to come
+	if based {
+		baseLeft = 1
+	}
 	for off < len(data) {
 		ln, n := binary.Uvarint(data[off:])
 		if n <= 0 || ln > maxJournalRecord {
-			return bodies, off, true, nil
+			break
 		}
 		end := off + n + int(ln) + 4
 		if end > len(data) {
-			return bodies, off, true, nil
+			break
 		}
 		body := data[off+n : off+n+int(ln)]
-		sum := binary.BigEndian.Uint32(data[end-4 : end])
-		if crc32.ChecksumIEEE(body) != sum {
-			return bodies, off, true, nil
+		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[end-4:end]) {
+			break
 		}
-		bodies = append(bodies, body)
+		if based && off == len(journalMagic) {
+			if len(body) == 0 || body[0] != recBase {
+				return nil, 0, 0, fmt.Errorf("%w: compacted generation does not start with a base record", ErrJournalCorrupt)
+			}
+			d := wire.NewDecoder(body[1:])
+			baseLeft, rec.NextTenant, rec.NextJob = d.Uvarint(), uint32(d.Uvarint()), d.Uvarint()
+			if err := d.Err(); err != nil {
+				return nil, 0, 0, fmt.Errorf("%w: base record: %v", ErrJournalCorrupt, err)
+			}
+		} else if err := rec.apply(body); err != nil {
+			return nil, 0, 0, err
+		} else if baseLeft > 0 {
+			baseLeft--
+		} else {
+			rec.Replayed++
+		}
 		off = end
+		if based && baseLen == 0 && baseLeft == 0 {
+			baseLen = off
+		}
 	}
-	return bodies, off, false, nil
+	if baseLeft > 0 {
+		return nil, 0, 0, fmt.Errorf("%w: compaction base is damaged %d bytes in (%d records short)", ErrJournalCorrupt, off, baseLeft)
+	}
+	rec.TornTail = off < len(data)
+	return rec, baseLen, off, nil
 }
 
 // Append frames one record body onto the journal and applies the fsync
 // policy. With FsyncEvery the record is durable when Append returns —
 // the caller must not acknowledge the operation before that.
 func (st *Store) Append(body []byte) error {
-	frame := make([]byte, 0, len(body)+10)
-	frame = wire.AppendUvarint(frame, uint64(len(body)))
-	frame = append(frame, body...)
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+	frame := appendFrame(make([]byte, 0, len(body)+10), body)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -514,7 +574,7 @@ func (st *Store) Append(body []byte) error {
 	if _, err := st.f.Write(frame); err != nil {
 		return fmt.Errorf("jobs: journal append: %w", err)
 	}
-	st.size += int64(len(frame))
+	st.tail += int64(len(frame))
 	st.appends.Inc()
 	st.bytes.Add(uint64(len(frame)))
 	switch st.policy {
@@ -529,19 +589,14 @@ func (st *Store) Append(body []byte) error {
 	return nil
 }
 
-// Size returns the journal's current byte length.
-func (st *Store) Size() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.size
-}
-
-// ShouldCompact reports that the journal outgrew the compaction
-// threshold.
+// ShouldCompact reports that the records appended since the base
+// outgrew the compaction threshold. The base itself does not count: a
+// registry larger than the threshold would otherwise compact after
+// every record.
 func (st *Store) ShouldCompact() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.size >= st.compactAt
+	return st.tail >= st.compactAt
 }
 
 // syncLoop drives the interval fsync policy.
@@ -565,33 +620,46 @@ func (st *Store) syncLoop() {
 	}
 }
 
-// Compact folds the full registry state into a fresh snapshot
-// (generation g+1), starts an empty journal for it, and removes the
-// old journal. Crash-ordered: the snapshot is written to a temp file,
-// fsynced, renamed over snapshot.db, and the directory synced before
-// the old journal goes away — every intermediate state recovers.
+// Compact rewrites the journal as the reduced registry: generation g+1
+// opens with state as its base and takes the appends from here on, and
+// generation g is removed. Crash-ordered under every fsync policy: the
+// image is written to a temp file, fsynced, renamed to its generation's
+// name, and the directory synced before the old generation goes away —
+// every intermediate state recovers. state must hold every record
+// appended so far: the caller builds it and calls Compact under the
+// lock it appends under.
 func (st *Store) Compact(state storeState) error {
+	img := compactedImage(state)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.f == nil {
 		return fmt.Errorf("jobs: journal closed")
 	}
-	next := st.gen + 1
-	if err := writeSnapshot(filepath.Join(st.dir, "snapshot.db"), next, state); err != nil {
+	path := st.journalPath(st.gen + 1)
+	nf, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("jobs: compaction temp: %w", err)
+	}
+	if _, err = nf.Write(img); err != nil {
+		err = fmt.Errorf("jobs: compaction write: %w", err)
+	} else if err = nf.Sync(); err != nil {
+		err = fmt.Errorf("jobs: compaction fsync: %w", err)
+	} else if err = os.Rename(path+".tmp", path); err != nil {
+		err = fmt.Errorf("jobs: compaction rename: %w", err)
+	}
+	if err != nil {
+		nf.Close()
+		os.Remove(path + ".tmp")
 		return err
 	}
-	nf, err := os.OpenFile(st.journalPath(next), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: new journal: %w", err)
+	if d, err := os.Open(st.dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	if _, err := nf.Write(journalMagic[:]); err != nil {
-		nf.Close()
-		return fmt.Errorf("jobs: init journal: %w", err)
-	}
-	old, oldGen := st.f, st.gen
-	st.f, st.gen, st.size, st.dirty = nf, next, int64(len(journalMagic)), false
+	old := st.f
+	st.f, st.gen, st.tail, st.dirty = nf, st.gen+1, 0, false
 	old.Close()
-	os.Remove(st.journalPath(oldGen))
+	os.Remove(st.journalPath(st.gen - 1))
 	return nil
 }
 
@@ -611,136 +679,4 @@ func (st *Store) Close() error {
 		f.Sync()
 	}
 	return f.Close()
-}
-
-// writeSnapshot serializes state atomically: temp file, fsync, rename,
-// directory fsync.
-func writeSnapshot(path string, gen uint64, state storeState) error {
-	buf := append([]byte(nil), snapshotMagic[:]...)
-	buf = wire.AppendUvarint(buf, gen)
-	buf = wire.AppendUvarint(buf, uint64(state.NextTenant))
-	buf = wire.AppendUvarint(buf, state.NextJob)
-	buf = wire.AppendUvarint(buf, uint64(len(state.Tenants)))
-	for _, tr := range state.Tenants {
-		buf = appendTenantRec(buf, tr)
-	}
-	buf = wire.AppendUvarint(buf, uint64(len(state.Jobs)))
-	for _, jr := range state.Jobs {
-		buf = appendSnapshotJob(buf, jr)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: snapshot temp: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("jobs: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("jobs: snapshot fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("jobs: snapshot rename: %w", err)
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// appendSnapshotJob encodes a full job record (snapshot form: includes
-// state, result/error and all timestamps, which journal admit records
-// carry incrementally instead).
-func appendSnapshotJob(buf []byte, jr jobRec) []byte {
-	buf = wire.AppendUvarint(buf, jr.ID)
-	buf = wire.AppendUvarint(buf, uint64(jr.Tenant))
-	buf = wire.AppendString(buf, jr.Family)
-	buf = wire.AppendBytes(buf, jr.Params)
-	buf = wire.AppendVarint(buf, jr.Bytes)
-	buf = wire.AppendVarint(buf, int64(jr.State))
-	buf = wire.AppendString(buf, jr.Result)
-	buf = wire.AppendString(buf, jr.Error)
-	buf = wire.AppendVarint(buf, jr.Submitted)
-	buf = wire.AppendVarint(buf, jr.Started)
-	buf = wire.AppendVarint(buf, jr.Finished)
-	buf = wire.AppendString(buf, jr.Client)
-	buf = wire.AppendUvarint(buf, jr.Seq)
-	return buf
-}
-
-func decodeSnapshotJob(d *wire.Decoder) jobRec {
-	return jobRec{
-		ID:        d.Uvarint(),
-		Tenant:    uint32(d.Uvarint()),
-		Family:    d.String(),
-		Params:    append([]byte(nil), d.Bytes()...),
-		Bytes:     d.Varint(),
-		State:     JobState(d.Varint()),
-		Result:    d.String(),
-		Error:     d.String(),
-		Submitted: d.Varint(),
-		Started:   d.Varint(),
-		Finished:  d.Varint(),
-		Client:    d.String(),
-		Seq:       d.Uvarint(),
-	}
-}
-
-// loadSnapshot reads snapshot.db; a missing file is generation 0 with
-// empty state. A checksum or framing failure is typed corruption — the
-// snapshot is written atomically, so unlike the journal tail there is
-// no benign way for it to be half-present.
-func loadSnapshot(path string) (uint64, storeState, error) {
-	var state storeState
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, state, nil
-	}
-	if err != nil {
-		return 0, state, fmt.Errorf("jobs: read snapshot: %w", err)
-	}
-	if len(data) < len(snapshotMagic)+4 || string(data[:len(snapshotMagic)]) != string(snapshotMagic[:]) {
-		return 0, state, fmt.Errorf("%w: bad snapshot header", ErrJournalCorrupt)
-	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, state, fmt.Errorf("%w: snapshot checksum mismatch", ErrJournalCorrupt)
-	}
-	d := wire.NewDecoder(body[len(snapshotMagic):])
-	gen := d.Uvarint()
-	state.NextTenant = uint32(d.Uvarint())
-	state.NextJob = d.Uvarint()
-	nt := int(d.Uvarint())
-	for i := 0; i < nt && d.Err() == nil; i++ {
-		if kind := d.Byte(); kind != recTenant {
-			return 0, storeState{}, fmt.Errorf("%w: snapshot tenant kind %d", ErrJournalCorrupt, kind)
-		}
-		tr := tenantRec{Name: d.String(), ID: uint32(d.Uvarint())}
-		tr.Quota = Quota{
-			MaxActive:  d.Int(),
-			MaxPending: d.Int(),
-			MaxBytes:   d.Varint(),
-			Weight:     d.Int(),
-		}
-		state.Tenants = append(state.Tenants, tr)
-	}
-	nj := int(d.Uvarint())
-	for i := 0; i < nj && d.Err() == nil; i++ {
-		state.Jobs = append(state.Jobs, decodeSnapshotJob(d))
-	}
-	if err := d.Err(); err != nil {
-		return 0, storeState{}, fmt.Errorf("%w: decode snapshot: %v", ErrJournalCorrupt, err)
-	}
-	if len(state.Tenants) != nt || len(state.Jobs) != nj {
-		return 0, storeState{}, fmt.Errorf("%w: snapshot element counts", ErrJournalCorrupt)
-	}
-	return gen, state, nil
 }

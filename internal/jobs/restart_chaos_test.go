@@ -43,6 +43,9 @@ func runChaosDaemon() {
 		DefaultQuota: Quota{MaxPending: 1024},
 		StateDir:     dir,
 		Fsync:        FsyncEvery,
+		// A few dozen jobs per compaction: the SIGKILL lands among
+		// compactions that run while clients submit.
+		CompactBytes: 8 << 10,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos daemon: open: %v\n", err)
@@ -277,5 +280,10 @@ func TestRestartChaos(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		d2.Process.Kill()
 		t.Error("daemon did not exit on SIGTERM")
+	}
+	// One on-disk form: whatever the crash and the compactions left
+	// behind, the suspended daemon's registry is one journal file.
+	if names := dirNames(t, dir); len(names) != 1 || !isJournalName(names[0]) {
+		t.Errorf("state directory holds %v, want exactly one journal.<g>.wal", names)
 	}
 }

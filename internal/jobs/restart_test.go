@@ -7,6 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -415,5 +418,84 @@ func TestClientReconnectAcrossRestart(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("wait never resolved after restart")
+	}
+}
+
+// TestCompactionKeepsEveryAdmittedJob pins the hand-off between a
+// compaction's state build and its journal switch: with a threshold of
+// a few hundred bytes nearly every finished job compacts while other
+// clients submit, and at any instant the test stops the registry (every
+// append and every compaction happens under s.mu) the state directory
+// must replay to a registry holding every admitted job. Building the
+// state under the lock but switching journals after releasing it loses
+// the admissions that land in between until the next compaction.
+func TestCompactionKeepsEveryAdmittedJob(t *testing.T) {
+	dir := t.TempDir()
+	_, svc := newDurableService(t, 2, Config{
+		StateDir: dir, Fsync: FsyncOff, CompactBytes: 300,
+		MaxActive: 8, DefaultQuota: Quota{MaxActive: 8},
+	})
+	const submitters, perSubmitter = 6, 60
+	var wg sync.WaitGroup
+	for c := 0; c < submitters; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < perSubmitter; k++ {
+				id, err := svc.Submit(fmt.Sprintf("t%d", c), JobSpec{Family: FamilyPFor, Params: PForParams{Levels: 2, Seed: uint64(k)}})
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				if _, err := svc.Wait(id); err != nil {
+					t.Errorf("wait %d: %v", id, err)
+					return
+				}
+			}
+		}(c)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+
+	for round := 0; ; round++ {
+		select {
+		case <-finished:
+			if round < 20 {
+				t.Fatalf("only %d looks at the state directory before the submitters finished", round)
+			}
+			return
+		default:
+		}
+		copyDir := t.TempDir()
+		svc.mu.Lock()
+		admitted := make([]uint64, 0, len(svc.jobs))
+		for id := range svc.jobs {
+			admitted = append(admitted, id)
+		}
+		entries, err := os.ReadDir(dir)
+		for _, e := range entries {
+			var data []byte
+			if data, err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				break
+			}
+			if err = os.WriteFile(filepath.Join(copyDir, e.Name()), data, 0o644); err != nil {
+				break
+			}
+		}
+		svc.mu.Unlock()
+		if err != nil {
+			t.Fatalf("round %d: copy state directory: %v", round, err)
+		}
+		st, rec, err := OpenStore(copyDir, StoreOptions{Fsync: FsyncOff})
+		if err != nil {
+			t.Fatalf("round %d: replay of the copied state directory: %v", round, err)
+		}
+		st.Close()
+		for _, id := range admitted {
+			if rec.jobIndex(id) < 0 {
+				t.Fatalf("round %d: job %d is admitted and acknowledged but in no file of the state directory (%d of %d jobs replayed)",
+					round, id, len(rec.Jobs), len(admitted))
+			}
+		}
 	}
 }

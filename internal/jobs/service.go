@@ -39,8 +39,9 @@ type Config struct {
 	Fsync FsyncPolicy
 	// FsyncInterval is the FsyncIntervalPolicy period. Default 25ms.
 	FsyncInterval time.Duration
-	// CompactBytes triggers snapshot+journal-truncation once the
-	// journal outgrows it. Default 8MB.
+	// CompactBytes triggers a compaction — the journal rewritten as the
+	// reduced registry — once the records appended since the last one
+	// outgrow it. Default 8MB.
 	CompactBytes int64
 }
 
@@ -66,7 +67,7 @@ type RecoveryInfo struct {
 	Terminal   int
 	Readmitted int
 	// Replayed is the number of journal records applied on top of the
-	// snapshot; TornTail reports a dropped short/corrupt journal tail.
+	// compaction base; TornTail reports a dropped short/corrupt tail.
 	Replayed int
 	TornTail bool
 }
@@ -139,9 +140,8 @@ type Service struct {
 	nextJob atomic.Uint64
 	backlog atomic.Int64 // admitted, not yet finished (elastic signal)
 
-	store      *Store // nil = in-memory (PR 9 behavior)
-	recovered  RecoveryInfo
-	compacting atomic.Bool
+	store     *Store // nil = in-memory (PR 9 behavior)
+	recovered RecoveryInfo
 
 	kick      chan struct{} // nudge → dispatcher
 	settled   chan struct{} // nudge → a shutdown waiting out its grace window
@@ -164,12 +164,11 @@ func New(sys *core.System, w *Workloads, cfg Config) *Service {
 }
 
 // Open starts the service, recovering the durable registry when
-// Config.StateDir is set: the snapshot and journal are replayed,
-// terminal jobs are restored as history, admitted-but-unfinished jobs
-// are re-admitted under their original IDs (families are
-// deterministic, so re-execution is safe), quota accounting is rebuilt
-// from the replayed state, and the journal is compacted into a fresh
-// snapshot before the dispatcher starts.
+// Config.StateDir is set: the journal is replayed, terminal jobs are
+// restored as history, admitted-but-unfinished jobs are re-admitted
+// under their original IDs (families are deterministic, so re-execution
+// is safe), quota accounting is rebuilt from the replayed state, and the
+// journal is compacted before the dispatcher starts.
 func Open(sys *core.System, w *Workloads, cfg Config) (*Service, error) {
 	s := &Service{
 		sys: sys, w: w, cfg: cfg.normalized(),
@@ -198,10 +197,10 @@ func Open(sys *core.System, w *Workloads, cfg Config) (*Service, error) {
 			store.Close()
 			return nil, err
 		}
-		// Fold the replayed journal into a fresh snapshot right away:
-		// startup is a natural compaction point, and it proves the
-		// write path before the first admission is acknowledged.
-		if err := store.Compact(s.buildStateLocked()); err != nil {
+		// Compact the replayed journal right away: startup is a natural
+		// compaction point, and it proves the write path before the
+		// first admission is acknowledged.
+		if err := s.compact(); err != nil {
 			store.Close()
 			return nil, err
 		}
@@ -304,8 +303,8 @@ func timeToNanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// buildStateLocked snapshots the registry into its persisted form
-// (caller holds s.mu, or the service is not yet / no longer running).
+// buildStateLocked reduces the registry to its persisted form (caller
+// holds s.mu).
 func (s *Service) buildStateLocked() storeState {
 	st := storeState{NextTenant: s.nextTenant, NextJob: s.nextJob.Load()}
 	for _, t := range s.ring {
@@ -340,17 +339,14 @@ func (s *Service) journalLocked(body []byte) {
 	s.store.Append(body)
 }
 
-// maybeCompact folds the registry into a new snapshot when the journal
-// outgrew its threshold (at most one compaction in flight).
-func (s *Service) maybeCompact() {
-	if s.store == nil || !s.store.ShouldCompact() || !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	defer s.compacting.Store(false)
+// compact rewrites the journal as the current registry. State build and
+// Store.Compact share one hold of s.mu, the lock every append happens
+// under: a record appended between the two would be in neither the new
+// generation nor, once the old one is removed, anywhere on disk.
+func (s *Service) compact() error {
 	s.mu.Lock()
-	state := s.buildStateLocked()
-	s.mu.Unlock()
-	s.store.Compact(state)
+	defer s.mu.Unlock()
+	return s.store.Compact(s.buildStateLocked())
 }
 
 // RegisterTenant creates (or reconfigures) a tenant with an explicit
@@ -687,7 +683,9 @@ func (s *Service) drive(j *job) {
 	}
 	s.backlog.Add(-1)
 	close(j.done)
-	s.maybeCompact()
+	if s.store != nil && s.store.ShouldCompact() {
+		s.compact() // on failure the old generation stays in use
+	}
 	s.nudge()
 }
 
@@ -966,10 +964,7 @@ func (s *Service) shutdown(grace time.Duration, restart bool) int {
 	s.wgDisp.Wait()
 	s.sys.SetExecObserver(nil)
 	if s.store != nil {
-		s.mu.Lock()
-		state := s.buildStateLocked()
-		s.mu.Unlock()
-		s.store.Compact(state)
+		s.compact()
 		s.store.Close()
 	}
 	return len(stragglers)

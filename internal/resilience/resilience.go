@@ -20,8 +20,6 @@ import (
 
 	"allscale/internal/core"
 	"allscale/internal/dim"
-	"allscale/internal/monitor"
-	"allscale/internal/transport"
 )
 
 // Registry names under which the resilience service publishes its
@@ -87,55 +85,6 @@ func Capture(sys *core.System, items []dim.ItemID) (*Checkpoint, error) {
 	reg.Counter(MetricCaptureBytes).Add(uint64(cp.Size()))
 	reg.Histogram(MetricCaptureTime).Observe(time.Since(start))
 	return cp, nil
-}
-
-// DegradedRanks compares two monitor sample sets — a previous baseline
-// and the latest observation — and returns the ranks whose transport
-// failure counters (send errors, dropped frames) advanced between
-// them, in latest-sample order. The counters are cumulative, so the
-// delta (not the absolute value) marks a fabric that is degrading
-// *now*; a nil baseline means "no failures yet" and reduces to the
-// absolute check. A degrading fabric is the early-warning signal that
-// a locality may soon be lost, i.e. the moment to checkpoint.
-func DegradedRanks(prev, latest []monitor.Sample) []int {
-	base := make(map[int]monitor.Sample, len(prev))
-	for _, s := range prev {
-		base[s.Rank] = s
-	}
-	var out []int
-	for _, s := range latest {
-		now, was := s.Metrics.Counters, base[s.Rank].Metrics.Counters
-		if now[transport.MetricSendErrors] > was[transport.MetricSendErrors] ||
-			now[transport.MetricDroppedFrames] > was[transport.MetricDroppedFrames] {
-			out = append(out, s.Rank)
-		}
-	}
-	return out
-}
-
-// CaptureIfDegraded takes a checkpoint of items (nil for all) when the
-// monitor's two most recent sampling rounds show fresh transport
-// degradation on any rank. It returns the checkpoint (nil while the
-// fabric is healthy or before the first sampling round) and the
-// degraded ranks.
-func CaptureIfDegraded(sys *core.System, m *monitor.Monitor, items []dim.ItemID) (*Checkpoint, []int, error) {
-	var prev, latest []monitor.Sample
-	for rank := 0; rank < sys.Size(); rank++ {
-		h := m.History(rank)
-		if len(h) == 0 {
-			return nil, nil, nil
-		}
-		latest = append(latest, h[len(h)-1])
-		if len(h) >= 2 {
-			prev = append(prev, h[len(h)-2])
-		}
-	}
-	bad := DegradedRanks(prev, latest)
-	if len(bad) == 0 {
-		return nil, nil, nil
-	}
-	cp, err := Capture(sys, items)
-	return cp, bad, err
 }
 
 // Size reports the total payload bytes of the checkpoint.

@@ -3,18 +3,15 @@ package resilience_test
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"allscale/internal/apps/stencil"
 	"allscale/internal/core"
 	"allscale/internal/dataitem"
 	"allscale/internal/dim"
-	"allscale/internal/monitor"
 	"allscale/internal/recovery"
 	"allscale/internal/region"
 	"allscale/internal/resilience"
 	"allscale/internal/sched"
-	"allscale/internal/transport"
 )
 
 // buildGridSystem creates a 3-locality system with one distributed,
@@ -280,63 +277,5 @@ func TestCheckpointRestartMidComputation(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("cell %d = %v after restart, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-// netSample builds the monitor sample of one rank from its transport
-// failure counters.
-func netSample(rank int, sendErrs, dropped, reconnects uint64) monitor.Sample {
-	s := monitor.Sample{Rank: rank}
-	s.Metrics.Counters = map[string]uint64{
-		transport.MetricSendErrors:    sendErrs,
-		transport.MetricDroppedFrames: dropped,
-		transport.MetricReconnects:    reconnects,
-	}
-	return s
-}
-
-func TestDegradedRanks(t *testing.T) {
-	latest := []monitor.Sample{
-		{Rank: 0}, // a registry that never counted a failure
-		netSample(1, 2, 0, 0),
-		netSample(2, 0, 0, 1), // recovering, not degraded
-		netSample(3, 0, 1, 0),
-	}
-	got := resilience.DegradedRanks(nil, latest)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("DegradedRanks = %v, want [1 3]", got)
-	}
-	if resilience.DegradedRanks(nil, nil) != nil {
-		t.Fatal("no samples must yield no degraded ranks")
-	}
-
-	// The counters are cumulative: an old failure that has not advanced
-	// since the baseline is no longer degradation.
-	prev := []monitor.Sample{
-		{Rank: 0},
-		netSample(1, 2, 0, 0),
-		{Rank: 2},
-		{Rank: 3},
-	}
-	got = resilience.DegradedRanks(prev, latest)
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("delta DegradedRanks = %v, want [3]", got)
-	}
-}
-
-func TestCaptureIfDegraded(t *testing.T) {
-	sys, grid := buildGridSystem(t)
-	defer sys.Close()
-	mon := monitor.Start(sys, time.Hour, 4)
-	defer mon.Stop()
-	mon.SampleNow()
-
-	// Healthy in-process fabric: no checkpoint is taken.
-	cp, bad, err := resilience.CaptureIfDegraded(sys, mon, []dim.ItemID{grid.Item()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != nil || bad != nil {
-		t.Fatalf("healthy fabric triggered checkpoint of ranks %v", bad)
 	}
 }

@@ -167,7 +167,7 @@ type Locality struct {
 
 	// reg is the locality-wide metrics registry: the endpoint, the RPC
 	// layer, the scheduler and the data item manager all publish into
-	// it, making it the one source of truth monitor/resilience read.
+	// it, making it the one source of truth readers of the runtime have.
 	reg           *metrics.Registry
 	rpcCalls      *metrics.Counter
 	rpcErrors     *metrics.Counter
@@ -917,7 +917,7 @@ func (l *Locality) Call(dst int, method string, args, reply any, opts ...CallOpt
 
 // Send delivers a one-way message to method at locality dst. Unlike
 // CallAsync there is no future to fail later, so every error path
-// counts into rpc.errors here — monitor/resilience see one-way
+// counts into rpc.errors here — a reader of the registry sees one-way
 // failures through the same counter as call failures.
 func (l *Locality) Send(dst int, method string, args any) error {
 	l.rpcOneWays.Inc()

@@ -185,7 +185,7 @@ type Scheduler struct {
 	shippers []shipper
 
 	// stats are counters cached from the locality registry, which is
-	// the single source of truth read by monitor and tests.
+	// the single source of truth.
 	stats struct {
 		spawned, executed, splits           *metrics.Counter
 		localPlaced, remotePlaced           *metrics.Counter

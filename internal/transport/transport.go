@@ -99,7 +99,7 @@ type Stats struct {
 }
 
 // Registry names under which endpoints publish their traffic
-// counters; monitor and tests read these instead of private fields.
+// counters; readers use these instead of private fields.
 const (
 	MetricMsgsSent           = "transport.msgs_sent"
 	MetricBytesSent          = "transport.bytes_sent"
