@@ -15,7 +15,7 @@ import (
 
 // treeCache memoizes the deterministic global tree per parameter set,
 // so the distributed loader tasks of every locality fill their blocks
-// from one shared computation instead of re-sorting per block.
+// from one shared computation instead of rebuilding it per block.
 var treeCache sync.Map // cacheKey -> *Tree
 
 type cacheKey struct {
@@ -44,6 +44,9 @@ type AllScale struct {
 	params Params
 	typ    *dataitem.TreeType[KDNode]
 	item   dim.ItemID
+	// root is params.rootRegion(): what every query requires, whatever
+	// its arguments, so it is built once.
+	root dataitem.TreeItemRegion
 }
 
 // numBlocks returns the count of distributable depth-h subtrees.
@@ -90,7 +93,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 	if p.BlockHeight < 1 || p.BlockHeight >= p.Height {
 		panic(fmt.Sprintf("tpc: block height %d out of range for tree height %d", p.BlockHeight, p.Height))
 	}
-	a := &AllScale{sys: sys, params: p}
+	a := &AllScale{sys: sys, params: p, root: p.rootRegion()}
 	a.typ = dataitem.NewTreeType[KDNode]("tpc.tree", p.Height)
 	sys.RegisterType(a.typ)
 
@@ -149,7 +152,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 				tf := frag.(*dataitem.TreeFragment[KDNode])
 				for b := la.Lo; b < la.Hi; b++ {
 					a.params.blockRegion(b).T.ForEachNode(func(id region.NodeID) {
-						tf.Set(id, *tree.Node(id))
+						*tf.Ref(id) = *tree.Node(id)
 					})
 				}
 				return nil, nil
@@ -162,7 +165,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 		return &sched.Kind{
 			Name: "tpc.loadRoot",
 			Reqs: func(args []byte) []dim.Requirement {
-				return []dim.Requirement{{Item: a.item, Region: a.params.rootRegion(), Mode: dim.Write}}
+				return []dim.Requirement{{Item: a.item, Region: a.root, Mode: dim.Write}}
 			},
 			Process: func(ctx *sched.Ctx) (any, error) {
 				tree := cachedTree(a.params)
@@ -171,8 +174,8 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 					return nil, err
 				}
 				tf := frag.(*dataitem.TreeFragment[KDNode])
-				a.params.rootRegion().T.ForEachNode(func(id region.NodeID) {
-					tf.Set(id, *tree.Node(id))
+				a.root.T.ForEachNode(func(id region.NodeID) {
+					*tf.Ref(id) = *tree.Node(id)
 				})
 				return nil, nil
 			},
@@ -185,7 +188,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 		return &sched.Kind{
 			Name: "tpc.query",
 			Reqs: func(args []byte) []dim.Requirement {
-				return []dim.Requirement{{Item: a.item, Region: a.params.rootRegion(), Mode: dim.Read}}
+				return []dim.Requirement{{Item: a.item, Region: a.root, Mode: dim.Read}}
 			},
 			Process: func(ctx *sched.Ctx) (any, error) {
 				var qa queryArgs
@@ -196,32 +199,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 				if err != nil {
 					return nil, err
 				}
-				tf := frag.(*dataitem.TreeFragment[KDNode])
-				var futs []*runtime.Future
-				branch := uint64(0)
-				total := CountVisit(
-					func(id region.NodeID) *KDNode { n := tf.At(id); return &n },
-					region.Root, 1, a.params.Height, qa.Q, qa.R,
-					func(id region.NodeID, level int) bool {
-						return level == a.params.BlockHeight+1
-					},
-					func(id region.NodeID) int64 {
-						fut, err := ctx.Spawn("tpc.sub", &subArgs{Node: uint64(id), Q: qa.Q, R: qa.R}, branch)
-						branch++
-						if err == nil {
-							futs = append(futs, fut)
-						}
-						return 0
-					},
-				)
-				for _, f := range futs {
-					var c int64
-					if err := f.WaitInto(&c); err != nil {
-						return nil, err
-					}
-					total += c
-				}
-				return total, nil
+				return a.query(frag.(*dataitem.TreeFragment[KDNode]), qa, ctx.Spawn)
 			},
 		}
 	})
@@ -250,15 +228,56 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 				}
 				tf := frag.(*dataitem.TreeFragment[KDNode])
 				id := region.NodeID(sa.Node)
-				count := CountVisit(
-					func(nid region.NodeID) *KDNode { n := tf.At(nid); return &n },
-					id, id.Depth()+1, a.params.Height, sa.Q, sa.R, nil, nil,
-				)
-				return count, nil
+				return CountVisit(tf.Ref, id, id.Depth()+1, a.params.Height, sa.Q, sa.R, nil, nil), nil
 			},
 		}
 	})
 	return a
+}
+
+// query is the body of tpc.query: it traverses the root block in tf in
+// place and spawns (ctx.Spawn) one tpc.sub per block the traversal
+// reaches. A spawn that fails ends the spawning, not the waiting: an
+// error return implies a quiesced subtree (core/pfor.go), so every
+// sub-task already spawned is waited for, and the query then fails
+// with the first error instead of answering with the blocks it got.
+func (a *AllScale) query(
+	tf *dataitem.TreeFragment[KDNode], qa queryArgs,
+	spawn func(kind string, args any, branch uint64) (*runtime.Future, error),
+) (int64, error) {
+	var futs []*runtime.Future
+	var firstErr error
+	branch := uint64(0)
+	total := CountVisit(
+		tf.Ref, region.Root, 1, a.params.Height, qa.Q, qa.R,
+		func(id region.NodeID, level int) bool {
+			return level == a.params.BlockHeight+1
+		},
+		func(id region.NodeID) int64 {
+			if firstErr != nil {
+				return 0
+			}
+			fut, err := spawn("tpc.sub", &subArgs{Node: uint64(id), Q: qa.Q, R: qa.R}, branch)
+			branch++
+			if err != nil {
+				firstErr = err
+			} else {
+				futs = append(futs, fut)
+			}
+			return 0
+		},
+	)
+	for _, f := range futs {
+		var c int64
+		if err := f.WaitInto(&c); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		total += c
+	}
+	if firstErr != nil {
+		return 0, firstErr
+	}
+	return total, nil
 }
 
 // Load creates the item and distributes the tree; must run after
@@ -282,7 +301,7 @@ func (a *AllScale) Load() error {
 		mgr := a.sys.Manager(rank)
 		token := uint64(0xF00D0000) + uint64(rank)
 		if err := mgr.Acquire(token, []dim.Requirement{{
-			Item: a.item, Region: a.params.rootRegion(), Mode: dim.Read,
+			Item: a.item, Region: a.root, Mode: dim.Read,
 		}}); err != nil {
 			return err
 		}

@@ -5,7 +5,12 @@
 //
 // The kd-tree is a complete binary tree data item (Fig. 4b/4c): inner
 // nodes carry a splitting plane, tight bounding box and subtree
-// count; leaves carry point buckets. The AllScale version distributes
+// count; leaves carry point buckets. One kernel serves every version:
+// BuildTree splits each level at the median it finds by an in-place
+// selection (selectNth), and CountVisit traverses whatever storage its
+// node accessor hands out — the flat tree's nodes, or a fragment's
+// payload slots (dataitem.TreeFragment.Ref) — without copying a node.
+// The AllScale version distributes
 // the tree in blocked regions (Fig. 4c): the root block is replicated
 // on every locality, the depth-h subtree blocks are spread across
 // localities; each query spawns per-block tasks that Algorithm 2
@@ -15,9 +20,7 @@
 package tpc
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"allscale/internal/region"
 )
@@ -89,8 +92,13 @@ type Tree struct {
 }
 
 // BuildTree constructs the balanced kd-tree of the given height by
-// recursive median splits along the widest bounding-box dimension.
-// The construction is deterministic for a given point order.
+// recursive median splits along the widest bounding-box dimension. A
+// level partitions its points around the median in place (selectNth),
+// so it costs O(n) and the tree O(n·height); which of several points
+// equal on the split dimension land left of the plane is the
+// selection's choice, fixed for a given point order — the construction
+// is deterministic, and every count a query can observe is the same
+// for any such choice. points is not modified.
 func BuildTree(points []Point7, height int) *Tree {
 	t := &Tree{Height: height, Nodes: make([]KDNode, (1<<uint(height))-1)}
 	pts := append([]Point7(nil), points...)
@@ -107,14 +115,62 @@ func (t *Tree) build(id region.NodeID, pts []Point7, level int) {
 		return
 	}
 	dim := widestDim(node.Lo, node.Hi)
-	slices.SortStableFunc(pts, func(a, b Point7) int { return cmp.Compare(a[dim], b[dim]) })
 	mid := len(pts) / 2
 	node.SplitDim = dim
 	if len(pts) > 0 {
+		selectNth(pts, mid, dim)
 		node.SplitVal = pts[mid][dim]
 	}
 	t.build(id.Left(), pts[:mid], level+1)
 	t.build(id.Right(), pts[mid:], level+1)
+}
+
+// selectNth reorders pts so that pts[k] is the element a sort by
+// coordinate dim would put there, nothing before it is larger and
+// nothing after it smaller (0 <= k < len(pts)). It is a quickselect:
+// the pivot is the median of the range's first, middle and last
+// element, the partition stops on elements equal to the pivot — so a
+// run of ties splits evenly instead of degenerating — and a range of
+// a dozen elements or fewer is insertion-sorted. No randomness: the
+// same input order gives the same output order.
+func selectNth(pts []Point7, k, dim int) {
+	lo, hi := 0, len(pts)-1 // the range still holding index k, inclusive
+	for hi-lo >= 12 {
+		a, b, c := pts[lo][dim], pts[lo+(hi-lo)/2][dim], pts[hi][dim]
+		if a > b {
+			a, b = b, a
+		}
+		pivot := min(max(a, c), b) // median of the three, present in the range
+		// The pivot value occurs in pts[lo..hi], which bounds both scans
+		// on the first pass; afterwards a swapped element bounds each.
+		i, j := lo, hi
+		for i <= j {
+			for pts[i][dim] < pivot {
+				i++
+			}
+			for pts[j][dim] > pivot {
+				j--
+			}
+			if i <= j {
+				pts[i], pts[j] = pts[j], pts[i]
+				i++
+				j--
+			}
+		}
+		// pts[lo..j] <= pivot <= pts[i..hi]; anything between equals it.
+		if k <= j {
+			hi = j
+		} else if k >= i {
+			lo = i
+		} else {
+			return
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && pts[j][dim] < pts[j-1][dim]; j-- {
+			pts[j], pts[j-1] = pts[j-1], pts[j]
+		}
+	}
 }
 
 // Node returns the node with the given heap id.

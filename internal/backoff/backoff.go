@@ -14,7 +14,8 @@ import (
 // concurrent use; each retry loop owns one.
 type Timer struct {
 	base, max, cur time.Duration
-	rng            *rand.Rand
+	seed           int64
+	rng            *rand.Rand // seeded by the first draw: most timers never back off
 	timer          *time.Timer
 }
 
@@ -25,7 +26,7 @@ func New(base, max time.Duration, seed int64) *Timer {
 	if base <= 0 || max < base {
 		panic(fmt.Sprintf("backoff: need 0 < base <= max, got %v..%v", base, max))
 	}
-	return &Timer{base: base, max: max, cur: base, rng: rand.New(rand.NewSource(seed))}
+	return &Timer{base: base, max: max, cur: base, seed: seed}
 }
 
 // Reset rewinds the backoff to its base delay (call after progress).
@@ -37,6 +38,9 @@ func (b *Timer) Saturate() { b.cur = b.max }
 
 // next draws the jittered current delay and doubles the backoff.
 func (b *Timer) next() time.Duration {
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(b.seed))
+	}
 	d := b.cur/2 + time.Duration(b.rng.Int63n(int64(b.cur)))
 	if b.cur < b.max {
 		b.cur *= 2

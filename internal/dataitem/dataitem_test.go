@@ -404,6 +404,58 @@ func TestGridRowContract(t *testing.T) {
 	})
 }
 
+// TestTreeRefContract: Ref hands out the node's payload slot itself — a
+// Resize that keeps the node keeps the pointer, what is written through
+// it is what At and Extract read, and a node outside the cover panics
+// as it does for At.
+func TestTreeRefContract(t *testing.T) {
+	const height = 4
+	typ := NewTreeType[int]("treeR", height)
+	f := typ.NewFragment().(*TreeFragment[int])
+	left := TreeItemRegion{T: region.SubtreeRegion(height, 2)}
+	if err := f.Resize(left); err != nil {
+		t.Fatal(err)
+	}
+	ref := f.Ref(5)
+	*ref = 50
+	if f.At(5) != 50 {
+		t.Fatal("a write through Ref is not what At reads")
+	}
+	f.Set(5, 51)
+	if *ref != 51 {
+		t.Fatal("Ref does not alias the slot Set writes")
+	}
+	// Grow to the whole tree, then shrink to node 5's own subtree: the
+	// node is covered throughout.
+	for _, r := range []Region{typ.FullRegion(), TreeItemRegion{T: region.SubtreeRegion(height, 5)}} {
+		if err := f.Resize(r); err != nil {
+			t.Fatal(err)
+		}
+		if f.Ref(5) != ref {
+			t.Fatalf("resize to %v moved a covered node's slot", r)
+		}
+	}
+	*ref = 52
+	data, err := f.Extract(TreeItemRegion{T: region.SingleNodeRegion(height, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := typ.NewFragment().(*TreeFragment[int])
+	g.Resize(typ.FullRegion())
+	if _, err := g.Insert(data); err != nil {
+		t.Fatal(err)
+	}
+	if g.At(5) != 52 {
+		t.Fatalf("Extract read %d, want the 52 written through Ref", g.At(5))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Ref outside the cover did not panic")
+		}
+	}()
+	f.Ref(4)
+}
+
 func TestTreeFragmentBasics(t *testing.T) {
 	typ := NewTreeType[string]("tree", 4)
 	if got := typ.FullRegion().Size(); got != 15 {

@@ -141,6 +141,14 @@ func (f *TreeFragment[T]) slot(op string, n region.NodeID) *T {
 // fragment (a missing data requirement).
 func (f *TreeFragment[T]) At(n region.NodeID) T { return *f.slot("access to", n) }
 
+// Ref returns the payload slot of node n itself — the tree's Row: no
+// copy of the payload is made, and a Resize that keeps n carries the
+// slot over, so the pointer stays the node's storage. It is valid for
+// as long as the task holds the requirement that covers n and grants
+// what that requirement grants: a read requirement does not license a
+// write through it. Same containment contract as At.
+func (f *TreeFragment[T]) Ref(n region.NodeID) *T { return f.slot("access to", n) }
+
 // Set stores v at node n; same containment contract as At.
 func (f *TreeFragment[T]) Set(n region.NodeID, v T) { *f.slot("write to", n) = v }
 

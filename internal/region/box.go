@@ -2,6 +2,7 @@ package region
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -108,8 +109,16 @@ func (b Box) Intersect(o Box) Box {
 	return r
 }
 
-// Intersects reports whether two boxes share at least one point.
-func (b Box) Intersects(o Box) bool { return !b.Intersect(o).IsEmpty() }
+// Intersects reports whether two boxes share at least one point. It
+// decides from the corners: no intersection box is built.
+func (b Box) Intersects(o Box) bool {
+	for i := range b.Min {
+		if min(b.Max[i], o.Max[i]) <= max(b.Min[i], o.Min[i]) {
+			return false
+		}
+	}
+	return len(b.Min) > 0
+}
 
 // subtract returns a set of disjoint boxes covering b ∖ o, using slab
 // decomposition along each axis (at most 2·dims pieces).
@@ -280,8 +289,17 @@ func (s BoxSet) Difference(o BoxSet) BoxSet {
 }
 
 // Equal reports extensional equality: the same points are covered,
-// regardless of how they are decomposed into boxes.
+// regardless of how they are decomposed into boxes. Two cases are
+// answered without allocating — the same decomposition box for box (a
+// lookup key against a probe built by the same code) and a different
+// number of points — the rest by the two differences.
 func (s BoxSet) Equal(o BoxSet) bool {
+	if slices.EqualFunc(s.boxes, o.boxes, func(a, b Box) bool { return a.Min.Equal(b.Min) && a.Max.Equal(b.Max) }) {
+		return true
+	}
+	if s.Size() != o.Size() {
+		return false
+	}
 	return s.Difference(o).IsEmpty() && o.Difference(s).IsEmpty()
 }
 

@@ -125,6 +125,38 @@ func TestBoxSetEqualExtensional(t *testing.T) {
 	}
 }
 
+// TestBoxSetEqualFastPaths: a locate-cache lookup compares its probe
+// with every entry under the manager's lock, and both outcomes it meets
+// there — another region (another size) and the same region built by
+// the same code (the same boxes) — are decided without allocating; so
+// is Box.Intersects.
+func TestBoxSetEqualFastPaths(t *testing.T) {
+	build := func(shift int) BoxSet {
+		return NewBoxSet(
+			NewBox(Point{shift, 0}, Point{shift + 8, 64}),
+			NewBox(Point{shift + 4, 10}, Point{shift + 12, 20}),
+		)
+	}
+	key, probe, other := build(0), build(0), build(0).Union(BoxFromTo(Point{40, 0}, Point{41, 1}))
+	shifted := build(1) // same size, same shape, other points: the slow path
+	if !key.Equal(probe) || key.Equal(other) || key.Equal(shifted) || !(BoxSet{}).Equal(BoxSet{}) {
+		t.Fatal("Equal answers wrongly")
+	}
+	a, b := key.boxes[0], other.boxes[len(other.boxes)-1]
+	if a.Intersects(b) || !a.Intersects(a) || (Box{}).Intersects(a) {
+		t.Fatal("Intersects answers wrongly")
+	}
+	for name, fn := range map[string]func(){
+		"Equal, same boxes":      func() { key.Equal(probe) },
+		"Equal, different sizes": func() { key.Equal(other) },
+		"Intersects":             func() { a.Intersects(b); a.Intersects(a) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+	}
+}
+
 func TestBoxSetForEachPoint(t *testing.T) {
 	s := NewBoxSet(NewBox(Point{0, 0}, Point{2, 2}), NewBox(Point{10, 10}, Point{11, 12}))
 	var pts []string
