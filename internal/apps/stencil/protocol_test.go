@@ -22,28 +22,8 @@ import (
 // and the locate RPCs it cost.
 func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, locates map[string]int, locateRPCs uint64) {
 	t.Helper()
-	const n = 64
-	sys := core.NewSystem(core.Config{Localities: 2, TraceCapacity: 1 << 16})
-	app := NewAllScale(sys, Params{N: n, C: 0.1, MinGrain: 2048})
-	sys.Start()
+	sys, step := startSteps(t, core.Config{TraceCapacity: 1 << 16})
 	defer sys.Close()
-	if err := app.CreateItems(); err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Init(); err != nil {
-		t.Fatal(err)
-	}
-	halves := [2][2]region.Point{
-		{{1, 1}, {n / 2, n - 1}},
-		{{n / 2, 1}, {n - 1, n - 1}},
-	}
-	step := func(s int) {
-		for _, h := range halves {
-			if err := sys.PFor("stencil.step", h[0], h[1], []byte{byte(s % 2)}); err != nil {
-				t.Fatalf("step %d: %v", s, err)
-			}
-		}
-	}
 	for s := 0; s < warmup; s++ {
 		step(s)
 	}
@@ -132,6 +112,35 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, loc
 	return calls, awaited, locates, locateRPCs
 }
 
+// startSteps starts a 64² stencil on 2 in-process localities and
+// returns the system and step s, issued as its two locality-sized
+// halves, the way the stencil-halo benchmark workload issues it.
+func startSteps(t *testing.T, cfg core.Config) (*core.System, func(s int)) {
+	t.Helper()
+	const n = 64
+	cfg.Localities = 2
+	sys := core.NewSystem(cfg)
+	app := NewAllScale(sys, Params{N: n, C: 0.1, MinGrain: 2048})
+	sys.Start()
+	if err := app.CreateItems(); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Init(); err != nil {
+		t.Fatal(err)
+	}
+	halves := [2][2]region.Point{
+		{{1, 1}, {n / 2, n - 1}},
+		{{n / 2, 1}, {n - 1, n - 1}},
+	}
+	return sys, func(s int) {
+		for _, h := range halves {
+			if err := sys.PFor("stencil.step", h[0], h[1], []byte{byte(s % 2)}); err != nil {
+				t.Fatalf("step %d: %v", s, err)
+			}
+		}
+	}
+}
+
 func formatCalls(calls map[string]int) string {
 	methods := make([]string, 0, len(calls))
 	for m := range calls {
@@ -177,5 +186,25 @@ func TestStencilStepProtocolCounts(t *testing.T) {
 	if formatCalls(again) != formatCalls(calls) || againAwaited != awaited || againLocates != locateRPCs {
 		t.Errorf("counts do not repeat: step 20%s (%d locate RPCs), step 21%s (%d)",
 			formatCalls(calls), locateRPCs, formatCalls(again), againLocates)
+	}
+}
+
+// TestStencilStepAllocs is the allocation budget of the same
+// steady-state step, every goroutine of the process counted: placement,
+// staging, the lock and sharer bookkeeping, the drops, the kernel, the
+// release and its refresh, the codecs and the transport. PR 25's parent
+// needed 977 objects a step; its region algebra, allocating only its
+// answers, and its map-free placement brought that to about 345.
+func TestStencilStepAllocs(t *testing.T) {
+	sys, step := startSteps(t, core.Config{})
+	defer sys.Close()
+	s := 0
+	for ; s < 20; s++ {
+		step(s)
+	}
+	allocs := testing.AllocsPerRun(200, func() { step(s); s++ })
+	t.Logf("%.0f allocations per step", allocs)
+	if allocs > 600 {
+		t.Errorf("%.0f allocations per step, want at most 600", allocs)
 	}
 }

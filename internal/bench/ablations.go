@@ -40,15 +40,23 @@ func TreeRegionAblation(heights []int, duration time.Duration) []TreeRegionRow {
 	for _, h := range heights {
 		rng := rand.New(rand.NewSource(int64(h)))
 
-		// Flexible regions: random subtree unions.
-		flex := make([]region.TreeRegion, 16)
-		for i := range flex {
-			r := region.EmptyTreeRegion(h)
-			for j := 0; j < 4; j++ {
-				node := region.NodeID(1 + rng.Int63n(int64(1)<<uint(h)-1))
-				r = r.Union(region.SubtreeRegion(h, node))
+		// Blocked regions: random block masks at blocking height h/2.
+		bh := h / 2
+		if bh < 1 {
+			bh = 1
+		}
+		blocked := make([]region.BlockedTreeRegion, 16)
+		for i := range blocked {
+			r := region.NewBlockedTreeRegion(h, bh)
+			for j := 0; j < r.Blocks()/4+1; j++ {
+				r = r.WithBlock(rng.Intn(r.Blocks()))
 			}
-			flex[i] = r
+			blocked[i] = r
+		}
+		// The same regions in the flexible scheme.
+		flex := make([]region.TreeRegion, len(blocked))
+		for i, r := range blocked {
+			flex[i] = r.ToTreeRegion()
 		}
 		ops := 0
 		deadline := time.Now().Add(duration)
@@ -66,19 +74,6 @@ func TreeRegionAblation(heights []int, duration time.Duration) []TreeRegionRow {
 			Granularity:  "arbitrary node sets",
 		})
 
-		// Blocked regions: random block masks at blocking height h/2.
-		bh := h / 2
-		if bh < 1 {
-			bh = 1
-		}
-		blocked := make([]region.BlockedTreeRegion, 16)
-		for i := range blocked {
-			r := region.NewBlockedTreeRegion(h, bh)
-			for j := 0; j < r.Blocks()/4+1; j++ {
-				r = r.WithBlock(rng.Intn(r.Blocks()))
-			}
-			blocked[i] = r
-		}
 		ops = 0
 		deadline = time.Now().Add(duration)
 		for time.Now().Before(deadline) {

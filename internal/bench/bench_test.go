@@ -138,6 +138,13 @@ func TestTreeRegionAblationShape(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// Each row's best of three rounds: a 10 ms window that loses the
+	// processor to another test measures the machine, not the scheme.
+	for range 2 {
+		for i, r := range TreeRegionAblation([]int{10, 14}, 10*time.Millisecond) {
+			rows[i].OpsPerSecond = max(rows[i].OpsPerSecond, r.OpsPerSecond)
+		}
+	}
 	// Blocked must beat flexible at equal height by a wide margin.
 	for i := 0; i < len(rows); i += 2 {
 		flex, blocked := rows[i], rows[i+1]

@@ -50,3 +50,41 @@ func (a *pforArgs) UnmarshalWire(d *wire.Decoder) error {
 	a.Extra = d.Bytes()
 	return nil
 }
+
+// decodePForArgs is wire.Decode of a task's pforArgs through a decoder
+// on the caller's stack, calling UnmarshalWire on the concrete type: the
+// bounds are the one allocation.
+func decodePForArgs(args []byte, a *pforArgs) error {
+	var d wire.Decoder
+	d.Reset(args)
+	if err := a.UnmarshalWire(&d); err != nil {
+		return err
+	}
+	return d.Finish()
+}
+
+// pforVolume reads the iteration volume of encoded pforArgs without
+// decoding them (CanSplit needs nothing else); ok is false for
+// malformed arguments.
+func pforVolume(args []byte) (v int64, ok bool) {
+	var d wire.Decoder
+	d.Reset(args)
+	n := d.Uvarint()
+	if n > maxRangeDims {
+		return 0, false
+	}
+	var lo [maxRangeDims]int
+	for i := range n {
+		lo[i] = d.Int()
+	}
+	v = min(int64(n), 1) // Range.Volume: a 0-d range is empty
+	for i := range n {
+		if hi := d.Int(); hi > lo[i] {
+			v *= int64(hi - lo[i])
+		} else {
+			v = 0
+		}
+	}
+	d.Bytes()
+	return v, d.Finish() == nil
+}

@@ -6,7 +6,6 @@ import (
 	"allscale/internal/dim"
 	"allscale/internal/region"
 	"allscale/internal/sched"
-	"allscale/internal/wire"
 )
 
 // Range is an N-dimensional half-open iteration range [Lo, Hi), the
@@ -39,11 +38,19 @@ func (r Range) Split() (Range, Range) {
 		}
 	}
 	mid := r.Lo[widest] + extent/2
-	left := Range{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
-	right := Range{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
-	left.Hi[widest] = mid
-	right.Lo[widest] = mid
-	return left, right
+	return r.span(widest, r.Lo[widest], mid), r.span(widest, mid, r.Hi[widest])
+}
+
+// span returns a copy of r spanning [lo, hi) on axis d, its two bounds
+// in one allocation.
+func (r Range) span(d, lo, hi int) Range {
+	n := len(r.Lo)
+	b := make(region.Point, 2*n)
+	s := Range{Lo: b[:n:n], Hi: b[n:]}
+	copy(s.Lo, r.Lo)
+	copy(s.Hi, r.Hi)
+	s.Lo[d], s.Hi[d] = lo, hi
+	return s
 }
 
 // ForEach invokes fn for every point of the range in row-major order;
@@ -128,23 +135,24 @@ func RegisterPFor(sys *System, spec PForSpec) {
 		return &sched.Kind{
 			Name: spec.Name,
 			CanSplit: func(args []byte) bool {
-				var a pforArgs
-				if err := wire.Decode(args, &a); err != nil {
-					return false
-				}
-				return a.R.Volume() > grain
+				v, ok := pforVolume(args)
+				return ok && v > grain
 			},
 			Split: func(ctx *sched.Ctx) (any, error) {
 				var a pforArgs
-				if err := ctx.Args(&a); err != nil {
+				if err := decodePForArgs(ctx.RawArgs(), &a); err != nil {
 					return nil, err
 				}
+				// Spawn encodes the arguments before it returns: one value
+				// serves both children.
 				l, r := a.R.Split()
-				lf, err := ctx.Spawn(spec.Name, &pforArgs{R: l, Extra: a.Extra}, 0)
+				child := &pforArgs{R: l, Extra: a.Extra}
+				lf, err := ctx.Spawn(spec.Name, child, 0)
 				if err != nil {
 					return nil, err
 				}
-				rf, err := ctx.Spawn(spec.Name, &pforArgs{R: r, Extra: a.Extra}, 1)
+				child.R = r
+				rf, err := ctx.Spawn(spec.Name, child, 1)
 				if err != nil {
 					// The left child is already in flight: wait for it so
 					// an error return still implies the whole subtree has
@@ -165,14 +173,14 @@ func RegisterPFor(sys *System, spec PForSpec) {
 					return nil
 				}
 				var a pforArgs
-				if err := wire.Decode(args, &a); err != nil {
+				if err := decodePForArgs(args, &a); err != nil {
 					return nil
 				}
 				return spec.Reqs(a.R, a.Extra)
 			},
 			Process: func(ctx *sched.Ctx) (any, error) {
 				var a pforArgs
-				if err := ctx.Args(&a); err != nil {
+				if err := decodePForArgs(ctx.RawArgs(), &a); err != nil {
 					return nil, err
 				}
 				body(ctx, a.R, a.Extra)

@@ -79,6 +79,30 @@ type Type interface {
 	NewFragment() Fragment
 }
 
+// Fits reports, as an error, whether r is a region of the items whose
+// whole region (Type.FullRegion) is full: the same scheme and, for grids
+// and trees, the same dimensionality or height. The algebra panics on a
+// region that does not fit, because within a process combining one is a
+// programming error; a region decoded from a peer's frame is checked
+// with Fits before it meets the item's own.
+func Fits(r, full Region) error {
+	ok := false
+	switch f := full.(type) {
+	case GridRegion:
+		g, grid := r.(GridRegion)
+		ok = grid && (g.B.IsEmpty() || g.B.Dims() == f.B.Dims())
+	case TreeItemRegion:
+		t, tree := r.(TreeItemRegion)
+		ok = tree && (t.T.Height() == f.T.Height() || t.T.Height() == 0 && t.T.IsEmpty())
+	case IntervalRegion:
+		_, ok = r.(IntervalRegion)
+	}
+	if !ok {
+		return fmt.Errorf("dataitem: region %v (%T) does not fit an item whose region is %v", r, r, full)
+	}
+	return nil
+}
+
 // typeMismatch panics uniformly on cross-type region operations; such
 // a combination is always a programming error.
 func typeMismatch(op string, a, b Region) {

@@ -38,12 +38,12 @@ func (t *GridType[T]) FullRegion() Region {
 }
 
 // EmptyRegion implements Type.
-func (t *GridType[T]) EmptyRegion() Region { return GridRegion{} }
+func (t *GridType[T]) EmptyRegion() Region { return emptyGrid }
 
 // NewFragment implements Type.
 func (t *GridType[T]) NewFragment() Fragment {
 	f := &GridFragment[T]{dims: len(t.size)}
-	f.state.Store(&gridState[T]{})
+	f.state.Store(&gridState[T]{region: emptyGrid})
 	return f
 }
 
@@ -62,9 +62,10 @@ func (b *gridBlock[T]) index(p region.Point) int {
 }
 
 // gridState is one published (cover, blocks) pair; it is never modified
-// once stored.
+// once stored. region is cover as the Region that Resize was given.
 type gridState[T any] struct {
 	cover  region.BoxSet
+	region Region
 	blocks []gridBlock[T]
 }
 
@@ -87,7 +88,7 @@ type GridFragment[T any] struct {
 var _ Fragment = (*GridFragment[int])(nil)
 
 // Region implements Fragment.
-func (f *GridFragment[T]) Region() Region { return GridRegion{B: f.state.Load().cover} }
+func (f *GridFragment[T]) Region() Region { return f.state.Load().region }
 
 // Covers reports whether point p is stored in the fragment.
 func (f *GridFragment[T]) Covers(p region.Point) bool { return f.state.Load().cover.Contains(p) }
@@ -183,7 +184,7 @@ func (f *GridFragment[T]) Resize(r Region) error {
 	for _, box := range target.Difference(old.cover).Boxes() {
 		blocks = append(blocks, gridBlock[T]{box: box, alloc: box, data: make([]T, box.Size())})
 	}
-	f.state.Store(&gridState[T]{cover: target, blocks: blocks})
+	f.state.Store(&gridState[T]{cover: target, region: r, blocks: blocks})
 	return nil
 }
 

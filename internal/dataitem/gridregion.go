@@ -11,9 +11,25 @@ type GridRegion struct {
 
 var _ Region = GridRegion{}
 
+// emptyGrid is the empty grid region, boxed once.
+var emptyGrid Region = GridRegion{}
+
 // GridRegionFromTo returns the grid region covering [min, max).
 func GridRegionFromTo(min, max region.Point) GridRegion {
 	return GridRegion{B: region.BoxFromTo(min, max)}
+}
+
+// gridResult boxes an answer of the algebra whose second operand was
+// other (holding o): an empty answer, and other when the algebra
+// returned it as it was, are handed back without boxing anew.
+func gridResult(b region.BoxSet, other Region, o region.BoxSet) Region {
+	switch {
+	case b.IsEmpty():
+		return emptyGrid
+	case b.Identical(o):
+		return other
+	}
+	return GridRegion{B: b}
 }
 
 // Union implements Region.
@@ -22,7 +38,7 @@ func (g GridRegion) Union(other Region) Region {
 	if !ok {
 		typeMismatch("union", g, other)
 	}
-	return GridRegion{B: g.B.Union(o.B)}
+	return gridResult(g.B.Union(o.B), other, o.B)
 }
 
 // Intersect implements Region.
@@ -31,7 +47,7 @@ func (g GridRegion) Intersect(other Region) Region {
 	if !ok {
 		typeMismatch("intersect", g, other)
 	}
-	return GridRegion{B: g.B.Intersect(o.B)}
+	return gridResult(g.B.Intersect(o.B), other, o.B)
 }
 
 // Difference implements Region.
@@ -40,7 +56,7 @@ func (g GridRegion) Difference(other Region) Region {
 	if !ok {
 		typeMismatch("difference", g, other)
 	}
-	return GridRegion{B: g.B.Difference(o.B)}
+	return gridResult(g.B.Difference(o.B), other, o.B)
 }
 
 // IsEmpty implements Region.

@@ -17,13 +17,35 @@ type TreeItemRegion struct {
 
 var _ Region = TreeItemRegion{}
 
+// emptyTrees holds the empty tree region of every height a NodeID can
+// address, each boxed once.
+var emptyTrees = func() (e [65]Region) {
+	for h := range e {
+		e[h] = TreeItemRegion{T: region.EmptyTreeRegion(h)}
+	}
+	return e
+}()
+
+// treeResult boxes an answer of the algebra whose second operand was
+// other (holding o): other, when the algebra returned it as it was, and
+// an empty answer are handed back without boxing anew.
+func treeResult(t region.TreeRegion, other Region, o region.TreeRegion) Region {
+	switch {
+	case t.Identical(o):
+		return other
+	case t.IsEmpty() && t.Height() >= 0 && t.Height() < len(emptyTrees):
+		return emptyTrees[t.Height()]
+	}
+	return TreeItemRegion{T: t}
+}
+
 // Union implements Region.
 func (t TreeItemRegion) Union(other Region) Region {
 	o, ok := other.(TreeItemRegion)
 	if !ok {
 		typeMismatch("union", t, other)
 	}
-	return TreeItemRegion{T: t.T.Union(o.T)}
+	return treeResult(t.T.Union(o.T), other, o.T)
 }
 
 // Intersect implements Region.
@@ -32,7 +54,7 @@ func (t TreeItemRegion) Intersect(other Region) Region {
 	if !ok {
 		typeMismatch("intersect", t, other)
 	}
-	return TreeItemRegion{T: t.T.Intersect(o.T)}
+	return treeResult(t.T.Intersect(o.T), other, o.T)
 }
 
 // Difference implements Region.
@@ -41,7 +63,7 @@ func (t TreeItemRegion) Difference(other Region) Region {
 	if !ok {
 		typeMismatch("difference", t, other)
 	}
-	return TreeItemRegion{T: t.T.Difference(o.T)}
+	return treeResult(t.T.Difference(o.T), other, o.T)
 }
 
 // IsEmpty implements Region.

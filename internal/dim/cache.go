@@ -92,6 +92,9 @@ func (m *Manager) handleCacheInval(_ int, args *cinvArgs) (*struct{}, error) {
 	if !ok {
 		return &struct{}{}, nil
 	}
+	if err := st.fits(args.Region); err != nil {
+		return nil, err
+	}
 	m.dropIntersectingLocked(st, args.Region)
 	return &struct{}{}, nil
 }

@@ -80,7 +80,10 @@ type sides struct {
 
 // itemState is the per-item bookkeeping of one manager.
 type itemState struct {
-	typ   dataitem.Type
+	typ dataitem.Type
+	// full is elems(d), what a region from a peer's frame has to fit
+	// (fits) before it meets the item's own.
+	full  dataitem.Region
 	frag  dataitem.Fragment
 	locks []lockEntry
 	// index maps level -> child coverages, for the levels at which
@@ -128,6 +131,11 @@ type itemState struct {
 	// unused is non-empty, so the steady read path pays one IsEmpty.
 	used, unused dataitem.Region
 }
+
+// fits checks a region decoded from a peer's frame against the item
+// (dataitem.Fits): the algebra panics on one of another scheme,
+// dimensionality or tree height, and a handler answers with the error.
+func (st *itemState) fits(r dataitem.Region) error { return dataitem.Fits(r, st.full) }
 
 // pin is a lock the manager holds on a peer's behalf, outside any
 // local acquisition: in read mode on a part exported to the peer, until

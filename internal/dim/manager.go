@@ -190,6 +190,7 @@ func (m *Manager) handleCreate(_ int, args *createArgs) (*struct{}, error) {
 	}
 	m.items[args.ID] = &itemState{
 		typ:       typ,
+		full:      typ.FullRegion(),
 		frag:      typ.NewFragment(),
 		index:     make(map[int]*sides),
 		ver:       make(map[int]uint64),
@@ -318,6 +319,9 @@ func (m *Manager) applyReport(id ItemID, level int, left bool, region dataitem.R
 	defer m.mu.Unlock()
 	st, err := m.itemLocked(id)
 	if err != nil {
+		return nil, 0, false, err
+	}
+	if err := st.fits(region); err != nil {
 		return nil, 0, false, err
 	}
 	s := st.index[level]
@@ -560,6 +564,9 @@ func (m *Manager) callResolveBatch(dst int, reqs []batchReq) ([][]Located, error
 }
 
 func (m *Manager) handleResolveBatch(_ int, args *batchArgs) (*batchReply, error) {
+	if err := m.fitsAll(args.Reqs); err != nil {
+		return nil, err
+	}
 	res, err := m.resolveMulti(args.Reqs)
 	if err != nil {
 		return nil, err
@@ -569,6 +576,26 @@ func (m *Manager) handleResolveBatch(_ int, args *batchArgs) (*batchReply, error
 		reply.Replies[i].Entries = entries
 	}
 	return reply, nil
+}
+
+// fitsAll checks the regions of a peer's resolution requests against
+// their items; a nil one asks for nothing (resolveMulti skips it).
+func (m *Manager) fitsAll(reqs []batchReq) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, rq := range reqs {
+		if rq.Region == nil {
+			continue
+		}
+		st, err := m.itemLocked(rq.Item)
+		if err != nil {
+			return err
+		}
+		if err := st.fits(rq.Region); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Owners returns every copy of every segment of r: unlike Lookup it
@@ -708,6 +735,9 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := st.fits(args.Region); err != nil {
+			return nil, err
+		}
 		if !st.writeLocked(args.Region) {
 			part := args.Region.Intersect(st.frag.Region())
 			if part.IsEmpty() {
@@ -783,6 +813,9 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 	for {
 		st, err := m.itemLocked(args.Item)
 		if err != nil {
+			return nil, err
+		}
+		if err := st.fits(args.Region); err != nil {
 			return nil, err
 		}
 		part := args.Region.Intersect(st.frag.Region())
@@ -942,6 +975,9 @@ func (m *Manager) handleClaim(_ int, args *claimArgs) (*claimReply, error) {
 	defer m.mu.Unlock()
 	st, err := m.itemLocked(args.Item)
 	if err != nil {
+		return nil, err
+	}
+	if err := st.fits(args.Region); err != nil {
 		return nil, err
 	}
 	granted := args.Region

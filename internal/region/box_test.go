@@ -41,7 +41,7 @@ func TestBoxIntersect(t *testing.T) {
 func TestBoxSubtract(t *testing.T) {
 	a := NewBox(Point{0, 0}, Point{10, 10})
 	b := NewBox(Point{3, 3}, Point{7, 7})
-	pieces := a.subtract(b)
+	pieces := a.subtract(b, nil)
 	var total int64
 	for i, p := range pieces {
 		total += p.Size()
@@ -57,10 +57,48 @@ func TestBoxSubtract(t *testing.T) {
 	if total != a.Size()-b.Size() {
 		t.Fatalf("subtract volume = %d, want %d", total, a.Size()-b.Size())
 	}
-	// Subtracting a disjoint box leaves the original.
-	pieces = a.subtract(NewBox(Point{50, 50}, Point{60, 60}))
-	if len(pieces) != 1 || pieces[0].Size() != a.Size() {
+	// Subtracting a disjoint box passes the original through, corners
+	// and all; a covering one leaves nothing.
+	pieces = a.subtract(NewBox(Point{50, 50}, Point{60, 60}), nil)
+	if len(pieces) != 1 || &pieces[0].Min[0] != &a.Min[0] || &pieces[0].Max[0] != &a.Max[0] {
 		t.Fatalf("disjoint subtract changed box: %v", pieces)
+	}
+	if pieces = b.subtract(a, nil); len(pieces) != 0 {
+		t.Fatalf("covered subtract left %v", pieces)
+	}
+}
+
+// TestBoxCornersShareOneBlock: a box the package builds holds both its
+// corners in one allocation, and Intersect builds a box only where
+// neither operand is the answer.
+func TestBoxCornersShareOneBlock(t *testing.T) {
+	a := NewBox(Point{0, 0, 0}, Point{8, 8, 8})
+	if got := testing.AllocsPerRun(100, func() { NewBox(a.Min, a.Max) }); got != 1 {
+		t.Errorf("NewBox: %v allocations, want 1", got)
+	}
+	inner := NewBox(Point{2, 2, 2}, Point{4, 4, 4})
+	if in := a.Intersect(inner); &in.Min[0] != &inner.Min[0] {
+		t.Errorf("a box inside the other is not returned as it is")
+	}
+	if in := inner.Intersect(a); &in.Min[0] != &inner.Min[0] {
+		t.Errorf("a box inside the other is not returned as it is")
+	}
+	far := NewBox(Point{9, 0, 0}, Point{10, 8, 8})
+	if in := a.Intersect(far); !in.IsEmpty() {
+		t.Errorf("disjoint boxes intersect in %v", in)
+	}
+	for _, c := range []struct {
+		name string
+		o    Box
+		want float64
+	}{
+		{"disjoint", far, 0},
+		{"inside", inner, 0},
+		{"partial", NewBox(Point{4, 4, 4}, Point{12, 12, 12}), 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { a.Intersect(c.o) }); got != c.want {
+			t.Errorf("Intersect %s: %v allocations, want %v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -210,8 +248,53 @@ func (boxPair) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(boxPair{A: randomBoxSet(r, dims), B: randomBoxSet(r, dims)})
 }
 
+// boxRelations are the ways a second operand can relate to the first
+// that the set algebra answers by short cuts: every box inside a box of
+// the other, around it, sharing a face with it, the same boxes (rebuilt,
+// or the very same set), far away — and no relation at all.
+var boxRelations = []string{"contained", "containing", "touching", "identical", "self", "disjoint", "random"}
+
+// relatedBoxSet builds a second operand in relation rel to a.
+func relatedBoxSet(r *rand.Rand, a BoxSet, rel string) BoxSet {
+	switch rel {
+	case "self":
+		return a
+	case "random":
+		return randomBoxSet(r, max(a.dims, 1))
+	}
+	var boxes []Box
+	for _, x := range a.boxes {
+		y := NewBox(x.Min, x.Max)
+		k := r.Intn(len(x.Min))
+		for d := range y.Min {
+			switch rel {
+			case "contained":
+				y.Min[d] += r.Intn(x.Max[d] - x.Min[d])
+				y.Max[d] = y.Min[d] + 1 + r.Intn(x.Max[d]-y.Min[d])
+			case "containing":
+				y.Min[d] -= r.Intn(3)
+				y.Max[d] += r.Intn(3)
+			case "touching":
+				if d == k {
+					y.Min[d], y.Max[d] = x.Max[d], x.Max[d]+1+r.Intn(3)
+				}
+			case "disjoint":
+				if d == k {
+					y.Min[d] += 100
+					y.Max[d] += 100
+				}
+			}
+		}
+		boxes = append(boxes, y)
+	}
+	return NewBoxSet(boxes...)
+}
+
 // TestBoxSetAgainstGroundTruth property-checks all operations against
-// explicit point enumeration in 1 to 3 dimensions.
+// explicit point enumeration in 1 to 3 dimensions: random pairs, and
+// pairs in each of boxRelations. No operation changes an operand —
+// whose String is taken before and after every operation, on results
+// too, which may share storage with their operands.
 func TestBoxSetAgainstGroundTruth(t *testing.T) {
 	f := func(p boxPair) bool {
 		ra, rb := boxRef(p.A), boxRef(p.B)
@@ -222,6 +305,96 @@ func TestBoxSetAgainstGroundTruth(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+
+	ops := map[string]func(a, b BoxSet) BoxSet{
+		"∪": BoxSet.Union, "∩": BoxSet.Intersect, "∖": BoxSet.Difference,
+	}
+	refs := map[string]func(a, b ElemSet[string]) ElemSet[string]{
+		"∪": ElemSet[string].Union, "∩": ElemSet[string].Intersect, "∖": ElemSet[string].Difference,
+	}
+	r := rand.New(rand.NewSource(25))
+	for dims := 1; dims <= 3; dims++ {
+		for _, rel := range boxRelations {
+			for range 100 {
+				a := randomBoxSet(r, dims)
+				b := relatedBoxSet(r, a, rel)
+				sets := []BoxSet{a, b}
+				// Every result is combined again with both operands.
+				for name, op := range ops {
+					for _, pair := range [][2]BoxSet{{a, b}, {b, a}} {
+						x, y := pair[0], pair[1]
+						before := x.String() + " " + y.String()
+						z := op(x, y)
+						if after := x.String() + " " + y.String(); after != before {
+							t.Fatalf("%d-d %s: %s changed its operands: %s -> %s", dims, rel, name, before, after)
+						}
+						if want := refs[name](boxRef(x), boxRef(y)); !boxRef(z).Equal(want) {
+							t.Fatalf("%d-d %s: %v %s %v = %v, want %v", dims, rel, x, name, y, z, want)
+						}
+						sets = append(sets, z)
+					}
+				}
+				snap := make([]string, len(sets))
+				for i, s := range sets {
+					snap[i] = s.String()
+				}
+				for _, z := range sets[2:] {
+					for _, op := range ops {
+						op(z, a)
+						op(a, z)
+						op(z, b)
+					}
+				}
+				for i, s := range sets {
+					if s.String() != snap[i] {
+						t.Fatalf("%d-d %s: set %d changed from %s to %s", dims, rel, i, snap[i], s)
+					}
+				}
+				if !a.Equal(relatedBoxSet(r, a, "identical")) {
+					t.Fatalf("%d-d: %v rebuilt is not Equal to itself", dims, a)
+				}
+			}
+		}
+	}
+}
+
+// TestBoxSetAlgebraAllocatesOnlyItsAnswer pins the short cuts: an
+// operand that is the answer costs nothing, and a covered intersection
+// at most the slice of its boxes.
+func TestBoxSetAlgebraAllocatesOnlyItsAnswer(t *testing.T) {
+	row := func(x int) BoxSet { return BoxFromTo(Point{x, 0}, Point{x + 1, 64}) }
+	field := BoxFromTo(Point{0, 0}, Point{32, 64})
+	halo := row(31).Union(row(32)) // one row inside field, one outside
+	inner := halo.Intersect(field)
+	far := row(40).Union(row(50))
+	rows := row(3).Union(row(7)).Union(row(40))
+	r5 := row(5)
+	for _, c := range []struct {
+		name       string
+		fn         func() BoxSet
+		want, same BoxSet // same: the operand the answer is, if any
+		max        float64
+	}{
+		{"difference by a disjoint set", func() BoxSet { return field.Difference(far) }, field, field, 0},
+		{"difference by a covering set", func() BoxSet { return r5.Difference(field) }, BoxSet{}, BoxSet{}, 0},
+		{"intersection with a covered set", func() BoxSet { return field.Intersect(inner) }, row(31), inner, 0},
+		{"intersection with a covering set", func() BoxSet { return inner.Intersect(field) }, row(31), inner, 0},
+		{"intersection with a disjoint set", func() BoxSet { return field.Intersect(far) }, BoxSet{}, BoxSet{}, 0},
+		{"covered intersection", func() BoxSet { return field.Intersect(rows) }, row(3).Union(row(7)), BoxSet{}, 1},
+		{"union with a covered set", func() BoxSet { return field.Union(r5) }, field, field, 0},
+		{"union with the empty set", func() BoxSet { return (BoxSet{}).Union(far) }, far, far, 0},
+	} {
+		got := c.fn()
+		if !got.Equal(c.want) {
+			t.Errorf("%s = %v, want %v", c.name, got, c.want)
+		}
+		if !c.same.IsEmpty() && !got.Identical(c.same) {
+			t.Errorf("%s: not the operand %v itself", c.name, c.same)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.fn() }); n > c.max {
+			t.Errorf("%s: %v allocations, want at most %v", c.name, n, c.max)
+		}
 	}
 }
 

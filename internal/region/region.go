@@ -28,8 +28,9 @@ package region
 // "self-type" generic interface: a concrete region type R implements
 // Region[R], so that the algebra stays closed over the concrete type.
 //
-// All operations must be pure: they return new values and leave their
-// operands untouched.
+// All operations must be pure: they leave their operands untouched, and
+// the values they return are immutable too, so an answer may share
+// storage with an operand or be one.
 type Region[R any] interface {
 	// Union returns the set union of the receiver and other.
 	Union(other R) R

@@ -200,47 +200,104 @@ func (n *shapeNode) childParts(levels int) (self bool, left, right *shapeNode) {
 	}
 }
 
-func combine(a, b *shapeNode, levels int, op func(bool, bool) bool) *shapeNode {
+// setOp names the operation combine applies node by node.
+type setOp uint8
+
+const (
+	opUnion setOp = iota
+	opIntersect
+	opDifference
+)
+
+func (op setOp) apply(a, b bool) bool {
+	switch op {
+	case opUnion:
+		return a || b
+	case opIntersect:
+		return a && b
+	}
+	return a && !b
+}
+
+// decided returns the result of op on a and b when one of them decides
+// it alone — the operand that is the answer, or the empty node — and nil
+// when both subtries have to be walked.
+func (op setOp) decided(a, b *shapeNode) *shapeNode {
+	switch op {
+	case opUnion:
+		if a.state == shapeFull || b.state == shapeEmpty {
+			return a
+		}
+		if b.state == shapeFull || a.state == shapeEmpty {
+			return b
+		}
+	case opIntersect:
+		if a.state == shapeEmpty || b.state == shapeFull {
+			return a
+		}
+		if b.state == shapeEmpty || a.state == shapeFull {
+			return b
+		}
+	default:
+		if a.state == shapeEmpty || b.state == shapeEmpty {
+			return a
+		}
+		if b.state == shapeFull {
+			return emptyNode
+		}
+	}
+	return nil
+}
+
+// combine applies op to two tries. It allocates only the trie nodes its
+// answer newly contains: a subtrie equal to an operand's — one decided
+// by the other operand, or a mixed node whose children came back as
+// they were — is the operand's, shared.
+func combine(a, b *shapeNode, levels int, op setOp) *shapeNode {
 	if levels <= 0 {
 		return emptyNode
 	}
-	// Fast paths keep the trie small and the recursion shallow.
-	switch {
-	case a.state != shapeMixed && b.state != shapeMixed:
-		av, bv := a.state == shapeFull, b.state == shapeFull
-		if op(av, bv) {
-			return fullNode
-		}
-		return emptyNode
+	if n := op.decided(a, b); n != nil {
+		return n
 	}
+	// A full node meets a mixed one (a full node below the leaf level
+	// has full children); the leaf level holds no mixed nodes.
 	as, al, ar := a.childParts(levels)
 	bs, bl, br := b.childParts(levels)
-	self := op(as, bs)
-	if levels == 1 {
-		if self {
-			return fullNode
-		}
-		return emptyNode
+	self := op.apply(as, bs)
+	left, right := combine(al, bl, levels-1, op), combine(ar, br, levels-1, op)
+	switch {
+	case a.state == shapeMixed && self == a.self && left == al && right == ar:
+		return a
+	case b.state == shapeMixed && self == b.self && left == bl && right == br:
+		return b
 	}
-	return canon(self, combine(al, bl, levels-1, op), combine(ar, br, levels-1, op))
+	return canon(self, left, right)
 }
 
 // Union returns the set union of r and o.
 func (r TreeRegion) Union(o TreeRegion) TreeRegion {
 	r, o = checkCompatible(r, o)
-	return TreeRegion{height: r.height, root: combine(r.node(), o.node(), r.height, func(a, b bool) bool { return a || b })}
+	return TreeRegion{height: r.height, root: combine(r.node(), o.node(), r.height, opUnion)}
 }
 
 // Intersect returns the set intersection of r and o.
 func (r TreeRegion) Intersect(o TreeRegion) TreeRegion {
 	r, o = checkCompatible(r, o)
-	return TreeRegion{height: r.height, root: combine(r.node(), o.node(), r.height, func(a, b bool) bool { return a && b })}
+	return TreeRegion{height: r.height, root: combine(r.node(), o.node(), r.height, opIntersect)}
 }
 
 // Difference returns the nodes of r not in o.
 func (r TreeRegion) Difference(o TreeRegion) TreeRegion {
 	r, o = checkCompatible(r, o)
-	return TreeRegion{height: r.height, root: combine(r.node(), o.node(), r.height, func(a, b bool) bool { return a && !b })}
+	return TreeRegion{height: r.height, root: combine(r.node(), o.node(), r.height, opDifference)}
+}
+
+// Identical reports whether r and o are one value — the same height and
+// the same trie, as when an operation returned its operand. It answers
+// from the representation; Equal compares the nodes.
+func (r TreeRegion) Identical(o TreeRegion) bool {
+	return r.height == o.height && r.node() == o.node()
 }
 
 // IsEmpty reports whether the region contains no nodes.

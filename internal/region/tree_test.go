@@ -162,6 +162,39 @@ func TestTreeRegionAgainstGroundTruth(t *testing.T) {
 	}
 }
 
+// TestTreeRegionSharesUnchangedSubtries pins combine's short cuts: an
+// operand that is the answer — ∩ with the full region, ∖ and ∪ with the
+// empty one, or a trie whose every subtrie comes back as it was — is
+// returned as it is, without a node allocated.
+func TestTreeRegionSharesUnchangedSubtries(t *testing.T) {
+	const h = 8
+	a := TreeRegionFromSubtrees(h, []NodeID{2, 13}, []NodeID{9, 21})
+	full, empty := FullTreeRegion(h), EmptyTreeRegion(h)
+	far := SubtreeRegion(h, 7)      // disjoint from a
+	inside := SubtreeRegion(h, 8*2) // inside a
+	for _, c := range []struct {
+		name string
+		fn   func() TreeRegion
+		same TreeRegion
+	}{
+		{"a ∩ full", func() TreeRegion { return a.Intersect(full) }, a},
+		{"full ∩ a", func() TreeRegion { return full.Intersect(a) }, a},
+		{"a ∖ empty", func() TreeRegion { return a.Difference(empty) }, a},
+		{"a ∪ empty", func() TreeRegion { return a.Union(empty) }, a},
+		{"empty ∪ a", func() TreeRegion { return empty.Union(a) }, a},
+		{"a ∖ far", func() TreeRegion { return a.Difference(far) }, a},
+		{"a ∪ inside", func() TreeRegion { return a.Union(inside) }, a},
+		{"a ∩ a", func() TreeRegion { return a.Intersect(a) }, a},
+	} {
+		if got := c.fn(); !got.Identical(c.same) || !got.Equal(c.same) {
+			t.Errorf("%s = %v, want %v itself", c.name, got, c.same)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.fn() }); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", c.name, n)
+		}
+	}
+}
+
 func TestTreeRegionAlgebraicLaws(t *testing.T) {
 	f := func(p treePair) bool {
 		a, b := p.A, p.B

@@ -478,46 +478,53 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 		return -1
 	}
 
-	// Per-requirement per-rank coverage unions, plus the aggregate
-	// owned element counts driving the percolation tiers.
-	usable := s.placeable
-	var candAll, candWrite map[int]bool
+	// Per rank: the coverage of the requirement at hand, whether the rank
+	// has covered every requirement so far (every write requirement so
+	// far), and the owned element count driving the percolation tiers.
+	tally := make([]rankTally, s.loc.Size())
+	for i := range tally {
+		tally[i].all, tally[i].write = true, true
+	}
 	wroteConstraint := false
-	owned := make(map[int]int64)
 	var total int64
 	for i, rq := range active {
-		perRank := make(map[int]dataitem.Region)
-		for _, o := range ownerMaps[i] {
-			if cur, ok := perRank[o.Rank]; ok {
-				perRank[o.Rank] = cur.Union(o.Region)
-			} else {
-				perRank[o.Rank] = o.Region
-			}
+		for r := range tally {
+			tally[r].cov = nil
 		}
-		total += rq.Region.Size()
-		covering := make(map[int]bool)
-		for rank, cov := range perRank {
-			if !usable(rank) {
+		for _, o := range ownerMaps[i] {
+			if o.Rank < 0 || o.Rank >= len(tally) {
 				continue
 			}
-			owned[rank] += cov.Intersect(rq.Region).Size()
-			if rq.Region.Difference(cov).IsEmpty() {
-				covering[rank] = true
+			if t := &tally[o.Rank]; t.cov == nil {
+				t.cov = o.Region
+			} else {
+				t.cov = t.cov.Union(o.Region)
 			}
 		}
-		candAll = intersectCandidates(candAll, covering, i == 0)
-		if rq.Mode == dim.Write {
-			candWrite = intersectCandidates(candWrite, covering, !wroteConstraint)
-			wroteConstraint = true
+		size := rq.Region.Size()
+		total += size
+		for r := range tally {
+			t := &tally[r]
+			covering := false
+			if t.cov != nil && s.placeable(r) {
+				n := t.cov.Intersect(rq.Region).Size()
+				t.owned += n
+				covering = n == size
+			}
+			t.all = t.all && covering
+			if rq.Mode == dim.Write {
+				t.write = t.write && covering
+			}
 		}
+		wroteConstraint = wroteConstraint || rq.Mode == dim.Write
 	}
 
-	if rank := pickCandidate(candAll, s.loc.Rank()); rank >= 0 { // line 4
+	if rank := pickCandidate(tally, s.loc.Rank(), func(t *rankTally) bool { return t.all }); rank >= 0 { // line 4
 		s.stats.coveredAll.Inc()
 		return rank
 	}
 	if wroteConstraint {
-		if rank := pickCandidate(candWrite, s.loc.Rank()); rank >= 0 { // line 7
+		if rank := pickCandidate(tally, s.loc.Rank(), func(t *rankTally) bool { return t.write }); rank >= 0 { // line 7
 			s.stats.coveredWrite.Inc()
 			return rank
 		}
@@ -526,12 +533,12 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 	// Percolation: no rank covers the constraints. Nothing owned
 	// anywhere (pure first-touch) stays with the policy's spreading.
 	best, bestOwned := -1, int64(0)
-	for rank, n := range owned {
-		if n > bestOwned || (n == bestOwned && best >= 0 && rank < best) {
-			best, bestOwned = rank, n
+	for r := range tally {
+		if n := tally[r].owned; n > bestOwned {
+			best, bestOwned = r, n
 		}
 	}
-	if best < 0 || bestOwned == 0 {
+	if best < 0 {
 		return -1
 	}
 	// Cost of shipping the task to the majority owner: one task ship
@@ -541,7 +548,7 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 	if best == s.loc.Rank() {
 		toData -= taskShipNs // already here
 	}
-	toTask := (total - owned[s.loc.Rank()]) * elemMoveNs
+	toTask := (total - tally[s.loc.Rank()].owned) * elemMoveNs
 	if toTask < toData {
 		s.stats.percToTask.Inc()
 		return s.loc.Rank()
@@ -550,38 +557,25 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 	return best
 }
 
-// intersectCandidates folds one requirement's covering set into the
-// running candidate intersection (first selects, later ones filter).
-// The first fold copies, so the all- and write-tier intersections
-// never alias one requirement's covering set.
-func intersectCandidates(cand, covering map[int]bool, first bool) map[int]bool {
-	if first {
-		cp := make(map[int]bool, len(covering))
-		for rank := range covering {
-			cp[rank] = true
-		}
-		return cp
-	}
-	for rank := range cand {
-		if !covering[rank] {
-			delete(cand, rank)
-		}
-	}
-	return cand
+// rankTally is what placeByData knows of one rank.
+type rankTally struct {
+	cov        dataitem.Region // of the requirement at hand; nil: none
+	all, write bool            // covers every (every write) requirement so far
+	owned      int64           // required elements held, over all requirements
 }
 
-// pickCandidate prefers the local rank, then the smallest.
-func pickCandidate(cand map[int]bool, local int) int {
-	if cand[local] {
+// pickCandidate prefers the local rank, then the smallest one that is a
+// candidate.
+func pickCandidate(tally []rankTally, local int, cand func(*rankTally) bool) int {
+	if cand(&tally[local]) {
 		return local
 	}
-	best := -1
-	for rank := range cand {
-		if best < 0 || rank < best {
-			best = rank
+	for r := range tally {
+		if cand(&tally[r]) {
+			return r
 		}
 	}
-	return best
+	return -1
 }
 
 // executeNow runs one variant immediately on the calling goroutine,
@@ -694,6 +688,10 @@ func (c *Ctx) Fragment(id dim.ItemID) (dataitem.Fragment, error) {
 
 // Args decodes the task arguments into out.
 func (c *Ctx) Args(out any) error { return wire.Decode(c.spec.Args, out) }
+
+// RawArgs returns the encoded task arguments, for a body that decodes
+// them itself; read them, do not write them.
+func (c *Ctx) RawArgs() []byte { return c.spec.Args }
 
 // Spawn schedules a child task ((spawn) transition), assigning it the
 // given branch bit in the spawn tree. Waiting on the returned future

@@ -84,13 +84,10 @@ func Decode(data []byte, v any) error {
 	if v == nil {
 		return nil
 	}
-	if len(data) == 0 {
-		return fmt.Errorf("wire: empty payload")
+	d := new(Decoder)
+	if err := d.Reset(data); err != nil {
+		return err
 	}
-	if data[0] != FormatBinary {
-		return fmt.Errorf("wire: unknown format tag 0x%02x", data[0])
-	}
-	d := NewDecoder(data[1:])
 	if !decodeBuiltin(d, v) {
 		u, ok := v.(Unmarshaler)
 		if !ok {
@@ -104,6 +101,33 @@ func Decode(data []byte, v any) error {
 	// sender and the receiver disagree about the type.
 	if d.err == nil && len(d.data) != 0 {
 		d.fail("%d trailing bytes after %T", len(d.data), v)
+	}
+	return d.err
+}
+
+// Reset points d at payload, as produced by Encode, past its format
+// tag: a decoder the caller keeps and resets per payload lets a hot path
+// decode through the value's own UnmarshalWire — called on the concrete
+// type, so neither the decoder nor the value needs the heap. Finish
+// ends the payload.
+func (d *Decoder) Reset(payload []byte) error {
+	*d = Decoder{}
+	switch {
+	case len(payload) == 0:
+		d.fail("empty payload")
+	case payload[0] != FormatBinary:
+		d.fail("unknown format tag 0x%02x", payload[0])
+	default:
+		d.data = payload[1:]
+	}
+	return d.err
+}
+
+// Finish returns the first decode error of the payload Reset started,
+// or an error when bytes are left over: a payload is exactly one value.
+func (d *Decoder) Finish() error {
+	if d.err == nil && len(d.data) != 0 {
+		d.fail("%d trailing bytes after the value", len(d.data))
 	}
 	return d.err
 }
