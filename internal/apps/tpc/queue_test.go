@@ -2,7 +2,6 @@ package tpc
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,10 +81,10 @@ func TestQueueModeQueriesDoNotStarve(t *testing.T) {
 // TestLoadSplitWaitsForBothChildren: an error return from a split means
 // its whole subtree has quiesced (core/pfor.go says why). The loader's
 // split used to return on its left child's error with the right child
-// still running. Here the left leaf fails — its block is locked and rank
-// 0's lock wait is short — while the right leaf waits on rank 1 for a
-// lock the test holds. A marker task spawned behind the left leaf runs
-// only once that leaf has failed: on the split's worker, from inside
+// still running. Here the left leaf fails — its block is locked, and its
+// job is cancelled on rank 0 while it waits — while the right leaf waits
+// on rank 1 for a lock the test holds. A marker task spawned behind the
+// left leaf runs only once that leaf has failed: on the split's worker, from inside
 // the join on the right child if there is one, after the split has
 // returned if there is none. So when the marker is done the load must
 // still be pending.
@@ -103,8 +102,7 @@ func TestLoadSplitWaitsForBothChildren(t *testing.T) {
 	if app.item, err = sys.Manager(0).CreateItem(app.typ); err != nil {
 		t.Fatal(err)
 	}
-	sys.Manager(0).LockWaitTimeout = 30 * time.Millisecond
-	const token = 0x7E57
+	const token, job = 0x7E57, 7
 	for rank := 0; rank < 2; rank++ {
 		if err := sys.Manager(rank).Acquire(token, []dim.Requirement{
 			{Item: app.item, Region: p.blockRegion(rank), Mode: dim.Write},
@@ -122,7 +120,7 @@ func TestLoadSplitWaitsForBothChildren(t *testing.T) {
 	defer release() // before sys.Close: the right leaf must not outlive the test
 	defer sys.Manager(0).Release(token)
 
-	load, err := sys.Scheduler(0).Spawn("tpc.load", &loadArgs{0, 2})
+	load, err := sys.Scheduler(0).SpawnJob("tpc.load", &loadArgs{0, 2}, 0, job, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +132,12 @@ func TestLoadSplitWaitsForBothChildren(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+	// Rank 0 forgets where it sent the right leaf — HandleDeath is the
+	// registry drain a recovery runs; rank 1 stays alive — or the cancel
+	// would fail that leaf's promise on the spot (cancel.go), and the
+	// split would be right to return.
+	sys.Scheduler(0).HandleDeath(1)
+	sys.Scheduler(0).CancelJob(job)
 	if err := sys.Wait("marker", struct{}{}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +146,7 @@ func TestLoadSplitWaitsForBothChildren(t *testing.T) {
 		t.Fatalf("the split returned (%v) while its right child was still running", err)
 	}
 	release()
-	if _, err := load.Wait(); err == nil || !strings.Contains(err.Error(), "lock wait timed out") {
-		t.Fatalf("load: err = %v, want the left leaf's lock-wait timeout", err)
+	if _, err := load.Wait(); !sched.IsJobCancelled(err) {
+		t.Fatalf("load: err = %v, want the left leaf's cancellation", err)
 	}
 }

@@ -76,22 +76,3 @@ func (b *Timer) Disarm(fired bool) {
 		<-b.timer.C
 	}
 }
-
-// Sleep blocks for the next jittered delay, clamped so it never
-// overshoots deadline (a zero deadline means none). It returns an
-// error when the deadline has already passed — callers turn that into
-// their own no-progress failure.
-func (b *Timer) Sleep(deadline time.Time) error {
-	d := b.next()
-	if !deadline.IsZero() {
-		left := time.Until(deadline)
-		if left <= 0 {
-			return fmt.Errorf("backoff: deadline exceeded")
-		}
-		if d > left {
-			d = left
-		}
-	}
-	time.Sleep(d)
-	return nil
-}

@@ -53,17 +53,6 @@ func TestNewAllocatesNoSource(t *testing.T) {
 	}
 }
 
-func TestSleepHonoursDeadline(t *testing.T) {
-	b := New(time.Hour, time.Hour, 1)
-	if err := b.Sleep(time.Now().Add(-time.Second)); err == nil {
-		t.Fatal("Sleep past its deadline returned nil")
-	}
-	// An hour's delay clamped to the deadline: unclamped, the test times out.
-	if err := b.Sleep(time.Now().Add(5 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNewRejectsBadRange(t *testing.T) {
 	for _, c := range [][2]time.Duration{{0, time.Second}, {time.Second, time.Millisecond}} {
 		func() {

@@ -3,7 +3,6 @@ package dim
 import (
 	"allscale/internal/dataitem"
 	"allscale/internal/runtime"
-	"allscale/internal/wire"
 )
 
 // Locate cache (DESIGN.md §6f "Locality fast path").
@@ -63,27 +62,7 @@ type lcEntry struct {
 // methodCacheInval is the coverage-loss revocation RPC (rule 2).
 const methodCacheInval = "dim.cinv"
 
-type cinvArgs struct {
-	Item   ItemID
-	Region dataitem.Region
-}
-
-// AppendWire implements wire.Marshaler.
-func (a *cinvArgs) AppendWire(buf []byte) ([]byte, error) {
-	buf = wire.AppendUvarint(buf, uint64(a.Item))
-	return dataitem.AppendRegionWire(buf, a.Region)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (a *cinvArgs) UnmarshalWire(d *wire.Decoder) error {
-	a.Item = ItemID(d.Uvarint())
-	r, err := dataitem.DecodeRegionWire(d)
-	if err != nil {
-		return err
-	}
-	a.Region = r
-	return nil
-}
+type cinvArgs = itemRegion
 
 func (m *Manager) handleCacheInval(_ int, args *cinvArgs) (*struct{}, error) {
 	m.mu.Lock()

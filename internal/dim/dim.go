@@ -9,7 +9,6 @@ package dim
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"allscale/internal/dataitem"
 	"allscale/internal/metrics"
@@ -176,7 +175,7 @@ const (
 	// authoritative walk-evict-rewalk loop.
 	MetricRevokeDirect = "dim.revoke.direct"
 	MetricRevokeWalked = "dim.revoke.walked"
-	// MetricRevokeBackoffs counts the sleeps of write acquisitions whose
+	// MetricRevokeBackoffs counts the backoffs of write acquisitions whose
 	// walk found no root copy to take over; an uncontended ownership
 	// migration takes none.
 	MetricRevokeBackoffs = "dim.revoke.backoffs"
@@ -194,6 +193,10 @@ const (
 	// write-mode pin waited for their locks (the transfer share of the
 	// acquire wait; the rest is lock wait proper).
 	MetricRefreshWait = "dim.refresh.wait"
+	// MetricLockWait is the time each park of the one lock wait lasted
+	// (park), MetricLockWaiters how many waits are parked right now.
+	MetricLockWait    = "dim.lock_wait"
+	MetricLockWaiters = "dim.lock_wait.parked"
 )
 
 // Manager is the data item manager instance of one locality.
@@ -219,9 +222,13 @@ type Manager struct {
 	refreshBytes   *metrics.Counter
 	refreshStale   *metrics.Counter
 	refreshWait    *metrics.Histogram
+	lockWait       *metrics.Histogram
+	parked         *metrics.Gauge
 
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu sync.Mutex
+	// wake is closed by the next wakeLocked, ending every parked wait;
+	// nil while none is parked (guarded by mu).
+	wake   chan struct{}
 	items  map[ItemID]*itemState
 	seq    uint32
 	pinSeq uint64 // pin token sequence (guarded by mu)
@@ -241,41 +248,36 @@ type Manager struct {
 	// cacheOff disables the locate cache (ablations and the E13
 	// before/after measurement). Guarded by mu.
 	cacheOff bool
-
-	// LockWaitTimeout bounds how long lock-conflict waits may block
-	// before failing loudly; it converts application-level deadlocks
-	// into errors instead of hangs.
-	LockWaitTimeout time.Duration
 }
 
 // New creates the manager of loc and registers its services. All
 // managers of a system must be created before the fabric starts.
 func New(loc *runtime.Locality, reg *dataitem.Registry) *Manager {
 	m := &Manager{
-		loc:             loc,
-		reg:             reg,
-		acquires:        loc.Metrics().Counter(MetricAcquires),
-		locates:         loc.Metrics().Counter(MetricLocates),
-		acquireWait:     loc.Metrics().Histogram(MetricAcquireWait),
-		locateRPCs:      loc.Metrics().Counter(MetricLocateRPCs),
-		cacheHits:       loc.Metrics().Counter(MetricLocateCacheHits),
-		cacheMisses:     loc.Metrics().Counter(MetricLocateCacheMisses),
-		cacheInvals:     loc.Metrics().Counter(MetricLocateCacheInvals),
-		revokeDirect:    loc.Metrics().Counter(MetricRevokeDirect),
-		revokeWalked:    loc.Metrics().Counter(MetricRevokeWalked),
-		revokeBackoffs:  loc.Metrics().Counter(MetricRevokeBackoffs),
-		dropKept:        loc.Metrics().Counter(MetricDropKept),
-		dropEvicted:     loc.Metrics().Counter(MetricDropEvicted),
-		refreshSent:     loc.Metrics().Counter(MetricRefreshSent),
-		refreshBytes:    loc.Metrics().Counter(MetricRefreshBytes),
-		refreshStale:    loc.Metrics().Counter(MetricRefreshStale),
-		refreshWait:     loc.Metrics().Histogram(MetricRefreshWait),
-		items:           make(map[ItemID]*itemState),
-		pins:            make(map[uint64]pin),
-		held:            make(map[uint64][]heldPin),
-		LockWaitTimeout: 60 * time.Second,
+		loc:            loc,
+		reg:            reg,
+		acquires:       loc.Metrics().Counter(MetricAcquires),
+		locates:        loc.Metrics().Counter(MetricLocates),
+		acquireWait:    loc.Metrics().Histogram(MetricAcquireWait),
+		locateRPCs:     loc.Metrics().Counter(MetricLocateRPCs),
+		cacheHits:      loc.Metrics().Counter(MetricLocateCacheHits),
+		cacheMisses:    loc.Metrics().Counter(MetricLocateCacheMisses),
+		cacheInvals:    loc.Metrics().Counter(MetricLocateCacheInvals),
+		revokeDirect:   loc.Metrics().Counter(MetricRevokeDirect),
+		revokeWalked:   loc.Metrics().Counter(MetricRevokeWalked),
+		revokeBackoffs: loc.Metrics().Counter(MetricRevokeBackoffs),
+		dropKept:       loc.Metrics().Counter(MetricDropKept),
+		dropEvicted:    loc.Metrics().Counter(MetricDropEvicted),
+		refreshSent:    loc.Metrics().Counter(MetricRefreshSent),
+		refreshBytes:   loc.Metrics().Counter(MetricRefreshBytes),
+		refreshStale:   loc.Metrics().Counter(MetricRefreshStale),
+		refreshWait:    loc.Metrics().Histogram(MetricRefreshWait),
+		lockWait:       loc.Metrics().Histogram(MetricLockWait),
+		parked:         loc.Metrics().Gauge(MetricLockWaiters),
+		items:          make(map[ItemID]*itemState),
+		pins:           make(map[uint64]pin),
+		held:           make(map[uint64][]heldPin),
 	}
-	m.cond = sync.NewCond(&m.mu)
 	m.registerServices()
 	return m
 }

@@ -2,6 +2,7 @@ package dim
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -498,18 +499,19 @@ func TestDropReplicaRespectsLocks(t *testing.T) {
 }
 
 func TestAcquireTimeoutSurfacesDeadlock(t *testing.T) {
+	defer func(b time.Duration) { lockWaitBound = b }(lockWaitBound)
+	lockWaitBound = 200 * time.Millisecond
 	typ := dataitem.NewGridType[int]("field", p(4, 4))
 	ts := newTestSystem(t, 1, typ)
 	m := ts.managers[0]
-	m.LockWaitTimeout = 200 * time.Millisecond
 	id, _ := m.CreateItem(typ)
 	r := gr(0, 0, 4, 4)
 	if err := m.Acquire(1, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
 		t.Fatal(err)
 	}
 	err := m.Acquire(2, []Requirement{{Item: id, Region: r, Mode: Write}})
-	if err == nil {
-		t.Fatal("conflicting acquire must time out while lock held")
+	if err == nil || !strings.Contains(err.Error(), "application-level deadlock") {
+		t.Fatalf("conflicting acquire while the lock is held: err = %v, want the deadlock diagnostic", err)
 	}
 	m.Release(1)
 }

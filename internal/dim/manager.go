@@ -30,13 +30,14 @@ type (
 		Region dataitem.Region
 		Seq    uint64
 	}
-	resolveReply struct {
-		Entries []Located
-	}
-	fetchArgs struct {
+	// itemRegion names a region of one item: what a fetch, a drop and a
+	// cache revocation (cinvArgs) ask about.
+	itemRegion struct {
 		Item   ItemID
 		Region dataitem.Region
 	}
+	fetchArgs  = itemRegion
+	dropArgs   = itemRegion
 	fetchReply struct {
 		Data []byte
 		// Part is the region actually exported — the request clipped
@@ -64,13 +65,10 @@ type (
 		// the part whose root copy exists nowhere yet; with both set
 		// (first touch) the grant is the part that passes both.
 		Alloc, Root bool
+		Epoch       uint64 // the claimant's recovery epoch (handleClaim)
 	}
 	claimReply struct {
 		Granted dataitem.Region
-	}
-	dropArgs struct {
-		Item   ItemID
-		Region dataitem.Region
 	}
 	dropReply struct {
 		// Sharers are the evicted holder's own lent records intersecting
@@ -103,7 +101,7 @@ type (
 		Reqs []batchReq
 	}
 	batchReply struct {
-		Replies []resolveReply
+		Replies [][]Located // one per request
 	}
 )
 
@@ -223,7 +221,7 @@ func (m *Manager) handleDestroy(_ int, args *destroyArgs) (*struct{}, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.items, args.ID)
-	m.cond.Broadcast()
+	m.wakeLocked()
 	return &struct{}{}, nil
 }
 
@@ -264,13 +262,15 @@ func (m *Manager) Fragment(id ItemID) (dataitem.Fragment, error) {
 // ---------------------------------------------------------------
 
 // reportUp propagates the local fragment coverage into the index,
-// stamped with a fresh leaf report version.
+// stamped with a fresh leaf report version. The report of an item
+// destroyed meanwhile ends wherever it meets the item gone: a republish
+// racing a job's destroy must still get to the allocation sync.
 func (m *Manager) reportUp(id ItemID) error {
 	m.mu.Lock()
-	st, err := m.itemLocked(id)
-	if err != nil {
+	st, ok := m.items[id]
+	if !ok {
 		m.mu.Unlock()
-		return err
+		return nil
 	}
 	total := st.frag.Region()
 	st.ver[1]++
@@ -317,9 +317,9 @@ func (m *Manager) propagate(id ItemID, i, l int, total dataitem.Region, seq uint
 func (m *Manager) applyReport(id ItemID, level int, left bool, region dataitem.Region, seq uint64) (dataitem.Region, uint64, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, err := m.itemLocked(id)
-	if err != nil {
-		return nil, 0, false, err
+	st, ok := m.items[id]
+	if !ok {
+		return nil, 0, false, nil // destroyed (reportUp)
 	}
 	if err := st.fits(region); err != nil {
 		return nil, 0, false, err
@@ -556,11 +556,7 @@ func (m *Manager) callResolveBatch(dst int, reqs []batchReq) ([][]Located, error
 	if len(reply.Replies) != len(reqs) {
 		return nil, fmt.Errorf("dim: resolveBatch reply size %d != %d", len(reply.Replies), len(reqs))
 	}
-	res := make([][]Located, len(reqs))
-	for i := range reply.Replies {
-		res[i] = reply.Replies[i].Entries
-	}
-	return res, nil
+	return reply.Replies, nil
 }
 
 func (m *Manager) handleResolveBatch(_ int, args *batchArgs) (*batchReply, error) {
@@ -571,11 +567,7 @@ func (m *Manager) handleResolveBatch(_ int, args *batchArgs) (*batchReply, error
 	if err != nil {
 		return nil, err
 	}
-	reply := &batchReply{Replies: make([]resolveReply, len(res))}
-	for i, entries := range res {
-		reply.Replies[i].Entries = entries
-	}
-	return reply, nil
+	return &batchReply{Replies: res}, nil
 }
 
 // fitsAll checks the regions of a peer's resolution requests against
@@ -727,9 +719,10 @@ func (m *Manager) rootWalk(reqs []Requirement) ([][]Located, error) {
 // confirms that its copy is in place: whoever evicts this copy meanwhile
 // waits for that, and then learns of the new one.
 func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
+	w := waiter{abort: func() error { return m.gone(from) }}
+	defer w.done()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	deadline := time.Now().Add(m.LockWaitTimeout)
 	for {
 		st, err := m.itemLocked(args.Item)
 		if err != nil {
@@ -743,12 +736,12 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 			if part.IsEmpty() {
 				return &fetchReply{Empty: true}, nil
 			}
-			// A request that waited out a lock may be served after its
-			// sender was declared dead and its pins were released
-			// (ReleasePinsOf runs once, after the mark): a pin taken now
-			// would never be confirmed and would block writers for good.
-			if m.loc.IsDead(from) || m.loc.IsDeparted(from) {
-				return nil, fmt.Errorf("dim: fetch of %v for rank %d, which has left", args.Item, from)
+			// A request may be served after its sender was declared dead
+			// and its pins were released (ReleasePinsOf runs once, after
+			// the mark): a pin taken now would never be confirmed and
+			// would block writers for good.
+			if err := m.gone(from); err != nil {
+				return nil, fmt.Errorf("dim: fetch of %v: %w", args.Item, err)
 			}
 			data, err := st.frag.Extract(part)
 			if err != nil {
@@ -758,7 +751,7 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 			token := m.pinLocked(st, pin{rank: from, item: args.Item}, part)
 			return &fetchReply{Data: data, Part: part, PinToken: token}, nil
 		}
-		if err := m.waitLocked(deadline); err != nil {
+		if err := m.park(&w, false); err != nil {
 			return nil, fmt.Errorf("dim: fetch of %v blocked on locks: %w", args.Item, err)
 		}
 	}
@@ -805,11 +798,13 @@ func (m *Manager) pinLocked(st *itemState, p pin, part dataitem.Region) uint64 {
 // yields to nobody, so one of them always completes. A write-mode pin
 // is the write lock of the rank it is held for: the evictor waits for
 // its own (the refresh of its previous acquisition is still on its way)
-// and for a higher rank's, and gives way to a lower rank's.
+// and for a higher rank's, and gives way to a lower rank's. An evictor
+// that has left while its drop waits is owed nothing (gone).
 func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
+	w := waiter{abort: func() error { return m.gone(from) }}
+	defer w.done()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	deadline := time.Now().Add(m.LockWaitTimeout)
 	for {
 		st, err := m.itemLocked(args.Item)
 		if err != nil {
@@ -835,7 +830,7 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 		if !busy {
 			return m.dropLocked(args.Item, st, args.Region, part, from)
 		}
-		if err := m.waitLocked(deadline); err != nil {
+		if err := m.park(&w, false); err != nil {
 			return nil, fmt.Errorf("dim: drop of %v blocked on locks: %w", args.Item, err)
 		}
 	}
@@ -900,7 +895,7 @@ func (m *Manager) shrinkLocked(id ItemID, st *itemState, part dataitem.Region, a
 		m.revokeLocates(id, part, asker)
 	}
 	m.mu.Lock()
-	m.cond.Broadcast()
+	m.wakeLocked()
 	return err
 }
 
@@ -970,6 +965,12 @@ func (m *Manager) settleLocked(token uint64, p pin, data []byte, report bool) {
 // which part has no root copy anywhere yet (the claimant's copy then
 // becomes it). The grant is the part of the request that passes every
 // test asked for.
+//
+// A reindex retracts rank by rank, forgetting the root role here
+// (rooted) and at the claimant (root). A claim across a retraction gets
+// nothing — one side would forget the grant, leaving a role nobody or
+// two hold — and the claimant, which also drops a grant a retraction
+// overtook (claim), asks again.
 func (m *Manager) handleClaim(_ int, args *claimArgs) (*claimReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -979,6 +980,9 @@ func (m *Manager) handleClaim(_ int, args *claimArgs) (*claimReply, error) {
 	}
 	if err := st.fits(args.Region); err != nil {
 		return nil, err
+	}
+	if args.Epoch != m.epoch {
+		return &claimReply{Granted: st.typ.EmptyRegion()}, nil
 	}
 	granted := args.Region
 	if args.Alloc {
@@ -993,16 +997,28 @@ func (m *Manager) handleClaim(_ int, args *claimArgs) (*claimReply, error) {
 }
 
 // claim asks the root host which part of r this process may allocate
-// (alloc) and hold the root copy of (root).
+// (alloc) and hold the root copy of (root), and takes up the root role
+// of the grant — unless a retraction overtook it (handleClaim).
 func (m *Manager) claim(id ItemID, r dataitem.Region, alloc, root bool) (dataitem.Region, error) {
 	rh := m.liveHost(0, rootLevel(m.size()))
 	if rh < 0 {
 		return nil, fmt.Errorf("dim: no live index root host")
 	}
+	epoch := m.Epoch()
 	var reply claimReply
-	if err := m.loc.Call(rh, methodClaim, &claimArgs{Item: id, Region: r, Alloc: alloc, Root: root}, &reply, m.ctlOpt()); err != nil {
+	if err := m.loc.Call(rh, methodClaim, &claimArgs{Item: id, Region: r, Alloc: alloc, Root: root, Epoch: epoch}, &reply, m.ctlOpt()); err != nil {
 		return nil, err
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, err := m.itemLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	if m.epoch != epoch {
+		return st.typ.EmptyRegion(), nil
+	}
+	st.root = st.root.Union(reply.Granted)
 	return reply.Granted, nil
 }
 
@@ -1022,16 +1038,116 @@ func (st *itemState) writeLocked(region dataitem.Region) bool {
 	return false
 }
 
-// waitLocked blocks on the manager condition until the next
-// broadcast, failing once deadline passes. A helper timer guarantees
-// periodic wakeups so the deadline is observed.
-func (m *Manager) waitLocked(deadline time.Time) error {
-	if time.Now().After(deadline) {
-		return fmt.Errorf("lock wait timed out after %v (application-level deadlock?)", m.LockWaitTimeout)
+// lockWaitBound is the application-deadlock diagnostic: a wait parked
+// this long fails instead of hanging. Package tests lower it.
+var lockWaitBound = 60 * time.Second
+
+// waiter is one blocked operation's lock wait, a ParalleX LCO: it ends
+// on a wake, on its owner's abort, or at lockWaitBound, and on nothing
+// else. A wait that never parks costs nothing.
+type waiter struct {
+	// abort, if set, says why the owner no longer wants what it waits
+	// for: a task's cancelled job, a handler's requester gone. Whoever
+	// makes it fail wakes the manager (Wake, ReleasePinsOf).
+	abort func() error
+	// t is made when the wait first parks. Behind a pointer, stopping
+	// its timers leaks nothing of abort's closure off its owner's stack.
+	t *waitTimers
+}
+
+type waitTimers struct {
+	bound *time.Timer
+	tick  *backoff.Timer // the retry loops' (pause)
+}
+
+func (w *waiter) aborted() error {
+	if w.abort == nil {
+		return nil
 	}
-	timer := time.AfterFunc(50*time.Millisecond, m.cond.Broadcast)
-	defer timer.Stop()
-	m.cond.Wait()
+	return w.abort()
+}
+
+// done stops the bound's timer; the owner calls it when it stops waiting.
+func (w *waiter) done() {
+	if w.t != nil {
+		w.t.bound.Stop()
+	}
+}
+
+// park is the manager's one blocking point, entered and left with mu
+// held: it waits for the next wake — or, with tick set, for the next
+// tick of a randomized exponential backoff (100 µs – 2 ms) — and fails
+// when w is aborted or its bound has passed.
+func (m *Manager) park(w *waiter, tick bool) error {
+	if err := w.aborted(); err != nil {
+		return err
+	}
+	if w.t == nil {
+		w.t = &waitTimers{time.NewTimer(lockWaitBound),
+			backoff.New(100*time.Microsecond, 2*time.Millisecond, int64(m.Rank())<<40^time.Now().UnixNano())}
+	}
+	var wake <-chan struct{}
+	var ticks <-chan time.Time
+	if tick {
+		ticks = w.t.tick.Arm()
+	} else {
+		if m.wake == nil {
+			m.wake = make(chan struct{})
+		}
+		wake = m.wake
+	}
+	m.parked.Add(1)
+	start := time.Now()
+	m.mu.Unlock()
+	expired := false
+	select {
+	case <-wake:
+	case <-ticks:
+	case <-w.t.bound.C:
+		expired = true
+	}
+	m.mu.Lock()
+	m.parked.Add(-1)
+	m.lockWait.Observe(time.Since(start))
+	if tick {
+		w.t.tick.Disarm(!expired)
+	}
+	if expired {
+		return fmt.Errorf("lock wait timed out after %v (application-level deadlock?)", lockWaitBound)
+	}
+	return w.aborted()
+}
+
+// pause is park for the retry loops, which hold no lock.
+func (m *Manager) pause(w *waiter) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.park(w, true)
+}
+
+// wakeLocked ends every wait parked on a wake: each looks again at what
+// it waits for, and at its abort.
+func (m *Manager) wakeLocked() {
+	if m.wake != nil {
+		close(m.wake)
+		m.wake = nil
+	}
+}
+
+// Wake is wakeLocked for whoever aborts a wait from outside the manager
+// (the scheduler cancelling a job), once the abort holds.
+func (m *Manager) Wake() {
+	m.mu.Lock()
+	m.wakeLocked()
+	m.mu.Unlock()
+}
+
+// gone is a handler's abort: its requester is dead or departed, and
+// nobody is left to take the answer.
+func (m *Manager) gone(rank int) error {
+	if m.loc.IsDead(rank) || m.loc.IsDeparted(rank) {
+		return fmt.Errorf("dim: rank %d has left", rank)
+	}
 	return nil
 }
 
@@ -1062,46 +1178,47 @@ func (m *Manager) waitLocked(deadline time.Time) error {
 // and both have locked it, the higher rank gives way and starts over
 // (see handleDrop).
 func (m *Manager) Acquire(token uint64, reqs []Requirement) error {
-	return m.AcquireFor(token, reqs, 0)
+	return m.AcquireFor(token, reqs, 0, nil)
 }
 
 // AcquireFor is Acquire with an explicit parent span (the acquiring
 // task's exec span), emitting a dim.acquire span and feeding the
-// acquire-wait histogram with the stage-to-grant latency.
-func (m *Manager) AcquireFor(token uint64, reqs []Requirement, parent trace.SpanID) error {
+// acquire-wait histogram with the stage-to-grant latency. abort, if
+// not nil, ends the acquisition's lock waits with its error once the
+// task no longer needs the data (see waiter).
+func (m *Manager) AcquireFor(token uint64, reqs []Requirement, parent trace.SpanID, abort func() error) error {
 	m.acquires.Inc()
 	sp := m.loc.Tracer().Begin("dim.acquire", "", parent)
 	sp.SetTask(token)
 	start := time.Now()
-	err := m.acquire(token, reqs, sp.SpanID())
+	w := waiter{abort: abort}
+	err := m.acquire(token, reqs, &w, sp.SpanID())
+	w.done()
 	m.acquireWait.Observe(time.Since(start))
 	sp.SetErr(err)
 	sp.End()
 	return err
 }
 
-// acquire runs the stage-lock-validate protocol; span is the
-// surrounding dim.acquire span, parent of the locate spans.
-func (m *Manager) acquire(token uint64, reqs []Requirement, span trace.SpanID) error {
+// acquire runs the stage-lock-validate protocol under the wait w; span
+// is the surrounding dim.acquire span, parent of the locate spans.
+func (m *Manager) acquire(token uint64, reqs []Requirement, w *waiter, span trace.SpanID) error {
 	sorted := append([]Requirement(nil), reqs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Item < sorted[j].Item })
-
-	deadline := time.Now().Add(m.LockWaitTimeout)
-	var giveWay *backoff.Timer
 	for {
 		for _, rq := range sorted {
-			if err := m.ensureLocal(rq, span); err != nil {
+			if err := m.ensureLocal(rq, w, span); err != nil {
 				return err
 			}
 		}
-		ok, err := m.tryLockAll(token, sorted, deadline)
+		ok, err := m.tryLockAll(token, sorted, w)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue // coverage changed under us: re-stage
 		}
-		if err := m.enforceExclusive(token, sorted, deadline, span); err != nil {
+		if err := m.enforceExclusive(token, sorted, w, span); err != nil {
 			m.Release(token)
 			if !errors.Is(err, errContended) {
 				return err
@@ -1109,11 +1226,8 @@ func (m *Manager) acquire(token uint64, reqs []Requirement, span trace.SpanID) e
 			// A lower rank has locked a copy of one of our write regions
 			// too, and its eviction of ours waits behind the locks just
 			// released. Let it through, then come back for the data.
-			if giveWay == nil {
-				giveWay = m.newBackoff(token)
-			}
-			if giveWay.Sleep(deadline) != nil {
-				return err
+			if perr := m.pause(w); perr != nil {
+				return fmt.Errorf("%w: %w", err, perr)
 			}
 			continue
 		}
@@ -1121,18 +1235,11 @@ func (m *Manager) acquire(token uint64, reqs []Requirement, span trace.SpanID) e
 	}
 }
 
-// newBackoff returns the randomized exponential timer (100µs–2ms) of
-// an acquisition's retry loops; salt and rank decorrelate the retriers.
-func (m *Manager) newBackoff(salt uint64) *backoff.Timer {
-	return backoff.New(100*time.Microsecond, 2*time.Millisecond,
-		int64(salt)^int64(m.Rank())<<40^time.Now().UnixNano())
-}
-
-// tryLockAll takes all locks atomically. It waits (until deadline)
-// while conflicting locks exist; once conflict-free it verifies that
-// the staged data is still locally present — if a concurrent
-// migration stole it, it returns false so the caller re-stages.
-func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Time) (bool, error) {
+// tryLockAll takes all locks atomically. It waits while conflicting
+// locks exist; once conflict-free it verifies that the staged data is
+// still locally present — if a concurrent migration stole it, it
+// returns false so the caller re-stages.
+func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var behindPin time.Time // when a kept replica's pin was first in the way
@@ -1160,7 +1267,7 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Tim
 			}
 		}
 		if conflict {
-			if err := m.waitLocked(deadline); err != nil {
+			if err := m.park(w, false); err != nil {
 				return false, fmt.Errorf("dim: acquire at rank %d: %w", m.Rank(), err)
 			}
 			continue
@@ -1217,13 +1324,12 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, deadline time.Tim
 // elements under a write lock. So no copy survives a write to it
 // elsewhere with its old content: it is removed, or unreadable until it
 // has the new one.
-func (m *Manager) enforceExclusive(token uint64, reqs []Requirement, deadline time.Time, span trace.SpanID) error {
+func (m *Manager) enforceExclusive(token uint64, reqs []Requirement, w *waiter, span trace.SpanID) error {
 	for _, rq := range reqs {
 		if rq.Mode != Write {
 			continue
 		}
-		walked := false
-		var bo *backoff.Timer
+		walked, evicting := false, false
 		for {
 			sharers, unrooted := m.sharersOf(token, rq.Item, rq.Region)
 			if len(sharers) > 0 {
@@ -1257,32 +1363,27 @@ func (m *Manager) enforceExclusive(token uint64, reqs []Requirement, deadline ti
 					return err
 				}
 			}
-			if foreign {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("dim: write region %v of %v keeps being re-replicated", rq.Region, rq.Item)
-				}
+			if foreign && !evicting {
+				evicting = true // progress: walk again at once
 				continue
 			}
-			granted, err := m.claim(rq.Item, unrooted, false, true)
-			if err != nil {
-				return err
-			}
-			if !granted.IsEmpty() {
-				m.mu.Lock()
-				if st, ok := m.items[rq.Item]; ok {
-					st.root = st.root.Union(granted)
+			if !foreign {
+				evicting = false
+				granted, err := m.claim(rq.Item, unrooted, false, true)
+				if err != nil {
+					return err
 				}
-				m.mu.Unlock()
-				continue
+				if !granted.IsEmpty() {
+					continue
+				}
+				// The root copy exists and is changing hands out of the
+				// walk's sight; its new holder will show up.
+				m.revokeBackoffs.Inc()
 			}
-			// The root copy exists and is changing hands out of the
-			// walk's sight; its new holder will show up.
-			if bo == nil {
-				bo = m.newBackoff(uint64(rq.Item))
-			}
-			m.revokeBackoffs.Inc()
-			if bo.Sleep(deadline) != nil {
-				return fmt.Errorf("dim: root copy of %v of %v not found", unrooted, rq.Item)
+			// No root copy to take over yet, or copies made again behind
+			// the walk that evicted them: back off before walking again.
+			if err := m.pause(w); err != nil {
+				return fmt.Errorf("dim: write region %v of %v stays shared: %w", rq.Region, rq.Item, err)
 			}
 		}
 		if walked {
@@ -1334,7 +1435,7 @@ func (m *Manager) unlockLocked(token uint64) {
 		}
 		st.locks = kept
 	}
-	m.cond.Broadcast()
+	m.wakeLocked()
 }
 
 // LockedRegions returns the regions of an item locked by granted
@@ -1378,9 +1479,7 @@ func (m *Manager) Pins() int {
 // locate cache, or after a staleness signal by the authoritative walk —
 // and tracks post-fetch coverage from the fetch replies instead of
 // re-resolving mid-round.
-func (m *Manager) ensureLocal(rq Requirement, span trace.SpanID) error {
-	var bo *backoff.Timer
-	var deadline time.Time // of the no-progress wait, set with bo
+func (m *Manager) ensureLocal(rq Requirement, w *waiter, span trace.SpanID) error {
 	authoritative := false
 	for {
 		// Coverage is purely local (no RPC): recompute per round, so
@@ -1466,19 +1565,11 @@ func (m *Manager) ensureLocal(rq Requirement, span trace.SpanID) error {
 		if stale {
 			authoritative = true
 		}
-		if progressed {
-			if bo != nil {
-				bo.Reset()
-			}
-		} else if !stale {
+		if !progressed && !stale {
 			// Somebody else is mid-allocation or mid-report; back off
 			// until the index reflects it.
-			if bo == nil {
-				bo = m.newBackoff(uint64(rq.Item))
-				deadline = time.Now().Add(m.LockWaitTimeout)
-			}
-			if bo.Sleep(deadline) != nil {
-				return fmt.Errorf("dim: staging %v %v at rank %d made no progress", rq.Item, rq.Mode, m.Rank())
+			if err := m.pause(w); err != nil {
+				return fmt.Errorf("dim: staging %v %v at rank %d made no progress: %w", rq.Item, rq.Mode, m.Rank(), err)
 			}
 		}
 	}
@@ -1540,7 +1631,7 @@ func clipPayload(typ dataitem.Type, region dataitem.Region, data []byte, part da
 
 // growLocal zero-allocates region in the local fragment. The region
 // was granted by a first-touch claim, so it is this item's only copy
-// and, by the same grant, its root copy.
+// and, by the same grant, its root copy (claim).
 func (m *Manager) growLocal(id ItemID, region dataitem.Region) error {
 	m.mu.Lock()
 	st, err := m.itemLocked(id)
@@ -1552,7 +1643,6 @@ func (m *Manager) growLocal(id ItemID, region dataitem.Region) error {
 		m.mu.Unlock()
 		return err
 	}
-	st.root = st.root.Union(region)
 	m.invalidateLocatesLocked(st)
 	m.mu.Unlock()
 	return m.reportUp(id)

@@ -144,12 +144,7 @@ func (m *Manager) Epoch() uint64 {
 // Republish re-reports the leaf coverage of every item into the
 // (retracted) index, in item order for determinism.
 func (m *Manager) Republish() error {
-	m.mu.Lock()
-	ids := make([]ItemID, 0, len(m.items))
-	for id := range m.items {
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
+	ids := m.Items()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		if err := m.reportUp(id); err != nil {
@@ -216,10 +211,11 @@ func (m *Manager) ResetLocal(id ItemID, snaps []*LocalSnapshot) error {
 }
 
 // ReleasePinsOf force-releases every pin held on behalf of the given
-// (dead or departed) rank. A read-mode pin is a temporary lock the
-// exporter holds until the importer confirms registration; a crashed
+// (dead or departed) rank, and wakes every parked wait — a handler
+// serving the rank gives up (gone). A read-mode pin is a temporary lock
+// the exporter holds until the importer confirms registration; a crashed
 // importer never confirms, and without this its pins would block
-// writers until the lock-wait timeout. A write-mode pin holds a replica
+// writers for good. A write-mode pin holds a replica
 // kept for the rank's write, whose refresh will never come: the part is
 // stale, so it is removed and the loss reported before the lock goes —
 // a reader parked behind it wakes to find its data missing and stages
@@ -242,4 +238,5 @@ func (m *Manager) ReleasePinsOf(rank int) {
 			m.unlockLocked(t)
 		}
 	}
+	m.wakeLocked()
 }

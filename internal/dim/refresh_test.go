@@ -135,9 +135,6 @@ func TestKeepsOnlyThePartThatWasRead(t *testing.T) {
 func TestWriterDeathDropsPinnedReplica(t *testing.T) {
 	typ := dataitem.NewGridType[int]("field", p(8, 8))
 	ts := newTestSystem(t, 3, typ)
-	for _, m := range ts.managers {
-		m.LockWaitTimeout = 30 * time.Second
-	}
 	id, _ := ts.managers[0].CreateItem(typ)
 	r := dataitem.Region(gr(0, 0, 8, 8))
 	const writer, sharer = 2, 1

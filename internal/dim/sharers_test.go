@@ -45,15 +45,36 @@ func (ts *testSystem) lentCount(rank int, id ItemID) int {
 // and without a refresh — has been answered.
 func (ts *testSystem) settle(t *testing.T) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
 	for rank := range ts.managers {
-		for ts.sys.Locality(rank).PendingCalls() != 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("rank %d: calls still pending", rank)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
+		ts.awaitPending(t, rank, 0)
 	}
+}
+
+// await polls cond for up to five seconds.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// awaitPending waits until rank has exactly n calls outstanding.
+func (ts *testSystem) awaitPending(t *testing.T, rank, n int) {
+	t.Helper()
+	await(t, fmt.Sprintf("%d calls pending at rank %d", n, rank),
+		func() bool { return ts.sys.Locality(rank).PendingCalls() == n })
+}
+
+// awaitParked waits until n lock waits are parked at rank.
+func (ts *testSystem) awaitParked(t *testing.T, rank int, n int64) {
+	t.Helper()
+	parked := ts.sys.Locality(rank).Metrics().Gauge(MetricLockWaiters)
+	await(t, fmt.Sprintf("%d lock waits parked at rank %d", n, rank),
+		func() bool { return parked.Value() == n })
 }
 
 // pinCount is the number of pins, of either mode, rank holds.
@@ -342,9 +363,6 @@ func TestContendingWritersGiveWay(t *testing.T) {
 		t.Run(fmt.Sprintf("%d-ranks", ranks), func(t *testing.T) {
 			typ := dataitem.NewGridType[int]("field", p(8, 8))
 			ts := newTestSystem(t, ranks, typ)
-			for _, m := range ts.managers {
-				m.LockWaitTimeout = 10 * time.Second
-			}
 			id, _ := ts.managers[0].CreateItem(typ)
 			r := dataitem.Region(gr(0, 0, 8, 8))
 			ts.touch(t, 0, id, r, Write)
@@ -429,7 +447,7 @@ func TestWriterStagedFromReplicaIsOnRecord(t *testing.T) {
 	write(1, 7)
 	ts.touch(t, 0, id, r, Read)
 	// Rank 2's resolution lists rank 0 first: that is where it copies from.
-	if err := ts.managers[2].ensureLocal(rq, 0); err != nil {
+	if err := ts.managers[2].ensureLocal(rq, &waiter{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !ts.lentTo(0, id, 2).Equal(r) || !ts.lentTo(1, id, 2).IsEmpty() {
@@ -482,7 +500,7 @@ func TestStaleSharerCostsOneEmptyDrop(t *testing.T) {
 	r := dataitem.Region(gr(0, 0, 8, 8))
 
 	ts.touch(t, 1, id, r, Write)
-	if err := ts.managers[0].ensureLocal(Requirement{Item: id, Region: r, Mode: Read}, 0); err != nil {
+	if err := ts.managers[0].ensureLocal(Requirement{Item: id, Region: r, Mode: Read}, &waiter{}, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -630,6 +648,104 @@ func TestFetchForDeadRankTakesNoPin(t *testing.T) {
 	if ts.lentCount(0, id) != 0 {
 		t.Error("dead rank went on record as a sharer")
 	}
-	ts.managers[0].LockWaitTimeout = 2 * time.Second
 	ts.touch(t, 0, id, r, Write) // would wait for the pin
+}
+
+// TestDropForDeadEvictorTakesNothing: a drop parked behind the holder's
+// write lock is owed nothing once its sender is dead. Served when the
+// lock goes, it would hand the only copy, and the root role with it, to
+// a rank that no longer exists; instead the wait ends with an error as
+// soon as ReleasePinsOf has run, and the holder keeps both.
+func TestDropForDeadEvictorTakesNothing(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 3, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+	const holder, evictor, tok = 2, 1, 5
+	ts.touch(t, holder, id, r, Write)
+	m := ts.managers[holder]
+	if err := m.Acquire(tok, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
+		t.Fatal(err)
+	}
+	dropped := make(chan error, 1)
+	go func() {
+		_, err := m.handleDrop(evictor, &dropArgs{Item: id, Region: r})
+		dropped <- err
+	}()
+	ts.awaitParked(t, holder, 1)
+	ts.sys.Locality(holder).MarkDead(evictor)
+	m.ReleasePinsOf(evictor)
+	select {
+	case err := <-dropped:
+		if err == nil {
+			t.Error("the drop of a dead evictor was served")
+		}
+	case <-time.After(time.Second):
+		t.Error("the drop of a dead evictor still waits 1s after ReleasePinsOf")
+		m.Release(tok)
+		<-dropped
+	}
+	m.Release(tok)
+	if n := ts.pinCount(holder); n != 0 {
+		t.Errorf("%d pins at the holder, want none", n)
+	}
+	if cov := ts.coverage(t, holder, id); !cov.Equal(r) {
+		t.Errorf("the holder covers %v, want its whole copy %v", cov, r)
+	}
+	if _, unrooted := m.sharersOf(0, id, r); !unrooted.IsEmpty() {
+		t.Errorf("the holder lost the root role of %v", unrooted)
+	}
+}
+
+// TestRepublishSkipsDestroyedItem: a job may destroy its item while a
+// recovery republishes, rank by rank. The report that meets the item
+// gone at its parent's host has nothing to update; failing instead, it
+// stopped the recovery short of the allocation sync, and every staging
+// of a region lost with the dead rank spun until the lock-wait bound.
+func TestRepublishSkipsDestroyedItem(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 2, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	ts.touch(t, 1, id, gr(0, 0, 8, 8), Write)
+	// A DestroyItem half done: gone at rank 0, the index's root host.
+	if _, err := ts.managers[0].handleDestroy(1, &destroyArgs{ID: id}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.managers[1].Republish(); err != nil {
+		t.Fatalf("republish racing a destroy: %v", err)
+	}
+}
+
+// TestRootClaimAcrossRetractionIsRefused: a reindex retracts rank by
+// rank. A root claim granted by the root host after its retraction, to
+// a rank whose own retraction then forgets the grant, left the host's
+// account naming a root copy nobody held: every later write of the
+// region walked, found no copy to evict and asked for the role in vain
+// until the lock-wait bound.
+func TestRootClaimAcrossRetractionIsRefused(t *testing.T) {
+	defer func(b time.Duration) { lockWaitBound = b }(lockWaitBound)
+	lockWaitBound = time.Second
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 2, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+	ts.touch(t, 1, id, r, Write)
+
+	ts.managers[0].RetractEpoch(1) // the root host has retracted, rank 1 not yet
+	if granted, err := ts.managers[1].claim(id, r, false, true); err != nil || !granted.IsEmpty() {
+		t.Errorf("root claim across a retraction: granted %v, err %v; want nothing", granted, err)
+	}
+	ts.managers[1].RetractEpoch(1)
+	for _, m := range ts.managers {
+		if err := m.Republish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ts.managers[0].SyncAllocatedFromIndex(); err != nil {
+		t.Fatal(err)
+	}
+	ts.touch(t, 1, id, r, Write)
+	if !ts.managers[1].ExclusivelyOwned(id, r) {
+		t.Error("the writer after the reindex holds no root role")
+	}
 }

@@ -2,7 +2,6 @@ package dim
 
 import (
 	"fmt"
-	"time"
 
 	"allscale/internal/dataitem"
 )
@@ -54,16 +53,17 @@ func (m *Manager) CoverageSize(id ItemID) (int64, error) {
 // of a replica kept here may still be on its way — nobody waits for it
 // — and is waited for now: the snapshot is a reader like any other.
 func (m *Manager) ExportLocal(id ItemID) (*LocalSnapshot, error) {
+	var w waiter
+	defer w.done()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	deadline := time.Now().Add(m.LockWaitTimeout)
 	for {
 		st, err := m.itemLocked(id)
 		if err != nil {
 			return nil, err
 		}
 		if m.writePinnedLocked(st) != nil {
-			if err := m.waitLocked(deadline); err != nil {
+			if err := m.park(&w, false); err != nil {
 				return nil, fmt.Errorf("dim: export of %v blocked on a replica refresh: %w", id, err)
 			}
 			continue

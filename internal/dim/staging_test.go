@@ -3,7 +3,6 @@ package dim
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"allscale/internal/dataitem"
 	"allscale/internal/region"
@@ -37,18 +36,6 @@ func (ts *testSystem) record(rank int, id ItemID) (*recordingFragment, *dataitem
 	rec := &recordingFragment{Fragment: st.frag}
 	st.frag = rec
 	return rec, rec.Fragment.(*dataitem.GridFragment[int])
-}
-
-// awaitPending waits until rank has exactly n calls outstanding.
-func (ts *testSystem) awaitPending(t *testing.T, rank, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for ts.sys.Locality(rank).PendingCalls() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("rank %d has %d calls pending, want %d", rank, ts.sys.Locality(rank).PendingCalls(), n)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
 }
 
 // TestConcurrentStagingInstallsOnce: two tasks of one rank stage

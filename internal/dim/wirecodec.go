@@ -88,17 +88,6 @@ func decodeLocated(d *wire.Decoder) ([]Located, error) {
 }
 
 // AppendWire implements wire.Marshaler.
-func (r *resolveReply) AppendWire(buf []byte) ([]byte, error) {
-	return appendLocated(buf, r.Entries)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *resolveReply) UnmarshalWire(d *wire.Decoder) (err error) {
-	r.Entries, err = decodeLocated(d)
-	return err
-}
-
-// AppendWire implements wire.Marshaler.
 func (a *batchArgs) AppendWire(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, uint64(len(a.Reqs)))
 	for _, rq := range a.Reqs {
@@ -137,10 +126,9 @@ func (a *batchArgs) UnmarshalWire(d *wire.Decoder) error {
 // AppendWire implements wire.Marshaler.
 func (r *batchReply) AppendWire(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, uint64(len(r.Replies)))
-	for i := range r.Replies {
+	for _, entries := range r.Replies {
 		var err error
-		buf, err = r.Replies[i].AppendWire(buf)
-		if err != nil {
+		if buf, err = appendLocated(buf, entries); err != nil {
 			return nil, err
 		}
 	}
@@ -151,23 +139,23 @@ func (r *batchReply) AppendWire(buf []byte) ([]byte, error) {
 func (r *batchReply) UnmarshalWire(d *wire.Decoder) error {
 	n := int(d.Uvarint())
 	for i := 0; i < n && d.Err() == nil; i++ {
-		var rep resolveReply
-		if err := rep.UnmarshalWire(d); err != nil {
+		entries, err := decodeLocated(d)
+		if err != nil {
 			return err
 		}
-		r.Replies = append(r.Replies, rep)
+		r.Replies = append(r.Replies, entries)
 	}
 	return nil
 }
 
 // AppendWire implements wire.Marshaler.
-func (a *fetchArgs) AppendWire(buf []byte) ([]byte, error) {
+func (a *itemRegion) AppendWire(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, uint64(a.Item))
 	return dataitem.AppendRegionWire(buf, a.Region)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
-func (a *fetchArgs) UnmarshalWire(d *wire.Decoder) error {
+func (a *itemRegion) UnmarshalWire(d *wire.Decoder) error {
 	a.Item = ItemID(d.Uvarint())
 	r, err := dataitem.DecodeRegionWire(d)
 	if err != nil {
@@ -220,7 +208,7 @@ func (a *claimArgs) AppendWire(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wire.AppendBool(wire.AppendBool(buf, a.Alloc), a.Root), nil
+	return wire.AppendUvarint(wire.AppendBool(wire.AppendBool(buf, a.Alloc), a.Root), a.Epoch), nil
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -233,6 +221,7 @@ func (a *claimArgs) UnmarshalWire(d *wire.Decoder) error {
 	a.Region = r
 	a.Alloc = d.Bool()
 	a.Root = d.Bool()
+	a.Epoch = d.Uvarint()
 	return nil
 }
 
@@ -248,23 +237,6 @@ func (r *claimReply) UnmarshalWire(d *wire.Decoder) error {
 		return err
 	}
 	r.Granted = g
-	return nil
-}
-
-// AppendWire implements wire.Marshaler.
-func (a *dropArgs) AppendWire(buf []byte) ([]byte, error) {
-	buf = wire.AppendUvarint(buf, uint64(a.Item))
-	return dataitem.AppendRegionWire(buf, a.Region)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (a *dropArgs) UnmarshalWire(d *wire.Decoder) error {
-	a.Item = ItemID(d.Uvarint())
-	r, err := dataitem.DecodeRegionWire(d)
-	if err != nil {
-		return err
-	}
-	a.Region = r
 	return nil
 }
 

@@ -218,9 +218,6 @@ func TestStencilJobsFailHonestlyUnderCrash(t *testing.T) {
 		})
 		w := RegisterWorkloads(sys, WorkloadConfig{})
 		sys.Start()
-		for r := 0; r < n; r++ {
-			sys.Manager(r).LockWaitTimeout = 2 * time.Second
-		}
 		rec := recovery.Attach(sys, recovery.Options{})
 		svc := New(sys, w, Config{MaxActive: 8, MaxBacklog: 64})
 		if err := svc.RegisterTenant("t", Quota{MaxActive: 8, MaxPending: 16}); err != nil {

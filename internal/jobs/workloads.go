@@ -499,7 +499,8 @@ func (w *Workloads) runStencil(jc jobContext, params []byte) (result string, err
 	defer func() {
 		// The pfor waits above returned, so the job's task tree has
 		// quiesced (cancelled stragglers die at the execution gate
-		// without acquiring); destroying now cannot race a live pin.
+		// without acquiring, or leave a lock wait holding nothing);
+		// destroying now cannot race a live pin.
 		for _, id := range items {
 			if derr := mgr.DestroyItem(id); derr != nil && err == nil {
 				err = fmt.Errorf("jobs: destroy stencil item: %w", derr)

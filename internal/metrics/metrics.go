@@ -46,6 +46,9 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
+// Add moves the gauge by d.
+func (g *Gauge) Add(d int64) { g.v.Add(d) }
+
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

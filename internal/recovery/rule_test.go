@@ -54,9 +54,6 @@ func TestLostWriterIsFailedNotRespawned(t *testing.T) {
 		app := stencil.NewAllScale(sys, p)
 		sys.Start()
 		rec := Attach(sys, Options{})
-		for r := 0; r < n; r++ {
-			sys.Manager(r).LockWaitTimeout = 2 * time.Second
-		}
 		if err := app.CreateItems(); err != nil {
 			t.Fatal(err)
 		}

@@ -116,11 +116,14 @@ func (s *Scheduler) jobCancelled(job uint64) bool {
 //   - its queued tasks are purged from the worker deques immediately,
 //     their promises failed;
 //   - its entries leave the inflight recovery registry, so neither a
-//     peer death nor a failed ship can bring cancelled work back.
+//     peer death nor a failed ship can bring cancelled work back;
+//   - its tasks parked in a DIM lock wait are woken and fail with
+//     ErrJobCancelled before their body runs, as does one that reaches
+//     its wait later (runVariant passes cancelled as the wait's abort).
 //
-// Data requirements need no special handling: a cancelled task either
-// never reaches AcquireFor (the gate precedes it) or completes its
-// acquire/release pair normally, so no DIM locks or pins leak; the job
+// So a cancelled task never reaches AcquireFor (the gate precedes it),
+// leaves it with the error holding no lock, or completes its
+// acquire/release pair normally: no DIM locks or pins leak. The job
 // service additionally destroys per-job data items after the unwind.
 //
 // Call on every rank of the system, like kind registration.
@@ -168,6 +171,20 @@ func (s *Scheduler) CancelJob(job uint64) {
 	for i := range swept {
 		s.failCancelled(&swept[i])
 	}
+	s.mgr.Wake()
+}
+
+// cancelled returns the error task id of job fails with once the job is
+// cancelled, or nil.
+func (s *Scheduler) cancelled(id, job uint64) error {
+	if job == 0 || !s.jobCancelled(job) {
+		return nil
+	}
+	return cancelErr(id, job)
+}
+
+func cancelErr(id, job uint64) error {
+	return fmt.Errorf("%w: task %d of job %d", ErrJobCancelled, id, job)
 }
 
 // failCancelled resolves a cancelled task's promise and counts it.
@@ -176,8 +193,7 @@ func (s *Scheduler) failCancelled(spec *TaskSpec) {
 	if spec.Tenant != 0 {
 		s.tenantCounters(spec.Tenant).cancelled.Inc()
 	}
-	s.loc.FulfillRemote(spec.Promise, nil,
-		fmt.Errorf("%w: task %d of job %d", ErrJobCancelled, spec.ID, spec.Job))
+	s.loc.FulfillRemote(spec.Promise, nil, cancelErr(spec.ID, spec.Job))
 }
 
 // SetExecObserver installs a callback invoked once per executed

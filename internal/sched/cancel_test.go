@@ -1,11 +1,17 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"allscale/internal/dataitem"
+	"allscale/internal/dim"
+	"allscale/internal/region"
 	"allscale/internal/runtime"
 	"allscale/internal/trace"
 )
@@ -170,6 +176,75 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 	}
 	if got := reg.CounterValue(TenantExecutedMetric(1)); got != 3 {
 		t.Fatalf("tenant executed counter = %d, want 3 (job 200's tasks only)", got)
+	}
+}
+
+// TestCancelJobEndsLockWait: a task of a cancelled job waiting for a
+// lock fails with ErrJobCancelled and never runs its body — whether the
+// cancel finds it parked or lands between the execution gate and its
+// wait — instead of running once the lock holder lets go.
+func TestCancelJobEndsLockWait(t *testing.T) {
+	for _, parked := range []bool{true, false} {
+		t.Run(fmt.Sprintf("parked=%v", parked), func(t *testing.T) {
+			typ := dataitem.NewGridType[int]("field", region.Point{16, 16})
+			c := newCluster(t, 1, 1, &DefaultPolicy{}, typ)
+			var item dim.ItemID
+			var runs atomic.Int64
+			c.registerAll(func(int) *Kind {
+				return &Kind{
+					Name: "write",
+					Reqs: func([]byte) []dim.Requirement {
+						return []dim.Requirement{{Item: item, Region: bandRegion(0), Mode: dim.Write}}
+					},
+					Process: func(*Ctx) (any, error) { runs.Add(1); return nil, nil },
+				}
+			})
+			c.start()
+			s := c.scheds[0]
+			// The exec observer runs past the gate, before the acquisition.
+			gated, cancelled := make(chan struct{}), make(chan struct{})
+			if !parked {
+				s.SetExecObserver(func(uint64) { close(gated); <-cancelled })
+			}
+			mgr := s.Manager()
+			var err error
+			if item, err = mgr.CreateItem(typ); err != nil {
+				t.Fatal(err)
+			}
+			const holder, job = 900, 77
+			if err := mgr.Acquire(holder, []dim.Requirement{{Item: item, Region: bandRegion(0), Mode: dim.Write}}); err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.Release(holder)
+			fut, err := s.SpawnJob("write", struct{}{}, 1, job, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parked {
+				waiting := s.loc.Metrics().Gauge(dim.MetricLockWaiters)
+				waitFor(t, "the task to park", func() bool { return waiting.Value() == 1 })
+				s.CancelJob(job)
+			} else {
+				<-gated
+				s.CancelJob(job)
+				close(cancelled)
+			}
+			done := make(chan error, 1)
+			go func() { _, err := fut.Wait(); done <- err }()
+			select {
+			case err := <-done:
+				if !IsJobCancelled(err) {
+					t.Errorf("task of the cancelled job: err = %v, want job-cancelled error", err)
+				}
+			case <-time.After(time.Second):
+				t.Error("task of the cancelled job still waits for the lock 1s after the cancel")
+				mgr.Release(holder)
+				<-done
+			}
+			if n := runs.Load(); n != 0 {
+				t.Errorf("the cancelled task's body ran %d times", n)
+			}
+		})
 	}
 }
 

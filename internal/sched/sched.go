@@ -634,7 +634,12 @@ func (s *Scheduler) runVariant(spec *TaskSpec, variant Variant, span trace.SpanI
 		reqs = k.Reqs(spec.Args)
 	}
 	if len(reqs) > 0 {
-		if err := s.mgr.AcquireFor(spec.ID, reqs, span); err != nil {
+		// A lock wait ends when the task's job is cancelled (CancelJob).
+		// The closure copies what it needs: it may not hold spec, which
+		// lives on the worker's stack.
+		id, job := spec.ID, spec.Job
+		abort := func() error { return s.cancelled(id, job) }
+		if err := s.mgr.AcquireFor(spec.ID, reqs, span, abort); err != nil {
 			return nil, err
 		}
 		defer s.mgr.Release(spec.ID)
