@@ -76,7 +76,7 @@ func main() {
 	}
 	fmt.Printf("sum over all elements: %.0f (expected %.0f)\n", sum, 256.0*256*255)
 
-	st := sys.SchedStats()
 	fmt.Printf("tasks executed: %d (%d split, %d shipped between localities)\n",
-		st.Executed, st.Splits, st.RemotePlaced)
+		sys.CounterSum(sched.MetricExecuted), sys.CounterSum(sched.MetricSplits),
+		sys.CounterSum(sched.MetricRemotePlaced))
 }

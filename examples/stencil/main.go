@@ -203,9 +203,9 @@ func runCrashDemo(p stencil.Params, localities int, traceOut string) {
 	if err := rec.Restore(cp); err != nil {
 		log.Fatal(err)
 	}
-	rep := rec.Report()
+	reg := sys.Metrics(0)
 	fmt.Printf("rolled back to checkpoint: %d records re-homed onto survivors, %d lost tasks requeued\n",
-		rep.RehomedRecords, rep.RequeuedTasks)
+		reg.CounterValue(recovery.MetricRehomed), reg.CounterValue(recovery.MetricRequeued))
 	if err := app.RunSteps(mid, p.Steps); err != nil {
 		log.Fatalf("re-run on %d survivors: %v", localities-1, err)
 	}

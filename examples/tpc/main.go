@@ -16,6 +16,8 @@ import (
 
 	"allscale/internal/apps/tpc"
 	"allscale/internal/core"
+	"allscale/internal/sched"
+	"allscale/internal/transport"
 )
 
 func main() {
@@ -69,12 +71,11 @@ func main() {
 	for _, c := range counts {
 		totalHits += c
 	}
-	st := sys.SchedStats()
-	net := sys.NetStats()
 	fmt.Printf("answered %d queries in %.1f ms (%.0f queries/s), %.1f hits/query\n",
 		len(counts), dur.Seconds()*1000, float64(len(counts))/dur.Seconds(),
 		float64(totalHits)/float64(len(counts)))
 	fmt.Printf("tasks executed: %d, shipped between localities: %d, messages: %d\n",
-		st.Executed, st.RemotePlaced, net.MsgsSent)
+		sys.CounterSum(sched.MetricExecuted), sys.CounterSum(sched.MetricRemotePlaced),
+		sys.CounterSum(transport.MetricMsgsSent))
 	fmt.Println("verification: OK — all counts match brute force")
 }

@@ -126,7 +126,7 @@ func TestLoadSplitWaitsForBothChildren(t *testing.T) {
 	}
 	// Split and left leaf started on rank 0, right leaf on rank 1.
 	deadline := time.Now().Add(10 * time.Second)
-	for sys.Scheduler(0).Stats().Executed < 2 || sys.Scheduler(1).Stats().Executed < 1 {
+	for sys.Metrics(0).CounterValue(sched.MetricExecuted) < 2 || sys.Metrics(1).CounterValue(sched.MetricExecuted) < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("the loader's leaves did not start")
 		}

@@ -107,14 +107,14 @@ func TestRebalanceRedirectsFutureTasks(t *testing.T) {
 	// owners (Algorithm 2 lines 4–9), executing on several localities.
 	before := make([]uint64, sys.Size())
 	for i := range before {
-		before[i] = sys.Scheduler(i).Stats().Executed
+		before[i] = sys.Metrics(i).CounterValue(sched.MetricExecuted)
 	}
 	if err := sys.PFor("bal.touch", region.Point{0, 0}, region.Point{64, 16}, nil); err != nil {
 		t.Fatal(err)
 	}
 	active := 0
 	for i := range before {
-		if sys.Scheduler(i).Stats().Executed > before[i] {
+		if sys.Metrics(i).CounterValue(sched.MetricExecuted) > before[i] {
 			active++
 		}
 	}

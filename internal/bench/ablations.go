@@ -13,6 +13,7 @@ import (
 	"allscale/internal/region"
 	"allscale/internal/runtime"
 	"allscale/internal/sched"
+	"allscale/internal/transport"
 )
 
 // ---------------------------------------------------------------
@@ -152,10 +153,13 @@ func IndexAblation(processCounts []int, lookups int) ([]IndexRow, error) {
 			managers[i].Release(uint64(i + 1))
 		}
 
-		baseline := uint64(0)
-		for i := 0; i < p; i++ {
-			baseline += sys.Locality(i).Stats().MsgsSent
+		msgsSent := func() (n uint64) {
+			for i := 0; i < p; i++ {
+				n += sys.Locality(i).Metrics().CounterValue(transport.MetricMsgsSent)
+			}
+			return n
 		}
+		baseline := msgsSent()
 		rng := rand.New(rand.NewSource(int64(p)))
 		for q := 0; q < lookups; q++ {
 			from := rng.Intn(p)
@@ -167,10 +171,7 @@ func IndexAblation(processCounts []int, lookups int) ([]IndexRow, error) {
 				return nil, err
 			}
 		}
-		total := uint64(0)
-		for i := 0; i < p; i++ {
-			total += sys.Locality(i).Stats().MsgsSent
-		}
+		total := msgsSent()
 		sys.Close()
 
 		rows = append(rows, IndexRow{
@@ -235,16 +236,15 @@ func SchedulerAblation(localities int, params stencilapp.Params) ([]SchedulerRow
 			return nil, fmt.Errorf("policy %s: %w", pol.name, err)
 		}
 		wall := time.Since(start)
-		net := sys.NetStats()
-		st := sys.SchedStats()
 		aware := 0.0
-		if st.Executed > 0 {
-			aware = float64(st.CoveredAll+st.CoveredWrite) / float64(st.Executed)
+		if executed := sys.CounterSum(sched.MetricExecuted); executed > 0 {
+			aware = float64(sys.CounterSum(sched.MetricCoveredAll)+sys.CounterSum(sched.MetricCoveredWrite)) / float64(executed)
 		}
+		moved := sys.CounterSum(transport.MetricBytesSent)
 		sys.Close()
 		rows = append(rows, SchedulerRow{
 			Policy:        pol.name,
-			BytesMoved:    net.BytesSent,
+			BytesMoved:    moved,
 			DataAwareness: aware,
 			WallMillis:    float64(wall.Microseconds()) / 1000,
 		})

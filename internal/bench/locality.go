@@ -153,13 +153,6 @@ func LocateCacheAblation(localities int, p tpc.Params) ([]LocateRow, error) {
 			Radius: 55, NumQueries: 24, Seed: 5,
 		}
 	}
-	sum := func(sys *core.System, name string) uint64 {
-		var n uint64
-		for rank := 0; rank < sys.Size(); rank++ {
-			n += sys.Metrics(rank).CounterValue(name)
-		}
-		return n
-	}
 	var rows []LocateRow
 	for _, cacheOn := range []bool{false, true} {
 		scheme := "locate cache off"
@@ -181,11 +174,11 @@ func LocateCacheAblation(localities int, p tpc.Params) ([]LocateRow, error) {
 			sys.Close()
 			return nil, fmt.Errorf("%s: warm round: %w", scheme, err)
 		}
-		baseRPCs := sum(sys, dim.MetricLocateRPCs)
-		baseLocates := sum(sys, dim.MetricLocates)
-		baseHits := sum(sys, dim.MetricLocateCacheHits)
-		baseMiss := sum(sys, dim.MetricLocateCacheMisses)
-		baseSpawned := sum(sys, sched.MetricSpawned)
+		baseRPCs := sys.CounterSum(dim.MetricLocateRPCs)
+		baseLocates := sys.CounterSum(dim.MetricLocates)
+		baseHits := sys.CounterSum(dim.MetricLocateCacheHits)
+		baseMiss := sys.CounterSum(dim.MetricLocateCacheMisses)
+		baseSpawned := sys.CounterSum(sched.MetricSpawned)
 
 		start := time.Now()
 		counts, err := app.RunQueries(0)
@@ -204,11 +197,11 @@ func LocateCacheAblation(localities int, p tpc.Params) ([]LocateRow, error) {
 		rows = append(rows, LocateRow{
 			Scheme:     scheme,
 			QueryMs:    queryMs,
-			Placements: sum(sys, sched.MetricSpawned) - baseSpawned,
-			LocateRPCs: sum(sys, dim.MetricLocateRPCs) - baseRPCs,
-			Locates:    sum(sys, dim.MetricLocates) - baseLocates,
-			CacheHits:  sum(sys, dim.MetricLocateCacheHits) - baseHits,
-			CacheMiss:  sum(sys, dim.MetricLocateCacheMisses) - baseMiss,
+			Placements: sys.CounterSum(sched.MetricSpawned) - baseSpawned,
+			LocateRPCs: sys.CounterSum(dim.MetricLocateRPCs) - baseRPCs,
+			Locates:    sys.CounterSum(dim.MetricLocates) - baseLocates,
+			CacheHits:  sys.CounterSum(dim.MetricLocateCacheHits) - baseHits,
+			CacheMiss:  sys.CounterSum(dim.MetricLocateCacheMisses) - baseMiss,
 		})
 		sys.Close()
 	}

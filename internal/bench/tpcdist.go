@@ -7,6 +7,8 @@ import (
 
 	"allscale/internal/apps/tpc"
 	"allscale/internal/core"
+	"allscale/internal/sched"
+	"allscale/internal/transport"
 )
 
 // TPCDistRow is one measurement of the TPC distribution ablation.
@@ -63,8 +65,8 @@ func TPCDistributionAblation(localities int, p tpc.Params) ([]TPCDistRow, error)
 		}
 		loadMs := float64(time.Since(start).Microseconds()) / 1000
 
-		baseMsgs := sys.NetStats().MsgsSent
-		baseRemote := sys.SchedStats().RemotePlaced
+		baseMsgs := sys.CounterSum(transport.MetricMsgsSent)
+		baseRemote := sys.CounterSum(sched.MetricRemotePlaced)
 		start = time.Now()
 		counts, err := app.RunQueries(0)
 		if err != nil {
@@ -85,8 +87,8 @@ func TPCDistributionAblation(localities int, p tpc.Params) ([]TPCDistRow, error)
 			Scheme:    scheme,
 			LoadMs:    loadMs,
 			QueryMs:   queryMs,
-			Msgs:      sys.NetStats().MsgsSent - baseMsgs,
-			RemoteRun: sys.SchedStats().RemotePlaced - baseRemote,
+			Msgs:      sys.CounterSum(transport.MetricMsgsSent) - baseMsgs,
+			RemoteRun: sys.CounterSum(sched.MetricRemotePlaced) - baseRemote,
 		})
 		sys.Close()
 	}

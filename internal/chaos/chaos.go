@@ -156,9 +156,6 @@ func (e *Endpoint) Rank() int { return e.inner.Rank() }
 // Size implements transport.Endpoint.
 func (e *Endpoint) Size() int { return e.inner.Size() }
 
-// Stats implements transport.Endpoint.
-func (e *Endpoint) Stats() transport.Stats { return e.inner.Stats() }
-
 // SetHandler implements transport.Endpoint.
 func (e *Endpoint) SetHandler(h transport.Handler) { e.inner.SetHandler(h) }
 

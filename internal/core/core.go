@@ -158,8 +158,7 @@ func (s *System) Manager(rank int) *dim.Manager { return s.mgrs[rank] }
 // Scheduler returns the scheduler of the given locality.
 func (s *System) Scheduler(rank int) *sched.Scheduler { return s.scheds[rank] }
 
-// Locality returns the runtime locality of the given rank, giving
-// monitoring and benchmarks access to per-rank transport counters.
+// Locality returns the runtime locality of the given rank.
 func (s *System) Locality(rank int) *runtime.Locality { return s.rsys.Locality(rank) }
 
 // Metrics returns the metrics registry of the given locality — the
@@ -276,37 +275,14 @@ func (s *System) Wait(kind string, args any, out any) error {
 	return fut.WaitInto(out)
 }
 
-// NetStats sums the transport counters over all localities.
-func (s *System) NetStats() transport.Stats {
-	var total transport.Stats
+// CounterSum returns the sum of the named counter (a Metric* name of
+// the package that publishes it) over every locality's registry.
+func (s *System) CounterSum(name string) uint64 {
+	var n uint64
 	for i := range s.mgrs {
-		st := s.rsys.Locality(i).Stats()
-		total.MsgsSent += st.MsgsSent
-		total.BytesSent += st.BytesSent
-		total.MsgsReceived += st.MsgsReceived
-		total.BytesReceived += st.BytesReceived
-		total.Reconnects += st.Reconnects
-		total.SendErrors += st.SendErrors
-		total.DroppedFrames += st.DroppedFrames
+		n += s.Metrics(i).CounterValue(name)
 	}
-	return total
-}
-
-// SchedStats sums the scheduler counters over all localities.
-func (s *System) SchedStats() sched.Stats {
-	var total sched.Stats
-	for _, sc := range s.scheds {
-		st := sc.Stats()
-		total.Spawned += st.Spawned
-		total.Executed += st.Executed
-		total.Splits += st.Splits
-		total.LocalPlaced += st.LocalPlaced
-		total.RemotePlaced += st.RemotePlaced
-		total.CoveredAll += st.CoveredAll
-		total.CoveredWrite += st.CoveredWrite
-		total.PolicyPlaced += st.PolicyPlaced
-	}
-	return total
+	return n
 }
 
 // CoverageByRank returns each locality's fragment coverage of an item

@@ -9,6 +9,7 @@ import (
 	"allscale/internal/dim"
 	"allscale/internal/region"
 	"allscale/internal/sched"
+	"allscale/internal/transport"
 )
 
 func TestGridLifecycleAndPFor(t *testing.T) {
@@ -227,10 +228,10 @@ func TestSystemStatsExposed(t *testing.T) {
 	if err := sys.PFor("touch", region.Point{0}, region.Point{16}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if sys.SchedStats().Executed == 0 {
+	if sys.CounterSum(sched.MetricExecuted) == 0 {
 		t.Fatal("no executions recorded")
 	}
-	if sys.NetStats().MsgsSent == 0 {
+	if sys.CounterSum(transport.MetricMsgsSent) == 0 {
 		t.Fatal("no messages recorded")
 	}
 }
@@ -382,14 +383,13 @@ func TestLocalTreeAllocs(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	before := sys.SchedStats()
+	executed, splits := sys.CounterSum(sched.MetricExecuted), sys.CounterSum(sched.MetricSplits)
 	allocs := testing.AllocsPerRun(runs, tree)
-	after := sys.SchedStats()
 	trees := uint64(runs + 1) // AllocsPerRun warms up with one run more
-	if got := after.Executed - before.Executed; got != 127*trees {
+	if got := sys.CounterSum(sched.MetricExecuted) - executed; got != 127*trees {
 		t.Fatalf("%d tasks in %d trees, want 127 each", got, trees)
 	}
-	if got := after.Splits - before.Splits; got != 63*trees {
+	if got := sys.CounterSum(sched.MetricSplits) - splits; got != 63*trees {
 		t.Fatalf("%d splits in %d trees, want 63 each", got, trees)
 	}
 	if got := points.Load(); got != n*int64(trees) {

@@ -136,6 +136,31 @@ type itemState struct {
 // dimensionality or tree height, and a handler answers with the error.
 func (st *itemState) fits(r dataitem.Region) error { return dataitem.Fits(r, st.full) }
 
+// fitsLocated checks the regions of a peer's resolution entries or
+// sharer records.
+func (st *itemState) fitsLocated(entries []Located) error {
+	for _, e := range entries {
+		if err := st.fits(e.Region); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fitsDrop checks what a drop reply hands to inherit and lend: the
+// root role, the sharer records and, with a pin, the kept part.
+func (st *itemState) fitsDrop(reply *dropReply) error {
+	if err := st.fitsLocated(reply.Sharers); err != nil {
+		return err
+	}
+	if reply.PinToken != 0 {
+		if err := st.fits(reply.Kept); err != nil {
+			return err
+		}
+	}
+	return st.fits(reply.Root)
+}
+
 // pin is a lock the manager holds on a peer's behalf, outside any
 // local acquisition: in read mode on a part exported to the peer, until
 // it confirms that its copy is in place; in write mode on a replica

@@ -5,6 +5,7 @@ import (
 
 	"allscale/internal/dataitem"
 	"allscale/internal/region"
+	"allscale/internal/runtime"
 )
 
 // TestMismatchedPeerRegionIsRefused: a region in a peer's frame that
@@ -78,4 +79,84 @@ func TestMismatchedPeerRegionIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.managers[0].Release(2)
+}
+
+// TestMisshapenReplyIsRefused: a region in a peer's reply that does not
+// fit the item fails the operation that asked, before it meets local
+// state. Rank 0 is a bare locality — the index root host, so claims and
+// index walks go there — whose dim.fetch, dim.drop and dim.claim answer
+// with a 1-d region for a 2-d grid; its dim.resolveBatch does too in its
+// own case and names itself as the holder of what it is asked otherwise.
+func TestMisshapenReplyIsRefused(t *testing.T) {
+	grid := dataitem.NewGridType[int]("field", p(8, 8))
+	sys := runtime.NewSystem(2)
+	defer sys.Close()
+	reg := dataitem.NewRegistry()
+	reg.MustRegister(grid)
+	m := New(sys.Locality(1), reg)
+	id := MakeItemID(1, 1)
+	if _, err := m.handleCreate(1, &createArgs{ID: id, TypeName: grid.Name()}); err != nil {
+		t.Fatal(err)
+	}
+	// Rank 1 holds the root copy of the right half, so the algebra has
+	// something to meet.
+	left, right := gr(0, 0, 4, 8), gr(4, 0, 8, 8)
+	st := m.items[id]
+	if err := st.frag.Resize(right); err != nil {
+		t.Fatal(err)
+	}
+	st.root = right
+
+	bad := dataitem.GridRegionFromTo(p(0), p(4))
+	badResolve := false
+	peer := sys.Locality(0)
+	peer.Handle(methodResolveBatch, rpc(func(_ int, args *batchArgs) (*batchReply, error) {
+		reply := &batchReply{}
+		for _, rq := range args.Reqs {
+			r := rq.Region
+			if badResolve {
+				r = bad
+			}
+			reply.Replies = append(reply.Replies, []Located{{Region: r, Rank: 0}})
+		}
+		return reply, nil
+	}))
+	peer.Handle(methodFetch, rpc(func(int, *fetchArgs) (*fetchReply, error) {
+		return &fetchReply{Part: bad, PinToken: 1}, nil
+	}))
+	peer.Handle(methodClaim, rpc(func(int, *claimArgs) (*claimReply, error) {
+		return &claimReply{Granted: bad}, nil
+	}))
+	peer.Handle(methodDrop, rpc(func(int, *dropArgs) (*dropReply, error) {
+		return &dropReply{Root: bad, Sharers: []Located{{Region: bad, Rank: 0}}, Kept: bad, PinToken: 1}, nil
+	}))
+	sys.Start()
+
+	for _, c := range []struct {
+		method string
+		op     func() error
+	}{
+		{methodFetch, func() error {
+			err := m.Acquire(1, []Requirement{{Item: id, Region: left, Mode: Read}})
+			m.Release(1)
+			return err
+		}},
+		{methodClaim, func() error { _, err := m.claim(id, left, true, true); return err }},
+		{methodDrop, func() error { return m.evict(2, id, Located{Region: left, Rank: 0}, 0) }},
+		{methodResolveBatch, func() error {
+			badResolve = true
+			_, err := m.Owners(id, left)
+			return err
+		}},
+	} {
+		if err := c.op(); err == nil {
+			t.Errorf("%s answered with a 1-d region for a 2-d grid: no error", c.method)
+		}
+		m.mu.Lock()
+		if !st.frag.Region().Equal(right) || !st.root.Equal(right) || len(st.lent) != 0 || len(m.held) != 0 {
+			t.Errorf("%s: the reply reached local state: coverage %v, root %v, lent %v, %d held pins",
+				c.method, st.frag.Region(), st.root, st.lent, len(m.held))
+		}
+		m.mu.Unlock()
+	}
 }

@@ -556,6 +556,17 @@ func (m *Manager) callResolveBatch(dst int, reqs []batchReq) ([][]Located, error
 	if len(reply.Replies) != len(reqs) {
 		return nil, fmt.Errorf("dim: resolveBatch reply size %d != %d", len(reply.Replies), len(reqs))
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for j, entries := range reply.Replies {
+		st, err := m.itemLocked(reqs[j].Item)
+		if err != nil {
+			return nil, err
+		}
+		if err := st.fitsLocated(entries); err != nil {
+			return nil, fmt.Errorf("dim: resolveBatch reply from rank %d: %w", dst, err)
+		}
+	}
 	return reply.Replies, nil
 }
 
@@ -1014,6 +1025,9 @@ func (m *Manager) claim(id ItemID, r dataitem.Region, alloc, root bool) (dataite
 	st, err := m.itemLocked(id)
 	if err != nil {
 		return nil, err
+	}
+	if err := st.fits(reply.Granted); err != nil {
+		return nil, fmt.Errorf("dim: claim reply from rank %d: %w", rh, err)
 	}
 	if m.epoch != epoch {
 		return st.typ.EmptyRegion(), nil
@@ -1584,6 +1598,9 @@ func (m *Manager) ensureLocal(rq Requirement, w *waiter, span trace.SpanID) erro
 func (m *Manager) insertLocal(id ItemID, region dataitem.Region, data []byte) error {
 	m.mu.Lock()
 	st, err := m.itemLocked(id)
+	if err == nil {
+		err = st.fits(region)
+	}
 	if err != nil {
 		m.mu.Unlock()
 		return err

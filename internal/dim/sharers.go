@@ -48,9 +48,7 @@ func (st *itemState) lend(peer int, r dataitem.Region) {
 // inherit takes over what an evicted holder handed back: its root role
 // and its records. The reply never names this rank.
 func (st *itemState) inherit(reply *dropReply) {
-	if reply.Root != nil {
-		st.root = st.root.Union(reply.Root)
-	}
+	st.root = st.root.Union(reply.Root)
 	for _, o := range reply.Sharers {
 		st.lend(o.Rank, o.Region)
 	}
@@ -225,6 +223,10 @@ func (m *Manager) evict(token uint64, id ItemID, o Located, span trace.SpanID) e
 		m.mu.Lock()
 		st, ok := m.items[id]
 		if ok {
+			if err := st.fitsDrop(&reply); err != nil {
+				m.mu.Unlock()
+				return fmt.Errorf("dim: evict replica of %v from rank %d: %w", id, o.Rank, err)
+			}
 			st.unlend(o.Rank, o.Region)
 			st.inherit(&reply)
 		}

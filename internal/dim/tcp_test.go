@@ -97,11 +97,13 @@ func TestManagerOverTCP(t *testing.T) {
 	// The whole protocol ran over TCP: traffic must be counted, and a
 	// healthy loopback fabric must report no failures.
 	var msgs uint64
-	for i, ep := range eps {
-		st := ep.Stats()
-		msgs += st.MsgsSent
-		if st.SendErrors != 0 || st.DroppedFrames != 0 || st.Reconnects != 0 {
-			t.Fatalf("rank %d reports transport failures on healthy loopback: %+v", i, st)
+	for i, m := range managers {
+		reg := m.loc.Metrics()
+		msgs += reg.CounterValue(transport.MetricMsgsSent)
+		for _, name := range []string{transport.MetricSendErrors, transport.MetricDroppedFrames, transport.MetricReconnects} {
+			if v := reg.CounterValue(name); v != 0 {
+				t.Fatalf("rank %d reports %s = %d on healthy loopback", i, name, v)
+			}
 		}
 	}
 	if msgs == 0 {

@@ -81,9 +81,6 @@ func (c *Comm) Rank() int { return c.ep.Rank() }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.ep.Size() }
 
-// Stats returns transport traffic counters.
-func (c *Comm) Stats() transport.Stats { return c.ep.Stats() }
-
 func (c *Comm) deliver(msg transport.Message) {
 	var tag int
 	fmt.Sscanf(msg.Kind, "t%d", &tag)

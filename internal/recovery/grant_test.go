@@ -127,9 +127,9 @@ func thiefDeath(t *testing.T, cancel bool) {
 	}
 	// A grant whose ack had not come back at the kill is taken over by
 	// its ship's local fallback instead of the coordinator's respawn.
-	rep := rec.Report()
-	t.Logf("%d granted, %d of them respawned by the coordinator", granted, rep.RespawnedTasks)
-	if cancel && rep.RespawnedTasks != 0 {
-		t.Fatalf("%d tasks of the cancelled job were respawned", rep.RespawnedTasks)
+	respawned := sys.Metrics(0).CounterValue(MetricRespawned)
+	t.Logf("%d granted, %d of them respawned by the coordinator", granted, respawned)
+	if cancel && respawned != 0 {
+		t.Fatalf("%d tasks of the cancelled job were respawned", respawned)
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"allscale/internal/balance"
 	"allscale/internal/dim"
 	"allscale/internal/runtime"
+	"allscale/internal/transport"
 	"allscale/internal/wire"
 )
 
@@ -132,7 +133,8 @@ func (c *Coordinator) Join(rank int) error {
 	}
 	anchor := c.sys.Locality(members[0])
 	start := time.Now()
-	rx0 := joiner.Stats().BytesReceived
+	rx := joiner.Metrics().Counter(transport.MetricBytesReceived)
+	rx0 := rx.Value()
 	sp := c.tracer().Begin("recovery.join", fmt.Sprintf("rank %d", rank), 0)
 	defer sp.End()
 
@@ -176,7 +178,7 @@ func (c *Coordinator) Join(rank int) error {
 		}
 	}
 
-	c.warmupBytes.Add(joiner.Stats().BytesReceived - rx0)
+	c.warmupBytes.Add(rx.Value() - rx0)
 	c.warmupUs.Add(uint64(time.Since(start).Microseconds()))
 	c.joins.Inc()
 	c.report.Joined = append(c.report.Joined, rank)

@@ -55,8 +55,13 @@ type Options struct {
 // Registry names under which the coordinator publishes its metrics
 // (into the rank-0 registry of the system).
 const (
-	MetricDeaths    = "recovery.deaths"
-	MetricRehomed   = "recovery.rehomed_records"
+	MetricDeaths = "recovery.deaths"
+	// MetricRehomed counts checkpoint records Restore re-homed from ranks
+	// no longer live onto survivors.
+	MetricRehomed = "recovery.rehomed_records"
+	// MetricRespawned counts lost tasks that needed no data and were
+	// re-spawned onto live ranks; MetricRequeued those that needed data,
+	// whose futures were failed back to their waiters.
 	MetricRespawned = "recovery.respawned_tasks"
 	MetricRequeued  = "recovery.requeued_tasks"
 	MetricRecover   = "recovery.recover.us"
@@ -69,19 +74,11 @@ const (
 
 const methodPing = "recovery.ping"
 
-// Report summarizes what the coordinator did so far.
+// Report lists the ranks the coordinator saw die, join and drain so far;
+// what it counted is in the registry (Metric*).
 type Report struct {
 	// Dead lists the ranks declared dead, in rank order.
 	Dead []int
-	// RequeuedTasks counts lost tasks that needed data: their futures
-	// were failed, handing them back to the driver.
-	RequeuedTasks int
-	// RehomedRecords counts checkpoint records re-homed from ranks no
-	// longer live onto survivors by Restore.
-	RehomedRecords int
-	// RespawnedTasks counts lost tasks that needed no data and were
-	// re-spawned onto live ranks.
-	RespawnedTasks int
 	// Joined/Drained list the ranks admitted into and gracefully
 	// retired from the membership, in event order.
 	Joined  []int
@@ -106,8 +103,10 @@ type Coordinator struct {
 	report      Report
 
 	// recMu serializes whole recovery sequences: two deaths reported
-	// concurrently recover one after the other.
+	// concurrently recover one after the other. died is closed, and
+	// replaced, under it whenever a sequence ends (WaitDeaths).
 	recMu sync.Mutex
+	died  chan struct{}
 
 	deaths, rehomed, respawned, requeued *metrics.Counter
 	suspects, falseAlarms                *metrics.Counter
@@ -156,6 +155,7 @@ func Attach(sys *core.System, opts Options) *Coordinator {
 		warmupBytes: reg.Counter(MetricWarmupBytes),
 		warmupUs:    reg.Counter(MetricWarmupUs),
 		recoverHist: reg.Histogram(MetricRecover),
+		died:        make(chan struct{}),
 		stop:        make(chan struct{}),
 	}
 	for r := 0; r < sys.Size(); r++ {
@@ -198,18 +198,20 @@ func (c *Coordinator) DeadRanks() []int {
 // WaitDeaths blocks until at least n ranks were declared dead (and
 // their recovery sequences completed), or the timeout passed.
 func (c *Coordinator) WaitDeaths(n int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
 		c.recMu.Lock()
-		done := len(c.report.Dead) >= n
+		done, died := len(c.report.Dead) >= n, c.died
 		c.recMu.Unlock()
 		if done {
 			return true
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-died:
+		case <-timer.C:
 			return false
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -498,7 +500,6 @@ func (c *Coordinator) ReportDeath(dead int) {
 			c.sys.Locality(spec.Origin).FulfillRemote(spec.Promise, nil,
 				fmt.Errorf("%w: task %d lost on rank %d", runtime.ErrPeerFailed, spec.ID, dead))
 			c.requeued.Inc()
-			c.report.RequeuedTasks++
 			continue
 		}
 		if err := origin.Respawn(spec); err != nil {
@@ -507,11 +508,12 @@ func (c *Coordinator) ReportDeath(dead int) {
 			continue
 		}
 		c.respawned.Inc()
-		c.report.RespawnedTasks++
 	}
 	rsp.End()
 	c.report.Dead = append(c.report.Dead, dead)
 	sort.Ints(c.report.Dead)
+	close(c.died)
+	c.died = make(chan struct{})
 }
 
 func (c *Coordinator) isDead(rank int) bool {
@@ -669,7 +671,6 @@ func (c *Coordinator) Restore(cp *resilience.Checkpoint) error {
 		return err
 	}
 	c.rehomed.Add(uint64(rehomed))
-	c.report.RehomedRecords += rehomed
 	c.sys.Metrics(0).Histogram(resilience.MetricRestoreTime).Observe(time.Since(start))
 	return nil
 }

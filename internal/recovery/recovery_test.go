@@ -8,6 +8,7 @@ import (
 	"allscale/internal/apps/stencil"
 	"allscale/internal/core"
 	"allscale/internal/dim"
+	"allscale/internal/metrics"
 	"allscale/internal/model"
 	"allscale/internal/resilience"
 	"allscale/internal/runtime"
@@ -126,10 +127,6 @@ func TestCrashRecoveryStencilTCP(t *testing.T) {
 		}
 	}
 
-	rep := rec.Report()
-	if rep.RehomedRecords != victimShare {
-		t.Fatalf("re-homed %d records, want the victim's %d", rep.RehomedRecords, victimShare)
-	}
 	if v := sys.Metrics(0).Counter(MetricDeaths).Value(); v != 1 {
 		t.Fatalf("%s = %d, want 1", MetricDeaths, v)
 	}
@@ -137,7 +134,7 @@ func TestCrashRecoveryStencilTCP(t *testing.T) {
 		t.Fatalf("%s = %d, want %d", MetricRehomed, v, victimShare)
 	}
 
-	checkCrashOracle(t, cp, rep, n, victim)
+	checkCrashOracle(t, cp, sys.Metrics(0), n, victim)
 
 	// The crash unwound the victim's handlers and task bodies mid-call,
 	// all of them on reused goroutines: none may have kept a span open.
@@ -184,8 +181,9 @@ func verifyLiveIndex(t *testing.T, sys *core.System, dead int) {
 // task one variant running on the victim's compute unit. The model must
 // report exactly the victim's elements lost — the set Restore re-homed
 // — and every lost task re-enqueued, and must preserve survivor data.
-func checkCrashOracle(t *testing.T, cp *resilience.Checkpoint, rep Report, n, victim int) {
+func checkCrashOracle(t *testing.T, cp *resilience.Checkpoint, reg *metrics.Registry, n, victim int) {
 	t.Helper()
+	rehomed, requeued := int(reg.CounterValue(MetricRehomed)), int(reg.CounterValue(MetricRequeued))
 	prog := &model.Program{
 		Entry:    0,
 		Tasks:    map[model.TaskID]*model.Task{},
@@ -208,7 +206,7 @@ func checkCrashOracle(t *testing.T, cp *resilience.Checkpoint, rep Report, n, vi
 		}
 		st.D[m][0][model.Elem(i)] = true
 	}
-	for i := 0; i < rep.RequeuedTasks; i++ {
+	for i := 0; i < requeued; i++ {
 		tid, vid := model.TaskID(i+1), model.VariantID(i+1)
 		prog.Tasks[tid] = &model.Task{ID: tid, Variants: []model.VariantID{vid}}
 		prog.Variants[vid] = &model.Variant{ID: vid, Task: tid}
@@ -219,11 +217,11 @@ func checkCrashOracle(t *testing.T, cp *resilience.Checkpoint, rep Report, n, vi
 	if err != nil {
 		t.Fatalf("model rejects the crash transition: %v", err)
 	}
-	if len(mrep.LostElems) != rep.RehomedRecords {
-		t.Fatalf("model lost %d elements, runtime re-homed %d", len(mrep.LostElems), rep.RehomedRecords)
+	if len(mrep.LostElems) != rehomed {
+		t.Fatalf("model lost %d elements, runtime re-homed %d", len(mrep.LostElems), rehomed)
 	}
-	if len(mrep.RequeuedTasks) != rep.RequeuedTasks {
-		t.Fatalf("model requeued %d tasks, runtime %d", len(mrep.RequeuedTasks), rep.RequeuedTasks)
+	if len(mrep.RequeuedTasks) != requeued {
+		t.Fatalf("model requeued %d tasks, runtime %d", len(mrep.RequeuedTasks), requeued)
 	}
 	for _, tid := range mrep.RequeuedTasks {
 		if !st.Q[tid] {
@@ -305,11 +303,43 @@ func TestRespawnReexecutesLostTasks(t *testing.T) {
 	if len(rep.Dead) != 1 || rep.Dead[0] != victim {
 		t.Fatalf("dead = %v, want [%d]", rep.Dead, victim)
 	}
-	if rep.RespawnedTasks == 0 {
+	if sys.Metrics(0).CounterValue(MetricRespawned) == 0 {
 		t.Fatal("no tasks respawned although the victim was mid-task")
 	}
-	if v := sys.Metrics(0).Counter(MetricRespawned).Value(); v != uint64(rep.RespawnedTasks) {
-		t.Fatalf("%s = %d, report says %d", MetricRespawned, v, rep.RespawnedTasks)
+}
+
+// TestWaitDeathsWakesOnRecovery: WaitDeaths is woken by the end of the
+// recovery sequence it waits for, and returns false at its timeout when
+// that never comes. The detectors do not tick; deaths are reported.
+func TestWaitDeathsWakesOnRecovery(t *testing.T) {
+	sys := core.NewSystem(core.Config{Localities: 3, Recovery: core.RecoveryConfig{Heartbeat: time.Hour}})
+	sys.Start()
+	defer sys.Close()
+	rec := Attach(sys, Options{})
+	if rec.WaitDeaths(1, 10*time.Millisecond) {
+		t.Fatal("WaitDeaths(1) returned true with nobody dead")
+	}
+	done := make(chan bool, 1)
+	go func() { done <- rec.WaitDeaths(2, time.Minute) }()
+	sys.Kill(2)
+	rec.ReportDeath(2)
+	select {
+	case <-done:
+		t.Fatal("WaitDeaths(2) returned after one death")
+	default:
+	}
+	sys.Kill(1)
+	rec.ReportDeath(1)
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("WaitDeaths(2) returned false after two deaths")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitDeaths(2) still waiting after the second recovery ended")
+	}
+	if rec.WaitDeaths(3, 10*time.Millisecond) {
+		t.Fatal("WaitDeaths(3) returned true with two dead")
 	}
 }
 

@@ -77,17 +77,14 @@ func TestLostWriterIsFailedNotRespawned(t *testing.T) {
 		if !rec.WaitDeaths(1, 10*time.Second) {
 			t.Fatalf("round %d: victim not detected", round)
 		}
-		rep := rec.Report()
-		if rep.RespawnedTasks != 0 || sys.Metrics(0).CounterValue(MetricRespawned) != 0 {
-			t.Fatalf("round %d: %d stencil tasks respawned over a hole in their data", round, rep.RespawnedTasks)
+		reg := sys.Metrics(0)
+		if respawned := reg.CounterValue(MetricRespawned); respawned != 0 {
+			t.Fatalf("round %d: %d stencil tasks respawned over a hole in their data", round, respawned)
 		}
-		if got := sys.Metrics(0).CounterValue(MetricRequeued); got != uint64(rep.RequeuedTasks) {
-			t.Fatalf("round %d: %s = %d, report says %d", round, MetricRequeued, got, rep.RequeuedTasks)
-		}
-		if rep.RequeuedTasks > 0 {
+		if requeued := reg.CounterValue(MetricRequeued); requeued > 0 {
 			lostPhases++
 			if err == nil {
-				t.Fatalf("round %d: the phase lost %d tasks and returned nil", round, rep.RequeuedTasks)
+				t.Fatalf("round %d: the phase lost %d tasks and returned nil", round, requeued)
 			}
 		}
 		if err == nil {
@@ -255,13 +252,10 @@ func mixedLoss(t *testing.T, rollback bool) {
 			t.Fatalf("reader of row %d = %d, err %v, want %d", b, out, err, rowSum(b))
 		}
 	}
-	rep := rec.Report()
-	if rep.RespawnedTasks != free/n || rep.RequeuedTasks != 1 {
-		t.Fatalf("respawned %d, requeued %d, want %d and 1", rep.RespawnedTasks, rep.RequeuedTasks, free/n)
-	}
 	reg := sys.Metrics(0)
-	if r, q := reg.CounterValue(MetricRespawned), reg.CounterValue(MetricRequeued); r != uint64(free/n) || q != 1 {
-		t.Fatalf("%s = %d, %s = %d, want %d and 1", MetricRespawned, r, MetricRequeued, q, free/n)
+	respawned, requeued := reg.CounterValue(MetricRespawned), reg.CounterValue(MetricRequeued)
+	if respawned != uint64(free/n) || requeued != 1 {
+		t.Fatalf("%s = %d, %s = %d, want %d and 1", MetricRespawned, respawned, MetricRequeued, requeued, free/n)
 	}
 	if !rollback {
 		return
@@ -275,7 +269,7 @@ func mixedLoss(t *testing.T, rollback bool) {
 			t.Fatalf("after the rollback, reader of row %d = %d, err %v, want %d", b, out, err, rowSum(b))
 		}
 	}
-	if got := rec.Report(); got.RespawnedTasks != rep.RespawnedTasks || got.RequeuedTasks != rep.RequeuedTasks {
-		t.Fatalf("the rollback changed the task counts: %+v, were %+v", got, rep)
+	if r, q := reg.CounterValue(MetricRespawned), reg.CounterValue(MetricRequeued); r != respawned || q != requeued {
+		t.Fatalf("the rollback changed the task counts: %d respawned, %d requeued, were %d and %d", r, q, respawned, requeued)
 	}
 }

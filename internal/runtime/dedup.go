@@ -6,12 +6,6 @@ import (
 	"time"
 )
 
-// flagDedup in rpcRequest.Flags marks a retryable non-idempotent
-// call: the server must register it in the dedup window so a retried
-// duplicate replays the cached reply instead of re-running the
-// handler (exactly-once effects over at-least-once delivery).
-const flagDedup uint64 = 1 << 0
-
 // defaultDedupWindow is how long a completed entry's cached reply is
 // retained past completion. It must exceed the longest retry horizon
 // of any client, otherwise a straggler duplicate could re-execute the
@@ -60,7 +54,9 @@ func (d *dedupState) setWindow(w time.Duration) {
 	d.mu.Unlock()
 }
 
-// observe processes one inbound flagDedup request: it applies the
+// observe processes one inbound request of the dedup kind (a retryable
+// non-idempotent call, whose duplicates replay the cached reply instead
+// of re-running the handler): it applies the
 // caller's ack watermark, opportunistically sweeps aged entries, and
 // registers id. It returns the cached reply when this is a duplicate
 // of a completed call (replay=true), or inflight=true when the

@@ -13,7 +13,7 @@ import (
 // exact pre-existing semantics, so untouched call sites pay nothing.
 //
 // Retried calls are at-least-once on the wire. Unless Idempotent is
-// set, the request additionally carries a dedup flag telling the
+// set, the request travels under the dedup frame kind, telling the
 // server to record the call in its per-caller dedup window and replay
 // the cached reply on duplicates, making the handler's side effects
 // exactly-once (see dedup.go and DESIGN.md §6d).

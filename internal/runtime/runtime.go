@@ -53,8 +53,6 @@ type rpcRequest struct {
 	// drop frames whose epoch is older than the fence recorded for the
 	// sending rank (partition fencing, DESIGN.md §6d).
 	Epoch uint64
-	// Flags carries delivery-semantics bits (flagDedup).
-	Flags uint64
 	// Ack is the caller's dedup watermark for this destination: every
 	// call ID ≤ Ack is resolved at the caller and can be evicted from
 	// the server's dedup window.
@@ -514,9 +512,6 @@ func (l *Locality) Rank() int { return l.ep.Rank() }
 // Size returns the number of localities in the system.
 func (l *Locality) Size() int { return l.ep.Size() }
 
-// Stats returns transport traffic counters.
-func (l *Locality) Stats() transport.Stats { return l.ep.Stats() }
-
 // Handle registers the RPC method name.
 func (l *Locality) Handle(name string, m Method) {
 	l.mu.Lock()
@@ -725,7 +720,8 @@ func (l *Locality) serveOneWay(msg transport.Message) {
 // per-attempt timeout the identical request frame is resent under the
 // same call ID, and the future fails with ErrCallTimeout once the
 // deadline or retry budget is exhausted. Retried non-idempotent calls
-// carry a dedup flag so the server executes the handler exactly once.
+// travel under the dedup kind so the server executes the handler
+// exactly once.
 func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOption) *Future {
 	fut := new(Future)
 	l.rpcCalls.Inc()
@@ -779,7 +775,6 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		// ID that has not been registered yet, and the frame travels
 		// under the dedup kind so the server observes it in delivery
 		// order.
-		req.Flags |= flagDedup
 		req.ID, req.Ack = l.acks[dst].beginAlloc(&l.nextCall)
 		kind = kindRequestDedup
 	} else {

@@ -7,16 +7,15 @@ import "allscale/internal/wire"
 // crosses the transport inside one of these.
 
 // AppendWire implements wire.Marshaler. The delivery-semantics
-// trailer (Span, Epoch, Flags, Ack) travels last as uvarints: an
-// untraced, unsupervised call in epoch 0 writes four zero bytes,
-// keeping the fault-free envelope overhead to four bytes per request.
+// trailer (Span, Epoch, Ack) travels last as uvarints: an untraced,
+// unsupervised call in epoch 0 writes three zero bytes, keeping the
+// fault-free envelope overhead to three bytes per request.
 func (r *rpcRequest) AppendWire(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, r.ID)
 	buf = wire.AppendString(buf, r.Method)
 	buf = wire.AppendBytes(buf, r.Body)
 	buf = wire.AppendUvarint(buf, r.Span)
 	buf = wire.AppendUvarint(buf, r.Epoch)
-	buf = wire.AppendUvarint(buf, r.Flags)
 	return wire.AppendUvarint(buf, r.Ack), nil
 }
 
@@ -28,7 +27,6 @@ func (r *rpcRequest) UnmarshalWire(d *wire.Decoder) error {
 	r.Body = d.Bytes()
 	r.Span = d.Uvarint()
 	r.Epoch = d.Uvarint()
-	r.Flags = d.Uvarint()
 	r.Ack = d.Uvarint()
 	return nil
 }

@@ -36,7 +36,7 @@ func BenchmarkFineGrainSpawnPFor(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if st := sys.SchedStats(); st.Executed != uint64(b.N)*127 {
-		b.Fatalf("executed %d tasks in %d trees, want 127 per tree", st.Executed, b.N)
+	if executed := sys.CounterSum(sched.MetricExecuted); executed != uint64(b.N)*127 {
+		b.Fatalf("executed %d tasks in %d trees, want 127 per tree", executed, b.N)
 	}
 }

@@ -301,8 +301,7 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 	// thieves can run the other seven.
 	s1.SetDraining(false)
 	waitAll(futs)
-	stolen, _ := s1.StealStats()
-	if _, from := s0.StealStats(); stolen != 7 || from != 7 {
+	if stolen, from := counter(s1, MetricSteals), counter(s0, MetricStolenFrom); stolen != 7 || from != 7 {
 		t.Fatalf("rank 1 stole %d, rank 0 granted %d, want 7 and 7", stolen, from)
 	}
 	if got := executedAt(s1); got != 7 {
@@ -313,14 +312,13 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 	// Redistribution: a draining rank 0 re-places what it has queued.
 	// Rank 1's thieves may get to some of it first; either way all of
 	// it leaves rank 0's queue and runs on rank 1.
-	placedBefore := s0.Stats().RemotePlaced
+	placedBefore := counter(s0, MetricRemotePlaced)
 	futs = spawnLeaves(t, s0, 6, tenant, 9)
 	s0.SetDraining(true)
 	s0.RedistributeQueued()
 	checkQueued(t, s0, 0)
 	waitAll(futs)
-	_, from := s0.StealStats()
-	if moved := s0.Stats().RemotePlaced - placedBefore + from - 7; moved != 6 {
+	if moved := counter(s0, MetricRemotePlaced) - placedBefore + counter(s0, MetricStolenFrom) - 7; moved != 6 {
 		t.Fatalf("%d tagged tasks left rank 0 by re-placement or steal, want 6", moved)
 	}
 	if got := executedAt(s1); got != 13 {

@@ -166,7 +166,7 @@ func TestQueueStressNoLossNoDup(t *testing.T) {
 			default:
 				for _, s := range c.scheds {
 					s.QueueLen()
-					s.StealStats()
+					counter(s, MetricSteals)
 					s.Load()
 				}
 				c.scheds[0].HandleDeath(3)

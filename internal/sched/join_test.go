@@ -127,7 +127,7 @@ func TestHelpingJoinNested(t *testing.T) {
 			})
 			var executed uint64
 			for _, s := range c.scheds {
-				executed += s.Stats().Executed
+				executed += counter(s, MetricExecuted)
 				if q := s.queued.Load(); q != 0 {
 					t.Errorf("rank %d: queued counter %d after the trees unwound, want 0", s.Rank(), q)
 				}

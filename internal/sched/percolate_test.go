@@ -170,8 +170,8 @@ func TestPercolationShipsToMajorityOwner(t *testing.T) {
 	if got := <-execRank; got != 1 {
 		t.Fatalf("task executed on rank %d, want majority owner 1", got)
 	}
-	if st := c.scheds[0].Stats(); st.PercToData != 1 || st.PercToTask != 0 {
-		t.Fatalf("percolation stats = to_data %d, to_task %d; want 1, 0", st.PercToData, st.PercToTask)
+	if toData, toTask := counter(c.scheds[0], MetricPercolateToData), counter(c.scheds[0], MetricPercolateToTask); toData != 1 || toTask != 0 {
+		t.Fatalf("percolation stats = to_data %d, to_task %d; want 1, 0", toData, toTask)
 	}
 }
 
@@ -229,8 +229,8 @@ func TestPercolationKeepsTaskWhenMigrationCheaper(t *testing.T) {
 	if got := <-execRank; got != 0 {
 		t.Fatalf("task executed on rank %d, want local rank 0", got)
 	}
-	if st := c.scheds[0].Stats(); st.PercToTask != 1 || st.PercToData != 0 {
-		t.Fatalf("percolation stats = to_data %d, to_task %d; want 0, 1", st.PercToData, st.PercToTask)
+	if toData, toTask := counter(c.scheds[0], MetricPercolateToData), counter(c.scheds[0], MetricPercolateToTask); toTask != 1 || toData != 0 {
+		t.Fatalf("percolation stats = to_data %d, to_task %d; want 0, 1", toData, toTask)
 	}
 }
 

@@ -101,9 +101,12 @@ type Policy interface {
 
 // Registry names under which the scheduler publishes its metrics.
 const (
-	MetricSpawned       = "sched.spawned"
-	MetricExecuted      = "sched.executed"
-	MetricSplits        = "sched.splits"
+	MetricSpawned  = "sched.spawned"
+	MetricExecuted = "sched.executed"
+	MetricSplits   = "sched.splits"
+	// Placements: kept local, shipped, covering every requirement
+	// (Algorithm 2 line 6), covering the writes (line 9), by the policy
+	// (line 13).
 	MetricLocalPlaced   = "sched.local_placed"
 	MetricRemotePlaced  = "sched.remote_placed"
 	MetricCoveredAll    = "sched.covered_all"
@@ -130,20 +133,6 @@ const (
 	MetricPercolateToData = "sched.percolate.to_data"
 	MetricPercolateToTask = "sched.percolate.to_task"
 )
-
-// Stats aggregates per-locality scheduling counters.
-type Stats struct {
-	Spawned      uint64 // tasks spawned at this locality
-	Executed     uint64 // variants executed at this locality
-	Splits       uint64 // split variants executed
-	LocalPlaced  uint64 // tasks placed without leaving the locality
-	RemotePlaced uint64 // tasks shipped to another locality
-	CoveredAll   uint64 // placements satisfying all requirements (line 6)
-	CoveredWrite uint64 // placements satisfying write requirements (line 9)
-	PolicyPlaced uint64 // placements decided by the policy (line 13)
-	PercToData   uint64 // percolation: task shipped to the majority owner
-	PercToTask   uint64 // percolation: task kept local, data migrates
-}
 
 // Scheduler is the per-locality task scheduler.
 type Scheduler struct {
@@ -317,22 +306,6 @@ func (s *Scheduler) Size() int { return s.loc.Size() }
 
 // Manager returns the data item manager of this locality.
 func (s *Scheduler) Manager() *dim.Manager { return s.mgr }
-
-// Stats returns a snapshot of the scheduling counters.
-func (s *Scheduler) Stats() Stats {
-	return Stats{
-		Spawned:      s.stats.spawned.Value(),
-		Executed:     s.stats.executed.Value(),
-		Splits:       s.stats.splits.Value(),
-		LocalPlaced:  s.stats.localPlaced.Value(),
-		RemotePlaced: s.stats.remotePlaced.Value(),
-		CoveredAll:   s.stats.coveredAll.Value(),
-		CoveredWrite: s.stats.coveredWrite.Value(),
-		PolicyPlaced: s.stats.polPlaced.Value(),
-		PercToData:   s.stats.percToData.Value(),
-		PercToTask:   s.stats.percToTask.Value(),
-	}
-}
 
 // Load returns the locality's current queued+running task count.
 func (s *Scheduler) Load() int64 { return s.queued.Load() + s.running.Load() }

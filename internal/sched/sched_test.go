@@ -51,6 +51,10 @@ func (c *cluster) registerAll(mk func(rank int) *Kind) {
 
 func (c *cluster) start() { c.sys.Start() }
 
+// counter reads one of the scheduler's counters from its locality's
+// registry.
+func counter(s *Scheduler, name string) uint64 { return s.loc.Metrics().CounterValue(name) }
+
 // sumRange is a prec-style divisible task: sum the integers of
 // [Lo, Hi).
 type sumRange struct{ Lo, Hi int64 }
@@ -130,7 +134,7 @@ func TestRecursiveTaskTreeAcrossLocalities(t *testing.T) {
 	// The task tree must have spread: some work executed remotely.
 	remote := uint64(0)
 	for i := 1; i < 4; i++ {
-		remote += c.scheds[i].Stats().Executed
+		remote += counter(c.scheds[i], MetricExecuted)
 	}
 	if remote == 0 {
 		t.Fatal("no task executed on a remote locality")
@@ -264,8 +268,8 @@ func TestDataAwarePlacementFollowsData(t *testing.T) {
 		}
 	}
 	// All placements must have been requirement-covered.
-	if c.scheds[0].Stats().CoveredAll+c.scheds[0].Stats().CoveredWrite < 4 {
-		t.Fatalf("stats = %+v: placements not data-aware", c.scheds[0].Stats())
+	if covered := counter(c.scheds[0], MetricCoveredAll) + counter(c.scheds[0], MetricCoveredWrite); covered < 4 {
+		t.Fatalf("%d covered placements: not data-aware", covered)
 	}
 }
 
@@ -408,17 +412,11 @@ func TestSchedulerStatsAccounting(t *testing.T) {
 	if _, err := fut.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	total := Stats{}
-	for _, s := range c.scheds {
-		st := s.Stats()
-		total.Spawned += st.Spawned
-		total.Executed += st.Executed
-		total.Splits += st.Splits
+	spawned, executed := c.sumCounter(MetricSpawned), c.sumCounter(MetricExecuted)
+	if spawned == 0 || executed != spawned {
+		t.Fatalf("spawned %d tasks, executed %d", spawned, executed)
 	}
-	if total.Spawned == 0 || total.Executed != total.Spawned {
-		t.Fatalf("stats inconsistent: %+v", total)
-	}
-	if total.Splits == 0 {
+	if c.sumCounter(MetricSplits) == 0 {
 		t.Fatal("no split variant executed")
 	}
 }

@@ -91,7 +91,7 @@ func TestArrivalClearsInflightEntry(t *testing.T) {
 	waitFor(t, "X queued at rank 1", func() bool { return s1.QueueLen() == 1 })
 	s0.probePeer(rand.New(rand.NewSource(1)))
 	waitFor(t, "X granted back to rank 0", func() bool { return s0.QueueLen() == 1 })
-	if stolen, _ := s0.StealStats(); stolen != 1 {
+	if stolen := counter(s0, MetricSteals); stolen != 1 {
 		t.Fatalf("rank 0 counts %d stolen tasks, want 1", stolen)
 	}
 

@@ -59,12 +59,12 @@ func TestStealGrantKeepsVariant(t *testing.T) {
 	if err := fut.WaitInto(&got); err != nil || got != 64*63/2 {
 		t.Fatalf("stolen tree: sum = %d, err %v, want %d", got, err, 64*63/2)
 	}
-	if stolen, _ := s1.StealStats(); stolen != 1 {
+	if stolen := counter(s1, MetricSteals); stolen != 1 {
 		t.Fatalf("rank 1 stole %d tasks, want the one split", stolen)
 	}
-	if s0.Stats().Splits != 0 || s1.Stats().Splits != 3 {
+	if s0Splits, s1Splits := counter(s0, MetricSplits), counter(s1, MetricSplits); s0Splits != 0 || s1Splits != 3 {
 		t.Fatalf("splits ran: %d on rank 0, %d on rank 1 — want the stolen tree's 3 on the thief",
-			s0.Stats().Splits, s1.Stats().Splits)
+			s0Splits, s1Splits)
 	}
 
 	// Forwarded by a drain. Rank 1's worker is held too, so that what
@@ -73,7 +73,7 @@ func TestStealGrantKeepsVariant(t *testing.T) {
 	// hundred runs the split is granted to it before the drain gets to
 	// forward it. Either way it must arrive as a split.)
 	occupyWorkers(t, s1, started)
-	placed := s0.Stats().RemotePlaced
+	placed := counter(s0, MetricRemotePlaced)
 	if fut, err = s0.Spawn("sum", &sumRange{0, 64}); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestStealGrantKeepsVariant(t *testing.T) {
 	s0.RedistributeQueued()
 	checkQueued(t, s0, 0)
 	checkOneQueuedSplit(t, s1)
-	_, granted := s0.StealStats() // 1 so far: the first tree's split
-	if forwarded := s0.Stats().RemotePlaced - placed; forwarded+granted-1 != 1 {
+	granted := counter(s0, MetricStolenFrom) // 1 so far: the first tree's split
+	if forwarded := counter(s0, MetricRemotePlaced) - placed; forwarded+granted-1 != 1 {
 		t.Fatalf("the second split left rank 0 %d times by re-placement and %d by grant, want once in all",
 			forwarded, granted-1)
 	}
@@ -90,9 +90,9 @@ func TestStealGrantKeepsVariant(t *testing.T) {
 	if err := fut.WaitInto(&got); err != nil || got != 64*63/2 {
 		t.Fatalf("forwarded tree: sum = %d, err %v, want %d", got, err, 64*63/2)
 	}
-	if s0.Stats().Splits != 0 || s1.Stats().Splits != 6 {
+	if s0Splits, s1Splits := counter(s0, MetricSplits), counter(s1, MetricSplits); s0Splits != 0 || s1Splits != 6 {
 		t.Fatalf("splits ran: %d on rank 0, %d on rank 1 — want both trees' 6 on rank 1",
-			s0.Stats().Splits, s1.Stats().Splits)
+			s0Splits, s1Splits)
 	}
 }
 
@@ -153,10 +153,7 @@ func TestJoinStillSteals(t *testing.T) {
 	<-childRunning
 	// Surplus on rank 1, behind its only worker.
 	leaves := spawnLeaves(t, s1, 16, 0, 0)
-	waitFor(t, "rank 0 to steal from inside its join", func() bool {
-		stolen, _ := s0.StealStats()
-		return stolen > 0
-	})
+	waitFor(t, "rank 0 to steal from inside its join", func() bool { return counter(s0, MetricSteals) > 0 })
 	if root.Done() {
 		t.Fatal("the root's join returned while its child was still held")
 	}
@@ -170,8 +167,8 @@ func TestJoinStillSteals(t *testing.T) {
 			t.Fatalf("leaf: sum %d, err %v", sum, err)
 		}
 	}
-	if s0.Stats().Executed < 2 {
-		t.Fatalf("rank 0 executed %d tasks, want its root and what it stole", s0.Stats().Executed)
+	if executed := counter(s0, MetricExecuted); executed < 2 {
+		t.Fatalf("rank 0 executed %d tasks, want its root and what it stole", executed)
 	}
 }
 
@@ -204,8 +201,8 @@ func TestCancelPurgesQueuedSplit(t *testing.T) {
 	if _, err := next.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Splits != 0 || st.Executed != 2 {
-		t.Fatalf("%d splits, %d tasks executed — want no split and only the gate and the leaf", st.Splits, st.Executed)
+	if splits, executed := counter(s, MetricSplits), counter(s, MetricExecuted); splits != 0 || executed != 2 {
+		t.Fatalf("%d splits, %d tasks executed — want no split and only the gate and the leaf", splits, executed)
 	}
 	if got := s.loc.Metrics().CounterValue(TenantCancelledMetric(1)); got != 1 {
 		t.Fatalf("tenant cancelled counter = %d, want 1", got)

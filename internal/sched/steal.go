@@ -148,11 +148,6 @@ func (s *Scheduler) takeQueued(max int, match func(*TaskSpec) bool) []queuedTask
 // drainQueues empties every deque and returns the tasks it took out.
 func (s *Scheduler) drainQueues() []queuedTask { return s.takeQueued(math.MaxInt, nil) }
 
-// StealStats reports (stolen-by-us, stolen-from-us) task counts.
-func (s *Scheduler) StealStats() (uint64, uint64) {
-	return s.stats.stolen.Value(), s.stats.stolenFrom.Value()
-}
-
 // enqueueAt pushes onto worker w's deque (round-robin when w < 0),
 // beginning the task.enqueue span that measures queue residency, and
 // wakes a parked worker if there is one. The queued counter goes up

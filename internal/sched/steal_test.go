@@ -80,13 +80,8 @@ func TestIdleLocalitiesStealWork(t *testing.T) {
 	if helpers == 0 {
 		t.Fatal("no idle locality stole work")
 	}
-	stolen := uint64(0)
-	for _, s := range c.scheds {
-		a, _ := s.StealStats()
-		stolen += a
-	}
-	if stolen == 0 {
-		t.Fatal("steal statistics report no steals")
+	if c.sumCounter(MetricSteals) == 0 {
+		t.Fatal("steal counters report no steals")
 	}
 }
 
@@ -149,7 +144,7 @@ func TestNewRejectsZeroWorkers(t *testing.T) {
 }
 
 // TestStealBatchingAccounting checks that remote steals move tasks in
-// batches and that the StealStats counters and the steal_batch
+// batches and that the steal counters and the steal_batch
 // histogram agree: the victim's stolen-from count equals the sum of
 // the thieves' stolen counts, and the number of steal grants (histogram
 // observations) is strictly smaller than the number of stolen tasks —
@@ -178,8 +173,8 @@ func TestStealBatchingAccounting(t *testing.T) {
 		}
 	}
 
-	_, stolenFrom0 := c.scheds[0].StealStats()
-	stolen1, _ := c.scheds[1].StealStats()
+	stolenFrom0 := counter(c.scheds[0], MetricStolenFrom)
+	stolen1 := counter(c.scheds[1], MetricSteals)
 	if stolen1 == 0 {
 		t.Fatal("idle rank stole nothing")
 	}
@@ -199,9 +194,9 @@ func TestStealBatchingAccounting(t *testing.T) {
 	}
 }
 
-// TestStealStatsConcurrent hammers StealStats (now lock-free atomics)
-// while the queue is busy; meaningful under -race.
-func TestStealStatsConcurrent(t *testing.T) {
+// TestStealCountersConcurrent reads the steal counters and the queue
+// length while the queue is busy; meaningful under -race.
+func TestStealCountersConcurrent(t *testing.T) {
 	c := newCluster(t, 2, 1, &LocalPolicy{})
 	var mu sync.Mutex
 	ranks := map[int]int{}
@@ -220,7 +215,7 @@ func TestStealStatsConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					s.StealStats()
+					counter(s, MetricSteals)
 					s.QueueLen()
 				}
 			}
@@ -336,7 +331,7 @@ func TestStealGrantRespectsData(t *testing.T) {
 	}
 	holdThieves(s1)
 	checkQueued(t, s0, bound)
-	if stolen, _ := s1.StealStats(); stolen != free+1 {
+	if stolen := counter(s1, MetricSteals); stolen != free+1 {
 		t.Fatalf("rank 1 stole %d tasks, want the %d that are bound to nothing", stolen, free+1)
 	}
 	release()
@@ -443,12 +438,9 @@ func TestStealVictimIsPlaceable(t *testing.T) {
 	var futs []*runtime.Future
 	for probe := 1; probe <= 16; probe++ {
 		futs = append(futs, spawnLeaves(t, s0, 2, 0, 0)...)
-		before, _ := s1.StealStats()
+		before := counter(s1, MetricSteals)
 		s1.probePeer(rng)
-		waitFor(t, "a grant: the only loaded peer was not asked", func() bool {
-			stolen, _ := s1.StealStats()
-			return stolen > before
-		})
+		waitFor(t, "a grant: the only loaded peer was not asked", func() bool { return counter(s1, MetricSteals) > before })
 	}
 	if got := s1.stats.stealAttempts.Value() - attempts; got != 16 {
 		t.Fatalf("%d steal attempts for 16 probes", got)

@@ -226,6 +226,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // segment's size over the buffer's, not by the frame count.
 func TestTCPReadsPerSegment(t *testing.T) {
 	a, _, _ := newTCPPair(t, fastConfig())
+	reg := bindRegistry(a)
 	const n = 1000
 	var mu sync.Mutex
 	var got []string
@@ -267,7 +268,7 @@ func TestTCPReadsPerSegment(t *testing.T) {
 	if reads, max := cc.reads.Load(), int64(len(stream)/readBufSize+3); reads > max {
 		t.Errorf("%d Read calls for %d frames in one %d-byte segment, want at most %d", reads, n, len(stream), max)
 	}
-	if recv := a.Stats().MsgsReceived; recv != n {
+	if recv := reg.CounterValue(MetricMsgsReceived); recv != n {
 		t.Errorf("receiver counted %d messages, want %d", recv, n)
 	}
 }
@@ -278,6 +279,7 @@ func TestTCPReadsPerSegment(t *testing.T) {
 // names the sender.
 func TestTCPCorruptFrameBehindValidOnes(t *testing.T) {
 	a, _, _ := newTCPPair(t, fastConfig())
+	reg := bindRegistry(a)
 	var delivered atomic.Int64
 	a.SetHandler(func(Message) { delivered.Add(1) })
 	failed := make(chan int, 1)
@@ -302,7 +304,7 @@ func TestTCPCorruptFrameBehindValidOnes(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("no failure notification for the corrupt frame")
 	}
-	if d, dropped := delivered.Load(), a.Stats().DroppedFrames; d != 2 || dropped != 1 {
+	if d, dropped := delivered.Load(), reg.CounterValue(MetricDroppedFrames); d != 2 || dropped != 1 {
 		t.Errorf("delivered %d frames and dropped %d, want 2 and 1", d, dropped)
 	}
 }

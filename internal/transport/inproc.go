@@ -132,8 +132,6 @@ func (e *inprocEndpoint) deliver() {
 	}
 }
 
-func (e *inprocEndpoint) Stats() Stats { return e.stats.Load().snapshot() }
-
 func (e *inprocEndpoint) Close() error {
 	e.closed.Do(func() { close(e.done) })
 	return nil

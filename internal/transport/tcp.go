@@ -509,8 +509,6 @@ func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 	return fmt.Errorf("transport: send to rank %d: %w", to, err)
 }
 
-func (e *TCPEndpoint) Stats() Stats { return e.stats.Load().snapshot() }
-
 func (e *TCPEndpoint) Close() error {
 	e.once.Do(func() {
 		close(e.closed)

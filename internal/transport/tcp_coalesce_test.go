@@ -14,6 +14,7 @@ import (
 // for every frame.
 func TestTCPCoalescedOrdering(t *testing.T) {
 	a, b, _ := newTCPPair(t, fastConfig())
+	regA, regB := bindRegistry(a), bindRegistry(b)
 	a.SetHandler(func(Message) {})
 
 	const senders, perSender = 8, 500
@@ -78,10 +79,10 @@ func TestTCPCoalescedOrdering(t *testing.T) {
 		next[r.sender]++
 	}
 
-	if sent := a.Stats().MsgsSent; sent != senders*perSender {
+	if sent := regA.CounterValue(MetricMsgsSent); sent != senders*perSender {
 		t.Fatalf("sender counted %d sent messages, want %d", sent, senders*perSender)
 	}
-	if recv := b.Stats().MsgsReceived; recv != senders*perSender {
+	if recv := regB.CounterValue(MetricMsgsReceived); recv != senders*perSender {
 		t.Fatalf("receiver counted %d received messages, want %d", recv, senders*perSender)
 	}
 }

@@ -38,6 +38,7 @@ func newTCPPair(t *testing.T, cfg TCPConfig) (*TCPEndpoint, *TCPEndpoint, []stri
 // error is counted, and that the failure handler reports the rank.
 func TestTCPSendToCrashedPeer(t *testing.T) {
 	a, b, _ := newTCPPair(t, fastConfig())
+	reg := bindRegistry(a)
 	a.SetHandler(func(Message) {})
 	b.SetHandler(func(Message) {})
 
@@ -71,8 +72,8 @@ func TestTCPSendToCrashedPeer(t *testing.T) {
 	if sendErr == nil {
 		t.Fatal("Send to crashed peer never returned an error")
 	}
-	if got := a.Stats().SendErrors; got == 0 {
-		t.Fatalf("SendErrors = %d, want > 0", got)
+	if got := reg.CounterValue(MetricSendErrors); got == 0 {
+		t.Fatalf("%s = %d, want > 0", MetricSendErrors, got)
 	}
 	if got := failedPeer.Load(); got != 1 {
 		t.Fatalf("failure handler saw peer %d, want 1", got)
@@ -86,6 +87,7 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	cfg := fastConfig()
 	cfg.RetryBudget = 2 * time.Second // allow the restart window
 	a, b, actual := newTCPPair(t, cfg)
+	reg := bindRegistry(a)
 
 	var got atomic.Int64
 	a.SetHandler(func(Message) {})
@@ -115,8 +117,8 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	if got2.Load() == 0 {
 		t.Fatal("no frame delivered after peer restart")
 	}
-	if r := a.Stats().Reconnects; r == 0 {
-		t.Fatalf("Reconnects = %d, want > 0", r)
+	if r := reg.CounterValue(MetricReconnects); r == 0 {
+		t.Fatalf("%s = %d, want > 0", MetricReconnects, r)
 	}
 }
 
@@ -125,6 +127,7 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 // bumped) rather than allocated.
 func TestTCPFrameSizeLimit(t *testing.T) {
 	a, _, _ := newTCPPair(t, fastConfig())
+	reg := bindRegistry(a)
 	var delivered atomic.Int64
 	a.SetHandler(func(Message) { delivered.Add(1) })
 
@@ -159,15 +162,15 @@ func TestTCPFrameSizeLimit(t *testing.T) {
 	// Payload length far beyond MaxFrame (would be a ~4 GB alloc).
 	frame := append(append(append(u32(1), u32(1)...), 'k'), u32(0xFFFFFFF0)...)
 	send(frame)
-	waitFor(t, func() bool { return a.Stats().DroppedFrames >= 1 })
+	waitFor(t, func() bool { return reg.CounterValue(MetricDroppedFrames) >= 1 })
 
 	// Sender rank out of range.
 	send(u32(99))
-	waitFor(t, func() bool { return a.Stats().DroppedFrames >= 2 })
+	waitFor(t, func() bool { return reg.CounterValue(MetricDroppedFrames) >= 2 })
 
 	// Kind length beyond MaxFrame.
 	send(append(u32(1), u32(0xFFFFFFF0)...))
-	waitFor(t, func() bool { return a.Stats().DroppedFrames >= 3 })
+	waitFor(t, func() bool { return reg.CounterValue(MetricDroppedFrames) >= 3 })
 
 	if delivered.Load() != 0 {
 		t.Fatalf("corrupt frames were delivered: %d", delivered.Load())

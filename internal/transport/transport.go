@@ -41,8 +41,8 @@ type FailureHandler func(peer int, err error)
 // KindHeartbeat is the message kind of liveness probe frames. Probes
 // carry no payload; their only effect at the receiver is refreshing
 // the sender's last-heard timestamp, so both fabrics deliver them
-// through the ordinary handler path and count them separately in
-// Stats (they also count as regular messages).
+// through the ordinary handler path and count them separately under
+// MetricHeartbeats* (they also count as regular messages).
 const KindHeartbeat = "hb"
 
 // Endpoint is one communication port of a runtime process.
@@ -63,58 +63,34 @@ type Endpoint interface {
 	// nil to disable). See FailureHandler for the delivery contract.
 	SetFailureHandler(h FailureHandler)
 	// SetMetrics rebinds the endpoint's traffic counters to the given
-	// registry (under the Metric* names), making the registry the
-	// single source of truth for transport traffic. Like SetHandler it
-	// must be called before traffic flows; counts accumulated earlier
-	// stay in the endpoint's private registry.
+	// registry (under the Metric* names), the only place they are read
+	// from. Like SetHandler it must be called before traffic flows;
+	// counts accumulated earlier stay in the endpoint's private registry.
 	SetMetrics(reg *metrics.Registry)
-	// Stats returns a snapshot of the endpoint's traffic counters.
-	Stats() Stats
 	// Close shuts the endpoint down; pending sends may be dropped.
 	Close() error
 }
 
-// Stats counts an endpoint's traffic; it is the measurement substrate
-// for the communication-volume experiments and, via the failure
-// counters, for degradation monitoring.
-type Stats struct {
-	MsgsSent      uint64
-	BytesSent     uint64
-	MsgsReceived  uint64
-	BytesReceived uint64
-	// Reconnects counts successful redials of a peer whose previous
-	// connection was evicted as broken.
-	Reconnects uint64
-	// SendErrors counts Send calls that returned an error after the
-	// fabric's own retry (eviction + one redial) was exhausted.
-	SendErrors uint64
-	// DroppedFrames counts inbound frames rejected as corrupt (frame
-	// size beyond the sanity limit or sender rank out of range); the
-	// carrying connection is closed.
-	DroppedFrames uint64
-	// HeartbeatsSent / HeartbeatsReceived count KindHeartbeat liveness
-	// probes (also included in the Msgs* totals).
-	HeartbeatsSent     uint64
-	HeartbeatsReceived uint64
-}
-
-// Registry names under which endpoints publish their traffic
-// counters; readers use these instead of private fields.
+// Registry names under which endpoints publish their traffic counters.
 const (
-	MetricMsgsSent           = "transport.msgs_sent"
-	MetricBytesSent          = "transport.bytes_sent"
-	MetricMsgsReceived       = "transport.msgs_received"
-	MetricBytesReceived      = "transport.bytes_received"
-	MetricReconnects         = "transport.reconnects"
-	MetricSendErrors         = "transport.send_errors"
+	MetricMsgsSent      = "transport.msgs_sent"
+	MetricBytesSent     = "transport.bytes_sent"
+	MetricMsgsReceived  = "transport.msgs_received"
+	MetricBytesReceived = "transport.bytes_received"
+	// MetricReconnects counts redials of a peer whose previous
+	// connection was evicted as broken.
+	MetricReconnects = "transport.reconnects"
+	// MetricSendErrors counts Send calls that failed after the fabric's
+	// own retry (eviction + one redial).
+	MetricSendErrors = "transport.send_errors"
+	// MetricDroppedFrames counts inbound frames rejected as corrupt; the
+	// carrying connection is closed.
 	MetricDroppedFrames      = "transport.dropped_frames"
 	MetricHeartbeatsSent     = "transport.heartbeats_sent"
 	MetricHeartbeatsReceived = "transport.heartbeats_received"
 )
 
-// counters is the Stats backing store shared by the fabric
-// implementations; each field is a counter registered in a
-// metrics.Registry, so the endpoint's traffic shows up in the same
+// counters are an endpoint's traffic counters, registered in the
 // registry the rest of the locality publishes to.
 type counters struct {
 	msgsSent, bytesSent, msgsRecv, bytesRecv *metrics.Counter
@@ -154,20 +130,6 @@ func (c *counters) received(kind string, n int) {
 	c.bytesRecv.Add(uint64(n))
 	if kind == KindHeartbeat {
 		c.hbRecv.Inc()
-	}
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		MsgsSent:           c.msgsSent.Value(),
-		BytesSent:          c.bytesSent.Value(),
-		MsgsReceived:       c.msgsRecv.Value(),
-		BytesReceived:      c.bytesRecv.Value(),
-		Reconnects:         c.reconnects.Value(),
-		SendErrors:         c.sendErrors.Value(),
-		DroppedFrames:      c.droppedFrames.Value(),
-		HeartbeatsSent:     c.hbSent.Value(),
-		HeartbeatsReceived: c.hbRecv.Value(),
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"allscale/internal/metrics"
 )
 
 func TestInprocBasicDelivery(t *testing.T) {
@@ -99,6 +101,7 @@ func TestInprocStats(t *testing.T) {
 	var delivered atomic.Int64
 	f.Endpoint(0).SetHandler(func(Message) {})
 	f.Endpoint(1).SetHandler(func(Message) { delivered.Add(1) })
+	sender, receiver := bindRegistry(f.Endpoint(0)), bindRegistry(f.Endpoint(1))
 	f.Start()
 	defer f.Close()
 	payload := make([]byte, 100)
@@ -108,13 +111,11 @@ func TestInprocStats(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return delivered.Load() == 5 })
-	s := f.Endpoint(0).Stats()
-	if s.MsgsSent != 5 || s.BytesSent != 500 {
-		t.Fatalf("sender stats = %+v", s)
+	if n, b := sender.CounterValue(MetricMsgsSent), sender.CounterValue(MetricBytesSent); n != 5 || b != 500 {
+		t.Fatalf("sender counted %d messages, %d bytes, want 5 and 500", n, b)
 	}
-	r := f.Endpoint(1).Stats()
-	if r.MsgsReceived != 5 || r.BytesReceived != 500 {
-		t.Fatalf("receiver stats = %+v", r)
+	if n, b := receiver.CounterValue(MetricMsgsReceived), receiver.CounterValue(MetricBytesReceived); n != 5 || b != 500 {
+		t.Fatalf("receiver counted %d messages, %d bytes, want 5 and 500", n, b)
 	}
 }
 
@@ -200,6 +201,14 @@ func TestTCPOrderingAndLargePayload(t *testing.T) {
 			t.Fatalf("payload %d has size %d, want %d (order/framing broken)", i, lens[i], n)
 		}
 	}
+}
+
+// bindRegistry binds e's traffic counters to a fresh registry, as a
+// locality does with its own, and returns it.
+func bindRegistry(e Endpoint) *metrics.Registry {
+	reg := metrics.NewRegistry()
+	e.SetMetrics(reg)
+	return reg
 }
 
 func waitFor(t *testing.T, cond func() bool) {
