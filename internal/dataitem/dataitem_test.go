@@ -534,100 +534,17 @@ func TestTreeExtractInsertRoundTrip(t *testing.T) {
 	}
 }
 
-func TestArrayFragment(t *testing.T) {
-	typ := NewArrayType[float32]("arr", 100)
-	f := typ.NewFragment().(*ArrayFragment[float32])
-	if err := f.Resize(IntervalFromTo(10, 20)); err != nil {
-		t.Fatal(err)
-	}
-	f.Set(15, 1.5)
-	if got := f.At(15); got != 1.5 {
-		t.Fatalf("At = %v", got)
-	}
-	data, err := f.Extract(IntervalFromTo(14, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := typ.NewFragment().(*ArrayFragment[float32])
-	g.Resize(IntervalFromTo(0, 100))
-	if _, err := g.Insert(data); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.At(15); got != 1.5 {
-		t.Fatalf("transferred value = %v", got)
-	}
-}
-
-// TestArrayWritersSurviveResizes: two tasks of one rank set disjoint
-// indices while the manager resizes the fragment around them — with a
-// bare map under Set this died of "concurrent map writes".
-func TestArrayWritersSurviveResizes(t *testing.T) {
-	typ := NewArrayType[int]("arrW", 64)
-	f := typ.NewFragment().(*ArrayFragment[int])
-	base := IntervalFromTo(0, 32)
-	f.Resize(base)
-	stop := make(chan struct{})
-	var resizing sync.WaitGroup
-	resizing.Add(1)
-	go func() {
-		defer resizing.Done()
-		for i := int64(0); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			f.Resize(base.Union(IntervalFromTo(32+i%16, 48+i%16)))
-			f.Resize(base)
-		}
-	}()
-	var writing sync.WaitGroup
-	for w := int64(0); w < 2; w++ {
-		writing.Add(1)
-		go func(lo int64) {
-			defer writing.Done()
-			for round := 1; round <= 500; round++ {
-				for i := lo; i < lo+16; i++ {
-					f.Set(i, round)
-				}
-				for i := lo; i < lo+16; i++ {
-					if got := f.At(i); got != round {
-						t.Errorf("[%d] = %d in round %d", i, got, round)
-						return
-					}
-				}
-			}
-		}(16 * w)
-	}
-	writing.Wait()
-	close(stop)
-	resizing.Wait()
-}
-
-func TestScalarType(t *testing.T) {
-	typ := NewScalarType[int64]("counter")
-	if typ.FullRegion().Size() != 1 {
-		t.Fatal("scalar must have one element")
-	}
-	f := typ.NewFragment().(*ArrayFragment[int64])
-	f.Resize(typ.FullRegion())
-	f.Set(0, 7)
-	if f.At(0) != 7 {
-		t.Fatal("scalar access broken")
-	}
-}
-
 func TestRegionTypeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cross-type union must panic")
 		}
 	}()
-	GridRegionFromTo(p(0), p(1)).Union(IntervalFromTo(0, 1))
+	GridRegionFromTo(p(0), p(1)).Union(TreeItemRegion{T: region.FullTreeRegion(2)})
 }
 
 func TestRegionEqualAcrossTypesIsFalse(t *testing.T) {
-	if GridRegionFromTo(p(0), p(1)).Equal(IntervalFromTo(0, 1)) {
+	if GridRegionFromTo(p(0), p(1)).Equal(TreeItemRegion{T: region.FullTreeRegion(1)}) {
 		t.Fatal("regions of different types must not be equal")
 	}
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // The element codec: the one wire form of a run of fragment elements
-// (grid cells, array values, tree payloads, map keys and values;
-// DESIGN.md §6a). The fixed-size numeric kinds travel as one bulk
-// block (wire.AppendNumeric); every other element type is a uvarint
+// (grid cells, tree payloads, map keys and values; DESIGN.md §6a).
+// The fixed-size numeric kinds travel as one bulk block
+// (wire.AppendNumeric); every other element type is a uvarint
 // count followed by each element's own form — length-prefixed for
 // string, AppendWire/UnmarshalWire for a type that declares them. An
 // element form is at least one byte: the decoder bounds the count by
 // the bytes left. A type with none of these cannot be an element type:
-// New{Grid,Tree,Array,Map}Type reject it at registration, which is why
+// New{Grid,Tree,Map}Type reject it at registration, which is why
 // the codec asserts the interfaces unchecked.
 
 // mustHaveElemForm panics when T cannot be a fragment element type;

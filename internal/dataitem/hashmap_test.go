@@ -1,7 +1,10 @@
 package dataitem
 
 import (
+	"sync"
 	"testing"
+
+	"allscale/internal/region"
 )
 
 func TestMapFragmentBasics(t *testing.T) {
@@ -88,7 +91,7 @@ func TestMapExtractInsertRoundTrip(t *testing.T) {
 		src.Put(k, float64(i)*1.5)
 	}
 	// Transfer buckets 0..2.
-	sub := IntervalFromTo(0, 2)
+	sub := buckets(0, 2)
 	data, err := src.Extract(sub)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +144,7 @@ func TestMapInsertReplacesCarriedBuckets(t *testing.T) {
 			src.Put(k, "new")
 		}
 	}
-	data, err := src.Extract(IntervalFromTo(0, 1))
+	data, err := src.Extract(buckets(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestMapInsertReplacesCarriedBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !covered.Equal(IntervalFromTo(0, 1)) {
+	if !covered.Equal(buckets(0, 1)) {
 		t.Fatalf("insert covered %v, want bucket 0", covered)
 	}
 	if _, ok := dst.Get(gone); ok {
@@ -173,7 +176,7 @@ func TestMapFragmentResizeDropsForeignBuckets(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f.Put(i, "v")
 	}
-	keep := IntervalFromTo(0, 2)
+	keep := buckets(0, 2)
 	if err := f.Resize(keep); err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +195,66 @@ func TestMapFragmentResizeDropsForeignBuckets(t *testing.T) {
 func TestMapExtractRequiresCoverage(t *testing.T) {
 	typ := NewMapType[string, int]("kv6", 4)
 	f := typ.NewFragment().(*MapFragment[string, int])
-	f.Resize(IntervalFromTo(0, 2))
-	if _, err := f.Extract(IntervalFromTo(0, 4)); err == nil {
+	f.Resize(buckets(0, 2))
+	if _, err := f.Extract(buckets(0, 4)); err == nil {
 		t.Fatal("extract beyond coverage must fail")
 	}
+}
+
+// buckets returns the region of buckets [lo, hi).
+func buckets(lo, hi int) GridRegion {
+	return GridRegionFromTo(region.Point{lo}, region.Point{hi})
+}
+
+// TestMapWritersOfDistinctBucketsSurviveResizes: two tasks of one rank
+// write the pairs of buckets 0 and 1 while the manager grows the
+// fragment to every bucket and shrinks it back. With one Go map under
+// Put this died of "concurrent map iteration and map write".
+func TestMapWritersOfDistinctBucketsSurviveResizes(t *testing.T) {
+	typ := NewMapType[int, int]("kvW", 4)
+	f := typ.NewFragment().(*MapFragment[int, int])
+	base := buckets(0, 2)
+	f.Resize(base)
+	var keys [2][]int
+	for k := 0; len(keys[0]) < 16 || len(keys[1]) < 16; k++ {
+		if b := typ.BucketOf(k); b < 2 && len(keys[b]) < 16 {
+			keys[b] = append(keys[b], k)
+		}
+	}
+	stop := make(chan struct{})
+	var resizing sync.WaitGroup
+	resizing.Add(1)
+	go func() {
+		defer resizing.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f.Resize(typ.FullRegion())
+			f.Resize(base)
+		}
+	}()
+	var writing sync.WaitGroup
+	for _, ks := range keys {
+		writing.Add(1)
+		go func(ks []int) {
+			defer writing.Done()
+			for round := 1; round <= 500; round++ {
+				for _, k := range ks {
+					f.Put(k, round)
+				}
+				for _, k := range ks {
+					if got, ok := f.Get(k); !ok || got != round {
+						t.Errorf("key %d = %d,%v in round %d", k, got, ok, round)
+						return
+					}
+				}
+			}
+		}(ks)
+	}
+	writing.Wait()
+	close(stop)
+	resizing.Wait()
 }

@@ -7,7 +7,7 @@ import (
 	"allscale/internal/wire"
 )
 
-// This file implements the compact binary forms of the three region
+// This file implements the compact binary forms of the two region
 // schemes, shared by the fragment payloads and by the DIM message
 // headers that carry Region values (DESIGN.md §6a "Wire formats").
 
@@ -42,17 +42,17 @@ func decodeBox(d *wire.Decoder) region.Box {
 	return b
 }
 
-// Region wire kinds.
+// Region wire kinds. 2 is not one: the grid and tree kinds keep the
+// bytes they have always had.
 const (
-	regionWireNil      byte = 0
-	regionWireGrid     byte = 1
-	regionWireInterval byte = 2
-	regionWireTree     byte = 3
+	regionWireNil  byte = 0
+	regionWireGrid byte = 1
+	regionWireTree byte = 3
 )
 
 // AppendRegionWire appends the compact binary form of r, one of the
-// three region schemes (grid box sets, interval sets, tree regions) or
-// nil; any other dynamic Region type is an error.
+// two region schemes (grid box sets, tree regions) or nil; any other
+// dynamic Region type is an error.
 func AppendRegionWire(buf []byte, r Region) ([]byte, error) {
 	switch v := r.(type) {
 	case nil:
@@ -63,15 +63,6 @@ func AppendRegionWire(buf []byte, r Region) ([]byte, error) {
 		buf = wire.AppendUvarint(buf, uint64(len(boxes)))
 		for _, b := range boxes {
 			buf = appendBox(buf, b)
-		}
-		return buf, nil
-	case IntervalRegion:
-		buf = append(buf, regionWireInterval)
-		ivs := v.S.Intervals()
-		buf = wire.AppendUvarint(buf, uint64(len(ivs)))
-		for _, iv := range ivs {
-			buf = wire.AppendVarint(buf, iv.Lo)
-			buf = wire.AppendVarint(buf, iv.Hi)
 		}
 		return buf, nil
 	case TreeItemRegion:
@@ -113,16 +104,6 @@ func DecodeRegionWire(d *wire.Decoder) (Region, error) {
 			return nil, err
 		}
 		return GridRegion{B: region.NewBoxSet(boxes...)}, nil
-	case regionWireInterval:
-		n := d.Count(2)
-		ivs := make([]region.Interval, 0, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			ivs = append(ivs, region.Interval{Lo: d.Varint(), Hi: d.Varint()})
-		}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		return IntervalRegion{S: region.NewIntervalSet(ivs...)}, nil
 	case regionWireTree:
 		height := int(d.Uvarint())
 		n := d.Count(2)

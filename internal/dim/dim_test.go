@@ -656,7 +656,7 @@ func TestDistributedMapItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	covered := dataitem.Region(dataitem.IntervalRegion{})
+	covered := typ.EmptyRegion()
 	for _, o := range owners {
 		covered = covered.Union(o.Region)
 	}

@@ -45,7 +45,6 @@ func TestMismatchedPeerRegionIsRefused(t *testing.T) {
 	}{
 		{"1-d region, 2-d grid", gid, dataitem.GridRegionFromTo(p(0), p(4))},
 		{"3-d region, 2-d grid", gid, dataitem.GridRegionFromTo(p(0, 0, 0), p(4, 4, 4))},
-		{"interval region, grid", gid, dataitem.IntervalFromTo(0, 4)},
 		{"tree region, grid", gid, left},
 		{"no region, grid", gid, nil},
 		{"height-5 region, height-9 tree", tid, dataitem.TreeItemRegion{T: region.SubtreeRegion(5, 2)}},

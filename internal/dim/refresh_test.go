@@ -349,8 +349,8 @@ func TestPinRanksAsItsWriter(t *testing.T) {
 
 // TestRefreshIsExactForSparseFragments: a map replica is refreshed
 // bucket by bucket — a pair the writer deleted goes at the sharer too,
-// and a bucket the writer emptied altogether, which no payload can
-// carry, is removed from the replica instead of keeping its old pairs.
+// and a bucket the writer emptied altogether travels as an empty bucket,
+// so the replica keeps covering it, without its old pairs.
 func TestRefreshIsExactForSparseFragments(t *testing.T) {
 	typ := dataitem.NewMapType[int, int]("kv", 4)
 	ts := newTestSystem(t, 2, typ)
@@ -392,8 +392,8 @@ func TestRefreshIsExactForSparseFragments(t *testing.T) {
 	if ts.sum(MetricDropKept) != 1 {
 		t.Fatalf("replica was not kept: %d", ts.sum(MetricDropKept))
 	}
-	if cov := ts.coverage(t, 1, id); !cov.Equal(full.Difference(dataitem.IntervalFromTo(1, 2))) {
-		t.Errorf("sharer covers %v, want all but the emptied bucket", cov)
+	if cov := ts.coverage(t, 1, id); !cov.Equal(full) {
+		t.Errorf("sharer covers %v, want the whole item", cov)
 	}
 	ts.touch(t, 1, id, full, Read)
 	for k := 0; k < keys; k++ {

@@ -11,10 +11,9 @@
 //
 // The package provides the region types of the paper's prototype:
 //
-//   - IntervalSet: sets of half-open 1-d intervals, for arrays.
 //   - BoxSet: sets of axis-aligned N-dimensional boxes, for grids
-//     (Fig. 4a). Individual boxes are not closed under union or
-//     difference; sets of boxes are.
+//     (Fig. 4a) and so for arrays, the 1-d grids. Individual boxes are
+//     not closed under union or difference; sets of boxes are.
 //   - TreeRegion: flexible binary-tree regions described by included
 //     and excluded subtrees (Fig. 4b).
 //   - BlockedTreeRegion: coarse-grained tree regions described by a

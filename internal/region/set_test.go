@@ -5,7 +5,6 @@ import (
 )
 
 var _ Region[ElemSet[int]] = ElemSet[int]{}
-var _ Region[IntervalSet] = IntervalSet{}
 var _ Region[BoxSet] = BoxSet{}
 var _ Region[TreeRegion] = TreeRegion{}
 var _ Region[BlockedTreeRegion] = BlockedTreeRegion{}
