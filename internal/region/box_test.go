@@ -359,6 +359,74 @@ func TestBoxSetAgainstGroundTruth(t *testing.T) {
 	}
 }
 
+// randomSpans returns a 1-d BoxSet — the region of an array or a
+// map's buckets — of up to eight half-open intervals within [-20, 60),
+// often adjacent or overlapping, and the integers it holds.
+func randomSpans(r *rand.Rand) (BoxSet, ElemSet[int]) {
+	var boxes []Box
+	var elems []int
+	for range r.Intn(9) {
+		lo := r.Intn(70) - 20
+		hi := lo + r.Intn(11)
+		boxes = append(boxes, NewBox(Point{lo}, Point{hi}))
+		for i := lo; i < hi; i++ {
+			elems = append(elems, i)
+		}
+	}
+	return NewBoxSet(boxes...), NewElemSet(elems...)
+}
+
+// intRef converts a 1-d BoxSet to the integers it holds.
+func intRef(s BoxSet) ElemSet[int] {
+	var elems []int
+	s.ForEachPoint(func(p Point) { elems = append(elems, p[0]) })
+	return NewElemSet(elems...)
+}
+
+// TestIntervalSetAgainstGroundTruth checks 1-d BoxSets, the interval
+// sets of arrays and maps, against integer sets: the set built, every
+// operation, Size, Contains at each index around it, and Equal — of
+// two random sets, and of a set and its rebuild from single indices.
+func TestIntervalSetAgainstGroundTruth(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	for range 500 {
+		a, ra := randomSpans(r)
+		b, rb := randomSpans(r)
+		if !intRef(a).Equal(ra) {
+			t.Fatalf("%v holds %v, want %v", a, intRef(a), ra)
+		}
+		for _, c := range []struct {
+			op   string
+			got  BoxSet
+			want ElemSet[int]
+		}{
+			{"∪", a.Union(b), ra.Union(rb)},
+			{"∩", a.Intersect(b), ra.Intersect(rb)},
+			{"∖", a.Difference(b), ra.Difference(rb)},
+		} {
+			if !intRef(c.got).Equal(c.want) {
+				t.Fatalf("%v %s %v = %v, want %v", a, c.op, b, c.got, c.want)
+			}
+			if c.got.Size() != c.want.Size() {
+				t.Fatalf("%v %s %v: Size %d, want %d", a, c.op, b, c.got.Size(), c.want.Size())
+			}
+			for i := -25; i < 75; i++ {
+				if c.got.Contains(Point{i}) != c.want.Contains(i) {
+					t.Fatalf("%v %s %v: Contains(%d) = %v", a, c.op, b, i, !c.want.Contains(i))
+				}
+			}
+		}
+		if a.Equal(b) != ra.Equal(rb) {
+			t.Fatalf("%v Equal %v = %v, want %v", a, b, a.Equal(b), ra.Equal(rb))
+		}
+		var units []Box
+		ra.ForEach(func(i int) { units = append(units, NewBox(Point{i}, Point{i + 1})) })
+		if !a.Equal(NewBoxSet(units...)) {
+			t.Fatalf("%v is not Equal to its rebuild from single indices", a)
+		}
+	}
+}
+
 // TestBoxSetAlgebraAllocatesOnlyItsAnswer pins the short cuts: an
 // operand that is the answer costs nothing, and a covered intersection
 // at most the slice of its boxes.
