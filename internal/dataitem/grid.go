@@ -295,7 +295,11 @@ func (f *GridFragment[T]) Extract(r Region) ([]byte, error) {
 
 // Insert implements Fragment. Nothing is stored unless the whole
 // payload decodes and lies inside the fragment.
-func (f *GridFragment[T]) Insert(data []byte) (Region, error) {
+func (f *GridFragment[T]) Insert(data []byte) (Region, error) { return f.insert(data, nil) }
+
+// insert is Insert, refusing the payload too when check, if set, refuses
+// one of its boxes and the values it carries.
+func (f *GridFragment[T]) insert(data []byte, check func(region.Box, []T) error) (Region, error) {
 	d, err := payloadDecoder(data)
 	if err != nil {
 		return nil, err
@@ -321,6 +325,11 @@ func (f *GridFragment[T]) Insert(data []byte) (Region, error) {
 		}
 		if int64(len(vals[bi])) != box.Size() {
 			return nil, fmt.Errorf("dataitem: insert box %v carries %d values, want %d", box, len(vals[bi]), box.Size())
+		}
+		if check != nil {
+			if err := check(box, vals[bi]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for bi, box := range boxes {

@@ -34,29 +34,20 @@ func gridResult(b region.BoxSet, other Region, o region.BoxSet) Region {
 
 // Union implements Region.
 func (g GridRegion) Union(other Region) Region {
-	o, ok := other.(GridRegion)
-	if !ok {
-		typeMismatch("union", g, other)
-	}
-	return gridResult(g.B.Union(o.B), other, o.B)
+	o := operand("union", g, other).B
+	return gridResult(g.B.Union(o), other, o)
 }
 
 // Intersect implements Region.
 func (g GridRegion) Intersect(other Region) Region {
-	o, ok := other.(GridRegion)
-	if !ok {
-		typeMismatch("intersect", g, other)
-	}
-	return gridResult(g.B.Intersect(o.B), other, o.B)
+	o := operand("intersect", g, other).B
+	return gridResult(g.B.Intersect(o), other, o)
 }
 
 // Difference implements Region.
 func (g GridRegion) Difference(other Region) Region {
-	o, ok := other.(GridRegion)
-	if !ok {
-		typeMismatch("difference", g, other)
-	}
-	return gridResult(g.B.Difference(o.B), other, o.B)
+	o := operand("difference", g, other).B
+	return gridResult(g.B.Difference(o), other, o)
 }
 
 // IsEmpty implements Region.

@@ -41,29 +41,20 @@ func treeResult(t region.TreeRegion, other Region, o region.TreeRegion) Region {
 
 // Union implements Region.
 func (t TreeItemRegion) Union(other Region) Region {
-	o, ok := other.(TreeItemRegion)
-	if !ok {
-		typeMismatch("union", t, other)
-	}
-	return treeResult(t.T.Union(o.T), other, o.T)
+	o := operand("union", t, other).T
+	return treeResult(t.T.Union(o), other, o)
 }
 
 // Intersect implements Region.
 func (t TreeItemRegion) Intersect(other Region) Region {
-	o, ok := other.(TreeItemRegion)
-	if !ok {
-		typeMismatch("intersect", t, other)
-	}
-	return treeResult(t.T.Intersect(o.T), other, o.T)
+	o := operand("intersect", t, other).T
+	return treeResult(t.T.Intersect(o), other, o)
 }
 
 // Difference implements Region.
 func (t TreeItemRegion) Difference(other Region) Region {
-	o, ok := other.(TreeItemRegion)
-	if !ok {
-		typeMismatch("difference", t, other)
-	}
-	return treeResult(t.T.Difference(o.T), other, o.T)
+	o := operand("difference", t, other).T
+	return treeResult(t.T.Difference(o), other, o)
 }
 
 // IsEmpty implements Region.
