@@ -10,17 +10,20 @@ import (
 	"allscale/internal/core"
 	"allscale/internal/dim"
 	"allscale/internal/region"
+	"allscale/internal/runtime"
 	"allscale/internal/sched"
 	"allscale/internal/trace"
+	"allscale/internal/transport"
 )
 
 // stepCalls runs warm-up steps of a 64² stencil on 2 in-process
 // localities — each step issued as its two locality-sized halves, the
 // way the stencil-halo benchmark workload issues it — then one more
 // step, and returns the rpc.call spans of that last step by method,
-// how many of them somebody waited for, its dim.locate spans by kind,
-// and the locate RPCs it cost.
-func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, locates map[string]int, locateRPCs uint64) {
+// how many of them somebody waited for, the transport frames its calls
+// and replies took, its dim.locate spans by kind, and the locate RPCs it
+// cost.
+func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames int, locates map[string]int, locateRPCs uint64) {
 	t.Helper()
 	sys, step := startSteps(t, core.Config{TraceCapacity: 1 << 16})
 	defer sys.Close()
@@ -33,9 +36,9 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, loc
 		}
 		return sum
 	}
-	// Nobody waits for a dim.unpin — the refresh of the neighbour's halo
-	// row: let the last one be answered, so that its span is archived on
-	// the side of the mark it belongs to.
+	// Nobody waits for the ack of a ship, a remote fulfilment or a
+	// dim.unpin (the refresh of the neighbour's halo row): let the last
+	// ones arrive, so that the step's frames are all counted.
 	settle := func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for r := 0; r < sys.Size(); r++ {
@@ -58,8 +61,17 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, loc
 	direct, walked := total(dim.MetricRevokeDirect), total(dim.MetricRevokeWalked)
 	kept, evicted := total(dim.MetricDropKept), total(dim.MetricDropEvicted)
 	refreshed, stale := total(dim.MetricRefreshSent), total(dim.MetricRefreshStale)
+	// The frames of calls and replies: every frame less the one-way
+	// messages (steal probes) and the rpc.acks frames — acks that found
+	// no frame to ride on, which in a run of steps would ride on the
+	// next step's.
+	callFrames := func() uint64 {
+		return total(transport.MetricMsgsSent) - total(runtime.MetricRPCOneWays) - total(runtime.MetricRPCAckFrames)
+	}
+	framesBefore := callFrames()
 	step(warmup)
 	settle()
+	frames = int(callFrames() - framesBefore)
 	locateRPCs = total(dim.MetricLocateRPCs) - before
 	if d, w := total(dim.MetricRevokeDirect)-direct, total(dim.MetricRevokeWalked)-walked; d != 2 || w != 0 {
 		t.Errorf("write requirements settled: %d direct, %d walked, want 2 and 0", d, w)
@@ -78,7 +90,7 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, loc
 		switch sp.Name {
 		case "rpc.call":
 			calls[sp.Detail]++
-			if sp.Detail != "dim.unpin" {
+			if !ackOnly[sp.Detail] {
 				awaited++
 			}
 			// The transfers an acquisition issues hang under its span.
@@ -109,8 +121,12 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited int, loc
 		t.Errorf("%d steal attempts for %d µs of parked workers, want at most one per ms", attempts, idleUs)
 	}
 	t.Logf("%d steal attempts in %d steps", attempts, warmup+1)
-	return calls, awaited, locates, locateRPCs
+	return calls, awaited, frames, locates, locateRPCs
 }
+
+// ackOnly names the calls of a step whose callers read no reply: each
+// costs one frame, its ack riding on a later one.
+var ackOnly = map[string]bool{"sched.runb": true, "runtime.fulfill": true, "dim.unpin": true}
 
 // startSteps starts a 64² stencil on 2 in-process localities and
 // returns the system and step s, issued as its two locality-sized
@@ -159,20 +175,22 @@ func formatCalls(calls map[string]int) string {
 // acquisition holds the neighbour's halo replica in place through the
 // owner's own sharer records and refreshes it on release — no fetch, no
 // coverage change, hence no index report, no cache invalidation and no
-// index walk of any kind.
+// index walk of any kind. Only the two dim.drops are awaited: the ship,
+// the fulfilment and the two refreshes are ack-only (DESIGN.md §6d
+// "Deferred acks"), so the six calls take eight frames.
 func TestStencilStepProtocolCounts(t *testing.T) {
-	calls, awaited, locates, locateRPCs := stepCalls(t, 20)
+	calls, awaited, frames, locates, locateRPCs := stepCalls(t, 20)
 	total := 0
 	for _, c := range calls {
 		total += c
 	}
-	t.Logf("one step: %d calls (%d awaited), %d locate RPCs:%s; locates:%s", total, awaited, locateRPCs, formatCalls(calls), formatCalls(locates))
+	t.Logf("one step: %d calls (%d awaited) in %d frames, %d locate RPCs:%s; locates:%s", total, awaited, frames, locateRPCs, formatCalls(calls), formatCalls(locates))
 	want := map[string]int{"sched.runb": 1, "runtime.fulfill": 1, "dim.drop": 2, "dim.unpin": 2}
 	if formatCalls(calls) != formatCalls(want) {
 		t.Errorf("calls per step:%s, want%s", formatCalls(calls), formatCalls(want))
 	}
-	if total > 6 || awaited > 4 {
-		t.Errorf("RPC calls per step = %d (%d awaited), want <= 6 (<= 4)", total, awaited)
+	if total != 6 || awaited != 2 || frames != 8 {
+		t.Errorf("RPC calls per step = %d (%d awaited) in %d frames, want 6 (2) in 8", total, awaited, frames)
 	}
 	if locateRPCs != 0 {
 		t.Errorf("locate RPCs per step = %d, want 0", locateRPCs)
@@ -182,8 +200,8 @@ func TestStencilStepProtocolCounts(t *testing.T) {
 	if formatCalls(locates) != " multi-hit=2" {
 		t.Errorf("locates per step:%s, want multi-hit=2", formatCalls(locates))
 	}
-	again, againAwaited, _, againLocates := stepCalls(t, 21)
-	if formatCalls(again) != formatCalls(calls) || againAwaited != awaited || againLocates != locateRPCs {
+	again, againAwaited, againFrames, _, againLocates := stepCalls(t, 21)
+	if formatCalls(again) != formatCalls(calls) || againAwaited != awaited || againFrames != frames || againLocates != locateRPCs {
 		t.Errorf("counts do not repeat: step 20%s (%d locate RPCs), step 21%s (%d)",
 			formatCalls(calls), locateRPCs, formatCalls(again), againLocates)
 	}
@@ -194,7 +212,9 @@ func TestStencilStepProtocolCounts(t *testing.T) {
 // staging, the lock and sharer bookkeeping, the drops, the kernel, the
 // release and its refresh, the codecs and the transport. PR 25's parent
 // needed 977 objects a step; its region algebra, allocating only its
-// answers, and its map-free placement brought that to about 345.
+// answers, and its map-free placement brought that to about 345, and
+// deferred acks to 331–333 (336–341 under -race -cpu 2). The bound is
+// the highest of those plus 3 %.
 func TestStencilStepAllocs(t *testing.T) {
 	sys, step := startSteps(t, core.Config{})
 	defer sys.Close()
@@ -204,7 +224,7 @@ func TestStencilStepAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() { step(s); s++ })
 	t.Logf("%.0f allocations per step", allocs)
-	if allocs > 600 {
-		t.Errorf("%.0f allocations per step, want at most 600", allocs)
+	if allocs > 351 {
+		t.Errorf("%.0f allocations per step, want at most 351", allocs)
 	}
 }

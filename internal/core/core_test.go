@@ -366,7 +366,8 @@ func TestPForRangeBody(t *testing.T) {
 // promise and join bookkeeping allocate. PR 22's parent — a goroutine,
 // a channel and a sync.Map entry per task — needed 2 249, PR 25's parent
 // — a wire.Decoder, the decoded struct and its bounds per decode of the
-// pfor arguments, a CanSplit that decoded them all — 1 524; 892 now.
+// pfor arguments, a CanSplit that decoded them all — 1 524; 892 now,
+// and the bound is that plus 3 %.
 func TestLocalTreeAllocs(t *testing.T) {
 	sys := NewSystem(Config{Localities: 1, Workers: 1, Policy: &sched.DefaultPolicy{ExtraDepth: 6}})
 	defer sys.Close()
@@ -396,7 +397,7 @@ func TestLocalTreeAllocs(t *testing.T) {
 		t.Fatalf("%d points visited, want %d", got, n*int64(trees))
 	}
 	t.Logf("%.0f allocations per 127-task tree (%.1f per task)", allocs, allocs/127)
-	if allocs > 960 {
-		t.Fatalf("%.0f allocations per 127-task tree, want at most 960", allocs)
+	if allocs > 919 {
+		t.Fatalf("%.0f allocations per 127-task tree, want at most 919", allocs)
 	}
 }

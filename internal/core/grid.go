@@ -77,7 +77,7 @@ func (g *Grid[T]) Local(ctx *sched.Ctx) *dataitem.GridFragment[T] {
 // verification in examples).
 func (g *Grid[T]) Read(r dataitem.GridRegion, fn func(frag *dataitem.GridFragment[T])) error {
 	mgr := g.sys.mgrs[0]
-	token := tokenSeq.Add(1) | 1<<63
+	token := readToken()
 	if err := mgr.Acquire(token, []dim.Requirement{{Item: g.Item(), Region: r, Mode: dim.Read}}); err != nil {
 		return err
 	}
@@ -91,3 +91,10 @@ func (g *Grid[T]) Read(r dataitem.GridRegion, fn func(frag *dataitem.GridFragmen
 }
 
 var tokenSeq atomic.Uint64
+
+// readToken names the acquisition of one façade Read. Its prefix keeps
+// it clear of the other tokens a manager sees: task IDs (rank<<32 |
+// seq), job result reads (1<<62 | job) and the DIM's pin tokens (1<<63
+// | rank<<48 | seq). A Read that drew a pin's token would take the pin
+// for its own lock and read the pinned, stale bytes past it.
+func readToken() uint64 { return tokenSeq.Add(1) | 1<<61 }

@@ -80,7 +80,7 @@ func (t *Tree[T]) Local(ctx *sched.Ctx) *dataitem.TreeFragment[T] {
 // tasks.
 func (t *Tree[T]) Read(r dataitem.TreeItemRegion, fn func(frag *dataitem.TreeFragment[T])) error {
 	mgr := t.sys.mgrs[0]
-	token := tokenSeq.Add(1) | 1<<63
+	token := readToken()
 	if err := mgr.Acquire(token, []dim.Requirement{{Item: t.Item(), Region: r, Mode: dim.Read}}); err != nil {
 		return err
 	}

@@ -1412,9 +1412,9 @@ func (m *Manager) enforceExclusive(token uint64, reqs []Requirement, w *waiter, 
 // Release drops all locks held by token. The replicas a write
 // acquisition left pinned at their holders are owed its result: their
 // parts are extracted while the write lock still stands and sent with
-// the dim.unpin that releases each pin — supervised, and not waited
-// for: the pin keeps every reader of the stale bytes out until the
-// refresh has arrived.
+// the dim.unpin that releases each pin — supervised, ack-only, and not
+// waited for: the pin keeps every reader of the stale bytes out until
+// the refresh has arrived.
 func (m *Manager) Release(token uint64) {
 	m.mu.Lock()
 	held := m.held[token]
@@ -1432,7 +1432,7 @@ func (m *Manager) Release(token uint64) {
 	for i, h := range held {
 		m.refreshSent.Inc()
 		m.refreshBytes.Add(uint64(len(refresh[i])))
-		m.loc.CallAsync(h.rank, methodUnpin, &unpinArgs{Token: h.token, Data: refresh[i]}, m.ctlOpt())
+		m.loc.CallAsync(h.rank, methodUnpin, &unpinArgs{Token: h.token, Data: refresh[i]}, m.ctlOpt(), runtime.AckOnly())
 	}
 }
 
@@ -1548,7 +1548,7 @@ func (m *Manager) ensureLocal(rq Requirement, w *waiter, span trace.SpanID) erro
 			// pin has done its work, ordering the insert before any drop
 			// the source may send or point here — but the call is
 			// supervised, so a lost frame is resent.
-			m.loc.CallAsync(o.Rank, methodUnpin, &unpinArgs{Token: reply.PinToken}, m.ctlOpt(), runtime.WithParent(span))
+			m.loc.CallAsync(o.Rank, methodUnpin, &unpinArgs{Token: reply.PinToken}, m.ctlOpt(), runtime.WithParent(span), runtime.AckOnly())
 			if insErr != nil {
 				return insErr
 			}

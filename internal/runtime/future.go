@@ -207,7 +207,8 @@ func (l *Locality) RegisterPromiseService() {
 // FulfillRemote resolves the promise id (owned by any locality) with
 // the given value; err, when non-nil, is transported as a string.
 // Remote fulfilment is fire-and-forget but supervised: the control
-// profile's deadline/retry policy resends it until the owner acks.
+// profile's deadline/retry policy resends it until the owner acks, and
+// the ack is a bare one that rides on a later frame (AckOnly).
 func (l *Locality) FulfillRemote(id PromiseID, value any, err error) error {
 	body, encErr := wire.Encode(value)
 	if encErr != nil {
@@ -223,6 +224,6 @@ func (l *Locality) FulfillRemote(id PromiseID, value any, err error) error {
 	}
 	spec := l.ControlSpec()
 	spec.Idempotent = true
-	l.CallAsync(id.Owner, methodFulfill, &fulfillMsg{Seq: id.Seq, Value: body, Err: errStr}, WithSpec(spec))
+	l.CallAsync(id.Owner, methodFulfill, &fulfillMsg{Seq: id.Seq, Value: body, Err: errStr}, WithSpec(spec), AckOnly())
 	return nil
 }

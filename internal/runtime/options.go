@@ -38,6 +38,8 @@ type CallSpec struct {
 	// root span). It is not part of the delivery policy: WithSpec
 	// replaces it, so WithParent goes after WithSpec.
 	Parent trace.SpanID
+	// ackOnly is set by AckOnly; a profile cannot carry it.
+	ackOnly bool
 }
 
 // active reports whether the spec requires supervision (a timer).
@@ -93,6 +95,14 @@ func WithSpec(spec CallSpec) CallOption {
 // dim.acquire span for the transfers an acquisition issues.
 func WithParent(parent trace.SpanID) CallOption {
 	return func(s *CallSpec) { s.Parent = parent }
+}
+
+// AckOnly marks a call whose caller never reads the reply body: its
+// future says only whether the handler ran. On success the server sends
+// no reply frame; the call's ID rides on a later frame (acks.go). Like
+// WithParent it goes after WithSpec.
+func AckOnly() CallOption {
+	return func(s *CallSpec) { s.ackOnly = true }
 }
 
 // CallProfile is a locality-wide pair of default delivery policies:

@@ -40,6 +40,9 @@ const (
 	kindRequestDedup = "rpc.reqd"
 	kindResponse     = "rpc.rsp"
 	kindOneWay       = "msg"
+	// kindAcks carries acks owed that found no envelope to ride on
+	// (acks.go).
+	kindAcks = "rpc.acks"
 )
 
 type rpcRequest struct {
@@ -57,6 +60,11 @@ type rpcRequest struct {
 	// call ID ≤ Ack is resolved at the caller and can be evicted from
 	// the server's dedup window.
 	Ack uint64
+	// AckOnly asks for no reply frame on success (AckOnly, acks.go).
+	AckOnly bool
+	// Acks are the IDs of the receiver's ack-only calls that succeeded
+	// at the sender.
+	Acks ackIDs
 }
 
 type rpcResponse struct {
@@ -64,6 +72,7 @@ type rpcResponse struct {
 	Body  []byte
 	Err   string
 	Epoch uint64
+	Acks  ackIDs
 }
 
 type oneWayMsg struct {
@@ -101,6 +110,9 @@ const (
 	// MetricRPCFencedFrames counts inbound frames rejected because the
 	// sending rank is fenced (marked dead / stale incarnation epoch).
 	MetricRPCFencedFrames = "rpc.fenced_frames"
+	// MetricRPCAckFrames counts rpc.acks frames sent: owed acks that
+	// found no request or response to ride on within ackDelay.
+	MetricRPCAckFrames = "rpc.ack_frames"
 )
 
 // pendingCall is one outstanding RPC: the future its response (or
@@ -119,6 +131,10 @@ type pendingCall struct {
 	// tracked means the call registered in the per-destination ack
 	// state (retryable + dedup'd); resolve must deregister it.
 	tracked bool
+	// ackOnly marks an AckOnly call: a deferred ack may resolve it, its
+	// span ended at the hand-off to the transport (sp is nil), and its
+	// completion is not a round trip.
+	ackOnly bool
 	// timer is the current supervision timer (deadline or next-resend);
 	// resolve stops it so fault-free calls leave no timer behind.
 	timer atomic.Pointer[time.Timer]
@@ -140,7 +156,9 @@ func (l *Locality) resolve(pc *pendingCall, body []byte, err error) {
 		pc.sp.SetErr(err)
 	}
 	pc.sp.End()
-	l.rpcRT.Observe(time.Since(pc.start))
+	if !pc.ackOnly {
+		l.rpcRT.Observe(time.Since(pc.start))
+	}
 	pc.fut.fulfill(body, err)
 }
 
@@ -175,15 +193,18 @@ type Locality struct {
 	rpcReplays    *metrics.Counter
 	rpcSuppressed *metrics.Counter
 	rpcFenced     *metrics.Counter
+	rpcAckFrames  *metrics.Counter
 	rpcRT         *metrics.Histogram
 	tracer        atomic.Pointer[trace.Tracer]
 
 	// profile holds the locality's default control/data delivery
 	// policies; dedup is the server side of exactly-once effects and
-	// acks the client side (per-destination watermarks).
+	// acks the client side (per-destination watermarks). owed holds, per
+	// caller rank, the deferred acks of its ack-only calls (acks.go).
 	profile atomic.Pointer[CallProfile]
 	dedup   *dedupState
 	acks    []ackState
+	owed    []ackQueue
 
 	// dead is the locality's view of confirmed-dead peer ranks: once a
 	// rank is marked, calls and sends toward it fail fast with
@@ -239,9 +260,11 @@ func NewLocality(ep transport.Endpoint) *Locality {
 		rpcReplays:    reg.Counter(MetricRPCDedupReplays),
 		rpcSuppressed: reg.Counter(MetricRPCDedupSuppressed),
 		rpcFenced:     reg.Counter(MetricRPCFencedFrames),
+		rpcAckFrames:  reg.Counter(MetricRPCAckFrames),
 		rpcRT:         reg.Histogram(MetricRPCRoundtrip),
 		dedup:         newDedupState(defaultDedupWindow),
 		acks:          make([]ackState, ep.Size()),
+		owed:          make([]ackQueue, ep.Size()),
 		dead:          make([]atomic.Bool, ep.Size()),
 		heard:         make([]atomic.Int64, ep.Size()),
 		fencedAt:      make([]atomic.Uint64, ep.Size()),
@@ -569,8 +592,8 @@ func (l *Locality) dispatch(msg transport.Message) {
 		if l.staleEpoch(msg.From, rsp.Epoch) {
 			return
 		}
-		if v, ok := l.calls.LoadAndDelete(rsp.ID); ok {
-			pc := v.(*pendingCall)
+		l.settleAcks(msg.From, rsp.Acks)
+		if pc := l.claim(msg.From, rsp.ID, false); pc != nil {
 			var err error
 			if rsp.Err != "" {
 				err = errors.New(rsp.Err)
@@ -581,6 +604,11 @@ func (l *Locality) dispatch(msg transport.Message) {
 		l.dispatchDedup(msg)
 	case kindOneWay:
 		l.Go(func() { l.serveOneWay(msg) })
+	case kindAcks:
+		var f ackFrame
+		if wire.Decode(msg.Payload, &f) == nil && !l.staleEpoch(msg.From, f.Epoch) {
+			l.settleAcks(msg.From, f.IDs)
+		}
 	}
 }
 
@@ -597,6 +625,7 @@ func (l *Locality) dispatchDedup(msg transport.Message) {
 	if l.staleEpoch(msg.From, req.Epoch) {
 		return
 	}
+	l.settleAcks(msg.From, req.Acks)
 	cached, replay, inflight := l.dedup.observe(msg.From, req.ID, req.Ack, time.Now())
 	if inflight {
 		// The first execution is still running; drop the duplicate —
@@ -606,6 +635,11 @@ func (l *Locality) dispatchDedup(msg transport.Message) {
 	}
 	if replay {
 		l.rpcReplays.Inc()
+		if cached == nil {
+			// An ack-only call caches no reply. A resend means its caller
+			// has not seen the ack, so it is answered now, at once.
+			cached, _ = wire.Encode(&rpcResponse{ID: req.ID, Epoch: l.epoch.Load()})
+		}
 		// Off the delivery goroutine: a blocked peer inbox must not
 		// stall delivery of everything queued behind this frame.
 		l.Go(func() { l.ep.Send(msg.From, kindResponse, cached) })
@@ -638,6 +672,7 @@ func (l *Locality) serveRequest(msg transport.Message) {
 	if l.staleEpoch(msg.From, req.Epoch) {
 		return
 	}
+	l.settleAcks(msg.From, req.Acks)
 	if payload := l.execRequest(msg.From, &req, false); payload != nil {
 		l.ep.Send(msg.From, kindResponse, payload)
 	}
@@ -653,8 +688,10 @@ func (l *Locality) serveDedup(from int, req *rpcRequest) {
 }
 
 // execRequest runs the handler for one request and encodes the
-// response frame; for dedup'd calls the frame is also parked in the
-// reply cache so duplicates replay it byte-identically.
+// response frame, with the acks owed to the caller in its trailer; for
+// dedup'd calls the frame is also parked in the reply cache so
+// duplicates replay it byte-identically. An ack-only call that
+// succeeded gets no frame: its ID is owed to the caller instead.
 func (l *Locality) execRequest(from int, req *rpcRequest, dedup bool) []byte {
 	l.mu.RLock()
 	m := l.methods[req.Method]
@@ -663,25 +700,32 @@ func (l *Locality) execRequest(from int, req *rpcRequest, dedup bool) []byte {
 	// wire envelope, stitching the cross-rank causality edge. It ends
 	// before the response is sent so the caller never outruns it.
 	sp := l.Tracer().Begin("rpc.serve", req.Method, trace.SpanID(req.Span))
-	rsp := rpcResponse{ID: req.ID}
+	var body []byte
+	var errStr string
 	if m == nil {
-		rsp.Err = fmt.Sprintf("runtime: no method %q at rank %d", req.Method, l.Rank())
+		errStr = fmt.Sprintf("runtime: no method %q at rank %d", req.Method, l.Rank())
 	} else {
-		body, err := m(from, req.Body)
-		rsp.Body = body
-		if err != nil {
-			rsp.Err = err.Error()
+		var err error
+		if body, err = m(from, req.Body); err != nil {
+			errStr = err.Error()
 		}
+	}
+	if errStr != "" {
+		sp.SetErr(errors.New(errStr))
+	}
+	sp.End()
+	if req.AckOnly && errStr == "" {
+		if dedup {
+			l.dedup.complete(from, req.ID, nil, time.Now())
+		}
+		l.owe(from, req.ID)
+		return nil
 	}
 	// Stamp the response epoch after the handler ran: a handler that
 	// adopts a new incarnation epoch (the join handshake) must answer
 	// under the new epoch, or the caller's fence rejects the reply.
-	rsp.Epoch = l.epoch.Load()
-	if rsp.Err != "" {
-		sp.SetErr(errors.New(rsp.Err))
-	}
-	sp.End()
-	payload, err := wire.Encode(&rsp)
+	rsp := rpcResponse{ID: req.ID, Body: body, Err: errStr, Epoch: l.epoch.Load()}
+	payload, err := l.stamp(from, &rsp, &rsp.Acks)
 	if err != nil {
 		return nil
 	}
@@ -766,8 +810,13 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		fut.fulfill(nil, fmt.Errorf("%w: rank %d departed", ErrPeerFailed, dst))
 		return fut
 	}
+	if dst < 0 || dst >= len(l.owed) {
+		l.rpcErrors.Inc()
+		fut.fulfill(nil, fmt.Errorf("runtime: rank %d out of range", dst))
+		return fut
+	}
 	spec.normalize()
-	req := rpcRequest{Method: method, Body: body, Epoch: l.epoch.Load()}
+	req := rpcRequest{Method: method, Body: body, Epoch: l.epoch.Load(), AckOnly: spec.ackOnly}
 	kind := kindRequest
 	if tracked := spec.Retries > 0 && !spec.Idempotent; tracked {
 		// Retryable non-idempotent: the ID is allocated inside the ack
@@ -781,18 +830,25 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		req.ID = l.nextCall.Add(1)
 	}
 	id := req.ID
+	sp := l.Tracer().Begin("rpc.call", method, spec.Parent)
 	pc := &pendingCall{dst: dst, id: id, meth: method, fut: fut,
-		tracked: kind == kindRequestDedup,
-		sp:      l.Tracer().Begin("rpc.call", method, spec.Parent), start: time.Now()}
-	req.Span = uint64(pc.sp.SpanID())
-	l.calls.Store(id, pc)
-	payload, err := wire.Encode(&req)
-	if err != nil {
-		l.calls.Delete(id)
-		l.resolve(pc, nil, err)
-		return fut
+		tracked: kind == kindRequestDedup, ackOnly: spec.ackOnly, start: time.Now()}
+	if !pc.ackOnly {
+		pc.sp = sp
 	}
-	if err := l.ep.Send(dst, kind, payload); err != nil {
+	req.Span = uint64(sp.SpanID())
+	l.calls.Store(id, pc)
+	payload, err := l.stamp(dst, &req, &req.Acks)
+	if err == nil {
+		err = l.ep.Send(dst, kind, payload)
+	}
+	if pc.ackOnly {
+		// Like a one-way message, an ack-only call's span ends at the
+		// hand-off to the transport: the ack's delay is not its latency.
+		sp.SetErr(err)
+		sp.End()
+	}
+	if err != nil {
 		if _, ok := l.calls.LoadAndDelete(id); ok {
 			l.resolve(pc, nil, err)
 		}
@@ -961,10 +1017,14 @@ func (l *Locality) Send(dst int, method string, args any) error {
 // and fulfillments can no longer arrive, so leaving them pending
 // would strand their waiters forever. Failing the promises also lets
 // a crashed ("killed") locality's still-running task goroutines
-// unwind instead of blocking on child futures.
+// unwind instead of blocking on child futures. The acks owed to peers
+// leave first: a call that ran here must not fail at its caller.
 func (l *Locality) Close() error {
 	if l.closed.Swap(true) {
 		return nil
+	}
+	for to := range l.owed {
+		l.flushAcks(to)
 	}
 	err := l.ep.Close()
 	l.pool.Close()

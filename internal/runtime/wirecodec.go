@@ -7,20 +7,23 @@ import "allscale/internal/wire"
 // crosses the transport inside one of these.
 
 // AppendWire implements wire.Marshaler. The delivery-semantics
-// trailer (Span, Epoch, Ack) travels last as uvarints: an untraced,
-// unsupervised call in epoch 0 writes three zero bytes, keeping the
-// fault-free envelope overhead to three bytes per request.
+// trailer (Span, Epoch, Ack as uvarints, the AckOnly byte, the owed
+// acks as a length-prefixed run of uvarints) travels last: an untraced,
+// unsupervised call in epoch 0 that carries no acks writes five zero
+// bytes.
 func (r *rpcRequest) AppendWire(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, r.ID)
 	buf = wire.AppendString(buf, r.Method)
 	buf = wire.AppendBytes(buf, r.Body)
 	buf = wire.AppendUvarint(buf, r.Span)
 	buf = wire.AppendUvarint(buf, r.Epoch)
-	return wire.AppendUvarint(buf, r.Ack), nil
+	buf = wire.AppendUvarint(buf, r.Ack)
+	buf = wire.AppendBool(buf, r.AckOnly)
+	return wire.AppendBytes(buf, r.Acks), nil
 }
 
-// UnmarshalWire implements wire.Unmarshaler. Body aliases the input
-// payload, which is owned by this message's dispatch.
+// UnmarshalWire implements wire.Unmarshaler. Body and Acks alias the
+// input payload, which is owned by this message's dispatch.
 func (r *rpcRequest) UnmarshalWire(d *wire.Decoder) error {
 	r.ID = d.Uvarint()
 	r.Method = d.String()
@@ -28,15 +31,19 @@ func (r *rpcRequest) UnmarshalWire(d *wire.Decoder) error {
 	r.Span = d.Uvarint()
 	r.Epoch = d.Uvarint()
 	r.Ack = d.Uvarint()
+	r.AckOnly = d.Bool()
+	r.Acks = readAckIDs(d)
 	return nil
 }
 
-// AppendWire implements wire.Marshaler.
+// AppendWire implements wire.Marshaler. The owed acks trail, as in a
+// request.
 func (r *rpcResponse) AppendWire(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, r.ID)
 	buf = wire.AppendBytes(buf, r.Body)
 	buf = wire.AppendString(buf, r.Err)
-	return wire.AppendUvarint(buf, r.Epoch), nil
+	buf = wire.AppendUvarint(buf, r.Epoch)
+	return wire.AppendBytes(buf, r.Acks), nil
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -45,6 +52,20 @@ func (r *rpcResponse) UnmarshalWire(d *wire.Decoder) error {
 	r.Body = d.Bytes()
 	r.Err = d.String()
 	r.Epoch = d.Uvarint()
+	r.Acks = readAckIDs(d)
+	return nil
+}
+
+// AppendWire implements wire.Marshaler.
+func (f *ackFrame) AppendWire(buf []byte) ([]byte, error) {
+	buf = wire.AppendUvarint(buf, f.Epoch)
+	return wire.AppendBytes(buf, f.IDs), nil
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (f *ackFrame) UnmarshalWire(d *wire.Decoder) error {
+	f.Epoch = d.Uvarint()
+	f.IDs = readAckIDs(d)
 	return nil
 }
 

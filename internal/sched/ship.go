@@ -21,9 +21,11 @@ import (
 // layer resends the identical frame under the same call ID until the
 // target answers or is declared failed, and its dedup window
 // (runtime/dedup.go) runs the handler once however many copies arrive.
-// That leaves a ship two outcomes: acknowledged, or given up by the RPC
-// layer — then, and only then, the tasks run here, each arbitrated
-// against the recovery coordinator via takeInflight.
+// It is ack-only: the answer is a bare ack that rides on a later frame
+// the target sends here (runtime/acks.go). That leaves a ship two
+// outcomes: acknowledged, or given up by the RPC layer — then, and only
+// then, the tasks run here, each arbitrated against the recovery
+// coordinator via takeInflight.
 
 // methodRunBatch is the only message whose payload holds a TaskSpec.
 const methodRunBatch = "sched.runb"
@@ -97,7 +99,7 @@ func (s *Scheduler) shipLoop(target int) {
 			chunk := batch[:n:n]
 			batch = batch[n:]
 			s.stats.shipBatch.ObserveValue(uint64(n))
-			fut := s.loc.CallAsync(target, methodRunBatch, &runBatch{Tasks: chunk}, spec)
+			fut := s.loc.CallAsync(target, methodRunBatch, &runBatch{Tasks: chunk}, spec, runtime.AckOnly())
 			s.loc.Go(func() { s.confirmShip(chunk, fut) })
 		}
 	}
