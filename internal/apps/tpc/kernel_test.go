@@ -272,8 +272,8 @@ func TestQueryReturnsSpawnError(t *testing.T) {
 		if spawns > 1 {
 			return nil, refused
 		}
-		pid, fut := loc.NewPromise()
-		first = pid
+		fut := new(runtime.Future)
+		first = loc.NamePromise(fut)
 		fut.SetWaitHelper(helper)
 		return fut, nil
 	}

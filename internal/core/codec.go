@@ -34,19 +34,19 @@ func (a *pforArgs) AppendWire(buf []byte) ([]byte, error) {
 	return wire.AppendBytes(buf, a.Extra), nil
 }
 
-// UnmarshalWire implements wire.Unmarshaler. Both bounds share one
-// allocation; Extra aliases the input, which lives as long as the
-// task's spec.
+// UnmarshalWire implements wire.Unmarshaler. Both bounds and the
+// cursor share one allocation; Extra aliases the input, which lives as
+// long as the task's spec.
 func (a *pforArgs) UnmarshalWire(d *wire.Decoder) error {
 	n := d.Uvarint()
 	if n > maxRangeDims {
 		return fmt.Errorf("core: pfor range of %d dimensions exceeds the bound %d", n, maxRangeDims)
 	}
-	bounds := make(region.Point, 2*n)
-	for i := range bounds {
+	bounds := make(region.Point, 3*n)
+	for i := range bounds[:2*n] {
 		bounds[i] = d.Int()
 	}
-	a.R.Lo, a.R.Hi = bounds[:n:n], bounds[n:]
+	a.R.Lo, a.R.Hi, a.cursor = bounds[:n:n], bounds[n:2*n:2*n], bounds[2*n:]
 	a.Extra = d.Bytes()
 	return nil
 }
@@ -61,6 +61,75 @@ func decodePForArgs(args []byte, a *pforArgs) error {
 		return err
 	}
 	return d.Finish()
+}
+
+// pforKids holds a split's two children's encoded arguments —
+// args[0] the left half, args[1] the right — in one allocation: both
+// are slices of buf unless they outgrow it.
+type pforKids struct {
+	args [2]wire.Payload
+	buf  [pforKidsInline]byte
+}
+
+// pforKidsInline is room for both children of a 3-d range with a few
+// dozen bytes of extra payload; a pforKids is then 160 bytes.
+const pforKidsInline = 112
+
+// splitPForArgs halves encoded pforArgs along their widest dimension,
+// as Range.Split does, and encodes both halves — without decoding the
+// bounds into Ranges or the halves into pforArgs.
+func splitPForArgs(args []byte) (*pforKids, error) {
+	var d wire.Decoder
+	d.Reset(args)
+	n := d.Uvarint()
+	if n > maxRangeDims {
+		return nil, fmt.Errorf("core: pfor range of %d dimensions exceeds the bound %d", n, maxRangeDims)
+	}
+	var lo, hi [maxRangeDims]int
+	for i := range n {
+		lo[i] = d.Int()
+	}
+	for i := range n {
+		hi[i] = d.Int()
+	}
+	extra := d.Bytes()
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	widest, extent := 0, 0
+	for i := range int(n) {
+		if e := hi[i] - lo[i]; e > extent {
+			widest, extent = i, e
+		}
+	}
+	mid := lo[widest] + extent/2
+	k := new(pforKids)
+	buf := k.buf[:0]
+	var ends [2]int
+	for c := range ends {
+		buf = append(buf, wire.FormatBinary)
+		buf = wire.AppendUvarint(buf, n)
+		for i := range int(n) {
+			v := lo[i]
+			if c == 1 && i == widest {
+				v = mid
+			}
+			buf = wire.AppendVarint(buf, int64(v))
+		}
+		for i := range int(n) {
+			v := hi[i]
+			if c == 0 && i == widest {
+				v = mid
+			}
+			buf = wire.AppendVarint(buf, int64(v))
+		}
+		buf = wire.AppendBytes(buf, extra)
+		ends[c] = len(buf)
+	}
+	// Sliced only now: an append past buf's capacity moved it.
+	k.args[0] = wire.Payload(buf[:ends[0]:ends[0]])
+	k.args[1] = wire.Payload(buf[ends[0]:ends[1]:ends[1]])
+	return k, nil
 }
 
 // pforVolume reads the iteration volume of encoded pforArgs without

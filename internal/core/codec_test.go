@@ -40,6 +40,46 @@ func TestPForArgsWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSplitPForArgsMatchesRangeSplit: the halves a split encodes
+// straight from its own arguments decode to what Range.Split makes of
+// the decoded range, each with the whole extra payload — also where the
+// halves outgrow pforKids' own buffer. A 0-d range has no volume and is
+// never split.
+func TestSplitPForArgsMatchesRangeSplit(t *testing.T) {
+	cases := append(pforArgsCases(),
+		pforArgs{R: Range{Lo: region.Point{0, 0}, Hi: region.Point{64, 63}}, Extra: make([]byte, 2*pforKidsInline)})
+	for _, in := range cases {
+		if len(in.R.Lo) == 0 {
+			continue
+		}
+		body, err := wire.Encode(&in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kids, err := splitPForArgs(body)
+		if err != nil {
+			t.Fatalf("split of %v: %v", in.R, err)
+		}
+		l, r := in.R.Split()
+		for i, want := range []Range{l, r} {
+			half := kids.args[i]
+			if cap(half) != len(half) {
+				t.Errorf("half %d of %v can grow into its sibling", i, in.R)
+			}
+			var got pforArgs
+			if err := decodePForArgs(half, &got); err != nil {
+				t.Fatalf("half %d of %v: %v", i, in.R, err)
+			}
+			if !slices.Equal(got.R.Lo, want.Lo) || !slices.Equal(got.R.Hi, want.Hi) || !bytes.Equal(got.Extra, in.Extra) {
+				t.Errorf("half %d of %v/%d bytes: %v/%d bytes, want %v", i, in.R, len(in.Extra), got.R, len(got.Extra), want)
+			}
+		}
+	}
+	if _, err := splitPForArgs([]byte{wire.FormatBinary, 1, 0}); err == nil {
+		t.Error("split truncated arguments")
+	}
+}
+
 // TestPForArgsWireRejects: bounds that disagree in dimension, or
 // exceed the dimension bound, have no wire form on either side.
 func TestPForArgsWireRejects(t *testing.T) {

@@ -4,10 +4,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"allscale/internal/dataitem"
 	"allscale/internal/dim"
 	"allscale/internal/region"
+	"allscale/internal/runtime"
 	"allscale/internal/sched"
 	"allscale/internal/transport"
 )
@@ -363,11 +365,13 @@ func TestPForRangeBody(t *testing.T) {
 // nothing leaves the rank: a requirement-free pfor tree of 127 tasks (63
 // splits, 64 leaves) on one worker of one locality is a depth-first
 // recursion on that worker's stack, and what it allocates is what spawn,
-// promise and join bookkeeping allocate. PR 22's parent — a goroutine,
-// a channel and a sync.Map entry per task — needed 2 249, PR 25's parent
-// — a wire.Decoder, the decoded struct and its bounds per decode of the
-// pfor arguments, a CanSplit that decoded them all — 1 524; 892 now,
-// and the bound is that plus 3 %.
+// split and join bookkeeping allocate. PR 22's parent — a goroutine, a
+// channel and a sync.Map entry per task — needed 2 249, PR 25's parent
+// 1 524 and PR 32's parent — a spec, a future, a promise-table entry and
+// a context per task, a split's Ranges — 892. Now a task is one object,
+// a split's two children share one argument buffer, a leaf's bounds and
+// cursor one allocation, and no promise is named: 259, and the bound is
+// that plus 3 %.
 func TestLocalTreeAllocs(t *testing.T) {
 	sys := NewSystem(Config{Localities: 1, Workers: 1, Policy: &sched.DefaultPolicy{ExtraDepth: 6}})
 	defer sys.Close()
@@ -396,8 +400,78 @@ func TestLocalTreeAllocs(t *testing.T) {
 	if got := points.Load(); got != n*int64(trees) {
 		t.Fatalf("%d points visited, want %d", got, n*int64(trees))
 	}
+	if got := sys.CounterSum(runtime.MetricPromisesNamed); got != 0 {
+		t.Fatalf("%d promises named in %d trees on one locality, want 0", got, trees)
+	}
 	t.Logf("%.0f allocations per 127-task tree (%.1f per task)", allocs, allocs/127)
-	if allocs > 919 {
-		t.Fatalf("%.0f allocations per 127-task tree, want at most 919", allocs)
+	if allocs > 267 {
+		t.Fatalf("%.0f allocations per 127-task tree, want at most 267", allocs)
+	}
+}
+
+// TestTreeNamesOnlyDepartingPromises: on two localities DefaultPolicy
+// ships one half of the tree to rank 1, and in a tree nothing is stolen
+// from that one task is the only one whose future gets a name. A steal
+// names at most the granted task and what placement ships back from the
+// thief. The rest resolve where they were spawned.
+func TestTreeNamesOnlyDepartingPromises(t *testing.T) {
+	sys := NewSystem(Config{Localities: 2, Workers: 1, Policy: &sched.DefaultPolicy{ExtraDepth: 5}})
+	defer sys.Close()
+	RegisterPFor(sys, PForSpec{Name: "leaf", MinGrain: 1, Body: func(*sched.Ctx, region.Point, []byte) {}})
+	sys.Start()
+	counts := func() (named, placed, granted uint64) {
+		return sys.CounterSum(runtime.MetricPromisesNamed), sys.CounterSum(sched.MetricRemotePlaced),
+			sys.CounterSum(sched.MetricStolenFrom)
+	}
+	clean := 0
+	for trees := 0; clean < 50; trees++ {
+		if trees == 1000 {
+			t.Fatalf("only %d of 1000 trees ran without a steal", clean)
+		}
+		n0, p0, g0 := counts()
+		if err := sys.PFor("leaf", region.Point{0}, region.Point{4096}, nil); err != nil {
+			t.Fatal(err)
+		}
+		n1, p1, g1 := counts()
+		named, placed, granted := n1-n0, p1-p0, g1-g0
+		if granted == 0 {
+			clean++
+			if placed != 1 || named != 1 {
+				t.Fatalf("a tree without steals: %d remote placements, %d promises named, want 1 and 1", placed, named)
+			}
+		} else if named > placed+granted {
+			t.Fatalf("a tree with %d grants and %d remote placements named %d promises", granted, placed, named)
+		}
+	}
+}
+
+// TestCloseDuringTreeReturnsWait: closing a two-locality system while a
+// tree runs ends the root's Wait. Rank 0's worker, joining the half on
+// rank 1, is what Close waits for; that half answers by the name its
+// ship gave it.
+func TestCloseDuringTreeReturnsWait(t *testing.T) {
+	sys := NewSystem(Config{Localities: 2, Workers: 1, Policy: &sched.DefaultPolicy{ExtraDepth: 5}})
+	running := make(chan struct{})
+	var once sync.Once
+	RegisterPFor(sys, PForSpec{Name: "leaf", MinGrain: 1, Body: func(*sched.Ctx, region.Point, []byte) {
+		once.Do(func() { close(running) })
+		time.Sleep(time.Microsecond)
+	}})
+	sys.Start()
+	done := make(chan error, 1)
+	go func() { done <- sys.PFor("leaf", region.Point{0}, region.Point{1 << 14}, nil) }()
+	<-running
+	closed := make(chan struct{})
+	go func() { sys.Close(); close(closed) }()
+	select {
+	case err := <-done:
+		t.Logf("root's Wait returned %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("the root's Wait did not return after Close")
+	}
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return")
 	}
 }

@@ -55,11 +55,15 @@ func (r Range) span(d, lo, hi int) Range {
 
 // ForEach invokes fn for every point of the range in row-major order;
 // fn must not retain the point.
-func (r Range) ForEach(fn func(p region.Point)) {
+func (r Range) ForEach(fn func(p region.Point)) { r.forEach(make(region.Point, len(r.Lo)), fn) }
+
+// forEach is ForEach over the cursor p, a point of the range's
+// dimension that it overwrites.
+func (r Range) forEach(p region.Point, fn func(p region.Point)) {
 	if r.Volume() == 0 {
 		return
 	}
-	p := r.Lo.Clone()
+	copy(p, r.Lo)
 	for {
 		fn(p)
 		d := len(p) - 1
@@ -81,10 +85,13 @@ func (r Range) String() string { return r.Lo.String() + ".." + r.Hi.String() }
 
 // pforArgs travel with each pfor fragment task. Extra is an opaque
 // per-invocation payload (e.g. the time step of a stencil, selecting
-// which buffer is source and which is destination).
+// which buffer is source and which is destination). cursor is not on
+// the wire: decoding makes it a point of the range's dimension in the
+// allocation of the bounds, for a leaf's ForEach.
 type pforArgs struct {
-	R     Range
-	Extra []byte
+	R      Range
+	Extra  []byte
+	cursor region.Point
 }
 
 // PForSpec defines one pfor call site: the loop body, the data
@@ -114,18 +121,13 @@ type PForSpec struct {
 
 // RegisterPFor installs a pfor call site as a task kind with a
 // sequential (process) and a parallel (split) variant — the two
-// variants of Example 2.3. Either runs on the worker that pops it; the
-// split's two waits are helping joins (sched.Ctx.Spawn). Must run
-// before System.Start.
+// variants of Example 2.3. The split queues its right half and runs
+// its left half at once where placement keeps it (sched.Ctx.Call), then
+// joins the right half helping (sched.Ctx.Spawn). Must run before
+// System.Start.
 func RegisterPFor(sys *System, spec PForSpec) {
 	if (spec.Body == nil) == (spec.RangeBody == nil) {
 		panic(fmt.Sprintf("core: pfor %q must set exactly one of Body and RangeBody", spec.Name))
-	}
-	body := spec.RangeBody
-	if body == nil {
-		body = func(ctx *sched.Ctx, r Range, extra []byte) {
-			r.ForEach(func(p region.Point) { spec.Body(ctx, p, extra) })
-		}
 	}
 	grain := spec.MinGrain
 	if grain <= 0 {
@@ -139,29 +141,22 @@ func RegisterPFor(sys *System, spec PForSpec) {
 				return ok && v > grain
 			},
 			Split: func(ctx *sched.Ctx) (any, error) {
-				var a pforArgs
-				if err := decodePForArgs(ctx.RawArgs(), &a); err != nil {
-					return nil, err
-				}
-				// Spawn encodes the arguments before it returns: one value
-				// serves both children.
-				l, r := a.R.Split()
-				child := &pforArgs{R: l, Extra: a.Extra}
-				lf, err := ctx.Spawn(spec.Name, child, 0)
+				kids, err := splitPForArgs(ctx.RawArgs())
 				if err != nil {
 					return nil, err
 				}
-				child.R = r
-				rf, err := ctx.Spawn(spec.Name, child, 1)
+				// The right half is queued first: at the head of the
+				// deque, a sibling worker or a peer's thief finds the
+				// larger subtree. The left half runs on this stack.
+				rf, err := ctx.Spawn(spec.Name, &kids.args[1], 1)
 				if err != nil {
-					// The left child is already in flight: wait for it so
-					// an error return still implies the whole subtree has
-					// quiesced (recovery rolls back data only after the
-					// wave unwound).
-					lf.Wait()
 					return nil, err
 				}
-				_, lerr := lf.Wait()
+				_, lerr := ctx.Call(spec.Name, &kids.args[0], 0)
+				// The right half is waited for even after an error, so an
+				// error return still implies the whole subtree has
+				// quiesced (recovery rolls back data only after the wave
+				// unwound).
 				_, rerr := rf.Wait()
 				if lerr != nil {
 					return nil, lerr
@@ -183,7 +178,11 @@ func RegisterPFor(sys *System, spec PForSpec) {
 				if err := decodePForArgs(ctx.RawArgs(), &a); err != nil {
 					return nil, err
 				}
-				body(ctx, a.R, a.Extra)
+				if spec.RangeBody != nil {
+					spec.RangeBody(ctx, a.R, a.Extra)
+				} else {
+					a.R.forEach(a.cursor, func(p region.Point) { spec.Body(ctx, p, a.Extra) })
+				}
 				return nil, nil
 			},
 		}

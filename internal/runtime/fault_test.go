@@ -190,9 +190,9 @@ func TestPromiseAfterCloseFails(t *testing.T) {
 	s := NewSystem(1)
 	s.Start()
 	loc := s.Locality(0)
-	_, before := loc.NewPromise()
+	_, before := namedPromise(loc)
 	loc.Close()
-	id, after := loc.NewPromise()
+	id, after := namedPromise(loc)
 	for name, fut := range map[string]*Future{"before": before, "after": after} {
 		if err := waitErr(t, fut, 5*time.Second); err == nil {
 			t.Errorf("promise made %s Close resolved without error", name)

@@ -52,6 +52,18 @@ func (f *Future) fulfill(value []byte, err error) {
 	}
 }
 
+// Fulfill resolves an unnamed future (see NamePromise) in place with
+// value, wire-encoded as FulfillRemote would, or with err; a value with
+// no wire form fails the future with the encoding error. Subsequent
+// calls are ignored.
+func (f *Future) Fulfill(value any, err error) {
+	body, encErr := wire.Encode(value)
+	if err == nil && encErr != nil {
+		err = encErr
+	}
+	f.fulfill(body, err)
+}
+
 // Wait blocks until the future is fulfilled and returns the raw
 // encoded value.
 func (f *Future) Wait() ([]byte, error) {
@@ -145,19 +157,23 @@ func (t *promiseTable) failAll(err error) {
 	}
 }
 
-// NewPromise allocates a future owned by this locality. Any locality
-// may fulfill it by calling FulfillRemote with its PromiseID.
-func (l *Locality) NewPromise() (PromiseID, *Future) {
+// NamePromise enters f, a future nobody has fulfilled yet, in this
+// locality's promise table and returns the name under which any
+// locality may fulfil it (FulfillRemote). A future is named only when
+// something remote must answer it: a task that leaves the rank it was
+// spawned on carries the name, one that stays resolves its future in
+// place (Fulfill).
+func (l *Locality) NamePromise(f *Future) PromiseID {
 	id := PromiseID{Owner: l.Rank(), Seq: l.nextPromise.Add(1)}
-	f := new(Future)
 	l.promises.swap(id.Seq, f)
+	l.promisesNamed.Inc()
 	// Close fails the promises it finds after setting closed; one stored
 	// behind that sweep — by a task still unwinding on a killed locality
 	// — would strand its waiter, so it is failed here.
 	if l.closed.Load() {
 		l.fulfillLocal(id.Seq, nil, fmt.Sprintf("runtime: locality %d closed", l.Rank()))
 	}
-	return id, f
+	return id
 }
 
 // PromisePending reports whether a promise owned by this locality is

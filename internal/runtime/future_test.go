@@ -119,7 +119,7 @@ func (h *countingHelper) HelpWait(f *Future) {
 	h.fulfill(f)
 }
 
-// The promise table behind NewPromise/FulfillRemote/PromisePending: a
+// The promise table behind NamePromise/FulfillRemote/PromisePending: a
 // fulfilled promise is no longer pending, and Close fails every promise
 // still stored — on whichever stripe — once, leaving the table empty and
 // the fulfilled ones alone.
@@ -131,7 +131,7 @@ func TestPromiseTableFulfilAndClose(t *testing.T) {
 	ids := make([]PromiseID, n)
 	futs := make([]*Future, n)
 	for i := range futs {
-		ids[i], futs[i] = loc.NewPromise()
+		ids[i], futs[i] = namedPromise(loc)
 		if !loc.PromisePending(ids[i]) {
 			t.Fatalf("fresh promise %v not pending", ids[i])
 		}
@@ -169,4 +169,11 @@ func TestPromiseTableFulfilAndClose(t *testing.T) {
 	if _, err := futs[1].Wait(); err == nil {
 		t.Fatal("a fulfilment after Close replaced the close error")
 	}
+}
+
+// namedPromise names a fresh future at l, as a ship names the future of
+// a task that leaves its rank.
+func namedPromise(l *Locality) (PromiseID, *Future) {
+	f := new(Future)
+	return l.NamePromise(f), f
 }

@@ -113,6 +113,10 @@ const (
 	// MetricRPCAckFrames counts rpc.acks frames sent: owed acks that
 	// found no request or response to ride on within ackDelay.
 	MetricRPCAckFrames = "rpc.ack_frames"
+	// MetricPromisesNamed counts the futures entered in the promise
+	// table (NamePromise): one per task that left the rank it was
+	// spawned on.
+	MetricPromisesNamed = "runtime.promises_named"
 )
 
 // pendingCall is one outstanding RPC: the future its response (or
@@ -194,6 +198,7 @@ type Locality struct {
 	rpcSuppressed *metrics.Counter
 	rpcFenced     *metrics.Counter
 	rpcAckFrames  *metrics.Counter
+	promisesNamed *metrics.Counter
 	rpcRT         *metrics.Histogram
 	tracer        atomic.Pointer[trace.Tracer]
 
@@ -261,6 +266,7 @@ func NewLocality(ep transport.Endpoint) *Locality {
 		rpcSuppressed: reg.Counter(MetricRPCDedupSuppressed),
 		rpcFenced:     reg.Counter(MetricRPCFencedFrames),
 		rpcAckFrames:  reg.Counter(MetricRPCAckFrames),
+		promisesNamed: reg.Counter(MetricPromisesNamed),
 		rpcRT:         reg.Histogram(MetricRPCRoundtrip),
 		dedup:         newDedupState(defaultDedupWindow),
 		acks:          make([]ackState, ep.Size()),

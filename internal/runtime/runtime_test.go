@@ -167,7 +167,7 @@ func TestPromisesLocalAndRemote(t *testing.T) {
 	s.Start()
 
 	// Local fulfilment.
-	id, fut := s.Locality(0).NewPromise()
+	id, fut := namedPromise(s.Locality(0))
 	if fut.Done() {
 		t.Fatal("fresh future must not be done")
 	}
@@ -180,7 +180,7 @@ func TestPromisesLocalAndRemote(t *testing.T) {
 	}
 
 	// Remote fulfilment: promise owned by 1, fulfilled from 2.
-	id2, fut2 := s.Locality(1).NewPromise()
+	id2, fut2 := namedPromise(s.Locality(1))
 	if err := s.Locality(2).FulfillRemote(id2, "done@2", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPromisesLocalAndRemote(t *testing.T) {
 	}
 
 	// Error fulfilment.
-	id3, fut3 := s.Locality(0).NewPromise()
+	id3, fut3 := namedPromise(s.Locality(0))
 	s.Locality(2).FulfillRemote(id3, nil, errors.New("boom"))
 	if _, err := fut3.Wait(); err == nil || err.Error() != "boom" {
 		t.Fatalf("error promise: %v", err)
@@ -240,7 +240,7 @@ func TestLocalityOverTCP(t *testing.T) {
 		t.Fatalf("tcp rpc = %d, want 42", out)
 	}
 
-	id, fut := l0.NewPromise()
+	id, fut := namedPromise(l0)
 	if err := l1.FulfillRemote(id, 7, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,8 @@ func (s *Scheduler) jobCancelled(job uint64) bool {
 //     promises resolve with ErrJobCancelled, which unwinds the job's
 //     split tree;
 //   - its queued tasks are purged from the worker deques immediately,
-//     their promises failed;
+//     their futures failed — in place for a task that never left its
+//     rank, by name for one that did;
 //   - its entries leave the inflight recovery registry, so neither a
 //     peer death nor a failed ship can bring cancelled work back;
 //   - its tasks parked in a DIM lock wait are woken and fail with
@@ -149,7 +150,7 @@ func (s *Scheduler) CancelJob(job uint64) {
 	// raid holds between two deques at this instant is missed here and
 	// stopped at the execution gate instead.
 	for _, t := range s.takeQueued(math.MaxInt, func(spec *TaskSpec) bool { return spec.Job == job }) {
-		s.failCancelled(&t.spec)
+		s.failCancelled(t)
 	}
 
 	// Sweep the recovery registry: cancelled specs must be neither
@@ -169,7 +170,7 @@ func (s *Scheduler) CancelJob(job uint64) {
 	}
 	s.inflightMu.Unlock()
 	for i := range swept {
-		s.failCancelled(&swept[i])
+		s.failCancelled(&task{spec: swept[i]})
 	}
 	s.mgr.Wake()
 }
@@ -187,13 +188,13 @@ func cancelErr(id, job uint64) error {
 	return fmt.Errorf("%w: task %d of job %d", ErrJobCancelled, id, job)
 }
 
-// failCancelled resolves a cancelled task's promise and counts it.
-func (s *Scheduler) failCancelled(spec *TaskSpec) {
+// failCancelled fails a cancelled task's future and counts it.
+func (s *Scheduler) failCancelled(t *task) {
 	s.stats.cancelledTasks.Inc()
-	if spec.Tenant != 0 {
-		s.tenantCounters(spec.Tenant).cancelled.Inc()
+	if t.spec.Tenant != 0 {
+		s.tenantCounters(t.spec.Tenant).cancelled.Inc()
 	}
-	s.loc.FulfillRemote(spec.Promise, nil, cancelErr(spec.ID, spec.Job))
+	s.resolve(t, nil, cancelErr(t.spec.ID, t.spec.Job))
 }
 
 // SetExecObserver installs a callback invoked once per executed

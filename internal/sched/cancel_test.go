@@ -16,18 +16,24 @@ import (
 	"allscale/internal/trace"
 )
 
-// jobSpec builds a tenant-tagged spec with a live promise, returning
-// the spec and its future.
-func jobSpec(s *Scheduler, tenant uint32, job uint64) (*TaskSpec, *runtime.Future) {
-	pid, fut := s.loc.NewPromise()
-	return &TaskSpec{
-		ID:      uint64(s.loc.Rank())<<32 | s.seq.Add(1),
-		Kind:    "sum",
-		Origin:  s.loc.Rank(),
-		Promise: pid,
-		Tenant:  tenant,
-		Job:     job,
-	}, fut
+// jobTask builds a tenant-tagged task spawned at s that has not left
+// it: its future, t.fut, is not named.
+func jobTask(s *Scheduler, tenant uint32, job uint64) *task {
+	return &task{spec: TaskSpec{
+		ID:     uint64(s.loc.Rank())<<32 | s.seq.Add(1),
+		Kind:   "sum",
+		Origin: s.loc.Rank(),
+		Tenant: tenant,
+		Job:    job,
+	}}
+}
+
+// namedJobTask is jobTask with the future named, as ship names it: the
+// task's result reaches t.fut from any rank, by spec.Promise.
+func namedJobTask(s *Scheduler, tenant uint32, job uint64) *task {
+	t := jobTask(s, tenant, job)
+	t.spec.Promise = s.loc.NamePromise(&t.fut)
+	return t
 }
 
 // registerGate installs "gate", a task that reports on started and
@@ -118,7 +124,7 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 	surviving := spawnLeaves(t, s, 3, 1, 200)
 	cancelled = append(cancelled, spawnLeaves(t, s, 2, 1, 100)...)
 	checkQueued(t, s, 10)
-	specA, _ := jobSpec(s, 1, 100)
+	specA := &namedJobTask(s, 1, 100).spec
 	s.trackInflight(0, []runArgs{{Spec: *specA}})
 
 	s.CancelJob(100)
@@ -141,19 +147,19 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 	}
 
 	// Stragglers (e.g. arriving via a shipped batch) die at the gate.
-	specC, futC := jobSpec(s, 1, 100)
-	s.executeNow(specC, VariantProcess, 0)
-	if _, err := futC.Wait(); !IsJobCancelled(err) {
+	straggler := jobTask(s, 1, 100)
+	s.executeNow(straggler, 0)
+	if _, err := straggler.fut.Wait(); !IsJobCancelled(err) {
 		t.Fatalf("straggler of cancelled job: err = %v, want job-cancelled error", err)
 	}
 
 	// Recovery must not resurrect cancelled work.
-	specD, futD := jobSpec(s, 1, 100)
+	lost := namedJobTask(s, 1, 100)
 	before := reg.CounterValue(MetricRespawns)
-	if err := s.Respawn(*specD); err != nil {
+	if err := s.Respawn(lost.spec); err != nil {
 		t.Fatalf("Respawn: %v", err)
 	}
-	if _, err := futD.Wait(); !IsJobCancelled(err) {
+	if _, err := lost.fut.Wait(); !IsJobCancelled(err) {
 		t.Fatalf("respawned task of cancelled job: err = %v, want job-cancelled error", err)
 	}
 	if reg.CounterValue(MetricRespawns) != before {
@@ -284,9 +290,9 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 	for _, qt := range s0.queue.deques[0].takeIf(math.MaxInt, nil) {
 		s0.queue.deques[1].pushTail(qt)
 	}
-	qt, ok := s0.popLocal(0)
-	if !ok || qt.spec.Tenant != tenant {
-		t.Fatalf("raid on the sibling's deque found no tagged task (ok=%v)", ok)
+	qt := s0.popLocal(0)
+	if qt == nil || qt.spec.Tenant != tenant {
+		t.Fatal("raid on the sibling's deque found no tagged task")
 	}
 	if s0.queue.deques[0].size.Load() == 0 {
 		t.Fatal("raid moved nothing into the raider's deque")

@@ -23,7 +23,7 @@ func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
 	d := testDeque()
 	const n = 200 // > dequeMinCap, forcing ring growth
 	for i := 1; i <= n; i++ {
-		d.pushTail(queuedTask{spec: TaskSpec{ID: uint64(i)}})
+		d.pushTail(&task{spec: TaskSpec{ID: uint64(i)}})
 	}
 	if got := d.size.Load(); got != n {
 		t.Fatalf("size = %d, want %d", got, n)
@@ -37,9 +37,9 @@ func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
 		seen[qt.spec.ID]++
 	}
 	// The owner pops the newest first, LIFO.
-	qt, ok := d.popTail()
-	if !ok || qt.spec.ID != n {
-		t.Fatalf("popTail = %d/%v, want task %d", qt.spec.ID, ok, n)
+	qt := d.popTail()
+	if qt == nil || qt.spec.ID != n {
+		t.Fatalf("popTail = %v, want task %d", qt, n)
 	}
 	seen[qt.spec.ID]++
 	// A thief takes at most half of the occupancy, however large its
@@ -57,7 +57,7 @@ func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
 	for _, qt := range d.takeIf(math.MaxInt, nil) {
 		seen[qt.spec.ID]++
 	}
-	if _, ok := d.popTail(); ok {
+	if d.popTail() != nil {
 		t.Fatal("popTail on drained deque succeeded")
 	}
 	if len(seen) != n {
@@ -78,7 +78,7 @@ func TestDequeConcurrentStress(t *testing.T) {
 	const n = 20000
 	var got [n + 1]atomic.Int32
 	var extracted atomic.Int64
-	take := func(tasks []queuedTask) {
+	take := func(tasks []*task) {
 		for _, qt := range tasks {
 			got[qt.spec.ID].Add(1)
 			extracted.Add(1)
@@ -101,19 +101,19 @@ func TestDequeConcurrentStress(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= n; i++ {
-		d.pushTail(queuedTask{spec: TaskSpec{ID: uint64(i)}})
+		d.pushTail(&task{spec: TaskSpec{ID: uint64(i)}})
 		if i%3 == 0 {
-			if qt, ok := d.popTail(); ok {
-				take([]queuedTask{qt})
+			if qt := d.popTail(); qt != nil {
+				take([]*task{qt})
 			}
 		}
 	}
 	for {
-		qt, ok := d.popTail()
-		if !ok {
+		qt := d.popTail()
+		if qt == nil {
 			break
 		}
-		take([]queuedTask{qt})
+		take([]*task{qt})
 	}
 	close(stop)
 	wg.Wait()

@@ -122,13 +122,18 @@ func (s *Scheduler) HandleDeath(dead int) []TaskSpec {
 // Tasks of a cancelled job are not resurrected: their promises fail
 // with ErrJobCancelled instead (cancel.go).
 func (s *Scheduler) Respawn(spec TaskSpec) error {
+	t := &task{spec: spec}
 	if spec.Job != 0 && s.jobCancelled(spec.Job) {
 		s.stats.cancelledRespawns.Inc()
-		s.failCancelled(&spec)
+		s.failCancelled(t)
 		return nil
 	}
 	s.stats.respawns.Inc()
-	return s.assign(&spec, -1)
+	here, err := s.assign(t)
+	if here {
+		s.enqueueAt(-1, t)
+	}
+	return err
 }
 
 // placeable reports whether a rank may receive task placements: a

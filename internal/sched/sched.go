@@ -60,6 +60,8 @@ type TaskSpec struct {
 	Path    uint64
 	PathLen int
 	Origin  int
+	// Promise names the spawner's future once the task has left the rank
+	// it was spawned on (ship names it there); zero until then.
 	Promise runtime.PromiseID
 	// Span is the task.schedule span that placed this task; the
 	// executing rank parents its task.exec/task.split span on it, so
@@ -188,6 +190,30 @@ type Scheduler struct {
 	execHist *metrics.Histogram
 }
 
+// task is one task on this rank, from its spawn or arrival until it
+// completes or leaves: one allocation holding the spec, the variant
+// placement picked, the kind, the future of its result and the context
+// its body runs with. Deques hold pointers to it; nothing copies it.
+type task struct {
+	spec    TaskSpec
+	variant Variant
+	// kind is resolved by assign; a task that arrived from a peer looks
+	// it up when it runs.
+	kind *Kind
+	// fut is the spawner's future. While the task stays on the rank it
+	// was spawned on, executeNow fulfils it in place; ship names it
+	// (spec.Promise) when the task leaves, and from then on the result
+	// finds it by that name.
+	fut runtime.Future
+	ctx Ctx
+	// sp is the task.enqueue span while the task sits in a deque.
+	sp *trace.Span
+}
+
+// named reports whether the task's future has a name (ship gave it
+// one, here or on the rank the task came from).
+func (t *task) named() bool { return t.spec.Promise.Seq != 0 }
+
 // runArgs is one task inside a runBatch frame (ship.go). Granted marks
 // a task a victim let go in answer to a steal hint, as opposed to one
 // placed here: the receiver counts it as stolen.
@@ -255,14 +281,14 @@ func (s *Scheduler) SetDraining(v bool) { s.draining.Store(v) }
 // forward places a task that must not stay on this rank onto the next
 // usable member; with no member left it runs locally after all —
 // losing the task would be worse.
-func (s *Scheduler) forward(spec *TaskSpec, variant Variant) {
+func (s *Scheduler) forward(t *task) {
 	target := s.nextLive(s.loc.Rank())
 	if target == s.loc.Rank() {
-		s.enqueueAt(-1, spec, variant)
+		s.enqueueAt(-1, t)
 		return
 	}
 	s.stats.remotePlaced.Inc()
-	s.ship(target, runArgs{Spec: *spec, Variant: variant})
+	s.ship(target, false, t)
 }
 
 // RedistributeQueued empties the run queue and re-places every not
@@ -271,7 +297,7 @@ func (s *Scheduler) forward(spec *TaskSpec, variant Variant) {
 // here (task-private state cannot migrate, Section 3.2).
 func (s *Scheduler) RedistributeQueued() {
 	for _, t := range s.drainQueues() {
-		s.forward(&t.spec, t.variant)
+		s.forward(t)
 	}
 }
 
@@ -313,7 +339,7 @@ func (s *Scheduler) Load() int64 { return s.queued.Load() + s.running.Load() }
 // Spawn schedules a new root task of the given kind ((spawn)
 // transition) and returns the future of its result.
 func (s *Scheduler) Spawn(kind string, args any) (*runtime.Future, error) {
-	return s.spawnAt(-1, kind, args, 0, 0, 0, 0, 0, 0)
+	return s.SpawnJob(kind, args, 0, 0, 0)
 }
 
 // SpawnJob schedules a root task scoped to a job-service tenant and
@@ -321,34 +347,32 @@ func (s *Scheduler) Spawn(kind string, args any) (*runtime.Future, error) {
 // the job's cancellation scope and the tenant's counters (cancel.go).
 // parent optionally roots the task's span chain in a job-level span.
 func (s *Scheduler) SpawnJob(kind string, args any, tenant uint32, job uint64, parent trace.SpanID) (*runtime.Future, error) {
-	return s.spawnAt(-1, kind, args, 0, 0, 0, parent, tenant, job)
+	t := &task{spec: TaskSpec{Tenant: tenant, Job: job}}
+	if _, err := s.spawnAt(t, -1, false, kind, args, parent); err != nil {
+		return nil, err
+	}
+	return &t.fut, nil
 }
 
-// spawnAt schedules a task at a given position of the spawn tree.
-// parent is the span of the spawning context (the enclosing task's
-// exec/split span, or 0 for root spawns), rooting the task's
-// spawn→schedule→exec span chain in its creator. w is the worker the
-// spawning task occupies (-1 for a spawn from outside any task): a
+// spawnAt schedules t, whose position in the spawn tree and job tags
+// its spawner has set. parent is the span of the spawning context (the
+// enclosing task's exec/split span, or 0 for root spawns), rooting the
+// task's spawn→schedule→exec span chain in its creator. w is the worker
+// the spawning task occupies (-1 for a spawn from outside any task): a
 // child that stays on this rank goes to the tail of that worker's own
-// deque, where its parent's join finds it first.
-func (s *Scheduler) spawnAt(w int, kind string, args any, depth int, path uint64, pathLen int, parent trace.SpanID, tenant uint32, job uint64) (*runtime.Future, error) {
+// deque, where its parent's join finds it first — unless inline asks
+// for it, when a task that stays is not queued at all and spawnAt
+// reports that the caller is to run it now (Ctx.Call).
+func (s *Scheduler) spawnAt(t *task, w int, inline bool, kind string, args any, parent trace.SpanID) (runNow bool, err error) {
 	body, err := wire.Encode(args)
 	if err != nil {
-		return nil, fmt.Errorf("sched: encode args of %q: %w", kind, err)
+		return false, fmt.Errorf("sched: encode args of %q: %w", kind, err)
 	}
-	pid, fut := s.loc.NewPromise()
-	spec := &TaskSpec{
-		ID:      uint64(s.loc.Rank())<<32 | s.seq.Add(1),
-		Kind:    kind,
-		Args:    body,
-		Depth:   depth,
-		Path:    path,
-		PathLen: pathLen,
-		Origin:  s.loc.Rank(),
-		Promise: pid,
-		Tenant:  tenant,
-		Job:     job,
-	}
+	spec := &t.spec
+	spec.ID = uint64(s.loc.Rank())<<32 | s.seq.Add(1)
+	spec.Kind = kind
+	spec.Args = body
+	spec.Origin = s.loc.Rank()
 	s.stats.spawned.Inc()
 	tr := s.loc.Tracer()
 	spawnSp := tr.Begin("task.spawn", kind, parent)
@@ -356,34 +380,37 @@ func (s *Scheduler) spawnAt(w int, kind string, args any, depth int, path uint64
 	schedSp := tr.Begin("task.schedule", kind, spawnSp.SpanID())
 	schedSp.SetTask(spec.ID)
 	spec.Span = uint64(schedSp.SpanID())
-	err = s.assign(spec, w)
+	here, err := s.assign(t)
+	if here && !inline {
+		s.enqueueAt(w, t)
+	}
 	schedSp.SetErr(err)
 	schedSp.End()
 	spawnSp.End()
-	if err != nil {
-		return nil, err
-	}
-	return fut, nil
+	return here && inline, err
 }
 
-// assign implements ASSIGN_TO_NODE of Algorithm 2; a task placed here
-// is queued on worker w's deque (round-robin when w < 0).
-func (s *Scheduler) assign(spec *TaskSpec, w int) error {
+// assign implements ASSIGN_TO_NODE of Algorithm 2: it picks t's
+// variant and rank, ships the task if the rank is another one, and
+// reports whether it stays here — for the caller to queue or run.
+func (s *Scheduler) assign(t *task) (here bool, err error) {
+	spec := &t.spec
 	k, err := s.kind(spec.Kind)
 	if err != nil {
-		return err
+		return false, err
 	}
+	t.kind = k
 	// Line 3. The policy is asked before the kind: every policy keeps an
 	// indivisible task whole, so CanSplit — a decode of the arguments —
 	// is consulted only for a task the policy would split.
-	variant := VariantProcess
+	t.variant = VariantProcess
 	if k.Split != nil && s.policy.PickVariant(spec, true, s.loc.Size()) == VariantSplit &&
 		(k.CanSplit == nil || k.CanSplit(spec.Args)) {
-		variant = VariantSplit
+		t.variant = VariantSplit
 	}
 
 	target := -1
-	if variant == VariantProcess && k.Reqs != nil {
+	if t.variant == VariantProcess && k.Reqs != nil {
 		target = s.placeByData(k.Reqs(spec.Args))
 	}
 	if target < 0 {
@@ -401,16 +428,16 @@ func (s *Scheduler) assign(spec *TaskSpec, w int) error {
 
 	if target == s.loc.Rank() {
 		s.stats.localPlaced.Inc()
-		s.enqueueAt(w, spec, variant)
-		return nil
+		return true, nil
 	}
 	s.stats.remotePlaced.Inc()
-	// ship records the task for recovery, coalesces bursts into batched
-	// sched.runb frames, confirms them asynchronously, and owns the
-	// failure policy: local fallback only when the RPC layer gives the
-	// target up, arbitrated against recovery via takeInflight (ship.go).
-	s.ship(target, runArgs{Spec: *spec, Variant: variant})
-	return nil
+	// ship names the task's future, records the task for recovery,
+	// coalesces bursts into batched sched.runb frames, confirms them
+	// asynchronously, and owns the failure policy: local fallback only
+	// when the RPC layer gives the target up, arbitrated against
+	// recovery via takeInflight (ship.go).
+	s.ship(target, false, t)
+	return false, nil
 }
 
 // Percolation cost model (DESIGN.md §6f), calibrated from the measured
@@ -551,16 +578,19 @@ func pickCandidate(tally []rankTally, local int, cand func(*rankTally) bool) int
 	return -1
 }
 
-// executeNow runs one variant immediately on the calling goroutine,
-// which is queue worker `worker`. The exec span ends (and the
-// exec-latency histogram is fed) before the task promise is fulfilled,
-// so a waiter unblocked by the result observes the span as archived.
-func (s *Scheduler) executeNow(spec *TaskSpec, variant Variant, worker int) {
+// executeNow runs a task's variant immediately on the calling
+// goroutine, which is queue worker `worker` — a task popped from a deque
+// and a child its spawner runs inline (Ctx.Call) alike. The exec span
+// ends (and the exec-latency histogram is fed) before the task's future
+// is fulfilled, so a waiter unblocked by the result observes the span
+// as archived.
+func (s *Scheduler) executeNow(t *task, worker int) {
+	spec := &t.spec
 	// Cancellation gate: tasks of a cancelled job never run, wherever
 	// they arrive from (local queue, shipped batch, steal grant,
-	// respawn). Failing the promise unwinds the job's waiters.
+	// respawn). Failing the future unwinds the job's waiters.
 	if spec.Job != 0 && s.jobCancelled(spec.Job) {
-		s.failCancelled(spec)
+		s.failCancelled(t)
 		return
 	}
 	s.running.Add(1)
@@ -576,31 +606,44 @@ func (s *Scheduler) executeNow(spec *TaskSpec, variant Variant, worker int) {
 	}
 
 	name := "task.exec"
-	if variant == VariantSplit {
+	if t.variant == VariantSplit {
 		name = "task.split"
 	}
 	sp := s.loc.Tracer().Begin(name, spec.Kind, trace.SpanID(spec.Span))
 	sp.SetTask(spec.ID)
+	t.ctx = Ctx{sched: s, t: t, span: sp.SpanID(), worker: worker}
 	start := time.Now()
-	result, err := s.runVariant(spec, variant, sp.SpanID(), worker)
+	result, err := s.runVariant(t)
 	sp.SetErr(err)
 	sp.End()
 	s.execHist.Observe(time.Since(start))
-	s.loc.FulfillRemote(spec.Promise, result, err)
+	s.resolve(t, result, err)
 }
 
-// runVariant executes the variant body, acquiring process-variant
-// data requirements around it. span is the surrounding exec span, to
-// which the acquire span and child spawns attach.
-func (s *Scheduler) runVariant(spec *TaskSpec, variant Variant, span trace.SpanID, worker int) (any, error) {
-	k, err := s.kind(spec.Kind)
-	if err != nil {
-		return nil, err
+// resolve delivers a task's outcome to its spawner: in place while the
+// task has not left the rank it was spawned on, by name once it has.
+func (s *Scheduler) resolve(t *task, result any, err error) {
+	if !t.named() {
+		t.fut.Fulfill(result, err)
+		return
 	}
-	ctx := &Ctx{sched: s, spec: *spec, span: span, worker: worker}
-	if variant == VariantSplit {
+	s.loc.FulfillRemote(t.spec.Promise, result, err)
+}
+
+// runVariant executes the variant body, acquiring process-variant data
+// requirements around it; the acquire span and child spawns attach to
+// the exec span in t.ctx.
+func (s *Scheduler) runVariant(t *task) (any, error) {
+	spec, k := &t.spec, t.kind
+	if k == nil {
+		var err error
+		if k, err = s.kind(spec.Kind); err != nil {
+			return nil, err
+		}
+	}
+	if t.variant == VariantSplit {
 		s.stats.splits.Inc()
-		return k.Split(ctx)
+		return k.Split(&t.ctx)
 	}
 	var reqs []dim.Requirement
 	if k.Reqs != nil {
@@ -608,22 +651,21 @@ func (s *Scheduler) runVariant(spec *TaskSpec, variant Variant, span trace.SpanI
 	}
 	if len(reqs) > 0 {
 		// A lock wait ends when the task's job is cancelled (CancelJob).
-		// The closure copies what it needs: it may not hold spec, which
-		// lives on the worker's stack.
 		id, job := spec.ID, spec.Job
 		abort := func() error { return s.cancelled(id, job) }
-		if err := s.mgr.AcquireFor(spec.ID, reqs, span, abort); err != nil {
+		if err := s.mgr.AcquireFor(spec.ID, reqs, t.ctx.span, abort); err != nil {
 			return nil, err
 		}
 		defer s.mgr.Release(spec.ID)
 	}
-	return k.Process(ctx)
+	return k.Process(&t.ctx)
 }
 
-// Ctx is the execution context handed to variant bodies.
+// Ctx is the execution context handed to variant bodies; it lives in
+// the task it belongs to.
 type Ctx struct {
 	sched *Scheduler
-	spec  TaskSpec // own copy: the popped slot stays on the worker's stack
+	t     *task
 	// span is the task's exec/split span; child spawns parent on it.
 	span trace.SpanID
 	// worker is the queue worker the task occupies: waiting on a child
@@ -665,11 +707,11 @@ func (c *Ctx) Fragment(id dim.ItemID) (dataitem.Fragment, error) {
 }
 
 // Args decodes the task arguments into out.
-func (c *Ctx) Args(out any) error { return wire.Decode(c.spec.Args, out) }
+func (c *Ctx) Args(out any) error { return wire.Decode(c.t.spec.Args, out) }
 
 // RawArgs returns the encoded task arguments, for a body that decodes
 // them itself; read them, do not write them.
-func (c *Ctx) RawArgs() []byte { return c.spec.Args }
+func (c *Ctx) RawArgs() []byte { return c.t.spec.Args }
 
 // Spawn schedules a child task ((spawn) transition), assigning it the
 // given branch bit in the spawn tree. Waiting on the returned future
@@ -677,13 +719,43 @@ func (c *Ctx) RawArgs() []byte { return c.spec.Args }
 // the run queue for the length of the wait (HelpWait) — so the wait
 // belongs on the task's own goroutine, like Fragment.
 func (c *Ctx) Spawn(kind string, args any, branch uint64) (*runtime.Future, error) {
-	path := c.spec.Path<<1 | (branch & 1)
-	fut, err := c.sched.spawnAt(c.worker, kind, args, c.spec.Depth+1, path, c.spec.PathLen+1, c.span,
-		c.spec.Tenant, c.spec.Job)
-	if err == nil {
-		fut.SetWaitHelper(c)
+	t, _, err := c.spawn(kind, args, branch, false)
+	if err != nil {
+		return nil, err
 	}
-	return fut, err
+	return &t.fut, nil
+}
+
+// Call spawns a child task and waits for its result: Spawn followed by
+// the future's Wait, except that a child placement keeps on this rank
+// runs at once on the calling worker, through no deque slot — a thief
+// can take only what is queued. A split that has two children to join
+// Spawns the one a thief should find and Calls the other.
+func (c *Ctx) Call(kind string, args any, branch uint64) ([]byte, error) {
+	t, runNow, err := c.spawn(kind, args, branch, true)
+	if err != nil {
+		return nil, err
+	}
+	if runNow {
+		c.sched.executeNow(t, c.worker)
+	}
+	return t.fut.Wait()
+}
+
+// spawn schedules a child at the given branch below this task, its
+// future helped by this task's worker.
+func (c *Ctx) spawn(kind string, args any, branch uint64, inline bool) (*task, bool, error) {
+	p := &c.t.spec
+	t := &task{spec: TaskSpec{
+		Depth:   p.Depth + 1,
+		Path:    p.Path<<1 | (branch & 1),
+		PathLen: p.PathLen + 1,
+		Tenant:  p.Tenant,
+		Job:     p.Job,
+	}}
+	t.fut.SetWaitHelper(c)
+	runNow, err := c.sched.spawnAt(t, c.worker, inline, kind, args, c.span)
+	return t, runNow, err
 }
 
 // HelpWait implements runtime.WaitHelper: the helping join
@@ -692,7 +764,7 @@ func (c *Ctx) HelpWait(fut *runtime.Future) { c.sched.helpUntil(c.worker, fut) }
 
 // Tenant returns the executing task's tenant tag (0 outside service
 // mode).
-func (c *Ctx) Tenant() uint32 { return c.spec.Tenant }
+func (c *Ctx) Tenant() uint32 { return c.t.spec.Tenant }
 
 // Job returns the executing task's job tag (0 outside service mode).
-func (c *Ctx) Job() uint64 { return c.spec.Job }
+func (c *Ctx) Job() uint64 { return c.t.spec.Job }

@@ -11,11 +11,12 @@ import (
 
 // The one way a task changes rank (DESIGN.md §6e "Shipping"). Whatever
 // hands a task to a peer — assign placing it, a drain forwarding it, a
-// victim granting it to a thief — calls ship: the task is entered in
-// the inflight registry (recovery.go) and appended to the peer's
-// shipper, where placements coalesce into sched.runb frames of up to
-// maxShipBatch tasks, so a burst of fine-grained remote spawns crosses
-// the fabric as a few large frames.
+// victim granting it to a thief — calls ship: the task's future gets
+// its name (a task that never leaves its rank has none), the task is
+// entered in the inflight registry (recovery.go) and appended to the
+// peer's shipper, where placements coalesce into sched.runb frames of
+// up to maxShipBatch tasks, so a burst of fine-grained remote spawns
+// crosses the fabric as a few large frames.
 //
 // A ship is one call. It has no deadline and no retry limit: the RPC
 // layer resends the identical frame under the same call ID until the
@@ -62,11 +63,20 @@ func (s *Scheduler) shipSpec() runtime.CallSpec {
 	return runtime.CallSpec{Attempt: attempt, Retries: math.MaxInt, MaxBackoff: max(attempt, shipResendMax)}
 }
 
-// ship hands tasks to the target: it records them for recovery and
-// appends them to the target's shipper. The first appender of an idle
-// shipper becomes its flusher; tasks arriving while a flush is encoding
-// or awaiting the send path coalesce into the next batch.
-func (s *Scheduler) ship(target int, items ...runArgs) {
+// ship hands tasks to the target, marked as granted or not: it names
+// the future of each task that is leaving the rank it was spawned on,
+// records the tasks for recovery and appends them to the target's
+// shipper. The first appender of an idle shipper becomes its flusher;
+// tasks arriving while a flush is encoding or awaiting the send path
+// coalesce into the next batch.
+func (s *Scheduler) ship(target int, granted bool, ts ...*task) {
+	items := make([]runArgs, len(ts))
+	for i, t := range ts {
+		if !t.named() {
+			t.spec.Promise = s.loc.NamePromise(&t.fut)
+		}
+		items[i] = runArgs{Spec: t.spec, Variant: t.variant, Granted: granted}
+	}
 	s.trackInflight(target, items)
 	sh := &s.shippers[target]
 	sh.mu.Lock()
@@ -119,7 +129,7 @@ func (s *Scheduler) confirmShip(batch []runArgs, fut *runtime.Future) {
 	for i := range batch {
 		if s.takeInflight(batch[i].Spec.ID) {
 			s.stats.localPlaced.Inc()
-			s.enqueueAt(-1, &batch[i].Spec, batch[i].Variant)
+			s.enqueueAt(-1, &task{spec: batch[i].Spec, variant: batch[i].Variant})
 		}
 	}
 }
@@ -136,24 +146,24 @@ func (s *Scheduler) accept(tasks []runArgs) {
 	s.clearInflight(tasks)
 	flagged := false
 	for i := range tasks {
-		t := &tasks[i]
+		t := &task{spec: tasks[i].Spec, variant: tasks[i].Variant}
 		if s.draining.Load() {
 			// A frame that raced the drain's placement pause is accepted
 			// (the ack stops the sender's resends) but forwarded instead
 			// of kept: the rank admits no new work.
-			s.forward(&t.Spec, t.Variant)
+			s.forward(t)
 			continue
 		}
-		if t.Granted {
+		if tasks[i].Granted {
 			s.stats.stolen.Inc()
 			if !flagged {
 				flagged = true
 				s.queue.granted.Store(true)
 			}
-			ssp := s.loc.Tracer().Begin("task.steal", t.Spec.Kind, trace.SpanID(t.Spec.Span))
-			ssp.SetTask(t.Spec.ID)
+			ssp := s.loc.Tracer().Begin("task.steal", t.spec.Kind, trace.SpanID(t.spec.Span))
+			ssp.SetTask(t.spec.ID)
 			ssp.End()
 		}
-		s.enqueueAt(-1, &t.Spec, t.Variant)
+		s.enqueueAt(-1, t)
 	}
 }

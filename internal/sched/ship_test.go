@@ -42,7 +42,7 @@ func TestRespawnedShipExecutesAgain(t *testing.T) {
 	})
 	c.start()
 
-	pid, _ := c.sys.Locality(0).NewPromise()
+	pid := c.sys.Locality(0).NamePromise(new(runtime.Future))
 	args, err := wire.Encode(struct{}{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,10 +84,11 @@ func TestArrivalClearsInflightEntry(t *testing.T) {
 	s0.SetDraining(false)
 	occupyWorkers(t, s0, started)
 
-	x, fut := jobSpec(s0, 0, 0)
-	x.Kind = "count"
-	x.Args, _ = wire.Encode(struct{}{})
-	s0.ship(1, runArgs{Spec: *x})
+	x := jobTask(s0, 0, 0)
+	x.spec.Kind = "count"
+	x.spec.Args, _ = wire.Encode(struct{}{})
+	fut := &x.fut
+	s0.ship(1, false, x)
 	waitFor(t, "X queued at rank 1", func() bool { return s1.QueueLen() == 1 })
 	s0.probePeer(rand.New(rand.NewSource(1)))
 	waitFor(t, "X granted back to rank 0", func() bool { return s0.QueueLen() == 1 })
@@ -126,9 +127,9 @@ func TestInflightRegistryBound(t *testing.T) {
 	c := newCluster(t, 2, 1, &LocalPolicy{})
 	s := c.scheds[0]
 	track := func(spec *TaskSpec) { s.trackInflight(1, []runArgs{{Spec: *spec}}) }
-	pending, _ := jobSpec(s, 0, 0)
+	pending := &namedJobTask(s, 0, 0).spec
 	track(pending)
-	resolved, _ := jobSpec(s, 0, 0)
+	resolved := &namedJobTask(s, 0, 0).spec
 	s.loc.FulfillRemote(resolved.Promise, nil, nil)
 	track(resolved)
 	const foreign = 3 * inflightLimit

@@ -22,12 +22,14 @@ import (
 // other nodes since their task-private state can not be migrated."
 // (Section 3.2.)
 //
-// A task, whichever variant placement picked for it, is a slot in a
-// per-worker deque (see deque.go) until a worker pops it; idle workers
-// and idle peers may take it from there (only not-yet-started tasks
-// move, matching the model). A task that waits for its children keeps
-// its worker busy with the queue meanwhile (helpUntil), so a spawn tree
-// on one worker is a depth-first recursion on that worker's stack.
+// A task, whichever variant placement picked for it, is one object
+// (task, sched.go); queued, it sits in a per-worker deque (see deque.go)
+// until a worker pops it, and idle workers and idle peers may take it
+// from there (only not-yet-started tasks move, matching the model). A
+// child its spawner Calls is not queued: it runs at once on the
+// spawner's worker. A task that waits for its children keeps its worker
+// busy with the queue meanwhile (helpUntil), so a spawn tree on one
+// worker is a depth-first recursion on that worker's stack.
 //
 // The data plane is tiered (DESIGN.md §6e): a worker pops its own
 // deque LIFO, then raids sibling deques FIFO, and only then may send a
@@ -72,6 +74,7 @@ type queueState struct {
 	rr       atomic.Uint64 // round-robin enqueue cursor
 	wake     chan struct{} // enqueue → parked-worker notification
 	idle     atomic.Int64  // workers with nothing to run
+	live     atomic.Int64  // workers whose goroutine has not returned
 	granted  atomic.Bool   // a steal grant arrived (accept) that no dry worker has acted on yet
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -102,6 +105,7 @@ func (s *Scheduler) startQueue(workers int) {
 		)
 	}
 	s.loc.HandleOneWay(methodSteal, func(from int, _ []byte) { s.grant(from) })
+	q.live.Store(int64(workers))
 	for w := 0; w < workers; w++ {
 		q.wg.Add(1)
 		go s.worker(w)
@@ -110,13 +114,12 @@ func (s *Scheduler) startQueue(workers int) {
 
 // StopQueue terminates the worker pool and waits for the workers to
 // exit (used by tests; systems normally live for the process
-// lifetime). It is idempotent. Tasks still queued are discarded —
-// their promises fail when the locality closes — with their enqueue
-// spans ended so the tracer reports no leaked spans.
+// lifetime). It is idempotent. The last worker to return discards the
+// tasks still queued (dropQueued), with their enqueue spans ended so
+// the tracer reports no leaked spans.
 func (s *Scheduler) StopQueue() {
 	s.queue.stopOnce.Do(func() { close(s.queue.stop) })
 	s.queue.wg.Wait()
-	s.drainQueues()
 }
 
 // AbortQueue signals the worker pool to stop without waiting for the
@@ -124,15 +127,27 @@ func (s *Scheduler) StopQueue() {
 // mid-task (their in-flight RPCs fail once the locality closes).
 func (s *Scheduler) AbortQueue() {
 	s.queue.stopOnce.Do(func() { close(s.queue.stop) })
-	s.drainQueues()
+	s.dropQueued(s.drainQueues())
+}
+
+// dropQueued fails the futures of discarded tasks that never left this
+// rank, in place: nothing else knows them. A task that did leave its
+// rank has a named future, which its owner's Close, or recovery,
+// resolves.
+func (s *Scheduler) dropQueued(ts []*task) {
+	for _, t := range ts {
+		if !t.named() {
+			t.fut.Fulfill(nil, fmt.Errorf("sched: rank %d stopped with task %d queued", s.Rank(), t.spec.ID))
+		}
+	}
 }
 
 // takeQueued takes up to max queued tasks that match (deque.takeIf) out
 // of the deques: whatever the reason — a grant, a cancel, a drain, a stop
 // — they leave this rank's queues here, so their enqueue spans end and
 // the queued counter drops.
-func (s *Scheduler) takeQueued(max int, match func(*TaskSpec) bool) []queuedTask {
-	var out []queuedTask
+func (s *Scheduler) takeQueued(max int, match func(*TaskSpec) bool) []*task {
+	var out []*task
 	for _, d := range s.queue.deques {
 		if len(out) < max && d.size.Load() > 0 {
 			out = append(out, d.takeIf(max-len(out), match)...)
@@ -146,22 +161,31 @@ func (s *Scheduler) takeQueued(max int, match func(*TaskSpec) bool) []queuedTask
 }
 
 // drainQueues empties every deque and returns the tasks it took out.
-func (s *Scheduler) drainQueues() []queuedTask { return s.takeQueued(math.MaxInt, nil) }
+func (s *Scheduler) drainQueues() []*task { return s.takeQueued(math.MaxInt, nil) }
 
 // enqueueAt pushes onto worker w's deque (round-robin when w < 0),
 // beginning the task.enqueue span that measures queue residency, and
 // wakes a parked worker if there is one. The queued counter goes up
 // before the idle check: with the reverse order in park (idle up, then
 // queued check) this makes lost wakeups impossible.
-func (s *Scheduler) enqueueAt(w int, spec *TaskSpec, variant Variant) {
+//
+// A stopping queue's workers still run what their joins need, but once
+// the last of them has returned nothing runs a queued task: one queued
+// then is taken out again and dropped. The check follows the push and
+// the last worker drains after it leaves, so one of the two finds it.
+func (s *Scheduler) enqueueAt(w int, t *task) {
 	q := s.queue
-	sp := s.loc.Tracer().Begin("task.enqueue", spec.Kind, trace.SpanID(spec.Span))
-	sp.SetTask(spec.ID)
+	t.sp = s.loc.Tracer().Begin("task.enqueue", t.spec.Kind, trace.SpanID(t.spec.Span))
+	t.sp.SetTask(t.spec.ID)
 	if w < 0 {
 		w = int(q.rr.Add(1) % uint64(q.workers))
 	}
-	q.deques[w].pushTail(queuedTask{spec: *spec, variant: variant, sp: sp})
+	q.deques[w].pushTail(t)
 	s.queued.Add(1)
+	if q.live.Load() == 0 {
+		s.dropQueued(s.takeQueued(1, func(spec *TaskSpec) bool { return spec == &t.spec }))
+		return
+	}
 	q.wakeIdle()
 }
 
@@ -184,13 +208,9 @@ func (s *Scheduler) grant(thief int) {
 	if len(batch) == 0 {
 		return
 	}
-	items := make([]runArgs, len(batch))
-	for i := range batch {
-		items[i] = runArgs{Spec: batch[i].spec, Variant: batch[i].variant, Granted: true}
-	}
 	s.stats.stolenFrom.Add(uint64(len(batch)))
 	s.stats.stealBatch.ObserveValue(uint64(len(batch)))
-	s.ship(thief, items...)
+	s.ship(thief, true, batch...)
 }
 
 // stealForRemote takes up to half the locality's surplus (capped at
@@ -198,7 +218,7 @@ func (s *Scheduler) grant(thief int) {
 // is what is queued beyond the idle workers: a task one of them has
 // just been woken for is spoken for, not spare. Only stealable tasks
 // leave.
-func (s *Scheduler) stealForRemote(max int) []queuedTask {
+func (s *Scheduler) stealForRemote(max int) []*task {
 	surplus := int(s.queued.Load() - s.queue.idle.Load())
 	return s.takeQueued(min(max, (surplus+1)/2), s.stealable)
 }
@@ -253,25 +273,31 @@ func (s *Scheduler) QueueLen() int {
 
 // runQueued ends the task's queue-residency span and executes it on
 // worker w.
-func (s *Scheduler) runQueued(t queuedTask, w int) {
+func (s *Scheduler) runQueued(t *task, w int) {
 	t.sp.End()
-	s.executeNow(&t.spec, t.variant, w)
+	s.executeNow(t, w)
 }
 
 // popLocal takes the next queued task of this locality for worker w:
-// its own deque LIFO, then a raid on a sibling's deque. The queued
-// counter is adjusted for the returned task.
-func (s *Scheduler) popLocal(w int) (queuedTask, bool) {
-	if t, ok := s.queue.deques[w].popTail(); ok {
+// its own deque LIFO, then a raid on a sibling's deque; nil when there
+// is none. The queued counter is adjusted for the returned task.
+func (s *Scheduler) popLocal(w int) *task {
+	if t := s.queue.deques[w].popTail(); t != nil {
 		s.queued.Add(-1)
-		return t, true
+		return t
 	}
 	return s.stealSiblings(w)
 }
 
-// worker is one executor goroutine: run local work, go dry, park.
+// worker is one executor goroutine: run local work, go dry, park. The
+// last worker to return after a stop drops what is still queued.
 func (s *Scheduler) worker(w int) {
 	defer s.queue.wg.Done()
+	defer func() {
+		if s.queue.live.Add(-1) == 0 {
+			s.dropQueued(s.drainQueues())
+		}
+	}()
 	th := &s.queue.thieves[w]
 	th.rng = rand.New(rand.NewSource(int64(s.Rank())*1669 + int64(w)))
 	th.bo = backoff.New(remoteStealBase, remoteStealMax, int64(s.Rank())*7919+int64(w))
@@ -282,7 +308,7 @@ func (s *Scheduler) worker(w int) {
 			return
 		default:
 		}
-		if t, ok := s.popLocal(w); ok {
+		if t := s.popLocal(w); t != nil {
 			s.runQueued(t, w)
 		} else if s.park(w, s.queue.stop) {
 			return
@@ -298,8 +324,9 @@ func (s *Scheduler) worker(w int) {
 // locality once its thief comes round on its backoff — and on a single
 // worker of a single locality never.
 //
-// A child the worker runs inline is done before anyone blocks on it, so
-// the join polls Done and asks the future for a channel only to park. A
+// A child the worker has run by the time of the join — one it Called,
+// or one it popped helping — is done before anyone blocks on it, so the
+// join polls Done and asks the future for a channel only to park. A
 // parked join stays a thief: the rank that spawned a tree sits in its
 // root join for as long as the remote half runs. Helped tasks may join
 // in turn; the nesting is bounded by the tasks queued here, and a join
@@ -308,7 +335,7 @@ func (s *Scheduler) worker(w int) {
 // whose children are queued here can only return by running them.
 func (s *Scheduler) helpUntil(w int, fut *runtime.Future) {
 	for !fut.Done() {
-		if t, ok := s.popLocal(w); ok {
+		if t := s.popLocal(w); t != nil {
 			s.runQueued(t, w)
 		} else {
 			s.park(w, fut.Ready())
@@ -383,10 +410,11 @@ func (s *Scheduler) park(w int, end <-chan struct{}) (ended bool) {
 
 // stealSiblings raids the deque of another worker of this locality,
 // scanning from w's right-hand neighbour, moving a batch into worker
-// w's own deque and returning the first task for immediate execution.
+// w's own deque and returning the first task for immediate execution
+// (nil when no sibling has one).
 // Intra-locality moves keep their enqueue spans running: the tasks
 // never left this rank's queues.
-func (s *Scheduler) stealSiblings(w int) (queuedTask, bool) {
+func (s *Scheduler) stealSiblings(w int) *task {
 	q := s.queue
 	for off := 1; off < q.workers; off++ {
 		v := (w + off) % q.workers
@@ -402,9 +430,9 @@ func (s *Scheduler) stealSiblings(w int) (queuedTask, bool) {
 			self.pushTail(t)
 		}
 		s.queued.Add(-1) // only the task we are about to run left the queues
-		return batch[0], true
+		return batch[0]
 	}
-	return queuedTask{}, false
+	return nil
 }
 
 // probePeer sends one steal hint to a peer drawn at random among the

@@ -375,9 +375,10 @@ func TestStealGrantLeavesWokenWorkersTask(t *testing.T) {
 	for s.queue.idle.Load() != 1 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	spec, fut := jobSpec(s, 0, 0)
-	spec.Args, _ = wire.Encode(&sumRange{0, 3})
-	s.queue.deques[0].pushTail(queuedTask{spec: *spec})
+	qt := jobTask(s, 0, 0)
+	qt.spec.Args, _ = wire.Encode(&sumRange{0, 3})
+	fut := &qt.fut
+	s.queue.deques[0].pushTail(qt)
 	s.queued.Add(1)
 	if batch := s.stealForRemote(remoteStealCap); len(batch) != 0 {
 		t.Fatalf("a probe was granted %d task(s) queued for the parked worker", len(batch))

@@ -60,12 +60,21 @@ func PutBuf(b []byte) {
 	slicePool.Put(&b)
 }
 
-// Encode returns the wire form of v, which must implement Marshaler
-// or be a builtin; any other type is an error. A nil v encodes as an
-// empty payload ("no body").
+// Payload is a value already in wire form, laid out byte for byte as
+// Encode lays it out: Encode of a *Payload returns the bytes themselves,
+// not a copy. A caller that encodes several values into one buffer hands
+// out slices of it this way, one allocation for all of them.
+type Payload []byte
+
+// Encode returns the wire form of v, which must implement Marshaler,
+// be a builtin or be a *Payload; any other type is an error. A nil v
+// encodes as an empty payload ("no body").
 func Encode(v any) ([]byte, error) {
 	if v == nil {
 		return nil, nil
+	}
+	if p, ok := v.(*Payload); ok {
+		return *p, nil
 	}
 	if m, ok := v.(Marshaler); ok {
 		buf := make([]byte, 1, 128)
