@@ -28,19 +28,13 @@ import (
 //     still in flight self-corrects at use: an Empty fetch reply
 //     invalidates the entry and forces an authoritative re-walk.
 //  3. Evicting the other copies of a write region never trusts the
-//     cache, and rarely needs the index: it asks the directory. The rank
-//     that holds a region's root copy (`root`: created by a first-touch
-//     claim, handed to whoever evicts the copy) records every copy made
-//     of it (`lent`), and so does every replica holder for copies made
-//     from its replica; a write inside the root region revokes along
-//     those records (sharers.go). Only a writer outside its root region
-//     performs the authoritative owners walk, to find the root copy.
-//     A replica in use is not removed but locked where it is and
-//     overwritten with the writer's result (keep and refresh): it loses
+//     cache, and rarely needs the index: it asks the directory, the
+//     sharer records kept from the root copy on (itemState.root, lent).
+//     Only a writer outside its root region walks the index, to find the
+//     root copy. A replica in use is not removed but pinned where it is
+//     and refreshed with the writer's result (keep and refresh): it loses
 //     no coverage, so rule 2 has nothing to revoke and entries naming it
 //     stay valid — a fetch directed at it waits for the refresh.
-//     (Staging a write region, like a read region, only needs some
-//     holder of the missing data, and takes it from the cache.)
 //
 // Crash retraction (RetractEpoch) drops every entry, the root regions
 // and the sharer records wholesale, and cache reads validate entry
@@ -152,19 +146,15 @@ func (m *Manager) cacheGet(id ItemID, r dataitem.Region, all bool) ([]Located, b
 		if e.all != all || !e.region.Equal(r) {
 			continue
 		}
-		if e.epoch != m.epoch {
+		stale := e.epoch != m.epoch
+		for _, loc := range e.entries {
+			stale = stale || loc.Rank != m.Rank() && (m.loc.IsDead(loc.Rank) || m.loc.IsSuspect(loc.Rank))
+		}
+		if stale {
 			st.lcache = append(st.lcache[:i], st.lcache[i+1:]...)
 			m.cacheInvals.Inc()
 			m.cacheMisses.Inc()
 			return nil, false
-		}
-		for _, loc := range e.entries {
-			if loc.Rank != m.Rank() && (m.loc.IsDead(loc.Rank) || m.loc.IsSuspect(loc.Rank)) {
-				st.lcache = append(st.lcache[:i], st.lcache[i+1:]...)
-				m.cacheInvals.Inc()
-				m.cacheMisses.Inc()
-				return nil, false
-			}
 		}
 		// Move to front (LRU).
 		if i > 0 {

@@ -9,7 +9,9 @@ package dim
 import (
 	"fmt"
 	"sync"
+	"time"
 
+	"allscale/internal/backoff"
 	"allscale/internal/dataitem"
 	"allscale/internal/metrics"
 	"allscale/internal/runtime"
@@ -59,116 +61,6 @@ type Requirement struct {
 type Located struct {
 	Region dataitem.Region
 	Rank   int
-}
-
-// lockEntry records one granted requirement.
-type lockEntry struct {
-	token  uint64
-	mode   Mode
-	region dataitem.Region
-}
-
-// sides holds the child coverage an inner index node maintains.
-// Reports carry per-reporter version numbers so that out-of-order
-// delivery (handlers run concurrently) cannot regress a side to a
-// stale coverage.
-type sides struct {
-	left, right       dataitem.Region
-	leftSeq, rightSeq uint64
-}
-
-// itemState is the per-item bookkeeping of one manager.
-type itemState struct {
-	typ dataitem.Type
-	// full is elems(d), what a region from a peer's frame has to fit
-	// (fits) before it meets the item's own.
-	full  dataitem.Region
-	frag  dataitem.Fragment
-	locks []lockEntry
-	// index maps level -> child coverages, for the levels at which
-	// this rank hosts an inner node (level >= 2).
-	index map[int]*sides
-	// ver numbers the coverage reports this rank emits per hierarchy
-	// level (level 1 = the leaf fragment), making reports monotonic.
-	ver map[int]uint64
-	// allocated is maintained only at the index root host: the union
-	// of all element regions ever allocated, serializing first-touch
-	// allocation claims.
-	allocated dataitem.Region
-	// rooted, likewise kept at the index root host only, is the region
-	// whose root copy exists somewhere: granted with first-touch claims
-	// and with the root claims of writers that found none.
-	rooted dataitem.Region
-	// lcache holds this rank's locate-cache entries for the item;
-	// cgen guards in-flight cache fills against invalidations racing
-	// the walk (see cache.go). Guarded by Manager.mu.
-	lcache []lcEntry
-	cgen   uint64
-	// root is the part of the local fragment that is the item's root
-	// copy: this rank is the directory of every other copy of it — each
-	// descends from here through lent records, so a write acquisition
-	// inside root revokes them directly instead of walking the index
-	// (rule 3 in cache.go). There is one root copy of an element at
-	// most: the role is created by a first-touch claim (or, where a
-	// recovery reset destroyed it, by a root claim), travels to whoever
-	// evicts the copy, and is not lost otherwise.
-	root dataitem.Region
-	// lent maps a peer rank to the region copied out to it, recorded at
-	// export time — for root data and for replicas alike, so replicas
-	// of replicas stay reachable. Records leave with the data: whoever
-	// evicts a region from this fragment is handed the intersecting
-	// records (Sharers), answers for those copies until it has evicted
-	// them, and is itself left on record here in their place. A record
-	// may outlive the peer's copy (a third rank evicted it); revoking it
-	// then costs one empty drop.
-	lent map[int]dataitem.Region
-	// used is the part of the local fragment that was installed as a
-	// replica (a fetch, or a writer's refresh) and granted to a local
-	// task since; unused is the part installed and not granted since.
-	// A drop keeps the used part in place for the writer to refresh and
-	// really drops the rest (handleDrop). A grant touches them only while
-	// unused is non-empty, so the steady read path pays one IsEmpty.
-	used, unused dataitem.Region
-}
-
-// fits checks a region decoded from a peer's frame against the item
-// (dataitem.Fits): the algebra panics on one of another scheme,
-// dimensionality or tree height, and a handler answers with the error.
-func (st *itemState) fits(r dataitem.Region) error { return dataitem.Fits(r, st.full) }
-
-// fitsLocated checks the regions of a peer's resolution entries or
-// sharer records.
-func (st *itemState) fitsLocated(entries []Located) error {
-	for _, e := range entries {
-		if err := st.fits(e.Region); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fitsDrop checks what a drop reply hands to inherit and lend: the
-// root role, the sharer records and, with a pin, the kept part.
-func (st *itemState) fitsDrop(reply *dropReply) error {
-	if err := st.fitsLocated(reply.Sharers); err != nil {
-		return err
-	}
-	if reply.PinToken != 0 {
-		if err := st.fits(reply.Kept); err != nil {
-			return err
-		}
-	}
-	return st.fits(reply.Root)
-}
-
-// pin is a lock the manager holds on a peer's behalf, outside any
-// local acquisition: in read mode on a part exported to the peer, until
-// it confirms that its copy is in place; in write mode on a replica
-// kept for the peer's write acquisition, until its refresh arrives.
-type pin struct {
-	rank  int // the peer the pin is held for
-	item  ItemID
-	write bool
 }
 
 // heldPin is the writer's side of a write-mode pin: the refresh it
@@ -257,10 +149,6 @@ type Manager struct {
 	items  map[ItemID]*itemState
 	seq    uint32
 	pinSeq uint64 // pin token sequence (guarded by mu)
-	// pins maps outstanding pin tokens to the peer they are held for, so
-	// the pins of a crashed rank can be force-released instead of
-	// blocking writers forever (guarded by mu).
-	pins map[uint64]pin
 	// held maps the token of a local write acquisition to the replicas
 	// its drops left pinned at their holders; Release refreshes them
 	// (guarded by mu).
@@ -300,7 +188,6 @@ func New(loc *runtime.Locality, reg *dataitem.Registry) *Manager {
 		lockWait:       loc.Metrics().Histogram(MetricLockWait),
 		parked:         loc.Metrics().Gauge(MetricLockWaiters),
 		items:          make(map[ItemID]*itemState),
-		pins:           make(map[uint64]pin),
 		held:           make(map[uint64][]heldPin),
 	}
 	m.registerServices()
@@ -373,3 +260,116 @@ func (m *Manager) liveHost(lo, l int) int {
 // index report from the recovery epoch and the per-level counter.
 // Callers must hold m.mu.
 func (m *Manager) stampLocked(ver uint64) uint64 { return m.epoch<<32 | ver }
+
+// lockWaitBound is the application-deadlock diagnostic: a wait parked
+// this long fails instead of hanging. Package tests lower it.
+var lockWaitBound = 60 * time.Second
+
+// waiter is one blocked operation's lock wait, a ParalleX LCO: it ends
+// on a wake, on its owner's abort, or at lockWaitBound, and on nothing
+// else. A wait that never parks costs nothing.
+type waiter struct {
+	// abort, if set, says why the owner no longer wants what it waits
+	// for: a task's cancelled job, a handler's requester gone. Whoever
+	// makes it fail wakes the manager (Wake, ReleasePinsOf).
+	abort func() error
+	// t is made when the wait first parks. Behind a pointer, stopping
+	// its timers leaks nothing of abort's closure off its owner's stack.
+	t *waitTimers
+}
+
+type waitTimers struct {
+	bound *time.Timer
+	tick  *backoff.Timer // the retry loops' (pause)
+}
+
+func (w *waiter) aborted() error {
+	if w.abort == nil {
+		return nil
+	}
+	return w.abort()
+}
+
+// done stops the bound's timer; the owner calls it when it stops waiting.
+func (w *waiter) done() {
+	if w.t != nil {
+		w.t.bound.Stop()
+	}
+}
+
+// park is the manager's one blocking point, entered and left with mu
+// held: it waits for the next wake — or, with tick set, for the next
+// tick of a randomized exponential backoff (100 µs – 2 ms) — and fails
+// when w is aborted or its bound has passed.
+func (m *Manager) park(w *waiter, tick bool) error {
+	if err := w.aborted(); err != nil {
+		return err
+	}
+	if w.t == nil {
+		w.t = &waitTimers{time.NewTimer(lockWaitBound),
+			backoff.New(100*time.Microsecond, 2*time.Millisecond, int64(m.Rank())<<40^time.Now().UnixNano())}
+	}
+	var wake <-chan struct{}
+	var ticks <-chan time.Time
+	if tick {
+		ticks = w.t.tick.Arm()
+	} else {
+		if m.wake == nil {
+			m.wake = make(chan struct{})
+		}
+		wake = m.wake
+	}
+	m.parked.Add(1)
+	start := time.Now()
+	m.mu.Unlock()
+	expired := false
+	select {
+	case <-wake:
+	case <-ticks:
+	case <-w.t.bound.C:
+		expired = true
+	}
+	m.mu.Lock()
+	m.parked.Add(-1)
+	m.lockWait.Observe(time.Since(start))
+	if tick {
+		w.t.tick.Disarm(!expired)
+	}
+	if expired {
+		return fmt.Errorf("lock wait timed out after %v (application-level deadlock?)", lockWaitBound)
+	}
+	return w.aborted()
+}
+
+// pause is park for the retry loops, which hold no lock.
+func (m *Manager) pause(w *waiter) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.park(w, true)
+}
+
+// wakeLocked ends every wait parked on a wake: each looks again at what
+// it waits for, and at its abort.
+func (m *Manager) wakeLocked() {
+	if m.wake != nil {
+		close(m.wake)
+		m.wake = nil
+	}
+}
+
+// Wake is wakeLocked for whoever aborts a wait from outside the manager
+// (the scheduler cancelling a job), once the abort holds.
+func (m *Manager) Wake() {
+	m.mu.Lock()
+	m.wakeLocked()
+	m.mu.Unlock()
+}
+
+// gone is a handler's abort: its requester is dead or departed, and
+// nobody is left to take the answer.
+func (m *Manager) gone(rank int) error {
+	if m.loc.IsDead(rank) || m.loc.IsDeparted(rank) {
+		return fmt.Errorf("dim: rank %d has left", rank)
+	}
+	return nil
+}

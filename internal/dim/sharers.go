@@ -3,139 +3,15 @@ package dim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"allscale/internal/dataitem"
 	"allscale/internal/runtime"
 	"allscale/internal/trace"
 )
 
-// Owner-tracked sharers (DESIGN.md §6f, coherence rule 3).
-//
-// Every element has at most one root copy (itemState.root), and every
-// other copy of it is reachable from the root holder along lent
-// records: a copy can only be made from an existing copy, and every
-// export records the importer in the exporter's lent map. A write
-// acquisition inside root therefore needs no index walk: it drops the
-// recorded sharers, each of which answers with its own records for the
-// region, until the chain ends.
-//
-// Data leaves a rank only by such a drop, sent by a rank that holds the
-// same elements under a write lock. The evicted holder's records inside
-// the dropped region — and its root role, if it had it — go to the
-// evictor, and a record of the evictor stays behind: the evictor's copy
-// may have been made from the evicted one, which was then the root
-// holder's only link to it. A record may outlive the copy at the peer
-// (someone else evicted it first), which costs one drop answered
-// "nothing here".
-//
-// A replica that its holder's tasks have read since it was installed
-// (itemState.used) is not removed by the drop but kept, write-locked
-// under a pin the writer releases with the new content (keep and
-// refresh): the record of it stays with the writer, which remembers on
-// its token (Manager.held) that the copy is accounted for.
-
-// lend records that peer holds a copy of r: made from this fragment,
-// made from the fragment of a holder this rank evicted, or the copy
-// that evicted this one.
-func (st *itemState) lend(peer int, r dataitem.Region) {
-	if cur, ok := st.lent[peer]; ok {
-		r = cur.Union(r)
-	}
-	st.lent[peer] = r
-}
-
-// inherit takes over what an evicted holder handed back: its root role
-// and its records. The reply never names this rank.
-func (st *itemState) inherit(reply *dropReply) {
-	st.root = st.root.Union(reply.Root)
-	for _, o := range reply.Sharers {
-		st.lend(o.Rank, o.Region)
-	}
-}
-
-// sharers returns the lent records intersecting r, clipped to r, in
-// rank order.
-func (st *itemState) sharers(r dataitem.Region) []Located {
-	var out []Located
-	for peer, lr := range st.lent {
-		if part := lr.Intersect(r); !part.IsEmpty() {
-			out = append(out, Located{Region: part, Rank: peer})
-		}
-	}
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	}
-	return out
-}
-
-// unlend deletes the record of r copied to peer.
-func (st *itemState) unlend(peer int, r dataitem.Region) {
-	if cur, ok := st.lent[peer]; ok {
-		if rest := cur.Difference(r); rest.IsEmpty() {
-			delete(st.lent, peer)
-		} else {
-			st.lent[peer] = rest
-		}
-	}
-}
-
-// release ends this rank's part in region r, which `to` is evicting:
-// the root role and the lent records inside r go to it. A record of
-// `to` itself is dropped — it knows.
-func (st *itemState) release(r dataitem.Region, to int) *dropReply {
-	reply := &dropReply{Root: st.root.Intersect(r)}
-	st.root = st.root.Difference(r)
-	for _, o := range st.sharers(r) {
-		st.unlend(o.Rank, o.Region)
-		if o.Rank != to {
-			reply.Sharers = append(reply.Sharers, o)
-		}
-	}
-	return reply
-}
-
-// resetDirectory gives up the root region and every sharer record —
-// and, at the index root host, the account of where root copies exist:
-// the next write acquisition of any region walks the index and claims
-// the root role anew. What is a replica is forgotten with it: until it
-// is fetched anew, every part of the fragment is dropped for real.
-func (st *itemState) resetDirectory() {
-	st.root = st.typ.EmptyRegion()
-	st.rooted = st.typ.EmptyRegion()
-	st.used = st.typ.EmptyRegion()
-	st.unused = st.typ.EmptyRegion()
-	clear(st.lent)
-}
-
-// installed notes that r was just written into the fragment from
-// another rank's copy: a replica no task here has seen yet.
-func (st *itemState) installed(r dataitem.Region) {
-	st.used = st.used.Difference(r)
-	st.unused = st.unused.Union(r)
-}
-
-// granted notes that r was locked for a local task. Only the first
-// grant after an install does any region algebra.
-func (st *itemState) granted(r dataitem.Region) {
-	if st.unused.IsEmpty() {
-		return
-	}
-	if hit := st.unused.Intersect(r); !hit.IsEmpty() {
-		st.unused = st.unused.Difference(hit)
-		st.used = st.used.Union(hit)
-	}
-}
-
-// forget removes r from the fragment.
-func (st *itemState) forget(r dataitem.Region) error {
-	if err := st.frag.Resize(st.frag.Region().Difference(r)); err != nil {
-		return err
-	}
-	st.used = st.used.Difference(r)
-	st.unused = st.unused.Difference(r)
-	return nil
-}
+// Owner-tracked sharers (DESIGN.md §6f, coherence rule 3), the
+// Manager's side: the chase of a write acquisition's evictions along the
+// sharer records (rules.go holds the records and their rules).
 
 // sharersOf returns the lent records intersecting r that the
 // acquisition token does not hold pinned (left in place until evict has
@@ -217,23 +93,14 @@ func (m *Manager) evict(token uint64, id ItemID, o Located, span trace.SpanID) e
 		if reply.Contended {
 			return fmt.Errorf("dim: evict replica of %v from rank %d: %w", id, o.Rank, errContended)
 		}
-		// That copy is gone or pinned, and its holder has forgotten the
-		// copies made from it: they are ours to answer for until the chase
-		// has reached them, should it fail half-way.
 		m.mu.Lock()
-		st, ok := m.items[id]
-		if ok {
-			if err := st.fitsDrop(&reply); err != nil {
+		if st, ok := m.items[id]; ok {
+			if err := st.evicted(o, &reply); err != nil {
 				m.mu.Unlock()
 				return fmt.Errorf("dim: evict replica of %v from rank %d: %w", id, o.Rank, err)
 			}
-			st.unlend(o.Rank, o.Region)
-			st.inherit(&reply)
 		}
 		if reply.PinToken != 0 {
-			if ok {
-				st.lend(o.Rank, reply.Kept)
-			}
 			m.held[token] = append(m.held[token], heldPin{rank: o.Rank, item: id, region: reply.Kept, token: reply.PinToken})
 		}
 		m.mu.Unlock()

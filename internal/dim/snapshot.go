@@ -62,7 +62,7 @@ func (m *Manager) ExportLocal(id ItemID) (*LocalSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		if m.writePinnedLocked(st) != nil {
+		if !st.writePinned().IsEmpty() {
 			if err := m.park(&w, false); err != nil {
 				return nil, fmt.Errorf("dim: export of %v blocked on a replica refresh: %w", id, err)
 			}
@@ -89,18 +89,6 @@ func (m *Manager) ExportLocal(id ItemID) (*LocalSnapshot, error) {
 // a test and debugging aid.
 func VerifyIndex(managers []*Manager, id ItemID) error {
 	p := len(managers)
-	liveHostIn := func(lo, l int) int {
-		hi := lo + 1<<uint(l-1)
-		if hi > p {
-			hi = p
-		}
-		for i := lo; i < hi; i++ {
-			if managers[i] != nil {
-				return i
-			}
-		}
-		return -1
-	}
 	var empty dataitem.Region
 	leafCov := make([]dataitem.Region, p)
 	for i, m := range managers {
@@ -111,77 +99,49 @@ func VerifyIndex(managers []*Manager, id ItemID) error {
 		if err != nil {
 			return err
 		}
-		leafCov[i] = cov
-		if empty == nil {
-			empty = cov.Difference(cov)
-		}
+		leafCov[i], empty = cov, cov.Difference(cov)
 	}
 	if empty == nil {
 		return fmt.Errorf("dim: verify index: no live managers")
 	}
-	for i := range leafCov {
-		if leafCov[i] == nil {
-			leafCov[i] = empty
-		}
-	}
 	unionOf := func(lo, hi int) dataitem.Region {
 		u := empty
 		for i := lo; i < hi && i < p; i++ {
-			u = u.Union(leafCov[i])
+			if leafCov[i] != nil {
+				u = u.Union(leafCov[i])
+			}
 		}
 		return u
 	}
-	root := rootLevel(p)
-	for l := 2; l <= root; l++ {
+	for l := 2; l <= rootLevel(p); l++ {
 		span := 1 << uint(l-1)
 		for lo := 0; lo < p; lo += span {
-			host := liveHostIn(lo, l)
-			if host < 0 {
+			host, hi := lo, min(lo+span, p) // the left-most live rank of the subtree
+			for host < hi && managers[host] == nil {
+				host++
+			}
+			if host == hi {
 				continue
 			}
 			m := managers[host]
 			m.mu.Lock()
 			st, err := m.itemLocked(id)
-			if err != nil {
-				m.mu.Unlock()
-				return err
-			}
-			s := st.index[l]
-			var left, right dataitem.Region = st.typ.EmptyRegion(), st.typ.EmptyRegion()
-			if s != nil {
-				left, right = s.left, s.right
+			s := sides{cov: [2]dataitem.Region{empty, empty}}
+			if err == nil && st.index[l] != nil {
+				s = *st.index[l]
 			}
 			m.mu.Unlock()
-
-			childSpan := span / 2
-			if !left.Equal(unionOf(lo, lo+childSpan)) {
-				return fmt.Errorf("dim: index node (%d,%d) left = %v, want %v", lo, l, left, unionOf(lo, lo+childSpan))
+			if err != nil {
+				return err
 			}
-			if lo+childSpan < p {
-				if !right.Equal(unionOf(lo+childSpan, lo+span)) {
-					return fmt.Errorf("dim: index node (%d,%d) right = %v, want %v", lo, l, right, unionOf(lo+childSpan, lo+span))
+			for i, child := range [2]int{lo, lo + span/2} {
+				if want := unionOf(child, child+span/2); child < p && !s.cov[i].Equal(want) {
+					return fmt.Errorf("dim: index node (%d,%d) %s = %v, want %v", lo, l, [2]string{"left", "right"}[i], s.cov[i], want)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// writePinnedLocked returns the part of the item's fragment held under
-// write-mode pins — replicas kept for a writer elsewhere, unreadable
-// until refreshed — or nil if there is none.
-func (m *Manager) writePinnedLocked(st *itemState) dataitem.Region {
-	var out dataitem.Region
-	for _, e := range st.locks {
-		if p, ok := m.pins[e.token]; ok && p.write {
-			if out == nil {
-				out = e.region
-			} else {
-				out = out.Union(e.region)
-			}
-		}
-	}
-	return out
 }
 
 // CheckSystemInvariants validates the Section 2.5 safety properties
@@ -210,9 +170,7 @@ func CheckSystemInvariants(managers []*Manager, id ItemID) error {
 		}
 		m.mu.Lock()
 		if st, ok := m.items[id]; ok {
-			if pinned := m.writePinnedLocked(st); pinned != nil {
-				cov = cov.Difference(pinned)
-			}
+			cov = cov.Difference(st.writePinned())
 		}
 		m.mu.Unlock()
 		covs[rank] = cov
