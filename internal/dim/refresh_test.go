@@ -118,7 +118,7 @@ func TestKeepsOnlyThePartThatWasRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.touch(t, 1, id, row0, Read)
-	if err := verifyDirectory(ts.managers, id, nil); err != nil {
+	if err := verifyDirectory(managerViews(ts.managers, id), nil); err != nil {
 		t.Fatal(err)
 	}
 	ts.settle(t)
@@ -503,5 +503,40 @@ func TestRefreshUnderChaos(t *testing.T) {
 	// Every round but the first finds both replicas in use.
 	if want := uint64(2 * (rounds - 1)); kept != want || refreshed != want {
 		t.Errorf("%d replicas kept, %d refreshed, want %d each", kept, refreshed, want)
+	}
+}
+
+// TestRetractionForgetsKeptReplicas: a retraction removes the replica a
+// sharer keeps for a writer, and the writer, still holding its lock,
+// forgets it too. Remembered, it would hide the sharer's next copy from
+// the writer's walk — the property test's seed 975 — and its refresh
+// would find no pin.
+func TestRetractionForgetsKeptReplicas(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 2, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+	ts.write(t, 0, id, r, 1)
+	ts.touch(t, 1, id, r, Read)
+	const tok = 7
+	if err := ts.managers[0].Acquire(tok, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := ts.pinCount(1); n != 1 {
+		t.Fatalf("%d pins at the sharer, want the writer's", n)
+	}
+	for _, m := range ts.managers {
+		m.RetractEpoch(1)
+	}
+	if cov := ts.coverage(t, 1, id); !cov.IsEmpty() {
+		t.Errorf("the sharer still holds %v after the retraction", cov)
+	}
+	if n := ts.managers[0].Pins(); n != 0 {
+		t.Errorf("the writer still owes %d refreshes after the retraction", n)
+	}
+	ts.managers[0].Release(tok)
+	ts.settle(t)
+	if n := ts.sum(MetricRefreshSent); n != 0 {
+		t.Errorf("%d refreshes sent for a replica the retraction removed", n)
 	}
 }
