@@ -1,13 +1,19 @@
 package recovery
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"allscale/internal/apps/stencil"
 	"allscale/internal/chaos"
 	"allscale/internal/core"
+	"allscale/internal/dataitem"
 	"allscale/internal/dim"
+	"allscale/internal/metrics"
+	"allscale/internal/region"
+	"allscale/internal/runtime"
+	"allscale/internal/wire"
 )
 
 // TestDrainEvacuatesKeptReplicas: a rank that ran stencil steps holds,
@@ -105,5 +111,79 @@ func TestDrainEvacuatesKeptReplicas(t *testing.T) {
 		if pins := sys.Manager(r).Pins(); pins != 0 {
 			t.Errorf("rank %d: %d pins outlive the run", r, pins)
 		}
+	}
+}
+
+// fetchBody is a dim.fetch request on the wire (the DIM's itemRegion),
+// sent by a caller outside the DIM.
+type fetchBody struct {
+	item dim.ItemID
+	r    dataitem.Region
+}
+
+// AppendWire implements wire.Marshaler.
+func (b *fetchBody) AppendWire(buf []byte) ([]byte, error) {
+	return dataitem.AppendRegionWire(wire.AppendUvarint(buf, uint64(b.item)), b.r)
+}
+
+// awaitGauge waits until g reads want, for up to five seconds.
+func awaitGauge(t *testing.T, what string, g *metrics.Gauge, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); g.Value() != want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d, want %d", what, g.Value(), want)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestDrainDepartsBeforeReleasingPins: a dim.fetch handler parked for a
+// draining rank — its caller gave up waiting, so the drain finds the
+// rank quiescent — ends when the drain releases the rank's pins, the
+// first wake it gets, because the rank has departed by then. Released
+// before the mark, the handler woke, found the rank still a member and
+// parked again until some unrelated wake. No pin for the rank is left.
+func TestDrainDepartsBeforeReleasingPins(t *testing.T) {
+	const n, holder, victim = 3, 0, 2
+	sys, _, startFabric := chaosSystem(t, n, chaos.Config{}, core.Config{
+		Recovery: core.RecoveryConfig{Heartbeat: 20 * time.Millisecond, Timeout: 2 * time.Second},
+	})
+	typ := dataitem.NewGridType[int]("drain.pinned", region.Point{8})
+	sys.RegisterType(typ)
+	sys.Start()
+	startFabric()
+	rec := Attach(sys, Options{})
+	defer rec.Stop()
+
+	mgr := sys.Manager(holder)
+	id, err := mgr.CreateItem(typ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := dataitem.GridRegionFromTo(region.Point{0}, region.Point{8})
+	const tok = 1
+	if err := mgr.Acquire(tok, []dim.Requirement{{Item: id, Region: r, Mode: dim.Write}}); err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Release(tok)
+	err = sys.Locality(victim).Call(holder, "dim.fetch", &fetchBody{item: id, r: r}, nil,
+		runtime.WithSpec(runtime.CallSpec{Deadline: 50 * time.Millisecond}))
+	if !errors.Is(err, runtime.ErrCallTimeout) {
+		t.Fatalf("fetch behind the holder's write lock: err = %v, want ErrCallTimeout", err)
+	}
+	parked := sys.Metrics(holder).Gauge(dim.MetricLockWaiters)
+	awaitGauge(t, "lock waits parked at the holder", parked, 1)
+	waits := sys.Metrics(holder).Histogram(dim.MetricLockWait)
+	before := waits.Snapshot().Count
+
+	if err := rec.Drain(victim); err != nil {
+		t.Fatal(err)
+	}
+	awaitGauge(t, "lock waits parked at the holder after the drain", parked, 0)
+	if n := waits.Snapshot().Count - before; n != 1 {
+		t.Errorf("the handler for the drained rank parked %d times, want once: it ends at the release", n)
+	}
+	if n := mgr.Pins(); n != 0 {
+		t.Errorf("%d pins left at the holder", n)
 	}
 }

@@ -281,13 +281,7 @@ func (c *Coordinator) Drain(rank int) error {
 			return err
 		}
 	}
-	// 4. The rank's replica pins will never be confirmed once it is
-	// gone: release them on every remaining member.
-	for _, r := range others {
-		c.sys.Manager(r).ReleasePinsOf(rank)
-	}
-
-	// 5. Retire under a fresh fence epoch — the drained rank itself
+	// 4. Retire under a fresh fence epoch — the drained rank itself
 	// first, over the wire, so its goodbye ack is answered before any
 	// member fences it; straggler frames from its old incarnation are
 	// rejected from here on.
@@ -307,6 +301,15 @@ func (c *Coordinator) Drain(rank int) error {
 		if r != rank {
 			c.sys.Locality(r).MarkDeparted(rank, fence)
 		}
+	}
+
+	// 5. The rank's replica pins will never be confirmed now that it is
+	// gone: release them on every remaining member. Released before the
+	// mark, a handler parked for the rank would wake, find it still a
+	// member and park again, and a fetch served in between would take a
+	// pin whose dim.unpin the fence then drops.
+	for _, r := range others {
+		c.sys.Manager(r).ReleasePinsOf(rank)
 	}
 
 	// 6. Re-shape the index tree over the shrunk membership: inner
