@@ -52,14 +52,44 @@ func headerSeeds() []wireForm {
 	}
 }
 
+// argForms are the request and reply forms of every service of the
+// DIM, the recovery phases' among them: headerForms, then the rest.
+var argForms = append(headerForms[:len(headerForms):len(headerForms)],
+	func() wireForm { return new(createArgs) },
+	func() wireForm { return new(destroyArgs) },
+	func() wireForm { return new(reportArgs) },
+	func() wireForm { return new(batchArgs) },
+	func() wireForm { return new(batchReply) },
+	func() wireForm { return new(retractArgs) },
+)
+
+func argSeeds() []wireForm {
+	row := dataitem.Region(gr(31, 1, 32, 63))
+	tree := dataitem.Region(dataitem.TreeItemRegion{T: region.SubtreeRegion(5, 3)})
+	return append(headerSeeds(),
+		&createArgs{ID: MakeItemID(1, 2), TypeName: "stencil.field"},
+		&destroyArgs{ID: MakeItemID(3, 4)},
+		&reportArgs{Item: MakeItemID(0, 1), Level: 3, Left: true, Region: row, Seq: 1<<32 | 7},
+		&batchArgs{Reqs: []batchReq{
+			{Item: MakeItemID(0, 1), Region: row, Level: 2, Descend: true},
+			{Item: MakeItemID(2, 5), Region: tree, Level: 3, Descend: true, All: true},
+		}},
+		&batchReply{Replies: [][]Located{{{Region: row, Rank: 1}, {Region: tree, Rank: 3}}, nil}},
+		&retractArgs{Epoch: 3},
+	)
+}
+
 // kindOf is the index of seed's type in headerForms.
-func kindOf(t testing.TB, seed wireForm) byte {
-	for kind, fresh := range headerForms {
+func kindOf(t testing.TB, seed wireForm) byte { return kindIn(t, headerForms, seed) }
+
+// kindIn is the index of seed's type in forms.
+func kindIn(t testing.TB, forms []func() wireForm, seed wireForm) byte {
+	for kind, fresh := range forms {
 		if reflect.TypeOf(fresh()) == reflect.TypeOf(seed) {
 			return byte(kind)
 		}
 	}
-	t.Fatalf("%T is not a header form", seed)
+	t.Fatalf("%T is not one of the forms", seed)
 	return 0
 }
 
@@ -97,23 +127,54 @@ func TestHeaderWireRoundTrip(t *testing.T) {
 // decoder bound theirs by the bytes left, Decoder.Count) — and an
 // accepted value must re-encode to bytes that decode to the same.
 func FuzzHeaderUnmarshal(f *testing.F) {
-	for _, seed := range headerSeeds() {
+	seedForms(f, headerForms, headerSeeds())
+	// A sharer list claiming 2^40 entries in a 12-byte body.
+	f.Add(byte(1), append([]byte{0}, wire.AppendUvarint(nil, 1<<40)...))
+	fuzzForms(f, headerForms)
+}
+
+// TestDIMArgsWireRoundTrip: every request and reply form survives its
+// binary form, and refuses it cut short or followed by a byte.
+func TestDIMArgsWireRoundTrip(t *testing.T) {
+	for _, in := range argSeeds() {
+		out := argForms[kindIn(t, argForms, in)]()
+		first := wiretest.RoundTrip(t, in, out)
+		if second, err := wire.Encode(out); err != nil || !bytes.Equal(first, second) {
+			t.Errorf("%T %+v came back as %+v (%v)", in, in, out, err)
+		}
+	}
+}
+
+// FuzzDIMArgsUnmarshal is FuzzHeaderUnmarshal over the forms of every
+// DIM service (argForms): creation, destruction, index reports,
+// resolution batches and the recovery retraction too.
+func FuzzDIMArgsUnmarshal(f *testing.F) {
+	seedForms(f, argForms, argSeeds())
+	fuzzForms(f, argForms)
+}
+
+// seedForms adds each seed, its first half and a copy with a trailing
+// byte, under the index of its form.
+func seedForms(f *testing.F, forms []func() wireForm, seeds []wireForm) {
+	for _, seed := range seeds {
 		body, err := seed.AppendWire(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
-		kind := kindOf(f, seed)
+		kind := kindIn(f, forms, seed)
 		f.Add(kind, body)
 		f.Add(kind, body[:len(body)/2])
 		f.Add(kind, append(body[:len(body):len(body)], 0xAB))
 	}
-	// A sharer list claiming 2^40 entries in a 12-byte body.
-	f.Add(byte(1), append([]byte{0}, wire.AppendUvarint(nil, 1<<40)...))
+}
+
+// fuzzForms decodes arbitrary bodies as the form the first byte picks.
+func fuzzForms(f *testing.F, forms []func() wireForm) {
 	decode := func(body []byte, v wireForm) error {
 		return wire.Decode(append([]byte{wire.FormatBinary}, body...), v)
 	}
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
-		fresh := headerForms[int(kind)%len(headerForms)]
+		fresh := forms[int(kind)%len(forms)]
 		v, w := fresh(), fresh()
 		if decode(body, v) != nil {
 			return
