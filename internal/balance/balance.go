@@ -58,8 +58,7 @@ func RebalanceGrid(sys *core.System, item dim.ItemID, opts Options) ([]Move, err
 	eligible := make([]bool, sys.Size())
 	members := 0
 	for r := range eligible {
-		loc := sys.Locality(r)
-		if loc.IsMember(r) && !loc.IsDead(r) {
+		if sys.Peer(r).Live() {
 			eligible[r] = true
 			members++
 		}

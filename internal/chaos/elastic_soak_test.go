@@ -103,13 +103,13 @@ func elasticSoakOnce(t *testing.T, seed int64) {
 	if err := coord.Drain(drained); err != nil {
 		t.Fatalf("seed %d: drain rank %d: %v", seed, drained, err)
 	}
-	if !sys.Locality(drained).IsDeparted(drained) {
+	if sys.Locality(drained).Peer(drained) != runtime.Departed {
 		t.Fatalf("seed %d: drained rank did not depart", seed)
 	}
 	if err := coord.Join(joined); err != nil {
 		t.Fatalf("seed %d: join rank %d: %v", seed, joined, err)
 	}
-	if !sys.Locality(joined).IsMember(joined) {
+	if !sys.Locality(joined).Peer(joined).Live() {
 		t.Fatalf("seed %d: joined rank is not a member", seed)
 	}
 

@@ -143,7 +143,7 @@ func NewSystem(cfg Config) *System {
 			panic(fmt.Sprintf("core: latent rank %d out of range [0,%d)", latent, n))
 		}
 		for i := 0; i < n; i++ {
-			s.rsys.Locality(i).Deactivate(latent)
+			s.rsys.Locality(i).SetPeer(latent, runtime.Latent, 0)
 		}
 	}
 	return s
@@ -160,6 +160,18 @@ func (s *System) Scheduler(rank int) *sched.Scheduler { return s.scheds[rank] }
 
 // Locality returns the runtime locality of the given rank.
 func (s *System) Locality(rank int) *runtime.Locality { return s.rsys.Locality(rank) }
+
+// Peer returns rank's PeerState as a survivor sees it: in the view of
+// the lowest open locality other than rank. A crashed or partitioned
+// rank never learns its own death, so its own view is never read.
+func (s *System) Peer(rank int) runtime.PeerState {
+	for r := 0; r < s.Size(); r++ {
+		if l := s.rsys.Locality(r); r != rank && !l.Closed() {
+			return l.Peer(rank)
+		}
+	}
+	return s.rsys.Locality(rank).Peer(rank)
+}
 
 // Metrics returns the metrics registry of the given locality — the
 // single source of truth for its transport, RPC, scheduler and data

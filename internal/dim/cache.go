@@ -128,10 +128,9 @@ func (m *Manager) SetLocateCache(on bool) {
 }
 
 // cacheGet returns a cached resolution for (id, r, all). A hit
-// requires the current recovery epoch and only live, unsuspected
-// ranks among the entries — an entry naming a dead or suspect rank is
-// dropped on sight, so a cached map can never resurrect retracted
-// ownership. The returned slice is shared: callers must not mutate.
+// requires the current recovery epoch and only Member ranks among the
+// entries — an entry naming a suspect, draining or gone rank is dropped
+// on sight, so a cached map can never resurrect retracted ownership. The returned slice is shared: callers must not mutate.
 func (m *Manager) cacheGet(id ItemID, r dataitem.Region, all bool) ([]Located, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -148,7 +147,7 @@ func (m *Manager) cacheGet(id ItemID, r dataitem.Region, all bool) ([]Located, b
 		}
 		stale := e.epoch != m.epoch
 		for _, loc := range e.entries {
-			stale = stale || loc.Rank != m.Rank() && (m.loc.IsDead(loc.Rank) || m.loc.IsSuspect(loc.Rank))
+			stale = stale || loc.Rank != m.Rank() && m.loc.Peer(loc.Rank) != runtime.Member
 		}
 		if stale {
 			st.lcache = append(st.lcache[:i], st.lcache[i+1:]...)
@@ -211,8 +210,8 @@ func (m *Manager) cachePut(id ItemID, r dataitem.Region, all bool, entries []Loc
 // revokeLocates pushes a coverage loss to every live peer's cache
 // (rule 2) and waits for the acknowledgements, so the loss is not
 // observable anywhere before every stale claim of our ownership is
-// gone. Must be called WITHOUT holding m.mu. Suspect or unreachable
-// peers are skipped best-effort: they are excluded from placement
+// gone. Must be called WITHOUT holding m.mu. Peers that are not
+// Members are skipped best-effort: they are excluded from placement
 // anyway, and a surviving stale entry self-corrects through an Empty
 // fetch at next use.
 func (m *Manager) revokeLocates(id ItemID, r dataitem.Region, skip int) {
@@ -222,7 +221,7 @@ func (m *Manager) revokeLocates(id ItemID, r dataitem.Region, skip int) {
 	args := &cinvArgs{Item: id, Region: r}
 	futs := make(map[int]*runtime.Future, m.size())
 	for rank := 0; rank < m.size(); rank++ {
-		if rank == m.Rank() || rank == skip || m.loc.IsDead(rank) || m.loc.IsSuspect(rank) {
+		if rank == m.Rank() || rank == skip || m.loc.Peer(rank) != runtime.Member {
 			continue
 		}
 		futs[rank] = m.loc.CallAsync(rank, methodCacheInval, args, m.ctlOpt())

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"allscale/internal/dataitem"
+	"allscale/internal/runtime"
 )
 
 // counterAt reads a metrics counter of one rank.
@@ -200,7 +201,7 @@ func TestLocateCacheEpochAndDeathEviction(t *testing.T) {
 	// Death fence: a cached entry naming a now-dead rank is dropped.
 	gen = m.cacheGen(id)
 	m.cachePut(id, dataitem.Region(r), false, []Located{{Rank: 1, Region: dataitem.Region(r)}}, gen)
-	ts.sys.Locality(0).MarkDead(1)
+	ts.sys.Locality(0).SetPeer(1, runtime.Dead, 0)
 	if _, ok := m.cacheGet(id, dataitem.Region(r), false); ok {
 		t.Fatal("entry naming a dead rank served")
 	}

@@ -249,7 +249,7 @@ func (m *Manager) liveHost(lo, l int) int {
 		hi = m.size()
 	}
 	for r := lo; r < hi; r++ {
-		if m.loc.IsMember(r) && !m.loc.IsDead(r) {
+		if m.loc.Peer(r).Live() {
 			return r
 		}
 	}
@@ -368,7 +368,7 @@ func (m *Manager) Wake() {
 // gone is a handler's abort: its requester is dead or departed, and
 // nobody is left to take the answer.
 func (m *Manager) gone(rank int) error {
-	if m.loc.IsDead(rank) || m.loc.IsDeparted(rank) {
+	if m.loc.Peer(rank).Gone() {
 		return fmt.Errorf("dim: rank %d has left", rank)
 	}
 	return nil

@@ -73,7 +73,7 @@ func (m *Manager) CreateItem(typ dataitem.Type) (ItemID, error) {
 		// Latent ranks are included — their catalogs stay in sync so a
 		// later join finds every item registered — but dead and departed
 		// ranks are gone for good.
-		if m.loc.IsDead(rank) || m.loc.IsDeparted(rank) {
+		if m.loc.Peer(rank).Gone() {
 			continue
 		}
 		if err := m.loc.Call(rank, methodCreate, args, nil, m.ctlOpt()); err != nil {
@@ -102,7 +102,7 @@ func (m *Manager) handleCreate(_ int, args *createArgs) (*struct{}, error) {
 func (m *Manager) DestroyItem(id ItemID) error {
 	args := &destroyArgs{ID: id}
 	for rank := 0; rank < m.size(); rank++ {
-		if m.loc.IsDead(rank) || m.loc.IsDeparted(rank) {
+		if m.loc.Peer(rank).Gone() {
 			continue
 		}
 		if err := m.loc.Call(rank, methodDestroy, args, nil, m.ctlOpt()); err != nil {

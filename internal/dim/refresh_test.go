@@ -171,7 +171,7 @@ func TestWriterDeathDropsPinnedReplica(t *testing.T) {
 	start := time.Now()
 	survivors := []int{0, sharer}
 	for _, rank := range survivors {
-		ts.sys.Locality(rank).MarkDead(writer)
+		ts.sys.Locality(rank).SetPeer(writer, runtime.Dead, 0)
 		ts.managers[rank].ReleasePinsOf(writer)
 	}
 	for _, rank := range survivors {

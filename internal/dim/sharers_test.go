@@ -7,6 +7,7 @@ import (
 
 	"allscale/internal/dataitem"
 	"allscale/internal/region"
+	"allscale/internal/runtime"
 	"allscale/internal/trace"
 )
 
@@ -652,7 +653,7 @@ func TestFetchForDeadRankTakesNoPin(t *testing.T) {
 	r := dataitem.Region(gr(0, 0, 8, 8))
 	ts.touch(t, 0, id, r, Write)
 
-	ts.sys.Locality(0).MarkDead(2)
+	ts.sys.Locality(0).SetPeer(2, runtime.Dead, 0)
 	ts.managers[0].ReleasePinsOf(2)
 	if _, err := ts.managers[0].handleFetch(2, &fetchArgs{Item: id, Region: r}); err == nil {
 		t.Fatal("fetch on behalf of a dead rank was served")
@@ -685,7 +686,7 @@ func TestDropForDeadEvictorTakesNothing(t *testing.T) {
 		dropped <- err
 	}()
 	ts.awaitParked(t, holder, 1)
-	ts.sys.Locality(holder).MarkDead(evictor)
+	ts.sys.Locality(holder).SetPeer(evictor, runtime.Dead, 0)
 	m.ReleasePinsOf(evictor)
 	select {
 	case err := <-dropped:

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"allscale/internal/core"
+	"allscale/internal/runtime"
 )
 
 // Actuator drives membership changes; *recovery.Coordinator
@@ -197,23 +198,20 @@ func (c *Controller) Tick() Decision {
 	loads := make([]int64, size)
 	member := make([]bool, size)
 	latent := make([]bool, size)
+	var members int64
 	for r := 0; r < size; r++ {
 		loads[r] = c.sys.Scheduler(r).Load()
-		loc := c.sys.Locality(r)
-		member[r] = loc.IsMember(r)
-		latent[r] = !member[r] && !loc.IsDead(r) && !loc.IsDeparted(r)
+		st := c.sys.Peer(r)
+		member[r], latent[r] = st.Live(), st == runtime.Latent
+		if member[r] {
+			members++
+		}
 	}
 	if c.opts.Backlog != nil {
 		// Service mode: the load signal is the admitted backlog, not
 		// raw queue depth. Spread it evenly over the members so
 		// Decide's per-member mean compares against HighLoad/LowLoad
 		// unchanged.
-		var members int64
-		for r := 0; r < size; r++ {
-			if member[r] {
-				members++
-			}
-		}
 		if members > 0 {
 			backlog := c.opts.Backlog()
 			share := backlog / members

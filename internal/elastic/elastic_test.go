@@ -7,6 +7,7 @@ import (
 	"allscale/internal/core"
 	"allscale/internal/elastic"
 	"allscale/internal/recovery"
+	"allscale/internal/runtime"
 )
 
 func TestDecideJoinsLatentRankOnHighLoad(t *testing.T) {
@@ -112,7 +113,7 @@ func TestControllerDrainsIdleSystem(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if sys.Locality(1).IsDeparted(1) && sys.Locality(2).IsDeparted(2) {
+		if sys.Locality(1).Peer(1) == runtime.Departed && sys.Locality(2).Peer(2) == runtime.Departed {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -127,7 +128,7 @@ func TestControllerDrainsIdleSystem(t *testing.T) {
 	if len(rep.Drained) != 2 {
 		t.Fatalf("Report.Drained = %v, want two drains", rep.Drained)
 	}
-	if !sys.Locality(0).IsMember(0) {
+	if !sys.Locality(0).Peer(0).Live() {
 		t.Fatalf("rank 0 must survive as the last member")
 	}
 	if got := sys.Locality(0).LiveRanks(); len(got) != 1 || got[0] != 0 {
@@ -140,5 +141,33 @@ func TestControllerDrainsIdleSystem(t *testing.T) {
 	}
 	if got := reg.CounterValue(recovery.MetricJoins); got != 0 {
 		t.Fatalf("%s = %d, want 0", recovery.MetricJoins, got)
+	}
+}
+
+// TestControllerDoesNotDrainADeadRank: a crashed rank never learns that
+// it died, so its own view still calls it a member. The controller reads
+// a survivor's view: with rank 2 dead and MinMembers 1 it drains live
+// rank 1, and rank 2 is neither named nor recorded as drained. Read
+// from each rank's own view, Tick returned {Drain 2}.
+func TestControllerDoesNotDrainADeadRank(t *testing.T) {
+	sys := core.NewSystem(core.Config{Localities: 3, Recovery: core.RecoveryConfig{Heartbeat: time.Hour}})
+	defer sys.Close()
+	coord := recovery.Attach(sys, recovery.Options{})
+	defer coord.Stop()
+	sys.Start()
+	sys.Kill(2)
+	coord.ReportDeath(2)
+
+	ctl := elastic.Start(sys, coord, elastic.Options{MinMembers: 1, Interval: time.Hour})
+	defer ctl.Stop()
+	if d := ctl.Tick(); d != (elastic.Decision{Action: elastic.Drain, Rank: 1}) {
+		t.Fatalf("Tick = %+v, want {Drain 1}", d)
+	}
+	rep := coord.Report()
+	if len(rep.Drained) != 1 || rep.Drained[0] != 1 {
+		t.Fatalf("Report().Drained = %v, want [1]", rep.Drained)
+	}
+	if got := sys.Metrics(0).CounterValue(recovery.MetricDrains); got != 1 {
+		t.Fatalf("%s = %d, want 1", recovery.MetricDrains, got)
 	}
 }

@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"errors"
+	goruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"allscale/internal/metrics"
 	"allscale/internal/region"
 	"allscale/internal/runtime"
+	"allscale/internal/sched"
 	"allscale/internal/wire"
 )
 
@@ -185,5 +188,93 @@ func TestDrainDepartsBeforeReleasingPins(t *testing.T) {
 	}
 	if n := mgr.Pins(); n != 0 {
 		t.Errorf("%d pins left at the holder", n)
+	}
+}
+
+// TestDrainAndJoinRefuseADeadRank: a crashed rank never learns that it
+// died, so its own view still calls it a member. Drain and Join read a
+// survivor's view and return their documented errors; nothing is
+// recorded as drained. Read from the rank's own view, Drain returned nil
+// and recorded a drain.
+func TestDrainAndJoinRefuseADeadRank(t *testing.T) {
+	sys := core.NewSystem(core.Config{Localities: 3, Recovery: core.RecoveryConfig{Heartbeat: time.Hour}})
+	sys.Start()
+	defer sys.Close()
+	rec := Attach(sys, Options{})
+	sys.Kill(2)
+	rec.ReportDeath(2)
+	drains := sys.Metrics(0).CounterValue(MetricDrains)
+	if err := rec.Drain(2); err == nil || !strings.Contains(err.Error(), "is dead, nothing to drain") {
+		t.Errorf("Drain of the dead rank: err = %v, want \"is dead, nothing to drain\"", err)
+	}
+	if err := rec.Join(2); err == nil || !strings.Contains(err.Error(), "left the membership for good") {
+		t.Errorf("Join of the dead rank: err = %v, want \"left the membership for good\"", err)
+	}
+	if got := rec.Report().Drained; len(got) != 0 {
+		t.Errorf("Report().Drained = %v, want none", got)
+	}
+	if got := sys.Metrics(0).CounterValue(MetricDrains); got != drains {
+		t.Errorf("%s = %d, want %d", MetricDrains, got, drains)
+	}
+}
+
+// TestFalseAlarmKeepsDrainPause: a drain held in quiesce by a running
+// task must keep its placement pause through a confirmation that ends
+// in a false alarm. When a drain paused placement by suspicion, the false
+// alarm lifted the pause and the survivors could place work on the
+// leaving rank again.
+func TestFalseAlarmKeepsDrainPause(t *testing.T) {
+	sys := core.NewSystem(core.Config{
+		Localities: 3, Workers: 1, Policy: &sched.LocalPolicy{},
+		Recovery: core.RecoveryConfig{Heartbeat: time.Hour},
+	})
+	hold := make(chan struct{})
+	held := make(chan int, 1)
+	sys.RegisterKind(func(rank int) *sched.Kind {
+		return &sched.Kind{Name: "pause.hold", Process: func(*sched.Ctx) (any, error) {
+			held <- rank
+			<-hold
+			return nil, nil
+		}}
+	})
+	sys.Start()
+	defer sys.Close()
+	rec := Attach(sys, Options{})
+	fut, err := sys.Scheduler(2).Spawn("pause.hold", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// LocalPolicy keeps the task at rank 2 unless a thief takes it before
+	// it starts; the rank it runs on is the one drained.
+	victim := <-held
+	observer := (victim + 1) % sys.Size()
+	drained := make(chan error, 1)
+	go func() { drained <- rec.Drain(victim) }()
+	for r := 0; r < sys.Size(); r++ {
+		for sys.Locality(r).Peer(victim) != runtime.Draining {
+			goruntime.Gosched()
+		}
+	}
+	alarms := sys.Metrics(0).Counter(MetricFalseAlarms)
+	rec.confirm(observer, victim)
+	for alarms.Value() == 0 {
+		goruntime.Gosched()
+	}
+	for r := 0; r < sys.Size(); r++ {
+		if st := sys.Locality(r).Peer(victim); st != runtime.Draining {
+			t.Errorf("after the false alarm rank %d sees rank %d as %v, want draining (not placeable)", r, victim, st)
+		}
+	}
+	close(hold)
+	if _, err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < sys.Size(); r++ {
+		if st := sys.Locality(r).Peer(victim); st != runtime.Departed {
+			t.Errorf("after the drain rank %d sees rank %d as %v, want departed", r, victim, st)
+		}
 	}
 }

@@ -61,7 +61,7 @@ func thiefDeath(t *testing.T, cancel bool) {
 
 	// The thief stays out (a draining rank does not steal) until the
 	// victim's worker is held and the tasks are queued behind it.
-	sys.Scheduler(thief).SetDraining(true)
+	sys.Locality(thief).SetPeer(thief, runtime.Draining, 0)
 	if _, err := sys.Spawn("grant.hold", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func thiefDeath(t *testing.T, cancel bool) {
 		}
 		futs[i] = f
 	}
-	sys.Scheduler(thief).SetDraining(false)
+	sys.Locality(thief).SetPeer(thief, runtime.Member, 0)
 	select {
 	case <-held: // the thief's only worker is inside a granted task
 	case <-time.After(5 * time.Second):

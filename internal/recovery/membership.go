@@ -18,15 +18,15 @@
 // through the balancer; the locate-cache revocations issued by the
 // migrating fetches keep the old owners' caches coherent.
 //
-// Drain reverses the sequence: placement toward the rank pauses (the
-// suspect flag every scheduler and the DIM already honor, plus a
-// local draining flag so the rank stops keeping work), the queued
-// backlog is re-assigned over the remaining members, the rank
-// quiesces, migrates its fragments out via ordinary write
-// acquisitions, and only then — state fully evacuated — is marked
-// departed under a fresh fence epoch, the drained rank itself first
-// so its goodbye ack is not fenced. The failure detector never fires:
-// a departed rank is not probed, and its own detector retires.
+// Drain reverses the sequence: placement toward the rank pauses (every
+// view, the rank's own included, moves it to Draining, so no scheduler
+// places on it and it keeps no work itself), the queued backlog is
+// re-assigned over the remaining members, the rank quiesces, migrates
+// its fragments out via ordinary write acquisitions, and only then —
+// state fully evacuated — moves to Departed under a fresh fence epoch,
+// the drained rank's own view first so its goodbye ack is not fenced.
+// The failure detector never fires: a departed rank is not probed, and
+// its own detector retires.
 package recovery
 
 import (
@@ -100,33 +100,33 @@ func membershipHandler(loc *runtime.Locality) runtime.Method {
 		if err := wire.Decode(body, &u); err != nil {
 			return nil, err
 		}
+		to := runtime.Member
 		if u.Depart {
-			loc.MarkDeparted(u.Rank, u.Epoch)
-		} else {
-			loc.MarkJoined(u.Rank, u.Epoch)
+			to = runtime.Departed
 		}
+		loc.SetPeer(u.Rank, to, u.Epoch)
 		return nil, nil
 	}
 }
 
 // Join admits a latent rank into the live membership: handshake,
 // admission on every locality, index-tree reshape, warm-up migration.
-// It is idempotent (joining a member is a no-op) and serializes with
+// It is idempotent (joining a live rank is a no-op) and serializes with
 // recoveries and other membership changes. A dead or departed slot
 // cannot be (re)joined.
 func (c *Coordinator) Join(rank int) error {
 	if rank < 0 || rank >= c.sys.Size() {
 		return fmt.Errorf("recovery: join of rank %d out of range", rank)
 	}
-	joiner := c.sys.Locality(rank)
-	if joiner.IsDead(rank) || joiner.IsDeparted(rank) {
-		return fmt.Errorf("recovery: rank %d left the membership for good", rank)
-	}
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
-	if joiner.IsMember(rank) {
+	switch st := c.sys.Peer(rank); {
+	case st.Gone():
+		return fmt.Errorf("recovery: rank %d left the membership for good", rank)
+	case st != runtime.Latent:
 		return nil
 	}
+	joiner := c.sys.Locality(rank)
 	members := c.liveRanks()
 	if len(members) == 0 {
 		return fmt.Errorf("recovery: no live member to join through")
@@ -138,10 +138,7 @@ func (c *Coordinator) Join(rank int) error {
 	sp := c.tracer().Begin("recovery.join", fmt.Sprintf("rank %d", rank), 0)
 	defer sp.End()
 
-	c.mu.Lock()
-	c.epoch++
-	fence := c.epoch
-	c.mu.Unlock()
+	fence := c.nextEpoch()
 
 	// 1. Handshake: fence the joiner into the current incarnation
 	// epoch. The joiner adopts the epoch inside the handler, so its
@@ -156,11 +153,7 @@ func (c *Coordinator) Join(rank int) error {
 	}
 	// 2. Admission: every other locality (latent ranks included, so
 	// later joins inherit the view) accepts the joiner as a member.
-	for r := 0; r < c.sys.Size(); r++ {
-		if r != rank {
-			c.sys.Locality(r).MarkJoined(rank, fence)
-		}
-	}
+	c.setPeer(rank, runtime.Member, fence)
 	// 3. Geometry reshape: re-shape the Fig. 5 index tree over the
 	// grown membership — the insertion dual of the crash-time hole
 	// routing, via the same retract → republish → re-derive sequence.
@@ -208,21 +201,21 @@ func evacuate(src, dst *dim.Manager, id dim.ItemID) error {
 // its queued tasks are re-assigned over the remaining members, it
 // quiesces, migrates its fragments out, and leaves under a fresh
 // fence epoch — zero tasks lost, zero duplicated, and no failure
-// detector involvement. Draining the last member is refused; draining
-// a latent or already-departed rank is a no-op.
+// detector involvement. Draining the last member or a dead rank is
+// refused; draining a latent, draining or departed rank is a no-op.
 func (c *Coordinator) Drain(rank int) error {
 	if rank < 0 || rank >= c.sys.Size() {
 		return fmt.Errorf("recovery: drain of rank %d out of range", rank)
 	}
-	loc := c.sys.Locality(rank)
-	if loc.IsDead(rank) {
-		return fmt.Errorf("recovery: rank %d is dead, nothing to drain", rank)
-	}
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
-	if !loc.IsMember(rank) {
+	switch st := c.sys.Peer(rank); {
+	case st == runtime.Dead:
+		return fmt.Errorf("recovery: rank %d is dead, nothing to drain", rank)
+	case st != runtime.Member && st != runtime.Suspect:
 		return nil
 	}
+	loc := c.sys.Locality(rank)
 	members := c.liveRanks()
 	if len(members) < 2 {
 		return fmt.Errorf("recovery: cannot drain rank %d: it is the last member", rank)
@@ -236,18 +229,18 @@ func (c *Coordinator) Drain(rank int) error {
 	sp := c.tracer().Begin("recovery.drain", fmt.Sprintf("rank %d", rank), 0)
 	defer sp.End()
 
-	// 1. Stop admitting placements: the rank flags itself draining (its
-	// own assigns go remote, steals stop) and every peer flags it
-	// suspect — the placement pause schedulers and the DIM already
-	// honor. It stays a member: its fragments must remain resolvable
-	// until they have migrated out.
-	sc := c.sys.Scheduler(rank)
-	sc.SetDraining(true)
-	c.setSuspect(rank, true)
-	abort := func() {
-		sc.SetDraining(false)
-		c.setSuspect(rank, false)
+	// 1. Stop admitting placements: every view, the rank's own included,
+	// moves it to Draining — no peer places on it, its own assigns go
+	// remote and its steals stop. It stays live: its fragments must
+	// remain resolvable until they have migrated out. An abort moves it
+	// back to Member.
+	move := func(to runtime.PeerState) {
+		loc.SetPeer(rank, to, 0)
+		c.setPeer(rank, to, 0)
 	}
+	move(runtime.Draining)
+	abort := func() { move(runtime.Member) }
+	sc := c.sys.Scheduler(rank)
 	// Re-assign the queued backlog over the remaining members (the
 	// shipper dedups, so a re-sent batch cannot double-execute).
 	sc.RedistributeQueued()
@@ -285,23 +278,16 @@ func (c *Coordinator) Drain(rank int) error {
 	// first, over the wire, so its goodbye ack is answered before any
 	// member fences it; straggler frames from its old incarnation are
 	// rejected from here on.
-	c.mu.Lock()
-	c.epoch++
-	fence := c.epoch
-	c.mu.Unlock()
+	fence := c.nextEpoch()
 	anchor := c.sys.Locality(others[0])
 	if err := anchor.Call(rank, methodMembership,
 		&membershipUpdate{Rank: rank, Epoch: fence, Depart: true}, nil,
 		runtime.WithSpec(anchor.ControlSpec())); err != nil {
 		// The goodbye was lost on the wire; retire the rank directly —
 		// its coverage is already evacuated, nothing depends on the ack.
-		loc.MarkDeparted(rank, fence)
+		loc.SetPeer(rank, runtime.Departed, fence)
 	}
-	for r := 0; r < c.sys.Size(); r++ {
-		if r != rank {
-			c.sys.Locality(r).MarkDeparted(rank, fence)
-		}
-	}
+	c.setPeer(rank, runtime.Departed, fence)
 
 	// 5. The rank's replica pins will never be confirmed now that it is
 	// gone: release them on every remaining member. Released before the

@@ -217,7 +217,7 @@ func TestDrainedRankStragglerIsFenced(t *testing.T) {
 	if err := rec.Drain(victim); err != nil {
 		t.Fatal(err)
 	}
-	if !sys.Locality(0).IsDeparted(victim) || !sys.Locality(victim).IsDeparted(victim) {
+	if sys.Locality(0).Peer(victim) != runtime.Departed || sys.Locality(victim).Peer(victim) != runtime.Departed {
 		t.Fatal("drained rank not departed on every view")
 	}
 
@@ -269,7 +269,7 @@ func TestPreJoinFrameIsFenced(t *testing.T) {
 	// Rank 1 installs the joiner's fence — the admission step of the
 	// join protocol — while the joiner still runs under its old epoch:
 	// its frames are now stale and must be fenced.
-	sys.Locality(1).MarkJoined(joiner, 100)
+	sys.Locality(1).SetPeer(joiner, runtime.Member, 100)
 	fencedBefore := sys.Metrics(1).Counter(runtime.MetricRPCFencedFrames).Value()
 	err := sys.Locality(joiner).Call(1, "recovery.ping", &struct{}{}, nil,
 		runtime.WithDeadline(400*time.Millisecond),
@@ -288,7 +288,7 @@ func TestPreJoinFrameIsFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < n; r++ {
-		if !sys.Locality(r).IsMember(joiner) {
+		if !sys.Locality(r).Peer(joiner).Live() {
 			t.Fatalf("rank %d does not see the joiner as a member", r)
 		}
 	}

@@ -228,19 +228,50 @@ func (c *Coordinator) Report() Report {
 
 func (c *Coordinator) tracer() *trace.Tracer { return c.sys.Tracer(0) }
 
-// liveRanks returns the member ranks not declared dead, ascending.
-// Latent and departed ranks are excluded: recovery sequences (and the
-// index geometry they rebuild) range over the active membership only.
+// liveRanks returns the ranks live in a survivor's view and not
+// declared dead, ascending. Latent and departed ranks are excluded:
+// recovery sequences (and the index geometry they rebuild) range over
+// the active membership only.
 func (c *Coordinator) liveRanks() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []int
 	for r := 0; r < c.sys.Size(); r++ {
-		if !c.dead[r] && c.sys.Locality(r).IsMember(r) {
+		if !c.dead[r] && c.sys.Peer(r).Live() {
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// nextEpoch allocates a fence epoch above every epoch a view has
+// adopted: a fence never decreases, so a lower one would not take.
+func (c *Coordinator) nextEpoch() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for r := 0; r < c.sys.Size(); r++ {
+		c.epoch = max(c.epoch, c.sys.Locality(r).Epoch())
+	}
+	c.epoch++
+	return c.epoch
+}
+
+// setPeer moves rank to state to in every open view but its own.
+func (c *Coordinator) setPeer(rank int, to runtime.PeerState, epoch uint64) {
+	c.eachView(rank, func(l *runtime.Locality) { l.SetPeer(rank, to, epoch) })
+}
+
+// eachView runs move on every open locality but rank's, under mu: a
+// false alarm reads Suspect and moves back to Member, and that must not
+// straddle a drain's move to Draining or its abort.
+func (c *Coordinator) eachView(rank int, move func(*runtime.Locality)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for r := 0; r < c.sys.Size(); r++ {
+		if l := c.sys.Locality(r); r != rank && !l.Closed() {
+			move(l)
+		}
+	}
 }
 
 // ---------------------------------------------------------------
@@ -268,14 +299,14 @@ func (c *Coordinator) detect(rank int) {
 		if loc.Closed() {
 			return
 		}
-		if loc.IsDeparted(rank) {
-			return // gracefully drained: the detector retires with the rank
-		}
-		if !loc.IsMember(rank) {
+		switch st := c.sys.Peer(rank); {
+		case st.Gone():
+			return // drained or declared dead: the detector retires with the rank
+		case st == runtime.Latent:
 			continue // latent: wait out the tick until a join admits us
 		}
 		for p := 0; p < c.sys.Size(); p++ {
-			if p == rank || loc.IsDead(p) || !loc.IsMember(p) {
+			if p == rank || !loc.Peer(p).Live() {
 				continue
 			}
 			loc.Heartbeat(p)
@@ -310,7 +341,7 @@ func (c *Coordinator) confirm(observer, peer int) {
 	c.mu.Unlock()
 	go func() {
 		sp := c.tracer().Begin("recovery.detect", fmt.Sprintf("confirm rank %d", peer), 0)
-		c.setSuspect(peer, true)
+		c.setPeer(peer, runtime.Suspect, 0)
 		c.suspects.Inc()
 		err := c.ping(observer, peer)
 		sp.SetErr(err)
@@ -319,7 +350,7 @@ func (c *Coordinator) confirm(observer, peer int) {
 		delete(c.confirming, peer)
 		c.mu.Unlock()
 		if err == nil {
-			// False alarm: the peer answered — lift the placement pause.
+			// False alarm: the peer answered — lift the pause suspicion set.
 			c.clearSuspicion(peer)
 			c.falseAlarms.Inc()
 			return
@@ -358,26 +389,18 @@ func (c *Coordinator) distrusted(observer, peer int) bool {
 	return suspected && !obsAt.After(c.suspectedAt[peer])
 }
 
-// clearSuspicion lifts the placement pause on peer and forgets its
+// clearSuspicion moves peer from Suspect back to Member wherever it is
+// suspect — a drain's pause is no suspicion and stays — and forgets its
 // suspicion timestamp so a later, unrelated suspicion starts fresh.
 func (c *Coordinator) clearSuspicion(peer int) {
-	c.setSuspect(peer, false)
+	c.eachView(peer, func(l *runtime.Locality) {
+		if l.Peer(peer) == runtime.Suspect {
+			l.SetPeer(peer, runtime.Member, 0)
+		}
+	})
 	c.mu.Lock()
 	delete(c.suspectedAt, peer)
 	c.mu.Unlock()
-}
-
-// setSuspect flags (or clears) peer as suspect on every locality that
-// can still act on it.
-func (c *Coordinator) setSuspect(peer int, v bool) {
-	for r := 0; r < c.sys.Size(); r++ {
-		if r == peer {
-			continue
-		}
-		if loc := c.sys.Locality(r); !loc.Closed() {
-			loc.SetSuspect(peer, v)
-		}
-	}
 }
 
 // ping calls the liveness service on peer from observer. The call is
@@ -408,7 +431,7 @@ func (c *Coordinator) ping(observer, peer int) error {
 // future failed if it does. It is idempotent per rank and serializes
 // with other recoveries.
 func (c *Coordinator) ReportDeath(dead int) {
-	if !c.sys.Locality(dead).IsMember(dead) {
+	if !c.sys.Peer(dead).Live() {
 		// Latent or gracefully departed ranks are not failures: a
 		// straggler confirmation racing a drain must not trigger a
 		// recovery sequence for a rank that migrated its state out.
@@ -420,13 +443,11 @@ func (c *Coordinator) ReportDeath(dead int) {
 		return
 	}
 	c.dead[dead] = true
-	// Allocate the fence epoch for this death from the coordinator's
-	// monotonic epoch counter: every survivor adopts it and rejects
-	// frames from the dead rank stamped with an older epoch — a
-	// partitioned-then-healed rank cannot keep mutating survivor state.
-	c.epoch++
-	fence := c.epoch
 	c.mu.Unlock()
+	// The fence epoch for this death: every survivor adopts it, and the
+	// dead rank's frames are fenced — a partitioned-then-healed rank
+	// cannot keep mutating survivor state.
+	fence := c.nextEpoch()
 
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
@@ -439,17 +460,13 @@ func (c *Coordinator) ReportDeath(dead int) {
 	}()
 
 	live := c.liveRanks()
-	// 1. Exclusion and fencing: every locality — latent ranks included,
-	// so a later join inherits the verdict — marks the rank dead under
-	// the agreed fence epoch. Future sends fail fast, pending calls
-	// toward it resolve with runtime.ErrPeerFailed, schedulers skip it
-	// for placement and stealing, the DIM routes index traffic around
+	// 1. Exclusion and fencing: every open locality — latent ranks
+	// included, so a later join inherits the verdict — moves the rank to
+	// Dead under the agreed fence epoch. Future sends fail fast, pending
+	// calls toward it resolve with runtime.ErrPeerFailed, schedulers skip
+	// it for placement and stealing, the DIM routes index traffic around
 	// it, and its inbound frames are rejected at dispatch.
-	for r := 0; r < c.sys.Size(); r++ {
-		if r != dead {
-			c.sys.Locality(r).MarkDeadEpoch(dead, fence)
-		}
-	}
+	c.setPeer(dead, runtime.Dead, fence)
 	// 2. The dead rank's replica pins will never be confirmed: release
 	// them everywhere so they cannot block write consolidation.
 	for _, r := range live {
@@ -533,10 +550,7 @@ func (c *Coordinator) reindex(live []int) error {
 	if len(live) == 0 {
 		return fmt.Errorf("recovery: no live ranks")
 	}
-	c.mu.Lock()
-	c.epoch++
-	epoch := c.epoch
-	c.mu.Unlock()
+	epoch := c.nextEpoch()
 	drv := c.sys.Manager(live[0])
 	sp := c.tracer().Begin("recovery.retract", fmt.Sprintf("epoch %d", epoch), 0)
 	err := eachRank(live, "retract", func(r int) error { return drv.RetractRemote(r, epoch) })

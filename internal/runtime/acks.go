@@ -78,7 +78,7 @@ func (l *Locality) flushAcks(to int) {
 	payload, err := wire.Encode(&ackFrame{Epoch: l.epoch.Load(), IDs: q.ids})
 	q.ids = q.ids[:0]
 	q.mu.Unlock()
-	if err == nil && !l.IsDead(to) && !l.IsDeparted(to) && l.ep.Send(to, kindAcks, payload) == nil {
+	if err == nil && !l.Peer(to).Gone() && l.ep.Send(to, kindAcks, payload) == nil {
 		l.rpcAckFrames.Inc()
 	}
 }

@@ -101,7 +101,8 @@ func TestAckFromAnotherRankIsIgnored(t *testing.T) {
 // call.
 func TestStaleAckFrameIsFenced(t *testing.T) {
 	l, eps, reqs, probe := rawPeers(t)
-	l.MarkJoined(1, 5)
+	l.SetPeer(1, Latent, 0)
+	l.SetPeer(1, Member, 5)
 	fut := l.CallAsync(1, "m", nil, AckOnly())
 	req := <-reqs
 	fenced := l.Metrics().Counter(MetricRPCFencedFrames)

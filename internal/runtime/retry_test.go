@@ -307,7 +307,7 @@ func TestSendErrorAccounting(t *testing.T) {
 		t.Fatal("send to unregistered one-way must fail")
 	}
 	// Dead destination.
-	loc.MarkDead(1)
+	loc.SetPeer(1, Dead, 0)
 	if err := loc.Send(1, "ow", "x"); err == nil {
 		t.Fatal("send to dead rank must fail")
 	}
@@ -334,7 +334,7 @@ func TestFencingRejectsStaleEpoch(t *testing.T) {
 	// Rank 1 fences rank 2 (as the recovery coordinator would after
 	// ping exhaustion). Rank 2 itself never learns — a partitioned
 	// survivor — and keeps sending under its stale epoch.
-	s.Locality(1).MarkDeadEpoch(2, s.Locality(1).Epoch()+1)
+	s.Locality(1).SetPeer(2, Dead, s.Locality(1).Epoch()+1)
 	fut := s.Locality(2).CallAsync(1, "noop", nil)
 	time.Sleep(50 * time.Millisecond)
 	if n := served.Load(); n != 1 {
@@ -358,28 +358,28 @@ func TestSuspectLifecycle(t *testing.T) {
 	s := newTestSystem(t, 3)
 	s.Start()
 	loc := s.Locality(0)
-	if loc.IsSuspect(1) {
+	if loc.Peer(1) == Suspect {
 		t.Fatal("fresh rank already suspect")
 	}
-	loc.SetSuspect(1, true)
-	if !loc.IsSuspect(1) {
-		t.Fatal("SetSuspect(true) had no effect")
+	loc.SetPeer(1, Suspect, 0)
+	if loc.Peer(1) != Suspect {
+		t.Fatal("SetPeer(Suspect) had no effect")
 	}
-	loc.SetSuspect(1, false)
-	if loc.IsSuspect(1) {
-		t.Fatal("SetSuspect(false) had no effect")
+	loc.SetPeer(1, Member, 0)
+	if loc.Peer(1) == Suspect {
+		t.Fatal("SetPeer(Member) had no effect")
 	}
-	loc.SetSuspect(2, true)
-	loc.MarkDead(2)
-	if loc.IsSuspect(2) {
+	loc.SetPeer(2, Suspect, 0)
+	loc.SetPeer(2, Dead, 0)
+	if loc.Peer(2) == Suspect {
 		t.Fatal("death must clear suspicion (dead beats suspect)")
 	}
-	if !loc.IsDead(2) {
-		t.Fatal("MarkDead had no effect")
+	if loc.Peer(2) != Dead {
+		t.Fatal("SetPeer(Dead) had no effect")
 	}
 	// Self-suspicion is ignored.
-	loc.SetSuspect(0, true)
-	if loc.IsSuspect(0) {
+	loc.SetPeer(0, Suspect, 0)
+	if loc.Peer(0) == Suspect {
 		t.Fatal("a rank must not suspect itself")
 	}
 }

@@ -211,33 +211,16 @@ type Locality struct {
 	acks    []ackState
 	owed    []ackQueue
 
-	// dead is the locality's view of confirmed-dead peer ranks: once a
-	// rank is marked, calls and sends toward it fail fast with
-	// ErrPeerFailed instead of touching the transport. heard records,
-	// per peer, the UnixNano timestamp of the last inbound message of
-	// any kind — the substrate of heartbeat failure detection.
-	dead  []atomic.Bool
+	// peers holds, per rank, this locality's view of it: its PeerState
+	// and its fence epoch in one word (peer.go). heard records, per peer,
+	// the UnixNano timestamp of the last inbound message of any kind — the
+	// substrate of heartbeat failure detection.
+	peers []atomic.Uint64
 	heard []atomic.Int64
-
-	// joined/departed carry elastic membership (DESIGN.md §6g): the
-	// fabric is built at full capacity, but a rank only participates in
-	// placement, stealing and index geometry while joined. A latent
-	// rank (Deactivate, never joined) still answers control traffic so
-	// it can be handshaken in later; a departed rank (MarkDeparted) has
-	// gracefully drained and its slot is retired for good.
-	joined   []atomic.Bool
-	departed []atomic.Bool
 
 	// epoch is this locality's incarnation epoch: the largest fence
 	// epoch it has adopted. Every outbound envelope is stamped with it.
-	// fencedAt records, per peer, the epoch at which that peer was
-	// declared dead (0 = alive): inbound frames from the peer carrying
-	// an older epoch are stale-incarnation traffic and are dropped.
-	// suspect flags peers that missed heartbeats but are not yet
-	// confirmed dead — placement avoids them, calls still work.
-	epoch    atomic.Uint64
-	fencedAt []atomic.Uint64
-	suspect  []atomic.Bool
+	epoch atomic.Uint64
 
 	// deathMu guards the subscriber list; the callbacks themselves run
 	// outside the lock.
@@ -271,19 +254,14 @@ func NewLocality(ep transport.Endpoint) *Locality {
 		dedup:         newDedupState(defaultDedupWindow),
 		acks:          make([]ackState, ep.Size()),
 		owed:          make([]ackQueue, ep.Size()),
-		dead:          make([]atomic.Bool, ep.Size()),
+		peers:         make([]atomic.Uint64, ep.Size()),
 		heard:         make([]atomic.Int64, ep.Size()),
-		fencedAt:      make([]atomic.Uint64, ep.Size()),
-		suspect:       make([]atomic.Bool, ep.Size()),
-		joined:        make([]atomic.Bool, ep.Size()),
-		departed:      make([]atomic.Bool, ep.Size()),
 	}
 	prof := DefaultCallProfile()
 	l.profile.Store(&prof)
 	now := time.Now().UnixNano()
 	for i := range l.heard {
 		l.heard[i].Store(now)
-		l.joined[i].Store(true)
 	}
 	ep.SetMetrics(reg)
 	ep.SetHandler(l.dispatch)
@@ -326,38 +304,6 @@ func (l *Locality) OnPeerFailure(fn func(peer int, err error)) {
 	l.deathMu.Unlock()
 }
 
-// MarkDead records a peer rank as permanently dead: every outstanding
-// call toward it fails with ErrPeerFailed, future calls and sends fail
-// fast. Idempotent; marking the local rank is ignored. The fence epoch is self-allocated (current+1); a
-// recovery coordinator uses MarkDeadEpoch to install one agreed epoch
-// on every survivor instead.
-func (l *Locality) MarkDead(rank int) {
-	l.MarkDeadEpoch(rank, l.epoch.Load()+1)
-}
-
-// MarkDeadEpoch is MarkDead with an explicit fence epoch: the local
-// incarnation epoch is raised to it, and inbound frames from the dead
-// rank stamped with an older epoch are rejected from now on — a
-// partitioned-then-healed rank cannot keep mutating state here.
-func (l *Locality) MarkDeadEpoch(rank int, epoch uint64) {
-	if rank < 0 || rank >= len(l.dead) || rank == l.Rank() {
-		return
-	}
-	if epoch == 0 {
-		epoch = l.epoch.Load() + 1
-	}
-	l.adoptEpoch(epoch)
-	// Install the fence before the dead flag so any observer of the
-	// flag also sees a non-zero fence for the rank.
-	l.fencedAt[rank].Store(epoch)
-	l.suspect[rank].Store(false)
-	if l.dead[rank].Swap(true) {
-		return
-	}
-	l.failCalls(func(dst int) bool { return dst == rank },
-		fmt.Errorf("%w: rank %d marked dead", ErrPeerFailed, rank))
-}
-
 // Epoch returns the locality's incarnation epoch (the largest fence
 // epoch adopted so far; 0 before any death).
 func (l *Locality) Epoch() uint64 { return l.epoch.Load() }
@@ -370,121 +316,6 @@ func (l *Locality) adoptEpoch(e uint64) {
 			return
 		}
 	}
-}
-
-// SetSuspect flags (or clears) a peer as suspected failed: heartbeat
-// silence that has not yet survived ping confirmation. Placement
-// avoids suspects, but calls toward them still work — suspicion is a
-// pause, not a verdict. Suspecting a dead or local rank is ignored.
-func (l *Locality) SetSuspect(rank int, suspected bool) {
-	if rank < 0 || rank >= len(l.suspect) || rank == l.Rank() {
-		return
-	}
-	if suspected && l.dead[rank].Load() {
-		return
-	}
-	l.suspect[rank].Store(suspected)
-}
-
-// IsSuspect reports whether the rank is currently suspected failed.
-func (l *Locality) IsSuspect(rank int) bool {
-	return rank >= 0 && rank < len(l.suspect) && l.suspect[rank].Load()
-}
-
-// IsDead reports whether the rank has been marked dead.
-func (l *Locality) IsDead(rank int) bool {
-	return rank >= 0 && rank < len(l.dead) && l.dead[rank].Load()
-}
-
-// Deactivate marks a rank (possibly the local one) as latent: present
-// on the fabric but not yet a member of the computation. Latent ranks
-// are excluded from placement, stealing, index geometry and failure
-// detection until MarkJoined admits them. Must be called on every
-// locality before traffic starts — membership flips at runtime go
-// through the join handshake instead.
-func (l *Locality) Deactivate(rank int) {
-	if rank < 0 || rank >= len(l.joined) {
-		return
-	}
-	l.joined[rank].Store(false)
-}
-
-// MarkJoined admits a rank into the membership at the given fence
-// epoch (the join handshake, DESIGN.md §6g). On the joining rank
-// itself it adopts the epoch so every frame it sends from now on is
-// stamped into the current incarnation; on the members it installs
-// the epoch as the joiner's fence, so stale pre-join frames (stamped
-// with an older epoch) are rejected. The last-heard timestamp is
-// reset so the failure detector does not misread pre-join silence as
-// missed heartbeats. Joining a dead or departed slot is ignored.
-func (l *Locality) MarkJoined(rank int, epoch uint64) {
-	if rank < 0 || rank >= len(l.joined) {
-		return
-	}
-	if l.dead[rank].Load() || l.departed[rank].Load() {
-		return
-	}
-	l.adoptEpoch(epoch)
-	if rank != l.Rank() && epoch > 0 {
-		l.fencedAt[rank].Store(epoch)
-	}
-	l.suspect[rank].Store(false)
-	l.heard[rank].Store(time.Now().UnixNano())
-	l.joined[rank].Store(true)
-}
-
-// MarkDeparted retires a rank that has gracefully drained: it leaves
-// the membership for good, outstanding calls toward it fail with
-// ErrPeerFailed, and later frames from its old incarnation are fenced
-// — but unlike a death nothing is recovered: a drain migrates its
-// state out before leaving.
-// Departing the local rank is allowed (the drained rank marks itself
-// on its way out) and fails no calls: its own teardown handles them.
-func (l *Locality) MarkDeparted(rank int, epoch uint64) {
-	if rank < 0 || rank >= len(l.joined) {
-		return
-	}
-	if epoch == 0 {
-		epoch = l.epoch.Load() + 1
-	}
-	l.adoptEpoch(epoch)
-	if rank != l.Rank() {
-		// Fence before the flags so any observer of departed also sees
-		// the fence (mirrors MarkDeadEpoch's ordering).
-		l.fencedAt[rank].Store(epoch)
-	}
-	l.suspect[rank].Store(false)
-	l.joined[rank].Store(false)
-	if l.departed[rank].Swap(true) || rank == l.Rank() {
-		return
-	}
-	l.failCalls(func(dst int) bool { return dst == rank },
-		fmt.Errorf("%w: rank %d departed", ErrPeerFailed, rank))
-}
-
-// IsMember reports whether the rank currently participates in the
-// computation: joined, not latent, not departed.
-func (l *Locality) IsMember(rank int) bool {
-	return rank >= 0 && rank < len(l.joined) && l.joined[rank].Load()
-}
-
-// IsDeparted reports whether the rank has gracefully left the
-// membership.
-func (l *Locality) IsDeparted(rank int) bool {
-	return rank >= 0 && rank < len(l.departed) && l.departed[rank].Load()
-}
-
-// LiveRanks returns the member ranks not marked dead, in ascending
-// order. Latent and departed ranks are excluded — the result is the
-// set over which placement and index geometry range.
-func (l *Locality) LiveRanks() []int {
-	out := make([]int, 0, len(l.dead))
-	for r := range l.dead {
-		if l.joined[r].Load() && !l.dead[r].Load() {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // LastHeard returns the time of the last inbound message from the
@@ -507,11 +338,8 @@ func (l *Locality) Heartbeat(dst int) error {
 	if l.closed.Load() {
 		return fmt.Errorf("runtime: locality %d closed", l.Rank())
 	}
-	if l.IsDead(dst) {
-		return fmt.Errorf("%w: rank %d marked dead", ErrPeerFailed, dst)
-	}
-	if l.IsDeparted(dst) {
-		return fmt.Errorf("%w: rank %d departed", ErrPeerFailed, dst)
+	if st := l.Peer(dst); st.Gone() {
+		return errGone(dst, st)
 	}
 	return l.ep.Send(dst, transport.KindHeartbeat, nil)
 }
@@ -570,7 +398,7 @@ func (l *Locality) Go(f func()) { l.pool.Go(f) }
 // handed to a goroutine of its own so that a blocking handler can
 // never stall delivery (and in particular never deadlock an RPC cycle).
 func (l *Locality) dispatch(msg transport.Message) {
-	if l.IsDead(msg.From) || l.IsDeparted(msg.From) {
+	if l.Peer(msg.From).Gone() {
 		// Fenced: a rank declared dead may in fact be alive across a
 		// healed partition, and a departed rank may have straggler
 		// frames in flight. Either way the frames are rejected before
@@ -654,15 +482,15 @@ func (l *Locality) dispatchDedup(msg transport.Message) {
 	l.Go(func() { l.serveDedup(msg.From, &req) })
 }
 
-// staleEpoch reports (and counts) a frame from a sender whose stamped
-// epoch predates the fence recorded for that rank. It backstops the
-// dispatch-time IsDead rejection for frames already handed to a serve
-// goroutine when the fence landed.
+// staleEpoch reports (and counts) a frame from a sender that is gone or
+// whose stamped epoch predates its fence. It backstops dispatch's
+// rejection of gone senders for frames already handed to a serve
+// goroutine when the sender's state moved.
 func (l *Locality) staleEpoch(from int, epoch uint64) bool {
-	if from < 0 || from >= len(l.fencedAt) {
+	if from < 0 || from >= len(l.peers) {
 		return false
 	}
-	if fence := l.fencedAt[from].Load(); fence != 0 && epoch < fence {
+	if w := l.peers[from].Load(); PeerState(w&stateMask).Gone() || epoch < w>>stateBits {
 		l.rpcFenced.Inc()
 		return true
 	}
@@ -806,14 +634,9 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		fut.fulfill(nil, fmt.Errorf("runtime: locality %d closed", l.Rank()))
 		return fut
 	}
-	if l.IsDead(dst) {
+	if st := l.Peer(dst); st.Gone() {
 		l.rpcErrors.Inc()
-		fut.fulfill(nil, fmt.Errorf("%w: rank %d marked dead", ErrPeerFailed, dst))
-		return fut
-	}
-	if l.IsDeparted(dst) {
-		l.rpcErrors.Inc()
-		fut.fulfill(nil, fmt.Errorf("%w: rank %d departed", ErrPeerFailed, dst))
+		fut.fulfill(nil, errGone(dst, st))
 		return fut
 	}
 	if dst < 0 || dst >= len(l.owed) {
@@ -860,10 +683,10 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		}
 		return fut
 	}
-	// Re-check after the Store: a MarkDead/MarkDeparted — or this
+	// Re-check after the Store: a move to Dead or Departed — or this
 	// locality's own Close — racing with this call may have swept the
 	// calls map before our entry landed.
-	if l.IsDead(dst) || l.IsDeparted(dst) {
+	if l.Peer(dst).Gone() {
 		if _, ok := l.calls.LoadAndDelete(id); ok {
 			l.resolve(pc, nil, fmt.Errorf("%w: rank %d unreachable", ErrPeerFailed, dst))
 		}
@@ -998,13 +821,9 @@ func (l *Locality) Send(dst int, method string, args any) error {
 		l.rpcErrors.Inc()
 		return fmt.Errorf("runtime: locality %d closed", l.Rank())
 	}
-	if l.IsDead(dst) {
+	if st := l.Peer(dst); st.Gone() {
 		l.rpcErrors.Inc()
-		return fmt.Errorf("%w: rank %d marked dead", ErrPeerFailed, dst)
-	}
-	if l.IsDeparted(dst) {
-		l.rpcErrors.Inc()
-		return fmt.Errorf("%w: rank %d departed", ErrPeerFailed, dst)
+		return errGone(dst, st)
 	}
 	payload, err := wire.Encode(&oneWayMsg{Method: method, Body: body, Epoch: l.epoch.Load()})
 	if err != nil {

@@ -305,7 +305,7 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 
 	// Remote steal: rank 0's workers stay held, so only rank 1's
 	// thieves can run the other seven.
-	s1.SetDraining(false)
+	s1.loc.SetPeer(s1.Rank(), runtime.Member, 0)
 	waitAll(futs)
 	if stolen, from := counter(s1, MetricSteals), counter(s0, MetricStolenFrom); stolen != 7 || from != 7 {
 		t.Fatalf("rank 1 stole %d, rank 0 granted %d, want 7 and 7", stolen, from)
@@ -320,7 +320,7 @@ func TestTaggedTasksQueueLikeUntagged(t *testing.T) {
 	// it leaves rank 0's queue and runs on rank 1.
 	placedBefore := counter(s0, MetricRemotePlaced)
 	futs = spawnLeaves(t, s0, 6, tenant, 9)
-	s0.SetDraining(true)
+	s0.loc.SetPeer(s0.Rank(), runtime.Draining, 0)
 	s0.RedistributeQueued()
 	checkQueued(t, s0, 0)
 	waitAll(futs)

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"allscale/internal/runtime"
 )
 
 // The helping join (steal.go helpUntil, DESIGN.md §6e):
@@ -220,7 +222,7 @@ func TestCancelWhileParkedInHelpingJoin(t *testing.T) {
 	}
 	within(t, "cancel of a parked join", func() error {
 		<-rootRunning
-		c.scheds[1].SetDraining(false)
+		c.scheds[1].loc.SetPeer(1, runtime.Member, 0)
 		close(proceed)
 		<-childRunning
 		// The root's worker has nothing to run: wait until it parked.

@@ -67,7 +67,7 @@ func TestGrantedTaskResolvesItsSpawner(t *testing.T) {
 	if got := named(s0); got != 0 {
 		t.Fatalf("a queued local task named %d promises, want 0", got)
 	}
-	s1.SetDraining(false) // rank 1's worker probes rank 0 on its timer
+	s1.loc.SetPeer(s1.Rank(), runtime.Member, 0) // rank 1's worker probes rank 0 on its timer
 	if err := waitResolved(t, "the granted task's future", fut); err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,10 @@ func TestForwardedTaskResolvesItsSpawner(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkQueued(t, s0, 1)
-	s0.SetDraining(true)
+	s0.loc.SetPeer(s0.Rank(), runtime.Draining, 0)
 	s0.RedistributeQueued()
 	checkQueued(t, s0, 0)
-	s1.SetDraining(false)
+	s1.loc.SetPeer(s1.Rank(), runtime.Member, 0)
 	if err := waitResolved(t, "the forwarded task's future", fut); err != nil {
 		t.Fatal(err)
 	}

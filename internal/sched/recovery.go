@@ -1,6 +1,10 @@
 package sched
 
-import "sort"
+import (
+	"sort"
+
+	"allscale/internal/runtime"
+)
 
 // Crash-recovery support of the scheduler (DESIGN.md §6c). One registry,
 // inflight, records every task whose spec this rank handed to a peer —
@@ -136,16 +140,11 @@ func (s *Scheduler) Respawn(spec TaskSpec) error {
 	return err
 }
 
-// placeable reports whether a rank may receive task placements: a
-// member that is neither dead nor suspect. The local rank skips the
-// suspect check (a rank never distrusts itself) but honors the
-// draining flag — a draining rank admits no new work.
-func (s *Scheduler) placeable(rank int) bool {
-	if rank == s.loc.Rank() {
-		return s.loc.IsMember(rank) && !s.draining.Load()
-	}
-	return s.loc.IsMember(rank) && !s.loc.IsDead(rank) && !s.loc.IsSuspect(rank)
-}
+// placeable reports whether a rank may receive task placements: it is
+// a Member in this rank's view. A rank not placeable in its own view
+// keeps no work: it places remotely, forwards what is shipped to it and
+// does not steal.
+func (s *Scheduler) placeable(rank int) bool { return s.loc.Peer(rank) == runtime.Member }
 
 // nextLive returns the first placeable rank after target (wrapping),
 // falling back to the local rank when every other rank is dead,

@@ -153,12 +153,6 @@ type Scheduler struct {
 	// through (steal.go).
 	queue *queueState
 
-	// draining, when set, stops this rank from keeping work: its own
-	// assigns place remotely, inbound shipped batches are forwarded,
-	// and its workers stop stealing. Set by a graceful drain
-	// (recovery.Drain) before the rank leaves the membership.
-	draining atomic.Bool
-
 	// inflight records every task this rank handed to a peer — placed,
 	// forwarded or granted — so the recovery coordinator can recover
 	// tasks lost on a dead rank (recovery.go in this package).
@@ -275,9 +269,6 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 	return s
 }
 
-// SetDraining flips the drain flag (see the field comment).
-func (s *Scheduler) SetDraining(v bool) { s.draining.Store(v) }
-
 // forward places a task that must not stay on this rank onto the next
 // usable member; with no member left it runs locally after all —
 // losing the task would be worse.
@@ -292,8 +283,8 @@ func (s *Scheduler) forward(t *task) {
 }
 
 // RedistributeQueued empties the run queue and re-places every not
-// yet started task; under the draining flag the placements land on
-// the remaining members. Running tasks are unaffected — they finish
+// yet started task; with the rank Draining in its own view the
+// placements land on the remaining members. Running tasks are unaffected — they finish
 // here (task-private state cannot migrate, Section 3.2).
 func (s *Scheduler) RedistributeQueued() {
 	for _, t := range s.drainQueues() {

@@ -147,7 +147,7 @@ func (s *Scheduler) accept(tasks []runArgs) {
 	flagged := false
 	for i := range tasks {
 		t := &task{spec: tasks[i].Spec, variant: tasks[i].Variant}
-		if s.draining.Load() {
+		if !s.placeable(s.Rank()) {
 			// A frame that raced the drain's placement pause is accepted
 			// (the ack stops the sender's resends) but forwarded instead
 			// of kept: the rank admits no new work.

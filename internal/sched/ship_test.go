@@ -81,7 +81,7 @@ func TestArrivalClearsInflightEntry(t *testing.T) {
 	// it is and only this test probes.
 	holdThieves(s0)
 	occupyWorkers(t, s1, started)
-	s0.SetDraining(false)
+	s0.loc.SetPeer(s0.Rank(), runtime.Member, 0)
 	occupyWorkers(t, s0, started)
 
 	x := jobTask(s0, 0, 0)
@@ -99,7 +99,7 @@ func TestArrivalClearsInflightEntry(t *testing.T) {
 	// Rank 1 dies; rank 0 does what the recovery coordinator does.
 	s1.AbortQueue()
 	c.sys.Locality(1).Close()
-	s0.loc.MarkDead(1)
+	s0.loc.SetPeer(1, runtime.Dead, 0)
 	for _, spec := range s0.HandleDeath(1) {
 		if s0.loc.PromisePending(spec.Promise) {
 			t.Errorf("task %d, queued here, is reported lost on rank 1", spec.ID)
@@ -171,7 +171,7 @@ func TestDroppedProbesDoNotHoldTheWorker(t *testing.T) {
 	}
 	c, start := newChaosCluster(t, 1, &LocalPolicy{}, ctl, calls, chaos.Config{}, chaos.Config{})
 	registerSum(c)
-	c.scheds[1].SetDraining(true)
+	c.scheds[1].loc.SetPeer(1, runtime.Draining, 0)
 	start()
 
 	s0 := c.scheds[0]

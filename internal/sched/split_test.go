@@ -3,6 +3,8 @@ package sched
 import (
 	"sync"
 	"testing"
+
+	"allscale/internal/runtime"
 )
 
 // Split variants on the workers (steal.go, DESIGN.md §6e): a split is a
@@ -54,7 +56,7 @@ func TestStealGrantKeepsVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOneQueuedSplit(t, s0)
-	s1.SetDraining(false)
+	s1.loc.SetPeer(s1.Rank(), runtime.Member, 0)
 	var got int64
 	if err := fut.WaitInto(&got); err != nil || got != 64*63/2 {
 		t.Fatalf("stolen tree: sum = %d, err %v, want %d", got, err, 64*63/2)
@@ -77,7 +79,7 @@ func TestStealGrantKeepsVariant(t *testing.T) {
 	if fut, err = s0.Spawn("sum", &sumRange{0, 64}); err != nil {
 		t.Fatal(err)
 	}
-	s0.SetDraining(true)
+	s0.loc.SetPeer(s0.Rank(), runtime.Draining, 0)
 	s0.RedistributeQueued()
 	checkQueued(t, s0, 0)
 	checkOneQueuedSplit(t, s1)
@@ -148,7 +150,7 @@ func TestJoinStillSteals(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-rootRunning
-	s1.SetDraining(false) // before the child is placed: a draining rank would send it back
+	s1.loc.SetPeer(s1.Rank(), runtime.Member, 0) // before the child is placed: a draining rank would send it back
 	close(proceed)
 	<-childRunning
 	// Surplus on rank 1, behind its only worker.

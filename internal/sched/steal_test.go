@@ -242,7 +242,7 @@ func TestStealCountersConcurrent(t *testing.T) {
 // and returns once every one of its workers is parked and no call of
 // its own is under way.
 func holdThieves(s *Scheduler) {
-	s.SetDraining(true)
+	s.loc.SetPeer(s.Rank(), runtime.Draining, 0)
 	for s.queue.idle.Load() != int64(s.queue.workers) || s.loc.PendingCalls() != 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -318,7 +318,7 @@ func TestStealGrantRespectsData(t *testing.T) {
 	checkQueued(t, s0, bound+free+1)
 
 	// Rank 0's workers stay held: only rank 1 can run anything.
-	s1.SetDraining(false)
+	s1.loc.SetPeer(s1.Rank(), runtime.Member, 0)
 	for _, fut := range stealable {
 		if _, err := fut.Wait(); err != nil {
 			t.Fatal(err)
@@ -424,7 +424,7 @@ func TestStealVictimIsPlaceable(t *testing.T) {
 	registerSum(c)
 	started, release := registerGate(t, c)
 	for _, s := range c.scheds {
-		s.loc.Deactivate(2)
+		s.loc.SetPeer(2, runtime.Latent, 0)
 	}
 	c.start()
 	s0, s1 := c.scheds[0], c.scheds[1]
@@ -432,7 +432,7 @@ func TestStealVictimIsPlaceable(t *testing.T) {
 	// what is spawned there, rank 1's so that only this test probes.
 	holdThieves(s1)
 	occupyWorkers(t, s0, started)
-	s1.SetDraining(false)
+	s1.loc.SetPeer(s1.Rank(), runtime.Member, 0)
 	occupyWorkers(t, s1, started)
 	attempts := s1.stats.stealAttempts.Value() // rank 1's worker may have asked once on its way into the gate
 	rng := rand.New(rand.NewSource(1))
