@@ -59,7 +59,7 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames 
 	}
 	before := total(dim.MetricLocateRPCs)
 	direct, walked := total(dim.MetricRevokeDirect), total(dim.MetricRevokeWalked)
-	kept, evicted := total(dim.MetricDropKept), total(dim.MetricDropEvicted)
+	kept, evicted, carried := total(dim.MetricDropKept), total(dim.MetricDropEvicted), total(dim.MetricDropCarried)
 	refreshed, stale := total(dim.MetricRefreshSent), total(dim.MetricRefreshStale)
 	// The frames of calls and replies: every frame less the one-way
 	// messages (steal probes) and the rpc.acks frames — acks that found
@@ -95,6 +95,10 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames 
 	}
 	if k, e := total(dim.MetricDropKept)-kept, total(dim.MetricDropEvicted)-evicted; k != 2 || e != 0 {
 		t.Errorf("halo replicas: %d kept, %d evicted, want 2 and 0", k, e)
+	}
+	// The shipped half's drop of rank 0's copy rides in its frame.
+	if c := total(dim.MetricDropCarried) - carried; c != 1 {
+		t.Errorf("drops carried by the ship: %d, want 1", c)
 	}
 	if r, s := total(dim.MetricRefreshSent)-refreshed, total(dim.MetricRefreshStale)-stale; r != 2 || s != 0 {
 		t.Errorf("halo refreshes: %d sent, %d stale, want 2 and 0", r, s)
@@ -192,9 +196,11 @@ func formatCalls(calls map[string]int) string {
 // acquisition holds the neighbour's halo replica in place through the
 // owner's own sharer records and refreshes it on release — no fetch, no
 // coverage change, hence no index report, no cache invalidation and no
-// index walk of any kind. Only the two dim.drops are awaited: the ship,
-// the fulfilment and the two refreshes are ack-only (DESIGN.md §6d
-// "Deferred acks"), so the six calls take eight frames.
+// index walk of any kind. The shipped half's drop of rank 0's replica is
+// served by rank 0 as it ships the task and rides in the frame (DESIGN.md
+// §6f "Carried evictions"), so only rank 0's own dim.drop is awaited: the
+// ship, the fulfilment and the two refreshes are ack-only (DESIGN.md §6d
+// "Deferred acks"), and the five calls take six frames.
 func TestStencilStepProtocolCounts(t *testing.T) {
 	calls, awaited, frames, locates, locateRPCs := stepCalls(t, 20)
 	total := 0
@@ -202,12 +208,12 @@ func TestStencilStepProtocolCounts(t *testing.T) {
 		total += c
 	}
 	t.Logf("one step: %d calls (%d awaited) in %d frames, %d locate RPCs:%s; locates:%s", total, awaited, frames, locateRPCs, formatCalls(calls), formatCalls(locates))
-	want := map[string]int{"sched.runb": 1, "runtime.fulfill": 1, "dim.drop": 2, "dim.unpin": 2}
+	want := map[string]int{"sched.runb": 1, "runtime.fulfill": 1, "dim.drop": 1, "dim.unpin": 2}
 	if formatCalls(calls) != formatCalls(want) {
 		t.Errorf("calls per step:%s, want%s", formatCalls(calls), formatCalls(want))
 	}
-	if total != 6 || awaited != 2 || frames != 8 {
-		t.Errorf("RPC calls per step = %d (%d awaited) in %d frames, want 6 (2) in 8", total, awaited, frames)
+	if total != 5 || awaited != 1 || frames != 6 {
+		t.Errorf("RPC calls per step = %d (%d awaited) in %d frames, want 5 (1) in 6", total, awaited, frames)
 	}
 	if locateRPCs != 0 {
 		t.Errorf("locate RPCs per step = %d, want 0", locateRPCs)
@@ -224,14 +230,55 @@ func TestStencilStepProtocolCounts(t *testing.T) {
 	}
 }
 
+// TestShipCarriesOriginEviction: in steady-state steps rank 0 serves
+// the shipped half's drop of its halo replica as it ships the task
+// (dim.Manager.Carry), so rank 1 never sends rank 0 a dim.drop, and
+// dim.drop.carried counts one per step.
+func TestShipCarriesOriginEviction(t *testing.T) {
+	const warmup, steps = 20, 10
+	sys, step := startSteps(t, core.Config{TraceCapacity: 1 << 16})
+	defer sys.Close()
+	for s := 0; s < warmup; s++ {
+		step(s)
+	}
+	carried := func() (n uint64) {
+		for r := 0; r < sys.Size(); r++ {
+			n += sys.Metrics(r).CounterValue(dim.MetricDropCarried)
+		}
+		return n
+	}
+	var mark int64
+	for _, sp := range trace.Merge(sys.Tracers()...) {
+		mark = max(mark, sp.Start)
+	}
+	before := carried()
+	for s := warmup; s < warmup+steps; s++ {
+		step(s)
+	}
+	if got := carried() - before; got != steps {
+		t.Errorf("%s = %d over %d steps, want one per step", dim.MetricDropCarried, got, steps)
+	}
+	drops := 0
+	for _, sp := range trace.Merge(sys.Tracers()[1]) {
+		if sp.Start > mark && sp.Name == "rpc.call" && sp.Detail == "dim.drop" {
+			drops++
+		}
+	}
+	if drops != 0 {
+		t.Errorf("rank 1 sent %d dim.drop calls in %d steps, want 0", drops, steps)
+	}
+}
+
 // TestStencilStepAllocs is the allocation budget of the same
 // steady-state step, every goroutine of the process counted: placement,
 // staging, the lock and sharer bookkeeping, the drops, the kernel, the
 // release and its refresh, the codecs and the transport. PR 25's parent
 // needed 977 objects a step; its region algebra, allocating only its
 // answers, and its map-free placement brought that to about 345,
-// deferred acks to 331–333, and one-object tasks to 330–331 (335–339
-// under -race -cpu 2). The bound is the highest of those plus 3 %.
+// deferred acks to 331–333, one-object tasks to 330–331 (335–339
+// under -race -cpu 2), and the carried eviction with an acquisition that
+// copies and sorts its requirements only when they are out of item order
+// to 292–294 (297–303). The bound is the highest of those plus 3 %.
 func TestStencilStepAllocs(t *testing.T) {
 	sys, step := startSteps(t, core.Config{})
 	defer sys.Close()
@@ -241,7 +288,7 @@ func TestStencilStepAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() { step(s); s++ })
 	t.Logf("%.0f allocations per step", allocs)
-	if allocs > 349 {
-		t.Errorf("%.0f allocations per step, want at most 349", allocs)
+	if allocs > 312 {
+		t.Errorf("%.0f allocations per step, want at most 312", allocs)
 	}
 }

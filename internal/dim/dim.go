@@ -70,6 +70,10 @@ type heldPin struct {
 	item   ItemID
 	region dataitem.Region
 	token  uint64 // the sharer's pin token
+	// carried marks a pin the writer's task brought along (TakeCarried)
+	// whose region its acquisition has not locked yet: a claim, which
+	// yields to whatever else needs the region (yieldLocked).
+	carried bool
 }
 
 // Registry names under which the manager publishes its metrics.
@@ -100,6 +104,10 @@ const (
 	// place under a write-mode pin, "evicted" ones removed data.
 	MetricDropKept    = "dim.drop.kept"
 	MetricDropEvicted = "dim.drop.evicted"
+	// MetricDropCarried counts the kept drops a holder served as it
+	// shipped their writer its task (Carry): each is one dim.drop the
+	// writer's acquisition does not send.
+	MetricDropCarried = "dim.drop.carried"
 	// Refreshes of kept replicas: sent (and their payload bytes) at the
 	// writer; stale at the sharer when the pin token was unknown — the
 	// pin had been force-released — and nothing was installed.
@@ -135,6 +143,7 @@ type Manager struct {
 	revokeBackoffs *metrics.Counter
 	dropKept       *metrics.Counter
 	dropEvicted    *metrics.Counter
+	dropCarried    *metrics.Counter
 	refreshSent    *metrics.Counter
 	refreshBytes   *metrics.Counter
 	refreshStale   *metrics.Counter
@@ -150,9 +159,13 @@ type Manager struct {
 	seq    uint32
 	pinSeq uint64 // pin token sequence (guarded by mu)
 	// held maps the token of a local write acquisition to the replicas
-	// its drops left pinned at their holders; Release refreshes them
-	// (guarded by mu).
+	// its drops left pinned at their holders, and a shipped task's token
+	// to the pins its origin carried for it (TakeCarried); Release
+	// refreshes them (guarded by mu).
 	held map[uint64][]heldPin
+	// claims counts the carried entries of held: while it is zero, nothing
+	// has to yield (guarded by mu).
+	claims int
 	// epoch is the recovery epoch (guarded by mu): index report
 	// versions are composed as epoch<<32|ver, so a coverage retraction
 	// (which raises the epoch and floors all side versions) bars every
@@ -181,6 +194,7 @@ func New(loc *runtime.Locality, reg *dataitem.Registry) *Manager {
 		revokeBackoffs: loc.Metrics().Counter(MetricRevokeBackoffs),
 		dropKept:       loc.Metrics().Counter(MetricDropKept),
 		dropEvicted:    loc.Metrics().Counter(MetricDropEvicted),
+		dropCarried:    loc.Metrics().Counter(MetricDropCarried),
 		refreshSent:    loc.Metrics().Counter(MetricRefreshSent),
 		refreshBytes:   loc.Metrics().Counter(MetricRefreshBytes),
 		refreshStale:   loc.Metrics().Counter(MetricRefreshStale),

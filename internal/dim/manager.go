@@ -1,9 +1,10 @@
 package dim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"allscale/internal/dataitem"
@@ -637,10 +638,14 @@ func (m *Manager) pinTokenLocked() uint64 {
 // handleDrop ends the local copy of a region on behalf of a writer that
 // holds its own copy under a write lock (drop), waiting while a lock
 // overlaps the region, and makes the removal known. An evictor that has
-// left while its drop waits is owed nothing (gone).
+// left while its drop waits is owed nothing (gone). A claim a task here
+// brought along on the region yields first (yieldLocked): the copy it
+// would write is going.
 func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 	w := waiter{abort: func() error { return m.gone(from) }}
 	defer w.done()
+	var yields []refresh
+	defer func() { m.sendRefreshes(yields) }() // after the unlock
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -648,6 +653,7 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 		if err != nil {
 			return nil, err
 		}
+		yields = m.yieldLocked(0, args.Item, args.Region, yields)
 		reply, evicted, err := st.drop(from, m.Rank(), args.Region, m.pinTokenLocked())
 		if err == errWait {
 			if err := m.park(&w, false); err != nil {
@@ -780,6 +786,9 @@ func (m *Manager) AcquireFor(token uint64, reqs []Requirement, parent trace.Span
 	start := time.Now()
 	w := waiter{abort: abort}
 	err := m.acquire(token, reqs, &w, sp.SpanID())
+	if err != nil {
+		m.EndCarried(token) // what the task brought along, it will not use
+	}
 	w.done()
 	m.acquireWait.Observe(time.Since(start))
 	sp.SetErr(err)
@@ -790,15 +799,20 @@ func (m *Manager) AcquireFor(token uint64, reqs []Requirement, parent trace.Span
 // acquire runs the stage-lock-validate protocol under the wait w; span
 // is the surrounding dim.acquire span, parent of the locate spans.
 func (m *Manager) acquire(token uint64, reqs []Requirement, w *waiter, span trace.SpanID) error {
-	sorted := append([]Requirement(nil), reqs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Item < sorted[j].Item })
+	byItem := func(a, b Requirement) int { return cmp.Compare(a.Item, b.Item) }
+	sorted := reqs
+	if !slices.IsSortedFunc(reqs, byItem) {
+		sorted = slices.Clone(reqs)
+		slices.SortFunc(sorted, byItem)
+	}
 	for {
 		for _, rq := range sorted {
 			if err := m.ensureLocal(rq, w, span); err != nil {
 				return err
 			}
 		}
-		ok, err := m.tryLockAll(token, sorted, w)
+		ok, yields, err := m.tryLockAll(token, sorted, w)
+		m.sendRefreshes(yields)
 		if err != nil {
 			return err
 		}
@@ -825,8 +839,11 @@ func (m *Manager) acquire(token uint64, reqs []Requirement, w *waiter, span trac
 // tryLockAll takes all locks atomically (start). It waits while
 // conflicting locks exist; once conflict-free it verifies that the staged
 // data is still locally present — if a concurrent migration stole it, it
-// returns false so the caller re-stages.
-func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool, error) {
+// returns false so the caller re-stages. Once locked, the claims the task
+// brought along are its acquisition's pins, and another task's claim on
+// a region it writes yields: it returns their refreshes, for the caller
+// to send.
+func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool, []refresh, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var behindPin time.Time // when a kept replica's pin was first in the way
@@ -835,7 +852,7 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool,
 		for _, rq := range reqs {
 			st, err := m.itemLocked(rq.Item)
 			if err != nil {
-				return false, err
+				return false, nil, err
 			}
 			if blocked, byRefresh = st.blocked(token, rq.Mode, rq.Region); blocked {
 				break
@@ -846,7 +863,7 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool,
 				behindPin = time.Now()
 			}
 			if err := m.park(w, false); err != nil {
-				return false, fmt.Errorf("dim: acquire at rank %d: %w", m.Rank(), err)
+				return false, nil, fmt.Errorf("dim: acquire at rank %d: %w", m.Rank(), err)
 			}
 			continue
 		}
@@ -855,14 +872,28 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool,
 		}
 		for _, rq := range reqs {
 			if st, _ := m.itemLocked(rq.Item); !st.present(rq.Region) {
-				return false, nil
+				return false, nil, nil
 			}
 		}
 		for _, rq := range reqs {
 			st, _ := m.itemLocked(rq.Item)
 			st.start(token, rq.Mode, rq.Region)
 		}
-		return true, nil
+		var yields []refresh
+		if m.claims > 0 {
+			for i, h := range m.held[token] {
+				if h.carried {
+					m.held[token][i].carried = false
+					m.claims--
+				}
+			}
+			for _, rq := range reqs {
+				if rq.Mode == Write {
+					yields = m.yieldLocked(token, rq.Item, rq.Region, yields)
+				}
+			}
+		}
+		return true, yields, nil
 	}
 }
 
@@ -959,28 +990,14 @@ func (m *Manager) enforceExclusive(token uint64, reqs []Requirement, w *waiter, 
 // Release drops all locks held by token. The replicas a write
 // acquisition left pinned at their holders are owed its result: their
 // parts are extracted while the write lock still stands and sent with
-// the dim.unpin that releases each pin — supervised, ack-only, and not
-// waited for: the pin keeps every reader of the stale bytes out until
-// the refresh has arrived.
+// the dim.unpin that releases each pin (sendRefreshes): the pin keeps
+// every reader of the stale bytes out until the refresh has arrived.
 func (m *Manager) Release(token uint64) {
 	m.mu.Lock()
-	held := m.held[token]
-	delete(m.held, token)
-	refresh := make([][]byte, len(held))
-	for i, h := range held {
-		if st, ok := m.items[h.item]; ok {
-			// An acquisition that lost its data (a recovery reset) has
-			// nothing to send: the holder drops the part instead.
-			refresh[i], _ = st.frag.Extract(h.region)
-		}
-	}
+	out := m.takeHeldLocked(token, nil)
 	m.unlockLocked(token)
 	m.mu.Unlock()
-	for i, h := range held {
-		m.refreshSent.Inc()
-		m.refreshBytes.Add(uint64(len(refresh[i])))
-		m.loc.CallAsync(h.rank, methodUnpin, &unpinArgs{Token: h.token, Data: refresh[i]}, m.ctlOpt(), runtime.AckOnly())
-	}
+	m.sendRefreshes(out)
 }
 
 // unlockLocked removes the lock entries of token — an acquisition's or

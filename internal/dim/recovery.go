@@ -101,6 +101,7 @@ func (m *Manager) RetractEpoch(epoch uint64) {
 	// forgets the ones its drops kept elsewhere, or its walk would take a
 	// later copy at the same rank for one, which is gone.
 	clear(m.held)
+	m.claims = 0
 	m.wakeLocked()
 }
 

@@ -24,6 +24,11 @@ type lockEntry struct {
 	// confirms that its copy is in place; in write mode on a replica kept
 	// for the peer's write, until its refresh arrives — or noPin.
 	pin int
+	// carried marks a write-mode pin taken as this rank shipped the pin's
+	// writer its task (carry): until that task has locked the region, the
+	// pin stands for no lock, so it turns away every evictor but its
+	// writer (drop).
+	carried bool
 }
 
 // noPin is lockEntry.pin of a local task's lock.
@@ -170,13 +175,14 @@ func (st *itemState) unlend(peer int, r dataitem.Region) {
 // the root role and the lent records inside r go to it, and a record of
 // `to` stays in their place — the copies they name are its to answer
 // for now, and this rank may be the root holder's only link to them. A
-// record of `to` itself is dropped — it knows.
+// record of `to` itself stays too, for the same reason: `to` knows its
+// copy, but the root holder may reach it only through here.
 func (st *itemState) release(r dataitem.Region, to int) *dropReply {
 	reply := &dropReply{Root: st.root.Intersect(r)}
 	st.root = st.root.Difference(r)
 	for _, o := range st.sharers(r) {
-		st.unlend(o.Rank, o.Region)
 		if o.Rank != to {
+			st.unlend(o.Rank, o.Region)
 			reply.Sharers = append(reply.Sharers, o)
 		}
 	}
@@ -310,7 +316,9 @@ func (st *itemState) pin(token uint64, peer int, mode Mode, part dataitem.Region
 // write-mode pin is the write lock of the rank it is held for: the
 // evictor waits for its own (the refresh of its previous acquisition is
 // still on its way) and for a higher rank's, and gives way to a lower
-// rank's.
+// rank's. A carried pin (carry) turns away every evictor but its own
+// writer: its writer may not hold the lock yet, and a wait for it could
+// close a cycle through that writer's queue.
 func (st *itemState) drop(from, self int, r dataitem.Region, token uint64) (reply *dropReply, evicted dataitem.Region, err error) {
 	part := r.Intersect(st.frag.Region())
 	if part.IsEmpty() {
@@ -326,7 +334,7 @@ func (st *itemState) drop(from, self int, r dataitem.Region, token uint64) (repl
 		if writer == noPin {
 			writer = self
 		}
-		if e.mode == Write && from > writer {
+		if e.mode == Write && (from > writer || e.carried && from != writer) {
 			return &dropReply{Contended: true}, nil, nil
 		}
 	}
@@ -352,6 +360,41 @@ func (st *itemState) drop(from, self int, r dataitem.Region, token uint64) (repl
 		return nil, nil, err
 	}
 	return reply, evicted, nil
+}
+
+// carry is drop served ahead of its request: this rank ships `to` a
+// writer of r, and the drop that writer's acquisition would send here is
+// run now, its reply to travel with the task. Only the case that drop
+// grants at once with nothing to report but the kept part is carried: a
+// copy of r here, all of it a replica read since its install, no lock on
+// r, no root part and no sharer record in r but one of `to`. The pin is
+// marked carried. Otherwise nothing is carried (nil) and the state is as
+// it was: the writer's acquisition sends its drop as before.
+func (st *itemState) carry(to, self int, r dataitem.Region, token uint64) dataitem.Region {
+	part := r.Intersect(st.frag.Region())
+	if part.IsEmpty() || !part.Difference(st.used).IsEmpty() || !st.root.Intersect(r).IsEmpty() {
+		return nil
+	}
+	for _, e := range st.locks {
+		if !e.region.Intersect(r).IsEmpty() {
+			return nil
+		}
+	}
+	for peer, lr := range st.lent {
+		if peer != to && !lr.Intersect(r).IsEmpty() {
+			return nil
+		}
+	}
+	reply, _, _ := st.drop(to, self, r, token) // grants at once: the tests above are drop's
+	st.locks[len(st.locks)-1].carried = true
+	return reply.Kept
+}
+
+// yields reports whether h, a pin a writer's acquisition owes a refresh,
+// is a claim (carried, its region not locked yet) that has to end before
+// something else may have region r of item id.
+func (h heldPin) yields(id ItemID, r dataitem.Region) bool {
+	return h.carried && h.item == id && !h.region.Intersect(r).IsEmpty()
 }
 
 // unpin releases the pin token if this item holds it (ok), with data,

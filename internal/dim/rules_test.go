@@ -23,6 +23,9 @@ const (
 	// propRetractions is how many retractions a sequence may take; while
 	// no drop is in flight, one is offered at each step with chance 1/3.
 	propRetractions = 6
+	// propQuiesce bounds the steps a sequence may take, once nothing new
+	// begins, to finish what it has begun.
+	propQuiesce = 3000
 )
 
 // TestTransitionCoreProperties drives the transition core alone: one
@@ -35,6 +38,14 @@ const (
 //     records, the index or a root claim, run — a write stores a new
 //     value in every element — and released (end, and the refresh of
 //     every replica kept for it);
+//   - ships of a writer to a rank that holds its region, the origin
+//     serving its drop as it ships (carry); the destination queues the
+//     task with its claim (TakeCarried) and starts it when its slot is
+//     free, or the task leaves the queue (EndCarried); a ship may be
+//     given up before delivery (the origin settles the pin), arrive
+//     late, or arrive twice (the second copy answered by the dedup
+//     window); every other need of the region ends a claim first
+//     (yields, as Manager.yieldLocked);
 //   - deliveries of the messages in flight, in any order — some lag far
 //     behind, and an unpin may come twice; a request whose rule answers
 //     errWait stays in flight;
@@ -47,10 +58,14 @@ const (
 // verifyDirectory's invariant with an int shadow of the last write, and
 // that the root host accounts for no root copy nobody holds.
 //
-// A retraction is one step over all ranks, taken while no drop is in
-// flight. One that overtakes a drop breaks the directory: the evictor
-// takes over a root role whose records the retraction has cleared, and
-// a copy of the region is then on no record (ROADMAP 5).
+// A retraction is one step over all ranks, taken while no drop — and no
+// ship carrying one — is in flight. One that overtakes a drop breaks the
+// directory: the evictor takes over a root role whose records the
+// retraction has cleared, and a copy of the region is then on no record
+// (ROADMAP 5).
+//
+// After propSteps nothing new begins, and the sequence has propQuiesce
+// steps to finish what it has: one that cannot is stuck in a wait cycle.
 func TestTransitionCoreProperties(t *testing.T) {
 	first, last := int64(1), int64(propSequences)
 	if *propSeed != 0 {
@@ -73,7 +88,7 @@ func TestTransitionCoreProperties(t *testing.T) {
 func TestDropWithNothingHereKeepsTheEvictorOnRecord(t *testing.T) {
 	const second, root, first, holder = 0, 1, 2, 3
 	typ := dataitem.NewGridType[int]("prop", region.Point{propElems})
-	s := &propSim{typ: typ, acq: make([]*propAcq, 4), touched: typ.EmptyRegion()}
+	s := &propSim{typ: typ, acq: make([]*propAcq, 4), queued: make([][]*propAcq, 4), touched: typ.EmptyRegion()}
 	x := s.interval(3, 4)
 	for range 4 {
 		st := newItemState(typ)
@@ -98,6 +113,38 @@ func TestDropWithNothingHereKeepsTheEvictorOnRecord(t *testing.T) {
 	}
 }
 
+// TestDropWithNothingHereKeepsItsRecordOfTheEvictor: a holder that has
+// lost its copy to a writer, which it keeps on record, and is asked by
+// that writer again — a retry after giving way — keeps the record. It is
+// the root holder's only link to the writer's copy. The property test
+// found the missing link once its sequences ran on past 200 steps (seed
+// 4218 at 600 steps); here it is with the rules alone.
+func TestDropWithNothingHereKeepsItsRecordOfTheEvictor(t *testing.T) {
+	const root, holder, writer = 0, 1, 2
+	typ := dataitem.NewGridType[int]("prop", region.Point{propElems})
+	s := &propSim{typ: typ, acq: make([]*propAcq, 3), queued: make([][]*propAcq, 3), touched: typ.EmptyRegion()}
+	x := s.interval(3, 4)
+	for range 3 {
+		s.st = append(s.st, newItemState(typ))
+	}
+	for _, r := range []int{root, writer} {
+		if err := s.st[r].alloc(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.st[root].root = x
+	s.st[root].lend(holder, x)
+	s.st[holder].lend(writer, x) // the writer evicted the holder's copy
+	reply, _, err := s.st[holder].drop(writer, holder, x, s.pinToken(holder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.msgs = append(s.msgs, propMsg{kind: dropRep, from: holder, to: writer, r: x, drop: reply})
+	if err := s.check(); err != nil {
+		t.Error(err)
+	}
+}
+
 type propKind int
 
 const (
@@ -108,9 +155,10 @@ const (
 	dropRep
 	claimReq
 	claimRep
+	shipReq
 )
 
-var propKinds = [...]string{"fetch", "fetch reply", "unpin", "drop", "drop reply", "claim", "claim reply"}
+var propKinds = [...]string{"fetch", "fetch reply", "unpin", "drop", "drop reply", "claim", "claim reply", "ship"}
 
 // propMsg is a message in flight from rank `from` to rank `to`.
 type propMsg struct {
@@ -123,7 +171,9 @@ type propMsg struct {
 	data     []byte // an unpin's refresh
 	claim    *claimArgs
 	granted  dataitem.Region
-	slow     bool // delivered only now and then: overtaken by most of what is sent after it
+	carry    *Carried // the eviction a ship carries, or nil
+	dup      bool     // a ship's resend, which the dedup window answers
+	slow     bool     // delivered only now and then: overtaken by most of what is sent after it
 }
 
 // propAcq is one rank's acquisition in progress.
@@ -143,6 +193,7 @@ type propSim struct {
 	typ     dataitem.Type
 	st      []*itemState
 	acq     []*propAcq
+	queued  [][]*propAcq // shipped writers waiting for their rank's slot
 	msgs    []propMsg
 	epoch   uint64
 	retract int // retractions left
@@ -151,6 +202,7 @@ type propSim struct {
 	seq     uint64
 	trace   []propEvent
 	idle    bool // the step changed nothing: a wait
+	quiesce bool // nothing new begins
 }
 
 // propEvent is one step of the trace, formatted only if it is printed.
@@ -163,7 +215,7 @@ func newPropSim(seed int64) *propSim {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(3)
 	typ := dataitem.NewGridType[int]("prop", region.Point{propElems})
-	s := &propSim{rng: rng, typ: typ, acq: make([]*propAcq, n), retract: propRetractions, touched: typ.EmptyRegion()}
+	s := &propSim{rng: rng, typ: typ, acq: make([]*propAcq, n), queued: make([][]*propAcq, n), retract: propRetractions, touched: typ.EmptyRegion()}
 	for range n {
 		s.st = append(s.st, newItemState(typ))
 	}
@@ -183,7 +235,17 @@ func (s *propSim) tail(n int) []string {
 }
 
 func (s *propSim) run() error {
-	for step := 0; step < propSteps; step++ {
+	for step := 0; ; step++ {
+		if step == propSteps {
+			s.quiesce = true
+			s.logf("nothing new begins")
+		}
+		if s.quiesce && s.finished() {
+			return nil
+		}
+		if step == propSteps+propQuiesce {
+			return fmt.Errorf("%d steps after the last begin, work is left: a wait cycle", propQuiesce)
+		}
 		s.idle = false
 		if err := s.step(); err != nil {
 			return fmt.Errorf("step %d (%s): %w", step, s.tail(1)[0], err)
@@ -195,7 +257,17 @@ func (s *propSim) run() error {
 			return fmt.Errorf("after step %d (%s): %w", step, s.tail(1)[0], err)
 		}
 	}
-	return nil
+}
+
+// finished reports whether every acquisition has ended and every
+// message has been delivered.
+func (s *propSim) finished() bool {
+	for i, a := range s.acq {
+		if a != nil || len(s.queued[i]) > 0 {
+			return false
+		}
+	}
+	return len(s.msgs) == 0
 }
 
 // step takes one enabled action, picked at random.
@@ -204,17 +276,33 @@ func (s *propSim) step() error {
 	for i, a := range s.acq {
 		switch {
 		case a == nil:
-			acts = append(acts, func() error { return s.begin(i) })
+			// A local acquisition may begin ahead of a queued writer: a
+			// second writer in its window.
+			if len(s.queued[i]) > 0 {
+				acts = append(acts, func() error { return s.startQueued(i) })
+			}
+			if !s.quiesce {
+				acts = append(acts, func() error { return s.begin(i) })
+			}
 		case !a.busy:
 			acts = append(acts, func() error { return s.advance(i) })
 		}
-	}
-	for k, m := range s.msgs {
-		if !m.slow || s.rng.Intn(20) == 0 {
-			acts = append(acts, func() error { return s.deliver(k) })
+		if len(s.queued[i]) > 0 && s.rng.Intn(8) == 0 {
+			acts = append(acts, func() error { return s.leave(i) })
 		}
 	}
-	if s.retract > 0 && s.rng.Intn(3) == 0 && !s.inFlight(dropReq, dropRep) {
+	if !s.quiesce {
+		acts = append(acts, s.ship)
+	}
+	for k, m := range s.msgs {
+		if s.quiesce || !m.slow || s.rng.Intn(20) == 0 {
+			acts = append(acts, func() error { return s.deliver(k) })
+		}
+		if m.kind == shipReq && !m.dup && s.rng.Intn(10) == 0 {
+			acts = append(acts, func() error { return s.giveUp(k) })
+		}
+	}
+	if s.retract > 0 && !s.quiesce && s.rng.Intn(3) == 0 && !s.inFlight(dropReq, dropRep) && !s.carrying() {
 		acts = append(acts, s.retraction)
 	}
 	if len(acts) == 0 {
@@ -230,6 +318,17 @@ func (s *propSim) inFlight(kinds ...propKind) bool {
 			if m.kind == k {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// carrying reports whether a ship carrying an eviction is in flight: it
+// counts as a drop in flight.
+func (s *propSim) carrying() bool {
+	for _, m := range s.msgs {
+		if m.kind == shipReq && m.carry != nil && !m.dup {
+			return true
 		}
 	}
 	return false
@@ -258,6 +357,87 @@ func (s *propSim) begin(i int) error {
 	s.acq[i] = a
 	s.logf("rank %d begins %v of %v", i, a.mode, a.r)
 	return nil
+}
+
+// ship has a random rank ship a writer of a random region to another
+// rank that holds the region (placement), carrying its drop of its own
+// copy when the rule allows (Manager.Carry).
+func (s *propSim) ship() error {
+	n := len(s.st)
+	i, j := s.rng.Intn(n), s.rng.Intn(n-1)
+	if j >= i {
+		j++
+	}
+	lo := s.rng.Intn(propElems)
+	r := s.interval(lo, min(propElems, lo+1+s.rng.Intn(3)))
+	if !s.st[j].present(r) {
+		s.idle = true // placement sends it elsewhere
+		return nil
+	}
+	m := propMsg{kind: shipReq, from: i, to: j, r: r}
+	token := s.pinToken(i)
+	if kept := s.st[i].carry(j, i, r, token); kept != nil {
+		m.carry = &Carried{Kept: kept, Token: token}
+		s.logf("rank %d ships a writer of %v to rank %d, carrying %v", i, r, j, kept)
+	} else {
+		s.logf("rank %d ships a writer of %v to rank %d", i, r, j)
+	}
+	s.send(m)
+	return nil
+}
+
+// giveUp is the RPC layer giving ship k up: the destination never runs
+// it, and the origin settles the carried pin without a refresh
+// (Manager.SettleCarried).
+func (s *propSim) giveUp(k int) error {
+	m := s.msgs[k]
+	s.msgs = append(s.msgs[:k], s.msgs[k+1:]...)
+	s.logf("rank %d gives up its ship to rank %d", m.from, m.to)
+	if m.carry != nil {
+		s.st[m.from].unpin(m.carry.Token, nil)
+	}
+	return nil
+}
+
+// startQueued starts the oldest writer queued at rank i.
+func (s *propSim) startQueued(i int) error {
+	s.acq[i], s.queued[i] = s.queued[i][0], s.queued[i][1:]
+	s.logf("rank %d starts its shipped writer of %v", i, s.acq[i].r)
+	return nil
+}
+
+// leave takes a random writer out of rank i's queue — cancelled,
+// forwarded or granted — ending its claims (Manager.EndCarried).
+func (s *propSim) leave(i int) error {
+	k := s.rng.Intn(len(s.queued[i]))
+	a := s.queued[i][k]
+	s.queued[i] = append(s.queued[i][:k:k], s.queued[i][k+1:]...)
+	s.logf("rank %d's shipped writer of %v leaves", i, a.r)
+	for _, h := range a.held {
+		s.yield(i, h)
+	}
+	return nil
+}
+
+// yield ends the claim h at rank i with a refresh of the current content.
+func (s *propSim) yield(i int, h heldPin) {
+	data, _ := s.st[i].frag.Extract(h.region)
+	s.logf("rank %d ends the claim on %v of rank %d", i, h.region, h.rank)
+	s.send(propMsg{kind: unpinMsg, from: i, to: h.rank, token: h.token, data: data})
+}
+
+// yieldClaims ends the claims among held that yield to a need of r at
+// rank i (Manager.yieldLocked) and returns the rest.
+func (s *propSim) yieldClaims(i int, held []heldPin, r dataitem.Region) []heldPin {
+	rest := held[:0]
+	for _, h := range held {
+		if h.yields(0, r) {
+			s.yield(i, h)
+			continue
+		}
+		rest = append(rest, h)
+	}
+	return rest
 }
 
 // owners is the index walk: the copies of r held by ranks other than i.
@@ -313,6 +493,16 @@ func (s *propSim) advance(i int) error {
 		st.start(a.token, a.mode, a.r)
 		a.locked, a.exclusive = true, a.mode == Read
 		s.logf("rank %d locks %v", i, a.r)
+		// The claims it brought along are its pins now; another task's
+		// claim on what it writes yields (Manager.tryLockAll).
+		for k := range a.held {
+			a.held[k].carried = false
+		}
+		if a.mode == Write {
+			for _, q := range s.queued[i] {
+				q.held = s.yieldClaims(i, q.held, a.r)
+			}
+		}
 	case !a.exclusive: // enforceExclusive and evict
 		for len(a.chase) > 0 {
 			o := a.chase[len(a.chase)-1]
@@ -403,6 +593,13 @@ func (s *propSim) deliver(k int) error {
 			s.msgs = append(s.msgs, m)
 		}
 	case dropReq:
+		// A claim on the region yields first (Manager.handleDrop).
+		for _, q := range s.queued[m.to] {
+			q.held = s.yieldClaims(m.to, q.held, m.r)
+		}
+		if a := s.acq[m.to]; a != nil {
+			a.held = s.yieldClaims(m.to, a.held, m.r)
+		}
 		r, _, err := st.drop(m.from, m.to, m.r, s.pinToken(m.to))
 		if err == errWait {
 			s.idle = true // parked until the lock goes
@@ -428,6 +625,28 @@ func (s *propSim) deliver(k int) error {
 			a.held = append(a.held, heldPin{rank: m.from, region: m.drop.Kept, token: m.drop.PinToken})
 		}
 		a.chase = append(a.chase, m.drop.Sharers...)
+	case shipReq:
+		if m.dup {
+			break // the dedup window answers a resend: the task runs once
+		}
+		s.seq++
+		a := &propAcq{token: s.seq, mode: Write, r: m.r}
+		if c := m.carry; c != nil { // Manager.TakeCarried
+			if err := st.evicted(Located{Region: c.Kept, Rank: m.from}, &dropReply{Root: st.typ.EmptyRegion(), Kept: c.Kept, PinToken: c.Token}); err != nil {
+				return err
+			}
+			h := heldPin{rank: m.from, region: c.Kept, token: c.Token, carried: true}
+			if blocked, _ := st.blocked(0, Read, c.Kept); blocked || !st.present(c.Kept) {
+				s.yield(m.to, h)
+			} else {
+				a.held = append(a.held, h)
+			}
+		}
+		s.queued[m.to] = append(s.queued[m.to], a)
+		if s.rng.Intn(4) == 0 {
+			m.dup, m.slow = true, true
+			s.msgs = append(s.msgs, m)
+		}
 	case claimReq:
 		reply = &propMsg{kind: claimRep, claim: m.claim, granted: st.grantClaim(m.claim, s.epoch)}
 	case claimRep:
@@ -461,6 +680,9 @@ func (s *propSim) retraction() error {
 		all = all.Union(st.frag.Region())
 		if a := s.acq[i]; a != nil {
 			a.held = nil
+		}
+		for _, q := range s.queued[i] {
+			q.held = nil
 		}
 	}
 	s.st[propHost].allocated = all

@@ -3,6 +3,7 @@ package dim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"allscale/internal/dataitem"
 	"allscale/internal/runtime"
@@ -115,4 +116,183 @@ func (m *Manager) evict(token uint64, id ItemID, o Located, span trace.SpanID) e
 func (m *Manager) ExclusivelyOwned(id ItemID, r dataitem.Region) bool {
 	sharers, unrooted := m.sharersOf(0, id, r)
 	return unrooted.IsEmpty() && len(sharers) == 0
+}
+
+// A shipped writer carries its origin's eviction (DESIGN.md §6f
+// "Carried evictions"). The rank that ships a task with a write
+// requirement is often a holder its acquisition would drop: it serves
+// that drop as it ships (Carry), and the reply rides in the task's frame
+// to the destination (TakeCarried), whose acquisition then sends no
+// dim.drop there and refreshes the pinned copy at Release as usual.
+//
+// Until the task's acquisition has locked the region, a carried pin is a
+// claim, not a lock, and whatever else needs the region ends it first,
+// with a refresh of the current content (yieldLocked): a second writer
+// here (tryLockAll), a drop of this rank's copy (handleDrop), the
+// task's acquisition failing or giving way, or the task leaving without
+// one (EndCarried). At the origin the pin turns away every evictor but
+// the destination (drop). A ship given up settles it without a refresh
+// (SettleCarried), as a destination's death does (departed).
+
+// refresh is a dim.unpin owed to the holder of a write-mode pin: its
+// token, and the pinned part's content.
+type refresh struct {
+	rank  int
+	token uint64
+	data  []byte
+}
+
+// refreshLocked returns the refresh owed to h now: the pinned part as it
+// is here. An acquisition that lost its data (a recovery reset) has
+// nothing to send: the holder drops the part instead.
+func (m *Manager) refreshLocked(h heldPin) refresh {
+	r := refresh{rank: h.rank, token: h.token}
+	if st, ok := m.items[h.item]; ok {
+		r.data, _ = st.frag.Extract(h.region)
+	}
+	return r
+}
+
+// sendRefreshes sends each refresh in the dim.unpin that ends its pin —
+// supervised, ack-only, and not waited for.
+func (m *Manager) sendRefreshes(rs []refresh) {
+	for _, r := range rs {
+		m.refreshSent.Inc()
+		m.refreshBytes.Add(uint64(len(r.data)))
+		m.loc.CallAsync(r.rank, methodUnpin, &unpinArgs{Token: r.token, Data: r.data}, m.ctlOpt(), runtime.AckOnly())
+	}
+}
+
+// takeHeldLocked ends every pin token holds, claims included, and
+// appends their refreshes to out.
+func (m *Manager) takeHeldLocked(token uint64, out []refresh) []refresh {
+	for _, h := range m.held[token] {
+		if h.carried {
+			m.claims--
+		}
+		out = append(out, m.refreshLocked(h))
+	}
+	delete(m.held, token)
+	return out
+}
+
+// yieldLocked ends the claims on r in item id of every task but token's,
+// appending their refreshes to out: something else needs the region
+// before those tasks have locked it.
+func (m *Manager) yieldLocked(token uint64, id ItemID, r dataitem.Region, out []refresh) []refresh {
+	if m.claims == 0 {
+		return out
+	}
+	for tok, hs := range m.held {
+		if tok == token {
+			continue
+		}
+		rest := hs[:0]
+		for _, h := range hs {
+			if h.yields(id, r) {
+				m.claims--
+				out = append(out, m.refreshLocked(h))
+				continue
+			}
+			rest = append(rest, h)
+		}
+		if len(rest) == 0 {
+			delete(m.held, tok)
+		} else {
+			m.held[tok] = rest
+		}
+	}
+	return out
+}
+
+// Carry serves, at the origin of a task shipped to rank `to`, the drop
+// each of the task's write requirements would send here (carry), and
+// returns what it kept, for the task's frame. A destination that has left
+// gets nothing: nobody would end the pin.
+func (m *Manager) Carry(to int, reqs []Requirement) []Carried {
+	if !slices.ContainsFunc(reqs, func(rq Requirement) bool { return rq.Mode == Write }) {
+		return nil
+	}
+	var out []Carried
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.gone(to) != nil {
+		return nil
+	}
+	for _, rq := range reqs {
+		st, ok := m.items[rq.Item]
+		if !ok || rq.Mode != Write {
+			continue
+		}
+		token := m.pinTokenLocked()
+		if kept := st.carry(to, m.Rank(), rq.Region, token); kept != nil {
+			m.dropKept.Inc()
+			m.dropCarried.Inc()
+			out = append(out, Carried{Item: rq.Item, Kept: kept, Token: token})
+		}
+	}
+	return out
+}
+
+// SettleCarried ends, at the origin, the pins of a ship to rank `to` that
+// the RPC layer gave up, without a refresh (departed): the task may have
+// run there before the verdict.
+func (m *Manager) SettleCarried(to int, cs []Carried) {
+	for _, c := range cs {
+		_, _ = m.handleUnpin(to, &unpinArgs{Token: c.Token})
+	}
+}
+
+// CheckCarried refuses a carried region that does not fit its item; an
+// item this rank does not have passes (TakeCarried ignores it).
+func (m *Manager) CheckCarried(cs []Carried) error {
+	if len(cs) == 0 {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, c := range cs {
+		if st, ok := m.items[c.Item]; ok {
+			if err := st.fits(c.Kept); err != nil {
+				return fmt.Errorf("dim: carried eviction of %v: %w", c.Item, err)
+			}
+		}
+	}
+	return nil
+}
+
+// TakeCarried takes in, at the destination, the evictions the origin
+// `from` carried for the task token (CheckCarried has passed them): each
+// is applied like a drop's reply (evicted), and its pin is filed as a
+// claim of the task — unless the part is not here and readable, when the
+// claim yields at once. An item this rank does not have is ignored.
+func (m *Manager) TakeCarried(from int, token uint64, cs []Carried) {
+	var yields []refresh
+	m.mu.Lock()
+	for _, c := range cs {
+		st, ok := m.items[c.Item]
+		if !ok {
+			continue
+		}
+		_ = st.evicted(Located{Region: c.Kept, Rank: from}, &dropReply{Root: st.typ.EmptyRegion(), Kept: c.Kept, PinToken: c.Token}) // it fits (CheckCarried)
+		h := heldPin{rank: from, item: c.Item, region: c.Kept, token: c.Token, carried: true}
+		if blocked, _ := st.blocked(0, Read, c.Kept); blocked || !st.present(c.Kept) {
+			yields = append(yields, m.refreshLocked(h))
+			continue
+		}
+		m.held[token] = append(m.held[token], h)
+		m.claims++
+	}
+	m.mu.Unlock()
+	m.sendRefreshes(yields)
+}
+
+// EndCarried ends the pins the task token brought along, each with a
+// refresh of the current content: the task leaves, or its acquisition
+// failed, without having used them.
+func (m *Manager) EndCarried(token uint64) {
+	m.mu.Lock()
+	out := m.takeHeldLocked(token, nil)
+	m.mu.Unlock()
+	m.sendRefreshes(out)
 }

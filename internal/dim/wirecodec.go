@@ -82,6 +82,15 @@ type (
 		Kept     dataitem.Region
 		PinToken uint64
 	}
+	// Carried is the reply of a drop served ahead of its request
+	// (Manager.Carry), riding with the shipped task whose acquisition
+	// would have sent it: the origin keeps Kept of Item write-pinned
+	// under Token for the task's refresh.
+	Carried struct {
+		Item  ItemID
+		Kept  dataitem.Region
+		Token uint64
+	}
 	// batchReq is one resolution sub-request of a dim.resolveBatch
 	// frame; All selects full-descent (Owners-style) resolution.
 	batchReq struct {
@@ -356,4 +365,27 @@ func (r *dropReply) UnmarshalWire(d *wire.Decoder) (err error) {
 	r.PinToken = d.Uvarint()
 	r.Kept, err = dataitem.DecodeRegionWire(d)
 	return err
+}
+
+// MinCarriedBytes is the least a Carried takes on the wire, for a
+// decoder to bound a count of them by the bytes that follow.
+const MinCarriedBytes = 3
+
+// AppendWire implements wire.Marshaler.
+func (c *Carried) AppendWire(buf []byte) ([]byte, error) {
+	buf, err := dataitem.AppendRegionWire(wire.AppendUvarint(buf, uint64(c.Item)), c.Kept)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendUvarint(buf, c.Token), nil
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (c *Carried) UnmarshalWire(d *wire.Decoder) (err error) {
+	c.Item = ItemID(d.Uvarint())
+	if c.Kept, err = dataitem.DecodeRegionWire(d); err != nil {
+		return err
+	}
+	c.Token = d.Uvarint()
+	return nil
 }

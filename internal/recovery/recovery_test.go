@@ -239,7 +239,9 @@ func checkCrashOracle(t *testing.T, cp *resilience.Checkpoint, reg *metrics.Regi
 // recovery rule: tasks without data requirements spread round-robin
 // over four localities; one locality is crashed while executing. Every
 // future must still complete with the correct value — the lost tasks
-// are transparently re-executed on survivors.
+// are transparently re-executed on survivors. The victim's tasks hold
+// until Kill has returned, so at least one of them is mid-task when its
+// rank dies, however the run is scheduled.
 func TestRespawnReexecutesLostTasks(t *testing.T) {
 	const n, victim, tasks = 4, 2, 16
 	sys := core.NewSystem(core.Config{
@@ -248,12 +250,15 @@ func TestRespawnReexecutesLostTasks(t *testing.T) {
 		Recovery:   core.RecoveryConfig{Heartbeat: 20 * time.Millisecond, Timeout: 120 * time.Millisecond},
 	})
 	started := make(chan int, 4*tasks)
+	killed := make(chan struct{})
 	sys.RegisterKind(func(rank int) *sched.Kind {
 		return &sched.Kind{
 			Name: "crash.work",
 			Process: func(ctx *sched.Ctx) (any, error) {
 				started <- rank
-				time.Sleep(80 * time.Millisecond)
+				if rank == victim {
+					<-killed
+				}
 				var x int
 				ctx.Args(&x)
 				return x * 3, nil
@@ -282,6 +287,7 @@ func TestRespawnReexecutesLostTasks(t *testing.T) {
 		}
 	}
 	sys.Kill(victim)
+	close(killed)
 
 	for i, f := range futs {
 		done := make(chan error, 1)

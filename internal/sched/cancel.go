@@ -190,6 +190,7 @@ func cancelErr(id, job uint64) error {
 
 // failCancelled fails a cancelled task's future and counts it.
 func (s *Scheduler) failCancelled(t *task) {
+	s.endCarried(t)
 	s.stats.cancelledTasks.Inc()
 	if t.spec.Tenant != 0 {
 		s.tenantCounters(t.spec.Tenant).cancelled.Inc()

@@ -202,6 +202,11 @@ type task struct {
 	ctx Ctx
 	// sp is the task.enqueue span while the task sits in a deque.
 	sp *trace.Span
+	// carry is the origin's evictions for the task's write requirements:
+	// what the frame that ships it carries, and at the destination what
+	// it brought along until its acquisition takes them over or the task
+	// ends them (endCarried).
+	carry []dim.Carried
 }
 
 // named reports whether the task's future has a name (ship gave it
@@ -210,11 +215,14 @@ func (t *task) named() bool { return t.spec.Promise.Seq != 0 }
 
 // runArgs is one task inside a runBatch frame (ship.go). Granted marks
 // a task a victim let go in answer to a steal hint, as opposed to one
-// placed here: the receiver counts it as stolen.
+// placed here: the receiver counts it as stolen. Carried holds the drops
+// the origin served for the task's write requirements as it placed it
+// (dim.Manager.Carry).
 type runArgs struct {
 	Spec    TaskSpec
 	Variant Variant
 	Granted bool
+	Carried []dim.Carried
 }
 
 // New creates the scheduler of one locality and starts its workers,
@@ -263,7 +271,12 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 		if err := wire.Decode(body, &b); err != nil {
 			return nil, err
 		}
-		s.accept(b.Tasks)
+		for i := range b.Tasks {
+			if err := mgr.CheckCarried(b.Tasks[i].Carried); err != nil {
+				return nil, err
+			}
+		}
+		s.accept(from, b.Tasks)
 		return nil, nil
 	})
 	return s
@@ -273,6 +286,7 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 // usable member; with no member left it runs locally after all —
 // losing the task would be worse.
 func (s *Scheduler) forward(t *task) {
+	s.endCarried(t)
 	target := s.nextLive(s.loc.Rank())
 	if target == s.loc.Rank() {
 		s.enqueueAt(-1, t)
@@ -400,9 +414,11 @@ func (s *Scheduler) assign(t *task) (here bool, err error) {
 		t.variant = VariantSplit
 	}
 
-	target := -1
+	target, covered := -1, false
+	var reqs []dim.Requirement
 	if t.variant == VariantProcess && k.Reqs != nil {
-		target = s.placeByData(k.Reqs(spec.Args))
+		reqs = k.Reqs(spec.Args)
+		target, covered = s.placeByData(reqs)
 	}
 	if target < 0 {
 		target = s.policy.PickTarget(spec, s.loc.Size()) // line 12
@@ -422,6 +438,11 @@ func (s *Scheduler) assign(t *task) (here bool, err error) {
 		return true, nil
 	}
 	s.stats.remotePlaced.Inc()
+	// A target that holds the task's write regions would have this rank
+	// drop its copies of them: the drops are served now and ride along.
+	if covered {
+		t.carry = s.mgr.Carry(target, reqs)
+	}
 	// ship names the task's future, records the task for recovery,
 	// coalesces bursts into batched sched.runb frames, confirms them
 	// asynchronously, and owns the failure policy: local fallback only
@@ -444,7 +465,8 @@ const (
 
 // placeByData implements lines 4–11 of Algorithm 2 plus percolation:
 // it returns the rank to run the task at, or -1 when the requirements
-// impose no constraint (the policy decides — line 12). One batched,
+// impose no constraint (the policy decides — line 12), and whether that
+// rank covers every write requirement (tiers 1 and 2). One batched,
 // cache-served resolution covers every requirement; the full owners
 // map then answers all three placement tiers without further RPCs:
 //
@@ -454,7 +476,7 @@ const (
 //     the most required bytes (work moves to data) unless the map
 //     says migrating the minority remainder is cheaper than a task
 //     ship (data moves to work, locally).
-func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
+func (s *Scheduler) placeByData(reqs []dim.Requirement) (rank int, covered bool) {
 	active := reqs[:0:0]
 	for _, rq := range reqs {
 		if !rq.Region.IsEmpty() {
@@ -462,11 +484,11 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 		}
 	}
 	if len(active) == 0 {
-		return -1
+		return -1, false
 	}
 	ownerMaps, err := s.mgr.OwnersMulti(active)
 	if err != nil {
-		return -1
+		return -1, false
 	}
 
 	// Per rank: the coverage of the requirement at hand, whether the rank
@@ -512,12 +534,12 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 
 	if rank := pickCandidate(tally, s.loc.Rank(), func(t *rankTally) bool { return t.all }); rank >= 0 { // line 4
 		s.stats.coveredAll.Inc()
-		return rank
+		return rank, true
 	}
 	if wroteConstraint {
 		if rank := pickCandidate(tally, s.loc.Rank(), func(t *rankTally) bool { return t.write }); rank >= 0 { // line 7
 			s.stats.coveredWrite.Inc()
-			return rank
+			return rank, true
 		}
 	}
 
@@ -530,7 +552,7 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 		}
 	}
 	if best < 0 {
-		return -1
+		return -1, false
 	}
 	// Cost of shipping the task to the majority owner: one task ship
 	// plus pulling what that rank is missing. Cost of keeping it here:
@@ -542,10 +564,10 @@ func (s *Scheduler) placeByData(reqs []dim.Requirement) int {
 	toTask := (total - tally[s.loc.Rank()].owned) * elemMoveNs
 	if toTask < toData {
 		s.stats.percToTask.Inc()
-		return s.loc.Rank()
+		return s.loc.Rank(), false
 	}
 	s.stats.percToData.Inc()
-	return best
+	return best, false
 }
 
 // rankTally is what placeByData knows of one rank.
@@ -608,7 +630,18 @@ func (s *Scheduler) executeNow(t *task, worker int) {
 	sp.SetErr(err)
 	sp.End()
 	s.execHist.Observe(time.Since(start))
+	s.endCarried(t)
 	s.resolve(t, result, err)
+}
+
+// endCarried ends the pins t brought along (dim.Manager.EndCarried) if
+// it still has them: it leaves, or ends, without an acquisition that
+// took them over.
+func (s *Scheduler) endCarried(t *task) {
+	if t.carry != nil {
+		t.carry = nil
+		s.mgr.EndCarried(t.spec.ID)
+	}
 }
 
 // resolve delivers a task's outcome to its spawner: in place while the
@@ -644,6 +677,7 @@ func (s *Scheduler) runVariant(t *task) (any, error) {
 		// A lock wait ends when the task's job is cancelled (CancelJob).
 		id, job := spec.ID, spec.Job
 		abort := func() error { return s.cancelled(id, job) }
+		t.carry = nil // the acquisition takes the pins over, and ends them
 		if err := s.mgr.AcquireFor(spec.ID, reqs, t.ctx.span, abort); err != nil {
 			return nil, err
 		}

@@ -75,7 +75,7 @@ func (s *Scheduler) ship(target int, granted bool, ts ...*task) {
 		if !t.named() {
 			t.spec.Promise = s.loc.NamePromise(&t.fut)
 		}
-		items[i] = runArgs{Spec: t.spec, Variant: t.variant, Granted: granted}
+		items[i] = runArgs{Spec: t.spec, Variant: t.variant, Granted: granted, Carried: t.carry}
 	}
 	s.trackInflight(target, items)
 	sh := &s.shippers[target]
@@ -110,7 +110,7 @@ func (s *Scheduler) shipLoop(target int) {
 			batch = batch[n:]
 			s.stats.shipBatch.ObserveValue(uint64(n))
 			fut := s.loc.CallAsync(target, methodRunBatch, &runBatch{Tasks: chunk}, spec, runtime.AckOnly())
-			s.loc.Go(func() { s.confirmShip(chunk, fut) })
+			s.loc.Go(func() { s.confirmShip(target, chunk, fut) })
 		}
 	}
 }
@@ -122,9 +122,13 @@ func (s *Scheduler) shipLoop(target int) {
 // or rejected undecoded — so the tasks may run here; takeInflight
 // yields to a recovery coordinator, or a cancel, that has already taken
 // a task over. There is no timeout to handle: a ship has no deadline.
-func (s *Scheduler) confirmShip(batch []runArgs, fut *runtime.Future) {
+// The pins the batch carried are settled first, without a refresh.
+func (s *Scheduler) confirmShip(target int, batch []runArgs, fut *runtime.Future) {
 	if _, err := fut.Wait(); err == nil || s.loc.Closed() {
 		return
+	}
+	for i := range batch {
+		s.mgr.SettleCarried(target, batch[i].Carried)
 	}
 	for i := range batch {
 		if s.takeInflight(batch[i].Spec.ID) {
@@ -138,8 +142,9 @@ func (s *Scheduler) confirmShip(batch []runArgs, fut *runtime.Future) {
 // ship. A granted task is a steal that succeeded: it is counted before
 // it is enqueued, so whoever observes the task's effect observes the
 // count, and the first of a frame raises the flag that allows the next
-// dry worker a probe (the probe rule, steal.go).
-func (s *Scheduler) accept(tasks []runArgs) {
+// dry worker a probe (the probe rule, steal.go). The evictions a task
+// carries from its origin `from` become its claims here.
+func (s *Scheduler) accept(from int, tasks []runArgs) {
 	// A task that arrives here is no longer where this rank may once
 	// have sent it: without this, a task shipped out and taken back
 	// would be respawned when its former host died.
@@ -147,6 +152,10 @@ func (s *Scheduler) accept(tasks []runArgs) {
 	flagged := false
 	for i := range tasks {
 		t := &task{spec: tasks[i].Spec, variant: tasks[i].Variant}
+		if c := tasks[i].Carried; len(c) > 0 {
+			s.mgr.TakeCarried(from, t.spec.ID, c)
+			t.carry = c
+		}
 		if !s.placeable(s.Rank()) {
 			// A frame that raced the drain's placement pause is accepted
 			// (the ack stops the sender's resends) but forwarded instead

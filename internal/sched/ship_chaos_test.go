@@ -23,6 +23,12 @@ func (p *pinPolicy) PickTarget(*TaskSpec, int) int            { return p.target 
 // layer in front of every endpoint, one Config per locality; the
 // returned function starts delivery.
 func newChaosCluster(t *testing.T, workers int, policy Policy, ctl *chaos.Controller, calls runtime.CallProfile, cfgs ...chaos.Config) (*cluster, func()) {
+	return newChaosClusterOf(t, workers, policy, ctl, calls, nil, cfgs...)
+}
+
+// newChaosClusterOf is newChaosCluster with the given data item types
+// registered at every rank.
+func newChaosClusterOf(t *testing.T, workers int, policy Policy, ctl *chaos.Controller, calls runtime.CallProfile, types []dataitem.Type, cfgs ...chaos.Config) (*cluster, func()) {
 	t.Helper()
 	fab := transport.NewFabric(len(cfgs))
 	eps := make([]transport.Endpoint, len(cfgs))
@@ -33,7 +39,11 @@ func newChaosCluster(t *testing.T, workers int, policy Policy, ctl *chaos.Contro
 	for i := range eps {
 		loc := c.sys.Locality(i)
 		loc.SetCallProfile(calls)
-		c.scheds = append(c.scheds, New(loc, dim.New(loc, dataitem.NewRegistry()), policy, workers))
+		reg := dataitem.NewRegistry()
+		for _, typ := range types {
+			reg.MustRegister(typ)
+		}
+		c.scheds = append(c.scheds, New(loc, dim.New(loc, reg), policy, workers))
 	}
 	t.Cleanup(func() {
 		for _, s := range c.scheds {

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"allscale/internal/chaos"
+	"allscale/internal/dataitem"
+	"allscale/internal/dim"
+	"allscale/internal/region"
 	"allscale/internal/runtime"
 	"allscale/internal/wire"
 	"allscale/internal/wire/wiretest"
@@ -214,9 +217,15 @@ func FuzzRunBatchUnmarshal(f *testing.F) {
 	}
 	granted := task
 	granted.Variant, granted.Granted = VariantProcess, true
+	carrying := task
+	carrying.Variant, carrying.Carried = VariantProcess, []dim.Carried{
+		{Item: dim.MakeItemID(3, 1), Kept: dataitem.GridRegionFromTo(region.Point{0, 4}, region.Point{1, 60}), Token: 1<<63 | 3<<48 | 8},
+		{Item: dim.MakeItemID(0, 2), Kept: dataitem.GridRegionFromTo(region.Point{2}, region.Point{9}), Token: 1<<63 | 9},
+	}
 	// 2^20 tasks claimed by a body of a few bytes: 128 MB at the parent.
 	f.Add(append(wire.AppendUvarint(nil, 1<<20), 0, 0, 0))
-	wiretest.FuzzUnmarshal(f, &runBatch{}, &runBatch{Tasks: []runArgs{task}}, &runBatch{Tasks: []runArgs{task, granted, {}}})
+	wiretest.FuzzUnmarshal(f, &runBatch{}, &runBatch{Tasks: []runArgs{task}}, &runBatch{Tasks: []runArgs{task, granted, {}}},
+		&runBatch{Tasks: []runArgs{carrying}}, &runBatch{Tasks: []runArgs{granted, carrying, task}})
 }
 
 // TestRunBatchWireRoundTrip: the envelope survives its binary form,
@@ -227,12 +236,19 @@ func TestRunBatchWireRoundTrip(t *testing.T) {
 		{Spec: TaskSpec{ID: 1<<32 | 2, Kind: "sum", Args: []byte{1, 2}, Depth: 1, Path: 1, PathLen: 1, Origin: 1,
 			Promise: runtime.PromiseID{Owner: 1, Seq: 9}, Span: 5, Tenant: 2, Job: 3}, Variant: VariantSplit},
 		{Spec: TaskSpec{ID: 7, Kind: "count"}, Granted: true},
+		{Spec: TaskSpec{ID: 8, Kind: "paint"}, Carried: []dim.Carried{
+			{Item: dim.MakeItemID(1, 4), Kept: dataitem.GridRegionFromTo(region.Point{4, 0}, region.Point{5, 16}), Token: 1<<63 | 1<<48 | 6},
+		}},
 	}}
 	var out runBatch
 	wiretest.RoundTrip(t, in, &out)
-	if len(out.Tasks) != 2 || out.Tasks[0].Spec.Job != 3 || out.Tasks[0].Variant != VariantSplit ||
-		out.Tasks[0].Granted || !out.Tasks[1].Granted || out.Tasks[1].Spec.Kind != "count" {
+	if len(out.Tasks) != 3 || out.Tasks[0].Spec.Job != 3 || out.Tasks[0].Variant != VariantSplit ||
+		out.Tasks[0].Granted || !out.Tasks[1].Granted || out.Tasks[1].Spec.Kind != "count" ||
+		len(out.Tasks[0].Carried) != 0 || len(out.Tasks[2].Carried) != 1 {
 		t.Fatalf("batch came back as %+v", out)
+	}
+	if c, want := out.Tasks[2].Carried[0], in.Tasks[2].Carried[0]; c.Item != want.Item || c.Token != want.Token || !c.Kept.Equal(want.Kept) {
+		t.Fatalf("carried eviction came back as %+v, want %+v", c, want)
 	}
 	// 2^20 tasks claimed in six bytes: the parent commit sized the slice
 	// from the claim (128 MB) before the decoder ran out of input.

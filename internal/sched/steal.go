@@ -136,6 +136,7 @@ func (s *Scheduler) AbortQueue() {
 // resolves.
 func (s *Scheduler) dropQueued(ts []*task) {
 	for _, t := range ts {
+		s.endCarried(t)
 		if !t.named() {
 			t.fut.Fulfill(nil, fmt.Errorf("sched: rank %d stopped with task %d queued", s.Rank(), t.spec.ID))
 		}
@@ -210,6 +211,9 @@ func (s *Scheduler) grant(thief int) {
 	}
 	s.stats.stolenFrom.Add(uint64(len(batch)))
 	s.stats.stealBatch.ObserveValue(uint64(len(batch)))
+	for _, t := range batch {
+		s.endCarried(t)
+	}
 	s.ship(thief, true, batch...)
 }
 

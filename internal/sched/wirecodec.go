@@ -1,6 +1,9 @@
 package sched
 
-import "allscale/internal/wire"
+import (
+	"allscale/internal/dim"
+	"allscale/internal/wire"
+)
 
 // Hand-written binary codec for the scheduler's one hot wire type
 // (DESIGN.md §6a "Wire formats"): every task that changes rank —
@@ -8,10 +11,10 @@ import "allscale/internal/wire"
 // envelope in a runBatch.
 
 // minTaskBytes is the least a runArgs envelope takes on the wire: one
-// byte for each of the twelve TaskSpec fields, the variant and the
-// granted mark. It bounds a batch's peer-chosen length by the bytes
-// that follow it.
-const minTaskBytes = 14
+// byte for each of the twelve TaskSpec fields, the variant, the granted
+// mark and the count of carried evictions. It bounds a batch's
+// peer-chosen length by the bytes that follow it.
+const minTaskBytes = 15
 
 // appendTaskSpec appends the flat TaskSpec fields.
 func appendTaskSpec(buf []byte, s *TaskSpec) []byte {
@@ -52,6 +55,13 @@ func (b *runBatch) AppendWire(buf []byte) ([]byte, error) {
 		buf = appendTaskSpec(buf, &t.Spec)
 		buf = wire.AppendVarint(buf, int64(t.Variant))
 		buf = wire.AppendBool(buf, t.Granted)
+		buf = wire.AppendUvarint(buf, uint64(len(t.Carried)))
+		for j := range t.Carried {
+			var err error
+			if buf, err = t.Carried[j].AppendWire(buf); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return buf, nil
 }
@@ -66,6 +76,14 @@ func (b *runBatch) UnmarshalWire(d *wire.Decoder) error {
 		decodeTaskSpec(d, &t.Spec)
 		t.Variant = Variant(d.Int())
 		t.Granted = d.Bool()
+		if n := d.Count(dim.MinCarriedBytes); n > 0 {
+			t.Carried = make([]dim.Carried, n)
+		}
+		for j := range t.Carried {
+			if err := t.Carried[j].UnmarshalWire(d); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
