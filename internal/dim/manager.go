@@ -778,7 +778,9 @@ func (m *Manager) Acquire(token uint64, reqs []Requirement) error {
 // task's exec span), emitting a dim.acquire span and feeding the
 // acquire-wait histogram with the stage-to-grant latency. abort, if
 // not nil, ends the acquisition's lock waits with its error once the
-// task no longer needs the data (see waiter).
+// task no longer needs the data (see waiter). A failed acquisition
+// leaves the claims the task brought along (TakeCarried) in place: the
+// task's EndCarried ends them as it leaves.
 func (m *Manager) AcquireFor(token uint64, reqs []Requirement, parent trace.SpanID, abort func() error) error {
 	m.acquires.Inc()
 	sp := m.loc.Tracer().Begin("dim.acquire", "", parent)
@@ -786,9 +788,6 @@ func (m *Manager) AcquireFor(token uint64, reqs []Requirement, parent trace.Span
 	start := time.Now()
 	w := waiter{abort: abort}
 	err := m.acquire(token, reqs, &w, sp.SpanID())
-	if err != nil {
-		m.EndCarried(token) // what the task brought along, it will not use
-	}
 	w.done()
 	m.acquireWait.Observe(time.Since(start))
 	sp.SetErr(err)

@@ -119,20 +119,13 @@ func (m *Manager) ExclusivelyOwned(id ItemID, r dataitem.Region) bool {
 }
 
 // A shipped writer carries its origin's eviction (DESIGN.md §6f
-// "Carried evictions"). The rank that ships a task with a write
-// requirement is often a holder its acquisition would drop: it serves
-// that drop as it ships (Carry), and the reply rides in the task's frame
-// to the destination (TakeCarried), whose acquisition then sends no
-// dim.drop there and refreshes the pinned copy at Release as usual.
-//
-// Until the task's acquisition has locked the region, a carried pin is a
-// claim, not a lock, and whatever else needs the region ends it first,
-// with a refresh of the current content (yieldLocked): a second writer
-// here (tryLockAll), a drop of this rank's copy (handleDrop), the
-// task's acquisition failing or giving way, or the task leaving without
-// one (EndCarried). At the origin the pin turns away every evictor but
-// the destination (drop). A ship given up settles it without a refresh
-// (SettleCarried), as a destination's death does (departed).
+// "Carried evictions", the claim rows): its origin serves the drop as it
+// ships it (Carry), and at the destination the pin is the task's claim
+// (TakeCarried) until its acquisition locks the region and Release
+// refreshes it. Anything else that needs the region first (yieldLocked)
+// and the task leaving without it (EndCarried) end it with a refresh; at
+// the origin it turns away every evictor but the destination (drop); a
+// ship given up settles it without a refresh (SettleCarried).
 
 // refresh is a dim.unpin owed to the holder of a write-mode pin: its
 // token, and the pinned part's content.
@@ -243,53 +236,59 @@ func (m *Manager) SettleCarried(to int, cs []Carried) {
 	}
 }
 
-// CheckCarried refuses a carried region that does not fit its item; an
-// item this rank does not have passes (TakeCarried ignores it).
-func (m *Manager) CheckCarried(cs []Carried) error {
-	if len(cs) == 0 {
+// TakeCarried takes in, at the destination, the evictions the origin
+// `from` carried for the n tasks of one frame, carried(i) giving task i's
+// token and evictions. It refuses the frame, filing nothing, if one of
+// them does not fit its item. Each is applied like a drop's reply
+// (evicted), and its pin is filed as a claim of the task — unless the
+// part is not here and readable, when the claim yields at once. An item
+// this rank does not have is ignored.
+func (m *Manager) TakeCarried(from, n int, carried func(i int) (token uint64, cs []Carried)) error {
+	i := 0
+	for ; i < n; i++ {
+		if _, cs := carried(i); len(cs) > 0 {
+			break
+		}
+	}
+	if i == n {
 		return nil
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range cs {
-		if st, ok := m.items[c.Item]; ok {
-			if err := st.fits(c.Kept); err != nil {
-				return fmt.Errorf("dim: carried eviction of %v: %w", c.Item, err)
+	for j := i; j < n; j++ {
+		_, cs := carried(j)
+		for _, c := range cs {
+			if st, ok := m.items[c.Item]; ok && st.fits(c.Kept) != nil {
+				m.mu.Unlock()
+				return fmt.Errorf("dim: carried eviction of %v: %w", c.Item, st.fits(c.Kept))
 			}
 		}
 	}
-	return nil
-}
-
-// TakeCarried takes in, at the destination, the evictions the origin
-// `from` carried for the task token (CheckCarried has passed them): each
-// is applied like a drop's reply (evicted), and its pin is filed as a
-// claim of the task — unless the part is not here and readable, when the
-// claim yields at once. An item this rank does not have is ignored.
-func (m *Manager) TakeCarried(from int, token uint64, cs []Carried) {
 	var yields []refresh
-	m.mu.Lock()
-	for _, c := range cs {
-		st, ok := m.items[c.Item]
-		if !ok {
-			continue
+	for ; i < n; i++ {
+		token, cs := carried(i)
+		for _, c := range cs {
+			st, ok := m.items[c.Item]
+			if !ok {
+				continue
+			}
+			_ = st.evicted(Located{Region: c.Kept, Rank: from}, &dropReply{Root: st.typ.EmptyRegion(), Kept: c.Kept, PinToken: c.Token}) // it fits
+			h := heldPin{rank: from, item: c.Item, region: c.Kept, token: c.Token, carried: true}
+			if blocked, _ := st.blocked(0, Read, c.Kept); blocked || !st.present(c.Kept) {
+				yields = append(yields, m.refreshLocked(h))
+				continue
+			}
+			m.held[token] = append(m.held[token], h)
+			m.claims++
 		}
-		_ = st.evicted(Located{Region: c.Kept, Rank: from}, &dropReply{Root: st.typ.EmptyRegion(), Kept: c.Kept, PinToken: c.Token}) // it fits (CheckCarried)
-		h := heldPin{rank: from, item: c.Item, region: c.Kept, token: c.Token, carried: true}
-		if blocked, _ := st.blocked(0, Read, c.Kept); blocked || !st.present(c.Kept) {
-			yields = append(yields, m.refreshLocked(h))
-			continue
-		}
-		m.held[token] = append(m.held[token], h)
-		m.claims++
 	}
 	m.mu.Unlock()
 	m.sendRefreshes(yields)
+	return nil
 }
 
 // EndCarried ends the pins the task token brought along, each with a
-// refresh of the current content: the task leaves, or its acquisition
-// failed, without having used them.
+// refresh of the current content: the task leaves without an acquisition
+// that took them over (its acquisition failed, or it never made one).
 func (m *Manager) EndCarried(token uint64) {
 	m.mu.Lock()
 	out := m.takeHeldLocked(token, nil)

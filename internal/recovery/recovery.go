@@ -13,16 +13,16 @@
 // recovery is a system service: no application code participates.
 //
 // One rule decides what becomes of a task lost with the rank, applied
-// per task from what the task itself declares (sched.NeedsData): a task
-// whose kind states no data requirement for its arguments is re-spawned
-// onto a live rank; any other has its future failed with
-// runtime.ErrPeerFailed, so the task wave it belongs to unwinds. The
-// crash took the dead rank's fragments with it — a respawned reader or
-// writer would first-touch zeroes where the data was — and only the
-// driver knows a state worth going back to: it hands Restore a
-// checkpoint, which rolls every live rank back to it, re-homes the
-// shares of ranks no longer live onto survivors, and lets the driver
-// re-run the phase.
+// by the task's origin from what the task itself declares
+// (sched.Scheduler.Recover): a task whose kind states no data
+// requirement for its arguments is re-spawned onto a live rank; any
+// other has its future failed with runtime.ErrPeerFailed, so the task
+// wave it belongs to unwinds. The crash took the dead rank's fragments
+// with it — a respawned reader or writer would first-touch zeroes where
+// the data was — and only the driver knows a state worth going back to:
+// it hands Restore a checkpoint, which rolls every live rank back to it,
+// re-homes the shares of ranks no longer live onto survivors, and lets
+// the driver re-run the phase.
 package recovery
 
 import (
@@ -60,8 +60,8 @@ const (
 	// no longer live onto survivors.
 	MetricRehomed = "recovery.rehomed_records"
 	// MetricRespawned counts lost tasks that needed no data and were
-	// re-spawned onto live ranks; MetricRequeued those that needed data,
-	// whose futures were failed back to their waiters.
+	// re-spawned onto live ranks; MetricRequeued the others, whose futures
+	// were failed back to their waiters (sched.Scheduler.Recover).
 	MetricRespawned = "recovery.respawned_tasks"
 	MetricRequeued  = "recovery.requeued_tasks"
 	MetricRecover   = "recovery.recover.us"
@@ -504,27 +504,20 @@ func (c *Coordinator) ReportDeath(dead int) {
 	// being failed do with that window is discarded by Restore.
 	sp.SetErr(c.reindex(live))
 
-	// 5. The one rule. A task that needs no data lost nothing but its
-	// place: it runs again on a survivor. A task that needs data may
-	// need what died with the rank — the runtime cannot tell from here
-	// whether a copy survives, and a first touch of the hole reads
-	// zeroes — so its future fails and the decision returns to the
-	// driver, who may hold a checkpoint (Restore).
+	// 5. The one rule, applied by each lost task's origin (Recover). A
+	// task that needs no data lost nothing but its place: it runs again
+	// on a survivor. A task that needs data may need what died with the
+	// rank — the runtime cannot tell from here whether a copy survives,
+	// and a first touch of the hole reads zeroes — so its future fails
+	// and the decision returns to the driver, who may hold a checkpoint
+	// (Restore).
 	rsp := c.tracer().Begin("recovery.respawn", fmt.Sprintf("%d tasks", len(lost)), sp.SpanID())
 	for _, spec := range lost {
-		origin := c.sys.Scheduler(spec.Origin)
-		if origin.NeedsData(&spec) {
-			c.sys.Locality(spec.Origin).FulfillRemote(spec.Promise, nil,
-				fmt.Errorf("%w: task %d lost on rank %d", runtime.ErrPeerFailed, spec.ID, dead))
+		if c.sys.Scheduler(spec.Origin).Recover(spec, dead) {
+			c.respawned.Inc()
+		} else {
 			c.requeued.Inc()
-			continue
 		}
-		if err := origin.Respawn(spec); err != nil {
-			c.sys.Locality(spec.Origin).FulfillRemote(spec.Promise, nil,
-				fmt.Errorf("%w: respawn of task %d failed: %v", runtime.ErrPeerFailed, spec.ID, err))
-			continue
-		}
-		c.respawned.Inc()
 	}
 	rsp.End()
 	c.report.Dead = append(c.report.Dead, dead)

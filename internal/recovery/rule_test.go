@@ -108,9 +108,12 @@ func TestLostWriterIsFailedNotRespawned(t *testing.T) {
 // reads a grid row and one that needs nothing; the victim is killed
 // holding tasks of both. The requirement-free futures complete with the
 // right value, the reader of the victim's row fails with ErrPeerFailed
-// and does not run again, and the counters split accordingly. The rule
-// does not ask whether a checkpoint exists: the outcome is the same
-// when one is restored afterwards, and then the row is readable again.
+// and does not run again, and the counters split accordingly: one
+// respawn per requirement-free body held on the victim, one requeue. A
+// requirement-free task may be granted to or from the victim before it
+// starts, so the test counts the bodies the victim holds. The rule does
+// not ask whether a checkpoint exists: the outcome is the same when one
+// is restored afterwards, and then the row is readable again.
 func TestMixedLossRespawnsOnlyRequirementFree(t *testing.T) {
 	t.Run("no rollback", func(t *testing.T) { mixedLoss(t, false) })
 	t.Run("rollback", func(t *testing.T) { mixedLoss(t, true) })
@@ -122,23 +125,27 @@ func mixedLoss(t *testing.T, rollback bool) {
 	grid := core.DefineGrid[int](sys, "mixed.grid", region.Point{n, cols})
 	row := func(b int) dataitem.GridRegion { return grid.Region(region.Point{b, 0}, region.Point{b + 1, cols}) }
 	rowSum := func(b int) int { return b*100*cols + cols*(cols-1)/2 }
-	// Whatever starts on the victim is held there until it is killed — or
-	// the test gives up: the deferred Close below waits for every body.
-	hold := make(chan struct{})
+	// Whatever starts on the victim says so on held (free task i as i,
+	// the reader of row b as rowID+b) and is held there until it is
+	// killed — or the test gives up: the deferred Close below waits for
+	// every body.
+	const rowID = 1 << 20
+	hold, held := make(chan struct{}), make(chan int, 64)
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(hold) }) }
-	enter := func(rank int) {
+	enter := func(rank, id int) {
 		if rank == victim {
+			held <- id
 			<-hold
 		}
 	}
 	sys.RegisterKind(func(rank int) *sched.Kind {
 		return &sched.Kind{Name: "mixed.free", Process: func(ctx *sched.Ctx) (any, error) {
-			enter(rank)
 			var x int
 			if err := ctx.Args(&x); err != nil {
 				return nil, err
 			}
+			enter(rank, x)
 			return x * 3, nil
 		}}
 	})
@@ -151,11 +158,11 @@ func mixedLoss(t *testing.T, rollback bool) {
 				return []dim.Requirement{{Item: grid.Item(), Region: row(b), Mode: dim.Read}}
 			},
 			Process: func(ctx *sched.Ctx) (any, error) {
-				enter(rank)
 				var b int
 				if err := ctx.Args(&b); err != nil {
 					return nil, err
 				}
+				enter(rank, rowID+b)
 				sum := 0
 				for y := 0; y < cols; y++ {
 					sum += grid.Local(ctx).At(region.Point{b, y})
@@ -212,27 +219,59 @@ func mixedLoss(t *testing.T, rollback bool) {
 			return 0, nil
 		}
 	}
-	freeFuts := make([]*runtime.Future, free)
-	for i := range freeFuts {
-		freeFuts[i] = spawn("mixed.free", i)
+	// Every task settles before the kill: its future resolves on a
+	// survivor, or its body enters on the victim. Round-robin placement
+	// sends every fourth requirement-free task to the victim; should
+	// thieves have taken all of them, one more is spawned, until the
+	// victim holds at least one.
+	settled := make(chan struct{}, 64)
+	watch := func(f *runtime.Future) *runtime.Future {
+		go func() {
+			<-f.Ready()
+			settled <- struct{}{}
+		}()
+		return f
+	}
+	var freeFuts []*runtime.Future
+	for i := 0; i < free; i++ {
+		freeFuts = append(freeFuts, watch(spawn("mixed.free", i)))
 	}
 	rowFuts := make([]*runtime.Future, n)
 	for b := range rowFuts {
-		rowFuts[b] = spawn("mixed.row", b)
+		rowFuts[b] = watch(spawn("mixed.row", b))
 	}
-	// Every ship answered: each task is where placement sent it, and the
-	// victim's — its row's reader and its round-robin share of the free
-	// ones — are all inside their bodies (it has a worker for each).
-	held := int64(0)
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		held = sys.Scheduler(victim).Load()
-		if sys.Locality(0).PendingCalls() == 0 && held == 1+free/n && sys.Scheduler(victim).QueueLen() == 0 {
-			break
+	heldFree, rowHeld := 0, false
+	timeout := time.After(15 * time.Second)
+	for waiting := free + n; waiting > 0 || heldFree == 0; waiting-- {
+		if waiting == 0 {
+			freeFuts = append(freeFuts, watch(spawn("mixed.free", len(freeFuts))))
+			waiting++
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("victim holds %d tasks, want %d; rank 0 has %d calls pending", held, 1+free/n, sys.Locality(0).PendingCalls())
+		select {
+		case id := <-held:
+			if id == rowID+victim {
+				rowHeld = true
+			} else {
+				heldFree++
+			}
+		case <-settled:
+		case <-timeout:
+			t.Fatalf("%d tasks neither resolved nor started on the victim", waiting)
 		}
-		time.Sleep(100 * time.Microsecond)
+	}
+	if !rowHeld {
+		t.Fatal("the reader of the victim's row did not start there")
+	}
+	// A ship whose deferred ack is still owed at the kill would be given
+	// up, and its tasks run by its sender instead of the rule: wait for
+	// every survivor's acks (they ride within 500 µs).
+	for r := 0; r < n; r++ {
+		for deadline := time.Now().Add(5 * time.Second); r != victim && sys.Locality(r).PendingCalls() > 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("rank %d still has %d calls pending", r, sys.Locality(r).PendingCalls())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 	sys.Kill(victim)
 	rec.ReportDeath(victim)
@@ -254,8 +293,8 @@ func mixedLoss(t *testing.T, rollback bool) {
 	}
 	reg := sys.Metrics(0)
 	respawned, requeued := reg.CounterValue(MetricRespawned), reg.CounterValue(MetricRequeued)
-	if respawned != uint64(free/n) || requeued != 1 {
-		t.Fatalf("%s = %d, %s = %d, want %d and 1", MetricRespawned, respawned, MetricRequeued, requeued, free/n)
+	if respawned != uint64(heldFree) || requeued != 1 {
+		t.Fatalf("%s = %d, %s = %d, want %d and 1", MetricRespawned, respawned, MetricRequeued, requeued, heldFree)
 	}
 	if !rollback {
 		return

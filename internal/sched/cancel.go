@@ -19,13 +19,7 @@ import (
 // and stolen exactly like an untagged one (steal.go), and which
 // tenant's work runs next is decided once, by the job dispatcher:
 //
-//   - cancellation: CancelJob registers the job in a bounded cancelled
-//     set, purges its queued tasks, and sweeps the inflight recovery
-//     registry so neither a ship's local fallback nor a crash-recovery
-//     respawn can resurrect cancelled work. Tasks of a cancelled job
-//     that are already riding a wire frame are caught at the last gate,
-//     executeNow, which fails their promises with ErrJobCancelled
-//     instead of running the body;
+//   - cancellation (CancelJob);
 //   - per-tenant executed/cancelled counters in the metrics registry;
 //   - the exec observer, which tells the job service when a job's
 //     first task runs.
@@ -106,28 +100,16 @@ func (s *Scheduler) jobCancelled(job uint64) bool {
 }
 
 // CancelJob cancels every current and future task of a job on this
-// rank:
-//
-//   - the job enters the bounded cancelled set, so the execution gate
-//     in executeNow fails (rather than runs) any of its tasks that
-//     later pop from a queue or arrive in a shipped batch — their
-//     promises resolve with ErrJobCancelled, which unwinds the job's
-//     split tree;
-//   - its queued tasks are purged from the worker deques immediately,
-//     their futures failed — in place for a task that never left its
-//     rank, by name for one that did;
-//   - its entries leave the inflight recovery registry, so neither a
-//     peer death nor a failed ship can bring cancelled work back;
-//   - its tasks parked in a DIM lock wait are woken and fail with
-//     ErrJobCancelled before their body runs, as does one that reaches
-//     its wait later (runVariant passes cancelled as the wait's abort).
-//
-// So a cancelled task never reaches AcquireFor (the gate precedes it),
-// leaves it with the error holding no lock, or completes its
-// acquire/release pair normally: no DIM locks or pins leak. The job
-// service additionally destroys per-job data items after the unwind.
-//
-// Call on every rank of the system, like kind registration.
+// rank. The job enters the bounded cancelled set, so the execution gate
+// in executeNow fails, rather than runs, any of its tasks that later
+// pops from a queue or arrives in a frame. Its queued tasks leave at
+// once, and so do its entries in the inflight recovery registry: neither
+// a peer death nor a failed ship brings cancelled work back. Its tasks
+// parked in a DIM lock wait wake and fail before their body runs, as
+// does one that reaches its wait later (runVariant passes cancelled as
+// the wait's abort). Each fails with ErrJobCancelled, which unwinds the
+// job's split tree, and no DIM lock, pin or claim leaks. Call on every
+// rank of the system, like kind registration.
 func (s *Scheduler) CancelJob(job uint64) {
 	c := &s.cancel
 	c.mu.Lock()
@@ -150,27 +132,15 @@ func (s *Scheduler) CancelJob(job uint64) {
 	// raid holds between two deques at this instant is missed here and
 	// stopped at the execution gate instead.
 	for _, t := range s.takeQueued(math.MaxInt, func(spec *TaskSpec) bool { return spec.Job == job }) {
-		s.failCancelled(t)
+		s.leave(t, failed(s.countCancelled(&t.spec)))
 	}
 
-	// Sweep the recovery registry: cancelled specs must be neither
-	// respawned after a peer death nor run here when their ship fails
-	// (confirmShip runs only what takeInflight still finds). The swept
-	// specs' promises must be failed HERE: if the remote rank dies
-	// before its execute gate runs, HandleDeath will no longer find the
-	// entry we just deleted, and nobody else fails the promise.
-	// Fulfilment is idempotent, so racing the remote gate is harmless.
-	var swept []TaskSpec
-	s.inflightMu.Lock()
-	for id, e := range s.inflight.m {
-		if e.spec.Job == job {
-			swept = append(swept, e.spec)
-			delete(s.inflight.m, id)
-		}
-	}
-	s.inflightMu.Unlock()
-	for i := range swept {
-		s.failCancelled(&task{spec: swept[i]})
+	// Sweep the recovery registry (confirmShip runs only what
+	// takeInflight still finds). A swept task fails here: should its
+	// rank die before its gate runs, nothing else would fail it. Racing
+	// that gate is harmless, as fulfilment is idempotent.
+	for _, spec := range s.takeInflightIf(func(e *inflightEntry) bool { return e.spec.Job == job }) {
+		s.leave(&task{spec: spec}, failed(s.countCancelled(&spec)))
 	}
 	s.mgr.Wake()
 }
@@ -188,14 +158,14 @@ func cancelErr(id, job uint64) error {
 	return fmt.Errorf("%w: task %d of job %d", ErrJobCancelled, id, job)
 }
 
-// failCancelled fails a cancelled task's future and counts it.
-func (s *Scheduler) failCancelled(t *task) {
-	s.endCarried(t)
+// countCancelled counts a task of a cancelled job that leaves without
+// running and returns the error its future fails with.
+func (s *Scheduler) countCancelled(spec *TaskSpec) error {
 	s.stats.cancelledTasks.Inc()
-	if t.spec.Tenant != 0 {
-		s.tenantCounters(t.spec.Tenant).cancelled.Inc()
+	if spec.Tenant != 0 {
+		s.tenantCounters(spec.Tenant).cancelled.Inc()
 	}
-	s.resolve(t, nil, cancelErr(t.spec.ID, t.spec.Job))
+	return cancelErr(spec.ID, spec.Job)
 }
 
 // SetExecObserver installs a callback invoked once per executed

@@ -156,8 +156,8 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 	// Recovery must not resurrect cancelled work.
 	lost := namedJobTask(s, 1, 100)
 	before := reg.CounterValue(MetricRespawns)
-	if err := s.Respawn(lost.spec); err != nil {
-		t.Fatalf("Respawn: %v", err)
+	if s.Recover(lost.spec, 1) {
+		t.Fatal("a lost task of a cancelled job was respawned")
 	}
 	if _, err := lost.fut.Wait(); !IsJobCancelled(err) {
 		t.Fatalf("respawned task of cancelled job: err = %v, want job-cancelled error", err)

@@ -313,8 +313,10 @@ func TestCarriedPinTurnsAwayOtherWriters(t *testing.T) {
 
 // TestCarriedPinEndsWhenTaskLeaves: a shipped writer that leaves its
 // destination without acquiring — its job cancelled, forwarded by a
-// drain, granted to a thief — ends its claim with a refresh, so the
-// origin's copy is readable again with the band's content.
+// drain, granted to a thief, dropped by a stopping queue, or its
+// acquisition aborted while it waits for its lock — ends its claim with
+// a refresh, so the origin's copy is readable again with the band's
+// content.
 func TestCarriedPinEndsWhenTaskLeaves(t *testing.T) {
 	t.Run("cancel", func(t *testing.T) {
 		g := newCarryRig(t, 2)
@@ -366,6 +368,44 @@ func TestCarriedPinEndsWhenTaskLeaves(t *testing.T) {
 		}
 		g.elsewhere.Store(false)
 		g.release()
+		g.settled(t, nil, 1)
+	})
+	t.Run("stop", func(t *testing.T) {
+		g := newCarryRig(t, 2)
+		g.ship(t, 0, 1, 2)
+		g.c.scheds[1].AbortQueue()
+		g.release()
+		g.settled(t, nil, 1)
+	})
+	t.Run("failed acquisition", func(t *testing.T) {
+		g := newCarryRig(t, 2)
+		const job = 43
+		g.write(t, 1, 1)
+		g.read(t, 0, 1)
+		holdThieves(g.c.scheds[0])
+		occupyWorkers(t, g.c.scheds[1], g.started)
+		fut, err := g.c.scheds[0].SpawnJob("paint", &benchArgs{V: 2}, 1, job, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the task queued at its destination", func() bool { return g.c.scheds[1].QueueLen() == 1 })
+		// A reader at the destination holds the band: the task's
+		// acquisition waits for its lock until the cancel aborts it.
+		tok := g.tok.Add(1)
+		if err := g.mgr(1).Acquire(tok, []dim.Requirement{{Item: g.item, Region: g.band, Mode: dim.Read}}); err != nil {
+			t.Fatal(err)
+		}
+		g.release()
+		waitFor(t, "the task to wait for its lock", func() bool {
+			return g.c.scheds[1].loc.Metrics().Gauge(dim.MetricLockWaiters).Value() > 0
+		})
+		for _, s := range g.c.scheds {
+			s.CancelJob(job)
+		}
+		if err := waitResolved(t, "the task whose acquisition was aborted", fut); !IsJobCancelled(err) {
+			t.Fatalf("aborted task: err = %v, want job-cancelled", err)
+		}
+		g.mgr(1).Release(tok)
 		g.settled(t, nil, 1)
 	})
 }

@@ -9,7 +9,7 @@ import (
 
 // A task's future is named — entered in its rank's promise table — only
 // when the task leaves that rank (ship.go); one that stays is resolved
-// in place (executeNow, dropQueued, failCancelled). The tests below walk
+// in place (leave: run, cancelled or dropped). The tests below walk
 // every exit a task spawned here can take and check that its spawner's
 // future still resolves: each of the first four hangs if ship skips the
 // naming, each of the dropping ones if the drop skips the in-place

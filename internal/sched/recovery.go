@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
 
+	"allscale/internal/dim"
 	"allscale/internal/runtime"
 )
 
@@ -12,11 +14,10 @@ import (
 // enters it, whatever the reason for the ship.
 //
 // When the recovery coordinator learns that a rank died, HandleDeath
-// drains the entries pointing at it; a spec that needs no data
-// (NeedsData) is respawned onto a live rank, any other is failed back
-// to its waiter. Entries are advisory over-approximations:
-// a task that completed normally leaves a stale entry until swept, and
-// respawning it again is harmless — promise fulfilment is idempotent.
+// drains the entries pointing at it, and each lost task's origin applies
+// the recovery rule to it (Recover). Entries are advisory: a task that
+// completed normally leaves a stale entry until swept, and respawning it
+// again is harmless — promise fulfilment is idempotent.
 
 // inflightLimit bounds the entries the registry keeps without knowing
 // whether they are still needed. A task this rank spawned is needed
@@ -109,11 +110,16 @@ func (s *Scheduler) clearInflight(arrived []runArgs) {
 // actually lost tasks; callers filter by promise pendency and
 // deduplicate across ranks.
 func (s *Scheduler) HandleDeath(dead int) []TaskSpec {
+	return s.takeInflightIf(func(e *inflightEntry) bool { return e.target == dead })
+}
+
+// takeInflightIf removes the entries that match and returns their specs.
+func (s *Scheduler) takeInflightIf(match func(*inflightEntry) bool) []TaskSpec {
 	s.inflightMu.Lock()
 	defer s.inflightMu.Unlock()
 	var out []TaskSpec
 	for id, e := range s.inflight.m {
-		if e.target == dead {
+		if match(&e) {
 			out = append(out, e.spec)
 			delete(s.inflight.m, id)
 		}
@@ -121,23 +127,33 @@ func (s *Scheduler) HandleDeath(dead int) []TaskSpec {
 	return out
 }
 
-// Respawn re-schedules a task lost on a dead rank. Placement runs
-// through the ordinary assign path, which now excludes dead ranks.
-// Tasks of a cancelled job are not resurrected: their promises fail
-// with ErrJobCancelled instead (cancel.go).
-func (s *Scheduler) Respawn(spec TaskSpec) error {
+// Recover applies the recovery rule (DESIGN.md §6c) at a task's origin
+// to the task, lost with rank dead, and reports whether it runs again.
+// A task of a cancelled job fails as cancelled. One whose kind declares
+// no data requirement for its arguments is respawned through assign,
+// which now excludes the dead rank. Any other — it could read zeroes
+// where the dead rank's fragments were — fails with
+// runtime.ErrPeerFailed, as does one whose respawn fails.
+func (s *Scheduler) Recover(spec TaskSpec, dead int) (respawned bool) {
 	t := &task{spec: spec}
-	if spec.Job != 0 && s.jobCancelled(spec.Job) {
+	err := fmt.Errorf("%w: task %d lost on rank %d", runtime.ErrPeerFailed, spec.ID, dead)
+	switch {
+	case spec.Job != 0 && s.jobCancelled(spec.Job):
 		s.stats.cancelledRespawns.Inc()
-		s.failCancelled(t)
-		return nil
+		err = s.countCancelled(&spec)
+	case !s.anyReq(&spec, func(dim.Requirement) bool { return true }):
+		s.stats.respawns.Inc()
+		here, aerr := s.assign(t)
+		if here {
+			s.enqueueAt(-1, t)
+		}
+		if aerr == nil {
+			return true
+		}
+		err = fmt.Errorf("%w: respawn: %v", err, aerr)
 	}
-	s.stats.respawns.Inc()
-	here, err := s.assign(t)
-	if here {
-		s.enqueueAt(-1, t)
-	}
-	return err
+	s.leave(t, failed(err))
+	return false
 }
 
 // placeable reports whether a rank may receive task placements: it is

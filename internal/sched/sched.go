@@ -194,23 +194,21 @@ type task struct {
 	// kind is resolved by assign; a task that arrived from a peer looks
 	// it up when it runs.
 	kind *Kind
-	// fut is the spawner's future. While the task stays on the rank it
-	// was spawned on, executeNow fulfils it in place; ship names it
-	// (spec.Promise) when the task leaves, and from then on the result
-	// finds it by that name.
+	// fut is the spawner's future, which leave resolves and names.
 	fut runtime.Future
 	ctx Ctx
 	// sp is the task.enqueue span while the task sits in a deque.
 	sp *trace.Span
-	// carry is the origin's evictions for the task's write requirements:
-	// what the frame that ships it carries, and at the destination what
-	// it brought along until its acquisition takes them over or the task
-	// ends them (endCarried).
+	// carry is the origin's evictions for the task's write requirements
+	// (dim.Manager.Carry), for the frame that ships it.
 	carry []dim.Carried
+	// claimed says the task brought claims here (dim.Manager.TakeCarried)
+	// that its acquisition has not taken over: leave ends them.
+	claimed bool
 }
 
-// named reports whether the task's future has a name (ship gave it
-// one, here or on the rank the task came from).
+// named reports whether the task's future has a name (leave gave it
+// one as it shipped the task, here or on the rank the task came from).
 func (t *task) named() bool { return t.spec.Promise.Seq != 0 }
 
 // runArgs is one task inside a runBatch frame (ship.go). Granted marks
@@ -271,13 +269,7 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 		if err := wire.Decode(body, &b); err != nil {
 			return nil, err
 		}
-		for i := range b.Tasks {
-			if err := mgr.CheckCarried(b.Tasks[i].Carried); err != nil {
-				return nil, err
-			}
-		}
-		s.accept(from, b.Tasks)
-		return nil, nil
+		return nil, s.accept(from, b.Tasks)
 	})
 	return s
 }
@@ -286,7 +278,6 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 // usable member; with no member left it runs locally after all —
 // losing the task would be worse.
 func (s *Scheduler) forward(t *task) {
-	s.endCarried(t)
 	target := s.nextLive(s.loc.Rank())
 	if target == s.loc.Rank() {
 		s.enqueueAt(-1, t)
@@ -603,7 +594,7 @@ func (s *Scheduler) executeNow(t *task, worker int) {
 	// they arrive from (local queue, shipped batch, steal grant,
 	// respawn). Failing the future unwinds the job's waiters.
 	if spec.Job != 0 && s.jobCancelled(spec.Job) {
-		s.failCancelled(t)
+		s.leave(t, failed(s.countCancelled(spec)))
 		return
 	}
 	s.running.Add(1)
@@ -630,28 +621,7 @@ func (s *Scheduler) executeNow(t *task, worker int) {
 	sp.SetErr(err)
 	sp.End()
 	s.execHist.Observe(time.Since(start))
-	s.endCarried(t)
-	s.resolve(t, result, err)
-}
-
-// endCarried ends the pins t brought along (dim.Manager.EndCarried) if
-// it still has them: it leaves, or ends, without an acquisition that
-// took them over.
-func (s *Scheduler) endCarried(t *task) {
-	if t.carry != nil {
-		t.carry = nil
-		s.mgr.EndCarried(t.spec.ID)
-	}
-}
-
-// resolve delivers a task's outcome to its spawner: in place while the
-// task has not left the rank it was spawned on, by name once it has.
-func (s *Scheduler) resolve(t *task, result any, err error) {
-	if !t.named() {
-		t.fut.Fulfill(result, err)
-		return
-	}
-	s.loc.FulfillRemote(t.spec.Promise, result, err)
+	s.leave(t, ran(result, err))
 }
 
 // runVariant executes the variant body, acquiring process-variant data
@@ -677,10 +647,10 @@ func (s *Scheduler) runVariant(t *task) (any, error) {
 		// A lock wait ends when the task's job is cancelled (CancelJob).
 		id, job := spec.ID, spec.Job
 		abort := func() error { return s.cancelled(id, job) }
-		t.carry = nil // the acquisition takes the pins over, and ends them
 		if err := s.mgr.AcquireFor(spec.ID, reqs, t.ctx.span, abort); err != nil {
-			return nil, err
+			return nil, err // leave ends the claims
 		}
+		t.claimed = false // the acquisition has taken them over: Release ends them
 		defer s.mgr.Release(spec.ID)
 	}
 	return k.Process(&t.ctx)

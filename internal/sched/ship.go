@@ -5,18 +5,19 @@ import (
 	"sync"
 	"time"
 
+	"allscale/internal/dim"
 	"allscale/internal/runtime"
 	"allscale/internal/trace"
 )
 
 // The one way a task changes rank (DESIGN.md §6e "Shipping"). Whatever
 // hands a task to a peer — assign placing it, a drain forwarding it, a
-// victim granting it to a thief — calls ship: the task's future gets
-// its name (a task that never leaves its rank has none), the task is
-// entered in the inflight registry (recovery.go) and appended to the
-// peer's shipper, where placements coalesce into sched.runb frames of
-// up to maxShipBatch tasks, so a burst of fine-grained remote spawns
-// crosses the fabric as a few large frames.
+// victim granting it to a thief — calls ship: the task leaves this rank
+// (leave names its future), is entered in the inflight registry
+// (recovery.go) and appended to the peer's shipper, where placements
+// coalesce into sched.runb frames of up to maxShipBatch tasks, so a
+// burst of fine-grained remote spawns crosses the fabric as a few large
+// frames.
 //
 // A ship is one call. It has no deadline and no retry limit: the RPC
 // layer resends the identical frame under the same call ID until the
@@ -63,18 +64,14 @@ func (s *Scheduler) shipSpec() runtime.CallSpec {
 	return runtime.CallSpec{Attempt: attempt, Retries: math.MaxInt, MaxBackoff: max(attempt, shipResendMax)}
 }
 
-// ship hands tasks to the target, marked as granted or not: it names
-// the future of each task that is leaving the rank it was spawned on,
-// records the tasks for recovery and appends them to the target's
-// shipper. The first appender of an idle shipper becomes its flusher;
-// tasks arriving while a flush is encoding or awaiting the send path
-// coalesce into the next batch.
+// ship hands tasks to the target, marked as granted or not. The first
+// appender of an idle shipper becomes its flusher; tasks arriving while a
+// flush is encoding or awaiting the send path coalesce into the next
+// batch.
 func (s *Scheduler) ship(target int, granted bool, ts ...*task) {
 	items := make([]runArgs, len(ts))
 	for i, t := range ts {
-		if !t.named() {
-			t.spec.Promise = s.loc.NamePromise(&t.fut)
-		}
+		s.leave(t, shipped)
 		items[i] = runArgs{Spec: t.spec, Variant: t.variant, Granted: granted, Carried: t.carry}
 	}
 	s.trackInflight(target, items)
@@ -139,23 +136,25 @@ func (s *Scheduler) confirmShip(target int, batch []runArgs, fut *runtime.Future
 }
 
 // accept takes in the tasks of one arrived frame: the receiving half of
-// ship. A granted task is a steal that succeeded: it is counted before
-// it is enqueued, so whoever observes the task's effect observes the
-// count, and the first of a frame raises the flag that allows the next
-// dry worker a probe (the probe rule, steal.go). The evictions a task
-// carries from its origin `from` become its claims here.
-func (s *Scheduler) accept(from int, tasks []runArgs) {
+// ship. The evictions the tasks carry from their origin `from` become
+// their claims here; a frame with one that does not fit is refused whole,
+// and its sender runs the tasks itself. A granted task is a steal that
+// succeeded: it is counted before it is enqueued, so whoever observes the
+// task's effect observes the count, and the first of a frame raises the
+// flag that allows the next dry worker a probe (the probe rule, steal.go).
+func (s *Scheduler) accept(from int, tasks []runArgs) error {
+	if err := s.mgr.TakeCarried(from, len(tasks), func(i int) (uint64, []dim.Carried) {
+		return tasks[i].Spec.ID, tasks[i].Carried
+	}); err != nil {
+		return err
+	}
 	// A task that arrives here is no longer where this rank may once
 	// have sent it: without this, a task shipped out and taken back
 	// would be respawned when its former host died.
 	s.clearInflight(tasks)
 	flagged := false
 	for i := range tasks {
-		t := &task{spec: tasks[i].Spec, variant: tasks[i].Variant}
-		if c := tasks[i].Carried; len(c) > 0 {
-			s.mgr.TakeCarried(from, t.spec.ID, c)
-			t.carry = c
-		}
+		t := &task{spec: tasks[i].Spec, variant: tasks[i].Variant, claimed: len(tasks[i].Carried) > 0}
 		if !s.placeable(s.Rank()) {
 			// A frame that raced the drain's placement pause is accepted
 			// (the ack stops the sender's resends) but forwarded instead
@@ -175,4 +174,5 @@ func (s *Scheduler) accept(from int, tasks []runArgs) {
 		}
 		s.enqueueAt(-1, t)
 	}
+	return nil
 }

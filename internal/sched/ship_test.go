@@ -51,13 +51,13 @@ func TestRespawnedShipExecutesAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := TaskSpec{ID: 999, Kind: "count", Args: args, Origin: 0, Promise: pid}
-	if err := c.scheds[0].Respawn(spec); err != nil {
-		t.Fatal(err)
+	if !c.scheds[0].Recover(spec, 1) {
+		t.Fatal("the lost task was not respawned")
 	}
 	waitFor(t, "the first placement to run", func() bool { return count.Load() == 1 })
 	// Second placement attempt of the SAME spec onto the same rank.
-	if err := c.scheds[0].Respawn(spec); err != nil {
-		t.Fatal(err)
+	if !c.scheds[0].Recover(spec, 1) {
+		t.Fatal("the lost task was not respawned")
 	}
 	waitFor(t, "the second placement to run", func() bool { return count.Load() == 2 })
 }
@@ -106,9 +106,7 @@ func TestArrivalClearsInflightEntry(t *testing.T) {
 	for _, spec := range s0.HandleDeath(1) {
 		if s0.loc.PromisePending(spec.Promise) {
 			t.Errorf("task %d, queued here, is reported lost on rank 1", spec.ID)
-			if err := s0.Respawn(spec); err != nil {
-				t.Fatal(err)
-			}
+			s0.Recover(spec, 1)
 		}
 	}
 	release()

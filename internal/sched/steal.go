@@ -114,9 +114,9 @@ func (s *Scheduler) startQueue(workers int) {
 
 // StopQueue terminates the worker pool and waits for the workers to
 // exit (used by tests; systems normally live for the process
-// lifetime). It is idempotent. The last worker to return discards the
-// tasks still queued (dropQueued), with their enqueue spans ended so
-// the tracer reports no leaked spans.
+// lifetime). It is idempotent. The last worker to return drops the
+// tasks still queued (drop), with their enqueue spans ended so the
+// tracer reports no leaked spans.
 func (s *Scheduler) StopQueue() {
 	s.queue.stopOnce.Do(func() { close(s.queue.stop) })
 	s.queue.wg.Wait()
@@ -127,19 +127,14 @@ func (s *Scheduler) StopQueue() {
 // mid-task (their in-flight RPCs fail once the locality closes).
 func (s *Scheduler) AbortQueue() {
 	s.queue.stopOnce.Do(func() { close(s.queue.stop) })
-	s.dropQueued(s.drainQueues())
+	s.drop(s.drainQueues())
 }
 
-// dropQueued fails the futures of discarded tasks that never left this
-// rank, in place: nothing else knows them. A task that did leave its
-// rank has a named future, which its owner's Close, or recovery,
-// resolves.
-func (s *Scheduler) dropQueued(ts []*task) {
+// drop makes tasks a stopping queue took out leave (leave.go says what
+// becomes of their futures).
+func (s *Scheduler) drop(ts []*task) {
 	for _, t := range ts {
-		s.endCarried(t)
-		if !t.named() {
-			t.fut.Fulfill(nil, fmt.Errorf("sched: rank %d stopped with task %d queued", s.Rank(), t.spec.ID))
-		}
+		s.leave(t, failed(fmt.Errorf("sched: rank %d stopped with task %d queued", s.Rank(), t.spec.ID)))
 	}
 }
 
@@ -184,7 +179,7 @@ func (s *Scheduler) enqueueAt(w int, t *task) {
 	q.deques[w].pushTail(t)
 	s.queued.Add(1)
 	if q.live.Load() == 0 {
-		s.dropQueued(s.takeQueued(1, func(spec *TaskSpec) bool { return spec == &t.spec }))
+		s.drop(s.takeQueued(1, func(spec *TaskSpec) bool { return spec == &t.spec }))
 		return
 	}
 	q.wakeIdle()
@@ -211,9 +206,6 @@ func (s *Scheduler) grant(thief int) {
 	}
 	s.stats.stolenFrom.Add(uint64(len(batch)))
 	s.stats.stealBatch.ObserveValue(uint64(len(batch)))
-	for _, t := range batch {
-		s.endCarried(t)
-	}
 	s.ship(thief, true, batch...)
 }
 
@@ -239,14 +231,6 @@ func (s *Scheduler) stealable(spec *TaskSpec) bool {
 		cov, err := s.mgr.Coverage(rq.Item)
 		return err == nil && !cov.Intersect(rq.Region).IsEmpty()
 	})
-}
-
-// NeedsData reports whether the task's kind declares any non-empty
-// requirement for its arguments. It is the recovery rule (DESIGN.md
-// §6c): a crash loses the dead rank's fragments, so of the tasks lost
-// with it only those that need no data can be run again as they are.
-func (s *Scheduler) NeedsData(spec *TaskSpec) bool {
-	return s.anyReq(spec, func(dim.Requirement) bool { return true })
 }
 
 // anyReq reports whether match selects one of the non-empty
@@ -299,19 +283,14 @@ func (s *Scheduler) worker(w int) {
 	defer s.queue.wg.Done()
 	defer func() {
 		if s.queue.live.Add(-1) == 0 {
-			s.dropQueued(s.drainQueues())
+			s.drop(s.drainQueues())
 		}
 	}()
 	th := &s.queue.thieves[w]
 	th.rng = rand.New(rand.NewSource(int64(s.Rank())*1669 + int64(w)))
 	th.bo = backoff.New(remoteStealBase, remoteStealMax, int64(s.Rank())*7919+int64(w))
 	th.bo.Saturate()
-	for {
-		select {
-		case <-s.queue.stop:
-			return
-		default:
-		}
+	for !s.stopping() {
 		if t := s.popLocal(w); t != nil {
 			s.runQueued(t, w)
 		} else if s.park(w, s.queue.stop) {
