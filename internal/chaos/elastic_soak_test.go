@@ -12,6 +12,7 @@ import (
 	"allscale/internal/dataitem"
 	"allscale/internal/dim"
 	"allscale/internal/recovery"
+	"allscale/internal/region"
 	"allscale/internal/runtime"
 	"allscale/internal/sched"
 	"allscale/internal/transport"
@@ -85,6 +86,8 @@ func elasticSoakOnce(t *testing.T, seed int64) {
 		t.Logf("chaos trace written to %s", out)
 	})
 	app := stencil.NewAllScale(sys, p)
+	scratch := dataitem.NewGridType[float64]("soak.scratch", region.Point{8, 8})
+	sys.RegisterType(scratch)
 	sys.Start()
 	coord := recovery.Attach(sys, recovery.Options{})
 
@@ -99,10 +102,20 @@ func elasticSoakOnce(t *testing.T, seed int64) {
 	}
 
 	// Mid-run membership change under live chaos: retire a member
-	// gracefully, then admit the latent spare.
-	if err := coord.Drain(drained); err != nil {
+	// gracefully, then admit the latent spare. Meanwhile a job creates,
+	// writes, reads and destroys items (DESIGN.md §6f "A lazy catalog").
+	stop, jobDone := make(chan struct{}), make(chan error, 1)
+	jobs := 0
+	go func() { jobDone <- itemJobs(sys, scratch, stop, &jobs) }()
+	err := coord.Drain(drained)
+	close(stop)
+	if err != nil {
 		t.Fatalf("seed %d: drain rank %d: %v", seed, drained, err)
 	}
+	if err := <-jobDone; err != nil {
+		t.Fatalf("seed %d: a job creating items during the drain: %v", seed, err)
+	}
+	t.Logf("seed %d: %d item jobs ran during the drain", seed, jobs)
 	if sys.Locality(drained).Peer(drained) != runtime.Departed {
 		t.Fatalf("seed %d: drained rank did not depart", seed)
 	}
@@ -211,5 +224,43 @@ func elasticSoakOnce(t *testing.T, seed int64) {
 	if len(rep.Drained) != 1 || rep.Drained[0] != drained ||
 		len(rep.Joined) != 1 || rep.Joined[0] != joined {
 		t.Fatalf("seed %d: report = drained %v joined %v", seed, rep.Drained, rep.Joined)
+	}
+}
+
+// itemJobs runs jobs until stop is closed, and at least one, counting
+// them in *done: each creates an item at rank 2, writes it there, reads
+// it back at rank 3 and destroys it.
+func itemJobs(sys *core.System, typ *dataitem.GridType[float64], stop <-chan struct{}, done *int) error {
+	full := dataitem.Region(typ.FullRegion())
+	for job := uint64(1); ; job++ {
+		id, err := sys.Manager(2).CreateItem(typ)
+		if err != nil {
+			return err
+		}
+		tok := 0x50AC<<32 | job
+		if err := sys.Manager(2).Acquire(tok, []dim.Requirement{{Item: id, Region: full, Mode: dim.Write}}); err != nil {
+			return fmt.Errorf("job %d: write: %w", job, err)
+		}
+		frag, _ := sys.Manager(2).Fragment(id)
+		frag.(*dataitem.GridFragment[float64]).Set(region.Point{3, 3}, float64(job))
+		sys.Manager(2).Release(tok)
+		if err := sys.Manager(3).Acquire(tok, []dim.Requirement{{Item: id, Region: full, Mode: dim.Read}}); err != nil {
+			return fmt.Errorf("job %d: read: %w", job, err)
+		}
+		frag, _ = sys.Manager(3).Fragment(id)
+		got := frag.(*dataitem.GridFragment[float64]).At(region.Point{3, 3})
+		sys.Manager(3).Release(tok)
+		if got != float64(job) {
+			return fmt.Errorf("job %d: read %v at rank 3, want %d", job, got, job)
+		}
+		if err := sys.Manager(2).DestroyItem(id); err != nil {
+			return err
+		}
+		*done++
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
 	}
 }

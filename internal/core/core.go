@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -154,6 +155,16 @@ func (s *System) Size() int { return len(s.mgrs) }
 
 // Manager returns the data item manager of the given locality.
 func (s *System) Manager(rank int) *dim.Manager { return s.mgrs[rank] }
+
+// Items returns, in ID order, the items any rank has met (dim's catalog).
+func (s *System) Items() []dim.ItemID {
+	var out []dim.ItemID
+	for _, m := range s.mgrs {
+		out = append(out, m.Items()...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
 
 // Scheduler returns the scheduler of the given locality.
 func (s *System) Scheduler(rank int) *sched.Scheduler { return s.scheds[rank] }

@@ -17,16 +17,17 @@ import (
 	"allscale/internal/runtime"
 )
 
-// ItemID globally identifies a data item: the creating rank in the
-// upper 32 bits, a creator-local sequence number in the lower 32.
+// ItemID globally identifies a data item: the creating rank in the top
+// 16 bits, its type's code (dataitem.TypeCode) in the next 16, and a
+// creator-local sequence number in the lower 32.
 type ItemID uint64
 
 // MakeItemID composes an item ID.
-func MakeItemID(rank int, seq uint32) ItemID {
-	return ItemID(uint64(uint32(rank))<<32 | uint64(seq))
+func MakeItemID(rank int, code uint16, seq uint32) ItemID {
+	return ItemID(uint64(uint16(rank))<<48 | uint64(code)<<32 | uint64(seq))
 }
 
-func (id ItemID) String() string { return fmt.Sprintf("d%d.%d", uint64(id)>>32, uint32(id)) }
+func (id ItemID) String() string { return fmt.Sprintf("d%d.%d", id>>48, uint32(id)) }
 
 // Mode distinguishes read-only from read/write data requirements
 // (Definition 2.7).
@@ -158,6 +159,8 @@ type Manager struct {
 	items  map[ItemID]*itemState
 	seq    uint32
 	pinSeq uint64 // pin token sequence (guarded by mu)
+	// destroyed fences the items destroyed here (guarded by mu).
+	destroyed fence
 	// held maps the token of a local write acquisition to the replicas
 	// its drops left pinned at their holders, and a shipped task's token
 	// to the pins its origin carried for it (TakeCarried); Release

@@ -1,7 +1,9 @@
 package dim
 
 import (
+	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +67,9 @@ func TestHierarchyGeometry(t *testing.T) {
 	}
 }
 
+// TestCreateAndDestroyItem: every rank knows a new item, with no
+// coverage, as soon as a request names it; a destroyed one is gone at
+// once at the destroying rank, and at the others once its notice lands.
 func TestCreateAndDestroyItem(t *testing.T) {
 	typ := dataitem.NewGridType[float64]("field", p(16, 16))
 	ts := newTestSystem(t, 4, typ)
@@ -72,7 +77,6 @@ func TestCreateAndDestroyItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All ranks know the item with empty coverage.
 	for r, m := range ts.managers {
 		cov, err := m.Coverage(id)
 		if err != nil {
@@ -85,8 +89,25 @@ func TestCreateAndDestroyItem(t *testing.T) {
 	if err := ts.managers[2].DestroyItem(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ts.managers[0].Coverage(id); err == nil {
-		t.Fatal("destroyed item still known")
+	if _, err := ts.managers[2].Coverage(id); !errors.Is(err, errDestroyed) {
+		t.Fatalf("destroyed item at the destroying rank: %v", err)
+	}
+	noticesLanded(t, ts.sys.Locality(2))
+	for r, m := range ts.managers {
+		if _, err := m.Coverage(id); !errors.Is(err, errDestroyed) {
+			t.Fatalf("rank %d: destroyed item still known (%v)", r, err)
+		}
+	}
+}
+
+// noticesLanded waits until every ack-only call of loc has been acked:
+// the handlers of its notices have run.
+func noticesLanded(t testing.TB, loc *runtime.Locality) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); loc.PendingCalls() != 0; goruntime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d: %d calls still unacked", loc.Rank(), loc.PendingCalls())
+		}
 	}
 }
 
@@ -599,7 +620,7 @@ func TestTreeItemDistribution(t *testing.T) {
 }
 
 func TestItemIDFormatting(t *testing.T) {
-	id := MakeItemID(3, 7)
+	id := MakeItemID(3, 0, 7)
 	if got := fmt.Sprint(id); got != "d3.7" {
 		t.Fatalf("String = %q", got)
 	}

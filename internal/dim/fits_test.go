@@ -93,8 +93,8 @@ func TestMisshapenReplyIsRefused(t *testing.T) {
 	reg := dataitem.NewRegistry()
 	reg.MustRegister(grid)
 	m := New(sys.Locality(1), reg)
-	id := MakeItemID(1, 1)
-	if _, err := m.handleCreate(1, &createArgs{ID: id, TypeName: grid.Name()}); err != nil {
+	id, err := m.CreateItem(grid)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Rank 1 holds the root copy of the right half, so the algebra has

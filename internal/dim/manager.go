@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"allscale/internal/dataitem"
@@ -14,7 +15,6 @@ import (
 )
 
 const (
-	methodCreate  = "dim.create"
 	methodDestroy = "dim.destroy"
 	methodReport  = "dim.report"
 	methodFetch   = "dim.fetch"
@@ -27,7 +27,6 @@ const (
 )
 
 func (m *Manager) registerServices() {
-	m.loc.Handle(methodCreate, rpc(m.handleCreate))
 	m.loc.Handle(methodDestroy, rpc(m.handleDestroy))
 	m.loc.Handle(methodReport, rpc(m.handleReport))
 	m.loc.Handle(methodFetch, rpc(m.handleFetch))
@@ -58,75 +57,103 @@ func rpc[A any, R any](fn func(from int, args *A) (*R, error)) func(int, []byte)
 // Item lifecycle
 // ---------------------------------------------------------------
 
-// CreateItem introduces a new data item of the given registered type
-// to all processes of the system and returns its global ID
-// ((create) transition). No memory is allocated yet.
+// CreateItem returns the global ID of a new data item of the given
+// registered type ((create) transition). Nothing is sent: a rank makes
+// the item's state where a request first names it (itemLocked).
 func (m *Manager) CreateItem(typ dataitem.Type) (ItemID, error) {
 	if _, err := m.reg.Lookup(typ.Name()); err != nil {
 		return 0, fmt.Errorf("dim: create of unregistered type: %w", err)
 	}
 	m.mu.Lock()
-	m.seq++
-	id := MakeItemID(m.Rank(), m.seq)
-	m.mu.Unlock()
-	args := &createArgs{ID: id, TypeName: typ.Name()}
-	for rank := 0; rank < m.size(); rank++ {
-		// Latent ranks are included — their catalogs stay in sync so a
-		// later join finds every item registered — but dead and departed
-		// ranks are gone for good.
-		if m.loc.Peer(rank).Gone() {
-			continue
-		}
-		if err := m.loc.Call(rank, methodCreate, args, nil, m.ctlOpt()); err != nil {
-			return 0, fmt.Errorf("dim: create at rank %d: %w", rank, err)
-		}
-	}
-	return id, nil
-}
-
-func (m *Manager) handleCreate(_ int, args *createArgs) (*struct{}, error) {
-	typ, err := m.reg.Lookup(args.TypeName)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.items[args.ID]; dup {
-		return nil, fmt.Errorf("dim: item %v already exists", args.ID)
-	}
-	m.items[args.ID] = newItemState(typ)
-	return &struct{}{}, nil
+	m.seq++
+	id := MakeItemID(m.Rank(), dataitem.TypeCode(typ.Name()), m.seq)
+	_, err := m.itemLocked(id)
+	return id, err
 }
 
-// DestroyItem removes the data item from all processes, releasing its
-// fragments and locks ((destroy) transition).
+// DestroyItem removes the data item ((destroy) transition): here at
+// once, at every other rank when its ack-only dim.destroy notice lands.
+// Nobody waits for the notices.
 func (m *Manager) DestroyItem(id ItemID) error {
 	args := &destroyArgs{ID: id}
+	if _, err := m.handleDestroy(m.Rank(), args); err != nil {
+		return err
+	}
 	for rank := 0; rank < m.size(); rank++ {
-		if m.loc.Peer(rank).Gone() {
-			continue
-		}
-		if err := m.loc.Call(rank, methodDestroy, args, nil, m.ctlOpt()); err != nil {
-			return fmt.Errorf("dim: destroy at rank %d: %w", rank, err)
+		if rank != m.Rank() && !m.loc.Peer(rank).Gone() {
+			m.loc.CallAsync(rank, methodDestroy, args, m.ctlOpt(), runtime.AckOnly())
 		}
 	}
 	return nil
 }
 
+// handleDestroy forgets the item here and fences it, so that a late
+// request naming it finds it destroyed.
 func (m *Manager) handleDestroy(_ int, args *destroyArgs) (*struct{}, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if _, err := m.typeOfLocked(args.ID); err != nil && !errors.Is(err, errDestroyed) {
+		return nil, err
+	}
 	delete(m.items, args.ID)
+	m.destroyed = m.destroyed.add(args.ID)
 	m.wakeLocked()
 	return &struct{}{}, nil
 }
 
+// errDestroyed marks a request naming an item destroyed here.
+var errDestroyed = errors.New("destroyed")
+
+// itemLocked returns the state of item id, made the first time a request
+// names the item here (DESIGN.md §6f "A lazy catalog").
 func (m *Manager) itemLocked(id ItemID) (*itemState, error) {
-	st, ok := m.items[id]
-	if !ok {
-		return nil, fmt.Errorf("dim: unknown item %v at rank %d", id, m.Rank())
+	if st, ok := m.items[id]; ok {
+		return st, nil
 	}
-	return st, nil
+	typ, err := m.typeOfLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	m.items[id] = newItemState(typ)
+	return m.items[id], nil
+}
+
+// typeOfLocked returns the type item id names, unless it was destroyed or
+// the ID names no rank or no registered type: such an item cannot exist.
+func (m *Manager) typeOfLocked(id ItemID) (dataitem.Type, error) {
+	if m.destroyed.has(id) {
+		return nil, fmt.Errorf("dim: item %v at rank %d: %w", id, m.Rank(), errDestroyed)
+	}
+	if int(id>>48) >= m.size() {
+		return nil, fmt.Errorf("dim: item %v names no rank of %d", id, m.size())
+	}
+	return m.reg.ByCode(uint16(id >> 32))
+}
+
+// fence holds the destroyed items as sorted, disjoint ranges [lo, hi) of
+// their IDs less the type code. Items die in about the order they are
+// made: a range per creator, and one per gap a live item leaves.
+type fence [][2]uint64
+
+func (f fence) has(id ItemID) bool {
+	k := uint64(id) &^ (0xffff << 32)
+	i := sort.Search(len(f), func(i int) bool { return f[i][1] > k })
+	return i < len(f) && f[i][0] <= k
+}
+
+func (f fence) add(id ItemID) fence {
+	k := uint64(id) &^ (0xffff << 32)
+	i := sort.Search(len(f), func(i int) bool { return f[i][1] >= k })
+	if i == len(f) || f[i][0] > k+1 {
+		return slices.Insert(f, i, [2]uint64{k, k + 1})
+	}
+	f[i] = [2]uint64{min(f[i][0], k), max(f[i][1], k+1)}
+	if i+1 < len(f) && f[i+1][0] == f[i][1] { // k closed the gap
+		f[i][1] = f[i+1][1]
+		f = slices.Delete(f, i+1, i+2)
+	}
+	return f
 }
 
 // itemFits is itemLocked for a request naming region r of the item,
@@ -238,11 +265,11 @@ func (m *Manager) propagate(id ItemID, l int, total dataitem.Region, seq uint64)
 func (m *Manager) applyReport(id ItemID, level int, left bool, region dataitem.Region, seq uint64) (dataitem.Region, uint64, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, ok := m.items[id]
-	if !ok {
-		return nil, 0, false, nil // destroyed (reportUp)
+	st, err := m.itemFits(id, region)
+	if errors.Is(err, errDestroyed) {
+		return nil, 0, false, nil // reportUp
 	}
-	if err := st.fits(region); err != nil {
+	if err != nil {
 		return nil, 0, false, err
 	}
 	total, ver, fresh, shrunk := st.report(level, left, region, seq)

@@ -112,8 +112,8 @@ func (m *Manager) Epoch() uint64 {
 	return m.epoch
 }
 
-// Republish re-reports the leaf coverage of every item into the
-// (retracted) index, in item order for determinism.
+// Republish re-reports the leaf coverage of every item met here (one not
+// met has none) into the (retracted) index, in item order.
 func (m *Manager) Republish() error {
 	ids := m.Items()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

@@ -21,8 +21,8 @@ import (
 func (m *Manager) sharersOf(token uint64, id ItemID, r dataitem.Region) (sharers []Located, unrooted dataitem.Region) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, ok := m.items[id]
-	if !ok {
+	st, err := m.itemLocked(id)
+	if err != nil {
 		return nil, r
 	}
 	return m.notHeldLocked(token, id, st.sharers(r)), r.Difference(st.root)
@@ -241,8 +241,8 @@ func (m *Manager) SettleCarried(to int, cs []Carried) {
 // token and evictions. It refuses the frame, filing nothing, if one of
 // them does not fit its item. Each is applied like a drop's reply
 // (evicted), and its pin is filed as a claim of the task — unless the
-// part is not here and readable, when the claim yields at once. An item
-// this rank does not have is ignored.
+// part is not here and readable, when the claim yields at once. A
+// destroyed item is ignored, one not met here made (itemLocked).
 func (m *Manager) TakeCarried(from, n int, carried func(i int) (token uint64, cs []Carried)) error {
 	i := 0
 	for ; i < n; i++ {
@@ -257,9 +257,9 @@ func (m *Manager) TakeCarried(from, n int, carried func(i int) (token uint64, cs
 	for j := i; j < n; j++ {
 		_, cs := carried(j)
 		for _, c := range cs {
-			if st, ok := m.items[c.Item]; ok && st.fits(c.Kept) != nil {
+			if _, err := m.itemFits(c.Item, c.Kept); err != nil && !errors.Is(err, errDestroyed) {
 				m.mu.Unlock()
-				return fmt.Errorf("dim: carried eviction of %v: %w", c.Item, st.fits(c.Kept))
+				return fmt.Errorf("dim: carried eviction of %v: %w", c.Item, err)
 			}
 		}
 	}

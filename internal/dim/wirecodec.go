@@ -10,10 +10,6 @@ import (
 // wire form from the dataitem package.
 
 type (
-	createArgs struct {
-		ID       ItemID
-		TypeName string
-	}
 	destroyArgs struct {
 		ID ItemID
 	}
@@ -107,19 +103,6 @@ type (
 		Replies [][]Located // one per request
 	}
 )
-
-// AppendWire implements wire.Marshaler.
-func (a *createArgs) AppendWire(buf []byte) ([]byte, error) {
-	buf = wire.AppendUvarint(buf, uint64(a.ID))
-	return wire.AppendString(buf, a.TypeName), nil
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (a *createArgs) UnmarshalWire(d *wire.Decoder) error {
-	a.ID = ItemID(d.Uvarint())
-	a.TypeName = d.String()
-	return nil
-}
 
 // AppendWire implements wire.Marshaler.
 func (a *destroyArgs) AppendWire(buf []byte) ([]byte, error) {

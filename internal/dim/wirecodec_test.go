@@ -35,18 +35,18 @@ func headerSeeds() []wireForm {
 	tree := dataitem.Region(dataitem.TreeItemRegion{T: region.SubtreeRegion(5, 3)})
 	const token = 1<<63 | 1<<48 | 7
 	return []wireForm{
-		&dropArgs{Item: MakeItemID(1, 2), Region: row},
+		&dropArgs{Item: MakeItemID(1, 0, 2), Region: row},
 		&dropReply{},
 		&dropReply{Contended: true},
 		&dropReply{Root: row, Sharers: []Located{{Region: row, Rank: 3}, {Region: tree, Rank: 0}}},
 		&dropReply{Sharers: []Located{{Region: row, Rank: 2}}, Kept: row, PinToken: token},
-		&fetchArgs{Item: MakeItemID(0, 1), Region: tree},
+		&fetchArgs{Item: MakeItemID(0, 0, 1), Region: tree},
 		&fetchReply{Empty: true},
 		&fetchReply{Data: []byte{wire.FormatBinary, 1, 2, 3}, Part: row, PinToken: token},
 		&unpinArgs{Token: token},
 		&unpinArgs{Token: token, Data: bytes.Repeat([]byte{0x5a}, 62*8)},
-		&claimArgs{Item: MakeItemID(2, 9), Region: row, Alloc: true},
-		&claimArgs{Item: MakeItemID(2, 9), Region: tree, Root: true},
+		&claimArgs{Item: MakeItemID(2, 0, 9), Region: row, Alloc: true},
+		&claimArgs{Item: MakeItemID(2, 0, 9), Region: tree, Root: true},
 		&claimReply{},
 		&claimReply{Granted: row},
 	}
@@ -55,7 +55,6 @@ func headerSeeds() []wireForm {
 // argForms are the request and reply forms of every service of the
 // DIM, the recovery phases' among them: headerForms, then the rest.
 var argForms = append(headerForms[:len(headerForms):len(headerForms)],
-	func() wireForm { return new(createArgs) },
 	func() wireForm { return new(destroyArgs) },
 	func() wireForm { return new(reportArgs) },
 	func() wireForm { return new(batchArgs) },
@@ -67,12 +66,15 @@ func argSeeds() []wireForm {
 	row := dataitem.Region(gr(31, 1, 32, 63))
 	tree := dataitem.Region(dataitem.TreeItemRegion{T: region.SubtreeRegion(5, 3)})
 	return append(headerSeeds(),
-		&createArgs{ID: MakeItemID(1, 2), TypeName: "stencil.field"},
-		&destroyArgs{ID: MakeItemID(3, 4)},
-		&reportArgs{Item: MakeItemID(0, 1), Level: 3, Left: true, Region: row, Seq: 1<<32 | 7},
+		&destroyArgs{ID: MakeItemID(3, 0, 4)},
+		// IDs no rank may make an item for: a creator past any system's
+		// size, a type code nothing registers (itemLocked refuses both).
+		&destroyArgs{ID: MakeItemID(0xffff, 0, 4)},
+		&fetchArgs{Item: MakeItemID(0, 0xbeef, 3), Region: row},
+		&reportArgs{Item: MakeItemID(0, 0, 1), Level: 3, Left: true, Region: row, Seq: 1<<32 | 7},
 		&batchArgs{Reqs: []batchReq{
-			{Item: MakeItemID(0, 1), Region: row, Level: 2, Descend: true},
-			{Item: MakeItemID(2, 5), Region: tree, Level: 3, Descend: true, All: true},
+			{Item: MakeItemID(0, 0, 1), Region: row, Level: 2, Descend: true},
+			{Item: MakeItemID(2, 0, 5), Region: tree, Level: 3, Descend: true, All: true},
 		}},
 		&batchReply{Replies: [][]Located{{{Region: row, Rank: 1}, {Region: tree, Rank: 3}}, nil}},
 		&retractArgs{Epoch: 3},
@@ -146,8 +148,8 @@ func TestDIMArgsWireRoundTrip(t *testing.T) {
 }
 
 // FuzzDIMArgsUnmarshal is FuzzHeaderUnmarshal over the forms of every
-// DIM service (argForms): creation, destruction, index reports,
-// resolution batches and the recovery retraction too.
+// DIM service (argForms): destruction, index reports, resolution
+// batches and the recovery retraction too.
 func FuzzDIMArgsUnmarshal(f *testing.F) {
 	seedForms(f, argForms, argSeeds())
 	fuzzForms(f, argForms)

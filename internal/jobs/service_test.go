@@ -248,8 +248,14 @@ func TestCancelPendingAndRunning(t *testing.T) {
 		t.Errorf("cancelled job error = %q, want the sched cancellation sentinel", st.Error)
 	}
 
-	// No orphaned fragments: the per-job grid items are gone again.
+	// No orphaned fragments: the per-job grid items are gone again — at
+	// rank 0, which destroyed them, at once; at rank 1 once the destroy
+	// notices nobody waits for have landed.
 	for r := 0; r < sys.Size(); r++ {
+		deadline := time.Now().Add(5 * time.Second)
+		for r > 0 && len(sys.Manager(r).Items()) != baseline[r] && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
 		if got := len(sys.Manager(r).Items()); got != baseline[r] {
 			t.Errorf("rank %d holds %d items after cancel, want %d (orphaned fragments)",
 				r, got, baseline[r])

@@ -488,11 +488,8 @@ func (w *Workloads) runStencil(jc jobContext, params []byte) (result string, err
 	mgr := w.sys.Manager(0)
 	items := make([]dim.ItemID, 2)
 	for i := range items {
-		items[i], err = mgr.CreateItem(typ)
-		if err != nil {
-			for _, id := range items[:i] {
-				mgr.DestroyItem(id)
-			}
+		// Only an unregistered type fails a create, and the first one.
+		if items[i], err = mgr.CreateItem(typ); err != nil {
 			return "", fmt.Errorf("jobs: create stencil item: %w", err)
 		}
 	}

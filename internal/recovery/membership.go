@@ -165,7 +165,7 @@ func (c *Coordinator) Join(rank int) error {
 	// (it is the poorest rank — it owns nothing). The migrating fetches
 	// revoke stale locate-cache entries on the old owners as they go.
 	// Non-grid items warm lazily through demand fetches instead.
-	for _, id := range c.sys.Manager(members[0]).Items() {
+	for _, id := range c.sys.Items() {
 		if _, err := balance.RebalanceGrid(c.sys, id, balance.Options{Token: nextToken()}); err != nil {
 			continue
 		}
@@ -258,7 +258,7 @@ func (c *Coordinator) Drain(rank int) error {
 	// and shrinks the rank's published coverage as it goes. A replica the
 	// rank's tasks have read is not removed by the first acquisition but
 	// refreshed in place (DESIGN.md §6f); nothing reads it here any more,
-	// so the second one removes it.
+	// so the second one removes it. An item not met here has no fragment.
 	mgr := c.sys.Manager(rank)
 	next := 0
 	for _, id := range mgr.Items() {

@@ -51,15 +51,7 @@ type Checkpoint struct {
 func Capture(sys *core.System, items []dim.ItemID) (*Checkpoint, error) {
 	start := time.Now()
 	if items == nil {
-		seen := map[dim.ItemID]bool{}
-		for rank := 0; rank < sys.Size(); rank++ {
-			for _, id := range sys.Manager(rank).Items() {
-				if !seen[id] {
-					seen[id] = true
-					items = append(items, id)
-				}
-			}
-		}
+		items = sys.Items()
 	}
 	cp := &Checkpoint{Localities: sys.Size()}
 	for _, id := range items {

@@ -210,8 +210,9 @@ func TestRestoreRejectsMismatchedSystems(t *testing.T) {
 		t.Fatal("restore without created items must fail")
 	}
 
-	// The same item ID under another type: the checkpoint is not this
-	// system's.
+	// The same creator and sequence number under another type: the
+	// checkpoint is not this system's. The ID differs in its type code,
+	// which names no type this system has.
 	otherType := core.NewSystem(core.Config{Localities: 3})
 	other := core.DefineGrid[int](otherType, "cp.other", region.Point{24, 8})
 	otherType.Start()
@@ -219,8 +220,8 @@ func TestRestoreRejectsMismatchedSystems(t *testing.T) {
 	if err := other.Create(); err != nil {
 		t.Fatal(err)
 	}
-	if other.Item() != grid.Item() {
-		t.Fatalf("item IDs diverged: %v vs %v", other.Item(), grid.Item())
+	if other.Item().String() != grid.Item().String() || other.Item() == grid.Item() {
+		t.Fatalf("item IDs %v and %v: want one creator and sequence number, two types", other.Item(), grid.Item())
 	}
 	if err := restore(otherType, cp); err == nil {
 		t.Fatal("restore into an item of another type must fail")

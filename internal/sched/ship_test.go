@@ -217,8 +217,8 @@ func FuzzRunBatchUnmarshal(f *testing.F) {
 	granted.Variant, granted.Granted = VariantProcess, true
 	carrying := task
 	carrying.Variant, carrying.Carried = VariantProcess, []dim.Carried{
-		{Item: dim.MakeItemID(3, 1), Kept: dataitem.GridRegionFromTo(region.Point{0, 4}, region.Point{1, 60}), Token: 1<<63 | 3<<48 | 8},
-		{Item: dim.MakeItemID(0, 2), Kept: dataitem.GridRegionFromTo(region.Point{2}, region.Point{9}), Token: 1<<63 | 9},
+		{Item: dim.MakeItemID(3, 0, 1), Kept: dataitem.GridRegionFromTo(region.Point{0, 4}, region.Point{1, 60}), Token: 1<<63 | 3<<48 | 8},
+		{Item: dim.MakeItemID(0, 0, 2), Kept: dataitem.GridRegionFromTo(region.Point{2}, region.Point{9}), Token: 1<<63 | 9},
 	}
 	// 2^20 tasks claimed by a body of a few bytes: 128 MB at the parent.
 	f.Add(append(wire.AppendUvarint(nil, 1<<20), 0, 0, 0))
@@ -235,7 +235,7 @@ func TestRunBatchWireRoundTrip(t *testing.T) {
 			Promise: runtime.PromiseID{Owner: 1, Seq: 9}, Span: 5, Tenant: 2, Job: 3}, Variant: VariantSplit},
 		{Spec: TaskSpec{ID: 7, Kind: "count"}, Granted: true},
 		{Spec: TaskSpec{ID: 8, Kind: "paint"}, Carried: []dim.Carried{
-			{Item: dim.MakeItemID(1, 4), Kept: dataitem.GridRegionFromTo(region.Point{4, 0}, region.Point{5, 16}), Token: 1<<63 | 1<<48 | 6},
+			{Item: dim.MakeItemID(1, 0, 4), Kept: dataitem.GridRegionFromTo(region.Point{4, 0}, region.Point{5, 16}), Token: 1<<63 | 1<<48 | 6},
 		}},
 	}}
 	var out runBatch
