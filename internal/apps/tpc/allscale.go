@@ -114,21 +114,8 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 					return nil, err
 				}
 				mid := (la.Lo + la.Hi) / 2
-				lf, err := ctx.Spawn("tpc.load", &loadArgs{la.Lo, mid}, 0)
-				if err != nil {
-					return nil, err
-				}
-				rf, err := ctx.Spawn("tpc.load", &loadArgs{mid, la.Hi}, 1)
-				if err != nil {
-					lf.Wait() // an error return implies a quiesced subtree (core/pfor.go)
-					return nil, err
-				}
-				_, lerr := lf.Wait()
-				_, rerr := rf.Wait()
-				if lerr != nil {
-					return nil, lerr
-				}
-				return nil, rerr
+				_, _, err := ctx.Fork("tpc.load", &loadArgs{la.Lo, mid}, &loadArgs{mid, la.Hi})
+				return nil, err
 			},
 			Reqs: func(args []byte) []dim.Requirement {
 				var la loadArgs

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -365,13 +367,15 @@ func TestPForRangeBody(t *testing.T) {
 // nothing leaves the rank: a requirement-free pfor tree of 127 tasks (63
 // splits, 64 leaves) on one worker of one locality is a depth-first
 // recursion on that worker's stack, and what it allocates is what spawn,
-// split and join bookkeeping allocate. PR 22's parent — a goroutine, a
-// channel and a sync.Map entry per task — needed 2 249, PR 25's parent
-// 1 524 and PR 32's parent — a spec, a future, a promise-table entry and
-// a context per task, a split's Ranges — 892. Now a task is one object,
-// a split's two children share one argument buffer, a leaf's bounds and
-// cursor one allocation, and no promise is named: 259, and the bound is
-// that plus 3 %.
+// split and join bookkeeping allocate. A goroutine, a channel and a
+// sync.Map entry per task once needed 2 249 a tree; a spec, a future, a
+// promise-table entry and a context per task, and a split's Ranges, 892;
+// a task object per child 259 (52.6 KB). Now a split's two children
+// live in one fork frame that the worker reuses once both have settled,
+// so a tree allocates no task for a child; a split's two children share
+// one argument buffer, a leaf's bounds and cursor one allocation, and no
+// promise is named: 133 (12.5 KB, logged), and the bound is that plus
+// 3 %.
 func TestLocalTreeAllocs(t *testing.T) {
 	sys := NewSystem(Config{Localities: 1, Workers: 1, Policy: &sched.DefaultPolicy{ExtraDepth: 6}})
 	defer sys.Close()
@@ -389,7 +393,10 @@ func TestLocalTreeAllocs(t *testing.T) {
 		}
 	}
 	executed, splits := sys.CounterSum(sched.MetricExecuted), sys.CounterSum(sched.MetricSplits)
+	var mem [2]goruntime.MemStats
+	goruntime.ReadMemStats(&mem[0])
 	allocs := testing.AllocsPerRun(runs, tree)
+	goruntime.ReadMemStats(&mem[1])
 	trees := uint64(runs + 1) // AllocsPerRun warms up with one run more
 	if got := sys.CounterSum(sched.MetricExecuted) - executed; got != 127*trees {
 		t.Fatalf("%d tasks in %d trees, want 127 each", got, trees)
@@ -403,9 +410,10 @@ func TestLocalTreeAllocs(t *testing.T) {
 	if got := sys.CounterSum(runtime.MetricPromisesNamed); got != 0 {
 		t.Fatalf("%d promises named in %d trees on one locality, want 0", got, trees)
 	}
-	t.Logf("%.0f allocations per 127-task tree (%.1f per task)", allocs, allocs/127)
-	if allocs > 267 {
-		t.Fatalf("%.0f allocations per 127-task tree, want at most 267", allocs)
+	t.Logf("%.0f allocations, %.1f KB per 127-task tree (%.1f allocations per task)",
+		allocs, float64(mem[1].TotalAlloc-mem[0].TotalAlloc)/float64(trees)/1000, allocs/127)
+	if allocs > 137 {
+		t.Fatalf("%.0f allocations per 127-task tree, want at most 137", allocs)
 	}
 }
 
@@ -442,6 +450,108 @@ func TestTreeNamesOnlyDepartingPromises(t *testing.T) {
 		} else if named > placed+granted {
 			t.Fatalf("a tree with %d grants and %d remote placements named %d promises", granted, placed, named)
 		}
+	}
+}
+
+// TestSpawnTreeProtocolCounts pins what one spawn tree — the benchmark's
+// spawn-tree op: a requirement-free pfor of 127 tasks, DefaultPolicy's
+// five extra levels, one worker on each of 2 localities over TCP —
+// costs when nothing is stolen: 127 tasks and 63 splits, one named
+// promise (the half shipped to rank 1), one sched.runb and one
+// runtime.fulfill call that nobody awaits (their acks ride on each
+// other's frames), two frames, and the objects the tree allocates on
+// both ranks: the fewest of three batches, as idle workers' probes and
+// the collector only add. With a task allocated per child a tree needed
+// 308; with fork frames reused it is 182, and 187–193 under -race, which
+// drops pooled objects at random. The bound is that plus 3 %.
+func TestSpawnTreeProtocolCounts(t *testing.T) {
+	eps, err := transport.NewTCPLoopback(2, transport.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(Config{Endpoints: eps, Workers: 1, Policy: &sched.DefaultPolicy{ExtraDepth: 5}})
+	defer sys.Close()
+	RegisterPFor(sys, PForSpec{Name: "leaf", MinGrain: 1, Body: func(*sched.Ctx, region.Point, []byte) {}})
+	sys.Start()
+	tree := func() {
+		if err := sys.PFor("leaf", region.Point{0}, region.Point{4096}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 100 {
+		tree()
+	}
+	hist := func(name string) (n uint64) {
+		for r := 0; r < sys.Size(); r++ {
+			n += sys.Metrics(r).Histogram(name).Snapshot().Count
+		}
+		return n
+	}
+	type reading struct{ tasks, splits, named, calls, runb, awaited, frames, sent, received, granted uint64 }
+	read := func() reading {
+		return reading{
+			tasks: sys.CounterSum(sched.MetricExecuted), splits: sys.CounterSum(sched.MetricSplits),
+			named: sys.CounterSum(runtime.MetricPromisesNamed), calls: sys.CounterSum(runtime.MetricRPCCalls),
+			runb: hist(sched.MetricShipBatch), awaited: hist(runtime.MetricRPCRoundtrip),
+			// The frames of calls and replies: steal probes are one-way
+			// messages, and an rpc.acks frame carries acks that found no
+			// frame to ride on.
+			frames:   sys.CounterSum(transport.MetricMsgsSent) - sys.CounterSum(runtime.MetricRPCOneWays) - sys.CounterSum(runtime.MetricRPCAckFrames),
+			sent:     sys.CounterSum(transport.MetricMsgsSent),
+			received: sys.CounterSum(transport.MetricMsgsReceived),
+			granted:  sys.CounterSum(sched.MetricStolenFrom),
+		}
+	}
+	// The counts are read once every frame sent has arrived and two
+	// readings 1 ms apart agree: the last fulfilment may be on its way.
+	settled := func() reading {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			a := read()
+			time.Sleep(time.Millisecond)
+			if b := read(); a == b && a.sent == a.received {
+				return a
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the counts do not settle")
+			}
+		}
+	}
+	// A batch in which a worker was granted tasks ran more than a tree's
+	// protocol: it does not count.
+	const runs, batches = 50, 3
+	allocs := math.Inf(1)
+	for attempt, clean := 0, 0; clean < batches; attempt++ {
+		if attempt == 20 {
+			t.Fatalf("%d of 20 batches of trees ran without a steal, want %d", clean, batches)
+		}
+		before := settled()
+		batch := testing.AllocsPerRun(runs, tree)
+		after := settled()
+		if after.granted != before.granted {
+			continue
+		}
+		clean++
+		allocs = min(allocs, batch)
+		trees := float64(runs + 1) // AllocsPerRun warms up with one run more
+		per := func(a, b uint64) float64 { return float64(b-a) / trees }
+		tasks, splits, named := per(before.tasks, after.tasks), per(before.splits, after.splits), per(before.named, after.named)
+		runb, fulfill := per(before.runb, after.runb), per(before.calls, after.calls)-per(before.runb, after.runb)
+		awaited, frames := per(before.awaited, after.awaited), per(before.frames, after.frames)
+		t.Logf("per tree: %.0f tasks, %.0f splits, %.0f named; %.2f sched.runb and %.2f runtime.fulfill calls, %.2f awaited, in %.2f frames; %.0f allocations",
+			tasks, splits, named, runb, fulfill, awaited, frames, batch)
+		if tasks != 127 || splits != 63 || named != 1 {
+			t.Errorf("per tree: %v tasks, %v splits, %v promises named, want 127, 63 and 1", tasks, splits, named)
+		}
+		if runb != 1 || fulfill != 1 || awaited != 0 {
+			t.Errorf("per tree: %v sched.runb and %v runtime.fulfill calls, %v awaited, want 1, 1 and 0", runb, fulfill, awaited)
+		}
+		if frames != 2 {
+			t.Errorf("per tree: %v frames, want 2", frames)
+		}
+	}
+	if allocs > 199 {
+		t.Errorf("%.0f allocations per tree, want at most 199", allocs)
 	}
 }
 

@@ -55,30 +55,29 @@ func (r Range) span(d, lo, hi int) Range {
 
 // ForEach invokes fn for every point of the range in row-major order;
 // fn must not retain the point.
-func (r Range) ForEach(fn func(p region.Point)) { r.forEach(make(region.Point, len(r.Lo)), fn) }
-
-// forEach is ForEach over the cursor p, a point of the range's
-// dimension that it overwrites.
-func (r Range) forEach(p region.Point, fn func(p region.Point)) {
-	if r.Volume() == 0 {
-		return
-	}
+func (r Range) ForEach(fn func(p region.Point)) {
+	p, last := make(region.Point, len(r.Lo)), len(r.Lo)-1
 	copy(p, r.Lo)
-	for {
-		fn(p)
-		d := len(p) - 1
-		for d >= 0 {
-			p[d]++
-			if p[d] < r.Hi[d] {
-				break
-			}
-			p[d] = r.Lo[d]
-			d--
-		}
-		if d < 0 {
-			return
+	for row := r.Volume() > 0; row; row = r.nextRow(p) {
+		for ; p[last] < r.Hi[last]; p[last]++ {
+			fn(p)
 		}
 	}
+}
+
+// nextRow moves the cursor p, a point of the range past the end of a
+// row, to the start of the next — a carry into the outer dimensions —
+// and reports whether there is one.
+func (r Range) nextRow(p region.Point) bool {
+	d := len(p) - 1
+	p[d] = r.Lo[d]
+	for d--; d >= 0; d-- {
+		if p[d]++; p[d] < r.Hi[d] {
+			return true
+		}
+		p[d] = r.Lo[d]
+	}
+	return false
 }
 
 func (r Range) String() string { return r.Lo.String() + ".." + r.Hi.String() }
@@ -121,10 +120,9 @@ type PForSpec struct {
 
 // RegisterPFor installs a pfor call site as a task kind with a
 // sequential (process) and a parallel (split) variant — the two
-// variants of Example 2.3. The split queues its right half and runs
-// its left half at once where placement keeps it (sched.Ctx.Call), then
-// joins the right half helping (sched.Ctx.Spawn). Must run before
-// System.Start.
+// variants of Example 2.3. The split forks its two halves
+// (sched.Ctx.Fork); a per-point body runs in a loop over each row of the
+// leaf's range. Must run before System.Start.
 func RegisterPFor(sys *System, spec PForSpec) {
 	if (spec.Body == nil) == (spec.RangeBody == nil) {
 		panic(fmt.Sprintf("core: pfor %q must set exactly one of Body and RangeBody", spec.Name))
@@ -145,23 +143,8 @@ func RegisterPFor(sys *System, spec PForSpec) {
 				if err != nil {
 					return nil, err
 				}
-				// The right half is queued first: at the head of the
-				// deque, a sibling worker or a peer's thief finds the
-				// larger subtree. The left half runs on this stack.
-				rf, err := ctx.Spawn(spec.Name, &kids.args[1], 1)
-				if err != nil {
-					return nil, err
-				}
-				_, lerr := ctx.Call(spec.Name, &kids.args[0], 0)
-				// The right half is waited for even after an error, so an
-				// error return still implies the whole subtree has
-				// quiesced (recovery rolls back data only after the wave
-				// unwound).
-				_, rerr := rf.Wait()
-				if lerr != nil {
-					return nil, lerr
-				}
-				return nil, rerr
+				_, _, err = ctx.Fork(spec.Name, &kids.args[0], &kids.args[1])
+				return nil, err
 			},
 			Reqs: func(args []byte) []dim.Requirement {
 				if spec.Reqs == nil {
@@ -180,8 +163,15 @@ func RegisterPFor(sys *System, spec PForSpec) {
 				}
 				if spec.RangeBody != nil {
 					spec.RangeBody(ctx, a.R, a.Extra)
-				} else {
-					a.R.forEach(a.cursor, func(p region.Point) { spec.Body(ctx, p, a.Extra) })
+					return nil, nil
+				}
+				// ForEach over the decoded cursor, calling the body directly.
+				p, last := a.cursor, len(a.cursor)-1
+				copy(p, a.R.Lo)
+				for row := a.R.Volume() > 0; row; row = a.R.nextRow(p) {
+					for ; p[last] < a.R.Hi[last]; p[last]++ {
+						spec.Body(ctx, p, a.Extra)
+					}
 				}
 				return nil, nil
 			},

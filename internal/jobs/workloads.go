@@ -219,26 +219,19 @@ func RegisterWorkloads(sys *core.System, cfg WorkloadConfig) *Workloads {
 				if err := ctx.Args(&a); err != nil {
 					return nil, err
 				}
-				child := dagArgs{Levels: a.Levels - 1, Spin: a.Spin}
-				child.Seed = a.Seed * 2
-				lf, err := ctx.Spawn(kindDag, &child, 0)
+				left := dagArgs{Levels: a.Levels - 1, Spin: a.Spin, Seed: a.Seed * 2}
+				right := left
+				right.Seed++
+				lb, rb, err := ctx.Fork(kindDag, &left, &right)
 				if err != nil {
-					return nil, err
-				}
-				child.Seed = a.Seed*2 + 1
-				rf, err := ctx.Spawn(kindDag, &child, 1)
-				if err != nil {
-					lf.Wait()
 					return nil, err
 				}
 				var l, r uint64
-				lerr := lf.WaitInto(&l)
-				rerr := rf.WaitInto(&r)
-				if lerr != nil {
-					return nil, lerr
+				if err := wire.Decode(lb, &l); err != nil {
+					return nil, err
 				}
-				if rerr != nil {
-					return nil, rerr
+				if err := wire.Decode(rb, &r); err != nil {
+					return nil, err
 				}
 				return l + r, nil
 			},

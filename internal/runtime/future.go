@@ -13,8 +13,9 @@ import (
 // remote locality. Futures model the treeture-style task results of
 // the AllScale API.
 type Future struct {
-	mu   sync.Mutex
-	done atomic.Bool
+	mu      sync.Mutex
+	done    atomic.Bool
+	settled atomic.Bool // see Settled
 	// ch is made by the first waiter that has to block (Ready): a future
 	// fulfilled first — a child its spawner ran inline — never has one.
 	ch    chan struct{}
@@ -38,11 +39,12 @@ type WaitHelper interface {
 // before the future is handed to the goroutine that waits on it.
 func (f *Future) SetWaitHelper(h WaitHelper) { f.helper = h }
 
-// fulfill delivers the value; subsequent calls are ignored.
+// fulfill delivers the value; subsequent calls are ignored. It settles
+// f last.
 func (f *Future) fulfill(value []byte, err error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.done.Load() {
+		f.mu.Unlock()
 		return
 	}
 	f.value, f.err = value, err
@@ -50,6 +52,8 @@ func (f *Future) fulfill(value []byte, err error) {
 	if f.ch != nil {
 		close(f.ch)
 	}
+	f.mu.Unlock()
+	f.settled.Store(true)
 }
 
 // Fulfill resolves an unnamed future (see NamePromise) in place with
@@ -92,6 +96,10 @@ func (f *Future) Ready() <-chan struct{} {
 
 // Done reports fulfilment without blocking.
 func (f *Future) Done() bool { return f.done.Load() }
+
+// Settled reports that the future is fulfilled and its fulfiller has
+// let go of it: a waiter that sees it may reuse the future's memory.
+func (f *Future) Settled() bool { return f.settled.Load() }
 
 // WaitInto decodes the fulfilled value into out.
 func (f *Future) WaitInto(out any) error {

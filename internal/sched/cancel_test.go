@@ -146,7 +146,11 @@ func TestCancelJobPurgesQueuesAndRegistries(t *testing.T) {
 		t.Fatalf("tenant cancelled counter = %d, want 8", got)
 	}
 
-	// Stragglers (e.g. arriving via a shipped batch) die at the gate.
+	// Stragglers (e.g. arriving via a shipped batch) die at the gate. It
+	// runs as worker 0 from the test's goroutine, which is sound only
+	// because worker 0 sits in a gate task, forking nothing, and the
+	// straggler forks nothing either: a worker's fork frames are its
+	// goroutine's alone.
 	straggler := jobTask(s, 1, 100)
 	s.executeNow(straggler, 0)
 	if _, err := straggler.fut.Wait(); !IsJobCancelled(err) {

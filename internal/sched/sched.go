@@ -17,6 +17,7 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,8 +143,10 @@ type Scheduler struct {
 	mgr    *dim.Manager
 	policy Policy
 
-	mu    sync.RWMutex
-	kinds map[string]*Kind
+	// kinds is replaced whole, under kindsMu, by Register: a lookup takes
+	// no lock.
+	kindsMu sync.Mutex
+	kinds   atomic.Pointer[map[string]*Kind]
 
 	seq     atomic.Uint64
 	running atomic.Int64
@@ -185,9 +188,9 @@ type Scheduler struct {
 }
 
 // task is one task on this rank, from its spawn or arrival until it
-// completes or leaves: one allocation holding the spec, the variant
-// placement picked, the kind, the future of its result and the context
-// its body runs with. Deques hold pointers to it; nothing copies it.
+// completes or leaves: one object (a fork's child lives in its frame,
+// fork.go) holding the spec, the chosen variant, the kind, the future of
+// its result and the context its body runs with. Nothing copies it.
 type task struct {
 	spec    TaskSpec
 	variant Variant
@@ -233,10 +236,10 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 	}
 	s := &Scheduler{
 		loc: loc, mgr: mgr, policy: policy,
-		kinds:    make(map[string]*Kind),
 		inflight: inflightRegistry{m: make(map[uint64]inflightEntry), sweepAt: inflightLimit},
 		shippers: make([]shipper, loc.Size()),
 	}
+	s.kinds.Store(&map[string]*Kind{})
 	reg := loc.Metrics()
 	s.stats.spawned = reg.Counter(MetricSpawned)
 	s.stats.executed = reg.Counter(MetricExecuted)
@@ -297,23 +300,25 @@ func (s *Scheduler) RedistributeQueued() {
 	}
 }
 
-// Register installs a task kind.
+// Register installs a task kind. It may run at any time: it publishes
+// a copy of the kinds with k added.
 func (s *Scheduler) Register(k *Kind) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.kinds[k.Name]; dup {
+	s.kindsMu.Lock()
+	defer s.kindsMu.Unlock()
+	old := *s.kinds.Load()
+	if _, dup := old[k.Name]; dup {
 		panic(fmt.Sprintf("sched: kind %q registered twice", k.Name))
 	}
 	if k.Process == nil {
 		panic(fmt.Sprintf("sched: kind %q lacks the mandatory process variant", k.Name))
 	}
-	s.kinds[k.Name] = k
+	kinds := maps.Clone(old)
+	kinds[k.Name] = k
+	s.kinds.Store(&kinds)
 }
 
 func (s *Scheduler) kind(name string) (*Kind, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	k, ok := s.kinds[name]
+	k, ok := (*s.kinds.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("sched: unknown task kind %q at rank %d", name, s.loc.Rank())
 	}
@@ -358,7 +363,7 @@ func (s *Scheduler) SpawnJob(kind string, args any, tenant uint32, job uint64, p
 // child that stays on this rank goes to the tail of that worker's own
 // deque, where its parent's join finds it first — unless inline asks
 // for it, when a task that stays is not queued at all and spawnAt
-// reports that the caller is to run it now (Ctx.Call).
+// reports that the caller is to run it now (Ctx.Fork's left child).
 func (s *Scheduler) spawnAt(t *task, w int, inline bool, kind string, args any, parent trace.SpanID) (runNow bool, err error) {
 	body, err := wire.Encode(args)
 	if err != nil {
@@ -584,10 +589,10 @@ func pickCandidate(tally []rankTally, local int, cand func(*rankTally) bool) int
 
 // executeNow runs a task's variant immediately on the calling
 // goroutine, which is queue worker `worker` — a task popped from a deque
-// and a child its spawner runs inline (Ctx.Call) alike. The exec span
-// ends (and the exec-latency histogram is fed) before the task's future
-// is fulfilled, so a waiter unblocked by the result observes the span
-// as archived.
+// and the left child of a fork its spawner runs inline (Ctx.Fork) alike.
+// The exec span ends (and a process variant's exec-latency sample is
+// taken) before the task's future is fulfilled, so a waiter unblocked by
+// the result observes the span as archived.
 func (s *Scheduler) executeNow(t *task, worker int) {
 	spec := &t.spec
 	// Cancellation gate: tasks of a cancelled job never run, wherever
@@ -616,17 +621,16 @@ func (s *Scheduler) executeNow(t *task, worker int) {
 	sp := s.loc.Tracer().Begin(name, spec.Kind, trace.SpanID(spec.Span))
 	sp.SetTask(spec.ID)
 	t.ctx = Ctx{sched: s, t: t, span: sp.SpanID(), worker: worker}
-	start := time.Now()
 	result, err := s.runVariant(t)
 	sp.SetErr(err)
 	sp.End()
-	s.execHist.Observe(time.Since(start))
 	s.leave(t, ran(result, err))
 }
 
 // runVariant executes the variant body, acquiring process-variant data
 // requirements around it; the acquire span and child spawns attach to
-// the exec span in t.ctx.
+// the exec span in t.ctx. Only a process variant is timed
+// (sched.task_exec): a split's time is its subtree's.
 func (s *Scheduler) runVariant(t *task) (any, error) {
 	spec, k := &t.spec, t.kind
 	if k == nil {
@@ -639,6 +643,8 @@ func (s *Scheduler) runVariant(t *task) (any, error) {
 		s.stats.splits.Inc()
 		return k.Split(&t.ctx)
 	}
+	start := time.Now()
+	defer func() { s.execHist.Observe(time.Since(start)) }() // after the Release below
 	var reqs []dim.Requirement
 	if k.Reqs != nil {
 		reqs = k.Reqs(spec.Args)
@@ -657,7 +663,8 @@ func (s *Scheduler) runVariant(t *task) (any, error) {
 }
 
 // Ctx is the execution context handed to variant bodies; it lives in
-// the task it belongs to.
+// the task it belongs to, and is valid only until the body returns: the
+// task of a fork's child is reused once the fork has joined (fork.go).
 type Ctx struct {
 	sched *Scheduler
 	t     *task
@@ -712,45 +719,29 @@ func (c *Ctx) RawArgs() []byte { return c.t.spec.Args }
 // given branch bit in the spawn tree. Waiting on the returned future
 // is the (sync) transition, which lends the worker the task occupies to
 // the run queue for the length of the wait (HelpWait) — so the wait
-// belongs on the task's own goroutine, like Fragment.
+// belongs on the task's own goroutine, like Fragment. Spawn is for
+// n-ary fan-out: a split with two children forks them (Fork).
 func (c *Ctx) Spawn(kind string, args any, branch uint64) (*runtime.Future, error) {
-	t, _, err := c.spawn(kind, args, branch, false)
-	if err != nil {
+	t := &task{}
+	c.child(t, branch)
+	t.fut.SetWaitHelper(c)
+	if _, err := c.sched.spawnAt(t, c.worker, false, kind, args, c.span); err != nil {
 		return nil, err
 	}
 	return &t.fut, nil
 }
 
-// Call spawns a child task and waits for its result: Spawn followed by
-// the future's Wait, except that a child placement keeps on this rank
-// runs at once on the calling worker, through no deque slot — a thief
-// can take only what is queued. A split that has two children to join
-// Spawns the one a thief should find and Calls the other.
-func (c *Ctx) Call(kind string, args any, branch uint64) ([]byte, error) {
-	t, runNow, err := c.spawn(kind, args, branch, true)
-	if err != nil {
-		return nil, err
-	}
-	if runNow {
-		c.sched.executeNow(t, c.worker)
-	}
-	return t.fut.Wait()
-}
-
-// spawn schedules a child at the given branch below this task, its
-// future helped by this task's worker.
-func (c *Ctx) spawn(kind string, args any, branch uint64, inline bool) (*task, bool, error) {
+// child places the empty task t at the given branch below this task, in
+// its job.
+func (c *Ctx) child(t *task, branch uint64) {
 	p := &c.t.spec
-	t := &task{spec: TaskSpec{
+	t.spec = TaskSpec{
 		Depth:   p.Depth + 1,
 		Path:    p.Path<<1 | (branch & 1),
 		PathLen: p.PathLen + 1,
 		Tenant:  p.Tenant,
 		Job:     p.Job,
-	}}
-	t.fut.SetWaitHelper(c)
-	runNow, err := c.sched.spawnAt(t, c.worker, inline, kind, args, c.span)
-	return t, runNow, err
+	}
 }
 
 // HelpWait implements runtime.WaitHelper: the helping join

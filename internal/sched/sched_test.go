@@ -83,19 +83,15 @@ func registerSum(c *cluster) {
 					return nil, err
 				}
 				mid := (r.Lo + r.Hi) / 2
-				left, err := ctx.Spawn("sum", &sumRange{r.Lo, mid}, 0)
-				if err != nil {
-					return nil, err
-				}
-				right, err := ctx.Spawn("sum", &sumRange{mid, r.Hi}, 1)
+				lb, rb, err := ctx.Fork("sum", &sumRange{r.Lo, mid}, &sumRange{mid, r.Hi})
 				if err != nil {
 					return nil, err
 				}
 				var a, b int64
-				if err := left.WaitInto(&a); err != nil {
+				if err := wire.Decode(lb, &a); err != nil {
 					return nil, err
 				}
-				if err := right.WaitInto(&b); err != nil {
+				if err := wire.Decode(rb, &b); err != nil {
 					return nil, err
 				}
 				return a + b, nil
@@ -290,18 +286,7 @@ func TestFirstTouchSpreadsData(t *testing.T) {
 				var r sumRange
 				ctx.Args(&r)
 				mid := (r.Lo + r.Hi) / 2
-				l, err := ctx.Spawn("init", &sumRange{r.Lo, mid}, 0)
-				if err != nil {
-					return nil, err
-				}
-				rt, err := ctx.Spawn("init", &sumRange{mid, r.Hi}, 1)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := l.Wait(); err != nil {
-					return nil, err
-				}
-				_, err = rt.Wait()
+				_, _, err := ctx.Fork("init", &sumRange{r.Lo, mid}, &sumRange{mid, r.Hi})
 				return nil, err
 			},
 			Reqs: func(args []byte) []dim.Requirement {

@@ -25,8 +25,8 @@ import (
 // A task, whichever variant placement picked for it, is one object
 // (task, sched.go); queued, it sits in a per-worker deque (see deque.go)
 // until a worker pops it, and idle workers and idle peers may take it
-// from there (only not-yet-started tasks move, matching the model). A
-// child its spawner Calls is not queued: it runs at once on the
+// from there (only not-yet-started tasks move, matching the model). The
+// left child of a fork (fork.go) is not queued: it runs at once on the
 // spawner's worker. A task that waits for its children keeps its worker
 // busy with the queue meanwhile (helpUntil), so a spawn tree on one
 // worker is a depth-first recursion on that worker's stack.
@@ -70,7 +70,7 @@ const (
 type queueState struct {
 	workers  int
 	deques   []*deque
-	thieves  []thiefState  // per worker, see park
+	local    []workerState // per worker, see park and fork.go
 	rr       atomic.Uint64 // round-robin enqueue cursor
 	wake     chan struct{} // enqueue → parked-worker notification
 	idle     atomic.Int64  // workers with nothing to run
@@ -87,7 +87,7 @@ func (s *Scheduler) startQueue(workers int) {
 	q := &queueState{
 		workers: workers,
 		deques:  make([]*deque, workers),
-		thieves: make([]thiefState, workers),
+		local:   make([]workerState, workers),
 		wake:    make(chan struct{}, workers),
 		stop:    make(chan struct{}),
 	}
@@ -286,7 +286,7 @@ func (s *Scheduler) worker(w int) {
 			s.drop(s.drainQueues())
 		}
 	}()
-	th := &s.queue.thieves[w]
+	th := &s.queue.local[w]
 	th.rng = rand.New(rand.NewSource(int64(s.Rank())*1669 + int64(w)))
 	th.bo = backoff.New(remoteStealBase, remoteStealMax, int64(s.Rank())*7919+int64(w))
 	th.bo.Saturate()
@@ -307,8 +307,8 @@ func (s *Scheduler) worker(w int) {
 // locality once its thief comes round on its backoff — and on a single
 // worker of a single locality never.
 //
-// A child the worker has run by the time of the join — one it Called,
-// or one it popped helping — is done before anyone blocks on it, so the
+// A child the worker has run by the time of the join — a fork's left
+// child, or one it popped helping — is done before anyone blocks on it, so the
 // join polls Done and asks the future for a channel only to park. A
 // parked join stays a thief: the rank that spawned a tree sits in its
 // root join for as long as the remote half runs. Helped tasks may join
@@ -331,10 +331,10 @@ func (s *Scheduler) helpUntil(w int, fut *runtime.Future) {
 	}
 }
 
-// thiefState is what one worker knows as a thief, set up and touched
-// only by the goroutine that occupies the worker — its loop, or a join
-// on top of it.
-type thiefState struct {
+// workerState is what one worker keeps for itself — as a thief, and the
+// fork frames it has free — set up and touched only by the goroutine
+// that occupies the worker: its loop, or a join on top of it.
+type workerState struct {
 	rng *rand.Rand
 	// bo backs off the remote-steal wake-up. Only a successful steal
 	// rewinds it: while the peers have nothing to give, a worker kept
@@ -344,6 +344,7 @@ type thiefState struct {
 	// timer sets it, as does a grant that has arrived. A fresh worker
 	// starts without it, backed off all the way, and parks first.
 	probe bool
+	forks []*fork // free fork frames (fork.go)
 }
 
 // park is what worker w does with nothing to run, in its loop or in a
@@ -351,7 +352,7 @@ type thiefState struct {
 // the backoff timer, or end — the queue's stop for the loop, the
 // future's fulfilment for a join. It reports whether end came.
 func (s *Scheduler) park(w int, end <-chan struct{}) (ended bool) {
-	q, th := s.queue, &s.queue.thieves[w]
+	q, th := s.queue, &s.queue.local[w]
 	// From now on the worker counts as idle. The idle increment happens
 	// before the queued re-check — the mirror of enqueueAt's publication
 	// order — so a concurrent enqueue either becomes visible to the
