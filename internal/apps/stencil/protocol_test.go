@@ -13,7 +13,6 @@ import (
 	"allscale/internal/runtime"
 	"allscale/internal/sched"
 	"allscale/internal/trace"
-	"allscale/internal/transport"
 )
 
 // stepCalls runs warm-up steps of a 64² stencil on 2 in-process
@@ -61,30 +60,10 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames 
 	direct, walked := total(dim.MetricRevokeDirect), total(dim.MetricRevokeWalked)
 	kept, evicted, carried := total(dim.MetricDropKept), total(dim.MetricDropEvicted), total(dim.MetricDropCarried)
 	refreshed, stale := total(dim.MetricRefreshSent), total(dim.MetricRefreshStale)
-	// The frames of calls and replies: every frame less the one-way
-	// messages (steal probes) and the rpc.acks frames — acks that found
-	// no frame to ride on, which in a run of steps would ride on the
-	// next step's. Idle workers keep probing, and a probe is counted as a
-	// one-way a moment before the transport counts its frame: the counts
-	// are read when two readings 1 ms apart agree and every frame sent
-	// has been received, so that no probe is caught half counted.
-	callFrames := func() uint64 {
-		read := func() [4]uint64 {
-			return [4]uint64{total(transport.MetricMsgsSent), total(transport.MetricMsgsReceived),
-				total(runtime.MetricRPCOneWays), total(runtime.MetricRPCAckFrames)}
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			a := read()
-			time.Sleep(time.Millisecond)
-			if b := read(); a == b && a[0] == a[1] {
-				return a[0] - a[2] - a[3]
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("the frame counts do not settle")
-			}
-		}
-	}
+	// The frames of calls and replies, counted as they arrive: once every
+	// call is settled, a step's are all in, and no steal probe or rpc.acks
+	// frame is among them.
+	callFrames := func() uint64 { return total(runtime.MetricRPCCallFrames) }
 	framesBefore := callFrames()
 	step(warmup)
 	settle()

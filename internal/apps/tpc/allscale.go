@@ -44,9 +44,11 @@ type AllScale struct {
 	params Params
 	typ    *dataitem.TreeType[KDNode]
 	item   dim.ItemID
-	// root is params.rootRegion(): what every query requires, whatever
-	// its arguments, so it is built once.
-	root dataitem.TreeItemRegion
+	// root is params.rootRegion(), what every query requires, and
+	// blocks[b] params.blockRegion(b), what a per-block task requires:
+	// each is built and boxed once.
+	root   dataitem.Region
+	blocks []dataitem.Region
 }
 
 // numBlocks returns the count of distributable depth-h subtrees.
@@ -94,6 +96,9 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 		panic(fmt.Sprintf("tpc: block height %d out of range for tree height %d", p.BlockHeight, p.Height))
 	}
 	a := &AllScale{sys: sys, params: p, root: p.rootRegion()}
+	for b := 0; b < p.numBlocks(); b++ {
+		a.blocks = append(a.blocks, p.blockRegion(b))
+	}
 	a.typ = dataitem.NewTreeType[KDNode]("tpc.tree", p.Height)
 	sys.RegisterType(a.typ)
 
@@ -161,7 +166,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 					return nil, err
 				}
 				tf := frag.(*dataitem.TreeFragment[KDNode])
-				a.root.T.ForEachNode(func(id region.NodeID) {
+				a.root.(dataitem.TreeItemRegion).T.ForEachNode(func(id region.NodeID) {
 					*tf.Ref(id) = *tree.Node(id)
 				})
 				return nil, nil
@@ -198,11 +203,7 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 			Reqs: func(args []byte) []dim.Requirement {
 				var sa subArgs
 				wire.Decode(args, &sa)
-				return []dim.Requirement{{
-					Item:   a.item,
-					Region: dataitem.TreeItemRegion{T: region.SubtreeRegion(a.params.Height, region.NodeID(sa.Node))},
-					Mode:   dim.Read,
-				}}
+				return []dim.Requirement{{Item: a.item, Region: a.subtree(region.NodeID(sa.Node)), Mode: dim.Read}}
 			},
 			Process: func(ctx *sched.Ctx) (any, error) {
 				var sa subArgs
@@ -220,6 +221,15 @@ func NewAllScale(sys *core.System, p Params) *AllScale {
 		}
 	})
 	return a
+}
+
+// subtree returns the region of the subtree under node n: a block's is
+// the one built in NewAllScale, any other is built now.
+func (a *AllScale) subtree(n region.NodeID) dataitem.Region {
+	if n.Depth() == a.params.BlockHeight {
+		return a.blocks[int(n)-len(a.blocks)]
+	}
+	return dataitem.TreeItemRegion{T: region.SubtreeRegion(a.params.Height, n)}
 }
 
 // query is the body of tpc.query: it traverses the root block in tf in

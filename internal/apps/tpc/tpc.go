@@ -205,7 +205,7 @@ func widestDim(lo, hi Point7) int {
 }
 
 // dist2 returns the squared Euclidean distance.
-func dist2(a, b Point7) float64 {
+func dist2(a, b *Point7) float64 {
 	var s float64
 	for d := 0; d < Dims; d++ {
 		v := a[d] - b[d]
@@ -215,7 +215,7 @@ func dist2(a, b Point7) float64 {
 }
 
 // minDist2 returns the squared distance from q to the box [lo, hi].
-func minDist2(q, lo, hi Point7) float64 {
+func minDist2(q, lo, hi *Point7) float64 {
 	var s float64
 	for d := 0; d < Dims; d++ {
 		if q[d] < lo[d] {
@@ -231,7 +231,7 @@ func minDist2(q, lo, hi Point7) float64 {
 
 // maxDist2 returns the squared distance from q to the farthest corner
 // of the box [lo, hi].
-func maxDist2(q, lo, hi Point7) float64 {
+func maxDist2(q, lo, hi *Point7) float64 {
 	var s float64
 	for d := 0; d < Dims; d++ {
 		a, b := math.Abs(q[d]-lo[d]), math.Abs(q[d]-hi[d])
@@ -247,8 +247,8 @@ func maxDist2(q, lo, hi Point7) float64 {
 func BruteForceCount(points []Point7, q Point7, r float64) int64 {
 	var count int64
 	r2 := r * r
-	for _, p := range points {
-		if dist2(p, q) <= r2 {
+	for i := range points {
+		if dist2(&points[i], &q) <= r2 {
 			count++
 		}
 	}
@@ -269,34 +269,48 @@ func CountVisit(
 	stop func(id region.NodeID, level int) bool,
 	onBoundary func(id region.NodeID) int64,
 ) int64 {
-	if stop != nil && stop(id, level) {
+	v := visit{node: node, height: height, q: q, r2: r * r, stop: stop, onBoundary: onBoundary}
+	return v.count(id, level)
+}
+
+// visit is one traversal's fixed arguments: the kernel reads the query
+// point and the nodes where they are, and squares the radius once.
+type visit struct {
+	node       func(region.NodeID) *KDNode
+	height     int
+	q          Point7
+	r2         float64
+	stop       func(id region.NodeID, level int) bool
+	onBoundary func(id region.NodeID) int64
+}
+
+func (v *visit) count(id region.NodeID, level int) int64 {
+	if v.stop != nil && v.stop(id, level) {
 		// Boundary: the node lives in a region this visitor must not
 		// touch; the boundary callback (e.g. a remote task at the
 		// owner) performs the pruning checks instead.
-		return onBoundary(id)
+		return v.onBoundary(id)
 	}
-	n := node(id)
+	n := v.node(id)
 	if n.Count == 0 {
 		return 0
 	}
-	r2 := r * r
-	if minDist2(q, n.Lo, n.Hi) > r2 {
+	if minDist2(&v.q, &n.Lo, &n.Hi) > v.r2 {
 		return 0 // prune: no point can be in range
 	}
-	if maxDist2(q, n.Lo, n.Hi) <= r2 {
+	if maxDist2(&v.q, &n.Lo, &n.Hi) <= v.r2 {
 		return n.Count // inclusion: every point is in range
 	}
-	if level == height {
+	if level == v.height {
 		var count int64
-		for _, p := range n.Points {
-			if dist2(p, q) <= r2 {
+		for i := range n.Points {
+			if dist2(&n.Points[i], &v.q) <= v.r2 {
 				count++
 			}
 		}
 		return count
 	}
-	return CountVisit(node, id.Left(), level+1, height, q, r, stop, onBoundary) +
-		CountVisit(node, id.Right(), level+1, height, q, r, stop, onBoundary)
+	return v.count(id.Left(), level+1) + v.count(id.Right(), level+1)
 }
 
 // CountSequential answers one query on a flat tree.

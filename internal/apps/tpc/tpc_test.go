@@ -100,14 +100,14 @@ func TestPruningBounds(t *testing.T) {
 	lo := Point7{0, 0, 0, 0, 0, 0, 0}
 	hi := Point7{10, 10, 10, 10, 10, 10, 10}
 	inside := Point7{5, 5, 5, 5, 5, 5, 5}
-	if minDist2(inside, lo, hi) != 0 {
+	if minDist2(&inside, &lo, &hi) != 0 {
 		t.Fatal("min dist of inside point must be 0")
 	}
 	outside := Point7{20, 5, 5, 5, 5, 5, 5}
-	if got := minDist2(outside, lo, hi); got != 100 {
+	if got := minDist2(&outside, &lo, &hi); got != 100 {
 		t.Fatalf("minDist2 = %v, want 100", got)
 	}
-	if maxDist2(inside, lo, hi) <= minDist2(inside, lo, hi) {
+	if maxDist2(&inside, &lo, &hi) <= minDist2(&inside, &lo, &hi) {
 		t.Fatal("max dist must exceed min dist")
 	}
 }

@@ -493,10 +493,9 @@ func TestSpawnTreeProtocolCounts(t *testing.T) {
 			tasks: sys.CounterSum(sched.MetricExecuted), splits: sys.CounterSum(sched.MetricSplits),
 			named: sys.CounterSum(runtime.MetricPromisesNamed), calls: sys.CounterSum(runtime.MetricRPCCalls),
 			runb: hist(sched.MetricShipBatch), awaited: hist(runtime.MetricRPCRoundtrip),
-			// The frames of calls and replies: steal probes are one-way
-			// messages, and an rpc.acks frame carries acks that found no
-			// frame to ride on.
-			frames:   sys.CounterSum(transport.MetricMsgsSent) - sys.CounterSum(runtime.MetricRPCOneWays) - sys.CounterSum(runtime.MetricRPCAckFrames),
+			// The frames of calls and replies, counted as they arrive:
+			// no steal probe or rpc.acks frame is among them.
+			frames:   sys.CounterSum(runtime.MetricRPCCallFrames),
 			sent:     sys.CounterSum(transport.MetricMsgsSent),
 			received: sys.CounterSum(transport.MetricMsgsReceived),
 			granted:  sys.CounterSum(sched.MetricStolenFrom),

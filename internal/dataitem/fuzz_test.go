@@ -126,27 +126,44 @@ func insertTargets(t testing.TB) []insertTarget {
 				span.B.ForEachPoint(func(p region.Point) { s += fmt.Sprint(f.At(p), ";") })
 				return s
 			}),
-		newTarget(t, NewTreeType[float32]("fz.tree", 4), subtree,
+		outOfTree(t, newTarget(t, NewTreeType[float32]("fz.tree", 4), subtree,
 			func(f *TreeFragment[float32]) {
 				subtree.T.ForEachNode(func(n region.NodeID) { f.Set(n, float32(n)/2) })
 			},
 			func(f *TreeFragment[float32]) (s string) {
 				subtree.T.ForEachNode(func(n region.NodeID) { s += fmt.Sprint(n, f.At(n), ";") })
 				return s
-			}),
-		newTarget(t, NewTreeType[gridElem]("fz.tree.struct", 4), subtree,
+			}), 4, float32(1)),
+		outOfTree(t, newTarget(t, NewTreeType[gridElem]("fz.tree.struct", 4), subtree,
 			func(f *TreeFragment[gridElem]) {
 				subtree.T.ForEachNode(func(n region.NodeID) { f.Set(n, elem(int(n))) })
 			},
 			func(f *TreeFragment[gridElem]) (s string) {
 				subtree.T.ForEachNode(func(n region.NodeID) { s += fmt.Sprint(n, f.At(n), ";") })
 				return s
-			}),
+			}), 4, elem(1)),
 		mapTarget(t, NewMapType[int64, float64]("fz.map", 8), span,
 			func(i int) int64 { return int64(i) }, func(i int) float64 { return float64(i) / 3 }),
 		mapTarget(t, NewMapType[string, gridElem]("fz.map.struct", 8), span,
 			func(i int) string { return fmt.Sprint("key", i) }, elem),
 	}
+}
+
+// outOfTree adds to a tree target of the given height the payloads of a
+// covered node and one the tree does not have — node 0, and the first
+// node below the last level — which Insert must refuse whole.
+func outOfTree[T any](t testing.TB, tg insertTarget, height int, v T) insertTarget {
+	for _, n := range []uint64{0, 1 << height} {
+		seed, err := appendElems(wire.AppendNumeric([]byte{wire.FormatBinary}, []uint64{4, n}), []T{v, v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tg.frag.Insert(seed); err == nil {
+			t.Fatalf("a payload with node %d was accepted", n)
+		}
+		tg.seeds = append(tg.seeds, seed)
+	}
+	return tg
 }
 
 // mapTarget is newTarget for a map holding the covered pairs of keys

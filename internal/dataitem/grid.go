@@ -56,11 +56,6 @@ type gridBlock[T any] struct {
 	data  []T
 }
 
-// index returns the offset of p in the allocation.
-func (b *gridBlock[T]) index(p region.Point) int {
-	return boxIndex(b.alloc, p)
-}
-
 // gridState is one published (cover, blocks) pair; it is never modified
 // once stored. region is cover as the Region that Resize was given.
 type gridState[T any] struct {
@@ -107,31 +102,13 @@ func (f *GridFragment[T]) blockOf(p region.Point) *gridBlock[T] {
 // At returns the element at p; it panics when p is outside the
 // fragment (the runtime guarantees task requirements are satisfied
 // before a task runs, so this indicates a missing data requirement).
-func (f *GridFragment[T]) At(p region.Point) T {
-	b := f.blockOf(p)
-	if b == nil {
-		f.outside("access to", p)
-	}
-	return b.data[b.index(p)]
-}
+func (f *GridFragment[T]) At(p region.Point) T { return *f.elem("access to", p) }
 
 // Set stores v at p; same containment contract as At.
-func (f *GridFragment[T]) Set(p region.Point, v T) {
-	b := f.blockOf(p)
-	if b == nil {
-		f.outside("write to", p)
-	}
-	b.data[b.index(p)] = v
-}
+func (f *GridFragment[T]) Set(p region.Point, v T) { *f.elem("write to", p) = v }
 
 // Ptr returns a pointer to the element at p for in-place updates.
-func (f *GridFragment[T]) Ptr(p region.Point) *T {
-	b := f.blockOf(p)
-	if b == nil {
-		f.outside("access to", p)
-	}
-	return &b.data[b.index(p)]
-}
+func (f *GridFragment[T]) Ptr(p region.Point) *T { return f.elem("access to", p) }
 
 // Row returns the n elements starting at p along the innermost
 // dimension as a slice of the fragment's storage: a write through it is
@@ -144,8 +121,18 @@ func (f *GridFragment[T]) Row(p region.Point, n int) ([]T, bool) {
 	if b == nil || n < 0 || p[last]+n > b.box.Max[last] {
 		return nil, false
 	}
-	i := b.index(p)
+	i := boxIndex(b.alloc, p)
 	return b.data[i : i+n : i+n], true
+}
+
+// elem returns the storage of the element at p for op; it panics as At
+// does.
+func (f *GridFragment[T]) elem(op string, p region.Point) *T {
+	b := f.blockOf(p)
+	if b == nil {
+		f.outside(op, p)
+	}
+	return &b.data[boxIndex(b.alloc, p)]
 }
 
 // outside panics for an access beyond the fragment. It formats a copy

@@ -149,35 +149,71 @@ func TestGridExtractInsertProperty(t *testing.T) {
 }
 
 // TestTreeFragmentResizeProperty mirrors the grid property for tree
-// fragments.
+// fragments, over targets with holes and truncated subtrees, not only
+// unions of subtrees: after every Resize each covered node holds what
+// was last stored there (zero when it is new), a node that stayed
+// covered keeps its Ref pointer, Ref and At panic for an uncovered node,
+// for node 0 and for a node below the last level, and what Extract takes
+// out of the fragment Insert puts back, in a fresh fragment and in it.
 func TestTreeFragmentResizeProperty(t *testing.T) {
 	const h = 5
 	typ := NewTreeType[int]("prop.tree", h)
+	node := func(r *rand.Rand) region.NodeID { return region.NodeID(1 + r.Int63n(int64(1)<<h-1)) }
+	shape := func(r *rand.Rand) region.TreeRegion {
+		if r.Intn(2) == 0 {
+			return region.SubtreeRegion(h, node(r))
+		}
+		return region.Subtree{Root: node(r), Levels: 1 + r.Intn(3)}.Region(h)
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		frag := typ.NewFragment().(*TreeFragment[int])
 		ref := map[region.NodeID]int{}
-		for step := 0; step < 4; step++ {
+		refs := map[region.NodeID]*int{}
+		for step := 0; step < 6; step++ {
 			target := region.EmptyTreeRegion(h)
-			for i := 0; i < 3; i++ {
-				target = target.Union(region.SubtreeRegion(h, region.NodeID(1+r.Int63n(int64(1)<<h-1))))
+			if r.Intn(3) == 0 {
+				target = region.FullTreeRegion(h)
+			}
+			for i := 0; i < 4; i++ {
+				if r.Intn(3) == 0 {
+					target = target.Difference(shape(r))
+				} else {
+					target = target.Union(shape(r))
+				}
 			}
 			if err := frag.Resize(TreeItemRegion{T: target}); err != nil {
 				return false
 			}
-			next := map[region.NodeID]int{}
+			if !frag.Region().Equal(TreeItemRegion{T: target}) {
+				t.Logf("seed %d: region %v after a resize to %v", seed, frag.Region(), target)
+				return false
+			}
+			next, nextRefs := map[region.NodeID]int{}, map[region.NodeID]*int{}
+			kept := true
 			target.ForEachNode(func(n region.NodeID) {
 				next[n] = ref[n] // zero when absent
+				if p, ok := refs[n]; ok && frag.Ref(n) != p {
+					kept = false
+				}
+				nextRefs[n] = frag.Ref(n)
 			})
-			ref = next
-			// Random writes.
-			for i := 0; i < 4; i++ {
-				n := region.NodeID(1 + r.Int63n(int64(1)<<h-1))
+			if !kept {
+				t.Logf("seed %d: a resize to %v moved a covered node", seed, target)
+				return false
+			}
+			ref, refs = next, nextRefs
+			// Random writes, through Set and through Ref.
+			for i := 0; i < 6; i++ {
+				n, v := node(r), r.Int()
 				if !target.Contains(n) {
 					continue
 				}
-				v := r.Int()
-				frag.Set(n, v)
+				if i%2 == 0 {
+					frag.Set(n, v)
+				} else {
+					*frag.Ref(n) = v
+				}
 				ref[n] = v
 			}
 			ok := true
@@ -186,13 +222,55 @@ func TestTreeFragmentResizeProperty(t *testing.T) {
 					ok = false
 				}
 			})
-			if !ok {
+			outside := []region.NodeID{0, 1 << h}
+			if n := node(r); !target.Contains(n) {
+				outside = append(outside, n)
+			}
+			for _, n := range outside {
+				if !panics(func() { frag.Ref(n) }) || !panics(func() { frag.At(n) }) || frag.Covers(n) {
+					t.Logf("seed %d: node %v is not refused by a fragment of %v", seed, n, target)
+					return false
+				}
+			}
+			if !ok || !roundTrips(frag, typ, target.Intersect(shape(r)), ref) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// roundTrips extracts sub from frag, inserts it into a fragment of sub
+// and into frag, and checks that both then hold ref's values there.
+func roundTrips(frag *TreeFragment[int], typ *TreeType[int], sub region.TreeRegion, ref map[region.NodeID]int) bool {
+	data, err := frag.Extract(TreeItemRegion{T: sub})
+	if err != nil {
+		return false
+	}
+	dst := typ.NewFragment().(*TreeFragment[int])
+	if err := dst.Resize(TreeItemRegion{T: sub}); err != nil {
+		return false
+	}
+	for _, into := range []*TreeFragment[int]{dst, frag} {
+		covered, err := into.Insert(data)
+		if err != nil || !covered.Equal(TreeItemRegion{T: sub}) {
+			return false
+		}
+		ok := true
+		sub.ForEachNode(func(n region.NodeID) { ok = ok && into.At(n) == ref[n] })
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }

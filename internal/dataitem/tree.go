@@ -63,10 +63,7 @@ func (t TreeItemRegion) IsEmpty() bool { return t.T.IsEmpty() }
 // Equal implements Region.
 func (t TreeItemRegion) Equal(other Region) bool {
 	o, ok := other.(TreeItemRegion)
-	if !ok {
-		return false
-	}
-	return t.T.Equal(o.T)
+	return ok && t.T.Equal(o.T)
 }
 
 // Size implements Region.
@@ -82,10 +79,10 @@ type TreeType[T any] struct {
 }
 
 // NewTreeType describes a binary tree data item with the given number
-// of levels.
+// of levels, 1 to 64 (a NodeID addresses no deeper node).
 func NewTreeType[T any](name string, height int) *TreeType[T] {
-	if height <= 0 {
-		panic("dataitem: tree needs at least one level")
+	if height <= 0 || height >= len(emptyTrees) {
+		panic("dataitem: a tree has 1 to 64 levels")
 	}
 	mustHaveElemForm[T](name)
 	return &TreeType[T]{name: name, height: height}
@@ -98,74 +95,90 @@ func (t *TreeType[T]) Name() string { return t.name }
 func (t *TreeType[T]) Height() int { return t.height }
 
 // FullRegion implements Type.
-func (t *TreeType[T]) FullRegion() Region {
-	return TreeItemRegion{T: region.FullTreeRegion(t.height)}
-}
+func (t *TreeType[T]) FullRegion() Region { return TreeItemRegion{T: region.FullTreeRegion(t.height)} }
 
 // EmptyRegion implements Type.
-func (t *TreeType[T]) EmptyRegion() Region {
-	return TreeItemRegion{T: region.EmptyTreeRegion(t.height)}
-}
+func (t *TreeType[T]) EmptyRegion() Region { return emptyTrees[t.height] }
 
 // NewFragment implements Type.
 func (t *TreeType[T]) NewFragment() Fragment {
 	f := &TreeFragment[T]{height: t.height}
-	f.state.Store(&treeState[T]{cover: region.EmptyTreeRegion(t.height)})
+	f.state.Store(&treeState[T]{cover: region.EmptyTreeRegion(t.height), region: emptyTrees[t.height]})
 	return f
 }
 
-// TreeFragment stores the payloads of the tree nodes of one region.
-//
-// Tasks of one rank run concurrently on disjoint nodes while the
-// manager resizes the fragment for the next one, so the region and the
-// node table are one immutable value, replaced as a whole by Resize,
-// and the table maps to payload slots that a Resize carries over: an
-// access never touches a map that is being written, and a payload
-// stored through the previous table is not lost.
+// TreeFragment stores the payloads of the tree nodes of one region by
+// the grid's rule (GridFragment): one immutable (region, blocks) value,
+// replaced as a whole by Resize, whose blocks are views of dense
+// allocations, one per truncated subtree (region.Subtree), that a
+// Resize neither moves nor copies — so a pointer handed out by Ref stays
+// the node's storage for as long as the node stays covered.
 type TreeFragment[T any] struct {
 	height int
 	state  atomic.Pointer[treeState[T]]
 }
 
+// treeBlock is the nodes of view, a truncated subtree of alloc, whose
+// nodes data holds in heap order; blocks of one allocation share data.
+type treeBlock[T any] struct {
+	view, alloc region.Subtree
+	data        []T
+}
+
+// treeState is one published (cover, blocks) pair; it is never modified
+// once stored. region is cover as the Region that Resize was given.
 type treeState[T any] struct {
-	cover region.TreeRegion
-	nodes map[region.NodeID]*T
+	cover  region.TreeRegion
+	region Region
+	blocks []treeBlock[T]
 }
 
 var _ Fragment = (*TreeFragment[int])(nil)
 
+// slot returns the storage of node n, nil when no block holds it.
+func (st *treeState[T]) slot(n region.NodeID) *T {
+	for i := range st.blocks {
+		if b := &st.blocks[i]; b.view.Contains(n) {
+			return &b.data[b.alloc.Index(n)]
+		}
+	}
+	return nil
+}
+
 // Region implements Fragment.
-func (f *TreeFragment[T]) Region() Region { return TreeItemRegion{T: f.state.Load().cover} }
+func (f *TreeFragment[T]) Region() Region { return f.state.Load().region }
 
 // Covers reports whether node n is stored in the fragment.
-func (f *TreeFragment[T]) Covers(n region.NodeID) bool { return f.state.Load().cover.Contains(n) }
+func (f *TreeFragment[T]) Covers(n region.NodeID) bool { return f.state.Load().slot(n) != nil }
 
-// slot returns the payload slot of node n; it panics when n is outside
-// the fragment (a missing data requirement).
-func (f *TreeFragment[T]) slot(op string, n region.NodeID) *T {
+// ref returns the storage of node n for op; it panics as At does.
+func (f *TreeFragment[T]) ref(op string, n region.NodeID) *T {
 	st := f.state.Load()
-	if !st.cover.Contains(n) {
-		panic(fmt.Sprintf("dataitem: %s %v outside tree fragment %v (missing data requirement?)", op, n, st.cover))
+	if p := st.slot(n); p != nil {
+		return p
 	}
-	return st.nodes[n]
+	panic(fmt.Sprintf("dataitem: %s %v outside tree fragment %v (missing data requirement?)", op, n, st.cover))
 }
 
 // At returns the payload of node n; it panics when n is outside the
 // fragment (a missing data requirement).
-func (f *TreeFragment[T]) At(n region.NodeID) T { return *f.slot("access to", n) }
+func (f *TreeFragment[T]) At(n region.NodeID) T { return *f.ref("access to", n) }
 
 // Ref returns the payload slot of node n itself — the tree's Row: no
-// copy of the payload is made, and a Resize that keeps n carries the
-// slot over, so the pointer stays the node's storage. It is valid for
-// as long as the task holds the requirement that covers n and grants
-// what that requirement grants: a read requirement does not license a
-// write through it. Same containment contract as At.
-func (f *TreeFragment[T]) Ref(n region.NodeID) *T { return f.slot("access to", n) }
+// copy of the payload is made, and a Resize that keeps n keeps the
+// slot, so the pointer stays the node's storage. It is valid for as
+// long as the task holds the requirement that covers n and grants what
+// that requirement grants: a read requirement does not license a write
+// through it. Same containment contract as At.
+func (f *TreeFragment[T]) Ref(n region.NodeID) *T { return f.ref("access to", n) }
 
 // Set stores v at node n; same containment contract as At.
-func (f *TreeFragment[T]) Set(n region.NodeID, v T) { *f.slot("write to", n) = v }
+func (f *TreeFragment[T]) Set(n region.NodeID, v T) { *f.ref("write to", n) = v }
 
-// Resize implements Fragment.
+// Resize implements Fragment: the fragment afterwards covers exactly
+// r. What stays covered stays where it is — every block is cut down to
+// its parts inside r, as views of the same allocation — and only what r
+// adds is allocated, one allocation per truncated subtree of it.
 func (f *TreeFragment[T]) Resize(r Region) error {
 	tr, ok := r.(TreeItemRegion)
 	if !ok {
@@ -175,19 +188,20 @@ func (f *TreeFragment[T]) Resize(r Region) error {
 	if target.Height() != f.height && !target.IsEmpty() {
 		return fmt.Errorf("dataitem: resize of height-%d tree with height-%d region", f.height, target.Height())
 	}
-	old := f.state.Load()
-	next := make(map[region.NodeID]*T)
-	target.ForEachNode(func(n region.NodeID) {
-		if slot, ok := old.nodes[n]; ok {
-			next[n] = slot
-		} else {
-			next[n] = new(T)
-		}
-	})
 	if target.IsEmpty() {
-		target = region.EmptyTreeRegion(f.height)
+		target, r = region.EmptyTreeRegion(f.height), emptyTrees[f.height]
 	}
-	f.state.Store(&treeState[T]{cover: target, nodes: next})
+	old := f.state.Load()
+	var blocks []treeBlock[T]
+	for _, b := range old.blocks {
+		for _, view := range b.view.Region(f.height).Intersect(target).Subtrees() {
+			blocks = append(blocks, treeBlock[T]{view: view, alloc: b.alloc, data: b.data})
+		}
+	}
+	for _, s := range target.Difference(old.cover).Subtrees() {
+		blocks = append(blocks, treeBlock[T]{view: s, alloc: s, data: make([]T, s.Size())})
+	}
+	f.state.Store(&treeState[T]{cover: target, region: r, blocks: blocks})
 	return nil
 }
 
@@ -203,12 +217,10 @@ func (f *TreeFragment[T]) Extract(r Region) ([]byte, error) {
 	if !tr.T.Difference(st.cover).IsEmpty() {
 		return nil, fmt.Errorf("dataitem: extract region %v not covered by fragment %v", tr.T, st.cover)
 	}
-	n := tr.T.Size()
-	nodes := make([]uint64, 0, n)
-	vals := make([]T, 0, n)
+	nodes, vals := make([]uint64, 0, tr.T.Size()), make([]T, 0, tr.T.Size())
 	tr.T.ForEachNode(func(n region.NodeID) {
 		nodes = append(nodes, uint64(n))
-		vals = append(vals, *st.nodes[n])
+		vals = append(vals, *st.slot(n))
 	})
 	buf := make([]byte, 1, 64)
 	buf[0] = wire.FormatBinary
@@ -232,16 +244,14 @@ func (f *TreeFragment[T]) Insert(data []byte) (Region, error) {
 		return nil, fmt.Errorf("dataitem: tree insert carries %d nodes but %d values", len(nodes), len(vals))
 	}
 	st := f.state.Load()
-	covered := region.EmptyTreeRegion(f.height)
-	for _, raw := range nodes {
-		n := region.NodeID(raw)
-		if !st.cover.Contains(n) {
-			return nil, fmt.Errorf("dataitem: insert node %v outside fragment region %v", n, st.cover)
-		}
-		covered = covered.Union(region.SingleNodeRegion(f.height, n))
-	}
+	ids := make([]region.NodeID, len(nodes))
 	for i, raw := range nodes {
-		*st.nodes[region.NodeID(raw)] = vals[i]
+		if ids[i] = region.NodeID(raw); st.slot(ids[i]) == nil {
+			return nil, fmt.Errorf("dataitem: insert node %v outside fragment region %v", ids[i], st.cover)
+		}
 	}
-	return TreeItemRegion{T: covered}, nil
+	for i, n := range ids {
+		*st.slot(n) = vals[i]
+	}
+	return TreeItemRegion{T: region.TreeRegionOfNodes(f.height, ids)}, nil
 }

@@ -26,7 +26,7 @@ func legacyGridExtract[T any](f *GridFragment[T], r Region) ([]byte, error) {
 		data := make([]T, 0, box.Size())
 		region.NewBoxSet(box).ForEachPoint(func(p region.Point) {
 			b := f.blockOf(p)
-			data = append(data, b.data[b.index(p)])
+			data = append(data, b.data[boxIndex(b.alloc, p)])
 		})
 		w.Boxes = append(w.Boxes, box)
 		w.Data = append(w.Data, data)

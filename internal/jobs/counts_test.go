@@ -9,7 +9,6 @@ import (
 
 	"allscale/internal/runtime"
 	"allscale/internal/trace"
-	"allscale/internal/transport"
 )
 
 // jobCalls runs one 32² stencil job of 4 steps through the service on 2
@@ -26,28 +25,20 @@ func jobCalls(t *testing.T) (calls [2]map[string]int, awaited, frames int) {
 		}
 		return sum
 	}
-	// Calls and replies are every frame less the one-way steal probes
-	// and the rpc.acks frames, read once every call is acked and two
-	// readings 1 ms apart agree.
+	// The frames of calls and replies, counted as they arrive: once every
+	// call is acked they are all in, and no steal probe or rpc.acks frame
+	// is among them.
 	callFrames := func() int {
 		deadline := time.Now().Add(5 * time.Second)
-		for {
-			pending := 0
-			for r := 0; r < sys.Size(); r++ {
-				pending += sys.Locality(r).PendingCalls()
-			}
-			read := [4]uint64{total(transport.MetricMsgsSent), total(transport.MetricMsgsReceived),
-				total(runtime.MetricRPCOneWays), total(runtime.MetricRPCAckFrames)}
-			time.Sleep(time.Millisecond)
-			again := [4]uint64{total(transport.MetricMsgsSent), total(transport.MetricMsgsReceived),
-				total(runtime.MetricRPCOneWays), total(runtime.MetricRPCAckFrames)}
-			if pending == 0 && read == again && read[0] == read[1] {
-				return int(read[0] - read[2] - read[3])
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("the frame counts do not settle")
+		for r := 0; r < sys.Size(); r++ {
+			for sys.Locality(r).PendingCalls() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("rank %d: calls still pending", r)
+				}
+				time.Sleep(100 * time.Microsecond)
 			}
 		}
+		return int(total(runtime.MetricRPCCallFrames))
 	}
 	before := callFrames()
 	id := mustSubmit(t, svc, "t", FamilyStencil, StencilParams{N: 32, Steps: 4})

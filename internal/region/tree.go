@@ -106,13 +106,14 @@ func SubtreeRegion(height int, n NodeID) TreeRegion {
 	if !n.IsValid() || n.Depth() >= height {
 		return EmptyTreeRegion(height)
 	}
-	return TreeRegion{height: height, root: subtreePath(height, n)}
+	return TreeRegion{height: height, root: subtreePath(n, fullNode)}
 }
 
-// subtreePath builds the trie marking exactly the subtree under n.
-func subtreePath(height int, n NodeID) *shapeNode {
+// subtreePath builds the trie holding the subtrie top at node n and
+// nothing else.
+func subtreePath(n NodeID, top *shapeNode) *shapeNode {
 	d := n.Depth()
-	node := fullNode
+	node := top
 	// Walk from the subtree root back up to the global root, wrapping
 	// in mixed nodes that exclude the sibling side.
 	for level := d; level > 0; level-- {

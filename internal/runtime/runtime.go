@@ -113,6 +113,11 @@ const (
 	// MetricRPCAckFrames counts rpc.acks frames sent: owed acks that
 	// found no request or response to ride on within ackDelay.
 	MetricRPCAckFrames = "rpc.ack_frames"
+	// MetricRPCCallFrames counts the request and reply frames taken in
+	// from peers, as dispatch takes them and before any handler or
+	// waiting caller sees them: once a protocol's calls are settled, its
+	// frames are counted, and no one-way or ack frame is among them.
+	MetricRPCCallFrames = "rpc.call_frames"
 	// MetricPromisesNamed counts the futures entered in the promise
 	// table (NamePromise): one per task that left the rank it was
 	// spawned on.
@@ -198,6 +203,7 @@ type Locality struct {
 	rpcSuppressed *metrics.Counter
 	rpcFenced     *metrics.Counter
 	rpcAckFrames  *metrics.Counter
+	rpcCallFrames *metrics.Counter
 	promisesNamed *metrics.Counter
 	rpcRT         *metrics.Histogram
 	tracer        atomic.Pointer[trace.Tracer]
@@ -249,6 +255,7 @@ func NewLocality(ep transport.Endpoint) *Locality {
 		rpcSuppressed: reg.Counter(MetricRPCDedupSuppressed),
 		rpcFenced:     reg.Counter(MetricRPCFencedFrames),
 		rpcAckFrames:  reg.Counter(MetricRPCAckFrames),
+		rpcCallFrames: reg.Counter(MetricRPCCallFrames),
 		promisesNamed: reg.Counter(MetricPromisesNamed),
 		rpcRT:         reg.Histogram(MetricRPCRoundtrip),
 		dedup:         newDedupState(defaultDedupWindow),
@@ -412,6 +419,9 @@ func (l *Locality) dispatch(msg transport.Message) {
 	}
 	if l.closed.Load() {
 		return
+	}
+	if msg.Kind == kindRequest || msg.Kind == kindRequestDedup || msg.Kind == kindResponse {
+		l.rpcCallFrames.Inc()
 	}
 	switch msg.Kind {
 	case transport.KindHeartbeat:
