@@ -253,3 +253,39 @@ func TestCreateAndDestroyAwaitNoCall(t *testing.T) {
 		}
 	}
 }
+
+// TestDestroyTakesTheWritersRecords: the writer's record of a pin lives
+// in the item it pins, so a destroy ends it with the item. Rank 0 holds a
+// write whose drop left rank 1's read replica pinned for its refresh, and
+// destroys the item before it releases: the release owes nobody a
+// refresh, and once the notice has landed neither rank holds a pin.
+func TestDestroyTakesTheWritersRecords(t *testing.T) {
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 2, typ)
+	writer, holder := ts.managers[0], ts.managers[1]
+	id, err := writer.CreateItem(typ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := dataitem.Region(gr(0, 0, 8, 8))
+	ts.touch(t, 0, id, r, Write)
+	ts.touch(t, 1, id, r, Read)
+	const tok = 7
+	if err := writer.Acquire(tok, []Requirement{{Item: id, Region: r, Mode: Write}}); err != nil {
+		t.Fatal(err)
+	}
+	if w, h := writer.Pins(), holder.Pins(); w != 1 || h != 1 {
+		t.Fatalf("writer holds %d records and holder %d pins, want 1 and 1", w, h)
+	}
+	if err := writer.DestroyItem(id); err != nil {
+		t.Fatal(err)
+	}
+	writer.Release(tok)
+	noticesLanded(t, ts.sys.Locality(0))
+	if n := ts.sum(MetricRefreshSent); n != 0 {
+		t.Errorf("the release of a destroyed item's write sent %d refreshes, want none", n)
+	}
+	if w, h := writer.Pins(), holder.Pins(); w != 0 || h != 0 {
+		t.Errorf("after the destroy: writer holds %d records and holder %d pins, want none", w, h)
+	}
+}

@@ -64,19 +64,6 @@ type Located struct {
 	Rank   int
 }
 
-// heldPin is the writer's side of a write-mode pin: the refresh it
-// owes the sharer when its acquisition is released.
-type heldPin struct {
-	rank   int // the sharer
-	item   ItemID
-	region dataitem.Region
-	token  uint64 // the sharer's pin token
-	// carried marks a pin the writer's task brought along (TakeCarried)
-	// whose region its acquisition has not locked yet: a claim, which
-	// yields to whatever else needs the region (yieldLocked).
-	carried bool
-}
-
 // Registry names under which the manager publishes its metrics.
 const (
 	MetricAcquires    = "dim.acquires"
@@ -161,14 +148,6 @@ type Manager struct {
 	pinSeq uint64 // pin token sequence (guarded by mu)
 	// destroyed fences the items destroyed here (guarded by mu).
 	destroyed fence
-	// held maps the token of a local write acquisition to the replicas
-	// its drops left pinned at their holders, and a shipped task's token
-	// to the pins its origin carried for it (TakeCarried); Release
-	// refreshes them (guarded by mu).
-	held map[uint64][]heldPin
-	// claims counts the carried entries of held: while it is zero, nothing
-	// has to yield (guarded by mu).
-	claims int
 	// epoch is the recovery epoch (guarded by mu): index report
 	// versions are composed as epoch<<32|ver, so a coverage retraction
 	// (which raises the epoch and floors all side versions) bars every
@@ -205,7 +184,6 @@ func New(loc *runtime.Locality, reg *dataitem.Registry) *Manager {
 		lockWait:       loc.Metrics().Histogram(MetricLockWait),
 		parked:         loc.Metrics().Gauge(MetricLockWaiters),
 		items:          make(map[ItemID]*itemState),
-		held:           make(map[uint64][]heldPin),
 	}
 	m.registerServices()
 	return m

@@ -152,9 +152,9 @@ func TestMisshapenReplyIsRefused(t *testing.T) {
 			t.Errorf("%s answered with a 1-d region for a 2-d grid: no error", c.method)
 		}
 		m.mu.Lock()
-		if !st.frag.Region().Equal(right) || !st.root.Equal(right) || len(st.lent) != 0 || len(m.held) != 0 {
+		if !st.frag.Region().Equal(right) || !st.root.Equal(right) || len(st.lent) != 0 || len(st.held) != 0 {
 			t.Errorf("%s: the reply reached local state: coverage %v, root %v, lent %v, %d held pins",
-				c.method, st.frag.Region(), st.root, st.lent, len(m.held))
+				c.method, st.frag.Region(), st.root, st.lent, len(st.held))
 		}
 		m.mu.Unlock()
 	}

@@ -666,8 +666,8 @@ func (m *Manager) pinTokenLocked() uint64 {
 // holds its own copy under a write lock (drop), waiting while a lock
 // overlaps the region, and makes the removal known. An evictor that has
 // left while its drop waits is owed nothing (gone). A claim a task here
-// brought along on the region yields first (yieldLocked): the copy it
-// would write is going.
+// brought along on the region yields first (yield): the copy it would
+// write is going.
 func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 	w := waiter{abort: func() error { return m.gone(from) }}
 	defer w.done()
@@ -680,7 +680,7 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 		if err != nil {
 			return nil, err
 		}
-		yields = m.yieldLocked(0, args.Item, args.Region, yields)
+		yields = st.yield(0, args.Region, yields)
 		reply, evicted, err := st.drop(from, m.Rank(), args.Region, m.pinTokenLocked())
 		if err == errWait {
 			if err := m.park(&w, false); err != nil {
@@ -700,7 +700,8 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 				// The evictor will not learn of the pin: the kept part goes
 				// on as the replica it was.
 				if reply.PinToken != 0 {
-					m.unlockLocked(reply.PinToken)
+					st.end(reply.PinToken)
+					m.wakeLocked()
 				}
 				return nil, err
 			}
@@ -807,7 +808,7 @@ func (m *Manager) Acquire(token uint64, reqs []Requirement) error {
 // not nil, ends the acquisition's lock waits with its error once the
 // task no longer needs the data (see waiter). A failed acquisition
 // leaves the claims the task brought along (TakeCarried) in place: the
-// task's EndCarried ends them as it leaves.
+// task's Release ends them as it leaves.
 func (m *Manager) AcquireFor(token uint64, reqs []Requirement, parent trace.SpanID, abort func() error) error {
 	m.acquires.Inc()
 	sp := m.loc.Tracer().Begin("dim.acquire", "", parent)
@@ -867,8 +868,8 @@ func (m *Manager) acquire(token uint64, reqs []Requirement, w *waiter, span trac
 // data is still locally present — if a concurrent migration stole it, it
 // returns false so the caller re-stages. Once locked, the claims the task
 // brought along are its acquisition's pins, and another task's claim on
-// a region it writes yields: it returns their refreshes, for the caller
-// to send.
+// a region it writes yields (start): it returns their refreshes, for the
+// caller to send.
 func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool, []refresh, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -901,23 +902,10 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool,
 				return false, nil, nil
 			}
 		}
+		var yields []refresh
 		for _, rq := range reqs {
 			st, _ := m.itemLocked(rq.Item)
-			st.start(token, rq.Mode, rq.Region)
-		}
-		var yields []refresh
-		if m.claims > 0 {
-			for i, h := range m.held[token] {
-				if h.carried {
-					m.held[token][i].carried = false
-					m.claims--
-				}
-			}
-			for _, rq := range reqs {
-				if rq.Mode == Write {
-					yields = m.yieldLocked(token, rq.Item, rq.Region, yields)
-				}
-			}
+			yields = st.start(token, rq.Mode, rq.Region, yields)
 		}
 		return true, yields, nil
 	}
@@ -926,8 +914,8 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool,
 // enforceExclusive restores single-copy ownership of all write
 // regions after the locks are taken: it is done with a region once the
 // local copy is the root copy and every sharer record inside it names a
-// copy this acquisition holds pinned (m.held[token]) — storage its
-// holder cannot read until Release has refreshed it, not a copy.
+// copy this acquisition holds pinned (notHeld) — storage its holder
+// cannot read until Release has refreshed it, not a copy.
 //
 // The copies on record here are evicted first, and theirs (evict). If
 // that leaves the region inside root, all copies there were are gone or
@@ -1013,26 +1001,22 @@ func (m *Manager) enforceExclusive(token uint64, reqs []Requirement, w *waiter, 
 	return nil
 }
 
-// Release drops all locks held by token. The replicas a write
-// acquisition left pinned at their holders are owed its result: their
-// parts are extracted while the write lock still stands and sent with
-// the dim.unpin that releases each pin (sendRefreshes): the pin keeps
+// Release drops all locks held by token, and ends the pins it holds
+// (take): the replicas a write acquisition left pinned at their holders,
+// and the claims a task that leaves brought along, are owed its result.
+// Their parts are extracted while the write lock still stands and sent
+// with the dim.unpin that releases each pin (sendRefreshes): the pin keeps
 // every reader of the stale bytes out until the refresh has arrived.
 func (m *Manager) Release(token uint64) {
+	var out []refresh
 	m.mu.Lock()
-	out := m.takeHeldLocked(token, nil)
-	m.unlockLocked(token)
-	m.mu.Unlock()
-	m.sendRefreshes(out)
-}
-
-// unlockLocked removes the lock entries of token — an acquisition's or
-// a pin's — and wakes the waiters.
-func (m *Manager) unlockLocked(token uint64) {
 	for _, st := range m.items {
+		out = st.take(token, out)
 		st.end(token)
 	}
 	m.wakeLocked()
+	m.mu.Unlock()
+	m.sendRefreshes(out)
 }
 
 // LockedRegions returns the regions of an item locked by granted
@@ -1057,14 +1041,15 @@ func (m *Manager) LockedRegions(id ItemID) (read, write []dataitem.Region, err e
 	return read, write, nil
 }
 
-// Pins returns how many pins — of either mode, plus refreshes this
-// rank's acquisitions still owe — are outstanding: zero at quiescence
-// (for tests and monitoring).
+// Pins returns how many pins — of either mode, plus the writer's records
+// of those held elsewhere for this rank — are outstanding: zero at
+// quiescence (for tests and monitoring).
 func (m *Manager) Pins() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := len(m.held)
+	n := 0
 	for _, st := range m.items {
+		n += len(st.held)
 		for _, e := range st.locks {
 			if e.pin != noPin {
 				n++

@@ -97,11 +97,6 @@ func (m *Manager) RetractEpoch(epoch uint64) {
 		m.invalidateLocatesLocked(st)
 		st.retract(m.epoch << 32)
 	}
-	// Every rank's retraction removes the replicas kept there: a writer
-	// forgets the ones its drops kept elsewhere, or its walk would take a
-	// later copy at the same rank for one, which is gone.
-	clear(m.held)
-	m.claims = 0
 	m.wakeLocked()
 }
 

@@ -2,6 +2,7 @@ package dim
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"allscale/internal/dataitem"
@@ -51,6 +52,9 @@ type itemState struct {
 	full  dataitem.Region
 	frag  dataitem.Fragment
 	locks []lockEntry
+	// held is the writer's side of the write-mode pins other ranks hold
+	// for the acquisitions and tasks here (heldPin).
+	held []heldPin
 	// index maps level -> child coverages, for the levels at which
 	// this rank hosts an inner node (level >= 2).
 	index map[int]*sides
@@ -390,13 +394,6 @@ func (st *itemState) carry(to, self int, r dataitem.Region, token uint64) datait
 	return reply.Kept
 }
 
-// yields reports whether h, a pin a writer's acquisition owes a refresh,
-// is a claim (carried, its region not locked yet) that has to end before
-// something else may have region r of item id.
-func (h heldPin) yields(id ItemID, r dataitem.Region) bool {
-	return h.carried && h.item == id && !h.region.Intersect(r).IsEmpty()
-}
-
 // unpin releases the pin token if this item holds it (ok), with data,
 // the writer's refresh of a write-mode pin (settle). The token is the
 // gate: a refresh whose pin is gone (released by recovery, or a resend
@@ -572,10 +569,21 @@ func (st *itemState) present(r dataitem.Region) bool {
 }
 
 // start is the (start) rule: r, present and not blocked, is locked under
-// token for a local task.
-func (st *itemState) start(token uint64, mode Mode, r dataitem.Region) {
+// token for a local task. The claims token's task brought along on the
+// item are its acquisition's pins now, and a write ends every other
+// owner's claim on r (yield), appending their refreshes to out.
+func (st *itemState) start(token uint64, mode Mode, r dataitem.Region, out []refresh) []refresh {
 	st.locks = append(st.locks, lockEntry{token: token, mode: mode, region: r, pin: noPin})
 	st.granted(r)
+	for i := range st.held {
+		if st.held[i].owner == token {
+			st.held[i].carried = false
+		}
+	}
+	if mode == Write {
+		out = st.yield(token, r, out)
+	}
+	return out
 }
 
 // end is the (end) rule: the locks of token — an acquisition's or a
@@ -593,37 +601,144 @@ func (st *itemState) end(token uint64) {
 // evicted is the (migrate) rule at the evictor, taking in the holder's
 // reply to the drop of o: that copy is gone or pinned, and the holder has
 // forgotten the copies made from it — they are this rank's to answer for
-// until the chase has reached them, as is the holder's root role. A holder that keeps its copy stays on record.
-func (st *itemState) evicted(o Located, reply *dropReply) error {
+// until the chase has reached them, as is the holder's root role. A
+// holder that keeps its copy stays on record, and the writer's record of
+// its pin is filed under owner: a pin of owner's acquisition or, with
+// claim, a claim of owner's task — unless the part is not here and
+// readable, when the claim yields at once, its refresh appended to out.
+func (st *itemState) evicted(owner uint64, o Located, reply *dropReply, claim bool, out []refresh) ([]refresh, error) {
 	if err := st.fitsLocated(reply.Sharers); err != nil {
-		return err
+		return out, err
 	}
 	if reply.PinToken != 0 {
 		if err := st.fits(reply.Kept); err != nil {
-			return err
+			return out, err
 		}
 	}
 	if err := st.fits(reply.Root); err != nil {
-		return err
+		return out, err
 	}
 	st.unlend(o.Rank, o.Region)
 	st.root = st.root.Union(reply.Root)
 	for _, s := range reply.Sharers { // never this rank
 		st.lend(s.Rank, s.Region)
 	}
-	if reply.PinToken != 0 {
-		st.lend(o.Rank, reply.Kept)
+	if reply.PinToken == 0 {
+		return out, nil
 	}
-	return nil
+	st.lend(o.Rank, reply.Kept)
+	h := heldPin{owner: owner, rank: o.Rank, region: reply.Kept, token: reply.PinToken, carried: claim}
+	if claim {
+		if blocked, _ := st.blocked(0, Read, h.region); blocked || !st.present(h.region) {
+			return st.owe(h, out), nil
+		}
+	}
+	st.held = append(st.held, h)
+	return out, nil
+}
+
+// takeCarried is evicted for the drop the origin `from` served as it
+// shipped the task owner here (carry): a reply of the kept part alone,
+// filed as a claim. Its region fits (TakeCarried checks the frame).
+func (st *itemState) takeCarried(owner uint64, from int, c Carried, out []refresh) []refresh {
+	out, _ = st.evicted(owner, Located{Region: c.Kept, Rank: from}, &dropReply{Root: st.typ.EmptyRegion(), Kept: c.Kept, PinToken: c.Token}, true, out)
+	return out
+}
+
+// The writer's side of a write-mode pin (DESIGN.md §6f "A pin's two
+// lives"): a record in the item it pins, filed under its owner's token —
+// the acquisition a holder kept the part for, or the shipped task whose
+// origin carried the drop — until the owner sends the holder its refresh.
+// A claim (a record the task brought along) yields to anything else that
+// needs its region before the task's acquisition locks it (start).
+
+// heldPin is the writer's record of a write-mode pin at its holder.
+type heldPin struct {
+	owner  uint64 // the acquisition's or task's token, which owes the refresh
+	rank   int    // the holder
+	region dataitem.Region
+	token  uint64 // the holder's pin token
+	// carried marks a claim: its task brought it along (takeCarried), and
+	// its acquisition has not locked the region yet.
+	carried bool
+}
+
+// refresh is a dim.unpin owed to the holder of a write-mode pin: its
+// token, and the pinned part's content.
+type refresh struct {
+	rank  int
+	token uint64
+	data  []byte
+}
+
+// owe appends to out the refresh h's holder is owed now: the pinned part
+// as it is here. A part no longer here has nothing to send, and the
+// holder drops it instead.
+func (st *itemState) owe(h heldPin, out []refresh) []refresh {
+	data, _ := st.frag.Extract(h.region)
+	return append(out, refresh{rank: h.rank, token: h.token, data: data})
+}
+
+// yield ends the claims on r of every owner but except, appending their
+// refreshes to out: something else needs the region before the tasks
+// they were carried for have locked it.
+func (st *itemState) yield(except uint64, r dataitem.Region, out []refresh) []refresh {
+	rest := st.held[:0]
+	for _, h := range st.held {
+		if h.carried && h.owner != except && !h.region.Intersect(r).IsEmpty() {
+			out = st.owe(h, out)
+		} else {
+			rest = append(rest, h)
+		}
+	}
+	st.held = rest
+	return out
+}
+
+// take ends every record of owner, claims and pins alike, appending their
+// refreshes to out: its acquisition is released, or its task leaves
+// without one that took its claims over.
+func (st *itemState) take(owner uint64, out []refresh) []refresh {
+	rest := st.held[:0]
+	for _, h := range st.held {
+		if h.owner == owner {
+			out = st.owe(h, out)
+		} else {
+			rest = append(rest, h)
+		}
+	}
+	st.held = rest
+	return out
+}
+
+// notHeld clips the copies listed in owners to what the acquisition
+// token has not left pinned at their holders.
+func (st *itemState) notHeld(token uint64, owners []Located) []Located {
+	if !slices.ContainsFunc(st.held, func(h heldPin) bool { return h.owner == token }) {
+		return owners
+	}
+	var out []Located
+	for _, o := range owners {
+		for _, h := range st.held {
+			if h.owner == token && h.rank == o.Rank {
+				o.Region = o.Region.Difference(h.region)
+			}
+		}
+		if !o.Region.IsEmpty() {
+			out = append(out, o)
+		}
+	}
+	return out
 }
 
 // retract enters a recovery epoch whose report versions start at floor:
 // the index sides are emptied and their versions floored, so a report of
 // an older epoch is stale on arrival. The directory is reset — it may rest
 // on pre-crash evictions a rollback undoes, or on a chain of records
-// through a dead rank — and a kept replica, whose writer's record of it
-// just went, goes too: the republish reports the loss, and the refresh
-// finds no pin.
+// through a dead rank — and the kept replicas go with the writers' records
+// of them, here and at every rank retracting with this one: the republish
+// reports the loss, and a writer's walk does not take a later copy at the
+// same rank for one it holds.
 func (st *itemState) retract(floor uint64) {
 	for _, s := range st.index {
 		for i := range s.cov {
@@ -632,6 +747,7 @@ func (st *itemState) retract(floor uint64) {
 	}
 	st.resetDirectory()
 	st.unpinAll(writePin)
+	st.held = nil
 }
 
 // departed forgets what the item owes rank, which is dead or departed,

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,12 +41,11 @@ const (
 //     every replica kept for it);
 //   - ships of a writer to a rank that holds its region, the origin
 //     serving its drop as it ships (carry); the destination queues the
-//     task with its claim (TakeCarried) and starts it when its slot is
-//     free, or the task leaves the queue (EndCarried); a ship may be
-//     given up before delivery (the origin settles the pin), arrive
-//     late, or arrive twice (the second copy answered by the dedup
-//     window); every other need of the region ends a claim first
-//     (yields, as Manager.yieldLocked);
+//     task with its claim (takeCarried) and starts it when its slot is
+//     free, or the task leaves the queue (take); a ship may be given up
+//     before delivery (the origin settles the pin), arrive late, or
+//     arrive twice (the second copy answered by the dedup window); every
+//     other need of the region ends a claim first (yield, start);
 //   - deliveries of the messages in flight, in any order — some lag far
 //     behind, and an unpin may come twice; a request whose rule answers
 //     errWait stays in flight;
@@ -55,8 +55,14 @@ const (
 // stands for is authoritative. After every step it checks the §2.5 data
 // properties — satisfied requirements, exclusive writes (a write-pinned
 // copy is unreadable, so it is not a copy) and data preservation —
-// verifyDirectory's invariant with an int shadow of the last write, and
-// that the root host accounts for no root copy nobody holds.
+// verifyDirectory's invariant with an int shadow of the last write, that
+// the root host accounts for no root copy nobody holds, and that each
+// writer's record of a pin names the pin its holder keeps, a claim only
+// while its task has not locked.
+//
+// The writer's side of every pin is the rules' own: evicted and
+// takeCarried file it, start promotes a claim, yield, take and retract
+// end it, notHeld reads it. The test keeps no record of its own.
 //
 // A retraction is one step over all ranks, taken while no drop — and no
 // ship carrying one — is in flight. One that overtakes a drop breaks the
@@ -185,7 +191,6 @@ type propAcq struct {
 	exclusive bool      // the task may run
 	busy      bool      // waits for the reply to its request in flight
 	chase     []Located // copies still to drop
-	held      []heldPin // replicas kept for its refresh
 }
 
 type propSim struct {
@@ -413,31 +418,16 @@ func (s *propSim) leave(i int) error {
 	a := s.queued[i][k]
 	s.queued[i] = append(s.queued[i][:k:k], s.queued[i][k+1:]...)
 	s.logf("rank %d's shipped writer of %v leaves", i, a.r)
-	for _, h := range a.held {
-		s.yield(i, h)
-	}
+	s.unpins(i, s.st[i].take(a.token, nil))
 	return nil
 }
 
-// yield ends the claim h at rank i with a refresh of the current content.
-func (s *propSim) yield(i int, h heldPin) {
-	data, _ := s.st[i].frag.Extract(h.region)
-	s.logf("rank %d ends the claim on %v of rank %d", i, h.region, h.rank)
-	s.send(propMsg{kind: unpinMsg, from: i, to: h.rank, token: h.token, data: data})
-}
-
-// yieldClaims ends the claims among held that yield to a need of r at
-// rank i (Manager.yieldLocked) and returns the rest.
-func (s *propSim) yieldClaims(i int, held []heldPin, r dataitem.Region) []heldPin {
-	rest := held[:0]
-	for _, h := range held {
-		if h.yields(0, r) {
-			s.yield(i, h)
-			continue
-		}
-		rest = append(rest, h)
+// unpins sends the refreshes the rules at rank i owe.
+func (s *propSim) unpins(i int, rs []refresh) {
+	for _, r := range rs {
+		s.logf("rank %d refreshes the pin %#x of rank %d", i, r.token, r.rank)
+		s.send(propMsg{kind: unpinMsg, from: i, to: r.rank, token: r.token, data: r.data})
 	}
-	return rest
 }
 
 // owners is the index walk: the copies of r held by ranks other than i.
@@ -446,23 +436,6 @@ func (s *propSim) owners(i int, r dataitem.Region) []Located {
 	for j, st := range s.st {
 		if part := r.Intersect(st.frag.Region()); j != i && !part.IsEmpty() {
 			out = append(out, Located{Region: part, Rank: j})
-		}
-	}
-	return out
-}
-
-// notHeld clips the copies listed to what a's drops have not left pinned
-// (Manager.notHeldLocked).
-func (a *propAcq) notHeld(owners []Located) []Located {
-	var out []Located
-	for _, o := range owners {
-		for _, h := range a.held {
-			if h.rank == o.Rank {
-				o.Region = o.Region.Difference(h.region)
-			}
-		}
-		if !o.Region.IsEmpty() {
-			out = append(out, o)
 		}
 	}
 	return out
@@ -490,31 +463,21 @@ func (s *propSim) advance(i int) error {
 			s.idle = true // parked until the lock goes
 			return nil
 		}
-		st.start(a.token, a.mode, a.r)
-		a.locked, a.exclusive = true, a.mode == Read
 		s.logf("rank %d locks %v", i, a.r)
-		// The claims it brought along are its pins now; another task's
-		// claim on what it writes yields (Manager.tryLockAll).
-		for k := range a.held {
-			a.held[k].carried = false
-		}
-		if a.mode == Write {
-			for _, q := range s.queued[i] {
-				q.held = s.yieldClaims(i, q.held, a.r)
-			}
-		}
+		s.unpins(i, st.start(a.token, a.mode, a.r, nil))
+		a.locked, a.exclusive = true, a.mode == Read
 	case !a.exclusive: // enforceExclusive and evict
 		for len(a.chase) > 0 {
 			o := a.chase[len(a.chase)-1]
 			a.chase = a.chase[:len(a.chase)-1]
-			if rest := a.notHeld([]Located{o}); o.Rank != i && len(rest) > 0 {
+			if rest := st.notHeld(a.token, []Located{o}); o.Rank != i && len(rest) > 0 {
 				s.logf("rank %d drops %v at rank %d", i, rest[0].Region, o.Rank)
 				s.send(propMsg{kind: dropReq, from: i, to: o.Rank, r: rest[0].Region})
 				a.busy = true
 				return nil
 			}
 		}
-		if a.chase = a.notHeld(st.sharers(a.r)); len(a.chase) > 0 {
+		if a.chase = st.notHeld(a.token, st.sharers(a.r)); len(a.chase) > 0 {
 			return s.advance(i)
 		}
 		unrooted := a.r.Difference(st.root)
@@ -523,7 +486,7 @@ func (s *propSim) advance(i int) error {
 			s.logf("rank %d holds %v alone", i, a.r)
 			return nil
 		}
-		if a.chase = a.notHeld(s.owners(i, a.r)); len(a.chase) > 0 {
+		if a.chase = st.notHeld(a.token, s.owners(i, a.r)); len(a.chase) > 0 {
 			return s.advance(i)
 		}
 		s.logf("rank %d claims the root of %v", i, unrooted)
@@ -548,15 +511,11 @@ func (s *propSim) advance(i int) error {
 }
 
 // release ends rank i's locks and sends every replica kept for it its
-// refresh (Manager.Release).
+// refresh (take).
 func (s *propSim) release(i int) {
 	a, st := s.acq[i], s.st[i]
+	s.unpins(i, st.take(a.token, nil))
 	st.end(a.token)
-	for _, h := range a.held {
-		data, _ := st.frag.Extract(h.region)
-		s.send(propMsg{kind: unpinMsg, from: i, to: h.rank, token: h.token, data: data})
-	}
-	a.held = nil
 }
 
 // deliver hands message k to its rule at the receiver.
@@ -594,12 +553,7 @@ func (s *propSim) deliver(k int) error {
 		}
 	case dropReq:
 		// A claim on the region yields first (Manager.handleDrop).
-		for _, q := range s.queued[m.to] {
-			q.held = s.yieldClaims(m.to, q.held, m.r)
-		}
-		if a := s.acq[m.to]; a != nil {
-			a.held = s.yieldClaims(m.to, a.held, m.r)
-		}
+		s.unpins(m.to, st.yield(0, m.r, nil))
 		r, _, err := st.drop(m.from, m.to, m.r, s.pinToken(m.to))
 		if err == errWait {
 			s.idle = true // parked until the lock goes
@@ -618,11 +572,8 @@ func (s *propSim) deliver(k int) error {
 			s.acq[m.to] = &propAcq{token: a.token, mode: a.mode, r: a.r}
 			break
 		}
-		if err := st.evicted(Located{Region: m.r, Rank: m.from}, m.drop); err != nil {
+		if _, err := st.evicted(a.token, Located{Region: m.r, Rank: m.from}, m.drop, false, nil); err != nil {
 			return err
-		}
-		if m.drop.PinToken != 0 {
-			a.held = append(a.held, heldPin{rank: m.from, region: m.drop.Kept, token: m.drop.PinToken})
 		}
 		a.chase = append(a.chase, m.drop.Sharers...)
 	case shipReq:
@@ -632,15 +583,7 @@ func (s *propSim) deliver(k int) error {
 		s.seq++
 		a := &propAcq{token: s.seq, mode: Write, r: m.r}
 		if c := m.carry; c != nil { // Manager.TakeCarried
-			if err := st.evicted(Located{Region: c.Kept, Rank: m.from}, &dropReply{Root: st.typ.EmptyRegion(), Kept: c.Kept, PinToken: c.Token}); err != nil {
-				return err
-			}
-			h := heldPin{rank: m.from, region: c.Kept, token: c.Token, carried: true}
-			if blocked, _ := st.blocked(0, Read, c.Kept); blocked || !st.present(c.Kept) {
-				s.yield(m.to, h)
-			} else {
-				a.held = append(a.held, h)
-			}
+			s.unpins(m.to, st.takeCarried(a.token, m.from, *c, nil))
 		}
 		s.queued[m.to] = append(s.queued[m.to], a)
 		if s.rng.Intn(4) == 0 {
@@ -675,15 +618,9 @@ func (s *propSim) retraction() error {
 	s.epoch++
 	s.logf("retraction into epoch %d", s.epoch)
 	all := s.typ.EmptyRegion()
-	for i, st := range s.st {
+	for _, st := range s.st {
 		st.retract(s.epoch << 32)
 		all = all.Union(st.frag.Region())
-		if a := s.acq[i]; a != nil {
-			a.held = nil
-		}
-		for _, q := range s.queued[i] {
-			q.held = nil
-		}
 	}
 	s.st[propHost].allocated = all
 	return nil
@@ -750,6 +687,20 @@ func (s *propSim) check() error {
 	}
 	if phantom := s.st[propHost].rooted.Difference(roots); !claims && !phantom.IsEmpty() {
 		return fmt.Errorf("the root host accounts for a root copy of %v nobody holds", phantom)
+	}
+	// A pin's two records: the writer's names a write-mode pin its holder
+	// keeps for it, and it is a claim only while its owner has not locked.
+	for i, st := range s.st {
+		for _, h := range st.held {
+			if !slices.ContainsFunc(s.st[h.rank].locks, func(e lockEntry) bool {
+				return e.token == h.token && e.mode == Write && e.pin == i && e.region.Equal(h.region)
+			}) {
+				return fmt.Errorf("rank %d's record of %v at rank %d names no pin there", i, h.region, h.rank)
+			}
+			if h.carried && slices.ContainsFunc(st.locks, func(e lockEntry) bool { return e.token == h.owner && e.pin == noPin }) {
+				return fmt.Errorf("rank %d keeps a claim on %v for a task that has locked", i, h.region)
+			}
+		}
 	}
 	return nil
 }

@@ -25,35 +25,17 @@ func (m *Manager) sharersOf(token uint64, id ItemID, r dataitem.Region) (sharers
 	if err != nil {
 		return nil, r
 	}
-	return m.notHeldLocked(token, id, st.sharers(r)), r.Difference(st.root)
+	return st.notHeld(token, st.sharers(r)), r.Difference(st.root)
 }
 
-// notHeldLocked clips the copies of item id listed in owners to what
-// the acquisition token has not left pinned at their holders.
-func (m *Manager) notHeldLocked(token uint64, id ItemID, owners []Located) []Located {
-	held := m.held[token]
-	if len(held) == 0 {
-		return owners
-	}
-	var out []Located
-	for _, o := range owners {
-		for _, h := range held {
-			if h.rank == o.Rank && h.item == id {
-				o.Region = o.Region.Difference(h.region)
-			}
-		}
-		if !o.Region.IsEmpty() {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// notHeld is notHeldLocked for callers outside the lock.
+// notHeld is the rule notHeld on item id, for callers outside the lock.
 func (m *Manager) notHeld(token uint64, id ItemID, owners ...Located) []Located {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.notHeldLocked(token, id, owners)
+	if st, ok := m.items[id]; ok {
+		return st.notHeld(token, owners)
+	}
+	return owners
 }
 
 // errContended reports a drop turned away by a lower rank that has
@@ -96,13 +78,10 @@ func (m *Manager) evict(token uint64, id ItemID, o Located, span trace.SpanID) e
 		}
 		m.mu.Lock()
 		if st, ok := m.items[id]; ok {
-			if err := st.evicted(o, &reply); err != nil {
+			if _, err := st.evicted(token, o, &reply, false, nil); err != nil {
 				m.mu.Unlock()
 				return fmt.Errorf("dim: evict replica of %v from rank %d: %w", id, o.Rank, err)
 			}
-		}
-		if reply.PinToken != 0 {
-			m.held[token] = append(m.held[token], heldPin{rank: o.Rank, item: id, region: reply.Kept, token: reply.PinToken})
 		}
 		m.mu.Unlock()
 		work = append(work, reply.Sharers...)
@@ -121,30 +100,11 @@ func (m *Manager) ExclusivelyOwned(id ItemID, r dataitem.Region) bool {
 // A shipped writer carries its origin's eviction (DESIGN.md §6f
 // "Carried evictions", the claim rows): its origin serves the drop as it
 // ships it (Carry), and at the destination the pin is the task's claim
-// (TakeCarried) until its acquisition locks the region and Release
-// refreshes it. Anything else that needs the region first (yieldLocked)
-// and the task leaving without it (EndCarried) end it with a refresh; at
-// the origin it turns away every evictor but the destination (drop); a
-// ship given up settles it without a refresh (SettleCarried).
-
-// refresh is a dim.unpin owed to the holder of a write-mode pin: its
-// token, and the pinned part's content.
-type refresh struct {
-	rank  int
-	token uint64
-	data  []byte
-}
-
-// refreshLocked returns the refresh owed to h now: the pinned part as it
-// is here. An acquisition that lost its data (a recovery reset) has
-// nothing to send: the holder drops the part instead.
-func (m *Manager) refreshLocked(h heldPin) refresh {
-	r := refresh{rank: h.rank, token: h.token}
-	if st, ok := m.items[h.item]; ok {
-		r.data, _ = st.frag.Extract(h.region)
-	}
-	return r
-}
+// (TakeCarried) until its acquisition locks the region (start) and
+// Release refreshes it. Anything else that needs the region first (yield)
+// and the task leaving without it (Release) end it with a refresh; at the
+// origin it turns away every evictor but the destination (drop); a ship
+// given up settles it without a refresh (SettleCarried).
 
 // sendRefreshes sends each refresh in the dim.unpin that ends its pin —
 // supervised, ack-only, and not waited for.
@@ -154,48 +114,6 @@ func (m *Manager) sendRefreshes(rs []refresh) {
 		m.refreshBytes.Add(uint64(len(r.data)))
 		m.loc.CallAsync(r.rank, methodUnpin, &unpinArgs{Token: r.token, Data: r.data}, m.ctlOpt(), runtime.AckOnly())
 	}
-}
-
-// takeHeldLocked ends every pin token holds, claims included, and
-// appends their refreshes to out.
-func (m *Manager) takeHeldLocked(token uint64, out []refresh) []refresh {
-	for _, h := range m.held[token] {
-		if h.carried {
-			m.claims--
-		}
-		out = append(out, m.refreshLocked(h))
-	}
-	delete(m.held, token)
-	return out
-}
-
-// yieldLocked ends the claims on r in item id of every task but token's,
-// appending their refreshes to out: something else needs the region
-// before those tasks have locked it.
-func (m *Manager) yieldLocked(token uint64, id ItemID, r dataitem.Region, out []refresh) []refresh {
-	if m.claims == 0 {
-		return out
-	}
-	for tok, hs := range m.held {
-		if tok == token {
-			continue
-		}
-		rest := hs[:0]
-		for _, h := range hs {
-			if h.yields(id, r) {
-				m.claims--
-				out = append(out, m.refreshLocked(h))
-				continue
-			}
-			rest = append(rest, h)
-		}
-		if len(rest) == 0 {
-			delete(m.held, tok)
-		} else {
-			m.held[tok] = rest
-		}
-	}
-	return out
 }
 
 // Carry serves, at the origin of a task shipped to rank `to`, the drop
@@ -239,10 +157,9 @@ func (m *Manager) SettleCarried(to int, cs []Carried) {
 // TakeCarried takes in, at the destination, the evictions the origin
 // `from` carried for the n tasks of one frame, carried(i) giving task i's
 // token and evictions. It refuses the frame, filing nothing, if one of
-// them does not fit its item. Each is applied like a drop's reply
-// (evicted), and its pin is filed as a claim of the task — unless the
-// part is not here and readable, when the claim yields at once. A
-// destroyed item is ignored, one not met here made (itemLocked).
+// them does not fit its item. Each is taken in as the task's claim
+// (takeCarried). A destroyed item is ignored, one not met here made
+// (itemLocked).
 func (m *Manager) TakeCarried(from, n int, carried func(i int) (token uint64, cs []Carried)) error {
 	i := 0
 	for ; i < n; i++ {
@@ -267,31 +184,12 @@ func (m *Manager) TakeCarried(from, n int, carried func(i int) (token uint64, cs
 	for ; i < n; i++ {
 		token, cs := carried(i)
 		for _, c := range cs {
-			st, ok := m.items[c.Item]
-			if !ok {
-				continue
+			if st, ok := m.items[c.Item]; ok {
+				yields = st.takeCarried(token, from, c, yields)
 			}
-			_ = st.evicted(Located{Region: c.Kept, Rank: from}, &dropReply{Root: st.typ.EmptyRegion(), Kept: c.Kept, PinToken: c.Token}) // it fits
-			h := heldPin{rank: from, item: c.Item, region: c.Kept, token: c.Token, carried: true}
-			if blocked, _ := st.blocked(0, Read, c.Kept); blocked || !st.present(c.Kept) {
-				yields = append(yields, m.refreshLocked(h))
-				continue
-			}
-			m.held[token] = append(m.held[token], h)
-			m.claims++
 		}
 	}
 	m.mu.Unlock()
 	m.sendRefreshes(yields)
 	return nil
-}
-
-// EndCarried ends the pins the task token brought along, each with a
-// refresh of the current content: the task leaves without an acquisition
-// that took them over (its acquisition failed, or it never made one).
-func (m *Manager) EndCarried(token uint64) {
-	m.mu.Lock()
-	out := m.takeHeldLocked(token, nil)
-	m.mu.Unlock()
-	m.sendRefreshes(out)
 }

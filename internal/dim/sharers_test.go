@@ -104,7 +104,7 @@ func (ts *testSystem) noPins(t *testing.T, id ItemID) {
 	t.Helper()
 	for rank, m := range ts.managers {
 		m.mu.Lock()
-		pins, held, locks := pinsLocked(m), len(m.held), len(m.items[id].locks)
+		pins, held, locks := pinsLocked(m), len(m.items[id].held), len(m.items[id].locks)
 		m.mu.Unlock()
 		if pins != 0 || held != 0 || locks != 0 {
 			t.Errorf("rank %d at quiescence: %d pins, %d acquisitions owing a refresh, %d locks", rank, pins, held, locks)

@@ -2,12 +2,14 @@ package jobs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"allscale/internal/runtime"
+	"allscale/internal/sched"
 	"allscale/internal/trace"
 )
 
@@ -92,5 +94,54 @@ func TestStencilJobProtocolCounts(t *testing.T) {
 	}
 	if awaited != 2 || frames != 2 {
 		t.Errorf("%d awaited calls in %d frames, want the 2 local claims in the 2 notices' frames", awaited, frames)
+	}
+}
+
+// TestStencilJobAllocs pins what one stencil job allocates, every
+// goroutine of the process counted: the job of
+// TestStencilJobProtocolCounts, through the same service, from submit to
+// its done status — admission, dispatch, the item create and destroy, the
+// steps and their tasks. The fewest of three batches without a steal is
+// checked: 378–379 a job, 401–410 a batch under -race -cpu 2, whose pool
+// drops cost more; the bound is the highest of those plus 3 %.
+func TestStencilJobAllocs(t *testing.T) {
+	sys, svc := newTestServiceWorkers(t, 2, 1, Config{}, WorkloadConfig{StencilSizes: []int{32}, PForMinGrain: 4096})
+	job := func() {
+		waitState(t, svc, mustSubmit(t, svc, "t", FamilyStencil, StencilParams{N: 32, Steps: 4}), Done)
+	}
+	// A batch starts once no call is pending, so that it counts no
+	// notice or ack of the batch before it.
+	settled := func() uint64 {
+		deadline := time.Now().Add(5 * time.Second)
+		for r := 0; r < sys.Size(); r++ {
+			for sys.Locality(r).PendingCalls() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("rank %d: calls still pending", r)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		return sys.CounterSum(sched.MetricStolenFrom)
+	}
+	for range 10 {
+		job()
+	}
+	const batches, jobs = 3, 20
+	allocs := math.Inf(1)
+	for attempt, clean := 0, 0; clean < batches; attempt++ {
+		if attempt == 20 {
+			t.Fatalf("%d of 20 batches of jobs ran without a steal, want %d", clean, batches)
+		}
+		before := settled()
+		batch := testing.AllocsPerRun(jobs, job)
+		if settled() != before {
+			continue
+		}
+		t.Logf("%.0f allocations a job", batch)
+		clean++
+		allocs = min(allocs, batch)
+	}
+	if allocs > 422 {
+		t.Errorf("%.0f allocations a job, want at most 422", allocs)
 	}
 }

@@ -78,8 +78,9 @@ func (l *Locality) flushAcks(to int) {
 	payload, err := wire.Encode(&ackFrame{Epoch: l.epoch.Load(), IDs: q.ids})
 	q.ids = q.ids[:0]
 	q.mu.Unlock()
-	if err == nil && !l.Peer(to).Gone() && l.ep.Send(to, kindAcks, payload) == nil {
-		l.rpcAckFrames.Inc()
+	if err == nil && !l.Peer(to).Gone() {
+		l.rpcAckFrames.Inc() // before the receiver can see the frame
+		_ = l.ep.Send(to, kindAcks, payload)
 	}
 }
 

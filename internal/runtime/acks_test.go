@@ -375,3 +375,75 @@ func TestAckListIsBoundedByTheFrame(t *testing.T) {
 func FuzzRPCEnvelopeUnmarshal(f *testing.F) {
 	wiretest.FuzzUnmarshal(f, envelopeSeeds()...)
 }
+
+// watched is an endpoint whose arriving frames are shown to seen before
+// the locality's handler gets them.
+type watched struct {
+	transport.Endpoint
+	seen func(transport.Message)
+}
+
+func (w *watched) SetHandler(h transport.Handler) {
+	w.Endpoint.SetHandler(func(m transport.Message) { w.seen(m); h(m) })
+}
+
+// TestSendCountersLeadTheirFrames: a sender counts a frame before it
+// hands it off, so that whoever sees the frame arrive also sees its
+// count. Rank 1 sends rank 0 one-ways, and the rpc.acks frames of rank
+// 0's ack-only calls; as each frame arrives, before rank 0 dispatches
+// it, rank 1's transport.msgs_sent and rpc.ack_frames must each count at
+// least the frames of their kind that have arrived.
+func TestSendCountersLeadTheirFrames(t *testing.T) {
+	const oneWays, calls = 2000, 40
+	fab := transport.NewFabric(2)
+	w := &watched{Endpoint: fab.Endpoint(0)}
+	sys := NewSystemOver([]transport.Endpoint{w, fab.Endpoint(1)})
+	l0, l1 := sys.Locality(0), sys.Locality(1)
+	var frames, ackFrames, behind atomic.Int64
+	w.seen = func(m transport.Message) {
+		if m.From != 1 {
+			return
+		}
+		n, a := frames.Add(1), int64(0)
+		if m.Kind == kindAcks {
+			a = ackFrames.Add(1)
+		}
+		if sent := l1.Metrics().CounterValue(transport.MetricMsgsSent); int64(sent) < n {
+			behind.Add(1)
+		}
+		if sent := l1.Metrics().CounterValue(MetricRPCAckFrames); int64(sent) < a {
+			behind.Add(1)
+		}
+	}
+	got := make(chan struct{}, oneWays)
+	l0.HandleOneWay("tick", func(int, []byte) { got <- struct{}{} })
+	l1.Handle("nop", func(int, []byte) ([]byte, error) { return nil, nil })
+	fab.Start()
+	t.Cleanup(func() { sys.Close(); fab.Close() })
+	for range calls {
+		// Nothing else goes to rank 0 meanwhile: the ack leaves in an
+		// rpc.acks frame of its own.
+		l0.CallAsync(1, "nop", &struct{}{}, AckOnly())
+		deadline := time.Now().Add(5 * time.Second)
+		for l0.PendingCalls() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("an ack-only call is still pending")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for range oneWays {
+		if err := l1.Send(0, "tick", &struct{}{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range oneWays {
+		<-got
+	}
+	if ackFrames.Load() == 0 {
+		t.Fatal("no rpc.acks frame arrived")
+	}
+	if n := behind.Load(); n != 0 {
+		t.Errorf("%d of %d arriving frames found a send counter behind them", n, frames.Load())
+	}
+}

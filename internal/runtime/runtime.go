@@ -110,8 +110,9 @@ const (
 	// MetricRPCFencedFrames counts inbound frames rejected because the
 	// sending rank is fenced (marked dead / stale incarnation epoch).
 	MetricRPCFencedFrames = "rpc.fenced_frames"
-	// MetricRPCAckFrames counts rpc.acks frames sent: owed acks that
-	// found no request or response to ride on within ackDelay.
+	// MetricRPCAckFrames counts rpc.acks frames sent, each before its
+	// hand-off: owed acks that found no request or response to ride on
+	// within ackDelay.
 	MetricRPCAckFrames = "rpc.ack_frames"
 	// MetricRPCCallFrames counts the request and reply frames taken in
 	// from peers, as dispatch takes them and before any handler or

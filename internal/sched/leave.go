@@ -2,11 +2,11 @@ package sched
 
 // A task's one way out (DESIGN.md §6e "One way out"). Whatever ends a
 // task's stay on this rank calls leave, and only leave resolves a task's
-// future, ends the claims it brought here (a shipped writer's) and names
-// its promise. It ran (executeNow); it failed without running — its job
-// cancelled (the gate, CancelJob), dropped by a stopping queue, lost with
-// a dead rank (Recover); or it was shipped to a peer (assign, forward,
-// grant). A future is resolved in place while its task has not left the
+// future, releases what it holds in the DIM — the claims a shipped writer
+// brought here, its acquisition's locks and pins — and names its promise.
+// It ran (executeNow); it failed without running — its job cancelled (the
+// gate, CancelJob), dropped by a stopping queue, lost with a dead rank
+// (Recover); or it was shipped to a peer (assign, forward, grant). A future is resolved in place while its task has not left the
 // rank it was spawned on, and by name once it has, with one exception: a
 // named task that fails once the queue is stopping — the stop's own drop,
 // chiefly — is left unresolved. This rank is being closed or killed, and
@@ -41,9 +41,9 @@ var shipped = outcome{exit: exitShipped}
 
 // leave ends t's stay on this rank with outcome o.
 func (s *Scheduler) leave(t *task, o outcome) {
-	if t.claimed {
-		t.claimed = false
-		s.mgr.EndCarried(t.spec.ID)
+	if t.holds {
+		t.holds = false
+		s.mgr.Release(t.spec.ID)
 	}
 	switch {
 	case o.exit == exitShipped:

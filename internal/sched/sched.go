@@ -205,9 +205,10 @@ type task struct {
 	// carry is the origin's evictions for the task's write requirements
 	// (dim.Manager.Carry), for the frame that ships it.
 	carry []dim.Carried
-	// claimed says the task brought claims here (dim.Manager.TakeCarried)
-	// that its acquisition has not taken over: leave ends them.
-	claimed bool
+	// holds says the task holds claims it brought here
+	// (dim.Manager.TakeCarried) or its acquisition's locks: leave
+	// releases them.
+	holds bool
 }
 
 // named reports whether the task's future has a name (leave gave it
@@ -644,7 +645,7 @@ func (s *Scheduler) runVariant(t *task) (any, error) {
 		return k.Split(&t.ctx)
 	}
 	start := time.Now()
-	defer func() { s.execHist.Observe(time.Since(start)) }() // after the Release below
+	defer func() { s.execHist.Observe(time.Since(start)) }()
 	var reqs []dim.Requirement
 	if k.Reqs != nil {
 		reqs = k.Reqs(spec.Args)
@@ -656,8 +657,7 @@ func (s *Scheduler) runVariant(t *task) (any, error) {
 		if err := s.mgr.AcquireFor(spec.ID, reqs, t.ctx.span, abort); err != nil {
 			return nil, err // leave ends the claims
 		}
-		t.claimed = false // the acquisition has taken them over: Release ends them
-		defer s.mgr.Release(spec.ID)
+		t.holds = true // the locks, and the claims they took over: leave releases them
 	}
 	return k.Process(&t.ctx)
 }

@@ -154,7 +154,7 @@ func (s *Scheduler) accept(from int, tasks []runArgs) error {
 	s.clearInflight(tasks)
 	flagged := false
 	for i := range tasks {
-		t := &task{spec: tasks[i].Spec, variant: tasks[i].Variant, claimed: len(tasks[i].Carried) > 0}
+		t := &task{spec: tasks[i].Spec, variant: tasks[i].Variant, holds: len(tasks[i].Carried) > 0}
 		if !s.placeable(s.Rank()) {
 			// A frame that raced the drain's placement pause is accepted
 			// (the ack stops the sender's resends) but forwarded instead

@@ -93,9 +93,9 @@ func (e *inprocEndpoint) Send(to int, kind string, payload []byte) error {
 	}
 	dst := e.fabric.endpoints[to]
 	msg := Message{From: e.rank, To: to, Kind: kind, Payload: payload}
+	e.stats.Load().sent(kind, len(payload)) // before the receiver can see it
 	select {
 	case dst.inbox <- msg:
-		e.stats.Load().sent(kind, len(payload))
 		return nil
 	case <-dst.done:
 		e.stats.Load().sendErrors.Inc()

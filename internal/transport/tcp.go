@@ -488,7 +488,9 @@ func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 
 	// An enqueue error means the connection broke since the last send
 	// (peer crash or restart): evict it and retry once over a fresh
-	// dial before surfacing the error.
+	// dial before surfacing the error. The frame is counted before the
+	// receiver can see it.
+	e.stats.Load().sent(kind, len(payload))
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
 		var tc *tcpConn
@@ -498,7 +500,6 @@ func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 			return err
 		}
 		if err = tc.enqueue(buf); err == nil {
-			e.stats.Load().sent(kind, len(payload))
 			return nil
 		}
 		if e.evict(to, tc) {

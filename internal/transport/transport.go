@@ -72,6 +72,9 @@ type Endpoint interface {
 }
 
 // Registry names under which endpoints publish their traffic counters.
+// A frame is counted sent before it is handed off, so that whoever sees
+// it arrive sees its count too; one whose hand-off fails counts in
+// MetricSendErrors as well.
 const (
 	MetricMsgsSent      = "transport.msgs_sent"
 	MetricBytesSent     = "transport.bytes_sent"
