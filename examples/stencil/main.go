@@ -374,12 +374,11 @@ func runChaosDemo(p stencil.Params, localities int, spec string) {
 			Seed: seed, Drop: drop, Delay: delay, MaxDelay: time.Millisecond,
 		})
 	}
-	// A lossy fabric makes supervision mandatory: the data plane is
-	// unsupervised by default, and one dropped fragment fetch would
-	// hang the run forever.
+	// The links resend what the fabric loses; the deadlines bound how
+	// long a call waits on a rank that stopped answering.
 	calls := runtime.CallProfile{
-		Control: runtime.CallSpec{Deadline: 30 * time.Second, Attempt: 250 * time.Millisecond, Retries: 8},
-		Data:    runtime.CallSpec{Deadline: 60 * time.Second, Attempt: 500 * time.Millisecond, Retries: 8},
+		Control: runtime.CallSpec{Deadline: 30 * time.Second},
+		Data:    runtime.CallSpec{Deadline: 60 * time.Second},
 	}
 	sys := core.NewSystem(core.Config{Endpoints: eps, Calls: &calls})
 	app := stencil.NewAllScale(sys, p)
@@ -394,15 +393,14 @@ func runChaosDemo(p stencil.Params, localities int, spec string) {
 	}
 	dur := time.Since(start)
 
-	var drops, dups, delays, retries, replays, suppressed uint64
+	var drops, dups, delays, retries, duplicates uint64
 	for r := 0; r < localities; r++ {
 		reg := sys.Metrics(r)
 		drops += reg.CounterValue(chaos.MetricDrops)
 		dups += reg.CounterValue(chaos.MetricDups)
 		delays += reg.CounterValue(chaos.MetricDelays)
 		retries += reg.CounterValue(runtime.MetricRPCRetries)
-		replays += reg.CounterValue(runtime.MetricRPCDedupReplays)
-		suppressed += reg.CounterValue(runtime.MetricRPCDedupSuppressed)
+		duplicates += reg.CounterValue(runtime.MetricRPCDuplicates)
 	}
 	sys.Close()
 	fab.Close()
@@ -415,7 +413,7 @@ func runChaosDemo(p stencil.Params, localities int, spec string) {
 		}
 	}
 	fmt.Printf("allscale runtime: %.1f ms under injected faults\n", dur.Seconds()*1000)
-	fmt.Printf("injected: %d drops, %d delays, %d dups — absorbed by %d retries, %d dedup replays, %d in-flight suppressions\n",
-		drops, delays, dups, retries, replays, suppressed)
+	fmt.Printf("injected: %d drops, %d delays, %d dups — absorbed by %d link resends and %d duplicate frames dropped\n",
+		drops, delays, dups, retries, duplicates)
 	fmt.Println("verification: OK — results bit-identical to the sequential version despite the lossy fabric")
 }

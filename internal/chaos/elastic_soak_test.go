@@ -54,8 +54,8 @@ func elasticSoakOnce(t *testing.T, seed int64) {
 		eps[i] = chaos.Wrap(ep, ctl, ccfg)
 	}
 	calls := runtime.CallProfile{
-		Control: runtime.CallSpec{Deadline: 15 * time.Second, Attempt: 300 * time.Millisecond, Retries: 6},
-		Data:    runtime.CallSpec{Deadline: 30 * time.Second, Attempt: 600 * time.Millisecond, Retries: 6},
+		Control: runtime.CallSpec{Deadline: 15 * time.Second},
+		Data:    runtime.CallSpec{Deadline: 30 * time.Second},
 	}
 	sys := core.NewSystem(core.Config{
 		Endpoints:     eps,

@@ -603,3 +603,31 @@ func TestGridElementAccessDoesNotAllocate(t *testing.T) {
 	}()
 	f.At(region.Point{9, 9})
 }
+
+// TestGridAnswerEqualToAnOperandAllocatesNothing: a grid region is one
+// pointer in an interface, so an answer of the algebra that is one of
+// its operands — the receiver or the argument, as the box sets return
+// them — or empty costs no allocation.
+func TestGridAnswerEqualToAnOperandAllocatesNothing(t *testing.T) {
+	var field, row, far Region = GridRegionFromTo(region.Point{0, 0}, region.Point{32, 64}),
+		GridRegionFromTo(region.Point{5, 0}, region.Point{6, 64}),
+		GridRegionFromTo(region.Point{40, 0}, region.Point{41, 64})
+	for name, c := range map[string]struct {
+		fn   func() Region
+		want Region
+	}{
+		"union with a covered set (the receiver)":         {func() Region { return field.Union(row) }, field},
+		"union of a covered set (the argument)":           {func() Region { return row.Union(field) }, field},
+		"intersection with a covering set (the receiver)": {func() Region { return row.Intersect(field) }, row},
+		"intersection with a covered set (the argument)":  {func() Region { return field.Intersect(row) }, row},
+		"difference by a disjoint set (the receiver)":     {func() Region { return field.Difference(far) }, field},
+		"difference by a covering set (empty)":            {func() Region { return row.Difference(field) }, GridRegion{}},
+	} {
+		if got := c.fn(); !got.Equal(c.want) {
+			t.Errorf("%s = %v, want %v", name, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.fn() }); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", name, n)
+		}
+	}
+}

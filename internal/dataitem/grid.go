@@ -38,12 +38,12 @@ func (t *GridType[T]) FullRegion() Region {
 }
 
 // EmptyRegion implements Type.
-func (t *GridType[T]) EmptyRegion() Region { return emptyGrid }
+func (t *GridType[T]) EmptyRegion() Region { return GridRegion{} }
 
 // NewFragment implements Type.
 func (t *GridType[T]) NewFragment() Fragment {
 	f := &GridFragment[T]{dims: len(t.size)}
-	f.state.Store(&gridState[T]{region: emptyGrid})
+	f.state.Store(&gridState[T]{region: GridRegion{}})
 	return f
 }
 

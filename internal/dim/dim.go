@@ -225,6 +225,17 @@ func rootLevel(p int) int {
 // which (live) process currently hosts it.
 func nodeLo(i, l int) int { return i - i%(1<<uint(l-1)) }
 
+// goneHost names the rank a fully dead subtree's data was at: its first
+// rank this rank holds gone, else its first rank.
+func (m *Manager) goneHost(lo, l int) int {
+	for r := lo; r < min(lo+1<<uint(l-1), m.size()); r++ {
+		if m.loc.Peer(r).Gone() {
+			return r
+		}
+	}
+	return lo
+}
+
 // liveHost returns the process hosting the node whose subtree starts
 // at lo on level l once dead and non-member ranks are excluded: the
 // left-most live member of the subtree (Fig. 5's "the left-most

@@ -382,11 +382,14 @@ func (m *Manager) resolveMulti(reqs []batchReq) ([][]Located, error) {
 			half := 1 << uint(l-2)
 			if sub := r.Intersect(lr); !sub.IsEmpty() {
 				// The host of an inner node is the left-most live rank of
-				// its subtree, so a live left child is always hosted here;
-				// a fully-dead left child (until its coverage is retracted)
-				// has no reachable data and stays unresolved.
-				if m.liveHost(lo, l-1) == m.Rank() {
-					if err := process(idx, batchReq{Item: rq.Item, Region: sub, Level: l - 1, Descend: true, All: rq.All}); err != nil {
+				// its subtree, so a live left child is always hosted here.
+				// A fully-dead left child (until its coverage is retracted)
+				// has no reachable data: its part is reported at the dead
+				// rank, which every reader of a walk takes as unreachable.
+				if h := m.liveHost(lo, l-1); h == m.Rank() || h == -1 {
+					if h == -1 {
+						out[idx] = append(out[idx], Located{Region: sub, Rank: m.goneHost(lo, l-1)})
+					} else if err := process(idx, batchReq{Item: rq.Item, Region: sub, Level: l - 1, Descend: true, All: rq.All}); err != nil {
 						return err
 					}
 					if !rq.All {
@@ -394,16 +397,19 @@ func (m *Manager) resolveMulti(reqs []batchReq) ([][]Located, error) {
 					}
 				}
 			}
-			if rc := m.liveHost(lo+half, l-1); rc >= 0 && (rq.All || !r.IsEmpty()) {
+			if rq.All || !r.IsEmpty() {
 				if sub := r.Intersect(rr); !sub.IsEmpty() {
 					child := batchReq{Item: rq.Item, Region: sub, Level: l - 1, Descend: true, All: rq.All}
-					if rc == m.Rank() {
+					switch rc := m.liveHost(lo+half, l-1); rc {
+					case -1:
+						out[idx] = append(out[idx], Located{Region: sub, Rank: m.goneHost(lo+half, l-1)})
+					case m.Rank():
 						// The whole left subtree is dead and this rank took
 						// over the right child too: descend locally.
 						if err := process(idx, child); err != nil {
 							return err
 						}
-					} else {
+					default:
 						if _, seen := remotes[rc]; !seen {
 							order = append(order, rc)
 						}
@@ -1095,11 +1101,22 @@ func (m *Manager) ensureLocal(rq Requirement, w *waiter, span trace.SpanID) erro
 
 		progressed, stale := false, false
 		unresolved := missing
-		// Copy the missing data from its holders.
+		// Copy the missing data from its holders. A part reported at a
+		// rank this rank holds gone has no live host: unless a live
+		// holder listed beside it supplies it, staging fails at once.
+		var lost dataitem.Region
 		for _, o := range owners {
 			unresolved = unresolved.Difference(o.Region)
 			want := o.Region.Intersect(missing)
 			if o.Rank == m.Rank() || want.IsEmpty() {
+				continue
+			}
+			if m.loc.Peer(o.Rank).Gone() {
+				if lost == nil {
+					lost = want
+				} else {
+					lost = lost.Union(want)
+				}
 				continue
 			}
 			var reply fetchReply
@@ -1132,6 +1149,11 @@ func (m *Manager) ensureLocal(rq Requirement, w *waiter, span trace.SpanID) erro
 			progressed = true
 		}
 
+		if lost != nil {
+			if l := lost.Intersect(missing); !l.IsEmpty() {
+				return fmt.Errorf("dim: staging %v at rank %d: region %v has no live host: %w", rq.Item, m.Rank(), l, runtime.ErrPeerFailed)
+			}
+		}
 		// Allocate never-touched parts (first-touch claim at the root).
 		if !unresolved.IsEmpty() {
 			granted, err := m.claim(rq.Item, unresolved, true, true)

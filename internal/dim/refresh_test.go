@@ -435,8 +435,8 @@ func chaosManagers(t *testing.T, n int, seed int64, typ dataitem.Type) []*Manage
 		fab.Close()
 	})
 	calls := runtime.CallProfile{
-		Control: runtime.CallSpec{Deadline: 5 * time.Second, Attempt: 20 * time.Millisecond, Retries: 10},
-		Data:    runtime.CallSpec{Deadline: 10 * time.Second, Attempt: 50 * time.Millisecond, Retries: 10},
+		Control: runtime.CallSpec{Deadline: 5 * time.Second},
+		Data:    runtime.CallSpec{Deadline: 10 * time.Second},
 	}
 	ms := make([]*Manager, n)
 	for i := 0; i < n; i++ {

@@ -1,7 +1,9 @@
 package dim
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -662,6 +664,30 @@ func TestFetchForDeadRankTakesNoPin(t *testing.T) {
 		t.Error("dead rank went on record as a sharer")
 	}
 	ts.touch(t, 0, id, r, Write) // would wait for the pin
+}
+
+// TestStagingFromADeadHostFailsAtOnce: a region whose only copy sits
+// at a rank every survivor holds dead has no live host. Staging it fails
+// at once with ErrPeerFailed naming the region, instead of waiting in
+// "no progress" for the lock-wait bound; a lowered bound here makes the
+// old wait show as a timeout, not ErrPeerFailed.
+func TestStagingFromADeadHostFailsAtOnce(t *testing.T) {
+	defer func(b time.Duration) { lockWaitBound = b }(lockWaitBound)
+	lockWaitBound = 2 * time.Second
+	typ := dataitem.NewGridType[int]("field", p(8, 8))
+	ts := newTestSystem(t, 4, typ)
+	id, _ := ts.managers[0].CreateItem(typ)
+	r := dataitem.Region(gr(0, 0, 8, 8))
+	const holder, reader = 3, 0
+	ts.touch(t, holder, id, r, Write)
+	for rank := range 3 {
+		ts.sys.Locality(rank).SetPeer(holder, runtime.Dead, 0)
+	}
+	err := ts.managers[reader].Acquire(1, []Requirement{{Item: id, Region: r, Mode: Read}})
+	if !errors.Is(err, runtime.ErrPeerFailed) || !strings.Contains(err.Error(), fmt.Sprint(r)) {
+		t.Fatalf("staging a region held only by a dead rank: err = %v, want ErrPeerFailed naming %v", err, r)
+	}
+	ts.managers[reader].Release(1)
 }
 
 // TestDropForDeadEvictorTakesNothing: a drop parked behind the holder's

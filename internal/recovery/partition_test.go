@@ -52,8 +52,8 @@ func TestDirectedPartitionFencesStaleRank(t *testing.T) {
 	// default — a dropped fetch would hang the run forever); the failure
 	// detector must not produce false deaths.
 	calls := runtime.CallProfile{
-		Control: runtime.CallSpec{Deadline: 10 * time.Second, Attempt: 250 * time.Millisecond, Retries: 6},
-		Data:    runtime.CallSpec{Deadline: 20 * time.Second, Attempt: 500 * time.Millisecond, Retries: 6},
+		Control: runtime.CallSpec{Deadline: 10 * time.Second},
+		Data:    runtime.CallSpec{Deadline: 20 * time.Second},
 	}
 	sys, ctl, startFabric := chaosSystem(t, n,
 		chaos.Config{Seed: 42, Drop: 0.02, Delay: 0.1, MaxDelay: time.Millisecond},
@@ -128,8 +128,7 @@ func TestDirectedPartitionFencesStaleRank(t *testing.T) {
 	fencedBefore := sys.Metrics(0).Counter(runtime.MetricRPCFencedFrames).Value()
 	err := sys.Locality(victim).Call(0, "recovery.ping", &struct{}{}, nil,
 		runtime.WithDeadline(400*time.Millisecond),
-		runtime.WithRetries(2, 100*time.Millisecond),
-		runtime.WithIdempotent())
+		runtime.WithRetries(2, 100*time.Millisecond))
 	if !errors.Is(err, runtime.ErrCallTimeout) {
 		t.Fatalf("stale rank's call: err = %v, want ErrCallTimeout (silently fenced)", err)
 	}
@@ -227,8 +226,7 @@ func TestDrainedRankStragglerIsFenced(t *testing.T) {
 	fencedBefore := sys.Metrics(0).Counter(runtime.MetricRPCFencedFrames).Value()
 	err := sys.Locality(victim).Call(0, "recovery.ping", &struct{}{}, nil,
 		runtime.WithDeadline(400*time.Millisecond),
-		runtime.WithRetries(2, 100*time.Millisecond),
-		runtime.WithIdempotent())
+		runtime.WithRetries(2, 100*time.Millisecond))
 	if !errors.Is(err, runtime.ErrCallTimeout) {
 		t.Fatalf("straggler call: err = %v, want ErrCallTimeout (silently fenced)", err)
 	}
@@ -262,7 +260,7 @@ func TestPreJoinFrameIsFenced(t *testing.T) {
 	// Pre-join, pre-fence: a latent rank's control traffic flows (this
 	// is how item catalogs stay in sync before admission).
 	if err := sys.Locality(joiner).Call(1, "recovery.ping", &struct{}{}, nil,
-		runtime.WithDeadline(time.Second), runtime.WithIdempotent()); err != nil {
+		runtime.WithDeadline(time.Second)); err != nil {
 		t.Fatalf("latent control call: %v", err)
 	}
 
@@ -273,8 +271,7 @@ func TestPreJoinFrameIsFenced(t *testing.T) {
 	fencedBefore := sys.Metrics(1).Counter(runtime.MetricRPCFencedFrames).Value()
 	err := sys.Locality(joiner).Call(1, "recovery.ping", &struct{}{}, nil,
 		runtime.WithDeadline(400*time.Millisecond),
-		runtime.WithRetries(2, 100*time.Millisecond),
-		runtime.WithIdempotent())
+		runtime.WithRetries(2, 100*time.Millisecond))
 	if !errors.Is(err, runtime.ErrCallTimeout) {
 		t.Fatalf("pre-join frame: err = %v, want ErrCallTimeout (fenced below the join epoch)", err)
 	}
@@ -293,7 +290,7 @@ func TestPreJoinFrameIsFenced(t *testing.T) {
 		}
 	}
 	if err := sys.Locality(joiner).Call(1, "recovery.ping", &struct{}{}, nil,
-		runtime.WithDeadline(time.Second), runtime.WithIdempotent()); err != nil {
+		runtime.WithDeadline(time.Second)); err != nil {
 		t.Fatalf("post-join call: %v", err)
 	}
 	if dead := rec.DeadRanks(); len(dead) != 0 {

@@ -44,11 +44,10 @@ import (
 // Options tunes failure detection beyond the probe interval and the
 // suspicion timeout, which are the system's (core.Config.Recovery).
 type Options struct {
-	// PingRetries is how many times the confirmation ping is resent
-	// (each attempt bounded by the timeout) before the peer is declared
-	// dead. Suspicion pauses placement immediately; death needs the
-	// full retry exhaustion, so a lossy-but-alive peer survives a
-	// dropped probe. Default 3.
+	// PingRetries sets how long the confirmation ping waits before the
+	// peer is declared dead: PingRetries+1 timeouts. Suspicion pauses
+	// placement immediately; death needs the whole wait, so a
+	// lossy-but-alive peer survives a dropped probe. Default 3.
 	PingRetries int
 }
 
@@ -403,21 +402,15 @@ func (c *Coordinator) clearSuspicion(peer int) {
 	c.mu.Unlock()
 }
 
-// ping calls the liveness service on peer from observer. The call is
-// bounded and retried by the RPC layer itself: each attempt waits
-// Timeout before the probe frame is resent, and only exhausting all
-// PingRetries resends declares the probe failed — a single dropped
-// frame on a lossy link is not evidence of death. A transport-level
-// link failure still fails the call immediately (stronger evidence
-// than silence).
+// ping calls the liveness service on peer from observer. The link
+// resends a lost probe frame; the call waits PingRetries+1 timeouts for
+// the answer before the probe counts as failed — a single dropped frame
+// on a lossy link is not evidence of death. A transport-level link
+// failure still fails the call immediately (stronger evidence than
+// silence).
 func (c *Coordinator) ping(observer, peer int) error {
-	loc := c.sys.Locality(observer)
-	deadline := time.Duration(c.opts.PingRetries+1) * c.cfg.Timeout
-	return loc.Call(peer, methodPing, &struct{}{}, nil,
-		runtime.WithDeadline(deadline),
-		runtime.WithRetries(c.opts.PingRetries, c.cfg.Timeout),
-		runtime.WithMaxBackoff(c.cfg.Timeout),
-		runtime.WithIdempotent())
+	return c.sys.Locality(observer).Call(peer, methodPing, &struct{}{}, nil,
+		runtime.WithRetries(c.opts.PingRetries, c.cfg.Timeout))
 }
 
 // ---------------------------------------------------------------

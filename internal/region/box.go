@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // Point is an N-dimensional integer coordinate.
@@ -255,41 +256,82 @@ func (pb *pieceBuf) minus(out []Box, x Box, o []Box) (_ []Box, met bool) {
 // allocates only what its answer newly contains: an operand that is
 // the answer is returned as it is, and a box that comes through
 // unchanged keeps its corners.
-type BoxSet struct {
-	dims  int
-	boxes []Box
-}
+//
+// A set is one pointer, so a struct holding only a set (the grid
+// region of package dataitem) is stored in an interface without being
+// copied to the heap: an answer that is an operand costs nothing. It
+// points at the first of the set's boxes, which lie in one allocation
+// and are followed by a zero Box that ends them.
+type BoxSet struct{ p *Box }
 
 var _ Region[BoxSet] = BoxSet{}
+
+// makeSet returns the set of the given disjoint boxes, copied into one
+// allocation with room for the zero box that ends them.
+func makeSet(boxes ...[]Box) BoxSet {
+	n := 0
+	for _, b := range boxes {
+		n += len(b)
+	}
+	if n == 0 {
+		return BoxSet{}
+	}
+	st := make([]Box, 0, n+1)
+	for _, b := range boxes {
+		st = append(st, b...)
+	}
+	return BoxSet{&st[:n+1][0]}
+}
+
+// bx is the set's boxes (none for the empty set).
+func (s BoxSet) bx() []Box {
+	if s.p == nil {
+		return nil
+	}
+	n := 1
+	for (*Box)(unsafe.Add(unsafe.Pointer(s.p), uintptr(n)*unsafe.Sizeof(Box{}))).Min != nil {
+		n++
+	}
+	return unsafe.Slice(s.p, n)
+}
 
 // NewBoxSet constructs a BoxSet from arbitrary (possibly overlapping)
 // boxes. Empty boxes are dropped; overlaps are resolved so the stored
 // boxes are pairwise disjoint. All boxes must share a dimensionality.
 // A box stored whole keeps its corners, which must not change after.
 func NewBoxSet(boxes ...Box) BoxSet {
-	var s BoxSet
+	dims := 0
+	var buf [8]Box
+	out := buf[:0]
 	var pb pieceBuf
 	for _, b := range boxes {
 		if b.IsEmpty() {
 			continue
 		}
-		s.match(b.Dims())
-		s.dims = b.Dims()
-		s.boxes, _ = pb.minus(s.boxes, b, s.boxes)
+		if dims != 0 && dims != b.Dims() {
+			panic(fmt.Sprintf("region: mixing %d-d and %d-d boxes in one BoxSet", dims, b.Dims()))
+		}
+		dims = b.Dims()
+		out, _ = pb.minus(out, b, out)
 	}
-	return s
+	return makeSet(out)
 }
 
 // BoxFromTo returns the region covering the single box [min, max).
 func BoxFromTo(min, max Point) BoxSet { return NewBoxSet(NewBox(min, max)) }
 
 // Dims returns the dimensionality of the region, or 0 when empty.
-func (s BoxSet) Dims() int { return s.dims }
+func (s BoxSet) Dims() int {
+	if s.p == nil {
+		return 0
+	}
+	return len(s.p.Min)
+}
 
 // Boxes returns a copy of the disjoint boxes making up the region.
 func (s BoxSet) Boxes() []Box {
-	out := make([]Box, len(s.boxes))
-	copy(out, s.boxes)
+	out := make([]Box, len(s.bx()))
+	copy(out, s.bx())
 	return out
 }
 
@@ -297,8 +339,8 @@ func (s BoxSet) Boxes() []Box {
 // combining regions of different ones is a programming error (a region
 // from a peer's frame is checked before it meets the algebra).
 func (s BoxSet) match(dims int) {
-	if s.dims != 0 && s.dims != dims {
-		panic(fmt.Sprintf("region: mixing %d-d and %d-d boxes in one BoxSet", s.dims, dims))
+	if s.Dims() != 0 && s.Dims() != dims {
+		panic(fmt.Sprintf("region: mixing %d-d and %d-d boxes in one BoxSet", s.Dims(), dims))
 	}
 }
 
@@ -306,16 +348,16 @@ func (s BoxSet) match(dims int) {
 // the same storage, as when an operation returned its operand. It
 // answers from the representation; Equal compares the points.
 func (s BoxSet) Identical(o BoxSet) bool {
-	return len(s.boxes) == len(o.boxes) && (len(s.boxes) == 0 || &s.boxes[0] == &o.boxes[0])
+	return s.p == o.p
 }
 
 // IsEmpty reports whether the region contains no points.
-func (s BoxSet) IsEmpty() bool { return len(s.boxes) == 0 }
+func (s BoxSet) IsEmpty() bool { return s.p == nil }
 
 // Size returns the number of points in the region.
 func (s BoxSet) Size() int64 {
 	var n int64
-	for _, b := range s.boxes {
+	for _, b := range s.bx() {
 		n += b.Size()
 	}
 	return n
@@ -323,7 +365,7 @@ func (s BoxSet) Size() int64 {
 
 // Contains reports whether point p lies in the region.
 func (s BoxSet) Contains(p Point) bool {
-	for _, b := range s.boxes {
+	for _, b := range s.bx() {
 		if b.Contains(p) {
 			return true
 		}
@@ -332,7 +374,8 @@ func (s BoxSet) Contains(p Point) bool {
 }
 
 // Union returns the set union of s and o: s followed by the parts of
-// o's boxes outside it, or s itself when there are none.
+// o's boxes outside it — s itself when there are none, o itself when
+// every box of s lies inside one of o's.
 func (s BoxSet) Union(o BoxSet) BoxSet {
 	switch {
 	case o.IsEmpty():
@@ -340,18 +383,34 @@ func (s BoxSet) Union(o BoxSet) BoxSet {
 	case s.IsEmpty():
 		return o
 	}
-	s.match(o.dims)
+	s.match(o.Dims())
+	if s.within(o) {
+		return o
+	}
 	var pb pieceBuf
 	var buf [8]Box
 	extra := buf[:0]
-	for _, b := range o.boxes {
-		extra, _ = pb.minus(extra, b, s.boxes)
+	for _, b := range o.bx() {
+		extra, _ = pb.minus(extra, b, s.bx())
 	}
 	if len(extra) == 0 {
 		return s
 	}
-	out := make([]Box, 0, len(s.boxes)+len(extra))
-	return BoxSet{dims: s.dims, boxes: append(append(out, s.boxes...), extra...)}
+	return makeSet(s.bx(), extra)
+}
+
+// within reports whether every box of s lies inside one box of o.
+func (s BoxSet) within(o BoxSet) bool {
+outer:
+	for _, a := range s.bx() {
+		for _, b := range o.bx() {
+			if a.within(b) {
+				continue outer
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // Intersect returns the set intersection of s and o. Pairwise
@@ -362,12 +421,12 @@ func (s BoxSet) Intersect(o BoxSet) BoxSet {
 	if s.IsEmpty() || o.IsEmpty() {
 		return BoxSet{}
 	}
-	s.match(o.dims)
+	s.match(o.Dims())
 	var buf [8]Box
 	out := buf[:0]
 	inS, inO := 0, 0 // boxes of s (of o) inside a box of the other
-	for _, a := range s.boxes {
-		for _, b := range o.boxes {
+	for _, a := range s.bx() {
+		for _, b := range o.bx() {
 			switch {
 			case !a.Intersects(b):
 			case a.within(b):
@@ -385,14 +444,14 @@ func (s BoxSet) Intersect(o BoxSet) BoxSet {
 		}
 	}
 	switch {
-	case inS == len(s.boxes):
+	case inS == len(s.bx()):
 		return s
-	case inO == len(o.boxes):
+	case inO == len(o.bx()):
 		return o
 	case len(out) == 0:
 		return BoxSet{}
 	}
-	return BoxSet{dims: s.dims, boxes: slices.Clone(out)}
+	return makeSet(out)
 }
 
 // Difference returns the points of s not in o: s itself when o meets
@@ -401,14 +460,14 @@ func (s BoxSet) Difference(o BoxSet) BoxSet {
 	if s.IsEmpty() || o.IsEmpty() {
 		return s
 	}
-	s.match(o.dims)
+	s.match(o.Dims())
 	var pb pieceBuf
 	var buf [8]Box
 	out := buf[:0]
 	touched := false
-	for _, a := range s.boxes {
+	for _, a := range s.bx() {
 		var met bool
-		out, met = pb.minus(out, a, o.boxes)
+		out, met = pb.minus(out, a, o.bx())
 		touched = touched || met
 	}
 	switch {
@@ -417,7 +476,7 @@ func (s BoxSet) Difference(o BoxSet) BoxSet {
 	case len(out) == 0:
 		return BoxSet{}
 	}
-	return BoxSet{dims: s.dims, boxes: slices.Clone(out)}
+	return makeSet(out)
 }
 
 // Equal reports extensional equality: the same points are covered,
@@ -427,16 +486,16 @@ func (s BoxSet) Difference(o BoxSet) BoxSet {
 // have as many points as they share — summed over pairs of boxes, since
 // the boxes of one set are disjoint.
 func (s BoxSet) Equal(o BoxSet) bool {
-	if slices.EqualFunc(s.boxes, o.boxes, func(a, b Box) bool { return a.Min.Equal(b.Min) && a.Max.Equal(b.Max) }) {
+	if slices.EqualFunc(s.bx(), o.bx(), func(a, b Box) bool { return a.Min.Equal(b.Min) && a.Max.Equal(b.Max) }) {
 		return true
 	}
 	n := s.Size()
-	if n != o.Size() || s.dims != o.dims {
+	if n != o.Size() || s.Dims() != o.Dims() {
 		return false
 	}
 	var shared int64
-	for _, a := range s.boxes {
-		for _, b := range o.boxes {
+	for _, a := range s.bx() {
+		for _, b := range o.bx() {
 			shared += a.overlap(b)
 		}
 	}
@@ -449,9 +508,9 @@ func (s BoxSet) BoundingBox() (Box, bool) {
 	if s.IsEmpty() {
 		return Box{}, false
 	}
-	bb := NewBox(s.boxes[0].Min, s.boxes[0].Max)
-	for _, b := range s.boxes[1:] {
-		for d := 0; d < s.dims; d++ {
+	bb := NewBox(s.bx()[0].Min, s.bx()[0].Max)
+	for _, b := range s.bx()[1:] {
+		for d := 0; d < s.Dims(); d++ {
 			if b.Min[d] < bb.Min[d] {
 				bb.Min[d] = b.Min[d]
 			}
@@ -466,12 +525,12 @@ func (s BoxSet) BoundingBox() (Box, bool) {
 // ForEachPoint calls fn for every point in the region, in box order.
 // fn must not retain the point; it is reused between calls.
 func (s BoxSet) ForEachPoint(fn func(Point)) {
-	p := make(Point, s.dims)
-	for _, b := range s.boxes {
+	p := make(Point, s.Dims())
+	for _, b := range s.bx() {
 		copy(p, b.Min)
 		for {
 			fn(p)
-			d := s.dims - 1
+			d := s.Dims() - 1
 			for d >= 0 {
 				p[d]++
 				if p[d] < b.Max[d] {
@@ -491,8 +550,8 @@ func (s BoxSet) String() string {
 	if s.IsEmpty() {
 		return "{}"
 	}
-	parts := make([]string, len(s.boxes))
-	for i, b := range s.boxes {
+	parts := make([]string, len(s.bx()))
+	for i, b := range s.bx() {
 		parts[i] = b.String()
 	}
 	return "{" + strings.Join(parts, " ") + "}"

@@ -180,7 +180,7 @@ func TestBoxSetEqualFastPaths(t *testing.T) {
 	if !key.Equal(probe) || key.Equal(other) || key.Equal(shifted) || !(BoxSet{}).Equal(BoxSet{}) {
 		t.Fatal("Equal answers wrongly")
 	}
-	a, b := key.boxes[0], other.boxes[len(other.boxes)-1]
+	a, b := key.bx()[0], other.bx()[len(other.bx())-1]
 	if a.Intersects(b) || !a.Intersects(a) || (Box{}).Intersects(a) {
 		t.Fatal("Intersects answers wrongly")
 	}
@@ -260,10 +260,10 @@ func relatedBoxSet(r *rand.Rand, a BoxSet, rel string) BoxSet {
 	case "self":
 		return a
 	case "random":
-		return randomBoxSet(r, max(a.dims, 1))
+		return randomBoxSet(r, max(a.Dims(), 1))
 	}
 	var boxes []Box
-	for _, x := range a.boxes {
+	for _, x := range a.bx() {
 		y := NewBox(x.Min, x.Max)
 		k := r.Intn(len(x.Min))
 		for d := range y.Min {

@@ -23,6 +23,8 @@ type Future struct {
 	err   error
 	// helper, when set, is offered the waiting goroutine by Wait.
 	helper WaitHelper
+	// then, when set, is called with the error at fulfilment (OnDone).
+	then func(error)
 }
 
 // WaitHelper puts a goroutine that is about to block in Future.Wait
@@ -52,8 +54,29 @@ func (f *Future) fulfill(value []byte, err error) {
 	if f.ch != nil {
 		close(f.ch)
 	}
+	then := f.then
+	f.then = nil
 	f.mu.Unlock()
+	if then != nil {
+		then(err)
+	}
 	f.settled.Store(true)
+}
+
+// OnDone calls fn with the future's error once it is fulfilled — at
+// once if it already is — in place of a goroutine parked in Wait. fn runs
+// on the fulfilling goroutine, which may hold a link's lock: it must not
+// block or call into the runtime; hand work off with Locality.Go. A
+// future takes one fn.
+func (f *Future) OnDone(fn func(err error)) {
+	f.mu.Lock()
+	if !f.done.Load() {
+		f.then = fn
+		f.mu.Unlock()
+		return
+	}
+	f.mu.Unlock()
+	fn(f.err)
 }
 
 // Fulfill resolves an unnamed future (see NamePromise) in place with
@@ -212,16 +235,19 @@ type fulfillMsg struct {
 const methodFulfill = "runtime.fulfill"
 
 // RegisterPromiseService installs the promise-fulfilment handler;
-// Systems do this automatically. Fulfilment is an acknowledged RPC
-// (not a one-way message) so FulfillRemote can retry a lost frame —
-// a task result must survive a lossy fabric. Re-fulfilling is
-// naturally idempotent: fulfillLocal deletes the promise on first
+// Systems do this automatically. Fulfilment is an ack-only RPC (not a
+// one-way message) so the caller learns that the owner took it in.
+// Re-fulfilling is harmless: fulfillLocal deletes the promise on first
 // delivery and ignores the rest.
 func (l *Locality) RegisterPromiseService() {
 	l.Handle(methodFulfill, func(_ int, body []byte) ([]byte, error) {
 		var m fulfillMsg
-		if err := wire.Decode(body, &m); err != nil {
+		var d wire.Decoder
+		if err := d.Reset(body); err != nil {
 			return nil, err
+		}
+		if m.UnmarshalWire(&d); d.Finish() != nil {
+			return nil, d.Finish()
 		}
 		l.fulfillLocal(m.Seq, m.Value, m.Err)
 		return nil, nil
@@ -230,24 +256,30 @@ func (l *Locality) RegisterPromiseService() {
 
 // FulfillRemote resolves the promise id (owned by any locality) with
 // the given value; err, when non-nil, is transported as a string.
-// Remote fulfilment is fire-and-forget but supervised: the control
-// profile's deadline/retry policy resends it until the owner acks, and
-// the ack is a bare one that rides on a later frame (AckOnly).
+// Remote fulfilment is fire-and-forget: an ack-only call whose frame
+// the link resends until the owner acks it, and whose outcome nobody
+// waits for — no future is kept.
 func (l *Locality) FulfillRemote(id PromiseID, value any, err error) error {
-	body, encErr := wire.Encode(value)
-	if encErr != nil {
-		return encErr
-	}
 	errStr := ""
 	if err != nil {
 		errStr = err.Error()
 	}
 	if id.Owner == l.Rank() {
+		body, encErr := wire.Encode(value)
+		if encErr != nil {
+			return encErr
+		}
 		l.fulfillLocal(id.Seq, body, errStr)
 		return nil
 	}
-	spec := l.ControlSpec()
-	spec.Idempotent = true
-	l.CallAsync(id.Owner, methodFulfill, &fulfillMsg{Seq: id.Seq, Value: body, Err: errStr}, WithSpec(spec), AckOnly())
+	pc := pendingCall{meth: methodFulfill, sp: l.Tracer().Begin("rpc.call", methodFulfill, 0)}
+	frame := appendRequest(append(make([]byte, 0, 64+len(errStr)), wire.FormatBinary), methodFulfill, uint64(pc.sp.SpanID()))
+	head := len(frame)
+	frame, encErr := wire.AppendEncode(appendFulfill(append(frame, wire.FormatBinary), id.Seq, errStr), value)
+	if encErr != nil {
+		pc.sp.End()
+		return encErr
+	}
+	l.call(id.Owner, frame, head, nil, pc, CallSpec{ackOnly: true})
 	return nil
 }

@@ -6,34 +6,15 @@ import (
 	"allscale/internal/trace"
 )
 
-// CallSpec bundles the delivery policy of one RPC: an overall
-// deadline, a per-attempt timeout after which the request frame is
-// resent under the same call ID, a retry budget, and an exponential
-// backoff cap. The zero CallSpec is "fire once, wait forever" — the
-// exact pre-existing semantics, so untouched call sites pay nothing.
-//
-// Retried calls are at-least-once on the wire. Unless Idempotent is
-// set, the request travels under the dedup frame kind, telling the
-// server to record the call in its per-caller dedup window and replay
-// the cached reply on duplicates, making the handler's side effects
-// exactly-once (see dedup.go and DESIGN.md §6d).
+// CallSpec bundles the delivery policy of one RPC. Delivery itself is
+// the link's (link.go): a request is resent until the peer acks it and
+// runs once, so what a call chooses is only how long it waits for its
+// answer. The zero CallSpec waits until the answer comes or the peer
+// fails.
 type CallSpec struct {
-	// Deadline bounds the whole call, across all attempts. 0 = none.
+	// Deadline bounds the call: once it passes the future fails with
+	// ErrCallTimeout. 0 = none.
 	Deadline time.Duration
-	// Attempt is the per-attempt timeout before the request is resent.
-	// 0 with Retries > 0 defaults to Deadline/(Retries+1), or 1s when
-	// Deadline is also unset.
-	Attempt time.Duration
-	// Retries is how many times the request may be resent after the
-	// first attempt.
-	Retries int
-	// MaxBackoff caps the attempt timeout as it doubles between
-	// resends. 0 = uncapped (bounded by Retries anyway).
-	MaxBackoff time.Duration
-	// Idempotent marks the handler as safe to re-execute: the server
-	// skips reply caching and duplicates may run the handler again.
-	// Use it for pure reads and naturally idempotent effects.
-	Idempotent bool
 	// Parent is the span the call's rpc.call span nests under (0 = a
 	// root span). It is not part of the delivery policy: WithSpec
 	// replaces it, so WithParent goes after WithSpec.
@@ -42,68 +23,71 @@ type CallSpec struct {
 	ackOnly bool
 }
 
-// active reports whether the spec requires supervision (a timer).
-func (s CallSpec) active() bool { return s.Deadline > 0 || s.Retries > 0 }
-
-// normalize fills derived defaults.
-func (s *CallSpec) normalize() {
-	if s.Retries > 0 && s.Attempt <= 0 {
-		if s.Deadline > 0 {
-			s.Attempt = s.Deadline / time.Duration(s.Retries+1)
-		} else {
-			s.Attempt = time.Second
-		}
-		if s.Attempt <= 0 {
-			s.Attempt = time.Millisecond
-		}
-	}
+// CallOption sets part of the CallSpec of one Call/CallAsync
+// invocation. It is a value, not a function, so that applying it lets
+// nothing escape to the heap.
+type CallOption struct {
+	set  uint8 // which of the setters below made it
+	d    time.Duration
+	spec CallSpec
 }
 
-// CallOption mutates the CallSpec of one Call/CallAsync invocation.
-type CallOption func(*CallSpec)
+const (
+	setDeadline = iota
+	setRetries
+	setSpec
+	setParent
+	setAckOnly
+)
+
+func (o CallOption) apply(s *CallSpec) {
+	switch o.set {
+	case setDeadline:
+		s.Deadline = o.d
+	case setRetries:
+		if s.Deadline == 0 {
+			s.Deadline = o.d
+		}
+	case setSpec:
+		*s = o.spec
+	case setParent:
+		s.Parent = o.spec.Parent
+	case setAckOnly:
+		s.ackOnly = true
+	}
+}
 
 // WithDeadline bounds the whole call: when it expires the future
 // fails with ErrCallTimeout instead of waiting forever.
 func WithDeadline(d time.Duration) CallOption {
-	return func(s *CallSpec) { s.Deadline = d }
+	return CallOption{set: setDeadline, d: d}
 }
 
-// WithRetries resends the request up to n times, waiting attempt
-// (doubling, capped by WithMaxBackoff) before each resend.
+// WithRetries bounds a call that has no deadline by n+1 intervals of
+// attempt: the deadline it sets is (n+1)·attempt. Resending is the
+// link's, not the call's — a call with a deadline already keeps it.
 func WithRetries(n int, attempt time.Duration) CallOption {
-	return func(s *CallSpec) { s.Retries = n; s.Attempt = attempt }
-}
-
-// WithMaxBackoff caps the doubling per-attempt timeout.
-func WithMaxBackoff(d time.Duration) CallOption {
-	return func(s *CallSpec) { s.MaxBackoff = d }
-}
-
-// WithIdempotent marks the call's handler as safe to re-execute, so
-// the server need not cache the reply for duplicate suppression.
-func WithIdempotent() CallOption {
-	return func(s *CallSpec) { s.Idempotent = true }
+	return CallOption{set: setRetries, d: time.Duration(n+1) * attempt}
 }
 
 // WithSpec applies a whole CallSpec at once — the usual way to pass a
 // locality's control- or data-plane profile to a call site.
 func WithSpec(spec CallSpec) CallOption {
-	return func(s *CallSpec) { *s = spec }
+	return CallOption{set: setSpec, spec: spec}
 }
 
 // WithParent nests the call's rpc.call span under the given span — the
 // dim.acquire span for the transfers an acquisition issues.
 func WithParent(parent trace.SpanID) CallOption {
-	return func(s *CallSpec) { s.Parent = parent }
+	return CallOption{set: setParent, spec: CallSpec{Parent: parent}}
 }
 
 // AckOnly marks a call whose caller never reads the reply body: its
 // future says only whether the handler ran. On success the server sends
-// no reply frame; the call's ID rides on a later frame (acks.go). Like
-// WithParent it goes after WithSpec.
-func AckOnly() CallOption {
-	return func(s *CallSpec) { s.ackOnly = true }
-}
+// no reply frame: the link's ack, which passes the request once its
+// handler has returned, answers it (link.go). Like WithParent it goes
+// after WithSpec.
+func AckOnly() CallOption { return CallOption{set: setAckOnly} }
 
 // CallProfile is a locality-wide pair of default delivery policies:
 // Control for small metadata RPCs (DIM bookkeeping, scheduler ships,
@@ -115,13 +99,11 @@ type CallProfile struct {
 	Data    CallSpec
 }
 
-// DefaultCallProfile bounds control-plane calls (30s deadline, 5
-// resends) and leaves the data plane unbounded, preserving the
-// historical semantics of large transfers on slow links.
+// DefaultCallProfile bounds control-plane calls by a 30s deadline and
+// leaves the data plane unbounded: a large transfer on a slow link
+// waits as long as it takes.
 func DefaultCallProfile() CallProfile {
-	return CallProfile{
-		Control: CallSpec{Deadline: 30 * time.Second, Attempt: 5 * time.Second, Retries: 5},
-	}
+	return CallProfile{Control: CallSpec{Deadline: 30 * time.Second}}
 }
 
 // SetCallProfile replaces the locality's default delivery policies.

@@ -85,8 +85,9 @@ func (l *Locality) Peer(rank int) PeerState {
 // dropped — and the local epoch with it; the fence never decreases, and
 // the callers pass one only for a join, a departure and a death. A join
 // resets last-heard, so the detector does not read the silence before
-// it as missed heartbeats. On Dead or Departed the peer's outstanding
-// calls fail, once: the one move into a terminal state does it.
+// it as missed heartbeats. On Dead or Departed the link to the peer is
+// dropped whole and its outstanding calls fail, once: the one move into
+// a terminal state does it.
 func (l *Locality) SetPeer(rank int, to PeerState, epoch uint64) bool {
 	if rank < 0 || rank >= len(l.peers) || to == Suspect && rank == l.Rank() {
 		return false
@@ -107,7 +108,7 @@ func (l *Locality) SetPeer(rank int, to PeerState, epoch uint64) bool {
 		l.heard[rank].Store(time.Now().UnixNano())
 	}
 	if to.Gone() && rank != l.Rank() {
-		l.failCalls(func(dst int) bool { return dst == rank }, errGone(rank, to))
+		l.links[rank].failCalls(errGone(rank, to), false)
 	}
 	return true
 }

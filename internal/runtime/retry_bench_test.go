@@ -6,9 +6,9 @@ import (
 )
 
 // benchSystem is a 2-locality inproc system with an echo method, the
-// substrate of the retry-path overhead measurements (EXPERIMENTS.md
-// E11): the fault-free hot path must not pay noticeably for the
-// supervision machinery.
+// substrate of the call-path overhead measurements (EXPERIMENTS.md
+// E11, E41): the fault-free hot path must not pay noticeably for the
+// link's delivery contract.
 func benchSystem(b *testing.B) *System {
 	b.Helper()
 	s := NewSystem(2)
@@ -20,8 +20,8 @@ func benchSystem(b *testing.B) *System {
 	return s
 }
 
-// BenchmarkCallPlain is the PR 4 baseline shape: an unsupervised
-// remote call (no deadline, no retries, no dedup).
+// BenchmarkCallPlain is the baseline shape: a remote call without a
+// deadline.
 func BenchmarkCallPlain(b *testing.B) {
 	s := benchSystem(b)
 	loc := s.Locality(0)
@@ -35,10 +35,9 @@ func BenchmarkCallPlain(b *testing.B) {
 	}
 }
 
-// BenchmarkCallSupervised measures the fault-free cost of the full
-// delivery machinery: supervision timer (one AfterFunc + one Stop),
-// dedup registration at the server, and the ack watermark — nothing
-// ever retries here.
+// BenchmarkCallSupervised measures the fault-free cost of a call with a
+// deadline, the control plane's shape: the link's timer checks the
+// deadline, and nothing ever resends here.
 func BenchmarkCallSupervised(b *testing.B) {
 	s := benchSystem(b)
 	loc := s.Locality(0)
@@ -56,20 +55,15 @@ func BenchmarkCallSupervised(b *testing.B) {
 	}
 }
 
-// BenchmarkCallSupervisedIdempotent: supervision without the dedup
-// window (the data-plane shape when a profile opts in).
-func BenchmarkCallSupervisedIdempotent(b *testing.B) {
+// BenchmarkCallAckOnly: a call answered by the link's ack alone, the
+// shape of a ship, a remote fulfilment and an unpin.
+func BenchmarkCallAckOnly(b *testing.B) {
 	s := benchSystem(b)
 	loc := s.Locality(0)
-	opts := []CallOption{
-		WithDeadline(30 * time.Second),
-		WithRetries(5, 5*time.Second),
-		WithIdempotent(),
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var out int
-		if err := loc.Call(1, "echo", i, &out, opts...); err != nil {
+		if _, err := loc.CallAsync(1, "echo", i, AckOnly()).Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@ package runtime
 import (
 	"bytes"
 	"errors"
-	"strings"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,13 +49,13 @@ func lossySystem(t *testing.T, drop func(to int, kind string, payload []byte) bo
 }
 
 // TestRetryReplaysLostReply is the core exactly-once contract: the
-// server executes a counting handler once, loses the reply frame, and
-// the client's retry is answered byte-identically from the dedup
-// cache without re-executing the handler.
+// server executes a counting handler once and loses the reply frame; its
+// link resends the kept reply, and the caller's resent request is
+// dropped as a duplicate instead of running the handler again.
 func TestRetryReplaysLostReply(t *testing.T) {
 	var lostReplies atomic.Int64
 	dropFirstReply := func(to int, kind string, _ []byte) bool {
-		return kind == "rpc.rsp" && lostReplies.Add(1) == 1
+		return kind == kindResponse && lostReplies.Add(1) == 1
 	}
 	s, start := lossySystem(t, dropFirstReply)
 	var executions atomic.Int64
@@ -65,9 +65,7 @@ func TestRetryReplaysLostReply(t *testing.T) {
 	start()
 
 	var got int
-	err := s.Locality(0).Call(1, "count", nil, &got,
-		WithDeadline(5*time.Second), WithRetries(5, 50*time.Millisecond))
-	if err != nil {
+	if err := s.Locality(0).Call(1, "count", nil, &got, WithDeadline(5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if got != 1 {
@@ -76,25 +74,24 @@ func TestRetryReplaysLostReply(t *testing.T) {
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("handler executed %d times, want exactly 1", n)
 	}
-	if v := s.Locality(0).Metrics().Counter(MetricRPCRetries).Value(); v == 0 {
-		t.Fatal("client recorded no retries despite a lost reply")
-	}
-	if v := s.Locality(1).Metrics().Counter(MetricRPCDedupReplays).Value(); v == 0 {
-		t.Fatal("server recorded no dedup replay")
+	if v := s.Locality(1).Metrics().Counter(MetricRPCRetries).Value(); v == 0 {
+		t.Fatal("the server's link did not resend the lost reply")
 	}
 	if n := s.Locality(0).PendingCalls(); n != 0 {
 		t.Fatalf("%d calls stranded after completion", n)
 	}
+	quiesce(t, s)
 }
 
 // TestReplayIsByteIdentical intercepts the response frames themselves:
-// the replayed frame must equal the original byte for byte.
+// the resent frame must equal the original byte for byte — the link
+// keeps the frame, it does not build it again.
 func TestReplayIsByteIdentical(t *testing.T) {
 	var mu sync.Mutex
 	var replies [][]byte
 	var dropped bool
 	tap := func(to int, kind string, payload []byte) bool {
-		if kind != "rpc.rsp" {
+		if kind != kindResponse {
 			return false
 		}
 		mu.Lock()
@@ -102,7 +99,7 @@ func TestReplayIsByteIdentical(t *testing.T) {
 		replies = append(replies, append([]byte(nil), payload...))
 		if !dropped {
 			dropped = true
-			return true // lose the first reply; the retry replays it
+			return true // lose the first reply; the link resends it
 		}
 		return false
 	}
@@ -113,8 +110,7 @@ func TestReplayIsByteIdentical(t *testing.T) {
 	start()
 
 	var out string
-	err := s.Locality(0).Call(1, "echo", "payload", &out,
-		WithDeadline(5*time.Second), WithRetries(5, 50*time.Millisecond))
+	err := s.Locality(0).Call(1, "echo", "payload", &out, WithDeadline(5*time.Second))
 	if err != nil || out != "payload" {
 		t.Fatalf("call: %v, out=%q", err, out)
 	}
@@ -124,81 +120,99 @@ func TestReplayIsByteIdentical(t *testing.T) {
 		t.Fatalf("captured %d reply frames, want >= 2", len(replies))
 	}
 	if !bytes.Equal(replies[0], replies[1]) {
-		t.Fatalf("replayed reply differs from original:\n%x\n%x", replies[0], replies[1])
+		t.Fatalf("resent reply differs from original:\n%x\n%x", replies[0], replies[1])
 	}
 }
 
-// TestDedupEvictionByAck: sequential retryable calls carry an
-// advancing ack watermark, so the server's window stays at one entry
-// no matter how many calls complete (the retention window is huge, so
-// age eviction cannot explain it).
-func TestDedupEvictionByAck(t *testing.T) {
-	s := newTestSystem(t, 2)
-	s.Locality(1).SetDedupWindow(time.Hour)
-	s.Locality(1).Handle("noop", func(int, []byte) ([]byte, error) { return nil, nil })
+// TestLinksHoldNothingAtQuiescence: after a burst of awaited calls,
+// ack-only calls and one-ways in both directions, both halves of every
+// link end empty — no unacked frame, awaited call, early frame or
+// running handler — however many frames went through.
+func TestLinksHoldNothingAtQuiescence(t *testing.T) {
+	s := newTestSystem(t, 3)
+	var oneWays atomic.Int64
+	for _, l := range s.Localities() {
+		l.Handle("noop", func(int, []byte) ([]byte, error) { return nil, nil })
+		l.HandleOneWay("tick", func(int, []byte) { oneWays.Add(1) })
+	}
 	s.Start()
-	for i := 0; i < 50; i++ {
-		if err := s.Locality(0).Call(1, "noop", nil, nil,
-			WithDeadline(5*time.Second), WithRetries(3, time.Second)); err != nil {
-			t.Fatal(err)
+	var wg sync.WaitGroup
+	for _, l := range s.Localities() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 60 {
+				dst := (l.Rank() + 1 + i%2) % s.Size()
+				switch i % 3 {
+				case 0:
+					if err := l.Call(dst, "noop", nil, nil, WithDeadline(5*time.Second)); err != nil {
+						t.Error(err)
+					}
+				case 1:
+					l.CallAsync(dst, "noop", nil, AckOnly())
+				default:
+					if err := l.Send(dst, "tick", nil); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	quiesce(t, s)
+	// A one-way is acked once delivered; its handler runs on a goroutine
+	// of its own and may still be on its way.
+	for deadline := time.Now().Add(5 * time.Second); oneWays.Load() != 3*20; goruntime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d one-ways delivered, want 60", oneWays.Load())
 		}
 	}
-	// Each call's request acks all completed predecessors, so at most
-	// the latest entry survives.
-	if n := s.Locality(1).DedupSize(); n > 1 {
-		t.Fatalf("dedup window holds %d entries after 50 acked calls, want <= 1", n)
+	for _, l := range s.Localities() {
+		if n := l.PendingCalls(); n != 0 {
+			t.Fatalf("rank %d: %d calls pending at quiescence", l.Rank(), n)
+		}
 	}
 }
 
-// TestDuplicateBehindWatermarkIsDropped: a duplicate frame that a
-// reordering fabric delivers after a later call's watermark has evicted
-// its entry is not a new call — the caller resolved it long ago — and
-// must not run the handler a second time.
+// TestDuplicateBehindWatermarkIsDropped: a link delivers its frames in
+// number order, once. A frame that arrives early waits for the gap
+// before it; a copy of a frame already delivered — behind the link's
+// watermark — or of one already waiting is dropped and counted.
 func TestDuplicateBehindWatermarkIsDropped(t *testing.T) {
-	d := newDedupState(time.Hour)
-	now := time.Now()
-	if _, replay, inflight := d.observe(0, 7, 6, now); replay || inflight {
-		t.Fatal("first arrival of call 7 not admitted")
+	l, peers, _, probe := rawPeers(t)
+	got := make(chan string, 8)
+	l.HandleOneWay("rec", func(_ int, body []byte) {
+		var s string
+		wire.Decode(body, &s)
+		got <- s
+	})
+	frame := func(seq uint64, s string) []byte {
+		body := mustEncode(t, &oneWayMsg{Method: "rec", Body: mustEncode(t, s)})
+		return appendHeader(body, linkHeader{Seq: seq})
 	}
-	d.complete(0, 7, []byte("rsp"), now)
-	if rsp, replay, _ := d.observe(0, 7, 6, now); !replay || string(rsp) != "rsp" {
-		t.Fatal("duplicate inside the window not replayed")
+	p := peers[1]
+	p.Endpoint.Send(0, kindOneWay, frame(2, "second"))
+	p.Endpoint.Send(0, kindOneWay, frame(2, "second again"))
+	p.Endpoint.Send(0, kindOneWay, frame(1, "first"))
+	p.Endpoint.Send(0, kindOneWay, frame(1, "first again"))
+	p.next = 2
+	probe(1, 0)
+	// One-way handlers run on goroutines of their own: the two frames
+	// were handed to theirs before the probe was dispatched.
+	seen := map[string]int{}
+	for range 2 {
+		seen[<-got]++
 	}
-	// Call 8 acks everything up to 7: the entry goes.
-	if _, replay, inflight := d.observe(0, 8, 7, now); replay || inflight || d.size() != 1 {
-		t.Fatalf("call 8 not admitted or call 7 not evicted (window %d)", d.size())
+	select {
+	case s := <-got:
+		seen[s]++
+	default:
 	}
-	if _, replay, inflight := d.observe(0, 7, 6, now); replay || !inflight {
-		t.Fatal("duplicate of call 7 behind the watermark was admitted as a new call")
+	if len(seen) != 2 || seen["first"] != 1 || seen["second"] != 1 {
+		t.Fatalf("delivered %v, want first and second once each", seen)
 	}
-	if d.size() != 1 {
-		t.Fatalf("dropped duplicate left an entry (window %d)", d.size())
-	}
-}
-
-// TestDedupEvictionByAge: with acks withheld (distinct caller IDs stay
-// outstanding), entries may only leave by age.
-func TestDedupEvictionByAge(t *testing.T) {
-	s := newTestSystem(t, 2)
-	loc := s.Locality(1)
-	loc.SetDedupWindow(50 * time.Millisecond)
-	s.Start()
-	now := time.Now()
-	// Drive the window directly: register and complete entries with no
-	// ack advance (ack=0), then observe later and check the sweep.
-	for id := uint64(1); id <= 10; id++ {
-		loc.dedup.observe(0, id, 0, now)
-		loc.dedup.complete(0, id, []byte("r"), now)
-	}
-	if n := loc.DedupSize(); n != 10 {
-		t.Fatalf("window = %d entries, want 10", n)
-	}
-	// Past the window (and past window/4 since the last sweep), the
-	// next observe evicts all aged completed entries.
-	later := now.Add(time.Second)
-	loc.dedup.observe(0, 11, 0, later)
-	if n := loc.DedupSize(); n != 1 {
-		t.Fatalf("window = %d entries after age sweep, want 1 (the new call)", n)
+	if d := l.Metrics().CounterValue(MetricRPCDuplicates); d != 2 {
+		t.Fatalf("rpc.duplicates = %d, want 2", d)
 	}
 }
 
@@ -227,8 +241,11 @@ func TestConcurrentDuplicatesExecuteOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.Locality(0).Call(1, "count", nil, nil,
-				WithDeadline(10*time.Second), WithRetries(3, time.Second)); err != nil {
+			opt := WithDeadline(10 * time.Second)
+			if i%2 == 1 {
+				opt = AckOnly()
+			}
+			if err := s.Locality(0).Call(1, "count", nil, nil, opt); err != nil {
 				errs <- err
 			}
 		}()
@@ -241,10 +258,8 @@ func TestConcurrentDuplicatesExecuteOnce(t *testing.T) {
 	if n := executions.Load(); n != calls {
 		t.Fatalf("handler executed %d times for %d calls", n, calls)
 	}
-	sup := s.Locality(1).Metrics().Counter(MetricRPCDedupSuppressed).Value()
-	rep := s.Locality(1).Metrics().Counter(MetricRPCDedupReplays).Value()
-	if sup+rep == 0 {
-		t.Fatal("no duplicate was suppressed or replayed — dup link ineffective?")
+	if s.Locality(1).Metrics().Counter(MetricRPCDuplicates).Value() == 0 {
+		t.Fatal("no duplicate was dropped — dup link ineffective?")
 	}
 }
 
@@ -254,7 +269,7 @@ func TestConcurrentDuplicatesExecuteOnce(t *testing.T) {
 func TestCallTimeoutOnBlackHole(t *testing.T) {
 	fab := transport.NewFabric(2)
 	blackhole := &filterEndpoint{Endpoint: fab.Endpoint(0),
-		drop: func(_ int, kind string, _ []byte) bool { return strings.HasPrefix(kind, "rpc.req") }}
+		drop: func(_ int, kind string, _ []byte) bool { return kind == kindRequest }}
 	s := NewSystemOver([]transport.Endpoint{blackhole, fab.Endpoint(1)})
 	t.Cleanup(func() {
 		s.Close()
@@ -264,8 +279,7 @@ func TestCallTimeoutOnBlackHole(t *testing.T) {
 	fab.Start()
 
 	start := time.Now()
-	err := s.Locality(0).Call(1, "noop", nil, nil,
-		WithDeadline(300*time.Millisecond), WithRetries(3, 50*time.Millisecond))
+	err := s.Locality(0).Call(1, "noop", nil, nil, WithDeadline(300*time.Millisecond))
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("err = %v, want ErrCallTimeout", err)
 	}
@@ -344,8 +358,7 @@ func TestFencingRejectsStaleEpoch(t *testing.T) {
 		t.Fatal("no fenced frame counted")
 	}
 	// The fenced rank's call must not hang forever when bounded.
-	err := s.Locality(2).Call(1, "noop", nil, nil,
-		WithDeadline(200*time.Millisecond), WithRetries(1, 100*time.Millisecond))
+	err := s.Locality(2).Call(1, "noop", nil, nil, WithRetries(1, 100*time.Millisecond))
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("bounded call through fence: err = %v, want ErrCallTimeout", err)
 	}

@@ -9,6 +9,7 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,56 +31,13 @@ type Method func(from int, body []byte) ([]byte, error)
 type OneWay func(from int, body []byte)
 
 const (
-	kindRequest = "rpc.req"
-	// kindRequestDedup carries retryable non-idempotent requests. The
-	// separate kind lets dispatch register them in the dedup window in
-	// delivery order — on a FIFO transport a duplicate then always
-	// observes the window before any later frame whose ack watermark
-	// could evict its entry — while plain requests skip the window
-	// entirely.
-	kindRequestDedup = "rpc.reqd"
-	kindResponse     = "rpc.rsp"
-	kindOneWay       = "msg"
-	// kindAcks carries acks owed that found no envelope to ride on
-	// (acks.go).
+	kindRequest  = "rpc.req"
+	kindResponse = "rpc.rsp"
+	kindOneWay   = "msg"
+	// kindAcks is a pure ack: the ack owed to a peer that found no frame
+	// to ride on within ackDelay (link.go).
 	kindAcks = "rpc.acks"
 )
-
-type rpcRequest struct {
-	ID     uint64
-	Method string
-	Body   []byte
-	// Span carries the caller's rpc.call span ID so the serving rank
-	// can parent its rpc.serve span across the wire (0 = untraced).
-	Span uint64
-	// Epoch is the sender's incarnation epoch at send time; receivers
-	// drop frames whose epoch is older than the fence recorded for the
-	// sending rank (partition fencing, DESIGN.md §6d).
-	Epoch uint64
-	// Ack is the caller's dedup watermark for this destination: every
-	// call ID ≤ Ack is resolved at the caller and can be evicted from
-	// the server's dedup window.
-	Ack uint64
-	// AckOnly asks for no reply frame on success (AckOnly, acks.go).
-	AckOnly bool
-	// Acks are the IDs of the receiver's ack-only calls that succeeded
-	// at the sender.
-	Acks ackIDs
-}
-
-type rpcResponse struct {
-	ID    uint64
-	Body  []byte
-	Err   string
-	Epoch uint64
-	Acks  ackIDs
-}
-
-type oneWayMsg struct {
-	Method string
-	Body   []byte
-	Epoch  uint64
-}
 
 // ErrPeerFailed marks RPC errors caused by the transport reporting
 // the destination rank as failed while the call was outstanding;
@@ -97,27 +55,25 @@ const (
 	MetricRPCRoundtrip = "rpc.roundtrip"
 	// MetricRPCOneWays counts one-way sends (local and remote).
 	MetricRPCOneWays = "rpc.oneways"
-	// MetricRPCRetries counts request frames resent by supervision.
+	// MetricRPCRetries counts frames a link resent because the peer had
+	// not acked them within the link's resend interval.
 	MetricRPCRetries = "rpc.retries"
-	// MetricRPCTimeouts counts calls failed by deadline/retry exhaustion.
+	// MetricRPCTimeouts counts calls failed by their deadline.
 	MetricRPCTimeouts = "rpc.timeouts"
-	// MetricRPCDedupReplays counts duplicate requests answered from the
-	// dedup window's reply cache without re-executing the handler.
-	MetricRPCDedupReplays = "rpc.dedup.replays"
-	// MetricRPCDedupSuppressed counts duplicate requests dropped while
-	// the first execution was still in flight.
-	MetricRPCDedupSuppressed = "rpc.dedup.suppressed"
+	// MetricRPCDuplicates counts numbered frames a link dropped because it
+	// had delivered or was holding their number already.
+	MetricRPCDuplicates = "rpc.duplicates"
 	// MetricRPCFencedFrames counts inbound frames rejected because the
 	// sending rank is fenced (marked dead / stale incarnation epoch).
 	MetricRPCFencedFrames = "rpc.fenced_frames"
 	// MetricRPCAckFrames counts rpc.acks frames sent, each before its
-	// hand-off: owed acks that found no request or response to ride on
-	// within ackDelay.
+	// hand-off: owed acks that found no numbered frame to ride on within
+	// ackDelay.
 	MetricRPCAckFrames = "rpc.ack_frames"
-	// MetricRPCCallFrames counts the request and reply frames taken in
-	// from peers, as dispatch takes them and before any handler or
-	// waiting caller sees them: once a protocol's calls are settled, its
-	// frames are counted, and no one-way or ack frame is among them.
+	// MetricRPCCallFrames counts the request and reply frames a link
+	// delivers, each once, before any handler or waiting caller sees them:
+	// once a protocol's calls are settled, its frames are counted, and no
+	// one-way, ack or resent frame is among them.
 	MetricRPCCallFrames = "rpc.call_frames"
 	// MetricPromisesNamed counts the futures entered in the promise
 	// table (NamePromise): one per task that left the rank it was
@@ -125,51 +81,23 @@ const (
 	MetricPromisesNamed = "runtime.promises_named"
 )
 
-// pendingCall is one outstanding RPC: the future its response (or
-// failure) resolves, plus the destination rank so a peer-failure
-// notification can fail exactly the calls targeting the dead rank.
-// The rpc.call span and start time ride along so the resolver — the
-// response dispatch or a failure path — can close the span and feed
-// the round-trip histogram.
-type pendingCall struct {
-	dst   int
-	id    uint64
-	meth  string
-	fut   *Future
-	sp    *trace.Span
-	start time.Time
-	// tracked means the call registered in the per-destination ack
-	// state (retryable + dedup'd); resolve must deregister it.
-	tracked bool
-	// ackOnly marks an AckOnly call: a deferred ack may resolve it, its
-	// span ended at the hand-off to the transport (sp is nil), and its
-	// completion is not a round trip.
-	ackOnly bool
-	// timer is the current supervision timer (deadline or next-resend);
-	// resolve stops it so fault-free calls leave no timer behind.
-	timer atomic.Pointer[time.Timer]
-}
-
-// resolve finishes the call's instrumentation and fulfills its
-// future. The span is ended before the fulfill so that a waiter
-// unblocked by the call's completion observes the span as archived
-// ("no span leaks" holds at quiescence).
+// resolve finishes a call's instrumentation and fulfills its future
+// (if it has one). The span is ended before the fulfill so that a
+// waiter unblocked by the call's completion observes the span as
+// archived ("no span leaks" holds at quiescence). An ack-only call is
+// not a round trip: it has no start time.
 func (l *Locality) resolve(pc *pendingCall, body []byte, err error) {
-	if t := pc.timer.Load(); t != nil {
-		t.Stop()
-	}
-	if pc.tracked {
-		l.acks[pc.dst].done(pc.id)
-	}
 	if err != nil {
 		l.rpcErrors.Inc()
 		pc.sp.SetErr(err)
 	}
 	pc.sp.End()
-	if !pc.ackOnly {
+	if !pc.start.IsZero() {
 		l.rpcRT.Observe(time.Since(pc.start))
 	}
-	pc.fut.fulfill(body, err)
+	if pc.fut != nil {
+		pc.fut.fulfill(body, err)
+	}
 }
 
 // Locality is one runtime process: the unit that owns an address
@@ -182,11 +110,13 @@ type Locality struct {
 	// already grown by their predecessors instead of growing a fresh one.
 	pool gopool.Pool
 
-	mu       sync.RWMutex
-	methods  map[string]Method
-	oneWays  map[string]OneWay
-	nextCall atomic.Uint64
-	calls    sync.Map // call id -> *pendingCall
+	mu      sync.RWMutex
+	methods map[string]Method
+	oneWays map[string]OneWay
+
+	// links holds, per peer rank, this locality's half of the link to it
+	// (link.go): the one place a frame's delivery is tracked.
+	links []link
 
 	nextPromise atomic.Uint64
 	promises    promiseTable
@@ -200,8 +130,7 @@ type Locality struct {
 	rpcOneWays    *metrics.Counter
 	rpcRetries    *metrics.Counter
 	rpcTimeouts   *metrics.Counter
-	rpcReplays    *metrics.Counter
-	rpcSuppressed *metrics.Counter
+	rpcDups       *metrics.Counter
 	rpcFenced     *metrics.Counter
 	rpcAckFrames  *metrics.Counter
 	rpcCallFrames *metrics.Counter
@@ -210,13 +139,8 @@ type Locality struct {
 	tracer        atomic.Pointer[trace.Tracer]
 
 	// profile holds the locality's default control/data delivery
-	// policies; dedup is the server side of exactly-once effects and
-	// acks the client side (per-destination watermarks). owed holds, per
-	// caller rank, the deferred acks of its ack-only calls (acks.go).
+	// policies.
 	profile atomic.Pointer[CallProfile]
-	dedup   *dedupState
-	acks    []ackState
-	owed    []ackQueue
 
 	// peers holds, per rank, this locality's view of it: its PeerState
 	// and its fence epoch in one word (peer.go). heard records, per peer,
@@ -226,7 +150,7 @@ type Locality struct {
 	heard []atomic.Int64
 
 	// epoch is this locality's incarnation epoch: the largest fence
-	// epoch it has adopted. Every outbound envelope is stamped with it.
+	// epoch it has adopted. Every outbound frame is stamped with it.
 	epoch atomic.Uint64
 
 	// deathMu guards the subscriber list; the callbacks themselves run
@@ -252,16 +176,13 @@ func NewLocality(ep transport.Endpoint) *Locality {
 		rpcOneWays:    reg.Counter(MetricRPCOneWays),
 		rpcRetries:    reg.Counter(MetricRPCRetries),
 		rpcTimeouts:   reg.Counter(MetricRPCTimeouts),
-		rpcReplays:    reg.Counter(MetricRPCDedupReplays),
-		rpcSuppressed: reg.Counter(MetricRPCDedupSuppressed),
+		rpcDups:       reg.Counter(MetricRPCDuplicates),
 		rpcFenced:     reg.Counter(MetricRPCFencedFrames),
 		rpcAckFrames:  reg.Counter(MetricRPCAckFrames),
 		rpcCallFrames: reg.Counter(MetricRPCCallFrames),
 		promisesNamed: reg.Counter(MetricPromisesNamed),
 		rpcRT:         reg.Histogram(MetricRPCRoundtrip),
-		dedup:         newDedupState(defaultDedupWindow),
-		acks:          make([]ackState, ep.Size()),
-		owed:          make([]ackQueue, ep.Size()),
+		links:         make([]link, ep.Size()),
 		peers:         make([]atomic.Uint64, ep.Size()),
 		heard:         make([]atomic.Int64, ep.Size()),
 	}
@@ -270,6 +191,7 @@ func NewLocality(ep transport.Endpoint) *Locality {
 	now := time.Now().UnixNano()
 	for i := range l.heard {
 		l.heard[i].Store(now)
+		l.links[i].loc, l.links[i].peer = l, i
 	}
 	ep.SetMetrics(reg)
 	ep.SetHandler(l.dispatch)
@@ -288,12 +210,14 @@ func (l *Locality) SetTracer(t *trace.Tracer) { l.tracer.Store(t) }
 func (l *Locality) Tracer() *trace.Tracer { return l.tracer.Load() }
 
 // peerFailure runs on a transport goroutine when the fabric reports
-// the link to a peer as broken: every outstanding call targeting that
-// rank fails with ErrPeerFailed instead of hanging on a response that
-// will never arrive.
+// the link to a peer as broken: every call waiting on that rank fails
+// with ErrPeerFailed instead of hanging on an answer that may never
+// arrive. The link keeps its frames and resends them, so a peer that is
+// still alive gets each of them once over the redial.
 func (l *Locality) peerFailure(peer int, cause error) {
-	l.failCalls(func(dst int) bool { return dst == peer },
-		fmt.Errorf("%w: rank %d: %v", ErrPeerFailed, peer, cause))
+	if peer >= 0 && peer < len(l.links) {
+		l.links[peer].failCalls(fmt.Errorf("%w: rank %d: %v", ErrPeerFailed, peer, cause), true)
+	}
 	l.deathMu.Lock()
 	subs := make([]func(int, error), len(l.onPeerFail))
 	copy(subs, l.onPeerFail)
@@ -337,14 +261,14 @@ func (l *Locality) LastHeard(rank int) time.Time {
 }
 
 // Heartbeat sends one liveness probe frame to dst. Probes bypass the
-// RPC layer entirely: no body, no response, no pending-call state —
-// their receipt refreshes the sender's last-heard timestamp at dst.
+// RPC layer entirely: no body, no number, no response — their receipt
+// refreshes the sender's last-heard timestamp at dst.
 func (l *Locality) Heartbeat(dst int) error {
 	if dst == l.Rank() {
 		return nil
 	}
 	if l.closed.Load() {
-		return fmt.Errorf("runtime: locality %d closed", l.Rank())
+		return errClosed(l.Rank())
 	}
 	if st := l.Peer(dst); st.Gone() {
 		return errGone(dst, st)
@@ -355,20 +279,10 @@ func (l *Locality) Heartbeat(dst int) error {
 // Closed reports whether Close has been called.
 func (l *Locality) Closed() bool { return l.closed.Load() }
 
-// failCalls resolves every outstanding call whose destination matches
-// with err. LoadAndDelete makes each call fail at most once even when
-// racing with an in-flight response (Future.fulfill is idempotent as
-// a second line of defense).
-func (l *Locality) failCalls(match func(dst int) bool, err error) {
-	l.calls.Range(func(k, v any) bool {
-		pc := v.(*pendingCall)
-		if match(pc.dst) {
-			if _, ok := l.calls.LoadAndDelete(k); ok {
-				l.resolve(pc, nil, err)
-			}
-		}
-		return true
-	})
+func errClosed(rank int) error { return fmt.Errorf("runtime: locality %d closed", rank) }
+
+func timeoutErr(method string, dst int) error {
+	return fmt.Errorf("%w: %q to rank %d", ErrCallTimeout, method, dst)
 }
 
 // Rank returns the locality's process rank.
@@ -402,9 +316,11 @@ func (l *Locality) HandleOneWay(name string, h OneWay) {
 // message or per ship. Concurrency is unbounded, as with go.
 func (l *Locality) Go(f func()) { l.pool.Go(f) }
 
-// dispatch runs on the transport delivery goroutine; every message is
-// handed to a goroutine of its own so that a blocking handler can
-// never stall delivery (and in particular never deadlock an RPC cycle).
+// dispatch runs on a transport delivery goroutine. It puts each frame
+// of a link in number order and takes in the ack it carries; a request
+// or one-way is then handed to a goroutine of its own, so that a
+// blocking handler can never stall delivery (and in particular never
+// deadlock an RPC cycle), while a reply resolves its call here.
 func (l *Locality) dispatch(msg transport.Message) {
 	if l.Peer(msg.From).Gone() {
 		// Fenced: a rank declared dead may in fact be alive across a
@@ -415,88 +331,158 @@ func (l *Locality) dispatch(msg transport.Message) {
 		l.rpcFenced.Inc()
 		return
 	}
-	if msg.From >= 0 && msg.From < len(l.heard) {
-		l.heard[msg.From].Store(time.Now().UnixNano())
-	}
-	if l.closed.Load() {
+	if msg.From < 0 || msg.From >= len(l.links) {
 		return
 	}
-	if msg.Kind == kindRequest || msg.Kind == kindRequestDedup || msg.Kind == kindResponse {
-		l.rpcCallFrames.Inc()
+	l.heard[msg.From].Store(time.Now().UnixNano())
+	if l.closed.Load() || msg.Kind == transport.KindHeartbeat {
+		return
 	}
-	switch msg.Kind {
-	case transport.KindHeartbeat:
-		// Liveness probe: the timestamp update above is its entire effect.
-	case kindRequest:
-		l.Go(func() { l.serveRequest(msg) })
-	case kindResponse:
+	h, body, ok := readHeader(msg.Payload)
+	if !ok {
+		return
+	}
+	k := &l.links[msg.From]
+	if msg.Kind == kindAcks {
+		if l.staleEpoch(msg.From, h.Epoch) {
+			return
+		}
+		var buf [8]*Future
+		done := buf[:0]
+		k.mu.Lock()
+		if !k.gone && k.delivered >= h.Seq {
+			done = k.ackedLocked(h.Ack, done)
+		}
+		k.mu.Unlock()
+		for _, f := range done {
+			f.fulfill(nil, nil)
+		}
+		return
+	}
+	for {
+		var buf [8]*Future
+		done := buf[:0]
+		k.mu.Lock()
+		if k.gone {
+			k.mu.Unlock()
+			return
+		}
+		switch {
+		case h.Seq <= k.delivered:
+			// The peer resends what it has not seen acked: the ack goes
+			// again.
+			l.rpcDups.Inc()
+			k.reack = true
+			k.oweLocked()
+			k.mu.Unlock()
+			return
+		case h.Seq > k.delivered+1:
+			if _, dup := k.held[h.Seq]; dup {
+				l.rpcDups.Inc()
+			} else {
+				if k.held == nil {
+					k.held = make(map[uint64]transport.Message)
+				}
+				k.held[h.Seq] = msg
+			}
+			k.mu.Unlock()
+			return
+		}
+		k.delivered = h.Seq
+		stale := l.staleEpoch(msg.From, h.Epoch)
+		if !stale {
+			done = k.ackedLocked(h.Ack, done)
+		}
+		var pc pendingCall
+		var call bool
 		var rsp rpcResponse
-		if err := wire.Decode(msg.Payload, &rsp); err != nil {
-			return
+		var refused *Future
+		switch msg.Kind {
+		case kindRequest:
+			l.rpcCallFrames.Inc()
+			if h.AckOnly {
+				k.busy = append(k.busy, h.Seq)
+			}
+		case kindResponse:
+			l.rpcCallFrames.Inc()
+			if !stale && decodeResponse(body, &rsp) == nil {
+				if pc, call = k.calls[rsp.ID]; call {
+					delete(k.calls, rsp.ID)
+				} else if rsp.Err != "" {
+					refused = k.refusedLocked(rsp.ID)
+				}
+			}
 		}
-		if l.staleEpoch(msg.From, rsp.Epoch) {
-			return
+		k.oweLocked()
+		next, more := k.held[k.delivered+1]
+		if more {
+			delete(k.held, k.delivered+1)
 		}
-		l.settleAcks(msg.From, rsp.Acks)
-		if pc := l.claim(msg.From, rsp.ID, false); pc != nil {
+		k.mu.Unlock()
+		// An ack-only call's error reply precedes any ack that covers it.
+		if refused != nil {
+			refused.fulfill(nil, errors.New(rsp.Err))
+		}
+		for _, f := range done {
+			f.fulfill(nil, nil)
+		}
+		switch {
+		case msg.Kind == kindRequest && (!stale || h.AckOnly):
+			// A fenced request runs nothing and is not answered — unless
+			// only an ack was asked for, which would tell it succeeded.
+			from, seq, ackOnly, b := msg.From, h.Seq, h.AckOnly, body
+			if ackOnly && !stale && isFulfil(b) {
+				// A remote fulfilment resolves a promise and never blocks:
+				// it runs here, in frame order, without a goroutine hop.
+				l.serve(k, from, seq, true, false, true, b)
+			} else {
+				l.Go(func() { l.serve(k, from, seq, ackOnly, stale, false, b) })
+			}
+		case call:
 			var err error
 			if rsp.Err != "" {
 				err = errors.New(rsp.Err)
 			}
-			l.resolve(pc, rsp.Body, err)
+			l.resolve(&pc, rsp.Body, err)
+		case msg.Kind == kindOneWay && !stale:
+			from, b := msg.From, body
+			l.Go(func() { l.serveOneWay(from, b) })
 		}
-	case kindRequestDedup:
-		l.dispatchDedup(msg)
-	case kindOneWay:
-		l.Go(func() { l.serveOneWay(msg) })
-	case kindAcks:
-		var f ackFrame
-		if wire.Decode(msg.Payload, &f) == nil && !l.staleEpoch(msg.From, f.Epoch) {
-			l.settleAcks(msg.From, f.IDs)
+		if !more {
+			return
 		}
+		msg = next
+		h, body, _ = readHeader(msg.Payload) // read when it was held
 	}
 }
 
-// dispatchDedup handles an inbound dedup'd request. It runs on the
-// delivery goroutine so the window observes frames in delivery order:
-// on a FIFO transport a duplicate then always finds the original's
-// entry before any later frame's ack watermark can evict it. Only the
-// handler execution is handed to its own goroutine.
-func (l *Locality) dispatchDedup(msg transport.Message) {
-	var req rpcRequest
-	if err := wire.Decode(msg.Payload, &req); err != nil {
-		return
+// decodeResponse decodes a reply through a decoder on the stack.
+func decodeResponse(frame []byte, rsp *rpcResponse) error {
+	var d wire.Decoder
+	if err := d.Reset(frame); err != nil {
+		return err
 	}
-	if l.staleEpoch(msg.From, req.Epoch) {
-		return
-	}
-	l.settleAcks(msg.From, req.Acks)
-	cached, replay, inflight := l.dedup.observe(msg.From, req.ID, req.Ack, time.Now())
-	if inflight {
-		// The first execution is still running; drop the duplicate —
-		// the caller retries again after the reply lands in the cache.
-		l.rpcSuppressed.Inc()
-		return
-	}
-	if replay {
-		l.rpcReplays.Inc()
-		if cached == nil {
-			// An ack-only call caches no reply. A resend means its caller
-			// has not seen the ack, so it is answered now, at once.
-			cached, _ = wire.Encode(&rpcResponse{ID: req.ID, Epoch: l.epoch.Load()})
+	rsp.UnmarshalWire(&d)
+	return d.Finish()
+}
+
+// refusedLocked ends the unacked ack-only call seq, whose handler failed
+// at the peer, which answered before acking it; it returns the call's
+// future, for the caller to fail once it has let go of the lock.
+func (k *link) refusedLocked(seq uint64) *Future {
+	for i := range k.out {
+		if f := &k.out[i]; f.seq == seq && f.waits {
+			k.loc.rpcErrors.Inc()
+			fut := f.fut
+			f.waits, f.fut = false, nil
+			return fut
 		}
-		// Off the delivery goroutine: a blocked peer inbox must not
-		// stall delivery of everything queued behind this frame.
-		l.Go(func() { l.ep.Send(msg.From, kindResponse, cached) })
-		return
 	}
-	l.Go(func() { l.serveDedup(msg.From, &req) })
+	return nil
 }
 
 // staleEpoch reports (and counts) a frame from a sender that is gone or
-// whose stamped epoch predates its fence. It backstops dispatch's
-// rejection of gone senders for frames already handed to a serve
-// goroutine when the sender's state moved.
+// whose stamped epoch predates its fence.
 func (l *Locality) staleEpoch(from int, epoch uint64) bool {
 	if from < 0 || from >= len(l.peers) {
 		return false
@@ -508,285 +494,178 @@ func (l *Locality) staleEpoch(from int, epoch uint64) bool {
 	return false
 }
 
-// serveRequest decodes, executes and answers one inbound plain request.
-func (l *Locality) serveRequest(msg transport.Message) {
-	var req rpcRequest
-	if err := wire.Decode(msg.Payload, &req); err != nil {
-		return
-	}
-	if l.staleEpoch(msg.From, req.Epoch) {
-		return
-	}
-	l.settleAcks(msg.From, req.Acks)
-	if payload := l.execRequest(msg.From, &req, false); payload != nil {
-		l.ep.Send(msg.From, kindResponse, payload)
-	}
+// isFulfil reports whether a request frame calls the promise service.
+func isFulfil(frame []byte) bool {
+	var d wire.Decoder
+	return d.Reset(frame) == nil && string(d.Bytes()) == methodFulfill
 }
 
-// serveDedup is serveRequest's counterpart for dedup'd requests,
-// whose envelope was already decoded and window-registered by
-// dispatch.
-func (l *Locality) serveDedup(from int, req *rpcRequest) {
-	if payload := l.execRequest(from, req, true); payload != nil {
-		l.ep.Send(from, kindResponse, payload)
-	}
-}
-
-// execRequest runs the handler for one request and encodes the
-// response frame, with the acks owed to the caller in its trailer; for
-// dedup'd calls the frame is also parked in the reply cache so
-// duplicates replay it byte-identically. An ack-only call that
-// succeeded gets no frame: its ID is owed to the caller instead.
-func (l *Locality) execRequest(from int, req *rpcRequest, dedup bool) []byte {
-	l.mu.RLock()
-	m := l.methods[req.Method]
-	l.mu.RUnlock()
-	// The serve span parents on the caller's rpc.call span ID from the
-	// wire envelope, stitching the cross-rank causality edge. It ends
-	// before the response is sent so the caller never outruns it.
-	sp := l.Tracer().Begin("rpc.serve", req.Method, trace.SpanID(req.Span))
-	var body []byte
-	var errStr string
-	if m == nil {
-		errStr = fmt.Sprintf("runtime: no method %q at rank %d", req.Method, l.Rank())
-	} else {
-		var err error
-		if body, err = m(from, req.Body); err != nil {
-			errStr = err.Error()
+// serve runs the handler of request seq from rank from and answers it
+// on the link. An ack-only request that succeeded gets no reply: the
+// link's ack passes it once the handler has returned. An ack-only
+// request stamped under a fenced epoch runs nothing and is answered
+// with an error. Run inline on a delivery goroutine, serve hands a reply
+// to a goroutine of its own: delivery never waits on a send.
+func (l *Locality) serve(k *link, from int, seq uint64, ackOnly, fenced, inline bool, frame []byte) {
+	var rsp rpcResponse
+	var d wire.Decoder
+	d.Reset(frame)
+	method, span, body := readRequest(&d)
+	switch err := d.Finish(); {
+	case err != nil:
+		rsp.Err = fmt.Sprintf("runtime: malformed request from rank %d: %v", from, err)
+	case fenced:
+		rsp.Err = fmt.Sprintf("runtime: request from rank %d fenced", from)
+	default:
+		l.mu.RLock()
+		m := l.methods[string(method)]
+		l.mu.RUnlock()
+		// The serve span parents on the caller's rpc.call span ID from the
+		// wire envelope, stitching the cross-rank causality edge. It ends
+		// before the response is sent so the caller never outruns it.
+		var sp *trace.Span
+		if tr := l.Tracer(); tr != nil {
+			sp = tr.Begin("rpc.serve", string(method), trace.SpanID(span))
 		}
-	}
-	if errStr != "" {
-		sp.SetErr(errors.New(errStr))
-	}
-	sp.End()
-	if req.AckOnly && errStr == "" {
-		if dedup {
-			l.dedup.complete(from, req.ID, nil, time.Now())
+		if m == nil {
+			rsp.Err = fmt.Sprintf("runtime: no method %q at rank %d", method, l.Rank())
+		} else if rsp.Body, err = m(from, body); err != nil {
+			rsp.Err = err.Error()
 		}
-		l.owe(from, req.ID)
-		return nil
+		if rsp.Err != "" {
+			sp.SetErr(errors.New(rsp.Err))
+		}
+		sp.End()
 	}
-	// Stamp the response epoch after the handler ran: a handler that
-	// adopts a new incarnation epoch (the join handshake) must answer
-	// under the new epoch, or the caller's fence rejects the reply.
-	rsp := rpcResponse{ID: req.ID, Body: body, Err: errStr, Epoch: l.epoch.Load()}
-	payload, err := l.stamp(from, &rsp, &rsp.Acks)
-	if err != nil {
-		return nil
+	if !ackOnly || rsp.Err != "" {
+		rsp.ID = seq
+		frame := make([]byte, 1, 1+2*binary.MaxVarintLen64+len(rsp.Err)+len(rsp.Body)+maxTrailer)
+		frame[0] = wire.FormatBinary
+		frame, _ = rsp.AppendWire(frame)
+		if inline {
+			l.Go(func() {
+				k.transmit(kindResponse, frame, nil, nil)
+				k.finish(seq)
+			})
+			return
+		}
+		k.transmit(kindResponse, frame, nil, nil)
 	}
-	if dedup {
-		l.dedup.complete(from, req.ID, payload, time.Now())
+	if ackOnly {
+		k.finish(seq)
 	}
-	return payload
 }
 
-func (l *Locality) serveOneWay(msg transport.Message) {
-	var ow oneWayMsg
-	if err := wire.Decode(msg.Payload, &ow); err != nil {
-		return
-	}
-	if l.staleEpoch(msg.From, ow.Epoch) {
+func (l *Locality) serveOneWay(from int, frame []byte) {
+	var d wire.Decoder
+	d.Reset(frame)
+	method, body := d.Bytes(), d.Rest()
+	if d.Finish() != nil {
 		return
 	}
 	l.mu.RLock()
-	h := l.oneWays[ow.Method]
+	h := l.oneWays[string(method)]
 	l.mu.RUnlock()
 	if h != nil {
-		h(msg.From, ow.Body)
+		h(from, body)
 	}
 }
 
 // CallAsync invokes method at locality dst and immediately returns a
 // future for the wire-encoded response. The future fails with
-// ErrPeerFailed if the transport reports dst as dead while the call
-// is outstanding, and with a close error if this locality shuts down
-// first — it never hangs on a peer that will not answer. Calls to the
-// local rank short-circuit the transport but still pass through
-// encoding, keeping local and remote semantics identical (the delivery
-// policy is ignored locally: a local call cannot be lost).
+// ErrPeerFailed if the transport reports dst as failed or dst is
+// declared dead or departed while the call is outstanding, and with a
+// close error if this locality shuts down first — it never hangs on a
+// peer that will not answer. Calls to the local rank short-circuit the
+// transport but still pass through encoding, keeping local and remote
+// semantics identical.
 //
-// With options (see CallSpec) the call is supervised: after the
-// per-attempt timeout the identical request frame is resent under the
-// same call ID, and the future fails with ErrCallTimeout once the
-// deadline or retry budget is exhausted. Retried non-idempotent calls
-// travel under the dedup kind so the server executes the handler
-// exactly once.
+// The request travels on the link to dst, which delivers it exactly
+// once while both ranks live (link.go); a deadline (CallSpec) fails the
+// future with ErrCallTimeout once it passes.
 func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOption) *Future {
-	fut := new(Future)
-	l.rpcCalls.Inc()
-	body, err := wire.Encode(args)
-	if err != nil {
-		fut.fulfill(nil, fmt.Errorf("runtime: encode args of %q: %w", method, err))
-		return fut
-	}
 	var spec CallSpec
 	for _, o := range opts {
-		o(&spec)
+		o.apply(&spec)
 	}
-	if dst == l.Rank() {
+	pc := pendingCall{meth: method, fut: new(Future), sp: l.Tracer().Begin("rpc.call", method, spec.Parent)}
+	frame := appendRequest(append(make([]byte, 0, 128+len(method)), wire.FormatBinary), method, uint64(pc.sp.SpanID()))
+	head := len(frame)
+	frame, err := wire.AppendEncode(frame, args)
+	if err != nil {
+		err = fmt.Errorf("runtime: encode args of %q: %w", method, err)
+	}
+	l.call(dst, frame, head, err, pc, spec)
+	return pc.fut
+}
+
+// call sends the request frame of pc, whose body starts at head, to
+// rank dst, failing pc with err when there is one. An ack-only call —
+// pc.fut may then be nil, when nobody waits for it — has no deadline:
+// its span ends at the hand-off to the transport, like a one-way
+// message's, and the link's ack resolves it.
+func (l *Locality) call(dst int, frame []byte, head int, err error, pc pendingCall, spec CallSpec) {
+	l.rpcCalls.Inc()
+	if !spec.ackOnly {
+		pc.start = time.Now()
+		if spec.Deadline > 0 {
+			pc.deadline = pc.start.Add(spec.Deadline).UnixNano()
+		}
+	}
+	if err == nil && dst == l.Rank() {
 		l.mu.RLock()
-		m := l.methods[method]
+		m := l.methods[pc.meth]
 		l.mu.RUnlock()
 		if m == nil {
-			l.rpcErrors.Inc()
-			fut.fulfill(nil, fmt.Errorf("runtime: no method %q at rank %d", method, dst))
-			return fut
+			l.resolve(&pc, nil, fmt.Errorf("runtime: no method %q at rank %d", pc.meth, dst))
+			return
 		}
-		pc := &pendingCall{dst: dst, fut: fut,
-			sp: l.Tracer().Begin("rpc.call", method, spec.Parent), start: time.Now()}
 		l.Go(func() {
-			rsp, err := m(l.Rank(), body)
-			l.resolve(pc, rsp, err)
+			rsp, err := m(l.Rank(), frame[head:])
+			l.resolve(&pc, rsp, err)
 		})
-		return fut
+		return
 	}
-	if l.closed.Load() {
-		l.rpcErrors.Inc()
-		fut.fulfill(nil, fmt.Errorf("runtime: locality %d closed", l.Rank()))
-		return fut
-	}
-	if st := l.Peer(dst); st.Gone() {
-		l.rpcErrors.Inc()
-		fut.fulfill(nil, errGone(dst, st))
-		return fut
-	}
-	if dst < 0 || dst >= len(l.owed) {
-		l.rpcErrors.Inc()
-		fut.fulfill(nil, fmt.Errorf("runtime: rank %d out of range", dst))
-		return fut
-	}
-	spec.normalize()
-	req := rpcRequest{Method: method, Body: body, Epoch: l.epoch.Load(), AckOnly: spec.ackOnly}
-	kind := kindRequest
-	if tracked := spec.Retries > 0 && !spec.Idempotent; tracked {
-		// Retryable non-idempotent: the ID is allocated inside the ack
-		// state's lock so the piggybacked watermark can never cover an
-		// ID that has not been registered yet, and the frame travels
-		// under the dedup kind so the server observes it in delivery
-		// order.
-		req.ID, req.Ack = l.acks[dst].beginAlloc(&l.nextCall)
-		kind = kindRequestDedup
-	} else {
-		req.ID = l.nextCall.Add(1)
-	}
-	id := req.ID
-	sp := l.Tracer().Begin("rpc.call", method, spec.Parent)
-	pc := &pendingCall{dst: dst, id: id, meth: method, fut: fut,
-		tracked: kind == kindRequestDedup, ackOnly: spec.ackOnly, start: time.Now()}
-	if !pc.ackOnly {
-		pc.sp = sp
-	}
-	req.Span = uint64(sp.SpanID())
-	l.calls.Store(id, pc)
-	payload, err := l.stamp(dst, &req, &req.Acks)
+	var k *link
 	if err == nil {
-		err = l.ep.Send(dst, kind, payload)
-	}
-	if pc.ackOnly {
-		// Like a one-way message, an ack-only call's span ends at the
-		// hand-off to the transport: the ack's delay is not its latency.
-		sp.SetErr(err)
-		sp.End()
+		k, err = l.linkTo(dst)
 	}
 	if err != nil {
-		if _, ok := l.calls.LoadAndDelete(id); ok {
-			l.resolve(pc, nil, err)
-		}
-		return fut
-	}
-	// Re-check after the Store: a move to Dead or Departed — or this
-	// locality's own Close — racing with this call may have swept the
-	// calls map before our entry landed.
-	if l.Peer(dst).Gone() {
-		if _, ok := l.calls.LoadAndDelete(id); ok {
-			l.resolve(pc, nil, fmt.Errorf("%w: rank %d unreachable", ErrPeerFailed, dst))
-		}
-		return fut
-	}
-	if l.closed.Load() {
-		if _, ok := l.calls.LoadAndDelete(id); ok {
-			l.resolve(pc, nil, fmt.Errorf("runtime: locality %d closed with call outstanding", l.Rank()))
-		}
-		return fut
-	}
-	if spec.active() {
-		l.supervise(pc, payload, spec)
-	}
-	return fut
-}
-
-// callState is the mutable supervision state of one call. Its fields
-// are only touched by the timer-callback chain — each callback arms
-// the next timer, so access is serialized.
-type callState struct {
-	spec     CallSpec
-	payload  []byte
-	wait     time.Duration
-	attempt  int
-	deadline time.Time
-}
-
-// supervise arms the first supervision timer for a just-sent call.
-// Supervision is timer-driven (no parked goroutine): the fault-free
-// hot path pays one AfterFunc + one Stop.
-func (l *Locality) supervise(pc *pendingCall, payload []byte, spec CallSpec) {
-	st := &callState{spec: spec, payload: payload, wait: spec.Attempt}
-	if st.wait <= 0 || spec.Retries == 0 {
-		st.wait = spec.Deadline
-	}
-	if spec.Deadline > 0 {
-		st.deadline = time.Now().Add(spec.Deadline)
-	}
-	l.armTimer(pc, st, st.wait)
-}
-
-func (l *Locality) armTimer(pc *pendingCall, st *callState, d time.Duration) {
-	if !st.deadline.IsZero() {
-		if rem := time.Until(st.deadline); rem < d {
-			d = rem
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	pc.timer.Store(time.AfterFunc(d, func() { l.attemptExpired(pc, st) }))
-}
-
-// attemptExpired runs when a supervision timer fires: either the call
-// resolved in the meantime (no-op), or the retry budget/deadline is
-// exhausted (fail with ErrCallTimeout), or the identical request
-// frame is resent and the next timer armed with doubled wait.
-func (l *Locality) attemptExpired(pc *pendingCall, st *callState) {
-	if _, live := l.calls.Load(pc.id); !live {
+		l.resolve(&pc, nil, err)
 		return
 	}
-	over := !st.deadline.IsZero() && !time.Now().Before(st.deadline)
-	if over || st.attempt >= st.spec.Retries {
-		if _, ok := l.calls.LoadAndDelete(pc.id); ok {
-			l.rpcTimeouts.Inc()
-			l.resolve(pc, nil, fmt.Errorf("%w: %q to rank %d after %d attempts",
-				ErrCallTimeout, pc.meth, pc.dst, st.attempt+1))
+	if spec.ackOnly {
+		if _, err = k.transmit(kindRequest, frame, pc.fut, nil); err != nil && (pc.fut == nil || !pc.fut.Done()) {
+			l.resolve(&pc, nil, err)
+		} else {
+			pc.sp.End()
 		}
 		return
 	}
-	st.attempt++
-	l.rpcRetries.Inc()
-	kind := kindRequest
-	if pc.tracked {
-		kind = kindRequestDedup
+	if seq, err := k.transmit(kindRequest, frame, nil, &pc); err != nil {
+		if seq == 0 {
+			l.resolve(&pc, nil, err)
+		} else if pc, ok := k.takeCall(seq); ok {
+			l.resolve(&pc, nil, err)
+		}
 	}
-	l.ep.Send(pc.dst, kind, st.payload)
-	if st.wait *= 2; st.spec.MaxBackoff > 0 && st.wait > st.spec.MaxBackoff {
-		st.wait = st.spec.MaxBackoff
-	}
-	l.armTimer(pc, st, st.wait)
 }
 
-// PendingCalls returns the number of RPCs still outstanding — zero at
+// PendingCalls returns the number of calls still unresolved — zero at
 // quiescence (the chaos soak asserts no call is stranded).
 func (l *Locality) PendingCalls() int {
 	n := 0
-	l.calls.Range(func(any, any) bool { n++; return true })
+	for i := range l.links {
+		k := &l.links[i]
+		k.mu.Lock()
+		n += len(k.calls)
+		for i := range k.out {
+			if k.out[i].waits {
+				n++
+			}
+		}
+		k.mu.Unlock()
+	}
 	return n
 }
 
@@ -794,7 +673,7 @@ func (l *Locality) PendingCalls() int {
 // the response into reply (which may be nil for methods without
 // results). It shares CallAsync's failure semantics: a dead peer or a
 // local shutdown fails the call with an error instead of hanging, and
-// options bound it with a deadline and retry policy.
+// a deadline bounds it.
 func (l *Locality) Call(dst int, method string, args, reply any, opts ...CallOption) error {
 	body, err := l.CallAsync(dst, method, args, opts...).Wait()
 	if err != nil {
@@ -806,18 +685,18 @@ func (l *Locality) Call(dst int, method string, args, reply any, opts ...CallOpt
 	return wire.Decode(body, reply)
 }
 
-// Send delivers a one-way message to method at locality dst. Unlike
-// CallAsync there is no future to fail later, so every error path
-// counts into rpc.errors here — a reader of the registry sees one-way
-// failures through the same counter as call failures.
+// Send delivers a one-way message to method at locality dst, on the link
+// to dst like a call. There is no future to fail later, so every error
+// path counts into rpc.errors here — a reader of the registry sees
+// one-way failures through the same counter as call failures.
 func (l *Locality) Send(dst int, method string, args any) error {
 	l.rpcOneWays.Inc()
-	body, err := wire.Encode(args)
-	if err != nil {
-		l.rpcErrors.Inc()
-		return fmt.Errorf("runtime: encode args of %q: %w", method, err)
-	}
 	if dst == l.Rank() {
+		body, err := wire.Encode(args)
+		if err != nil {
+			l.rpcErrors.Inc()
+			return fmt.Errorf("runtime: encode args of %q: %w", method, err)
+		}
 		l.mu.RLock()
 		h := l.oneWays[method]
 		l.mu.RUnlock()
@@ -828,24 +707,33 @@ func (l *Locality) Send(dst int, method string, args any) error {
 		l.Go(func() { h(l.Rank(), body) })
 		return nil
 	}
-	if l.closed.Load() {
-		l.rpcErrors.Inc()
-		return fmt.Errorf("runtime: locality %d closed", l.Rank())
+	k, err := l.linkTo(dst)
+	if err == nil {
+		frame := wire.AppendString(append(make([]byte, 0, 64+len(method)), wire.FormatBinary), method)
+		if frame, err = wire.AppendEncode(frame, args); err != nil {
+			err = fmt.Errorf("runtime: encode args of %q: %w", method, err)
+		} else {
+			_, err = k.transmit(kindOneWay, frame, nil, nil)
+		}
 	}
-	if st := l.Peer(dst); st.Gone() {
-		l.rpcErrors.Inc()
-		return errGone(dst, st)
-	}
-	payload, err := wire.Encode(&oneWayMsg{Method: method, Body: body, Epoch: l.epoch.Load()})
 	if err != nil {
 		l.rpcErrors.Inc()
-		return err
 	}
-	if err := l.ep.Send(dst, kindOneWay, payload); err != nil {
-		l.rpcErrors.Inc()
-		return err
+	return err
+}
+
+// linkTo returns the link a call or one-way toward rank dst takes, or
+// why there is none.
+func (l *Locality) linkTo(dst int) (*link, error) {
+	switch st := l.Peer(dst); {
+	case l.closed.Load():
+		return nil, errClosed(l.Rank())
+	case st.Gone():
+		return nil, errGone(dst, st)
+	case dst < 0 || dst >= len(l.links):
+		return nil, fmt.Errorf("runtime: rank %d out of range", dst)
 	}
-	return nil
+	return &l.links[dst], nil
 }
 
 // Close shuts the locality's endpoint down and fails every still
@@ -859,13 +747,14 @@ func (l *Locality) Close() error {
 	if l.closed.Swap(true) {
 		return nil
 	}
-	for to := range l.owed {
-		l.flushAcks(to)
+	for i := range l.links {
+		l.links[i].flushAck()
 	}
 	err := l.ep.Close()
 	l.pool.Close()
-	l.failCalls(func(int) bool { return true },
-		fmt.Errorf("runtime: locality %d closed with call outstanding", l.Rank()))
+	for i := range l.links {
+		l.links[i].failCalls(errClosed(l.Rank()), false)
+	}
 	l.promises.failAll(fmt.Errorf("runtime: locality %d closed with promise outstanding", l.Rank()))
 	return err
 }

@@ -12,7 +12,7 @@ import (
 // against per-message gob for a typical RPC request (small header
 // plus a 1 KiB pre-encoded body) and for a bulk numeric payload.
 func BenchmarkWireCodec(b *testing.B) {
-	req := &rpcRequest{ID: 123456, Method: "dim.fetch", Body: make([]byte, 1024)}
+	req := &rpcRequest{Method: "dim.fetch", Body: make([]byte, 1024), Span: 123456}
 	b.Run("envelope/binary", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -416,7 +416,7 @@ func TestCarriedPinEndsWhenTaskLeaves(t *testing.T) {
 // task here. Rank 1 is unreachable, then given up in rank 0's view.
 func TestGivenUpShipSettlesCarriedPin(t *testing.T) {
 	ctl := chaos.NewController()
-	calls := runtime.CallProfile{Control: runtime.CallSpec{Deadline: 2 * time.Second, Attempt: 100 * time.Millisecond, Retries: 3}}
+	calls := runtime.CallProfile{Control: runtime.CallSpec{Deadline: 2 * time.Second}}
 	c, start := newChaosClusterOf(t, 1, &LocalPolicy{}, ctl, calls, []dataitem.Type{carryType}, chaos.Config{}, chaos.Config{})
 	g := newCarryRigOver(t, c, start)
 	g.write(t, 1, 1)

@@ -265,13 +265,16 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 	// The queue comes first: the handler below enqueues.
 	s.startQueue(workers)
 	// A ship is an acknowledged call, not a one-way message: the ack
-	// only confirms acceptance (execution continues asynchronously), so
-	// an unanswered frame is resent, and the RPC dedup window keeps the
-	// resends of one call from running the handler twice (ship.go).
+	// only confirms acceptance (execution continues asynchronously), and
+	// an error tells the origin to run the tasks itself (ship.go).
 	loc.Handle(methodRunBatch, func(from int, body []byte) ([]byte, error) {
 		var b runBatch
-		if err := wire.Decode(body, &b); err != nil {
+		var d wire.Decoder
+		if err := d.Reset(body); err != nil {
 			return nil, err
+		}
+		if b.UnmarshalWire(&d); d.Finish() != nil {
+			return nil, d.Finish()
 		}
 		return nil, s.accept(from, b.Tasks)
 	})

@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"math"
 	"sync"
-	"time"
 
 	"allscale/internal/dim"
 	"allscale/internal/runtime"
@@ -19,15 +17,13 @@ import (
 // burst of fine-grained remote spawns crosses the fabric as a few large
 // frames.
 //
-// A ship is one call. It has no deadline and no retry limit: the RPC
-// layer resends the identical frame under the same call ID until the
-// target answers or is declared failed, and its dedup window
-// (runtime/dedup.go) runs the handler once however many copies arrive.
-// It is ack-only: the answer is a bare ack that rides on a later frame
-// the target sends here (runtime/acks.go). That leaves a ship two
-// outcomes: acknowledged, or given up by the RPC layer — then, and only
-// then, the tasks run here, each arbitrated against the recovery
-// coordinator via takeInflight.
+// A ship is one call. It has no deadline: the link to the target
+// (runtime/link.go) resends the frame until the target acks it and
+// delivers it once, however many copies arrive. It is ack-only: the
+// answer is the link's ack, which rides on a later frame the target
+// sends here. That leaves a ship two outcomes: acknowledged, or failed
+// by the RPC layer — then, and only then, the tasks run here, each
+// arbitrated against the recovery coordinator via takeInflight.
 
 // methodRunBatch is the only message whose payload holds a TaskSpec.
 const methodRunBatch = "sched.runb"
@@ -37,31 +33,14 @@ type runBatch struct {
 	Tasks []runArgs
 }
 
-const (
-	// maxShipBatch bounds the tasks coalesced into one frame.
-	maxShipBatch = 64
-	// shipResendMax caps the doubling resend interval of an unanswered
-	// ship, so a live-but-unreachable peer (asymmetric partition) is
-	// probed, not hammered, until the failure detector declares it dead.
-	shipResendMax = 2 * time.Second
-)
+// maxShipBatch bounds the tasks coalesced into one frame.
+const maxShipBatch = 64
 
 // shipper is the per-destination coalescing buffer.
 type shipper struct {
 	mu      sync.Mutex
 	pending []runArgs
 	active  bool
-}
-
-// shipSpec is the delivery policy of a ship: resent from the control
-// profile's attempt interval on, never abandoned. The interval is set
-// explicitly — CallSpec.normalize would derive it from Retries+1.
-func (s *Scheduler) shipSpec() runtime.CallSpec {
-	attempt := s.loc.ControlSpec().Attempt
-	if attempt <= 0 {
-		attempt = time.Second
-	}
-	return runtime.CallSpec{Attempt: attempt, Retries: math.MaxInt, MaxBackoff: max(attempt, shipResendMax)}
 }
 
 // ship hands tasks to the target, marked as granted or not. The first
@@ -87,10 +66,10 @@ func (s *Scheduler) ship(target int, granted bool, ts ...*task) {
 }
 
 // shipLoop drains the shipper until it runs dry, sending chunks of at
-// most maxShipBatch tasks and confirming each asynchronously.
+// most maxShipBatch tasks; each chunk's fate comes back through its
+// future, with no goroutine waiting for it.
 func (s *Scheduler) shipLoop(target int) {
 	sh := &s.shippers[target]
-	spec := runtime.WithSpec(s.shipSpec())
 	for {
 		sh.mu.Lock()
 		if len(sh.pending) == 0 {
@@ -106,24 +85,24 @@ func (s *Scheduler) shipLoop(target int) {
 			chunk := batch[:n:n]
 			batch = batch[n:]
 			s.stats.shipBatch.ObserveValue(uint64(n))
-			fut := s.loc.CallAsync(target, methodRunBatch, &runBatch{Tasks: chunk}, spec, runtime.AckOnly())
-			s.loc.Go(func() { s.confirmShip(target, chunk, fut) })
+			s.loc.CallAsync(target, methodRunBatch, &runBatch{Tasks: chunk}, runtime.AckOnly()).OnDone(func(err error) {
+				if err != nil && !s.loc.Closed() {
+					s.loc.Go(func() { s.shipFailed(target, chunk) })
+				}
+			})
 		}
 	}
 }
 
-// confirmShip waits for a batch's call to resolve. An answer is the
-// acceptance ack (execution continues asynchronously at the target).
-// An error is the RPC layer's verdict that the target will not run the
-// frame — declared failed, link broken, frame refused by the transport
-// or rejected undecoded — so the tasks may run here; takeInflight
-// yields to a recovery coordinator, or a cancel, that has already taken
-// a task over. There is no timeout to handle: a ship has no deadline.
-// The pins the batch carried are settled first, without a refresh.
-func (s *Scheduler) confirmShip(target int, batch []runArgs, fut *runtime.Future) {
-	if _, err := fut.Wait(); err == nil || s.loc.Closed() {
-		return
-	}
+// shipFailed takes back a batch whose call failed. An answer would have
+// been the acceptance ack (execution continues asynchronously at the
+// target); an error is the RPC layer's verdict that the target will not
+// run the frame — declared failed, link broken, or the frame refused —
+// so the tasks may run here; takeInflight yields to a recovery
+// coordinator, or a cancel, that has already taken a task over. There
+// is no timeout to handle: a ship has no deadline. The pins the batch
+// carried are settled first, without a refresh.
+func (s *Scheduler) shipFailed(target int, batch []runArgs) {
 	for i := range batch {
 		s.mgr.SettleCarried(target, batch[i].Carried)
 	}

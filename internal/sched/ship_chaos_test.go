@@ -83,7 +83,7 @@ func TestShipExactlyOnceUnderChaos(t *testing.T) {
 	// the exact window in which the old local fallback double-executed.
 	// Ships take only the attempt interval from this profile.
 	calls := runtime.CallProfile{
-		Control: runtime.CallSpec{Deadline: 80 * time.Millisecond, Attempt: 30 * time.Millisecond, Retries: 2},
+		Control: runtime.CallSpec{Deadline: 80 * time.Millisecond},
 	}
 	c, start := newChaosCluster(t, 2, &pinPolicy{target: 1}, chaos.NewController(), calls, cfgs...)
 	sys, scheds := c.sys, c.scheds
@@ -135,14 +135,13 @@ func TestShipExactlyOnceUnderChaos(t *testing.T) {
 			t.Fatalf("task %d executed %d times, want exactly once", i, got)
 		}
 	}
-	var retries, replays, suppressed, stolen uint64
+	var retries, duplicates, stolen uint64
 	for i := 0; i < n; i++ {
 		reg := sys.Locality(i).Metrics()
 		retries += reg.CounterValue(runtime.MetricRPCRetries)
-		replays += reg.CounterValue(runtime.MetricRPCDedupReplays)
-		suppressed += reg.CounterValue(runtime.MetricRPCDedupSuppressed)
+		duplicates += reg.CounterValue(runtime.MetricRPCDuplicates)
 		stolen += reg.CounterValue(MetricSteals)
 	}
-	t.Logf("exactly-once held: rpc.retries=%d rpc.dedup.replays=%d rpc.dedup.suppressed=%d, %d tasks stolen back",
-		retries, replays, suppressed, stolen)
+	t.Logf("exactly-once held: rpc.retries=%d rpc.duplicates=%d, %d tasks stolen back",
+		retries, duplicates, stolen)
 }

@@ -168,7 +168,7 @@ func TestDroppedProbesDoNotHoldTheWorker(t *testing.T) {
 	ctl := chaos.NewController()
 	ctl.Block(0, 1)
 	calls := runtime.CallProfile{
-		Control: runtime.CallSpec{Deadline: 2 * time.Second, Attempt: 500 * time.Millisecond, Retries: 3},
+		Control: runtime.CallSpec{Deadline: 2 * time.Second},
 	}
 	c, start := newChaosCluster(t, 1, &LocalPolicy{}, ctl, calls, chaos.Config{}, chaos.Config{})
 	registerSum(c)

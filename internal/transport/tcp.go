@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"allscale/internal/metrics"
-	"allscale/internal/wire"
 )
 
 // TCPConfig tunes the failure-handling behaviour of a TCPEndpoint.
@@ -58,8 +57,9 @@ func (c *TCPConfig) fillDefaults() {
 // dials peers; one TCP connection carries each ordered peer-to-peer
 // direction. Frames are length-prefixed: 4-byte big-endian sender
 // rank, 4-byte kind length, kind bytes, 4-byte payload length,
-// payload bytes. Outgoing frames are assembled in pooled buffers and
-// coalesced: a per-connection flusher goroutine writes every frame
+// payload bytes. Outgoing frames are assembled straight into the
+// connection's pending batch and coalesced: a per-connection flusher
+// goroutine writes every frame
 // queued since its previous write with one syscall (see tcpConn).
 // Incoming frames are parsed out of one buffered reader per accepted
 // connection, so a coalesced batch also costs one read (frame.go).
@@ -125,10 +125,10 @@ func newTCPConn(c net.Conn) *tcpConn {
 	return tc
 }
 
-// enqueue appends one complete frame to the pending batch, blocking
+// enqueue assembles one frame straight into the pending batch, blocking
 // while the backpressure cap is exceeded. Frames from concurrent
 // senders never interleave and keep their enqueue order.
-func (tc *tcpConn) enqueue(frame []byte) error {
+func (tc *tcpConn) enqueue(from int, kind string, payload []byte) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	for tc.err == nil && !tc.closing && len(tc.pend) > maxPendingWrites {
@@ -140,7 +140,7 @@ func (tc *tcpConn) enqueue(frame []byte) error {
 	if tc.closing {
 		return fmt.Errorf("transport: connection closing")
 	}
-	tc.pend = append(tc.pend, frame...)
+	tc.pend = appendFrame(tc.pend, from, kind, payload)
 	tc.cond.Broadcast()
 	return nil
 }
@@ -480,12 +480,6 @@ func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 	if err := checkRank(to, e.Size()); err != nil {
 		return err
 	}
-	// Assemble the frame in a pooled buffer; enqueue copies it into the
-	// connection's batch, so the assembly buffer is immediately
-	// reusable.
-	buf := appendFrame(wire.GetBuf(), e.rank, kind, payload)
-	defer wire.PutBuf(buf)
-
 	// An enqueue error means the connection broke since the last send
 	// (peer crash or restart): evict it and retry once over a fresh
 	// dial before surfacing the error. The frame is counted before the
@@ -499,7 +493,7 @@ func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 			e.stats.Load().sendErrors.Inc()
 			return err
 		}
-		if err = tc.enqueue(buf); err == nil {
+		if err = tc.enqueue(e.rank, kind, payload); err == nil {
 			return nil
 		}
 		if e.evict(to, tc) {

@@ -148,6 +148,15 @@ func (d *Decoder) Int() int { return int(d.Varint()) }
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.view("string")) }
 
+// Rest reads every byte left: the last field of a form that ends where
+// its payload does, so it needs no length. The result aliases the
+// decoder's input.
+func (d *Decoder) Rest() []byte {
+	v := d.data[:len(d.data):len(d.data)]
+	d.data = d.data[len(d.data):]
+	return v
+}
+
 // Bytes reads a length-prefixed byte slice. The result aliases the
 // decoder's input — callers that outlive the input must copy.
 func (d *Decoder) Bytes() []byte { return d.view("bytes") }

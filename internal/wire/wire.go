@@ -15,10 +15,7 @@
 // that crosses the wire says how (DESIGN.md §6a).
 package wire
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // FormatBinary is the format tag, the first byte of every encoded
 // payload.
@@ -36,28 +33,6 @@ type Marshaler interface {
 // checks d.Err after it returns.
 type Unmarshaler interface {
 	UnmarshalWire(d *Decoder) error
-}
-
-// slicePool recycles the raw append buffers handed out by GetBuf (used
-// for TCP frame assembly and other transient encodings).
-var slicePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// GetBuf returns a pooled byte slice with length 0. Return it with
-// PutBuf once its contents are no longer referenced.
-func GetBuf() []byte {
-	return (*slicePool.Get().(*[]byte))[:0]
-}
-
-// PutBuf returns a slice obtained from GetBuf (possibly grown by
-// appends) to the pool. Oversized buffers are dropped so one huge
-// frame does not pin memory forever.
-func PutBuf(b []byte) {
-	const maxPooled = 4 << 20
-	if cap(b) == 0 || cap(b) > maxPooled {
-		return
-	}
-	b = b[:0]
-	slicePool.Put(&b)
 }
 
 // Payload is a value already in wire form, laid out byte for byte as
@@ -85,6 +60,21 @@ func Encode(v any) ([]byte, error) {
 		return buf, nil
 	}
 	return nil, fmt.Errorf("wire: %T has no wire form (not a builtin, no AppendWire)", v)
+}
+
+// AppendEncode appends the wire form of v, byte for byte as Encode
+// returns it, to buf: a Marshaler writes straight into buf.
+func AppendEncode(buf []byte, v any) ([]byte, error) {
+	switch m := v.(type) {
+	case nil:
+		return buf, nil
+	case *Payload:
+		return append(buf, *m...), nil
+	case Marshaler:
+		return m.AppendWire(append(buf, FormatBinary))
+	}
+	b, err := Encode(v)
+	return append(buf, b...), err
 }
 
 // Decode decodes a payload produced by Encode into v (a pointer). A

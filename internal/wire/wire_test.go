@@ -198,17 +198,3 @@ func TestEmptyPayload(t *testing.T) {
 		t.Fatalf("Decode(nil, nil) = %v", err)
 	}
 }
-
-func TestBufPool(t *testing.T) {
-	b := GetBuf()
-	if len(b) != 0 {
-		t.Fatalf("pooled buf len = %d", len(b))
-	}
-	b = append(b, make([]byte, 100)...)
-	PutBuf(b)
-	b2 := GetBuf()
-	if len(b2) != 0 {
-		t.Fatalf("reused buf len = %d", len(b2))
-	}
-	PutBuf(b2)
-}
