@@ -38,8 +38,6 @@ func tcpEndpoints(t *testing.T, n int) []transport.Endpoint {
 	cfg := transport.TCPConfig{
 		WriteTimeout: 2 * time.Second,
 		DialTimeout:  time.Second,
-		RetryBudget:  2 * time.Second,
-		MaxBackoff:   100 * time.Millisecond,
 	}
 	eps, err := transport.NewTCPLoopback(n, cfg)
 	if err != nil {

@@ -40,8 +40,6 @@ func TestServiceUnderChaosCrash(t *testing.T) {
 	cfg := transport.TCPConfig{
 		WriteTimeout: 2 * time.Second,
 		DialTimeout:  time.Second,
-		RetryBudget:  2 * time.Second,
-		MaxBackoff:   100 * time.Millisecond,
 	}
 	eps, err := transport.NewTCPLoopback(n, cfg)
 	if err != nil {

@@ -16,15 +16,13 @@ import (
 	"allscale/internal/transport"
 )
 
-// newTCPEndpoints builds n loopback TCP endpoints with tight failure
-// budgets, for systems whose fabric a test will sever.
+// newTCPEndpoints builds n loopback TCP endpoints with tight write and
+// dial timeouts, for systems whose fabric a test will sever.
 func newTCPEndpoints(t *testing.T, n int) []transport.Endpoint {
 	t.Helper()
 	cfg := transport.TCPConfig{
 		WriteTimeout: 500 * time.Millisecond,
 		DialTimeout:  200 * time.Millisecond,
-		RetryBudget:  300 * time.Millisecond,
-		MaxBackoff:   50 * time.Millisecond,
 	}
 	eps, err := transport.NewTCPLoopback(n, cfg)
 	if err != nil {
@@ -286,6 +284,16 @@ func TestRespawnReexecutesLostTasks(t *testing.T) {
 			t.Fatal("no task reached the victim rank")
 		}
 	}
+	// Kill only once rank 0 holds no call: the ship that carried the
+	// victim's task is acked. A victim killed before that ack fails the
+	// ship, and rank 0 runs the task itself — the ship edge of
+	// TestKillAtEveryPForEdge — which would leave nothing to respawn.
+	for deadline := time.Now().Add(5 * time.Second); sys.Locality(0).PendingCalls() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("rank 0's calls never settled")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	sys.Kill(victim)
 	close(killed)
 
@@ -311,6 +319,38 @@ func TestRespawnReexecutesLostTasks(t *testing.T) {
 	}
 	if sys.Metrics(0).CounterValue(MetricRespawned) == 0 {
 		t.Fatal("no tasks respawned although the victim was mid-task")
+	}
+}
+
+// TestKilledRankIsDeclaredDeadWithinASecond: over the daemon's fabric —
+// the default TCPConfig and the default RecoveryConfig (heartbeat 250 ms,
+// timeout 1 s) — a killed rank is declared dead, and its recovery done,
+// within a second: the first Send toward it dials once, is refused and
+// reports the peer, and the confirming ping fails the same way. No alarm
+// is false.
+func TestKilledRankIsDeclaredDeadWithinASecond(t *testing.T) {
+	eps, err := transport.NewTCPLoopback(4, transport.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range eps {
+		t.Cleanup(func() { ep.Close() })
+	}
+	sys := core.NewSystem(core.Config{Endpoints: eps})
+	sys.Start()
+	defer sys.Close()
+	rec := Attach(sys, Options{})
+	sys.Kill(3)
+	start := time.Now()
+	if !rec.WaitDeaths(1, time.Second) {
+		t.Fatalf("killed rank not declared dead within 1s (dead so far: %v)", rec.DeadRanks())
+	}
+	t.Logf("declared dead and recovered after %v", time.Since(start))
+	if dead := rec.DeadRanks(); len(dead) != 1 || dead[0] != 3 {
+		t.Fatalf("dead = %v, want [3]", dead)
+	}
+	if n := sys.Metrics(0).CounterValue(MetricFalseAlarms); n != 0 {
+		t.Fatalf("%s = %d, want 0", MetricFalseAlarms, n)
 	}
 }
 

@@ -10,17 +10,18 @@ import (
 )
 
 // newTCPLocalities builds n localities over real loopback TCP
-// endpoints with tight failure-detection budgets, returning both
-// layers so tests can sever transport connections underneath the
-// runtime.
+// endpoints with tight write and dial timeouts, returning both layers
+// so tests can sever transport connections underneath the runtime.
 func newTCPLocalities(t *testing.T, n int) ([]*Locality, []transport.Endpoint) {
-	t.Helper()
-	cfg := transport.TCPConfig{
+	return tcpLocalities(t, n, transport.TCPConfig{
 		WriteTimeout: 500 * time.Millisecond,
 		DialTimeout:  200 * time.Millisecond,
-		RetryBudget:  300 * time.Millisecond,
-		MaxBackoff:   50 * time.Millisecond,
-	}
+	})
+}
+
+// tcpLocalities is newTCPLocalities over cfg.
+func tcpLocalities(t *testing.T, n int, cfg transport.TCPConfig) ([]*Locality, []transport.Endpoint) {
+	t.Helper()
 	eps, err := transport.NewTCPLoopback(n, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +81,25 @@ func TestCallFailsWhenPeerDiesMidRPC(t *testing.T) {
 		t.Fatal("future resolved without error despite dead peer")
 	}
 	if !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("error = %v, want ErrPeerFailed", err)
+	}
+}
+
+// TestCallToAClosedPeerReturnsAtOnce: over the default TCPConfig, a
+// CallAsync to a peer whose endpoint is closed returns to its caller
+// within one DialTimeout — the fabric dials once and retries nothing —
+// and its future fails with ErrPeerFailed, the refused dial having been
+// reported before the Send returned.
+func TestCallToAClosedPeerReturnsAtOnce(t *testing.T) {
+	locs, eps := tcpLocalities(t, 2, transport.TCPConfig{})
+	locs[1].Handle("nop", func(int, []byte) ([]byte, error) { return nil, nil })
+	eps[1].Close()
+	start := time.Now()
+	fut := locs[0].CallAsync(1, "nop", struct{}{})
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("CallAsync to a closed peer took %v, want less than the 1s DialTimeout", took)
+	}
+	if err := waitErr(t, fut, 5*time.Second); !errors.Is(err, ErrPeerFailed) {
 		t.Fatalf("error = %v, want ErrPeerFailed", err)
 	}
 }

@@ -398,9 +398,13 @@ func (k *link) tick() {
 		l.resolve(&pc, nil, timeoutErr(pc.meth, k.peer))
 	}
 	if resend != nil {
+		// A round ends at its first failed hand-off: toward a peer that
+		// cannot be reached it costs one dial, not one per frame.
 		for _, f := range resend {
 			l.rpcRetries.Inc()
-			_ = l.ep.Send(k.peer, f.kind, f.payload)
+			if l.ep.Send(k.peer, f.kind, f.payload) != nil {
+				break
+			}
 		}
 		k.mu.Lock()
 		k.resending = false

@@ -698,6 +698,138 @@ func TestRedialResendsUnacked(t *testing.T) {
 	quiesce(t, s)
 }
 
+// TestHeartbeatIsThePureAck: a heartbeat is the link's pure-ack frame —
+// the last number the link gave a frame and the current cumulative ack —
+// and it is not the owed ack, which still leaves on its own.
+func TestHeartbeatIsThePureAck(t *testing.T) {
+	fab := transport.NewFabric(2)
+	l := NewLocality(fab.Endpoint(0))
+	l.freezeLink(1)
+	probed := make(chan struct{})
+	l.HandleOneWay("probe", func(int, []byte) { probed <- struct{}{} })
+	l.HandleOneWay("nop", func(int, []byte) {})
+	acks := make(chan linkHeader, 4)
+	peer := &rawPeer{Endpoint: fab.Endpoint(1)}
+	peer.SetHandler(func(msg transport.Message) {
+		if h, body, ok := readHeader(msg.Payload); ok && msg.Kind == kindAcks && len(body) == 0 {
+			select {
+			case acks <- h:
+			default:
+			}
+		}
+	})
+	fab.Start()
+	t.Cleanup(func() { l.Close(); fab.Close() })
+	if err := l.Send(1, "nop", &struct{}{}); err != nil { // rank 0 gives number 1
+		t.Fatal(err)
+	}
+	peer.send(kindOneWay, mustEncode(t, &oneWayMsg{Method: "probe"}), 0, 0) // rank 0 owes ack 1
+	<-probed
+	if err := l.Heartbeat(1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case h := <-acks:
+		if h.Seq != 1 || h.Ack != 1 || h.AckOnly {
+			t.Fatalf("heartbeat = %+v, want the pure ack {Seq:1 Ack:1}", h)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the heartbeat did not arrive as a pure ack")
+	}
+	if !l.owes(1) {
+		t.Fatal("the heartbeat took the place of the owed ack")
+	}
+}
+
+// refusingEndpoint stands for a peer that cannot be reached: while cut,
+// every Send fails without handing its frame off, as a refused dial
+// does, and the number of each refused frame is recorded.
+type refusingEndpoint struct {
+	transport.Endpoint
+	cut     atomic.Bool
+	mu      sync.Mutex
+	refused []uint64
+}
+
+func (e *refusingEndpoint) Send(to int, kind string, payload []byte) error {
+	if !e.cut.Load() {
+		return e.Endpoint.Send(to, kind, payload)
+	}
+	h, _, _ := readHeader(payload)
+	e.mu.Lock()
+	e.refused = append(e.refused, h.Seq)
+	e.mu.Unlock()
+	return errors.New("connection refused")
+}
+
+func (e *refusingEndpoint) refusals() []uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]uint64(nil), e.refused...)
+}
+
+// TestResendRoundStopsAtItsFirstFailedHandOff: toward a peer that cannot
+// be reached, a resend round of a link holding N unacked frames costs
+// one failed Send — of its oldest frame — not N; once the peer is
+// reachable again, each of the N frames arrives once.
+func TestResendRoundStopsAtItsFirstFailedHandOff(t *testing.T) {
+	const frames = 8
+	fab := transport.NewFabric(2)
+	ep0 := &refusingEndpoint{Endpoint: fab.Endpoint(0)}
+	s := NewSystemOver([]transport.Endpoint{ep0, fab.Endpoint(1)})
+	t.Cleanup(func() { s.Close(); fab.Close() })
+	var mu sync.Mutex
+	ran := map[int]int{}
+	got := make(chan struct{}, frames)
+	s.Locality(1).HandleOneWay("count", func(_ int, body []byte) {
+		var i int
+		if err := wire.Decode(body, &i); err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		ran[i]++
+		mu.Unlock()
+		got <- struct{}{}
+	})
+	fab.Start()
+	l0 := s.Locality(0)
+	ep0.cut.Store(true)
+	for i := range frames {
+		l0.Send(1, "count", i) // fails, and the link keeps the frame
+	}
+	// Two resend rounds (25 ms, then 50 ms later).
+	deadline := time.Now().Add(5 * time.Second)
+	for len(ep0.refusals()) < frames+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d refused hand-offs, want the %d fresh ones and two rounds", len(ep0.refusals()), frames)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	refused := ep0.refusals()
+	for i, seq := range refused[frames:] {
+		if seq != refused[0] {
+			t.Fatalf("refused hand-off %d of the resend rounds carried frame %d, want only the oldest, %d (refused: %v)",
+				i, seq, refused[0], refused)
+		}
+	}
+	ep0.cut.Store(false)
+	for range frames {
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a frame kept while the peer was unreachable never arrived")
+		}
+	}
+	quiesce(t, s)
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range frames {
+		if ran[i] != 1 {
+			t.Errorf("frame %d arrived %d times, want once", i, ran[i])
+		}
+	}
+}
+
 // quiesce waits until both halves of every link of s hold nothing: no
 // unacked frame, awaited call, early frame or running ack-only handler.
 func quiesce(t *testing.T, s *System) {

@@ -35,7 +35,7 @@ const (
 	kindResponse = "rpc.rsp"
 	kindOneWay   = "msg"
 	// kindAcks is a pure ack: the ack owed to a peer that found no frame
-	// to ride on within ackDelay (link.go).
+	// to ride on within ackDelay (link.go), or a heartbeat.
 	kindAcks = "rpc.acks"
 )
 
@@ -68,7 +68,7 @@ const (
 	MetricRPCFencedFrames = "rpc.fenced_frames"
 	// MetricRPCAckFrames counts rpc.acks frames sent, each before its
 	// hand-off: owed acks that found no numbered frame to ride on within
-	// ackDelay.
+	// ackDelay. A heartbeat, a pure ack too, is not counted.
 	MetricRPCAckFrames = "rpc.ack_frames"
 	// MetricRPCCallFrames counts the request and reply frames a link
 	// delivers, each once, before any handler or waiting caller sees them:
@@ -260,20 +260,22 @@ func (l *Locality) LastHeard(rank int) time.Time {
 	return time.Unix(0, l.heard[rank].Load())
 }
 
-// Heartbeat sends one liveness probe frame to dst. Probes bypass the
-// RPC layer entirely: no body, no number, no response — their receipt
-// refreshes the sender's last-heard timestamp at dst.
+// Heartbeat sends dst the link's pure ack — the last number the link
+// gave a frame and the current cumulative ack, taken in stream order like
+// any ack — outside the link's send lock. Its receipt refreshes this
+// rank's last-heard timestamp at dst; it is not the owed ack.
 func (l *Locality) Heartbeat(dst int) error {
 	if dst == l.Rank() {
 		return nil
 	}
-	if l.closed.Load() {
-		return errClosed(l.Rank())
+	k, err := l.linkTo(dst)
+	if err != nil {
+		return err
 	}
-	if st := l.Peer(dst); st.Gone() {
-		return errGone(dst, st)
-	}
-	return l.ep.Send(dst, transport.KindHeartbeat, nil)
+	k.mu.Lock()
+	frame := appendHeader(nil, linkHeader{Seq: k.next, Ack: k.ackLocked(), Epoch: l.epoch.Load()})
+	k.mu.Unlock()
+	return l.ep.Send(dst, kindAcks, frame)
 }
 
 // Closed reports whether Close has been called.
@@ -335,7 +337,7 @@ func (l *Locality) dispatch(msg transport.Message) {
 		return
 	}
 	l.heard[msg.From].Store(time.Now().UnixNano())
-	if l.closed.Load() || msg.Kind == transport.KindHeartbeat {
+	if l.closed.Load() {
 		return
 	}
 	h, body, ok := readHeader(msg.Payload)

@@ -40,7 +40,7 @@ func TestPeerFailureEmitsErrorSpan(t *testing.T) {
 		t.Fatalf("error = %v, want ErrPeerFailed", err)
 	}
 
-	// A second call to the dead peer exhausts the redial budget,
+	// A second call to the dead peer fails its one dial,
 	// exercising the send-error path as well.
 	if err := waitErr(t, locs[0].CallAsync(1, "block", struct{}{}), 5*time.Second); err == nil {
 		t.Fatal("call to dead peer succeeded")

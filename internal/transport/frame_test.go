@@ -63,7 +63,7 @@ func sampleFrames() []testFrame {
 	return []testFrame{
 		{0, "rpc.req", []byte("hello")},
 		{1, "", []byte{1}},
-		{1, KindHeartbeat, nil},
+		{1, "hb", nil},
 		{0, "rpc.req", []byte("again")},
 		{2, strings.Repeat("k", maxInternLen+3), []byte("long kind")},
 	}

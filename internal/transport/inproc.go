@@ -93,7 +93,7 @@ func (e *inprocEndpoint) Send(to int, kind string, payload []byte) error {
 	}
 	dst := e.fabric.endpoints[to]
 	msg := Message{From: e.rank, To: to, Kind: kind, Payload: payload}
-	e.stats.Load().sent(kind, len(payload)) // before the receiver can see it
+	e.stats.Load().sent(len(payload)) // before the receiver can see it
 	select {
 	case dst.inbox <- msg:
 		return nil
@@ -109,7 +109,7 @@ func (e *inprocEndpoint) Send(to int, kind string, payload []byte) error {
 
 func (e *inprocEndpoint) deliver() {
 	handle := func(msg Message) {
-		e.stats.Load().received(msg.Kind, len(msg.Payload))
+		e.stats.Load().received(len(msg.Payload))
 		if p := e.handler.Load(); p != nil && *p != nil {
 			(*p)(msg)
 		}

@@ -19,14 +19,9 @@ type TCPConfig struct {
 	// fail (and evicts the connection) instead of blocking forever.
 	// Default 10s.
 	WriteTimeout time.Duration
-	// DialTimeout bounds a single dial attempt. Default 1s.
+	// DialTimeout bounds the one dial a Send makes when it finds no
+	// connection. Default 1s.
 	DialTimeout time.Duration
-	// RetryBudget bounds the total time spent redialing one peer
-	// within a single Send before giving up. Default 5s.
-	RetryBudget time.Duration
-	// MaxBackoff caps the exponential redial backoff, which starts at
-	// 20ms and doubles per failed attempt. Default 500ms.
-	MaxBackoff time.Duration
 	// MaxFrame is the sanity limit for the kind and payload length
 	// prefixes of inbound frames; a corrupt 4-byte length can
 	// otherwise trigger a multi-GB allocation. Default 64 MiB.
@@ -39,12 +34,6 @@ func (c *TCPConfig) fillDefaults() {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = time.Second
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 5 * time.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 500 * time.Millisecond
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = 64 << 20
@@ -64,11 +53,13 @@ func (c *TCPConfig) fillDefaults() {
 // Incoming frames are parsed out of one buffered reader per accepted
 // connection, so a coalesced batch also costs one read (frame.go).
 //
-// Failure semantics: writes carry a deadline, broken connections are
-// evicted from the cache and redialed with exponential backoff under
-// a bounded budget, inbound frames beyond MaxFrame are dropped with
-// their connection, and every detected link failure is reported
-// through the FailureHandler exactly once per connection.
+// Failure semantics: a Send hands its frame off once — to the cached
+// connection, or to one dial when there is none — and retries nothing;
+// the layer above resends. A failed Send evicts its connection and
+// reports the peer through the FailureHandler before it returns. Writes
+// carry a deadline, inbound frames beyond MaxFrame are dropped with
+// their connection, and a connection that breaks under no Send is
+// reported once.
 type TCPEndpoint struct {
 	rank int
 	cfg  TCPConfig
@@ -107,7 +98,8 @@ const maxPendingWrites = 1 << 20
 // an OS socket buffer, queued frames are lost if the connection dies
 // (the Endpoint contract already declares frames in flight lossy on
 // peer failure). The first write failure is sticky: it surfaces on
-// every later Send so the caller evicts and redials.
+// every later Send, which evicts the connection; the Send after it dials
+// afresh.
 type tcpConn struct {
 	c net.Conn
 
@@ -373,17 +365,15 @@ func (e *TCPEndpoint) read(c net.Conn) {
 			return
 		}
 		from = f
-		e.stats.Load().received(kind, len(payload))
+		e.stats.Load().received(len(payload))
 		if p := e.handler.Load(); p != nil && *p != nil {
 			(*p)(Message{From: f, To: e.rank, Kind: kind, Payload: payload})
 		}
 	}
 }
 
-// dial returns the (cached) outgoing connection to peer `to`,
-// retrying with exponential backoff under the RetryBudget so that
-// process groups may start in any order and crashed peers may be
-// redialed after a restart.
+// dial returns the cached outgoing connection to peer `to`, or makes
+// one attempt, bounded by DialTimeout, to open it.
 func (e *TCPEndpoint) dial(to int) (*tcpConn, error) {
 	e.mu.Lock()
 	if tc, ok := e.conns[to]; ok {
@@ -393,31 +383,10 @@ func (e *TCPEndpoint) dial(to int) (*tcpConn, error) {
 	addr := e.addrs[to]
 	e.mu.Unlock()
 
-	var c net.Conn
-	var err error
-	backoff := 20 * time.Millisecond
-	deadline := time.Now().Add(e.cfg.RetryBudget)
-	for {
-		c, err = net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			err = fmt.Errorf("transport: dial rank %d (%s): retry budget exhausted: %w", to, addr, err)
-			e.notifyFailure(to, err)
-			return nil, err
-		}
-		select {
-		case <-e.closed:
-			return nil, fmt.Errorf("transport: endpoint closed")
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > e.cfg.MaxBackoff {
-			backoff = e.cfg.MaxBackoff
-		}
+	c, err := net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
+	if err != nil {
+		return nil, err
 	}
-
 	e.mu.Lock()
 	select {
 	case <-e.closed: // Close already swept the connection cache
@@ -462,9 +431,9 @@ func (e *TCPEndpoint) watchOutgoing(to int, tc *tcpConn) {
 
 // evict closes tc and removes it from the connection cache if it is
 // still the cached connection for rank `to`. It reports whether this
-// call performed the removal, so that the concurrent detectors (Send
-// write errors and watchOutgoing) notify the failure handler at most
-// once per connection.
+// call performed the removal, so that the detectors that run under no
+// Send (the flusher's write errors and watchOutgoing) notify the failure
+// handler at most once per connection.
 func (e *TCPEndpoint) evict(to int, tc *tcpConn) bool {
 	e.mu.Lock()
 	evicted := e.conns[to] == tc
@@ -476,32 +445,26 @@ func (e *TCPEndpoint) evict(to int, tc *tcpConn) bool {
 	return evicted
 }
 
+// Send hands the frame off once: it is queued on the cached connection,
+// or on the one a single dial opens. A failure evicts the connection and
+// reports the peer before Send returns, so that the layer above sees the
+// break before it sees the error; the frame itself is not retried.
 func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 	if err := checkRank(to, e.Size()); err != nil {
 		return err
 	}
-	// An enqueue error means the connection broke since the last send
-	// (peer crash or restart): evict it and retry once over a fresh
-	// dial before surfacing the error. The frame is counted before the
-	// receiver can see it.
-	e.stats.Load().sent(kind, len(payload))
-	var err error
-	for attempt := 0; attempt < 2; attempt++ {
-		var tc *tcpConn
-		tc, err = e.dial(to)
-		if err != nil {
-			e.stats.Load().sendErrors.Inc()
-			return err
-		}
+	e.stats.Load().sent(len(payload)) // before the receiver can see it
+	tc, err := e.dial(to)
+	if err == nil {
 		if err = tc.enqueue(e.rank, kind, payload); err == nil {
 			return nil
 		}
-		if e.evict(to, tc) {
-			e.notifyFailure(to, err)
-		}
+		e.evict(to, tc)
 	}
 	e.stats.Load().sendErrors.Inc()
-	return fmt.Errorf("transport: send to rank %d: %w", to, err)
+	err = fmt.Errorf("transport: send to rank %d: %w", to, err)
+	e.notifyFailure(to, err)
+	return err
 }
 
 func (e *TCPEndpoint) Close() error {

@@ -10,14 +10,12 @@ import (
 	"time"
 )
 
-// fastConfig keeps fault-injection tests quick: tight budgets mean a
-// dead peer is reported in tens of milliseconds instead of seconds.
+// fastConfig keeps fault-injection tests quick: tight timeouts mean a
+// stalled write or dial fails in hundreds of milliseconds, not seconds.
 func fastConfig() TCPConfig {
 	return TCPConfig{
 		WriteTimeout: 500 * time.Millisecond,
 		DialTimeout:  200 * time.Millisecond,
-		RetryBudget:  300 * time.Millisecond,
-		MaxBackoff:   50 * time.Millisecond,
 		MaxFrame:     1 << 20,
 	}
 }
@@ -80,12 +78,61 @@ func TestTCPSendToCrashedPeer(t *testing.T) {
 	}
 }
 
+// TestFailedSendHandsNothingOff: a Send that meets its connection's
+// sticky write error fails, evicts the connection and reports the peer
+// before it returns, and hands its frame to nobody — not even to a fresh
+// dial, which would run a request whose caller the report already
+// failed. The next Send dials afresh.
+func TestFailedSendHandsNothingOff(t *testing.T) {
+	a, b, _ := newTCPPair(t, fastConfig())
+	a.SetHandler(func(Message) {})
+	var mu sync.Mutex
+	var kinds []string
+	b.SetHandler(func(m Message) {
+		mu.Lock()
+		kinds = append(kinds, m.Kind)
+		mu.Unlock()
+	})
+	received := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), kinds...)
+	}
+	var reported atomic.Int64
+	reported.Store(-1)
+	a.SetFailureHandler(func(peer int, _ error) { reported.CompareAndSwap(-1, int64(peer)) })
+
+	if err := a.Send(1, "first", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(received()) == 1 })
+	a.mu.Lock()
+	tc := a.conns[1]
+	a.mu.Unlock()
+	tc.mu.Lock()
+	tc.err = errors.New("injected write failure")
+	tc.mu.Unlock()
+
+	if err := a.Send(1, "lost", []byte("x")); err == nil {
+		t.Fatal("Send on a connection with a sticky error succeeded")
+	}
+	if got := reported.Load(); got != 1 {
+		t.Fatalf("failure handler saw peer %d before Send returned, want 1", got)
+	}
+	if err := a.Send(1, "after", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(received()) >= 2 })
+	if got := received(); len(got) != 2 || got[1] != "after" {
+		t.Fatalf("peer received %q, want [first after]", got)
+	}
+}
+
 // TestTCPReconnectAfterRestart severs the peer, restarts it on the
 // same address, and verifies that subsequent frames are delivered and
 // counted as a reconnect.
 func TestTCPReconnectAfterRestart(t *testing.T) {
 	cfg := fastConfig()
-	cfg.RetryBudget = 2 * time.Second // allow the restart window
 	a, b, actual := newTCPPair(t, cfg)
 	reg := bindRegistry(a)
 

@@ -4,7 +4,7 @@
 // this package provides an in-process channel fabric (the default for
 // hosting many localities in one OS process) and a plain TCP fabric
 // (for running localities as separate processes), both behind the
-// same Endpoint interface with identical ordered, reliable semantics.
+// same Endpoint interface: ordered delivery, one hand-off per Send.
 package transport
 
 import (
@@ -28,32 +28,28 @@ type Message struct {
 type Handler func(msg Message)
 
 // FailureHandler is notified when the endpoint detects that the link
-// to a peer has failed: a broken or timed-out write, a severed
-// connection, a corrupt frame, or an exhausted redial budget. Frames
-// in flight toward (or from) that peer at the moment of failure may
-// have been lost; higher layers use the callback to fail outstanding
+// to a peer has failed: a failed Send (reported before Send returns),
+// a broken or timed-out write, a severed connection or a corrupt frame.
+// Frames in flight toward (or from) that peer at the moment of failure
+// may have been lost; higher layers use the callback to fail outstanding
 // request/response exchanges instead of waiting forever. The handler
 // runs on transport goroutines and must not block. A notification is
-// a per-connection event, not a permanent verdict: the fabric will
-// still redial the peer on the next Send.
+// a per-connection event, not a permanent verdict: the next Send to the
+// peer dials it again.
 type FailureHandler func(peer int, err error)
 
-// KindHeartbeat is the message kind of liveness probe frames. Probes
-// carry no payload; their only effect at the receiver is refreshing
-// the sender's last-heard timestamp, so both fabrics deliver them
-// through the ordinary handler path and count them separately under
-// MetricHeartbeats* (they also count as regular messages).
-const KindHeartbeat = "hb"
-
 // Endpoint is one communication port of a runtime process.
-// Implementations guarantee reliable, per-sender-ordered delivery.
+// Implementations deliver the frames a live connection accepted once
+// and in per-sender order; a frame lost with a broken connection is
+// resent by the runtime's link, not here.
 type Endpoint interface {
 	// Rank returns this endpoint's process rank in [0, Size).
 	Rank() int
 	// Size returns the number of processes in the fabric.
 	Size() int
-	// Send delivers msg.Payload to process `to` asynchronously. The
-	// From/To fields of msg are set by the endpoint.
+	// Send hands payload off toward process `to` once, retrying
+	// nothing. When the hand-off fails, the FailureHandler has been told
+	// of the peer before Send returns the error.
 	Send(to int, kind string, payload []byte) error
 	// SetHandler installs the message handler. Must be called before
 	// the first message arrives; the in-process fabric buffers until
@@ -83,14 +79,11 @@ const (
 	// MetricReconnects counts redials of a peer whose previous
 	// connection was evicted as broken.
 	MetricReconnects = "transport.reconnects"
-	// MetricSendErrors counts Send calls that failed after the fabric's
-	// own retry (eviction + one redial).
+	// MetricSendErrors counts Send calls whose one hand-off failed.
 	MetricSendErrors = "transport.send_errors"
 	// MetricDroppedFrames counts inbound frames rejected as corrupt; the
 	// carrying connection is closed.
-	MetricDroppedFrames      = "transport.dropped_frames"
-	MetricHeartbeatsSent     = "transport.heartbeats_sent"
-	MetricHeartbeatsReceived = "transport.heartbeats_received"
+	MetricDroppedFrames = "transport.dropped_frames"
 )
 
 // counters are an endpoint's traffic counters, registered in the
@@ -98,7 +91,6 @@ const (
 type counters struct {
 	msgsSent, bytesSent, msgsRecv, bytesRecv *metrics.Counter
 	reconnects, sendErrors, droppedFrames    *metrics.Counter
-	hbSent, hbRecv                           *metrics.Counter
 }
 
 // newCounters binds a counters set to reg (a fresh private registry
@@ -115,25 +107,17 @@ func newCounters(reg *metrics.Registry) *counters {
 		reconnects:    reg.Counter(MetricReconnects),
 		sendErrors:    reg.Counter(MetricSendErrors),
 		droppedFrames: reg.Counter(MetricDroppedFrames),
-		hbSent:        reg.Counter(MetricHeartbeatsSent),
-		hbRecv:        reg.Counter(MetricHeartbeatsReceived),
 	}
 }
 
-func (c *counters) sent(kind string, n int) {
+func (c *counters) sent(n int) {
 	c.msgsSent.Inc()
 	c.bytesSent.Add(uint64(n))
-	if kind == KindHeartbeat {
-		c.hbSent.Inc()
-	}
 }
 
-func (c *counters) received(kind string, n int) {
+func (c *counters) received(n int) {
 	c.msgsRecv.Inc()
 	c.bytesRecv.Add(uint64(n))
-	if kind == KindHeartbeat {
-		c.hbRecv.Inc()
-	}
 }
 
 func checkRank(rank, size int) error {
