@@ -28,10 +28,10 @@
 // With -chaos seed,drop,delay (e.g. -chaos 1,0.05,0.2), every
 // endpoint is wrapped in a seeded fault-injection layer: frames are
 // dropped with probability `drop` and delayed/reordered with
-// probability `delay`, both call planes get a retry budget, and the
-// run still verifies bit-identical — the at-least-once delivery and
-// server-side dedup of DESIGN.md §6d absorb the faults. The injected
-// fault and retry counters are printed at the end.
+// probability `delay`, both call planes get a deadline, and the run
+// still verifies bit-identical — the links of DESIGN.md §6d resend what
+// is lost and deliver each frame once. The injected fault and resend
+// counters are printed at the end.
 package main
 
 import (
@@ -342,10 +342,9 @@ func runElasticDemo(p stencil.Params, localities int, join, drain bool, traceOut
 
 // runChaosDemo is the -chaos walkthrough: the whole computation runs
 // over a seeded lossy fabric (drops and delay/reorder on every link)
-// with both call planes under a retry budget, and must still verify
-// bit-identical against the sequential reference — dropped requests
-// are retried, duplicated effects are absorbed by the server-side
-// dedup window.
+// with both call planes under a deadline, and must still verify
+// bit-identical against the sequential reference — each link resends
+// what the fabric drops and hands every frame to dispatch once.
 func runChaosDemo(p stencil.Params, localities int, spec string) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 3 {

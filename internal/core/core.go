@@ -51,9 +51,9 @@ type Config struct {
 	// SetRecovery (see the recovery package); zero values select the
 	// service's defaults.
 	Recovery RecoveryConfig
-	// Calls, when non-nil, replaces every locality's RPC delivery
-	// profile (deadlines, retry budgets — see runtime.CallProfile).
-	// Nil keeps runtime.DefaultCallProfile.
+	// Calls, when non-nil, replaces every locality's RPC call profile,
+	// the deadlines of each plane (see runtime.CallProfile). Nil keeps
+	// runtime.DefaultCallProfile.
 	Calls *runtime.CallProfile
 	// Latent lists ranks provisioned on the fabric but kept outside
 	// the initial membership: they accept control traffic (item

@@ -82,7 +82,7 @@ func (m *Manager) DestroyItem(id ItemID) error {
 	}
 	for rank := 0; rank < m.size(); rank++ {
 		if rank != m.Rank() && !m.loc.Peer(rank).Gone() {
-			m.loc.CallAsync(rank, methodDestroy, args, m.ctlOpt(), runtime.AckOnly())
+			m.loc.Notify(rank, methodDestroy, args)
 		}
 	}
 	return nil
@@ -1139,9 +1139,9 @@ func (m *Manager) ensureLocal(rq Requirement, w *waiter, span trace.SpanID) erro
 			// The copy is registered (or the insert failed): release the
 			// source pin either way. Nobody waits for the answer — the
 			// pin has done its work, ordering the insert before any drop
-			// the source may send or point here — but the call is
-			// supervised, so a lost frame is resent.
-			m.loc.CallAsync(o.Rank, methodUnpin, &unpinArgs{Token: reply.PinToken}, m.ctlOpt(), runtime.WithParent(span), runtime.AckOnly())
+			// the source may send or point here — but it is a notice the
+			// link resends until the source acks it, across a break too.
+			m.loc.Notify(o.Rank, methodUnpin, &unpinArgs{Token: reply.PinToken}, runtime.WithParent(span))
 			if insErr != nil {
 				return insErr
 			}

@@ -396,8 +396,8 @@ func (st *itemState) carry(to, self int, r dataitem.Region, token uint64) datait
 
 // unpin releases the pin token if this item holds it (ok), with data,
 // the writer's refresh of a write-mode pin (settle). The token is the
-// gate: a refresh whose pin is gone (released by recovery, or a resend
-// that outlived the dedup window) installs nothing, and successive writes
+// gate: a refresh whose pin is gone (released by recovery, or ended
+// another way before it arrived) installs nothing, and successive writes
 // need no version because each one's drop waits for the previous one's
 // pin.
 func (st *itemState) unpin(token uint64, data []byte) (lost dataitem.Region, ok bool) {

@@ -44,7 +44,7 @@ const (
 //     task with its claim (takeCarried) and starts it when its slot is
 //     free, or the task leaves the queue (take); a ship may be given up
 //     before delivery (the origin settles the pin), arrive late, or
-//     arrive twice (the second copy answered by the dedup window); every
+//     arrive twice (the link delivers the second copy to no one); every
 //     other need of the region ends a claim first (yield, start);
 //   - deliveries of the messages in flight, in any order — some lag far
 //     behind, and an unpin may come twice; a request whose rule answers
@@ -178,7 +178,7 @@ type propMsg struct {
 	claim    *claimArgs
 	granted  dataitem.Region
 	carry    *Carried // the eviction a ship carries, or nil
-	dup      bool     // a ship's resend, which the dedup window answers
+	dup      bool     // a ship's resend, which the link never delivers
 	slow     bool     // delivered only now and then: overtaken by most of what is sent after it
 }
 
@@ -546,8 +546,8 @@ func (s *propSim) deliver(k int) error {
 	case unpinMsg:
 		st.unpin(m.token, m.data)
 		if s.rng.Intn(2) == 0 {
-			// A resend that outlived the dedup window: its pin is gone by
-			// the time it arrives.
+			// An unpin that comes twice: its pin is gone by the time the
+			// second one arrives.
 			m.slow = true
 			s.msgs = append(s.msgs, m)
 		}
@@ -578,7 +578,7 @@ func (s *propSim) deliver(k int) error {
 		a.chase = append(a.chase, m.drop.Sharers...)
 	case shipReq:
 		if m.dup {
-			break // the dedup window answers a resend: the task runs once
+			break // the link drops a resend it delivered: the task runs once
 		}
 		s.seq++
 		a := &propAcq{token: s.seq, mode: Write, r: m.r}

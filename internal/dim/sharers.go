@@ -107,12 +107,12 @@ func (m *Manager) ExclusivelyOwned(id ItemID, r dataitem.Region) bool {
 // given up settles it without a refresh (SettleCarried).
 
 // sendRefreshes sends each refresh in the dim.unpin that ends its pin —
-// supervised, ack-only, and not waited for.
+// a notice (Notify) the link delivers once and nobody waits for.
 func (m *Manager) sendRefreshes(rs []refresh) {
 	for _, r := range rs {
 		m.refreshSent.Inc()
 		m.refreshBytes.Add(uint64(len(r.data)))
-		m.loc.CallAsync(r.rank, methodUnpin, &unpinArgs{Token: r.token, Data: r.data}, m.ctlOpt(), runtime.AckOnly())
+		m.loc.Notify(r.rank, methodUnpin, &unpinArgs{Token: r.token, Data: r.data})
 	}
 }
 

@@ -224,7 +224,7 @@ func TestStencilJobsFailHonestlyUnderCrash(t *testing.T) {
 		waitTerminal := func(id uint64) JobStatus {
 			t.Helper()
 			select {
-			case <-svc.jobDone(id):
+			case <-svc.job(id).done:
 			case <-time.After(60 * time.Second):
 				t.Fatalf("round %d: job %d not terminal 60 s after the crash", round, id)
 			}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,40 +140,98 @@ type jobRec struct {
 	Seq       uint64
 }
 
-// storeState is the full persisted registry: what a compaction writes
-// and what replay reconstructs.
+// storeState is the registry: tenants and jobs as their records, with
+// the live-only fields the service keeps beside them (service.go). It is
+// what replay reduces the journal to, what the service runs on and what
+// a compaction writes. The reducer below is the one place a persisted
+// field changes: replay applies each record through it, and the service
+// applies each record it has just appended through the same methods.
 type storeState struct {
 	NextTenant uint32
 	NextJob    uint64
-	Tenants    []tenantRec // ring (registration) order
-	Jobs       []jobRec    // ID order
+	Tenants    []*tenant // ring (registration) order
+	Jobs       []*job    // ID order
 }
 
-// clone deep-copies the state (replay mutates it record by record).
-// Empty slices stay nil so clones compare DeepEqual to replayed state.
-func (st *storeState) clone() storeState {
-	out := storeState{NextTenant: st.NextTenant, NextJob: st.NextJob}
-	out.Tenants = append([]tenantRec(nil), st.Tenants...)
-	for _, j := range st.Jobs {
-		j.Params = append([]byte(nil), j.Params...)
-		out.Jobs = append(out.Jobs, j)
+// search finds where job id is, or would be, in Jobs (ID-sorted).
+func (st *storeState) search(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(st.Jobs, id, func(j *job, id uint64) int { return cmp.Compare(j.ID, id) })
+}
+
+// job finds a job by ID; nil if it is unknown.
+func (st *storeState) job(id uint64) *job {
+	if i, ok := st.search(id); ok {
+		return st.Jobs[i]
 	}
-	return out
+	return nil
 }
 
-// jobIndex finds a job by ID (Jobs stays ID-sorted).
-func (st *storeState) jobIndex(id uint64) int {
-	i := sort.Search(len(st.Jobs), func(i int) bool { return st.Jobs[i].ID >= id })
-	if i < len(st.Jobs) && st.Jobs[i].ID == id {
-		return i
+// tenant finds a tenant by ID; nil if it is unknown.
+func (st *storeState) tenant(id uint32) *tenant {
+	if i := slices.IndexFunc(st.Tenants, func(t *tenant) bool { return t.ID == id }); i >= 0 {
+		return st.Tenants[i]
 	}
-	return -1
+	return nil
 }
 
-// apply folds one journal record into the state. A record that cannot
-// apply (terminal transition for an unknown job) is structural
-// corruption: the journal is strictly ordered, so a valid prefix can
-// never reference a job it has not admitted.
+// upsertTenant applies a tenant record: a new ID joins the ring, a known
+// one takes the record's quota.
+func (st *storeState) upsertTenant(tr tenantRec) (*tenant, error) {
+	if tr.Name == "" {
+		return nil, fmt.Errorf("%w: tenant %d has no name", ErrJournalCorrupt, tr.ID)
+	}
+	tr.Quota = tr.Quota.normalized()
+	t := st.tenant(tr.ID)
+	if t == nil {
+		t = &tenant{}
+		st.Tenants = append(st.Tenants, t)
+		st.NextTenant = max(st.NextTenant, tr.ID)
+	}
+	t.tenantRec = tr
+	return t, nil
+}
+
+// admit applies an admission record: the job joins the registry,
+// Pending, under its tenant.
+func (st *storeState) admit(jr jobRec) (*job, error) {
+	t := st.tenant(jr.Tenant)
+	if t == nil {
+		return nil, fmt.Errorf("%w: job %d of unknown tenant %d", ErrJournalCorrupt, jr.ID, jr.Tenant)
+	}
+	// IDs arrive ascending, so the insert is an append in practice.
+	i, dup := st.search(jr.ID)
+	if dup {
+		return nil, fmt.Errorf("%w: job %d admitted twice", ErrJournalCorrupt, jr.ID)
+	}
+	j := &job{jobRec: jr, ten: t, done: make(chan struct{})}
+	st.Jobs = slices.Insert(st.Jobs, i, j)
+	st.NextJob = max(st.NextJob, jr.ID)
+	return j, nil
+}
+
+// start applies a dispatch record.
+func (j *job) start(at int64) {
+	j.State, j.Started = Running, at
+}
+
+// end applies a terminal record of the given kind.
+func (j *job) end(kind byte, msg string, at int64) {
+	j.Finished = at
+	switch kind {
+	case recDone:
+		j.State, j.Result = Done, msg
+	case recFail:
+		j.State, j.Error = Failed, msg
+	case recCancel:
+		j.State, j.Error = Cancelled, msg
+	}
+}
+
+// apply decodes one journal record and folds it into the registry. A
+// record that cannot apply (a transition of an unknown job, an admission
+// under an unknown tenant) is structural corruption: the journal is
+// strictly ordered, so a valid prefix never references what it has not
+// recorded.
 func (st *storeState) apply(body []byte) error {
 	if len(body) == 0 {
 		return fmt.Errorf("%w: empty record", ErrJournalCorrupt)
@@ -191,20 +249,8 @@ func (st *storeState) apply(body []byte) error {
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("%w: tenant record: %v", ErrJournalCorrupt, err)
 		}
-		replaced := false
-		for i := range st.Tenants {
-			if st.Tenants[i].ID == tr.ID {
-				st.Tenants[i] = tr
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			st.Tenants = append(st.Tenants, tr)
-		}
-		if tr.ID > st.NextTenant {
-			st.NextTenant = tr.ID
-		}
+		_, err := st.upsertTenant(tr)
+		return err
 	case recAdmit:
 		jr := jobRec{
 			ID:        d.Uvarint(),
@@ -215,53 +261,32 @@ func (st *storeState) apply(body []byte) error {
 			Submitted: d.Varint(),
 			Client:    d.String(),
 			Seq:       d.Uvarint(),
-			State:     Pending,
 		}
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("%w: admit record: %v", ErrJournalCorrupt, err)
 		}
-		// IDs arrive ascending, so the insert is an append in practice.
-		i := sort.Search(len(st.Jobs), func(i int) bool { return st.Jobs[i].ID >= jr.ID })
-		if i < len(st.Jobs) && st.Jobs[i].ID == jr.ID {
-			return fmt.Errorf("%w: job %d admitted twice", ErrJournalCorrupt, jr.ID)
-		}
-		st.Jobs = slices.Insert(st.Jobs, i, jr)
-		if jr.ID > st.NextJob {
-			st.NextJob = jr.ID
-		}
+		_, err := st.admit(jr)
+		return err
 	case recStart:
 		id, at := d.Uvarint(), d.Varint()
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("%w: start record: %v", ErrJournalCorrupt, err)
 		}
-		i := st.jobIndex(id)
-		if i < 0 {
+		j := st.job(id)
+		if j == nil {
 			return fmt.Errorf("%w: start of unknown job %d", ErrJournalCorrupt, id)
 		}
-		st.Jobs[i].State = Running
-		st.Jobs[i].Started = at
+		j.start(at)
 	case recDone, recFail, recCancel:
 		id, msg, at := d.Uvarint(), d.String(), d.Varint()
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("%w: terminal record: %v", ErrJournalCorrupt, err)
 		}
-		i := st.jobIndex(id)
-		if i < 0 {
+		j := st.job(id)
+		if j == nil {
 			return fmt.Errorf("%w: terminal record for unknown job %d", ErrJournalCorrupt, id)
 		}
-		j := &st.Jobs[i]
-		j.Finished = at
-		switch body[0] {
-		case recDone:
-			j.State = Done
-			j.Result = msg
-		case recFail:
-			j.State = Failed
-			j.Error = msg
-		case recCancel:
-			j.State = Cancelled
-			j.Error = msg
-		}
+		j.end(body[0], msg, at)
 	case recBase:
 		return fmt.Errorf("%w: base record is not the first of a compacted generation", ErrJournalCorrupt)
 	default:
@@ -326,21 +351,21 @@ func compactedImage(state storeState) []byte {
 	add := func(b []byte) {
 		recs, body, count = appendFrame(recs, b), b[:0], count+1
 	}
-	for _, tr := range state.Tenants {
-		add(appendTenantRec(body, tr))
+	for _, t := range state.Tenants {
+		add(appendTenantRec(body, t.tenantRec))
 	}
-	for _, jr := range state.Jobs {
-		add(appendAdmitRec(body, jr))
-		if jr.State == Running || jr.Started != 0 {
-			add(appendStartRec(body, jr.ID, jr.Started))
+	for _, j := range state.Jobs {
+		add(appendAdmitRec(body, j.jobRec))
+		if j.State == Running || j.Started != 0 {
+			add(appendStartRec(body, j.ID, j.Started))
 		}
-		switch jr.State {
+		switch j.State {
 		case Done:
-			add(appendTerminalRec(body, recDone, jr.ID, jr.Result, jr.Finished))
+			add(appendTerminalRec(body, recDone, j.ID, j.Result, j.Finished))
 		case Failed:
-			add(appendTerminalRec(body, recFail, jr.ID, jr.Error, jr.Finished))
+			add(appendTerminalRec(body, recFail, j.ID, j.Error, j.Finished))
 		case Cancelled:
-			add(appendTerminalRec(body, recCancel, jr.ID, jr.Error, jr.Finished))
+			add(appendTerminalRec(body, recCancel, j.ID, j.Error, j.Finished))
 		}
 	}
 	base := wire.AppendUvarint([]byte{recBase}, count)
@@ -626,8 +651,8 @@ func (st *Store) syncLoop() {
 // image is written to a temp file, fsynced, renamed to its generation's
 // name, and the directory synced before the old generation goes away —
 // every intermediate state recovers. state must hold every record
-// appended so far: the caller builds it and calls Compact under the
-// lock it appends under.
+// appended so far applied: the caller passes its registry under the lock
+// it appends under.
 func (st *Store) Compact(state storeState) error {
 	img := compactedImage(state)
 	st.mu.Lock()

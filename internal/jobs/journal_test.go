@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -38,6 +39,101 @@ func testStoreRecords() [][]byte {
 		appendStartRec(nil, 6, 15000),
 	)
 	return recs
+}
+
+// fixtureRecords is the record sequence of testdata/journal.0.wal, with
+// fixed timestamps: two tenants, one of them reconfigured, and jobs that
+// end done, failed, cancelled while pending and cancelled while running,
+// one left running and one left pending, with and without submit tokens.
+func fixtureRecords() [][]byte {
+	const t0 = 1_700_000_000_123_456_789
+	admit := func(id uint64, tid uint32, family, params string, bytes int64, client string, seq uint64) []byte {
+		return appendAdmitRec(nil, jobRec{
+			ID: id, Tenant: tid, Family: family, Params: []byte(params), Bytes: bytes,
+			Submitted: t0 + int64(id)*1000, Client: client, Seq: seq,
+		})
+	}
+	return [][]byte{
+		appendTenantRec(nil, tenantRec{Name: "acme", ID: 1, Quota: Quota{MaxActive: 2, MaxPending: 8, MaxBytes: 1 << 20, Weight: 3}}),
+		appendTenantRec(nil, tenantRec{Name: "beta", ID: 2, Quota: Quota{MaxActive: 4, MaxPending: 64, Weight: 1}}),
+		admit(1, 1, FamilyPFor, `{"levels":3,"seed":7}`, 0, "cli-a", 1),
+		admit(2, 2, FamilyStencil, `{"n":32,"steps":3}`, 16384, "", 0),
+		appendStartRec(nil, 1, t0+10_001),
+		admit(3, 1, FamilyTPC, `{"num_points":256,"height":5}`, 28672, "cli-a", 2),
+		appendStartRec(nil, 2, t0+11_002),
+		appendTerminalRec(nil, recDone, 1, "0xbeef", t0+20_003),
+		appendTenantRec(nil, tenantRec{Name: "acme", ID: 1, Quota: Quota{MaxActive: 3, MaxPending: 64, Weight: 5}}),
+		appendTerminalRec(nil, recFail, 2, "jobs: boom", t0+21_004),
+		admit(4, 2, FamilyIPiC3D, `{"n":4,"steps":2}`, 4000, "cli-b", 1),
+		appendTerminalRec(nil, recCancel, 3, "", t0+22_005),
+		appendStartRec(nil, 4, t0+23_006),
+		appendTerminalRec(nil, recCancel, 4, "sched: job cancelled", t0+24_007),
+		admit(5, 1, FamilyPFor, `{"levels":1}`, 0, "", 0),
+		appendStartRec(nil, 5, t0+25_008),
+		admit(6, 2, FamilyPFor, `{"levels":2}`, 0, "cli-b", 2),
+	}
+}
+
+// TestJournalFixture: testdata/journal.0.wal is a generation-0 journal
+// of fixtureRecords and testdata/journal.1.wal its compacted generation,
+// both written by the journal's encoders when the format was fixed and
+// never rewritten since. The records still encode to the same bytes, the
+// journal still replays to the registry they record, and compacting
+// that registry still reproduces the compacted generation byte for byte.
+func TestJournalFixture(t *testing.T) {
+	gen0, err := os.ReadFile(filepath.Join("testdata", "journal.0.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen1, err := os.ReadFile(filepath.Join("testdata", "journal.1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := append([]byte(nil), journalMagic[:]...)
+	for _, r := range fixtureRecords() {
+		img = appendFrame(img, r)
+	}
+	if !bytes.Equal(img, gen0) {
+		t.Fatalf("the fixture records encode differently:\n got %x\nwant %x", img, gen0)
+	}
+	const t0 = 1_700_000_000_123_456_789
+	want := registryRecs{
+		NextTenant: 2, NextJob: 6,
+		Tenants: []tenantRec{
+			{Name: "acme", ID: 1, Quota: Quota{MaxActive: 3, MaxPending: 64, Weight: 5}},
+			{Name: "beta", ID: 2, Quota: Quota{MaxActive: 4, MaxPending: 64, Weight: 1}},
+		},
+		Jobs: []jobRec{
+			{ID: 1, Tenant: 1, Family: FamilyPFor, Params: []byte(`{"levels":3,"seed":7}`), State: Done, Result: "0xbeef",
+				Submitted: t0 + 1000, Started: t0 + 10_001, Finished: t0 + 20_003, Client: "cli-a", Seq: 1},
+			{ID: 2, Tenant: 2, Family: FamilyStencil, Params: []byte(`{"n":32,"steps":3}`), Bytes: 16384, State: Failed, Error: "jobs: boom",
+				Submitted: t0 + 2000, Started: t0 + 11_002, Finished: t0 + 21_004},
+			{ID: 3, Tenant: 1, Family: FamilyTPC, Params: []byte(`{"num_points":256,"height":5}`), Bytes: 28672, State: Cancelled,
+				Submitted: t0 + 3000, Finished: t0 + 22_005, Client: "cli-a", Seq: 2},
+			{ID: 4, Tenant: 2, Family: FamilyIPiC3D, Params: []byte(`{"n":4,"steps":2}`), Bytes: 4000, State: Cancelled, Error: "sched: job cancelled",
+				Submitted: t0 + 4000, Started: t0 + 23_006, Finished: t0 + 24_007, Client: "cli-b", Seq: 1},
+			{ID: 5, Tenant: 1, Family: FamilyPFor, Params: []byte(`{"levels":1}`), State: Running,
+				Submitted: t0 + 5000, Started: t0 + 25_008},
+			{ID: 6, Tenant: 2, Family: FamilyPFor, Params: []byte(`{"levels":2}`), State: Pending,
+				Submitted: t0 + 6000, Client: "cli-b", Seq: 2},
+		},
+	}
+	for _, c := range []struct {
+		name  string
+		data  []byte
+		based bool
+	}{{"generation 0", gen0, false}, {"compacted generation", gen1, true}} {
+		rec, _, valid, err := replayJournal(c.data, c.based)
+		if err != nil || rec.TornTail || valid != len(c.data) {
+			t.Fatalf("%s: replay: err %v, torn %v, %d of %d bytes", c.name, err, rec != nil && rec.TornTail, valid, len(c.data))
+		}
+		if got := recsOf(rec.storeState); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s replays to\n %+v\nwant\n %+v", c.name, got, want)
+		}
+		if img := compactedImage(rec.storeState); !bytes.Equal(img, gen1) {
+			t.Errorf("%s: compacting its registry gives\n %x\nwant the fixture's\n %x", c.name, img, gen1)
+		}
+	}
 }
 
 func openStoreT(t *testing.T, dir string, opt StoreOptions) (*Store, *RecoveredState) {
@@ -92,13 +188,13 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Errorf("job %d state %v, want %v", jr.ID, jr.State, wantStates[jr.ID])
 		}
 	}
-	if j := rec2.Jobs[rec2.jobIndex(1)]; j.Result != "0xbeef" || j.Started != 11000 || j.Finished != 21000 {
+	if j := rec2.job(1); j.Result != "0xbeef" || j.Started != 11000 || j.Finished != 21000 {
 		t.Errorf("done job: %+v", j)
 	}
-	if j := rec2.Jobs[rec2.jobIndex(2)]; j.Error != "boom" {
+	if j := rec2.job(2); j.Error != "boom" {
 		t.Errorf("failed job: %+v", j)
 	}
-	if j := rec2.Jobs[rec2.jobIndex(5)]; j.Client != "cli-a" || j.Seq != 5 {
+	if j := rec2.job(5); j.Client != "cli-a" || j.Seq != 5 {
 		t.Errorf("submit token lost: %+v", j)
 	}
 }
@@ -122,7 +218,7 @@ func TestStoreCompaction(t *testing.T) {
 	if !st.ShouldCompact() {
 		t.Fatal("journal under the compaction threshold")
 	}
-	if err := st.Compact(full.clone()); err != nil {
+	if err := st.Compact(full); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	if base := int64(len(compactedImage(full))); base <= 256 {
@@ -149,8 +245,8 @@ func TestStoreCompaction(t *testing.T) {
 	if rec.Replayed != 1 {
 		t.Errorf("replayed %d post-compaction records, want 1", rec.Replayed)
 	}
-	if !reflect.DeepEqual(rec.storeState, full) {
-		t.Errorf("state after compaction+replay diverged:\n got %+v\nwant %+v", rec.storeState, full)
+	if got, want := recsOf(rec.storeState), recsOf(full); !reflect.DeepEqual(got, want) {
+		t.Errorf("state after compaction+replay diverged:\n got %+v\nwant %+v", got, want)
 	}
 	if st2.ShouldCompact() {
 		t.Error("reopened store counts its base against the threshold")
@@ -181,12 +277,7 @@ func isJournalName(name string) bool {
 // be removed.
 func TestOpenStoreSweepsCrashedCompaction(t *testing.T) {
 	dir := t.TempDir()
-	var full storeState
-	for _, r := range testStoreRecords() {
-		if err := full.apply(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	full := stateOf(testStoreRecords())
 	for name, data := range map[string][]byte{
 		"journal.3.wal":     journalMagic[:],
 		"journal.4.wal":     compactedImage(full),
@@ -199,7 +290,7 @@ func TestOpenStoreSweepsCrashedCompaction(t *testing.T) {
 	}
 	st, rec := openStoreT(t, dir, StoreOptions{})
 	defer st.Close()
-	if !reflect.DeepEqual(rec.storeState, full) || rec.Replayed != 0 || rec.TornTail {
+	if !reflect.DeepEqual(recsOf(rec.storeState), recsOf(full)) || rec.Replayed != 0 || rec.TornTail {
 		t.Errorf("recovered %+v, want generation 4's base", rec)
 	}
 	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"9.wal", "journal.4.wal"}) {
@@ -249,25 +340,57 @@ func TestStoreFsyncPolicies(t *testing.T) {
 	}
 }
 
-// prefixStates returns the registry state after each record count:
-// prefixStates[i] is the state with the first i records applied. These
-// are the only states a corrupted journal may legally replay to.
-func prefixStates(recs [][]byte) []storeState {
-	states := make([]storeState, 0, len(recs)+1)
+// registryRecs is a registry by value — its records without the live
+// fields beside them — for comparing registries.
+type registryRecs struct {
+	NextTenant uint32
+	NextJob    uint64
+	Tenants    []tenantRec
+	Jobs       []jobRec
+}
+
+func recsOf(st storeState) registryRecs {
+	r := registryRecs{NextTenant: st.NextTenant, NextJob: st.NextJob}
+	for _, t := range st.Tenants {
+		r.Tenants = append(r.Tenants, t.tenantRec)
+	}
+	for _, j := range st.Jobs {
+		r.Jobs = append(r.Jobs, j.jobRec)
+	}
+	return r
+}
+
+// stateOf reduces records through the reducer replay runs.
+func stateOf(recs [][]byte) storeState {
+	var st storeState
+	for _, r := range recs {
+		if err := st.apply(r); err != nil {
+			panic(err)
+		}
+	}
+	return st
+}
+
+// prefixStates returns the registry after each record count:
+// prefixStates[i] holds the first i records applied. These are the only
+// registries a corrupted journal may legally replay to.
+func prefixStates(recs [][]byte) []registryRecs {
+	states := make([]registryRecs, 0, len(recs)+1)
 	var cur storeState
-	states = append(states, cur.clone())
+	states = append(states, recsOf(cur))
 	for _, r := range recs {
 		if err := cur.apply(r); err != nil {
 			panic(err)
 		}
-		states = append(states, cur.clone())
+		states = append(states, recsOf(cur))
 	}
 	return states
 }
 
-func stateMatchesPrefix(got storeState, prefixes []storeState) int {
+func stateMatchesPrefix(got storeState, prefixes []registryRecs) int {
+	g := recsOf(got)
 	for i, p := range prefixes {
-		if reflect.DeepEqual(got, p) {
+		if reflect.DeepEqual(g, p) {
 			return i
 		}
 	}
@@ -283,7 +406,7 @@ type journalImage struct {
 	gen  uint64
 	data []byte
 	base int
-	tail []storeState
+	tail []registryRecs
 }
 
 func (im journalImage) file() string { return fmt.Sprintf("journal.%d.wal", im.gen) }
@@ -306,10 +429,10 @@ func journalImages(t testing.TB) []journalImage {
 		im := journalImage{name: "plain", tail: prefixes}
 		for i, r := range recs {
 			if i == compactAt {
-				if err := st.Compact(prefixes[i].clone()); err != nil {
+				if err := st.Compact(stateOf(recs[:i])); err != nil {
 					t.Fatal(err)
 				}
-				im = journalImage{name: "compacted", gen: 1, base: len(compactedImage(prefixes[i])), tail: prefixes[i:]}
+				im = journalImage{name: "compacted", gen: 1, base: len(compactedImage(stateOf(recs[:i]))), tail: prefixes[i:]}
 			}
 			if err := st.Append(r); err != nil {
 				t.Fatal(err)
@@ -354,7 +477,7 @@ func TestJournalTruncationEveryOffset(t *testing.T) {
 				}
 				if i := stateMatchesPrefix(rec.storeState, im.tail); i < 0 {
 					st.Close()
-					t.Fatalf("truncate@%d: replayed state matches no record prefix: %+v", n, rec.storeState)
+					t.Fatalf("truncate@%d: replayed state matches no record prefix: %+v", n, recsOf(rec.storeState))
 				} else if i != rec.Replayed {
 					st.Close()
 					t.Fatalf("truncate@%d: replayed %d records but state matches prefix %d", n, rec.Replayed, i)
@@ -444,11 +567,10 @@ func FuzzReplayJournal(f *testing.F) {
 		mut[len(mut)/2] ^= 0x01
 		f.Add(mut, im.gen > 0)
 	}
-	known := prefixStates(testStoreRecords())
 	f.Fuzz(func(t *testing.T, data []byte, based bool) {
 		// The bytes as one record body on top of a populated registry:
 		// the CRC keeps most mutated frames away from apply.
-		st := known[len(known)-1].clone()
+		st := stateOf(testStoreRecords())
 		if err := st.apply(data); err != nil && !errors.Is(err, ErrJournalCorrupt) {
 			t.Fatalf("apply: untyped error %v", err)
 		}
@@ -463,7 +585,7 @@ func FuzzReplayJournal(f *testing.F) {
 			t.Fatalf("base %d, valid %d of %d bytes, torn %v, based %v", base, valid, len(data), rec.TornTail, based)
 		}
 		again, base2, valid2, err := replayJournal(data[:valid], based)
-		if err != nil || again.TornTail || base2 != base || valid2 != valid || !reflect.DeepEqual(again.storeState, rec.storeState) {
+		if err != nil || again.TornTail || base2 != base || valid2 != valid || !reflect.DeepEqual(recsOf(again.storeState), recsOf(rec.storeState)) {
 			t.Fatalf("the valid prefix replays differently: err %v, %+v vs %+v", err, again, rec)
 		}
 		img := compactedImage(rec.storeState)
@@ -471,9 +593,9 @@ func FuzzReplayJournal(f *testing.F) {
 		if err != nil || base3 != len(img) || valid3 != len(img) || back.Replayed != 0 {
 			t.Fatalf("compaction of a replayed state does not replay: err %v, base %d, valid %d of %d", err, base3, valid3, len(img))
 		}
-		if back.NextTenant != rec.NextTenant || back.NextJob != rec.NextJob ||
-			!reflect.DeepEqual(back.Tenants, rec.Tenants) || len(back.Jobs) != len(rec.Jobs) {
-			t.Fatalf("compaction changed the registry: %+v vs %+v", back.storeState, rec.storeState)
+		if b, r := recsOf(back.storeState), recsOf(rec.storeState); b.NextTenant != r.NextTenant || b.NextJob != r.NextJob ||
+			!reflect.DeepEqual(b.Tenants, r.Tenants) || len(b.Jobs) != len(r.Jobs) {
+			t.Fatalf("compaction changed the registry: %+v vs %+v", b, r)
 		}
 		for i, jr := range rec.Jobs {
 			if i > 0 && rec.Jobs[i-1].ID >= jr.ID {

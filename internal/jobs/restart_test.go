@@ -468,9 +468,9 @@ func TestCompactionKeepsEveryAdmittedJob(t *testing.T) {
 		}
 		copyDir := t.TempDir()
 		svc.mu.Lock()
-		admitted := make([]uint64, 0, len(svc.jobs))
-		for id := range svc.jobs {
-			admitted = append(admitted, id)
+		admitted := make([]uint64, 0, len(svc.state.Jobs))
+		for _, j := range svc.state.Jobs {
+			admitted = append(admitted, j.ID)
 		}
 		entries, err := os.ReadDir(dir)
 		for _, e := range entries {
@@ -492,7 +492,7 @@ func TestCompactionKeepsEveryAdmittedJob(t *testing.T) {
 		}
 		st.Close()
 		for _, id := range admitted {
-			if rec.jobIndex(id) < 0 {
+			if rec.job(id) == nil {
 				t.Fatalf("round %d: job %d is admitted and acknowledged but in no file of the state directory (%d of %d jobs replayed)",
 					round, id, len(rec.Jobs), len(admitted))
 			}

@@ -200,10 +200,11 @@ func (sv *Server) handle(req Request, down <-chan struct{}) (Response, bool) {
 // suspend or close is answered with a typed code so the client knows
 // whether the wait is retryable after a restart.
 func (sv *Server) waitJob(id uint64, down <-chan struct{}) (Response, bool) {
-	done := sv.svc.jobDone(id)
-	if done == nil {
+	j := sv.svc.job(id)
+	if j == nil {
 		return Response{Error: ErrNoSuchJob.Error()}, true
 	}
+	done := j.done
 	finished := func() (Response, bool) {
 		st, err := sv.svc.Status(id)
 		if err != nil {

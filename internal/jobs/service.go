@@ -1,10 +1,11 @@
 package jobs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,11 +73,10 @@ type RecoveryInfo struct {
 	TornTail bool
 }
 
-// tenant is the service-side record of one tenant.
+// tenant is one tenant of the registry: its record, and beside it what
+// only the live service keeps.
 type tenant struct {
-	name    string
-	id      uint32
-	quota   Quota
+	tenantRec
 	pending []*job // admitted, not yet dispatched (FIFO)
 	active  int    // running jobs
 	bytes   int64  // estimated footprint of running jobs
@@ -87,33 +87,19 @@ type tenant struct {
 	admitExec, duration          *metrics.Histogram
 }
 
-// job is the service-side record of one job.
+// job is one job of the registry: its record, and beside it what only
+// the live service keeps.
 type job struct {
-	id     uint64
-	ten    *tenant
-	family string
-	params []byte
-	bytes  int64
-
-	state     JobState
-	result    string
-	errStr    string
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	jobRec
+	ten       *tenant
+	done      chan struct{}
 	firstExec atomic.Int64 // unix nanos of the first task execution
 	rootSpan  trace.SpanID
 	cancelReq bool
 	// suspend marks a running job whose task tree is being cancelled
-	// by a restart-style shutdown: its driver reverts it to Pending
-	// (no terminal journal record) so it re-runs after recovery.
+	// by a restart-style shutdown: its driver requeues it (no terminal
+	// journal record) so it re-runs after recovery.
 	suspend bool
-	// client/seq is the submit token the job was admitted under; a
-	// client retrying the submission gets this job's ID back instead
-	// of a duplicate admission, across restarts included.
-	client string
-	seq    uint64
-	done   chan struct{}
 }
 
 // Service is the multi-tenant job service over one core.System.
@@ -125,19 +111,15 @@ type Service struct {
 	reg *metrics.Registry // locality 0, home of the jobs.* metrics
 
 	mu           sync.Mutex
-	tenants      map[string]*tenant
-	tenantsByID  map[uint32]*tenant
-	ring         []*tenant // WRR dispatch rotation
+	state        storeState         // the registry; its tenants are the WRR ring
+	tenants      map[string]*tenant // state.Tenants by name
 	cursor       int
-	jobs         map[uint64]*job
 	pendingTotal int
 	activeTotal  int
-	nextTenant   uint32
 	draining     bool
 	restarting   bool
 	tokens       map[string]map[uint64]uint64 // client → seq → job ID
 
-	nextJob atomic.Uint64
 	backlog atomic.Int64 // admitted, not yet finished (elastic signal)
 
 	store     *Store // nil = in-memory (PR 9 behavior)
@@ -172,15 +154,13 @@ func New(sys *core.System, w *Workloads, cfg Config) *Service {
 func Open(sys *core.System, w *Workloads, cfg Config) (*Service, error) {
 	s := &Service{
 		sys: sys, w: w, cfg: cfg.normalized(),
-		reg:         sys.Metrics(0),
-		tenants:     make(map[string]*tenant),
-		tenantsByID: make(map[uint32]*tenant),
-		jobs:        make(map[uint64]*job),
-		tokens:      make(map[string]map[uint64]uint64),
-		kick:        make(chan struct{}, 1),
-		settled:     make(chan struct{}, 1),
-		stopped:     make(chan struct{}),
-		suspendCh:   make(chan struct{}),
+		reg:       sys.Metrics(0),
+		tenants:   make(map[string]*tenant),
+		tokens:    make(map[string]map[uint64]uint64),
+		kick:      make(chan struct{}, 1),
+		settled:   make(chan struct{}, 1),
+		stopped:   make(chan struct{}),
+		suspendCh: make(chan struct{}),
 	}
 	if s.cfg.StateDir != "" {
 		store, rec, err := OpenStore(s.cfg.StateDir, StoreOptions{
@@ -193,10 +173,7 @@ func Open(sys *core.System, w *Workloads, cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.store = store
-		if err := s.restore(rec); err != nil {
-			store.Close()
-			return nil, err
-		}
+		s.restore(rec)
 		// Compact the replayed journal right away: startup is a natural
 		// compaction point, and it proves the write path before the
 		// first admission is acknowledged.
@@ -213,9 +190,9 @@ func Open(sys *core.System, w *Workloads, cfg Config) (*Service, error) {
 			return
 		}
 		j := v.(*job)
-		now := time.Now()
-		if j.firstExec.CompareAndSwap(0, now.UnixNano()) {
-			j.ten.admitExec.Observe(now.Sub(j.submitted))
+		now := time.Now().UnixNano()
+		if j.firstExec.CompareAndSwap(0, now) {
+			j.ten.admitExec.Observe(time.Duration(now - j.Submitted))
 		}
 	})
 	s.wgDisp.Add(1)
@@ -230,123 +207,54 @@ func Open(sys *core.System, w *Workloads, cfg Config) (*Service, error) {
 // value for in-memory services and fresh state dirs).
 func (s *Service) Recovery() RecoveryInfo { return s.recovered }
 
-// restore rebuilds the registry from replayed state. Runs before the
-// dispatcher starts, so no locking is needed.
-func (s *Service) restore(rec *RecoveredState) error {
-	info := RecoveryInfo{Replayed: rec.Replayed, TornTail: rec.TornTail}
-	s.nextTenant = rec.NextTenant
-	s.nextJob.Store(rec.NextJob)
-	for _, tr := range rec.Tenants {
-		if tr.Name == "" || s.tenantsByID[tr.ID] != nil {
-			return fmt.Errorf("%w: invalid tenant record %q/%d", ErrJournalCorrupt, tr.Name, tr.ID)
-		}
-		t := s.bindTenant(tr.Name, tr.ID)
-		t.quota = tr.Quota.normalized()
-		info.Tenants++
+// restore takes over the registry replay built and fills in what only
+// the live service keeps: tenant metrics and the name index, the done
+// channels of finished jobs, submit tokens, and the pending FIFO, which
+// takes every unfinished job back in ID order — one mid-run at the crash
+// requeued — to re-run under its ID (families are deterministic). Runs
+// before the dispatcher starts, so no locking is needed.
+func (s *Service) restore(rec *RecoveredState) {
+	s.state = rec.storeState
+	info := RecoveryInfo{Tenants: len(s.state.Tenants), Replayed: rec.Replayed, TornTail: rec.TornTail}
+	for _, t := range s.state.Tenants {
+		s.bindTenant(t)
 	}
-	for _, jr := range rec.Jobs { // ID order: FIFO re-admission
-		t := s.tenantsByID[jr.Tenant]
-		if t == nil {
-			return fmt.Errorf("%w: job %d references unknown tenant %d", ErrJournalCorrupt, jr.ID, jr.Tenant)
+	for _, j := range s.state.Jobs {
+		if j.State == Running {
+			s.requeueLocked(j)
 		}
-		j := &job{
-			id: jr.ID, ten: t, family: jr.Family, params: jr.Params,
-			bytes: jr.Bytes, submitted: nanosToTime(jr.Submitted),
-			client: jr.Client, seq: jr.Seq,
-			done: make(chan struct{}),
-		}
-		switch jr.State {
-		case Done, Failed, Cancelled:
-			j.state = jr.State
-			j.result = jr.Result
-			j.errStr = jr.Error
-			j.started = nanosToTime(jr.Started)
-			j.finished = nanosToTime(jr.Finished)
+		s.admitLocked(j)
+		if j.State == Pending {
+			info.Readmitted++
+		} else {
 			close(j.done)
 			info.Terminal++
-		default:
-			// Admitted (possibly mid-run at the crash): re-admit; the
-			// family spec re-runs it from scratch under the same ID.
-			j.state = Pending
-			t.pending = append(t.pending, j)
-			s.pendingTotal++
-			s.backlog.Add(1)
-			info.Readmitted++
-		}
-		s.jobs[j.id] = j
-		if j.client != "" {
-			m := s.tokens[j.client]
-			if m == nil {
-				m = make(map[uint64]uint64)
-				s.tokens[j.client] = m
-			}
-			m[j.seq] = j.id
 		}
 	}
 	s.reg.Counter(MetricRecoveredTerminal).Add(uint64(info.Terminal))
 	s.reg.Counter(MetricRecoveredReadmitted).Add(uint64(info.Readmitted))
 	s.recovered = info
-	return nil
 }
 
-func nanosToTime(ns int64) time.Time {
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
-func timeToNanos(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
-}
-
-// buildStateLocked reduces the registry to its persisted form (caller
-// holds s.mu).
-func (s *Service) buildStateLocked() storeState {
-	st := storeState{NextTenant: s.nextTenant, NextJob: s.nextJob.Load()}
-	for _, t := range s.ring {
-		st.Tenants = append(st.Tenants, tenantRec{Name: t.name, ID: t.id, Quota: t.quota})
-	}
-	ids := make([]uint64, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
-	for _, id := range ids {
-		j := s.jobs[id]
-		jr := jobRec{
-			ID: j.id, Tenant: j.ten.id, Family: j.family, Params: j.params,
-			Bytes: j.bytes, State: j.state, Result: j.result, Error: j.errStr,
-			Submitted: timeToNanos(j.submitted), Started: timeToNanos(j.started),
-			Finished: timeToNanos(j.finished), Client: j.client, Seq: j.seq,
-		}
-		st.Jobs = append(st.Jobs, jr)
-	}
-	return st
-}
-
-// journalLocked appends one record under s.mu; append order therefore
-// matches registry mutation order. Append errors on non-admission
-// records are swallowed (durability degrades, the live service keeps
-// running); the admission path checks explicitly and refuses instead.
-func (s *Service) journalLocked(body []byte) {
+// journalLocked appends one record under s.mu, before the caller applies
+// it to the registry: journal order is registry order. Only an admission
+// acts on an append error, refusing the job before its ack; for any
+// other record durability degrades and the live service keeps running.
+func (s *Service) journalLocked(body []byte) error {
 	if s.store == nil {
-		return
+		return nil
 	}
-	s.store.Append(body)
+	return s.store.Append(body)
 }
 
-// compact rewrites the journal as the current registry. State build and
-// Store.Compact share one hold of s.mu, the lock every append happens
-// under: a record appended between the two would be in neither the new
-// generation nor, once the old one is removed, anywhere on disk.
+// compact rewrites the journal as the registry stands. Store.Compact
+// runs under s.mu, the lock every append happens under: a record
+// appended during the compaction would be in neither the new generation
+// nor, once the old one is removed, anywhere on disk.
 func (s *Service) compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.store.Compact(s.buildStateLocked())
+	return s.store.Compact(s.state)
 }
 
 // RegisterTenant creates (or reconfigures) a tenant with an explicit
@@ -362,42 +270,105 @@ func (s *Service) RegisterTenant(name string, q Quota) error {
 	if s.draining {
 		return ErrDraining
 	}
-	t, ok := s.tenants[name]
-	if !ok {
-		t = s.newTenantLocked(name)
-	}
-	t.quota = q.normalized()
-	s.journalLocked(appendTenantRec(nil, tenantRec{Name: t.name, ID: t.id, Quota: t.quota}))
+	s.upsertTenantLocked(name, q)
 	return nil
 }
 
-// bindTenant wires a tenant record with its per-tenant metrics under a
-// fixed ID (shared by fresh registration and recovery).
-func (s *Service) bindTenant(name string, id uint32) *tenant {
-	t := &tenant{
-		name:      name,
-		id:        id,
-		quota:     s.cfg.DefaultQuota.normalized(),
-		admitted:  s.reg.Counter(MetricAdmitted(id)),
-		rejected:  s.reg.Counter(MetricRejected(id)),
-		completed: s.reg.Counter(MetricCompleted(id)),
-		failed:    s.reg.Counter(MetricFailed(id)),
-		cancelled: s.reg.Counter(MetricCancelled(id)),
-		admitExec: s.reg.Histogram(MetricAdmitToExec(id)),
-		duration:  s.reg.Histogram(MetricDuration(id)),
+// upsertTenantLocked journals and applies a tenant record for name —
+// under a fresh ID if the tenant is new — and returns the tenant.
+func (s *Service) upsertTenantLocked(name string, q Quota) *tenant {
+	tr := tenantRec{Name: name, ID: s.state.NextTenant + 1, Quota: q.normalized()}
+	known := s.tenants[name]
+	if known != nil {
+		tr.ID = known.ID
 	}
-	s.tenants[name] = t
-	s.tenantsByID[id] = t
-	s.ring = append(s.ring, t)
+	s.journalLocked(appendTenantRec(nil, tr))
+	t, _ := s.state.upsertTenant(tr) // a named record always applies
+	if known == nil {
+		s.bindTenant(t)
+	}
 	return t
 }
 
-// newTenantLocked allocates and journals a tenant; s.mu must be held.
-func (s *Service) newTenantLocked(name string) *tenant {
-	s.nextTenant++
-	t := s.bindTenant(name, s.nextTenant)
-	s.journalLocked(appendTenantRec(nil, tenantRec{Name: t.name, ID: t.id, Quota: t.quota}))
-	return t
+// bindTenant gives a registry tenant its per-tenant metrics and enters it
+// in the name index (fresh registration and recovery alike).
+func (s *Service) bindTenant(t *tenant) {
+	id := t.ID
+	t.admitted = s.reg.Counter(MetricAdmitted(id))
+	t.rejected = s.reg.Counter(MetricRejected(id))
+	t.completed = s.reg.Counter(MetricCompleted(id))
+	t.failed = s.reg.Counter(MetricFailed(id))
+	t.cancelled = s.reg.Counter(MetricCancelled(id))
+	t.admitExec = s.reg.Histogram(MetricAdmitToExec(id))
+	t.duration = s.reg.Histogram(MetricDuration(id))
+	s.tenants[t.Name] = t
+}
+
+// admitLocked enters a registry job into the live bookkeeping: its
+// submit token, and unless it has finished, the pending FIFO and the
+// backlog. Submit runs it on each admission, restore on each replayed
+// job.
+func (s *Service) admitLocked(j *job) {
+	if j.Client != "" {
+		m := s.tokens[j.Client]
+		if m == nil {
+			m = make(map[uint64]uint64)
+			s.tokens[j.Client] = m
+		}
+		m[j.Seq] = j.ID
+	}
+	if j.State != Pending {
+		return
+	}
+	j.ten.pending = append(j.ten.pending, j)
+	s.pendingTotal++
+	s.backlog.Add(1)
+}
+
+// requeueLocked turns an interrupted run back into a Pending job:
+// restore runs it on a job replay left Running (mid-run at the crash), a
+// restart-style shutdown on a run it cut short. It is the one change of
+// a persisted field outside the reducer, and it journals nothing: replay
+// plus restore reaches the same state, since restore requeues every job
+// it finds Running.
+func (s *Service) requeueLocked(j *job) {
+	j.State, j.Started = Pending, 0
+	j.firstExec.Store(0)
+}
+
+// finishLocked ends a job with a terminal record of the given kind: it
+// releases what the job held — its running slot, or its place in the
+// pending FIFO — journals and applies the record, counts the outcome and
+// wakes the job's waiters. The driver runs it on a job's outcome, Cancel
+// on a pending job.
+func (s *Service) finishLocked(j *job, kind byte, msg string) {
+	t := j.ten
+	ran := j.State == Running
+	if ran {
+		t.active--
+		t.bytes -= j.Bytes
+		s.activeTotal--
+	} else {
+		t.pending = slices.DeleteFunc(t.pending, func(p *job) bool { return p == j })
+		s.pendingTotal--
+	}
+	at := time.Now().UnixNano()
+	s.journalLocked(appendTerminalRec(nil, kind, j.ID, msg, at))
+	j.end(kind, msg, at)
+	switch kind {
+	case recDone:
+		t.completed.Inc()
+	case recFail:
+		t.failed.Inc()
+	default:
+		t.cancelled.Inc()
+	}
+	if ran {
+		t.duration.Observe(time.Duration(j.Finished - j.Submitted))
+	}
+	s.backlog.Add(-1)
+	close(j.done)
+	s.nudge()
 }
 
 // Submit admits one job, returning its ID, or rejects it with a
@@ -449,7 +420,7 @@ func (s *Service) SubmitToken(tenantName string, spec JobSpec, tok SubmitToken) 
 		if tenantName == "" {
 			return 0, fmt.Errorf("jobs: empty tenant name")
 		}
-		t = s.newTenantLocked(tenantName)
+		t = s.upsertTenantLocked(tenantName, s.cfg.DefaultQuota)
 	}
 	if verr != nil {
 		t.rejected.Inc()
@@ -461,63 +432,45 @@ func (s *Service) SubmitToken(tenantName string, spec JobSpec, tok SubmitToken) 
 		t.rejected.Inc()
 		return 0, fmt.Errorf("%w: %d jobs pending service-wide", ErrBacklogFull, s.pendingTotal)
 	}
-	if len(t.pending) >= t.quota.MaxPending {
+	if len(t.pending) >= t.Quota.MaxPending {
 		t.rejected.Inc()
 		return 0, fmt.Errorf("%w: tenant %q has %d pending (max %d)",
-			ErrTenantPending, tenantName, len(t.pending), t.quota.MaxPending)
+			ErrTenantPending, tenantName, len(t.pending), t.Quota.MaxPending)
 	}
-	if t.quota.MaxBytes > 0 {
+	if t.Quota.MaxBytes > 0 {
 		committed := t.bytes
 		for _, p := range t.pending {
-			committed += p.bytes
+			committed += p.Bytes
 		}
-		if committed+bytes > t.quota.MaxBytes {
+		if committed+bytes > t.Quota.MaxBytes {
 			t.rejected.Inc()
 			return 0, fmt.Errorf("%w: tenant %q committed %d bytes + job %d > budget %d",
-				ErrTenantMemory, tenantName, committed, bytes, t.quota.MaxBytes)
+				ErrTenantMemory, tenantName, committed, bytes, t.Quota.MaxBytes)
 		}
 	}
 
-	j := &job{
-		id:        s.nextJob.Add(1),
-		ten:       t,
-		family:    spec.Family,
-		params:    params,
-		bytes:     bytes,
-		state:     Pending,
-		submitted: time.Now(),
-		client:    tok.Client,
-		seq:       tok.Seq,
-		done:      make(chan struct{}),
+	// The ID is spent even if the append fails: the record may have
+	// reached the file, and replay refuses an ID admitted twice.
+	s.state.NextJob++
+	jr := jobRec{
+		ID: s.state.NextJob, Tenant: t.ID, Family: spec.Family, Params: params,
+		Bytes: bytes, Submitted: time.Now().UnixNano(), Client: tok.Client, Seq: tok.Seq,
 	}
 	// The admission record must be durable before the ack: journal
 	// first (under FsyncEvery, Append returns only after the fsync),
 	// and refuse the admission if the journal does.
-	if s.store != nil {
-		if jerr := s.store.Append(appendAdmitRec(nil, jobRec{
-			ID: j.id, Tenant: t.id, Family: j.family, Params: j.params,
-			Bytes: j.bytes, Submitted: timeToNanos(j.submitted),
-			Client: j.client, Seq: j.seq,
-		})); jerr != nil {
-			t.rejected.Inc()
-			return 0, jerr
-		}
+	if err := s.journalLocked(appendAdmitRec(nil, jr)); err != nil {
+		t.rejected.Inc()
+		return 0, err
 	}
-	s.jobs[j.id] = j
-	t.pending = append(t.pending, j)
-	s.pendingTotal++
+	j, err := s.state.admit(jr)
+	if err != nil {
+		return 0, err
+	}
 	t.admitted.Inc()
-	s.backlog.Add(1)
-	if tok.Client != "" {
-		m := s.tokens[tok.Client]
-		if m == nil {
-			m = make(map[uint64]uint64)
-			s.tokens[tok.Client] = m
-		}
-		m[tok.Seq] = j.id
-	}
+	s.admitLocked(j)
 	s.nudge()
-	return j.id, nil
+	return j.ID, nil
 }
 
 // nudge says that the pending or running set changed, to the two
@@ -558,14 +511,13 @@ func (s *Service) dispatch() {
 		if j == nil {
 			return
 		}
-		t := j.ten
-		j.state = Running
-		j.started = time.Now()
-		t.active++
-		t.bytes += j.bytes
+		at := time.Now().UnixNano()
+		s.journalLocked(appendStartRec(nil, j.ID, at))
+		j.start(at)
+		j.ten.active++
+		j.ten.bytes += j.Bytes
 		s.pendingTotal--
 		s.activeTotal++
-		s.journalLocked(appendStartRec(nil, j.id, timeToNanos(j.started)))
 		s.wgDrv.Add(1)
 		go s.drive(j)
 	}
@@ -573,10 +525,10 @@ func (s *Service) dispatch() {
 
 // dispatchableLocked reports whether a tenant has a startable job.
 func (s *Service) dispatchableLocked(t *tenant) bool {
-	if len(t.pending) == 0 || t.active >= t.quota.MaxActive {
+	if len(t.pending) == 0 || t.active >= t.Quota.MaxActive {
 		return false
 	}
-	if t.quota.MaxBytes > 0 && t.bytes+t.pending[0].bytes > t.quota.MaxBytes {
+	if t.Quota.MaxBytes > 0 && t.bytes+t.pending[0].Bytes > t.Quota.MaxBytes {
 		return false
 	}
 	return true
@@ -585,19 +537,19 @@ func (s *Service) dispatchableLocked(t *tenant) bool {
 // nextDispatchLocked picks the next job under the WRR rotation; nil
 // when no tenant can start one.
 func (s *Service) nextDispatchLocked() *job {
-	n := len(s.ring)
+	n := len(s.state.Tenants)
 	for i := 0; i < n; i++ {
 		if s.cursor >= n {
 			s.cursor = 0
 		}
-		t := s.ring[s.cursor]
+		t := s.state.Tenants[s.cursor]
 		if !s.dispatchableLocked(t) {
 			t.deficit = 0
 			s.cursor++
 			continue
 		}
 		if t.deficit <= 0 {
-			t.deficit = t.quota.Weight
+			t.deficit = t.Quota.Weight
 		}
 		t.deficit--
 		j := t.pending[0]
@@ -616,77 +568,49 @@ func (s *Service) drive(j *job) {
 	t := j.ten
 	var sp *trace.Span
 	if tr := s.sys.Tracer(0); tr != nil {
-		sp = tr.Begin("job.run", fmt.Sprintf("%s/%s#%d", t.name, j.family, j.id), 0)
-		sp.SetTask(j.id)
+		sp = tr.Begin("job.run", fmt.Sprintf("%s/%s#%d", t.Name, j.Family, j.ID), 0)
+		sp.SetTask(j.ID)
 		s.mu.Lock()
 		j.rootSpan = sp.SpanID()
 		s.mu.Unlock()
 	}
-	s.byJob.Store(j.id, j)
-	result, err := s.w.run(jobContext{tenant: t.id, job: j.id, span: j.rootSpan}, j.family, j.params)
-	s.byJob.Delete(j.id)
-
-	s.mu.Lock()
-	cancelled := j.cancelReq || sched.IsJobCancelled(err)
-	if j.suspend && err != nil && !j.cancelReq {
-		// Restart-style shutdown killed this job's task tree. It is
-		// NOT terminal: revert to the admitted state with no journal
-		// record, so recovery re-admits and re-runs it. Waiters were
-		// already failed with ErrServerRestarting via the suspend
-		// channel; the done channel stays open.
-		j.state = Pending
-		j.started = time.Time{}
-		j.finished = time.Time{}
-		j.errStr = ""
-		j.firstExec.Store(0)
-		t.active--
-		t.bytes -= j.bytes
-		s.activeTotal--
-		s.pendingTotal++
-		s.mu.Unlock()
-		if sp != nil {
-			sp.SetErr(err)
-			sp.End()
-		}
-		return
-	}
-	j.finished = time.Now()
-	switch {
-	case cancelled:
-		j.state = Cancelled
-		if err != nil {
-			j.errStr = err.Error()
-		}
-		t.cancelled.Inc()
-		s.journalLocked(appendTerminalRec(nil, recCancel, j.id, j.errStr, timeToNanos(j.finished)))
-	case err != nil:
-		j.state = Failed
-		j.errStr = err.Error()
-		t.failed.Inc()
-		s.journalLocked(appendTerminalRec(nil, recFail, j.id, j.errStr, timeToNanos(j.finished)))
-	default:
-		j.state = Done
-		j.result = result
-		t.completed.Inc()
-		s.journalLocked(appendTerminalRec(nil, recDone, j.id, j.result, timeToNanos(j.finished)))
-	}
-	t.active--
-	t.bytes -= j.bytes
-	s.activeTotal--
-	dur := j.finished.Sub(j.submitted)
-	s.mu.Unlock()
-
-	t.duration.Observe(dur)
+	s.byJob.Store(j.ID, j)
+	result, err := s.w.run(jobContext{tenant: t.ID, job: j.ID, span: j.rootSpan}, j.Family, j.Params)
+	s.byJob.Delete(j.ID)
 	if sp != nil {
 		sp.SetErr(err)
 		sp.End()
 	}
-	s.backlog.Add(-1)
-	close(j.done)
+
+	s.mu.Lock()
+	switch {
+	case j.suspend && err != nil && !j.cancelReq:
+		// Restart-style shutdown killed this job's task tree. It is NOT
+		// terminal: it goes back to Pending with no journal record, so
+		// recovery re-runs it. Waiters were already failed with
+		// ErrServerRestarting via the suspend channel; the done channel
+		// stays open.
+		s.requeueLocked(j)
+		t.active--
+		t.bytes -= j.Bytes
+		s.activeTotal--
+		s.mu.Unlock()
+		return
+	case j.cancelReq || sched.IsJobCancelled(err):
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		s.finishLocked(j, recCancel, msg)
+	case err != nil:
+		s.finishLocked(j, recFail, err.Error())
+	default:
+		s.finishLocked(j, recDone, result)
+	}
+	s.mu.Unlock()
 	if s.store != nil && s.store.ShouldCompact() {
 		s.compact() // on failure the old generation stays in use
 	}
-	s.nudge()
 }
 
 // Cancel cancels a job: a pending job leaves the queue immediately; a
@@ -696,45 +620,24 @@ func (s *Service) drive(j *job) {
 // unwound. Cancelling a finished job is a no-op.
 func (s *Service) Cancel(id uint64) error {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return ErrNoSuchJob
-	}
-	if s.restarting {
+	j, err, running := s.state.job(id), error(nil), false
+	switch {
+	case j == nil:
+		err = ErrNoSuchJob
+	case s.restarting:
 		// Suspend is tearing running jobs down without terminal records;
-		// a concurrent cancel would race the revert-to-Pending path.
-		s.mu.Unlock()
-		return ErrServerRestarting
+		// a concurrent cancel would race the requeue.
+		err = ErrServerRestarting
+	case j.State == Pending:
+		s.finishLocked(j, recCancel, "")
+	case j.State == Running:
+		j.cancelReq, running = true, true
 	}
-	switch j.state {
-	case Pending:
-		t := j.ten
-		for i, p := range t.pending {
-			if p == j {
-				t.pending = append(t.pending[:i], t.pending[i+1:]...)
-				break
-			}
-		}
-		j.state = Cancelled
-		j.finished = time.Now()
-		s.pendingTotal--
-		t.cancelled.Inc()
-		s.journalLocked(appendTerminalRec(nil, recCancel, j.id, "", timeToNanos(j.finished)))
-		s.mu.Unlock()
-		s.backlog.Add(-1)
-		close(j.done)
-		s.nudge()
-		return nil
-	case Running:
-		j.cancelReq = true
-		s.mu.Unlock()
+	s.mu.Unlock()
+	if running {
 		s.sys.CancelJob(id)
-		return nil
-	default:
-		s.mu.Unlock()
-		return nil
 	}
+	return err
 }
 
 // Wait blocks until the job finished and returns its final status. A
@@ -742,10 +645,8 @@ func (s *Service) Cancel(id uint64) error {
 // ErrServerRestarting: the job is not terminal — it will re-run after
 // recovery — so no final status exists yet.
 func (s *Service) Wait(id uint64) (JobStatus, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	j := s.job(id)
+	if j == nil {
 		return JobStatus{}, ErrNoSuchJob
 	}
 	select {
@@ -762,16 +663,13 @@ func (s *Service) Wait(id uint64) (JobStatus, error) {
 	}
 }
 
-// jobDone exposes a job's completion channel to the protocol server so
-// a blocked wait can also observe connection loss (nil if unknown).
-func (s *Service) jobDone(id uint64) chan struct{} {
+// job looks a job up in the registry (nil if unknown). The protocol
+// server waits on its done channel, so a blocked wait can also observe
+// connection loss.
+func (s *Service) job(id uint64) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil
-	}
-	return j.done
+	return s.state.job(id)
 }
 
 // Suspended returns a channel closed when the service enters a
@@ -783,34 +681,38 @@ func (s *Service) Suspended() <-chan struct{} { return s.suspendCh }
 func (s *Service) Status(id uint64) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j := s.state.job(id)
+	if j == nil {
 		return JobStatus{}, ErrNoSuchJob
 	}
-	return s.statusLocked(j), nil
+	return statusLocked(j), nil
 }
 
-func (s *Service) statusLocked(j *job) JobStatus {
-	st := JobStatus{
-		ID: j.id, Tenant: j.ten.name, Family: j.family,
-		State: j.state.String(), Result: j.result, Error: j.errStr,
-		Submitted: j.submitted, Started: j.started, Finished: j.finished,
+// statusLocked snapshots a job; a time the job has not reached (zero
+// nanos) stays the zero time.
+func statusLocked(j *job) JobStatus {
+	at := func(ns int64) (t time.Time) {
+		if ns != 0 {
+			t = time.Unix(0, ns)
+		}
+		return t
 	}
-	if ns := j.firstExec.Load(); ns != 0 {
-		st.FirstExec = time.Unix(0, ns)
+	return JobStatus{
+		ID: j.ID, Tenant: j.ten.Name, Family: j.Family,
+		State: j.State.String(), Result: j.Result, Error: j.Error,
+		Submitted: at(j.Submitted), Started: at(j.Started),
+		FirstExec: at(j.firstExec.Load()), Finished: at(j.Finished),
 	}
-	return st
 }
 
 // List returns snapshots of all jobs, ordered by ID.
 func (s *Service) List() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, s.statusLocked(j))
+	out := make([]JobStatus, 0, len(s.state.Jobs))
+	for _, j := range s.state.Jobs {
+		out = append(out, statusLocked(j))
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 
@@ -819,41 +721,34 @@ func (s *Service) List() []JobStatus {
 // ordered by tenant ID.
 func (s *Service) Tenants() []TenantStatus {
 	s.mu.Lock()
-	tens := make([]*tenant, len(s.ring))
-	copy(tens, s.ring)
-	type counts struct{ pending, active int }
-	live := make(map[uint32]counts, len(tens))
-	for _, t := range tens {
-		live[t.id] = counts{pending: len(t.pending), active: t.active}
+	tens := slices.Clone(s.state.Tenants)
+	out := make([]TenantStatus, len(tens))
+	for i, t := range tens {
+		out[i] = TenantStatus{Name: t.Name, ID: t.ID, Weight: t.Quota.Weight, Pending: len(t.pending), Active: t.active}
 	}
 	s.mu.Unlock()
 
 	snap := s.reg.Snapshot()
-	out := make([]TenantStatus, 0, len(tens))
-	for _, t := range tens {
-		ts := TenantStatus{
-			Name: t.name, ID: t.id, Weight: t.quota.Weight,
-			Pending: live[t.id].pending, Active: live[t.id].active,
-			Admitted:  t.admitted.Value(),
-			Rejected:  t.rejected.Value(),
-			Completed: t.completed.Value(),
-			Failed:    t.failed.Value(),
-			Cancelled: t.cancelled.Value(),
-		}
+	for i, t := range tens {
+		ts := &out[i]
+		ts.Admitted = t.admitted.Value()
+		ts.Rejected = t.rejected.Value()
+		ts.Completed = t.completed.Value()
+		ts.Failed = t.failed.Value()
+		ts.Cancelled = t.cancelled.Value()
 		for r := 0; r < s.sys.Size(); r++ {
-			ts.TasksExecuted += s.sys.Metrics(r).CounterValue(sched.TenantExecutedMetric(t.id))
+			ts.TasksExecuted += s.sys.Metrics(r).CounterValue(sched.TenantExecutedMetric(t.ID))
 		}
-		if h, ok := snap.Histograms[MetricAdmitToExec(t.id)]; ok {
+		if h, ok := snap.Histograms[MetricAdmitToExec(t.ID)]; ok {
 			ts.AdmitToExecP50 = micros(h.Quantile(0.50))
 			ts.AdmitToExecP99 = micros(h.Quantile(0.99))
 		}
-		if h, ok := snap.Histograms[MetricDuration(t.id)]; ok {
+		if h, ok := snap.Histograms[MetricDuration(t.ID)]; ok {
 			ts.DurationP50 = micros(h.Quantile(0.50))
 			ts.DurationP99 = micros(h.Quantile(0.99))
 		}
-		out = append(out, ts)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
+	slices.SortFunc(out, func(a, b TenantStatus) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -868,7 +763,7 @@ func (s *Service) TenantID(name string) (uint32, error) {
 	if !ok {
 		return 0, ErrNoSuchTenant
 	}
-	return t.id, nil
+	return t.ID, nil
 }
 
 // Backlog returns the admitted-but-not-finished job count — the load
@@ -882,13 +777,13 @@ func (s *Service) Backlog() int64 { return s.backlog.Load() }
 // with tracing enabled.
 func (s *Service) WriteJobTrace(w io.Writer, id uint64) error {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j := s.state.job(id)
 	var root trace.SpanID
-	if ok {
+	if j != nil {
 		root = j.rootSpan
 	}
 	s.mu.Unlock()
-	if !ok {
+	if j == nil {
 		return ErrNoSuchJob
 	}
 	if root == 0 {
@@ -913,8 +808,8 @@ const unwindGrace = 5 * time.Second
 // the window leaves over are the stragglers. A drain cancels them,
 // pending and running alike, each with a terminal journal record; a
 // restart cancels only the task trees of the running ones and marks
-// them suspend, so their drivers revert them to Pending without a
-// record and recovery re-runs them. Then the drivers are awaited, the
+// them suspend, so their drivers requeue them without a record and
+// recovery re-runs them. Then the drivers are awaited, the
 // dispatcher is stopped, the exec observer uninstalled and the final
 // registry compacted into the store. It returns the straggler count.
 //
@@ -945,10 +840,10 @@ func (s *Service) shutdown(grace time.Duration, restart bool) int {
 
 	var stragglers []uint64
 	s.mu.Lock()
-	for id, j := range s.jobs {
-		if j.state == Running || (j.state == Pending && !restart) {
+	for _, j := range s.state.Jobs {
+		if j.State == Running || (j.State == Pending && !restart) {
 			j.suspend = restart
-			stragglers = append(stragglers, id)
+			stragglers = append(stragglers, j.ID)
 		}
 	}
 	s.mu.Unlock()

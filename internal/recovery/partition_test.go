@@ -47,10 +47,10 @@ func TestDirectedPartitionFencesStaleRank(t *testing.T) {
 	const n, victim, tasks = 4, 3, 24
 	p := stencil.Params{N: 24, Steps: 4, C: 0.1, MinGrain: 32}
 
-	// Mild ambient chaos everywhere: ~2% drops plus delay/reorder. Both
-	// planes get a tight retry budget (the data plane is unsupervised by
-	// default — a dropped fetch would hang the run forever); the failure
-	// detector must not produce false deaths.
+	// Mild ambient chaos everywhere: ~2% drops plus delay/reorder, which
+	// the links resend. Both planes get a deadline (the data plane has
+	// none by default — a fetch from a fenced rank would wait forever);
+	// the failure detector must not produce false deaths.
 	calls := runtime.CallProfile{
 		Control: runtime.CallSpec{Deadline: 10 * time.Second},
 		Data:    runtime.CallSpec{Deadline: 20 * time.Second},

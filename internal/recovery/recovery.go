@@ -322,11 +322,12 @@ func (c *Coordinator) detect(rank int) {
 
 // confirm escalates a suspected peer: the peer is flagged suspect on
 // every live locality (placement and stealing avoid it immediately),
-// then a confirmation ping with a full retry budget decides between
-// false alarm (suspicion cleared) and death. Splitting suspicion from
-// death keeps a lossy-but-alive peer schedulable again after one
-// successful probe instead of fencing it forever. At most one
-// confirmation per peer runs at a time.
+// then a confirmation ping — resent by the link, waited for
+// PingRetries+1 detector timeouts — decides between false alarm
+// (suspicion cleared) and death. Splitting suspicion from death keeps a
+// lossy-but-alive peer schedulable again after one successful probe
+// instead of fencing it forever. At most one confirmation per peer runs
+// at a time.
 func (c *Coordinator) confirm(observer, peer int) {
 	c.mu.Lock()
 	if c.dead[peer] || c.confirming[peer] {

@@ -296,7 +296,9 @@ func (k *link) takeCall(seq uint64) (pendingCall, bool) {
 // frames stay, and the next resend redials a broken connection and
 // delivers them — but the request of a call failed here goes as a
 // blank one-way under its number, so that a call its caller saw fail
-// does not run later; otherwise the link is dropped whole.
+// does not run later. An ack-only call nobody waits for (no future) is
+// failed to no one, so its request stays and runs. Without keep the
+// link is dropped whole.
 func (k *link) failCalls(err error, keep bool) {
 	k.mu.Lock()
 	calls := k.calls
@@ -304,7 +306,7 @@ func (k *link) failCalls(err error, keep bool) {
 	var futs []*Future
 	for i := range k.out {
 		f := &k.out[i]
-		if _, awaited := calls[f.seq]; f.waits || awaited && f.kind == kindRequest {
+		if _, awaited := calls[f.seq]; f.waits && f.fut != nil || awaited && f.kind == kindRequest {
 			if f.fut != nil {
 				futs = append(futs, f.fut)
 			}

@@ -698,6 +698,45 @@ func TestRedialResendsUnacked(t *testing.T) {
 	quiesce(t, s)
 }
 
+// TestBreakKeepsWhatNobodyWaitsFor: a reported break fails only the
+// calls whose failure it reports to someone. A remote fulfilment and a
+// notice — ack-only calls that keep no future — sent while the
+// connection is down stay in the link, and after the redial each runs
+// once: the owner is alive, so the promise resolves and the notice's
+// handler runs.
+func TestBreakKeepsWhatNobodyWaitsFor(t *testing.T) {
+	fab := transport.NewFabric(2)
+	ep0 := &cutEndpoint{Endpoint: fab.Endpoint(0)}
+	s := NewSystemOver([]transport.Endpoint{ep0, fab.Endpoint(1)})
+	t.Cleanup(func() { s.Close(); fab.Close() })
+	var noticed atomic.Int32
+	s.Locality(1).Handle("notice", func(int, []byte) ([]byte, error) {
+		noticed.Add(1)
+		return nil, nil
+	})
+	fab.Start()
+	l0 := s.Locality(0)
+	id, fut := namedPromise(s.Locality(1))
+	ep0.cut.Store(true)
+	if err := l0.FulfillRemote(id, 42, nil); err != nil {
+		t.Fatal(err)
+	}
+	l0.Notify(1, "notice", 7)
+	ep0.sever(1)
+	ep0.cut.Store(false) // the redial
+	if err := waitErr(t, fut, 5*time.Second); err != nil {
+		t.Fatalf("the fulfilment sent across the break: %v", err)
+	}
+	var v int
+	if err := fut.WaitInto(&v); err != nil || v != 42 {
+		t.Fatalf("promise resolved with %d (%v), want 42", v, err)
+	}
+	quiesce(t, s)
+	if n := noticed.Load(); n != 1 {
+		t.Fatalf("the notice sent across the break ran %d times, want once", n)
+	}
+}
+
 // TestHeartbeatIsThePureAck: a heartbeat is the link's pure-ack frame —
 // the last number the link gave a frame and the current cumulative ack —
 // and it is not the owed ack, which still leaves on its own.
@@ -770,8 +809,9 @@ func (e *refusingEndpoint) refusals() []uint64 {
 
 // TestResendRoundStopsAtItsFirstFailedHandOff: toward a peer that cannot
 // be reached, a resend round of a link holding N unacked frames costs
-// one failed Send — of its oldest frame — not N; once the peer is
-// reachable again, each of the N frames arrives once.
+// one failed hand-off — of its oldest frame — not N; once the peer is
+// reachable again, each of the N frames arrives once. A Send whose
+// hand-off was refused returns nil: the link took its frame.
 func TestResendRoundStopsAtItsFirstFailedHandOff(t *testing.T) {
 	const frames = 8
 	fab := transport.NewFabric(2)
@@ -795,7 +835,11 @@ func TestResendRoundStopsAtItsFirstFailedHandOff(t *testing.T) {
 	l0 := s.Locality(0)
 	ep0.cut.Store(true)
 	for i := range frames {
-		l0.Send(1, "count", i) // fails, and the link keeps the frame
+		// The hand-off is refused, but the link took the frame and keeps
+		// it: that is no error of Send's.
+		if err := l0.Send(1, "count", i); err != nil {
+			t.Fatalf("send %d while refused: %v, want nil", i, err)
+		}
 	}
 	// Two resend rounds (25 ms, then 50 ms later).
 	deadline := time.Now().Add(5 * time.Second)

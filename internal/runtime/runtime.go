@@ -44,8 +44,8 @@ const (
 // callers distinguish it from application errors via errors.Is.
 var ErrPeerFailed = errors.New("runtime: peer failed")
 
-// ErrCallTimeout marks RPC errors caused by a call exhausting its
-// deadline or retry budget (CallSpec) without a response.
+// ErrCallTimeout marks RPC errors caused by a call whose deadline
+// (CallSpec) passed before its answer came.
 var ErrCallTimeout = errors.New("runtime: call timed out")
 
 // Registry names under which the RPC layer publishes its metrics.
@@ -586,11 +586,28 @@ func (l *Locality) serveOneWay(from int, frame []byte) {
 // once while both ranks live (link.go); a deadline (CallSpec) fails the
 // future with ErrCallTimeout once it passes.
 func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOption) *Future {
+	fut := new(Future)
+	l.request(dst, method, args, fut, opts)
+	return fut
+}
+
+// Notify invokes method at locality dst as an ack-only call nobody waits
+// for, as FulfillRemote does: the link resends it until dst acks it, and
+// only dst's death or this locality's close drops it — a reported break
+// does not, since no caller would hear of it.
+func (l *Locality) Notify(dst int, method string, args any, opts ...CallOption) {
+	l.request(dst, method, args, nil, opts)
+}
+
+// request encodes a call of method with args and sends it to rank dst:
+// one whose outcome fut takes, or, without fut, an ack-only notice.
+func (l *Locality) request(dst int, method string, args any, fut *Future, opts []CallOption) {
 	var spec CallSpec
 	for _, o := range opts {
 		o.apply(&spec)
 	}
-	pc := pendingCall{meth: method, fut: new(Future), sp: l.Tracer().Begin("rpc.call", method, spec.Parent)}
+	spec.ackOnly = spec.ackOnly || fut == nil
+	pc := pendingCall{meth: method, fut: fut, sp: l.Tracer().Begin("rpc.call", method, spec.Parent)}
 	frame := appendRequest(append(make([]byte, 0, 128+len(method)), wire.FormatBinary), method, uint64(pc.sp.SpanID()))
 	head := len(frame)
 	frame, err := wire.AppendEncode(frame, args)
@@ -598,14 +615,14 @@ func (l *Locality) CallAsync(dst int, method string, args any, opts ...CallOptio
 		err = fmt.Errorf("runtime: encode args of %q: %w", method, err)
 	}
 	l.call(dst, frame, head, err, pc, spec)
-	return pc.fut
 }
 
 // call sends the request frame of pc, whose body starts at head, to
 // rank dst, failing pc with err when there is one. An ack-only call —
 // pc.fut may then be nil, when nobody waits for it — has no deadline:
-// its span ends at the hand-off to the transport, like a one-way
-// message's, and the link's ack resolves it.
+// its span ends once the link has taken the frame, like a one-way
+// message's, and the link's ack resolves it — or a reported break, if
+// anyone waits; a failed hand-off is the link's to resend.
 func (l *Locality) call(dst int, frame []byte, head int, err error, pc pendingCall, spec CallSpec) {
 	l.rpcCalls.Inc()
 	if !spec.ackOnly {
@@ -637,7 +654,7 @@ func (l *Locality) call(dst int, frame []byte, head int, err error, pc pendingCa
 		return
 	}
 	if spec.ackOnly {
-		if _, err = k.transmit(kindRequest, frame, pc.fut, nil); err != nil && (pc.fut == nil || !pc.fut.Done()) {
+		if seq, err := k.transmit(kindRequest, frame, pc.fut, nil); seq == 0 {
 			l.resolve(&pc, nil, err)
 		} else {
 			pc.sp.End()
@@ -688,9 +705,9 @@ func (l *Locality) Call(dst int, method string, args, reply any, opts ...CallOpt
 }
 
 // Send delivers a one-way message to method at locality dst, on the link
-// to dst like a call. There is no future to fail later, so every error
-// path counts into rpc.errors here — a reader of the registry sees
-// one-way failures through the same counter as call failures.
+// to dst like a call. It fails, counting into rpc.errors, only when the
+// message is not taken: no encoding, no local handler, a gone peer or a
+// closed locality. A failed hand-off is no error: the link resends.
 func (l *Locality) Send(dst int, method string, args any) error {
 	l.rpcOneWays.Inc()
 	if dst == l.Rank() {
@@ -714,8 +731,8 @@ func (l *Locality) Send(dst int, method string, args any) error {
 		frame := wire.AppendString(append(make([]byte, 0, 64+len(method)), wire.FormatBinary), method)
 		if frame, err = wire.AppendEncode(frame, args); err != nil {
 			err = fmt.Errorf("runtime: encode args of %q: %w", method, err)
-		} else {
-			_, err = k.transmit(kindOneWay, frame, nil, nil)
+		} else if seq, terr := k.transmit(kindOneWay, frame, nil, nil); seq == 0 {
+			err = terr
 		}
 	}
 	if err != nil {

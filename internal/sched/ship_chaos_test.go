@@ -61,7 +61,7 @@ func newChaosClusterOf(t *testing.T, workers int, policy Policy, ctl *chaos.Cont
 // up at that deadline did so while its frame was still in flight. The
 // old code then executed the task locally AND the late frame executed
 // it remotely — twice. A ship has no deadline: its one call is resent
-// until it is answered (the RPC dedup window runs the handler once) and
+// until it is answered (the link delivers it once) and
 // falls back locally only when the peer is given up, so every task must
 // execute exactly once — wherever it ends up: rank 0's idle workers
 // steal some of the tasks back, and those grants are ships too.
@@ -81,7 +81,7 @@ func TestShipExactlyOnceUnderChaos(t *testing.T) {
 	// Control deadline (80ms) below the chaos MaxDelay (120ms): a ship
 	// bounded by it would time out with its frame still deliverable —
 	// the exact window in which the old local fallback double-executed.
-	// Ships take only the attempt interval from this profile.
+	// Ships take no deadline from this profile.
 	calls := runtime.CallProfile{
 		Control: runtime.CallSpec{Deadline: 80 * time.Millisecond},
 	}
