@@ -16,12 +16,16 @@ import (
 	"allscale/internal/wire/wiretest"
 )
 
-// waitFor polls cond for up to five seconds.
+// waitFor polls cond for up to five seconds. When it gives up it logs
+// every goroutine's stack, so that a wait that did not end shows what
+// was stuck.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cond() {
 		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Logf("goroutines:\n%s", buf[:goruntime.Stack(buf, true)])
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(100 * time.Microsecond)

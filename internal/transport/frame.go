@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,11 +8,9 @@ import (
 )
 
 const (
-	// readBufSize is the read buffer of one accepted connection. One
-	// successful read(2) fills it with every frame the peer's flusher
-	// coalesced, so a wake-up costs one syscall however many frames it
-	// delivers. Payloads at least this large bypass it: bufio reads them
-	// straight into the payload slice.
+	// readBufSize is the read buffer of one connection: one read fills
+	// it with every frame the peer's flusher coalesced. A payload that
+	// does not fit is read straight into its own slice instead.
 	readBufSize = 16 << 10
 	// maxInternKinds and maxInternLen cap the per-connection kind table:
 	// the runtime multiplexes a handful of short kinds over a connection,
@@ -27,72 +24,58 @@ const (
 // the read loop counts the former in dropped_frames.
 var errCorruptFrame = errors.New("corrupt frame")
 
-// frameReader is the receive state of one accepted connection: the
-// buffered reader frames are parsed out of, and the table kind strings
-// are interned from.
+// frameReader is the receive state of one connection. It does no I/O:
+// the read loop fills space() and takes frames out with next until the
+// next frame is incomplete.
 type frameReader struct {
-	br    *bufio.Reader
+	buf   []byte // buf[r:w] holds bytes read and not yet parsed
+	r, w  int
 	kinds []string
+
+	// A payload too large for buf: pay[:got] has arrived.
+	pay     []byte
+	got     int
+	payFrom int
+	payKind string
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, readBufSize)}
+func newFrameReader() *frameReader {
+	return &frameReader{buf: make([]byte, readBufSize)}
 }
 
-// midFrame turns an end of stream inside a frame into
-// io.ErrUnexpectedEOF, leaving io.EOF to mean "closed between frames".
-func midFrame(err error) error {
-	if err == io.EOF {
+// space returns the slice the next read fills: the rest of a large
+// payload, or the buffer's free end once the unparsed bytes are moved
+// to its front.
+func (r *frameReader) space() []byte {
+	if r.pay != nil {
+		return r.pay[r.got:]
+	}
+	if r.r == r.w && len(r.buf) > readBufSize {
+		r.buf = make([]byte, readBufSize) // drop a buffer grown for one long kind
+	}
+	if r.r > 0 {
+		r.w = copy(r.buf, r.buf[r.r:r.w])
+		r.r = 0
+	}
+	return r.buf[r.w:]
+}
+
+// fill records that the last read put n bytes into space().
+func (r *frameReader) fill(n int) {
+	if r.pay != nil {
+		r.got += n
+	} else {
+		r.w += n
+	}
+}
+
+// eof is what a stream ending here means: io.EOF between frames,
+// io.ErrUnexpectedEOF inside one.
+func (r *frameReader) eof() error {
+	if r.pay != nil || r.r < r.w {
 		return io.ErrUnexpectedEOF
 	}
-	return err
-}
-
-func (r *frameReader) u32() (uint32, error) {
-	b, err := r.br.Peek(4)
-	if err != nil {
-		if len(b) > 0 {
-			err = midFrame(err)
-		}
-		return 0, err
-	}
-	v := binary.BigEndian.Uint32(b)
-	r.br.Discard(4)
-	return v, nil
-}
-
-// kind reads an n-byte kind string. Short kinds are matched in place
-// against the interning table (the comparison does not allocate), so a
-// connection's steady state allocates no kind strings at all; kinds
-// beyond the caps are delivered as fresh strings.
-func (r *frameReader) kind(n int) (string, error) {
-	if n > maxInternLen {
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r.br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	b, err := r.br.Peek(n)
-	if err != nil {
-		return "", err
-	}
-	k := r.intern(b)
-	r.br.Discard(n)
-	return k, nil
-}
-
-func (r *frameReader) intern(b []byte) string {
-	for _, k := range r.kinds {
-		if k == string(b) {
-			return k
-		}
-	}
-	k := string(b)
-	if len(r.kinds) < maxInternKinds {
-		r.kinds = append(r.kinds, k)
-	}
-	return k
+	return io.EOF
 }
 
 // appendFrame appends the wire form of one frame to buf.
@@ -104,41 +87,78 @@ func appendFrame(buf []byte, from int, kind string, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// readFrame parses one frame — 4-byte big-endian sender rank, 4-byte
-// kind length, kind, 4-byte payload length, payload — validating each
-// prefix before anything is allocated for it. The payload is a fresh
-// slice owned by the caller. from is -1 unless a valid sender rank was
-// read and the frame was then rejected or delivered. Errors wrapping
-// errCorruptFrame are validation failures; io.EOF means the stream
-// ended between frames.
-func readFrame(r *frameReader, size, maxFrame int) (from int, kind string, payload []byte, err error) {
-	f, err := r.u32()
-	if err != nil {
-		return -1, "", nil, err
+// next takes one frame — 4-byte big-endian sender rank, 4-byte kind
+// length, kind, 4-byte payload length, payload — out of the bytes read
+// so far; ok is false while it is incomplete. Each prefix is validated
+// as soon as its 4 bytes are in, before anything is allocated for what
+// it announces: an error wraps errCorruptFrame, and from is the sender
+// once its rank passed. The payload is a fresh slice the caller owns.
+func (r *frameReader) next(size, maxFrame int) (from int, kind string, payload []byte, ok bool, err error) {
+	if r.pay != nil {
+		if r.got < len(r.pay) {
+			return -1, "", nil, false, nil
+		}
+		payload, r.pay = r.pay, nil
+		return r.payFrom, r.payKind, payload, true, nil
 	}
+	b := r.buf[r.r:r.w]
+	if len(b) < 4 {
+		return -1, "", nil, false, nil
+	}
+	f := binary.BigEndian.Uint32(b)
 	if int64(f) >= int64(size) {
-		return -1, "", nil, fmt.Errorf("transport: %w: sender rank %d out of range", errCorruptFrame, f)
+		return -1, "", nil, false, fmt.Errorf("transport: %w: sender rank %d out of range", errCorruptFrame, f)
 	}
-	klen, err := r.u32()
-	if err != nil {
-		return -1, "", nil, midFrame(err)
+	from = int(f)
+	if len(b) < 8 {
+		return -1, "", nil, false, nil
 	}
+	klen := binary.BigEndian.Uint32(b[4:])
 	if int64(klen) > int64(maxFrame) {
-		return int(f), "", nil, fmt.Errorf("transport: %w: kind length %d exceeds limit %d", errCorruptFrame, klen, maxFrame)
+		return from, "", nil, false, fmt.Errorf("transport: %w: kind length %d exceeds limit %d", errCorruptFrame, klen, maxFrame)
 	}
-	if kind, err = r.kind(int(klen)); err != nil {
-		return -1, "", nil, midFrame(err)
+	hdr := 12 + int(klen)
+	if hdr > len(r.buf) { // a kind longer than the buffer: grow it for this frame
+		r.buf = make([]byte, hdr)
+		r.r, r.w = 0, copy(r.buf, b)
 	}
-	plen, err := r.u32()
-	if err != nil {
-		return -1, "", nil, midFrame(err)
+	if len(b) < hdr {
+		return -1, "", nil, false, nil
 	}
+	plen := binary.BigEndian.Uint32(b[hdr-4:])
 	if int64(plen) > int64(maxFrame) {
-		return int(f), "", nil, fmt.Errorf("transport: %w: payload length %d exceeds limit %d", errCorruptFrame, plen, maxFrame)
+		return from, "", nil, false, fmt.Errorf("transport: %w: payload length %d exceeds limit %d", errCorruptFrame, plen, maxFrame)
 	}
-	payload = make([]byte, plen)
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		return -1, "", nil, midFrame(err)
+	n := int(plen)
+	if len(b)-hdr < n && hdr+n <= len(r.buf) {
+		return -1, "", nil, false, nil // fits once the rest is read
 	}
-	return int(f), kind, payload, nil
+	kind = r.intern(b[8 : hdr-4])
+	payload = make([]byte, n)
+	got := copy(payload, b[hdr:])
+	if got < n {
+		r.r = r.w
+		r.pay, r.got, r.payFrom, r.payKind = payload, got, from, kind
+		return -1, "", nil, false, nil
+	}
+	r.r += hdr + n
+	return from, kind, payload, true, nil
+}
+
+// intern returns the table's copy of a short kind (the comparison does
+// not allocate); kinds beyond the caps are fresh strings.
+func (r *frameReader) intern(b []byte) string {
+	if len(b) > maxInternLen {
+		return string(b)
+	}
+	for _, k := range r.kinds {
+		if k == string(b) {
+			return k
+		}
+	}
+	k := string(b)
+	if len(r.kinds) < maxInternKinds {
+		r.kinds = append(r.kinds, k)
+	}
+	return k
 }

@@ -30,16 +30,40 @@ func encodeFrames(frames []testFrame) (stream []byte, ends []int) {
 	return stream, ends
 }
 
-// readAll parses frames out of r until readFrame fails.
+// readOne takes the next frame out of fr, reading from src into the
+// space fr offers while the frame is incomplete — the endpoint's read
+// loop over an io.Reader. A stream that ends reads as fr.eof().
+func readOne(fr *frameReader, src io.Reader, size, maxFrame int) (testFrame, error) {
+	for {
+		from, kind, payload, ok, err := fr.next(size, maxFrame)
+		if err != nil {
+			return testFrame{from: from}, err
+		}
+		if ok {
+			return testFrame{from, kind, payload}, nil
+		}
+		n, err := src.Read(fr.space())
+		fr.fill(n)
+		if n == 0 && err != nil {
+			if err == io.EOF {
+				err = fr.eof()
+			}
+			return testFrame{from: -1}, err
+		}
+	}
+}
+
+// readAll parses frames out of r until the stream ends or a frame is
+// rejected.
 func readAll(r io.Reader, size, maxFrame int) ([]testFrame, error) {
-	fr := newFrameReader(r)
+	fr := newFrameReader()
 	var got []testFrame
 	for {
-		from, kind, payload, err := readFrame(fr, size, maxFrame)
+		f, err := readOne(fr, r, size, maxFrame)
 		if err != nil {
 			return got, err
 		}
-		got = append(got, testFrame{from, kind, payload})
+		got = append(got, f)
 	}
 }
 
@@ -121,12 +145,12 @@ func TestReadFrameRejects(t *testing.T) {
 		{"payload length beyond MaxFrame", append(append(u32(3, 1), 'k'), u32(maxFrame+1)...), 3},
 		{"payload length 4 GiB", append(append(u32(3, 1), 'k'), u32(0xFFFFFFF0)...), 3},
 	} {
-		from, _, _, err := readFrame(newFrameReader(bytes.NewReader(c.stream)), size, maxFrame)
+		f, err := readOne(newFrameReader(), bytes.NewReader(c.stream), size, maxFrame)
 		if !errors.Is(err, errCorruptFrame) {
 			t.Errorf("%s: error %v, want a corrupt-frame error", c.name, err)
 		}
-		if from != c.wantFrom {
-			t.Errorf("%s: from = %d, want %d", c.name, from, c.wantFrom)
+		if f.from != c.wantFrom {
+			t.Errorf("%s: from = %d, want %d", c.name, f.from, c.wantFrom)
 		}
 	}
 	// Lengths exactly at the limit pass.
@@ -184,11 +208,12 @@ func TestReadFrameInterning(t *testing.T) {
 	}
 	frames = append(frames, frames...) // every kind twice
 	stream, _ := encodeFrames(frames)
-	fr := newFrameReader(bytes.NewReader(stream))
+	src := bytes.NewReader(stream)
+	fr := newFrameReader()
 	for i, want := range frames {
-		_, kind, _, err := readFrame(fr, 1, 1<<10)
-		if err != nil || kind != want.kind {
-			t.Fatalf("frame %d: kind %q, error %v, want %q", i, kind, err, want.kind)
+		got, err := readOne(fr, src, 1, 1<<10)
+		if err != nil || got.kind != want.kind {
+			t.Fatalf("frame %d: kind %q, error %v, want %q", i, got.kind, err, want.kind)
 		}
 	}
 	if len(fr.kinds) != maxInternKinds {
@@ -197,10 +222,10 @@ func TestReadFrameInterning(t *testing.T) {
 
 	one, _ := encodeFrames([]testFrame{{0, "rpc.req", []byte("payload")}})
 	stream = bytes.Repeat(one, 200)
-	src := bytes.NewReader(stream)
-	fr = newFrameReader(src)
+	src = bytes.NewReader(stream)
+	fr = newFrameReader()
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, err := readFrame(fr, 1, 1<<10); err != nil {
+		if _, err := readOne(fr, src, 1, 1<<10); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -209,21 +234,10 @@ func TestReadFrameInterning(t *testing.T) {
 	}
 }
 
-// countingConn counts the Read calls the endpoint issues.
-type countingConn struct {
-	net.Conn
-	reads atomic.Int64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	c.reads.Add(1)
-	return c.Conn.Read(p)
-}
-
 // TestTCPReadsPerSegment is the regression guard for
 // five-reads-per-frame: 1000 small frames written in one segment arrive
-// in order, and the reader issues a number of Reads bounded by the
-// segment's size over the buffer's, not by the frame count.
+// in order, and the reader issues a number of read(2) calls bounded by
+// the segment's size over the buffer's, not by the frame count.
 func TestTCPReadsPerSegment(t *testing.T) {
 	a, _, _ := newTCPPair(t, fastConfig())
 	reg := bindRegistry(a)
@@ -239,16 +253,23 @@ func TestTCPReadsPerSegment(t *testing.T) {
 			close(done)
 		}
 	})
+	failed := make(chan struct{}, 1)
+	a.SetFailureHandler(func(int, error) {
+		select {
+		case failed <- struct{}{}:
+		default:
+		}
+	})
 
 	var stream []byte
 	for i := 0; i < n; i++ {
 		stream = appendFrame(stream, 1, "seq", []byte(fmt.Sprintf("%04d", i)))
 	}
-	client, server := net.Pipe()
-	cc := &countingConn{Conn: server}
-	a.wg.Add(1)
-	go a.read(cc)
-	if _, err := client.Write(stream); err != nil {
+	c, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(stream); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -256,17 +277,22 @@ func TestTCPReadsPerSegment(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("timed out waiting for the frames")
 	}
-	client.Close()
+	c.Close()
+	select { // the reader has seen the close
+	case <-failed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the close was not reported")
+	}
 
 	for i, p := range got {
 		if p != fmt.Sprintf("%04d", i) {
 			t.Fatalf("frame %d carries %q", i, p)
 		}
 	}
-	// One Read per buffer-full of the segment, plus the one that learns
-	// of the close.
-	if reads, max := cc.reads.Load(), int64(len(stream)/readBufSize+3); reads > max {
-		t.Errorf("%d Read calls for %d frames in one %d-byte segment, want at most %d", reads, n, len(stream), max)
+	// One read per buffer-full of the segment, plus the one that learns
+	// of the close and one that may find the socket empty at the start.
+	if reads, max := reg.CounterValue(MetricReads), uint64(len(stream)/readBufSize+3); reads > max {
+		t.Errorf("%d read(2) calls for %d frames in one %d-byte segment, want at most %d", reads, n, len(stream), max)
 	}
 	if recv := reg.CounterValue(MetricMsgsReceived); recv != n {
 		t.Errorf("receiver counted %d messages, want %d", recv, n)

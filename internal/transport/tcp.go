@@ -1,12 +1,15 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
+	"unsafe"
 
 	"allscale/internal/metrics"
 )
@@ -15,9 +18,9 @@ import (
 // The zero value selects production defaults; tests shrink the
 // timeouts to keep fault-injection runs fast.
 type TCPConfig struct {
-	// WriteTimeout bounds each frame write; a stalled peer makes Send
-	// fail (and evicts the connection) instead of blocking forever.
-	// Default 10s.
+	// WriteTimeout bounds a write the socket cannot take at once; a
+	// stalled peer makes Send fail (and evicts the connection) instead
+	// of blocking forever. Default 10s.
 	WriteTimeout time.Duration
 	// DialTimeout bounds the one dial a Send makes when it finds no
 	// connection. Default 1s.
@@ -43,42 +46,34 @@ func (c *TCPConfig) fillDefaults() {
 // TCPEndpoint is a plain-TCP implementation of Endpoint, mirroring
 // the "plain TCP" communication layer of the HPX substrate
 // (Section 3.2). Each process listens on its own address and lazily
-// dials peers; one TCP connection carries each ordered peer-to-peer
-// direction. Frames are length-prefixed: 4-byte big-endian sender
-// rank, 4-byte kind length, kind bytes, 4-byte payload length,
-// payload bytes. Outgoing frames are assembled straight into the
-// connection's pending batch and coalesced: a per-connection flusher
-// goroutine writes every frame
-// queued since its previous write with one syscall (see tcpConn).
-// Incoming frames are parsed out of one buffered reader per accepted
-// connection, so a coalesced batch also costs one read (frame.go).
+// dials peers. One TCP connection carries both directions of a rank
+// pair, so a reply carries the TCP acknowledgement of its request: Send
+// uses the cached connection to its peer whether this side dialed or
+// accepted it (see deliver). Frames are length-prefixed (frame.go),
+// coalesced on the way out (tcpConn) and read once per arrival (read).
 //
-// Failure semantics: a Send hands its frame off once — to the cached
-// connection, or to one dial when there is none — and retries nothing;
-// the layer above resends. A failed Send evicts its connection and
-// reports the peer through the FailureHandler before it returns. Writes
-// carry a deadline, inbound frames beyond MaxFrame are dropped with
+// Failure semantics: a Send hands its frame off once and retries
+// nothing (see Send). A write the socket cannot take at once is bounded
+// by WriteTimeout, inbound frames beyond MaxFrame are dropped with
 // their connection, and a connection that breaks under no Send is
 // reported once.
 type TCPEndpoint struct {
 	rank int
 	cfg  TCPConfig
 
-	listener net.Listener
+	listener *net.TCPListener
 	handler  atomic.Pointer[Handler]
 	failure  atomic.Pointer[FailureHandler]
 	stats    atomic.Pointer[counters]
 
-	mu       sync.Mutex
-	addrs    []string
-	size     atomic.Int32 // len(addrs), read per frame without mu
-	conns    map[int]*tcpConn
-	dialed   map[int]bool // peers that have had at least one connection
-	incoming map[net.Conn]struct{}
+	mu    sync.Mutex
+	addrs []string
+	size  atomic.Int32          // len(addrs), read per frame without mu
+	conns map[int]*tcpConn      // nil once dropped: the next is a reconnect
+	all   map[*tcpConn]struct{} // every connection whose reader runs
 
 	wg     sync.WaitGroup
-	closed chan struct{}
-	once   sync.Once
+	closed atomic.Bool
 }
 
 // maxPendingWrites is the per-connection backpressure cap: once this
@@ -86,22 +81,21 @@ type TCPEndpoint struct {
 // drains (or the connection breaks, which is bounded by WriteTimeout).
 const maxPendingWrites = 1 << 20
 
-// tcpConn is one outgoing connection with a coalescing writer.
-// Senders append complete frames to pend under mu; a per-connection
-// flusher goroutine swaps the accumulated batch out and writes it with
-// a single syscall. While the flusher is busy writing, new small
-// frames pile up and go out together in the next batch — the write
-// side's analogue of Nagle, but without delaying an idle connection:
-// the flusher starts the moment the first frame arrives.
+// tcpConn is one connection, dialed or accepted, with its reader and,
+// once it is its peer's cached connection, a coalescing writer: the
+// flusher writes every frame queued since its previous write with one
+// syscall, without delaying an idle connection. A Send succeeds once
+// its frame is queued (lost if the connection dies, as the Endpoint
+// contract allows); the first write failure is sticky.
 //
-// A Send succeeds once its frame is queued; like bytes accepted into
-// an OS socket buffer, queued frames are lost if the connection dies
-// (the Endpoint contract already declares frames in flight lossy on
-// peer failure). The first write failure is sticky: it surfaces on
-// every later Send, which evicts the connection; the Send after it dials
-// afresh.
+// Only the reader closes the socket, once its read loop has returned:
+// closing waits for the read in progress, and the reader may be running
+// a handler that waits for the goroutine that would close it. Everyone
+// else ends the connection with teardown.
 type tcpConn struct {
-	c net.Conn
+	c    *net.TCPConn
+	raw  syscall.RawConn
+	peer int // -1 until an accepted connection's first frame; set under the endpoint's mu
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -111,8 +105,12 @@ type tcpConn struct {
 	closing bool
 }
 
-func newTCPConn(c net.Conn) *tcpConn {
-	tc := &tcpConn{c: c}
+func newTCPConn(c *net.TCPConn, peer int) *tcpConn {
+	raw, _ := c.SyscallConn()    // fails only for a nil connection
+	if runtime.GOOS == "linux" { // without TCP_INQ, here or elsewhere, the reader reads until EAGAIN
+		_ = raw.Control(func(fd uintptr) { _ = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_TCP, tcpInq, 1) })
+	}
+	tc := &tcpConn{c: c, raw: raw, peer: peer}
 	tc.cond = sync.NewCond(&tc.mu)
 	return tc
 }
@@ -138,7 +136,7 @@ func (tc *tcpConn) enqueue(from int, kind string, payload []byte) error {
 }
 
 // beginShutdown asks the flusher to drain the pending batch and then
-// close the socket; used by the graceful endpoint Close.
+// tear the connection down; used by the graceful endpoint Close.
 func (tc *tcpConn) beginShutdown() {
 	tc.mu.Lock()
 	tc.closing = true
@@ -146,20 +144,41 @@ func (tc *tcpConn) beginShutdown() {
 	tc.mu.Unlock()
 }
 
-// teardown abandons the connection immediately (failure path): wake
-// everyone and close the socket, failing any in-flight flush.
+// teardown ends the connection without waiting for the I/O in progress:
+// shutdown(2) shows the peer its end and fails a write in flight, and
+// the expired deadline wakes the reader whatever it last read.
 func (tc *tcpConn) teardown() {
 	tc.beginShutdown()
-	tc.c.Close()
+	// Either fails only on a socket already ended or closed.
+	_ = tc.raw.Control(func(fd uintptr) { _ = syscall.Shutdown(int(fd), syscall.SHUT_RDWR) })
+	_ = tc.c.SetReadDeadline(time.Unix(1, 0))
 }
 
-// flush is the per-connection writer goroutine: it batches all frames
-// queued since the previous write into one deadline-bounded syscall.
-// On a write failure it records the sticky error, evicts the
-// connection, and reports the peer failure (at most once per
-// connection, via evict's dedup).
-func (e *TCPEndpoint) flush(to int, tc *tcpConn) {
+// writeRest is the one write that waits and carries a deadline. A
+// failing SetWriteDeadline means the socket is dead: a failed write.
+func (tc *tcpConn) writeRest(rest []byte, timeout time.Duration) error {
+	if err := tc.c.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	if _, err := tc.c.Write(rest); err != nil {
+		return err
+	}
+	return tc.c.SetWriteDeadline(time.Time{}) // the next batch's raw write must not meet it
+}
+
+// flush is the per-connection writer goroutine: it writes all frames
+// queued since its previous write with one non-blocking write(2); only
+// a remainder the socket did not take waits (writeRest), so a socket
+// with room costs no clock read and no timer. A write failure becomes
+// the sticky error, and the connection is dropped and reported.
+func (e *TCPEndpoint) flush(tc *tcpConn) {
 	defer e.wg.Done()
+	var batch []byte
+	n := 0 // made once: a closure per batch would allocate
+	rawWrite := func(fd uintptr) bool {
+		n, _ = syscall.Write(int(fd), batch) // on an error -1, and writeRest meets it again
+		return true
+	}
 	tc.mu.Lock()
 	for {
 		for len(tc.pend) == 0 && tc.err == nil && !tc.closing {
@@ -171,20 +190,18 @@ func (e *TCPEndpoint) flush(to int, tc *tcpConn) {
 		}
 		if len(tc.pend) == 0 { // closing and drained
 			tc.mu.Unlock()
-			tc.c.Close()
+			tc.teardown()
 			return
 		}
-		batch := tc.pend
+		batch = tc.pend
 		tc.pend = tc.spare[:0]
 		tc.cond.Broadcast() // wake senders blocked on backpressure
 		tc.mu.Unlock()
 
-		// A failing SetWriteDeadline means the socket is already dead;
-		// treat it exactly like a failed write instead of issuing an
-		// unbounded Write on a broken connection.
-		err := tc.c.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-		if err == nil {
-			_, err = tc.c.Write(batch)
+		n = 0
+		err := tc.raw.Write(rawWrite)
+		if n = max(n, 0); err == nil && n < len(batch) {
+			err = tc.writeRest(batch[n:], e.cfg.WriteTimeout)
 		}
 
 		tc.mu.Lock()
@@ -192,11 +209,11 @@ func (e *TCPEndpoint) flush(to int, tc *tcpConn) {
 			tc.spare = batch[:0]
 		}
 		if err != nil {
-			tc.err = fmt.Errorf("transport: write to rank %d: %w", to, err)
+			tc.err = fmt.Errorf("transport: write to rank %d: %w", tc.peer, err)
 			tc.cond.Broadcast()
 			tc.mu.Unlock()
-			if e.evict(to, tc) {
-				e.notifyFailure(to, tc.err)
+			if peer, first := e.drop(tc); first {
+				e.notifyFailure(peer, tc.err)
 			}
 			return
 		}
@@ -205,10 +222,8 @@ func (e *TCPEndpoint) flush(to int, tc *tcpConn) {
 
 var _ Endpoint = (*TCPEndpoint)(nil)
 
-// NewTCPEndpoint creates and starts the endpoint of process rank
-// within the process group enumerated by addrs, with default
-// TCPConfig. The handler must be installed via SetHandler before
-// peers start sending.
+// NewTCPEndpoint starts the endpoint of process rank among addrs with
+// the default TCPConfig; SetHandler must precede the peers' first Send.
 func NewTCPEndpoint(rank int, addrs []string) (*TCPEndpoint, error) {
 	return NewTCPEndpointConfig(rank, addrs, TCPConfig{})
 }
@@ -228,11 +243,9 @@ func NewTCPEndpointConfig(rank int, addrs []string, cfg TCPConfig) (*TCPEndpoint
 		rank:     rank,
 		cfg:      cfg,
 		addrs:    append([]string(nil), addrs...),
-		listener: ln,
+		listener: ln.(*net.TCPListener),
 		conns:    make(map[int]*tcpConn),
-		dialed:   make(map[int]bool),
-		incoming: make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
+		all:      make(map[*tcpConn]struct{}),
 	}
 	e.size.Store(int32(len(addrs)))
 	e.stats.Store(newCounters(nil))
@@ -299,10 +312,8 @@ func (e *TCPEndpoint) SetFailureHandler(h FailureHandler) { e.failure.Store(&h) 
 func (e *TCPEndpoint) SetMetrics(reg *metrics.Registry) { e.stats.Store(newCounters(reg)) }
 
 func (e *TCPEndpoint) notifyFailure(peer int, err error) {
-	select {
-	case <-e.closed:
+	if e.closed.Load() {
 		return // local shutdown, not a peer failure
-	default:
 	}
 	if p := e.failure.Load(); p != nil && *p != nil {
 		(*p)(peer, err)
@@ -312,71 +323,150 @@ func (e *TCPEndpoint) notifyFailure(peer int, err error) {
 func (e *TCPEndpoint) accept() {
 	defer e.wg.Done()
 	for {
-		c, err := e.listener.Accept()
+		c, err := e.listener.AcceptTCP()
 		if err != nil {
 			return // listener closed
 		}
 		e.mu.Lock()
-		select {
-		case <-e.closed:
-			e.mu.Unlock()
-			c.Close()
-			return
-		default:
-		}
-		e.incoming[c] = struct{}{}
-		// The Add must happen under the same lock as the incoming
-		// registration: otherwise Close can observe the registered
-		// connection, run wg.Wait, and return while the read goroutine
-		// is still being started.
-		e.wg.Add(1)
+		started := e.startLocked(newTCPConn(c, -1))
 		e.mu.Unlock()
-		go e.read(c)
+		if !started {
+			return
+		}
 	}
 }
 
-// read is the per-accepted-connection delivery goroutine. Its buffer
-// is allocated here, not at endpoint construction: an endpoint that is
-// never dialed pays nothing for it.
-func (e *TCPEndpoint) read(c net.Conn) {
+// startLocked registers tc and runs its reader; once Close has swept
+// the connections it closes tc and reports false. The Add is made under
+// the lock of the registration, so that Close cannot wait before it.
+func (e *TCPEndpoint) startLocked(tc *tcpConn) bool {
+	if e.closed.Load() {
+		tc.c.Close()
+		return false
+	}
+	e.all[tc] = struct{}{}
+	e.wg.Add(1)
+	go e.read(tc)
+	return true
+}
+
+// cacheLocked makes tc its peer's connection for Send, with a flusher.
+func (e *TCPEndpoint) cacheLocked(tc *tcpConn) {
+	if _, had := e.conns[tc.peer]; had {
+		e.stats.Load().reconnects.Inc()
+	}
+	e.conns[tc.peer] = tc
+	e.wg.Add(1)
+	go e.flush(tc)
+}
+
+// tcpInq is Linux's TCP_INQ: recvmsg(2) reports the bytes the socket
+// still holds, as 1 once a FIN or a reset has arrived.
+const tcpInq = 36
+
+type sockReader struct { // the recvmsg(2) arguments of one reader
+	msg syscall.Msghdr
+	iov syscall.Iovec
+	oob [4]uint64 // one control message header and its int32, aligned
+}
+
+// recv reads into p. more is false only when the socket said it holds
+// nothing further (never without TCP_INQ): a short read does not say
+// whether a FIN came with it.
+func (s *sockReader) recv(fd uintptr, p []byte) (n int, more bool, err error) {
+	s.iov.Base = &p[0]
+	s.iov.SetLen(len(p))
+	s.msg.Iov = &s.iov
+	s.msg.Iovlen = 1
+	s.msg.Control = (*byte)(unsafe.Pointer(&s.oob[0]))
+	s.msg.SetControllen(len(s.oob) * 8)
+	r, _, errno := syscall.Syscall(syscall.SYS_RECVMSG, fd, uintptr(unsafe.Pointer(&s.msg)), 0)
+	if errno != 0 {
+		return 0, false, errno
+	}
+	if int(s.msg.Controllen) >= syscall.CmsgLen(4) { // TCP_INQ's, the only one asked for
+		return int(r), *(*int32)(unsafe.Add(unsafe.Pointer(&s.oob[0]), syscall.CmsgLen(0))) != 0, nil
+	}
+	return int(r), true, nil
+}
+
+// read is the delivery goroutine of one connection: one RawConn.Read
+// for its life, one read per arrival. Once the socket holds nothing
+// further the loop waits in the netpoller instead of issuing the read
+// that would return EAGAIN; the poll descriptor keeps an edge that
+// fires between the read and the wait, reset only when a RawConn.Read
+// starts.
+func (e *TCPEndpoint) read(tc *tcpConn) {
 	defer e.wg.Done()
-	from := -1 // sender rank, learned from the first valid frame
-	readErr := fmt.Errorf("connection closed")
-	defer func() {
-		c.Close()
-		e.mu.Lock()
-		delete(e.incoming, c)
-		e.mu.Unlock()
-		if from >= 0 {
-			e.notifyFailure(from, fmt.Errorf("transport: link from rank %d broken: %w", from, readErr))
-		}
-	}()
-	r := newFrameReader(c)
-	for {
-		f, kind, payload, err := readFrame(r, e.Size(), e.cfg.MaxFrame)
-		if err != nil {
-			readErr = err
-			if errors.Is(err, errCorruptFrame) {
-				e.stats.Load().droppedFrames.Inc()
-				if f >= 0 {
-					from = f
-				}
+	fr := newFrameReader()
+	var sr sockReader
+	var err error
+	rerr := tc.raw.Read(func(fd uintptr) bool {
+		for {
+			n, more, serr := sr.recv(fd, fr.space())
+			e.stats.Load().reads.Inc()
+			switch {
+			case serr == syscall.EINTR:
+				continue
+			case serr == syscall.EAGAIN:
+				return false
+			case serr != nil:
+				err = os.NewSyscallError("recvmsg", serr)
+				return true
+			case n == 0:
+				err = fr.eof()
+				return true
 			}
-			return
+			fr.fill(n)
+			if err = e.deliver(tc, fr); err != nil || !more {
+				return err != nil
+			}
 		}
-		from = f
+	})
+	if err == nil {
+		err = rerr
+	}
+	if peer, first := e.drop(tc); first && peer >= 0 {
+		e.notifyFailure(peer, fmt.Errorf("transport: link with rank %d broken: %w", peer, err))
+	}
+	tc.c.Close()
+}
+
+// deliver hands every complete frame read so far to the handler. An
+// accepted connection is trusted with the rank its first frame states,
+// as every inbound frame is, and a valid one makes it that rank's
+// cached connection if it has none. A live connection is never
+// switched: ranks whose first frames cross keep two one-way ones.
+func (e *TCPEndpoint) deliver(tc *tcpConn, fr *frameReader) error {
+	for {
+		from, kind, payload, ok, err := fr.next(e.Size(), e.cfg.MaxFrame)
+		if tc.peer < 0 && from >= 0 {
+			e.mu.Lock()
+			tc.peer = from
+			if err == nil && e.conns[from] == nil && !e.closed.Load() {
+				e.cacheLocked(tc)
+			}
+			e.mu.Unlock()
+		}
+		if err != nil {
+			e.stats.Load().droppedFrames.Inc()
+			return err
+		}
+		if !ok {
+			return nil
+		}
 		e.stats.Load().received(len(payload))
 		if p := e.handler.Load(); p != nil && *p != nil {
-			(*p)(Message{From: f, To: e.rank, Kind: kind, Payload: payload})
+			(*p)(Message{From: from, To: e.rank, Kind: kind, Payload: payload})
 		}
 	}
 }
 
-// dial returns the cached outgoing connection to peer `to`, or makes
-// one attempt, bounded by DialTimeout, to open it.
+// dial returns the cached connection to peer `to`, or makes one
+// attempt, bounded by DialTimeout, to open it.
 func (e *TCPEndpoint) dial(to int) (*tcpConn, error) {
 	e.mu.Lock()
-	if tc, ok := e.conns[to]; ok {
+	if tc := e.conns[to]; tc != nil {
 		e.mu.Unlock()
 		return tc, nil
 	}
@@ -387,62 +477,34 @@ func (e *TCPEndpoint) dial(to int) (*tcpConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	tc := newTCPConn(c.(*net.TCPConn), to)
 	e.mu.Lock()
-	select {
-	case <-e.closed: // Close already swept the connection cache
-		e.mu.Unlock()
-		c.Close()
+	defer e.mu.Unlock()
+	if cached := e.conns[to]; cached != nil { // lost the race; keep the first
+		tc.c.Close()
+		return cached, nil
+	}
+	if !e.startLocked(tc) {
 		return nil, fmt.Errorf("transport: endpoint closed")
-	default:
 	}
-	if tc, ok := e.conns[to]; ok { // lost the race; keep the first
-		e.mu.Unlock()
-		c.Close()
-		return tc, nil
-	}
-	tc := newTCPConn(c)
-	e.conns[to] = tc
-	if e.dialed[to] {
-		e.stats.Load().reconnects.Inc()
-	}
-	e.dialed[to] = true
-	e.wg.Add(2)
-	e.mu.Unlock()
-	go e.watchOutgoing(to, tc)
-	go e.flush(to, tc)
+	e.cacheLocked(tc)
 	return tc, nil
 }
 
-// watchOutgoing detects a dead outgoing link without waiting for the
-// next Send: peers never write on this side's outgoing connection, so
-// any read result — data or error — means the link is unusable. The
-// eviction keeps a dead cached connection from poisoning later sends.
-func (e *TCPEndpoint) watchOutgoing(to int, tc *tcpConn) {
-	defer e.wg.Done()
-	var one [1]byte
-	_, err := tc.c.Read(one[:])
-	if err == nil {
-		err = fmt.Errorf("unexpected inbound data")
-	}
-	if e.evict(to, tc) {
-		e.notifyFailure(to, fmt.Errorf("transport: link to rank %d broken: %w", to, err))
-	}
-}
-
-// evict closes tc and removes it from the connection cache if it is
-// still the cached connection for rank `to`. It reports whether this
-// call performed the removal, so that the detectors that run under no
-// Send (the flusher's write errors and watchOutgoing) notify the failure
-// handler at most once per connection.
-func (e *TCPEndpoint) evict(to int, tc *tcpConn) bool {
+// drop tears tc down and forgets it. It reports tc's peer and whether
+// this was tc's first drop, so that the detectors that run under no
+// Send (a failed flush, the reader's end) report a connection once.
+func (e *TCPEndpoint) drop(tc *tcpConn) (peer int, first bool) {
 	e.mu.Lock()
-	evicted := e.conns[to] == tc
-	if evicted {
-		delete(e.conns, to)
+	if e.conns[tc.peer] == tc {
+		e.conns[tc.peer] = nil
 	}
+	_, first = e.all[tc]
+	delete(e.all, tc)
+	peer = tc.peer
 	e.mu.Unlock()
 	tc.teardown()
-	return evicted
+	return peer, first
 }
 
 // Send hands the frame off once: it is queued on the cached connection,
@@ -459,7 +521,7 @@ func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 		if err = tc.enqueue(e.rank, kind, payload); err == nil {
 			return nil
 		}
-		e.evict(to, tc)
+		e.drop(tc)
 	}
 	e.stats.Load().sendErrors.Inc()
 	err = fmt.Errorf("transport: send to rank %d: %w", to, err)
@@ -468,23 +530,22 @@ func (e *TCPEndpoint) Send(to int, kind string, payload []byte) error {
 }
 
 func (e *TCPEndpoint) Close() error {
-	e.once.Do(func() {
-		close(e.closed)
+	if !e.closed.Swap(true) {
 		e.listener.Close()
 		e.mu.Lock()
-		// Graceful: the flusher drains queued frames (bounded by the
-		// write deadline) and closes the socket itself.
-		for _, tc := range e.conns {
-			tc.beginShutdown()
-		}
-		// Close accepted connections too: their reader goroutines
-		// would otherwise block in Read until the remote side closes,
-		// deadlocking the wg.Wait below when peers close after us.
-		for c := range e.incoming {
-			c.Close()
+		// Graceful: a flusher drains its queued frames (bounded by the
+		// write deadline) and tears its connection down itself. The
+		// others are torn down here, or their readers would wait for
+		// the remote side, deadlocking the wg.Wait below.
+		for tc := range e.all {
+			if e.conns[tc.peer] == tc {
+				tc.beginShutdown()
+			} else {
+				tc.teardown()
+			}
 		}
 		e.mu.Unlock()
-	})
+	}
 	e.wg.Wait()
 	return nil
 }

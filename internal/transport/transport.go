@@ -81,6 +81,8 @@ const (
 	MetricReconnects = "transport.reconnects"
 	// MetricSendErrors counts Send calls whose one hand-off failed.
 	MetricSendErrors = "transport.send_errors"
+	// MetricReads counts TCP socket reads: one per arrival.
+	MetricReads = "transport.reads"
 	// MetricDroppedFrames counts inbound frames rejected as corrupt; the
 	// carrying connection is closed.
 	MetricDroppedFrames = "transport.dropped_frames"
@@ -91,6 +93,7 @@ const (
 type counters struct {
 	msgsSent, bytesSent, msgsRecv, bytesRecv *metrics.Counter
 	reconnects, sendErrors, droppedFrames    *metrics.Counter
+	reads                                    *metrics.Counter
 }
 
 // newCounters binds a counters set to reg (a fresh private registry
@@ -107,6 +110,7 @@ func newCounters(reg *metrics.Registry) *counters {
 		reconnects:    reg.Counter(MetricReconnects),
 		sendErrors:    reg.Counter(MetricSendErrors),
 		droppedFrames: reg.Counter(MetricDroppedFrames),
+		reads:         reg.Counter(MetricReads),
 	}
 }
 
