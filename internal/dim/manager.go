@@ -32,7 +32,7 @@ func (m *Manager) registerServices() {
 	m.loc.Handle(methodFetch, rpc(m.handleFetch))
 	m.loc.Handle(methodClaim, rpc(m.handleClaim))
 	m.loc.Handle(methodDrop, rpc(m.handleDrop))
-	m.loc.Handle(methodUnpin, rpc(m.handleUnpin))
+	m.loc.HandleInline(methodUnpin, rpc(m.handleUnpin)) // a refresh lands before the frame behind it
 	m.loc.Handle(methodResolveBatch, rpc(m.handleResolveBatch))
 	m.loc.Handle(methodCacheInval, rpc(m.handleCacheInval))
 	m.registerRecoveryServices()
@@ -205,6 +205,17 @@ func (m *Manager) reportUp(id ItemID) error {
 		return m.reportLocked(id, st, nil, -1)
 	}
 	return nil
+}
+
+// reportLost reports lost the part of an item a pin ended without its
+// refresh (reportLocked, which wakes the waits). Best effort: a report that
+// fails leaves an index entry a fetch answers Empty to (rule 2 in cache.go).
+func (m *Manager) reportLost(id ItemID, lost dataitem.Region, asker int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if st, ok := m.items[id]; ok {
+		_ = m.reportLocked(id, st, lost, asker)
+	}
 }
 
 // reportLocked makes a change of the item's local coverage known before
@@ -718,7 +729,9 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 
 // handleUnpin releases the pin token (unpin) wherever it is held here;
 // a refresh whose pin is gone installs nothing. The stale part of a
-// write-mode pin that came without its refresh is reported lost.
+// write-mode pin that came without its refresh is reported lost from a
+// goroutine of its own: the report waits on the index, and the handler
+// is served on the delivery goroutine (HandleInline).
 func (m *Manager) handleUnpin(from int, args *unpinArgs) (*struct{}, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -727,12 +740,11 @@ func (m *Manager) handleUnpin(from int, args *unpinArgs) (*struct{}, error) {
 		if !ok {
 			continue
 		}
-		if !lost.IsEmpty() {
-			// Best effort: a report that fails leaves an index entry a fetch
-			// answers Empty to, which corrects itself (rule 2 in cache.go).
-			_ = m.reportLocked(id, st, lost, from)
+		if lost.IsEmpty() {
+			m.wakeLocked()
+		} else {
+			m.loc.Go(func() { m.reportLost(id, lost, from) })
 		}
-		m.wakeLocked()
 		return &struct{}{}, nil
 	}
 	if len(args.Data) > 0 {

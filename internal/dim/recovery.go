@@ -188,7 +188,7 @@ func (m *Manager) ReleasePinsOf(rank int) {
 	defer m.mu.Unlock()
 	for id, st := range m.items {
 		if lost := st.departed(rank); !lost.IsEmpty() {
-			_ = m.reportLocked(id, st, lost, rank) // best effort, as in handleUnpin
+			_ = m.reportLocked(id, st, lost, rank) // best effort, as in reportLost
 		}
 	}
 	m.wakeLocked()

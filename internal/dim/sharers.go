@@ -190,6 +190,8 @@ func (m *Manager) TakeCarried(from, n int, carried func(i int) (token uint64, cs
 		}
 	}
 	m.mu.Unlock()
-	m.sendRefreshes(yields)
+	if len(yields) > 0 { // from the sched.runb handler, which sends nothing
+		m.loc.Go(func() { m.sendRefreshes(yields) })
+	}
 	return nil
 }

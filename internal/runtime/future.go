@@ -238,9 +238,10 @@ const methodFulfill = "runtime.fulfill"
 // Systems do this automatically. Fulfilment is an ack-only RPC (not a
 // one-way message) so the caller learns that the owner took it in.
 // Re-fulfilling is harmless: fulfillLocal deletes the promise on first
-// delivery and ignores the rest.
+// delivery and ignores the rest. It resolves a promise and never blocks,
+// so it is served in frame order (HandleInline).
 func (l *Locality) RegisterPromiseService() {
-	l.Handle(methodFulfill, func(_ int, body []byte) ([]byte, error) {
+	l.HandleInline(methodFulfill, func(_ int, body []byte) ([]byte, error) {
 		var m fulfillMsg
 		var d wire.Decoder
 		if err := d.Reset(body); err != nil {

@@ -70,6 +70,9 @@ const (
 	// hand-off: owed acks that found no numbered frame to ride on within
 	// ackDelay. A heartbeat, a pure ack too, is not counted.
 	MetricRPCAckFrames = "rpc.ack_frames"
+	// MetricRPCInline counts the requests served on the goroutine that
+	// delivered them, in frame order (HandleInline).
+	MetricRPCInline = "rpc.inline"
 	// MetricRPCCallFrames counts the request and reply frames a link
 	// delivers, each once, before any handler or waiting caller sees them:
 	// once a protocol's calls are settled, its frames are counted, and no
@@ -112,6 +115,7 @@ type Locality struct {
 
 	mu      sync.RWMutex
 	methods map[string]Method
+	inlined map[string]bool // the methods registered with HandleInline
 	oneWays map[string]OneWay
 
 	// links holds, per peer rank, this locality's half of the link to it
@@ -134,6 +138,7 @@ type Locality struct {
 	rpcFenced     *metrics.Counter
 	rpcAckFrames  *metrics.Counter
 	rpcCallFrames *metrics.Counter
+	rpcInline     *metrics.Counter
 	promisesNamed *metrics.Counter
 	rpcRT         *metrics.Histogram
 	tracer        atomic.Pointer[trace.Tracer]
@@ -169,6 +174,7 @@ func NewLocality(ep transport.Endpoint) *Locality {
 	l := &Locality{
 		ep:            ep,
 		methods:       make(map[string]Method),
+		inlined:       make(map[string]bool),
 		oneWays:       make(map[string]OneWay),
 		reg:           reg,
 		rpcCalls:      reg.Counter(MetricRPCCalls),
@@ -180,6 +186,7 @@ func NewLocality(ep transport.Endpoint) *Locality {
 		rpcFenced:     reg.Counter(MetricRPCFencedFrames),
 		rpcAckFrames:  reg.Counter(MetricRPCAckFrames),
 		rpcCallFrames: reg.Counter(MetricRPCCallFrames),
+		rpcInline:     reg.Counter(MetricRPCInline),
 		promisesNamed: reg.Counter(MetricPromisesNamed),
 		rpcRT:         reg.Histogram(MetricRPCRoundtrip),
 		links:         make([]link, ep.Size()),
@@ -294,13 +301,21 @@ func (l *Locality) Rank() int { return l.ep.Rank() }
 func (l *Locality) Size() int { return l.ep.Size() }
 
 // Handle registers the RPC method name.
-func (l *Locality) Handle(name string, m Method) {
+func (l *Locality) Handle(name string, m Method) { l.handle(name, m, false) }
+
+// HandleInline registers the RPC method name to be served in frame order:
+// an ack-only request to it runs on the goroutine that delivered it,
+// before the frame behind it. Its handler neither waits nor sends — it
+// hands what would to Go (DESIGN.md §6d "Served in frame order").
+func (l *Locality) HandleInline(name string, m Method) { l.handle(name, m, true) }
+
+func (l *Locality) handle(name string, m Method, inline bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, dup := l.methods[name]; dup {
 		panic(fmt.Sprintf("runtime: method %q registered twice", name))
 	}
-	l.methods[name] = m
+	l.methods[name], l.inlined[name] = m, inline
 }
 
 // HandleOneWay registers the one-way message handler name.
@@ -322,7 +337,8 @@ func (l *Locality) Go(f func()) { l.pool.Go(f) }
 // of a link in number order and takes in the ack it carries; a request
 // or one-way is then handed to a goroutine of its own, so that a
 // blocking handler can never stall delivery (and in particular never
-// deadlock an RPC cycle), while a reply resolves its call here.
+// deadlock an RPC cycle), while a reply, and an ack-only request to a
+// method registered with HandleInline, are served here.
 func (l *Locality) dispatch(msg transport.Message) {
 	if l.Peer(msg.From).Gone() {
 		// Fenced: a rank declared dead may in fact be alive across a
@@ -433,9 +449,8 @@ func (l *Locality) dispatch(msg transport.Message) {
 			// A fenced request runs nothing and is not answered — unless
 			// only an ack was asked for, which would tell it succeeded.
 			from, seq, ackOnly, b := msg.From, h.Seq, h.AckOnly, body
-			if ackOnly && !stale && isFulfil(b) {
-				// A remote fulfilment resolves a promise and never blocks:
-				// it runs here, in frame order, without a goroutine hop.
+			if ackOnly && !stale && l.inline(b) {
+				l.rpcInline.Inc()
 				l.serve(k, from, seq, true, false, true, b)
 			} else {
 				l.Go(func() { l.serve(k, from, seq, ackOnly, stale, false, b) })
@@ -496,10 +511,14 @@ func (l *Locality) staleEpoch(from int, epoch uint64) bool {
 	return false
 }
 
-// isFulfil reports whether a request frame calls the promise service.
-func isFulfil(frame []byte) bool {
+// inline reports whether a request frame calls a method registered with
+// HandleInline.
+func (l *Locality) inline(frame []byte) bool {
 	var d wire.Decoder
-	return d.Reset(frame) == nil && string(d.Bytes()) == methodFulfill
+	d.Reset(frame) // a malformed frame names no method, and serve refuses it
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.inlined[string(d.Bytes())]
 }
 
 // serve runs the handler of request seq from rank from and answers it

@@ -521,3 +521,44 @@ func mustEncode(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// TestInlineHandsOffYieldedRefresh: sched.runb is served in frame order,
+// on the goroutine that delivered it (runtime.HandleInline), so the
+// refresh a carried eviction yields at once — here to a destination that
+// does not hold the region — leaves from a goroutine of its own, and a
+// later call on the link completes.
+func TestInlineHandsOffYieldedRefresh(t *testing.T) {
+	g := newCarryRig(t, 2)
+	registerSum(g.c)
+	s0 := g.c.scheds[0]
+	sum := func(id uint64) runArgs {
+		return runArgs{Spec: TaskSpec{ID: id, Kind: "sum", Args: mustEncode(t, &sumRange{0, 3}), Origin: 0}}
+	}
+	carrying := sum(7)
+	carrying.Carried = []dim.Carried{{Item: g.item, Kept: g.band, Token: 9}}
+	shipped := s0.loc.CallAsync(1, methodRunBatch, &runBatch{Tasks: []runArgs{carrying}}, runtime.AckOnly())
+	later := s0.loc.CallAsync(1, methodRunBatch, &runBatch{Tasks: []runArgs{sum(8)}})
+	for _, c := range []struct {
+		what string
+		fut  *runtime.Future
+	}{{"the carrying ship", shipped}, {"the call behind it", later}} {
+		select {
+		case <-c.fut.Ready():
+			if _, err := c.fut.Wait(); err != nil {
+				t.Fatalf("%s: %v", c.what, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s still waits after 1 s", c.what)
+		}
+	}
+	waitFor(t, "the yielded refresh", func() bool {
+		return g.c.sumCounter(dim.MetricRefreshSent) == 1 && s0.loc.PendingCalls() == 0 && g.c.scheds[1].loc.PendingCalls() == 0
+	})
+	waitFor(t, "both tasks to run", func() bool { return g.c.scheds[1].stats.executed.Value() == 2 })
+	if got := g.c.scheds[1].loc.Metrics().CounterValue(runtime.MetricRPCInline); got != 1 {
+		t.Fatalf("%s = %d at the destination, want 1: the ack-only ship", runtime.MetricRPCInline, got)
+	}
+	if got := g.mgr(1).Pins(); got != 0 {
+		t.Fatalf("the yielded claim left %d pins", got)
+	}
+}

@@ -264,10 +264,10 @@ func New(loc *runtime.Locality, mgr *dim.Manager, policy Policy, workers int) *S
 	s.execHist = reg.Histogram(MetricTaskExec)
 	// The queue comes first: the handler below enqueues.
 	s.startQueue(workers)
-	// A ship is an acknowledged call, not a one-way message: the ack
-	// only confirms acceptance (execution continues asynchronously), and
-	// an error tells the origin to run the tasks itself (ship.go).
-	loc.Handle(methodRunBatch, func(from int, body []byte) ([]byte, error) {
+	// A ship is an acknowledged call, served in frame order (accept): the
+	// ack only confirms acceptance (execution continues asynchronously),
+	// and an error tells the origin to run the tasks itself (ship.go).
+	loc.HandleInline(methodRunBatch, func(from int, body []byte) ([]byte, error) {
 		var b runBatch
 		var d wire.Decoder
 		if err := d.Reset(body); err != nil {

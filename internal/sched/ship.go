@@ -115,12 +115,14 @@ func (s *Scheduler) shipFailed(target int, batch []runArgs) {
 }
 
 // accept takes in the tasks of one arrived frame: the receiving half of
-// ship. The evictions the tasks carry from their origin `from` become
-// their claims here; a frame with one that does not fit is refused whole,
-// and its sender runs the tasks itself. A granted task is a steal that
-// succeeded: it is counted before it is enqueued, so whoever observes the
-// task's effect observes the count, and the first of a frame raises the
-// flag that allows the next dry worker a probe (the probe rule, steal.go).
+// ship. It runs on the delivery goroutine (HandleInline): what would wait
+// or send is handed to a goroutine of its own. The evictions the tasks
+// carry from their origin `from` become their claims here; a frame with
+// one that does not fit is refused whole, and its sender runs the tasks
+// itself. A granted task is a steal that succeeded: it is counted before
+// it is enqueued, so whoever observes the task's effect observes the
+// count, and the first of a frame raises the flag that allows the next
+// dry worker a probe (the probe rule, steal.go).
 func (s *Scheduler) accept(from int, tasks []runArgs) error {
 	if err := s.mgr.TakeCarried(from, len(tasks), func(i int) (uint64, []dim.Carried) {
 		return tasks[i].Spec.ID, tasks[i].Carried
@@ -138,7 +140,7 @@ func (s *Scheduler) accept(from int, tasks []runArgs) error {
 			// A frame that raced the drain's placement pause is accepted
 			// (the ack stops the sender's resends) but forwarded instead
 			// of kept: the rank admits no new work.
-			s.forward(t)
+			s.loc.Go(func() { s.forward(t) })
 			continue
 		}
 		if tasks[i].Granted {

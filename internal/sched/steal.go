@@ -167,8 +167,10 @@ func (s *Scheduler) drainQueues() []*task { return s.takeQueued(math.MaxInt, nil
 //
 // A stopping queue's workers still run what their joins need, but once
 // the last of them has returned nothing runs a queued task: one queued
-// then is taken out again and dropped. The check follows the push and
-// the last worker drains after it leaves, so one of the two finds it.
+// then is taken out again and dropped, from a goroutine of its own
+// (leave may send; the sched.runb handler enqueues). The check follows
+// the push and the last worker drains after it leaves, so one of the two
+// finds it.
 func (s *Scheduler) enqueueAt(w int, t *task) {
 	q := s.queue
 	t.sp = s.loc.Tracer().Begin("task.enqueue", t.spec.Kind, trace.SpanID(t.spec.Span))
@@ -179,7 +181,9 @@ func (s *Scheduler) enqueueAt(w int, t *task) {
 	q.deques[w].pushTail(t)
 	s.queued.Add(1)
 	if q.live.Load() == 0 {
-		s.drop(s.takeQueued(1, func(spec *TaskSpec) bool { return spec == &t.spec }))
+		if ts := s.takeQueued(1, func(spec *TaskSpec) bool { return spec == &t.spec }); len(ts) > 0 {
+			s.loc.Go(func() { s.drop(ts) })
+		}
 		return
 	}
 	q.wakeIdle()
