@@ -106,12 +106,22 @@ func Table1() string {
 	return b.String()
 }
 
-// linearSeries extends the 1-node base value linearly, the "linear"
-// reference line of Fig. 7.
-func linearSeries(base float64, nodes []int) Series {
-	s := Series{Label: "linear"}
-	for _, n := range nodes {
-		s.Points = append(s.Points, Point{Nodes: n, Value: base * float64(n)})
+// sweep runs the model once per node count of NodeSweep.
+func sweep(label string, model func(nodes int) float64) Series {
+	s := Series{Label: label}
+	for _, n := range NodeSweep {
+		s.Points = append(s.Points, Point{Nodes: n, Value: model(n)})
 	}
 	return s
+}
+
+// againstMPI fills fig with the three curves of a Fig. 7 panel: the
+// AllScale and MPI models over NodeSweep, and the "linear" reference
+// that extends AllScale's 1-node value.
+func againstMPI(fig Figure, allscale, mpi func(nodes int) float64) Figure {
+	alls := sweep("AllScale", allscale)
+	base := alls.Points[0].Value
+	fig.Series = []Series{alls, sweep("MPI", mpi),
+		sweep("linear", func(n int) float64 { return base * float64(n) })}
+	return fig
 }

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	stencilapp "allscale/internal/apps/stencil"
+	"allscale/internal/apps/tpc"
 )
 
 // The tests in this file assert the qualitative findings of the
@@ -66,8 +68,23 @@ func TestFig7IPiC3DShape(t *testing.T) {
 	}
 }
 
+var (
+	tpcSweepOnce sync.Once
+	tpcSweep     Figure
+)
+
+// sharedTPCSweep is Fig7TPCCached, simulated once per test binary. Its
+// "AllScale" and "MPI" series are Fig7TPC's (TestFig7Deterministic
+// checks them value for value against a fresh Fig7TPC), so the TPC
+// shape, the E13 crossover and the determinism test read one sweep.
+func sharedTPCSweep() Figure {
+	tpcSweepOnce.Do(func() { tpcSweep = Fig7TPCCached() })
+	return tpcSweep
+}
+
 func TestFig7TPCShape(t *testing.T) {
-	f := Fig7TPC()
+	t.Parallel()
+	f := sharedTPCSweep()
 	// "MPI obtains higher performance": MPI strictly above AllScale
 	// from 2 nodes on, by a growing factor.
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
@@ -198,34 +215,37 @@ func TestSchedulerAblationShape(t *testing.T) {
 	}
 }
 
-func BenchmarkFig7StencilModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		simulateStencil(64, true)
-	}
-}
-
-func BenchmarkFig7TPCModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		simulateTPCAllScale(64)
-	}
-}
-
 // TestFig7Deterministic guards the reproducibility of the DES: two
 // runs of the same model must produce identical series (the engine is
-// seeded and single-threaded; any nondeterminism is a bug).
+// seeded and single-threaded; any nondeterminism is a bug). The second
+// run is the shared sweep, whose AllScale curve also fixes the linear
+// reference.
 func TestFig7Deterministic(t *testing.T) {
-	a, b := Fig7TPC(), Fig7TPC()
-	for si := range a.Series {
-		for pi := range a.Series[si].Points {
-			va, vb := a.Series[si].Points[pi], b.Series[si].Points[pi]
-			if va != vb {
-				t.Fatalf("series %s nodes %d: %v != %v", a.Series[si].Label, va.Nodes, va.Value, vb.Value)
+	t.Parallel()
+	a, b := Fig7TPC(), sharedTPCSweep()
+	base := value(t, b, "AllScale", 1)
+	for _, s := range a.Series {
+		for _, va := range s.Points {
+			vb := base * float64(va.Nodes)
+			if s.Label != "linear" {
+				vb = value(t, b, s.Label, va.Nodes)
+			}
+			if va.Value != vb {
+				t.Fatalf("series %s nodes %d: %v != %v", s.Label, va.Nodes, va.Value, vb)
 			}
 		}
 	}
 	s1, s2 := simulateStencil(32, true), simulateStencil(32, true)
 	if s1 != s2 {
 		t.Fatalf("stencil model nondeterministic: %v != %v", s1, s2)
+	}
+}
+
+// tpcParamsForTest returns a small workload for the smoke tests.
+func tpcParamsForTest() tpc.Params {
+	return tpc.Params{
+		NumPoints: 256, Height: 6, BlockHeight: 2,
+		Radius: 60, NumQueries: 8, Seed: 9,
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -10,113 +9,15 @@ import (
 	"allscale/internal/core"
 	"allscale/internal/dim"
 	"allscale/internal/sched"
-	"allscale/internal/simnet"
 )
 
 // E13 — locality fast path (DESIGN.md §6f): the epoch-fenced locate
 // cache plus batched index resolution turn the per-placement index
 // walk into a local-memory operation on the steady-state hot path.
-// This file provides both halves of the E13 evidence: the Fig. 7
-// TPC model re-run with cached resolution, and a real-runtime
-// before/after ablation counting index RPCs per placement.
-
-// simulateTPCAllScaleCached is simulateTPCAllScale with the locate
-// cache modelled: the index-resolution CPU at the hierarchy's upper
-// levels (node 0) is charged only the first time an origin resolves a
-// given sub-task's owner — every later placement of the same
-// requirement hits the origin-local cache and pays nothing remotely.
-// Coverage never changes after TPC's load phase, so entries stay warm
-// for the whole query run (the model's analogue of the zero-RPC
-// steady state the runtime tests assert).
-func simulateTPCAllScaleCached(nodes int) float64 {
-	m := defaultTPCModel()
-	cfg := simnet.DefaultConfig(nodes)
-	c := simnet.New(cfg)
-
-	subTasks := int(math.Max(1, math.Round(m.tasksPerNodeFactor*float64(nodes))))
-	rootFlops := m.flopsPerQuery * m.rootShare
-	subFlops := m.flopsPerQuery * (1 - m.rootShare) / float64(subTasks)
-
-	issued := 0
-	done := 0
-	resolved := make(map[[2]int]bool, nodes*subTasks)
-
-	var issue func(origin int)
-	issue = func(origin int) {
-		if issued >= m.queries {
-			return
-		}
-		issued++
-		c.ExecFlops(origin, rootFlops, func() {
-			if nodes == 1 {
-				c.ExecFlops(origin, m.flopsPerQuery*(1-m.rootShare), func() {
-					done++
-					issue(origin)
-				})
-				return
-			}
-			remaining := subTasks
-			for k := 0; k < subTasks; k++ {
-				owner := (origin + 1 + k) % nodes
-				ship := func() {
-					c.ExecSeconds(origin, m.taskCPU, func() {
-						c.Send(origin, owner, m.taskBytes, func() {
-							c.ExecSeconds(owner, m.taskCPU, func() {
-								c.ExecFlops(owner, subFlops, func() {
-									c.Send(owner, origin, 64, func() {
-										remaining--
-										if remaining == 0 {
-											done++
-											issue(origin)
-										}
-									})
-								})
-							})
-						})
-					})
-				}
-				key := [2]int{origin, k}
-				if resolved[key] {
-					// Warm cache: resolution is a local-memory hit.
-					ship()
-				} else {
-					resolved[key] = true
-					c.ExecSeconds(0, m.indexCPU, ship)
-				}
-			}
-		})
-	}
-
-	for k := 0; k < m.inflight; k++ {
-		origin := k % nodes
-		c.Eng.Schedule(0, func() { issue(origin) })
-	}
-	total := c.Eng.Run()
-	if done != m.queries {
-		panic("bench: tpc cached simulation stalled")
-	}
-	return float64(done) / float64(total)
-}
-
-// Fig7TPCCached is the E13 counterpart of Fig7TPC: the TPC panel with
-// the locate cache enabled in the model, next to the uncached curve
-// and the MPI reference. The uncached curve collapses past 8 nodes
-// because every placement charges the low-rank index hosts; cached,
-// the per-(origin,sub-task) charge is one-time and scaling continues
-// past the old peak.
-func Fig7TPCCached() Figure {
-	fig := Figure{ID: "E13-tpc", Title: "TPC throughput scaling with locate cache (2^29 points, r=20)", Metric: "queries/s"}
-	cached := Series{Label: "AllScale+cache"}
-	alls := Series{Label: "AllScale"}
-	mpis := Series{Label: "MPI"}
-	for _, n := range NodeSweep {
-		cached.Points = append(cached.Points, Point{Nodes: n, Value: simulateTPCAllScaleCached(n)})
-		alls.Points = append(alls.Points, Point{Nodes: n, Value: simulateTPCAllScale(n)})
-		mpis.Points = append(mpis.Points, Point{Nodes: n, Value: simulateTPCMPI(n)})
-	}
-	fig.Series = []Series{cached, alls, mpis}
-	return fig
-}
+// This file holds the real-runtime half of the E13 evidence, a
+// before/after ablation counting index RPCs per placement; the other
+// half is the Fig. 7 TPC model re-run with cached resolution
+// (Fig7TPCCached).
 
 // LocateRow is one measurement of the real-runtime locate ablation.
 type LocateRow struct {

@@ -11,11 +11,13 @@ import (
 // cached curve dominates the uncached one wherever index traffic
 // exists. TestFig7TPCShape pins the uncached curve unchanged.
 func TestE13TPCCrossoverShape(t *testing.T) {
+	t.Parallel()
+	f := sharedTPCSweep()
 	cached := map[int]float64{}
 	uncached := map[int]float64{}
 	for _, n := range NodeSweep {
-		cached[n] = simulateTPCAllScaleCached(n)
-		uncached[n] = simulateTPCAllScale(n)
+		cached[n] = value(t, f, "AllScale+cache", n)
+		uncached[n] = value(t, f, "AllScale", n)
 	}
 	// Cache never hurts; from 2 nodes on it strictly helps (every
 	// placement past the first consults the index in the uncached

@@ -105,11 +105,3 @@ func RenderTPCDistRows(rows []TPCDistRow) string {
 	}
 	return b.String()
 }
-
-// tpcParamsForTest returns a small workload for the smoke test.
-func tpcParamsForTest() tpc.Params {
-	return tpc.Params{
-		NumPoints: 256, Height: 6, BlockHeight: 2,
-		Radius: 60, NumQueries: 8, Seed: 9,
-	}
-}

@@ -131,36 +131,9 @@ func (c *Comm) RecvValue(from, tag int, out any) error {
 	return wire.Decode(data, out)
 }
 
-// SendRecv performs a combined exchange (MPI_Sendrecv): send to `to`,
-// receive from `from`, both under the same tag, without deadlock.
-func (c *Comm) SendRecv(to, from, tag int, data []byte) ([]byte, error) {
-	if err := c.Send(to, tag, data); err != nil {
-		return nil, err
-	}
-	return c.Recv(from, tag)
-}
-
 // Internal collective tags live above this base; user tags must stay
 // below.
 const collectiveTagBase = 1 << 20
-
-// Barrier blocks until every rank entered it (dissemination
-// algorithm).
-func (c *Comm) Barrier() error {
-	n := c.Size()
-	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-		to := (c.Rank() + dist) % n
-		from := (c.Rank() - dist + n) % n
-		tag := collectiveTagBase + round
-		if err := c.Send(to, tag, nil); err != nil {
-			return err
-		}
-		if _, err := c.Recv(from, tag); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Bcast distributes root's data to all ranks and returns it (binomial
 // tree).
@@ -228,15 +201,6 @@ func (c *Comm) AllreduceFloat64(v float64, op string) (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(data)), nil
 }
 
-// AllreduceInt64 combines one int64 per rank with op on every rank.
-func (c *Comm) AllreduceInt64(v int64, op string) (int64, error) {
-	f, err := c.AllreduceFloat64(float64(v), op)
-	if err != nil {
-		return 0, err
-	}
-	return int64(f), nil
-}
-
 func (c *Comm) gatherFloat64(root int, v float64) ([]float64, error) {
 	tag := collectiveTagBase + 2000
 	if c.Rank() != root {
@@ -274,36 +238,6 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		out[r] = got
 	}
 	return out, nil
-}
-
-// Alltoall delivers send[i] to rank i and returns the slice received
-// from each rank.
-func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
-	if len(send) != c.Size() {
-		return nil, fmt.Errorf("mpi: alltoall needs %d buffers, got %d", c.Size(), len(send))
-	}
-	tag := collectiveTagBase + 4000
-	recv := make([][]byte, c.Size())
-	recv[c.Rank()] = send[c.Rank()]
-	for r := 0; r < c.Size(); r++ {
-		if r == c.Rank() {
-			continue
-		}
-		if err := c.Send(r, tag, send[r]); err != nil {
-			return nil, err
-		}
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == c.Rank() {
-			continue
-		}
-		got, err := c.Recv(r, tag)
-		if err != nil {
-			return nil, err
-		}
-		recv[r] = got
-	}
-	return recv, nil
 }
 
 func combine(vals []float64, op string) (float64, error) {

@@ -92,24 +92,6 @@ func TestSendRecvOrderPerSender(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		w := NewWorld(n)
-		err := w.Run(func(c *Comm) error {
-			for i := 0; i < 5; i++ {
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		w.Close()
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
 func TestBcast(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
 		for root := 0; root < n; root++ {
@@ -156,7 +138,7 @@ func TestAllreduce(t *testing.T) {
 			if mx != float64(n-1) {
 				return fmt.Errorf("max = %v", mx)
 			}
-			mn, err := c.AllreduceInt64(int64(c.Rank()+10), "min")
+			mn, err := c.AllreduceFloat64(float64(c.Rank()+10), "min")
 			if err != nil {
 				return err
 			}
@@ -190,57 +172,6 @@ func TestGather(t *testing.T) {
 			if got[r][0] != byte(r*10) {
 				return fmt.Errorf("gather[%d] = %v", r, got[r])
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	w := NewWorld(3)
-	defer w.Close()
-	err := w.Run(func(c *Comm) error {
-		send := make([][]byte, 3)
-		for r := 0; r < 3; r++ {
-			send[r] = []byte{byte(c.Rank()), byte(r)}
-		}
-		recv, err := c.Alltoall(send)
-		if err != nil {
-			return err
-		}
-		for r := 0; r < 3; r++ {
-			if recv[r][0] != byte(r) || recv[r][1] != byte(c.Rank()) {
-				return fmt.Errorf("recv[%d] = %v", r, recv[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Size mismatch.
-	if _, err := w.Comm(0).Alltoall(nil); err == nil {
-		// Alltoall on a single comm outside Run: only the size check
-		// path is exercised.
-		t.Fatal("alltoall with wrong buffer count must fail")
-	}
-}
-
-func TestSendRecvCombined(t *testing.T) {
-	w := NewWorld(4)
-	defer w.Close()
-	// Ring shift.
-	err := w.Run(func(c *Comm) error {
-		right := (c.Rank() + 1) % 4
-		left := (c.Rank() + 3) % 4
-		got, err := c.SendRecv(right, left, 9, []byte{byte(c.Rank())})
-		if err != nil {
-			return err
-		}
-		if got[0] != byte(left) {
-			return fmt.Errorf("ring shift got %d, want %d", got[0], left)
 		}
 		return nil
 	})

@@ -3,16 +3,13 @@
 // 10-core Xeon E5-2630 v4 processors connected by an Omni-Path fabric
 // in a fat-tree topology. Compute is charged to per-node core
 // resources, messages to per-node NIC serialization plus a base
-// latency with a mild fat-tree distance surcharge. Virtual time comes
-// from package simtime, so 64-node sweeps run on a laptop (see
-// DESIGN.md §4).
+// latency with a mild fat-tree distance surcharge. A deterministic
+// discrete-event engine (engine.go) charges compute and communication
+// to a virtual clock instead of wall time, so 64-node sweeps run on a
+// laptop (see DESIGN.md §4, substitution for the RRZE Meggie cluster).
 package simnet
 
-import (
-	"math"
-
-	"allscale/internal/simtime"
-)
+import "math"
 
 // Config calibrates the cluster model. The defaults approximate one
 // Meggie node and its Omni-Path link.
@@ -57,35 +54,30 @@ type Stats struct {
 	Bytes uint64
 }
 
-// Node is one simulated cluster node.
-type Node struct {
-	ID    int
-	Cores *simtime.Resource
-	NIC   *simtime.Resource
-	// Svc is the dedicated runtime service / communication progress
-	// thread (as in HPX): protocol processing does not compete with
-	// the compute cores.
-	Svc *simtime.Resource
+// host is one simulated cluster node. svc is the dedicated runtime
+// service / communication progress thread (as in HPX): protocol
+// processing does not compete with the compute cores.
+type host struct {
+	cores, nic, svc *Resource
 }
 
 // Cluster is the simulated machine.
 type Cluster struct {
-	Eng   *simtime.Engine
+	Eng   *Engine
 	Cfg   Config
-	nodes []*Node
+	nodes []*host
 	stats Stats
 }
 
 // New builds a cluster over a fresh engine.
 func New(cfg Config) *Cluster {
-	eng := simtime.NewEngine()
+	eng := &Engine{}
 	c := &Cluster{Eng: eng, Cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
-		c.nodes = append(c.nodes, &Node{
-			ID:    i,
-			Cores: simtime.NewResource(eng, cfg.CoresPerNode),
-			NIC:   simtime.NewResource(eng, 1),
-			Svc:   simtime.NewResource(eng, 1),
+		c.nodes = append(c.nodes, &host{
+			cores: newResource(eng, cfg.CoresPerNode),
+			nic:   newResource(eng, 1),
+			svc:   newResource(eng, 1),
 		})
 	}
 	return c
@@ -119,17 +111,17 @@ func (c *Cluster) hops(a, b int) int {
 // the node rate — then calls done.
 func (c *Cluster) ExecFlops(node int, work float64, done func()) {
 	coreRate := c.Cfg.NodeFlops / float64(c.Cfg.CoresPerNode)
-	c.nodes[node].Cores.Use(simtime.Time(work/coreRate), done)
+	c.nodes[node].cores.Use(Time(work/coreRate), done)
 }
 
 // ExecParallelFlops occupies all cores of the node for
 // work/NodeFlops seconds (a perfectly parallel node-local kernel).
 func (c *Cluster) ExecParallelFlops(node int, work float64, done func()) {
-	dur := simtime.Time(work / c.Cfg.NodeFlops)
+	dur := Time(work / c.Cfg.NodeFlops)
 	n := c.nodes[node]
 	remaining := c.Cfg.CoresPerNode
 	for i := 0; i < c.Cfg.CoresPerNode; i++ {
-		n.Cores.Use(dur, func() {
+		n.cores.Use(dur, func() {
 			remaining--
 			if remaining == 0 && done != nil {
 				done()
@@ -140,7 +132,7 @@ func (c *Cluster) ExecParallelFlops(node int, work float64, done func()) {
 
 // ExecSeconds occupies one core for a fixed duration.
 func (c *Cluster) ExecSeconds(node int, dur float64, done func()) {
-	c.nodes[node].Cores.Use(simtime.Time(dur), done)
+	c.nodes[node].cores.Use(Time(dur), done)
 }
 
 // Send models one message of the given size from src to dst: CPU
@@ -151,19 +143,21 @@ func (c *Cluster) Send(src, dst int, bytes int64, deliver func()) {
 	c.stats.Msgs++
 	c.stats.Bytes += uint64(bytes)
 	if src == dst {
-		c.Eng.Schedule(simtime.Time(50e-9), deliver)
+		c.Eng.Schedule(Time(50e-9), deliver)
 		return
 	}
-	cfg := c.Cfg
-	serialize := simtime.Time(float64(bytes) / cfg.LinkBandwidth)
-	wire := simtime.Time(cfg.BaseLatency + float64(c.hops(src, dst))*cfg.HopLatency)
+	cfg := &c.Cfg
+	msgCPU := Time(cfg.MsgCPU)
+	serialize := Time(float64(bytes) / cfg.LinkBandwidth)
+	wire := Time(cfg.BaseLatency + float64(c.hops(src, dst))*cfg.HopLatency)
+	from, to := c.nodes[src], c.nodes[dst]
 
 	// Sender service thread, then NIC serialization, then wire, then
 	// receiver service thread.
-	c.nodes[src].Svc.Use(simtime.Time(cfg.MsgCPU), func() {
-		c.nodes[src].NIC.Use(serialize, func() {
+	from.svc.Use(msgCPU, func() {
+		from.nic.Use(serialize, func() {
 			c.Eng.Schedule(wire, func() {
-				c.nodes[dst].Svc.Use(simtime.Time(cfg.MsgCPU), deliver)
+				to.svc.Use(msgCPU, deliver)
 			})
 		})
 	})
@@ -227,13 +221,6 @@ func (c *Cluster) Gather(root int, bytesPerNode int64, done func()) {
 			}
 		})
 	}
-}
-
-// Allreduce models a reduce-to-root plus broadcast of a small value.
-func (c *Cluster) Allreduce(bytes int64, done func()) {
-	c.Gather(0, bytes, func() {
-		c.Broadcast(0, bytes, done)
-	})
 }
 
 // LogTreeDepth returns ceil(log2(n)), the depth of the runtime's

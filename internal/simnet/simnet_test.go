@@ -1,20 +1,16 @@
 package simnet
 
-import (
-	"testing"
-
-	"allscale/internal/simtime"
-)
+import "testing"
 
 func TestSendLatencyComponents(t *testing.T) {
 	cfg := DefaultConfig(4)
 	c := New(cfg)
-	var delivered simtime.Time
+	var delivered Time
 	c.Send(0, 1, 1000, func() { delivered = c.Eng.Now() })
 	c.Eng.Run()
 	// Expected: 2·MsgCPU + serialization + base + 1 hop (same group).
-	want := simtime.Time(2*cfg.MsgCPU + 1000/cfg.LinkBandwidth + cfg.BaseLatency + cfg.HopLatency)
-	eps := simtime.Time(1e-12)
+	want := Time(2*cfg.MsgCPU + 1000/cfg.LinkBandwidth + cfg.BaseLatency + cfg.HopLatency)
+	eps := Time(1e-12)
 	if delivered < want-eps || delivered > want+eps {
 		t.Fatalf("delivered at %v, want %v", delivered, want)
 	}
@@ -25,7 +21,7 @@ func TestSendLatencyComponents(t *testing.T) {
 
 func TestSelfSendIsCheap(t *testing.T) {
 	c := New(DefaultConfig(2))
-	var at simtime.Time
+	var at Time
 	c.Send(1, 1, 1<<20, func() { at = c.Eng.Now() })
 	c.Eng.Run()
 	if at > 1e-6 {
@@ -48,7 +44,7 @@ func TestHopsFatTree(t *testing.T) {
 
 func TestCrossGroupMessagesAreSlower(t *testing.T) {
 	c := New(DefaultConfig(64))
-	var near, far simtime.Time
+	var near, far Time
 	c.Send(0, 1, 100, func() { near = c.Eng.Now() })
 	c.Eng.Run()
 	c2 := New(DefaultConfig(64))
@@ -62,12 +58,12 @@ func TestCrossGroupMessagesAreSlower(t *testing.T) {
 func TestExecFlopsDuration(t *testing.T) {
 	cfg := DefaultConfig(1)
 	c := New(cfg)
-	var at simtime.Time
+	var at Time
 	work := 1e9 // 1 GFLOP on one core
 	c.ExecFlops(0, work, func() { at = c.Eng.Now() })
 	c.Eng.Run()
 	coreRate := cfg.NodeFlops / float64(cfg.CoresPerNode)
-	want := simtime.Time(work / coreRate)
+	want := Time(work / coreRate)
 	if at != want {
 		t.Fatalf("exec took %v, want %v", at, want)
 	}
@@ -76,10 +72,10 @@ func TestExecFlopsDuration(t *testing.T) {
 func TestExecParallelUsesWholeNode(t *testing.T) {
 	cfg := DefaultConfig(1)
 	c := New(cfg)
-	var at simtime.Time
+	var at Time
 	c.ExecParallelFlops(0, 1e9, func() { at = c.Eng.Now() })
 	c.Eng.Run()
-	want := simtime.Time(1e9 / cfg.NodeFlops)
+	want := Time(1e9 / cfg.NodeFlops)
 	if at != want {
 		t.Fatalf("parallel exec took %v, want %v", at, want)
 	}
@@ -90,7 +86,7 @@ func TestCoresSaturate(t *testing.T) {
 	cfg.CoresPerNode = 2
 	c := New(cfg)
 	var finished int
-	var last simtime.Time
+	var last Time
 	for i := 0; i < 4; i++ {
 		c.ExecSeconds(0, 1, func() { finished++; last = c.Eng.Now() })
 	}
@@ -119,20 +115,25 @@ func TestBroadcastIsLogDepth(t *testing.T) {
 	// Binomial broadcast over 64 nodes must complete much faster than
 	// 63 sequential latencies.
 	c := New(DefaultConfig(64))
-	var at simtime.Time
+	var at Time
 	c.Broadcast(0, 64, func() { at = c.Eng.Now() })
 	c.Eng.Run()
-	sequential := simtime.Time(63 * c.Cfg.BaseLatency)
+	sequential := Time(63 * c.Cfg.BaseLatency)
 	if at >= sequential {
 		t.Fatalf("broadcast %v not faster than sequential %v", at, sequential)
 	}
 }
 
+// TestGatherAndAllreduce runs a gather next to an allreduce, modelled
+// as the MPI baselines compose it: a gather to rank 0, then a
+// broadcast from it.
 func TestGatherAndAllreduce(t *testing.T) {
 	c := New(DefaultConfig(8))
 	steps := 0
 	c.Gather(0, 128, func() { steps++ })
-	c.Allreduce(8, func() { steps++ })
+	c.Gather(0, 8, func() {
+		c.Broadcast(0, 8, func() { steps++ })
+	})
 	c.Eng.Run()
 	if steps != 2 {
 		t.Fatalf("steps = %d", steps)
