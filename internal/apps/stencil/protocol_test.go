@@ -36,9 +36,10 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames 
 		}
 		return sum
 	}
-	// Nobody waits for the ack of a ship, a remote fulfilment or a
-	// dim.unpin (the refresh of the neighbour's halo row): let the last
-	// ones arrive, so that the step's frames are all counted.
+	// Nobody waits for the ack of a ship, a remote fulfilment, a dim.unpin
+	// (the refresh of the neighbour's halo row) or a dim.carry (a halo row
+	// given back): let the last ones arrive, so that the step's frames are
+	// all counted.
 	settle := func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for r := 0; r < sys.Size(); r++ {
@@ -59,7 +60,7 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames 
 	}
 	before := total(dim.MetricLocateRPCs)
 	direct, walked := total(dim.MetricRevokeDirect), total(dim.MetricRevokeWalked)
-	kept, evicted, carried := total(dim.MetricDropKept), total(dim.MetricDropEvicted), total(dim.MetricDropCarried)
+	kept, evicted, carried, given := total(dim.MetricDropKept), total(dim.MetricDropEvicted), total(dim.MetricDropCarried), total(dim.MetricDropGiven)
 	refreshed, stale := total(dim.MetricRefreshSent), total(dim.MetricRefreshStale)
 	// The frames of calls and replies, counted as they arrive: once every
 	// call is settled, a step's are all in, and no steal probe or rpc.acks
@@ -69,10 +70,10 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames 
 	step(warmup)
 	settle()
 	frames = int(callFrames() - framesBefore)
-	// The ship, the fulfilment and the two refreshes are served in frame
-	// order on the delivery goroutine; only the awaited drop is not.
-	if n := total(runtime.MetricRPCInline) - inline; n != 4 {
-		t.Errorf("requests served inline: %d, want 4 (all but the dim.drop)", n)
+	// The ship, the fulfilment, the two refreshes and the two give-backs
+	// are served in frame order on the delivery goroutine.
+	if n := total(runtime.MetricRPCInline) - inline; n != 6 {
+		t.Errorf("requests served inline: %d, want 6 (every one)", n)
 	}
 	locateRPCs = total(dim.MetricLocateRPCs) - before
 	if d, w := total(dim.MetricRevokeDirect)-direct, total(dim.MetricRevokeWalked)-walked; d != 2 || w != 0 {
@@ -81,9 +82,11 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames 
 	if k, e := total(dim.MetricDropKept)-kept, total(dim.MetricDropEvicted)-evicted; k != 2 || e != 0 {
 		t.Errorf("halo replicas: %d kept, %d evicted, want 2 and 0", k, e)
 	}
-	// The shipped half's drop of rank 0's copy rides in its frame.
-	if c := total(dim.MetricDropCarried) - carried; c != 1 {
-		t.Errorf("drops carried by the ship: %d, want 1", c)
+	// Both are given back as their readers let go, each ahead of the
+	// write that needs it; the ship finds the origin's copy given back
+	// already, and carries nothing.
+	if g, c := total(dim.MetricDropGiven)-given, total(dim.MetricDropCarried)-carried; g != 2 || c != 0 {
+		t.Errorf("halo replicas given back: %d, carried by the ship: %d, want 2 and 0", g, c)
 	}
 	if r, s := total(dim.MetricRefreshSent)-refreshed, total(dim.MetricRefreshStale)-stale; r != 2 || s != 0 {
 		t.Errorf("halo refreshes: %d sent, %d stale, want 2 and 0", r, s)
@@ -132,7 +135,7 @@ func stepCalls(t *testing.T, warmup int) (calls map[string]int, awaited, frames 
 
 // ackOnly names the calls of a step whose callers read no reply: each
 // costs one frame, its ack riding on a later one.
-var ackOnly = map[string]bool{"sched.runb": true, "runtime.fulfill": true, "dim.unpin": true}
+var ackOnly = map[string]bool{"sched.runb": true, "runtime.fulfill": true, "dim.unpin": true, "dim.carry": true}
 
 // startSteps starts a 64² stencil on 2 in-process localities and
 // returns the system and step s, issued as its two locality-sized
@@ -181,13 +184,13 @@ func formatCalls(calls map[string]int) string {
 // acquisition holds the neighbour's halo replica in place through the
 // owner's own sharer records and refreshes it on release — no fetch, no
 // coverage change, hence no index report, no cache invalidation and no
-// index walk of any kind. The shipped half's drop of rank 0's replica is
-// served by rank 0 as it ships the task and rides in the frame (DESIGN.md
-// §6f "Carried evictions"), so only rank 0's own dim.drop is awaited: the
-// ship, the fulfilment and the two refreshes are ack-only (DESIGN.md §6d
-// "Deferred acks"), and the five calls take six frames. Those four are
-// served in frame order on the delivery goroutine (rpc.inline, DESIGN.md
-// §6d "Served in frame order").
+// index walk of any kind. Each rank gives its halo replica back to its
+// writer as its reader lets go, in a dim.carry notice (DESIGN.md §6f
+// "Given back"), so neither write sends a dim.drop and nothing is
+// awaited: the ship, the fulfilment, the two refreshes and the two
+// give-backs are ack-only (DESIGN.md §6d "Deferred acks"), six calls in
+// six frames, all served in frame order on the delivery goroutine
+// (rpc.inline, DESIGN.md §6d "Served in frame order").
 func TestStencilStepProtocolCounts(t *testing.T) {
 	calls, awaited, frames, locates, locateRPCs := stepCalls(t, 20)
 	total := 0
@@ -195,12 +198,12 @@ func TestStencilStepProtocolCounts(t *testing.T) {
 		total += c
 	}
 	t.Logf("one step: %d calls (%d awaited) in %d frames, %d locate RPCs:%s; locates:%s", total, awaited, frames, locateRPCs, formatCalls(calls), formatCalls(locates))
-	want := map[string]int{"sched.runb": 1, "runtime.fulfill": 1, "dim.drop": 1, "dim.unpin": 2}
+	want := map[string]int{"sched.runb": 1, "runtime.fulfill": 1, "dim.carry": 2, "dim.unpin": 2}
 	if formatCalls(calls) != formatCalls(want) {
 		t.Errorf("calls per step:%s, want%s", formatCalls(calls), formatCalls(want))
 	}
-	if total != 5 || awaited != 1 || frames != 6 {
-		t.Errorf("RPC calls per step = %d (%d awaited) in %d frames, want 5 (1) in 6", total, awaited, frames)
+	if total != 6 || awaited != 0 || frames != 6 {
+		t.Errorf("RPC calls per step = %d (%d awaited) in %d frames, want 6 (0) in 6", total, awaited, frames)
 	}
 	if locateRPCs != 0 {
 		t.Errorf("locate RPCs per step = %d, want 0", locateRPCs)
@@ -217,42 +220,63 @@ func TestStencilStepProtocolCounts(t *testing.T) {
 	}
 }
 
-// TestShipCarriesOriginEviction: in steady-state steps rank 0 serves
-// the shipped half's drop of its halo replica as it ships the task
-// (dim.Manager.Carry), so rank 1 never sends rank 0 a dim.drop, and
-// dim.drop.carried counts one per step.
+// TestShipCarriesOriginEviction: rank 1 never sends rank 0 a dim.drop.
+// The first write of a grid after rank 0 fetched its halo row finds that
+// replica read but not given back — it came by a fetch — and rank 0
+// serves the shipped half's drop of it as it ships the task
+// (dim.Manager.Carry): dim.drop.carried counts one. From then on rank 0
+// gives the refreshed row back as its reader lets go, and the ship
+// finds it given back already: it carries nothing.
 func TestShipCarriesOriginEviction(t *testing.T) {
 	const warmup, steps = 20, 10
 	sys, step := startSteps(t, core.Config{TraceCapacity: 1 << 16})
 	defer sys.Close()
-	for s := 0; s < warmup; s++ {
-		step(s)
-	}
-	carried := func() (n uint64) {
+	count := func(name string) (n uint64) {
 		for r := 0; r < sys.Size(); r++ {
-			n += sys.Metrics(r).CounterValue(dim.MetricDropCarried)
+			n += sys.Metrics(r).CounterValue(name)
 		}
 		return n
 	}
-	var mark int64
-	for _, sp := range trace.Merge(sys.Tracers()...) {
-		mark = max(mark, sp.Start)
+	mark := func() (at int64) {
+		for _, sp := range trace.Merge(sys.Tracers()...) {
+			at = max(at, sp.Start)
+		}
+		return at
 	}
-	before := carried()
+	drops := func(since int64) (n int) {
+		for _, sp := range trace.Merge(sys.Tracers()[1]) {
+			if sp.Start > since && sp.Name == "rpc.call" && sp.Detail == "dim.drop" {
+				n++
+			}
+		}
+		return n
+	}
+	// Step 0 fetches the halo rows of grid A; step 1 writes A first.
+	step(0)
+	at, before := mark(), count(dim.MetricDropCarried)
+	step(1)
+	if got := count(dim.MetricDropCarried) - before; got != 1 {
+		t.Errorf("first write: %s = %d, want 1", dim.MetricDropCarried, got)
+	}
+	if n := drops(at); n != 0 {
+		t.Errorf("first write: rank 1 sent %d dim.drop calls, want 0", n)
+	}
+	for s := 2; s < warmup; s++ {
+		step(s)
+	}
+	at, before = mark(), count(dim.MetricDropCarried)
+	given := count(dim.MetricDropGiven)
 	for s := warmup; s < warmup+steps; s++ {
 		step(s)
 	}
-	if got := carried() - before; got != steps {
-		t.Errorf("%s = %d over %d steps, want one per step", dim.MetricDropCarried, got, steps)
+	if got := count(dim.MetricDropCarried) - before; got != 0 {
+		t.Errorf("steady state: %s = %d over %d steps, want 0", dim.MetricDropCarried, got, steps)
 	}
-	drops := 0
-	for _, sp := range trace.Merge(sys.Tracers()[1]) {
-		if sp.Start > mark && sp.Name == "rpc.call" && sp.Detail == "dim.drop" {
-			drops++
-		}
+	if got := count(dim.MetricDropGiven) - given; got != 2*steps {
+		t.Errorf("steady state: %s = %d over %d steps, want two per step", dim.MetricDropGiven, got, steps)
 	}
-	if drops != 0 {
-		t.Errorf("rank 1 sent %d dim.drop calls in %d steps, want 0", drops, steps)
+	if n := drops(at); n != 0 {
+		t.Errorf("steady state: rank 1 sent %d dim.drop calls in %d steps, want 0", n, steps)
 	}
 }
 
@@ -273,8 +297,10 @@ func TestShipCarriesOriginEviction(t *testing.T) {
 // Serving the ship and the refreshes in frame order on the delivery
 // goroutine (no closure and no goroutine hand-off per request, no park
 // behind a pinned replica) took it from 172–174 to 163–165 (167–171
-// under -race -cpu 2, also beside two CPU hogs).
-// The bound is the highest of those plus 3 %.
+// under -race -cpu 2, also beside two CPU hogs). Giving the halo row
+// back as its reader lets go — no awaited dim.drop, no reply to decode,
+// no pool goroutine to serve it — took it to 153–155 (157–159 under
+// -race -cpu 2), and the bound down by the 10 objects it fell.
 func TestStencilStepAllocs(t *testing.T) {
 	sys, step := startSteps(t, core.Config{})
 	defer sys.Close()
@@ -284,8 +310,8 @@ func TestStencilStepAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() { step(s); s++ })
 	t.Logf("%.0f allocations per step", allocs)
-	if allocs > 176 {
-		t.Errorf("%.0f allocations per step, want at most 176", allocs)
+	if allocs > 166 {
+		t.Errorf("%.0f allocations per step, want at most 166", allocs)
 	}
 }
 
@@ -296,7 +322,10 @@ func TestStencilStepAllocs(t *testing.T) {
 // delivery goroutine (runtime.HandleInline), so over 50 steady-state
 // steps no acquisition meets a pinned replica and none parks. Served
 // from pool goroutines, the ship or the fulfilment overtook the refresh
-// and about 0.9 acquisitions a step waited behind it.
+// and about 0.9 acquisitions a step waited behind it. The give-back of
+// a halo row (dim.carry) lands ahead of the write that takes it over the
+// same way, so no step awaits a call. Over TCP it logs the write(2)s and
+// reads a step pays: how frames batch depends on scheduling.
 func TestRefreshLandsBeforeTheFrameBehindIt(t *testing.T) {
 	const warmup, steps = 20, 50
 	run := func(t *testing.T, cfg core.Config) {
@@ -311,13 +340,26 @@ func TestRefreshLandsBeforeTheFrameBehindIt(t *testing.T) {
 			}
 			return n
 		}
-		refresh, lock := waits(dim.MetricRefreshWait), waits(dim.MetricLockWait)
+		count := func(name string) (n uint64) {
+			for r := 0; r < sys.Size(); r++ {
+				n += sys.Metrics(r).CounterValue(name)
+			}
+			return n
+		}
+		refresh, lock, awaited := waits(dim.MetricRefreshWait), waits(dim.MetricLockWait), waits(runtime.MetricRPCRoundtrip)
+		writes, reads := count(transport.MetricWrites), count(transport.MetricReads)
 		for s := warmup; s < warmup+steps; s++ {
 			step(s)
 		}
 		if r, l := waits(dim.MetricRefreshWait)-refresh, waits(dim.MetricLockWait)-lock; r != 0 || l != 0 {
 			t.Errorf("over %d steps: %d waits behind a pinned replica (%s), %d parks (%s), want 0 and 0",
 				steps, r, dim.MetricRefreshWait, l, dim.MetricLockWait)
+		}
+		if n := waits(runtime.MetricRPCRoundtrip) - awaited; n != 0 {
+			t.Errorf("over %d steps: %d awaited calls, want 0", steps, n)
+		}
+		if cfg.Endpoints != nil {
+			t.Logf("per step: %.2f write(2)s, %.2f reads", float64(count(transport.MetricWrites)-writes)/steps, float64(count(transport.MetricReads)-reads)/steps)
 		}
 	}
 	t.Run("inproc", func(t *testing.T) { run(t, core.Config{}) })

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"allscale/internal/core"
+	"allscale/internal/dim"
 	"allscale/internal/runtime"
 	"allscale/internal/sched"
 	"allscale/internal/transport"
@@ -25,7 +26,8 @@ import (
 // drops pooled objects at random); with dense tree fragments, a
 // by-pointer kernel and block regions built once it needs 187–188
 // (193–199 a batch under -race). The bound is the highest of those plus
-// 3 %.
+// 3 %. No replica here came by a writer's refresh — the root block is
+// fetched by Load — so nothing is given back (dim.drop.given).
 func TestTPCQueryProtocolCounts(t *testing.T) {
 	eps, err := transport.NewTCPLoopback(2, transport.TCPConfig{})
 	if err != nil {
@@ -119,6 +121,9 @@ func TestTPCQueryProtocolCounts(t *testing.T) {
 	}
 	if want := (reading{tasks: 366, calls: 209, awaited: 0, frames: 209}); sums != want {
 		t.Errorf("%d queries: %+v, want %+v", stream, sums, want)
+	}
+	if n := sys.CounterSum(dim.MetricDropGiven); n != 0 {
+		t.Errorf("%s = %d over the load and the queries, want 0", dim.MetricDropGiven, n)
 	}
 	if allocs > 205 {
 		t.Errorf("%.0f allocations a query, want at most 205", allocs)

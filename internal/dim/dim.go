@@ -96,6 +96,12 @@ const (
 	// shipped their writer its task (Carry): each is one dim.drop the
 	// writer's acquisition does not send.
 	MetricDropCarried = "dim.drop.carried"
+	// MetricDropGiven counts the kept drops a holder served as its local
+	// reader let go (giveBack): each is one dim.drop its writer's next
+	// write does not send. MetricDropReclaimed counts the parts given back
+	// that something at their holder waited for, and asked back.
+	MetricDropGiven     = "dim.drop.given"
+	MetricDropReclaimed = "dim.drop.reclaimed"
 	// Refreshes of kept replicas: sent (and their payload bytes) at the
 	// writer; stale at the sharer when the pin token was unknown — the
 	// pin had been force-released — and nothing was installed.
@@ -132,6 +138,8 @@ type Manager struct {
 	dropKept       *metrics.Counter
 	dropEvicted    *metrics.Counter
 	dropCarried    *metrics.Counter
+	dropGiven      *metrics.Counter
+	dropReclaimed  *metrics.Counter
 	refreshSent    *metrics.Counter
 	refreshBytes   *metrics.Counter
 	refreshStale   *metrics.Counter
@@ -177,6 +185,8 @@ func New(loc *runtime.Locality, reg *dataitem.Registry) *Manager {
 		dropKept:       loc.Metrics().Counter(MetricDropKept),
 		dropEvicted:    loc.Metrics().Counter(MetricDropEvicted),
 		dropCarried:    loc.Metrics().Counter(MetricDropCarried),
+		dropGiven:      loc.Metrics().Counter(MetricDropGiven),
+		dropReclaimed:  loc.Metrics().Counter(MetricDropReclaimed),
 		refreshSent:    loc.Metrics().Counter(MetricRefreshSent),
 		refreshBytes:   loc.Metrics().Counter(MetricRefreshBytes),
 		refreshStale:   loc.Metrics().Counter(MetricRefreshStale),

@@ -21,6 +21,10 @@ const (
 	methodClaim   = "dim.claim"
 	methodDrop    = "dim.drop"
 	methodUnpin   = "dim.unpin"
+	// methodCarry and methodReclaim are the notices of a part a reader
+	// gave back (giveBack) and of its holder asking for it (reclaim).
+	methodCarry   = "dim.carry"
+	methodReclaim = "dim.reclaim"
 	// methodResolveBatch coalesces many resolution sub-requests into
 	// one frame per target rank (DESIGN.md §6f).
 	methodResolveBatch = "dim.resolveBatch"
@@ -33,6 +37,8 @@ func (m *Manager) registerServices() {
 	m.loc.Handle(methodClaim, rpc(m.handleClaim))
 	m.loc.Handle(methodDrop, rpc(m.handleDrop))
 	m.loc.HandleInline(methodUnpin, rpc(m.handleUnpin)) // a refresh lands before the frame behind it
+	m.loc.HandleInline(methodCarry, rpc(m.handleCarry)) // a claim is filed before the ship behind it
+	m.loc.Handle(methodReclaim, rpc(m.handleReclaim))
 	m.loc.Handle(methodResolveBatch, rpc(m.handleResolveBatch))
 	m.loc.Handle(methodCacheInval, rpc(m.handleCacheInval))
 	m.registerRecoveryServices()
@@ -666,6 +672,9 @@ func (m *Manager) handleFetch(from int, args *fetchArgs) (*fetchReply, error) {
 		if err != errWait {
 			return reply, err
 		}
+		if m.reclaimLocked(args.Item, args.Region, noPin) {
+			continue
+		}
 		if err := m.park(&w, false); err != nil {
 			return nil, fmt.Errorf("dim: fetch of %v blocked on locks: %w", args.Item, err)
 		}
@@ -682,9 +691,10 @@ func (m *Manager) pinTokenLocked() uint64 {
 // handleDrop ends the local copy of a region on behalf of a writer that
 // holds its own copy under a write lock (drop), waiting while a lock
 // overlaps the region, and makes the removal known. An evictor that has
-// left while its drop waits is owed nothing (gone). A claim a task here
-// brought along on the region yields first (yield): the copy it would
-// write is going.
+// left while its drop waits is owed nothing (gone). A claim here on the
+// region yields first (yield): the copy it would write is going. A part
+// given back here that holds the drop up, waiting or turned away, is
+// asked back (reclaimLocked).
 func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 	w := waiter{abort: func() error { return m.gone(from) }}
 	defer w.done()
@@ -700,6 +710,9 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 		yields = st.yield(0, args.Region, yields)
 		reply, evicted, err := st.drop(from, m.Rank(), args.Region, m.pinTokenLocked())
 		if err == errWait {
+			if m.reclaimLocked(args.Item, args.Region, from) {
+				continue
+			}
 			if err := m.park(&w, false); err != nil {
 				return nil, fmt.Errorf("dim: drop of %v blocked on locks: %w", args.Item, err)
 			}
@@ -707,6 +720,10 @@ func (m *Manager) handleDrop(from int, args *dropArgs) (*dropReply, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if reply.Contended {
+			m.reclaimLocked(args.Item, args.Region, from)
+			return reply, nil
 		}
 		if reply.PinToken != 0 {
 			m.dropKept.Inc()
@@ -736,7 +753,7 @@ func (m *Manager) handleUnpin(from int, args *unpinArgs) (*struct{}, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for id, st := range m.items {
-		lost, ok := st.unpin(args.Token, args.Data)
+		lost, ok := st.unpin(args.Token, args.Data, args.Read)
 		if !ok {
 			continue
 		}
@@ -907,6 +924,13 @@ func (m *Manager) tryLockAll(token uint64, reqs []Requirement, w *waiter) (bool,
 			if byRefresh && behindPin.IsZero() {
 				behindPin = time.Now()
 			}
+			asked := false
+			for _, rq := range reqs {
+				asked = m.reclaimLocked(rq.Item, rq.Region, noPin) || asked
+			}
+			if asked {
+				continue
+			}
 			if err := m.park(w, false); err != nil {
 				return false, nil, fmt.Errorf("dim: acquire at rank %d: %w", m.Rank(), err)
 			}
@@ -1024,17 +1048,42 @@ func (m *Manager) enforceExclusive(token uint64, reqs []Requirement, w *waiter, 
 // and the claims a task that leaves brought along, are owed its result.
 // Their parts are extracted while the write lock still stands and sent
 // with the dim.unpin that releases each pin (sendRefreshes): the pin keeps
-// every reader of the stale bytes out until the refresh has arrived.
+// every reader of the stale bytes out until the refresh has arrived. What
+// token read of a writer's refresh goes back to that writer (giveBack),
+// in a dim.carry notice behind the refreshes.
 func (m *Manager) Release(token uint64) {
 	var out []refresh
+	var back []carryNote
 	m.mu.Lock()
-	for _, st := range m.items {
+	for id, st := range m.items {
 		out = st.take(token, out)
-		st.end(token)
+		if read := st.end(token); read != nil && len(st.refreshed) > 0 {
+			for _, g := range st.giveBack(m.Rank(), read, m.pinTokenLocked, nil) {
+				m.dropKept.Inc()
+				m.dropGiven.Inc()
+				back = append(back, carryNote{g.rank, carryArgs{Carried{Item: id, Kept: g.kept, Token: g.token}, m.epoch}})
+			}
+		}
 	}
 	m.wakeLocked()
 	m.mu.Unlock()
 	m.sendRefreshes(out)
+	if len(back) == 0 {
+		return
+	}
+	for i := range back {
+		m.loc.Notify(back[i].rank, methodCarry, &back[i].args)
+	}
+	// Only now may a wait ask a part back: the ask follows the notice on
+	// the link, and the notice is served in frame order.
+	m.mu.Lock()
+	for _, b := range back {
+		if st, ok := m.items[b.args.Item]; ok {
+			st.give(b.args.Token)
+		}
+	}
+	m.wakeLocked()
+	m.mu.Unlock()
 }
 
 // LockedRegions returns the regions of an item locked by granted
@@ -1061,15 +1110,20 @@ func (m *Manager) LockedRegions(id ItemID) (read, write []dataitem.Region, err e
 
 // Pins returns how many pins — of either mode, plus the writer's records
 // of those held elsewhere for this rank — are outstanding: zero at
-// quiescence (for tests and monitoring).
+// quiescence (for tests and monitoring). A standing claim and the pin
+// given back for it wait for nobody, and do not count.
 func (m *Manager) Pins() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
 	for _, st := range m.items {
-		n += len(st.held)
+		for _, h := range st.held {
+			if h.owner != standing {
+				n++
+			}
+		}
 		for _, e := range st.locks {
-			if e.pin != noPin {
+			if e.pin != noPin && e.back != backGiven {
 				n++
 			}
 		}

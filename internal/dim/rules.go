@@ -30,7 +30,24 @@ type lockEntry struct {
 	// pin stands for no lock, so it turns away every evictor but its
 	// writer (drop).
 	carried bool
+	// back is where a carried pin stands that this rank took as a local
+	// reader let go of the part (giveBack). Such a pin turns evictors away
+	// as its writer's write lock does, not as a shipped task's (drop).
+	back backState
 }
+
+// backState is where a part given back (giveBack) stands at its holder.
+type backState uint8
+
+const (
+	notBack   backState = iota // a pin of any other kind
+	backGoing                  // its notice is not on its way yet
+	// backGiven: its notice is on its way (give), and its writer holds it
+	// as a standing claim; the first wait here behind it asks it back
+	// (reclaims).
+	backGiven
+	backAsked // asked back: a wait here waits for its refresh
+)
 
 // noPin is lockEntry.pin of a local task's lock.
 const noPin = -1
@@ -98,6 +115,12 @@ type itemState struct {
 	// really drops the rest. A grant touches them only while unused is
 	// non-empty, so the steady read path pays one IsEmpty.
 	used, unused dataitem.Region
+	// refreshed maps a writer rank to the part of the fragment its
+	// refreshes installed and nothing has replaced since: what a local
+	// reader gives back to it as it lets go (giveBack) — but reread, the
+	// parts once asked back: read more than once between two writes.
+	refreshed []Located
+	reread    dataitem.Region
 }
 
 // newItemState returns the state of an item of type typ that nothing has
@@ -116,6 +139,7 @@ func newItemState(typ dataitem.Type) *itemState {
 		lent:      make(map[int]dataitem.Region),
 		used:      empty,
 		unused:    empty,
+		reread:    empty,
 	}
 }
 
@@ -206,6 +230,8 @@ func (st *itemState) resetDirectory() {
 	st.rooted = st.typ.EmptyRegion()
 	st.used = st.typ.EmptyRegion()
 	st.unused = st.typ.EmptyRegion()
+	st.refreshed = nil
+	st.reread = st.typ.EmptyRegion()
 	clear(st.lent)
 }
 
@@ -235,7 +261,31 @@ func (st *itemState) forget(r dataitem.Region) error {
 	}
 	st.used = st.used.Difference(r)
 	st.unused = st.unused.Difference(r)
+	st.refreshedBy(noPin, r)
 	return nil
+}
+
+// refreshedBy notes that r was installed by writer's refresh or, with
+// noPin, that it is gone or came another way.
+func (st *itemState) refreshedBy(writer int, r dataitem.Region) {
+	if len(st.refreshed) == 0 && writer == noPin {
+		return
+	}
+	rest, found := st.refreshed[:0], false
+	for _, f := range st.refreshed {
+		if f.Rank == writer {
+			f.Region, found = f.Region.Union(r), true
+		} else if !f.Region.Intersect(r).IsEmpty() {
+			f.Region = f.Region.Difference(r)
+		}
+		if !f.Region.IsEmpty() {
+			rest = append(rest, f)
+		}
+	}
+	if !found && writer != noPin {
+		rest = append(rest, Located{Region: r, Rank: writer})
+	}
+	st.refreshed = rest
 }
 
 // report stores a child's coverage on its side of the inner node at
@@ -320,9 +370,14 @@ func (st *itemState) pin(token uint64, peer int, mode Mode, part dataitem.Region
 // write-mode pin is the write lock of the rank it is held for: the
 // evictor waits for its own (the refresh of its previous acquisition is
 // still on its way) and for a higher rank's, and gives way to a lower
-// rank's. A carried pin (carry) turns away every evictor but its own
-// writer: its writer may not hold the lock yet, and a wait for it could
-// close a cycle through that writer's queue.
+// rank's. A pin carried for a shipped task (carry) turns away every
+// evictor but its own writer: its writer may not hold the lock yet, and a
+// wait for it could close a cycle through that writer's queue. A part
+// given back (giveBack) is a write lock of its writer under the rank
+// rule: its standing claim yields when the holder asks it back
+// (reclaims), and once a write there has taken it over, that write's own
+// drop of a lower rank's copy is turned away, so its release, which
+// refreshes the part, waits for nothing here.
 func (st *itemState) drop(from, self int, r dataitem.Region, token uint64) (reply *dropReply, evicted dataitem.Region, err error) {
 	part := r.Intersect(st.frag.Region())
 	if part.IsEmpty() {
@@ -338,7 +393,7 @@ func (st *itemState) drop(from, self int, r dataitem.Region, token uint64) (repl
 		if writer == noPin {
 			writer = self
 		}
-		if e.mode == Write && (from > writer || e.carried && from != writer) {
+		if e.mode == Write && (from > writer || e.carried && e.back == notBack && from != writer) {
 			return &dropReply{Contended: true}, nil, nil
 		}
 	}
@@ -394,16 +449,79 @@ func (st *itemState) carry(to, self int, r dataitem.Region, token uint64) datait
 	return reply.Kept
 }
 
+// given is a part a local reader gave back to writer rank (giveBack),
+// write-pinned under token here.
+type given struct {
+	rank  int
+	kept  dataitem.Region
+	token uint64
+}
+
+// giveBack is carry run as the local reader of r lets go: what a
+// writer's refreshes installed here, if r covers all of it, is carried
+// for that writer at once, and appended to out for the notice that makes
+// it the writer's standing claim (takeCarried). Only all of it spares the
+// writer's next write its drop here. A part another local reader still
+// holds, or one carry would not carry, stays readable here, and so does a
+// part once asked back (reread). token makes each pin's token.
+func (st *itemState) giveBack(self int, r dataitem.Region, token func() uint64, out []given) []given {
+	for _, f := range st.refreshed {
+		if !f.Region.Difference(r).IsEmpty() {
+			continue
+		}
+		part := f.Region
+		if !st.reread.IsEmpty() {
+			part = part.Difference(st.reread)
+		}
+		if part.IsEmpty() {
+			continue
+		}
+		tok := token()
+		if kept := st.carry(f.Rank, self, part, tok); kept != nil {
+			st.locks[len(st.locks)-1].back = backGoing
+			out = append(out, given{rank: f.Rank, kept: kept, token: tok})
+		}
+	}
+	return out
+}
+
+// give marks the pin token given, its notice on its way: an ask (reclaims)
+// travels behind the notice, so the writer has filed the claim it ends.
+func (st *itemState) give(token uint64) {
+	for i := range st.locks {
+		if e := &st.locks[i]; e.token == token && e.back == backGoing {
+			e.back = backGiven
+		}
+	}
+}
+
+// reclaims marks asked back the given pins on r not asked back yet, but
+// those of rank from, appending them to out: something here waits for
+// them, and their writers end the standing claims (reclaim) unless a
+// write there has taken them over. A drop from a pin's own writer asks
+// nothing: the writer wrote before the notice landed, and its claim
+// yields to that write's lock as it lands.
+func (st *itemState) reclaims(r dataitem.Region, from int, out []given) []given {
+	for i := range st.locks {
+		if e := &st.locks[i]; e.back == backGiven && e.pin != from && !e.region.Intersect(r).IsEmpty() {
+			e.back = backAsked
+			out = append(out, given{rank: e.pin, kept: e.region, token: e.token})
+		}
+	}
+	return out
+}
+
 // unpin releases the pin token if this item holds it (ok), with data,
-// the writer's refresh of a write-mode pin (settle). The token is the
+// the writer's refresh of a write-mode pin, read if a claim yielded it
+// (settle). The token is the
 // gate: a refresh whose pin is gone (released by recovery, or ended
 // another way before it arrived) installs nothing, and successive writes
 // need no version because each one's drop waits for the previous one's
 // pin.
-func (st *itemState) unpin(token uint64, data []byte) (lost dataitem.Region, ok bool) {
+func (st *itemState) unpin(token uint64, data []byte, read bool) (lost dataitem.Region, ok bool) {
 	for _, e := range st.locks {
 		if e.token == token {
-			return st.settle(e, data), true
+			return st.settle(e, data, read), true
 		}
 	}
 	return nil, false
@@ -414,14 +532,26 @@ func (st *itemState) unpin(token uint64, data []byte) (lost dataitem.Region, ok 
 // final content of the pinned part, is installed; what it does not cover
 // — all of the part, with none — is stale: it leaves the fragment before
 // the lock goes, so whoever waits behind the pin stages anew instead of
-// reading it, and is returned for the caller to report.
-func (st *itemState) settle(e lockEntry, data []byte) (lost dataitem.Region) {
+// reading it, and is returned for the caller to report. A part asked
+// back (reclaims) is read more than once between two writes: it never
+// goes back again (reread). A claim's refresh (read) is what was here
+// when the pin was taken, all of it read then: a drop keeps it.
+func (st *itemState) settle(e lockEntry, data []byte, read bool) (lost dataitem.Region) {
 	lost = st.typ.EmptyRegion()
 	if e.mode == Write {
 		lost = e.region
 		if len(data) > 0 {
 			if fresh, err := st.frag.Insert(data); err == nil {
 				st.installed(fresh)
+				if read {
+					st.granted(fresh)
+				}
+				if e.back == backAsked {
+					st.reread = st.reread.Union(fresh)
+					st.refreshedBy(noPin, fresh)
+				} else {
+					st.refreshedBy(e.pin, fresh)
+				}
 				lost = lost.Difference(fresh)
 			}
 		}
@@ -441,7 +571,7 @@ func (st *itemState) unpinAll(which func(lockEntry) bool) dataitem.Region {
 	lost := st.typ.EmptyRegion()
 	for i := 0; i < len(st.locks); {
 		if e := st.locks[i]; e.pin != noPin && which(e) {
-			lost = lost.Union(st.settle(e, nil)) // st.locks[i] is the next entry now
+			lost = lost.Union(st.settle(e, nil, false)) // st.locks[i] is the next entry now
 			continue
 		}
 		i++
@@ -533,6 +663,7 @@ func (st *itemState) install(r dataitem.Region, data []byte) (bool, error) {
 		return false, err
 	}
 	st.installed(missing)
+	st.refreshedBy(noPin, missing)
 	return true, nil
 }
 
@@ -570,14 +701,17 @@ func (st *itemState) present(r dataitem.Region) bool {
 
 // start is the (start) rule: r, present and not blocked, is locked under
 // token for a local task. The claims token's task brought along on the
-// item are its acquisition's pins now, and a write ends every other
-// owner's claim on r (yield), appending their refreshes to out.
+// item are its acquisition's pins now, and so are the standing claims a
+// write meets — their holders' copies stay pinned until its release, the
+// part outside r refreshed unchanged; a write ends every other claim on r
+// (yield), appending their refreshes to out.
 func (st *itemState) start(token uint64, mode Mode, r dataitem.Region, out []refresh) []refresh {
 	st.locks = append(st.locks, lockEntry{token: token, mode: mode, region: r, pin: noPin})
 	st.granted(r)
 	for i := range st.held {
-		if st.held[i].owner == token {
-			st.held[i].carried = false
+		h := &st.held[i]
+		if h.owner == token || mode == Write && h.owner == standing && !h.region.Intersect(r).IsEmpty() {
+			h.owner, h.carried = token, false
 		}
 	}
 	if mode == Write {
@@ -587,15 +721,22 @@ func (st *itemState) start(token uint64, mode Mode, r dataitem.Region, out []ref
 }
 
 // end is the (end) rule: the locks of token — an acquisition's or a
-// pin's — go.
-func (st *itemState) end(token uint64) {
+// pin's — go. It returns what token had read-locked (nil: nothing), for
+// giveBack.
+func (st *itemState) end(token uint64) (read dataitem.Region) {
 	kept := st.locks[:0]
 	for _, e := range st.locks {
-		if e.token != token {
+		switch {
+		case e.token != token:
 			kept = append(kept, e)
+		case e.mode == Read && e.pin == noPin && read == nil:
+			read = e.region
+		case e.mode == Read && e.pin == noPin:
+			read = read.Union(e.region)
 		}
 	}
 	st.locks = kept
+	return read
 }
 
 // evicted is the (migrate) rule at the evictor, taking in the holder's
@@ -638,8 +779,9 @@ func (st *itemState) evicted(owner uint64, o Located, reply *dropReply, claim bo
 }
 
 // takeCarried is evicted for the drop the origin `from` served as it
-// shipped the task owner here (carry): a reply of the kept part alone,
-// filed as a claim. Its region fits (TakeCarried checks the frame).
+// shipped the task owner here (carry), or as its reader gave the part
+// back (giveBack, owner standing): a reply of the kept part alone, filed
+// as a claim. Its region fits (TakeCarried and handleCarry check it).
 func (st *itemState) takeCarried(owner uint64, from int, c Carried, out []refresh) []refresh {
 	out, _ = st.evicted(owner, Located{Region: c.Kept, Rank: from}, &dropReply{Root: st.typ.EmptyRegion(), Kept: c.Kept, PinToken: c.Token}, true, out)
 	return out
@@ -650,7 +792,13 @@ func (st *itemState) takeCarried(owner uint64, from int, c Carried, out []refres
 // the acquisition a holder kept the part for, or the shipped task whose
 // origin carried the drop — until the owner sends the holder its refresh.
 // A claim (a record the task brought along) yields to anything else that
-// needs its region before the task's acquisition locks it (start).
+// needs its region before the task's acquisition locks it (start). A
+// standing claim, a part its holder gave back (giveBack), belongs to no
+// task: the next local write that meets it takes it over (start), and
+// it yields like a task's claim, or to its holder (reclaim).
+
+// standing is the owner of a standing claim: no acquisition's token.
+const standing = ^uint64(0)
 
 // heldPin is the writer's record of a write-mode pin at its holder.
 type heldPin struct {
@@ -664,19 +812,22 @@ type heldPin struct {
 }
 
 // refresh is a dim.unpin owed to the holder of a write-mode pin: its
-// token, and the pinned part's content.
+// token, and the pinned part's content — read if a claim yields it.
 type refresh struct {
 	rank  int
 	token uint64
 	data  []byte
+	read  bool
 }
 
 // owe appends to out the refresh h's holder is owed now: the pinned part
 // as it is here. A part no longer here has nothing to send, and the
-// holder drops it instead.
+// holder drops it instead. A claim's part was not written since the
+// holder read it (carry takes only a part read, and every write here ends
+// or takes the claim first): its refresh is marked read.
 func (st *itemState) owe(h heldPin, out []refresh) []refresh {
 	data, _ := st.frag.Extract(h.region)
-	return append(out, refresh{rank: h.rank, token: h.token, data: data})
+	return append(out, refresh{rank: h.rank, token: h.token, data: data, read: h.carried})
 }
 
 // yield ends the claims on r of every owner but except, appending their
@@ -692,6 +843,18 @@ func (st *itemState) yield(except uint64, r dataitem.Region, out []refresh) []re
 		}
 	}
 	st.held = rest
+	return out
+}
+
+// reclaim ends the standing claim on holder rank's pin token, if it still
+// stands, appending its refresh to out: the holder waits for the part.
+func (st *itemState) reclaim(rank int, token uint64, out []refresh) []refresh {
+	for i, h := range st.held {
+		if h.owner == standing && h.rank == rank && h.token == token {
+			st.held = slices.Delete(st.held, i, i+1)
+			return st.owe(h, out)
+		}
+	}
 	return out
 }
 
@@ -756,11 +919,13 @@ func (st *itemState) retract(floor uint64) {
 // never come. Its sharer record goes — its copies are gone — and so does
 // the root role of what it was lent: copies made from its copy were
 // recorded only there, so this rank can no longer vouch for knowing them
-// all.
+// all. Its standing claims go, and nothing is given back to it.
 func (st *itemState) departed(rank int) dataitem.Region {
 	if lr, ok := st.lent[rank]; ok {
 		st.root = st.root.Difference(lr)
 		delete(st.lent, rank)
 	}
+	st.held = slices.DeleteFunc(st.held, func(h heldPin) bool { return h.owner == standing && h.rank == rank })
+	st.refreshed = slices.DeleteFunc(st.refreshed, func(f Located) bool { return f.Rank == rank })
 	return st.unpinAll(func(e lockEntry) bool { return e.pin == rank })
 }

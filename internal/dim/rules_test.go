@@ -46,6 +46,12 @@ const (
 //     before delivery (the origin settles the pin), arrive late, or
 //     arrive twice (the link delivers the second copy to no one); every
 //     other need of the region ends a claim first (yield, start);
+//   - give-backs: a reader's release carries the part a writer's refresh
+//     installed back to that writer (giveBack), which files it as a
+//     standing claim (takeCarried) that its next local write covering it
+//     takes over (start); whatever waits for a given part at its holder —
+//     a lock, a fetch, a drop waiting or turned away — asks it back
+//     (reclaims), and the writer's claim yields (reclaim);
 //   - deliveries of the messages in flight, in any order — some lag far
 //     behind, and an unpin may come twice; a request whose rule answers
 //     errWait stays in flight;
@@ -61,11 +67,11 @@ const (
 // while its task has not locked.
 //
 // The writer's side of every pin is the rules' own: evicted and
-// takeCarried file it, start promotes a claim, yield, take and retract
-// end it, notHeld reads it. The test keeps no record of its own.
+// takeCarried file it, start promotes a claim, yield, reclaim, take and
+// retract end it, notHeld reads it. The test keeps no record of its own.
 //
 // A retraction is one step over all ranks, taken while no drop — and no
-// ship carrying one — is in flight. One that overtakes a drop breaks the
+// ship or give-back carrying one — is in flight. One that overtakes a drop breaks the
 // directory: the evictor takes over a root role whose records the
 // retraction has cleared, and a copy of the region is then on no record
 // (ROADMAP 5).
@@ -162,9 +168,11 @@ const (
 	claimReq
 	claimRep
 	shipReq
+	carryMsg   // a give-back (dim.carry)
+	reclaimMsg // a holder asking a given part back (dim.reclaim)
 )
 
-var propKinds = [...]string{"fetch", "fetch reply", "unpin", "drop", "drop reply", "claim", "claim reply", "ship"}
+var propKinds = [...]string{"fetch", "fetch reply", "unpin", "drop", "drop reply", "claim", "claim reply", "ship", "give-back", "reclaim"}
 
 // propMsg is a message in flight from rank `from` to rank `to`.
 type propMsg struct {
@@ -173,11 +181,13 @@ type propMsg struct {
 	r        dataitem.Region // what a fetch or a drop asks for
 	fetch    *fetchReply
 	drop     *dropReply
-	token    uint64 // an unpin's pin
+	token    uint64 // an unpin's or a reclaim's pin
 	data     []byte // an unpin's refresh
+	read     bool   // a claim's refresh (owe)
 	claim    *claimArgs
 	granted  dataitem.Region
-	carry    *Carried // the eviction a ship carries, or nil
+	carry    *Carried // the eviction a ship or a give-back carries, or nil
+	epoch    uint64   // a give-back's
 	dup      bool     // a ship's resend, which the link never delivers
 	slow     bool     // delivered only now and then: overtaken by most of what is sent after it
 }
@@ -300,6 +310,9 @@ func (s *propSim) step() error {
 		acts = append(acts, s.ship)
 	}
 	for k, m := range s.msgs {
+		if m.kind == reclaimMsg && s.giving(m.token) {
+			continue // the link delivers the give-back first, and it is served in frame order
+		}
 		if s.quiesce || !m.slow || s.rng.Intn(20) == 0 {
 			acts = append(acts, func() error { return s.deliver(k) })
 		}
@@ -307,7 +320,7 @@ func (s *propSim) step() error {
 			acts = append(acts, func() error { return s.giveUp(k) })
 		}
 	}
-	if s.retract > 0 && !s.quiesce && s.rng.Intn(3) == 0 && !s.inFlight(dropReq, dropRep) && !s.carrying() {
+	if s.retract > 0 && !s.quiesce && s.rng.Intn(3) == 0 && !s.inFlight(dropReq, dropRep, carryMsg) && !s.carrying() {
 		acts = append(acts, s.retraction)
 	}
 	if len(acts) == 0 {
@@ -339,6 +352,11 @@ func (s *propSim) carrying() bool {
 	return false
 }
 
+// giving reports whether the give-back of pin token is in flight.
+func (s *propSim) giving(token uint64) bool {
+	return slices.ContainsFunc(s.msgs, func(m propMsg) bool { return m.kind == carryMsg && m.carry.Token == token })
+}
+
 func (s *propSim) send(m propMsg) {
 	m.slow = s.rng.Intn(5) == 0
 	s.msgs = append(s.msgs, m)
@@ -353,12 +371,19 @@ func (s *propSim) interval(a, b int) dataitem.Region {
 	return dataitem.GridRegionFromTo(region.Point{a}, region.Point{b})
 }
 
-// begin starts an acquisition of a random region at an idle rank.
+// begin starts an acquisition at an idle rank: of a random region or,
+// half the time at a rank holding what a writer's refreshes installed, a
+// read of all of that — a halo's reader, which gives it back.
 func (s *propSim) begin(i int) error {
-	lo := s.rng.Intn(propElems)
-	hi := min(propElems, lo+1+s.rng.Intn(3))
 	s.seq++
-	a := &propAcq{token: s.seq, mode: Mode(s.rng.Intn(2)), r: s.interval(lo, hi)}
+	a := &propAcq{token: s.seq}
+	if f := s.st[i].refreshed; len(f) > 0 && s.rng.Intn(2) == 0 {
+		a.mode, a.r = Read, f[s.rng.Intn(len(f))].Region // a halo's reader
+	} else {
+		lo := s.rng.Intn(propElems)
+		hi := min(propElems, lo+1+s.rng.Intn(3))
+		a.mode, a.r = Mode(s.rng.Intn(2)), s.interval(lo, hi)
+	}
 	s.acq[i] = a
 	s.logf("rank %d begins %v of %v", i, a.mode, a.r)
 	return nil
@@ -399,7 +424,7 @@ func (s *propSim) giveUp(k int) error {
 	s.msgs = append(s.msgs[:k], s.msgs[k+1:]...)
 	s.logf("rank %d gives up its ship to rank %d", m.from, m.to)
 	if m.carry != nil {
-		s.st[m.from].unpin(m.carry.Token, nil)
+		s.st[m.from].unpin(m.carry.Token, nil, false)
 	}
 	return nil
 }
@@ -422,11 +447,23 @@ func (s *propSim) leave(i int) error {
 	return nil
 }
 
+// reclaim has rank i ask back the given parts on r that hold up one of
+// its waits — but those of rank from, a drop's sender (reclaims) — and
+// reports whether it asked.
+func (s *propSim) reclaim(i int, r dataitem.Region, from int) bool {
+	asks := s.st[i].reclaims(r, from, nil)
+	for _, g := range asks {
+		s.logf("rank %d asks rank %d for %v back", i, g.rank, g.kept)
+		s.send(propMsg{kind: reclaimMsg, from: i, to: g.rank, token: g.token})
+	}
+	return len(asks) > 0
+}
+
 // unpins sends the refreshes the rules at rank i owe.
 func (s *propSim) unpins(i int, rs []refresh) {
 	for _, r := range rs {
 		s.logf("rank %d refreshes the pin %#x of rank %d", i, r.token, r.rank)
-		s.send(propMsg{kind: unpinMsg, from: i, to: r.rank, token: r.token, data: r.data})
+		s.send(propMsg{kind: unpinMsg, from: i, to: r.rank, token: r.token, data: r.data, read: r.read})
 	}
 }
 
@@ -460,7 +497,7 @@ func (s *propSim) advance(i int) error {
 			return nil
 		}
 		if blocked, _ := st.blocked(a.token, a.mode, a.r); blocked {
-			s.idle = true // parked until the lock goes
+			s.idle = !s.reclaim(i, a.r, noPin) // parked until the lock goes
 			return nil
 		}
 		s.logf("rank %d locks %v", i, a.r)
@@ -510,12 +547,19 @@ func (s *propSim) advance(i int) error {
 	return nil
 }
 
-// release ends rank i's locks and sends every replica kept for it its
-// refresh (take).
+// release ends rank i's locks, sends every replica kept for it its
+// refresh (take) and gives back what it read of a writer's refresh
+// (giveBack).
 func (s *propSim) release(i int) {
 	a, st := s.acq[i], s.st[i]
 	s.unpins(i, st.take(a.token, nil))
-	st.end(a.token)
+	if read := st.end(a.token); read != nil {
+		for _, g := range st.giveBack(i, read, func() uint64 { return s.pinToken(i) }, nil) {
+			s.logf("rank %d gives %v back to rank %d", i, g.kept, g.rank)
+			s.send(propMsg{kind: carryMsg, from: i, to: g.rank, carry: &Carried{Kept: g.kept, Token: g.token}, epoch: s.epoch})
+			st.give(g.token)
+		}
+	}
 }
 
 // deliver hands message k to its rule at the receiver.
@@ -528,7 +572,7 @@ func (s *propSim) deliver(k int) error {
 	case fetchReq:
 		r, err := st.replicate(m.from, m.r, s.pinToken(m.to))
 		if err == errWait {
-			s.idle = true // parked until the lock goes
+			s.idle = !s.reclaim(m.to, m.r, noPin) // parked until the lock goes
 			return nil
 		}
 		if err != nil {
@@ -544,7 +588,7 @@ func (s *propSim) deliver(k int) error {
 			reply = &propMsg{kind: unpinMsg, token: m.fetch.PinToken}
 		}
 	case unpinMsg:
-		st.unpin(m.token, m.data)
+		st.unpin(m.token, m.data, m.read)
 		if s.rng.Intn(2) == 0 {
 			// An unpin that comes twice: its pin is gone by the time the
 			// second one arrives.
@@ -556,11 +600,14 @@ func (s *propSim) deliver(k int) error {
 		s.unpins(m.to, st.yield(0, m.r, nil))
 		r, _, err := st.drop(m.from, m.to, m.r, s.pinToken(m.to))
 		if err == errWait {
-			s.idle = true // parked until the lock goes
+			s.idle = !s.reclaim(m.to, m.r, m.from) // parked until the lock goes
 			return nil
 		}
 		if err != nil {
 			return err
+		}
+		if r.Contended {
+			s.reclaim(m.to, m.r, m.from)
 		}
 		reply = &propMsg{kind: dropRep, r: m.r, drop: r}
 	case dropRep:
@@ -590,6 +637,14 @@ func (s *propSim) deliver(k int) error {
 			m.dup, m.slow = true, true
 			s.msgs = append(s.msgs, m)
 		}
+	case carryMsg: // Manager.handleCarry
+		if m.epoch != s.epoch {
+			reply = &propMsg{kind: unpinMsg, token: m.carry.Token}
+			break
+		}
+		s.unpins(m.to, st.takeCarried(standing, m.from, *m.carry, nil))
+	case reclaimMsg:
+		s.unpins(m.to, st.reclaim(m.from, m.token, nil))
 	case claimReq:
 		reply = &propMsg{kind: claimRep, claim: m.claim, granted: st.grantClaim(m.claim, s.epoch)}
 	case claimRep:

@@ -112,7 +112,7 @@ func (m *Manager) sendRefreshes(rs []refresh) {
 	for _, r := range rs {
 		m.refreshSent.Inc()
 		m.refreshBytes.Add(uint64(len(r.data)))
-		m.loc.Notify(r.rank, methodUnpin, &unpinArgs{Token: r.token, Data: r.data})
+		m.loc.Notify(r.rank, methodUnpin, &unpinArgs{Token: r.token, Data: r.data, Read: r.read})
 	}
 }
 
@@ -194,4 +194,89 @@ func (m *Manager) TakeCarried(from, n int, carried func(i int) (token uint64, cs
 		m.loc.Go(func() { m.sendRefreshes(yields) })
 	}
 	return nil
+}
+
+// A reader's release carries its drop (DESIGN.md §6f "Given back"): the
+// part of a replica a writer's refresh installed goes back to that writer
+// as its local reader lets go (Release, giveBack), in an ack-only
+// dim.carry notice that the writer files as a standing claim
+// (handleCarry). The writer's next local write that meets it takes it
+// over and sends no dim.drop; whatever waits for the part at its holder
+// asks it back first (reclaimLocked, handleReclaim).
+
+// carryNote is a dim.carry notice to rank.
+type carryNote struct {
+	rank int
+	args carryArgs
+}
+
+// handleCarry files, at the writer, the part its holder `from` gave back
+// as a standing claim (takeCarried, owner standing). Served in frame
+// order (HandleInline), ahead of the ship or fulfilment whose task writes
+// the part, it sends nothing itself: a claim that yields at once sends
+// its refresh, and a notice from another recovery epoch — a retraction
+// has cleared, or will clear, one of the pin's two records — its refusal,
+// an unpin without data, from a goroutine of their own. A notice from a
+// holder that has left, or for an item destroyed here, is ignored.
+func (m *Manager) handleCarry(from int, args *carryArgs) (*struct{}, error) {
+	m.mu.Lock()
+	st, err := m.itemFits(args.Item, args.Kept)
+	if err != nil || m.gone(from) != nil {
+		m.mu.Unlock()
+		if errors.Is(err, errDestroyed) {
+			err = nil
+		}
+		return &struct{}{}, err
+	}
+	var yields []refresh
+	refused := args.Epoch != m.epoch
+	if !refused {
+		yields = st.takeCarried(standing, from, args.Carried, nil)
+	}
+	m.mu.Unlock()
+	switch {
+	case refused:
+		m.loc.Go(func() { m.loc.Notify(from, methodUnpin, &unpinArgs{Token: args.Token}) })
+	case len(yields) > 0:
+		m.loc.Go(func() { m.sendRefreshes(yields) })
+	}
+	return &struct{}{}, nil
+}
+
+// handleReclaim ends, at the writer, the standing claim on the pin token
+// of holder `from` (reclaim), wherever it is held: something there waits
+// for the part. A claim a local write has taken over ends with that
+// write's release.
+func (m *Manager) handleReclaim(from int, args *unpinArgs) (*struct{}, error) {
+	var yields []refresh
+	m.mu.Lock()
+	for _, st := range m.items {
+		yields = st.reclaim(from, args.Token, yields)
+	}
+	m.mu.Unlock()
+	m.sendRefreshes(yields)
+	return &struct{}{}, nil
+}
+
+// reclaimLocked asks the writers of the given pins on r of item id that
+// nobody has asked back yet for them — but a drop's sender from
+// (reclaims) — in dim.reclaim notices sent outside the lock, which is
+// held on entry and on return. It reports
+// whether it asked: the caller looks again before it parks.
+func (m *Manager) reclaimLocked(id ItemID, r dataitem.Region, from int) bool {
+	st, ok := m.items[id]
+	if !ok {
+		return false
+	}
+	asks := st.reclaims(r, from, nil)
+	if len(asks) == 0 {
+		return false
+	}
+	m.mu.Unlock()
+	for _, g := range asks {
+		m.dropReclaimed.Inc()
+		m.loc.Notify(g.rank, methodReclaim, &unpinArgs{Token: g.token})
+	}
+	m.mu.Lock()
+	return true
 }

@@ -88,11 +88,12 @@ func (ts *testSystem) pinCount(rank int) int {
 	return pinsLocked(m)
 }
 
-// pinsLocked counts the lock entries of m that are pins.
+// pinsLocked counts the lock entries of m that are pins, less the parts
+// given back, which wait for nobody.
 func pinsLocked(m *Manager) (n int) {
 	for _, st := range m.items {
 		for _, e := range st.locks {
-			if e.pin != noPin {
+			if e.pin != noPin && e.back != backGiven {
 				n++
 			}
 		}
@@ -101,17 +102,74 @@ func pinsLocked(m *Manager) (n int) {
 }
 
 // noPins checks, at a quiescent point, that no pin has outlived its
-// acquisition: no pin and no refresh owed anywhere, and no lock on id.
+// acquisition: no pin and no refresh owed anywhere, and no lock on id —
+// but a part given back and its standing claim, which wait for nobody.
 func (ts *testSystem) noPins(t *testing.T, id ItemID) {
 	t.Helper()
 	for rank, m := range ts.managers {
 		m.mu.Lock()
-		pins, held, locks := pinsLocked(m), len(m.items[id].held), len(m.items[id].locks)
+		st := m.items[id]
+		pins := pinsLocked(m)
+		held := len(st.held) - countFunc(st.held, func(h heldPin) bool { return h.owner == standing })
+		locks := len(st.locks) - countFunc(st.locks, func(e lockEntry) bool { return e.back == backGiven })
 		m.mu.Unlock()
 		if pins != 0 || held != 0 || locks != 0 {
 			t.Errorf("rank %d at quiescence: %d pins, %d acquisitions owing a refresh, %d locks", rank, pins, held, locks)
 		}
 	}
+	if err := givenMatched(ts.managers); err != nil {
+		t.Errorf("at quiescence: %v", err)
+	}
+}
+
+// givenMatched checks that the parts given back and the standing claims
+// of ms pair up, one to one: each pin given at a holder is a standing
+// claim at the pin's writer under the same token and holder rank, and
+// each standing claim names such a pin. An unmatched one would stand for
+// good: a pin nobody refreshes, or a claim whose refresh finds no pin.
+func givenMatched(ms []*Manager) error {
+	type pair struct {
+		holder, writer int
+		token          uint64
+	}
+	pins, claims := map[pair]int{}, map[pair]int{}
+	for _, m := range ms {
+		m.mu.Lock()
+		for _, st := range m.items {
+			for _, e := range st.locks {
+				if e.back == backGiven {
+					pins[pair{m.Rank(), e.pin, e.token}]++
+				}
+			}
+			for _, h := range st.held {
+				if h.owner == standing {
+					claims[pair{h.rank, m.Rank(), h.token}]++
+				}
+			}
+		}
+		m.mu.Unlock()
+	}
+	for p, n := range pins {
+		if claims[p] != n {
+			return fmt.Errorf("%d pins given back at rank %d to rank %d under token %d, %d standing claims on them", n, p.holder, p.writer, p.token, claims[p])
+		}
+	}
+	for p, n := range claims {
+		if pins[p] != n {
+			return fmt.Errorf("%d standing claims at rank %d on rank %d's pin %d, %d pins given back", n, p.writer, p.holder, p.token, pins[p])
+		}
+	}
+	return nil
+}
+
+// countFunc counts the elements of s that f selects.
+func countFunc[T any](s []T, f func(T) bool) (n int) {
+	for _, x := range s {
+		if f(x) {
+			n++
+		}
+	}
+	return n
 }
 
 func (ts *testSystem) coverage(t *testing.T, rank int, id ItemID) dataitem.Region {

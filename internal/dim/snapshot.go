@@ -51,7 +51,8 @@ func (m *Manager) CoverageSize(id ItemID) (int64, error) {
 // The caller must ensure quiescence (no concurrent writers), e.g. by
 // checkpointing between computation phases. A finished writer's refresh
 // of a replica kept here may still be on its way — nobody waits for it
-// — and is waited for now: the snapshot is a reader like any other.
+// — and is waited for now, and a part given back asked back: the
+// snapshot is a reader like any other.
 func (m *Manager) ExportLocal(id ItemID) (*LocalSnapshot, error) {
 	var w waiter
 	defer w.done()
@@ -63,6 +64,9 @@ func (m *Manager) ExportLocal(id ItemID) (*LocalSnapshot, error) {
 			return nil, err
 		}
 		if !st.writePinned().IsEmpty() {
+			if m.reclaimLocked(id, st.full, noPin) {
+				continue
+			}
 			if err := m.park(&w, false); err != nil {
 				return nil, fmt.Errorf("dim: export of %v blocked on a replica refresh: %w", id, err)
 			}

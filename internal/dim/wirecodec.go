@@ -41,12 +41,16 @@ type (
 		// stale data.
 		PinToken uint64
 	}
+	// unpinArgs is a dim.unpin notice, and the form of a dim.reclaim: the
+	// holder asks its pin Token back.
 	unpinArgs struct {
 		Token uint64
 		// Data, when the token names a write-mode pin, is the writer's
 		// final content of the pinned part, to be installed before the
-		// pin goes; without it the part is stale and really dropped.
+		// pin goes; without it the part is stale and really dropped. Read
+		// marks a claim's content: what the holder read (owe).
 		Data []byte
+		Read bool
 	}
 	claimArgs struct {
 		Item   ItemID
@@ -86,6 +90,13 @@ type (
 		Item  ItemID
 		Kept  dataitem.Region
 		Token uint64
+	}
+	// carryArgs is a dim.carry notice: a part the holder gave back as its
+	// reader let go (giveBack), as a ship carries one, and the holder's
+	// recovery epoch (handleCarry).
+	carryArgs struct {
+		Carried
+		Epoch uint64
 	}
 	// batchReq is one resolution sub-request of a dim.resolveBatch
 	// frame; All selects full-descent (Owners-style) resolution.
@@ -275,13 +286,14 @@ func (r *fetchReply) UnmarshalWire(d *wire.Decoder) error {
 
 // AppendWire implements wire.Marshaler.
 func (a *unpinArgs) AppendWire(buf []byte) ([]byte, error) {
-	return wire.AppendBytes(wire.AppendUvarint(buf, a.Token), a.Data), nil
+	return wire.AppendBool(wire.AppendBytes(wire.AppendUvarint(buf, a.Token), a.Data), a.Read), nil
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (a *unpinArgs) UnmarshalWire(d *wire.Decoder) error {
 	a.Token = d.Uvarint()
 	a.Data = d.Bytes()
+	a.Read = d.Bool()
 	return nil
 }
 
@@ -370,5 +382,23 @@ func (c *Carried) UnmarshalWire(d *wire.Decoder) (err error) {
 		return err
 	}
 	c.Token = d.Uvarint()
+	return nil
+}
+
+// AppendWire implements wire.Marshaler.
+func (a *carryArgs) AppendWire(buf []byte) ([]byte, error) {
+	buf, err := a.Carried.AppendWire(buf)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendUvarint(buf, a.Epoch), nil
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (a *carryArgs) UnmarshalWire(d *wire.Decoder) error {
+	if err := a.Carried.UnmarshalWire(d); err != nil {
+		return err
+	}
+	a.Epoch = d.Uvarint()
 	return nil
 }

@@ -45,6 +45,7 @@ func headerSeeds() []wireForm {
 		&fetchReply{Data: []byte{wire.FormatBinary, 1, 2, 3}, Part: row, PinToken: token},
 		&unpinArgs{Token: token},
 		&unpinArgs{Token: token, Data: bytes.Repeat([]byte{0x5a}, 62*8)},
+		&unpinArgs{Token: token, Data: []byte{wire.FormatBinary, 1}, Read: true},
 		&claimArgs{Item: MakeItemID(2, 0, 9), Region: row, Alloc: true},
 		&claimArgs{Item: MakeItemID(2, 0, 9), Region: tree, Root: true},
 		&claimReply{},
@@ -60,6 +61,7 @@ var argForms = append(headerForms[:len(headerForms):len(headerForms)],
 	func() wireForm { return new(batchArgs) },
 	func() wireForm { return new(batchReply) },
 	func() wireForm { return new(retractArgs) },
+	func() wireForm { return new(carryArgs) },
 )
 
 func argSeeds() []wireForm {
@@ -78,6 +80,8 @@ func argSeeds() []wireForm {
 		}},
 		&batchReply{Replies: [][]Located{{{Region: row, Rank: 1}, {Region: tree, Rank: 3}}, nil}},
 		&retractArgs{Epoch: 3},
+		&carryArgs{Carried{Item: MakeItemID(1, 0, 2), Kept: row, Token: 1<<63 | 1<<48 | 7}, 3},
+		&carryArgs{Carried{Item: MakeItemID(0, 0, 1), Kept: tree, Token: 1<<63 | 5}, 0},
 	)
 }
 
@@ -149,7 +153,8 @@ func TestDIMArgsWireRoundTrip(t *testing.T) {
 
 // FuzzDIMArgsUnmarshal is FuzzHeaderUnmarshal over the forms of every
 // DIM service (argForms): destruction, index reports, resolution
-// batches and the recovery retraction too.
+// batches, the recovery retraction and a part given back too (an ask
+// is an unpin's form).
 func FuzzDIMArgsUnmarshal(f *testing.F) {
 	seedForms(f, argForms, argSeeds())
 	fuzzForms(f, argForms)

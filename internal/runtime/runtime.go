@@ -173,7 +173,7 @@ func NewLocality(ep transport.Endpoint) *Locality {
 	reg := metrics.NewRegistry()
 	l := &Locality{
 		ep:            ep,
-		methods:       make(map[string]Method),
+		methods:       make(map[string]Method, 16), // a core system registers 15: set up without regrowing
 		inlined:       make(map[string]bool),
 		oneWays:       make(map[string]OneWay),
 		reg:           reg,
@@ -315,7 +315,10 @@ func (l *Locality) handle(name string, m Method, inline bool) {
 	if _, dup := l.methods[name]; dup {
 		panic(fmt.Sprintf("runtime: method %q registered twice", name))
 	}
-	l.methods[name], l.inlined[name] = m, inline
+	l.methods[name] = m
+	if inline {
+		l.inlined[name] = true
+	}
 }
 
 // HandleOneWay registers the one-way message handler name.

@@ -199,6 +199,7 @@ func (e *TCPEndpoint) flush(tc *tcpConn) {
 		tc.mu.Unlock()
 
 		n = 0
+		e.stats.Load().writes.Inc()
 		err := tc.raw.Write(rawWrite)
 		if n = max(n, 0); err == nil && n < len(batch) {
 			err = tc.writeRest(batch[n:], e.cfg.WriteTimeout)

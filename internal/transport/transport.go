@@ -81,8 +81,10 @@ const (
 	MetricReconnects = "transport.reconnects"
 	// MetricSendErrors counts Send calls whose one hand-off failed.
 	MetricSendErrors = "transport.send_errors"
-	// MetricReads counts TCP socket reads: one per arrival.
-	MetricReads = "transport.reads"
+	// MetricReads counts TCP socket reads: one per arrival. MetricWrites
+	// counts the flushers' write(2)s: one per batch of frames.
+	MetricReads  = "transport.reads"
+	MetricWrites = "transport.writes"
 	// MetricDroppedFrames counts inbound frames rejected as corrupt; the
 	// carrying connection is closed.
 	MetricDroppedFrames = "transport.dropped_frames"
@@ -93,7 +95,7 @@ const (
 type counters struct {
 	msgsSent, bytesSent, msgsRecv, bytesRecv *metrics.Counter
 	reconnects, sendErrors, droppedFrames    *metrics.Counter
-	reads                                    *metrics.Counter
+	reads, writes                            *metrics.Counter
 }
 
 // newCounters binds a counters set to reg (a fresh private registry
@@ -111,6 +113,7 @@ func newCounters(reg *metrics.Registry) *counters {
 		sendErrors:    reg.Counter(MetricSendErrors),
 		droppedFrames: reg.Counter(MetricDroppedFrames),
 		reads:         reg.Counter(MetricReads),
+		writes:        reg.Counter(MetricWrites),
 	}
 }
 
